@@ -15,26 +15,29 @@
 //! (`fib-workload`'s `HeatSummary::entries`, but any `(key, weight)` list
 //! works) and pins pure blocks until the entry budget is spent.
 //!
-//! [`HotFib`] composes the slab in front of any engine: a probe is one
-//! hash + at most [`HOT_PROBE`] cache-adjacent slot reads, and a hit skips
-//! the compressed walk entirely while remaining bit-identical to it —
-//! impure blocks are never promoted, so the slab can only answer what the
-//! full walk would. Batched lookups compact slab misses into sub-batches
-//! so the inner engine keeps its interleaved multi-lane kernels.
+//! [`HotFront`] puts the slab, behind an adaptive hit-rate gate, in front
+//! of any engine ([`HotFib`] owns one beside an engine; image views and
+//! `fib-router`'s hot epochs hold one too): a probe is one hash + at most
+//! [`HOT_PROBE`] cache-adjacent slot reads, and a hit skips the
+//! compressed walk entirely while remaining bit-identical to it — impure
+//! blocks are never promoted, so the slab can only answer what the full
+//! walk would. Batched lookups compact slab misses into sub-batches so
+//! the inner engine keeps its interleaved multi-lane kernels.
 //!
-//! Keys use the same encoding as `fib_workload::heat::heat_key` — the top
-//! `D` address bits, MSB-aligned in a `u64` — so a sketch recorded at depth
-//! `D` feeds a slab compiled at depth `D` with no translation.
+//! Keys are [`fib_trie::block_key`]s — the top `D` address bits,
+//! MSB-aligned in a `u64` — which is also what `fib_workload::heat`
+//! counts under, so a sketch recorded at depth `D` feeds a slab compiled
+//! at depth `D` with no translation.
 
 use std::marker::PhantomData;
 
-use fib_trie::{Address, BinaryTrie, NextHop};
+use fib_trie::{block_hash, Address, BinaryTrie, NextHop};
 
 use crate::engine::FibLookup;
 
 /// Maximum slab block depth (keys keep their low 8 bits free for the
 /// occupancy tag; matches `fib_workload::heat::MAX_HEAT_DEPTH`).
-pub const MAX_HOT_DEPTH: u8 = 56;
+pub const MAX_HOT_DEPTH: u8 = fib_trie::MAX_BLOCK_DEPTH;
 
 /// Bounded probe length for slab lookups and inserts.
 pub const HOT_PROBE: usize = 8;
@@ -46,41 +49,15 @@ const OCCUPIED: u64 = 1;
 /// empty slot, whose *key* word is zero).
 const NO_ROUTE: u64 = u64::MAX;
 
-/// Truncates `addr` to its top `depth` bits, MSB-aligned in a `u64` — the
-/// slab's key function, identical to `fib_workload::heat::heat_key`.
-///
-/// # Panics
-/// Panics if `depth` is 0 or exceeds [`MAX_HOT_DEPTH`] or the address
-/// width.
-#[must_use]
-#[inline]
-pub fn hot_key<A: Address>(addr: A, depth: u8) -> u64 {
-    debug_assert!(
-        depth > 0 && depth <= MAX_HOT_DEPTH && depth <= A::WIDTH,
-        "hot depth out of range"
-    );
-    let msb = addr.to_u128() << (128 - u32::from(A::WIDTH));
-    let top = (msb >> 64) as u64;
-    top & (u64::MAX << (64 - u32::from(depth)))
-}
+/// The slab's key function — [`fib_trie::block_key`], which the heat
+/// sketch counts under as `fib_workload::heat::heat_key`.
+pub use fib_trie::block_key as hot_key;
 
 /// Reconstructs the block base address from a slab key.
 #[must_use]
 #[inline]
 pub(crate) fn key_addr<A: Address>(key: u64) -> A {
     A::from_u128((u128::from(key) << 64) >> (128 - u32::from(A::WIDTH)))
-}
-
-/// Finalizer-quality 64-bit mix (the murmur3/splitmix avalanche) — cheap
-/// enough for one hash per packet, unlike byte-wise FNV.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let mut x = key;
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    x ^ (x >> 33)
 }
 
 /// Parameters of the hot-layout pass.
@@ -211,7 +188,7 @@ impl HotSlab {
     fn insert(&mut self, key: u64, answer: Option<NextHop>) -> bool {
         let tagged = key | OCCUPIED;
         let label = answer.map_or(NO_ROUTE, |nh| u64::from(nh.index()));
-        let mut idx = mix(key) & self.mask;
+        let mut idx = block_hash(key) & self.mask;
         for _ in 0..HOT_PROBE {
             let slot = 2 * idx as usize;
             if self.slots[slot] == 0 {
@@ -375,7 +352,7 @@ impl<'a> HotSlabRef<'a> {
     #[inline]
     pub fn probe(&self, key: u64) -> Option<Option<NextHop>> {
         let tagged = key | OCCUPIED;
-        let mut idx = mix(key) & self.mask;
+        let mut idx = block_hash(key) & self.mask;
         for _ in 0..HOT_PROBE {
             let slot = 2 * idx as usize;
             let word = self.slots[slot];
@@ -496,73 +473,215 @@ impl Gate {
     }
 }
 
-/// Calibrates the gate's break-even hit rate for `slab` over `inner`:
-/// times ~1k slab probes against ~1k inner walks and returns the hit
-/// rate ×1000 below which probing costs more than it saves
-/// (`1.5 · t_probe / t_inner`, clamped to `[0.05, 0.95]` — the 1.5
+/// Nanoseconds per call of `op`, as the fastest of three short rounds
+/// (fresh inputs each round), so that one preempted round cannot skew a
+/// calibration.
+fn fastest_round_ns(mut op: impl FnMut(u64) -> u64) -> f64 {
+    const ROUNDS: u64 = 3;
+    const SAMPLES: u64 = 512;
+    let mut best = f64::INFINITY;
+    for round in 0..ROUNDS {
+        let start = std::time::Instant::now();
+        let mut acc = 0u64;
+        for i in round * SAMPLES..(round + 1) * SAMPLES {
+            acc ^= op(i);
+        }
+        std::hint::black_box(acc);
+        best = best.min(start.elapsed().as_nanos().max(1) as f64 / SAMPLES as f64);
+    }
+    best
+}
+
+/// Calibrates the gate's break-even hit rate for `slab` over the scalar
+/// walk `inner`: times ~1.5k slab probes against ~1.5k inner walks and
+/// returns the hit rate ×1000 below which probing costs more than it
+/// saves (`1.5 · t_probe / t_inner`, clamped to `[0.05, 0.95]` — the 1.5
 /// margin keeps the gate from flapping at exact break-even).
-fn calibrate_gate<A: Address, E: FibLookup<A>>(slab: &HotSlab, inner: &E) -> u64 {
-    const SAMPLES: u64 = 1024;
-    let view = slab.as_ref();
-    let start = std::time::Instant::now();
-    let mut acc = 0u64;
-    for i in 0..SAMPLES {
-        let key = mix(i) & (u64::MAX << (64 - u32::from(MAX_HOT_DEPTH)));
-        acc ^= match view.probe(key) {
+fn calibrate_gate<A: Address>(slab: HotSlabRef<'_>, inner: impl Fn(A) -> Option<NextHop>) -> u64 {
+    let t_probe = fastest_round_ns(|i| {
+        let key = block_hash(i) & (u64::MAX << (64 - u32::from(MAX_HOT_DEPTH)));
+        match slab.probe(key) {
             Some(Some(nh)) => u64::from(nh.index()),
             Some(None) => 1,
             None => 2,
-        };
-    }
-    std::hint::black_box(acc);
-    let t_probe = start.elapsed().as_nanos().max(1) as f64 / SAMPLES as f64;
-    let mask = if A::WIDTH >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << A::WIDTH) - 1
-    };
-    let start = std::time::Instant::now();
-    let mut acc = 0u64;
-    for i in 0..SAMPLES {
-        let addr = A::from_u128(u128::from(mix(i | 1 << 60)) & mask);
-        acc ^= inner.lookup(addr).map_or(0, |nh| u64::from(nh.index()));
-    }
-    std::hint::black_box(acc);
-    let t_inner = start.elapsed().as_nanos().max(1) as f64 / SAMPLES as f64;
+        }
+    });
+    let t_inner = fastest_round_ns(|i| {
+        let addr = key_addr::<A>(block_hash(i | 1 << 60));
+        inner(addr).map_or(0, |nh| u64::from(nh.index()))
+    });
     let ratio = (1.5 * t_probe / t_inner).clamp(0.05, 0.95);
     (ratio * 1000.0) as u64
 }
 
-/// An engine with a hot slab pinned in front of it.
-///
-/// Every lookup probes the slab first; hits answer in O(1) without
-/// touching the compressed structure, misses run the inner engine
-/// unchanged. Compilation promotes only pure blocks, so the composite is
-/// extensionally equal to the inner engine — the equivalence tests pin
-/// this bit-for-bit.
-///
-/// An adaptive [`Gate`] watches the measured slab hit rate and bypasses
-/// the probe when it is not paying for itself, so `layout=hot` never
-/// loses to the bare engine on traffic the slab cannot serve.
-#[derive(Debug)]
-pub struct HotFib<A: Address, E: FibLookup<A>> {
-    inner: E,
-    slab: HotSlab,
-    gate: Gate,
-    _marker: PhantomData<A>,
+/// Where a [`HotFront`] keeps its slab: owned ([`HotSlab`]) or borrowed
+/// from an image section ([`HotSlabRef`]).
+pub trait SlabStore {
+    /// The borrowed view all query code runs on.
+    fn slab_view(&self) -> HotSlabRef<'_>;
 }
 
-impl<A: Address, E: FibLookup<A> + Clone> Clone for HotFib<A, E> {
+impl SlabStore for HotSlab {
+    #[inline]
+    fn slab_view(&self) -> HotSlabRef<'_> {
+        self.as_ref()
+    }
+}
+
+impl SlabStore for HotSlabRef<'_> {
+    #[inline]
+    fn slab_view(&self) -> HotSlabRef<'_> {
+        *self
+    }
+}
+
+/// A hot slab and its adaptive [`Gate`], to be put in front of any
+/// engine: the one place "probe the slab, fall through to the walk" is
+/// written. [`HotFib`], the image composition in `crate::image` and
+/// `fib-router`'s hot epoch snapshots all serve through it, handing in
+/// the inner engine's kernel as a closure.
+///
+/// Compilation promotes only pure blocks, so a front answers exactly what
+/// the engine behind it would, probing or bypassed — the gate only
+/// decides *whether the probe is worth it*.
+#[derive(Debug)]
+pub struct HotFront<S = HotSlab> {
+    slab: S,
+    gate: Gate,
+}
+
+impl<S: Clone> Clone for HotFront<S> {
     /// Clones carry the calibrated threshold but start with fresh window
     /// counters in probing mode.
     fn clone(&self) -> Self {
         Self {
-            inner: self.inner.clone(),
             slab: self.slab.clone(),
             gate: Gate::new(self.gate.threshold_millis),
-            _marker: PhantomData,
         }
     }
+}
+
+impl<S: SlabStore> HotFront<S> {
+    /// Puts `slab` in front of the engine whose scalar walk is `inner`,
+    /// calibrating the gate from the measured probe and walk costs
+    /// (microseconds; see [`Gate`]).
+    #[must_use]
+    pub fn calibrated<A: Address>(slab: S, inner: impl Fn(A) -> Option<NextHop>) -> Self {
+        let threshold = calibrate_gate(slab.slab_view(), inner);
+        Self {
+            slab,
+            gate: Gate::new(threshold),
+        }
+    }
+
+    /// The slab.
+    #[must_use]
+    pub fn slab(&self) -> &S {
+        &self.slab
+    }
+
+    /// Whether the gate currently bypasses the slab probe.
+    #[must_use]
+    pub fn bypassed(&self) -> bool {
+        self.gate.is_bypassed()
+    }
+
+    /// The calibrated break-even slab hit rate, ×1000.
+    #[must_use]
+    pub fn threshold_millis(&self) -> u64 {
+        self.gate.threshold_millis
+    }
+
+    /// Resolves `addr`: a slab hit answers, anything else runs `inner`.
+    #[inline]
+    pub fn lookup<A: Address>(
+        &self,
+        addr: A,
+        inner: impl FnOnce(A) -> Option<NextHop>,
+    ) -> Option<NextHop> {
+        if self.gate.is_bypassed() {
+            // No sampling here: the bypassed scalar path is exactly one
+            // relaxed load and a predicted branch in front of the inner
+            // walk — anything more (a counter RMW, even one multiply)
+            // measurably regresses the fastest engines past the ≤1.1×
+            // hot-layout budget. Re-arming is driven by the batch path's
+            // stride sampling; a scalar-only workload that goes bypassed
+            // stays bypassed until traffic reaches a batch entry point.
+            return inner(addr);
+        }
+        let hit = self.slab.slab_view().probe_addr(addr);
+        self.gate.record(1, u64::from(hit.is_some()));
+        match hit {
+            Some(answer) => answer,
+            None => inner(addr),
+        }
+    }
+
+    /// Resolves `addrs` into `out`, delegating what the slab does not
+    /// answer to `kernel` — the inner engine's `lookup_batch` or
+    /// `lookup_stream`. While probing, misses are compacted into dense
+    /// sub-batches of up to [`HOT_CHUNK`] so the kernel keeps its
+    /// interleaved lanes fed; while bypassed, `kernel` gets the whole
+    /// batch and 1 in [`GATE_SAMPLE`] addresses is still probed, purely
+    /// for the hit-rate estimate that re-arms the gate.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `addrs`.
+    pub fn lookup_batch<A: Address>(
+        &self,
+        addrs: &[A],
+        out: &mut [Option<NextHop>],
+        mut kernel: impl FnMut(&[A], &mut [Option<NextHop>]),
+    ) {
+        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
+        let slab = self.slab.slab_view();
+        if self.gate.is_bypassed() {
+            let sampled = addrs.iter().step_by(GATE_SAMPLE as usize);
+            let probes = sampled.len() as u64;
+            let hits = sampled.filter(|&&a| slab.probe_addr(a).is_some()).count() as u64;
+            self.gate.record(probes, hits);
+            kernel(addrs, out);
+            return;
+        }
+        let mut missed = 0usize;
+        let mut miss_addr = [A::default(); HOT_CHUNK];
+        let mut miss_out = [None; HOT_CHUNK];
+        let mut miss_pos = [0usize; HOT_CHUNK];
+        for (chunk_idx, chunk) in addrs.chunks(HOT_CHUNK).enumerate() {
+            let base = chunk_idx * HOT_CHUNK;
+            let mut misses = 0usize;
+            for (i, &addr) in chunk.iter().enumerate() {
+                match slab.probe_addr(addr) {
+                    Some(answer) => out[base + i] = answer,
+                    None => {
+                        miss_addr[misses] = addr;
+                        miss_pos[misses] = base + i;
+                        misses += 1;
+                    }
+                }
+            }
+            if misses > 0 {
+                kernel(&miss_addr[..misses], &mut miss_out[..misses]);
+                for i in 0..misses {
+                    out[miss_pos[i]] = miss_out[i];
+                }
+                missed += misses;
+            }
+        }
+        self.gate
+            .record(addrs.len() as u64, (addrs.len() - missed) as u64);
+    }
+}
+
+/// An engine with a hot slab pinned in front of it: a thin owner of the
+/// engine and its [`HotFront`], extensionally equal to the engine alone
+/// (the equivalence tests pin this bit-for-bit), and — through the
+/// front's gate — never slower than it on traffic the slab cannot serve.
+#[derive(Clone, Debug)]
+pub struct HotFib<A: Address, E: FibLookup<A>> {
+    inner: E,
+    front: HotFront,
+    _marker: PhantomData<A>,
 }
 
 impl<A: Address, E: FibLookup<A>> HotFib<A, E> {
@@ -570,19 +689,18 @@ impl<A: Address, E: FibLookup<A>> HotFib<A, E> {
     /// probe gate from the measured probe and inner-walk costs.
     #[must_use]
     pub fn new(inner: E, slab: HotSlab) -> Self {
-        let threshold = calibrate_gate::<A, E>(&slab, &inner);
+        let front = HotFront::calibrated(slab, |addr| inner.lookup(addr));
         Self {
             inner,
-            slab,
-            gate: Gate::new(threshold),
+            front,
             _marker: PhantomData,
         }
     }
 
-    /// The slab.
+    /// The gated slab (what the gate decided is readable from it).
     #[must_use]
-    pub fn slab(&self) -> &HotSlab {
-        &self.slab
+    pub fn front(&self) -> &HotFront {
+        &self.front
     }
 
     /// The wrapped engine.
@@ -596,74 +714,6 @@ impl<A: Address, E: FibLookup<A>> HotFib<A, E> {
     pub fn into_inner(self) -> E {
         self.inner
     }
-
-    /// Whether the adaptive gate currently bypasses the slab probe.
-    #[must_use]
-    pub fn gate_bypassed(&self) -> bool {
-        self.gate.is_bypassed()
-    }
-
-    /// The calibrated break-even slab hit rate, ×1000.
-    #[must_use]
-    pub fn gate_threshold_millis(&self) -> u64 {
-        self.gate.threshold_millis
-    }
-
-    /// While bypassed, probes a 1-in-[`GATE_SAMPLE`] subsample of a batch
-    /// purely for the hit-rate estimate; answers still come from the
-    /// inner engine's batch kernel.
-    #[inline]
-    fn sampled_bypass_probe(&self, addrs: &[A]) {
-        let view = self.slab.as_ref();
-        let mut probes = 0u64;
-        let mut hits = 0u64;
-        for addr in addrs.iter().step_by(GATE_SAMPLE as usize) {
-            probes += 1;
-            hits += u64::from(view.probe(hot_key(*addr, self.slab.depth)).is_some());
-        }
-        if probes > 0 {
-            self.gate.record(probes, hits);
-        }
-    }
-}
-
-/// Resolves `addrs` through a slab view with miss compaction, delegating
-/// misses to `batch` in sub-batches — shared by [`HotFib`], the
-/// image-view composition in `crate::image`, and `fib-router`'s hot
-/// epoch snapshots. `out` must be at least as long as `addrs` (debug
-/// asserted; callers own the public-API contract check).
-#[inline]
-pub fn slab_batch<A: Address>(
-    slab: HotSlabRef<'_>,
-    addrs: &[A],
-    out: &mut [Option<NextHop>],
-    mut batch: impl FnMut(&[A], &mut [Option<NextHop>]),
-) {
-    debug_assert!(out.len() >= addrs.len(), "output buffer too small");
-    let depth = slab.depth;
-    let mut miss_addr = [A::default(); HOT_CHUNK];
-    let mut miss_out = [None; HOT_CHUNK];
-    let mut miss_pos = [0usize; HOT_CHUNK];
-    for (chunk_idx, chunk) in addrs.chunks(HOT_CHUNK).enumerate() {
-        let base = chunk_idx * HOT_CHUNK;
-        let mut misses = 0usize;
-        for (i, &addr) in chunk.iter().enumerate() {
-            match slab.probe(hot_key(addr, depth)) {
-                Some(answer) => out[base + i] = answer,
-                None => {
-                    miss_addr[misses] = addr;
-                    miss_pos[misses] = base + i;
-                    misses += 1;
-                }
-            }
-        }
-        if misses > 0 {
-            batch(&miss_addr[..misses], &mut miss_out[..misses]);
-            for i in 0..misses {
-                out[miss_pos[i]] = miss_out[i];
-            }
-        }
-    }
 }
 
 impl<A: Address, E: FibLookup<A>> FibLookup<A> for HotFib<A, E> {
@@ -673,58 +723,17 @@ impl<A: Address, E: FibLookup<A>> FibLookup<A> for HotFib<A, E> {
 
     #[inline]
     fn lookup(&self, addr: A) -> Option<NextHop> {
-        if self.gate.is_bypassed() {
-            // No sampling here: the bypassed scalar path is exactly one
-            // relaxed load and a predicted branch in front of the inner
-            // walk — anything more (a counter RMW, even one multiply)
-            // measurably regresses the fastest engines past the ≤1.1×
-            // hot-layout budget. Re-arming is driven by the batch paths'
-            // stride sampling; a scalar-only workload that goes bypassed
-            // stays bypassed until traffic reaches a batch entry point.
-            return self.inner.lookup(addr);
-        }
-        match self.slab.as_ref().probe(hot_key(addr, self.slab.depth)) {
-            Some(answer) => {
-                self.gate.record(1, 1);
-                answer
-            }
-            None => {
-                self.gate.record(1, 0);
-                self.inner.lookup(addr)
-            }
-        }
+        self.front.lookup(addr, |a| self.inner.lookup(a))
     }
 
     fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        if self.gate.is_bypassed() {
-            self.sampled_bypass_probe(addrs);
-            self.inner.lookup_batch(addrs, out);
-            return;
-        }
-        let mut missed = 0u64;
-        slab_batch(self.slab.as_ref(), addrs, out, |a, o| {
-            missed += a.len() as u64;
-            self.inner.lookup_batch(a, o);
-        });
-        self.gate
-            .record(addrs.len() as u64, addrs.len() as u64 - missed);
+        self.front
+            .lookup_batch(addrs, out, |a, o| self.inner.lookup_batch(a, o));
     }
 
     fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        if self.gate.is_bypassed() {
-            self.sampled_bypass_probe(addrs);
-            self.inner.lookup_stream(addrs, out);
-            return;
-        }
-        let mut missed = 0u64;
-        slab_batch(self.slab.as_ref(), addrs, out, |a, o| {
-            missed += a.len() as u64;
-            self.inner.lookup_stream(a, o);
-        });
-        self.gate
-            .record(addrs.len() as u64, addrs.len() as u64 - missed);
+        self.front
+            .lookup_batch(addrs, out, |a, o| self.inner.lookup_stream(a, o));
     }
 
     #[inline]
@@ -733,7 +742,7 @@ impl<A: Address, E: FibLookup<A>> FibLookup<A> for HotFib<A, E> {
     }
 
     fn size_bytes(&self) -> usize {
-        self.inner.size_bytes() + self.slab.size_bytes()
+        self.inner.size_bytes() + self.front.slab().size_bytes()
     }
 
     fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
@@ -893,9 +902,9 @@ mod tests {
         assert!((mass[0] - 0.4).abs() < 1e-12);
     }
 
-    /// Builds a HotFib whose slab pins the 10.1.x.0/24 blocks, over the
-    /// folded sample trie.
-    fn gated_fib() -> HotFib<u32, PrefixDag<u32>> {
+    /// A front whose slab pins the 10.1.x.0/24 blocks, over the folded
+    /// sample trie.
+    fn gated_front() -> (HotFront, PrefixDag<u32>) {
         let trie = sample_trie();
         let cfg = HotConfig {
             depth: 24,
@@ -906,72 +915,79 @@ mod tests {
             .collect();
         let (slab, _) = HotSlab::compile(&trie, &heat, &cfg);
         let dag = PrefixDag::build(&trie, &BuildConfig::default());
-        HotFib::new(dag, slab)
+        let front = HotFront::calibrated(slab, |a| dag.lookup(a));
+        (front, dag)
+    }
+
+    /// More than one probing window of addresses no pinned block covers.
+    fn cold_addrs() -> Vec<u32> {
+        (0..GATE_WINDOW as u32 + 64)
+            .map(|i| 0xC000_0000 | i.wrapping_mul(0x9E37_79B9) >> 8)
+            .collect()
     }
 
     #[test]
     fn gate_bypasses_on_cold_traffic_and_rearms_on_hot() {
-        let hot = gated_fib();
-        assert!(!hot.gate_bypassed(), "gate starts in probing mode");
-        let threshold = hot.gate_threshold_millis();
+        let (front, dag) = gated_front();
+        assert!(!front.bypassed(), "gate starts in probing mode");
+        let threshold = front.threshold_millis();
         assert!(
             (50..=950).contains(&threshold),
             "threshold {threshold} clamped"
         );
         // All-miss traffic: after one window the probe is bypassed.
-        let cold: Vec<u32> = (0..GATE_WINDOW as u32 + 64)
-            .map(|i| 0xC000_0000 | i.wrapping_mul(0x9E37_79B9) >> 8)
-            .collect();
+        let cold = cold_addrs();
         let mut out = vec![None; cold.len()];
-        hot.lookup_batch(&cold, &mut out);
-        assert!(hot.gate_bypassed(), "0% hit rate must bypass the probe");
+        front.lookup_batch(&cold, &mut out, |a, o| dag.lookup_batch(a, o));
+        assert!(front.bypassed(), "0% hit rate must bypass the probe");
         // Answers stay bit-identical while bypassed.
         for &addr in cold.iter().take(256) {
-            assert_eq!(hot.lookup(addr), hot.inner().lookup(addr));
+            assert_eq!(front.lookup(addr, |a| dag.lookup(a)), dag.lookup(addr));
         }
         // All-hit traffic: sampled probes see a 100% rate and re-arm.
         let warm: Vec<u32> = (0..(GATE_REARM_WINDOW * GATE_SAMPLE) as u32 + 64)
             .map(|i| 0x0A01_0000 | ((i & 31) << 8) | (i & 0xFF))
             .collect();
         let mut out = vec![None; warm.len()];
-        hot.lookup_batch(&warm, &mut out);
-        assert!(!hot.gate_bypassed(), "100% hit rate must re-arm the probe");
-        for &addr in warm.iter().take(256) {
-            assert_eq!(hot.lookup(addr), hot.inner().lookup(addr));
+        front.lookup_batch(&warm, &mut out, |a, o| dag.lookup_stream(a, o));
+        assert!(!front.bypassed(), "100% hit rate must re-arm the probe");
+        for (&addr, &got) in warm.iter().zip(&out) {
+            assert_eq!(got, dag.lookup(addr));
         }
     }
 
     #[test]
     fn gate_scalar_path_bypasses_and_stays_correct() {
-        let hot = gated_fib();
+        let (front, dag) = gated_front();
         let trie = sample_trie();
         // Scalar cold lookups flip the gate too (batch and scalar share
         // the same window counters).
         for i in 0..(GATE_WINDOW + 128) {
             let addr = 0xC000_0000u32 | (i as u32).wrapping_mul(0x85EB_CA6B) >> 8;
-            assert_eq!(hot.lookup(addr), trie.lookup(addr));
+            assert_eq!(front.lookup(addr, |a| dag.lookup(a)), trie.lookup(addr));
         }
-        assert!(hot.gate_bypassed());
-        // While bypassed, every answer still matches the oracle — both
-        // sampled-probe and straight-through lookups.
+        assert!(front.bypassed());
+        // While bypassed, every answer still matches the oracle.
         for i in 0..4096u32 {
             let addr = i.wrapping_mul(0x9E37_79B9);
-            assert_eq!(hot.lookup(addr), trie.lookup(addr), "addr {addr:#x}");
+            assert_eq!(
+                front.lookup(addr, |a| dag.lookup(a)),
+                trie.lookup(addr),
+                "addr {addr:#x}"
+            );
         }
     }
 
     #[test]
     fn gate_clone_resets_counters_keeps_threshold() {
-        let hot = gated_fib();
-        let cold: Vec<u32> = (0..GATE_WINDOW as u32 + 64)
-            .map(|i| 0xC000_0000 | i.wrapping_mul(0x9E37_79B9) >> 8)
-            .collect();
+        let (front, dag) = gated_front();
+        let cold = cold_addrs();
         let mut out = vec![None; cold.len()];
-        hot.lookup_batch(&cold, &mut out);
-        assert!(hot.gate_bypassed());
-        let cloned = hot.clone();
-        assert!(!cloned.gate_bypassed(), "clone starts probing");
-        assert_eq!(cloned.gate_threshold_millis(), hot.gate_threshold_millis());
+        front.lookup_batch(&cold, &mut out, |a, o| dag.lookup_batch(a, o));
+        assert!(front.bypassed());
+        let cloned = front.clone();
+        assert!(!cloned.bypassed(), "clone starts probing");
+        assert_eq!(cloned.threshold_millis(), front.threshold_millis());
     }
 
     #[test]

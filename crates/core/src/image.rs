@@ -51,6 +51,7 @@ use std::path::Path;
 use fib_succinct::{fnv1a, fnv1a_continue, Arena, StorageError};
 use fib_trie::{Address, BinaryTrie, LcTrie, LcTrieRef, NextHop, Prefix};
 
+use crate::hot::{HotFront, HotSlabRef};
 use crate::multibit::{MultibitDag, MultibitDagRef};
 use crate::pdag::{PrefixDag, PrefixDagRef};
 use crate::serialized::{SerializedDag, SerializedDagRef};
@@ -1341,11 +1342,11 @@ impl FibImage {
     /// # Errors
     /// [`ImageError::Malformed`] when a slab section is present but fails
     /// validation.
-    pub fn hot_slab(&self) -> Result<Option<crate::hot::HotSlabRef<'_>>, ImageError> {
+    pub fn hot_slab(&self) -> Result<Option<HotSlabRef<'_>>, ImageError> {
         match self.section(sections::HOT_SLAB) {
             Err(ImageError::MissingSection(_)) => Ok(None),
             Err(e) => Err(e),
-            Ok(words) => crate::hot::HotSlabRef::from_words(words)
+            Ok(words) => HotSlabRef::from_words(words)
                 .map(Some)
                 .map_err(|e| ImageError::Malformed(e.0)),
         }
@@ -1353,11 +1354,11 @@ impl FibImage {
 }
 
 /// A type-erased image view with the image's hot slab (if any) pinned in
-/// front — the composition `fibc serve` and the bench dispatch on when an
-/// image was compiled `--heat`.
-#[derive(Clone, Copy, Debug)]
+/// front behind its gate — the composition `fibc serve` and the bench
+/// dispatch on when an image was compiled `--heat`.
+#[derive(Clone, Debug)]
 pub struct HotAnyView<'a, A: Address> {
-    slab: Option<crate::hot::HotSlabRef<'a>>,
+    front: Option<HotFront<HotSlabRef<'a>>>,
     inner: AnyView<'a, A>,
 }
 
@@ -1367,17 +1368,18 @@ pub struct HotAnyView<'a, A: Address> {
 /// # Errors
 /// Any [`ImageError`].
 pub fn hot_any_view<A: Address>(image: &FibImage) -> Result<HotAnyView<'_, A>, ImageError> {
-    Ok(HotAnyView {
-        slab: image.hot_slab()?,
-        inner: any_view(image)?,
-    })
+    let inner = any_view(image)?;
+    let front = image
+        .hot_slab()?
+        .map(|slab| HotFront::calibrated(slab, |addr| inner.lookup(addr)));
+    Ok(HotAnyView { front, inner })
 }
 
 impl<'a, A: Address> HotAnyView<'a, A> {
     /// The slab view, when the image carries one.
     #[must_use]
-    pub fn slab(&self) -> Option<crate::hot::HotSlabRef<'a>> {
-        self.slab
+    pub fn slab(&self) -> Option<HotSlabRef<'a>> {
+        self.front.as_ref().map(|front| *front.slab())
     }
 
     /// The underlying engine view.
@@ -1394,30 +1396,22 @@ impl<A: Address> FibLookup<A> for HotAnyView<'_, A> {
 
     #[inline]
     fn lookup(&self, addr: A) -> Option<NextHop> {
-        if let Some(slab) = self.slab {
-            if let Some(answer) = slab.probe_addr(addr) {
-                return answer;
-            }
+        match &self.front {
+            Some(front) => front.lookup(addr, |a| self.inner.lookup(a)),
+            None => self.inner.lookup(addr),
         }
-        self.inner.lookup(addr)
     }
 
     fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        match self.slab {
-            Some(slab) => crate::hot::slab_batch(slab, addrs, out, |a, o| {
-                self.inner.lookup_batch(a, o);
-            }),
+        match &self.front {
+            Some(front) => front.lookup_batch(addrs, out, |a, o| self.inner.lookup_batch(a, o)),
             None => self.inner.lookup_batch(addrs, out),
         }
     }
 
     fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        match self.slab {
-            Some(slab) => crate::hot::slab_batch(slab, addrs, out, |a, o| {
-                self.inner.lookup_stream(a, o);
-            }),
+        match &self.front {
+            Some(front) => front.lookup_batch(addrs, out, |a, o| self.inner.lookup_stream(a, o)),
             None => self.inner.lookup_stream(addrs, out),
         }
     }
@@ -1427,6 +1421,6 @@ impl<A: Address> FibLookup<A> for HotAnyView<'_, A> {
     }
 
     fn size_bytes(&self) -> usize {
-        self.inner.size_bytes() + self.slab.map_or(0, |s| s.size_bytes())
+        self.inner.size_bytes() + self.slab().map_or(0, |s| s.size_bytes())
     }
 }

@@ -46,7 +46,8 @@ mod xbw;
 pub use engine::{BuildConfig, FibBuild, FibEngine, FibLookup, FibUpdate, RebuildNeeded};
 pub use entropy::FibEntropy;
 pub use hot::{
-    depth_mass_from_heat, hot_key, slab_batch, HotConfig, HotFib, HotSlab, HotSlabRef, HotStats,
+    depth_mass_from_heat, hot_key, HotConfig, HotFib, HotFront, HotSlab, HotSlabRef, HotStats,
+    SlabStore,
 };
 pub use image::{
     any_view, hot_any_view, load_image, write_image, write_image_file, write_image_hot, AnyView,

@@ -78,7 +78,7 @@ pub use router::{
 };
 pub use runtime::{
     aggregate, AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode,
-    RouteUpdate, UpdateBus, UpdateReceiver, WorkerReport,
+    RouteUpdate, UpdateBus, UpdateReceiver, WorkerReport, HEAT_SAMPLE,
 };
 pub use sharded::{ShardedDataPlane, ShardedRouter, SHARD_BITS, SHARD_COUNT};
 pub use snapcell::{SnapCell, SnapReader};

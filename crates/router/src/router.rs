@@ -14,7 +14,7 @@ use crate::snapcell::{SnapCell, SnapReader};
 use crate::spoolfs::{SpoolFs, StdFs};
 
 use fib_core::{
-    slab_batch, write_image, BuildConfig, FibBuild, FibImage, FibLookup, FibUpdate, HotConfig,
+    write_image, BuildConfig, FibBuild, FibImage, FibLookup, FibUpdate, HotConfig, HotFront,
     HotSlab, HotStats, ImageCodec, ImageError,
 };
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
@@ -77,9 +77,10 @@ pub struct EpochSnapshot<E> {
     epoch: u64,
     routes: usize,
     engine: SnapEngine<E>,
-    /// Traffic-pinned hot blocks consulted before the engine walk
-    /// ([`Router::publish_hot`] attaches one; plain publishes carry none).
-    hot: Option<HotSlab>,
+    /// Traffic-pinned hot blocks, gated, in front of the engine walk (a
+    /// hot publish or an image that carries a slab attaches one; plain
+    /// publishes carry none).
+    hot: Option<HotFront>,
 }
 
 impl<E> EpochSnapshot<E> {
@@ -116,7 +117,55 @@ impl<E> EpochSnapshot<E> {
     /// publish attached one (see [`Router::publish_hot`]).
     #[must_use]
     pub fn hot_slab(&self) -> Option<&HotSlab> {
-        self.hot.as_ref()
+        self.hot.as_ref().map(HotFront::slab)
+    }
+
+    /// What the slab's gate currently decides: `Some(true)` while the
+    /// measured slab hit rate sits below the break-even calibrated against
+    /// this epoch's engine and lookups go straight to the walk,
+    /// `Some(false)` while they probe the slab first, `None` without a
+    /// slab. Answers are identical either way.
+    #[must_use]
+    pub fn hot_bypassed(&self) -> Option<bool> {
+        self.hot.as_ref().map(HotFront::bypassed)
+    }
+
+    /// Cuts a snapshot. A `slab` goes in front of the engine behind a gate
+    /// calibrated against the snapshot's own scalar walk (≈3k probes and
+    /// walks: microseconds beside the engine clone or image load before).
+    fn cut<A: Address>(
+        epoch: u64,
+        routes: usize,
+        engine: SnapEngine<E>,
+        slab: Option<HotSlab>,
+    ) -> Arc<Self>
+    where
+        E: ImageCodec<A>,
+    {
+        let mut snapshot = Self {
+            epoch,
+            routes,
+            engine,
+            hot: None,
+        };
+        snapshot.hot = slab.map(|slab| HotFront::calibrated(slab, |a| snapshot.lookup(a)));
+        Arc::new(snapshot)
+    }
+
+    /// Runs `serve` on the engine behind the slab: the owned one, or the
+    /// image's zero-copy view, assembled once per call. The image passed
+    /// a full `E::view` at restart and is immutable, so the view skips
+    /// the O(n) reference scans.
+    fn with_engine<A: Address, R>(&self, serve: impl FnOnce(&dyn FibLookup<A>) -> R) -> R
+    where
+        E: ImageCodec<A>,
+    {
+        match &self.engine {
+            SnapEngine::Owned(e) => serve(e),
+            SnapEngine::Image(img) => {
+                serve(&E::view_prevalidated(img).expect("validated at restart"))
+            }
+        }
     }
 
     /// Longest-prefix-match on the snapshot.
@@ -130,23 +179,21 @@ impl<E> EpochSnapshot<E> {
     where
         E: ImageCodec<A>,
     {
-        if let Some(slab) = &self.hot {
-            if let Some(answer) = slab.as_ref().probe_addr(addr) {
-                return answer;
-            }
-        }
-        match &self.engine {
+        // Statically dispatched, unlike the batch entry points: a scalar
+        // caller's loop should inline the walk.
+        let walk = |addr| match &self.engine {
             SnapEngine::Owned(e) => e.lookup(addr),
-            // The image passed a full E::view at restart and is immutable,
-            // so the per-lookup view skips the O(n) reference scans.
             SnapEngine::Image(img) => E::view_prevalidated(img)
                 .expect("validated at restart")
                 .lookup(addr),
+        };
+        match &self.hot {
+            Some(front) => front.lookup(addr, walk),
+            None => walk(addr),
         }
     }
 
-    /// Batched longest-prefix-match on the snapshot (the image view is
-    /// assembled once per batch).
+    /// Batched longest-prefix-match on the snapshot.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `addrs`, or as [`Self::lookup`].
@@ -154,25 +201,10 @@ impl<E> EpochSnapshot<E> {
     where
         E: ImageCodec<A>,
     {
-        if let Some(slab) = &self.hot {
-            assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-            match &self.engine {
-                SnapEngine::Owned(e) => slab_batch(slab.as_ref(), addrs, out, |a, o| {
-                    e.lookup_batch(a, o);
-                }),
-                SnapEngine::Image(img) => {
-                    let view = E::view_prevalidated(img).expect("validated at restart");
-                    slab_batch(slab.as_ref(), addrs, out, |a, o| view.lookup_batch(a, o));
-                }
-            }
-            return;
-        }
-        match &self.engine {
-            SnapEngine::Owned(e) => e.lookup_batch(addrs, out),
-            SnapEngine::Image(img) => E::view_prevalidated(img)
-                .expect("validated at restart")
-                .lookup_batch(addrs, out),
-        }
+        self.with_engine(|engine| match &self.hot {
+            Some(front) => front.lookup_batch(addrs, out, |a, o| engine.lookup_batch(a, o)),
+            None => engine.lookup_batch(addrs, out),
+        });
     }
 
     /// Software-pipelined batched lookup on the snapshot (see
@@ -185,25 +217,10 @@ impl<E> EpochSnapshot<E> {
     where
         E: ImageCodec<A>,
     {
-        if let Some(slab) = &self.hot {
-            assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-            match &self.engine {
-                SnapEngine::Owned(e) => slab_batch(slab.as_ref(), addrs, out, |a, o| {
-                    e.lookup_stream(a, o);
-                }),
-                SnapEngine::Image(img) => {
-                    let view = E::view_prevalidated(img).expect("validated at restart");
-                    slab_batch(slab.as_ref(), addrs, out, |a, o| view.lookup_stream(a, o));
-                }
-            }
-            return;
-        }
-        match &self.engine {
-            SnapEngine::Owned(e) => e.lookup_stream(addrs, out),
-            SnapEngine::Image(img) => E::view_prevalidated(img)
-                .expect("validated at restart")
-                .lookup_stream(addrs, out),
-        }
+        self.with_engine(|engine| match &self.hot {
+            Some(front) => front.lookup_batch(addrs, out, |a, o| engine.lookup_stream(a, o)),
+            None => engine.lookup_stream(addrs, out),
+        });
     }
 }
 
@@ -428,12 +445,8 @@ where
     #[must_use]
     pub fn new(control: BinaryTrie<A>, config: RouterConfig) -> Self {
         let working = E::build(&control, &config.build);
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch: 0,
-            routes: control.len(),
-            engine: SnapEngine::Owned(working.clone()),
-            hot: None,
-        });
+        let snapshot =
+            EpochSnapshot::cut(0, control.len(), SnapEngine::Owned(working.clone()), None);
         Self {
             config,
             control,
@@ -635,12 +648,15 @@ where
 
         let routes = image.route_count() as usize;
         let image = Arc::new(image);
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch,
-            routes,
-            engine: SnapEngine::Image(Arc::clone(&image)),
-            hot: None,
-        });
+        // An image compiled with a hot slab (`write_image_hot`) keeps
+        // serving it: the lint above checked every pinned block against
+        // the routes section and the engine view.
+        let slab = image
+            .section(fib_core::image::sections::HOT_SLAB)
+            .ok()
+            .and_then(|words| HotSlab::from_words(words).ok());
+        let snapshot =
+            EpochSnapshot::cut(epoch, routes, SnapEngine::Image(Arc::clone(&image)), slab);
         let mut spool = Spool::arm(Arc::clone(&fs), dir.to_path_buf(), spool_cfg)
             .map_err(|e| RestartError::Io(format!("{}: {e}", dir.display())))?;
         spool.last_spilled = Some(epoch);
@@ -1281,12 +1297,8 @@ where
         self.epoch += 1;
         self.since_publish = 0;
         self.stats.epochs += 1;
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch: self.epoch,
-            routes: self.control.len(),
-            engine: SnapEngine::Owned(self.working.as_ref().expect("materialized").clone()),
-            hot,
-        });
+        let engine = SnapEngine::Owned(self.working.as_ref().expect("materialized").clone());
+        let snapshot = EpochSnapshot::cut(self.epoch, self.control.len(), engine, hot);
         self.published.publish(Arc::clone(&snapshot));
         self.spill_current(false);
         snapshot

@@ -142,6 +142,10 @@ pub struct WorkerReport {
     pub elapsed: Duration,
     /// Per-batch ns/lookup distribution.
     pub hist: LatencyHistogram,
+    /// Addresses recorded into the worker's heat sketch: one in
+    /// [`HEAT_SAMPLE`] of `packets` under [`Forwarder::run_sampled`], 0
+    /// otherwise.
+    pub heat_samples: u64,
 }
 
 impl WorkerReport {
@@ -158,6 +162,7 @@ impl WorkerReport {
             epoch_regressed: false,
             elapsed: Duration::ZERO,
             hist: LatencyHistogram::default(),
+            heat_samples: 0,
         }
     }
 
@@ -250,6 +255,52 @@ where
 }
 
 // ---------------------------------------------------------------------
+// Heat sampling
+// ---------------------------------------------------------------------
+
+/// Under [`Forwarder::run_sampled`] a worker records one looked-up
+/// address in this many into its heat sketch. A constant, not a knob: the
+/// sketch ranks blocks by relative weight, which a 1-in-64 subsample of
+/// any interval worth publishing from preserves, and recording every
+/// address cost more than the lookup it observed.
+pub const HEAT_SAMPLE: usize = 64;
+
+/// Picks the sampled addresses out of a worker's batches: exactly one per
+/// window of [`HEAT_SAMPLE`] consecutive addresses of the worker's stream
+/// (windows run on across batch boundaries, so the rate holds for any
+/// batch size), at an in-window offset that a window takes from the batch
+/// it starts in and that advances by one each batch. A fixed offset would
+/// see the same positions of every batch whenever the batch size (the
+/// default 256) or a period of the source divides the window.
+#[derive(Debug, Default)]
+struct HeatSampler {
+    /// Addresses of the current window already seen.
+    pos: usize,
+    /// In-window offset of the current window's sample.
+    offset: usize,
+}
+
+impl HeatSampler {
+    /// Calls `record` on this batch's samples; returns how many.
+    fn sample<A: Copy>(&mut self, addrs: &[A], batch: u64, mut record: impl FnMut(A)) -> u64 {
+        let (mut taken, mut i) = (0, 0);
+        while i < addrs.len() {
+            if self.pos == 0 {
+                self.offset = (batch % HEAT_SAMPLE as u64) as usize;
+            }
+            let span = (HEAT_SAMPLE - self.pos).min(addrs.len() - i);
+            if (self.pos..self.pos + span).contains(&self.offset) {
+                record(addrs[i + self.offset - self.pos]);
+                taken += 1;
+            }
+            self.pos = (self.pos + span) % HEAT_SAMPLE;
+            i += span;
+        }
+        taken
+    }
+}
+
+// ---------------------------------------------------------------------
 // The forwarder pool
 // ---------------------------------------------------------------------
 
@@ -298,12 +349,14 @@ impl Forwarder {
         self.run_inner(cell, config, make_source, None)
     }
 
-    /// [`Self::run`] with traffic sampling: each worker records every
-    /// looked-up address into its own lock-free sketch of `heat`
-    /// (worker `i` owns sketch `i % heat.workers()`, so sizing the map
-    /// for `config.threads` keeps the sketches contention-free). The
-    /// control plane merges the sketches at publish time
-    /// ([`crate::Router::publish_hot`]).
+    /// [`Self::run`] with traffic sampling: each worker records one in
+    /// [`HEAT_SAMPLE`] of the addresses it looks up — exactly, whatever
+    /// the batch size, at a position that rotates from batch to batch —
+    /// into its own lock-free sketch of `heat` (worker `i` owns sketch
+    /// `i % heat.workers()`, so sizing the map for `config.threads` keeps
+    /// the sketches contention-free) and counts them in
+    /// [`WorkerReport::heat_samples`]. The control plane merges the
+    /// sketches at publish time ([`crate::Router::publish_hot`]).
     ///
     /// # Panics
     /// Panics if a worker thread panicked.
@@ -371,6 +424,7 @@ impl Forwarder {
         let batch = config.batch.max(1);
         let mut buf: Vec<A> = Vec::with_capacity(batch);
         let mut out: Vec<Option<NextHop>> = vec![None; batch];
+        let mut sampler = HeatSampler::default();
         let start = Instant::now();
         loop {
             let elapsed = start.elapsed();
@@ -415,9 +469,8 @@ impl Forwarder {
             // Sample heat outside the timed window: the sketch is this
             // worker's own, so the records are uncontended fetch-adds.
             if let Some(sketch) = sketch {
-                for &addr in &buf[..n] {
-                    sketch.record(addr);
-                }
+                report.heat_samples +=
+                    sampler.sample(&buf[..n], report.batches, |addr| sketch.record(addr));
             }
             let gen = reader.generation();
             if gen != last_gen {
@@ -711,16 +764,25 @@ mod tests {
             },
             &heat,
         );
-        let packets: u64 = reports.iter().map(|r| r.packets).sum();
-        assert!(packets > 0);
+        for r in &reports {
+            assert!(r.packets > 0, "worker {} did nothing", r.worker);
+            assert!(
+                r.heat_samples.abs_diff(r.packets / HEAT_SAMPLE as u64) <= 1,
+                "worker {}: {} samples of {} packets is not 1 in {HEAT_SAMPLE}",
+                r.worker,
+                r.heat_samples,
+                r.packets
+            );
+        }
+        let samples: u64 = reports.iter().map(|r| r.heat_samples).sum();
         let merged = heat.merged();
         assert_eq!(
             merged.total() + merged.missed(),
-            packets,
-            "every looked-up address was sampled (or counted as missed)"
+            samples,
+            "every sample reached a sketch (or its missed counter)"
         );
         let (snap, summary, stats) = router.publish_hot(&heat, &fib_core::HotConfig::for_width(32));
-        assert_eq!(summary.total() + summary.missed(), packets);
+        assert_eq!(summary.total() + summary.missed(), samples);
         assert!(stats.promoted > 0, "concentrated traffic pinned blocks");
         let slab = snap.hot_slab().expect("hot publish attaches the slab");
         assert!(slab.occupied() > 0);
@@ -729,6 +791,79 @@ mod tests {
             let addr = 0x0A40_0000 | i.wrapping_mul(0x9E37);
             assert_eq!(snap.lookup(addr), router.control().lookup(addr));
         }
+    }
+
+    #[test]
+    fn sampler_takes_one_address_per_window_for_any_batch_size() {
+        for batch in [1usize, 7, 63, 64, 65, 100, 256, 1000] {
+            let mut sampler = HeatSampler::default();
+            let (mut seen, mut taken) = (0u64, Vec::new());
+            for b in 0..500u64 {
+                let addrs: Vec<u64> = (seen..seen + batch as u64).collect();
+                let before = taken.len() as u64;
+                let n = sampler.sample(&addrs, b, |g| taken.push(g));
+                seen += batch as u64;
+                assert_eq!(n, taken.len() as u64 - before, "the count is what ran");
+                assert!(
+                    (taken.len() as u64).abs_diff(seen / HEAT_SAMPLE as u64) <= 1,
+                    "batch {batch}: {} samples after {seen} addresses",
+                    taken.len()
+                );
+            }
+            // Exactly one sample in each complete window of the stream.
+            let windows: Vec<u64> = taken.iter().map(|g| g / HEAT_SAMPLE as u64).collect();
+            assert!(
+                windows.windows(2).all(|w| w[1] == w[0] + 1),
+                "batch {batch}"
+            );
+            assert_eq!(windows[0], 0);
+        }
+    }
+
+    #[test]
+    fn sampling_phase_rotates_across_batches() {
+        // The default batch of 256 over a source that repeats 64 distinct
+        // /24 blocks in order: a fixed in-window offset would only ever
+        // see one block (and any fixed set of batch positions at most 4);
+        // the rotating one sees all 64 within 64 batches.
+        let router: Router<u32, SerializedDag<u32>> = Router::new(
+            base_fib(),
+            RouterConfig {
+                publish_every: None,
+                ..RouterConfig::default()
+            },
+        );
+        let pool = Forwarder::new();
+        let config = ForwarderConfig {
+            duration: Duration::from_secs(60),
+            ..ForwarderConfig::default()
+        };
+        assert_eq!(config.batch % HEAT_SAMPLE, 0);
+        let heat = fib_workload::HeatMap::new(1, 24, 4096);
+        let reports = pool.run_sampled(
+            router.snap_cell(),
+            &config,
+            |_| {
+                let (mut next, mut batches, pool) = (0u32, 0, &pool);
+                move |buf: &mut Vec<u32>, n: usize| {
+                    buf.clear();
+                    for _ in 0..n {
+                        buf.push(0x0A40_0000 | (next % 64) << 8);
+                        next += 1;
+                    }
+                    batches += 1;
+                    if batches == 64 {
+                        pool.stop();
+                    }
+                }
+            },
+            &heat,
+        );
+        assert_eq!(reports[0].batches, 64);
+        assert_eq!(reports[0].heat_samples, 64 * 256 / HEAT_SAMPLE as u64);
+        let merged = heat.merged();
+        assert_eq!(merged.entries().len(), 64, "every block was sampled");
+        assert!(merged.entries().iter().all(|&(_, count)| count == 4));
     }
 
     #[test]

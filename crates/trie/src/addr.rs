@@ -143,6 +143,47 @@ impl Address for u128 {
     }
 }
 
+/// Deepest block a [`block_key`] may name: keys keep their low 8 bits free
+/// so the tables that store them can tag a slot word as occupied.
+pub const MAX_BLOCK_DEPTH: u8 = 56;
+
+/// Truncates `addr` to its top `depth` bits, MSB-aligned in a `u64` — the
+/// one key function of the traffic-aware layer. `fib-workload`'s heat
+/// sketch counts under it (as `heat_key`) and `fib-core`'s hot slab
+/// indexes under it (as `hot_key`), so a sketch recorded at depth `D`
+/// feeds a slab compiled at depth `D` with no translation.
+///
+/// `depth` must be in `1..=MAX_BLOCK_DEPTH` and at most the address
+/// width; the tables validate theirs once at construction, so the
+/// per-packet check here is debug-only.
+#[must_use]
+#[inline]
+pub fn block_key<A: Address>(addr: A, depth: u8) -> u64 {
+    debug_assert!(
+        depth > 0 && depth <= MAX_BLOCK_DEPTH && depth <= A::WIDTH,
+        "block depth {depth} out of range for width {}",
+        A::WIDTH
+    );
+    let msb = addr.to_u128() << (128 - u32::from(A::WIDTH));
+    let top = (msb >> 64) as u64;
+    top & (u64::MAX << (64 - u32::from(depth)))
+}
+
+/// Hashes a [`block_key`] for the open-addressed tables keyed on it (the
+/// heat sketch and the hot slab): the murmur3/splitmix 64-bit finalizer,
+/// two multiplies — cheap enough for one hash per packet, where byte-wise
+/// FNV-1a spends eight dependent ones.
+#[must_use]
+#[inline]
+pub fn block_hash(key: u64) -> u64 {
+    let mut x = key;
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    x ^ (x >> 33)
+}
+
 /// An IP prefix: an address plus a length, kept canonical (bits past the
 /// length are always zero), so `Eq`/`Hash`/`Ord` behave as expected.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

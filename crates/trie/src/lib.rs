@@ -42,7 +42,10 @@ pub mod ortc;
 pub mod stats;
 mod table;
 
-pub use addr::{Address, Depth, ParsePrefixError, Prefix, Prefix4, Prefix6};
+pub use addr::{
+    block_hash, block_key, Address, Depth, ParsePrefixError, Prefix, Prefix4, Prefix6,
+    MAX_BLOCK_DEPTH,
+};
 pub use binary::{BinaryTrie, NodeRef};
 pub use lctrie::{LcTrie, LcTrieRef, LC_BATCH_LANES};
 pub use leafpush::{project_heat_weights, ProperNode, ProperTrie};

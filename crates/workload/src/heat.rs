@@ -23,16 +23,18 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fib_trie::Address;
+use fib_trie::{block_hash, Address};
 
 use crate::rng::fnv1a;
 
-/// Maximum block depth a sketch accepts.
-///
-/// Keys keep their low 8 bits free so slot words can carry an occupancy
-/// tag; 56 bits of prefix is far deeper than any useful slab (default
-/// depths are 24 for v4 and 48 for v6).
-pub const MAX_HEAT_DEPTH: u8 = 56;
+/// The canonical heat key — [`fib_trie::block_key`], which also indexes
+/// the hot slab in `fib-core`.
+pub use fib_trie::block_key as heat_key;
+
+/// Maximum block depth a sketch accepts (keys keep their low 8 bits free
+/// so slot words can carry an occupancy tag; default depths are 24 for v4
+/// and 48 for v6).
+pub const MAX_HEAT_DEPTH: u8 = fib_trie::MAX_BLOCK_DEPTH;
 
 /// Bounded linear probe length: after this many occupied slots with other
 /// keys, the record is counted in [`HeatSketch::missed`] instead. Keeps
@@ -42,28 +44,6 @@ const PROBE_LIMIT: usize = 16;
 /// Low bit of a key word marks the slot occupied (keys are MSB-aligned
 /// prefixes of ≤ [`MAX_HEAT_DEPTH`] bits, so their low 8 bits are zero).
 const OCCUPIED: u64 = 1;
-
-/// Truncates `addr` to its top `depth` bits, MSB-aligned in a `u64`.
-///
-/// This is the canonical heat key: the same function indexes the hot slab
-/// in `fib-core`, so a sketch built at depth `D` is directly consumable by
-/// a slab built at depth `D`.
-///
-/// # Panics
-/// Panics if `depth` is 0 or exceeds [`MAX_HEAT_DEPTH`] or the address
-/// width.
-#[must_use]
-#[inline]
-pub fn heat_key<A: Address>(addr: A, depth: u8) -> u64 {
-    assert!(
-        depth > 0 && depth <= MAX_HEAT_DEPTH && depth <= A::WIDTH,
-        "heat depth {depth} out of range for width {}",
-        A::WIDTH
-    );
-    let msb = addr.to_u128() << (128 - u32::from(A::WIDTH));
-    let top = (msb >> 64) as u64;
-    top & (u64::MAX << (64 - u32::from(depth)))
-}
 
 /// A lock-free, fixed-capacity sketch of block hit counts.
 ///
@@ -131,7 +111,7 @@ impl HeatSketch {
     /// [`heat_key`] at this sketch's depth).
     pub fn record_key(&self, key: u64) {
         let tagged = key | OCCUPIED;
-        let mut idx = fnv1a(&key.to_le_bytes()) as usize & self.mask;
+        let mut idx = block_hash(key) as usize & self.mask;
         for _ in 0..PROBE_LIMIT {
             // ordering: Relaxed — key words are write-once; any non-zero
             // value we observe is the final key for this slot, and counts
@@ -313,12 +293,9 @@ impl HeatSummary {
     #[must_use]
     pub fn sample_addrs<A: Address>(depth: u8, addrs: impl IntoIterator<Item = A>) -> Self {
         let mut counts = std::collections::HashMap::new();
-        let mut n = 0u64;
         for a in addrs {
             *counts.entry(heat_key(a, depth)).or_insert(0u64) += 1;
-            n += 1;
         }
-        let _ = n;
         Self::from_counts(depth, counts, 0)
     }
 
