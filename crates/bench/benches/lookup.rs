@@ -5,8 +5,8 @@
 //! interleaved multi-lane walks are the whole point of the batch API.
 
 use fib_bench::timing::BenchGroup;
-use fib_core::{FibEngine, MultibitDag, PrefixDag, SerializedDag, XbwFib, XbwStorage};
-use fib_trie::{BinaryTrie, LcTrie};
+use fib_core::{roster, BuildConfig};
+use fib_trie::BinaryTrie;
 use fib_workload::rng::Xoshiro256;
 use fib_workload::traces::{uniform, ZipfTrace};
 use fib_workload::FibSpec;
@@ -19,26 +19,13 @@ fn engines_and_traces() {
     let mut rng = Xoshiro256::seed_from_u64(0xBE7C);
     let trie: BinaryTrie<u32> = FibSpec::dfz_like(FIB_SIZE).generate(&mut rng);
 
-    let lc = LcTrie::from_trie(&trie);
-    let xbw_succinct = XbwFib::build(&trie, XbwStorage::Succinct);
-    let xbw_entropy = XbwFib::build(&trie, XbwStorage::Entropy);
-    let dag = PrefixDag::from_trie(&trie, 11);
-    let ser = SerializedDag::from_dag(&dag);
-    let mb = MultibitDag::from_trie(&trie, 4);
+    let built = roster(&trie, &BuildConfig::default(), None);
 
     let rand_keys: Vec<u32> = uniform(&mut rng, BATCH);
     let zipf = ZipfTrace::new(&trie, 1.1);
     let trace_keys: Vec<u32> = zipf.generate(&mut rng, BATCH);
 
-    let engines: Vec<(&str, &dyn FibEngine<u32>)> = vec![
-        ("binary-trie", &trie),
-        ("fib_trie", &lc),
-        ("xbw-succinct", &xbw_succinct),
-        ("xbw-entropy", &xbw_entropy),
-        ("pdag", &dag),
-        ("pdag-serialized", &ser),
-        ("multibit-dag", &mb),
-    ];
+    let engines = built.engines();
 
     for (trace_name, keys) in [("rand", &rand_keys), ("trace", &trace_keys)] {
         let group =
@@ -59,7 +46,7 @@ fn engines_and_traces() {
     }
 
     // The batched path: the flat-layout engines (serialized pDAG, LC-trie,
-    // multibit DAG) run their interleaved overrides; the rest exercise the
+    // the multibit DAGs) run their interleaved overrides; the rest exercise the
     // default loop so regressions in either path show up side by side.
     let mut out = vec![None; BATCH];
     for (trace_name, keys) in [("rand", &rand_keys), ("trace", &trace_keys)] {
@@ -101,7 +88,11 @@ fn engines_and_traces() {
 }
 
 fn image_views(trie: &BinaryTrie<u32>, keys: &[u32]) {
-    use fib_core::{write_image, FibBuild, FibImage, FibLookup, ImageCodec};
+    use fib_core::{
+        write_image, FibBuild, FibImage, FibLookup, ImageCodec, SerializedDag, VarStrideDag,
+        XbwFib, XbwStorage,
+    };
+    use fib_trie::LcTrie;
 
     fn bench_view<E: ImageCodec<u32> + FibBuild<u32>>(
         group: &BenchGroup,
@@ -136,7 +127,7 @@ fn image_views(trie: &BinaryTrie<u32>, keys: &[u32]) {
     bench_view::<XbwFib<u32>>(&group, "xbw-succinct", trie, &succinct, keys);
     bench_view::<XbwFib<u32>>(&group, "xbw-entropy", trie, &config, keys);
     bench_view::<SerializedDag<u32>>(&group, "pdag-serialized", trie, &config, keys);
-    bench_view::<MultibitDag<u32>>(&group, "multibit-dag", trie, &config, keys);
+    bench_view::<VarStrideDag<u32>>(&group, "vsdag", trie, &config, keys);
     bench_view::<LcTrie<u32>>(&group, "fib_trie", trie, &config, keys);
 }
 

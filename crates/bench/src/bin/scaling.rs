@@ -8,7 +8,7 @@
 //! Run with `--scale=0.1` for a quick pass.
 
 use fib_bench::{f, instance_fib, print_table, scale_arg, write_tsv};
-use fib_core::{PrefixDag, SerializedDag};
+use fib_core::{FibLookup, PrefixDag, SerializedDag};
 use fib_workload::rng::Xoshiro256;
 use fib_workload::traces::uniform;
 use std::hint::black_box;

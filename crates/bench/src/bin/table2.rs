@@ -7,7 +7,7 @@
 //! Run with `--scale=0.1` for a quick pass.
 
 use fib_bench::{f, instance_fib, kb, ns_per_call, print_table, scale_arg, write_tsv};
-use fib_core::{FibEngine, FibLookup, PrefixDag, SerializedDag, XbwFib, XbwStorage};
+use fib_core::{FibLookup, PrefixDag, SerializedDag, XbwFib, XbwStorage};
 use fib_hwsim::{CacheSim, SramModel};
 use fib_trie::LcTrie;
 use fib_workload::rng::Xoshiro256;
@@ -18,7 +18,7 @@ use std::hint::black_box;
 /// comparability with Table 2.
 const PAPER_CLOCK_GHZ: f64 = 2.5;
 
-fn bench_engine<E: FibEngine<u32> + ?Sized>(engine: &E, addrs: &[u32]) -> (f64, f64) {
+fn bench_engine<E: FibLookup<u32> + ?Sized>(engine: &E, addrs: &[u32]) -> (f64, f64) {
     // Warm up, then measure.
     let mut sink = 0u64;
     for &a in addrs.iter().take(1000) {
@@ -52,7 +52,7 @@ fn cache_misses_traced(
     (sim.llc_misses() - warm_misses) as f64 / (addrs.len() - warm) as f64
 }
 
-fn cache_misses<E: FibEngine<u32> + ?Sized>(engine: &E, addrs: &[u32]) -> Option<f64> {
+fn cache_misses<E: FibLookup<u32> + ?Sized>(engine: &E, addrs: &[u32]) -> Option<f64> {
     if !engine.traces_memory() {
         return None;
     }
@@ -84,7 +84,7 @@ fn main() {
     let sram = SramModel::default();
     let fpga = sram.replay(&ser, rand_addrs.iter().copied());
 
-    let engines: [&dyn FibEngine<u32>; 3] = [&xbw, &ser, &lc];
+    let engines: [&dyn FibLookup<u32>; 3] = [&xbw, &ser, &lc];
     let mut rows = Vec::new();
 
     // Size and depth block.

@@ -8,8 +8,9 @@
 //! since moved to a rolling lane refill that wins at every table size
 //! (see `xbw_lane_bench.rs`) and dropped its gate; the serialized and
 //! vsdag batch kernels followed with pull-loop / first-step-fused
-//! refill variants and dropped theirs too. The remaining flat engines
-//! keep the residency gate. Either way this guard pins the
+//! refill variants and dropped theirs too; the fixed-stride multibit
+//! plan is a vsdag and runs its kernel. `fib_trie` keeps the residency
+//! gate. Either way this guard pins the
 //! contract the lookup bench asserts under `FIB_BENCH_ASSERT=1`: for every
 //! engine, at the committed BENCH_lookup scale (taz 0.1), the batched
 //! median is at most 1.1x the scalar median.
@@ -22,10 +23,8 @@
 use std::time::Instant;
 
 use fib_bench::instance_fib;
-use fib_core::{
-    FibEngine, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, VsParams, XbwFib, XbwStorage,
-};
-use fib_trie::{LcTrie, NextHop};
+use fib_core::{roster, BuildConfig, FibLookup};
+use fib_trie::NextHop;
 use fib_workload::rng::Xoshiro256;
 use fib_workload::traces;
 
@@ -38,7 +37,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-fn scalar_ns(engine: &dyn FibEngine<u32>, addrs: &[u32]) -> f64 {
+fn scalar_ns(engine: &dyn FibLookup<u32>, addrs: &[u32]) -> f64 {
     let samples = (0..SAMPLES)
         .map(|_| {
             let start = Instant::now();
@@ -55,7 +54,7 @@ fn scalar_ns(engine: &dyn FibEngine<u32>, addrs: &[u32]) -> f64 {
     median(samples)
 }
 
-fn batch_ns(engine: &dyn FibEngine<u32>, addrs: &[u32], out: &mut [Option<NextHop>]) -> f64 {
+fn batch_ns(engine: &dyn FibLookup<u32>, addrs: &[u32], out: &mut [Option<NextHop>]) -> f64 {
     let samples = (0..SAMPLES)
         .map(|_| {
             let start = Instant::now();
@@ -70,20 +69,20 @@ fn batch_ns(engine: &dyn FibEngine<u32>, addrs: &[u32], out: &mut [Option<NextHo
 #[test]
 fn batch_never_regresses_scalar() {
     let trie = instance_fib("taz", 0.1, 0xF1B);
-    let lc = LcTrie::with_params(&trie, 0.5, 16);
-    let xbw_s = XbwFib::build(&trie, XbwStorage::Succinct);
-    let xbw_e = XbwFib::build(&trie, XbwStorage::Entropy);
-    let dag = PrefixDag::from_trie(&trie, 11);
-    let ser = SerializedDag::from_dag(&dag);
-    let mb = MultibitDag::from_trie(&trie, 8);
-    let vs = VarStrideDag::from_trie(&trie, VsParams::default());
-    let engines: Vec<&dyn FibEngine<u32>> = vec![&trie, &lc, &xbw_s, &xbw_e, &dag, &ser, &mb, &vs];
+    // fib_trie at max stride 16 and the fixed plan at stride 8, as this
+    // guard has always pinned them; everything else at the defaults.
+    let config = BuildConfig {
+        max_stride: 16,
+        stride: 8,
+        ..BuildConfig::default()
+    };
+    let built = roster(&trie, &config, None);
 
     let zipf = traces::ZipfTrace::new(&trie, 1.0);
     let addrs = zipf.generate(&mut Xoshiro256::seed_from_u64(0xBA7C), 4096);
     let mut out = vec![None; addrs.len()];
 
-    for engine in engines {
+    for (_, engine) in built.engines() {
         let mut best = f64::INFINITY;
         let mut last = (0.0, 0.0);
         for _ in 0..ATTEMPTS {

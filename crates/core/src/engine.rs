@@ -1,11 +1,12 @@
-//! The engine trait family: a uniform interface over every FIB
-//! representation in the workspace, split along the control/data-plane
-//! seam of the paper's §5 router architecture.
+//! The engine spine: the trait family every FIB representation in the
+//! workspace answers to, split along the control/data-plane seam of the
+//! paper's §5 router architecture, and the one table that wires each
+//! engine into it.
 //!
 //! * [`FibLookup`] — the data-plane surface: single and batched
 //!   longest-prefix match, resident size, and the traced-lookup hooks the
 //!   cache/SRAM simulators consume. Engines with a flat memory layout
-//!   ([`SerializedDag`], [`MultibitDag`], [`LcTrie`]) and the succinct
+//!   ([`SerializedDag`], [`VarStrideDag`], [`LcTrie`]) and the succinct
 //!   [`XbwFib`] override [`FibLookup::lookup_batch`] with interleaved
 //!   multi-lane walks.
 //! * [`FibBuild`] — the control-plane build step: every engine constructs
@@ -15,17 +16,32 @@
 //!   hatch: structures with native λ-barrier updates ([`PrefixDag`],
 //!   [`BinaryTrie`], [`RouteTable`]) apply them in place; static images
 //!   decline and let the router schedule a rebuild.
-//! * [`FibEngine`] — the legacy umbrella: a blanket supertrait of
-//!   [`FibLookup`], kept so existing differential tests and benchmark
-//!   harnesses keep compiling unchanged against trait objects.
+//!
+//! An engine writes its walk, batch kernel, stream kernel and traced walk
+//! once, as inherent methods of the borrowed view its image is served
+//! from. [`engine_table`] then has one row per engine, and everything
+//! that must know the whole set is generated from it: `FibLookup` for
+//! the owned type and for the view (here), and [`crate::EngineKind`],
+//! [`crate::AnyView`] and [`crate::any_view`] (in [`crate::image`]).
+//! [`roster`] is the matching value-level list — one built engine per
+//! benchmark row — that the benches and differential tests enumerate.
 
-use fib_trie::{Address, BinaryTrie, LcTrie, NextHop, Prefix, ProperTrie, RouteTable};
+use fib_trie::{Address, NextHop, Prefix};
 
-use crate::multibit::MultibitDag;
-use crate::pdag::PrefixDag;
-use crate::serialized::SerializedDag;
-use crate::vsdag::{VarStrideDag, VsParams};
-use crate::xbw::{XbwFib, XbwStorage};
+use crate::vsdag::{MultibitDag, VsParams};
+use crate::xbw::XbwStorage;
+
+/// Every type an [`engine_table`] row names. The table's consumers
+/// glob-import this, so a row's names resolve wherever it expands and a
+/// new engine is imported in one place.
+pub(crate) mod table_types {
+    pub(crate) use crate::pdag::{PrefixDag, PrefixDagRef};
+    pub(crate) use crate::serialized::{SerializedDag, SerializedDagRef};
+    pub(crate) use crate::vsdag::{VarStrideDag, VarStrideDagRef};
+    pub(crate) use crate::xbw::{XbwFib, XbwFibRef};
+    pub(crate) use fib_trie::{BinaryTrie, LcTrie, LcTrieRef, ProperTrie, RouteTable};
+}
+use table_types::*;
 
 /// Uniform construction parameters for [`FibBuild`].
 ///
@@ -37,7 +53,8 @@ pub struct BuildConfig {
     /// Leaf-push barrier for the prefix DAGs; `None` selects the
     /// entropy-derived barrier of Eq. (3).
     pub lambda: Option<u8>,
-    /// Stride of the multibit DAG.
+    /// Stride of the fixed-stride plan ([`MultibitDag::from_trie`]) the
+    /// [`roster`] carries as its `multibit-dag` baseline.
     pub stride: u8,
     /// LC-trie fill factor in `(0, 1]`.
     pub fill: f64,
@@ -53,8 +70,8 @@ pub struct BuildConfig {
 }
 
 impl Default for BuildConfig {
-    /// The paper's evaluation defaults: λ = 11, byte-wide multibit nodes
-    /// would be 8 but the ablation sweet spot is 4, kernel-flavoured
+    /// The paper's evaluation defaults: λ = 11, a fixed stride of 4 (the
+    /// ablation sweet spot; byte-wide nodes would be 8), kernel-flavoured
     /// LC-trie parameters, entropy-mode XBW-b.
     fn default() -> Self {
         Self {
@@ -78,9 +95,7 @@ impl BuildConfig {
             budget: self.vs_budget,
         }
     }
-}
 
-impl BuildConfig {
     /// A config with an explicit leaf-push barrier.
     #[must_use]
     pub fn with_lambda(lambda: u8) -> Self {
@@ -226,7 +241,8 @@ pub trait FibBuild<A: Address>: Sized {
 /// Incremental route updates, with an escape hatch for static structures.
 pub trait FibUpdate<A: Address> {
     /// Inserts or replaces a route in place, returning the previous
-    /// next-hop, or signals that the structure must be rebuilt.
+    /// next-hop, or signals that the structure must be rebuilt. The
+    /// default declines: a static engine is rebuilt from the control FIB.
     ///
     /// # Errors
     /// [`RebuildNeeded`] if the engine has no in-place update path.
@@ -234,14 +250,20 @@ pub trait FibUpdate<A: Address> {
         &mut self,
         prefix: Prefix<A>,
         next_hop: NextHop,
-    ) -> Result<Option<NextHop>, RebuildNeeded>;
+    ) -> Result<Option<NextHop>, RebuildNeeded> {
+        let _ = (prefix, next_hop);
+        Err(RebuildNeeded)
+    }
 
     /// Removes a route in place, returning its next-hop if it existed, or
-    /// signals that the structure must be rebuilt.
+    /// signals that the structure must be rebuilt. The default declines.
     ///
     /// # Errors
     /// [`RebuildNeeded`] if the engine has no in-place update path.
-    fn try_remove(&mut self, prefix: Prefix<A>) -> Result<Option<NextHop>, RebuildNeeded>;
+    fn try_remove(&mut self, prefix: Prefix<A>) -> Result<Option<NextHop>, RebuildNeeded> {
+        let _ = prefix;
+        Err(RebuildNeeded)
+    }
 
     /// How far the structure has degraded from its freshly built form, in
     /// `[0, 1]`. A router compares this against its rebuild threshold;
@@ -250,13 +272,6 @@ pub trait FibUpdate<A: Address> {
         0.0
     }
 }
-
-/// The legacy umbrella trait: every [`FibLookup`] is a `FibEngine`, so
-/// pre-split call sites (`&dyn FibEngine<A>`, `E: FibEngine<A>` bounds)
-/// keep working.
-pub trait FibEngine<A: Address>: FibLookup<A> {}
-
-impl<A: Address, T: FibLookup<A> + ?Sized> FibEngine<A> for T {}
 
 /// References forward wholesale, so wrappers like [`crate::hot::HotFib`]
 /// can compose over a borrowed engine (including `&dyn` trait objects)
@@ -298,250 +313,201 @@ impl<A: Address, E: FibLookup<A> + ?Sized> FibLookup<A> for &E {
 }
 
 // ---------------------------------------------------------------------
-// FibLookup implementations
+// The engine table
 // ---------------------------------------------------------------------
 
-impl<A: Address> FibLookup<A> for RouteTable<A> {
-    fn name(&self) -> &'static str {
-        "tabular"
-    }
+/// The engine table: one row per engine, handed whole to `$consumer`.
+///
+/// ```text
+/// Owned |e| walk, "report name", tier, resident-size
+///     [, image View, Kind = id, "fibc name"];
+/// ```
+///
+/// * `walk` is where `Owned`'s lookups run: `e` itself when the type
+///   carries the methods, `e.view()` when they live on its borrowed view
+///   only. The view of an `image` row always answers for itself, under
+///   `"report name/image"`, and sizes itself with its own `size_bytes`.
+/// * `tier` says how much of [`FibLookup`] the walk overrides, each tier
+///   including the one before: `scalar` (`lookup`), `traced`
+///   (+ `lookup_traced`), `kernels` (+ `lookup_batch`, `prefetch`,
+///   `lookup_stream`). What a tier leaves out keeps the trait's default.
+/// * `image` names the zero-copy view the engine's [`crate::ImageCodec`]
+///   assembles and the [`crate::EngineKind`] it is stamped with; the id
+///   is a byte of the on-disk header, so it is never reused.
+///
+/// `containers` are image kinds that hold engines without being one.
+macro_rules! engine_table {
+    ($consumer:ident) => {
+        $consumer! {
+            engines {
+                RouteTable |e| e, "tabular", scalar, e.model_size_bits().div_ceil(8);
+                BinaryTrie |e| e, "binary-trie", traced, e.size_bytes();
+                ProperTrie |e| e, "leaf-pushed", traced, e.size_bytes();
+                // Owned size is the kernel memory model — the paper
+                // compares against the kernel structure's footprint; the
+                // view reports the packed arena the image actually serves.
+                LcTrie |e| e, "fib_trie", kernels, e.kernel_model_bytes(),
+                    image LcTrieRef, LcTrie = 5, "lctrie";
+                XbwFib |e| e, "XBW-b", kernels, e.size_bytes(),
+                    image XbwFibRef, Xbw = 1, "xbw";
+                PrefixDag |e| e, "pDAG", scalar, e.model_size_bits().div_ceil(8),
+                    image PrefixDagRef, PrefixDag = 2, "pdag";
+                SerializedDag |e| e.view(), "pDAG-serialized", kernels, e.size_bytes(),
+                    image SerializedDagRef, SerializedDag = 3, "serialized";
+                // Id 4 / "multibit" is retired: the fixed-stride multibit
+                // DAG is a `VarStrideDag` plan and ships as a vsdag image.
+                VarStrideDag |e| e.view(), "vsdag", kernels, e.size_bytes(),
+                    image VarStrideDagRef, VsDag = 7, "vsdag";
+            }
+            containers {
+                VrfSet = 6, "vrfset",
+                    "vrfset images are VRF-keyed; assemble a crate::vrf::VrfSetRef instead";
+            }
+        }
+    };
+}
+pub(crate) use engine_table;
 
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        RouteTable::lookup(self, addr)
-    }
+/// The [`FibLookup`] methods of one table tier, forwarded to `$walk`'s
+/// inherent methods (which method-call syntax prefers over the trait's).
+macro_rules! fib_lookup_methods {
+    (scalar, $e:ident, $walk:expr, $size:expr) => {
+        #[inline]
+        fn lookup(&self, addr: A) -> Option<NextHop> {
+            let $e = self;
+            $walk.lookup(addr)
+        }
 
-    fn size_bytes(&self) -> usize {
-        self.model_size_bits().div_ceil(8)
+        fn size_bytes(&self) -> usize {
+            let $e = self;
+            $size
+        }
+    };
+    (traced, $e:ident, $walk:expr, $size:expr) => {
+        fib_lookup_methods!(scalar, $e, $walk, $size);
+
+        fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
+            let $e = self;
+            $walk.lookup_traced(addr, sink)
+        }
+
+        fn traces_memory(&self) -> bool {
+            true
+        }
+    };
+    (kernels, $e:ident, $walk:expr, $size:expr) => {
+        fib_lookup_methods!(traced, $e, $walk, $size);
+
+        fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+            let $e = self;
+            $walk.lookup_batch(addrs, out);
+        }
+
+        #[inline]
+        fn prefetch(&self, addr: A) {
+            let $e = self;
+            $walk.prefetch(addr);
+        }
+
+        fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+            let $e = self;
+            $walk.lookup_stream(addrs, out);
+        }
+    };
+}
+
+/// [`engine_table`] consumer: `FibLookup` for every owned engine and
+/// every image view.
+macro_rules! impl_fib_lookup {
+    (
+        engines { $(
+            $owned:ident |$e:ident| $walk:expr, $name:literal, $tier:ident, $size:expr
+            $(, image $view:ident, $kind:ident = $id:literal, $cli:literal)? ;
+        )* }
+        containers { $($rest:tt)* }
+    ) => { $(
+        impl<A: Address> FibLookup<A> for $owned<A> {
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fib_lookup_methods!($tier, $e, $walk, $size);
+        }
+
+        $(
+            impl<A: Address> FibLookup<A> for $view<'_, A> {
+                fn name(&self) -> &'static str {
+                    concat!($name, "/image")
+                }
+
+                fib_lookup_methods!($tier, view, view, view.size_bytes());
+            }
+        )?
+    )* };
+}
+
+engine_table!(impl_fib_lookup);
+
+/// One built engine per row of the benchmark's engine matrix, in its
+/// order (`binary-trie`, `fib_trie`, `xbw-succinct`, `xbw-entropy`,
+/// `pdag`, `pdag-serialized`, `multibit-dag`, `vsdag`) — the list the
+/// benches, `benchdump` and the differential tests enumerate instead of
+/// each keeping its own. Fields are concrete so a caller can wrap or
+/// inspect one engine; [`Roster::engines`] erases them for the loops.
+pub struct Roster<'t, A: Address> {
+    /// The control trie itself.
+    pub binary_trie: &'t BinaryTrie<A>,
+    /// `fib_trie` under `config.fill` / `config.max_stride`.
+    pub lc: LcTrie<A>,
+    /// XBW-b, succinct storage (Lemma 2).
+    pub xbw_succinct: XbwFib<A>,
+    /// XBW-b, entropy storage (Lemma 3).
+    pub xbw_entropy: XbwFib<A>,
+    /// The prefix DAG at `config.lambda_for(trie)`.
+    pub pdag: PrefixDag<A>,
+    /// [`Self::pdag`], serialized.
+    pub serialized: SerializedDag<A>,
+    /// The fixed stride-`config.stride` plan.
+    pub multibit: MultibitDag<A>,
+    /// The DP-planned vsdag under `config.vs_params()` and `heat`.
+    pub vsdag: VarStrideDag<A>,
+}
+
+impl<A: Address> Roster<'_, A> {
+    /// Every engine under its benchmark row name, in matrix order.
+    #[must_use]
+    pub fn engines(&self) -> [(&'static str, &dyn FibLookup<A>); 8] {
+        [
+            ("binary-trie", self.binary_trie),
+            ("fib_trie", &self.lc),
+            ("xbw-succinct", &self.xbw_succinct),
+            ("xbw-entropy", &self.xbw_entropy),
+            ("pdag", &self.pdag),
+            ("pdag-serialized", &self.serialized),
+            ("multibit-dag", &self.multibit),
+            ("vsdag", &self.vsdag),
+        ]
     }
 }
 
-impl<A: Address> FibLookup<A> for BinaryTrie<A> {
-    fn name(&self) -> &'static str {
-        "binary-trie"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        BinaryTrie::lookup(self, addr)
-    }
-
-    fn size_bytes(&self) -> usize {
-        BinaryTrie::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        BinaryTrie::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for ProperTrie<A> {
-    fn name(&self) -> &'static str {
-        "leaf-pushed"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        ProperTrie::lookup(self, addr)
-    }
-
-    fn size_bytes(&self) -> usize {
-        ProperTrie::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        ProperTrie::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for LcTrie<A> {
-    fn name(&self) -> &'static str {
-        "fib_trie"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        LcTrie::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        LcTrie::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        LcTrie::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        LcTrie::lookup_stream(self, addrs, out);
-    }
-
-    /// Reported under the kernel memory model — the paper compares against
-    /// the kernel structure's footprint, not an idealized packed array.
-    fn size_bytes(&self) -> usize {
-        self.kernel_model_bytes()
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        LcTrie::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for XbwFib<A> {
-    fn name(&self) -> &'static str {
-        "XBW-b"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        XbwFib::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        XbwFib::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        XbwFib::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        XbwFib::lookup_stream(self, addrs, out);
-    }
-
-    fn size_bytes(&self) -> usize {
-        XbwFib::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        XbwFib::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for PrefixDag<A> {
-    fn name(&self) -> &'static str {
-        "pDAG"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        PrefixDag::lookup(self, addr)
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.model_size_bits().div_ceil(8)
-    }
-}
-
-impl<A: Address> FibLookup<A> for SerializedDag<A> {
-    fn name(&self) -> &'static str {
-        "pDAG-serialized"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        SerializedDag::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        SerializedDag::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        SerializedDag::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        SerializedDag::lookup_stream(self, addrs, out);
-    }
-
-    fn size_bytes(&self) -> usize {
-        SerializedDag::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        SerializedDag::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for MultibitDag<A> {
-    fn name(&self) -> &'static str {
-        "multibit-dag"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        MultibitDag::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        MultibitDag::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        MultibitDag::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        MultibitDag::lookup_stream(self, addrs, out);
-    }
-
-    fn size_bytes(&self) -> usize {
-        MultibitDag::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        MultibitDag::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for VarStrideDag<A> {
-    fn name(&self) -> &'static str {
-        "vsdag"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        VarStrideDag::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        VarStrideDag::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        VarStrideDag::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        VarStrideDag::lookup_stream(self, addrs, out);
-    }
-
-    fn size_bytes(&self) -> usize {
-        VarStrideDag::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        VarStrideDag::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
+/// Builds the [`Roster`] over `trie`. `heat` is the traffic profile of
+/// [`FibBuild::build_weighted`]; only the vsdag reads it.
+#[must_use]
+pub fn roster<'t, A: Address>(
+    trie: &'t BinaryTrie<A>,
+    config: &BuildConfig,
+    heat: Option<(&[(u64, u64)], u8)>,
+) -> Roster<'t, A> {
+    let pdag = PrefixDag::build(trie, config);
+    Roster {
+        binary_trie: trie,
+        lc: LcTrie::build(trie, config),
+        xbw_succinct: XbwFib::build(trie, XbwStorage::Succinct),
+        xbw_entropy: XbwFib::build(trie, XbwStorage::Entropy),
+        serialized: SerializedDag::from_dag(&pdag),
+        pdag,
+        multibit: MultibitDag::from_trie(trie, config.stride),
+        vsdag: VarStrideDag::build_weighted(trie, config, heat),
     }
 }
 
@@ -588,12 +554,6 @@ impl<A: Address> FibBuild<A> for PrefixDag<A> {
 impl<A: Address> FibBuild<A> for SerializedDag<A> {
     fn build(trie: &BinaryTrie<A>, config: &BuildConfig) -> Self {
         SerializedDag::from_dag(&PrefixDag::from_trie(trie, config.lambda_for(trie)))
-    }
-}
-
-impl<A: Address> FibBuild<A> for MultibitDag<A> {
-    fn build(trie: &BinaryTrie<A>, config: &BuildConfig) -> Self {
-        MultibitDag::from_trie(trie, config.stride)
     }
 }
 
@@ -667,37 +627,13 @@ impl<A: Address> FibUpdate<A> for PrefixDag<A> {
     }
 }
 
-/// The static engines decline in-place updates: a router rebuilds them
-/// from its control FIB instead.
-macro_rules! static_engine_update {
-    ($($ty:ident),+) => {$(
-        impl<A: Address> FibUpdate<A> for $ty<A> {
-            fn try_insert(
-                &mut self,
-                _prefix: Prefix<A>,
-                _next_hop: NextHop,
-            ) -> Result<Option<NextHop>, RebuildNeeded> {
-                Err(RebuildNeeded)
-            }
-
-            fn try_remove(
-                &mut self,
-                _prefix: Prefix<A>,
-            ) -> Result<Option<NextHop>, RebuildNeeded> {
-                Err(RebuildNeeded)
-            }
-        }
-    )+};
-}
-
-static_engine_update!(
-    ProperTrie,
-    LcTrie,
-    XbwFib,
-    SerializedDag,
-    MultibitDag,
-    VarStrideDag
-);
+// The static engines keep the declining defaults: a router rebuilds
+// them from its control FIB instead.
+impl<A: Address> FibUpdate<A> for ProperTrie<A> {}
+impl<A: Address> FibUpdate<A> for LcTrie<A> {}
+impl<A: Address> FibUpdate<A> for XbwFib<A> {}
+impl<A: Address> FibUpdate<A> for SerializedDag<A> {}
+impl<A: Address> FibUpdate<A> for VarStrideDag<A> {}
 
 #[cfg(test)]
 mod tests {
@@ -717,70 +653,65 @@ mod tests {
         trie
     }
 
+    /// The roster at λ = 8, plus the control-plane structures it leaves
+    /// out — every `FibLookup` row of the table, as trait objects.
+    fn with_every_engine(trie: &BinaryTrie<u32>, check: impl Fn(&dyn FibLookup<u32>)) {
+        let built = roster(trie, &BuildConfig::with_lambda(8), None);
+        let table: RouteTable<u32> = trie.iter().collect();
+        let proper = ProperTrie::from_trie(trie);
+        for (_, engine) in built.engines() {
+            check(engine);
+        }
+        check(&table);
+        check(&proper);
+    }
+
     #[test]
     fn all_engines_agree_via_trait_objects() {
         let trie = sample_trie();
-        let table: RouteTable<u32> = trie.iter().collect();
-        let proper = ProperTrie::from_trie(&trie);
-        let lc = LcTrie::from_trie(&trie);
-        let xbw = XbwFib::build(&trie, XbwStorage::Entropy);
-        let dag = PrefixDag::from_trie(&trie, 8);
-        let ser = SerializedDag::from_dag(&dag);
-        let mb = MultibitDag::from_trie(&trie, 4);
-        let engines: Vec<&dyn FibEngine<u32>> =
-            vec![&table, &trie, &proper, &lc, &xbw, &dag, &ser, &mb];
-        for i in 0..4000u32 {
-            let addr = i.wrapping_mul(0x9E37_79B9);
-            let expected = table.lookup(addr);
-            for engine in &engines {
+        with_every_engine(&trie, |engine| {
+            for i in 0..4000u32 {
+                let addr = i.wrapping_mul(0x9E37_79B9);
                 assert_eq!(
                     engine.lookup(addr),
-                    expected,
+                    trie.lookup(addr),
                     "{} at {addr:#x}",
                     engine.name()
                 );
             }
-        }
+        });
     }
 
     #[test]
     fn batch_agrees_with_scalar_for_every_engine() {
         let trie = sample_trie();
-        let table: RouteTable<u32> = trie.iter().collect();
-        let proper = ProperTrie::from_trie(&trie);
-        let lc = LcTrie::from_trie(&trie);
-        let xbw = XbwFib::build(&trie, XbwStorage::Succinct);
-        let dag = PrefixDag::from_trie(&trie, 8);
-        let ser = SerializedDag::from_dag(&dag);
-        let mb = MultibitDag::from_trie(&trie, 4);
-        let engines: Vec<&dyn FibEngine<u32>> =
-            vec![&table, &trie, &proper, &lc, &xbw, &dag, &ser, &mb];
         let addrs: Vec<u32> = (0..999u32).map(|i| i.wrapping_mul(0x0101_6B55)).collect();
-        let mut out = vec![None; addrs.len()];
-        for engine in &engines {
-            out.fill(Some(nh(u32::MAX - 1))); // poison: every slot must be written
+        with_every_engine(&trie, |engine| {
+            // Poison: every slot must be written.
+            let mut out = vec![Some(nh(u32::MAX - 1)); addrs.len()];
             engine.lookup_batch(&addrs, &mut out);
             for (a, got) in addrs.iter().zip(&out) {
                 assert_eq!(*got, engine.lookup(*a), "{} at {a:#x}", engine.name());
             }
-        }
+        });
     }
 
     #[test]
     fn traced_engines_report_accesses() {
         let trie = sample_trie();
-        let dag = PrefixDag::from_trie(&trie, 8);
-        let ser = SerializedDag::from_dag(&dag);
-        let lc = LcTrie::from_trie(&trie);
-        let proper = ProperTrie::from_trie(&trie);
-        let xbw = XbwFib::build(&trie, XbwStorage::Entropy);
-        for engine in [&ser as &dyn FibEngine<u32>, &lc, &trie, &proper, &xbw] {
+        with_every_engine(&trie, |engine| {
+            // The pointer-machine DAG and the tabular oracle have no
+            // flat layout to trace.
+            if matches!(engine.name(), "pDAG" | "tabular") {
+                assert!(!engine.traces_memory(), "{}", engine.name());
+                return;
+            }
             assert!(engine.traces_memory(), "{}", engine.name());
             let mut count = 0;
             let traced = engine.lookup_traced(0x0A40_0001, &mut |_, _| count += 1);
             assert_eq!(traced, engine.lookup(0x0A40_0001));
             assert!(count > 0, "{} produced no accesses", engine.name());
-        }
+        });
     }
 
     #[test]
@@ -802,8 +733,11 @@ mod tests {
         assert_eq!(dag.lambda(), 6);
         let ser: SerializedDag<u32> = FibBuild::build(&trie, &config);
         assert_eq!(ser.lambda(), 6);
-        let mb: MultibitDag<u32> = FibBuild::build(&trie, &config);
-        assert_eq!(mb.stride(), config.stride);
+        let mb = MultibitDag::from_trie(&trie, config.stride);
+        assert_eq!(
+            mb.stride_histogram(),
+            vec![(config.stride, mb.node_count())]
+        );
         let lc: LcTrie<u32> = FibBuild::build(&trie, &config);
         let xbw: XbwFib<u32> = FibBuild::build(&trie, &config);
         let table: RouteTable<u32> = FibBuild::build(&trie, &config);
@@ -813,7 +747,7 @@ mod tests {
             let addr = i.wrapping_mul(0x9E37_79B9);
             let expected = trie.lookup(addr);
             for engine in [
-                &dag as &dyn FibEngine<u32>,
+                &dag as &dyn FibLookup<u32>,
                 &ser,
                 &mb,
                 &lc,

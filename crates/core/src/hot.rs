@@ -535,7 +535,7 @@ impl SlabStore for HotSlabRef<'_> {
     }
 }
 
-/// A hot slab and its adaptive [`Gate`], to be put in front of any
+/// A hot slab and its adaptive `Gate`, to be put in front of any
 /// engine: the one place "probe the slab, fall through to the walk" is
 /// written. [`HotFib`], the image composition in `crate::image` and
 /// `fib-router`'s hot epoch snapshots all serve through it, handing in
@@ -564,7 +564,7 @@ impl<S: Clone> Clone for HotFront<S> {
 impl<S: SlabStore> HotFront<S> {
     /// Puts `slab` in front of the engine whose scalar walk is `inner`,
     /// calibrating the gate from the measured probe and walk costs
-    /// (microseconds; see [`Gate`]).
+    /// (microseconds; see `Gate`).
     #[must_use]
     pub fn calibrated<A: Address>(slab: S, inner: impl Fn(A) -> Option<NextHop>) -> Self {
         let threshold = calibrate_gate(slab.slab_view(), inner);
@@ -620,9 +620,9 @@ impl<S: SlabStore> HotFront<S> {
     /// Resolves `addrs` into `out`, delegating what the slab does not
     /// answer to `kernel` — the inner engine's `lookup_batch` or
     /// `lookup_stream`. While probing, misses are compacted into dense
-    /// sub-batches of up to [`HOT_CHUNK`] so the kernel keeps its
+    /// sub-batches of up to `HOT_CHUNK` so the kernel keeps its
     /// interleaved lanes fed; while bypassed, `kernel` gets the whole
-    /// batch and 1 in [`GATE_SAMPLE`] addresses is still probed, purely
+    /// batch and 1 in `GATE_SAMPLE` addresses is still probed, purely
     /// for the hit-rate estimate that re-arms the gate.
     ///
     /// # Panics

@@ -49,14 +49,10 @@
 use std::path::Path;
 
 use fib_succinct::{fnv1a, fnv1a_continue, Arena, StorageError};
-use fib_trie::{Address, BinaryTrie, LcTrie, LcTrieRef, NextHop, Prefix};
+use fib_trie::{Address, NextHop, Prefix};
 
+use crate::engine::table_types::*;
 use crate::hot::{HotFront, HotSlabRef};
-use crate::multibit::{MultibitDag, MultibitDagRef};
-use crate::pdag::{PrefixDag, PrefixDagRef};
-use crate::serialized::{SerializedDag, SerializedDagRef};
-use crate::vsdag::{VarStrideDag, VarStrideDagRef};
-use crate::xbw::{XbwFib, XbwFibRef};
 use crate::FibLookup;
 
 /// Magic word: the bytes `FIBIMG1\0` read as a little-endian `u64`.
@@ -82,13 +78,14 @@ pub mod sections {
     pub const SER_ENTRIES: u32 = 0x30;
     /// Serialized-DAG interior records.
     pub const SER_NODES: u32 = 0x31;
-    /// Multibit-DAG packed slot arrays.
-    pub const MB_SLOTS: u32 = 0x40;
+    // 0x40 is reserved: it was the slot section of the retired engine 4
+    // (stride-`s` multibit DAG, now a fixed-stride vsdag plan) and must
+    // never be reassigned.
     /// Variable-stride DAG node directory (`stride << 32 | slot_base`
     /// per supernode).
     pub const VS_NODES: u32 = 0x41;
-    /// Variable-stride DAG packed slot arrays (same tagged-u32 encoding
-    /// as [`MB_SLOTS`]).
+    /// Variable-stride DAG packed slot arrays (two tagged 32-bit
+    /// references per word).
     pub const VS_SLOTS: u32 = 0x42;
     /// LC-trie packed nodes.
     pub const LC_NODES: u32 = 0x50;
@@ -113,73 +110,6 @@ pub mod sections {
 }
 
 const BLOCK_WORDS: usize = 8;
-
-/// The engine a FIB image encodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum EngineKind {
-    /// XBW-b (`S_I` plain or RRR, `S_α` packed or wavelet).
-    Xbw = 1,
-    /// Pointer-machine prefix DAG, compacted.
-    PrefixDag = 2,
-    /// λ-collapsed serialized DAG.
-    SerializedDag = 3,
-    /// Stride-`s` multibit DAG.
-    MultibitDag = 4,
-    /// Level-compressed trie.
-    LcTrie = 5,
-    /// Multi-tenant VRF set: one shared hash-consed pDAG arena plus
-    /// per-table dedicated engines, keyed by VRF id (see [`crate::vrf`]).
-    VrfSet = 6,
-    /// Traffic-weighted variable-stride multibit DAG.
-    VsDag = 7,
-}
-
-impl EngineKind {
-    /// Decodes the header byte.
-    #[must_use]
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(Self::Xbw),
-            2 => Some(Self::PrefixDag),
-            3 => Some(Self::SerializedDag),
-            4 => Some(Self::MultibitDag),
-            5 => Some(Self::LcTrie),
-            6 => Some(Self::VrfSet),
-            7 => Some(Self::VsDag),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name (accepted by `fibc --engine`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Xbw => "xbw",
-            Self::PrefixDag => "pdag",
-            Self::SerializedDag => "serialized",
-            Self::MultibitDag => "multibit",
-            Self::LcTrie => "lctrie",
-            Self::VrfSet => "vrfset",
-            Self::VsDag => "vsdag",
-        }
-    }
-
-    /// Parses [`Self::name`].
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "xbw" => Some(Self::Xbw),
-            "pdag" => Some(Self::PrefixDag),
-            "serialized" => Some(Self::SerializedDag),
-            "multibit" => Some(Self::MultibitDag),
-            "lctrie" => Some(Self::LcTrie),
-            "vrfset" => Some(Self::VrfSet),
-            "vsdag" => Some(Self::VsDag),
-            _ => None,
-        }
-    }
-}
 
 /// Address family byte of the header.
 fn family_of<A: Address>() -> u8 {
@@ -763,6 +693,19 @@ pub fn load_image<A: Address, E: ImageCodec<A>, T>(
 // ---------------------------------------------------------------------
 // Codec implementations
 // ---------------------------------------------------------------------
+//
+// Each codec parses its sections in one `*_view` function; `view` and
+// `view_prevalidated` differ only in the constructor they hand it — the
+// validating `from_parts` or the scan-free `from_parts_trusted`.
+
+/// The first word of the `PARAMS` section.
+fn first_param(image: &FibImage) -> Result<u64, ImageError> {
+    image
+        .section(sections::PARAMS)?
+        .first()
+        .copied()
+        .ok_or(ImageError::Malformed("params"))
+}
 
 impl<A: Address> ImageCodec<A> for SerializedDag<A> {
     const ENGINE: EngineKind = EngineKind::SerializedDag;
@@ -776,29 +719,11 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
     }
 
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        let lambda = u8::try_from(*params.first().ok_or(ImageError::Malformed("params"))?)
-            .map_err(|_| ImageError::Malformed("λ out of range"))?;
-        SerializedDagRef::from_parts(
-            lambda,
-            image.section(sections::SER_ENTRIES)?,
-            image.section(sections::SER_NODES)?,
-        )
-        .map_err(ImageError::Malformed)
+        serialized_view::<A, _>(image, SerializedDagRef::from_parts)
     }
 
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        let lambda = u8::try_from(*params.first().ok_or(ImageError::Malformed("params"))?)
-            .map_err(|_| ImageError::Malformed("λ out of range"))?;
-        SerializedDagRef::from_parts_trusted(
-            lambda,
-            image.section(sections::SER_ENTRIES)?,
-            image.section(sections::SER_NODES)?,
-        )
-        .map_err(ImageError::Malformed)
+        serialized_view::<A, _>(image, SerializedDagRef::from_parts_trusted)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -806,63 +731,19 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
     }
 }
 
-impl<A: Address> ImageCodec<A> for MultibitDag<A> {
-    const ENGINE: EngineKind = EngineKind::MultibitDag;
-    type Ref<'i> = MultibitDagRef<'i, A>;
-
-    fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
-        writer.section(
-            sections::PARAMS,
-            &[
-                u64::from(self.stride()),
-                u64::from(self.root_ref()),
-                self.slot_count() as u64,
-            ],
-        );
-        writer.section(sections::MB_SLOTS, self.slot_words());
-        Ok(())
-    }
-
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        if params.len() < 3 {
-            return Err(ImageError::Malformed("params"));
-        }
-        let stride =
-            u8::try_from(params[0]).map_err(|_| ImageError::Malformed("stride out of range"))?;
-        let root =
-            u32::try_from(params[1]).map_err(|_| ImageError::Malformed("root out of range"))?;
-        let n_slots = usize::try_from(params[2])
-            .map_err(|_| ImageError::Malformed("slot count out of range"))?;
-        MultibitDagRef::from_parts(stride, image.section(sections::MB_SLOTS)?, n_slots, root)
-            .map_err(ImageError::Malformed)
-    }
-
-    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        if params.len() < 3 {
-            return Err(ImageError::Malformed("params"));
-        }
-        let stride =
-            u8::try_from(params[0]).map_err(|_| ImageError::Malformed("stride out of range"))?;
-        let root =
-            u32::try_from(params[1]).map_err(|_| ImageError::Malformed("root out of range"))?;
-        let n_slots = usize::try_from(params[2])
-            .map_err(|_| ImageError::Malformed("slot count out of range"))?;
-        MultibitDagRef::from_parts_trusted(
-            stride,
-            image.section(sections::MB_SLOTS)?,
-            n_slots,
-            root,
-        )
-        .map_err(ImageError::Malformed)
-    }
-
-    fn resident_size_bytes(&self) -> usize {
-        self.size_bytes()
-    }
+fn serialized_view<'i, A: Address, V>(
+    image: &'i FibImage,
+    from_parts: impl FnOnce(u8, &'i [u64], &'i [u64]) -> Result<V, &'static str>,
+) -> Result<V, ImageError> {
+    image.expect::<A>(EngineKind::SerializedDag)?;
+    let lambda =
+        u8::try_from(first_param(image)?).map_err(|_| ImageError::Malformed("λ out of range"))?;
+    from_parts(
+        lambda,
+        image.section(sections::SER_ENTRIES)?,
+        image.section(sections::SER_NODES)?,
+    )
+    .map_err(ImageError::Malformed)
 }
 
 impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
@@ -884,30 +765,11 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
     }
 
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let (root, node_count, n_slots) = vsdag_params(image)?;
-        let nodes = image.section(sections::VS_NODES)?;
-        if nodes.len() != node_count {
-            return Err(ImageError::Malformed("node directory length mismatch"));
-        }
-        VarStrideDagRef::from_parts(nodes, image.section(sections::VS_SLOTS)?, n_slots, root)
-            .map_err(ImageError::Malformed)
+        vsdag_view::<A, _>(image, VarStrideDagRef::from_parts)
     }
 
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let (root, node_count, n_slots) = vsdag_params(image)?;
-        let nodes = image.section(sections::VS_NODES)?;
-        if nodes.len() != node_count {
-            return Err(ImageError::Malformed("node directory length mismatch"));
-        }
-        VarStrideDagRef::from_parts_trusted(
-            nodes,
-            image.section(sections::VS_SLOTS)?,
-            n_slots,
-            root,
-        )
-        .map_err(ImageError::Malformed)
+        vsdag_view::<A, _>(image, VarStrideDagRef::from_parts_trusted)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -915,8 +777,12 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
     }
 }
 
-/// Decodes the vsdag `PARAMS` triple `[root, node_count, slot_count]`.
-fn vsdag_params(image: &FibImage) -> Result<(u32, usize, usize), ImageError> {
+fn vsdag_view<'i, A: Address, V>(
+    image: &'i FibImage,
+    from_parts: impl FnOnce(&'i [u64], &'i [u64], usize, u32) -> Result<V, &'static str>,
+) -> Result<V, ImageError> {
+    image.expect::<A>(EngineKind::VsDag)?;
+    // `PARAMS` is the triple `[root, node_count, slot_count]`.
     let params = image.section(sections::PARAMS)?;
     if params.len() < 3 {
         return Err(ImageError::Malformed("params"));
@@ -926,7 +792,12 @@ fn vsdag_params(image: &FibImage) -> Result<(u32, usize, usize), ImageError> {
         usize::try_from(params[1]).map_err(|_| ImageError::Malformed("node count out of range"))?;
     let n_slots =
         usize::try_from(params[2]).map_err(|_| ImageError::Malformed("slot count out of range"))?;
-    Ok((root, node_count, n_slots))
+    let nodes = image.section(sections::VS_NODES)?;
+    if nodes.len() != node_count {
+        return Err(ImageError::Malformed("node directory length mismatch"));
+    }
+    from_parts(nodes, image.section(sections::VS_SLOTS)?, n_slots, root)
+        .map_err(ImageError::Malformed)
 }
 
 impl<A: Address> ImageCodec<A> for LcTrie<A> {
@@ -940,21 +811,11 @@ impl<A: Address> ImageCodec<A> for LcTrie<A> {
     }
 
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        let root = u32::try_from(*params.first().ok_or(ImageError::Malformed("params"))?)
-            .map_err(|_| ImageError::Malformed("root out of range"))?;
-        LcTrieRef::from_parts(image.section(sections::LC_NODES)?, root)
-            .map_err(ImageError::Malformed)
+        rooted_view::<A, Self, _>(image, sections::LC_NODES, LcTrieRef::from_parts)
     }
 
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        let root = u32::try_from(*params.first().ok_or(ImageError::Malformed("params"))?)
-            .map_err(|_| ImageError::Malformed("root out of range"))?;
-        LcTrieRef::from_parts_trusted(image.section(sections::LC_NODES)?, root)
-            .map_err(ImageError::Malformed)
+        rooted_view::<A, Self, _>(image, sections::LC_NODES, LcTrieRef::from_parts_trusted)
     }
 
     /// The *packed arena* bytes, deliberately not the kernel memory model
@@ -980,21 +841,15 @@ impl<A: Address> ImageCodec<A> for PrefixDag<A> {
     }
 
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        let root = u32::try_from(*params.first().ok_or(ImageError::Malformed("params"))?)
-            .map_err(|_| ImageError::Malformed("root out of range"))?;
-        PrefixDagRef::from_parts(image.section(sections::PDAG_NODES)?, root)
-            .map_err(ImageError::Malformed)
+        rooted_view::<A, Self, _>(image, sections::PDAG_NODES, PrefixDagRef::from_parts)
     }
 
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        let root = u32::try_from(*params.first().ok_or(ImageError::Malformed("params"))?)
-            .map_err(|_| ImageError::Malformed("root out of range"))?;
-        PrefixDagRef::from_parts_trusted(image.section(sections::PDAG_NODES)?, root)
-            .map_err(ImageError::Malformed)
+        rooted_view::<A, Self, _>(
+            image,
+            sections::PDAG_NODES,
+            PrefixDagRef::from_parts_trusted,
+        )
     }
 
     /// The compacted arena bytes (16 per live node) — the exact payload
@@ -1002,6 +857,19 @@ impl<A: Address> ImageCodec<A> for PrefixDag<A> {
     fn resident_size_bytes(&self) -> usize {
         self.size_bytes()
     }
+}
+
+/// The view of an engine stored as one node section plus a root index in
+/// `PARAMS[0]` (the LC-trie and the prefix DAG).
+fn rooted_view<'i, A: Address, E: ImageCodec<A>, V>(
+    image: &'i FibImage,
+    nodes: u32,
+    from_parts: impl FnOnce(&'i [u64], u32) -> Result<V, &'static str>,
+) -> Result<V, ImageError> {
+    image.expect::<A>(E::ENGINE)?;
+    let root = u32::try_from(first_param(image)?)
+        .map_err(|_| ImageError::Malformed("root out of range"))?;
+    from_parts(image.section(nodes)?, root).map_err(ImageError::Malformed)
 }
 
 impl<A: Address> ImageCodec<A> for XbwFib<A> {
@@ -1043,297 +911,148 @@ impl<A: Address> ImageCodec<A> for XbwFib<A> {
 }
 
 // ---------------------------------------------------------------------
-// FibLookup for the zero-copy views
+// What the engine table generates for images
 // ---------------------------------------------------------------------
 
-impl<A: Address> FibLookup<A> for SerializedDagRef<'_, A> {
-    fn name(&self) -> &'static str {
-        "pDAG-serialized/image"
-    }
+/// [`engine_table`](crate::engine) consumer: the image-kind enum, the
+/// type-erased view and its dispatch, from the rows that carry an `image`
+/// column and the `containers` block.
+macro_rules! impl_image_kinds {
+    (
+        engines { $(
+            $owned:ident |$e:ident| $walk:expr, $name:literal, $tier:ident, $size:expr
+            $(, image $view:ident, $kind:ident = $id:literal, $cli:literal)? ;
+        )* }
+        containers { $( $ckind:ident = $cid:literal, $ccli:literal, $why:literal ; )* }
+    ) => {
+        /// The engine a FIB image encodes. The discriminant is the header's
+        /// engine byte and [`Self::name`] the value `fibc --engine` takes;
+        /// both are fixed once assigned.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum EngineKind {
+            $($(
+                #[doc = concat!("[`", stringify!($owned), "`], reported as `", $name, "`.")]
+                $kind = $id,
+            )?)*
+            $(
+                #[doc = concat!("The `", $ccli, "` container: ", $why, ".")]
+                $ckind = $cid,
+            )*
+        }
 
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        SerializedDagRef::lookup(self, addr)
-    }
+        impl EngineKind {
+            /// Decodes the header byte.
+            #[must_use]
+            pub fn from_u8(v: u8) -> Option<Self> {
+                match v {
+                    $($( $id => Some(Self::$kind), )?)*
+                    $( $cid => Some(Self::$ckind), )*
+                    _ => None,
+                }
+            }
 
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        SerializedDagRef::lookup_batch(self, addrs, out);
-    }
+            /// Stable lower-case name (accepted by `fibc --engine`).
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($( Self::$kind => $cli, )?)*
+                    $( Self::$ckind => $ccli, )*
+                }
+            }
 
-    fn prefetch(&self, addr: A) {
-        SerializedDagRef::prefetch(self, addr);
-    }
+            /// Parses [`Self::name`].
+            #[must_use]
+            pub fn parse(name: &str) -> Option<Self> {
+                match name {
+                    $($( $cli => Some(Self::$kind), )?)*
+                    $( $ccli => Some(Self::$ckind), )*
+                    _ => None,
+                }
+            }
+        }
 
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        SerializedDagRef::lookup_stream(self, addrs, out);
-    }
+        /// A type-erased view over whatever engine an image encodes — what
+        /// `fibc serve` and inspection tooling dispatch on. It forwards all
+        /// of [`FibLookup`], so a kernel or a traced walk the concrete view
+        /// has is reached through the erased one too.
+        #[derive(Clone, Copy, Debug)]
+        pub enum AnyView<'a, A: Address> {
+            $($(
+                #[doc = concat!("A `", $cli, "` image.")]
+                $kind($view<'a, A>),
+            )?)*
+        }
 
-    fn size_bytes(&self) -> usize {
-        SerializedDagRef::size_bytes(self)
-    }
+        /// Assembles the engine-appropriate view for whatever `image`
+        /// encodes.
+        ///
+        /// # Errors
+        /// Any [`ImageError`].
+        pub fn any_view<A: Address>(image: &FibImage) -> Result<AnyView<'_, A>, ImageError> {
+            Ok(match image.engine()? {
+                $($(
+                    EngineKind::$kind => AnyView::$kind(<$owned<A> as ImageCodec<A>>::view(image)?),
+                )?)*
+                $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
+            })
+        }
 
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        SerializedDagRef::lookup_traced(self, addr, sink)
-    }
+        impl<A: Address> FibLookup<A> for AnyView<'_, A> {
+            fn name(&self) -> &'static str {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::name(v), )?)*
+                }
+            }
 
-    fn traces_memory(&self) -> bool {
-        true
-    }
+            #[inline]
+            fn lookup(&self, addr: A) -> Option<NextHop> {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::lookup(v, addr), )?)*
+                }
+            }
+
+            fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::lookup_batch(v, addrs, out), )?)*
+                }
+            }
+
+            #[inline]
+            fn prefetch(&self, addr: A) {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::prefetch(v, addr), )?)*
+                }
+            }
+
+            fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::lookup_stream(v, addrs, out), )?)*
+                }
+            }
+
+            fn size_bytes(&self) -> usize {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::size_bytes(v), )?)*
+                }
+            }
+
+            fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::lookup_traced(v, addr, sink), )?)*
+                }
+            }
+
+            fn traces_memory(&self) -> bool {
+                match self {
+                    $($( Self::$kind(v) => FibLookup::<A>::traces_memory(v), )?)*
+                }
+            }
+        }
+    };
 }
 
-impl<A: Address> FibLookup<A> for MultibitDagRef<'_, A> {
-    fn name(&self) -> &'static str {
-        "multibit-dag/image"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        MultibitDagRef::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        MultibitDagRef::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        MultibitDagRef::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        MultibitDagRef::lookup_stream(self, addrs, out);
-    }
-
-    fn size_bytes(&self) -> usize {
-        MultibitDagRef::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        MultibitDagRef::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for VarStrideDagRef<'_, A> {
-    fn name(&self) -> &'static str {
-        "vsdag/image"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        VarStrideDagRef::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        VarStrideDagRef::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        VarStrideDagRef::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        VarStrideDagRef::lookup_stream(self, addrs, out);
-    }
-
-    fn size_bytes(&self) -> usize {
-        VarStrideDagRef::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        VarStrideDagRef::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for LcTrieRef<'_, A> {
-    fn name(&self) -> &'static str {
-        "fib_trie/image"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        LcTrieRef::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        LcTrieRef::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        LcTrieRef::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        LcTrieRef::lookup_stream(self, addrs, out);
-    }
-
-    /// The packed arena bytes (what the image actually serves), not the
-    /// kernel model the owned engine reports for Table 2.
-    fn size_bytes(&self) -> usize {
-        LcTrieRef::size_bytes(self)
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        LcTrieRef::lookup_traced(self, addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        true
-    }
-}
-
-impl<A: Address> FibLookup<A> for PrefixDagRef<'_, A> {
-    fn name(&self) -> &'static str {
-        "pDAG/image"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        PrefixDagRef::lookup(self, addr)
-    }
-
-    fn size_bytes(&self) -> usize {
-        PrefixDagRef::size_bytes(self)
-    }
-}
-
-impl<A: Address> FibLookup<A> for XbwFibRef<'_, A> {
-    fn name(&self) -> &'static str {
-        "XBW-b/image"
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        XbwFibRef::lookup(self, addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        XbwFibRef::lookup_batch(self, addrs, out);
-    }
-
-    fn prefetch(&self, addr: A) {
-        XbwFibRef::prefetch(self, addr);
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        XbwFibRef::lookup_stream(self, addrs, out);
-    }
-
-    fn size_bytes(&self) -> usize {
-        // The borrowed payloads' words — the image-resident footprint.
-        self.payload_words() * 8
-    }
-}
-
-/// A type-erased view over whatever engine an image encodes — what `fibc
-/// serve` and inspection tooling dispatch on.
-#[derive(Clone, Copy, Debug)]
-pub enum AnyView<'a, A: Address> {
-    /// XBW-b image.
-    Xbw(XbwFibRef<'a, A>),
-    /// Prefix-DAG image.
-    PrefixDag(PrefixDagRef<'a, A>),
-    /// Serialized-DAG image.
-    SerializedDag(SerializedDagRef<'a, A>),
-    /// Multibit-DAG image.
-    MultibitDag(MultibitDagRef<'a, A>),
-    /// LC-trie image.
-    LcTrie(LcTrieRef<'a, A>),
-    /// Variable-stride DAG image.
-    VsDag(VarStrideDagRef<'a, A>),
-}
-
-/// Assembles the engine-appropriate view for whatever `image` encodes.
-///
-/// # Errors
-/// Any [`ImageError`].
-pub fn any_view<A: Address>(image: &FibImage) -> Result<AnyView<'_, A>, ImageError> {
-    Ok(match image.engine()? {
-        EngineKind::Xbw => AnyView::Xbw(<XbwFib<A> as ImageCodec<A>>::view(image)?),
-        EngineKind::PrefixDag => AnyView::PrefixDag(<PrefixDag<A> as ImageCodec<A>>::view(image)?),
-        EngineKind::SerializedDag => {
-            AnyView::SerializedDag(<SerializedDag<A> as ImageCodec<A>>::view(image)?)
-        }
-        EngineKind::MultibitDag => {
-            AnyView::MultibitDag(<MultibitDag<A> as ImageCodec<A>>::view(image)?)
-        }
-        EngineKind::LcTrie => AnyView::LcTrie(<LcTrie<A> as ImageCodec<A>>::view(image)?),
-        EngineKind::VsDag => AnyView::VsDag(<VarStrideDag<A> as ImageCodec<A>>::view(image)?),
-        EngineKind::VrfSet => {
-            return Err(ImageError::Unsupported(
-                "vrfset images are VRF-keyed; assemble a crate::vrf::VrfSetRef instead",
-            ))
-        }
-    })
-}
-
-impl<A: Address> FibLookup<A> for AnyView<'_, A> {
-    fn name(&self) -> &'static str {
-        match self {
-            Self::Xbw(v) => FibLookup::<A>::name(v),
-            Self::PrefixDag(v) => FibLookup::<A>::name(v),
-            Self::SerializedDag(v) => FibLookup::<A>::name(v),
-            Self::MultibitDag(v) => FibLookup::<A>::name(v),
-            Self::LcTrie(v) => FibLookup::<A>::name(v),
-            Self::VsDag(v) => FibLookup::<A>::name(v),
-        }
-    }
-
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        match self {
-            Self::Xbw(v) => v.lookup(addr),
-            Self::PrefixDag(v) => v.lookup(addr),
-            Self::SerializedDag(v) => v.lookup(addr),
-            Self::MultibitDag(v) => v.lookup(addr),
-            Self::LcTrie(v) => v.lookup(addr),
-            Self::VsDag(v) => v.lookup(addr),
-        }
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        match self {
-            Self::Xbw(v) => v.lookup_batch(addrs, out),
-            Self::PrefixDag(v) => FibLookup::lookup_batch(v, addrs, out),
-            Self::SerializedDag(v) => v.lookup_batch(addrs, out),
-            Self::MultibitDag(v) => v.lookup_batch(addrs, out),
-            Self::LcTrie(v) => v.lookup_batch(addrs, out),
-            Self::VsDag(v) => v.lookup_batch(addrs, out),
-        }
-    }
-
-    fn prefetch(&self, addr: A) {
-        match self {
-            Self::Xbw(v) => v.prefetch(addr),
-            Self::PrefixDag(_) => {}
-            Self::SerializedDag(v) => v.prefetch(addr),
-            Self::MultibitDag(v) => v.prefetch(addr),
-            Self::LcTrie(v) => v.prefetch(addr),
-            Self::VsDag(v) => v.prefetch(addr),
-        }
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        match self {
-            Self::Xbw(v) => v.lookup_stream(addrs, out),
-            Self::PrefixDag(v) => FibLookup::lookup_batch(v, addrs, out),
-            Self::SerializedDag(v) => v.lookup_stream(addrs, out),
-            Self::MultibitDag(v) => v.lookup_stream(addrs, out),
-            Self::LcTrie(v) => v.lookup_stream(addrs, out),
-            Self::VsDag(v) => v.lookup_stream(addrs, out),
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        match self {
-            Self::Xbw(v) => FibLookup::<A>::size_bytes(v),
-            Self::PrefixDag(v) => FibLookup::<A>::size_bytes(v),
-            Self::SerializedDag(v) => FibLookup::<A>::size_bytes(v),
-            Self::MultibitDag(v) => FibLookup::<A>::size_bytes(v),
-            Self::LcTrie(v) => FibLookup::<A>::size_bytes(v),
-            Self::VsDag(v) => FibLookup::<A>::size_bytes(v),
-        }
-    }
-}
+crate::engine::engine_table!(impl_image_kinds);
 
 impl FibImage {
     /// Borrows the optional [`sections::HOT_SLAB`] section as a validated
@@ -1422,5 +1141,15 @@ impl<A: Address> FibLookup<A> for HotAnyView<'_, A> {
 
     fn size_bytes(&self) -> usize {
         self.inner.size_bytes() + self.slab().map_or(0, |s| s.size_bytes())
+    }
+
+    /// The engine's own walk: the trace models the structure's memory,
+    /// which a slab hit would skip.
+    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
+        self.inner.lookup_traced(addr, sink)
+    }
+
+    fn traces_memory(&self) -> bool {
+        self.inner.traces_memory()
     }
 }

@@ -15,16 +15,18 @@
 //!   size bounds (Theorems 1 and 2),
 //! * [`SerializedDag`] — the flat λ-collapsed image consumed by the
 //!   kernel-module and FPGA engines of Section 5,
+//! * [`VarStrideDag`] — the multibit prefix DAGs §7 points to, with the
+//!   stride fixed ([`MultibitDag`]) or placed per node by a
+//!   traffic-weighted dynamic program,
 //! * [`FoldedString`] — trie-folding as a dynamic compressed string
 //!   self-index (the string model of §4.2, Figs. 4 and 7),
 //! * [`lambda`] — the Lambert-W barrier selection of Eqs. (2) and (3),
 //! * the engine trait family — [`FibLookup`] (single + batched lookup,
 //!   traced lookup), [`FibBuild`] (uniform construction from the control
 //!   FIB under a [`BuildConfig`]), [`FibUpdate`] (incremental updates with
-//!   a [`RebuildNeeded`] escape hatch), and the [`FibEngine`] umbrella
-//!   supertrait that keeps pre-split call sites compiling. The `fib-router`
-//!   crate composes these into a control/data-plane router with epoch
-//!   snapshots.
+//!   a [`RebuildNeeded`] escape hatch) — wired to every engine by the
+//!   one table in `engine.rs`. The `fib-router` crate composes these into
+//!   a control/data-plane router with epoch snapshots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +37,7 @@ pub mod hot;
 pub mod image;
 pub mod lambda;
 pub mod lint;
+#[cfg(test)]
 mod multibit;
 mod pdag;
 mod serialized;
@@ -43,7 +46,7 @@ pub mod vrf;
 mod vsdag;
 mod xbw;
 
-pub use engine::{BuildConfig, FibBuild, FibEngine, FibLookup, FibUpdate, RebuildNeeded};
+pub use engine::{roster, BuildConfig, FibBuild, FibLookup, FibUpdate, RebuildNeeded, Roster};
 pub use entropy::FibEntropy;
 pub use hot::{
     depth_mass_from_heat, hot_key, HotConfig, HotFib, HotFront, HotSlab, HotSlabRef, HotStats,
@@ -53,7 +56,6 @@ pub use image::{
     any_view, hot_any_view, load_image, write_image, write_image_file, write_image_hot, AnyView,
     EngineKind, FibImage, HotAnyView, ImageCodec, ImageError, ImageWriter,
 };
-pub use multibit::{MultibitDag, MultibitDagRef, MB_BATCH_LANES};
 pub use pdag::{DagStats, PrefixDag, PrefixDagRef};
 pub use serialized::{SerializedDag, SerializedDagRef, SER_BATCH_LANES, SER_REFILL_LANES};
 pub use strmodel::FoldedString;
@@ -62,7 +64,10 @@ pub use vrf::{
     VrfEngineChoice, VrfEngineRef, VrfPolicy, VrfSetRef, VrfSetStats, VrfTable, VrfTableRef,
     VRF_DIR_RECORD_WORDS,
 };
-pub use vsdag::{VarStrideDag, VarStrideDagRef, VsParams, VS_BATCH_LANES, VS_REFILL_LANES};
+pub use vsdag::{
+    MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VS_BATCH_LANES,
+    VS_REFILL_LANES,
+};
 pub use xbw::{
     SaStorage, SiStorage, XbwFib, XbwFibRef, XbwSizeReport, XbwStorage, XBW_BATCH_LANES,
 };

@@ -114,8 +114,8 @@ pub fn lint_image(image: &FibImage) -> Vec<LintIssue> {
         Ok(EngineKind::Xbw) => xbw_pass(image, &mut issues),
         Ok(EngineKind::VrfSet) => vrf_pass(image, &mut issues),
         Ok(EngineKind::VsDag) => vsdag_pass(image, &mut issues),
-        // serialized / multibit / lctrie structure is fully covered by
-        // their validating views, exercised in view_pass below.
+        // serialized / lctrie structure is fully covered by their
+        // validating views, exercised in view_pass below.
         Ok(_) | Err(_) => {}
     }
     view_pass(image, &mut issues);

@@ -1,4 +1,4 @@
-//! The serialized prefix-DAG blob of Section 5.3.
+//! The serialized prefix DAG of Section 5.3.
 //!
 //! The paper's lookup engines (the Linux kernel module and the FPGA) do
 //! not walk the pointer-machine DAG: they consume a flat serialized image
@@ -28,7 +28,6 @@
 
 use std::marker::PhantomData;
 
-use fib_succinct::fnv1a;
 use fib_succinct::simd::gather4;
 use fib_trie::{Address, Depth, NextHop};
 
@@ -38,12 +37,12 @@ const LEAF_TAG: u32 = 0x8000_0000;
 const BOT: u32 = 0x7FFF_FFFF;
 
 /// Number of lookups the gather kernel behind
-/// [`SerializedDag::lookup_stream`] walks in lockstep — sized to the
+/// [`SerializedDagRef::lookup_stream`] walks in lockstep — sized to the
 /// 4-wide SIMD gather the dispatch resolves to.
 pub const SER_BATCH_LANES: usize = 4;
 
 /// In-flight walks of the rolling-refill kernel behind
-/// [`SerializedDag::lookup_batch`]. Each slot owns one walk and takes
+/// [`SerializedDagRef::lookup_batch`]. Each slot owns one walk and takes
 /// the next address the moment its walk resolves, overlapping the
 /// serial root-entry → node-record dependency chains even when every
 /// probe hits cache; eight matches the XBW retune's lane sweep.
@@ -65,6 +64,19 @@ fn record_child(word: u64, bit: bool) -> u32 {
         (word >> 32) as u32
     } else {
         word as u32
+    }
+}
+
+/// What a leaf-tagged `reference` reached from root entry `entry`
+/// answers: its own label, or — for a ⊥ leaf — the entry's fallback.
+#[inline]
+fn resolve(entry: u64, reference: u32) -> Option<NextHop> {
+    let label = reference & !LEAF_TAG;
+    if label == BOT {
+        let fallback = entry_fallback(entry);
+        (fallback != NONE).then(|| NextHop::new(fallback))
+    } else {
+        Some(NextHop::new(label))
     }
 }
 
@@ -203,13 +215,6 @@ impl<A: Address> SerializedDag<A> {
         &self.nodes
     }
 
-    /// Longest-prefix-match lookup on the flat image.
-    #[must_use]
-    #[inline]
-    pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        self.view().lookup(addr)
-    }
-
     /// Lookup also returning the number of node records touched after the
     /// root array (Table 2's "depth" for the pDAG engine).
     #[must_use]
@@ -217,130 +222,16 @@ impl<A: Address> SerializedDag<A> {
         self.view().lookup_with_depth(addr)
     }
 
-    /// Batched longest-prefix match: resolves `addrs[i]` into `out[i]`
-    /// with [`SER_REFILL_LANES`] rolling-refill walks in flight, so the
-    /// per-hop record fetches of independent lookups overlap instead of
-    /// one pointer chase serializing the next (see
-    /// [`SerializedDagRef::lookup_batch`]).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.view().lookup_batch(addrs, out);
-    }
-
-    /// Prefetches the root-array entry `addr` touches first (see
-    /// [`SerializedDagRef::prefetch`]).
-    #[inline]
-    pub fn prefetch(&self, addr: A) {
-        self.view().prefetch(addr);
-    }
-
-    /// Software-pipelined batched lookup (see
-    /// [`SerializedDagRef::lookup_stream`]).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.view().lookup_stream(addrs, out);
-    }
-
-    /// Lookup reporting every memory touch as `(byte offset, byte size)`
-    /// within the blob — the access stream consumed by the cache and SRAM
-    /// models of `fib-hwsim`.
-    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        self.view().lookup_traced(addr, sink)
-    }
-
-    /// Blob size in bytes: 8 per root entry plus 8 per interior record.
+    /// Image size in bytes (see [`SerializedDagRef::size_bytes`]).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.entries.len() * 8 + self.nodes.len() * 8
+        self.view().size_bytes()
     }
 
     /// Number of interior records.
     #[must_use]
     pub fn interior_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Encodes the image as a self-contained byte blob with a header and a
-    /// checksum — the artifact a control plane would push to line cards.
-    ///
-    /// Layout (all little-endian): magic `FIBD`, version u16, λ u8,
-    /// address width u8, entry count u32, node count u32, entries
-    /// (slot u32, fallback u32 each), nodes (left u32, right u32 each),
-    /// FNV-1a checksum u64 over everything before it.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.size_bytes() + 8);
-        out.extend_from_slice(b"FIBD");
-        out.extend_from_slice(&1u16.to_le_bytes());
-        out.push(self.lambda);
-        out.push(A::WIDTH);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
-        // The packed words' little-endian bytes are exactly the legacy
-        // (slot u32, fallback u32) / (left u32, right u32) layout.
-        for w in self.entries.iter().chain(&self.nodes) {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    /// Decodes a blob produced by [`Self::to_bytes`], validating the
-    /// header, the checksum, and every internal reference.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, BlobError> {
-        let need = |n: usize| -> Result<(), BlobError> {
-            if bytes.len() < n {
-                Err(BlobError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        need(16 + 8)?;
-        if &bytes[0..4] != b"FIBD" {
-            return Err(BlobError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != 1 {
-            return Err(BlobError::BadVersion(version));
-        }
-        let lambda = bytes[6];
-        let width = bytes[7];
-        if width != A::WIDTH {
-            return Err(BlobError::WidthMismatch {
-                blob: width,
-                expected: A::WIDTH,
-            });
-        }
-        let entry_count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let node_count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        if lambda > 25 || entry_count != 1usize << lambda {
-            return Err(BlobError::Inconsistent("entry count does not match λ"));
-        }
-        let body_end = 16 + entry_count * 8 + node_count * 8;
-        need(body_end + 8)?;
-        let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8 bytes"));
-        if fnv1a(&bytes[..body_end]) != stored {
-            return Err(BlobError::ChecksumMismatch);
-        }
-        let word_at =
-            |pos: usize| u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-        let entries: Vec<u64> = (0..entry_count).map(|i| word_at(16 + i * 8)).collect();
-        let nodes: Vec<u64> = (0..node_count)
-            .map(|i| word_at(16 + entry_count * 8 + i * 8))
-            .collect();
-        SerializedDagRef::<A>::from_parts(lambda, &entries, &nodes)
-            .map_err(BlobError::Inconsistent)?;
-        Ok(Self {
-            lambda,
-            entries,
-            nodes,
-            _marker: PhantomData,
-        })
     }
 
     /// Average and maximum hop depth over a sample of addresses.
@@ -426,7 +317,7 @@ impl<'a, A: Address> SerializedDagRef<'a, A> {
         self.lambda
     }
 
-    /// Blob size in bytes.
+    /// Image size in bytes: 8 per root entry plus 8 per interior record.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
         self.entries.len() * 8 + self.nodes.len() * 8
@@ -443,30 +334,27 @@ impl<'a, A: Address> SerializedDagRef<'a, A> {
     /// root array.
     #[must_use]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
-        let v = addr.bits(0, self.lambda) as usize;
-        let entry = self.entries[v];
+        self.walk(addr, |_| {})
+    }
+
+    /// The scalar walk; `touch` sees the index of every node record read
+    /// (the traced lookup is this walk with a reporting `touch`).
+    #[inline]
+    fn walk(&self, addr: A, mut touch: impl FnMut(u32)) -> (Option<NextHop>, Depth) {
+        let entry = self.entries[addr.bits(0, self.lambda) as usize];
         let mut reference = entry_slot(entry);
         let mut depth = self.lambda;
         let mut hops: Depth = 0;
-        loop {
-            if reference & LEAF_TAG != 0 {
-                let label = reference & !LEAF_TAG;
-                let result = if label == BOT {
-                    let fallback = entry_fallback(entry);
-                    (fallback != NONE).then(|| NextHop::new(fallback))
-                } else {
-                    Some(NextHop::new(label))
-                };
-                return (result, hops);
-            }
-            let record = self.nodes[reference as usize];
-            reference = record_child(record, addr.bit(depth));
+        while reference & LEAF_TAG == 0 {
+            touch(reference);
+            reference = record_child(self.nodes[reference as usize], addr.bit(depth));
             depth += 1;
             hops += 1;
         }
+        (resolve(entry, reference), hops)
     }
 
-    /// Batched longest-prefix match (see [`SerializedDag::lookup_batch`]):
+    /// Batched longest-prefix match: resolves `addrs[i]` into `out[i]` by
     /// a rolling-refill walk with up to [`SER_REFILL_LANES`] node-record
     /// chases in flight. Lookups that resolve at their root-array entry
     /// — the vast majority under uniform keys, where lane bookkeeping
@@ -482,15 +370,6 @@ impl<'a, A: Address> SerializedDagRef<'a, A> {
         assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
         let n = addrs.len();
         let out = &mut out[..n];
-        let resolve = |entry: u64, reference: u32| {
-            let label = reference & !LEAF_TAG;
-            if label == BOT {
-                let fallback = entry_fallback(entry);
-                (fallback != NONE).then(|| NextHop::new(fallback))
-            } else {
-                Some(NextHop::new(label))
-            }
-        };
         let mut entry = [0u64; SER_REFILL_LANES];
         let mut reference = [0u32; SER_REFILL_LANES];
         let mut depth = [0u8; SER_REFILL_LANES];
@@ -620,84 +499,25 @@ impl<'a, A: Address> SerializedDagRef<'a, A> {
             }
         }
         for lane in 0..SER_BATCH_LANES {
-            let label = reference[lane] & !LEAF_TAG;
-            slot[lane] = if label == BOT {
-                let fallback = entry_fallback(entry[lane]);
-                (fallback != NONE).then(|| NextHop::new(fallback))
-            } else {
-                Some(NextHop::new(label))
-            };
+            slot[lane] = resolve(entry[lane], reference[lane]);
         }
     }
 
     /// Lookup reporting every memory touch as `(byte offset, byte size)`
-    /// within the blob.
+    /// within the image — the access stream consumed by the cache and SRAM
+    /// models of `fib-hwsim`.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        let v = addr.bits(0, self.lambda) as usize;
-        sink(v as u64 * 8, 8);
-        let entry = self.entries[v];
+        sink(u64::from(addr.bits(0, self.lambda)) * 8, 8);
         let node_base = self.entries.len() as u64 * 8;
-        let mut reference = entry_slot(entry);
-        let mut depth = self.lambda;
-        loop {
-            if reference & LEAF_TAG != 0 {
-                let label = reference & !LEAF_TAG;
-                return if label == BOT {
-                    let fallback = entry_fallback(entry);
-                    (fallback != NONE).then(|| NextHop::new(fallback))
-                } else {
-                    Some(NextHop::new(label))
-                };
-            }
-            sink(node_base + u64::from(reference) * 8, 8);
-            let record = self.nodes[reference as usize];
-            reference = record_child(record, addr.bit(depth));
-            depth += 1;
-        }
+        self.walk(addr, |record| sink(node_base + u64::from(record) * 8, 8))
+            .0
     }
 }
 
-/// Error decoding a serialized-DAG blob.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlobError {
-    /// Fewer bytes than the header + checksum demand.
-    Truncated,
-    /// The magic number is not `FIBD`.
-    BadMagic,
-    /// Unknown format version.
-    BadVersion(u16),
-    /// The blob was built for a different address width.
-    WidthMismatch {
-        /// Width recorded in the blob.
-        blob: u8,
-        /// Width of the requested address type.
-        expected: u8,
-    },
-    /// Checksum over the payload does not match.
-    ChecksumMismatch,
-    /// Structurally invalid contents.
-    Inconsistent(&'static str),
-}
-
-impl std::fmt::Display for BlobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Truncated => write!(f, "blob truncated"),
-            Self::BadMagic => write!(f, "not a FIBD blob"),
-            Self::BadVersion(v) => write!(f, "unsupported blob version {v}"),
-            Self::WidthMismatch { blob, expected } => {
-                write!(f, "blob is W={blob}, expected W={expected}")
-            }
-            Self::ChecksumMismatch => write!(f, "blob checksum mismatch"),
-            Self::Inconsistent(what) => write!(f, "inconsistent blob: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for BlobError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FibLookup;
     use fib_trie::{BinaryTrie, Prefix4};
 
     fn nh(i: u32) -> NextHop {
@@ -791,64 +611,6 @@ mod tests {
         let (avg, max) = ser.depth_stats((0..1000u32).map(|i| i.wrapping_mul(0x01DE_B851)));
         assert!(avg <= f64::from(max));
         assert!(max <= 30, "hops after a 2-bit stride cannot exceed W-λ");
-    }
-
-    #[test]
-    fn blob_roundtrips() {
-        let dag = PrefixDag::from_trie(&fig1_trie(), 5);
-        let ser = SerializedDag::from_dag(&dag);
-        let bytes = ser.to_bytes();
-        let back = SerializedDag::<u32>::from_bytes(&bytes).unwrap();
-        assert_eq!(back.lambda(), 5);
-        for i in 0..2000u32 {
-            let addr = i.wrapping_mul(0x9E37_79B9);
-            assert_eq!(back.lookup(addr), ser.lookup(addr));
-        }
-    }
-
-    #[test]
-    fn blob_rejects_corruption() {
-        let dag = PrefixDag::from_trie(&fig1_trie(), 4);
-        let ser = SerializedDag::from_dag(&dag);
-        let good = ser.to_bytes();
-
-        // Truncation anywhere.
-        for cut in [0, 10, good.len() / 2, good.len() - 1] {
-            assert!(
-                SerializedDag::<u32>::from_bytes(&good[..cut]).is_err(),
-                "cut at {cut}"
-            );
-        }
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            SerializedDag::<u32>::from_bytes(&bad),
-            Err(BlobError::BadMagic)
-        ));
-        // Bad version.
-        let mut bad = good.clone();
-        bad[4] = 9;
-        assert!(matches!(
-            SerializedDag::<u32>::from_bytes(&bad),
-            Err(BlobError::BadVersion(9))
-        ));
-        // Width mismatch: an IPv4 blob refused by an IPv6 decoder.
-        assert!(matches!(
-            SerializedDag::<u128>::from_bytes(&good),
-            Err(BlobError::WidthMismatch {
-                blob: 32,
-                expected: 128
-            })
-        ));
-        // Single-bit payload flip breaks the checksum.
-        let mut bad = good.clone();
-        let mid = 20;
-        bad[mid] ^= 0x40;
-        assert!(matches!(
-            SerializedDag::<u32>::from_bytes(&bad),
-            Err(BlobError::ChecksumMismatch) | Err(BlobError::Inconsistent(_))
-        ));
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Traffic-weighted variable-stride multibit prefix DAG (`vsdag`).
 //!
-//! The fixed-stride [`crate::MultibitDag`] spends the same fanout
-//! everywhere; the paper's λ-optimization (Eqs. 2–3) picks one global
-//! leaf-push barrier assuming uniform access. Both leave measured traffic
-//! on the table: under zipf-shaped load the popular prefixes sit deep and
-//! every packet pays the full walk. `VarStrideDag` generalizes both — the
-//! stride is chosen **per node** by a dynamic program over the leaf-pushed
-//! normal form that minimizes expected traffic-weighted lookup depth
+//! The paper's §7 names multibit prefix DAGs as the direction beyond the
+//! λ-barrier: re-chunk the leaf-pushed normal form into stride-`s`
+//! supernodes (each consuming `s` address bits through a 2^s-way slot
+//! array, leaves duplicated into every slot they cover — controlled
+//! prefix expansion) and hash-cons the supernodes like the binary prefix
+//! DAG. A constant stride spends the same fanout everywhere, and the
+//! paper's λ-optimization (Eqs. 2–3) picks one global leaf-push barrier
+//! assuming uniform access. Both leave measured traffic on the table:
+//! under zipf-shaped load the popular prefixes sit deep and every packet
+//! pays the full walk. `VarStrideDag` generalizes both — the stride is
+//! chosen **per node** by a dynamic program over the leaf-pushed normal
+//! form that minimizes expected traffic-weighted lookup depth
 //!
 //! ```text
 //! C(v) = w(v) + min_{s ∈ [1, max_stride]} [ μ·2^s + Σ_{c ∈ I_s(v)} C(c) ]
@@ -20,14 +25,17 @@
 //! plan's pre-dedup slot mass fits a configurable multiple of the fixed
 //! stride-4 plan. `μ = 0` with uniform weights degenerates to the best
 //! fixed stride (and beats it when mixing strides pays); `max_stride = 1`
-//! degenerates to the binary prefix DAG.
+//! degenerates to the binary prefix DAG. The constant stride itself is
+//! the other way to fill in the per-node choice — [`StridePlan::Fixed`],
+//! spelled [`MultibitDag::from_trie`] at call sites — and goes through
+//! the same emitter, view, kernels and image codec as a planned one.
 //!
 //! The emitted structure is two flat word strings shared verbatim by the
 //! owned builder and the zero-copy [`VarStrideDagRef`] a FIB image
 //! borrows: a node directory (one `u64` per supernode: stride in the
 //! upper half, first-slot index in the lower) and a packed slot table
-//! (two tagged 32-bit references per word, exactly the
-//! [`crate::MultibitDag`] encoding). Nodes are hash-consed per
+//! (two tagged 32-bit references per word; every node's array is
+//! word-aligned because 2^s is even). Nodes are hash-consed per
 //! `(stride, slots)` shape, and children always precede their parent in
 //! the directory, so untrusted images are validated by one monotonicity
 //! scan and the walk provably terminates.
@@ -42,13 +50,20 @@ use fib_trie::{project_heat_weights, Address, BinaryTrie, Depth, NextHop, Proper
 const LEAF_TAG: u32 = 0x8000_0000;
 const BOT: u32 = 0x7FFF_FFFF;
 
+/// The next-hop a leaf-tagged reference carries (`None` for ⊥).
+#[inline]
+fn leaf_hop(reference: u32) -> Option<NextHop> {
+    let label = reference & !LEAF_TAG;
+    (label != BOT).then(|| NextHop::new(label))
+}
+
 /// Number of lookups the gather kernel behind
-/// [`VarStrideDag::lookup_stream`] walks in lockstep — sized to the
+/// [`VarStrideDagRef::lookup_stream`] walks in lockstep — sized to the
 /// 4-wide [`gather4_u32`] the SIMD dispatch resolves to.
 pub const VS_BATCH_LANES: usize = 4;
 
 /// In-flight walks of the rolling-refill kernel behind
-/// [`VarStrideDag::lookup_batch`]. Each slot owns one walk and takes
+/// [`VarStrideDagRef::lookup_batch`]. Each slot owns one walk and takes
 /// the next address the moment its walk resolves, so the (short —
 /// usually one or two slot reads) dependency chains of eight lookups
 /// overlap instead of convoying on the slowest chunk member. Eight
@@ -71,8 +86,8 @@ pub struct VsParams {
 impl Default for VsParams {
     /// Tuned on taz 0.1 with zipf(1.0) heat: stride cap 12 keeps the
     /// root table L2-sized, and a 0.6× pre-dedup budget lands the
-    /// *post*-dedup image around 1.2× the hash-consed stride-4
-    /// `MultibitDag` (stride-4 dedup removes ~2.4× of the pre-dedup
+    /// *post*-dedup image around 1.2× the hash-consed fixed stride-4
+    /// plan's slots (stride-4 dedup removes ~2.4× of the pre-dedup
     /// slot mass, so a sub-1.0 pre-dedup multiple is not a shrink) —
     /// inside the 1.5× size gate `benchdump` pins, at ~1.1/~2.0
     /// expected hops for uniform/zipf traffic.
@@ -83,6 +98,38 @@ impl Default for VsParams {
         }
     }
 }
+
+/// Where a [`VarStrideDag`]'s per-node strides come from — what
+/// [`VarStrideDag::from_trie`] takes, as a bare `u8` or a [`VsParams`].
+#[derive(Clone, Copy, Debug)]
+pub enum StridePlan {
+    /// The same stride (1 ≤ stride ≤ 16) at every supernode: the
+    /// fixed-stride multibit prefix DAG. Stride 1 is the binary prefix
+    /// DAG with λ = 0; wider strides trade sharing for depth (lookup
+    /// reads `⌈W/s⌉` slots worst case).
+    Fixed(u8),
+    /// Strides placed by the DP under these knobs, uniform weights.
+    Planned(VsParams),
+}
+
+impl From<u8> for StridePlan {
+    fn from(stride: u8) -> Self {
+        Self::Fixed(stride)
+    }
+}
+
+impl From<VsParams> for StridePlan {
+    fn from(params: VsParams) -> Self {
+        Self::Planned(params)
+    }
+}
+
+/// The fixed-stride multibit DAG under the name the benches and the
+/// ablation sweep know it by: `MultibitDag::from_trie(&trie, 4)` is a
+/// [`VarStrideDag`] whose plan is [`StridePlan::Fixed`]. It is an alias,
+/// not a second structure — anything typed `MultibitDag<A>` builds
+/// through [`crate::FibBuild`] exactly as a `VarStrideDag<A>` does.
+pub type MultibitDag<A> = VarStrideDag<A>;
 
 /// A traffic-weighted variable-stride multibit prefix DAG (owned builder;
 /// queries run on the borrowed [`VarStrideDagRef`]).
@@ -96,8 +143,9 @@ pub struct VarStrideDag<A: Address> {
     n_slots: usize,
     /// Tagged reference to the root.
     root: u32,
-    /// Expected traffic-weighted slot reads the DP planned for.
-    plan_cost: f64,
+    /// Expected traffic-weighted slot reads the DP planned for; `None`
+    /// for a fixed plan, where nothing was planned.
+    plan_cost: Option<f64>,
     _marker: PhantomData<A>,
 }
 
@@ -296,14 +344,23 @@ impl<A: Address> Emitter<'_, A> {
 }
 
 impl<A: Address> VarStrideDag<A> {
-    /// Compiles `trie` with uniform per-node weights (every address
-    /// equally likely) — the heat-free fallback.
+    /// Compiles `trie` under `plan`: a bare `u8` is one constant stride
+    /// at every node ([`StridePlan::Fixed`]), a [`VsParams`] the DP with
+    /// uniform per-node weights (every address equally likely) — the
+    /// heat-free fallback of [`Self::from_trie_weighted`].
     ///
     /// # Panics
-    /// Panics if `params.max_stride` is outside `[1, 16]`.
+    /// Panics if the stride, or `max_stride`, is outside `[1, 16]`.
     #[must_use]
-    pub fn from_trie(trie: &BinaryTrie<A>, params: VsParams) -> Self {
-        Self::from_trie_weighted(trie, params, None)
+    pub fn from_trie(trie: &BinaryTrie<A>, plan: impl Into<StridePlan>) -> Self {
+        match plan.into() {
+            StridePlan::Planned(params) => Self::from_trie_weighted(trie, params, None),
+            StridePlan::Fixed(stride) => {
+                assert!((1..=16).contains(&stride), "stride {stride} out of [1, 16]");
+                let proper = ProperTrie::from_trie(trie);
+                Self::emit(&proper, &vec![stride; proper.node_count()], None)
+            }
+        }
     }
 
     /// Compiles `trie` with strides placed by the traffic-weighted DP.
@@ -366,9 +423,15 @@ impl<A: Address> VarStrideDag<A> {
                 }
             }
         }
+        Self::emit(&proper, &plan.choice, Some(plan.cost))
+    }
+
+    /// Emits the hash-consed directory and slot table for one stride per
+    /// proper-trie node — the step planned and fixed strides share.
+    fn emit(proper: &ProperTrie<A>, choice: &[u8], plan_cost: Option<f64>) -> Self {
         let mut emitter = Emitter {
-            proper: &proper,
-            choice: &plan.choice,
+            proper,
+            choice,
             slots: Vec::new(),
             nodes: Vec::new(),
             interner: HashMap::new(),
@@ -386,7 +449,7 @@ impl<A: Address> VarStrideDag<A> {
             words,
             n_slots,
             root,
-            plan_cost: plan.cost,
+            plan_cost,
             _marker: PhantomData,
         }
     }
@@ -397,17 +460,18 @@ impl<A: Address> VarStrideDag<A> {
         self.nodes.len()
     }
 
-    /// Footprint in bytes: 4 per slot plus 8 per directory entry.
+    /// Footprint in bytes (see [`VarStrideDagRef::size_bytes`]).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.n_slots * 4 + self.nodes.len() * 8
+        self.view().size_bytes()
     }
 
     /// Expected traffic-weighted slot reads the DP planned for (exact for
-    /// the weight distribution the build saw).
+    /// the weight distribution the build saw). A fixed plan saw none, so
+    /// it reports the uniform expectation [`Self::depth_stats`] measures.
     #[must_use]
     pub fn planned_cost(&self) -> f64 {
-        self.plan_cost
+        self.plan_cost.unwrap_or_else(|| self.depth_stats().0)
     }
 
     /// How many supernodes chose each stride, `(stride, count)` pairs in
@@ -461,47 +525,10 @@ impl<A: Address> VarStrideDag<A> {
         self.root
     }
 
-    /// Longest-prefix-match lookup.
-    #[must_use]
-    #[inline]
-    pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        self.view().lookup(addr)
-    }
-
     /// Lookup also returning the number of slot reads.
     #[must_use]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
         self.view().lookup_with_depth(addr)
-    }
-
-    /// Batched longest-prefix match (see [`VarStrideDagRef::lookup_batch`]).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.view().lookup_batch(addrs, out);
-    }
-
-    /// Prefetches the first-level slot `addr` will read (see
-    /// [`VarStrideDagRef::prefetch`]).
-    #[inline]
-    pub fn prefetch(&self, addr: A) {
-        self.view().prefetch(addr);
-    }
-
-    /// Software-pipelined batched lookup (see
-    /// [`VarStrideDagRef::lookup_stream`]).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.view().lookup_stream(addrs, out);
-    }
-
-    /// Lookup reporting each read as `(byte offset, size)` for the cache
-    /// and SRAM models (slot table first, directory mapped above it).
-    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        self.view().lookup_traced(addr, sink)
     }
 
     /// Average and maximum slot reads over the address space, weighting
@@ -613,14 +640,17 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
     /// Lookup also returning the number of slot reads.
     #[must_use]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
+        self.walk(addr, |_, _| {})
+    }
+
+    /// The scalar walk; `touch` sees each hop's directory index and slot
+    /// index (the traced lookup is this walk with a reporting `touch`).
+    #[inline]
+    fn walk(&self, addr: A, mut touch: impl FnMut(u32, usize)) -> (Option<NextHop>, Depth) {
         let mut reference = self.root;
         let mut offset = 0u8;
         let mut hops: Depth = 0;
-        loop {
-            if reference & LEAF_TAG != 0 {
-                let label = reference & !LEAF_TAG;
-                return ((label != BOT).then(|| NextHop::new(label)), hops);
-            }
+        while reference & LEAF_TAG == 0 {
             let node = self.nodes[reference as usize];
             let stride = ((node >> 32) & 0x1F) as u8;
             // Final chunk may be narrower than the stride; expansion
@@ -628,10 +658,13 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
             let take = stride.min(A::WIDTH - offset);
             debug_assert!(take > 0, "walked past the address width");
             let slot = addr.bits(offset, take) << (stride - take);
-            reference = slot_at(self.words, (node as u32) as usize + slot as usize);
+            let index = (node as u32) as usize + slot as usize;
+            touch(reference, index);
+            reference = slot_at(self.words, index);
             offset += take;
             hops += 1;
         }
+        (leaf_hop(reference), hops)
     }
 
     /// Batched longest-prefix match: resolves `addrs[i]` into `out[i]`
@@ -651,8 +684,7 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
         let out = &mut out[..n];
         // Degenerate table: the root itself is a leaf reference.
         if self.root & LEAF_TAG != 0 {
-            let label = self.root & !LEAF_TAG;
-            out.fill((label != BOT).then(|| NextHop::new(label)));
+            out.fill(leaf_hop(self.root));
             return;
         }
         // The root directory word is loop-invariant, so a lane's first
@@ -686,8 +718,7 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
                 }
                 let r = reference[lane];
                 if r & LEAF_TAG != 0 {
-                    let label = r & !LEAF_TAG;
-                    out[j] = (label != BOT).then(|| NextHop::new(label));
+                    out[j] = leaf_hop(r);
                     if next < n {
                         job[lane] = next;
                         reference[lane] = step0(addrs[next]);
@@ -788,8 +819,7 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
             }
         }
         for lane in 0..VS_BATCH_LANES {
-            let label = reference[lane] & !LEAF_TAG;
-            slot_out[lane] = (label != BOT).then(|| NextHop::new(label));
+            slot_out[lane] = leaf_hop(reference[lane]);
         }
     }
 
@@ -798,29 +828,18 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
     /// reads mapped above the slot table.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
         let dir_base = self.words.len() as u64 * 8;
-        let mut reference = self.root;
-        let mut offset = 0u8;
-        loop {
-            if reference & LEAF_TAG != 0 {
-                let label = reference & !LEAF_TAG;
-                return (label != BOT).then(|| NextHop::new(label));
-            }
-            sink(dir_base + u64::from(reference) * 8, 8);
-            let node = self.nodes[reference as usize];
-            let stride = ((node >> 32) & 0x1F) as u8;
-            let take = stride.min(A::WIDTH - offset);
-            let slot = addr.bits(offset, take) << (stride - take);
-            let index = (node as u32) as usize + slot as usize;
-            sink(index as u64 * 4, 4);
-            reference = slot_at(self.words, index);
-            offset += take;
-        }
+        let touch = |node: u32, slot: usize| {
+            sink(dir_base + u64::from(node) * 8, 8);
+            sink(slot as u64 * 4, 4);
+        };
+        self.walk(addr, touch).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FibLookup;
     use fib_trie::Prefix4;
 
     fn nh(i: u32) -> NextHop {
@@ -959,13 +978,11 @@ mod tests {
         assert!(tight.size_bytes() <= loose.size_bytes());
         // The budget is counted pre-dedup against the fixed stride-4
         // plan, so the deduped structure lands well under it.
-        let mb4 = crate::MultibitDag::from_trie(&trie, 4);
         assert!(
             tight.slot_count() as f64 <= 1.0 * forced_mass(&ProperTrie::from_trie(&trie), 4) as f64,
             "tight plan {} exceeds its own budget",
             tight.slot_count()
         );
-        let _ = mb4;
     }
 
     #[test]

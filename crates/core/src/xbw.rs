@@ -120,17 +120,6 @@ impl SiStore {
         }
     }
 
-    /// Fused `(get(i), rank1(i))`: one interleaved-directory probe on the
-    /// plain backing, one block decode on RRR. The lookup walk derives
-    /// everything it needs per level from this pair.
-    #[inline]
-    fn access_rank1(&self, i: usize) -> (bool, usize) {
-        match self {
-            Self::Plain(v) => v.access_rank1(i),
-            Self::Rrr(v) => v.access_rank1(i),
-        }
-    }
-
     fn size_bits(&self) -> usize {
         match self {
             Self::Plain(v) => v.size_bits(),
@@ -312,24 +301,7 @@ impl<A: Address> XbwFib<A> {
     /// `rank0(i + 1) = i + 1 − rank1(i)` whenever bit `i` is 0.
     #[must_use]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        // 0-based variant of the paper's pseudo-code: the children of the
-        // r-th interior node (1-based) sit at positions 2r−1 and 2r. The
-        // S_I view is hoisted so the walk pays for it once, not per level.
-        let si = self.si.as_view();
-        let mut i = 0usize;
-        let mut q = 0u8;
-        loop {
-            let (leaf, rank1) = si.access_rank1(i);
-            if leaf {
-                let symbol = self.sa.access(rank1);
-                return self.label_map[symbol as usize];
-            }
-            debug_assert!(q < A::WIDTH, "interior node below maximum depth");
-            // Bit i is 0 here, so rank0(i + 1) follows from rank1(i).
-            let r = i + 1 - rank1;
-            i = 2 * r - 1 + usize::from(addr.bit(q));
-            q += 1;
-        }
+        walk(self, addr, |_| {}).0
     }
 
     /// Batched longest-prefix match: [`XBW_BATCH_LANES`] independent
@@ -345,74 +317,7 @@ impl<A: Address> XbwFib<A> {
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
     pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        let out = &mut out[..addrs.len()];
-        if matches!(self.si, SiStore::Rrr(_)) {
-            for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-                *slot = self.lookup(*addr);
-            }
-            return;
-        }
-        self.interleaved_walk::<false>(addrs, out);
-    }
-
-    /// The shared rolling-refill walk kernel of [`Self::lookup_batch`]
-    /// (`PREFETCH = false`) and [`Self::lookup_stream`] (`true`: each
-    /// lane's next `S_I` line is requested the moment its position is
-    /// known). Plain backing only; callers handle the RRR fallback.
-    fn interleaved_walk<const PREFETCH: bool>(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        let si = self.si.as_view();
-        let n = addrs.len();
-        // Rolling lane refill: each slot owns one in-flight walk and takes
-        // the next address from the stream the moment its walk resolves.
-        // The earlier per-chunk lockstep paid a convoy tax — a lane that
-        // matched at depth 8 idled while its chunk-mates walked to depth
-        // 24, so the average number of overlapped walks sat well below
-        // [`XBW_BATCH_LANES`]. Keeping every lane busy across the whole
-        // stream is what lets the interleave pay even on cache-resident
-        // strings, where the overlap hides the serial rank/access
-        // dependency chain rather than memory latency.
-        let mut pos = [0usize; XBW_BATCH_LANES];
-        let mut depth = [0u8; XBW_BATCH_LANES];
-        // Index into `addrs` each lane is walking; `usize::MAX` = drained.
-        let mut job = [usize::MAX; XBW_BATCH_LANES];
-        let mut live = XBW_BATCH_LANES.min(n);
-        for (lane, slot) in job.iter_mut().enumerate().take(live) {
-            *slot = lane;
-        }
-        let mut next = live;
-        while live > 0 {
-            for lane in 0..XBW_BATCH_LANES {
-                let j = job[lane];
-                if j == usize::MAX {
-                    continue;
-                }
-                let (leaf, rank1) = si.access_rank1(pos[lane]);
-                if leaf {
-                    let symbol = self.sa.access(rank1);
-                    out[j] = self.label_map[symbol as usize];
-                    if next < n {
-                        // Refill in place: the next walk starts at the
-                        // root word, which is hot, so no prefetch is due
-                        // until its first child position is known.
-                        job[lane] = next;
-                        pos[lane] = 0;
-                        depth[lane] = 0;
-                        next += 1;
-                    } else {
-                        job[lane] = usize::MAX;
-                        live -= 1;
-                    }
-                } else {
-                    let r = pos[lane] + 1 - rank1;
-                    pos[lane] = 2 * r - 1 + usize::from(addrs[j].bit(depth[lane]));
-                    depth[lane] += 1;
-                    if PREFETCH {
-                        si.prefetch(pos[lane]);
-                    }
-                }
-            }
-        }
+        lookup_batch(self, addrs, out);
     }
 
     /// Hints the prefetcher at the top of the shape string. The XBW walk
@@ -423,7 +328,7 @@ impl<A: Address> XbwFib<A> {
     /// known, while the remaining lanes still resolve.
     #[inline]
     pub fn prefetch(&self, _addr: A) {
-        self.si.as_view().prefetch(0);
+        self.si().prefetch(0);
     }
 
     /// Software-pipelined batched lookup: identical results to
@@ -437,21 +342,7 @@ impl<A: Address> XbwFib<A> {
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
     pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-stream contract, not per-packet
-        let out = &mut out[..addrs.len()];
-        if matches!(self.si, SiStore::Rrr(_)) {
-            for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-                *slot = self.lookup(*addr);
-            }
-            return;
-        }
-        // Below the residency threshold the whole shape string lives in
-        // cache and the in-walk prefetch is pure overhead — identical
-        // results either way, so take the plain interleaved path.
-        if self.size_bytes() < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES {
-            return self.lookup_batch(addrs, out);
-        }
-        self.interleaved_walk::<true>(addrs, out);
+        lookup_stream(self, addrs, out);
     }
 
     /// Lookup reporting every memory touch as `(byte offset, byte size)`
@@ -465,30 +356,7 @@ impl<A: Address> XbwFib<A> {
     /// per-level sub-arrays. Offsets are deterministic for a given query,
     /// which is all the cache and SRAM replay harnesses need.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        let si_bytes = (self.si.size_bits().div_ceil(64) * 8) as u64;
-        let sa_bytes = (self.sa.size_bits().div_ceil(64) * 8).max(8) as u64;
-        let mut i = 0usize;
-        let mut q = 0u8;
-        loop {
-            sink((i as u64 / 64) * 8, 8);
-            let (leaf, leaf_rank) = self.si.access_rank1(i);
-            if leaf {
-                let symbol = self.sa.access(leaf_rank);
-                // Wavelet walk: one level per code bit, each level owning
-                // roughly an equal slice of the S_α region.
-                let levels = fib_succinct::ceil_log2(self.label_map.len().max(2) as u64).max(1);
-                let slice = (sa_bytes / u64::from(levels)).max(8);
-                for level in 0..u64::from(levels) {
-                    let within = (leaf_rank as u64 / 8 * 8) % slice;
-                    sink(si_bytes + (level * slice + within) % sa_bytes, 8);
-                }
-                return self.label_map[symbol as usize];
-            }
-            debug_assert!(q < A::WIDTH, "interior node below maximum depth");
-            let r = i + 1 - leaf_rank;
-            i = 2 * r - 1 + usize::from(addr.bit(q));
-            q += 1;
-        }
+        lookup_traced(self, addr, sink)
     }
 
     /// Number of leaves `n` of the underlying normal form.
@@ -637,8 +505,9 @@ pub struct XbwFibRef<'a, A: Address> {
     sa: SaRef<'a>,
     /// Symbol → next-hop words (`u64::MAX` = ⊥).
     labels: &'a [u64],
-    /// Total borrowed payload words (for size reporting).
-    payload_words: usize,
+    /// Words the `S_I` and `S_α` sections hold (for size reporting and
+    /// the traced walk's layout).
+    string_words: (usize, usize),
     _marker: PhantomData<A>,
 }
 
@@ -690,7 +559,7 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
             si,
             sa,
             labels,
-            payload_words: si_consumed + sa_consumed + labels.len(),
+            string_words: (si_consumed, sa_consumed),
             _marker: PhantomData,
         })
     }
@@ -698,7 +567,7 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
     /// Total borrowed payload words (`S_I` + `S_α` + label map).
     #[must_use]
     pub fn payload_words(&self) -> usize {
-        self.payload_words
+        self.string_words.0 + self.string_words.1 + self.labels.len()
     }
 
     /// The pointer ranges of every borrowed payload (`S_I`, `S_α`, label
@@ -719,93 +588,25 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
         ]
     }
 
-    #[inline]
-    fn decode_label(&self, symbol: u64) -> Option<NextHop> {
-        let word = self.labels[symbol as usize];
-        (word != u64::MAX).then(|| NextHop::new(word as u32))
+    /// The borrowed payloads' bytes — the image-resident footprint.
+    #[must_use]
+    pub fn size_bytes(&self) -> usize {
+        self.payload_words() * 8
     }
 
-    /// Longest-prefix match — the identical fused walk as
-    /// [`XbwFib::lookup`], over borrowed sections.
+    /// Longest-prefix match (see [`XbwFib::lookup`]), over borrowed
+    /// sections.
     #[must_use]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        let mut i = 0usize;
-        let mut q = 0u8;
-        loop {
-            let (leaf, rank1) = self.si.access_rank1(i);
-            if leaf {
-                let symbol = self.sa.access(rank1);
-                return self.decode_label(symbol);
-            }
-            debug_assert!(q < A::WIDTH, "interior node below maximum depth");
-            // Bit i is 0 here, so rank0(i + 1) follows from rank1(i).
-            let r = i + 1 - rank1;
-            i = 2 * r - 1 + usize::from(addr.bit(q));
-            q += 1;
-        }
+        walk(self, addr, |_| {}).0
     }
 
-    /// Batched longest-prefix match, interleaving [`XBW_BATCH_LANES`]
-    /// rolling-refill walks on a plain shape string exactly like
-    /// [`XbwFib::lookup_batch`] (the RRR backing stays scalar —
-    /// decode-bound, nothing for the interleave to overlap).
+    /// Batched longest-prefix match (see [`XbwFib::lookup_batch`]).
     ///
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
     pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        let out = &mut out[..addrs.len()];
-        if matches!(self.si, SiRef::Rrr(_)) {
-            for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-                *slot = self.lookup(*addr);
-            }
-            return;
-        }
-        self.interleaved_walk::<false>(addrs, out);
-    }
-
-    /// The shared rolling-refill walk kernel of [`Self::lookup_batch`]
-    /// and [`Self::lookup_stream`] (see [`XbwFib::interleaved_walk`]).
-    fn interleaved_walk<const PREFETCH: bool>(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        let n = addrs.len();
-        let mut pos = [0usize; XBW_BATCH_LANES];
-        let mut depth = [0u8; XBW_BATCH_LANES];
-        // Index into `addrs` each lane is walking; `usize::MAX` = drained.
-        let mut job = [usize::MAX; XBW_BATCH_LANES];
-        let mut live = XBW_BATCH_LANES.min(n);
-        for (lane, slot) in job.iter_mut().enumerate().take(live) {
-            *slot = lane;
-        }
-        let mut next = live;
-        while live > 0 {
-            for lane in 0..XBW_BATCH_LANES {
-                let j = job[lane];
-                if j == usize::MAX {
-                    continue;
-                }
-                let (leaf, rank1) = self.si.access_rank1(pos[lane]);
-                if leaf {
-                    let symbol = self.sa.access(rank1);
-                    out[j] = self.decode_label(symbol);
-                    if next < n {
-                        job[lane] = next;
-                        pos[lane] = 0;
-                        depth[lane] = 0;
-                        next += 1;
-                    } else {
-                        job[lane] = usize::MAX;
-                        live -= 1;
-                    }
-                } else {
-                    let r = pos[lane] + 1 - rank1;
-                    pos[lane] = 2 * r - 1 + usize::from(addrs[j].bit(depth[lane]));
-                    depth[lane] += 1;
-                    if PREFETCH {
-                        self.si.prefetch(pos[lane]);
-                    }
-                }
-            }
-        }
+        lookup_batch(self, addrs, out);
     }
 
     /// Hints the prefetcher at the top of the shape string (see
@@ -815,28 +616,235 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
         self.si.prefetch(0);
     }
 
-    /// Software-pipelined batched lookup over borrowed sections (see
-    /// [`XbwFib::lookup_stream`]).
+    /// Software-pipelined batched lookup (see [`XbwFib::lookup_stream`]).
     ///
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
     pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-stream contract, not per-packet
-        let out = &mut out[..addrs.len()];
-        if matches!(self.si, SiRef::Rrr(_)) {
-            for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-                *slot = self.lookup(*addr);
-            }
-            return;
+        lookup_stream(self, addrs, out);
+    }
+
+    /// Traced lookup (see [`XbwFib::lookup_traced`]), with the `S_I` and
+    /// `S_α` regions sized by the words the image stores for them.
+    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
+        lookup_traced(self, addr, sink)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The §3.1 walk, written once for owned and borrowed strings
+// ---------------------------------------------------------------------
+
+/// A pair of XBW-b strings as the lookup walk reads them. [`XbwFib`]
+/// answers from its owned stores and [`XbwFibRef`] from borrowed image
+/// sections; the scalar walk, the rolling-refill kernel, the stream gate
+/// and the traced walk below exist once, over this.
+trait Strings {
+    /// The shape string `S_I` as a borrowed view, hoisted out of walk
+    /// loops so a query pays for it once, not per level.
+    fn si(&self) -> SiRef<'_>;
+
+    /// Next-hop of the leaf with 0-based leaf rank `rank`: one `S_α`
+    /// access, then the symbol → next-hop table.
+    fn leaf(&self, rank: usize) -> Option<NextHop>;
+
+    /// Resident bytes, for the stream path's cache-residency gate.
+    fn resident_bytes(&self) -> usize;
+
+    /// `(S_I bytes, S_α bytes, δ)` of the flat layout the traced walk
+    /// models. Off the packet path: sizing the owned stores walks them.
+    fn traced_layout(&self) -> (u64, u64, usize);
+}
+
+impl<A: Address> Strings for XbwFib<A> {
+    #[inline]
+    fn si(&self) -> SiRef<'_> {
+        self.si.as_view()
+    }
+
+    #[inline]
+    fn leaf(&self, rank: usize) -> Option<NextHop> {
+        self.label_map[self.sa.access(rank) as usize]
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.size_bytes()
+    }
+
+    fn traced_layout(&self) -> (u64, u64, usize) {
+        (
+            (self.si.size_bits().div_ceil(64) * 8) as u64,
+            (self.sa.size_bits().div_ceil(64) * 8) as u64,
+            self.label_map.len(),
+        )
+    }
+}
+
+impl<A: Address> Strings for XbwFibRef<'_, A> {
+    #[inline]
+    fn si(&self) -> SiRef<'_> {
+        self.si
+    }
+
+    #[inline]
+    fn leaf(&self, rank: usize) -> Option<NextHop> {
+        let word = self.labels[self.sa.access(rank) as usize];
+        (word != u64::MAX).then(|| NextHop::new(word as u32))
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.size_bytes()
+    }
+
+    fn traced_layout(&self) -> (u64, u64, usize) {
+        let (si_words, sa_words) = self.string_words;
+        (si_words as u64 * 8, sa_words as u64 * 8, self.labels.len())
+    }
+}
+
+/// The scalar walk: one fused `access_rank1` probe per level, each
+/// `S_I` position reported to `touch` first (the traced lookup is this
+/// walk with a reporting `touch`). Returns the answer and the leaf rank
+/// it was read at.
+#[inline]
+fn walk<A: Address>(
+    strings: &impl Strings,
+    addr: A,
+    mut touch: impl FnMut(usize),
+) -> (Option<NextHop>, usize) {
+    // 0-based variant of the paper's pseudo-code: the children of the
+    // r-th interior node (1-based) sit at positions 2r−1 and 2r.
+    let si = strings.si();
+    let mut i = 0usize;
+    let mut q = 0u8;
+    loop {
+        touch(i);
+        let (leaf, rank1) = si.access_rank1(i);
+        if leaf {
+            return (strings.leaf(rank1), rank1);
         }
+        debug_assert!(q < A::WIDTH, "interior node below maximum depth");
+        // Bit i is 0 here, so rank0(i + 1) follows from rank1(i).
+        let r = i + 1 - rank1;
+        i = 2 * r - 1 + usize::from(addr.bit(q));
+        q += 1;
+    }
+}
+
+/// The RRR backing's batch and stream path: its walk is bound by the
+/// serial combinatorial decode, which interleaving cannot overlap.
+fn scalar_loop<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Option<NextHop>]) {
+    for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
+        *slot = walk(strings, *addr, |_| {}).0;
+    }
+}
+
+fn lookup_batch<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Option<NextHop>]) {
+    assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
+    let out = &mut out[..addrs.len()];
+    match strings.si() {
+        SiRef::Rrr(_) => scalar_loop(strings, addrs, out),
+        SiRef::Plain(si) => interleaved_walk::<A, false>(si, strings, addrs, out),
+    }
+}
+
+fn lookup_stream<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Option<NextHop>]) {
+    assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-stream contract, not per-packet
+    let out = &mut out[..addrs.len()];
+    match strings.si() {
+        SiRef::Rrr(_) => scalar_loop(strings, addrs, out),
         // Below the residency threshold the whole shape string lives in
         // cache and the in-walk prefetch is pure overhead — identical
         // results either way, so take the plain interleaved path.
-        if self.payload_words * 8 < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES {
-            return self.lookup_batch(addrs, out);
+        SiRef::Plain(si)
+            if strings.resident_bytes() < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES =>
+        {
+            interleaved_walk::<A, false>(si, strings, addrs, out);
         }
-        self.interleaved_walk::<true>(addrs, out);
+        SiRef::Plain(si) => interleaved_walk::<A, true>(si, strings, addrs, out),
     }
+}
+
+/// The rolling-refill walk kernel behind `lookup_batch` (`PREFETCH =
+/// false`) and `lookup_stream` (`true`: each lane's next `S_I` line is
+/// requested the moment its position is known). It takes the plain
+/// shape string itself, not the backing enum: the RRR fallback is the
+/// callers', and the per-level probe compiles to the one rank-line read.
+fn interleaved_walk<A: Address, const PREFETCH: bool>(
+    si: RsBitVecRef<'_>,
+    strings: &impl Strings,
+    addrs: &[A],
+    out: &mut [Option<NextHop>],
+) {
+    let n = addrs.len();
+    // Rolling lane refill: each slot owns one in-flight walk and takes
+    // the next address from the stream the moment its walk resolves.
+    // The earlier per-chunk lockstep paid a convoy tax — a lane that
+    // matched at depth 8 idled while its chunk-mates walked to depth
+    // 24, so the average number of overlapped walks sat well below
+    // [`XBW_BATCH_LANES`]. Keeping every lane busy across the whole
+    // stream is what lets the interleave pay even on cache-resident
+    // strings, where the overlap hides the serial rank/access
+    // dependency chain rather than memory latency.
+    let mut pos = [0usize; XBW_BATCH_LANES];
+    let mut depth = [0u8; XBW_BATCH_LANES];
+    // Index into `addrs` each lane is walking; `usize::MAX` = drained.
+    let mut job = [usize::MAX; XBW_BATCH_LANES];
+    let mut live = XBW_BATCH_LANES.min(n);
+    for (lane, slot) in job.iter_mut().enumerate().take(live) {
+        *slot = lane;
+    }
+    let mut next = live;
+    while live > 0 {
+        for lane in 0..XBW_BATCH_LANES {
+            let j = job[lane];
+            if j == usize::MAX {
+                continue;
+            }
+            let (leaf, rank1) = si.access_rank1(pos[lane]);
+            if leaf {
+                out[j] = strings.leaf(rank1);
+                if next < n {
+                    // Refill in place: the next walk starts at the
+                    // root word, which is hot, so no prefetch is due
+                    // until its first child position is known.
+                    job[lane] = next;
+                    pos[lane] = 0;
+                    depth[lane] = 0;
+                    next += 1;
+                } else {
+                    job[lane] = usize::MAX;
+                    live -= 1;
+                }
+            } else {
+                let r = pos[lane] + 1 - rank1;
+                pos[lane] = 2 * r - 1 + usize::from(addrs[j].bit(depth[lane]));
+                depth[lane] += 1;
+                if PREFETCH {
+                    si.prefetch(pos[lane]);
+                }
+            }
+        }
+    }
+}
+
+fn lookup_traced<A: Address>(
+    strings: &impl Strings,
+    addr: A,
+    sink: &mut dyn FnMut(u64, u32),
+) -> Option<NextHop> {
+    let (si_bytes, sa_bytes, delta) = strings.traced_layout();
+    let sa_bytes = sa_bytes.max(8);
+    let (hop, leaf_rank) = walk(strings, addr, |i| sink((i as u64 / 64) * 8, 8));
+    // Wavelet walk: one level per code bit, each level owning roughly
+    // an equal slice of the S_α region.
+    let levels = fib_succinct::ceil_log2(delta.max(2) as u64).max(1);
+    let slice = (sa_bytes / u64::from(levels)).max(8);
+    for level in 0..u64::from(levels) {
+        let within = (leaf_rank as u64 / 8 * 8) % slice;
+        sink(si_bytes + (level * slice + within) % sa_bytes, 8);
+    }
+    hop
 }
 
 #[cfg(test)]

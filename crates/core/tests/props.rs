@@ -1,6 +1,6 @@
 //! Property tests for the core compression structures: arbitrary route
-//! sets, every engine against the binary trie, blob round-trips, and the
-//! entropy-accounting identities.
+//! sets, every engine against the binary trie, image round-trips and
+//! decoder robustness, and the entropy-accounting identities.
 //!
 //! Inputs are drawn from the workspace's deterministic PRNG
 //! (`fib_workload::rng`) rather than proptest, which cannot be fetched in
@@ -9,7 +9,8 @@
 //! for exact reproduction.
 
 use fib_core::{
-    FibEntropy, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, VsParams, XbwFib, XbwStorage,
+    write_image, FibEntropy, FibImage, FibLookup, ImageCodec, ImageError, MultibitDag, PrefixDag,
+    SerializedDag, SerializedDagRef, VarStrideDag, VsParams, XbwFib, XbwStorage,
 };
 use fib_trie::{BinaryTrie, NextHop, Prefix, Prefix4};
 use fib_workload::rng::{Rng, Xoshiro256};
@@ -30,6 +31,16 @@ fn arb_routes(rng: &mut impl Rng) -> Vec<(Prefix4, NextHop)> {
 
 fn arb_keys(rng: &mut impl Rng, count: usize) -> Vec<u32> {
     (0..count).map(|_| rng.random()).collect()
+}
+
+/// The decode path a serialized DAG takes off the wire: `fibimage/v1`
+/// bytes → [`FibImage`] → validated zero-copy view, handed to `serve`.
+fn decode_serialized<T>(
+    bytes: &[u8],
+    serve: impl FnOnce(SerializedDagRef<'_, u32>) -> T,
+) -> Result<T, ImageError> {
+    let image = FibImage::from_bytes(bytes)?;
+    <SerializedDag<u32> as ImageCodec<u32>>::view(&image).map(serve)
 }
 
 #[test]
@@ -77,14 +88,17 @@ fn serialized_blob_roundtrips_any_dag() {
         let trie: BinaryTrie<u32> = routes.into_iter().collect();
         let dag = PrefixDag::from_trie(&trie, lambda);
         let ser = SerializedDag::from_dag(&dag);
-        let decoded = SerializedDag::<u32>::from_bytes(&ser.to_bytes()).expect("own blob decodes");
-        for &k in &keys {
-            assert_eq!(
-                decoded.lookup(k),
-                trie.lookup(k),
-                "case {case}, λ={lambda}, key {k:#010x}"
-            );
-        }
+        let bytes = write_image(&ser, None, 0).expect("image encodes");
+        decode_serialized(&bytes, |decoded| {
+            for &k in &keys {
+                assert_eq!(
+                    decoded.lookup(k),
+                    trie.lookup(k),
+                    "case {case}, λ={lambda}, key {k:#010x}"
+                );
+            }
+        })
+        .expect("own image decodes");
     }
 }
 
@@ -95,7 +109,7 @@ fn blob_decoder_never_panics_on_garbage() {
         let len: usize = rng.random_range(0..600);
         let bytes: Vec<u8> = (0..len).map(|_| rng.random()).collect();
         // Arbitrary input must be rejected cleanly, never crash.
-        let _ = SerializedDag::<u32>::from_bytes(&bytes);
+        assert!(decode_serialized(&bytes, |_| ()).is_err(), "case {case}");
     }
 }
 
@@ -111,17 +125,17 @@ fn blob_decoder_survives_mutations() {
             .collect();
         let trie: BinaryTrie<u32> = routes.into_iter().collect();
         let ser = SerializedDag::from_dag(&PrefixDag::from_trie(&trie, lambda));
-        let mut blob = ser.to_bytes();
+        let mut blob = write_image(&ser, None, 0).expect("image encodes");
         for (pos, bit) in flips {
             let pos = pos as usize % blob.len();
             blob[pos] ^= 1 << bit;
         }
-        // Either rejected, or (if the flips cancelled out / hit dead
-        // padding) decoded into something that can be queried.
-        if let Ok(decoded) = SerializedDag::<u32>::from_bytes(&blob) {
+        // Either rejected, or (if the flips cancelled out) decoded into
+        // something that can be queried.
+        let _ = decode_serialized(&blob, |decoded| {
             let _ = decoded.lookup(0u32);
             let _ = decoded.lookup(u32::MAX);
-        }
+        });
     }
 }
 

@@ -5,7 +5,7 @@
 //! CPU's cache-miss performance counters, and a Xilinx Virtex-II Pro FPGA
 //! with synchronous SRAM (clock cycles per lookup). This crate substitutes
 //! deterministic models fed by the *exact memory access streams* of the
-//! lookup engines (`FibEngine::lookup_traced`):
+//! lookup engines (`FibLookup::lookup_traced`):
 //!
 //! * [`CacheSim`] — a set-associative, multi-level, LRU cache hierarchy
 //!   with the i5's geometry; reproduces the cache-misses/packet column,

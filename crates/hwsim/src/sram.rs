@@ -7,7 +7,7 @@
 //! measures 7.1 cycles on average for taz (λ = 11, average folded depth
 //! ≈ 3.7, plus the root-array fetch and pipeline stages).
 
-use fib_core::FibEngine;
+use fib_core::FibLookup;
 use fib_trie::Address;
 
 /// Parameters of the modeled hardware.
@@ -53,7 +53,7 @@ impl SramModel {
     /// # Panics
     /// Panics if the engine does not produce memory traces (the model
     /// would silently report pipeline-only numbers otherwise).
-    pub fn replay<A: Address, E: FibEngine<A> + ?Sized>(
+    pub fn replay<A: Address, E: FibLookup<A> + ?Sized>(
         &self,
         engine: &E,
         addrs: impl IntoIterator<Item = A>,

@@ -3,7 +3,7 @@
 //! primitives or the `fib-check` model checker's instrumented replacements.
 //!
 //! The protocol code in [`crate::snapcell`] and [`crate::runtime`] is generic
-//! over [`Shim`]; the production aliases instantiate it with [`RealShim`]
+//! over [`Shim`]; the production aliases instantiate it with [`crate::snapcell::RealShim`]
 //! (plain std atomics, `Box::into_raw` pointers), while `fib-check` provides a
 //! `ModelShim` whose every operation is a scheduling point of a deterministic
 //! DFS explorer. Keeping one source for both sides is the point: the code the

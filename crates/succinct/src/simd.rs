@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Lanes per gather — one AVX2 register of `u64`s, matching the 4-lane
-/// batch kernels (`SER_BATCH_LANES`/`MB_BATCH_LANES`/`LC_BATCH_LANES`).
+/// batch kernels (`SER_BATCH_LANES`/`VS_BATCH_LANES`/`LC_BATCH_LANES`).
 pub const GATHER_LANES: usize = 4;
 
 /// Cached dispatch state: 0 = undetected, 1 = SIMD, 2 = scalar.

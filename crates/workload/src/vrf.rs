@@ -50,7 +50,7 @@ impl VrfFleetSpec {
     /// `round((1 − overlap) · N)` churn events then mutate it, each
     /// either re-homing an existing route to a new next-hop or injecting
     /// a private more-specific under an existing route. Events are
-    /// grouped into [`CHURN_CLUSTERS`] contiguous runs over the routes
+    /// grouped into `CHURN_CLUSTERS` contiguous runs over the routes
     /// in address order (tenant-local divergence), so the untouched
     /// `overlap` fraction stays structurally identical across the whole
     /// fleet.

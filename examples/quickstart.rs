@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fibcomp::core::{FibEngine, FibEntropy, PrefixDag, SerializedDag, XbwFib, XbwStorage};
+use fibcomp::core::{FibEntropy, FibLookup, PrefixDag, SerializedDag, XbwFib, XbwStorage};
 use fibcomp::prelude::*;
 use fibcomp::trie::LcTrie;
 
@@ -51,7 +51,7 @@ fn main() {
     let ser = SerializedDag::from_dag(&dag);
     let lc = LcTrie::from_trie(&trie);
     println!("\n{:<18}{:>12}", "representation", "size");
-    for engine in [&trie as &dyn FibEngine<u32>, &lc, &xbw, &dag, &ser] {
+    for engine in [&trie as &dyn FibLookup<u32>, &lc, &xbw, &dag, &ser] {
         println!("{:<18}{:>10} B", engine.name(), engine.size_bytes());
     }
     let stats = dag.stats();
@@ -67,7 +67,7 @@ fn main() {
         expected
     );
     assert_eq!(expected, Some(NextHop::new(1)));
-    for engine in [&trie as &dyn FibEngine<u32>, &lc, &xbw, &dag, &ser] {
+    for engine in [&trie as &dyn FibLookup<u32>, &lc, &xbw, &dag, &ser] {
         assert_eq!(engine.lookup(addr), expected, "{} disagrees", engine.name());
     }
 

@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! # Compile a routes file into an image
-//! # (engine: xbw|pdag|serialized|multibit|lctrie|vsdag).
+//! # (engine: xbw|pdag|serialized|lctrie|vsdag).
 //! fibc compile --engine serialized --routes routes.txt --out fib.img
 //!
 //! # Or compile a synthetic paper instance (taz, hbone, …) at a scale.
@@ -30,8 +30,7 @@ use fibcomp::core::lint as image_lint;
 use fibcomp::core::{
     any_view, compile_vrf_set, write_image, write_image_hot, write_vrf_image, AnyView, BuildConfig,
     EngineKind, FibBuild, FibImage, FibLookup, HotConfig, HotSlab, ImageCodec, ImageError,
-    MultibitDag, PrefixDag, SerializedDag, VarStrideDag, VrfPolicy, VrfSetRef, VrfTable, XbwFib,
-    XbwStorage,
+    PrefixDag, SerializedDag, VarStrideDag, VrfPolicy, VrfSetRef, VrfTable, XbwFib, XbwStorage,
 };
 use fibcomp::router::{scan_spool, LatencyHistogram, StdFs};
 use fibcomp::trie::{Address, BinaryTrie, LcTrie, NextHop, Prefix};
@@ -65,10 +64,10 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  fibc compile --engine <xbw|pdag|serialized|multibit|lctrie|vsdag> \\
+  fibc compile --engine <xbw|pdag|serialized|lctrie|vsdag> \\
                (--routes FILE | --instance NAME [--scale S] [--seed N]) \\
                --out IMG [--v6] [--xbw-mode succinct|entropy] [--lambda N] \\
-               [--stride N] [--vs-budget F] [--vs-max-stride N] \\
+               [--vs-budget F] [--vs-max-stride N] \\
                [--epoch N] [--no-routes] [--heat [--heat-samples N]]
   fibc compile --vrfs N [--instance NAME] [--scale S] [--overlap F] \\
                [--vrf-policy shared|auto] [--vrf-skew S] [--seed N] \\
@@ -127,9 +126,6 @@ fn build_config(args: &[String]) -> Result<BuildConfig, String> {
     if let Some(lambda) = opt(args, "--lambda") {
         config.lambda = Some(lambda.parse().map_err(|e| format!("--lambda: {e}"))?);
     }
-    if let Some(stride) = opt(args, "--stride") {
-        config.stride = stride.parse().map_err(|e| format!("--stride: {e}"))?;
-    }
     if let Some(budget) = opt(args, "--vs-budget") {
         config.vs_budget = budget.parse().map_err(|e| format!("--vs-budget: {e}"))?;
     }
@@ -152,7 +148,7 @@ fn compile(args: &[String]) -> Result<(), String> {
         return compile_vrfs(args, vrfs);
     }
     let engine = EngineKind::parse(opt(args, "--engine").ok_or("--engine is required")?)
-        .ok_or("unknown engine (want xbw|pdag|serialized|multibit|lctrie|vsdag)")?;
+        .ok_or("unknown engine (want xbw|pdag|serialized|lctrie|vsdag)")?;
     let out = opt(args, "--out").ok_or("--out is required")?;
     let epoch: u64 = opt(args, "--epoch")
         .unwrap_or("0")
@@ -246,9 +242,6 @@ fn compile_trie<A: Address>(
         }
         EngineKind::SerializedDag => {
             encode::<A, SerializedDag<A>>(trie, config, routes, epoch, slab, weights)
-        }
-        EngineKind::MultibitDag => {
-            encode::<A, MultibitDag<A>>(trie, config, routes, epoch, slab, weights)
         }
         EngineKind::LcTrie => encode::<A, LcTrie<A>>(trie, config, routes, epoch, slab, weights),
         EngineKind::VsDag => {
@@ -370,7 +363,6 @@ fn section_name(id: u32) -> &'static str {
         sections::PDAG_NODES => "pdag.nodes",
         sections::SER_ENTRIES => "serialized.entries",
         sections::SER_NODES => "serialized.nodes",
-        sections::MB_SLOTS => "multibit.slots",
         sections::VS_NODES => "vsdag.nodes",
         sections::VS_SLOTS => "vsdag.slots",
         sections::LC_NODES => "lctrie.nodes",

@@ -94,8 +94,8 @@ pub use fib_workload as workload;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use fib_core::{
-        BuildConfig, FibBuild, FibEngine, FibEntropy, FibLookup, FibUpdate, FoldedString,
-        PrefixDag, RebuildNeeded, SerializedDag, XbwFib, XbwStorage,
+        BuildConfig, FibBuild, FibEntropy, FibLookup, FibUpdate, FoldedString, PrefixDag,
+        RebuildNeeded, SerializedDag, XbwFib, XbwStorage,
     };
     pub use fib_router::{Router, RouterConfig, ShardedRouter};
     pub use fib_trie::{

@@ -3,7 +3,7 @@
 //! shape the workload generators can produce.
 
 use fibcomp::core::{
-    FibEngine, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, VsParams, XbwFib, XbwStorage,
+    roster, BuildConfig, FibLookup, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, VsParams,
 };
 use fibcomp::trie::{ortc, BinaryTrie, LcTrie, NextHop, ProperTrie, RouteTable};
 use fibcomp::workload::rng::Xoshiro256;
@@ -20,21 +20,21 @@ fn check_all_engines(trie: &BinaryTrie<u32>, keys: &[u32]) {
     let table: RouteTable<u32> = trie.iter().collect();
     let proper = ProperTrie::from_trie(trie);
     proper.assert_invariants();
-    let lc_half = LcTrie::with_params(trie, 0.5, 16);
+    // The base roster (fib_trie at fill 0.5 / stride 16, λ = 11, fixed
+    // stride 4, default vsdag), then this suite's parameter variants.
+    let config = BuildConfig {
+        max_stride: 16,
+        ..BuildConfig::default()
+    };
+    let base = roster(trie, &config, None);
+    base.pdag.assert_invariants();
     let lc_full = LcTrie::with_params(trie, 1.0, 8);
-    let xbw_s = XbwFib::build(trie, XbwStorage::Succinct);
-    let xbw_e = XbwFib::build(trie, XbwStorage::Entropy);
     let dag0 = PrefixDag::from_trie(trie, 0);
-    let dag11 = PrefixDag::from_trie(trie, 11);
     let dag_eq3 = PrefixDag::with_entropy_barrier(trie);
     dag0.assert_invariants();
-    dag11.assert_invariants();
     dag_eq3.assert_invariants();
     let ser0 = SerializedDag::from_dag(&dag0);
-    let ser11 = SerializedDag::from_dag(&dag11);
-    let mb4 = MultibitDag::from_trie(trie, 4);
     let mb8 = MultibitDag::from_trie(trie, 8);
-    let vs = VarStrideDag::from_trie(trie, VsParams::default());
     // Heat-weighted build: skew all traffic onto the first probe keys'
     // /12 classes. The DP may pick wildly different strides, but the
     // forwarding function must not move.
@@ -53,10 +53,17 @@ fn check_all_engines(trie: &BinaryTrie<u32>, keys: &[u32]) {
     );
     let aggregated = ortc::compress(trie);
 
-    let engines: Vec<&dyn FibEngine<u32>> = vec![
-        trie, &proper, &lc_half, &lc_full, &xbw_s, &xbw_e, &dag0, &dag11, &dag_eq3, &ser0, &ser11,
-        &mb4, &mb8, &vs, &vs_hot,
-    ];
+    let mut engines: Vec<&dyn FibLookup<u32>> =
+        base.engines().into_iter().map(|(_, e)| e).collect();
+    engines.extend([
+        &proper as &dyn FibLookup<u32>,
+        &lc_full,
+        &dag0,
+        &dag_eq3,
+        &ser0,
+        &mb8,
+        &vs_hot,
+    ]);
     for &key in keys {
         let expected = table.lookup(key);
         for engine in &engines {
@@ -79,7 +86,7 @@ fn check_all_engines(trie: &BinaryTrie<u32>, keys: &[u32]) {
     for engine in engines
         .iter()
         .copied()
-        .chain([&table as &dyn FibEngine<u32>])
+        .chain([&table as &dyn FibLookup<u32>])
     {
         out.fill(Some(NextHop::new(u32::MAX - 1))); // poison every slot
         engine.lookup_batch(keys, &mut out);
@@ -209,27 +216,20 @@ fn ortc_output_recompresses_equivalently() {
 /// Builds every engine over a u128 trie and checks scalar + batched
 /// agreement — the coverage gap the IPv4-only suite above left open.
 fn check_all_engines_v6(trie: &fibcomp::trie::BinaryTrie<u128>, keys: &[u128]) {
-    use fibcomp::trie::BinaryTrie;
     let table: RouteTable<u128> = trie.iter().collect();
     let proper = ProperTrie::from_trie(trie);
-    let lc = LcTrie::with_params(trie, 0.5, 16);
-    let xbw_s = XbwFib::build(trie, XbwStorage::Succinct);
-    let xbw_e = XbwFib::build(trie, XbwStorage::Entropy);
-    let dag = PrefixDag::from_trie(trie, 24);
-    let ser = SerializedDag::from_dag(&dag);
-    let mb = MultibitDag::from_trie(trie, 8);
-    let vs = VarStrideDag::from_trie(trie, VsParams::default());
-    let engines: Vec<&dyn FibEngine<u128>> = vec![
-        trie as &BinaryTrie<u128>,
-        &proper,
-        &lc,
-        &xbw_s,
-        &xbw_e,
-        &dag,
-        &ser,
-        &mb,
-        &vs,
-    ];
+    // The roster at the v6 parameters this suite pins: fib_trie at
+    // stride 16, λ = 24, fixed stride 8.
+    let config = BuildConfig {
+        lambda: Some(24),
+        max_stride: 16,
+        stride: 8,
+        ..BuildConfig::default()
+    };
+    let base = roster(trie, &config, None);
+    let mut engines: Vec<&dyn FibLookup<u128>> =
+        base.engines().into_iter().map(|(_, e)| e).collect();
+    engines.push(&proper);
     for &key in keys {
         let expected = table.lookup(key);
         for engine in &engines {

@@ -70,10 +70,26 @@ where
     for &key in keys {
         assert_eq!(restored.lookup(key), trie.lookup(key));
     }
-    // The type-erased view agrees too (what `fibc serve` uses).
+    // The type-erased view agrees too (what `fibc serve` uses) — and is
+    // as traceable as the concrete view it wraps.
     let erased = any_view::<A>(&image).expect("any_view assembles");
+    assert_eq!(
+        erased.traces_memory(),
+        view.traces_memory(),
+        "{} erased view forgets tracing",
+        engine.name()
+    );
     for &key in keys.iter().take(64) {
         assert_eq!(erased.lookup(key), engine.lookup(key));
+        let mut accesses = 0usize;
+        let traced = erased.lookup_traced(key, &mut |_, _| accesses += 1);
+        assert_eq!(traced, engine.lookup(key), "{} traced", engine.name());
+        assert_eq!(
+            accesses > 0,
+            view.traces_memory(),
+            "{} traced walk reported {accesses} accesses",
+            engine.name()
+        );
     }
 }
 
@@ -83,7 +99,7 @@ fn engines_v4(trie: &BinaryTrie<u32>) -> impl Iterator<Item = (&'static str, Vec
     let xbw_e: XbwFib<u32> = XbwFib::build(trie, XbwStorage::Entropy);
     let dag: PrefixDag<u32> = FibBuild::build(trie, &config);
     let ser: SerializedDag<u32> = FibBuild::build(trie, &config);
-    let mb: MultibitDag<u32> = FibBuild::build(trie, &config);
+    let mb = MultibitDag::from_trie(trie, config.stride);
     let lc: LcTrie<u32> = FibBuild::build(trie, &config);
     let vs: VarStrideDag<u32> = FibBuild::build(trie, &config);
     [
@@ -107,7 +123,7 @@ fn every_engine_roundtrips_on_ipv4() {
     assert_roundtrip(&XbwFib::build(&trie, XbwStorage::Entropy), &trie, &keys);
     assert_roundtrip::<u32, PrefixDag<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u32, SerializedDag<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
-    assert_roundtrip::<u32, MultibitDag<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
+    assert_roundtrip(&MultibitDag::from_trie(&trie, config.stride), &trie, &keys);
     assert_roundtrip::<u32, LcTrie<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u32, VarStrideDag<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
 }
@@ -125,7 +141,7 @@ fn every_engine_roundtrips_on_ipv6() {
     assert_roundtrip(&XbwFib::build(&trie, XbwStorage::Entropy), &trie, &keys);
     assert_roundtrip::<u128, PrefixDag<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u128, SerializedDag<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
-    assert_roundtrip::<u128, MultibitDag<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
+    assert_roundtrip(&MultibitDag::from_trie(&trie, config.stride), &trie, &keys);
     assert_roundtrip::<u128, LcTrie<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u128, VarStrideDag<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
 }
@@ -148,7 +164,7 @@ fn loaded_views_borrow_from_the_image_arena() {
     let view = <SerializedDag<u32> as ImageCodec<u32>>::view(&image).unwrap();
     within(view.payload_ptr_range(), image.words().as_ptr_range());
 
-    let mb: MultibitDag<u32> = FibBuild::build(&trie, &config);
+    let mb = MultibitDag::from_trie(&trie, config.stride);
     let image = FibImage::from_bytes(&write_image(&mb, None, 0).unwrap()).unwrap();
     let view = <MultibitDag<u32> as ImageCodec<u32>>::view(&image).unwrap();
     within(view.payload_ptr_range(), image.words().as_ptr_range());
@@ -274,13 +290,17 @@ fn corrupt_images_fail_loudly() {
         FibImage::from_bytes(&bad).unwrap_err(),
         ImageError::ChecksumMismatch
     );
-    // Unknown engine id (checksum repaired so the engine check fires).
-    let mut bad = good;
-    bad[11] = 0x7F; // engine byte inside header word 1
-    let repaired = repair_checksum(bad);
-    let image = FibImage::from_bytes(&repaired).unwrap();
-    assert_eq!(image.engine().unwrap_err(), ImageError::UnknownEngine(0x7F));
-    assert!(any_view::<u32>(&image).is_err());
+    // Unknown engine id (checksum repaired so the engine check fires):
+    // one never assigned, and the retired id 4 of the stride-`s` multibit
+    // DAG, which must stay unknown rather than be read as something else.
+    for id in [0x7Fu8, 4] {
+        let mut bad = good.clone();
+        bad[11] = id; // engine byte inside header word 1
+        let repaired = repair_checksum(bad);
+        let image = FibImage::from_bytes(&repaired).unwrap();
+        assert_eq!(image.engine().unwrap_err(), ImageError::UnknownEngine(id));
+        assert!(any_view::<u32>(&image).is_err());
+    }
 }
 
 /// Recomputes the trailer checksum after deliberate header edits, so
@@ -314,13 +334,17 @@ fn engine_kind_names_roundtrip() {
         EngineKind::Xbw,
         EngineKind::PrefixDag,
         EngineKind::SerializedDag,
-        EngineKind::MultibitDag,
         EngineKind::LcTrie,
+        EngineKind::VrfSet,
+        EngineKind::VsDag,
     ] {
         assert_eq!(EngineKind::parse(kind.name()), Some(kind));
         assert_eq!(EngineKind::from_u8(kind as u8), Some(kind));
     }
     assert_eq!(EngineKind::parse("bogus"), None);
+    // Retired with the stride-`s` multibit DAG; never reassigned.
+    assert_eq!(EngineKind::from_u8(4), None);
+    assert_eq!(EngineKind::parse("multibit"), None);
 }
 
 #[test]

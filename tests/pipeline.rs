@@ -2,7 +2,7 @@
 //! format in the workspace — text routes → trie → aggregation →
 //! compression → binary image → decode — and still forwards identically.
 
-use fibcomp::core::{PrefixDag, SerializedDag};
+use fibcomp::core::{write_image, FibImage, ImageCodec, PrefixDag, SerializedDag};
 use fibcomp::trie::{io, ortc, BinaryTrie};
 use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::{traces, FibSpec};
@@ -28,8 +28,9 @@ fn text_to_wire_image_roundtrip() {
 
     // 3. Fold, serialize to the wire image, encode to bytes, decode.
     let dag = PrefixDag::from_trie(&minimal, 11);
-    let blob = SerializedDag::from_dag(&dag).to_bytes();
-    let wire = SerializedDag::<u32>::from_bytes(&blob).expect("blob decodes");
+    let bytes = write_image(&SerializedDag::from_dag(&dag), None, 0).expect("image encodes");
+    let image = FibImage::from_bytes(&bytes).expect("image decodes");
+    let wire = <SerializedDag<u32> as ImageCodec<u32>>::view(&image).expect("view assembles");
 
     // 4. The decoded image forwards exactly like the original FIB.
     let keys = traces::uniform::<u32, _>(&mut rng, 5_000);
@@ -59,8 +60,9 @@ fn updates_survive_the_pipeline() {
             }
         }
     }
-    let blob = SerializedDag::from_dag(&dag).to_bytes();
-    let wire = SerializedDag::<u32>::from_bytes(&blob).expect("blob decodes");
+    let bytes = write_image(&SerializedDag::from_dag(&dag), None, 0).expect("image encodes");
+    let image = FibImage::from_bytes(&bytes).expect("image decodes");
+    let wire = <SerializedDag<u32> as ImageCodec<u32>>::view(&image).expect("view assembles");
     for k in traces::uniform::<u32, _>(&mut rng, 3_000) {
         assert_eq!(wire.lookup(k), dag.control().lookup(k), "at {k:#010x}");
     }

@@ -7,7 +7,7 @@
 //! the original proptest config used); failure messages carry the case
 //! number for exact reproduction.
 
-use fibcomp::core::{PrefixDag, SerializedDag, XbwFib, XbwStorage};
+use fibcomp::core::{FibLookup, PrefixDag, SerializedDag, XbwFib, XbwStorage};
 use fibcomp::trie::{ortc, BinaryTrie, LcTrie, NextHop, Prefix4, ProperTrie, RouteTable};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
 

@@ -3,7 +3,7 @@
 //! counts staying consistent throughout — whether the updates are applied
 //! directly or through the `FibUpdate` trait and the router core.
 
-use fibcomp::core::{FibUpdate, PrefixDag, SerializedDag};
+use fibcomp::core::{FibLookup, FibUpdate, PrefixDag, SerializedDag};
 use fibcomp::router::{Router, RouterConfig, ShardedRouter};
 use fibcomp::trie::{BinaryTrie, NextHop, Prefix4, RouteTable};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
