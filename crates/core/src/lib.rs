@@ -34,6 +34,7 @@
 mod engine;
 mod entropy;
 pub mod hot;
+mod idhash;
 pub mod image;
 pub mod lambda;
 pub mod lint;
@@ -60,9 +61,9 @@ pub use pdag::{DagStats, PrefixDag, PrefixDagRef};
 pub use serialized::{SerializedDag, SerializedDagRef, SER_BATCH_LANES, SER_REFILL_LANES};
 pub use strmodel::FoldedString;
 pub use vrf::{
-    compile_vrf_set, vrf_section_base, write_vrf_image, CompiledVrf, CompiledVrfSet, CostModel,
-    VrfEngineChoice, VrfEngineRef, VrfPolicy, VrfSetRef, VrfSetStats, VrfTable, VrfTableRef,
-    VRF_DIR_RECORD_WORDS,
+    compile_vrf_set, recompile_vrf_set, vrf_section_base, write_vrf_image, CompiledVrf,
+    CompiledVrfSet, CostModel, VrfEngineChoice, VrfEngineRef, VrfPolicy, VrfSetRef, VrfSetStats,
+    VrfTable, VrfTableRef, VRF_DIR_RECORD_WORDS,
 };
 pub use vsdag::{
     MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VS_BATCH_LANES,

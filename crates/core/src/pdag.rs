@@ -39,6 +39,8 @@ use std::marker::PhantomData;
 use fib_succinct::ceil_log2;
 use fib_trie::{Address, BinaryTrie, Depth, NextHop, NodeRef, Prefix};
 
+use crate::idhash::IdBuildHasher;
+
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// Interning key of a folded node (the sub-trie id of Definition 1):
@@ -76,7 +78,7 @@ impl DagNode {
 pub struct PrefixDag<A: Address> {
     pub(crate) nodes: Vec<DagNode>,
     free: Vec<u32>,
-    interner: HashMap<Key, u32>,
+    interner: HashMap<Key, u32, IdBuildHasher>,
     pub(crate) root: u32,
     lambda: u8,
     control: BinaryTrie<A>,
@@ -94,7 +96,7 @@ impl<A: Address> PrefixDag<A> {
         let mut dag = Self {
             nodes: Vec::new(),
             free: Vec::new(),
-            interner: HashMap::new(),
+            interner: HashMap::default(),
             root: NONE,
             lambda,
             control: trie.clone(),

@@ -21,6 +21,13 @@
 //!    format — each VRF is served zero-copy by a `PrefixDagRef` with its
 //!    own root over the shared words.
 //!
+//! A fleet that changes a table at a time is recompiled **from the set
+//! compiled before it** ([`recompile_vrf_set`]): steps 1 and 2 run for
+//! the changed tables only, against an interner seeded with the previous
+//! arena, and step 3 — whose order depends on structure alone — emits
+//! the bytes a from-scratch compile would. [`compile_vrf_set`] is that
+//! function with nothing to start from.
+//!
 //! Not every table belongs in the shared arena. The [`CostModel`] —
 //! fitted from BENCH_lookup's measured size/speed points plus live
 //! traffic weight from the `HeatSketch` — places each table on one of
@@ -36,10 +43,12 @@
 //! reassembles the zero-copy per-VRF views from a loaded image.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fib_trie::{Address, BinaryTrie, NextHop};
 
 use crate::engine::{BuildConfig, FibBuild, FibLookup};
+use crate::idhash::IdBuildHasher;
 use crate::image::{sections, EngineKind, FibImage, ImageError, ImageWriter};
 use crate::pdag::{PrefixDag, PrefixDagRef};
 use crate::serialized::{SerializedDag, SerializedDagRef};
@@ -213,6 +222,24 @@ pub enum VrfPolicy {
     },
 }
 
+impl VrfPolicy {
+    /// The placement this policy fixes for input table `index` whatever
+    /// the rest of the fleet holds — `None` under [`VrfPolicy::Auto`],
+    /// whose cost model charges a table the arena nodes no lower id
+    /// already brought.
+    ///
+    /// # Panics
+    /// Panics if `index` is past the end of `Pinned` choices.
+    #[must_use]
+    pub fn fixed_choice(&self, index: usize) -> Option<VrfEngineChoice> {
+        match self {
+            Self::Shared => Some(VrfEngineChoice::Shared),
+            Self::Pinned { choices } => Some(choices[index]),
+            Self::Auto { .. } => None,
+        }
+    }
+}
+
 /// One logical table handed to the compiler.
 pub struct VrfTable<'t, A: Address> {
     /// VRF id (unique within the set).
@@ -222,7 +249,7 @@ pub struct VrfTable<'t, A: Address> {
 }
 
 /// Aggregate dedup statistics of a compiled set.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VrfSetStats {
     /// Logical tables in the set.
     pub tables: usize,
@@ -284,12 +311,23 @@ pub struct CompiledVrf<A: Address> {
     /// This table's standalone packed-pDAG node count — the
     /// independent-compilation baseline recorded in the directory.
     pub solo_nodes: u64,
+    /// The dedicated engine, when placed off the shared arena (shared
+    /// with every later set that carries this table over unchanged).
+    pub serialized: Option<Arc<SerializedDag<A>>>,
     /// The dedicated engine, when placed off the shared arena.
-    pub serialized: Option<SerializedDag<A>>,
+    pub xbw: Option<Arc<XbwFib<A>>>,
     /// The dedicated engine, when placed off the shared arena.
-    pub xbw: Option<XbwFib<A>>,
-    /// The dedicated engine, when placed off the shared arena.
-    pub vsdag: Option<VarStrideDag<A>>,
+    pub vsdag: Option<Arc<VarStrideDag<A>>>,
+}
+
+impl<A: Address> CompiledVrf<A> {
+    /// Footprint of the dedicated engine (0 on the shared arena).
+    fn dedicated_bytes(&self) -> u64 {
+        let serialized = self.serialized.as_ref().map_or(0, |e| e.size_bytes());
+        let xbw = self.xbw.as_ref().map_or(0, |e| e.size_bytes());
+        let vsdag = self.vsdag.as_ref().map_or(0, |e| e.size_bytes());
+        (serialized + xbw + vsdag) as u64
+    }
 }
 
 /// A compiled multi-tenant set: the shared arena, per-table roots and
@@ -302,6 +340,18 @@ pub struct CompiledVrfSet<A: Address> {
     pub tables: Vec<CompiledVrf<A>>,
     /// Aggregate dedup statistics.
     pub stats: VrfSetStats,
+}
+
+/// The empty set: no tables, no arena — what a from-scratch compile
+/// recompiles from.
+impl<A: Address> Default for CompiledVrfSet<A> {
+    fn default() -> Self {
+        Self {
+            arena: Vec::new(),
+            tables: Vec::new(),
+            stats: VrfSetStats::default(),
+        }
+    }
 }
 
 impl<A: Address> CompiledVrfSet<A> {
@@ -332,16 +382,30 @@ impl<A: Address> CompiledVrfSet<A> {
 /// Cross-table canonical interner: one slot per distinct
 /// `(left, right, label)` triple, in first-interned order.
 struct ArenaInterner {
-    map: HashMap<(u32, u32, u32), u32>,
+    map: HashMap<(u32, u32, u32), u32, IdBuildHasher>,
     nodes: Vec<(u32, u32, u32)>,
 }
 
 impl ArenaInterner {
-    fn new() -> Self {
-        Self {
-            map: HashMap::new(),
-            nodes: Vec::new(),
+    /// An interner already holding every node of a packed arena this
+    /// compiler emitted, each under its arena index: arena records are
+    /// pairwise distinct canonical triples, so seeding is one insert per
+    /// record and no traversal, and a root into `arena` is its own
+    /// canonical id. An empty `arena` gives the empty interner.
+    fn seeded(arena: &[u64]) -> Self {
+        let n = arena.len() / 2;
+        let mut interner = Self {
+            map: HashMap::with_capacity_and_hasher(n, IdBuildHasher::default()),
+            nodes: Vec::with_capacity(n),
+        };
+        for (idx, record) in arena.chunks_exact(2).enumerate() {
+            let (children, label) = (record[0], record[1] as u32);
+            let key = (children as u32, (children >> 32) as u32, label);
+            let earlier = interner.map.insert(key, idx as u32);
+            debug_assert!(earlier.is_none(), "arena record {idx} is not canonical");
+            interner.nodes.push(key);
         }
+        interner
     }
 
     fn intern(&mut self, left: u32, right: u32, label: u32) -> u32 {
@@ -452,91 +516,149 @@ fn reachable_count(words: &[u64], root: u32) -> u64 {
     count
 }
 
+/// Where one table of a recompile comes from.
+enum Source<'a, A: Address> {
+    /// Folded from its trie in this compile: the standalone packed pDAG.
+    Folded {
+        trie: &'a BinaryTrie<A>,
+        words: Vec<u64>,
+        root: u32,
+    },
+    /// Unchanged since the previous set: its compiled table there.
+    Carried(&'a CompiledVrf<A>),
+}
+
 /// Compiles `tables` into one shared arena plus dedicated engines per the
 /// placement policy. Tables are sorted by id in the result; ids must be
-/// unique.
+/// unique. This is [`recompile_vrf_set`] from the empty set with every
+/// table supplied.
 ///
 /// # Panics
-/// Panics if two tables share an id, or if `VrfPolicy::Auto` weights are
-/// non-empty with a length different from `tables`.
+/// Panics if two tables share an id, or if `VrfPolicy::Auto` weights
+/// (when non-empty) or `VrfPolicy::Pinned` choices differ in length from
+/// `tables`.
 #[must_use]
 pub fn compile_vrf_set<A: Address>(
     tables: &[VrfTable<'_, A>],
     config: &BuildConfig,
     policy: &VrfPolicy,
 ) -> CompiledVrfSet<A> {
-    // Pair each table with its traffic weight, then sort by id.
-    let weights: Vec<f64> = match policy {
-        VrfPolicy::Shared | VrfPolicy::Pinned { .. } => vec![0.0; tables.len()],
-        VrfPolicy::Auto { weights } if weights.is_empty() => {
-            vec![1.0 / tables.len().max(1) as f64; tables.len()]
+    let fleet: Vec<_> = tables.iter().map(|t| (t.id, Some(t.trie))).collect();
+    recompile_vrf_set(&CompiledVrfSet::default(), &fleet, config, policy)
+}
+
+/// Recompiles a fleet from the set compiled before it, folding only the
+/// tables that changed.
+///
+/// `fleet` lists every table of the new set: `Some(trie)` is folded,
+/// interned and placed afresh; `None` is **carried over** from `previous`
+/// — its root (or dedicated engine), route count and node counts are
+/// taken as they stand, and its trie is never looked at. Tables of
+/// `previous` that `fleet` does not list are dropped. Policy vectors are
+/// parallel to `fleet`.
+///
+/// The cross-table interner is seeded with `previous.arena` (already
+/// canonical, so a carried root is its own canonical id), the supplied
+/// tables are interned against it, and the multi-root BFS packs what is
+/// reachable from the new roots. That BFS orders nodes by structure, not
+/// by interner id, so the result is **bit-identical** — arena, roots,
+/// per-table counts, statistics — to a from-scratch [`compile_vrf_set`]
+/// over the same tables, provided `previous` was compiled by this
+/// function under the same `config` and every carried table's trie is
+/// what it was then.
+///
+/// Under [`VrfPolicy::Auto`] placement is a fleet-wide decision (a
+/// table's marginal bytes depend on every lower id), so every table must
+/// be supplied; the trial interning pass that prices the marginals runs
+/// under `Auto` only.
+///
+/// # Panics
+/// Panics if two tables share an id; if `Auto` weights (when non-empty)
+/// or `Pinned` choices differ in length from `fleet`; if a carried id is
+/// absent from `previous` or the policy places it on another engine than
+/// `previous` did; or if a table is carried under `Auto`.
+#[must_use]
+pub fn recompile_vrf_set<A: Address>(
+    previous: &CompiledVrfSet<A>,
+    fleet: &[(u32, Option<&BinaryTrie<A>>)],
+    config: &BuildConfig,
+    policy: &VrfPolicy,
+) -> CompiledVrfSet<A> {
+    match policy {
+        VrfPolicy::Shared => {}
+        VrfPolicy::Pinned { choices } => {
+            assert_eq!(choices.len(), fleet.len(), "one choice per table");
         }
         VrfPolicy::Auto { weights } => {
-            assert_eq!(weights.len(), tables.len(), "one weight per table");
-            let total: f64 = weights.iter().sum();
-            if total > 0.0 {
-                weights.iter().map(|w| w / total).collect()
-            } else {
-                vec![1.0 / tables.len().max(1) as f64; tables.len()]
-            }
+            assert!(
+                weights.is_empty() || weights.len() == fleet.len(),
+                "one weight per table"
+            );
+            assert!(
+                fleet.iter().all(|(_, trie)| trie.is_some()),
+                "Auto placement is fleet-wide: every table must be supplied"
+            );
         }
-    };
-    let mut indexed: Vec<(usize, &VrfTable<'_, A>)> = tables.iter().enumerate().collect();
-    indexed.sort_by_key(|(_, t)| t.id);
+    }
+    let mut indexed: Vec<(usize, u32)> = fleet.iter().map(|(id, _)| *id).enumerate().collect();
+    indexed.sort_by_key(|&(_, id)| id);
     for pair in indexed.windows(2) {
-        assert!(
-            pair[0].1.id != pair[1].1.id,
-            "duplicate VRF id {}",
-            pair[0].1.id
-        );
+        assert!(pair[0].1 != pair[1].1, "duplicate VRF id {}", pair[0].1);
     }
 
-    // Fold and pack every table with the ordinary single-table compiler.
-    let packed: Vec<(Vec<u64>, u32)> = indexed
+    // Fold and pack every supplied table with the ordinary single-table
+    // compiler; look every other one up in the previous set.
+    let sources: Vec<Source<'_, A>> = indexed
         .iter()
-        .map(|(_, t)| PrefixDag::build(t.trie, config).write_packed())
-        .collect();
-
-    // Pass 1: trial cross-table interning in id order, recording each
-    // table's marginal node contribution for the cost model.
-    let mut trial = ArenaInterner::new();
-    let marginal_nodes: Vec<u64> = packed
-        .iter()
-        .map(|(words, root)| {
-            let before = trial.nodes.len();
-            trial.intern_packed(words, *root);
-            (trial.nodes.len() - before) as u64
+        .map(|&(orig, id)| match fleet[orig].1 {
+            Some(trie) => {
+                let (words, root) = PrefixDag::build(trie, config).write_packed();
+                Source::Folded { trie, words, root }
+            }
+            None => Source::Carried(
+                previous
+                    .table(id)
+                    .unwrap_or_else(|| panic!("carried VRF {id} is not in the previous set")),
+            ),
         })
         .collect();
 
-    // Placement.
-    let model = CostModel::default();
+    // Placement. A carried table stays where it is.
     let choices: Vec<VrfEngineChoice> = match policy {
-        VrfPolicy::Shared => vec![VrfEngineChoice::Shared; indexed.len()],
-        VrfPolicy::Pinned { choices } => {
-            assert_eq!(choices.len(), tables.len(), "one choice per table");
-            indexed.iter().map(|(orig, _)| choices[*orig]).collect()
-        }
-        VrfPolicy::Auto { .. } => indexed
+        VrfPolicy::Auto { weights } => auto_placement(&sources, &indexed, weights),
+        fixed => indexed
             .iter()
-            .enumerate()
-            .map(|(pos, (orig, t))| {
-                model.place(
-                    t.trie.len() as u64,
-                    marginal_nodes[pos] * 16,
-                    weights[*orig],
-                )
+            .map(|&(orig, _)| {
+                fixed
+                    .fixed_choice(orig)
+                    .expect("Shared and Pinned fix every placement")
             })
             .collect(),
     };
+    for (source, choice) in sources.iter().zip(&choices) {
+        if let Source::Carried(table) = source {
+            assert_eq!(
+                table.choice, *choice,
+                "carried VRF {} changes engine: supply its trie",
+                table.id
+            );
+        }
+    }
 
-    // Pass 2: final interning over shared-placement tables only.
-    let mut interner = ArenaInterner::new();
-    let canon_roots: Vec<u32> = packed
+    // Final interning over shared-placement tables only, against the
+    // previous arena when a root into it is kept.
+    let keeps_root = sources
+        .iter()
+        .any(|s| matches!(s, Source::Carried(t) if t.choice == VrfEngineChoice::Shared));
+    let mut interner = ArenaInterner::seeded(if keeps_root { &previous.arena } else { &[] });
+    let canon_roots: Vec<u32> = sources
         .iter()
         .zip(&choices)
-        .map(|((words, root), choice)| match choice {
-            VrfEngineChoice::Shared => interner.intern_packed(words, *root),
+        .map(|(source, choice)| match (choice, source) {
+            (VrfEngineChoice::Shared, Source::Folded { words, root, .. }) => {
+                interner.intern_packed(words, *root)
+            }
+            (VrfEngineChoice::Shared, Source::Carried(table)) => table.root,
             _ => NONE,
         })
         .collect();
@@ -550,51 +672,99 @@ pub fn compile_vrf_set<A: Address>(
         ..VrfSetStats::default()
     };
     let mut out_tables = Vec::with_capacity(indexed.len());
-    for (pos, (_, t)) in indexed.iter().enumerate() {
+    for (pos, (source, &(_, id))) in sources.iter().zip(&indexed).enumerate() {
         let choice = choices[pos];
-        let solo_nodes = (packed[pos].0.len() / 2) as u64;
-        stats.independent_bytes += solo_nodes * 16;
-        let (root, reachable, serialized, xbw, vsdag) = match choice {
-            VrfEngineChoice::Shared => {
-                let root = packed_roots[pos];
-                let reachable = reachable_count(&arena, root);
-                stats.shared_tables += 1;
-                stats.total_nodes += reachable;
-                (root, reachable, None, None, None)
-            }
-            VrfEngineChoice::Serialized => {
-                let dag = SerializedDag::build(t.trie, config);
-                stats.dedicated_bytes += dag.size_bytes() as u64;
-                (NONE, 0, Some(dag), None, None)
-            }
-            VrfEngineChoice::Xbw => {
-                let fib = XbwFib::build(t.trie, XbwStorage::Entropy);
-                stats.dedicated_bytes += fib.size_bytes() as u64;
-                (NONE, 0, None, Some(fib), None)
-            }
-            VrfEngineChoice::VsDag => {
-                let dag = VarStrideDag::from_trie(t.trie, config.vs_params());
-                stats.dedicated_bytes += dag.size_bytes() as u64;
-                (NONE, 0, None, None, Some(dag))
+        let root = match choice {
+            VrfEngineChoice::Shared => packed_roots[pos],
+            _ => NONE,
+        };
+        let table = match *source {
+            Source::Carried(prev) => CompiledVrf {
+                root,
+                serialized: prev.serialized.clone(),
+                xbw: prev.xbw.clone(),
+                vsdag: prev.vsdag.clone(),
+                ..*prev
+            },
+            Source::Folded {
+                trie, ref words, ..
+            } => {
+                let mut table = CompiledVrf {
+                    id,
+                    choice,
+                    root,
+                    routes: trie.len() as u64,
+                    reachable_nodes: 0,
+                    solo_nodes: (words.len() / 2) as u64,
+                    serialized: None,
+                    xbw: None,
+                    vsdag: None,
+                };
+                match choice {
+                    VrfEngineChoice::Shared => {
+                        table.reachable_nodes = reachable_count(&arena, root);
+                    }
+                    VrfEngineChoice::Serialized => {
+                        table.serialized = Some(Arc::new(SerializedDag::build(trie, config)));
+                    }
+                    VrfEngineChoice::Xbw => {
+                        table.xbw = Some(Arc::new(XbwFib::build(trie, XbwStorage::Entropy)));
+                    }
+                    VrfEngineChoice::VsDag => {
+                        let dag = VarStrideDag::from_trie(trie, config.vs_params());
+                        table.vsdag = Some(Arc::new(dag));
+                    }
+                }
+                table
             }
         };
-        out_tables.push(CompiledVrf {
-            id: t.id,
-            choice,
-            root,
-            routes: t.trie.len() as u64,
-            reachable_nodes: reachable,
-            solo_nodes,
-            serialized,
-            xbw,
-            vsdag,
-        });
+        stats.independent_bytes += table.solo_nodes * 16;
+        stats.dedicated_bytes += table.dedicated_bytes();
+        if choice == VrfEngineChoice::Shared {
+            stats.shared_tables += 1;
+            stats.total_nodes += table.reachable_nodes;
+        }
+        out_tables.push(table);
     }
     CompiledVrfSet {
         arena,
         tables: out_tables,
         stats,
     }
+}
+
+/// [`VrfPolicy::Auto`] placement: a trial cross-table interning in id
+/// order records each table's marginal node contribution, and the cost
+/// model prices it against the table's normalized traffic weight
+/// (`weights` is parallel to the input order `indexed` remembers; empty
+/// or all-zero means uniform).
+fn auto_placement<A: Address>(
+    sources: &[Source<'_, A>],
+    indexed: &[(usize, u32)],
+    weights: &[f64],
+) -> Vec<VrfEngineChoice> {
+    let uniform = 1.0 / sources.len().max(1) as f64;
+    let total: f64 = weights.iter().sum();
+    let model = CostModel::default();
+    let mut trial = ArenaInterner::seeded(&[]);
+    sources
+        .iter()
+        .zip(indexed)
+        .map(|(source, &(orig, _))| {
+            let Source::Folded { trie, words, root } = source else {
+                unreachable!("Auto supplies every table");
+            };
+            let before = trial.nodes.len();
+            trial.intern_packed(words, *root);
+            let marginal_nodes = (trial.nodes.len() - before) as u64;
+            let weight = if total > 0.0 {
+                weights[orig] / total
+            } else {
+                uniform
+            };
+            model.place(trie.len() as u64, marginal_nodes * 16, weight)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -664,21 +834,21 @@ pub fn write_vrf_image<A: Address>(
             VrfEngineChoice::Serialized => {
                 let dag = t
                     .serialized
-                    .as_ref()
+                    .as_deref()
                     .ok_or(ImageError::Malformed("serialized placement without engine"))?;
                 crate::image::ImageCodec::<A>::write_sections(dag, &mut sub)?;
             }
             VrfEngineChoice::Xbw => {
                 let fib = t
                     .xbw
-                    .as_ref()
+                    .as_deref()
                     .ok_or(ImageError::Malformed("xbw placement without engine"))?;
                 crate::image::ImageCodec::<A>::write_sections(fib, &mut sub)?;
             }
             VrfEngineChoice::VsDag => {
                 let dag = t
                     .vsdag
-                    .as_ref()
+                    .as_deref()
                     .ok_or(ImageError::Malformed("vsdag placement without engine"))?;
                 crate::image::ImageCodec::<A>::write_sections(dag, &mut sub)?;
             }
@@ -992,6 +1162,77 @@ mod tests {
             assert_eq!(set.lookup(2, addr), t2.lookup(addr), "vrf 2 addr {addr:#x}");
         }
         assert_eq!(set.lookup(7, 0), None, "unknown VRF answers None");
+    }
+
+    #[test]
+    fn recompile_carries_clean_tables_and_equals_a_full_compile() {
+        let t1 = base_table();
+        let mut t2 = base_table();
+        t2.insert(p("10.2.0.0/16"), nh(4));
+        let mut t3 = base_table();
+        t3.remove(p("192.168.7.0/24"));
+        let config = BuildConfig::default();
+        let policy = policy_of(3);
+        let tables = |t2| {
+            [
+                VrfTable { id: 1, trie: &t1 },
+                VrfTable { id: 2, trie: t2 },
+                VrfTable { id: 3, trie: &t3 },
+            ]
+        };
+        let previous = compile_vrf_set(&tables(&t2), &config, &policy);
+
+        // VRF 2 changes; 1 (dedicated) and 3 (shared) are carried.
+        let mut t2_next = t2.clone();
+        t2_next.insert(p("172.16.0.0/12"), nh(5));
+        t2_next.remove(p("10.1.0.0/16"));
+        let fleet = [(1, None), (2, Some(&t2_next)), (3, None)];
+        let next = recompile_vrf_set(&previous, &fleet, &config, &policy);
+        let full = compile_vrf_set(&tables(&t2_next), &config, &policy);
+        assert_eq!(next.arena, full.arena);
+        assert_eq!(next.stats, full.stats);
+        let record = |t: &CompiledVrf<u32>| {
+            let counts = (t.routes, t.reachable_nodes, t.solo_nodes);
+            (t.id, t.choice, t.root, counts)
+        };
+        for (got, want) in next.tables.iter().zip(&full.tables) {
+            assert_eq!(record(got), record(want));
+        }
+        // Carried means shared, not rebuilt.
+        let engine = |set: &CompiledVrfSet<u32>| set.tables[0].serialized.clone().unwrap();
+        assert!(Arc::ptr_eq(&engine(&previous), &engine(&next)));
+        for i in 0..2048u32 {
+            let addr = i.wrapping_mul(0x9E37_79B9);
+            assert_eq!(next.lookup(1, addr), t1.lookup(addr));
+            assert_eq!(next.lookup(2, addr), t2_next.lookup(addr));
+            assert_eq!(next.lookup(3, addr), t3.lookup(addr));
+        }
+
+        // A table the fleet no longer lists is dropped, nodes and all.
+        let shrunk = recompile_vrf_set(&next, &[(1, None), (3, None)], &config, &policy_of(2));
+        let full = compile_vrf_set(
+            &[VrfTable { id: 1, trie: &t1 }, VrfTable { id: 3, trie: &t3 }],
+            &config,
+            &policy_of(2),
+        );
+        assert_eq!(shrunk.arena, full.arena);
+        assert_eq!(shrunk.stats, full.stats);
+    }
+
+    /// `Serialized` first, `Shared` after, for a fleet of `n`.
+    fn policy_of(n: usize) -> VrfPolicy {
+        let mut choices = vec![VrfEngineChoice::Shared; n];
+        choices[0] = VrfEngineChoice::Serialized;
+        VrfPolicy::Pinned { choices }
+    }
+
+    #[test]
+    #[should_panic(expected = "changes engine")]
+    fn carrying_a_table_onto_another_engine_is_refused() {
+        let t = base_table();
+        let config = BuildConfig::default();
+        let previous = compile_vrf_set(&[VrfTable { id: 1, trie: &t }], &config, &policy_of(1));
+        let _ = recompile_vrf_set(&previous, &[(1, None)], &config, &VrfPolicy::Shared);
     }
 
     #[test]

@@ -84,6 +84,6 @@ pub use sharded::{ShardedDataPlane, ShardedRouter, SHARD_BITS, SHARD_COUNT};
 pub use snapcell::{SnapCell, SnapReader};
 pub use spoolfs::{FaultConfig, FaultFs, SpoolFile, SpoolFs, StdFs, TailPolicy};
 pub use vrf::{
-    VrfBatchScratch, VrfDataPlane, VrfInstallError, VrfRebuild, VrfRebuildJob, VrfSetRouter,
-    VrfSnapshot,
+    VrfBatchScratch, VrfDataPlane, VrfInstallError, VrfRebuild, VrfRebuildJob, VrfRouterStats,
+    VrfSetRouter, VrfSnapshot,
 };

@@ -5,12 +5,24 @@
 //! The single-table [`crate::Router`] pairs one oracle with one engine.
 //! A provider-edge box runs hundreds of logical tables whose FIBs are
 //! mostly identical, so [`VrfSetRouter`] pairs a *map* of oracles with
-//! one [`CompiledVrfSet`] — every publish recompiles the set through the
-//! cross-table dedup compiler and swaps it in atomically through the
-//! same [`SnapCell`] machinery the single-table router uses. Readers
+//! one [`CompiledVrfSet`], swapped in atomically through the same
+//! [`SnapCell`] machinery the single-table router uses. Readers
 //! ([`VrfDataPlane`]) therefore see all tables move in lock-step: one
 //! atomic load observes a consistent fleet, never VRF 7 from epoch 4
 //! next to VRF 9 from epoch 5.
+//!
+//! A publish costs what changed, not what exists. It recompiles *from
+//! the published set* ([`recompile_vrf_set`]): only the tables touched
+//! since the last publish — or moved to another engine by the policy —
+//! are folded and interned, against the published arena; every other
+//! table's root or dedicated engine is carried over. The invariant the
+//! tests pin is **bit-identity**: after every publish the installed set
+//! equals a from-scratch [`fib_core::compile_vrf_set`] over the current
+//! oracles, arena words, roots, per-table counts and statistics alike.
+//! [`VrfPolicy::Auto`] is the exception to the saving, not to the
+//! invariant: its placement weighs each table against the rest of the
+//! fleet, so it re-folds every table on every publish.
+//! [`VrfSetRouter::stats`] counts both kinds.
 //!
 //! Epochs are tracked at two grains: the *set* epoch counts publishes,
 //! and each VRF carries the set epoch at which its table last changed —
@@ -22,11 +34,12 @@
 //! bucketing needs is caller-owned ([`VrfBatchScratch`]): steady-state
 //! forwarding does not allocate.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fib_core::{
-    compile_vrf_set, BuildConfig, CompiledVrfSet, FibLookup, PrefixDagRef, VrfEngineChoice,
+    recompile_vrf_set, BuildConfig, CompiledVrfSet, FibLookup, PrefixDagRef, VrfEngineChoice,
     VrfPolicy,
 };
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
@@ -166,50 +179,49 @@ impl<A: Address> VrfBatchScratch<A> {
     }
 }
 
-/// A finished background recompilation, ready to install.
+/// A finished recompilation, ready to install.
 pub struct VrfRebuild<A: Address + Send + Sync + 'static> {
     set: CompiledVrfSet<A>,
     basis_version: u64,
     dirty: BTreeSet<u32>,
+    /// Tables of `set` folded in this recompile; the rest were carried.
+    refolded: u64,
 }
 
-/// A cloned control state handed to a background thread: run
-/// [`VrfRebuildJob::run`] anywhere, then hand the result back to
-/// [`VrfSetRouter::install`].
-pub struct VrfRebuildJob<A: Address + Send + Sync + 'static> {
-    oracles: Vec<(u32, BinaryTrie<A>)>,
+/// The control state a recompile needs: the published snapshot to
+/// recompile from and the oracles that changed since it — clean tables
+/// are not captured. Run [`VrfRebuildJob::run`] anywhere, then hand the
+/// result back to [`VrfSetRouter::install`].
+///
+/// `T` is how the job holds those oracles: clones for a job that leaves
+/// the control thread ([`VrfSetRouter::begin_rebuild`], the default),
+/// borrows for the inline [`VrfSetRouter::publish`].
+pub struct VrfRebuildJob<A: Address + Send + Sync + 'static, T = BinaryTrie<A>> {
+    basis: Arc<VrfSnapshot<A>>,
+    /// Every table in id order; `Some` holds the oracle to re-fold,
+    /// `None` carries the table over from `basis`.
+    fleet: Vec<(u32, Option<T>)>,
     config: BuildConfig,
     policy: VrfPolicy,
     basis_version: u64,
     dirty: BTreeSet<u32>,
 }
 
-impl<A: Address + Send + Sync + 'static> VrfRebuildJob<A> {
-    /// Compiles the captured fleet. CPU-heavy; designed to run off the
-    /// control thread.
+impl<A: Address + Send + Sync + 'static, T: Borrow<BinaryTrie<A>>> VrfRebuildJob<A, T> {
+    /// Recompiles the captured fleet. CPU-heavy in proportion to the
+    /// tables that changed; designed to run off the control thread.
     #[must_use]
     pub fn run(self) -> VrfRebuild<A> {
-        let tables: Vec<fib_core::VrfTable<'_, A>> = self
-            .oracles
+        let fleet: Vec<_> = self
+            .fleet
             .iter()
-            .map(|(id, trie)| fib_core::VrfTable { id: *id, trie })
+            .map(|(id, trie)| (*id, trie.as_ref().map(T::borrow)))
             .collect();
-        // A fixed weight vector goes stale when tables come and go;
-        // fall back to uniform weights rather than panic in the
-        // compiler's shape check.
-        let policy = match &self.policy {
-            VrfPolicy::Auto { weights } if !weights.is_empty() && weights.len() != tables.len() => {
-                VrfPolicy::Auto {
-                    weights: Vec::new(),
-                }
-            }
-            other => other.clone(),
-        };
-        let set = compile_vrf_set(&tables, &self.config, &policy);
         VrfRebuild {
-            set,
+            set: recompile_vrf_set(&self.basis.set, &fleet, &self.config, &self.policy),
             basis_version: self.basis_version,
             dirty: self.dirty,
+            refolded: fleet.iter().filter(|(_, trie)| trie.is_some()).count() as u64,
         }
     }
 }
@@ -254,6 +266,24 @@ pub struct VrfSetRouter<A: Address + Send + Sync + 'static> {
     epoch: u64,
     vrf_epochs: BTreeMap<u32, u64>,
     cell: SnapCell<VrfSnapshot<A>>,
+    /// The snapshot the latest publish replaced, kept one generation so
+    /// that its last reference — and the free of a multi-megabyte arena
+    /// — drops on the control thread, not inside the refresh of the
+    /// forwarding worker that was still reading it.
+    superseded: Option<Arc<VrfSnapshot<A>>>,
+    stats: VrfRouterStats,
+}
+
+/// Plain publish counters of a [`VrfSetRouter`]: exact and repeatable,
+/// where publish latency is neither.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VrfRouterStats {
+    /// Installed publishes (each one is a set epoch).
+    pub publishes: u64,
+    /// Tables folded and interned, summed over those publishes.
+    pub tables_refolded: u64,
+    /// Tables carried over from the previously published set untouched.
+    pub tables_carried: u64,
 }
 
 impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
@@ -262,9 +292,8 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// always have a snapshot.
     #[must_use]
     pub fn new(config: BuildConfig, policy: VrfPolicy) -> Self {
-        let set = compile_vrf_set::<A>(&[], &config, &VrfPolicy::Shared);
         let initial = Arc::new(VrfSnapshot {
-            set,
+            set: CompiledVrfSet::default(),
             epoch: 0,
             vrf_epochs: Vec::new(),
         });
@@ -277,6 +306,8 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             epoch: 0,
             vrf_epochs: BTreeMap::new(),
             cell: SnapCell::new(initial),
+            superseded: None,
+            stats: VrfRouterStats::default(),
         }
     }
 
@@ -335,39 +366,74 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         self.version += 1;
     }
 
-    /// Recompiles the fleet and publishes a new epoch. A publish with no
-    /// control changes since the last one reuses the published snapshot
-    /// (no recompile, no epoch bump).
+    /// Captures what the next recompile needs, holding each oracle that
+    /// must be re-folded as `oracle(trie)`.
+    ///
+    /// A fixed `Auto` weight or `Pinned` choice vector goes stale when
+    /// tables come and go after construction; one whose length no longer
+    /// matches the fleet falls back — to uniform weights, to
+    /// [`VrfPolicy::Shared`] — rather than panic in the compiler's shape
+    /// check. A table is re-folded when its oracle changed, when the
+    /// policy moves it to another engine, and always under `Auto`, whose
+    /// placement is a fleet-wide decision; every other table carries over
+    /// from the published set.
+    fn capture<'a, T>(&'a self, oracle: impl Fn(&'a BinaryTrie<A>) -> T) -> VrfRebuildJob<A, T> {
+        let basis = self.cell.load();
+        let tables = self.oracles.len();
+        let policy = match &self.policy {
+            VrfPolicy::Auto { weights } if !weights.is_empty() && weights.len() != tables => {
+                VrfPolicy::Auto {
+                    weights: Vec::new(),
+                }
+            }
+            VrfPolicy::Pinned { choices } if choices.len() != tables => VrfPolicy::Shared,
+            other => other.clone(),
+        };
+        let fleet = self
+            .oracles
+            .iter()
+            .enumerate()
+            .map(|(index, (id, trie))| {
+                let fixed = policy.fixed_choice(index);
+                let refold = self.dirty.contains(id)
+                    || fixed.is_none()
+                    || basis.set.table(*id).map(|t| t.choice) != fixed;
+                (*id, refold.then(|| oracle(trie)))
+            })
+            .collect();
+        VrfRebuildJob {
+            basis,
+            fleet,
+            config: self.config,
+            policy,
+            basis_version: self.version,
+            dirty: self.dirty.clone(),
+        }
+    }
+
+    /// Recompiles what changed and publishes a new epoch, borrowing the
+    /// oracles in place. A publish with no control changes since the last
+    /// one reuses the published snapshot (no recompile, no epoch bump).
     pub fn publish(&mut self) -> Arc<VrfSnapshot<A>> {
         if self.dirty.is_empty() && self.epoch > 0 {
             return self.cell.load();
         }
-        let job = self.begin_rebuild();
-        let rebuild = job.run();
+        let rebuild = self.capture(|trie| trie).run();
         match self.install(rebuild) {
             Ok(snapshot) => snapshot,
-            // Unreachable: nothing can touch `self` between begin and
-            // install on one `&mut self` call.
+            // Unreachable: nothing can touch `self` between the capture
+            // and the install on one `&mut self` call.
             Err(e) => unreachable!("inline rebuild stale: {e}"),
         }
     }
 
-    /// Captures the control state for an off-thread recompile. The
+    /// Captures the control state for an off-thread recompile: the
+    /// published snapshot and clones of the oracles to re-fold. The
     /// router keeps serving and absorbing updates meanwhile; a rebuild
     /// begun before further updates is rejected at install time.
     #[must_use]
     pub fn begin_rebuild(&self) -> VrfRebuildJob<A> {
-        VrfRebuildJob {
-            oracles: self
-                .oracles
-                .iter()
-                .map(|(id, t)| (*id, t.clone()))
-                .collect(),
-            config: self.config,
-            policy: self.policy.clone(),
-            basis_version: self.version,
-            dirty: self.dirty.clone(),
-        }
+        self.capture(BinaryTrie::clone)
     }
 
     /// Installs a finished rebuild as the next epoch.
@@ -404,13 +470,23 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
                 )
             })
             .collect();
+        self.stats.publishes += 1;
+        self.stats.tables_refolded += rebuild.refolded;
+        self.stats.tables_carried += rebuild.set.tables.len() as u64 - rebuild.refolded;
         let snapshot = Arc::new(VrfSnapshot {
             set: rebuild.set,
             epoch: self.epoch,
             vrf_epochs,
         });
+        self.superseded = Some(self.cell.load());
         self.cell.publish(Arc::clone(&snapshot));
         Ok(snapshot)
+    }
+
+    /// Publish counters since construction.
+    #[must_use]
+    pub fn stats(&self) -> VrfRouterStats {
+        self.stats
     }
 
     /// A wait-free reader handle for a forwarding worker.
@@ -595,6 +671,108 @@ mod tests {
         // interleaved update.
         let snapshot = router.publish();
         assert_eq!(snapshot.lookup(2, 0x0A0A_0001), Some(nh(10)));
+    }
+
+    #[test]
+    fn pinned_choices_of_the_wrong_length_fall_back_to_shared() {
+        let pinned = VrfPolicy::Pinned {
+            choices: vec![VrfEngineChoice::Serialized, VrfEngineChoice::Shared],
+        };
+        let mut router = VrfSetRouter::new(BuildConfig::default(), pinned);
+        for vrf in [1, 2] {
+            router.announce(vrf, p("0.0.0.0/0"), nh(1));
+            router.announce(vrf, p("10.0.0.0/8"), nh(2));
+        }
+        let snapshot = router.publish();
+        assert_eq!(snapshot.set().tables[0].choice, VrfEngineChoice::Serialized);
+
+        // A third table makes the two-entry vector stale: inline and
+        // background publishes both place everything on the shared arena
+        // instead of panicking in the compiler's shape check.
+        router.announce(3, p("10.3.0.0/16"), nh(3));
+        let snapshot = router.publish();
+        assert!(snapshot
+            .set()
+            .tables
+            .iter()
+            .all(|t| t.choice == VrfEngineChoice::Shared));
+        assert_eq!(snapshot.lookup(1, 0x0A00_0001), Some(nh(2)));
+        router.announce(4, p("10.4.0.0/16"), nh(4));
+        let rebuild = router.begin_rebuild().run();
+        let snapshot = router.install(rebuild).expect("no interleaved updates");
+        assert_eq!(snapshot.set().stats.shared_tables, 4);
+        assert_eq!(snapshot.lookup(4, 0x0A04_0001), Some(nh(4)));
+
+        // Back at two tables the vector applies again, by position.
+        router.remove_vrf(1);
+        router.remove_vrf(3);
+        let snapshot = router.publish();
+        let placed: Vec<_> = snapshot.set().tables.iter().map(|t| t.choice).collect();
+        assert_eq!(
+            placed,
+            [VrfEngineChoice::Serialized, VrfEngineChoice::Shared]
+        );
+        assert_eq!(snapshot.lookup(2, 0x0A00_0001), Some(nh(2)));
+        assert_eq!(snapshot.lookup(4, 0x0A04_0001), Some(nh(4)));
+    }
+
+    #[test]
+    fn stats_count_refolded_and_carried_tables() {
+        let table = |salt: u32| {
+            let mut t = BinaryTrie::new();
+            t.insert(p("0.0.0.0/0"), nh(1));
+            t.insert(Prefix4::new(0x0A00_0000 | salt << 8, 24), nh(2));
+            t
+        };
+        let mut router = VrfSetRouter::new(BuildConfig::default(), VrfPolicy::Shared);
+        for vrf in 0..16 {
+            router.insert_vrf(vrf, table(vrf));
+        }
+        router.publish();
+        let first = VrfRouterStats {
+            publishes: 1,
+            tables_refolded: 16,
+            tables_carried: 0,
+        };
+        assert_eq!(router.stats(), first);
+
+        // A burst into one of sixteen re-folds that one.
+        for i in 0..100u32 {
+            router.announce(5, Prefix4::new(0xC000_0000 | i << 8, 24), nh(3));
+        }
+        router.publish();
+        let second = VrfRouterStats {
+            publishes: 2,
+            tables_refolded: 17,
+            tables_carried: 15,
+        };
+        assert_eq!(router.stats(), second);
+
+        // A publish with nothing to do re-folds nothing.
+        router.publish();
+        assert_eq!(router.stats(), second);
+
+        // Auto placement is fleet-wide: every publish re-folds every table.
+        let mut auto = VrfSetRouter::new(
+            BuildConfig::default(),
+            VrfPolicy::Auto {
+                weights: Vec::new(),
+            },
+        );
+        for vrf in 0..16 {
+            auto.insert_vrf(vrf, table(vrf));
+        }
+        auto.publish();
+        auto.announce(5, p("192.0.2.0/24"), nh(3));
+        auto.publish();
+        assert_eq!(
+            auto.stats(),
+            VrfRouterStats {
+                publishes: 2,
+                tables_refolded: 32,
+                tables_carried: 0,
+            }
+        );
     }
 
     #[test]

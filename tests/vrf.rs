@@ -11,11 +11,18 @@
 //!   to its own `BinaryTrie` oracle, for IPv4 and IPv6, under uniform and
 //!   Zipf key streams, both scalar and through the VRF-bucketed batch
 //!   path, and across a rebuild running on a background thread.
+//! * **Bit-identity under churn** — a publish recompiles only the tables
+//!   that changed, against the published arena; after every publish the
+//!   installed set must equal a from-scratch `compile_vrf_set` over the
+//!   current oracles field for field, inline and through the background
+//!   `begin_rebuild → run → install` path alike.
 
 use std::collections::BTreeMap;
 
-use fibcomp::core::{compile_vrf_set, BuildConfig, VrfPolicy, VrfTable};
-use fibcomp::router::{VrfBatchScratch, VrfSetRouter};
+use fibcomp::core::{
+    compile_vrf_set, BuildConfig, CompiledVrfSet, VrfEngineChoice, VrfPolicy, VrfTable,
+};
+use fibcomp::router::{VrfBatchScratch, VrfInstallError, VrfRebuild, VrfRebuildJob, VrfSetRouter};
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
 use fibcomp::workload::traces::{self, ZipfTrace};
@@ -137,9 +144,12 @@ fn fleet_keys<A: Address>(
         for addr in traces::uniform::<A, _>(rng, per_vrf) {
             keys.push((vrf, addr));
         }
-        let zipf = ZipfTrace::new(trie, 1.0);
-        for _ in 0..per_vrf {
-            keys.push((vrf, zipf.sample(rng)));
+        // A table withdrawn down to empty has no prefixes to rank.
+        if !trie.is_empty() {
+            let zipf = ZipfTrace::new(trie, 1.0);
+            for _ in 0..per_vrf {
+                keys.push((vrf, zipf.sample(rng)));
+            }
         }
     }
     // Shuffle so the batch path sees interleaved VRFs, not sorted runs.
@@ -240,4 +250,232 @@ fn every_vrf_matches_its_oracle_across_a_background_rebuild_v4() {
 #[test]
 fn every_vrf_matches_its_oracle_across_a_background_rebuild_v6() {
     differential_across_rebuild::<u128>("v6");
+}
+
+/// Field-for-field equality of two compiled sets: arena words, every
+/// table's directory record, and the aggregate statistics.
+fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrfSet<A>, tag: &str) {
+    assert_eq!(got.arena, want.arena, "{tag}: arena words");
+    let record = |set: &CompiledVrfSet<A>| -> Vec<_> {
+        set.tables
+            .iter()
+            .map(|t| {
+                (
+                    t.id,
+                    t.choice,
+                    t.root,
+                    t.routes,
+                    t.reachable_nodes,
+                    t.solo_nodes,
+                )
+            })
+            .collect()
+    };
+    assert_eq!(record(got), record(want), "{tag}: table records");
+    assert_eq!(got.stats, want.stats, "{tag}: stats");
+}
+
+/// Runs a captured rebuild job on a worker thread.
+fn run_off_thread<A: Address + Send + Sync + 'static>(job: VrfRebuildJob<A>) -> VrfRebuild<A> {
+    std::thread::spawn(move || job.run())
+        .join()
+        .expect("rebuild thread panicked")
+}
+
+/// A control plane under churn, mirrored in plain oracles the router
+/// never sees.
+struct ChurnHarness<A: Address + Send + Sync + 'static> {
+    router: VrfSetRouter<A>,
+    oracles: BTreeMap<u32, BinaryTrie<A>>,
+    policy: VrfPolicy,
+    background: bool,
+    rng: Xoshiro256,
+    publishes: u64,
+}
+
+impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
+    fn announce(&mut self, vrf: u32, prefix: Prefix<A>, next_hop: NextHop) {
+        self.router.announce(vrf, prefix, next_hop);
+        self.oracles
+            .entry(vrf)
+            .or_default()
+            .insert(prefix, next_hop);
+    }
+
+    fn withdraw(&mut self, vrf: u32, prefix: Prefix<A>) {
+        self.router.withdraw(vrf, prefix);
+        if let Some(table) = self.oracles.get_mut(&vrf) {
+            table.remove(prefix);
+        }
+    }
+
+    /// A burst of announces and withdraws into one VRF.
+    fn burst(&mut self, vrf: u32) {
+        for (prefix, next_hop) in arb_routes::<A>(&mut self.rng, 24) {
+            self.announce(vrf, prefix, next_hop);
+        }
+        let victims: Vec<Prefix<A>> = self.oracles[&vrf]
+            .iter()
+            .step_by(7)
+            .take(5)
+            .map(|(p, _)| p)
+            .collect();
+        for prefix in victims {
+            self.withdraw(vrf, prefix);
+        }
+    }
+
+    /// Publishes (inline or through a background job) and checks the
+    /// installed set against a from-scratch compile and every oracle.
+    fn publish_and_check(&mut self, tag: &str) {
+        if self.background {
+            let rebuilt = run_off_thread(self.router.begin_rebuild());
+            self.router
+                .install(rebuilt)
+                .expect("no interleaved updates");
+        } else {
+            self.router.publish();
+        }
+        self.publishes += 1;
+        assert_eq!(
+            self.router.epoch(),
+            self.publishes,
+            "{tag}: one epoch per publish"
+        );
+
+        // A pinned vector applies while its length matches the fleet and
+        // falls back to all-shared otherwise.
+        let expected_policy = match &self.policy {
+            VrfPolicy::Pinned { choices } if choices.len() != self.oracles.len() => {
+                VrfPolicy::Shared
+            }
+            other => other.clone(),
+        };
+        let tables: Vec<VrfTable<'_, A>> = self
+            .oracles
+            .iter()
+            .map(|(id, trie)| VrfTable { id: *id, trie })
+            .collect();
+        let scratch = compile_vrf_set(&tables, &BuildConfig::default(), &expected_policy);
+        let mut reader = self.router.reader();
+        let snapshot = reader.snapshot();
+        assert_sets_identical(snapshot.set(), &scratch, tag);
+        let keys = fleet_keys(&self.oracles, &mut self.rng, 24);
+        assert_matches_oracles(snapshot, &self.oracles, &keys, tag);
+    }
+}
+
+/// The churn sequence: bursts into rotating VRFs, a new id, a removed id,
+/// a table withdrawn down to empty, and (background mode) a stale job.
+fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(
+    family: &str,
+    policy: &VrfPolicy,
+    background: bool,
+) {
+    const TABLES: u32 = 6;
+    let tag = |step: &str| format!("{family} {policy:?} background={background}: {step}");
+    let mut rng = Xoshiro256::for_case("vrf_churn_bit_identity", u64::from(background));
+    let base: BinaryTrie<A> = FibSpec::dfz_like(300).generate(&mut rng);
+    let fleet = VrfFleetSpec {
+        tables: TABLES as usize,
+        overlap: 0.9,
+        seed: 0xC4,
+    }
+    .generate(&base);
+    let mut h = ChurnHarness {
+        router: VrfSetRouter::new(BuildConfig::default(), policy.clone()),
+        oracles: BTreeMap::new(),
+        policy: policy.clone(),
+        background,
+        rng,
+        publishes: 0,
+    };
+    for (id, table) in fleet.into_iter().enumerate() {
+        h.oracles.insert(id as u32, table.clone());
+        h.router.insert_vrf(id as u32, table);
+    }
+    h.publish_and_check(&tag("first publish"));
+
+    for round in 0..2 * TABLES {
+        h.burst(round % TABLES);
+        h.publish_and_check(&tag(&format!("burst {round}")));
+    }
+
+    // A new id, by announce into a VRF the router has never seen; the
+    // fleet is now one longer than any pinned vector.
+    h.burst(40);
+    h.publish_and_check(&tag("announce into a new id"));
+    h.burst(3);
+    h.publish_and_check(&tag("burst beside the new id"));
+
+    // A whole table installed at once, and one removed: ids shift under
+    // a pinned vector's positions without their oracles changing.
+    let donor = h.oracles[&1].clone();
+    h.oracles.insert(17, donor.clone());
+    h.router.insert_vrf(17, donor);
+    h.publish_and_check(&tag("insert_vrf"));
+    for gone in [1, 40] {
+        assert!(h.router.remove_vrf(gone));
+        h.oracles.remove(&gone);
+        h.publish_and_check(&tag(&format!("remove_vrf {gone}")));
+    }
+
+    // A table withdrawn down to empty stays in the fleet, answering None.
+    let doomed: Vec<Prefix<A>> = h.oracles[&4].iter().map(|(p, _)| p).collect();
+    for prefix in doomed {
+        h.withdraw(4, prefix);
+    }
+    assert!(h.oracles[&4].is_empty());
+    h.publish_and_check(&tag("table withdrawn to empty"));
+    h.burst(4);
+    h.publish_and_check(&tag("burst into the emptied table"));
+
+    if background {
+        // An update between begin and install: the job is rejected, and
+        // a fresh one carries both changes.
+        h.burst(0);
+        let job = h.router.begin_rebuild();
+        h.burst(5);
+        assert!(matches!(
+            h.router.install(run_off_thread(job)),
+            Err(VrfInstallError::Stale { .. })
+        ));
+        h.publish_and_check(&tag("fresh publish after a stale job"));
+    }
+
+    // A publish with nothing to do changes nothing.
+    let before = h.router.stats();
+    h.router.publish();
+    assert_eq!(h.router.stats(), before);
+    assert_eq!(h.router.epoch(), h.publishes);
+    // The sequence above went through the carry-over path, not around it.
+    assert_eq!(before.publishes, h.publishes);
+    assert!(
+        before.tables_carried > 2 * before.tables_refolded,
+        "{}: {before:?}",
+        tag("most tables are carried")
+    );
+}
+
+/// `Shared`, and a pinned fleet with one dedicated `Serialized` table.
+fn churn_policies() -> [VrfPolicy; 2] {
+    let mut choices = vec![VrfEngineChoice::Shared; 6];
+    choices[2] = VrfEngineChoice::Serialized;
+    [VrfPolicy::Shared, VrfPolicy::Pinned { choices }]
+}
+
+#[test]
+fn every_publish_is_bit_identical_to_a_full_compile_v4() {
+    for policy in churn_policies() {
+        churn_stays_bit_identical::<u32>("v4", &policy, false);
+        churn_stays_bit_identical::<u32>("v4", &policy, true);
+    }
+}
+
+#[test]
+fn every_publish_is_bit_identical_to_a_full_compile_v6() {
+    for policy in churn_policies() {
+        churn_stays_bit_identical::<u128>("v6", &policy, false);
+        churn_stays_bit_identical::<u128>("v6", &policy, true);
+    }
 }
