@@ -6,14 +6,14 @@
 //! back to the scalar walk below
 //! `fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES`. The XBW kernel has
 //! since moved to a rolling lane refill that wins at every table size
-//! (see `xbw_lane_bench.rs`) and dropped its gate; the serialized and
+//! and dropped its gate; the serialized and
 //! vsdag batch kernels followed with pull-loop / first-step-fused
 //! refill variants and dropped theirs too; the fixed-stride multibit
 //! plan is a vsdag and runs its kernel. `fib_trie` keeps the residency
-//! gate. Either way this guard pins the
-//! contract the lookup bench asserts under `FIB_BENCH_ASSERT=1`: for every
-//! engine, at the committed BENCH_lookup scale (taz 0.1), the batched
-//! median is at most 1.1x the scalar median.
+//! gate. Either way this guard pins the contract: for every engine, on
+//! taz 0.1, the batched median is at most 1.1x the scalar median
+//! (`engine.batch_ns` against `engine.scalar_ns` is the same comparison
+//! at taz 1.0 on every `benchmark/` run).
 //!
 //! Timing tests are noisy by nature: each engine gets a few attempts and
 //! the *best* attempt must clear the bar, so a scheduler hiccup cannot
@@ -99,8 +99,7 @@ fn batch_never_regresses_scalar() {
         // real instruction count in debug, where it loses to the plain
         // walk by design. Debug runs still exercise both paths above
         // (allocation, aliasing, poison handling); the release bar is
-        // enforced here under --release and by benchdump's
-        // FIB_BENCH_ASSERT run in CI.
+        // enforced here under --release, which CI runs.
         if cfg!(debug_assertions) {
             continue;
         }

@@ -1,0 +1,94 @@
+//! Structural design gates: exact size and depth facts, no clocks.
+//!
+//! Where `batch_guard.rs` pins a timing ratio, these pin what the
+//! compilers promise about the *shape* of what they emit, so they hold
+//! identically in debug and release and never need a retry:
+//!
+//! * the traffic-weighted vsdag keeps the expected walk near the 1-hop
+//!   floor for uniform keys and within two hops for the zipf trace it
+//!   was compiled from — the quantity its stride DP minimizes;
+//! * it does so within 1.5x the slot bytes of the fixed stride-4 plan it
+//!   generalizes;
+//! * a 64-table fleet at 90 % overlap folds into one arena at least
+//!   30 % smaller than 64 independent compiles.
+//!
+//! The matching clock-time figures (`engine.vsdag.stream_ns` against
+//! `engine.multibit-dag.stream_ns`, `vrf.saved_pct`) are per-layer
+//! metrics of every `benchmark/` run.
+
+use fib_bench::instance_fib;
+use fib_core::{
+    compile_vrf_set, BuildConfig, FibBuild, HotConfig, MultibitDag, VarStrideDag, VrfPolicy,
+    VrfTable,
+};
+use fib_trie::BinaryTrie;
+use fib_workload::rng::Xoshiro256;
+use fib_workload::traces::{uniform, ZipfTrace};
+use fib_workload::vrf::instance_fleet;
+use fib_workload::HeatSummary;
+
+const KEY_COUNT: usize = 65_536;
+
+/// taz 0.1 with the zipf trace that stands in for its traffic, and the
+/// vsdag compiled against that trace's sampled heat at the defaults.
+fn heat_planned() -> (BinaryTrie<u32>, Vec<u32>, VarStrideDag<u32>) {
+    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let zipf =
+        ZipfTrace::new(&trie, 1.0).generate(&mut Xoshiro256::seed_from_u64(0x21BF), KEY_COUNT);
+    let heat = HeatSummary::sample_addrs(HotConfig::for_width(32).depth, zipf.iter().copied());
+    let vs = VarStrideDag::build_weighted(
+        &trie,
+        &BuildConfig::default(),
+        Some((heat.entries(), heat.depth())),
+    );
+    (trie, zipf, vs)
+}
+
+fn mean_hops(vs: &VarStrideDag<u32>, addrs: &[u32]) -> f64 {
+    let total: u64 = addrs
+        .iter()
+        .map(|&a| u64::from(vs.lookup_with_depth(a).1))
+        .sum();
+    total as f64 / addrs.len() as f64
+}
+
+#[test]
+fn vsdag_expected_hops_stay_near_the_floor() {
+    let (_, zipf, vs) = heat_planned();
+    let uni: Vec<u32> = uniform(&mut Xoshiro256::seed_from_u64(0x7AB2), KEY_COUNT);
+    let (uni_hops, zipf_hops) = (mean_hops(&vs, &uni), mean_hops(&vs, &zipf));
+    assert!(
+        uni_hops <= 1.2 && zipf_hops <= 2.0,
+        "vsdag expected hops (uniform {uni_hops:.3}, zipf {zipf_hops:.3}) \
+         exceed the 1.2/2.0 depth gates"
+    );
+}
+
+#[test]
+fn vsdag_fits_one_and_a_half_stride4_plans() {
+    let (trie, _, vs) = heat_planned();
+    // Against the stride-4 plan's *slot* bytes — what that image weighed
+    // before it carried a vsdag directory.
+    let mb = MultibitDag::from_trie(&trie, BuildConfig::default().stride);
+    let (vs_bytes, mb_bytes) = (vs.size_bytes(), mb.slot_count() * 4);
+    assert!(
+        vs_bytes as f64 <= mb_bytes as f64 * 1.5,
+        "vsdag image {vs_bytes} B exceeds 1.5x the stride-4 multibit slots {mb_bytes} B"
+    );
+}
+
+#[test]
+fn fleet_arena_saves_thirty_percent() {
+    let fleet = instance_fleet("taz", 0.02, 64, 0.9, 0xF1B).expect("taz is a known instance");
+    let tables: Vec<VrfTable<'_, u32>> = fleet
+        .iter()
+        .enumerate()
+        .map(|(v, trie)| VrfTable { id: v as u32, trie })
+        .collect();
+    let stats = compile_vrf_set(&tables, &BuildConfig::default(), &VrfPolicy::Shared).stats;
+    let (resident, independent) = (stats.resident_bytes(), stats.independent_bytes);
+    assert!(
+        resident as f64 <= independent as f64 * 0.7,
+        "64-VRF arena {resident} B must be ≥30 % under independent compiles {independent} B"
+    );
+}

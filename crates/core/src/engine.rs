@@ -451,7 +451,7 @@ engine_table!(impl_fib_lookup);
 /// One built engine per row of the benchmark's engine matrix, in its
 /// order (`binary-trie`, `fib_trie`, `xbw-succinct`, `xbw-entropy`,
 /// `pdag`, `pdag-serialized`, `multibit-dag`, `vsdag`) — the list the
-/// benches, `benchdump` and the differential tests enumerate instead of
+/// benches, the batch guard and the differential tests enumerate instead of
 /// each keeping its own. Fields are concrete so a caller can wrap or
 /// inspect one engine; [`Roster::engines`] erases them for the loops.
 pub struct Roster<'t, A: Address> {

@@ -1,9 +1,10 @@
 //! Traffic-aware hot-path compilation: the pinned hot slab.
 //!
-//! BENCH_lookup shows every engine paying a 1.7–2.4x zipf penalty over
-//! uniform keys, proved (PR 5's dedup control) to be *depth bias*: popular
-//! destinations match deep prefixes, so the skewed trace walks more levels
-//! per packet, not colder cache lines. The paper's λ-optimization cannot
+//! Every engine pays a 1.7–2.4x zipf penalty over uniform keys (taz 0.1;
+//! `engine.hops_mean` on `serve-zipf-hot` against `serve-uniform` in
+//! `BENCHMARK.json`). It is *depth bias*: popular destinations match deep
+//! prefixes, so the skewed trace walks more levels per packet, not colder
+//! cache lines. The paper's λ-optimization cannot
 //! see this — Eqs. (2)/(3) weight every address equally.
 //!
 //! This module spends a measured, bounded slice of the structural slack on
@@ -409,9 +410,10 @@ const GATE_SAMPLE: u64 = 64;
 
 /// The runtime hit-rate gate in front of a slab probe.
 ///
-/// BENCH_lookup's committed v3 run showed `layout=hot` *losing* to base
-/// on fast engines under keys that rarely hit the slab (binary-trie
-/// uniform: 64.4 ns hot vs 45.7 ns base): every lookup paid the probe,
+/// An ungated slab *loses* to the bare engine on fast engines under keys
+/// that rarely hit it (binary-trie, uniform keys, taz 0.1: 64.4 ns
+/// fronted vs 45.7 ns bare; `hot.hit_rate` and `hot.probe_ns` in
+/// `BENCHMARK.json` are the live figures): every lookup paid the probe,
 /// few were answered by it. The gate makes the probe conditional on its
 /// measured worth: cheap relaxed window counters track the slab hit
 /// rate, and when it drops below a engine-specific break-even threshold

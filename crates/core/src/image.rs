@@ -696,12 +696,25 @@ pub fn load_image<A: Address, E: ImageCodec<A>, T>(
 //
 // Each codec parses its sections in one `*_view` function; `view` and
 // `view_prevalidated` differ only in the constructor they hand it — the
-// validating `from_parts` or the scan-free `from_parts_trusted`.
+// validating `from_parts` or the scan-free `from_parts_trusted`. The
+// parsers read sections through an accessor from canonical section id to
+// payload words, so the one parser serves a single-engine image
+// ([`engine_sections`]) and a vrfset table's private id block
+// ([`crate::vrf::VrfSetRef::from_image`]) alike.
 
-/// The first word of the `PARAMS` section.
-fn first_param(image: &FibImage) -> Result<u64, ImageError> {
-    image
-        .section(sections::PARAMS)?
+/// The section accessor of a single-engine image: checks the header says
+/// `kind` over `A`, then resolves canonical ids directly.
+fn engine_sections<'i, A: Address>(
+    image: &'i FibImage,
+    kind: EngineKind,
+) -> Result<impl Fn(u32) -> Result<&'i [u64], ImageError>, ImageError> {
+    image.expect::<A>(kind)?;
+    Ok(move |id| image.section(id))
+}
+
+/// The first word of a `PARAMS` section.
+fn first_param(params: &[u64]) -> Result<u64, ImageError> {
+    params
         .first()
         .copied()
         .ok_or(ImageError::Malformed("params"))
@@ -719,11 +732,13 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
     }
 
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        serialized_view::<A, _>(image, SerializedDagRef::from_parts)
+        let sections = engine_sections::<A>(image, Self::ENGINE)?;
+        serialized_view(sections, SerializedDagRef::from_parts)
     }
 
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        serialized_view::<A, _>(image, SerializedDagRef::from_parts_trusted)
+        let sections = engine_sections::<A>(image, Self::ENGINE)?;
+        serialized_view(sections, SerializedDagRef::from_parts_trusted)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -731,17 +746,16 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
     }
 }
 
-fn serialized_view<'i, A: Address, V>(
-    image: &'i FibImage,
+pub(crate) fn serialized_view<'i, V>(
+    section: impl Fn(u32) -> Result<&'i [u64], ImageError>,
     from_parts: impl FnOnce(u8, &'i [u64], &'i [u64]) -> Result<V, &'static str>,
 ) -> Result<V, ImageError> {
-    image.expect::<A>(EngineKind::SerializedDag)?;
-    let lambda =
-        u8::try_from(first_param(image)?).map_err(|_| ImageError::Malformed("λ out of range"))?;
+    let lambda = u8::try_from(first_param(section(sections::PARAMS)?)?)
+        .map_err(|_| ImageError::Malformed("λ out of range"))?;
     from_parts(
         lambda,
-        image.section(sections::SER_ENTRIES)?,
-        image.section(sections::SER_NODES)?,
+        section(sections::SER_ENTRIES)?,
+        section(sections::SER_NODES)?,
     )
     .map_err(ImageError::Malformed)
 }
@@ -765,11 +779,13 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
     }
 
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        vsdag_view::<A, _>(image, VarStrideDagRef::from_parts)
+        let sections = engine_sections::<A>(image, Self::ENGINE)?;
+        vsdag_view(sections, VarStrideDagRef::from_parts)
     }
 
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        vsdag_view::<A, _>(image, VarStrideDagRef::from_parts_trusted)
+        let sections = engine_sections::<A>(image, Self::ENGINE)?;
+        vsdag_view(sections, VarStrideDagRef::from_parts_trusted)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -777,13 +793,12 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
     }
 }
 
-fn vsdag_view<'i, A: Address, V>(
-    image: &'i FibImage,
+pub(crate) fn vsdag_view<'i, V>(
+    section: impl Fn(u32) -> Result<&'i [u64], ImageError>,
     from_parts: impl FnOnce(&'i [u64], &'i [u64], usize, u32) -> Result<V, &'static str>,
 ) -> Result<V, ImageError> {
-    image.expect::<A>(EngineKind::VsDag)?;
     // `PARAMS` is the triple `[root, node_count, slot_count]`.
-    let params = image.section(sections::PARAMS)?;
+    let params = section(sections::PARAMS)?;
     if params.len() < 3 {
         return Err(ImageError::Malformed("params"));
     }
@@ -792,12 +807,11 @@ fn vsdag_view<'i, A: Address, V>(
         usize::try_from(params[1]).map_err(|_| ImageError::Malformed("node count out of range"))?;
     let n_slots =
         usize::try_from(params[2]).map_err(|_| ImageError::Malformed("slot count out of range"))?;
-    let nodes = image.section(sections::VS_NODES)?;
+    let nodes = section(sections::VS_NODES)?;
     if nodes.len() != node_count {
         return Err(ImageError::Malformed("node directory length mismatch"));
     }
-    from_parts(nodes, image.section(sections::VS_SLOTS)?, n_slots, root)
-        .map_err(ImageError::Malformed)
+    from_parts(nodes, section(sections::VS_SLOTS)?, n_slots, root).map_err(ImageError::Malformed)
 }
 
 impl<A: Address> ImageCodec<A> for LcTrie<A> {
@@ -867,7 +881,7 @@ fn rooted_view<'i, A: Address, E: ImageCodec<A>, V>(
     from_parts: impl FnOnce(&'i [u64], u32) -> Result<V, &'static str>,
 ) -> Result<V, ImageError> {
     image.expect::<A>(E::ENGINE)?;
-    let root = u32::try_from(first_param(image)?)
+    let root = u32::try_from(first_param(image.section(sections::PARAMS)?)?)
         .map_err(|_| ImageError::Malformed("root out of range"))?;
     from_parts(image.section(nodes)?, root).map_err(ImageError::Malformed)
 }
@@ -890,24 +904,29 @@ impl<A: Address> ImageCodec<A> for XbwFib<A> {
     }
 
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let params = image.section(sections::PARAMS)?;
-        if params.len() < 2 {
-            return Err(ImageError::Malformed("params"));
-        }
-        XbwFibRef::from_parts(
-            params[0],
-            params[1],
-            image.section(sections::XBW_SI)?,
-            image.section(sections::XBW_SA)?,
-            image.section(sections::XBW_LABELS)?,
-        )
-        .map_err(ImageError::from)
+        xbw_view(engine_sections::<A>(image, Self::ENGINE)?)
     }
 
     fn resident_size_bytes(&self) -> usize {
         self.size_bytes()
     }
+}
+
+pub(crate) fn xbw_view<'i, A: Address>(
+    section: impl Fn(u32) -> Result<&'i [u64], ImageError>,
+) -> Result<XbwFibRef<'i, A>, ImageError> {
+    let params = section(sections::PARAMS)?;
+    if params.len() < 2 {
+        return Err(ImageError::Malformed("params"));
+    }
+    XbwFibRef::from_parts(
+        params[0],
+        params[1],
+        section(sections::XBW_SI)?,
+        section(sections::XBW_SA)?,
+        section(sections::XBW_LABELS)?,
+    )
+    .map_err(ImageError::from)
 }
 
 // ---------------------------------------------------------------------

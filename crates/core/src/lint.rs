@@ -1076,7 +1076,7 @@ mod tests {
             },
         );
         assert!(
-            set.tables[0].choice != crate::vrf::VrfEngineChoice::Shared,
+            set.tables[0].choice() != crate::vrf::VrfEngineChoice::Shared,
             "weight 0.99 must place table 0 off the shared arena"
         );
         let good = write_vrf_image(&set, 0).unwrap();

@@ -29,8 +29,9 @@
 //! function with nothing to start from.
 //!
 //! Not every table belongs in the shared arena. The [`CostModel`] —
-//! fitted from BENCH_lookup's measured size/speed points plus live
-//! traffic weight from the `HeatSketch` — places each table on one of
+//! fitted from measured per-engine size/speed points (the
+//! `engine.<name>.stream_ns` / `.bytes` metrics of `BENCHMARK.json`) plus
+//! live traffic weight from the `HeatSketch` — places each table on one of
 //! three engines: the shared arena (charged only its *marginal* unique
 //! bytes), a dedicated [`SerializedDag`] (fastest, ~8 ns), or a
 //! dedicated entropy-mode [`XbwFib`] (smallest, ~1.3 bits/route). Hot
@@ -49,11 +50,14 @@ use fib_trie::{Address, BinaryTrie, NextHop};
 
 use crate::engine::{BuildConfig, FibBuild, FibLookup};
 use crate::idhash::IdBuildHasher;
-use crate::image::{sections, EngineKind, FibImage, ImageError, ImageWriter};
+use crate::image::{
+    sections, serialized_view, vsdag_view, xbw_view, AnyView, EngineKind, FibImage, ImageCodec,
+    ImageError, ImageWriter,
+};
 use crate::pdag::{PrefixDag, PrefixDagRef};
 use crate::serialized::{SerializedDag, SerializedDagRef};
 use crate::vsdag::{VarStrideDag, VarStrideDagRef};
-use crate::xbw::{XbwFib, XbwFibRef, XbwStorage};
+use crate::xbw::{XbwFib, XbwStorage};
 
 const NONE: u32 = u32::MAX;
 
@@ -103,9 +107,10 @@ impl VrfEngineChoice {
 
 /// Measured size/speed cost model for per-VRF engine placement.
 ///
-/// Latency and density defaults are the committed BENCH_lookup.json
-/// points (schema v4: taz, uniform keys, scalar lookups with stored
-/// results): pdag-serialized 7.9 ns at 11.49 bits/route, xbw-entropy
+/// Latency and density defaults were measured on taz 0.1 (uniform keys,
+/// scalar lookups with stored results; re-fit them from the
+/// `engine.<name>.stream_ns` / `.bytes` per-layer metrics `BENCHMARK.json`
+/// declares): pdag-serialized 7.9 ns at 11.49 bits/route, xbw-entropy
 /// 585.3 ns at 1.34 bits/route, the heat-compiled vsdag 7.1 ns at
 /// 25.65 bits/route, the shared pDAG walk 37.7 ns with its bytes
 /// charged as the *marginal* unique arena bytes the table adds.
@@ -294,14 +299,55 @@ impl VrfSetStats {
     }
 }
 
+/// The engine of a table placed off the shared arena. It sits behind an
+/// `Arc` so every later set that carries the table over unchanged shares
+/// it instead of copying or rebuilding it.
+#[derive(Clone)]
+pub enum VrfDedicated<A: Address> {
+    /// [`VrfEngineChoice::Serialized`].
+    Serialized(Arc<SerializedDag<A>>),
+    /// [`VrfEngineChoice::Xbw`].
+    Xbw(Arc<XbwFib<A>>),
+    /// [`VrfEngineChoice::VsDag`].
+    VsDag(Arc<VarStrideDag<A>>),
+}
+
+impl<A: Address> VrfDedicated<A> {
+    /// The placement this engine realizes.
+    #[must_use]
+    pub fn choice(&self) -> VrfEngineChoice {
+        match self {
+            Self::Serialized(_) => VrfEngineChoice::Serialized,
+            Self::Xbw(_) => VrfEngineChoice::Xbw,
+            Self::VsDag(_) => VrfEngineChoice::VsDag,
+        }
+    }
+
+    /// The engine behind its lookup interface.
+    #[must_use]
+    pub fn engine(&self) -> &dyn FibLookup<A> {
+        match self {
+            Self::Serialized(e) => &**e,
+            Self::Xbw(e) => &**e,
+            Self::VsDag(e) => &**e,
+        }
+    }
+
+    fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
+        match self {
+            Self::Serialized(e) => ImageCodec::<A>::write_sections(&**e, writer),
+            Self::Xbw(e) => ImageCodec::<A>::write_sections(&**e, writer),
+            Self::VsDag(e) => ImageCodec::<A>::write_sections(&**e, writer),
+        }
+    }
+}
+
 /// One compiled table of a [`CompiledVrfSet`].
 pub struct CompiledVrf<A: Address> {
     /// VRF id.
     pub id: u32,
-    /// Engine placement.
-    pub choice: VrfEngineChoice,
-    /// Root index into the shared arena ([`VrfEngineChoice::Shared`]
-    /// only; `u32::MAX` otherwise, or for an empty table).
+    /// Root index into the shared arena (`u32::MAX` for a dedicated
+    /// placement, or for an empty table).
     pub root: u32,
     /// Routes in the table.
     pub routes: u64,
@@ -311,22 +357,24 @@ pub struct CompiledVrf<A: Address> {
     /// This table's standalone packed-pDAG node count — the
     /// independent-compilation baseline recorded in the directory.
     pub solo_nodes: u64,
-    /// The dedicated engine, when placed off the shared arena (shared
-    /// with every later set that carries this table over unchanged).
-    pub serialized: Option<Arc<SerializedDag<A>>>,
-    /// The dedicated engine, when placed off the shared arena.
-    pub xbw: Option<Arc<XbwFib<A>>>,
-    /// The dedicated engine, when placed off the shared arena.
-    pub vsdag: Option<Arc<VarStrideDag<A>>>,
+    /// The table's own engine; `None` places it on the shared arena.
+    pub dedicated: Option<VrfDedicated<A>>,
 }
 
 impl<A: Address> CompiledVrf<A> {
+    /// Engine placement.
+    #[must_use]
+    pub fn choice(&self) -> VrfEngineChoice {
+        self.dedicated
+            .as_ref()
+            .map_or(VrfEngineChoice::Shared, VrfDedicated::choice)
+    }
+
     /// Footprint of the dedicated engine (0 on the shared arena).
     fn dedicated_bytes(&self) -> u64 {
-        let serialized = self.serialized.as_ref().map_or(0, |e| e.size_bytes());
-        let xbw = self.xbw.as_ref().map_or(0, |e| e.size_bytes());
-        let vsdag = self.vsdag.as_ref().map_or(0, |e| e.size_bytes());
-        (serialized + xbw + vsdag) as u64
+        self.dedicated
+            .as_ref()
+            .map_or(0, |d| d.engine().size_bytes() as u64)
     }
 }
 
@@ -366,15 +414,11 @@ impl<A: Address> CompiledVrfSet<A> {
     #[must_use]
     pub fn lookup(&self, vrf: u32, addr: A) -> Option<NextHop> {
         let table = self.table(vrf)?;
-        match table.choice {
-            VrfEngineChoice::Shared => {
-                PrefixDagRef::<A>::from_parts_trusted(&self.arena, table.root)
-                    .ok()?
-                    .lookup(addr)
-            }
-            VrfEngineChoice::Serialized => table.serialized.as_ref()?.lookup(addr),
-            VrfEngineChoice::Xbw => table.xbw.as_ref()?.lookup(addr),
-            VrfEngineChoice::VsDag => table.vsdag.as_ref()?.lookup(addr),
+        match &table.dedicated {
+            None => PrefixDagRef::<A>::from_parts_trusted(&self.arena, table.root)
+                .ok()?
+                .lookup(addr),
+            Some(dedicated) => dedicated.engine().lookup(addr),
         }
     }
 }
@@ -638,7 +682,8 @@ pub fn recompile_vrf_set<A: Address>(
     for (source, choice) in sources.iter().zip(&choices) {
         if let Source::Carried(table) = source {
             assert_eq!(
-                table.choice, *choice,
+                table.choice(),
+                *choice,
                 "carried VRF {} changes engine: supply its trie",
                 table.id
             );
@@ -649,7 +694,7 @@ pub fn recompile_vrf_set<A: Address>(
     // previous arena when a root into it is kept.
     let keeps_root = sources
         .iter()
-        .any(|s| matches!(s, Source::Carried(t) if t.choice == VrfEngineChoice::Shared));
+        .any(|s| matches!(s, Source::Carried(t) if t.dedicated.is_none()));
     let mut interner = ArenaInterner::seeded(if keeps_root { &previous.arena } else { &[] });
     let canon_roots: Vec<u32> = sources
         .iter()
@@ -681,41 +726,33 @@ pub fn recompile_vrf_set<A: Address>(
         let table = match *source {
             Source::Carried(prev) => CompiledVrf {
                 root,
-                serialized: prev.serialized.clone(),
-                xbw: prev.xbw.clone(),
-                vsdag: prev.vsdag.clone(),
+                dedicated: prev.dedicated.clone(),
                 ..*prev
             },
             Source::Folded {
                 trie, ref words, ..
             } => {
-                let mut table = CompiledVrf {
+                let dedicated = match choice {
+                    VrfEngineChoice::Shared => None,
+                    VrfEngineChoice::Serialized => Some(VrfDedicated::Serialized(Arc::new(
+                        SerializedDag::build(trie, config),
+                    ))),
+                    VrfEngineChoice::Xbw => Some(VrfDedicated::Xbw(Arc::new(XbwFib::build(
+                        trie,
+                        XbwStorage::Entropy,
+                    )))),
+                    VrfEngineChoice::VsDag => Some(VrfDedicated::VsDag(Arc::new(
+                        VarStrideDag::from_trie(trie, config.vs_params()),
+                    ))),
+                };
+                CompiledVrf {
                     id,
-                    choice,
                     root,
                     routes: trie.len() as u64,
-                    reachable_nodes: 0,
+                    reachable_nodes: reachable_count(&arena, root),
                     solo_nodes: (words.len() / 2) as u64,
-                    serialized: None,
-                    xbw: None,
-                    vsdag: None,
-                };
-                match choice {
-                    VrfEngineChoice::Shared => {
-                        table.reachable_nodes = reachable_count(&arena, root);
-                    }
-                    VrfEngineChoice::Serialized => {
-                        table.serialized = Some(Arc::new(SerializedDag::build(trie, config)));
-                    }
-                    VrfEngineChoice::Xbw => {
-                        table.xbw = Some(Arc::new(XbwFib::build(trie, XbwStorage::Entropy)));
-                    }
-                    VrfEngineChoice::VsDag => {
-                        let dag = VarStrideDag::from_trie(trie, config.vs_params());
-                        table.vsdag = Some(Arc::new(dag));
-                    }
+                    dedicated,
                 }
-                table
             }
         };
         stats.independent_bytes += table.solo_nodes * 16;
@@ -817,7 +854,7 @@ pub fn write_vrf_image<A: Address>(
     writer.section_with(sections::VRF_DIR, |out| {
         out.push(set.tables.len() as u64);
         for t in &set.tables {
-            out.push(u64::from(t.id) | (u64::from(t.choice as u8) << 32));
+            out.push(u64::from(t.id) | (u64::from(t.choice() as u8) << 32));
             out.push(u64::from(t.root));
             out.push(t.routes);
             out.push(t.reachable_nodes);
@@ -827,32 +864,12 @@ pub fn write_vrf_image<A: Address>(
     });
     writer.section(sections::VRF_PDAG, &set.arena);
     for (index, t) in set.tables.iter().enumerate() {
+        let Some(dedicated) = &t.dedicated else {
+            continue;
+        };
         let base = vrf_section_base(index);
         let mut sub = ImageWriter::new::<A>(EngineKind::VrfSet, t.routes, epoch);
-        match t.choice {
-            VrfEngineChoice::Shared => continue,
-            VrfEngineChoice::Serialized => {
-                let dag = t
-                    .serialized
-                    .as_deref()
-                    .ok_or(ImageError::Malformed("serialized placement without engine"))?;
-                crate::image::ImageCodec::<A>::write_sections(dag, &mut sub)?;
-            }
-            VrfEngineChoice::Xbw => {
-                let fib = t
-                    .xbw
-                    .as_deref()
-                    .ok_or(ImageError::Malformed("xbw placement without engine"))?;
-                crate::image::ImageCodec::<A>::write_sections(fib, &mut sub)?;
-            }
-            VrfEngineChoice::VsDag => {
-                let dag = t
-                    .vsdag
-                    .as_deref()
-                    .ok_or(ImageError::Malformed("vsdag placement without engine"))?;
-                crate::image::ImageCodec::<A>::write_sections(dag, &mut sub)?;
-            }
-        }
+        dedicated.write_sections(&mut sub)?;
         writer.import_remapped(sub, |id| base + vrf_section_slot(id));
     }
     Ok(writer.finish())
@@ -867,12 +884,8 @@ pub fn write_vrf_image<A: Address>(
 pub enum VrfEngineRef<'a, A: Address> {
     /// Root over the shared arena.
     Shared(PrefixDagRef<'a, A>),
-    /// Dedicated serialized DAG.
-    Serialized(SerializedDagRef<'a, A>),
-    /// Dedicated entropy-mode XBW-b.
-    Xbw(XbwFibRef<'a, A>),
-    /// Dedicated variable-stride DAG.
-    VsDag(VarStrideDagRef<'a, A>),
+    /// The table's own engine, read from its private section block.
+    Dedicated(AnyView<'a, A>),
 }
 
 impl<A: Address> VrfEngineRef<'_, A> {
@@ -882,20 +895,7 @@ impl<A: Address> VrfEngineRef<'_, A> {
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
         match self {
             Self::Shared(v) => v.lookup(addr),
-            Self::Serialized(v) => v.lookup(addr),
-            Self::Xbw(v) => v.lookup(addr),
-            Self::VsDag(v) => v.lookup(addr),
-        }
-    }
-
-    /// Placement of this table.
-    #[must_use]
-    pub fn choice(&self) -> VrfEngineChoice {
-        match self {
-            Self::Shared(_) => VrfEngineChoice::Shared,
-            Self::Serialized(_) => VrfEngineChoice::Serialized,
-            Self::Xbw(_) => VrfEngineChoice::Xbw,
-            Self::VsDag(_) => VrfEngineChoice::VsDag,
+            Self::Dedicated(v) => v.lookup(addr),
         }
     }
 }
@@ -905,6 +905,8 @@ impl<A: Address> VrfEngineRef<'_, A> {
 pub struct VrfTableRef<'a, A: Address> {
     /// VRF id.
     pub id: u32,
+    /// Engine placement recorded in the directory.
+    pub choice: VrfEngineChoice,
     /// Routes recorded in the directory.
     pub routes: u64,
     /// Reachable shared-arena nodes recorded in the directory.
@@ -954,6 +956,9 @@ impl<'a, A: Address> VrfSetRef<'a, A> {
                 .and_then(VrfEngineChoice::from_u8)
                 .ok_or(ImageError::Malformed("vrf engine choice"))?;
             let root = record[1] as u32;
+            // A dedicated engine's sections sit in the table's private id
+            // block; the layouts themselves are `image.rs`'s to parse.
+            let section = |id| image.section(vrf_section_base(index) + vrf_section_slot(id));
             let engine = match choice {
                 VrfEngineChoice::Shared => {
                     if root != NONE && u64::from(root) >= n_nodes {
@@ -964,64 +969,18 @@ impl<'a, A: Address> VrfSetRef<'a, A> {
                             .map_err(ImageError::Malformed)?,
                     )
                 }
-                VrfEngineChoice::Serialized => {
-                    let base = vrf_section_base(index);
-                    let params = image.section(base)?;
-                    let lambda =
-                        u8::try_from(*params.first().ok_or(ImageError::Malformed("vrf params"))?)
-                            .map_err(|_| ImageError::Malformed("λ out of range"))?;
-                    VrfEngineRef::Serialized(
-                        SerializedDagRef::from_parts(
-                            lambda,
-                            image.section(base + 1)?,
-                            image.section(base + 2)?,
-                        )
-                        .map_err(ImageError::Malformed)?,
-                    )
-                }
-                VrfEngineChoice::Xbw => {
-                    let base = vrf_section_base(index);
-                    let params = image.section(base)?;
-                    if params.len() < 2 {
-                        return Err(ImageError::Malformed("vrf params"));
-                    }
-                    VrfEngineRef::Xbw(XbwFibRef::from_parts(
-                        params[0],
-                        params[1],
-                        image.section(base + 1)?,
-                        image.section(base + 2)?,
-                        image.section(base + 3)?,
-                    )?)
-                }
-                VrfEngineChoice::VsDag => {
-                    let base = vrf_section_base(index);
-                    let params = image.section(base)?;
-                    if params.len() < 3 {
-                        return Err(ImageError::Malformed("vrf params"));
-                    }
-                    let vs_root = u32::try_from(params[0])
-                        .map_err(|_| ImageError::Malformed("vsdag root out of range"))?;
-                    let node_count = usize::try_from(params[1])
-                        .map_err(|_| ImageError::Malformed("vsdag node count out of range"))?;
-                    let n_slots = usize::try_from(params[2])
-                        .map_err(|_| ImageError::Malformed("vsdag slot count out of range"))?;
-                    let nodes = image.section(base + 1)?;
-                    if nodes.len() != node_count {
-                        return Err(ImageError::Malformed("vsdag node directory length"));
-                    }
-                    VrfEngineRef::VsDag(
-                        VarStrideDagRef::from_parts(
-                            nodes,
-                            image.section(base + 2)?,
-                            n_slots,
-                            vs_root,
-                        )
-                        .map_err(ImageError::Malformed)?,
-                    )
-                }
+                VrfEngineChoice::Serialized => VrfEngineRef::Dedicated(AnyView::SerializedDag(
+                    serialized_view(section, SerializedDagRef::from_parts)?,
+                )),
+                VrfEngineChoice::Xbw => VrfEngineRef::Dedicated(AnyView::Xbw(xbw_view(section)?)),
+                VrfEngineChoice::VsDag => VrfEngineRef::Dedicated(AnyView::VsDag(vsdag_view(
+                    section,
+                    VarStrideDagRef::from_parts,
+                )?)),
             };
             tables.push(VrfTableRef {
                 id,
+                choice,
                 routes: record[2],
                 reachable_nodes: record[3],
                 solo_nodes: record[4],
@@ -1090,14 +1049,8 @@ impl<'a, A: Address> VrfSetRef<'a, A> {
                     stats.shared_tables += 1;
                     stats.total_nodes += t.reachable_nodes;
                 }
-                VrfEngineRef::Serialized(v) => {
-                    stats.dedicated_bytes += FibLookup::<A>::size_bytes(&v) as u64;
-                }
-                VrfEngineRef::Xbw(v) => {
-                    stats.dedicated_bytes += FibLookup::<A>::size_bytes(&v) as u64;
-                }
-                VrfEngineRef::VsDag(v) => {
-                    stats.dedicated_bytes += FibLookup::<A>::size_bytes(&v) as u64;
+                VrfEngineRef::Dedicated(v) => {
+                    stats.dedicated_bytes += v.size_bytes() as u64;
                 }
             }
         }
@@ -1193,13 +1146,16 @@ mod tests {
         assert_eq!(next.stats, full.stats);
         let record = |t: &CompiledVrf<u32>| {
             let counts = (t.routes, t.reachable_nodes, t.solo_nodes);
-            (t.id, t.choice, t.root, counts)
+            (t.id, t.choice(), t.root, counts)
         };
         for (got, want) in next.tables.iter().zip(&full.tables) {
             assert_eq!(record(got), record(want));
         }
         // Carried means shared, not rebuilt.
-        let engine = |set: &CompiledVrfSet<u32>| set.tables[0].serialized.clone().unwrap();
+        let engine = |set: &CompiledVrfSet<u32>| match &set.tables[0].dedicated {
+            Some(VrfDedicated::Serialized(dag)) => Arc::clone(dag),
+            _ => panic!("table 1 is pinned to serialized"),
+        };
         assert!(Arc::ptr_eq(&engine(&previous), &engine(&next)));
         for i in 0..2048u32 {
             let addr = i.wrapping_mul(0x9E37_79B9);
@@ -1320,7 +1276,7 @@ mod tests {
                 weights: vec![0.98, 0.01, 0.01],
             },
         );
-        assert_eq!(set.tables[0].choice, VrfEngineChoice::VsDag);
+        assert_eq!(set.tables[0].choice(), VrfEngineChoice::VsDag);
         let bytes = write_vrf_image(&set, 0).unwrap();
         let image = FibImage::from_bytes(&bytes).unwrap();
         let view = VrfSetRef::<u32>::from_image(&image).unwrap();
@@ -1345,12 +1301,11 @@ mod tests {
                 choices: vec![VrfEngineChoice::VsDag, VrfEngineChoice::Shared],
             },
         );
-        assert_eq!(set.tables[0].choice, VrfEngineChoice::VsDag);
-        assert!(set.tables[0].vsdag.is_some());
+        assert_eq!(set.tables[0].choice(), VrfEngineChoice::VsDag);
         let bytes = write_vrf_image(&set, 9).unwrap();
         let image = FibImage::from_bytes(&bytes).unwrap();
         let view = VrfSetRef::<u32>::from_image(&image).unwrap();
-        assert_eq!(view.tables()[0].engine.choice(), VrfEngineChoice::VsDag);
+        assert_eq!(view.tables()[0].choice, VrfEngineChoice::VsDag);
         for i in 0..4096u32 {
             let addr = i.wrapping_mul(0x85EB_CA6B);
             assert_eq!(set.lookup(1, addr), t1.lookup(addr));

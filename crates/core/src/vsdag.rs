@@ -89,8 +89,9 @@ impl Default for VsParams {
     /// *post*-dedup image around 1.2× the hash-consed fixed stride-4
     /// plan's slots (stride-4 dedup removes ~2.4× of the pre-dedup
     /// slot mass, so a sub-1.0 pre-dedup multiple is not a shrink) —
-    /// inside the 1.5× size gate `benchdump` pins, at ~1.1/~2.0
-    /// expected hops for uniform/zipf traffic.
+    /// inside the 1.5× size gate, at ~1.1/~2.0 expected hops for
+    /// uniform/zipf traffic (both pinned by
+    /// `crates/bench/tests/design_gates.rs`).
     fn default() -> Self {
         Self {
             max_stride: 12,
@@ -475,7 +476,7 @@ impl<A: Address> VarStrideDag<A> {
     }
 
     /// How many supernodes chose each stride, `(stride, count)` pairs in
-    /// ascending stride order — the benchdump `stride_histogram` field.
+    /// ascending stride order.
     #[must_use]
     pub fn stride_histogram(&self) -> Vec<(u8, usize)> {
         let mut counts = [0usize; 17];

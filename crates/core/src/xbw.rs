@@ -47,8 +47,8 @@ use std::marker::PhantomData;
 /// rank/access dependency chain actually overlapped. The rolling-refill
 /// kernel keeps all 8 lanes busy across the stream and wins everywhere
 /// — 0.71× scalar uniform / 0.69× zipf on the cache-resident taz 0.1
-/// string (see `crates/bench/tests/xbw_lane_bench.rs` to reproduce), so
-/// the batch-side gate is gone and only the RRR backing stays scalar
+/// string (`engine.batch_ns` against `engine.scalar_ns` on
+/// `serve-compact` is the live figure), so the batch-side gate is gone and only the RRR backing stays scalar
 /// (its walk is decode-bound, not latency-bound).
 pub const XBW_BATCH_LANES: usize = 8;
 

@@ -27,9 +27,6 @@
 //!   forwarding runtime: N worker threads with private traffic sources
 //!   and per-worker stats (packets, drops, ns/lookup histogram with
 //!   p50/p99), plus the MPSC bus the control plane drains.
-//! * [`ShardedRouter`] — 256 first-byte shards, each an independent
-//!   [`Router`], with fan-out updates and an allocation-free, wait-free
-//!   bucketed batch-lookup handle ([`ShardedDataPlane`]).
 //! * [`VrfSetRouter`] (module [`vrf`]) — the multi-tenant control plane:
 //!   per-VRF oracles compiled into one cross-table-deduped
 //!   [`fib_core::CompiledVrfSet`], published atomically with per-VRF
@@ -64,7 +61,6 @@
 pub mod lifecycle;
 mod router;
 pub mod runtime;
-mod sharded;
 pub mod shim;
 pub mod snapcell;
 pub mod spoolfs;
@@ -77,10 +73,9 @@ pub use router::{
     DataPlane, EpochSnapshot, RestartError, Router, RouterConfig, RouterHealth, RouterStats,
 };
 pub use runtime::{
-    aggregate, AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode,
-    RouteUpdate, UpdateBus, UpdateReceiver, WorkerReport, HEAT_SAMPLE,
+    AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode, RouteUpdate,
+    UpdateBus, UpdateReceiver, WorkerReport, HEAT_SAMPLE,
 };
-pub use sharded::{ShardedDataPlane, ShardedRouter, SHARD_BITS, SHARD_COUNT};
 pub use snapcell::{SnapCell, SnapReader};
 pub use spoolfs::{FaultConfig, FaultFs, SpoolFile, SpoolFs, StdFs, TailPolicy};
 pub use vrf::{

@@ -1,6 +1,6 @@
-//! The single-shard router core: a control plane driving epoch-snapshotted
-//! data-plane engines, with optional FIB-image persistence and warm
-//! restart.
+//! The single-table router core: a control plane driving
+//! epoch-snapshotted data-plane engines, with optional FIB-image
+//! persistence and warm restart.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -470,18 +470,33 @@ where
         }
     }
 
-    /// Runs `E::build_weighted` with panics contained: a panicking build
-    /// becomes an `Err` carrying the panic message instead of unwinding
-    /// into the control plane.
-    fn build_caught(
-        control: &BinaryTrie<A>,
-        build: &BuildConfig,
-        heat: Option<&(Vec<(u64, u64)>, u8)>,
-    ) -> Result<E, String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            E::build_weighted(control, build, heat.map(|(e, d)| (e.as_slice(), *d)))
-        }))
-        .map_err(|p| panic_message(&*p))
+    /// Builds an engine from the control FIB as it stands and installs it
+    /// as the working engine. Returns whether one was installed: a
+    /// panicking build is contained — recorded through
+    /// [`Self::note_rebuild_panic`] instead of unwinding into the control
+    /// plane — and leaves the previous working engine where it was.
+    fn materialize(&mut self) -> bool {
+        let heat = self.heat_profile.as_ref();
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            E::build_weighted(
+                &self.control,
+                &self.config.build,
+                heat.map(|(e, d)| (e.as_slice(), *d)),
+            )
+        }));
+        match built {
+            Ok(engine) => {
+                self.working = Some(engine);
+                self.stale = false;
+                self.stats.rebuilds += 1;
+                self.rebuild_suspended = false;
+                true
+            }
+            Err(p) => {
+                self.note_rebuild_panic(panic_message(&*p));
+                false
+            }
+        }
     }
 
     fn note_rebuild_panic(&mut self, msg: String) {
@@ -879,23 +894,8 @@ where
         }
         // The spilled engine must reflect `control` exactly; materialize
         // it if needed (same rule publish applies).
-        if self.stale || self.working.is_none() {
-            match Self::build_caught(
-                &self.control,
-                &self.config.build,
-                self.heat_profile.as_ref(),
-            ) {
-                Ok(engine) => {
-                    self.working = Some(engine);
-                    self.stale = false;
-                    self.stats.rebuilds += 1;
-                    self.rebuild_suspended = false;
-                }
-                Err(msg) => {
-                    self.note_rebuild_panic(msg);
-                    return;
-                }
-            }
+        if (self.stale || self.working.is_none()) && !self.materialize() {
+            return;
         }
         let engine = self.working.as_ref().expect("just materialized");
         let bytes = write_image(engine, Some(&self.control), self.epoch);
@@ -1092,21 +1092,9 @@ where
                 }),
             });
         } else {
-            match Self::build_caught(
-                &self.control,
-                &self.config.build,
-                self.heat_profile.as_ref(),
-            ) {
-                Ok(engine) => {
-                    self.working = Some(engine);
-                    self.stale = false;
-                    self.stats.rebuilds += 1;
-                    self.rebuild_suspended = false;
-                }
-                // An inline compaction that panicked is contained: the
-                // old working engine keeps serving.
-                Err(msg) => self.note_rebuild_panic(msg),
-            }
+            // An inline compaction that panicked is contained: the old
+            // working engine keeps serving.
+            self.materialize();
         }
     }
 
@@ -1152,34 +1140,21 @@ where
         }
         // Only an installed engine counts toward the rebuild stats; a
         // background build whose replay failed is discarded.
-        if replay_ok {
+        let installed = if replay_ok {
             self.working = Some(fresh);
+            self.stale = false;
+            self.rebuild_suspended = false;
             self.stats.rebuilds += 1;
             self.stats.background_rebuilds += 1;
             self.stats.replayed += replayed;
+            true
         } else {
             // A static engine cannot replay; fold the journal in by
             // rebuilding from the (already up-to-date) control FIB.
-            match Self::build_caught(
-                &self.control,
-                &self.config.build,
-                self.heat_profile.as_ref(),
-            ) {
-                Ok(engine) => {
-                    self.working = Some(engine);
-                    self.stats.rebuilds += 1;
-                }
-                Err(msg) => {
-                    self.note_rebuild_panic(msg);
-                    self.journal.clear();
-                    return false;
-                }
-            }
-        }
-        self.stale = false;
+            self.materialize()
+        };
         self.journal.clear();
-        self.rebuild_suspended = false;
-        true
+        installed
     }
 
     /// Cuts and publishes a new epoch snapshot reflecting the control FIB
@@ -1260,38 +1235,22 @@ where
             self.finish_rebuild(self.stale);
         }
         // No-op publish: nothing changed since the last epoch, so reuse
-        // the published snapshot instead of cloning the engine again —
-        // `ShardedRouter::publish_all` hits this on every untouched
-        // shard, as does a freshly warm-restarted router with no pending
-        // journal (whose snapshot keeps serving the image and whose owned
-        // engine stays unbuilt).
+        // the published snapshot instead of cloning the engine again. A
+        // freshly warm-restarted router with no pending journal lands
+        // here, so its snapshot keeps serving the image and its owned
+        // engine stays unbuilt.
         if self.since_publish == 0 && !self.stale && hot.is_none() {
             return self.snapshot();
         }
-        if self.stale || self.working.is_none() {
-            match Self::build_caught(
-                &self.control,
-                &self.config.build,
-                self.heat_profile.as_ref(),
-            ) {
-                Ok(engine) => {
-                    self.working = Some(engine);
-                    self.stale = false;
-                    self.stats.rebuilds += 1;
-                    self.rebuild_suspended = false;
-                }
-                Err(msg) => {
-                    // Graceful degradation: keep serving the last good
-                    // epoch, surface the panic through health, and retry
-                    // the materialization at the next publish (auto-
-                    // publish cadence bounds the retry rate).
-                    self.note_rebuild_panic(msg);
-                    self.serving_stale = true;
-                    self.stale = true;
-                    self.since_publish = 0;
-                    return self.snapshot();
-                }
-            }
+        if (self.stale || self.working.is_none()) && !self.materialize() {
+            // Graceful degradation: keep serving the last good epoch (the
+            // panic is already in health) and retry the materialization
+            // at the next publish (auto-publish cadence bounds the retry
+            // rate).
+            self.serving_stale = true;
+            self.stale = true;
+            self.since_publish = 0;
+            return self.snapshot();
         }
         self.serving_stale = false;
         self.epoch += 1;

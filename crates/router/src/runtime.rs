@@ -178,19 +178,6 @@ impl WorkerReport {
     }
 }
 
-/// Sums a pool's reports into aggregate throughput plus a merged
-/// latency histogram.
-#[must_use]
-pub fn aggregate(reports: &[WorkerReport]) -> (f64, LatencyHistogram) {
-    let mut hist = LatencyHistogram::default();
-    let mut mlps = 0.0;
-    for r in reports {
-        hist.merge(&r.hist);
-        mlps += r.mlookups_per_s();
-    }
-    (mlps, hist)
-}
-
 // ---------------------------------------------------------------------
 // Pacing and configuration
 // ---------------------------------------------------------------------
@@ -725,10 +712,9 @@ mod tests {
             assert_eq!(r.matched, r.packets, "default route matches all");
             assert!(!r.epoch_regressed);
             assert!(r.hist.count() == r.packets);
+            assert!(r.mlookups_per_s() > 0.0);
+            assert!(r.hist.p99() >= r.hist.p50());
         }
-        let (mlps, hist) = aggregate(&reports);
-        assert!(mlps > 0.0);
-        assert!(hist.p99() >= hist.p50());
     }
 
     #[test]

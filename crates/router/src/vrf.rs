@@ -39,8 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fib_core::{
-    recompile_vrf_set, BuildConfig, CompiledVrfSet, FibLookup, PrefixDagRef, VrfEngineChoice,
-    VrfPolicy,
+    recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibLookup, PrefixDagRef, VrfPolicy,
 };
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
@@ -135,25 +134,12 @@ impl<A: Address> VrfSnapshot<A> {
             hops.fill(None);
             return;
         };
-        match table.choice {
-            VrfEngineChoice::Shared => {
-                match PrefixDagRef::<A>::from_parts_trusted(&self.set.arena, table.root) {
-                    Ok(view) => view.lookup_batch(addrs, hops),
-                    Err(_) => hops.fill(None),
-                }
-            }
-            VrfEngineChoice::Serialized => match &table.serialized {
-                Some(dag) => dag.lookup_batch(addrs, hops),
-                None => hops.fill(None),
+        match &table.dedicated {
+            None => match PrefixDagRef::<A>::from_parts_trusted(&self.set.arena, table.root) {
+                Ok(view) => view.lookup_batch(addrs, hops),
+                Err(_) => hops.fill(None),
             },
-            VrfEngineChoice::Xbw => match &table.xbw {
-                Some(fib) => fib.lookup_batch(addrs, hops),
-                None => hops.fill(None),
-            },
-            VrfEngineChoice::VsDag => match &table.vsdag {
-                Some(dag) => dag.lookup_batch(addrs, hops),
-                None => hops.fill(None),
-            },
+            Some(dedicated) => dedicated.engine().lookup_batch(addrs, hops),
         }
     }
 }
@@ -397,7 +383,7 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
                 let fixed = policy.fixed_choice(index);
                 let refold = self.dirty.contains(id)
                     || fixed.is_none()
-                    || basis.set.table(*id).map(|t| t.choice) != fixed;
+                    || basis.set.table(*id).map(CompiledVrf::choice) != fixed;
                 (*id, refold.then(|| oracle(trie)))
             })
             .collect();
@@ -548,6 +534,7 @@ impl<A: Address + Send + Sync + 'static> Clone for VrfDataPlane<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fib_core::VrfEngineChoice;
     use fib_trie::Prefix4;
 
     fn nh(i: u32) -> NextHop {
@@ -684,7 +671,10 @@ mod tests {
             router.announce(vrf, p("10.0.0.0/8"), nh(2));
         }
         let snapshot = router.publish();
-        assert_eq!(snapshot.set().tables[0].choice, VrfEngineChoice::Serialized);
+        assert_eq!(
+            snapshot.set().tables[0].choice(),
+            VrfEngineChoice::Serialized
+        );
 
         // A third table makes the two-entry vector stale: inline and
         // background publishes both place everything on the shared arena
@@ -695,7 +685,7 @@ mod tests {
             .set()
             .tables
             .iter()
-            .all(|t| t.choice == VrfEngineChoice::Shared));
+            .all(|t| t.choice() == VrfEngineChoice::Shared));
         assert_eq!(snapshot.lookup(1, 0x0A00_0001), Some(nh(2)));
         router.announce(4, p("10.4.0.0/16"), nh(4));
         let rebuild = router.begin_rebuild().run();
@@ -707,7 +697,7 @@ mod tests {
         router.remove_vrf(1);
         router.remove_vrf(3);
         let snapshot = router.publish();
-        let placed: Vec<_> = snapshot.set().tables.iter().map(|t| t.choice).collect();
+        let placed: Vec<_> = snapshot.set().tables.iter().map(|t| t.choice()).collect();
         assert_eq!(
             placed,
             [VrfEngineChoice::Serialized, VrfEngineChoice::Shared]

@@ -2,8 +2,9 @@
 //!
 //! The paper's λ-optimization (Eqs. (2)/(3)) assumes every address is
 //! equally likely. Real traffic is Zipf-skewed toward a small set of
-//! popular destinations (§5.3's CAIDA stand-in), and BENCH_lookup shows
-//! every engine paying a 1.7–2.4x depth-bias penalty on such traces. The
+//! popular destinations (§5.3's CAIDA stand-in), and every engine pays a
+//! 1.7–2.4x depth-bias penalty on such traces (taz 0.1; see
+//! `engine.hops_mean` in `BENCHMARK.json`). The
 //! heat layer closes that loop: forwarding workers *sample* the addresses
 //! they actually resolve into per-worker [`HeatSketch`]es (lock-free, no
 //! coordination on the packet path), the router *merges* them at publish

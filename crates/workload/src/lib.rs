@@ -16,8 +16,7 @@
 //! * [`updates`] — random and BGP-like update sequences (§5.1),
 //! * [`traces`] — uniform, locality-skewed (Zipf) and bursty
 //!   flow-locality lookup key streams (§5.3's random keys and
-//!   CAIDA-trace stand-in, plus a dedup control separating popularity
-//!   locality from depth bias),
+//!   CAIDA-trace stand-in),
 //! * [`loadgen`] — named key models turned into per-worker, seeded
 //!   address streams for the multi-core forwarding runtime,
 //! * [`heat`] — lock-free per-worker traffic heat sketches and the merged

@@ -83,45 +83,6 @@ impl<A: Address> ZipfTrace<A> {
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<A> {
         (0..count).map(|_| self.sample(rng)).collect()
     }
-
-    /// The dedup control for the zipf-vs-uniform benchmark gap: a trace
-    /// of `count` *distinct* addresses drawn from the same Zipf-ranked
-    /// prefix model (shuffled, so residual ordering cannot fake
-    /// locality).
-    ///
-    /// A Zipf trace differs from a uniform one in two confounded ways:
-    /// *popularity locality* (hot destinations repeat, keeping their walk
-    /// paths cache-resident) and *depth bias* (every key lands inside a
-    /// real — usually long — prefix, while uniform keys mostly resolve in
-    /// shallow or empty space). Deduplicating kills the repetition while
-    /// preserving each address's walk depth, so comparing
-    /// `zipf / zipf-dedup / uniform` latencies splits the two effects:
-    /// if dedup ≈ zipf, the gap is depth bias; if dedup ≫ zipf,
-    /// popularity locality was doing real work.
-    ///
-    /// # Panics
-    /// Panics if the model cannot produce `count` distinct addresses in
-    /// `64 × count` draws (never for FIB-sized models and sane counts).
-    pub fn generate_dedup<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<A> {
-        let mut seen = std::collections::HashSet::with_capacity(count);
-        let mut out = Vec::with_capacity(count);
-        let mut budget = count.saturating_mul(64).max(1024);
-        while out.len() < count {
-            assert!(budget > 0, "cannot draw {count} distinct Zipf addresses");
-            budget -= 1;
-            let addr = self.sample(rng);
-            if seen.insert(addr.to_u128()) {
-                out.push(addr);
-            }
-        }
-        // Fisher–Yates so the rank-ordered discovery sequence cannot
-        // masquerade as temporal locality.
-        for i in (1..out.len()).rev() {
-            let j = rng.random_range(0..=i);
-            out.swap(i, j);
-        }
-        out
-    }
 }
 
 /// A flow-locality ("bursty") key stream: real packet arrivals come in
@@ -229,23 +190,6 @@ mod tests {
             zipf_max > uni_max * 2,
             "zipf max bucket {zipf_max} should dominate uniform {uni_max}"
         );
-    }
-
-    #[test]
-    fn dedup_control_is_distinct_and_depth_preserving() {
-        let fib: BinaryTrie<u32> = FibSpec::dfz_like(2000).generate(&mut rng(40));
-        let trace = ZipfTrace::new(&fib, 1.0);
-        let deduped = trace.generate_dedup(&mut rng(41), 5000);
-        assert_eq!(deduped.len(), 5000);
-        let distinct: std::collections::HashSet<u32> = deduped.iter().copied().collect();
-        assert_eq!(distinct.len(), 5000, "all addresses distinct");
-        // Depth profile preserved: dedup keys still land inside real
-        // prefixes (the partition FIB always matches).
-        for addr in deduped.iter().take(1000) {
-            assert!(fib.lookup(*addr).is_some());
-        }
-        // Deterministic per seed.
-        assert_eq!(deduped, trace.generate_dedup(&mut rng(41), 5000));
     }
 
     #[test]

@@ -444,7 +444,7 @@ fn inspect_vrfs<A: Address>(image: &FibImage) -> Result<(), String> {
         println!(
             "    vrf {:>5}  {:<12} {:>9} routes  {:>9} arena nodes ({:>9} solo)",
             t.id,
-            t.engine.choice().name(),
+            t.choice.name(),
             t.routes,
             t.reachable_nodes,
             t.solo_nodes
@@ -754,7 +754,7 @@ fn serve_vrf_family<A: Address + AddrText>(
         let weights = match keys {
             "uniform" => None,
             // Zipf/bursty skew lands on table popularity here; addresses
-            // stay uniform (per-table key locality is benchdump's job).
+            // stay uniform (key locality inside a table is not modelled).
             "zipf" | "bursty" => Some(fleet_weights(view.len(), 1.0)),
             other => return Err(format!("--keys: unknown model '{other}'")),
         };

@@ -26,12 +26,10 @@
 //!   in-place pDAG updates until arena fragmentation triggers a
 //!   (background) compacting rebuild, spills every published epoch as a
 //!   `fibimage/v1` file when a spool is armed and warm-restarts from the
-//!   newest valid image plus journal replay;
+//!   newest valid image plus journal replay, and
 //!   [`router::Forwarder`] runs the multi-core forwarding runtime
 //!   (per-worker snapshot caches, an MPSC [`router::UpdateBus`] into the
-//!   control plane, per-worker latency histograms), and
-//!   [`router::ShardedRouter`] splits the address space across 256
-//!   first-byte shards,
+//!   control plane, per-worker latency histograms),
 //! * [`workload`] — synthetic FIB generators, BGP-like update sequences and
 //!   lookup traces standing in for the paper's proprietary datasets,
 //! * [`hwsim`] — SRAM/FPGA cycle model and cache-hierarchy simulator used
@@ -97,7 +95,7 @@ pub mod prelude {
         BuildConfig, FibBuild, FibEntropy, FibLookup, FibUpdate, FoldedString, PrefixDag,
         RebuildNeeded, SerializedDag, XbwFib, XbwStorage,
     };
-    pub use fib_router::{Router, RouterConfig, ShardedRouter};
+    pub use fib_router::{Router, RouterConfig};
     pub use fib_trie::{
         Address, BinaryTrie, Depth, LcTrie, NextHop, Prefix, Prefix4, Prefix6, ProperTrie,
         RouteTable,

@@ -277,7 +277,7 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>, &'static str)> {
         },
     );
     assert_eq!(
-        hot_set.tables[0].choice,
+        hot_set.tables[0].choice(),
         VrfEngineChoice::Serialized,
         "corpus fleet pins a dedicated table"
     );

@@ -4,7 +4,7 @@
 //! directly or through the `FibUpdate` trait and the router core.
 
 use fibcomp::core::{FibLookup, FibUpdate, PrefixDag, SerializedDag};
-use fibcomp::router::{Router, RouterConfig, ShardedRouter};
+use fibcomp::router::{Router, RouterConfig};
 use fibcomp::trie::{BinaryTrie, NextHop, Prefix4, RouteTable};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
 use fibcomp::workload::updates::{bgp_sequence, random_sequence, UpdateOp};
@@ -115,34 +115,52 @@ fn router_epochs_track_direct_dag_updates() {
 }
 
 #[test]
-fn sharded_router_tracks_flat_router() {
+fn router_tracks_oracle_through_short_prefix_burst() {
+    // Routes shorter than /8 each cover many first-byte blocks and sit
+    // above the default λ = 11 barrier; a BGP-like feed never draws them.
+    // Interleave announces and withdrawals of such covers with ordinary
+    // churn and check the published epoch's batch path key by key.
     let base: BinaryTrie<u32> = FibSpec::dfz_like(3_000).generate(&mut rng(16));
-    let seq = bgp_sequence(&mut rng(17), &base, 1_000);
+    let churn = bgp_sequence(&mut rng(17), &base, 1_000);
     let config = RouterConfig {
         publish_every: None,
         ..RouterConfig::default()
     };
-    let mut sharded: ShardedRouter<u32, PrefixDag<u32>> = ShardedRouter::new(&base, config);
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
     let mut oracle = base;
-    for op in &seq {
+    let mut r = rng(19);
+    let mut covers: Vec<Prefix4> = Vec::new();
+    for (i, op) in churn.iter().enumerate() {
         match *op {
             UpdateOp::Announce(p, nh) => {
                 oracle.insert(p, nh);
-                sharded.announce(p, nh);
+                router.announce(p, nh);
             }
             UpdateOp::Withdraw(p) => {
                 oracle.remove(p);
-                sharded.withdraw(p);
+                router.withdraw(p);
             }
         }
+        if i % 10 == 0 {
+            let p = Prefix4::new(r.random(), r.random_range(1..8));
+            let nh = NextHop::new(r.random_range(0..6));
+            oracle.insert(p, nh);
+            router.announce(p, nh);
+            covers.push(p);
+        }
+        if i % 25 == 24 {
+            let p = covers.swap_remove(r.random_range(0..covers.len()));
+            oracle.remove(p);
+            router.withdraw(p);
+        }
     }
-    sharded.publish_all();
+    assert!(covers.iter().any(|&p| oracle.exact_match(p).is_some()));
+    let snapshot = router.publish();
     let keys = traces::uniform::<u32, _>(&mut rng(18), 2_000);
     let mut batched = vec![None; keys.len()];
-    sharded.lookup_batch(&keys, &mut batched);
+    snapshot.lookup_batch(&keys, &mut batched);
     for (&k, &got) in keys.iter().zip(&batched) {
-        assert_eq!(got, oracle.lookup(k), "sharded divergence at {k:#x}");
-        assert_eq!(sharded.lookup(k), oracle.lookup(k));
+        assert_eq!(got, oracle.lookup(k), "divergence at {k:#x}");
     }
 }
 

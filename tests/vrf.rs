@@ -262,7 +262,7 @@ fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrf
             .map(|t| {
                 (
                     t.id,
-                    t.choice,
+                    t.choice(),
                     t.root,
                     t.routes,
                     t.reachable_nodes,
