@@ -45,7 +45,7 @@ fn engines_and_traces() {
         }
     }
 
-    // The batched path: the flat-layout engines (serialized pDAG, LC-trie,
+    // The batched path: the flat-layout engines (serialized pDAG, XBW-b,
     // the multibit DAGs) run their interleaved overrides; the rest exercise the
     // default loop so regressions in either path show up side by side.
     let mut out = vec![None; BATCH];
@@ -56,23 +56,6 @@ fn engines_and_traces() {
             group.bench_function(name, |b| {
                 b.iter(|| {
                     engine.lookup_batch(black_box(keys), &mut out);
-                    black_box(out.last().copied())
-                });
-            });
-        }
-    }
-
-    // The software-pipelined stream path: identical results to
-    // lookup_batch, plus a first-touch prefetch stage for structures
-    // beyond the cache-residency threshold (below it, the path delegates
-    // to lookup_batch, so this doubles as a delegation-overhead check).
-    for (trace_name, keys) in [("rand", &rand_keys), ("trace", &trace_keys)] {
-        let group = BenchGroup::new(&format!("lookup_stream/{trace_name}"))
-            .throughput_elements(BATCH as u64);
-        for (name, engine) in &engines {
-            group.bench_function(name, |b| {
-                b.iter(|| {
-                    engine.lookup_stream(black_box(keys), &mut out);
                     black_box(out.last().copied())
                 });
             });

@@ -1,24 +1,20 @@
 //! The batch path must win (or at least never lose) everywhere.
 //!
-//! PR 7 added residency gates because the per-chunk lockstep kernels only
-//! paid off when the structure missed cache: on a cache-resident FIB the
-//! lockstep bookkeeping was pure overhead, so the batch entry points fell
-//! back to the scalar walk below
-//! `fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES`. The XBW kernel has
-//! since moved to a rolling lane refill that wins at every table size
-//! and dropped its gate; the serialized and
-//! vsdag batch kernels followed with pull-loop / first-step-fused
-//! refill variants and dropped theirs too; the fixed-stride multibit
-//! plan is a vsdag and runs its kernel. `fib_trie` keeps the residency
-//! gate. Either way this guard pins the contract: for every engine, on
+//! Each flat engine has one batch kernel, ungated: XBW-b's interleaved rank
+//! walk, the serialized pDAG's pull-loop refill with its peeled entry
+//! level, and the vsdag's refill with its fused root step (the
+//! fixed-stride multibit plan is a vsdag and runs the same kernel).
+//! `fib_trie`, the pDAG and the binary trie have none — the trait's
+//! per-address loop is their batch path, which the bar below accepts by
+//! construction. This guard pins the contract: for every engine, on
 //! taz 0.1, the batched median is at most 1.1x the scalar median
 //! (`engine.batch_ns` against `engine.scalar_ns` is the same comparison
 //! at taz 1.0 on every `benchmark/` run).
 //!
 //! Timing tests are noisy by nature: each engine gets a few attempts and
 //! the *best* attempt must clear the bar, so a scheduler hiccup cannot
-//! fail the suite while a real regression (batch structurally slower, as
-//! the ungated kernels were) still trips it every time.
+//! fail the suite while a real regression (batch structurally slower)
+//! still trips it every time.
 
 use std::time::Instant;
 

@@ -5,9 +5,8 @@
 //! Rules (stable kebab-case codes, one per [`Finding::rule`]):
 //!
 //! * `unsafe-allowlist` — the `unsafe` keyword may appear only in the
-//!   three modules whose whole purpose is the unsafe boundary:
-//!   `crates/succinct/src/storage.rs`, `crates/succinct/src/mem.rs`,
-//!   `crates/router/src/snapcell.rs`.
+//!   two modules whose whole purpose is the unsafe boundary:
+//!   `crates/succinct/src/storage.rs`, `crates/router/src/snapcell.rs`.
 //! * `ordering-justification` — every `Ordering::{SeqCst,AcqRel,Acquire,
 //!   Release,Relaxed}` use in `crates/router/src` non-test code must
 //!   carry a `// ordering:` comment on the same line or within the few
@@ -58,8 +57,6 @@ impl fmt::Display for Finding {
 /// Modules allowed to contain the `unsafe` keyword.
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/succinct/src/storage.rs",
-    "crates/succinct/src/mem.rs",
-    "crates/succinct/src/simd.rs",
     "crates/router/src/snapcell.rs",
 ];
 

@@ -620,12 +620,12 @@ impl<S: SlabStore> HotFront<S> {
     }
 
     /// Resolves `addrs` into `out`, delegating what the slab does not
-    /// answer to `kernel` — the inner engine's `lookup_batch` or
-    /// `lookup_stream`. While probing, misses are compacted into dense
-    /// sub-batches of up to `HOT_CHUNK` so the kernel keeps its
-    /// interleaved lanes fed; while bypassed, `kernel` gets the whole
-    /// batch and 1 in `GATE_SAMPLE` addresses is still probed, purely
-    /// for the hit-rate estimate that re-arms the gate.
+    /// answer to `kernel` — the inner engine's `lookup_batch`. While
+    /// probing, misses are compacted into dense sub-batches of up to
+    /// `HOT_CHUNK` so the kernel keeps its interleaved lanes fed; while
+    /// bypassed, `kernel` gets the whole batch and 1 in `GATE_SAMPLE`
+    /// addresses is still probed, purely for the hit-rate estimate that
+    /// re-arms the gate.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
@@ -731,16 +731,6 @@ impl<A: Address, E: FibLookup<A>> FibLookup<A> for HotFib<A, E> {
     fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
         self.front
             .lookup_batch(addrs, out, |a, o| self.inner.lookup_batch(a, o));
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.front
-            .lookup_batch(addrs, out, |a, o| self.inner.lookup_stream(a, o));
-    }
-
-    #[inline]
-    fn prefetch(&self, addr: A) {
-        self.inner.prefetch(addr);
     }
 
     fn size_bytes(&self) -> usize {

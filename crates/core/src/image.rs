@@ -1037,19 +1037,6 @@ macro_rules! impl_image_kinds {
                 }
             }
 
-            #[inline]
-            fn prefetch(&self, addr: A) {
-                match self {
-                    $($( Self::$kind(v) => FibLookup::<A>::prefetch(v, addr), )?)*
-                }
-            }
-
-            fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-                match self {
-                    $($( Self::$kind(v) => FibLookup::<A>::lookup_stream(v, addrs, out), )?)*
-                }
-            }
-
             fn size_bytes(&self) -> usize {
                 match self {
                     $($( Self::$kind(v) => FibLookup::<A>::size_bytes(v), )?)*
@@ -1092,8 +1079,8 @@ impl FibImage {
 }
 
 /// A type-erased image view with the image's hot slab (if any) pinned in
-/// front behind its gate — the composition `fibc serve` and the bench
-/// dispatch on when an image was compiled `--heat`.
+/// front behind its gate — what `fibc serve` serves every image through,
+/// so one compiled `--heat` answers from its slab.
 #[derive(Clone, Debug)]
 pub struct HotAnyView<'a, A: Address> {
     front: Option<HotFront<HotSlabRef<'a>>>,
@@ -1120,10 +1107,11 @@ impl<'a, A: Address> HotAnyView<'a, A> {
         self.front.as_ref().map(|front| *front.slab())
     }
 
-    /// The underlying engine view.
+    /// The gated slab, when the image carries one (what the gate
+    /// decided is readable from it).
     #[must_use]
-    pub fn inner(&self) -> AnyView<'a, A> {
-        self.inner
+    pub fn front(&self) -> Option<&HotFront<HotSlabRef<'a>>> {
+        self.front.as_ref()
     }
 }
 
@@ -1145,17 +1133,6 @@ impl<A: Address> FibLookup<A> for HotAnyView<'_, A> {
             Some(front) => front.lookup_batch(addrs, out, |a, o| self.inner.lookup_batch(a, o)),
             None => self.inner.lookup_batch(addrs, out),
         }
-    }
-
-    fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        match &self.front {
-            Some(front) => front.lookup_batch(addrs, out, |a, o| self.inner.lookup_stream(a, o)),
-            None => self.inner.lookup_stream(addrs, out),
-        }
-    }
-
-    fn prefetch(&self, addr: A) {
-        self.inner.prefetch(addr);
     }
 
     fn size_bytes(&self) -> usize {

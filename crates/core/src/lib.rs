@@ -58,7 +58,7 @@ pub use image::{
     EngineKind, FibImage, HotAnyView, ImageCodec, ImageError, ImageWriter,
 };
 pub use pdag::{DagStats, PrefixDag, PrefixDagRef};
-pub use serialized::{SerializedDag, SerializedDagRef, SER_BATCH_LANES, SER_REFILL_LANES};
+pub use serialized::{SerializedDag, SerializedDagRef, SER_REFILL_LANES};
 pub use strmodel::FoldedString;
 pub use vrf::{
     compile_vrf_set, recompile_vrf_set, vrf_section_base, write_vrf_image, CompiledVrf,
@@ -66,8 +66,7 @@ pub use vrf::{
     VrfSetStats, VrfTable, VrfTableRef, VRF_DIR_RECORD_WORDS,
 };
 pub use vsdag::{
-    MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VS_BATCH_LANES,
-    VS_REFILL_LANES,
+    MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VS_REFILL_LANES,
 };
 pub use xbw::{
     SaStorage, SiStorage, XbwFib, XbwFibRef, XbwSizeReport, XbwStorage, XBW_BATCH_LANES,

@@ -28,18 +28,12 @@
 
 use std::marker::PhantomData;
 
-use fib_succinct::simd::gather4;
 use fib_trie::{Address, Depth, NextHop};
 
 use crate::pdag::{PrefixDag, NONE};
 
 const LEAF_TAG: u32 = 0x8000_0000;
 const BOT: u32 = 0x7FFF_FFFF;
-
-/// Number of lookups the gather kernel behind
-/// [`SerializedDagRef::lookup_stream`] walks in lockstep — sized to the
-/// 4-wide SIMD gather the dispatch resolves to.
-pub const SER_BATCH_LANES: usize = 4;
 
 /// In-flight walks of the rolling-refill kernel behind
 /// [`SerializedDagRef::lookup_batch`]. Each slot owns one walk and takes
@@ -414,92 +408,6 @@ impl<'a, A: Address> SerializedDagRef<'a, A> {
                     }
                 }
             }
-        }
-    }
-
-    /// Prefetches the root-array entry `addr` touches first. The entry
-    /// index is pure bit arithmetic on the address, so the hint can be
-    /// issued a whole pipeline stage before the walk starts.
-    #[inline]
-    pub fn prefetch(&self, addr: A) {
-        fib_succinct::mem::prefetch_index(self.entries, addr.bits(0, self.lambda) as usize);
-    }
-
-    /// Software-pipelined batched lookup: identical results to
-    /// [`Self::lookup_batch`], but while one [`SER_BATCH_LANES`]-lane
-    /// group resolves, the *next* group's root-array lines are already
-    /// being prefetched, so its first-touch misses overlap the current
-    /// group's walk instead of serializing behind it.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        // Below the residency threshold the whole structure lives in
-        // cache and the prefetch stage is pure overhead — identical
-        // results either way, so take the rolling-refill batch kernel.
-        if self.size_bytes() < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES {
-            return self.lookup_batch(addrs, out);
-        }
-        fib_succinct::mem::pipelined_stream(
-            SER_BATCH_LANES,
-            addrs,
-            out,
-            |addr| self.prefetch(addr),
-            |chunk, slot| self.resolve_lanes(chunk, slot),
-            |addr, slot| *slot = self.lookup(addr),
-        );
-    }
-
-    /// One lockstep [`SER_BATCH_LANES`]-lane group: the gather kernel of
-    /// [`Self::lookup_stream`]'s out-of-cache path. Both slices must be
-    /// exactly [`SER_BATCH_LANES`] long.
-    #[inline]
-    fn resolve_lanes(&self, chunk: &[A], slot: &mut [Option<NextHop>]) {
-        // Stage 1: all root-array entries in one SIMD gather (scalar
-        // fallback inside `gather4` when AVX2 is absent or forced off).
-        let entry = gather4(
-            self.entries,
-            [
-                u64::from(chunk[0].bits(0, self.lambda)),
-                u64::from(chunk[1].bits(0, self.lambda)),
-                u64::from(chunk[2].bits(0, self.lambda)),
-                u64::from(chunk[3].bits(0, self.lambda)),
-            ],
-        );
-        // Stage 2: lockstep node-record walk; a lane parks once it
-        // resolves to a leaf reference. Parked lanes keep gathering
-        // record 0 (in bounds whenever any lane is live) so each step
-        // stays one gather for the whole group.
-        let mut reference = [0u32; SER_BATCH_LANES];
-        let mut depth = [self.lambda; SER_BATCH_LANES];
-        let mut live = 0usize;
-        for lane in 0..SER_BATCH_LANES {
-            reference[lane] = entry_slot(entry[lane]);
-            if reference[lane] & LEAF_TAG == 0 {
-                live += 1;
-            }
-        }
-        while live > 0 {
-            let mut gidx = [0u64; SER_BATCH_LANES];
-            for lane in 0..SER_BATCH_LANES {
-                if reference[lane] & LEAF_TAG == 0 {
-                    gidx[lane] = u64::from(reference[lane]);
-                }
-            }
-            let records = gather4(self.nodes, gidx);
-            for lane in 0..SER_BATCH_LANES {
-                if reference[lane] & LEAF_TAG != 0 {
-                    continue;
-                }
-                reference[lane] = record_child(records[lane], chunk[lane].bit(depth[lane]));
-                depth[lane] += 1;
-                if reference[lane] & LEAF_TAG != 0 {
-                    live -= 1;
-                }
-            }
-        }
-        for lane in 0..SER_BATCH_LANES {
-            slot[lane] = resolve(entry[lane], reference[lane]);
         }
     }
 

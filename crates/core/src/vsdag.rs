@@ -43,7 +43,6 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-use fib_succinct::simd::gather4_u32;
 use fib_succinct::storage::get_u32 as slot_at;
 use fib_trie::{project_heat_weights, Address, BinaryTrie, Depth, NextHop, ProperNode, ProperTrie};
 
@@ -56,11 +55,6 @@ fn leaf_hop(reference: u32) -> Option<NextHop> {
     let label = reference & !LEAF_TAG;
     (label != BOT).then(|| NextHop::new(label))
 }
-
-/// Number of lookups the gather kernel behind
-/// [`VarStrideDagRef::lookup_stream`] walks in lockstep — sized to the
-/// 4-wide [`gather4_u32`] the SIMD dispatch resolves to.
-pub const VS_BATCH_LANES: usize = 4;
 
 /// In-flight walks of the rolling-refill kernel behind
 /// [`VarStrideDagRef::lookup_batch`]. Each slot owns one walk and takes
@@ -671,11 +665,9 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
     /// Batched longest-prefix match: resolves `addrs[i]` into `out[i]`
     /// with a rolling-refill walk kernel — [`VS_REFILL_LANES`] walks in
     /// flight, each lane taking the next address the moment its walk
-    /// resolves. Ungated: the refill overlaps the serial
-    /// directory-read → slot-read chains whether the table lives in L2
-    /// or misses to memory, so it wins at every size (the lockstep
-    /// gather kernel only paid off out of cache and convoyed on the
-    /// slowest chunk member when resident).
+    /// resolves. The refill overlaps the serial directory-read →
+    /// slot-read chains whether the table lives in L2 or misses to
+    /// memory, so this is the one batch kernel at every size.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
@@ -738,89 +730,6 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
                     offset[lane] += take;
                 }
             }
-        }
-    }
-
-    /// Prefetches the first-level slot `addr` will read. The root's
-    /// directory word is read every lookup and stays resident; the hint
-    /// targets the slot line the walk will actually miss on.
-    #[inline]
-    pub fn prefetch(&self, addr: A) {
-        if self.root & LEAF_TAG != 0 {
-            return;
-        }
-        let node = self.nodes[self.root as usize];
-        let stride = ((node >> 32) & 0x1F) as u8;
-        let take = stride.min(A::WIDTH);
-        let slot = addr.bits(0, take) << (stride - take);
-        let index = (node as u32) as usize + slot as usize;
-        // Two tagged slots per packed word.
-        fib_succinct::mem::prefetch_index(self.words, index / 2);
-    }
-
-    /// Software-pipelined batched lookup: identical results to
-    /// [`Self::lookup_batch`], walking [`VS_BATCH_LANES`]-lane lockstep
-    /// groups through the SIMD gather kernel with the next group's
-    /// first-level slot lines prefetched while the current group walks.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        // Below the residency threshold the whole structure lives in
-        // cache and the prefetch stage is pure overhead — identical
-        // results either way, so take the rolling-refill batch kernel.
-        if self.size_bytes() < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES {
-            return self.lookup_batch(addrs, out);
-        }
-        fib_succinct::mem::pipelined_stream(
-            VS_BATCH_LANES,
-            addrs,
-            out,
-            |addr| self.prefetch(addr),
-            |chunk, slot| self.resolve_lanes(chunk, slot),
-            |addr, slot| *slot = self.lookup(addr),
-        );
-    }
-
-    /// One lockstep [`VS_BATCH_LANES`]-lane group: the gather kernel of
-    /// [`Self::lookup_stream`]'s out-of-cache path. Both slices must be
-    /// exactly [`VS_BATCH_LANES`] long.
-    #[inline]
-    fn resolve_lanes(&self, chunk: &[A], slot_out: &mut [Option<NextHop>]) {
-        let mut reference = [self.root; VS_BATCH_LANES];
-        let mut offset = [0u8; VS_BATCH_LANES];
-        let mut live = reference.iter().filter(|&&r| r & LEAF_TAG == 0).count();
-        // Each step reads the (hot, resident) directory word per lane,
-        // then gathers all four lanes' slots in one SIMD gather over the
-        // packed-u32 word array (scalar fallback inside `gather4_u32`);
-        // parked lanes re-read slot 0.
-        while live > 0 {
-            let mut take = [0u8; VS_BATCH_LANES];
-            let mut gidx = [0u64; VS_BATCH_LANES];
-            for lane in 0..VS_BATCH_LANES {
-                if reference[lane] & LEAF_TAG != 0 {
-                    continue;
-                }
-                let node = self.nodes[reference[lane] as usize];
-                let stride = ((node >> 32) & 0x1F) as u8;
-                take[lane] = stride.min(A::WIDTH - offset[lane]);
-                let slot = chunk[lane].bits(offset[lane], take[lane]) << (stride - take[lane]);
-                gidx[lane] = u64::from(node as u32) + u64::from(slot);
-            }
-            let slots = gather4_u32(self.words, gidx);
-            for lane in 0..VS_BATCH_LANES {
-                if reference[lane] & LEAF_TAG != 0 {
-                    continue;
-                }
-                reference[lane] = slots[lane];
-                offset[lane] += take[lane];
-                if reference[lane] & LEAF_TAG != 0 {
-                    live -= 1;
-                }
-            }
-        }
-        for lane in 0..VS_BATCH_LANES {
-            slot_out[lane] = leaf_hop(reference[lane]);
         }
     }
 

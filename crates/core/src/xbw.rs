@@ -320,31 +320,6 @@ impl<A: Address> XbwFib<A> {
         lookup_batch(self, addrs, out);
     }
 
-    /// Hints the prefetcher at the top of the shape string. The XBW walk
-    /// starts at a fixed position, so unlike the flat engines there is no
-    /// address-dependent first touch to request early; the useful
-    /// prefetches happen *inside* [`Self::lookup_stream`], where each
-    /// lane's next `S_I` line is requested as soon as its position is
-    /// known, while the remaining lanes still resolve.
-    #[inline]
-    pub fn prefetch(&self, _addr: A) {
-        self.si().prefetch(0);
-    }
-
-    /// Software-pipelined batched lookup: identical results to
-    /// [`Self::lookup_batch`]. On the plain backing every lane issues a
-    /// prefetch for its *next* level's `S_I` line the moment that
-    /// position is computed, so by the time the interleave returns to
-    /// the lane its line fetch has been in flight for seven other lanes'
-    /// worth of work. RRR stays scalar (decode-bound, like the batch
-    /// path).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        lookup_stream(self, addrs, out);
-    }
-
     /// Lookup reporting every memory touch as `(byte offset, byte size)`
     /// for cache simulation, under a flat `[S_I | S_α | label map]` layout.
     ///
@@ -466,16 +441,6 @@ impl SiRef<'_> {
         match self {
             Self::Plain(v) => v.access_rank1(i),
             Self::Rrr(v) => v.access_rank1(i),
-        }
-    }
-
-    /// Hints the prefetcher at the line a future `access_rank1(i)` will
-    /// touch. Only the plain backing prefetches: RRR's decode is
-    /// ALU-bound, so a hint buys nothing.
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        if let Self::Plain(v) = self {
-            v.prefetch(i);
         }
     }
 }
@@ -609,21 +574,6 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
         lookup_batch(self, addrs, out);
     }
 
-    /// Hints the prefetcher at the top of the shape string (see
-    /// [`XbwFib::prefetch`]).
-    #[inline]
-    pub fn prefetch(&self, _addr: A) {
-        self.si.prefetch(0);
-    }
-
-    /// Software-pipelined batched lookup (see [`XbwFib::lookup_stream`]).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        lookup_stream(self, addrs, out);
-    }
-
     /// Traced lookup (see [`XbwFib::lookup_traced`]), with the `S_I` and
     /// `S_α` regions sized by the words the image stores for them.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
@@ -637,7 +587,7 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
 
 /// A pair of XBW-b strings as the lookup walk reads them. [`XbwFib`]
 /// answers from its owned stores and [`XbwFibRef`] from borrowed image
-/// sections; the scalar walk, the rolling-refill kernel, the stream gate
+/// sections; the scalar walk, the rolling-refill kernel
 /// and the traced walk below exist once, over this.
 trait Strings {
     /// The shape string `S_I` as a borrowed view, hoisted out of walk
@@ -647,9 +597,6 @@ trait Strings {
     /// Next-hop of the leaf with 0-based leaf rank `rank`: one `S_α`
     /// access, then the symbol → next-hop table.
     fn leaf(&self, rank: usize) -> Option<NextHop>;
-
-    /// Resident bytes, for the stream path's cache-residency gate.
-    fn resident_bytes(&self) -> usize;
 
     /// `(S_I bytes, S_α bytes, δ)` of the flat layout the traced walk
     /// models. Off the packet path: sizing the owned stores walks them.
@@ -665,10 +612,6 @@ impl<A: Address> Strings for XbwFib<A> {
     #[inline]
     fn leaf(&self, rank: usize) -> Option<NextHop> {
         self.label_map[self.sa.access(rank) as usize]
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.size_bytes()
     }
 
     fn traced_layout(&self) -> (u64, u64, usize) {
@@ -690,10 +633,6 @@ impl<A: Address> Strings for XbwFibRef<'_, A> {
     fn leaf(&self, rank: usize) -> Option<NextHop> {
         let word = self.labels[self.sa.access(rank) as usize];
         (word != u64::MAX).then(|| NextHop::new(word as u32))
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.size_bytes()
     }
 
     fn traced_layout(&self) -> (u64, u64, usize) {
@@ -731,7 +670,7 @@ fn walk<A: Address>(
     }
 }
 
-/// The RRR backing's batch and stream path: its walk is bound by the
+/// The RRR backing's batch path: its walk is bound by the
 /// serial combinatorial decode, which interleaving cannot overlap.
 fn scalar_loop<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Option<NextHop>]) {
     for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
@@ -744,33 +683,15 @@ fn lookup_batch<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Opti
     let out = &mut out[..addrs.len()];
     match strings.si() {
         SiRef::Rrr(_) => scalar_loop(strings, addrs, out),
-        SiRef::Plain(si) => interleaved_walk::<A, false>(si, strings, addrs, out),
+        SiRef::Plain(si) => interleaved_walk(si, strings, addrs, out),
     }
 }
 
-fn lookup_stream<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Option<NextHop>]) {
-    assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-stream contract, not per-packet
-    let out = &mut out[..addrs.len()];
-    match strings.si() {
-        SiRef::Rrr(_) => scalar_loop(strings, addrs, out),
-        // Below the residency threshold the whole shape string lives in
-        // cache and the in-walk prefetch is pure overhead — identical
-        // results either way, so take the plain interleaved path.
-        SiRef::Plain(si)
-            if strings.resident_bytes() < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES =>
-        {
-            interleaved_walk::<A, false>(si, strings, addrs, out);
-        }
-        SiRef::Plain(si) => interleaved_walk::<A, true>(si, strings, addrs, out),
-    }
-}
-
-/// The rolling-refill walk kernel behind `lookup_batch` (`PREFETCH =
-/// false`) and `lookup_stream` (`true`: each lane's next `S_I` line is
-/// requested the moment its position is known). It takes the plain
-/// shape string itself, not the backing enum: the RRR fallback is the
-/// callers', and the per-level probe compiles to the one rank-line read.
-fn interleaved_walk<A: Address, const PREFETCH: bool>(
+/// The rolling-refill walk kernel behind `lookup_batch`. It takes the
+/// plain shape string itself, not the backing enum: the RRR fallback is
+/// the caller's, and the per-level probe compiles to the one rank-line
+/// read.
+fn interleaved_walk<A: Address>(
     si: RsBitVecRef<'_>,
     strings: &impl Strings,
     addrs: &[A],
@@ -806,8 +727,7 @@ fn interleaved_walk<A: Address, const PREFETCH: bool>(
                 out[j] = strings.leaf(rank1);
                 if next < n {
                     // Refill in place: the next walk starts at the
-                    // root word, which is hot, so no prefetch is due
-                    // until its first child position is known.
+                    // root word, which is hot.
                     job[lane] = next;
                     pos[lane] = 0;
                     depth[lane] = 0;
@@ -820,9 +740,6 @@ fn interleaved_walk<A: Address, const PREFETCH: bool>(
                 let r = pos[lane] + 1 - rank1;
                 pos[lane] = 2 * r - 1 + usize::from(addrs[j].bit(depth[lane]));
                 depth[lane] += 1;
-                if PREFETCH {
-                    si.prefetch(pos[lane]);
-                }
             }
         }
     }

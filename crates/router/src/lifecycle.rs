@@ -36,7 +36,10 @@ use crate::spoolfs::{SpoolFile, SpoolFs};
 pub(crate) const JOURNAL_RECORD: usize = 24;
 /// Journal header: magic (8) + base epoch (8).
 pub(crate) const JOURNAL_HEADER: usize = 16;
-pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"FIBJRNL2";
+const JOURNAL_MAGIC: &[u8; 8] = b"FIBJRNL2";
+
+/// A decoded journal record: `(tag, prefix length, next-hop, address)`.
+pub(crate) type JournalRecord = (u8, u8, u32, u128);
 
 /// Folds FNV-1a over a record's non-checksum bytes down to 16 bits.
 fn record_checksum(rec: &[u8; JOURNAL_RECORD]) -> u16 {
@@ -62,12 +65,11 @@ pub(crate) fn encode_record(tag: u8, len: u8, nh: u32, addr: u128) -> [u8; JOURN
     rec
 }
 
-/// Decodes one journal record, verifying its checksum. Returns
-/// `(tag, len, nh, addr)`, or `None` for a torn/corrupt record (replay
-/// must stop there). The [`SpoolMutant::ReplayPastTail`] protocol
-/// mutant skips the verification — the bug the checksum exists to make
-/// detectable.
-pub(crate) fn decode_record(rec: &[u8], mutant: SpoolMutant) -> Option<(u8, u8, u32, u128)> {
+/// Decodes one journal record, verifying its checksum: `None` for a
+/// torn/corrupt record (replay must stop there). The
+/// [`SpoolMutant::ReplayPastTail`] protocol mutant skips the
+/// verification — the bug the checksum exists to make detectable.
+fn decode_record(rec: &[u8], mutant: SpoolMutant) -> Option<JournalRecord> {
     let rec: &[u8; JOURNAL_RECORD] = rec.try_into().ok()?;
     if mutant != SpoolMutant::ReplayPastTail {
         let stored = u16::from_le_bytes([rec[2], rec[3]]);
@@ -78,6 +80,49 @@ pub(crate) fn decode_record(rec: &[u8], mutant: SpoolMutant) -> Option<(u8, u8, 
     let nh = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
     let addr = u128::from_le_bytes(rec[8..24].try_into().expect("16 bytes"));
     Some((rec[0], rec[1], nh, addr))
+}
+
+/// Decodes a journal file for a `width`-bit address family into its base
+/// epoch, the records replay applies — each tagged `b'A'` or `b'W'` —
+/// and the bytes left past the last of them. Records end at the first
+/// that fails its checksum, names an unknown op or does not fit
+/// `width`: a torn or bit-flipped tail. `None` when the header is short
+/// or not `FIBJRNL2`.
+///
+/// The [`SpoolMutant::ReplayPastTail`] protocol mutant makes none of
+/// those stops and forces whatever it reads into range.
+pub(crate) fn read_journal(
+    buf: &[u8],
+    width: u8,
+    mutant: SpoolMutant,
+) -> Option<(u64, Vec<JournalRecord>, u64)> {
+    if buf.len() < JOURNAL_HEADER || &buf[..8] != JOURNAL_MAGIC {
+        return None;
+    }
+    let base_epoch = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
+    let body = &buf[JOURNAL_HEADER..];
+    let addr_mask = if width < 128 {
+        (1u128 << width) - 1
+    } else {
+        u128::MAX
+    };
+    let mut records = Vec::new();
+    for rec in body.chunks_exact(JOURNAL_RECORD) {
+        let Some((tag, len, nh, addr)) = decode_record(rec, mutant) else {
+            break;
+        };
+        if mutant == SpoolMutant::ReplayPastTail {
+            let tag = if tag == b'W' { b'W' } else { b'A' };
+            records.push((tag, len.min(width), nh, addr & addr_mask));
+            continue;
+        }
+        if !matches!(tag, b'A' | b'W') || len > width || addr & !addr_mask != 0 {
+            break;
+        }
+        records.push((tag, len, nh, addr));
+    }
+    let torn_bytes = (body.len() - records.len() * JOURNAL_RECORD) as u64;
+    Some((base_epoch, records, torn_bytes))
 }
 
 /// Seeded persistence-protocol bugs for the crash-recovery harness's
@@ -572,24 +617,19 @@ pub fn scan_spool(fs: &dyn SpoolFs, dir: &Path) -> io::Result<SpoolStatus> {
         status.newest_age = fs.age(&best.path);
     }
 
-    if let Ok(buf) = fs.read(&journal_path(dir)) {
-        if buf.len() >= JOURNAL_HEADER && &buf[..8] == JOURNAL_MAGIC {
-            let epoch = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-            status.journal_epoch = Some(epoch);
-            let body = &buf[JOURNAL_HEADER..];
-            let mut consumed = 0usize;
-            for rec in body.chunks_exact(JOURNAL_RECORD) {
-                if decode_record(rec, SpoolMutant::None).is_none() {
-                    break;
-                }
-                status.journal_records += 1;
-                consumed += JOURNAL_RECORD;
-            }
-            status.journal_torn_bytes = (body.len() - consumed) as u64;
-            status.journal_bridges = status
-                .newest_valid_epoch
-                .is_some_and(|newest| epoch <= newest);
-        }
+    // The scan does not know the spool's address family: the widest one
+    // accepts every record a narrower replay would.
+    let journal = fs
+        .read(&journal_path(dir))
+        .ok()
+        .and_then(|buf| read_journal(&buf, 128, SpoolMutant::None));
+    if let Some((epoch, records, torn_bytes)) = journal {
+        status.journal_epoch = Some(epoch);
+        status.journal_records = records.len() as u64;
+        status.journal_torn_bytes = torn_bytes;
+        status.journal_bridges = status
+            .newest_valid_epoch
+            .is_some_and(|newest| epoch <= newest);
     }
 
     let qdir = dir.join("quarantine");
@@ -640,6 +680,27 @@ mod tests {
         let mut bad = rec;
         bad[20] ^= 0x40;
         assert!(decode_record(&bad, SpoolMutant::ReplayPastTail).is_some());
+
+        // A whole file: two good records, the flipped one, a partial one.
+        let mut file = JOURNAL_MAGIC.to_vec();
+        file.extend(9u64.to_le_bytes());
+        let wide = encode_record(b'W', 64, 0, 1 << 40);
+        for part in [&rec[..], &wide, &bad, &rec[..5]] {
+            file.extend(part);
+        }
+        let good = vec![(b'A', 24, 7, 0x0A00_0000), (b'W', 64, 0, 1 << 40)];
+        let read = |width, mutant| read_journal(&file, width, mutant);
+        assert_eq!(read(128, SpoolMutant::None), Some((9, good.clone(), 29)));
+        // A 32-bit family stops at the record that does not fit it…
+        assert_eq!(
+            read(32, SpoolMutant::None),
+            Some((9, good[..1].to_vec(), 53))
+        );
+        // …and the mutant stops nowhere, clamping what it reads.
+        let (_, forced, torn) = read(32, SpoolMutant::ReplayPastTail).unwrap();
+        assert_eq!((forced.len(), torn), (3, 5));
+        assert_eq!(forced[1], (b'W', 32, 0, 0));
+        assert_eq!(read_journal(&file[..15], 32, SpoolMutant::None), None);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::lifecycle::{
-    decode_record, encode_record, image_path, journal_path, parse_image_name, quarantine_image,
-    Spool, SpoolConfig, SpoolHealth, SpoolMutant, JOURNAL_HEADER, JOURNAL_MAGIC, JOURNAL_RECORD,
+    encode_record, image_path, journal_path, parse_image_name, quarantine_image, read_journal,
+    Spool, SpoolConfig, SpoolHealth, JOURNAL_HEADER, JOURNAL_RECORD,
 };
 use crate::snapcell::{SnapCell, SnapReader};
 use crate::spoolfs::{SpoolFs, StdFs};
@@ -207,20 +207,16 @@ impl<E> EpochSnapshot<E> {
         });
     }
 
-    /// Software-pipelined batched lookup on the snapshot (see
-    /// [`FibLookup::lookup_stream`]): the engine prefetches the next lane
-    /// group's first cache lines while the current group resolves.
+    /// [`Self::lookup_batch`] under the name the serving loop calls (see
+    /// [`FibLookup::lookup_stream`]).
     ///
     /// # Panics
-    /// Panics if `out` is shorter than `addrs`, or as [`Self::lookup`].
+    /// As [`Self::lookup_batch`].
     pub fn lookup_stream<A: Address>(&self, addrs: &[A], out: &mut [Option<NextHop>])
     where
         E: ImageCodec<A>,
     {
-        self.with_engine(|engine| match &self.hot {
-            Some(front) => front.lookup_batch(addrs, out, |a, o| engine.lookup_stream(a, o)),
-            None => engine.lookup_stream(addrs, out),
-        });
+        self.lookup_batch(addrs, out);
     }
 }
 
@@ -607,56 +603,26 @@ where
         // quarantined) image files: per-prefix last-writer-wins makes
         // records a newer image already includes idempotent. A journal
         // stamped *newer* than the image we restored cannot bridge the gap
-        // and is ignored (and restamped below). Replay stops at the first
-        // record whose checksum or address-width guard fails — a torn or
-        // bit-flipped tail (the ReplayPastTail mutant disables exactly
-        // these stops).
-        let mutant = spool_cfg.mutant;
+        // and is ignored (and restamped below). `read_journal` yields
+        // only the records before a torn or bit-flipped tail.
         let mut replayed = 0u64;
         let jpath = journal_path(dir);
         let mut journal_epoch = epoch;
-        if let Ok(buf) = fs.read(&jpath) {
-            if buf.len() >= JOURNAL_HEADER && &buf[..8] == JOURNAL_MAGIC {
-                journal_epoch = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-                if journal_epoch <= epoch {
-                    for rec in buf[JOURNAL_HEADER..].chunks_exact(JOURNAL_RECORD) {
-                        let Some((tag, len, nh, addr)) = decode_record(rec, mutant) else {
-                            break;
-                        };
-                        if mutant == SpoolMutant::ReplayPastTail {
-                            let len = len.min(A::WIDTH);
-                            let addr = if A::WIDTH < 128 {
-                                addr & ((1u128 << A::WIDTH) - 1)
-                            } else {
-                                addr
-                            };
-                            let prefix = Prefix::new(A::from_u128(addr), len);
-                            if tag == b'W' {
-                                control.remove(prefix);
-                            } else {
-                                control.insert(prefix, NextHop::new(nh));
-                            }
-                            replayed += 1;
-                            continue;
-                        }
-                        if len > A::WIDTH {
-                            break; // torn or corrupt tail
-                        }
-                        if A::WIDTH < 128 && addr >> A::WIDTH != 0 {
-                            break;
-                        }
-                        let prefix = Prefix::new(A::from_u128(addr), len);
-                        match tag {
-                            b'A' => {
-                                control.insert(prefix, NextHop::new(nh));
-                            }
-                            b'W' => {
-                                control.remove(prefix);
-                            }
-                            _ => break,
-                        }
-                        replayed += 1;
+        let journal = fs
+            .read(&jpath)
+            .ok()
+            .and_then(|buf| read_journal(&buf, A::WIDTH, spool_cfg.mutant));
+        if let Some((base_epoch, records, _torn)) = journal {
+            journal_epoch = base_epoch;
+            if journal_epoch <= epoch {
+                for (tag, len, nh, addr) in records {
+                    let prefix = Prefix::new(A::from_u128(addr), len);
+                    if tag == b'W' {
+                        control.remove(prefix);
+                    } else {
+                        control.insert(prefix, NextHop::new(nh));
                     }
+                    replayed += 1;
                 }
             }
         }

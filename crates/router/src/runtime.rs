@@ -8,7 +8,7 @@
 //! image; every other core runs a tight forward loop — refill a batch
 //! from its traffic source, pick up the current snapshot (one atomic
 //! generation check via [`SnapCell`]), resolve the batch through the
-//! engine's software-pipelined [`lookup_stream`] path, record latency.
+//! engine's batch kernel ([`lookup_stream`]), record latency.
 //! Workers never take a lock and never contend with each other; the only
 //! cross-core traffic on the packet path is the generation counter line,
 //! which is read-shared until the (rare) publish invalidates it.

@@ -47,11 +47,9 @@
 //!   directory gives O(1) expected time on FIB-shaped inputs and O(log n)
 //!   only for pathologically clustered ones.
 
-// `deny` rather than `forbid`: three modules carry narrowly-scoped
-// `#[allow]`s — `mem` for the x86 prefetch hint intrinsic (a pure hint
-// with no memory effects), `simd` for the bounds-checked,
-// feature-detected AVX2 gather, and `storage` for the advisory
-// `madvise(MADV_HUGEPAGE)` syscall; everything else stays unsafe-free.
+// `deny` rather than `forbid`: one module, `storage`, carries a
+// narrowly-scoped `#[allow]` for the advisory `madvise(MADV_HUGEPAGE)`
+// syscall; everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -59,10 +57,8 @@ mod bits;
 pub mod broadword;
 pub mod huffman;
 mod intvec;
-pub mod mem;
 mod rrr;
 mod rsvec;
-pub mod simd;
 pub mod storage;
 mod wavelet;
 

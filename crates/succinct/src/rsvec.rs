@@ -262,13 +262,6 @@ impl RsBitVec {
         self.view().access_rank1(i)
     }
 
-    /// Hints the prefetcher at the line holding bit `i` (see
-    /// [`RsBitVecRef::prefetch`]).
-    #[inline]
-    pub fn prefetch(&self, i: usize) {
-        self.view().prefetch(i);
-    }
-
     /// Position of the `q`-th set bit (`q ≥ 1`), or `None`.
     #[must_use]
     pub fn select1(&self, q: usize) -> Option<usize> {
@@ -373,14 +366,6 @@ impl<'a> RsBitVecRef<'a> {
     #[must_use]
     pub fn count_zeros(&self) -> usize {
         self.len - self.ones
-    }
-
-    /// Hints the hardware prefetcher at the interleaved line holding bit
-    /// `i`, so a later `access_rank1(i)` finds it resident. Out-of-range
-    /// positions are ignored (prefetching is best-effort).
-    #[inline]
-    pub fn prefetch(&self, i: usize) {
-        crate::mem::prefetch_index(self.words, (i / LINE_BITS) * BLOCK_WORDS);
     }
 
     /// The 8-word line `s`, bounds-checked once (lines start at word 0).

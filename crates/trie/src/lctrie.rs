@@ -22,15 +22,10 @@
 
 use std::marker::PhantomData;
 
-use fib_succinct::simd::gather4;
-
 use crate::addr::{Address, Depth};
 use crate::binary::BinaryTrie;
 use crate::leafpush::{ProperNode, ProperTrie};
 use crate::nexthop::NextHop;
-
-/// Number of lookups [`LcTrie::lookup_batch`] walks in lockstep.
-pub const LC_BATCH_LANES: usize = 4;
 
 /// Packed node encoding: bit 63 tags a leaf; a leaf stores `label + 1` in
 /// the low 33 bits (0 = no route); a branch stores the stride in bits
@@ -227,33 +222,6 @@ impl<A: Address> LcTrie<A> {
         self.view().lookup_with_depth(addr)
     }
 
-    /// Batched longest-prefix match: resolves `addrs[i]` into `out[i]`,
-    /// walking [`LC_BATCH_LANES`] addresses in lockstep so the independent
-    /// branch-node fetches of different packets overlap in the memory
-    /// pipeline instead of serializing behind one another.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.view().lookup_batch(addrs, out);
-    }
-
-    /// Prefetches the first branch target of `addr`'s walk (see
-    /// [`LcTrieRef::prefetch`]).
-    #[inline]
-    pub fn prefetch(&self, addr: A) {
-        self.view().prefetch(addr);
-    }
-
-    /// Software-pipelined batched lookup (see
-    /// [`LcTrieRef::lookup_stream`]).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.view().lookup_stream(addrs, out);
-    }
-
     /// Lookup reporting every node touch as `(byte offset, byte size)`
     /// within the arena — the access stream for cache simulation.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
@@ -431,112 +399,6 @@ impl<'a, A: Address> LcTrieRef<'a, A> {
         }
     }
 
-    /// Batched longest-prefix match (see [`LcTrie::lookup_batch`]).
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-                                                                      // Trim so the exact-chunk remainders of both slices stay aligned
-                                                                      // when the caller hands in an oversized output buffer.
-        let out = &mut out[..addrs.len()];
-        // A cache-resident arena has no misses for the lockstep walk (or
-        // its gathers) to overlap — lane bookkeeping is pure overhead
-        // there, so small tries walk scalar, like the stream path's
-        // prefetch gate below.
-        if self.size_bytes() < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES {
-            for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-                *slot = self.lookup(*addr);
-            }
-            return;
-        }
-        let mut chunks = addrs.chunks_exact(LC_BATCH_LANES);
-        let mut outs = out.chunks_exact_mut(LC_BATCH_LANES);
-        for (chunk, slot) in (&mut chunks).zip(&mut outs) {
-            self.resolve_lanes(chunk, slot);
-        }
-        for (addr, slot) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *slot = self.lookup(*addr);
-        }
-    }
-
-    /// Prefetches the first branch target of `addr`'s walk. The root node
-    /// itself is one word that every lookup touches (always resident);
-    /// its child index is what actually varies per address, so that is
-    /// the line worth requesting early.
-    #[inline]
-    pub fn prefetch(&self, addr: A) {
-        let word = self.nodes[self.root as usize];
-        if word & LEAF_TAG == 0 {
-            let bits = ((word >> 32) & 0xFF) as u8;
-            let idx = (word as u32) + addr.bits(0, bits);
-            fib_succinct::mem::prefetch_index(self.nodes, idx as usize);
-        }
-    }
-
-    /// Software-pipelined batched lookup: identical results to
-    /// [`Self::lookup_batch`], with the next [`LC_BATCH_LANES`]-lane
-    /// group's first branch lines prefetched while the current group
-    /// walks.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_stream(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        // Below the residency threshold the whole structure lives in
-        // cache and the prefetch stage is pure overhead — identical
-        // results either way, so take the plain interleaved path.
-        if self.size_bytes() < fib_succinct::mem::PREFETCH_WORTHWHILE_BYTES {
-            return self.lookup_batch(addrs, out);
-        }
-        fib_succinct::mem::pipelined_stream(
-            LC_BATCH_LANES,
-            addrs,
-            out,
-            |addr| self.prefetch(addr),
-            |chunk, slot| self.resolve_lanes(chunk, slot),
-            |addr, slot| *slot = self.lookup(addr),
-        );
-    }
-
-    /// One lockstep [`LC_BATCH_LANES`]-lane group: the shared kernel of
-    /// [`Self::lookup_batch`] and [`Self::lookup_stream`]. Both slices
-    /// must be exactly [`LC_BATCH_LANES`] long.
-    #[inline]
-    fn resolve_lanes(&self, chunk: &[A], slot: &mut [Option<NextHop>]) {
-        // One walk state per lane; a lane parks on its answer when it
-        // reaches a leaf while the others keep stepping. Each step reads
-        // all four lanes' node words with one SIMD gather (scalar
-        // fallback inside `gather4`); parked lanes re-read node 0.
-        let mut idx = [self.root; LC_BATCH_LANES];
-        let mut offset = [0u8; LC_BATCH_LANES];
-        let mut done = [false; LC_BATCH_LANES];
-        let mut live = LC_BATCH_LANES;
-        while live > 0 {
-            let mut gidx = [0u64; LC_BATCH_LANES];
-            for lane in 0..LC_BATCH_LANES {
-                if !done[lane] {
-                    gidx[lane] = u64::from(idx[lane]);
-                }
-            }
-            let words = gather4(self.nodes, gidx);
-            for lane in 0..LC_BATCH_LANES {
-                if done[lane] {
-                    continue;
-                }
-                let word = words[lane];
-                if word & LEAF_TAG != 0 {
-                    slot[lane] = unpack_leaf(word);
-                    done[lane] = true;
-                    live -= 1;
-                } else {
-                    let bits = ((word >> 32) & 0xFF) as u8;
-                    idx[lane] = (word as u32) + chunk[lane].bits(offset[lane], bits);
-                    offset[lane] += bits;
-                }
-            }
-        }
-    }
-
     /// Lookup reporting every node touch as `(byte offset, byte size)`
     /// within the arena — the access stream for cache simulation.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
@@ -707,39 +569,6 @@ mod tests {
         for max_stride in [1u8, 4, 8, 16] {
             let lc = LcTrie::with_params(&trie, 0.5, max_stride);
             assert_equivalent(&trie, &lc, 3000);
-        }
-    }
-
-    #[test]
-    fn batch_lookup_matches_scalar() {
-        let mut trie: BinaryTrie<u32> = BinaryTrie::new();
-        let mut x: u64 = 0xFEED_FACE_CAFE_BEEF;
-        for _ in 0..400 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            trie.insert(
-                Prefix4::new((x >> 32) as u32, (x % 33) as u8),
-                nh((x % 7) as u32),
-            );
-        }
-        let lc = LcTrie::from_trie(&trie);
-        // Sizes around the lane width exercise both the lockstep core and
-        // the scalar remainder.
-        for n in [0usize, 1, 3, 4, 5, 7, 8, 129] {
-            let addrs: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-            let mut out = vec![None; n];
-            lc.lookup_batch(&addrs, &mut out);
-            for (a, got) in addrs.iter().zip(&out) {
-                assert_eq!(*got, lc.lookup(*a), "batch diverges at {a:#x}");
-            }
-            // Oversized output buffer: every addressed slot must still be
-            // written (the tails of both chunk streams must align).
-            let mut big = vec![Some(nh(u32::MAX - 1)); n + 5];
-            lc.lookup_batch(&addrs, &mut big);
-            for (a, got) in addrs.iter().zip(&big) {
-                assert_eq!(*got, lc.lookup(*a), "oversized batch diverges at {a:#x}");
-            }
         }
     }
 

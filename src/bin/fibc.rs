@@ -28,9 +28,10 @@ use std::process::ExitCode;
 use fibcomp::core::image::sections;
 use fibcomp::core::lint as image_lint;
 use fibcomp::core::{
-    any_view, compile_vrf_set, write_image, write_image_hot, write_vrf_image, AnyView, BuildConfig,
-    EngineKind, FibBuild, FibImage, FibLookup, HotConfig, HotSlab, ImageCodec, ImageError,
-    PrefixDag, SerializedDag, VarStrideDag, VrfPolicy, VrfSetRef, VrfTable, XbwFib, XbwStorage,
+    compile_vrf_set, hot_any_view, write_image, write_image_hot, write_vrf_image, BuildConfig,
+    EngineKind, FibBuild, FibImage, FibLookup, HotAnyView, HotConfig, HotSlab, ImageCodec,
+    ImageError, PrefixDag, SerializedDag, VarStrideDag, VrfPolicy, VrfSetRef, VrfTable, XbwFib,
+    XbwStorage,
 };
 use fibcomp::router::{scan_spool, LatencyHistogram, StdFs};
 use fibcomp::trie::{Address, BinaryTrie, LcTrie, NextHop, Prefix};
@@ -595,16 +596,33 @@ enum ServeBudget {
     Wall(std::time::Duration),
 }
 
-/// One worker's serve loop over a zero-copy image view: batches from its
-/// private stream through the software-pipelined `lookup_stream` path,
-/// with per-batch latency recorded in a log₂ histogram.
+/// What `fibc serve` says about the image's hot slab: its pinned blocks
+/// and what the gate in front of it currently decides.
+fn slab_line<A: Address>(view: &HotAnyView<'_, A>) -> String {
+    let Some(front) = view.front() else {
+        return "no hot slab".into();
+    };
+    let gate = if front.bypassed() {
+        "bypassed"
+    } else {
+        "probing"
+    };
+    format!(
+        "hot slab: {} blocks, gate {gate}",
+        front.slab().entries().count()
+    )
+}
+
+/// One worker's serve loop over the shared zero-copy image view: batches
+/// from its private stream through the view's batch kernel (behind the
+/// image's hot slab, when it has one), with per-batch latency recorded
+/// in a log₂ histogram.
 fn serve_worker<A: Address + AddrText>(
-    image: &FibImage,
+    view: &HotAnyView<'_, A>,
     stream: &mut AddrStream<A>,
     budget: ServeBudget,
     batch: usize,
-) -> Result<(u64, u64, LatencyHistogram, f64), String> {
-    let view: AnyView<'_, A> = any_view(image).map_err(|e| e.to_string())?;
+) -> (u64, u64, LatencyHistogram, f64) {
     let mut hist = LatencyHistogram::default();
     let mut packets = 0u64;
     let mut matched = 0u64;
@@ -635,7 +653,7 @@ fn serve_worker<A: Address + AddrText>(
         matched += out[..n].iter().filter(|o| o.is_some()).count() as u64;
         hist.record(dt / n as f64, n as u64);
     }
-    Ok((packets, matched, hist, start.elapsed().as_secs_f64()))
+    (packets, matched, hist, start.elapsed().as_secs_f64())
 }
 
 /// Runs `threads` workers against the image and prints per-worker stats
@@ -670,9 +688,9 @@ fn serve_bench<A: Address + AddrText + Sync>(
         })?)
     };
     let fib = fib.as_ref();
-    let engine = any_view::<A>(image)
-        .map(|v| FibLookup::<A>::name(&v))
-        .map_err(|e| e.to_string())?;
+    let view = hot_any_view::<A>(image).map_err(|e| e.to_string())?;
+    let view = &view;
+    let engine = view.name();
 
     // --probe is fixed total work: split it across the pool (the first
     // workers absorb the remainder) so `--probe N --threads T` always
@@ -684,29 +702,27 @@ fn serve_bench<A: Address + AddrText + Sync>(
         }
         wall => wall,
     };
-    let results: Vec<Result<(u64, u64, LatencyHistogram, f64), String>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let budget = worker_budget(worker);
-                    scope.spawn(move || {
-                        let mut stream = worker_stream::<A>(model, fib, seed, worker as u64);
-                        serve_worker(image, &mut stream, budget, batch)
-                    })
+    let results: Vec<(u64, u64, LatencyHistogram, f64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|worker| {
+                let budget = worker_budget(worker);
+                scope.spawn(move || {
+                    let mut stream = worker_stream::<A>(model, fib, seed, worker as u64);
+                    serve_worker(view, &mut stream, budget, batch)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serve worker panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("serve worker panicked"))
+            .collect()
+    });
 
     let mut total_hist = LatencyHistogram::default();
     let mut total_packets = 0u64;
     let mut total_matched = 0u64;
     let mut total_mlps = 0.0;
-    for (worker, result) in results.into_iter().enumerate() {
-        let (packets, matched, hist, secs) = result?;
+    for (worker, (packets, matched, hist, secs)) in results.into_iter().enumerate() {
         let mlps = if secs > 0.0 {
             packets as f64 / secs / 1e6
         } else {
@@ -730,6 +746,7 @@ fn serve_bench<A: Address + AddrText + Sync>(
         total_hist.p50(),
         total_hist.p99()
     );
+    println!("{}", slab_line(view));
     Ok(())
 }
 
@@ -840,7 +857,9 @@ fn serve_family<A: Address + AddrText + Sync>(
     // the queue is flushed whenever the read buffer drains — a full pipe
     // keeps batching, a line-at-a-time producer gets a line-at-a-time
     // echo.
-    let view: AnyView<'_, A> = any_view(image).map_err(|e| e.to_string())?;
+    let view = hot_any_view::<A>(image).map_err(|e| e.to_string())?;
+    // Stdout carries only answers; the slab line goes where parse errors go.
+    eprintln!("{}", slab_line(&view));
     const STDIN_BATCH: usize = 1024;
     let mut texts: Vec<String> = Vec::with_capacity(STDIN_BATCH);
     let mut addrs: Vec<A> = Vec::with_capacity(STDIN_BATCH);

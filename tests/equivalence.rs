@@ -13,10 +13,12 @@ fn rng(seed: u64) -> Xoshiro256 {
     Xoshiro256::seed_from_u64(seed)
 }
 
-/// Builds every engine over `trie` and checks they agree on `keys`, both
-/// one address at a time and through the batched data-plane entry point
-/// (which the flat-layout engines override with interleaved walks).
-fn check_all_engines(trie: &BinaryTrie<u32>, keys: &[u32]) {
+/// Builds every engine over `trie` and checks they — and any `extra`
+/// engines the caller built over the same trie — agree on `keys`, one
+/// address at a time and through both batched data-plane entry points
+/// (`lookup_batch`, which the flat-layout engines override with
+/// interleaved walks, and its `lookup_stream` alias).
+fn check_all_engines(trie: &BinaryTrie<u32>, keys: &[u32], extra: &[&dyn FibLookup<u32>]) {
     let table: RouteTable<u32> = trie.iter().collect();
     let proper = ProperTrie::from_trie(trie);
     proper.assert_invariants();
@@ -64,6 +66,7 @@ fn check_all_engines(trie: &BinaryTrie<u32>, keys: &[u32]) {
         &mb8,
         &vs_hot,
     ]);
+    engines.extend(extra);
     for &key in keys {
         let expected = table.lookup(key);
         for engine in &engines {
@@ -88,15 +91,21 @@ fn check_all_engines(trie: &BinaryTrie<u32>, keys: &[u32]) {
         .copied()
         .chain([&table as &dyn FibLookup<u32>])
     {
-        out.fill(Some(NextHop::new(u32::MAX - 1))); // poison every slot
-        engine.lookup_batch(keys, &mut out);
-        for (&key, &got) in keys.iter().zip(&out) {
-            assert_eq!(
-                got,
-                engine.lookup(key),
-                "{} batch diverges at {key:#010x}",
-                engine.name()
-            );
+        for entry in ["batch", "stream"] {
+            out.fill(Some(NextHop::new(u32::MAX - 1))); // poison every slot
+            if entry == "batch" {
+                engine.lookup_batch(keys, &mut out);
+            } else {
+                engine.lookup_stream(keys, &mut out);
+            }
+            for (&key, &got) in keys.iter().zip(&out) {
+                assert_eq!(
+                    got,
+                    engine.lookup(key),
+                    "{} {entry} diverges at {key:#010x}",
+                    engine.name()
+                );
+            }
         }
     }
 }
@@ -123,7 +132,7 @@ fn probe_keys(trie: &BinaryTrie<u32>, seed: u64, count: usize) -> Vec<u32> {
 fn dfz_like_fib() {
     let trie: BinaryTrie<u32> = FibSpec::dfz_like(20_000).generate(&mut rng(1));
     let keys = probe_keys(&trie, 2, 4000);
-    check_all_engines(&trie, &keys);
+    check_all_engines(&trie, &keys, &[]);
 }
 
 #[test]
@@ -137,7 +146,7 @@ fn access_like_fib_with_default_and_skew() {
         default_route: true,
     };
     let trie: BinaryTrie<u32> = spec.generate(&mut rng(3));
-    check_all_engines(&trie, &probe_keys(&trie, 4, 3000));
+    check_all_engines(&trie, &probe_keys(&trie, 4, 3000), &[]);
 }
 
 #[test]
@@ -151,24 +160,43 @@ fn bernoulli_low_entropy_fib() {
         default_route: false,
     };
     let trie: BinaryTrie<u32> = spec.generate(&mut rng(5));
-    check_all_engines(&trie, &probe_keys(&trie, 6, 3000));
+    check_all_engines(&trie, &probe_keys(&trie, 6, 3000), &[]);
+}
+
+/// Tables past 4 MiB — out of L2, and larger than any other tier-1
+/// table or served workload — through the same matrix: the one place
+/// the rolling-refill kernels are checked where their walks miss cache.
+#[test]
+fn large_tables_past_four_mib() {
+    let mut taz = fibcomp::workload::instances::by_name("taz").expect("taz instance");
+    taz.n_prefixes /= 50;
+    let trie = taz.build(0xF1B);
+    // The λ = 20 root array alone is 2²⁰ × 8 B, whatever the table.
+    let ser20 = SerializedDag::from_dag(&PrefixDag::from_trie(&trie, 20));
+    let mb16 = MultibitDag::from_trie(&trie, 16);
+    for big in [&ser20 as &dyn FibLookup<u32>, &mb16] {
+        assert!(big.size_bytes() >= 4 << 20, "{} is too small", big.name());
+    }
+    let mut keys = probe_keys(&trie, 9, 3000);
+    keys.extend(traces::ZipfTrace::new(&trie, 1.0).generate(&mut rng(10), 3000));
+    check_all_engines(&trie, &keys, &[&ser20, &mb16]);
 }
 
 #[test]
 fn tiny_fibs_and_degenerate_shapes() {
     // Empty.
-    check_all_engines(&BinaryTrie::new(), &[0, 1, u32::MAX, 0x8000_0000]);
+    check_all_engines(&BinaryTrie::new(), &[0, 1, u32::MAX, 0x8000_0000], &[]);
     // Default only.
     let mut t = BinaryTrie::new();
     t.insert("0.0.0.0/0".parse().unwrap(), fibcomp::trie::NextHop::new(1));
-    check_all_engines(&t, &[0, u32::MAX, 42]);
+    check_all_engines(&t, &[0, u32::MAX, 42], &[]);
     // One host route.
     let mut t = BinaryTrie::new();
     t.insert(
         "1.2.3.4/32".parse().unwrap(),
         fibcomp::trie::NextHop::new(2),
     );
-    check_all_engines(&t, &[0x0102_0304, 0x0102_0305, 0x0102_0303, 0]);
+    check_all_engines(&t, &[0x0102_0304, 0x0102_0305, 0x0102_0303, 0], &[]);
     // Two maximally separated routes.
     let mut t = BinaryTrie::new();
     t.insert("0.0.0.0/1".parse().unwrap(), fibcomp::trie::NextHop::new(1));
@@ -176,7 +204,7 @@ fn tiny_fibs_and_degenerate_shapes() {
         "128.0.0.0/1".parse().unwrap(),
         fibcomp::trie::NextHop::new(2),
     );
-    check_all_engines(&t, &[0, 0x7FFF_FFFF, 0x8000_0000, u32::MAX]);
+    check_all_engines(&t, &[0, 0x7FFF_FFFF, 0x8000_0000, u32::MAX], &[]);
 }
 
 #[test]
@@ -191,7 +219,7 @@ fn nested_chains_exercise_deep_paths() {
     let keys: Vec<u32> = (0..33)
         .map(|b| if b == 32 { 0 } else { 1u32 << b })
         .collect();
-    check_all_engines(&t, &keys);
+    check_all_engines(&t, &keys, &[]);
 }
 
 #[test]

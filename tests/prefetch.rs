@@ -1,13 +1,10 @@
-//! The software-pipelined lookup path: `lookup_stream` must agree with
-//! `lookup_batch`/`lookup` everywhere, and the first-touch prefetch it
-//! issues must actually convert demand misses into hits under the
-//! `hwsim` cache model.
+//! `lookup_stream` is `lookup_batch`: every engine has one batch kernel
+//! and the stream entry point is a provided alias of it, so the two must
+//! agree on every engine, image view and router snapshot.
 
 use fibcomp::core::{
-    FibBuild, FibLookup, FibUpdate, ImageCodec, MultibitDag, PrefixDag, SerializedDag, XbwFib,
-    XbwStorage,
+    FibBuild, FibLookup, ImageCodec, MultibitDag, PrefixDag, SerializedDag, XbwFib, XbwStorage,
 };
-use fibcomp::hwsim::{CacheLevel, CacheSim};
 use fibcomp::router::{Router, RouterConfig};
 use fibcomp::trie::{Address, BinaryTrie, LcTrie, NextHop};
 use fibcomp::workload::instances;
@@ -40,7 +37,7 @@ fn assert_stream_matches<A: Address, E: FibLookup<A>>(engine: &E, addrs: &[A]) {
     for (i, (&b, &s)) in batch.iter().zip(&stream).enumerate() {
         assert_eq!(b, s, "{}: lane {i} diverges", engine.name());
     }
-    // Odd lengths exercise the scalar tails of both paths.
+    // Lengths around the lane widths exercise the kernels' drain.
     for n in [0usize, 1, 3, 5, 7, 9, 13] {
         let n = n.min(addrs.len());
         let mut out = vec![Some(NextHop::new(7)); n + 2];
@@ -61,7 +58,7 @@ fn stream_agrees_with_batch_on_every_engine_v4() {
     assert_stream_matches(&LcTrie::from_trie(&trie), &addrs);
     assert_stream_matches(&XbwFib::build(&trie, XbwStorage::Succinct), &addrs);
     assert_stream_matches(&XbwFib::build(&trie, XbwStorage::Entropy), &addrs);
-    assert_stream_matches(&dag, &addrs); // default (forwarding) impl
+    assert_stream_matches(&dag, &addrs); // no kernel: the trait's per-address loop
 }
 
 #[test]
@@ -103,134 +100,4 @@ fn snapshot_stream_agrees_across_owned_and_image_backing() {
     snap.lookup_batch(&addrs, &mut batch);
     snap.lookup_stream(&addrs, &mut stream);
     assert_eq!(batch, stream);
-}
-
-/// The miss-reduction claim, validated on the cache model: feeding the
-/// pipeline's access order (next group's first-touch lines prefetched
-/// before the current group's walk) into `CacheSim` must convert
-/// first-touch *demand* misses into hits, relative to the same walks
-/// without prefetch.
-#[test]
-fn prefetch_converts_demand_misses_into_hits_under_cachesim() {
-    // One L1-sized level, so an engine bigger than L1 produces a steady
-    // demand-miss stream; the simulator is deterministic, so the
-    // comparison is exact, not statistical.
-    let l1 = || {
-        CacheSim::new(&[CacheLevel {
-            capacity: 32 * 1024,
-            ways: 8,
-            line: 64,
-        }])
-    };
-    let trie = taz_fib(0.1);
-    let dag = PrefixDag::from_trie(&trie, 11);
-    let ser = SerializedDag::from_dag(&dag);
-    assert!(
-        FibLookup::<u32>::size_bytes(&ser) > 48 * 1024,
-        "engine must overflow L1 for the experiment to mean anything"
-    );
-    let addrs: Vec<u32> = uniform(&mut Xoshiro256::seed_from_u64(5), 4096);
-
-    // Per-address access streams (trace-space offsets).
-    let streams: Vec<Vec<(u64, u32)>> = addrs
-        .iter()
-        .map(|&a| {
-            let mut touches = Vec::new();
-            ser.lookup_traced(a, &mut |off, sz| touches.push((off, sz)));
-            touches
-        })
-        .collect();
-
-    const LANES: usize = 4; // SER_BATCH_LANES
-    let misses_of = |sim: &CacheSim| sim.level_stats()[0].misses;
-
-    // Baseline: demand-only, same chunk order as the batch walk.
-    let mut base = l1();
-    for chunk in streams.chunks(LANES) {
-        for stream in chunk {
-            for &(off, sz) in stream {
-                base.access(off, sz);
-            }
-        }
-    }
-    let demand_baseline = misses_of(&base);
-
-    // Pipelined: before chunk i's walks, touch chunk i+1's first lines
-    // (exactly what `lookup_stream`'s prefetch stage does). Prefetch
-    // misses are charged separately from demand misses.
-    let mut piped = l1();
-    let mut demand_piped = 0u64;
-    let chunks: Vec<&[Vec<(u64, u32)>]> = streams.chunks(LANES).collect();
-    // Warm the very first chunk's first touches (the stream path's
-    // leading prefetch).
-    for stream in chunks[0] {
-        if let Some(&(off, sz)) = stream.first() {
-            piped.access(off, sz);
-        }
-    }
-    for (c, chunk) in chunks.iter().enumerate() {
-        if c + 1 < chunks.len() {
-            for stream in chunks[c + 1] {
-                if let Some(&(off, sz)) = stream.first() {
-                    piped.access(off, sz);
-                }
-            }
-        }
-        let before = misses_of(&piped);
-        for stream in *chunk {
-            for &(off, sz) in stream {
-                piped.access(off, sz);
-            }
-        }
-        demand_piped += misses_of(&piped) - before;
-    }
-
-    assert!(
-        demand_piped < demand_baseline,
-        "prefetch must reduce demand misses: {demand_piped} !< {demand_baseline}"
-    );
-    let reduction = 1.0 - demand_piped as f64 / demand_baseline as f64;
-    assert!(
-        reduction > 0.05,
-        "reduction {reduction:.3} too small to matter \
-         ({demand_piped} vs {demand_baseline})"
-    );
-    println!(
-        "demand misses: {demand_baseline} -> {demand_piped} \
-         ({:.1}% reduction)",
-        reduction * 100.0
-    );
-}
-
-/// `prefetch` itself must be a pure hint: no engine state, no answers
-/// change, any address is acceptable.
-#[test]
-fn prefetch_is_side_effect_free() {
-    let trie = taz_fib(0.02);
-    let dag = PrefixDag::from_trie(&trie, 11);
-    let ser = SerializedDag::from_dag(&dag);
-    let mb = MultibitDag::from_trie(&trie, 4);
-    let lc = LcTrie::from_trie(&trie);
-    let xbw = XbwFib::build(&trie, XbwStorage::Succinct);
-    for addr in [0u32, 1, 0xFFFF_FFFF, 0x0A00_0001, 0x8000_0000] {
-        let before = (
-            ser.lookup(addr),
-            mb.lookup(addr),
-            LcTrie::lookup(&lc, addr),
-            xbw.lookup(addr),
-        );
-        FibLookup::<u32>::prefetch(&ser, addr);
-        FibLookup::<u32>::prefetch(&mb, addr);
-        FibLookup::<u32>::prefetch(&lc, addr);
-        FibLookup::<u32>::prefetch(&xbw, addr);
-        let mut dummy = PrefixDag::from_trie(&trie, 5);
-        let _ = dummy.try_insert("1.2.3.0/24".parse().unwrap(), NextHop::new(1));
-        let after = (
-            ser.lookup(addr),
-            mb.lookup(addr),
-            LcTrie::lookup(&lc, addr),
-            xbw.lookup(addr),
-        );
-        assert_eq!(before, after);
-    }
 }
