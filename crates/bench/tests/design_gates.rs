@@ -10,20 +10,25 @@
 //! * it does so within 1.5x the slot bytes of the fixed stride-4 plan it
 //!   generalizes;
 //! * a 64-table fleet at 90 % overlap folds into one arena at least
-//!   30 % smaller than 64 independent compiles.
+//!   30 % smaller than 64 independent compiles;
+//! * a vsdag router under steady churn republishes in one DP round, at
+//!   the slot penalty the previous compile found, not a fresh search.
 //!
 //! The matching clock-time figures (`engine.vsdag.stream_ns` against
-//! `engine.multibit-dag.stream_ns`, `vrf.saved_pct`) are per-layer
-//! metrics of every `benchmark/` run.
+//! `engine.multibit-dag.stream_ns`, `vrf.saved_pct`,
+//! `router.publish_ms_p50`) are per-layer metrics of every `benchmark/`
+//! run.
 
 use fib_bench::instance_fib;
 use fib_core::{
     compile_vrf_set, BuildConfig, FibBuild, HotConfig, MultibitDag, VarStrideDag, VrfPolicy,
     VrfTable,
 };
+use fib_router::{Router, RouterConfig};
 use fib_trie::BinaryTrie;
 use fib_workload::rng::Xoshiro256;
 use fib_workload::traces::{uniform, ZipfTrace};
+use fib_workload::updates::{bgp_sequence, UpdateOp};
 use fib_workload::vrf::instance_fleet;
 use fib_workload::HeatSummary;
 
@@ -90,5 +95,37 @@ fn fleet_arena_saves_thirty_percent() {
     assert!(
         resident as f64 <= independent as f64 * 0.7,
         "64-VRF arena {resident} B must be ≥30 % under independent compiles {independent} B"
+    );
+}
+
+#[test]
+fn vsdag_republish_is_one_solve() {
+    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let updates = bgp_sequence(&mut Xoshiro256::seed_from_u64(7), &trie, 20 * 100);
+    let config = RouterConfig {
+        publish_every: None,
+        ..RouterConfig::default()
+    };
+    let mut router: Router<u32, VarStrideDag<u32>> = Router::new(trie, config);
+    let mut solves = 0;
+    for burst in updates.chunks(100) {
+        for op in burst {
+            match *op {
+                UpdateOp::Announce(prefix, next_hop) => router.announce(prefix, next_hop),
+                UpdateOp::Withdraw(prefix) => router.withdraw(prefix),
+            }
+        }
+        let snapshot = router.publish();
+        solves += snapshot.engine().expect("owned engine").plan_solves();
+    }
+    let stats = router.stats();
+    let (held, cold) = (stats.warm_rebuilds, stats.rebuilds - stats.warm_rebuilds);
+    // The bar is held >= 19, cold <= 1 and solves <= 20 + 4 walk-up steps
+    // + one cold search (35 rounds here); the run is deterministic and
+    // reads better than the bar, so pin what it reads.
+    assert_eq!(
+        (held, cold, solves),
+        (20, 0, 20),
+        "20 publishes took {solves} DP rounds: {held} from the held penalty, {cold} cold"
     );
 }

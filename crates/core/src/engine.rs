@@ -11,7 +11,9 @@
 //!   multi-lane walks.
 //! * [`FibBuild`] — the control-plane build step: every engine constructs
 //!   from the oracle [`BinaryTrie`] under one uniform [`BuildConfig`], so
-//!   a router can re-emit any representation from its control FIB.
+//!   a router can re-emit any representation from its control FIB — and
+//!   [`FibBuild::rebuild_from`] lets it hand the previous engine along, for
+//!   the engines that can carry compile-time state into the next build.
 //! * [`FibUpdate`] — incremental updates with a [`RebuildNeeded`] escape
 //!   hatch: structures with native λ-barrier updates ([`PrefixDag`],
 //!   [`BinaryTrie`], [`RouteTable`]) apply them in place; static images
@@ -216,6 +218,27 @@ pub trait FibBuild<A: Address>: Sized {
     ) -> Self {
         let _ = heat;
         Self::build(trie, config)
+    }
+
+    /// Rebuilds the engine for `trie` with the engine built before it at
+    /// hand — what a router calls, ahead of [`Self::build_weighted`], when
+    /// updates made its working engine stale. `previous` was built by this
+    /// trait, from an earlier state of the same control FIB (its config
+    /// and heat may differ from the ones passed here); an engine that can
+    /// carry compile-time state across (the variable-stride DAG holds its
+    /// plan's slot penalty, so the rebuild is one DP round instead of a
+    /// search) returns a complete, independent compile of `trie`. The
+    /// default declines, as [`FibUpdate`]'s does: `None` sends the caller
+    /// to [`Self::build_weighted`].
+    #[must_use]
+    fn rebuild_from(
+        previous: &Self,
+        trie: &BinaryTrie<A>,
+        config: &BuildConfig,
+        heat: Option<(&[(u64, u64)], u8)>,
+    ) -> Option<Self> {
+        let _ = (previous, trie, config, heat);
+        None
     }
 
     /// Whether [`Self::build_weighted`] actually consumes the heat
@@ -537,6 +560,15 @@ impl<A: Address> FibBuild<A> for VarStrideDag<A> {
         heat: Option<(&[(u64, u64)], u8)>,
     ) -> Self {
         VarStrideDag::from_trie_weighted(trie, config.vs_params(), heat)
+    }
+
+    fn rebuild_from(
+        previous: &Self,
+        trie: &BinaryTrie<A>,
+        config: &BuildConfig,
+        heat: Option<(&[(u64, u64)], u8)>,
+    ) -> Option<Self> {
+        VarStrideDag::rebuild_from(previous, trie, config.vs_params(), heat)
     }
 
     fn heat_aware() -> bool {

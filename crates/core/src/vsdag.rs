@@ -43,6 +43,7 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
+use crate::idhash::IdBuildHasher;
 use fib_succinct::storage::get_u32 as slot_at;
 use fib_trie::{project_heat_weights, Address, BinaryTrie, Depth, NextHop, ProperNode, ProperTrie};
 
@@ -141,6 +142,14 @@ pub struct VarStrideDag<A: Address> {
     /// Expected traffic-weighted slot reads the DP planned for; `None`
     /// for a fixed plan, where nothing was planned.
     plan_cost: Option<f64>,
+    /// The slot penalty μ the plan was solved at, for the next compile of
+    /// a nearby table to start from ([`Self::rebuild_from`]). `None` when
+    /// no budget shaped the plan: a fixed plan, `budget = ∞`, or a budget
+    /// nothing can meet. Compile-time state like `plan_cost`: not part of
+    /// [`Self::size_bytes`], not in the image.
+    held_mu: Option<f64>,
+    /// DP rounds the compile that produced this engine ran.
+    solves: u32,
     _marker: PhantomData<A>,
 }
 
@@ -162,18 +171,56 @@ struct Plan {
     mass: u64,
 }
 
+/// Work arrays of [`solve`], allocated once per compile and reused by
+/// every round of the μ search. A round writes each internal node's entry
+/// (children before parents) before it reads it, and nothing reads a
+/// leaf's, so no array is cleared between rounds.
+struct Scratch {
+    choice: Vec<u8>,
+    pcost: Vec<f64>,
+    cost: Vec<f64>,
+    mass: Vec<u64>,
+    stack: Vec<(u32, bool)>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Self {
+            choice: vec![0; n],
+            pcost: vec![0.0; n],
+            cost: vec![0.0; n],
+            mass: vec![0; n],
+            stack: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+}
+
 /// Runs the DP recurrence bottom-up for one Lagrangian penalty `mu`
-/// (traffic cost per slot). Returns the per-node choice that minimizes
-/// `cost + mu·mass` together with the unpenalized cost/mass it achieves.
-fn solve<A: Address>(proper: &ProperTrie<A>, weights: &[f64], max_stride: u8, mu: f64) -> Plan {
-    let n = proper.node_count();
-    let mut choice = vec![0u8; n];
-    let mut pcost = vec![0f64; n];
-    let mut cost = vec![0f64; n];
-    let mut mass = vec![0u64; n];
-    let mut stack: Vec<(u32, bool)> = vec![(proper.root_idx(), false)];
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut next: Vec<u32> = Vec::new();
+/// (traffic cost per slot). Leaves the per-node choice that minimizes
+/// `cost + mu·mass` in `scratch.choice` and returns the unpenalized
+/// `(cost, mass)` it achieves.
+fn solve<A: Address>(
+    proper: &ProperTrie<A>,
+    weights: &[f64],
+    max_stride: u8,
+    mu: f64,
+    scratch: &mut Scratch,
+) -> (f64, u64) {
+    let Scratch {
+        choice,
+        pcost,
+        cost,
+        mass,
+        stack,
+        frontier,
+        next,
+    } = scratch;
+    stack.clear();
+    stack.push((proper.root_idx(), false));
     while let Some((idx, expanded)) = stack.pop() {
         let ProperNode::Internal { left, right } = *proper.node(idx) else {
             continue;
@@ -214,7 +261,7 @@ fn solve<A: Address>(proper: &ProperTrie<A>, weights: &[f64], max_stride: u8, mu
             psum = 0.0;
             csum = 0.0;
             msum = 0;
-            for &f in &frontier {
+            for &f in frontier.iter() {
                 let ProperNode::Internal { left, right } = *proper.node(f) else {
                     unreachable!("frontier holds internal nodes")
                 };
@@ -227,7 +274,7 @@ fn solve<A: Address>(proper: &ProperTrie<A>, weights: &[f64], max_stride: u8, mu
                     }
                 }
             }
-            std::mem::swap(&mut frontier, &mut next);
+            std::mem::swap(frontier, next);
             let width = 1u64 << s;
             let p = mu * width as f64 + psum;
             if p < best_p {
@@ -244,11 +291,7 @@ fn solve<A: Address>(proper: &ProperTrie<A>, weights: &[f64], max_stride: u8, mu
         mass[idx as usize] = best_m;
     }
     let r = proper.root_idx() as usize;
-    Plan {
-        choice,
-        cost: cost[r],
-        mass: mass[r],
-    }
+    (cost[r], mass[r])
 }
 
 /// Pre-dedup slot mass of the fixed-stride-`s` plan — the budget's unit.
@@ -282,12 +325,195 @@ fn forced_mass<A: Address>(proper: &ProperTrie<A>, s: u8) -> u64 {
     total
 }
 
+/// A held-μ rebuild accepts a plan whose pre-dedup mass is at least
+/// `budget − budget / REPLAN_BAND_DIV`; under that floor the held penalty
+/// has become too harsh for the table (withdrawals, a new heat profile)
+/// and the cold search re-anchors it. 1/32 is wide beside the drift of
+/// steady churn — over forty 100-update `bgp_sequence` bursts on taz 1.0
+/// (410k routes) the mass at the first compile's μ moves 0.9964 → 0.9872
+/// of the budget — and keeps `size_bytes` within 1/32 (plus what folding
+/// moves) under a cold compile's, never more than 2 % over it. The same
+/// width bounds the overshoot a walk-up is tried on: past
+/// `budget + budget / REPLAN_BAND_DIV` no four steps come back.
+const REPLAN_BAND_DIV: u64 = 32;
+
+/// When the mass at the held μ overshoots the budget, the rebuild walks μ
+/// up by this factor, at most [`REPLAN_MAX_STEPS`] times, before it gives
+/// up and declines. Measured elasticity near the optimum on taz 1.0:
+/// μ × 1.0156 moves the mass −0.25 %, μ × 1.0625 moves it −1.3 %, so one
+/// step buys several hundred bursts of headroom — hysteresis against
+/// re-bisecting every other publish — and four steps stay well inside
+/// the floor above.
+const REPLAN_STEP: f64 = 1.0 + 1.0 / 64.0;
+const REPLAN_MAX_STEPS: u32 = 4;
+
+/// Expansion rounds of the cold search (`hi *= 4` from 1e-12; the default
+/// budget takes about nine) after which it stops to ask whether *any*
+/// penalty can fit the budget.
+const FEASIBILITY_ROUNDS: u32 = 12;
+
+/// A penalty that makes the DP minimize slot mass alone: 2^100 times an
+/// integer mass is exact in an `f64`, and a traffic weight (≤ 1) added to
+/// it is rounded away, so the objective *is* the integer mass — ties go to
+/// the narrower stride, which also folds best — while the plan's cost is
+/// still summed from the real weights.
+const MASS_ONLY_MU: f64 = (1u128 << 100) as f64;
+
+/// What every planned compile sets up — the leaf-pushed trie, its traffic
+/// weights and the budget in slots — and the DP rounds run over it: the
+/// cold μ search and the held-μ rebuild share this and nothing else.
+struct Planner<A: Address> {
+    proper: ProperTrie<A>,
+    weights: Vec<f64>,
+    max_stride: u8,
+    /// The budget in pre-dedup slots; `None` when unbounded.
+    budget_slots: Option<u64>,
+    scratch: Scratch,
+    solves: u32,
+}
+
+impl<A: Address> Planner<A> {
+    /// # Panics
+    /// Panics if `params.max_stride` is outside `[1, 16]`.
+    fn new(trie: &BinaryTrie<A>, params: VsParams, heat: Option<(&[(u64, u64)], u8)>) -> Self {
+        let max_stride = params.max_stride;
+        assert!(
+            (1..=16).contains(&max_stride),
+            "max_stride {max_stride} out of [1, 16]"
+        );
+        let proper = ProperTrie::from_trie(trie);
+        let spans = proper.node_spans();
+        let weights = match heat {
+            Some((entries, depth)) => project_heat_weights(&spans, entries, depth),
+            None => project_heat_weights(&spans, &[], 0),
+        };
+        let budget_slots = params.budget.is_finite().then(|| {
+            let reference = forced_mass(&proper, 4).max(1);
+            (params.budget * reference as f64) as u64
+        });
+        let scratch = Scratch::new(proper.node_count());
+        Self {
+            proper,
+            weights,
+            max_stride,
+            budget_slots,
+            scratch,
+            solves: 0,
+        }
+    }
+
+    /// One DP round at penalty `mu`.
+    fn solve(&mut self, mu: f64) -> Plan {
+        self.solves += 1;
+        let (cost, mass) = solve(
+            &self.proper,
+            &self.weights,
+            self.max_stride,
+            mu,
+            &mut self.scratch,
+        );
+        Plan {
+            choice: self.scratch.choice.clone(),
+            cost,
+            mass,
+        }
+    }
+
+    /// The cold search: the cheapest plan that fits the budget, and the
+    /// penalty it was solved at — what the next compile of a nearby table
+    /// may hold (`None` when there is no budget, or none can be met).
+    fn search(&mut self) -> (Plan, Option<f64>) {
+        let plan = self.solve(0.0);
+        let Some(budget) = self.budget_slots else {
+            return (plan, None);
+        };
+        if plan.mass <= budget {
+            return (plan, Some(0.0));
+        }
+        // Bisect the Lagrangian slot penalty: mass is monotone
+        // non-increasing in μ, so the smallest feasible μ gives the
+        // cheapest plan that fits.
+        let mut lo = 0.0f64;
+        let mut hi = 1e-12f64;
+        let mut plan = self.solve(hi);
+        let mut rounds = 0;
+        while plan.mass > budget && rounds < 60 {
+            if rounds == FEASIBILITY_ROUNDS {
+                // Even the tightest achievable plan may exceed the budget
+                // (the stride-4 reference can be unusually small): ship
+                // that one instead of expanding to the end.
+                let tightest = self.solve(MASS_ONLY_MU);
+                if tightest.mass > budget {
+                    return (tightest, None);
+                }
+            }
+            hi *= 4.0;
+            plan = self.solve(hi);
+            rounds += 1;
+        }
+        if plan.mass > budget {
+            return (plan, None);
+        }
+        for _ in 0..24 {
+            let mid = 0.5 * (lo + hi);
+            let mid_plan = self.solve(mid);
+            if mid_plan.mass <= budget {
+                hi = mid;
+                plan = mid_plan;
+            } else {
+                lo = mid;
+            }
+        }
+        (plan, Some(hi))
+    }
+
+    /// The rebuild from a previous compile's penalty: one round at `held`,
+    /// accepted iff its mass lands in `[budget − budget/32, budget]`; an
+    /// overshoot of less than that width walks μ up a few [`REPLAN_STEP`]s
+    /// first. `None` hands the compile to [`Self::search`], which
+    /// re-anchors μ. A plan held at μ = 0 has no floor: nothing cheaper
+    /// exists.
+    fn replan(&mut self, held: f64) -> Option<(Plan, f64)> {
+        let budget = self.budget_slots?;
+        if held == 0.0 {
+            let plan = self.solve(0.0);
+            return (plan.mass <= budget).then_some((plan, 0.0));
+        }
+        let band = budget / REPLAN_BAND_DIV;
+        let mut mu = held;
+        for _ in 0..=REPLAN_MAX_STEPS {
+            let plan = self.solve(mu);
+            if plan.mass <= budget {
+                return (plan.mass >= budget - band).then_some((plan, mu));
+            }
+            if plan.mass > budget + band {
+                break;
+            }
+            mu *= REPLAN_STEP;
+        }
+        None
+    }
+
+    /// Emits `plan`, stamped with the penalty to hold and the rounds run.
+    fn finish(self, plan: &Plan, held_mu: Option<f64>) -> VarStrideDag<A> {
+        // The weights and work arrays are done: free them ahead of the
+        // emitter's own allocations.
+        let Self { proper, solves, .. } = self;
+        VarStrideDag {
+            plan_cost: Some(plan.cost),
+            held_mu,
+            solves,
+            ..VarStrideDag::emit(&proper, &plan.choice)
+        }
+    }
+}
+
 struct Emitter<'a, A: Address> {
     proper: &'a ProperTrie<A>,
     choice: &'a [u8],
     slots: Vec<u32>,
     nodes: Vec<u64>,
-    interner: HashMap<(u8, Box<[u32]>), u32>,
+    interner: HashMap<(u8, Box<[u32]>), u32, IdBuildHasher>,
 }
 
 impl<A: Address> Emitter<'_, A> {
@@ -353,7 +579,7 @@ impl<A: Address> VarStrideDag<A> {
             StridePlan::Fixed(stride) => {
                 assert!((1..=16).contains(&stride), "stride {stride} out of [1, 16]");
                 let proper = ProperTrie::from_trie(trie);
-                Self::emit(&proper, &vec![stride; proper.node_count()], None)
+                Self::emit(&proper, &vec![stride; proper.node_count()])
             }
         }
     }
@@ -373,63 +599,63 @@ impl<A: Address> VarStrideDag<A> {
         params: VsParams,
         heat: Option<(&[(u64, u64)], u8)>,
     ) -> Self {
-        let max_stride = params.max_stride;
-        assert!(
-            (1..=16).contains(&max_stride),
-            "max_stride {max_stride} out of [1, 16]"
-        );
-        let proper = ProperTrie::from_trie(trie);
-        let spans = proper.node_spans();
-        let weights = match heat {
-            Some((entries, depth)) => project_heat_weights(&spans, entries, depth),
-            None => project_heat_weights(&spans, &[], 0),
-        };
-        let mut plan = solve(&proper, &weights, max_stride, 0.0);
-        if params.budget.is_finite() {
-            let reference = forced_mass(&proper, 4).max(1);
-            let budget_slots = (params.budget * reference as f64) as u64;
-            if plan.mass > budget_slots {
-                // Bisect the Lagrangian slot penalty: mass is monotone
-                // non-increasing in μ, so the smallest feasible μ gives
-                // the cheapest plan that fits. If even the tightest
-                // achievable plan exceeds the budget (possible when the
-                // stride-4 reference is unusually small), ship that.
-                let mut lo = 0.0f64;
-                let mut hi = 1e-12f64;
-                let mut hi_plan = solve(&proper, &weights, max_stride, hi);
-                let mut rounds = 0;
-                while hi_plan.mass > budget_slots && rounds < 60 {
-                    hi *= 4.0;
-                    hi_plan = solve(&proper, &weights, max_stride, hi);
-                    rounds += 1;
-                }
-                plan = hi_plan;
-                if plan.mass <= budget_slots {
-                    for _ in 0..24 {
-                        let mid = 0.5 * (lo + hi);
-                        let mid_plan = solve(&proper, &weights, max_stride, mid);
-                        if mid_plan.mass <= budget_slots {
-                            hi = mid;
-                            plan = mid_plan;
-                        } else {
-                            lo = mid;
-                        }
-                    }
-                }
-            }
-        }
-        Self::emit(&proper, &plan.choice, Some(plan.cost))
+        let mut planner = Planner::new(trie, params, heat);
+        let (plan, held_mu) = planner.search();
+        planner.finish(&plan, held_mu)
+    }
+
+    /// Compiles `trie` as [`Self::from_trie_weighted`] would a nearby
+    /// table, starting from the penalty μ `previous` was solved at instead
+    /// of searching for it: one DP round where the search runs some
+    /// thirty. `None` when `previous` holds no μ, or the plan at it (after
+    /// at most four small steps up) misses `[budget − budget/32, budget]`
+    /// in pre-dedup slots — the caller then compiles cold, which
+    /// re-anchors μ. Whatever is returned is a complete compile of `trie`;
+    /// only its μ is inherited.
+    ///
+    /// # Panics
+    /// Panics if `params.max_stride` is outside `[1, 16]`.
+    #[must_use]
+    pub fn rebuild_from(
+        previous: &Self,
+        trie: &BinaryTrie<A>,
+        params: VsParams,
+        heat: Option<(&[(u64, u64)], u8)>,
+    ) -> Option<Self> {
+        let held = previous.held_mu?;
+        let mut planner = Planner::new(trie, params, heat);
+        let (plan, mu) = planner.replan(held)?;
+        Some(planner.finish(&plan, Some(mu)))
+    }
+
+    /// Compiles `trie` at exactly the slot penalty `mu` — one DP round, no
+    /// budget test. This is the from-scratch reference a held-μ rebuild
+    /// must equal bit for bit; serving code wants
+    /// [`Self::from_trie_weighted`].
+    ///
+    /// # Panics
+    /// Panics if `params.max_stride` is outside `[1, 16]`.
+    #[must_use]
+    pub fn from_trie_at(
+        trie: &BinaryTrie<A>,
+        params: VsParams,
+        heat: Option<(&[(u64, u64)], u8)>,
+        mu: f64,
+    ) -> Self {
+        let mut planner = Planner::new(trie, params, heat);
+        let plan = planner.solve(mu);
+        planner.finish(&plan, Some(mu))
     }
 
     /// Emits the hash-consed directory and slot table for one stride per
     /// proper-trie node — the step planned and fixed strides share.
-    fn emit(proper: &ProperTrie<A>, choice: &[u8], plan_cost: Option<f64>) -> Self {
+    fn emit(proper: &ProperTrie<A>, choice: &[u8]) -> Self {
         let mut emitter = Emitter {
             proper,
             choice,
             slots: Vec::new(),
             nodes: Vec::new(),
-            interner: HashMap::new(),
+            interner: HashMap::default(),
         };
         let root = emitter.encode(proper.root_idx());
         let n_slots = emitter.slots.len();
@@ -444,7 +670,9 @@ impl<A: Address> VarStrideDag<A> {
             words,
             n_slots,
             root,
-            plan_cost,
+            plan_cost: None,
+            held_mu: None,
+            solves: 0,
             _marker: PhantomData,
         }
     }
@@ -467,6 +695,21 @@ impl<A: Address> VarStrideDag<A> {
     #[must_use]
     pub fn planned_cost(&self) -> f64 {
         self.plan_cost.unwrap_or_else(|| self.depth_stats().0)
+    }
+
+    /// The slot penalty μ this plan was solved at, when a budget shaped it
+    /// — what [`Self::rebuild_from`] starts the next compile from.
+    #[must_use]
+    pub fn held_mu(&self) -> Option<f64> {
+        self.held_mu
+    }
+
+    /// DP rounds the compile that produced this engine ran: about
+    /// thirty-four for a cold μ search under the default budget, one for
+    /// a rebuild that held μ, zero for a fixed plan.
+    #[must_use]
+    pub fn plan_solves(&self) -> u32 {
+        self.solves
     }
 
     /// How many supernodes chose each stride, `(stride, count)` pairs in

@@ -278,8 +278,14 @@ pub struct RouterStats {
     pub declined: u64,
     /// Epoch snapshots published.
     pub epochs: u64,
-    /// Full engine rebuilds (inline and background).
+    /// Engine rebuilds from the control FIB installed as the working
+    /// engine (inline and background), however they were compiled.
     pub rebuilds: u64,
+    /// The rebuilds among [`Self::rebuilds`] that
+    /// [`FibBuild::rebuild_from`] served from the previous engine;
+    /// `rebuilds − warm_rebuilds` were cold [`FibBuild::build_weighted`]
+    /// compiles.
+    pub warm_rebuilds: u64,
     /// Rebuilds that ran on a background thread.
     pub background_rebuilds: u64,
     /// Journal entries replayed onto freshly rebuilt engines (or, after a
@@ -298,7 +304,25 @@ enum JournalOp<A: Address> {
 }
 
 struct RebuildJob<E> {
-    handle: JoinHandle<E>,
+    /// The rebuilt engine, and whether it came from the previous one.
+    handle: JoinHandle<(E, bool)>,
+}
+
+/// One engine build from the control FIB — the single compile call of the
+/// router: [`FibBuild::rebuild_from`] when a previous engine is at hand
+/// and takes the job, a cold [`FibBuild::build_weighted`] otherwise.
+/// Returns the engine and whether the previous one served it.
+fn build_engine<A: Address, E: FibBuild<A>>(
+    previous: Option<&E>,
+    control: &BinaryTrie<A>,
+    build: &BuildConfig,
+    heat: Option<&(Vec<(u64, u64)>, u8)>,
+) -> (E, bool) {
+    let heat = heat.map(|(entries, depth)| (entries.as_slice(), *depth));
+    match previous.and_then(|p| E::rebuild_from(p, control, build, heat)) {
+        Some(engine) => (engine, true),
+        None => (E::build_weighted(control, build, heat), false),
+    }
 }
 
 /// Why a warm restart could not come up.
@@ -466,25 +490,28 @@ where
         }
     }
 
-    /// Builds an engine from the control FIB as it stands and installs it
-    /// as the working engine. Returns whether one was installed: a
-    /// panicking build is contained — recorded through
-    /// [`Self::note_rebuild_panic`] instead of unwinding into the control
-    /// plane — and leaves the previous working engine where it was.
+    /// Builds an engine from the control FIB as it stands — from the
+    /// working engine it replaces when that engine can
+    /// ([`build_engine`]) — and installs it as the working engine.
+    /// Returns whether one was installed: a panicking build is contained
+    /// — recorded through [`Self::note_rebuild_panic`] instead of
+    /// unwinding into the control plane — and leaves the previous working
+    /// engine where it was.
     fn materialize(&mut self) -> bool {
-        let heat = self.heat_profile.as_ref();
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            E::build_weighted(
+            build_engine(
+                self.working.as_ref(),
                 &self.control,
                 &self.config.build,
-                heat.map(|(e, d)| (e.as_slice(), *d)),
+                self.heat_profile.as_ref(),
             )
         }));
         match built {
-            Ok(engine) => {
+            Ok((engine, warm)) => {
                 self.working = Some(engine);
                 self.stale = false;
                 self.stats.rebuilds += 1;
+                self.stats.warm_rebuilds += u64::from(warm);
                 self.rebuild_suspended = false;
                 true
             }
@@ -1036,9 +1063,11 @@ where
         }
     }
 
-    /// Schedules a full rebuild from the control FIB: on a background
-    /// thread when [`RouterConfig::background_rebuild`] is set (journaling
-    /// subsequent updates for replay), inline otherwise.
+    /// Schedules a rebuild from the control FIB: on a background thread
+    /// when [`RouterConfig::background_rebuild`] is set (journaling
+    /// subsequent updates for replay), inline otherwise. Either way the
+    /// engine is offered the previous one first
+    /// ([`FibBuild::rebuild_from`]).
     pub fn start_rebuild(&mut self) {
         if self.rebuild.is_some() {
             return;
@@ -1047,14 +1076,15 @@ where
             let control = self.control.clone();
             let build = self.config.build;
             let heat = self.heat_profile.clone();
+            // The engine of the last publish stands in for `working` as
+            // the previous engine: sharing the snapshot is a refcount
+            // bump, where a copy of `working` would be paid on this thread
+            // even by the engines that decline it.
+            let published = self.snapshot();
             self.journal.clear();
             self.rebuild = Some(RebuildJob {
                 handle: std::thread::spawn(move || {
-                    E::build_weighted(
-                        &control,
-                        &build,
-                        heat.as_ref().map(|(e, d)| (e.as_slice(), *d)),
-                    )
+                    build_engine(published.engine(), &control, &build, heat.as_ref())
                 }),
             });
         } else {
@@ -1081,8 +1111,8 @@ where
             return false;
         }
         let job = self.rebuild.take().expect("checked above");
-        let mut fresh = match job.handle.join() {
-            Ok(engine) => engine,
+        let (mut fresh, warm) = match job.handle.join() {
+            Ok(built) => built,
             Err(p) => {
                 self.note_rebuild_panic(panic_message(&*p));
                 self.journal.clear();
@@ -1111,6 +1141,7 @@ where
             self.stale = false;
             self.rebuild_suspended = false;
             self.stats.rebuilds += 1;
+            self.stats.warm_rebuilds += u64::from(warm);
             self.stats.background_rebuilds += 1;
             self.stats.replayed += replayed;
             true
@@ -1128,9 +1159,11 @@ where
     ///
     /// If the working engine went stale (static engine under churn) or is
     /// absent (warm restart), it is (re)built first — preferring a
-    /// finished background rebuild plus journal replay over a
-    /// from-scratch build. A still-running background rebuild is only
-    /// waited on when correctness requires it.
+    /// finished background rebuild plus journal replay over a build on
+    /// this thread, and [`FibBuild::rebuild_from`] the stale engine over a
+    /// cold [`FibBuild::build_weighted`] ([`RouterStats::warm_rebuilds`]
+    /// counts which). A still-running background rebuild is only waited on
+    /// when correctness requires it.
     ///
     /// A build that panics is contained: the router keeps serving the
     /// last good epoch, flags [`RouterHealth::serving_stale`], and
@@ -1150,8 +1183,13 @@ where
     /// the next publish interval samples fresh. For a heat-aware engine
     /// ([`FibBuild::heat_aware`], e.g. the variable-stride DAG) the
     /// profile is retained and the publish *re-strides*: the engine is
-    /// rebuilt through [`FibBuild::build_weighted`] so the new epoch's
-    /// layout matches the live traffic.
+    /// rebuilt under the new profile so the new epoch's layout matches the
+    /// live traffic. The re-stride goes through the same hook as every
+    /// other rebuild — [`FibBuild::rebuild_from`] with the working engine,
+    /// then [`FibBuild::build_weighted`] — so the variable-stride DAG
+    /// keeps the slot penalty it held under the old profile only if the
+    /// plan it gives under the new one lands in its budget band, and
+    /// searches afresh otherwise.
     ///
     /// Returns the snapshot, the merged interval summary, and the slab
     /// compilation stats.

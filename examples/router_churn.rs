@@ -107,7 +107,12 @@ fn main() {
     let stats = router.stats();
     println!("\nsurvived {total_updates} updates and {total_lookups} lookups with zero divergence");
     println!(
-        "router stats: {} epochs, {} in-place updates, {} rebuilds ({} background, {} journal ops replayed)",
-        stats.epochs, stats.in_place, stats.rebuilds, stats.background_rebuilds, stats.replayed,
+        "router stats: {} epochs, {} in-place updates, {} rebuilds ({} from the previous engine, {} background, {} journal ops replayed)",
+        stats.epochs,
+        stats.in_place,
+        stats.rebuilds,
+        stats.warm_rebuilds,
+        stats.background_rebuilds,
+        stats.replayed,
     );
 }

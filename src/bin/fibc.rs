@@ -129,11 +129,20 @@ fn build_config(args: &[String]) -> Result<BuildConfig, String> {
     }
     if let Some(budget) = opt(args, "--vs-budget") {
         config.vs_budget = budget.parse().map_err(|e| format!("--vs-budget: {e}"))?;
+        // `inf` is the documented "no budget"; NaN would silently mean it.
+        if config.vs_budget.is_nan() || config.vs_budget <= 0.0 {
+            return Err(format!(
+                "--vs-budget: want a multiple > 0 or inf, got {budget}"
+            ));
+        }
     }
     if let Some(max_stride) = opt(args, "--vs-max-stride") {
         config.vs_max_stride = max_stride
             .parse()
             .map_err(|e| format!("--vs-max-stride: {e}"))?;
+        if !(1..=16).contains(&config.vs_max_stride) {
+            return Err(format!("--vs-max-stride: want 1..=16, got {max_stride}"));
+        }
     }
     config.xbw_storage = match opt(args, "--xbw-mode").unwrap_or("entropy") {
         "succinct" => XbwStorage::Succinct,
@@ -930,5 +939,30 @@ impl AddrText for u128 {
         text.parse::<std::net::Ipv6Addr>()
             .map(u128::from)
             .map_err(|e| e.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config_of(args: &[&str]) -> Result<BuildConfig, String> {
+        build_config(&args.iter().map(ToString::to_string).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn build_config_rejects_vs_knobs_the_compiler_cannot_take() {
+        for bad in [
+            ["--vs-max-stride", "0"],
+            ["--vs-max-stride", "17"],
+            ["--vs-budget", "nan"],
+            ["--vs-budget", "-1"],
+            ["--vs-budget", "0"],
+        ] {
+            let err = config_of(&bad).expect_err(bad[1]);
+            assert!(err.starts_with(bad[0]) && !err.contains('\n'), "{err}");
+        }
+        let unbounded = config_of(&["--vs-budget", "inf", "--vs-max-stride", "16"]).unwrap();
+        assert!(unbounded.vs_budget.is_infinite() && unbounded.vs_max_stride == 16);
     }
 }
