@@ -14,7 +14,8 @@
 
 use fib_bench::{f, instance_fib, kb, scale_arg};
 use fib_core::{
-    lambda, FibEntropy, FibLookup, MultibitDag, PrefixDag, SerializedDag, XbwFib, XbwStorage,
+    lambda, FibEntropy, FibLookup, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, VsParams,
+    XbwFib, XbwStorage,
 };
 use fib_succinct::shannon_entropy;
 use fib_trie::stats::{next_hop_count, route_label_histogram, PrefixLenHistogram};
@@ -82,6 +83,7 @@ fn main() {
     let xbw_s = XbwFib::build(&trie, XbwStorage::Succinct);
     let lc = LcTrie::from_trie(&trie);
     let mb4 = MultibitDag::from_trie(&trie, 4);
+    let vs = VarStrideDag::from_trie(&trie, VsParams::default());
 
     println!("\n-- representations --");
     println!("{:<28}{:>12}  {:>8}", "engine", "size", "ν (vs E)");
@@ -104,5 +106,13 @@ fn main() {
     );
     row(&format!("pDAG serialized (λ={lam})"), ser.size_bytes());
     row("multibit DAG (stride 4)", mb4.size_bytes());
+    row("vsdag (DP strides, uniform)", vs.size_bytes());
     println!("\nfold: {:?}", dag.stats());
+    println!(
+        "vsdag: {} runs / {} slots in {} nodes, {}-bit runs",
+        vs.run_count(),
+        vs.slot_count(),
+        vs.node_count(),
+        vs.run_width()
+    );
 }

@@ -53,6 +53,7 @@ use fib_trie::{Address, NextHop, Prefix};
 
 use crate::engine::table_types::*;
 use crate::hot::{HotFront, HotSlabRef};
+use crate::vsdag::VsShape;
 use crate::FibLookup;
 
 /// Magic word: the bytes `FIBIMG1\0` read as a little-endian `u64`.
@@ -81,12 +82,19 @@ pub mod sections {
     // 0x40 is reserved: it was the slot section of the retired engine 4
     // (stride-`s` multibit DAG, now a fixed-stride vsdag plan) and must
     // never be reassigned.
-    /// Variable-stride DAG node directory (`stride << 32 | slot_base`
+    /// Variable-stride DAG node directory (`stride << 32 | first_block`
     /// per supernode).
     pub const VS_NODES: u32 = 0x41;
-    /// Variable-stride DAG packed slot arrays (two tagged 32-bit
-    /// references per word).
-    pub const VS_SLOTS: u32 = 0x42;
+    // 0x42 is reserved: it was the flat slot table (one tagged 32-bit
+    // reference per expanded slot) of the first vsdag layout. An image
+    // that carries it has no blocks and no runs, so it stops at a typed
+    // missing-section error; the id must never be reassigned.
+    /// Variable-stride DAG blocks: one word per 32 slots, run-start
+    /// bitmap in the low half, run rank in the high half.
+    pub const VS_BLOCKS: u32 = 0x43;
+    /// Variable-stride DAG runs: one tagged reference per maximal run,
+    /// 16 or 32 bits each as `PARAMS` declares.
+    pub const VS_RUNS: u32 = 0x44;
     /// LC-trie packed nodes.
     pub const LC_NODES: u32 = 0x50;
     /// Optional traffic-aware hot slab (any engine): meta block + slot
@@ -771,10 +779,14 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
                 u64::from(self.root_ref()),
                 self.node_count() as u64,
                 self.slot_count() as u64,
+                self.block_count() as u64,
+                self.run_count() as u64,
+                u64::from(self.run_width()),
             ],
         );
         writer.section(sections::VS_NODES, self.node_words());
-        writer.section(sections::VS_SLOTS, self.slot_words());
+        writer.section(sections::VS_BLOCKS, self.block_words());
+        writer.section(sections::VS_RUNS, self.run_words());
         Ok(())
     }
 
@@ -795,23 +807,33 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
 
 pub(crate) fn vsdag_view<'i, V>(
     section: impl Fn(u32) -> Result<&'i [u64], ImageError>,
-    from_parts: impl FnOnce(&'i [u64], &'i [u64], usize, u32) -> Result<V, &'static str>,
+    from_parts: impl FnOnce(&'i [u64], &'i [u64], &'i [u64], VsShape) -> Result<V, &'static str>,
 ) -> Result<V, ImageError> {
-    // `PARAMS` is the triple `[root, node_count, slot_count]`.
+    // All four sections before any word is read: an image of the flat
+    // layout (three `PARAMS` words, slots in the retired 0x42) stops at
+    // the missing block table, by name.
     let params = section(sections::PARAMS)?;
-    if params.len() < 3 {
-        return Err(ImageError::Malformed("params"));
-    }
-    let root = u32::try_from(params[0]).map_err(|_| ImageError::Malformed("root out of range"))?;
-    let node_count =
-        usize::try_from(params[1]).map_err(|_| ImageError::Malformed("node count out of range"))?;
-    let n_slots =
-        usize::try_from(params[2]).map_err(|_| ImageError::Malformed("slot count out of range"))?;
     let nodes = section(sections::VS_NODES)?;
-    if nodes.len() != node_count {
+    let blocks = section(sections::VS_BLOCKS)?;
+    let runs = section(sections::VS_RUNS)?;
+    let &[root, node_count, slots, block_count, run_count, run_width, ..] = params else {
+        return Err(ImageError::Malformed("params"));
+    };
+    let count = |word: u64, what| usize::try_from(word).map_err(|_| ImageError::Malformed(what));
+    let shape = VsShape {
+        root: u32::try_from(root).map_err(|_| ImageError::Malformed("root out of range"))?,
+        slots: count(slots, "slot count out of range")?,
+        runs: count(run_count, "run count out of range")?,
+        run_width: u32::try_from(run_width)
+            .map_err(|_| ImageError::Malformed("run width out of range"))?,
+    };
+    if nodes.len() != count(node_count, "node count out of range")? {
         return Err(ImageError::Malformed("node directory length mismatch"));
     }
-    from_parts(nodes, section(sections::VS_SLOTS)?, n_slots, root).map_err(ImageError::Malformed)
+    if blocks.len() != count(block_count, "block count out of range")? {
+        return Err(ImageError::Malformed("block table length mismatch"));
+    }
+    from_parts(nodes, blocks, runs, shape).map_err(ImageError::Malformed)
 }
 
 impl<A: Address> ImageCodec<A> for LcTrie<A> {

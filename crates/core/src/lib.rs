@@ -66,7 +66,7 @@ pub use vrf::{
     VrfSetStats, VrfTable, VrfTableRef, VRF_DIR_RECORD_WORDS,
 };
 pub use vsdag::{
-    MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VS_REFILL_LANES,
+    MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VsShape, VS_REFILL_LANES,
 };
 pub use xbw::{
     SaStorage, SiStorage, XbwFib, XbwFibRef, XbwSizeReport, XbwStorage, XBW_BATCH_LANES,

@@ -23,10 +23,10 @@
 //!   because a corrupted count word passes every size check the loader
 //!   makes and then silently misroutes;
 //! * variable-stride DAG shape: every directory entry's stride within
-//!   the legal `[1, 16]` band and the slot spans tiling the slot table
-//!   contiguously (base words re-derived from the running stride sum, so
-//!   a corrupted base or a truncated slot section is named, not just
-//!   refused);
+//!   the legal `[1, 16]` band, the per-node block spans tiling the block
+//!   table contiguously, and every block's run rank re-derived from the
+//!   running popcount of the run-start bitmaps — a rank off by one passes
+//!   every size check and then silently answers from the wrong run;
 //! * routes payload: prefix lengths and address widths within family;
 //! * hot-slab payload: the [`sections::HOT_SLAB`] parse invariants plus
 //!   semantic cross-validation — every pinned `(block, next hop)` entry
@@ -518,51 +518,82 @@ fn wavelet_pass(words: &[u64], issues: &mut Vec<LintIssue>) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Variable-stride DAG: stride bounds + slot-table coverage
+// Variable-stride DAG: stride bounds, block tiling, run ranks
 // ---------------------------------------------------------------------
 
 /// Legal stride band for a vsdag directory entry.
 const VS_MAX_STRIDE: u64 = 16;
 
-/// Deep pass over a [`EngineKind::VsDag`] image. Re-derives the slot
-/// layout from the raw directory words — independently of
+/// Deep pass over a [`EngineKind::VsDag`] image. Re-derives the block
+/// tiling and the run ranks from the raw words — independently of
 /// [`crate::VarStrideDagRef`]'s load validation — so a corrupt image the
 /// view refuses still yields the *named* class of damage:
 ///
 /// * `vsdag-stride-out-of-range` — a directory entry's stride field is
 ///   outside `[1, 16]`; the builder can never emit one, so this is
 ///   always corruption (the corpus pins exactly this mutation);
-/// * `vsdag-slot-coverage` — the per-node spans `2^stride` do not tile
-///   the slot table contiguously: a base word off the running sum, a
-///   span past the declared slot count, or a slot section holding fewer
-///   words than the declared slots need (truncation).
+/// * `vsdag-slot-coverage` — the per-node spans of `⌈2^stride / 32⌉`
+///   blocks do not tile the block table contiguously and cover the
+///   declared slots: a first-block word off the running sum, a block
+///   section shorter or longer than the spans need (truncation), strides
+///   that do not sum to the declared slot count, a node whose slot 0
+///   starts no run, or a run starting past a short node's last slot;
+/// * `vsdag-rank-mismatch` — a block's rank half is off the running
+///   count of run starts. The checksum can be valid and every size
+///   right; lookups through that block silently answer from a
+///   neighbouring run (the `rank-directory-mismatch` class);
+/// * `vsdag-run-out-of-range` — the bitmaps start more runs than the
+///   image declares, or fewer, or the run section is not the declared
+///   count at the declared width (which must be 16 or 32).
 fn vsdag_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
-    let (Ok(params), Ok(nodes), Ok(slots)) = (
+    let (Ok(params), Ok(nodes), Ok(blocks), Ok(runs)) = (
         image.section(sections::PARAMS),
         image.section(sections::VS_NODES),
-        image.section(sections::VS_SLOTS),
+        image.section(sections::VS_BLOCKS),
+        image.section(sections::VS_RUNS),
     ) else {
         return; // view_pass reports the missing section
     };
-    if params.len() < 3 {
+    let &[_, _, n_slots, n_blocks, n_runs, run_width, ..] = params else {
         issues.push(issue("image-malformed", "vsdag params section too short"));
         return;
-    }
-    let n_slots = params[2];
-    if slots.len() as u64 != n_slots.div_ceil(2) {
+    };
+    if blocks.len() as u64 != n_blocks {
         issues.push(issue(
             "vsdag-slot-coverage",
             format!(
-                "slot section holds {} words, the declared {n_slots} slots need {}",
-                slots.len(),
-                n_slots.div_ceil(2)
+                "block section holds {} words, the image declares {n_blocks} blocks",
+                blocks.len()
+            ),
+        ));
+        return;
+    }
+    let run_words = match run_width {
+        16 => n_runs.div_ceil(4),
+        32 => n_runs.div_ceil(2),
+        _ => {
+            issues.push(issue(
+                "vsdag-run-out-of-range",
+                format!("run width {run_width} is neither 16 nor 32"),
+            ));
+            return;
+        }
+    };
+    if runs.len() as u64 != run_words {
+        issues.push(issue(
+            "vsdag-run-out-of-range",
+            format!(
+                "run section holds {} words, the declared {n_runs} {run_width}-bit runs need {run_words}",
+                runs.len()
             ),
         ));
     }
-    let mut expected_base = 0u64;
+    let mut next_block = 0u64;
+    let mut slots = 0u64;
+    let mut started = 0u64;
     for (i, &node) in nodes.iter().enumerate() {
         let stride = node >> 32;
-        let base = u64::from(node as u32);
+        let first = u64::from(node as u32);
         if stride == 0 || stride > VS_MAX_STRIDE {
             issues.push(issue(
                 "vsdag-stride-out-of-range",
@@ -570,28 +601,75 @@ fn vsdag_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             ));
             return; // span accounting below is meaningless now
         }
-        if base != expected_base {
+        if first != next_block {
             issues.push(issue(
                 "vsdag-slot-coverage",
                 format!(
-                    "node {i}: slot base {base} breaks the contiguous tiling (expected {expected_base})"
+                    "node {i}: first block {first} breaks the contiguous tiling (expected {next_block})"
                 ),
             ));
             return;
         }
-        expected_base += 1u64 << stride;
-        if expected_base > n_slots {
+        let width = 1u64 << stride;
+        let span = width.div_ceil(32);
+        if next_block + span > n_blocks {
             issues.push(issue(
                 "vsdag-slot-coverage",
-                format!("node {i}: span ends at slot {expected_base}, past the declared {n_slots}"),
+                format!(
+                    "node {i}: span ends at block {}, past the declared {n_blocks}",
+                    next_block + span
+                ),
             ));
             return;
         }
+        let head = blocks[next_block as usize] as u32;
+        if head & 1 == 0 || (width < 32 && head >> width != 0) {
+            issues.push(issue(
+                "vsdag-slot-coverage",
+                format!("node {i}: run-start bitmap {head:#x} does not cover its {width} slots"),
+            ));
+            return;
+        }
+        for b in next_block..next_block + span {
+            let block = blocks[b as usize];
+            let (rank, expected) = ((block >> 32) as u32, (started as u32).wrapping_sub(1));
+            if rank != expected {
+                issues.push(issue(
+                    "vsdag-rank-mismatch",
+                    format!(
+                        "block {b} (node {i}): rank {rank} but {started} runs start before it (expected {expected})"
+                    ),
+                ));
+                return;
+            }
+            started += u64::from((block as u32).count_ones());
+        }
+        if started > n_runs {
+            issues.push(issue(
+                "vsdag-run-out-of-range",
+                format!("node {i}: its runs end at {started}, past the declared {n_runs}"),
+            ));
+            return;
+        }
+        next_block += span;
+        slots += width;
     }
-    if expected_base != n_slots {
+    if next_block != n_blocks {
         issues.push(issue(
             "vsdag-slot-coverage",
-            format!("node spans tile {expected_base} slots, the image declares {n_slots}"),
+            format!("node spans tile {next_block} blocks, the image declares {n_blocks}"),
+        ));
+    }
+    if slots != n_slots {
+        issues.push(issue(
+            "vsdag-slot-coverage",
+            format!("node strides cover {slots} slots, the image declares {n_slots}"),
+        ));
+    }
+    if started != n_runs {
+        issues.push(issue(
+            "vsdag-run-out-of-range",
+            format!("the bitmaps start {started} runs, the image declares {n_runs}"),
         ));
     }
 }
@@ -711,12 +789,12 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             | crate::vrf::VrfEngineChoice::Xbw
             | crate::vrf::VrfEngineChoice::VsDag => {
                 let base = crate::vrf::vrf_section_base(index);
-                // Params plus payload sections: serialized and vsdag
-                // carry two payloads, xbw three.
-                let slots = if choice == crate::vrf::VrfEngineChoice::Xbw {
-                    4
-                } else {
+                // Params plus payload sections: serialized carries two
+                // payloads, xbw and vsdag three.
+                let slots = if choice == crate::vrf::VrfEngineChoice::Serialized {
                     3
+                } else {
+                    4
                 };
                 for slot in 0..slots {
                     if image.section(base + slot).is_err() {
@@ -1043,20 +1121,50 @@ mod tests {
             "{issues:?}"
         );
 
-        // Shrink the slot section's declared length: truncation.
-        let slots_pos = image
+        // Shrink the block section's declared length: truncation.
+        let blocks_pos = image
             .section_table()
             .iter()
-            .position(|e| e.id == sections::VS_SLOTS)
+            .position(|e| e.id == sections::VS_BLOCKS)
             .unwrap();
-        let len_word = (8 + slots_pos * 2 + 1) * 8;
-        let mut bad = good;
+        let len_word = (8 + blocks_pos * 2 + 1) * 8;
+        let mut bad = good.clone();
         let packed = u64::from_le_bytes(bad[len_word..len_word + 8].try_into().unwrap());
         let shrunk = (packed & 0xFFFF_FFFF) | ((packed >> 32).saturating_sub(1) << 32);
         bad[len_word..len_word + 8].copy_from_slice(&shrunk.to_le_bytes());
         let issues = lint_bytes(&repair_checksum(bad));
         assert!(
             issues.iter().any(|i| i.code == "vsdag-slot-coverage"),
+            "{issues:?}"
+        );
+
+        // Bump the last block's rank: sizes and checksum stay right, the
+        // slots of that block would answer from the next run over.
+        let blocks = image.section_table()[blocks_pos];
+        let rank_bytes = (blocks.offset + blocks.len - 1) * 8 + 4;
+        let mut bad = good.clone();
+        let rank = u32::from_le_bytes(bad[rank_bytes..rank_bytes + 4].try_into().unwrap());
+        bad[rank_bytes..rank_bytes + 4].copy_from_slice(&rank.wrapping_add(1).to_le_bytes());
+        let issues = lint_bytes(&repair_checksum(bad));
+        assert!(
+            issues.iter().any(|i| i.code == "vsdag-rank-mismatch"),
+            "{issues:?}"
+        );
+
+        // Declare one run fewer than the bitmaps start.
+        let params = image
+            .section_table()
+            .iter()
+            .find(|e| e.id == sections::PARAMS)
+            .copied()
+            .unwrap();
+        let runs_word = (params.offset + 4) * 8;
+        let mut bad = good;
+        let n_runs = u64::from_le_bytes(bad[runs_word..runs_word + 8].try_into().unwrap());
+        bad[runs_word..runs_word + 8].copy_from_slice(&(n_runs - 1).to_le_bytes());
+        let issues = lint_bytes(&repair_checksum(bad));
+        assert!(
+            issues.iter().any(|i| i.code == "vsdag-run-out-of-range"),
             "{issues:?}"
         );
     }

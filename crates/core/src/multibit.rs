@@ -128,9 +128,10 @@ mod tests {
     fn traced_lookup_matches_plain() {
         let trie = fig1_trie();
         let mb = MultibitDag::from_trie(&trie, 4);
-        // Each hop is one directory read (8 bytes) and one slot read (4).
+        // Each hop is a directory read and a block read (8 bytes each)
+        // and one run read (2: four labels and a handful of nodes).
         let mut touches = 0;
-        let result = mb.lookup_traced(0x6000_0000, &mut |_, size| touches += u32::from(size == 4));
+        let result = mb.lookup_traced(0x6000_0000, &mut |_, size| touches += u32::from(size == 2));
         assert_eq!(result, mb.lookup(0x6000_0000));
         let (_, hops) = mb.lookup_with_depth(0x6000_0000);
         assert_eq!(touches, hops);

@@ -820,8 +820,8 @@ fn vrf_section_slot(id: u32) -> u32 {
     match id {
         sections::PARAMS => 0,
         sections::SER_ENTRIES | sections::XBW_SI | sections::VS_NODES => 1,
-        sections::SER_NODES | sections::XBW_SA | sections::VS_SLOTS => 2,
-        sections::XBW_LABELS => 3,
+        sections::SER_NODES | sections::XBW_SA | sections::VS_BLOCKS => 2,
+        sections::XBW_LABELS | sections::VS_RUNS => 3,
         other => {
             debug_assert!(false, "unexpected dedicated-engine section {other:#x}");
             4

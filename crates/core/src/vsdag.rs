@@ -30,31 +30,162 @@
 //! spelled [`MultibitDag::from_trie`] at call sites — and goes through
 //! the same emitter, view, kernels and image codec as a planned one.
 //!
-//! The emitted structure is two flat word strings shared verbatim by the
-//! owned builder and the zero-copy [`VarStrideDagRef`] a FIB image
-//! borrows: a node directory (one `u64` per supernode: stride in the
-//! upper half, first-slot index in the lower) and a packed slot table
-//! (two tagged 32-bit references per word; every node's array is
-//! word-aligned because 2^s is even). Nodes are hash-consed per
-//! `(stride, slots)` shape, and children always precede their parent in
-//! the directory, so untrusted images are validated by one monotonicity
-//! scan and the walk provably terminates.
+//! The emitted structure is three `u64` word strings shared verbatim by
+//! the owned builder and the zero-copy [`VarStrideDagRef`] a FIB image
+//! borrows. Controlled prefix expansion copies a leaf into every slot it
+//! covers (on a DFZ-like table nine slots in ten are such copies), so the
+//! 2^s slots of a node are not stored: only its maximal **runs** of equal
+//! references are, behind a rank directory —
+//!
+//! * the node directory, one word per supernode: stride in the upper
+//!   half, index of the node's first block in the lower;
+//! * **blocks**, one word per 32 slots (a node of stride < 5 still owns
+//!   one): the low half a bitmap whose bit `k` is set iff slot `32·b + k`
+//!   starts a run (slot 0 of a node always does), the high half the index
+//!   in `runs` of the run in force when the block begins — the count of
+//!   runs started before it, minus one, wrapping — so a slot's run is
+//!   `rank + popcount(bitmap & mask(slot))`;
+//! * **runs**, one tagged reference per maximal run, every node's runs
+//!   contiguous and in slot order: 16 bits each (bit 15 the leaf tag,
+//!   `0x7FFF` ⊥) when the directory has fewer than 2^15 nodes and every
+//!   label is below `0x7FFF`, the 32-bit tags otherwise. The emitter
+//!   decides from what it emitted; [`VsShape::run_width`] records it and
+//!   the kernels are monomorphised over it.
+//!
+//! A hop is three dependent reads (directory, block, run) where the flat
+//! table paid two, over a table a quarter the size. Nodes are hash-consed
+//! per `(stride, expanded slots)` shape, children always precede their
+//! parent in the directory, and adjacent runs of a node differ, so one
+//! table has one encoding and untrusted images are validated by a single
+//! pass ([`VarStrideDagRef::from_parts`]) after which the walk provably
+//! terminates in bounds.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use crate::idhash::IdBuildHasher;
-use fib_succinct::storage::get_u32 as slot_at;
 use fib_trie::{project_heat_weights, Address, BinaryTrie, Depth, NextHop, ProperNode, ProperTrie};
 
-const LEAF_TAG: u32 = 0x8000_0000;
-const BOT: u32 = 0x7FFF_FFFF;
+/// Leaf tag and ⊥ label of a reference in its 32-bit form — what the
+/// emitter works in, what the root is stored as, and what
+/// [`VarStrideDagRef::node_runs`] reports at either run width.
+const LEAF_TAG: u32 = W32::LEAF;
+const BOT: u32 = W32::BOT;
 
-/// The next-hop a leaf-tagged reference carries (`None` for ⊥).
-#[inline]
-fn leaf_hop(reference: u32) -> Option<NextHop> {
-    let label = reference & !LEAF_TAG;
-    (label != BOT).then(|| NextHop::new(label))
+/// How a run array packs its tagged references. The top bit of a
+/// reference is the leaf tag and the all-ones label is ⊥ at either width,
+/// so one walk body serves both: the kernels are monomorphised over the
+/// two implementors and hold references in the array's own form.
+trait RunWidth {
+    /// Bits per reference: 16 or 32.
+    const BITS: u32;
+    const LEAF: u32 = 1 << (Self::BITS - 1);
+    const BOT: u32 = Self::LEAF - 1;
+    const PER_WORD: usize = (64 / Self::BITS) as usize;
+
+    /// The `i`-th reference of a packed run array.
+    #[inline(always)]
+    fn get(runs: &[u64], i: usize) -> u32 {
+        let shift = Self::BITS as usize * (i % Self::PER_WORD);
+        (runs[i / Self::PER_WORD] >> shift) as u32 & (Self::LEAF | Self::BOT)
+    }
+
+    /// The next-hop a leaf-tagged reference carries (`None` for ⊥).
+    #[inline(always)]
+    fn leaf_hop(reference: u32) -> Option<NextHop> {
+        let label = reference & Self::BOT;
+        (label != Self::BOT).then(|| NextHop::new(label))
+    }
+
+    /// A 32-bit-form reference in this width's form. Interior indices and
+    /// labels must fit below [`Self::BOT`]; the emitter checks before it
+    /// picks the width.
+    fn narrow(reference: u32) -> u32 {
+        match reference & LEAF_TAG {
+            0 => reference,
+            _ if reference & BOT == BOT => Self::LEAF | Self::BOT,
+            _ => Self::LEAF | (reference & BOT),
+        }
+    }
+
+    /// The inverse of [`Self::narrow`].
+    fn widen(reference: u32) -> u32 {
+        match reference & Self::LEAF {
+            0 => reference,
+            _ if reference & Self::BOT == Self::BOT => LEAF_TAG | BOT,
+            _ => LEAF_TAG | (reference & Self::BOT),
+        }
+    }
+
+    /// Packs 32-bit-form references, [`Self::PER_WORD`] per word, little
+    /// end first, the last word zero-padded.
+    fn pack(references: &[u32]) -> Vec<u64> {
+        let mut words = vec![0u64; references.len().div_ceil(Self::PER_WORD)];
+        for (i, &reference) in references.iter().enumerate() {
+            let shift = Self::BITS as usize * (i % Self::PER_WORD);
+            words[i / Self::PER_WORD] |= u64::from(Self::narrow(reference)) << shift;
+        }
+        words
+    }
+}
+
+/// Four 16-bit references per word.
+struct W16;
+/// Two 32-bit references per word.
+struct W32;
+
+impl RunWidth for W16 {
+    const BITS: u32 = 16;
+}
+
+impl RunWidth for W32 {
+    const BITS: u32 = 32;
+}
+
+/// The stride a directory word declares (its whole upper half).
+#[inline(always)]
+fn stride_of(node: u64) -> u32 {
+    (node >> 32) as u32
+}
+
+/// Index in the block table of a directory word's first block.
+#[inline(always)]
+fn first_block_of(node: u64) -> usize {
+    node as u32 as usize
+}
+
+/// The slot the `stride` address bits at `offset` select, and how many of
+/// them the address still had: a final chunk narrower than the stride is
+/// padded with zeros (expansion stops at leaf-tagged references at depth
+/// `WIDTH`, so at least one bit is always left).
+#[inline(always)]
+fn slot_of<A: Address>(addr: A, offset: u8, stride: u8) -> (u32, u8) {
+    let take = stride.min(A::WIDTH - offset);
+    debug_assert!(take > 0, "walked past the address width");
+    // A 16-bit window (a constant-width read compiles branch-free) that
+    // starts at `offset`, or ends at the address's end when fewer than 16
+    // bits are left; shifted up against bit 15 it holds the chunk, zeros
+    // behind it.
+    let start = offset.min(A::WIDTH - 16);
+    let window = (addr.bits(start, 16) << (offset - start)) & 0xFFFF;
+    (
+        window.wrapping_shr(16u32.wrapping_sub(u32::from(stride))),
+        take,
+    )
+}
+
+/// The scalars of an emitted table — what an image's `PARAMS` section
+/// carries beside the three word strings.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VsShape {
+    /// Tagged reference to the root, in 32-bit form at either run width.
+    pub root: u32,
+    /// Σ 2^stride over the directory: the slots the runs expand to.
+    pub slots: usize,
+    /// Maximal runs stored in the run array.
+    pub runs: usize,
+    /// Bits per run reference, 16 or 32.
+    pub run_width: u32,
 }
 
 /// In-flight walks of the rolling-refill kernel behind
@@ -83,10 +214,10 @@ impl Default for VsParams {
     /// root table L2-sized, and a 0.6× pre-dedup budget lands the
     /// *post*-dedup image around 1.2× the hash-consed fixed stride-4
     /// plan's slots (stride-4 dedup removes ~2.4× of the pre-dedup
-    /// slot mass, so a sub-1.0 pre-dedup multiple is not a shrink) —
-    /// inside the 1.5× size gate, at ~1.1/~2.0 expected hops for
-    /// uniform/zipf traffic (both pinned by
-    /// `crates/bench/tests/design_gates.rs`).
+    /// slot mass, so a sub-1.0 pre-dedup multiple is not a shrink), at
+    /// ~1.1/~2.0 expected hops for uniform/zipf traffic (pinned by
+    /// `crates/bench/tests/design_gates.rs`, beside the stored table's
+    /// runs per slot and bytes over entropy).
     fn default() -> Self {
         Self {
             max_stride: 12,
@@ -131,14 +262,13 @@ pub type MultibitDag<A> = VarStrideDag<A>;
 /// queries run on the borrowed [`VarStrideDagRef`]).
 #[derive(Clone, Debug)]
 pub struct VarStrideDag<A: Address> {
-    /// Node directory: `stride << 32 | first_slot_index` per supernode.
+    /// Node directory: `stride << 32 | first_block_index` per supernode.
     nodes: Vec<u64>,
-    /// Slot arrays, flattened and packed two tagged references per word.
-    words: Vec<u64>,
-    /// Number of slots (tagged references) stored in `words`.
-    n_slots: usize,
-    /// Tagged reference to the root.
-    root: u32,
+    /// One word per 32 slots: run-start bitmap below, run rank above.
+    blocks: Vec<u64>,
+    /// One tagged reference per maximal run, packed at `shape.run_width`.
+    runs: Vec<u64>,
+    shape: VsShape,
     /// Expected traffic-weighted slot reads the DP planned for; `None`
     /// for a fixed plan, where nothing was planned.
     plan_cost: Option<f64>,
@@ -157,9 +287,9 @@ pub struct VarStrideDag<A: Address> {
 #[derive(Clone, Copy, Debug)]
 pub struct VarStrideDagRef<'a, A: Address> {
     nodes: &'a [u64],
-    words: &'a [u64],
-    n_slots: usize,
-    root: u32,
+    blocks: &'a [u64],
+    runs: &'a [u64],
+    shape: VsShape,
     _marker: PhantomData<A>,
 }
 
@@ -511,8 +641,12 @@ impl<A: Address> Planner<A> {
 struct Emitter<'a, A: Address> {
     proper: &'a ProperTrie<A>,
     choice: &'a [u8],
-    slots: Vec<u32>,
     nodes: Vec<u64>,
+    blocks: Vec<u64>,
+    /// One 32-bit-form reference per maximal run; packed once the whole
+    /// table is out and the width can be chosen.
+    runs: Vec<u32>,
+    n_slots: usize,
     interner: HashMap<(u8, Box<[u32]>), u32, IdBuildHasher>,
 }
 
@@ -533,16 +667,34 @@ impl<A: Address> Emitter<'_, A> {
                     return existing;
                 }
                 let node = self.nodes.len() as u32;
-                let base = self.slots.len() as u32;
-                self.slots.extend_from_slice(&key.1);
                 // Children were interned before their parent, so every
-                // interior slot reference is a strictly smaller directory
+                // interior reference is a strictly smaller directory
                 // index — the monotonicity `from_parts` re-checks.
-                self.nodes.push(u64::from(stride) << 32 | u64::from(base));
+                self.nodes
+                    .push(u64::from(stride) << 32 | self.blocks.len() as u64);
+                self.collapse(&key.1);
                 self.interner.insert(key, node);
                 node
             }
         }
+    }
+
+    /// Appends one node's expanded `slots` as blocks and maximal runs.
+    fn collapse(&mut self, slots: &[u32]) {
+        let mut previous = None;
+        for chunk in slots.chunks(32) {
+            let rank = (self.runs.len() as u32).wrapping_sub(1);
+            let mut starts = 0u32;
+            for (k, &reference) in chunk.iter().enumerate() {
+                if previous != Some(reference) {
+                    starts |= 1 << k;
+                    self.runs.push(reference);
+                    previous = Some(reference);
+                }
+            }
+            self.blocks.push(u64::from(rank) << 32 | u64::from(starts));
+        }
+        self.n_slots += slots.len();
     }
 
     /// Walks `stride` bits (MSB-first bits of `slot`) down from `idx`,
@@ -647,29 +799,38 @@ impl<A: Address> VarStrideDag<A> {
         planner.finish(&plan, Some(mu))
     }
 
-    /// Emits the hash-consed directory and slot table for one stride per
+    /// Emits the hash-consed directory, blocks and runs for one stride per
     /// proper-trie node — the step planned and fixed strides share.
     fn emit(proper: &ProperTrie<A>, choice: &[u8]) -> Self {
         let mut emitter = Emitter {
             proper,
             choice,
-            slots: Vec::new(),
             nodes: Vec::new(),
+            blocks: Vec::new(),
+            runs: Vec::new(),
+            n_slots: 0,
             interner: HashMap::default(),
         };
         let root = emitter.encode(proper.root_idx());
-        let n_slots = emitter.slots.len();
-        let mut words = Vec::with_capacity(n_slots.div_ceil(2));
-        for pair in emitter.slots.chunks(2) {
-            let lo = u64::from(pair[0]);
-            let hi = pair.get(1).map_or(0, |&s| u64::from(s));
-            words.push(lo | (hi << 32));
-        }
+        // 16-bit references when every interior index and every label
+        // has a 16-bit form distinct from ⊥.
+        let fits = |&reference: &u32| reference == LEAF_TAG | BOT || reference & BOT < W16::BOT;
+        let narrow = emitter.nodes.len() <= W16::BOT as usize && emitter.runs.iter().all(fits);
+        let (runs, run_width) = if narrow {
+            (W16::pack(&emitter.runs), W16::BITS)
+        } else {
+            (W32::pack(&emitter.runs), W32::BITS)
+        };
         Self {
             nodes: emitter.nodes,
-            words,
-            n_slots,
-            root,
+            blocks: emitter.blocks,
+            runs,
+            shape: VsShape {
+                root,
+                slots: emitter.n_slots,
+                runs: emitter.runs.len(),
+                run_width,
+            },
             plan_cost: None,
             held_mu: None,
             solves: 0,
@@ -718,7 +879,7 @@ impl<A: Address> VarStrideDag<A> {
     pub fn stride_histogram(&self) -> Vec<(u8, usize)> {
         let mut counts = [0usize; 17];
         for &node in &self.nodes {
-            counts[((node >> 32) & 0x1F) as usize] += 1;
+            counts[stride_of(node) as usize] += 1;
         }
         (1..=16u8)
             .filter(|&s| counts[s as usize] > 0)
@@ -732,35 +893,67 @@ impl<A: Address> VarStrideDag<A> {
     pub fn view(&self) -> VarStrideDagRef<'_, A> {
         VarStrideDagRef {
             nodes: &self.nodes,
-            words: &self.words,
-            n_slots: self.n_slots,
-            root: self.root,
+            blocks: &self.blocks,
+            runs: &self.runs,
+            shape: self.shape,
             _marker: PhantomData,
         }
     }
 
-    /// The node directory words (`stride << 32 | base` each).
+    /// The node directory words (`stride << 32 | first_block` each).
     #[must_use]
     pub fn node_words(&self) -> &[u64] {
         &self.nodes
     }
 
-    /// The packed slot words (two tagged references per word).
+    /// The block words (`rank << 32 | run-start bitmap`, one per 32 slots).
     #[must_use]
-    pub fn slot_words(&self) -> &[u64] {
-        &self.words
+    pub fn block_words(&self) -> &[u64] {
+        &self.blocks
     }
 
-    /// Number of slots (tagged references).
+    /// The packed run words ([`Self::run_width`]-bit tagged references).
+    #[must_use]
+    pub fn run_words(&self) -> &[u64] {
+        &self.runs
+    }
+
+    /// The table's scalars: root, slot and run counts, run width.
+    #[must_use]
+    pub fn shape(&self) -> VsShape {
+        self.shape
+    }
+
+    /// Number of slots the plan expands to, Σ 2^stride over the directory
+    /// — what the budget counts, not what is stored.
     #[must_use]
     pub fn slot_count(&self) -> usize {
-        self.n_slots
+        self.shape.slots
+    }
+
+    /// Number of maximal runs stored.
+    #[must_use]
+    pub fn run_count(&self) -> usize {
+        self.shape.runs
+    }
+
+    /// Number of 32-slot blocks.
+    #[must_use]
+    pub fn block_count(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Bits per stored run reference: 16 when the directory and the label
+    /// alphabet fit, 32 otherwise.
+    #[must_use]
+    pub fn run_width(&self) -> u32 {
+        self.shape.run_width
     }
 
     /// The tagged root reference.
     #[must_use]
     pub fn root_ref(&self) -> u32 {
-        self.root
+        self.shape.root
     }
 
     /// Lookup also returning the number of slot reads.
@@ -770,25 +963,23 @@ impl<A: Address> VarStrideDag<A> {
     }
 
     /// Average and maximum slot reads over the address space, weighting
-    /// each slot by the address fraction it covers.
+    /// each run by the address fraction its slots cover.
     #[must_use]
     pub fn depth_stats(&self) -> (f64, u32) {
         let view = self.view();
         let mut avg = 0.0;
         let mut max = 0u32;
-        let mut stack = vec![(self.root, 0u32, 1.0f64)];
+        let mut stack = vec![(self.shape.root, 0u32, 1.0f64)];
         while let Some((reference, hops, frac)) = stack.pop() {
             if reference & LEAF_TAG != 0 {
                 avg += f64::from(hops) * frac;
                 max = max.max(hops);
                 continue;
             }
-            let node = view.nodes[reference as usize];
-            let width = 1usize << ((node >> 32) & 0x1F);
-            let base = (node as u32) as usize;
-            let child_frac = frac / width as f64;
-            for slot in 0..width {
-                stack.push((slot_at(view.words, base + slot), hops + 1, child_frac));
+            let node = reference as usize;
+            let slot_frac = frac / f64::from(1u32 << stride_of(self.nodes[node]));
+            for (len, child) in view.node_runs(node) {
+                stack.push((child, hops + 1, slot_frac * f64::from(len)));
             }
         }
         (avg, max)
@@ -796,76 +987,175 @@ impl<A: Address> VarStrideDag<A> {
 }
 
 impl<'a, A: Address> VarStrideDagRef<'a, A> {
-    /// Assembles a view over the directory and slot words, validating
-    /// every node's stride, slot span, and child monotonicity (interior
-    /// references strictly precede their parent) so the walk cannot index
-    /// out of bounds or loop on untrusted bytes.
+    /// Assembles a view over the three word strings, proving in one pass
+    /// what the walk assumes so it cannot index out of bounds, loop, or
+    /// answer from the wrong run on untrusted bytes: every stride in
+    /// `[1, 16]`; the nodes' block spans tiling `blocks` contiguously and
+    /// in order; slot 0 of every node starting a run and no run starting
+    /// past a short node's last slot; every block's rank equal to the
+    /// running count of run starts; that count ending at `shape.runs`, and
+    /// the strides summing to `shape.slots`; interior references strictly
+    /// preceding their node; adjacent runs of a node distinct (the
+    /// canonical form — one table, one encoding).
     ///
     /// # Errors
     /// A static message naming the structural violation.
     pub fn from_parts(
         nodes: &'a [u64],
-        words: &'a [u64],
-        n_slots: usize,
-        root: u32,
+        blocks: &'a [u64],
+        runs: &'a [u64],
+        shape: VsShape,
     ) -> Result<Self, &'static str> {
-        let view = Self::from_parts_trusted(nodes, words, n_slots, root)?;
-        if root & LEAF_TAG == 0 && root as usize >= nodes.len() {
+        let view = Self::from_parts_trusted(nodes, blocks, runs, shape)?;
+        if shape.root & LEAF_TAG == 0 && shape.root as usize >= nodes.len() {
             return Err("root reference past node directory");
         }
-        for (i, &node) in nodes.iter().enumerate() {
-            let stride = node >> 32;
-            if !(1..=16).contains(&stride) {
-                return Err("node stride out of [1, 16]");
-            }
-            let base = (node as u32) as usize;
-            let width = 1usize << stride;
-            if base + width > n_slots {
-                return Err("node slot span past slot table");
-            }
-            for j in base..base + width {
-                let r = slot_at(words, j);
-                if r & LEAF_TAG == 0 && r as usize >= i {
-                    return Err("interior reference breaks directory order");
-                }
-            }
+        if shape.run_width == W16::BITS {
+            view.validate::<W16>()?;
+        } else {
+            view.validate::<W32>()?;
         }
         Ok(view)
     }
 
-    /// [`Self::from_parts`] minus the O(n) directory scan — only for
-    /// words that already passed a full validation (a loaded image is
-    /// immutable, so one scan covers its lifetime).
+    /// [`Self::from_parts`] minus the O(n) scan — only for words that
+    /// already passed a full validation (a loaded image is immutable, so
+    /// one scan covers its lifetime).
     pub fn from_parts_trusted(
         nodes: &'a [u64],
-        words: &'a [u64],
-        n_slots: usize,
-        root: u32,
+        blocks: &'a [u64],
+        runs: &'a [u64],
+        shape: VsShape,
     ) -> Result<Self, &'static str> {
-        if n_slots.div_ceil(2) != words.len() {
-            return Err("slot count does not match word count");
+        let per_word = match shape.run_width {
+            W16::BITS => W16::PER_WORD,
+            W32::BITS => W32::PER_WORD,
+            _ => return Err("run width is neither 16 nor 32"),
+        };
+        if shape.runs.div_ceil(per_word) != runs.len() {
+            return Err("run count does not match word count");
         }
         Ok(Self {
             nodes,
-            words,
-            n_slots,
-            root,
+            blocks,
+            runs,
+            shape,
             _marker: PhantomData,
         })
     }
 
-    /// The pointer range of the borrowed slot words, for zero-copy
+    /// The scan behind [`Self::from_parts`].
+    fn validate<W: RunWidth>(&self) -> Result<(), &'static str> {
+        let mut next_block = 0usize;
+        let mut started = 0usize;
+        let mut slots = 0usize;
+        for (i, &node) in self.nodes.iter().enumerate() {
+            let stride = stride_of(node);
+            if !(1..=16).contains(&stride) {
+                return Err("node stride out of [1, 16]");
+            }
+            if first_block_of(node) != next_block {
+                return Err("node block span breaks the contiguous tiling");
+            }
+            let width = 1usize << stride;
+            let span = self
+                .blocks
+                .get(next_block..next_block + width.div_ceil(32))
+                .ok_or("node block span past block table")?;
+            if span[0] & 1 == 0 {
+                return Err("a node's first slot does not start a run");
+            }
+            if width < 32 && (span[0] as u32) >> width != 0 {
+                return Err("run start past a node's last slot");
+            }
+            let mut previous = None;
+            for &block in span {
+                if (block >> 32) as u32 != (started as u32).wrapping_sub(1) {
+                    return Err("block rank off the running run count");
+                }
+                let fresh = (block as u32).count_ones() as usize;
+                if started + fresh > self.shape.runs {
+                    return Err("run index past run table");
+                }
+                for run in started..started + fresh {
+                    let reference = W::get(self.runs, run);
+                    if reference & W::LEAF == 0 && reference as usize >= i {
+                        return Err("interior reference breaks directory order");
+                    }
+                    if previous == Some(reference) {
+                        return Err("adjacent runs of a node are equal");
+                    }
+                    previous = Some(reference);
+                }
+                started += fresh;
+            }
+            next_block += span.len();
+            slots += width;
+        }
+        if next_block != self.blocks.len() {
+            return Err("block table longer than the directory spans");
+        }
+        if started != self.shape.runs {
+            return Err("run count does not match the block bitmaps");
+        }
+        if slots != self.shape.slots {
+            return Err("slot count does not match the directory strides");
+        }
+        Ok(())
+    }
+
+    /// The pointer range of the borrowed run words, for zero-copy
     /// assertions in tests.
     #[must_use]
     pub fn payload_ptr_range(&self) -> std::ops::Range<usize> {
-        let start = self.words.as_ptr() as usize;
-        start..start + std::mem::size_of_val(self.words)
+        let start = self.runs.as_ptr() as usize;
+        start..start + std::mem::size_of_val(self.runs)
     }
 
-    /// Footprint in bytes: 4 per slot plus 8 per directory entry.
+    /// The table's scalars: root, slot and run counts, run width.
+    #[must_use]
+    pub fn shape(&self) -> VsShape {
+        self.shape
+    }
+
+    /// Footprint in bytes: the three word strings.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.n_slots * 4 + self.nodes.len() * 8
+        (self.nodes.len() + self.blocks.len() + self.runs.len()) * 8
+    }
+
+    /// The maximal runs of directory node `node`, in slot order, as
+    /// `(slots covered, tagged reference)` — the reference in 32-bit form
+    /// (bit 31 the leaf tag, `0x7FFF_FFFF` ⊥) at either run width.
+    ///
+    /// # Panics
+    /// Panics if `node` is past the directory.
+    pub fn node_runs(self, node: usize) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let word = self.nodes[node];
+        let width = 1u32 << stride_of(word);
+        let first = first_block_of(word);
+        let span = &self.blocks[first..first + (width as usize).div_ceil(32)];
+        let first_run = ((span[0] >> 32) as u32).wrapping_add(1) as usize;
+        let starts = span.iter().enumerate().flat_map(|(b, &block)| {
+            let mut bits = block as u32;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let k = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    b as u32 * 32 + k
+                })
+            })
+        });
+        let ends = starts.clone().skip(1).chain(std::iter::once(width));
+        let wide = self.shape.run_width != W16::BITS;
+        starts.zip(ends).enumerate().map(move |(k, (start, end))| {
+            let reference = if wide {
+                W32::get(self.runs, first_run + k)
+            } else {
+                W16::widen(W16::get(self.runs, first_run + k))
+            };
+            (end - start, reference)
+        })
     }
 
     /// Longest-prefix-match lookup.
@@ -878,63 +1168,94 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
     /// Lookup also returning the number of slot reads.
     #[must_use]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
-        self.walk(addr, |_, _| {})
+        self.walk(addr, |_, _, _| {})
     }
 
-    /// The scalar walk; `touch` sees each hop's directory index and slot
+    /// The run slot `slot` of the node at directory word `node` reads:
+    /// `(block index, run index)`.
+    #[inline(always)]
+    fn locate(&self, node: u64, slot: u32) -> (usize, usize) {
+        let block_index = first_block_of(node) + (slot >> 5) as usize;
+        let block = self.blocks[block_index];
+        // Bits 0..=k of the bitmap, k = slot mod 32, shifted up against
+        // bit 31: one shift where masking takes two.
+        let upto = (block as u32) << (!slot & 31);
+        let run = ((block >> 32) as u32).wrapping_add(upto.count_ones());
+        (block_index, run as usize)
+    }
+
+    /// The scalar walk; `touch` sees each hop's directory, block and run
     /// index (the traced lookup is this walk with a reporting `touch`).
     #[inline]
-    fn walk(&self, addr: A, mut touch: impl FnMut(u32, usize)) -> (Option<NextHop>, Depth) {
-        let mut reference = self.root;
+    fn walk(&self, addr: A, touch: impl FnMut(usize, usize, usize)) -> (Option<NextHop>, Depth) {
+        if self.shape.root & LEAF_TAG != 0 {
+            return (W32::leaf_hop(self.shape.root), 0);
+        }
+        if self.shape.run_width == W16::BITS {
+            self.walk_at::<W16>(addr, touch)
+        } else {
+            self.walk_at::<W32>(addr, touch)
+        }
+    }
+
+    #[inline(always)]
+    fn walk_at<W: RunWidth>(
+        &self,
+        addr: A,
+        mut touch: impl FnMut(usize, usize, usize),
+    ) -> (Option<NextHop>, Depth) {
+        // An interior reference reads the same at every width.
+        let mut reference = self.shape.root;
         let mut offset = 0u8;
         let mut hops: Depth = 0;
-        while reference & LEAF_TAG == 0 {
+        while reference & W::LEAF == 0 {
             let node = self.nodes[reference as usize];
-            let stride = ((node >> 32) & 0x1F) as u8;
-            // Final chunk may be narrower than the stride; expansion
-            // stops at leaf-tagged refs at depth W, so take stays > 0.
-            let take = stride.min(A::WIDTH - offset);
-            debug_assert!(take > 0, "walked past the address width");
-            let slot = addr.bits(offset, take) << (stride - take);
-            let index = (node as u32) as usize + slot as usize;
-            touch(reference, index);
-            reference = slot_at(self.words, index);
+            let (slot, take) = slot_of(addr, offset, stride_of(node) as u8);
+            let (block, run) = self.locate(node, slot);
+            touch(reference as usize, block, run);
+            reference = W::get(self.runs, run);
             offset += take;
             hops += 1;
         }
-        (leaf_hop(reference), hops)
+        (W::leaf_hop(reference), hops)
     }
 
     /// Batched longest-prefix match: resolves `addrs[i]` into `out[i]`
     /// with a rolling-refill walk kernel — [`VS_REFILL_LANES`] walks in
     /// flight, each lane taking the next address the moment its walk
-    /// resolves. The refill overlaps the serial directory-read →
-    /// slot-read chains whether the table lives in L2 or misses to
-    /// memory, so this is the one batch kernel at every size.
+    /// resolves. The refill overlaps the serial directory → block → run
+    /// read chains whether the table lives in L2 or misses to memory, so
+    /// this is the one batch kernel at every size; the run width picks
+    /// its monomorphisation once per call.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
     pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
         assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        let n = addrs.len();
-        let out = &mut out[..n];
+        let out = &mut out[..addrs.len()];
         // Degenerate table: the root itself is a leaf reference.
-        if self.root & LEAF_TAG != 0 {
-            out.fill(leaf_hop(self.root));
-            return;
+        if self.shape.root & LEAF_TAG != 0 {
+            out.fill(W32::leaf_hop(self.shape.root));
+        } else if self.shape.run_width == W16::BITS {
+            self.batch_at::<W16>(addrs, out);
+        } else {
+            self.batch_at::<W32>(addrs, out);
         }
+    }
+
+    #[inline(always)]
+    fn batch_at<W: RunWidth>(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+        let n = addrs.len();
         // The root directory word is loop-invariant, so a lane's first
-        // slot read fuses into the round that refills it: a one-hop
-        // lookup (the uniform-traffic common case once the DP widens the
-        // root) costs exactly one round, not a refill round plus a walk
-        // round.
-        let root_node = self.nodes[self.root as usize];
-        let root_stride = ((root_node >> 32) & 0x1F) as u8;
-        let root_take = root_stride.min(A::WIDTH);
-        let step0 = |addr: A| {
-            let slot = addr.bits(0, root_take) << (root_stride - root_take);
-            slot_at(self.words, (root_node as u32) as usize + slot as usize)
-        };
+        // hop fuses into the round that refills it: a one-hop lookup (the
+        // uniform-traffic common case once the DP widens the root) costs
+        // exactly one round, not a refill round plus a walk round.
+        let root_node = self.nodes[self.shape.root as usize];
+        // A stride is at most 16 and no address is narrower: the root hop
+        // takes its whole stride.
+        let root_stride = stride_of(root_node) as u8;
+        let hop = |node: u64, slot: u32| W::get(self.runs, self.locate(node, slot).1);
+        let step0 = |addr: A| hop(root_node, slot_of(addr, 0, root_stride).0);
         let mut reference = [0u32; VS_REFILL_LANES];
         let mut offset = [0u8; VS_REFILL_LANES];
         // Index into `addrs` each lane is walking; `usize::MAX` = drained.
@@ -943,7 +1264,7 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
         for lane in 0..live {
             job[lane] = lane;
             reference[lane] = step0(addrs[lane]);
-            offset[lane] = root_take;
+            offset[lane] = root_stride;
         }
         let mut next = live;
         while live > 0 {
@@ -953,12 +1274,12 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
                     continue;
                 }
                 let r = reference[lane];
-                if r & LEAF_TAG != 0 {
-                    out[j] = leaf_hop(r);
+                if r & W::LEAF != 0 {
+                    out[j] = W::leaf_hop(r);
                     if next < n {
                         job[lane] = next;
                         reference[lane] = step0(addrs[next]);
-                        offset[lane] = root_take;
+                        offset[lane] = root_stride;
                         next += 1;
                     } else {
                         job[lane] = usize::MAX;
@@ -966,10 +1287,8 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
                     }
                 } else {
                     let node = self.nodes[r as usize];
-                    let stride = ((node >> 32) & 0x1F) as u8;
-                    let take = stride.min(A::WIDTH - offset[lane]);
-                    let slot = addrs[j].bits(offset[lane], take) << (stride - take);
-                    reference[lane] = slot_at(self.words, (node as u32) as usize + slot as usize);
+                    let (slot, take) = slot_of(addrs[j], offset[lane], stride_of(node) as u8);
+                    reference[lane] = hop(node, slot);
                     offset[lane] += take;
                 }
             }
@@ -977,13 +1296,18 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
     }
 
     /// Lookup reporting each read as `(byte offset, size)` for the cache
-    /// and SRAM models: slot reads at their packed offsets, directory
-    /// reads mapped above the slot table.
+    /// and SRAM models — per hop an 8-byte directory word, an 8-byte
+    /// block and a 2- or 4-byte run — with the three strings laid out as
+    /// an image lays them: directory, blocks, runs, each starting on a
+    /// 64-byte line.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        let dir_base = self.words.len() as u64 * 8;
-        let touch = |node: u32, slot: usize| {
-            sink(dir_base + u64::from(node) * 8, 8);
-            sink(slot as u64 * 4, 4);
+        let blocks_base = (self.nodes.len() as u64 * 8).next_multiple_of(64);
+        let runs_base = blocks_base + (self.blocks.len() as u64 * 8).next_multiple_of(64);
+        let run_bytes = self.shape.run_width / 8;
+        let touch = |node: usize, block: usize, run: usize| {
+            sink(node as u64 * 8, 8);
+            sink(blocks_base + block as u64 * 8, 8);
+            sink(runs_base + run as u64 * u64::from(run_bytes), run_bytes);
         };
         self.walk(addr, touch).0
     }
@@ -1198,62 +1522,206 @@ mod tests {
         let trie = spread_trie();
         let vs = VarStrideDag::from_trie(&trie, VsParams::default());
         for addr in [0u32, 0x0A01_0203, 0x8000_0000, u32::MAX] {
-            let mut slot_reads = 0u32;
+            // Per hop: an 8-byte directory word, an 8-byte block, one run.
+            let (mut word_reads, mut run_reads) = (0u32, 0u32);
             let traced = vs.lookup_traced(addr, &mut |_, size| {
-                if size == 4 {
-                    slot_reads += 1;
+                if size == 8 {
+                    word_reads += 1;
+                } else {
+                    assert_eq!(size, vs.run_width() / 8);
+                    run_reads += 1;
                 }
             });
             assert_eq!(traced, vs.lookup(addr), "addr {addr:#x}");
             let (_, hops) = vs.lookup_with_depth(addr);
-            assert_eq!(slot_reads, hops, "addr {addr:#x}");
+            assert_eq!((word_reads, run_reads), (2 * hops, hops), "addr {addr:#x}");
         }
+    }
+
+    /// `vs`'s strings with one word of one of them replaced.
+    fn tampered(
+        vs: &VarStrideDag<u32>,
+        edit: impl FnOnce(&mut Vec<u64>, &mut Vec<u64>, &mut Vec<u64>),
+    ) -> Result<(), &'static str> {
+        let mut nodes = vs.node_words().to_vec();
+        let mut blocks = vs.block_words().to_vec();
+        let mut runs = vs.run_words().to_vec();
+        edit(&mut nodes, &mut blocks, &mut runs);
+        VarStrideDagRef::<u32>::from_parts(&nodes, &blocks, &runs, vs.shape()).map(|_| ())
     }
 
     #[test]
     fn from_parts_rejects_bad_shapes() {
         let trie = spread_trie();
         let vs = VarStrideDag::from_trie(&trie, VsParams::default());
-        let ok = VarStrideDagRef::<u32>::from_parts(
-            vs.node_words(),
-            vs.slot_words(),
-            vs.slot_count(),
-            vs.root_ref(),
-        );
-        assert!(ok.is_ok());
+        assert_eq!(vs.run_width(), 16);
+        assert_eq!(tampered(&vs, |_, _, _| {}), Ok(()));
+        let last = vs.node_count() - 1;
+        // A node of stride ≥ 6 (two blocks or more) whose first run is
+        // interior, for the mid-node cases.
+        let (wide, wide_word) = vs
+            .node_words()
+            .iter()
+            .copied()
+            .enumerate()
+            .find(|&(i, w)| {
+                stride_of(w) >= 6 && vs.view().node_runs(i).next().unwrap().1 & LEAF_TAG == 0
+            })
+            .expect("the spread trie's root is wide and starts at 0.0.0.0/17");
+        let first_run_of = |node: u64| {
+            ((vs.block_words()[first_block_of(node)] >> 32) as u32).wrapping_add(1) as usize
+        };
+
         // Stride out of range.
-        let mut bad = vs.node_words().to_vec();
-        bad[0] = (bad[0] & 0xFFFF_FFFF) | (31u64 << 32);
-        assert!(VarStrideDagRef::<u32>::from_parts(
-            &bad,
-            vs.slot_words(),
-            vs.slot_count(),
-            vs.root_ref()
+        let err = tampered(&vs, |nodes, _, _| {
+            nodes[0] = (nodes[0] & 0xFFFF_FFFF) | (31 << 32)
+        });
+        assert_eq!(err, Err("node stride out of [1, 16]"));
+        // A first block off the tiling.
+        let err = tampered(&vs, |nodes, _, _| nodes[last] += 1);
+        assert_eq!(err, Err("node block span breaks the contiguous tiling"));
+        // A stride that runs the last node's span off the block table.
+        let err = tampered(&vs, |nodes, _, _| nodes[last] += 1 << 32);
+        assert!(err.is_err(), "{err:?}");
+        // Rank drift: one block's rank off by one.
+        let err = tampered(&vs, |_, blocks, _| *blocks.last_mut().unwrap() += 1 << 32);
+        assert_eq!(err, Err("block rank off the running run count"));
+        // Bit 0 of a node's first block clear.
+        let err = tampered(&vs, |_, blocks, _| blocks[first_block_of(wide_word)] &= !1);
+        assert_eq!(err, Err("a node's first slot does not start a run"));
+        // A run start past the last slot of a short node.
+        let (_, short) = vs
+            .node_words()
+            .iter()
+            .copied()
+            .enumerate()
+            .find(|&(_, w)| stride_of(w) < 5)
+            .expect("the /32 route hangs off narrow nodes");
+        let err = tampered(&vs, |_, blocks, _| blocks[first_block_of(short)] |= 1 << 31);
+        assert_eq!(err, Err("run start past a node's last slot"));
+        // One run start too many: the run index leaves the table.
+        let err = tampered(&vs, |_, blocks, _| {
+            let block = blocks.last_mut().unwrap();
+            *block |= u64::from(!(*block as u32) & (!(*block as u32)).wrapping_neg());
+        });
+        assert_eq!(err, Err("run index past run table"));
+        // Adjacent equal runs: copy a node's first run over its second.
+        let err = tampered(&vs, |_, _, runs| {
+            let run = first_run_of(wide_word);
+            let (from, to) = (run, run + 1);
+            let value = (runs[from / 4] >> (16 * (from % 4))) & 0xFFFF;
+            runs[to / 4] &= !(0xFFFF << (16 * (to % 4)));
+            runs[to / 4] |= value << (16 * (to % 4));
+        });
+        assert_eq!(err, Err("adjacent runs of a node are equal"));
+        // Forward (order-breaking) interior reference: a node's first run
+        // pointed at the node itself.
+        let err = tampered(&vs, |_, _, runs| {
+            let run = first_run_of(wide_word);
+            runs[run / 4] &= !(0xFFFF << (16 * (run % 4)));
+            runs[run / 4] |= (wide as u64) << (16 * (run % 4));
+        });
+        assert_eq!(err, Err("interior reference breaks directory order"));
+
+        // The scalars. The length checks are the ones the trusted
+        // constructor keeps.
+        let with = |shape: VsShape, trusted: bool| {
+            let (nodes, blocks, runs) = (vs.node_words(), vs.block_words(), vs.run_words());
+            if trusted {
+                VarStrideDagRef::<u32>::from_parts_trusted(nodes, blocks, runs, shape).err()
+            } else {
+                VarStrideDagRef::<u32>::from_parts(nodes, blocks, runs, shape).err()
+            }
+        };
+        let shape = vs.shape();
+        let fewer_runs = VsShape {
+            runs: shape.runs - 4,
+            ..shape
+        };
+        let odd_width = VsShape {
+            run_width: 8,
+            ..shape
+        };
+        for trusted in [false, true] {
+            let want = Some("run count does not match word count");
+            assert_eq!(with(fewer_runs, trusted), want);
+            let want = Some("run width is neither 16 nor 32");
+            assert_eq!(with(odd_width, trusted), want);
+        }
+        let fewer_slots = VsShape {
+            slots: shape.slots - 2,
+            ..shape
+        };
+        let want = Some("slot count does not match the directory strides");
+        assert_eq!(with(fewer_slots, false), want);
+        let root_past = VsShape {
+            root: vs.node_count() as u32,
+            ..shape
+        };
+        let want = Some("root reference past node directory");
+        assert_eq!(with(root_past, false), want);
+    }
+
+    /// Expands every node back to its 2^stride slots through the kernel's
+    /// own rank arithmetic and through `node_runs`: the two readings of
+    /// the bitmap must agree slot for slot, and no run may repeat its
+    /// neighbour.
+    fn assert_runs_are_maximal_and_cover<A: Address>(vs: &VarStrideDag<A>) {
+        let view = vs.view();
+        let (mut slots, mut runs) = (0usize, 0usize);
+        for (i, &node) in vs.node_words().iter().enumerate() {
+            let mut slot = 0u32;
+            let mut previous = None;
+            for (len, reference) in view.node_runs(i) {
+                assert!(len > 0 && previous != Some(reference), "node {i}");
+                previous = Some(reference);
+                for s in slot..slot + len {
+                    let (_, run) = view.locate(node, s);
+                    assert_eq!(run, runs, "node {i} slot {s}");
+                }
+                slot += len;
+                runs += 1;
+            }
+            assert_eq!(slot, 1 << stride_of(node), "node {i}");
+            slots += slot as usize;
+        }
+        assert_eq!((slots, runs), (vs.slot_count(), vs.run_count()));
+        VarStrideDagRef::<A>::from_parts(
+            vs.node_words(),
+            vs.block_words(),
+            vs.run_words(),
+            vs.shape(),
         )
-        .is_err());
-        // Slot span past the table.
-        let mut bad = vs.node_words().to_vec();
-        let last = bad.len() - 1;
-        bad[last] = (bad[last] & !0xFFFF_FFFFu64) | (vs.slot_count() as u64 - 1);
-        assert!(VarStrideDagRef::<u32>::from_parts(
-            &bad,
-            vs.slot_words(),
-            vs.slot_count(),
-            vs.root_ref()
-        )
-        .is_err());
-        // Forward (order-breaking) reference: point a low node's slot at
-        // the last node.
-        if vs.node_count() >= 2 {
-            let mut slots = vs.slot_words().to_vec();
-            slots[0] = (slots[0] & !0xFFFF_FFFFu64) | (vs.node_count() as u64 - 1);
-            assert!(VarStrideDagRef::<u32>::from_parts(
-                vs.node_words(),
-                &slots,
-                vs.slot_count(),
-                vs.root_ref()
-            )
-            .is_err());
+        .expect("the emitter's own output validates");
+    }
+
+    #[test]
+    fn runs_cover_every_slot_at_both_widths() {
+        let narrow = VarStrideDag::from_trie(&spread_trie(), VsParams::default());
+        assert_eq!(narrow.run_width(), 16);
+        assert!(narrow.run_count() * 3 < narrow.slot_count());
+        assert_runs_are_maximal_and_cover(&narrow);
+
+        // One label at 0x7FFF — the 16-bit ⊥ — is enough to force 32 bits.
+        let mut trie = spread_trie();
+        trie.insert(p("10.1.2.4/32"), nh(0x7FFE));
+        let still_narrow = VarStrideDag::from_trie(&trie, VsParams::default());
+        assert_eq!(still_narrow.run_width(), 16);
+        assert_eq!(still_narrow.lookup(0x0A01_0204), Some(nh(0x7FFE)));
+        trie.insert(p("10.1.2.5/32"), nh(0x7FFF));
+        let wide = VarStrideDag::from_trie(&trie, VsParams::default());
+        assert_eq!(wide.run_width(), 32);
+        assert_runs_are_maximal_and_cover(&wide);
+        assert_eq!(wide.run_count(), still_narrow.run_count() + 1);
+        for i in 0..4000u32 {
+            let addr = i.wrapping_mul(0x9E37_79B9) & 0xFFFF_0000 | 0x0A01_0200 | (i & 7);
+            assert_eq!(wide.lookup(addr), trie.lookup(addr), "addr {addr:#x}");
+        }
+
+        // Every fixed stride, so every block shape: a lone short block,
+        // exactly one, many.
+        for stride in [1u8, 3, 4, 5, 6, 9, 13, 16] {
+            assert_runs_are_maximal_and_cover(&VarStrideDag::from_trie(&spread_trie(), stride));
         }
     }
 

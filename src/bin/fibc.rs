@@ -270,6 +270,17 @@ fn compile_trie<A: Address>(
         engine.name(),
         bytes.len()
     );
+    if engine == EngineKind::VsDag {
+        // What the run collapse bought, read back from the image itself.
+        let image = FibImage::from_bytes(&bytes).map_err(|e| e.to_string())?;
+        let shape = <VarStrideDag<A> as ImageCodec<A>>::view_prevalidated(&image)
+            .map_err(|e| e.to_string())?
+            .shape();
+        println!(
+            "vsdag: {} runs / {} slots, {}-bit runs",
+            shape.runs, shape.slots, shape.run_width
+        );
+    }
     Ok(())
 }
 
@@ -374,7 +385,8 @@ fn section_name(id: u32) -> &'static str {
         sections::SER_ENTRIES => "serialized.entries",
         sections::SER_NODES => "serialized.nodes",
         sections::VS_NODES => "vsdag.nodes",
-        sections::VS_SLOTS => "vsdag.slots",
+        sections::VS_BLOCKS => "vsdag.blocks",
+        sections::VS_RUNS => "vsdag.runs",
         sections::LC_NODES => "lctrie.nodes",
         sections::HOT_SLAB => "hot.slab",
         sections::VRF_DIR => "vrf.dir",

@@ -21,8 +21,8 @@ use fibcomp::core::image::sections;
 use fibcomp::core::lint::lint_bytes;
 use fibcomp::core::{
     compile_vrf_set, hot_key, vrf_section_base, write_image, write_image_hot, write_vrf_image,
-    BuildConfig, FibBuild, FibImage, HotConfig, HotSlab, PrefixDag, SerializedDag, VrfEngineChoice,
-    VrfPolicy, VrfTable, XbwFib, XbwStorage,
+    BuildConfig, FibBuild, FibImage, HotConfig, HotSlab, ImageCodec, ImageError, PrefixDag,
+    SerializedDag, VrfEngineChoice, VrfPolicy, VrfTable, XbwFib, XbwStorage,
 };
 use fibcomp::trie::BinaryTrie;
 use fibcomp::workload::rng::{Random, Xoshiro256};
@@ -300,10 +300,13 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>, &'static str)> {
     ));
 
     // Variable-stride DAG classes: the clean image pins the VS_NODES /
-    // VS_SLOTS codec; the corrupt pair hit the two deep-pass codes. A
-    // stride field of 31 can never be emitted by the DP (band is
-    // [1, 16]), and shrinking the declared slot count makes the node
-    // spans overrun the slot table exactly like a truncated download.
+    // VS_BLOCKS / VS_RUNS codec; the corrupt ones hit the deep-pass
+    // codes. A stride field of 31 can never be emitted by the DP (band is
+    // [1, 16]); shrinking the declared slot count leaves the node spans
+    // covering more than the image admits to, exactly like a truncated
+    // download; and a block rank one too high is the vsdag's
+    // `rank-directory.img` — checksum repaired, every size right, and the
+    // last 32 slots of the table would answer from the run next door.
     let vs: fibcomp::core::VarStrideDag<u32> = FibBuild::build(&trie, &config);
     let vs_img = write_image(&vs, Some(&trie), 1).unwrap();
     corpus.push(("clean-vsdag.img", vs_img.clone(), "clean"));
@@ -328,6 +331,26 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>, &'static str)> {
         repair_checksum(bad),
         "vsdag-slot-coverage",
     ));
+
+    let mut bad = vs_img.clone();
+    let last_block = section_byte_offset(&vs_img, sections::VS_BLOCKS) + (vs.block_count() - 1) * 8;
+    let block = read_word(&bad, last_block);
+    write_word(&mut bad, last_block, block + (1 << 32));
+    corpus.push((
+        "vsdag-rank-drift.img",
+        repair_checksum(bad),
+        "vsdag-rank-mismatch",
+    ));
+
+    // The layout before runs: a directory over a flat table of 32-bit
+    // slots in section 0x42, three PARAMS words. No current builder can
+    // emit it, so the committed bytes are the source — regeneration
+    // writes back what it read. What is pinned is that the loader refuses
+    // it by name (the blocks are missing) instead of walking slot words
+    // as if they were blocks.
+    let legacy = fs::read(corpus_dir().join("vsdag-legacy-layout.img"))
+        .expect("tests/corpus/vsdag-legacy-layout.img is committed");
+    corpus.push(("vsdag-legacy-layout.img", legacy, "view-malformed"));
 
     corpus
 }
@@ -364,7 +387,11 @@ fn committed_corpus_matches_manifest() {
         fs::create_dir_all(&dir).unwrap();
         let mut manifest = String::new();
         for (name, bytes, expected) in build_corpus() {
-            fs::write(dir.join(name), &bytes).unwrap();
+            // Only what changed is rewritten: the other tests of this file
+            // read the directory while this one runs.
+            if fs::read(dir.join(name)).ok().as_ref() != Some(&bytes) {
+                fs::write(dir.join(name), &bytes).unwrap();
+            }
             manifest.push_str(&format!("{name} {expected}\n"));
         }
         fs::write(dir.join("MANIFEST"), manifest).unwrap();
@@ -420,5 +447,24 @@ fn fibc_lint_binary_agrees_with_library() {
     assert!(
         stdout.contains("rank-directory-mismatch"),
         "expected typed code in output, got: {stdout}"
+    );
+}
+
+/// The pre-run-collapse vsdag layout stops at a typed missing-section
+/// error for the block table, under both constructors — it is refused,
+/// not misread.
+#[test]
+fn legacy_vsdag_layout_is_refused_by_name() {
+    let bytes = fs::read(corpus_dir().join("vsdag-legacy-layout.img")).expect("committed");
+    let image = FibImage::from_bytes(&bytes).expect("header, checksum and section table are fine");
+    type Vs = fibcomp::core::VarStrideDag<u32>;
+    let missing = ImageError::MissingSection(sections::VS_BLOCKS);
+    assert_eq!(
+        <Vs as ImageCodec<u32>>::view(&image).err(),
+        Some(missing.clone())
+    );
+    assert_eq!(
+        <Vs as ImageCodec<u32>>::view_prevalidated(&image).err(),
+        Some(missing)
     );
 }

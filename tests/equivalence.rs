@@ -3,9 +3,10 @@
 //! shape the workload generators can produce.
 
 use fibcomp::core::{
-    roster, BuildConfig, FibLookup, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, VsParams,
+    roster, BuildConfig, FibLookup, MultibitDag, PrefixDag, SerializedDag, VarStrideDag,
+    VarStrideDagRef, VsParams,
 };
-use fibcomp::trie::{ortc, BinaryTrie, LcTrie, NextHop, ProperTrie, RouteTable};
+use fibcomp::trie::{ortc, Address, BinaryTrie, LcTrie, NextHop, ProperTrie, RouteTable};
 use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::{traces, FibSpec, LabelModel};
 
@@ -163,9 +164,10 @@ fn bernoulli_low_entropy_fib() {
     check_all_engines(&trie, &probe_keys(&trie, 6, 3000), &[]);
 }
 
-/// Tables past 4 MiB — out of L2, and larger than any other tier-1
-/// table or served workload — through the same matrix: the one place
-/// the rolling-refill kernels are checked where their walks miss cache.
+/// A table past 4 MiB — out of L2, and larger than any other tier-1
+/// table or served workload — and the widest fixed-stride plan, through
+/// the same matrix: the one place a rolling-refill kernel is checked
+/// where its walks miss cache.
 #[test]
 fn large_tables_past_four_mib() {
     let mut taz = fibcomp::workload::instances::by_name("taz").expect("taz instance");
@@ -173,10 +175,11 @@ fn large_tables_past_four_mib() {
     let trie = taz.build(0xF1B);
     // The λ = 20 root array alone is 2²⁰ × 8 B, whatever the table.
     let ser20 = SerializedDag::from_dag(&PrefixDag::from_trie(&trie, 20));
+    assert!(ser20.size_bytes() >= 4 << 20);
+    // The stride-16 plan was the second table past 4 MiB until its slots
+    // became runs: 2,048 blocks a node, and a handful of runs in each.
     let mb16 = MultibitDag::from_trie(&trie, 16);
-    for big in [&ser20 as &dyn FibLookup<u32>, &mb16] {
-        assert!(big.size_bytes() >= 4 << 20, "{} is too small", big.name());
-    }
+    assert_eq!(mb16.block_count(), mb16.node_count() * 2048);
     let mut keys = probe_keys(&trie, 9, 3000);
     keys.extend(traces::ZipfTrace::new(&trie, 1.0).generate(&mut rng(10), 3000));
     check_all_engines(&trie, &keys, &[&ser20, &mb16]);
@@ -220,6 +223,12 @@ fn nested_chains_exercise_deep_paths() {
         .map(|b| if b == 32 { 0 } else { 1u32 << b })
         .collect();
     check_all_engines(&t, &keys, &[]);
+    // Every vsdag node on this chain is two runs wide or nearly: the
+    // narrowest blocks the collapse emits, at every block shape.
+    for (tag, vs) in vsdag_plans(&t) {
+        assert_eq!(vs.run_width(), 16, "{tag}");
+        check_vsdag(&vs, &t, &keys, &tag);
+    }
 }
 
 #[test]
@@ -235,6 +244,138 @@ fn ortc_output_recompresses_equivalently() {
             assert_eq!(dag.lookup(key), trie.lookup(key), "at {key:#x}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Hostile tables for the vsdag's run collapse
+// ---------------------------------------------------------------------
+
+/// Scalar, batch, stream and traced lookups of `vs` against the control
+/// trie on `keys`, plus the engine's own structural validation.
+fn check_vsdag<A: Address>(vs: &VarStrideDag<A>, trie: &BinaryTrie<A>, keys: &[A], tag: &str) {
+    VarStrideDagRef::<A>::from_parts(
+        vs.node_words(),
+        vs.block_words(),
+        vs.run_words(),
+        vs.shape(),
+    )
+    .unwrap_or_else(|e| panic!("{tag}: from_parts: {e}"));
+    let poison = Some(NextHop::new(u32::MAX - 1));
+    let (mut batch, mut stream) = (vec![poison; keys.len()], vec![poison; keys.len()]);
+    vs.lookup_batch(keys, &mut batch);
+    vs.lookup_stream(keys, &mut stream);
+    for (i, &key) in keys.iter().enumerate() {
+        let want = trie.lookup(key);
+        assert_eq!(vs.lookup(key), want, "{tag}: scalar at {key:?}");
+        assert_eq!(batch[i], want, "{tag}: batch at {key:?}");
+        assert_eq!(stream[i], want, "{tag}: stream at {key:?}");
+        let mut reads = 0u32;
+        let traced = vs.lookup_traced(key, &mut |_, _| reads += 1);
+        assert_eq!(traced, want, "{tag}: traced at {key:?}");
+        assert_eq!(
+            reads,
+            3 * vs.lookup_with_depth(key).1,
+            "{tag}: reads at {key:?}"
+        );
+    }
+}
+
+/// The default plan, and fixed strides on either side of the 32-slot
+/// block: a lone short block, exactly one, several.
+fn vsdag_plans<A: Address>(trie: &BinaryTrie<A>) -> Vec<(String, VarStrideDag<A>)> {
+    let mut plans = vec![(
+        "default".to_string(),
+        VarStrideDag::from_trie(trie, VsParams::default()),
+    )];
+    for stride in [3u8, 5, 8] {
+        plans.push((
+            format!("stride {stride}"),
+            VarStrideDag::from_trie(trie, stride),
+        ));
+    }
+    plans
+}
+
+/// A /8 deaggregated into all 65,536 of its /24s, next hops cycling
+/// through three labels: no two adjacent /24s agree, and — 2^k is never a
+/// multiple of 3 — neither do two adjacent subtrees at any level, so
+/// below the /8 every slot is its own run and the collapse has nothing to
+/// collapse. What it may cost then is bounded and stated: never more than
+/// the flat 16-bit table (8 B a node + 2 B a slot) plus one bitmap bit a
+/// slot plus 8 B of block word per 32 slots begun.
+#[test]
+fn vsdag_deaggregated_slash8_degrades_within_the_stated_bound() {
+    let mut trie: BinaryTrie<u32> = BinaryTrie::new();
+    for i in 0..1u32 << 16 {
+        trie.insert(
+            fibcomp::trie::Prefix4::new(0x0A00_0000 | i << 8, 24),
+            NextHop::new(i % 3),
+        );
+    }
+    let mut keys = probe_keys(&trie, 40, 2000);
+    keys.extend((0..2000u32).map(|i| 0x0A00_0000 | i.wrapping_mul(0x9E37_79B9) >> 8));
+    for (tag, vs) in vsdag_plans(&trie) {
+        check_vsdag(&vs, &trie, &keys, &tag);
+        assert_eq!(vs.run_width(), 16, "{tag}");
+        let (slots, runs) = (vs.slot_count(), vs.run_count());
+        // Only the few nodes on the way down to the /8 hold runs of ⊥.
+        assert!(runs * 3 >= slots * 2, "{tag}: {runs} runs of {slots} slots");
+        let flat16 = vs.node_count() * 8 + slots * 2;
+        let bound = flat16 + slots.div_ceil(8) + vs.block_count() * 8;
+        assert!(
+            vs.size_bytes() <= bound,
+            "{tag}: {} B over the bound {bound} B ({flat16} B flat)",
+            vs.size_bytes()
+        );
+    }
+}
+
+/// A /15 deaggregated into all 131,072 of its host routes under a fixed
+/// stride of 16: two 2,048-block nodes of 65,536 one-slot runs each, so
+/// every block of the second node and of the root carries a rank past
+/// 2^16 — run *indices* are 32-bit whatever the width of a reference.
+#[test]
+fn vsdag_stride_sixteen_ranks_pass_two_to_the_sixteen() {
+    let mut trie: BinaryTrie<u32> = BinaryTrie::new();
+    for i in 0..1u32 << 17 {
+        trie.insert(
+            fibcomp::trie::Prefix4::new(0x0A02_0000 | i, 32),
+            NextHop::new(i % 3),
+        );
+    }
+    let vs = VarStrideDag::from_trie(&trie, 16u8);
+    assert_eq!((vs.node_count(), vs.block_count()), (3, 3 * 2048));
+    assert_eq!((vs.run_count(), vs.run_width()), (2 * 65_536 + 4, 16));
+    let top_rank = vs.block_words().last().expect("three nodes") >> 32;
+    assert!(top_rank > 1 << 17, "root ranks start at {top_rank}");
+    let mut keys = probe_keys(&trie, 43, 2000);
+    keys.extend((0..4000u32).map(|i| 0x0A02_0000 | i.wrapping_mul(0x9E37_79B9) >> 15));
+    check_vsdag(&vs, &trie, &keys, "stride 16");
+}
+
+/// Uniformly random next hops over 50,000 labels: nothing folds, nearly
+/// every run is one slot, and labels past 0x7FFE force 32-bit runs.
+#[test]
+fn vsdag_incompressible_labels_take_the_wide_runs_v4() {
+    let spec = FibSpec {
+        labels: LabelModel::Uniform { delta: 50_000 },
+        ..FibSpec::dfz_like(12_000)
+    };
+    let trie: BinaryTrie<u32> = spec.generate(&mut rng(41));
+    let keys = probe_keys(&trie, 42, 3000);
+    for (tag, vs) in vsdag_plans(&trie) {
+        assert_eq!(vs.run_width(), 32, "{tag}");
+        check_vsdag(&vs, &trie, &keys, &tag);
+    }
+    // The same shape with the labels folded into 0..4 is a 16-bit table:
+    // the width follows the labels, not the table's size.
+    let few: BinaryTrie<u32> = trie
+        .iter()
+        .map(|(p, nh)| (p, NextHop::new(nh.index() % 4)))
+        .collect();
+    let vs = VarStrideDag::from_trie(&few, VsParams::default());
+    assert_eq!(vs.run_width(), 16);
+    check_vsdag(&vs, &few, &keys, "folded labels");
 }
 
 // ---------------------------------------------------------------------
@@ -328,4 +469,41 @@ fn ipv6_host_routes_and_deep_chains() {
         .chain([0u128, u128::MAX])
         .collect();
     check_all_engines_v6(&trie, &keys);
+}
+
+/// The /0…/128 chain, every length, and the 32-bit run width over u128
+/// addresses: the v6 halves of the v4 hostile tables above.
+#[test]
+fn ipv6_vsdag_full_chain_and_wide_runs() {
+    let mut chain: BinaryTrie<u128> = BinaryTrie::new();
+    for len in 0..=128u8 {
+        chain.insert(
+            fibcomp::trie::Prefix::new(u128::MAX, len),
+            NextHop::new(u32::from(len % 2)),
+        );
+    }
+    let keys: Vec<u128> = (0..128u32)
+        .map(|b| u128::MAX ^ (1u128 << b))
+        .chain([0u128, u128::MAX])
+        .collect();
+    for (tag, vs) in vsdag_plans(&chain) {
+        assert_eq!(vs.run_width(), 16, "{tag}");
+        check_vsdag(&vs, &chain, &keys, &tag);
+    }
+
+    let spec = FibSpec {
+        max_len: 64,
+        labels: LabelModel::Uniform { delta: 40_000 },
+        ..FibSpec::dfz_like(6_000)
+    };
+    let wide: BinaryTrie<u128> = spec.generate(&mut rng(62));
+    let mut keys = traces::uniform::<u128, _>(&mut rng(63), 1_000);
+    for (p, _) in wide.iter().take(1_000) {
+        keys.push(p.addr());
+        keys.push(p.addr().wrapping_sub(1));
+    }
+    for (tag, vs) in vsdag_plans(&wide) {
+        assert_eq!(vs.run_width(), 32, "{tag}");
+        check_vsdag(&vs, &wide, &keys, &tag);
+    }
 }

@@ -22,7 +22,6 @@ use fibcomp::core::{
     VarStrideDagRef, VsParams,
 };
 use fibcomp::router::{EpochSnapshot, FaultFs, Router, RouterConfig, SpoolConfig, SpoolFs};
-use fibcomp::succinct::storage::get_u32;
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
 use fibcomp::workload::traces::{self, ZipfTrace};
@@ -50,18 +49,16 @@ fn config() -> RouterConfig {
 
 /// Pre-dedup slot mass — what the budget counts: the plan's slot arrays
 /// summed along the tree the DAG unfolds to (children precede parents in
-/// the directory, so one pass suffices).
+/// the directory, so one pass suffices). A run of `len` slots unfolds its
+/// child `len` times.
 fn plan_mass<A: Address>(vs: &VarStrideDag<A>) -> u64 {
     const LEAF_TAG: u32 = 0x8000_0000;
-    let (nodes, words) = (vs.node_words(), vs.slot_words());
-    let mut unfolded = vec![0u64; nodes.len()];
-    for (i, &node) in nodes.iter().enumerate() {
-        let (stride, base) = (node >> 32, node as u32 as usize);
-        let mut mass = 1u64 << stride;
-        for slot in base..base + (1 << stride) {
-            let reference = get_u32(words, slot);
+    let mut unfolded = vec![0u64; vs.node_count()];
+    for (i, &node) in vs.node_words().iter().enumerate() {
+        let mut mass = 1u64 << (node >> 32);
+        for (len, reference) in vs.view().node_runs(i) {
             if reference & LEAF_TAG == 0 {
-                mass += unfolded[reference as usize];
+                mass += u64::from(len) * unfolded[reference as usize];
             }
         }
         unfolded[i] = mass;
@@ -79,10 +76,10 @@ fn budget_slots<A: Address>(control: &BinaryTrie<A>) -> u64 {
 }
 
 fn assert_same_words<A: Address>(got: &VarStrideDag<A>, want: &VarStrideDag<A>, tag: &str) {
-    assert_eq!(got.root_ref(), want.root_ref(), "{tag}: root");
-    assert_eq!(got.slot_count(), want.slot_count(), "{tag}: slot count");
+    assert_eq!(got.shape(), want.shape(), "{tag}: root, counts, run width");
     assert!(got.node_words() == want.node_words(), "{tag}: directory");
-    assert!(got.slot_words() == want.slot_words(), "{tag}: slot words");
+    assert!(got.block_words() == want.block_words(), "{tag}: blocks");
+    assert!(got.run_words() == want.run_words(), "{tag}: runs");
 }
 
 /// How the publish under check got its engine.
@@ -186,9 +183,9 @@ impl<A: Address + Send + Sync + 'static> Harness<A> {
         assert_eq!(lint_bytes(&image), Vec::new(), "{tag}: lint");
         VarStrideDagRef::<A>::from_parts(
             engine.node_words(),
-            engine.slot_words(),
-            engine.slot_count(),
-            engine.root_ref(),
+            engine.block_words(),
+            engine.run_words(),
+            engine.shape(),
         )
         .unwrap_or_else(|e| panic!("{tag}: from_parts: {e}"));
 
