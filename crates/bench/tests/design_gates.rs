@@ -12,19 +12,28 @@
 //! * a 64-table fleet at 90 % overlap folds into one arena at least
 //!   30 % smaller than 64 independent compiles;
 //! * a vsdag router under steady churn republishes in one DP round, at
-//!   the slot penalty the previous compile found, not a fresh search.
+//!   the slot penalty the previous compile found, not a fresh search;
+//! * a durable publish costs what changed: one sync for a hundred
+//!   journaled updates and not one image byte, with exactly one image —
+//!   and a journal reset — when the journal crosses its fold threshold;
+//! * the updatable pDAG's lookup starts at its root-array entry, and the
+//!   node records it reads from there are pinned.
 //!
 //! The matching clock-time figures (`engine.vsdag.stream_ns` against
 //! `engine.multibit-dag.stream_ns`, `vrf.saved_pct`,
-//! `router.publish_ms_p50`) are per-layer metrics of every `benchmark/`
-//! run.
+//! `router.publish_ms_p50`, `visible_ms_p50` on `churn-spool`) are metrics
+//! of every `benchmark/` run.
+
+use std::path::Path;
+use std::sync::Arc;
 
 use fib_bench::instance_fib;
 use fib_core::{
-    compile_vrf_set, BuildConfig, FibBuild, FibEntropy, HotConfig, VarStrideDag, VrfPolicy,
-    VrfTable,
+    compile_vrf_set, BuildConfig, FibBuild, FibEntropy, HotConfig, PrefixDag, VarStrideDag,
+    VrfPolicy, VrfTable,
 };
-use fib_router::{Router, RouterConfig};
+use fib_router::spoolfs::{FaultFs, SpoolFs};
+use fib_router::{scan_spool, Router, RouterConfig, SpoolConfig};
 use fib_workload::rng::Xoshiro256;
 use fib_workload::traces::{uniform, ZipfTrace};
 use fib_workload::updates::{bgp_sequence, UpdateOp};
@@ -135,5 +144,96 @@ fn vsdag_republish_is_one_solve() {
         (held, cold, solves),
         (20, 0, 20),
         "20 publishes took {solves} DP rounds: {held} from the held penalty, {cold} cold"
+    );
+}
+
+fn apply(router: &mut Router<u32, PrefixDag<u32>>, ops: &[UpdateOp<u32>]) {
+    for op in ops {
+        match *op {
+            UpdateOp::Announce(prefix, next_hop) => router.announce(prefix, next_hop),
+            UpdateOp::Withdraw(prefix) => router.withdraw(prefix),
+        }
+    }
+}
+
+/// `FaultFs` counts every fallible operation, a reboot of it
+/// (`durable_clone`) keeps synced bytes only, and the directory listing
+/// shows every image: between them they pin the syncs and image bytes of a
+/// publish without a counting shim.
+#[test]
+fn durable_publish_costs_one_sync_and_a_fold_one_image() {
+    const DIR: &str = "/spool";
+    let journal = Path::new(DIR).join("journal.log");
+    let trie = instance_fib("taz", 0.01, 0xF1B);
+    let updates = bgp_sequence(&mut Xoshiro256::seed_from_u64(7), &trie, 101);
+    let config = RouterConfig {
+        build: BuildConfig::with_lambda(11),
+        publish_every: None,
+        background_rebuild: false,
+        ..RouterConfig::default()
+    };
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(trie, config);
+    let fs = FaultFs::new(1);
+    // A hundred records fit under the fold threshold; the next crosses it.
+    let spool = SpoolConfig {
+        journal_fold_bytes: 100 * 24,
+        ..SpoolConfig::default()
+    };
+    router
+        .enable_spool_with(Arc::new(fs.clone()), DIR, spool)
+        .expect("spool dir");
+    let (ops_armed, files_armed) = (fs.op_count(), fs.paths());
+
+    apply(&mut router, &updates[..100]);
+    router.publish();
+    assert!(router.spool_health().expect("armed").is_healthy());
+    // 100 appends and one more operation, which a reboot shows to have
+    // been the journal's sync: all 100 records are durable.
+    assert_eq!(fs.op_count() - ops_armed, 101, "100 appends + one sync");
+    assert_eq!(
+        fs.durable_clone().file_len(&journal).expect("journal"),
+        16 + 100 * 24,
+        "the publish made every record durable"
+    );
+    assert_eq!(fs.paths(), files_armed, "no image, no temp file");
+    assert_eq!(router.stats().spills, 1, "only the base image so far");
+
+    // The 101st record outgrows the threshold: the update publishes, and
+    // that publish folds the journal into exactly one image.
+    apply(&mut router, &updates[100..]);
+    assert_eq!(router.stats().spills, 2, "one fold, one image");
+    assert_eq!(router.stats().epochs, 3, "initial, the publish, the fold");
+    assert_eq!(fs.file_len(&journal).expect("journal"), 16, "journal reset");
+    let status = scan_spool(&fs, Path::new(DIR)).expect("scan");
+    assert_eq!(status.images.len(), 2);
+    assert_eq!(status.images[0].epoch, router.epoch());
+    assert_eq!(
+        (status.journal_records, status.verdict()),
+        (0, "ok"),
+        "the journal bridges the fold's image"
+    );
+}
+
+/// The walk of the updatable pDAG, counted as the serialized image counts
+/// its own: node records read after the root-array entry. At λ = 11 the
+/// array collapses k = 8 levels: 1.980 reads per lookup where the
+/// bit-by-bit walk from the root it replaced made 9.086 (595,468 for the
+/// same keys). The benchmark's `engine.hops_mean` on `churn-*` replays the
+/// packed image, which has no root array, so this is where the saving is
+/// pinned.
+#[test]
+fn pdag_walk_starts_at_the_root_array() {
+    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let dag: PrefixDag<u32> = FibBuild::build(&trie, &BuildConfig::with_lambda(11));
+    let keys: Vec<u32> = uniform(&mut Xoshiro256::seed_from_u64(0x7AB2), KEY_COUNT);
+    let reads: u64 = keys
+        .iter()
+        .map(|&key| u64::from(dag.lookup_with_depth(key).1))
+        .sum();
+    assert_eq!(
+        reads,
+        129_768,
+        "{:.3} node reads per lookup",
+        reads as f64 / KEY_COUNT as f64
     );
 }

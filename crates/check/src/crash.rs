@@ -8,15 +8,17 @@
 //! durable state is "rebooted" ([`FaultFs::durable_clone`]), and
 //! `Router::warm_restart_with` must recover a control FIB equal to some
 //! oracle state **at or past the acknowledgement floor** — the last
-//! update after which the spool reported `Healthy` (a healthy spool
-//! means every accepted update so far is durable, either journaled or
-//! inside a spilled image).
+//! update covered by a `publish()` that returned with the spool
+//! `Healthy` (publish is the durability point: its one sync, or the
+//! image it folds the journal into, covers every update accepted so
+//! far; updates after it are an unpublished tail a crash may drop).
 //!
 //! The same sweep doubles as a mutation-kill suite: re-running it with a
 //! seeded protocol mutant ([`SpoolMutant::SkipFsync`],
-//! [`SpoolMutant::RenameBeforeSync`], [`SpoolMutant::ReplayPastTail`])
-//! must surface at least one violation, or the harness would be too
-//! weak to notice the bug it exists to prevent.
+//! [`SpoolMutant::RenameBeforeSync`], [`SpoolMutant::ReplayPastTail`],
+//! [`SpoolMutant::AckBeforeSync`]) must surface at least one violation,
+//! or the harness would be too weak to notice the bug it exists to
+//! prevent.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -33,8 +35,12 @@ use fib_workload::{traces, FibSpec};
 
 /// Spool directory used inside the in-memory filesystem.
 const SPOOL_DIR: &str = "/spool";
-/// Updates per publish (each publish spills an image + resets journal).
-const PUBLISH_EVERY: usize = 20;
+/// Updates per publish (each publish commits the journal with one sync).
+const PUBLISH_EVERY: usize = 4;
+/// Journal fold threshold — 24 records of 24 bytes: small enough that the
+/// swept workload crosses it again and again, so image spills, journal
+/// resets and retention stay inside the enumerated crash points.
+const FOLD_BYTES: u64 = 24 * 24;
 
 /// The deterministic churn workload plus the oracle fingerprint of every
 /// intermediate control state.
@@ -112,17 +118,25 @@ fn router_config() -> RouterConfig {
 }
 
 /// The spool policy every sweep run uses: shallow retention so pruning
-/// is exercised, and a virtual-milliseconds retry schedule so degraded
-/// spools retry (and recover or suspend) *within* the workload.
+/// is exercised, a fold threshold the workload crosses, and a
+/// virtual-milliseconds retry schedule so degraded spools retry (and
+/// recover or suspend) *within* the workload.
 #[must_use]
 pub fn sweep_spool_config(mutant: SpoolMutant) -> SpoolConfig {
     SpoolConfig {
         keep: 1,
+        journal_fold_bytes: FOLD_BYTES,
         retry_base: Duration::from_millis(1),
         retry_max: Duration::from_millis(8),
         max_retries: 4,
         mutant,
-        ..SpoolConfig::default()
+    }
+}
+
+fn apply(router: &mut Router<u32, PrefixDag<u32>>, op: &UpdateOp<u32>) {
+    match *op {
+        UpdateOp::Announce(p, nh) => router.announce(p, nh),
+        UpdateOp::Withdraw(p) => router.withdraw(p),
     }
 }
 
@@ -130,9 +144,10 @@ pub fn sweep_spool_config(mutant: SpoolMutant) -> SpoolConfig {
 pub struct CrashRun {
     /// The filesystem after the run (crashed at the configured op, if any).
     pub fs: FaultFs,
-    /// Acknowledgement floor: `Some(u)` = after update `u` the spool was
-    /// `Healthy`, so oracle state `u` is guaranteed durable (`Some(0)` =
-    /// at least the base spill is durable; `None` = nothing promised).
+    /// Acknowledgement floor: `Some(u)` = a `publish()` covering update
+    /// `u` returned with the spool `Healthy`, so oracle state `u` is
+    /// guaranteed durable (`Some(0)` = at least the base spill is
+    /// durable; `None` = nothing promised).
     pub acked: Option<usize>,
     /// Whether the final published snapshot (cut *after* the crash, from
     /// in-memory state) still answers exactly like the final oracle
@@ -157,19 +172,24 @@ pub fn run_churn(
         .spool_health()
         .is_some_and(|h| h.is_healthy())
         .then_some(0);
+    let mut epoch = router.epoch();
     for (i, op) in script.updates.iter().enumerate() {
-        match *op {
-            UpdateOp::Announce(p, nh) => router.announce(p, nh),
-            UpdateOp::Withdraw(p) => router.withdraw(p),
-        }
-        if router.spool_health().is_some_and(|h| h.is_healthy()) {
+        apply(&mut router, op);
+        // The epoch moved: `publish_every` (or a journal fold) published
+        // inside this update.
+        let published = router.epoch() != epoch;
+        epoch = router.epoch();
+        if published && router.spool_health().is_some_and(|h| h.is_healthy()) {
             acked = Some(i + 1);
         }
     }
     // Forwarding must keep working whatever happened to the spool: a
-    // final publish (in-memory engine build; its spill may fail) has to
+    // final publish (in-memory engine build; its commit may fail) has to
     // serve the exact final oracle state.
     let snapshot = router.publish();
+    if router.spool_health().is_some_and(|h| h.is_healthy()) {
+        acked = Some(script.updates.len());
+    }
     let served_final_ok = script
         .trace
         .iter()
@@ -238,6 +258,32 @@ pub fn verify_recovery(
     }
 }
 
+/// A record-aligned half-written sector: plausible framing, garbage
+/// checksum, an address the workload never announces.
+#[must_use]
+pub fn rotted_record() -> [u8; 24] {
+    let mut rec = [0u8; 24];
+    rec[0] = b'A';
+    rec[1] = 32;
+    rec[2] = 0xFF;
+    rec[3] = 0xFE;
+    rec[4..8].copy_from_slice(&777u32.to_le_bytes());
+    rec[8..24].copy_from_slice(&0xDEAD_BEEFu128.to_le_bytes());
+    rec
+}
+
+/// Appends `bytes` to the journal behind the router's back and syncs
+/// them: damage that survives the reboot.
+fn append_to_journal(fs: &FaultFs, bytes: &[u8]) -> Result<(), String> {
+    let jpath = Path::new(SPOOL_DIR).join("journal.log");
+    let mut f = fs
+        .open_append(&jpath)
+        .map_err(|e| format!("probe append: {e}"))?;
+    f.write_all(bytes)
+        .map_err(|e| format!("probe write: {e}"))?;
+    f.sync().map_err(|e| format!("probe sync: {e}"))
+}
+
 /// Appends one bit-rotted record past the acknowledged journal tail and
 /// reboots.
 ///
@@ -261,23 +307,100 @@ pub fn replay_guard_probe(
     if run.acked != Some(script.updates.len()) {
         return Err("probe precondition: fault-free run must end healthy".to_string());
     }
-    // A record-aligned half-written sector: plausible framing, garbage
-    // checksum, an address the workload never announces.
-    let mut rec = [0u8; 24];
-    rec[0] = b'A';
-    rec[1] = 32;
-    rec[2] = 0xFF;
-    rec[3] = 0xFE;
-    rec[4..8].copy_from_slice(&777u32.to_le_bytes());
-    rec[8..24].copy_from_slice(&0xDEAD_BEEFu128.to_le_bytes());
-    let jpath = Path::new(SPOOL_DIR).join("journal.log");
-    let mut f = run
-        .fs
-        .open_append(&jpath)
-        .map_err(|e| format!("probe append: {e}"))?;
-    f.write_all(&rec).map_err(|e| format!("probe write: {e}"))?;
-    f.sync().map_err(|e| format!("probe sync: {e}"))?;
+    append_to_journal(&run.fs, &rotted_record())?;
     verify_recovery(script, &run, spool)
+}
+
+/// What life one's crash leaves of the journal in [`double_crash_probe`].
+#[derive(Clone, Copy, Debug)]
+pub enum JournalDamage<'a> {
+    /// These bytes behind the last record, after three acknowledged
+    /// publishes: a torn or bit-flipped tail.
+    Tail(&'a [u8]),
+    /// One bit of the header's magic flipped, life one having died right
+    /// after arming its spool: a journal reset torn in mid-write.
+    Header,
+}
+
+/// Two lives, two crashes. Life one dies leaving `damage` in its journal.
+/// Life two warm-restarts from that, takes a burst of updates and
+/// publishes — and the machine dies again, with the adversarial
+/// [`TailPolicy::Drop`]. The third boot must recover the burst: had life
+/// two appended behind the damage, replay would stop short of every
+/// record it acknowledged. Life two is also crashed at each of its own
+/// filesystem operations, the restart's journal rewrite included, and
+/// must never recover less than life one acknowledged.
+///
+/// # Errors
+/// A violation description.
+pub fn double_crash_probe(
+    script: &CrashScript,
+    seed: u64,
+    spool: SpoolConfig,
+    damage: JournalDamage<'_>,
+) -> Result<(), String> {
+    const BURST: usize = 2 * PUBLISH_EVERY;
+    // Three publishes, no fold: the journal holds every record.
+    let first = match damage {
+        JournalDamage::Tail(_) => 3 * PUBLISH_EVERY,
+        JournalDamage::Header => 0,
+    };
+    let fs = FaultFs::new(seed);
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(script.base.clone(), router_config());
+    let _ = router.enable_spool_with(Arc::new(fs.clone()), SPOOL_DIR, spool);
+    for op in &script.updates[..first] {
+        apply(&mut router, op);
+    }
+    if !router.spool_health().is_some_and(|h| h.is_healthy()) {
+        return Err("probe precondition: life one must end healthy".to_string());
+    }
+    drop(router);
+    match damage {
+        JournalDamage::Tail(bytes) => append_to_journal(&fs, bytes)?,
+        JournalDamage::Header => {
+            if !fs.flip_bit(&Path::new(SPOOL_DIR).join("journal.log"), 3) {
+                return Err("probe precondition: no journal header to damage".to_string());
+            }
+        }
+    }
+
+    // Life two on a fresh reboot of life one's disk, crashing before op
+    // `crash_at` (`None`: it lives to publish the burst). Returns the disk
+    // it leaves and the floor it acknowledged.
+    let life_two = |crash_at: Option<u64>| {
+        let disk = fs.durable_clone();
+        disk.reconfigure(|c| c.crash_at_op = crash_at);
+        let mut acked = first;
+        if let Ok(mut router) = Router::<u32, PrefixDag<u32>>::warm_restart_with(
+            Arc::new(disk.clone()),
+            SPOOL_DIR,
+            router_config(),
+            spool,
+        ) {
+            for op in &script.updates[first..first + BURST] {
+                apply(&mut router, op);
+            }
+            router.publish();
+            if router.spool_health().is_some_and(|h| h.is_healthy()) {
+                acked += BURST;
+            }
+        }
+        CrashRun {
+            fs: disk,
+            acked: Some(acked),
+            served_final_ok: true,
+        }
+    };
+    let whole = life_two(None);
+    if whole.acked != Some(first + BURST) {
+        return Err("life two did not acknowledge its burst".to_string());
+    }
+    verify_recovery(script, &whole, spool)?;
+    for k in 1..=whole.fs.op_count() {
+        verify_recovery(script, &life_two(Some(k)), spool)
+            .map_err(|v| format!("life two crashed at op {k}: {v}"))?;
+    }
+    Ok(())
 }
 
 /// Result of a full crash-point enumeration.

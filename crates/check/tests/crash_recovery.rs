@@ -6,11 +6,11 @@
 //! unsynced-tail semantics — CI sweeps the matrix.
 
 use fib_check::crash::{
-    replay_guard_probe, run_churn, sweep, sweep_spool_config, verify_recovery, CrashScript,
+    double_crash_probe, replay_guard_probe, rotted_record, run_churn, sweep, sweep_spool_config,
+    verify_recovery, CrashScript, JournalDamage,
 };
 use fib_router::spoolfs::{FaultConfig, TailPolicy};
 use fib_router::{SpoolConfig, SpoolHealth, SpoolMutant};
-use std::time::Duration;
 
 fn env_seed() -> u64 {
     std::env::var("FIB_FAULT_SEED")
@@ -27,8 +27,11 @@ fn env_tail() -> TailPolicy {
     }
 }
 
+/// Long enough that, at one sync per publish and one image per journal
+/// fold, the sweep still sees ≥ 200 distinct durable states under the
+/// `drop` policy (where unsynced appends change nothing durable).
 fn script() -> CrashScript {
-    CrashScript::new(env_seed(), 250, 160)
+    CrashScript::new(env_seed(), 250, 480)
 }
 
 #[test]
@@ -96,6 +99,11 @@ fn mutant_rename_before_sync_is_caught() {
 }
 
 #[test]
+fn mutant_ack_before_sync_is_caught() {
+    assert_mutant_caught(SpoolMutant::AckBeforeSync, TailPolicy::Drop);
+}
+
+#[test]
 fn mutant_replay_past_tail_is_caught() {
     let script = script();
     // Guard: the correct protocol tolerates a bit-rotted tail record —
@@ -117,62 +125,118 @@ fn mutant_replay_past_tail_is_caught() {
 }
 
 #[test]
+fn a_second_crash_keeps_what_was_published_after_a_torn_tail_restart() {
+    let script = script();
+    let spool = sweep_spool_config(SpoolMutant::None);
+    // A partial record mis-frames everything appended behind it; a whole
+    // bit-rotted one is where the next replay would stop; a torn header
+    // hides the whole file.
+    let rotted = rotted_record();
+    for damage in [
+        JournalDamage::Tail(&rotted[..10]),
+        JournalDamage::Tail(&rotted),
+        JournalDamage::Header,
+    ] {
+        double_crash_probe(&script, env_seed(), spool, damage).unwrap_or_else(|v| {
+            panic!("{damage:?}: what life two published must survive its crash: {v}")
+        });
+    }
+}
+
+#[test]
 fn transient_write_failure_degrades_then_recovers_with_respill() {
     let script = script();
-    // Fail a window of operations mid-workload: the spool must degrade
-    // (not die), back off, re-spill the newest epoch once the window
-    // passes, and report Healthy again — with the recovery counted.
-    // Degraded retries consume roughly one filesystem op each, so the
-    // retry budget must outlast the op-indexed outage window.
+    // Fail a window of operations early in the workload: the spool must
+    // degrade (not die), back off, re-spill the newest epoch once the
+    // window passes, and report Healthy again — with the recovery
+    // counted. Degraded retries consume roughly one filesystem op each,
+    // so the retry budget must outlast the op-indexed outage window.
     let spool = SpoolConfig {
-        keep: 1,
-        retry_base: Duration::from_millis(1),
-        retry_max: Duration::from_millis(8),
         max_retries: 8,
-        ..SpoolConfig::default()
+        ..sweep_spool_config(SpoolMutant::None)
     };
-    let run = run_churn(
-        &script,
-        env_seed(),
-        FaultConfig {
-            fail_ops: Some((40, 44)),
-            ..FaultConfig::default()
-        },
-        spool,
-    );
-    assert!(
-        run.served_final_ok,
-        "forwarding must ride through the outage"
-    );
-    // The workload runs long past the outage, so the spool must have
-    // recovered and re-acked updates near the end.
-    let acked = run.acked.expect("spool recovered and acked updates");
-    assert!(
-        acked > script.updates.len() / 2,
-        "ack floor {acked} stuck before the outage window"
-    );
-    // And the recovered-on-reboot state honours that floor.
-    verify_recovery(&script, &run, spool)
-        .expect("post-recovery crash state must restore past the ack floor");
+    // The base spill is ops 1–9; from op 10 on, every four appends are
+    // followed by their publish's commit sync, and the 25th append (op 40)
+    // crosses the fold threshold, so ops 41–48 are the fold's image
+    // (create, write, sync, rename), journal reset (create, write, sync)
+    // and retention scan. A 4-op outage starting at each of ops 30–50
+    // therefore opens on an append, on a commit sync, and on every step
+    // of a fold.
+    for start in 30..=50 {
+        let run = run_churn(
+            &script,
+            env_seed(),
+            FaultConfig {
+                fail_ops: Some((start, start + 4)),
+                ..FaultConfig::default()
+            },
+            spool,
+        );
+        assert!(
+            run.served_final_ok,
+            "forwarding must ride through the outage at op {start}"
+        );
+        // The workload runs long past the outage, so the spool must have
+        // recovered and re-acked updates near the end.
+        let acked = run.acked.expect("spool recovered and acked updates");
+        assert!(
+            acked > script.updates.len() / 2,
+            "ack floor {acked} stuck before the outage window at op {start}"
+        );
+        // And the recovered-on-reboot state honours that floor.
+        verify_recovery(&script, &run, spool).unwrap_or_else(|v| {
+            panic!("outage at op {start}: post-recovery crash state below the ack floor: {v}")
+        });
+    }
+}
+
+/// Bytes `enable_spool` puts on disk for the script's base FIB (the base
+/// image plus the journal header), so a disk budget can be stated as
+/// "the base spill and this many journal records".
+fn base_spill_bytes(script: &CrashScript) -> u64 {
+    use fib_router::spoolfs::SpoolFs;
+    let base_only = CrashScript {
+        base: script.base.clone(),
+        updates: Vec::new(),
+        trace: script.trace.clone(),
+        fingerprints: script.fingerprints[..1].to_vec(),
+    };
+    let spool = sweep_spool_config(SpoolMutant::None);
+    let fs = run_churn(&base_only, env_seed(), FaultConfig::default(), spool).fs;
+    fs.paths()
+        .iter()
+        .map(|p| fs.file_len(p).expect("listed file"))
+        .sum()
 }
 
 #[test]
 fn enospc_suspends_after_retries_and_full_state_still_recovers() {
     let script = script();
-    let run = run_churn(
-        &script,
-        env_seed(),
-        FaultConfig {
-            // Enough budget for the base spill + some churn, then the
-            // disk is full for good.
-            enospc_after_bytes: Some(64 * 1024),
-            ..FaultConfig::default()
-        },
-        sweep_spool_config(SpoolMutant::None),
-    );
-    assert!(run.served_final_ok, "forwarding must outlive a full disk");
-    verify_recovery(&script, &run, sweep_spool_config(SpoolMutant::None))
-        .expect("durable prefix must stay recoverable after ENOSPC");
+    let spool = sweep_spool_config(SpoolMutant::None);
+    let base = base_spill_bytes(&script);
+    // The disk fills for good: inside an append (ten records past the base
+    // spill: two publishes were acknowledged), inside the first fold's
+    // image write (a whole 24-record journal fits, the ~10 KB image does
+    // not), and a few folds in (64 KiB: the base image and four more).
+    for (budget, floor) in [(base + 10 * 24, 8), (base + 40 * 24, 24), (64 * 1024, 24)] {
+        let run = run_churn(
+            &script,
+            env_seed(),
+            FaultConfig {
+                enospc_after_bytes: Some(budget),
+                ..FaultConfig::default()
+            },
+            spool,
+        );
+        assert!(run.served_final_ok, "forwarding must outlive a full disk");
+        assert!(
+            run.acked.is_some_and(|acked| acked >= floor),
+            "disk of {budget} B: ack floor {:?} below {floor}",
+            run.acked
+        );
+        verify_recovery(&script, &run, spool)
+            .expect("durable prefix must stay recoverable after ENOSPC");
+    }
 }
 
 #[test]
@@ -183,10 +247,12 @@ fn suspended_spool_resumes_to_healthy_after_operator_clears_fault() {
     use std::sync::Arc;
 
     let script = script();
+    // Room for the base spill and one journal generation, not for the
+    // image the first fold (at the 25th record) wants to write.
     let fs = FaultFs::with_config(
         7,
         FaultConfig {
-            enospc_after_bytes: Some(24 * 1024),
+            enospc_after_bytes: Some(base_spill_bytes(&script) + 30 * 24),
             ..FaultConfig::default()
         },
     );
@@ -214,7 +280,7 @@ fn suspended_spool_resumes_to_healthy_after_operator_clears_fault() {
         router.spool_health()
     );
     // Operator frees the disk and resumes: one call re-spills the
-    // current epoch and the spool is healthy again.
+    // current state and the spool is healthy again.
     fs.reconfigure(|c| c.enospc_after_bytes = None);
     let health = router.resume_spool().expect("spool armed");
     assert_eq!(

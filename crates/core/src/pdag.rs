@@ -24,6 +24,18 @@
 //!   lookup that lands on it falls back to the last label seen above the
 //!   barrier — this is what makes plain trie traversal correct on the DAG.
 //!
+//! # Root array
+//!
+//! As in the serialized image of §5.3, the first `k = min(λ, 8)` levels
+//! are collapsed into a `2^k`-entry root array: each entry names the
+//! top-tree node at depth `k` on its path (or records that the path ended
+//! above) together with the last label seen above it, so a lookup starts
+//! `k` levels down instead of at the root. `k` is capped at 8 because the
+//! array is charged to the §4.2 model size: 256 entries cost about half a
+//! percent of a DFZ-sized pDAG where `2^λ` at λ = 11 would cost 4 %. Every
+//! node above depth `k` is an unshared top node, so an update re-derives
+//! just the entries under the changed prefix.
+//!
 //! # Update strategy
 //!
 //! The paper's §4.3 decompresses the DAG path node-by-node and re-folds
@@ -42,6 +54,19 @@ use fib_trie::{Address, BinaryTrie, Depth, NextHop, NodeRef, Prefix};
 use crate::idhash::IdBuildHasher;
 
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// Most levels the root array collapses (`k = min(λ, ROOT_BITS)`).
+const ROOT_BITS: u8 = 8;
+
+/// Where the walk for one `k`-bit address prefix starts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RootEntry {
+    /// The node at depth `k` on the path; `NONE` when the path ended
+    /// above, and `last` is then the answer.
+    node: u32,
+    /// The last label on the path above depth `k` (`NONE`: none).
+    last: u32,
+}
 
 /// Interning key of a folded node (the sub-trie id of Definition 1):
 /// leaves are identical iff they hold the same label; interior nodes are
@@ -80,6 +105,8 @@ pub struct PrefixDag<A: Address> {
     free: Vec<u32>,
     interner: HashMap<Key, u32, IdBuildHasher>,
     pub(crate) root: u32,
+    /// One entry per `min(λ, ROOT_BITS)`-bit address prefix.
+    root_array: Vec<RootEntry>,
     lambda: u8,
     control: BinaryTrie<A>,
     top_count: usize,
@@ -98,12 +125,19 @@ impl<A: Address> PrefixDag<A> {
             free: Vec::new(),
             interner: HashMap::default(),
             root: NONE,
+            root_array: Vec::new(),
             lambda,
             control: trie.clone(),
             top_count: 0,
             _marker: PhantomData,
         };
         dag.root = dag.build_top(trie.root(), 0);
+        let unset = RootEntry {
+            node: NONE,
+            last: NONE,
+        };
+        dag.root_array = vec![unset; 1 << dag.root_bits()];
+        dag.fill_root(dag.root, 0, 0, NONE);
         dag
     }
 
@@ -120,6 +154,11 @@ impl<A: Address> PrefixDag<A> {
     #[must_use]
     pub fn lambda(&self) -> u8 {
         self.lambda
+    }
+
+    /// Levels collapsed into the root array.
+    fn root_bits(&self) -> u8 {
+        self.lambda.min(ROOT_BITS)
     }
 
     /// Number of routes (delegates to the control FIB).
@@ -257,43 +296,88 @@ impl<A: Address> PrefixDag<A> {
     // Lookup
     // ------------------------------------------------------------------
 
-    /// Longest-prefix-match lookup — *standard trie traversal*, remembering
-    /// the last label on the path (Lemma 5: O(W), no decompression).
+    /// Longest-prefix-match lookup — *standard trie traversal* from the
+    /// root-array entry down, remembering the last label on the path
+    /// (Lemma 5: O(W), no decompression).
     #[must_use]
     #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
         self.lookup_with_depth(addr).0
     }
 
-    /// Lookup that also reports the number of edges traversed.
+    /// Lookup that also reports the node records read after the root-array
+    /// entry (counted as [`crate::SerializedDag::lookup_with_depth`] counts
+    /// them).
     #[must_use]
+    #[inline]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
-        let mut idx = self.root;
-        let mut last = NONE;
-        let mut depth = 0u8;
-        loop {
+        let mut depth = self.root_bits();
+        let entry = self.root_array[addr.bits(0, depth) as usize];
+        let mut idx = entry.node;
+        let mut last = entry.last;
+        let mut reads: Depth = 0;
+        while idx != NONE {
             let node = self.nodes[idx as usize];
+            reads += 1;
             if node.label != NONE {
                 last = node.label;
             }
             if depth >= A::WIDTH {
                 break;
             }
-            let child = if addr.bit(depth) {
+            idx = if addr.bit(depth) {
                 node.right
             } else {
                 node.left
             };
-            if child == NONE {
-                break;
-            }
-            idx = child;
             depth += 1;
         }
-        (
-            (last != NONE).then(|| NextHop::new(last)),
-            Depth::from(depth),
-        )
+        ((last != NONE).then(|| NextHop::new(last)), reads)
+    }
+
+    /// Re-derives the root-array entries below the top-tree node `idx`
+    /// (`NONE`: the path already ended), which sits at `depth ≤ k` under
+    /// the `depth`-bit path `slot` with `last` the last label above it.
+    fn fill_root(&mut self, idx: u32, depth: u8, slot: usize, last: u32) {
+        if depth == self.root_bits() {
+            self.root_array[slot] = RootEntry { node: idx, last };
+            return;
+        }
+        let (left, right, last) = if idx == NONE {
+            (NONE, NONE, last)
+        } else {
+            let node = self.nodes[idx as usize];
+            let last = if node.label == NONE { last } else { node.label };
+            (node.left, node.right, last)
+        };
+        self.fill_root(left, depth + 1, slot << 1, last);
+        self.fill_root(right, depth + 1, slot << 1 | 1, last);
+    }
+
+    /// Brings the root array up to date after an arena edit on `prefix`'s
+    /// path: the one entry above a prefix of length ≥ `k`, the
+    /// `2^(k − len)` entries under a shorter one. No other entry can have
+    /// moved — nodes created or pruned along the path carry no label and
+    /// no child off it.
+    fn refresh_root(&mut self, prefix: Prefix<A>) {
+        let stop = prefix.len().min(self.root_bits());
+        let mut idx = self.root;
+        let mut last = NONE;
+        for depth in 0..stop {
+            if idx == NONE {
+                break;
+            }
+            let node = self.nodes[idx as usize];
+            if node.label != NONE {
+                last = node.label;
+            }
+            idx = if prefix.bit(depth) {
+                node.right
+            } else {
+                node.left
+            };
+        }
+        self.fill_root(idx, stop, prefix.addr().bits(0, stop) as usize, last);
     }
 
     // ------------------------------------------------------------------
@@ -316,6 +400,7 @@ impl<A: Address> PrefixDag<A> {
         } else {
             self.refold_portal(prefix);
         }
+        self.refresh_root(prefix);
         old
     }
 
@@ -338,6 +423,7 @@ impl<A: Address> PrefixDag<A> {
         } else {
             self.refold_portal(prefix);
         }
+        self.refresh_root(prefix);
         Some(old)
     }
 
@@ -568,14 +654,17 @@ impl<A: Address> PrefixDag<A> {
     /// Storage size in bits under the paper's §4.2 memory model: nodes
     /// above the barrier hold one node pointer plus a `lg δ` label index;
     /// folded interior nodes hold two pointers; coalesced leaves cost
-    /// `δ·lg δ` bits in total. Pointers are `⌈lg(live nodes)⌉` bits.
+    /// `δ·lg δ` bits in total; a root-array entry is a pointer plus a
+    /// label index, like a top node. Pointers are `⌈lg(live nodes)⌉` bits.
     #[must_use]
     pub fn model_size_bits(&self) -> usize {
         let s = self.stats();
         let delta = self.distinct_labels().max(1) as u64;
         let ptr = ceil_log2(s.live_nodes as u64).max(1) as usize;
         let lg_delta = ceil_log2(delta) as usize;
-        s.top_nodes * (ptr + lg_delta) + s.folded_interior * 2 * ptr + delta as usize * lg_delta
+        (s.top_nodes + self.root_array.len()) * (ptr + lg_delta)
+            + s.folded_interior * 2 * ptr
+            + delta as usize * lg_delta
     }
 
     /// Actual arena footprint in bytes (live slots only; 16 bytes each).
@@ -600,13 +689,39 @@ impl<A: Address> PrefixDag<A> {
         }
     }
 
-    /// Verifies internal consistency: reference counts match in-degrees,
-    /// the interner indexes exactly the folded region, and every folded
-    /// interior has two children. Test/diagnostic use.
+    /// Verifies internal consistency: every root-array entry is what a
+    /// bit-by-bit walk from the root finds, reference counts match
+    /// in-degrees, the interner indexes exactly the folded region, and
+    /// every folded interior has two children. Test/diagnostic use.
     ///
     /// # Panics
     /// Panics if an invariant is broken.
     pub fn assert_invariants(&self) {
+        let k = self.root_bits();
+        assert_eq!(self.root_array.len(), 1 << k, "root array is not 2^k");
+        for (slot, &entry) in self.root_array.iter().enumerate() {
+            let mut node = self.root;
+            let mut last = NONE;
+            for depth in 0..k {
+                if node == NONE {
+                    break;
+                }
+                let above = self.nodes[node as usize];
+                if above.label != NONE {
+                    last = above.label;
+                }
+                node = if slot >> (k - 1 - depth) & 1 == 1 {
+                    above.right
+                } else {
+                    above.left
+                };
+            }
+            assert_eq!(
+                entry,
+                RootEntry { node, last },
+                "root-array entry {slot:#x} differs from the walk from the root"
+            );
+        }
         // Count in-edges of every folded node.
         let mut indegree: HashMap<u32, u32> = HashMap::new();
         let mut stack = vec![(self.root, 0u8)];
@@ -1013,6 +1128,112 @@ mod tests {
         dag.assert_invariants();
         let control = dag.control().clone();
         assert_equivalent(&control, &dag, 5000);
+    }
+
+    /// One update on both sides, then the whole differential: invariants
+    /// (every root-array entry against a walk from the root) and every
+    /// probe against the oracle.
+    fn step<A: Address>(
+        dag: &mut PrefixDag<A>,
+        oracle: &mut BinaryTrie<A>,
+        probes: &[A],
+        prefix: Prefix<A>,
+        next_hop: Option<NextHop>,
+    ) {
+        match next_hop {
+            Some(next_hop) => assert_eq!(
+                dag.insert(prefix, next_hop),
+                oracle.insert(prefix, next_hop)
+            ),
+            None => assert_eq!(dag.remove(prefix), oracle.remove(prefix)),
+        }
+        dag.assert_invariants();
+        for &addr in probes {
+            assert_eq!(
+                dag.lookup(addr),
+                oracle.lookup(addr),
+                "λ = {}, after {prefix:?} → {next_hop:?}, at {addr:?}",
+                dag.lambda()
+            );
+        }
+    }
+
+    fn root_array_differential<A: Address>(lambda: u8) {
+        let w = u32::from(A::WIDTH);
+        let at = |top: u128, low: u128| A::from_u128(top << (w - 16) | low & ((1 << (w - 16)) - 1));
+        let mut x: u64 = 0x0D1F_F00D ^ u64::from(lambda) << 32 ^ u64::from(w);
+        let mut draw = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Deep routes everywhere but under 0xC5/8, which the portal below
+        // has to itself.
+        let deep: Vec<Prefix<A>> = (0..48)
+            .map(|_| {
+                let top = u128::from(draw() % 0xC500);
+                Prefix::new(
+                    at(top, u128::from(draw())),
+                    8 + (draw() % u64::from(w / 2 - 7)) as u8,
+                )
+            })
+            .collect();
+        let lone = Prefix::new(at(0xC5A3, 0x5000), 20);
+        // One probe per root-array entry and its neighbour, plus the first
+        // and last address of every prefix the stream touches.
+        let mut probes: Vec<A> = (0..256)
+            .flat_map(|top| [at(top << 8, 0), at(top << 8 | 0x80, u128::MAX)])
+            .collect();
+        for p in deep.iter().chain([&lone]) {
+            let host = (u128::MAX >> (128 - w)) >> p.len();
+            probes.extend([p.addr(), A::from_u128(p.addr().to_u128() | host)]);
+        }
+
+        let mut oracle = BinaryTrie::new();
+        let mut dag = PrefixDag::from_trie(&oracle, lambda);
+        let mut go = |prefix, next_hop| step(&mut dag, &mut oracle, &probes, prefix, next_hop);
+        for (i, &p) in deep.iter().enumerate() {
+            go(p, Some(nh(i as u32 % 7)));
+        }
+        // /0…/7: each announce and withdrawal re-derives 2^(k − len)
+        // entries, nested inside one another and then torn down root first.
+        for len in 0..8u8 {
+            go(
+                Prefix::new(at(0x5A00, 0), len),
+                Some(nh(10 + u32::from(len))),
+            );
+            go(
+                Prefix::new(at(0xC500, 0), len),
+                Some(nh(20 + u32::from(len))),
+            );
+        }
+        for len in 0..8u8 {
+            go(Prefix::new(at(0x5A00, 0), len), None);
+        }
+        // A portal that dies (its top path pruned) and reappears.
+        go(lone, Some(nh(3)));
+        go(lone, None);
+        go(lone, Some(nh(4)));
+        for len in (0..8u8).rev() {
+            go(Prefix::new(at(0xC500, 0), len), None);
+        }
+        // Emptied, then repopulated from nothing.
+        go(lone, None);
+        for &p in &deep {
+            go(p, None);
+        }
+        go(Prefix::new(at(0, 0), 0), Some(nh(1)));
+        go(deep[0], Some(nh(2)));
+        go(lone, Some(nh(5)));
+    }
+
+    #[test]
+    fn root_array_tracks_every_update_at_every_barrier() {
+        for lambda in [0u8, 1, 3, 8, 11, 16, 32] {
+            root_array_differential::<u32>(lambda);
+            root_array_differential::<u128>(lambda);
+        }
     }
 
     #[test]

@@ -4,17 +4,34 @@
 //!
 //! # Write protocol
 //!
-//! Every epoch image lands via **temp file → `fsync` → atomic rename**,
-//! so the final `epoch-*.img` name only ever points at durable, complete
-//! bytes; a crash mid-spill leaves at worst a stray `.tmp` the next
-//! retention pass sweeps. The journal that bridges updates since the
-//! last spill is reset *after* the image rename: until the new image is
-//! durable, the old journal (stamped with the previous epoch) still
-//! covers every acknowledged update, and replay is idempotent
-//! (per-prefix last-writer-wins), so the overlap is harmless. Retention
-//! runs last and only ever deletes images older than the configured
-//! keep set — at every instant the newest durable image plus a journal
-//! that applies on top of it exist on disk.
+//! **`publish()` is the durability point.** Every accepted update is
+//! written to the journal file at once — a process that dies keeps
+//! whatever the kernel already holds — but not synced; the publish that
+//! follows issues *one* sync for everything appended since the last
+//! (group commit). An update is durable once the `publish()` after it
+//! returns with the spool `Healthy`; a crash loses at most the
+//! unpublished tail, and because records are appended in order and
+//! replay stops at the first torn one, what it recovers is always a
+//! prefix of the update sequence.
+//!
+//! A full epoch image is written only when there is none yet, when the
+//! journal has outgrown [`SpoolConfig::journal_fold_bytes`] (a *fold*),
+//! or when recovery or a scrub forces one. It lands via **temp file →
+//! `fsync` → atomic rename**, so the final `epoch-*.img` name only ever
+//! points at durable, complete bytes; a crash mid-spill leaves at worst
+//! a stray `.tmp` the next retention pass sweeps. The journal is reset
+//! *after* the image rename: until the new image is durable, the old
+//! journal (stamped with the previous image's epoch) still covers every
+//! acknowledged update, and replay is idempotent (per-prefix
+//! last-writer-wins), so the overlap is harmless. Retention runs last
+//! and only ever deletes images older than the configured keep set — at
+//! every instant the newest durable image plus a journal that applies on
+//! top of it exist on disk.
+//!
+//! A warm restart that finds a torn or bit-flipped journal tail rewrites
+//! the journal to its valid prefix (temp file → `fsync` → rename, again)
+//! before it accepts appends: a record appended behind the damage would
+//! be beyond the point where the next replay stops.
 //!
 //! # Journal format (`FIBJRNL2`)
 //!
@@ -142,6 +159,9 @@ pub enum SpoolMutant {
     /// Replay journal records without checksum/width validation and do
     /// not stop at the first bad record.
     ReplayPastTail,
+    /// `publish()` returns without its commit sync: journal records are
+    /// acknowledged while still volatile. Spills sync as they should.
+    AckBeforeSync,
 }
 
 /// Spool lifecycle policy.
@@ -151,7 +171,9 @@ pub struct SpoolConfig {
     /// (retention keeps `keep + 1` epoch images total).
     pub keep: usize,
     /// When the on-disk journal exceeds this many bytes, the router
-    /// folds it into a fresh image at the next update (a publish).
+    /// folds it into a fresh image at the next update (a publish). It
+    /// is the only steady-state trigger of a full image, so it trades
+    /// image writes against the records a warm restart replays.
     pub journal_fold_bytes: u64,
     /// First retry backoff after a persistence failure.
     pub retry_base: Duration,
@@ -182,7 +204,8 @@ impl Default for SpoolConfig {
 /// stops in any state — what degrades is durability, not lookups.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpoolHealth {
-    /// Appends and spills are landing.
+    /// Appends, commits and spills are landing: every update accepted
+    /// before the last `publish()` returned is durable.
     Healthy,
     /// A persistence operation failed; retries are scheduled with
     /// exponential backoff. Updates made while degraded are *not*
@@ -332,6 +355,8 @@ pub(crate) struct Spool {
     pub(crate) dir: PathBuf,
     pub(crate) cfg: SpoolConfig,
     journal: Option<Box<dyn SpoolFile>>,
+    /// Records were appended since the journal was last synced.
+    uncommitted: bool,
     /// Epoch the journal's records apply on top of.
     pub(crate) journal_epoch: u64,
     /// Bytes in the journal file (header included).
@@ -368,6 +393,7 @@ impl Spool {
             dir,
             cfg,
             journal: None,
+            uncommitted: false,
             journal_epoch: 0,
             journal_bytes: 0,
             last_spilled: None,
@@ -376,43 +402,97 @@ impl Spool {
         })
     }
 
-    /// Truncates the journal and stamps it with the epoch its future
-    /// records apply on top of.
-    pub(crate) fn reset_journal(&mut self, epoch: u64) -> io::Result<()> {
-        let mut f = self.fs.create(&journal_path(&self.dir))?;
-        f.write_all(JOURNAL_MAGIC)?;
-        f.write_all(&epoch.to_le_bytes())?;
+    /// Starts a journal file at `path` — the header stamped with the
+    /// epoch its records apply on top of, then `records`, one sync — and
+    /// keeps it open for appends.
+    fn start_journal(
+        &mut self,
+        path: &Path,
+        epoch: u64,
+        records: &[JournalRecord],
+    ) -> io::Result<()> {
+        let mut bytes = Vec::with_capacity(JOURNAL_HEADER + records.len() * JOURNAL_RECORD);
+        bytes.extend_from_slice(JOURNAL_MAGIC);
+        bytes.extend_from_slice(&epoch.to_le_bytes());
+        for &(tag, len, nh, addr) in records {
+            bytes.extend_from_slice(&encode_record(tag, len, nh, addr));
+        }
+        let mut f = self.fs.create(path)?;
+        f.write_all(&bytes)?;
         if self.cfg.mutant != SpoolMutant::SkipFsync {
             f.sync()?;
         }
         self.journal = Some(f);
+        self.uncommitted = false;
         self.journal_epoch = epoch;
-        self.journal_bytes = JOURNAL_HEADER as u64;
+        self.journal_bytes = bytes.len() as u64;
         Ok(())
     }
 
-    /// Re-opens an existing journal in append mode (warm restart).
+    /// Truncates the journal and stamps it with the epoch its future
+    /// records apply on top of.
+    pub(crate) fn reset_journal(&mut self, epoch: u64) -> io::Result<()> {
+        self.start_journal(&journal_path(&self.dir), epoch, &[])
+    }
+
+    /// Replaces the journal with exactly `records` on base `epoch`: temp
+    /// file → sync → rename, so a crash at any point leaves the old file
+    /// or the new one, never fewer durable records than before.
+    pub(crate) fn rewrite_journal(
+        &mut self,
+        epoch: u64,
+        records: &[JournalRecord],
+    ) -> io::Result<()> {
+        let tmp = self.dir.join("journal.tmp");
+        self.start_journal(&tmp, epoch, records)?;
+        self.fs.rename(&tmp, &journal_path(&self.dir))
+    }
+
+    /// Re-opens an existing journal in append mode (warm restart). Its
+    /// records may have outlived a dead process in the kernel's cache
+    /// only, so they count as uncommitted until the next publish.
     pub(crate) fn open_journal_append(&mut self, epoch: u64) -> io::Result<()> {
         let path = journal_path(&self.dir);
         let f = self.fs.open_append(&path)?;
         self.journal = Some(f);
         self.journal_epoch = epoch;
         self.journal_bytes = self.fs.file_len(&path).unwrap_or(0);
+        self.uncommitted = self.journal_bytes > JOURNAL_HEADER as u64;
         Ok(())
     }
 
-    /// Appends one record and makes it durable. The caller routes the
-    /// error through the health machine.
+    /// Appends one record: written through to the journal file, so a
+    /// process that dies keeps it, but durable only after the next
+    /// [`Self::commit`]. The caller routes the error through the health
+    /// machine.
     pub(crate) fn append(&mut self, rec: &[u8; JOURNAL_RECORD]) -> io::Result<()> {
         let f = self
             .journal
             .as_mut()
             .ok_or_else(|| io::Error::other("journal not armed"))?;
         f.write_all(rec)?;
-        if self.cfg.mutant != SpoolMutant::SkipFsync {
-            f.sync()?;
-        }
+        self.uncommitted = true;
         self.journal_bytes += JOURNAL_RECORD as u64;
+        Ok(())
+    }
+
+    /// Makes every record appended so far durable with one sync (none
+    /// when nothing was appended since the last).
+    pub(crate) fn commit(&mut self) -> io::Result<()> {
+        if !self.uncommitted {
+            return Ok(());
+        }
+        let skip = matches!(
+            self.cfg.mutant,
+            SpoolMutant::SkipFsync | SpoolMutant::AckBeforeSync
+        );
+        if !skip {
+            self.journal
+                .as_mut()
+                .ok_or_else(|| io::Error::other("journal not armed"))?
+                .sync()?;
+        }
+        self.uncommitted = false;
         Ok(())
     }
 
@@ -438,7 +518,7 @@ impl Spool {
         // correct order makes impossible.
         let mut late_sync: Option<Box<dyn SpoolFile>> = None;
         match self.cfg.mutant {
-            SpoolMutant::None | SpoolMutant::ReplayPastTail => {
+            SpoolMutant::None | SpoolMutant::ReplayPastTail | SpoolMutant::AckBeforeSync => {
                 f.sync()?;
                 drop(f);
                 self.fs.rename(&tmp, &fin)?;

@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 
 use crate::lifecycle::{
     encode_record, image_path, journal_path, parse_image_name, quarantine_image, read_journal,
-    Spool, SpoolConfig, SpoolHealth, JOURNAL_HEADER, JOURNAL_RECORD,
+    JournalRecord, Spool, SpoolConfig, SpoolHealth, JOURNAL_RECORD,
 };
 use crate::snapcell::{SnapCell, SnapReader};
 use crate::spoolfs::{SpoolFs, StdFs};
@@ -408,10 +408,12 @@ pub struct RouterHealth {
 /// journal bridges the gap: operations accepted while the rebuild runs are
 /// replayed onto the new engine before it is published.
 ///
-/// With a spool enabled ([`Self::enable_spool`]), every published epoch is
-/// also spilled as a `fibimage/v1` file and every accepted update is
-/// journaled to disk, so [`Self::warm_restart`] can bring a dead router
-/// back in image-load time: the data plane serves the zero-copy image view
+/// With a spool enabled ([`Self::enable_spool`]), every accepted update is
+/// written to an on-disk journal, every [`publish`](Self::publish) makes
+/// the journal durable with one sync, and a full `fibimage/v1` checkpoint
+/// is spilled only when the journal outgrows its fold threshold — so
+/// [`Self::warm_restart`] can bring a dead router back in image-load plus
+/// journal-replay time: the data plane serves the zero-copy image view
 /// immediately while the owned engine is rebuilt lazily at the next
 /// publish.
 ///
@@ -633,16 +635,13 @@ where
         // and is ignored (and restamped below). `read_journal` yields
         // only the records before a torn or bit-flipped tail.
         let mut replayed = 0u64;
-        let jpath = journal_path(dir);
-        let mut journal_epoch = epoch;
-        let journal = fs
-            .read(&jpath)
+        let journal: Option<(u64, Vec<JournalRecord>, u64)> = fs
+            .read(&journal_path(dir))
             .ok()
             .and_then(|buf| read_journal(&buf, A::WIDTH, spool_cfg.mutant));
-        if let Some((base_epoch, records, _torn)) = journal {
-            journal_epoch = base_epoch;
-            if journal_epoch <= epoch {
-                for (tag, len, nh, addr) in records {
+        if let Some((journal_epoch, records, _)) = &journal {
+            if *journal_epoch <= epoch {
+                for &(tag, len, nh, addr) in records {
                     let prefix = Prefix::new(A::from_u128(addr), len);
                     if tag == b'W' {
                         control.remove(prefix);
@@ -673,16 +672,25 @@ where
         // restored image. A *newer* header (we fell back past a corrupt
         // image) would make a second crash ignore everything appended
         // from here on; an *older* one holds only records the image
-        // already includes. Either way the records on disk are dead
-        // weight relative to `epoch`, so start clean. (The normal
-        // journal_epoch == epoch case re-opens the file in append mode:
-        // its records are in `control` but in no image yet.)
-        let rearm =
-            if journal_epoch != epoch || fs.file_len(&jpath).unwrap_or(0) < JOURNAL_HEADER as u64 {
-                spool.reset_journal(epoch)
-            } else {
-                spool.open_journal_append(journal_epoch)
-            };
+        // already includes; a missing, short or unreadable header hides
+        // whatever is appended behind it. Either way the records on disk
+        // are dead weight relative to `epoch`, so start clean. The normal
+        // case — the journal sits on this very image — re-opens the file
+        // in append mode: its records are in `control` but in no image
+        // yet. If it ends in a torn or bit-flipped tail, though, it is
+        // first rewritten to the records just replayed: anything appended
+        // behind the damage would be mis-framed by a partial record, or
+        // sit past the record the next replay stops at.
+        let rearm = match &journal {
+            Some((journal_epoch, records, torn_bytes)) if *journal_epoch == epoch => {
+                if *torn_bytes > 0 {
+                    spool.rewrite_journal(epoch, records)
+                } else {
+                    spool.open_journal_append(epoch)
+                }
+            }
+            _ => spool.reset_journal(epoch),
+        };
         if let Err(e) = rearm {
             let now = fs.now();
             let cfg = spool.cfg;
@@ -714,11 +722,17 @@ where
         Ok(router)
     }
 
-    /// Arms FIB-image persistence: every published epoch is spilled to
-    /// `dir` as a `fibimage/v1` file (routes section included) and every
-    /// accepted update is appended to `dir/journal.log`. The current
-    /// state is spilled immediately, so a crash right after this call is
-    /// already recoverable via [`Self::warm_restart`].
+    /// Arms FIB-image persistence: the current state is spilled to `dir`
+    /// as a `fibimage/v1` file (routes section included) immediately, so
+    /// a crash right after this call is already recoverable via
+    /// [`Self::warm_restart`]; from then on every accepted update is
+    /// appended to `dir/journal.log` and every [`Self::publish`] syncs
+    /// it. An update is durable once the `publish()` after it returns
+    /// with [`Self::spool_health`] `Healthy`; a crash loses at most the
+    /// unpublished tail and always recovers a prefix of the update
+    /// sequence. Further images are written only when the journal
+    /// outgrows [`SpoolConfig::journal_fold_bytes`] (or a recovery or
+    /// scrub forces one), never per publish.
     ///
     /// # Errors
     /// Only directory creation can fail hard; any later write failure
@@ -832,7 +846,8 @@ where
     }
 
     /// Journals one accepted update, routing failures through the health
-    /// machine: a healthy spool appends (and durably syncs) the record; a
+    /// machine: a healthy spool writes the record to the journal file —
+    /// the next publish's [`Self::commit_spool`] makes it durable; a
     /// degraded spool whose backoff elapsed attempts a recovery re-spill
     /// instead; a suspended spool does nothing.
     fn spool_append(&mut self, op: &JournalOp<A>) {
@@ -854,6 +869,23 @@ where
         let now = spool.fs.now();
         if spool.health.retry_due(now) {
             self.try_spool_recovery();
+        }
+    }
+
+    /// The durability half of a publish: one sync covering every record
+    /// journaled since the last one, a failure degrading health. Does
+    /// nothing without a healthy spool (a degraded one journals nothing;
+    /// its recovery re-spills instead).
+    fn commit_spool(&mut self) {
+        let Some(spool) = self.spool.as_mut() else {
+            return;
+        };
+        if !spool.health.is_healthy() {
+            return;
+        }
+        if let Err(e) = spool.commit() {
+            let (cfg, now) = (spool.cfg, spool.fs.now());
+            spool.health.note_failure(&cfg, now, e.to_string());
         }
     }
 
@@ -1052,7 +1084,7 @@ where
             }
         }
         // Journal compaction: once the on-disk journal outgrows the fold
-        // threshold, cut an epoch — the spill writes a fresh image that
+        // threshold, cut an epoch — its publish spills a fresh image that
         // subsumes every journaled record and resets the journal onto it.
         if self
             .spool
@@ -1155,7 +1187,11 @@ where
     }
 
     /// Cuts and publishes a new epoch snapshot reflecting the control FIB
-    /// exactly as of this call, spilling it to the spool when armed.
+    /// exactly as of this call. With a spool armed this is the durability
+    /// point: one sync makes every update journaled so far durable, so
+    /// when it returns with [`Self::spool_health`] `Healthy`, a crash
+    /// loses none of them. The epoch is spilled as a full image only when
+    /// the journal has outgrown [`SpoolConfig::journal_fold_bytes`].
     ///
     /// If the working engine went stale (static engine under churn) or is
     /// absent (warm restart), it is (re)built first — preferring a
@@ -1244,6 +1280,7 @@ where
         // here, so its snapshot keeps serving the image and its owned
         // engine stays unbuilt.
         if self.since_publish == 0 && !self.stale && hot.is_none() {
+            self.commit_spool();
             return self.snapshot();
         }
         if (self.stale || self.working.is_none()) && !self.materialize() {
@@ -1254,6 +1291,7 @@ where
             self.serving_stale = true;
             self.stale = true;
             self.since_publish = 0;
+            self.commit_spool();
             return self.snapshot();
         }
         self.serving_stale = false;
@@ -1263,7 +1301,13 @@ where
         let engine = SnapEngine::Owned(self.working.as_ref().expect("materialized").clone());
         let snapshot = EpochSnapshot::cut(self.epoch, self.control.len(), engine, hot);
         self.published.publish(Arc::clone(&snapshot));
-        self.spill_current(false);
+        // Durability: fold an outgrown journal into a full image of this
+        // epoch (which also syncs and resets it), else just commit it.
+        if self.spool.as_ref().is_some_and(Spool::wants_fold) {
+            self.spill_current(false);
+        } else {
+            self.commit_spool();
+        }
         snapshot
     }
 }

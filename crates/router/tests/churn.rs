@@ -5,7 +5,7 @@
 //! flight and the first epoch after its journal replay.
 
 use fib_core::{BuildConfig, PrefixDag, SerializedDag};
-use fib_router::{Router, RouterConfig};
+use fib_router::{Router, RouterConfig, SpoolConfig, StdFs};
 use fib_trie::BinaryTrie;
 use fib_workload::rng::Xoshiro256;
 use fib_workload::updates::{bgp_sequence, UpdateOp};
@@ -165,10 +165,20 @@ fn warm_restart_answers_identically_to_a_router_that_never_died() {
     let mut survivor: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
     // The victim spools, crashes after unpublished updates, and restarts.
     let mut victim: Router<u32, PrefixDag<u32>> = Router::new(base, config);
-    victim.enable_spool(&dir).expect("spool arms");
+    let (published_part, journaled_part) = updates.split_at(2_000);
+    // Publishes commit the journal; only a fold writes an image. The last
+    // record of the published part is the one that crosses the threshold,
+    // so the epoch cut there is checkpointed and the journal restarts from
+    // it, while the part after it stays journal-only.
+    let spool = SpoolConfig {
+        journal_fold_bytes: 24 * (published_part.len() as u64 - 1),
+        ..SpoolConfig::default()
+    };
+    victim
+        .enable_spool_with(StdFs::shared(), &dir, spool)
+        .expect("spool arms");
     assert!(victim.spool_error().is_none());
 
-    let (published_part, journaled_part) = updates.split_at(2_000);
     for op in published_part {
         match *op {
             UpdateOp::Announce(p, nh) => {
@@ -182,8 +192,9 @@ fn warm_restart_answers_identically_to_a_router_that_never_died() {
         }
     }
     survivor.publish();
-    victim.publish(); // spills epoch 1 + resets the journal
+    victim.publish(); // epoch 1, cut and spilled by the fold inside the last update
     let spilled_epoch = victim.epoch();
+    assert_eq!(victim.stats().spills, 2, "the base image and one fold");
     for op in journaled_part {
         match *op {
             UpdateOp::Announce(p, nh) => {
@@ -259,7 +270,15 @@ fn warm_restart_skips_corrupt_images() {
         background_rebuild: false,
     };
     let mut router: Router<u32, SerializedDag<u32>> = Router::new(base, config);
-    router.enable_spool(&dir).expect("spool arms");
+    // A zero fold threshold checkpoints at every record, so the one update
+    // below leaves a second image behind.
+    let spool = SpoolConfig {
+        journal_fold_bytes: 0,
+        ..SpoolConfig::default()
+    };
+    router
+        .enable_spool_with(StdFs::shared(), &dir, spool)
+        .expect("spool arms");
     let first_epoch = router.epoch();
     router.announce("203.0.113.0/24".parse().unwrap(), fib_trie::NextHop::new(9));
     router.publish();

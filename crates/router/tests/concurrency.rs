@@ -204,19 +204,23 @@ fn forwarding_threads_survive_a_warm_restart_cycle() {
         // victim dropped here: crash.
     };
 
-    // Phase 2: warm restart; fresh readers serve the restored (image-
-    // backed) snapshot immediately and must agree with the pre-crash
-    // control state.
-    let restarted: Router<u32, SerializedDag<u32>> =
+    // Phase 2: warm restart. The image on disk is the base spill — the
+    // victim's publish committed its journal, it did not checkpoint — so
+    // fresh readers serve that image, zero-copy, at once, while the
+    // replayed journal waits in the control FIB; the first publish brings
+    // them to the pre-crash state.
+    let mut restarted: Router<u32, SerializedDag<u32>> =
         Router::warm_restart(&dir, config).expect("restart comes up");
     assert!(restarted.snapshot().is_image_backed());
+    assert_eq!(restarted.stats().replayed, 1_500);
     let restart_epoch = restarted.epoch();
 
     let oracles: EpochOracles = Arc::new(Mutex::new(HashMap::new()));
+    oracles.lock().unwrap().insert(restart_epoch, base);
     oracles
         .lock()
         .unwrap()
-        .insert(restart_epoch, expected_final.clone());
+        .insert(restart_epoch + 1, expected_final);
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..2)
         .map(|i| {
@@ -228,6 +232,8 @@ fn forwarding_threads_survive_a_warm_restart_cycle() {
             )
         })
         .collect();
+    std::thread::sleep(std::time::Duration::from_millis(25));
+    assert_eq!(restarted.publish().epoch(), restart_epoch + 1);
     std::thread::sleep(std::time::Duration::from_millis(25));
     stop.store(true, SeqCst);
     for handle in readers {

@@ -59,12 +59,22 @@ fn retention_bounds_epoch_images_and_sweeps_tmp_files() {
     let control = base(1, 300);
     let ops = updates(2, &control, 200);
     let mut router: Router<u32, PrefixDag<u32>> = Router::new(control, config());
+    // Images come from folds, not publishes: 40 records per fold puts four
+    // of them (and the base image) inside the 200 updates.
+    let cfg = SpoolConfig {
+        journal_fold_bytes: 24 * 40,
+        ..spool_cfg()
+    };
     router
-        .enable_spool_with(Arc::clone(&shared), DIR, spool_cfg())
+        .enable_spool_with(Arc::clone(&shared), DIR, cfg)
         .expect("spool dir");
     apply(&mut router, &ops);
     assert!(router.spool_health().expect("armed").is_healthy());
-    assert!(router.stats().spills >= 3, "publishes must checkpoint");
+    assert_eq!(
+        router.stats().spills,
+        5,
+        "a checkpoint per fold, none per publish"
+    );
 
     let status = scan_spool(shared.as_ref(), Path::new(DIR)).expect("scan");
     assert!(
@@ -156,8 +166,11 @@ fn journal_append_failure_degrades_health_and_retry_heals() {
     );
     assert!(router.health().spool_recoveries >= 1);
 
-    // The healed spool is fully recoverable: reboot the durable state
-    // and compare answers against the live control plane.
+    // The healed spool is fully recoverable once the tail is published
+    // (publish is the durability point): reboot the durable state and
+    // compare answers against the live control plane.
+    router.publish();
+    assert!(router.spool_health().expect("armed").is_healthy());
     let boot: Arc<dyn SpoolFs> = Arc::new(fs.durable_clone());
     let recovered =
         Router::<u32, PrefixDag<u32>>::warm_restart_with(boot, DIR, config(), spool_cfg())

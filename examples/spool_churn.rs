@@ -1,8 +1,10 @@
 //! The spool lifecycle end to end on a real filesystem: a router under
-//! BGP churn checkpoints crash-consistent epoch images, folds its
-//! journal, prunes old checkpoints, survives a simulated bit-rot scrub,
-//! and warm-restarts from the survivors — with the offline scanner
-//! (`fibc spool-status`) reporting health at each stage.
+//! BGP churn commits its journal at every publish, folds it into a
+//! crash-consistent epoch image whenever it outgrows its threshold,
+//! prunes old checkpoints, survives a simulated bit-rot scrub, and
+//! warm-restarts from the newest image plus the journal behind it — with
+//! the offline scanner (`fibc spool-status`) reporting health at each
+//! stage.
 //!
 //! ```sh
 //! cargo run --release --example spool_churn [SPOOL_DIR]
@@ -20,6 +22,13 @@ use fibcomp::workload::{traces, FibSpec};
 
 const FIB_SIZE: usize = 20_000;
 const UPDATES: usize = 2_000;
+/// Journal records a fold threshold of `24 * FOLD_RECORDS` bytes holds:
+/// the record after them folds, so the churn below checkpoints three
+/// times.
+const FOLD_RECORDS: usize = 600;
+/// Updates published after the scrub and left in the journal, for the
+/// restart (and `fibc spool-status`) to find.
+const TAIL: usize = 40;
 
 fn main() {
     let dir = std::env::args()
@@ -29,20 +38,22 @@ fn main() {
 
     let mut rng = Xoshiro256::seed_from_u64(7);
     let base: BinaryTrie<u32> = FibSpec::dfz_like(FIB_SIZE).generate(&mut rng);
-    let updates = bgp_sequence(&mut rng, &base, UPDATES);
+    let updates = bgp_sequence(&mut rng, &base, UPDATES + TAIL);
+    let (churn, tail) = updates.split_at(UPDATES);
     let trace = traces::uniform::<u32, _>(&mut rng, 4_096);
 
     let mut router: Router<u32, PrefixDag<u32>> = Router::new(
         base,
         RouterConfig {
             build: BuildConfig::with_lambda(11),
-            publish_every: Some(256), // each publish cuts a checkpoint
+            publish_every: Some(256), // each publish is one journal sync
             degradation_threshold: 0.25,
             background_rebuild: false,
         },
     );
     let spool_cfg = SpoolConfig {
         keep: 2,
+        journal_fold_bytes: 24 * FOLD_RECORDS as u64,
         ..SpoolConfig::default()
     };
     router
@@ -50,21 +61,39 @@ fn main() {
         .expect("spool directory");
     println!("spool armed at {dir}");
 
-    for op in &updates {
-        match *op {
-            UpdateOp::Announce(p, nh) => router.announce(p, nh),
-            UpdateOp::Withdraw(p) => router.withdraw(p),
+    let apply = |router: &mut Router<u32, PrefixDag<u32>>, ops: &[UpdateOp<u32>]| {
+        for op in ops {
+            match *op {
+                UpdateOp::Announce(p, nh) => router.announce(p, nh),
+                UpdateOp::Withdraw(p) => router.withdraw(p),
+            }
         }
-    }
-    router.publish();
+        router.publish();
+    };
+    apply(&mut router, churn);
     let fs = StdFs::shared();
     let status = scan_spool(fs.as_ref(), dir.as_ref()).expect("scan");
     println!("after churn:   {status}");
     assert_eq!(status.verdict(), "ok");
+    // Images appear at folds only: the base spill plus one per
+    // FOLD_RECORDS + 1 records, however many epochs were published.
+    let folds = UPDATES / (FOLD_RECORDS + 1);
+    assert_eq!(router.stats().spills as usize, 1 + folds);
+    assert!(
+        router.stats().epochs as usize > 1 + folds,
+        "publishes outnumber images"
+    );
     assert!(
         status.images.len() <= spool_cfg.keep + 1,
         "retention must bound checkpoints, found {}",
         status.images.len()
+    );
+    // The journal carries what the newest image does not.
+    assert!(status.journal_bridges);
+    assert_eq!(
+        status.journal_records as usize,
+        UPDATES % (FOLD_RECORDS + 1),
+        "every record since the last fold is replayable"
     );
     assert!(router.spool_health().expect("armed").is_healthy());
 
@@ -81,8 +110,16 @@ fn main() {
     assert_eq!(moved, 1, "the rotted checkpoint is quarantined");
     assert_eq!(status.verdict(), "ok", "scrub re-spills a clean checkpoint");
 
+    // A published tail the re-spilled checkpoint does not hold: one sync
+    // made it durable, the restart below replays it.
+    apply(&mut router, tail);
+    let status = scan_spool(fs.as_ref(), dir.as_ref()).expect("scan");
+    println!("after tail:    {status}");
+    assert_eq!(status.journal_records as usize, TAIL);
+    assert_eq!(status.verdict(), "ok");
+
     // Reboot from what is on disk and differentially check the recovered
-    // FIB against the control plane that never died.
+    // control FIB against the control plane that never died.
     let recovered = Router::<u32, PrefixDag<u32>>::warm_restart(
         &dir,
         RouterConfig {
@@ -91,15 +128,15 @@ fn main() {
         },
     )
     .expect("warm restart");
-    let snapshot = recovered.snapshot();
+    assert_eq!(recovered.stats().replayed as usize, TAIL);
     let mut diverged = 0usize;
     for &addr in &trace {
-        if snapshot.lookup(addr) != router.control().lookup(addr) {
+        if recovered.control().lookup(addr) != router.control().lookup(addr) {
             diverged += 1;
         }
     }
     println!(
-        "warm restart:  epoch {}, {} routes, {} probes, {diverged} divergences",
+        "warm restart:  epoch {}, {} routes, {TAIL} records replayed, {} probes, {diverged} divergences",
         recovered.epoch(),
         recovered.control().len(),
         trace.len()

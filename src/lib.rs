@@ -24,9 +24,10 @@
 //!   with epoch snapshots published through the wait-free
 //!   [`router::SnapCell`] (lock-free packet-path reads), applies
 //!   in-place pDAG updates until arena fragmentation triggers a
-//!   (background) compacting rebuild, spills every published epoch as a
-//!   `fibimage/v1` file when a spool is armed and warm-restarts from the
-//!   newest valid image plus journal replay, and
+//!   (background) compacting rebuild, makes every publish durable with
+//!   one journal sync when a spool is armed (a `fibimage/v1` checkpoint
+//!   only where the journal folds) and warm-restarts from the newest
+//!   valid image plus journal replay, and
 //!   [`router::Forwarder`] runs the multi-core forwarding runtime
 //!   (per-worker snapshot caches, an MPSC [`router::UpdateBus`] into the
 //!   control plane, per-worker latency histograms),
