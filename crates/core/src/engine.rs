@@ -17,7 +17,10 @@
 //! * [`FibUpdate`] — incremental updates with a [`RebuildNeeded`] escape
 //!   hatch: structures with native λ-barrier updates ([`PrefixDag`],
 //!   [`BinaryTrie`], [`RouteTable`]) apply them in place; static images
-//!   decline and let the router schedule a rebuild.
+//!   decline and let the router schedule a rebuild. Its
+//!   [`FibUpdate::publish_copy`] is what a router publishes of a working
+//!   engine: a clone by default, the data-plane half written into a
+//!   recycled snapshot for the [`PrefixDag`].
 //!
 //! An engine writes its walk, batch kernel, stream kernel and traced walk
 //! once, as inherent methods of the borrowed view its image is served
@@ -282,6 +285,34 @@ pub trait FibUpdate<A: Address> {
     /// engines without a meaningful metric report 0.
     fn degradation(&self) -> f64 {
         0.0
+    }
+
+    /// The engine a router publishes for this one: what its snapshot will
+    /// serve lookups from while `self` goes on absorbing updates — the
+    /// publish-side twin of [`FibBuild::rebuild_from`]. The copy answers
+    /// every read-only method as `self` does at this call; it need not
+    /// accept updates (an engine that publishes only its lookup structure
+    /// declines them with [`RebuildNeeded`]).
+    ///
+    /// `recycled` is a copy this hook returned earlier that no reader
+    /// holds any more — or anything else of the type, the hook checks. An
+    /// engine that can bring it up to date for less than a copy costs
+    /// ([`PrefixDag`] rewrites only the nodes that changed since) returns
+    /// it; the default drops it and clones, which for a static engine is
+    /// the whole truth.
+    #[must_use]
+    fn publish_copy(&mut self, recycled: Option<Self>) -> Self
+    where
+        Self: Clone,
+    {
+        drop(recycled);
+        self.clone()
+    }
+
+    /// Node records the last [`Self::publish_copy`] wrote into the
+    /// buffer it was handed, `None` when it copied afresh (the default).
+    fn last_copy_writes(&self) -> Option<usize> {
+        None
     }
 }
 
@@ -614,11 +645,25 @@ impl<A: Address> FibUpdate<A> for PrefixDag<A> {
         prefix: Prefix<A>,
         next_hop: NextHop,
     ) -> Result<Option<NextHop>, RebuildNeeded> {
+        if self.is_published_copy() {
+            return Err(RebuildNeeded);
+        }
         Ok(self.insert(prefix, next_hop))
     }
 
     fn try_remove(&mut self, prefix: Prefix<A>) -> Result<Option<NextHop>, RebuildNeeded> {
+        if self.is_published_copy() {
+            return Err(RebuildNeeded);
+        }
         Ok(self.remove(prefix))
+    }
+
+    fn publish_copy(&mut self, recycled: Option<Self>) -> Self {
+        PrefixDag::publish_copy(self, recycled)
+    }
+
+    fn last_copy_writes(&self) -> Option<usize> {
+        PrefixDag::last_copy_writes(self)
     }
 
     /// Arena fragmentation: λ-barrier refolds leave free-list holes behind
@@ -783,6 +828,15 @@ mod tests {
         assert_eq!(lc.try_insert(p, nh(7)), Err(RebuildNeeded));
         let mut xbw = XbwFib::build(&trie, XbwStorage::Succinct);
         assert_eq!(xbw.try_remove(p), Err(RebuildNeeded));
+        // What a router publishes of the pDAG is its lookup half, which
+        // declines like a static image; a static engine's copy is a clone.
+        let mut published = FibUpdate::publish_copy(&mut dag, None);
+        assert_eq!(published.try_insert(p, nh(7)), Err(RebuildNeeded));
+        assert_eq!(published.try_remove(p), Err(RebuildNeeded));
+        assert_eq!(published.lookup(0x0A01_0001), dag.lookup(0x0A01_0001));
+        let copy = ser.publish_copy(Some(ser.clone()));
+        assert_eq!(FibUpdate::<u32>::last_copy_writes(&ser), None);
+        assert_eq!(copy.view().lookup(0x0A01_0001), dag.lookup(0x0A01_0001));
     }
 
     #[test]

@@ -36,6 +36,29 @@
 //! node above depth `k` is an unshared top node, so an update re-derives
 //! just the entries under the changed prefix.
 //!
+//! # Two halves
+//!
+//! A [`PrefixDag`] is a *data-plane half* — the node arena, the root
+//! array, the root, λ and the counters `len` / `stats` / `size_bytes`
+//! read, which is all a lookup, an image encode or a size report touches —
+//! and a *control half*: the control FIB (the uncompressed image the paper
+//! keeps in control-plane DRAM, §4.3), the interning map, the free list
+//! and the change stamps. A working engine has both. What a router publishes
+//! ([`PrefixDag::publish_copy`]) is the data-plane half alone: it answers
+//! every read-only method exactly as the working engine did at that
+//! publish, and it cannot be updated.
+//!
+//! Every write that changes a node's `left`, `right` or `label` goes
+//! through one setter that stamps the node with the number of the publish
+//! it will first show in — one `u32` a node, however many updates pass
+//! with nobody publishing. A reference-count write is not a change: the
+//! data plane never reads the count. Handed back a copy it published
+//! earlier, `publish_copy` rewrites just the nodes stamped since that
+//! copy's publish (each once, however often it changed), appends the
+//! arena's growth and refreshes the root array, so a publish costs what
+//! changed, and most of the buffer's cache lines are left as the
+//! forwarding thread last saw them.
+//!
 //! # Update strategy
 //!
 //! The paper's §4.3 decompresses the DAG path node-by-node and re-folds
@@ -47,6 +70,7 @@
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fib_succinct::ceil_log2;
 use fib_trie::{Address, BinaryTrie, Depth, NextHop, NodeRef, Prefix};
@@ -55,8 +79,20 @@ use crate::idhash::IdBuildHasher;
 
 pub(crate) const NONE: u32 = u32::MAX;
 
+const NO_CONTROL: &str = "a published pDAG copy has no control FIB: update the working engine";
+
 /// Most levels the root array collapses (`k = min(λ, ROOT_BITS)`).
 const ROOT_BITS: u8 = 8;
+
+/// Source of build ids: one per arena lineage.
+static NEXT_BUILD: AtomicU64 = AtomicU64::new(1);
+
+/// A build id no other [`PrefixDag`] in the process carries.
+fn next_build() -> u64 {
+    // ordering: Relaxed — the counter only has to hand out distinct
+    // values; it publishes no other data.
+    NEXT_BUILD.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Where the walk for one `k`-bit address prefix starts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,23 +130,65 @@ impl DagNode {
     }
 }
 
+/// What [`PrefixDag::len`], [`PrefixDag::stats`] and
+/// [`PrefixDag::size_bytes`] read. The update path keeps them current, so a
+/// published copy — which has no control FIB, interner or free list to
+/// count — answers from its own copy of them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Counts {
+    routes: usize,
+    top_nodes: usize,
+    folded_interior: usize,
+    folded_leaves: usize,
+    free_slots: usize,
+}
+
 /// A FIB compressed by trie-folding.
 ///
-/// Owns a *control FIB* (a plain [`BinaryTrie`], the uncompressed image the
-/// paper keeps in control-plane DRAM) that drives updates, plus the folded
-/// arena the data plane reads.
-#[derive(Clone)]
+/// A working engine owns a *control FIB* (a plain [`BinaryTrie`], the
+/// uncompressed image the paper keeps in control-plane DRAM) that drives
+/// updates, plus the folded arena the data plane reads; a published copy
+/// ([`Self::publish_copy`]) is the arena side alone — see the module docs'
+/// "Two halves".
 pub struct PrefixDag<A: Address> {
+    // Data-plane half: all a published copy carries.
     pub(crate) nodes: Vec<DagNode>,
-    free: Vec<u32>,
-    interner: HashMap<Key, u32, IdBuildHasher>,
     pub(crate) root: u32,
     /// One entry per `min(λ, ROOT_BITS)`-bit address prefix.
     root_array: Vec<RootEntry>,
     lambda: u8,
-    control: BinaryTrie<A>,
-    top_count: usize,
+    counts: Counts,
+    /// The arena lineage: fresh for every [`Self::from_trie`] and every
+    /// clone, shared by a working engine and the copies it publishes.
+    build: u64,
+    /// In a published copy, the number of the publish it shows; in a
+    /// working engine, the number its next one will have (from 1).
+    publish: u32,
+    // Control half: `None` / empty in a published copy.
+    control: Option<BinaryTrie<A>>,
+    interner: HashMap<Key, u32, IdBuildHasher>,
+    free: Vec<u32>,
+    /// Per node, the publish its last change first shows in.
+    stamps: Vec<u32>,
+    /// What the last [`Self::publish_copy`] wrote into a reused buffer.
+    last_copy_writes: Option<usize>,
     _marker: PhantomData<A>,
+}
+
+impl<A: Address> Clone for PrefixDag<A> {
+    /// An independent engine: it diverges from `self` from here on, so it
+    /// starts a lineage of its own and no copy `self` published is ever
+    /// synced against it.
+    fn clone(&self) -> Self {
+        Self {
+            build: next_build(),
+            control: self.control.clone(),
+            interner: self.interner.clone(),
+            free: self.free.clone(),
+            stamps: self.stamps.clone(),
+            ..self.data_plane()
+        }
+    }
 }
 
 impl<A: Address> PrefixDag<A> {
@@ -122,13 +200,22 @@ impl<A: Address> PrefixDag<A> {
         let lambda = lambda.min(A::WIDTH);
         let mut dag = Self {
             nodes: Vec::new(),
-            free: Vec::new(),
-            interner: HashMap::default(),
             root: NONE,
             root_array: Vec::new(),
             lambda,
-            control: trie.clone(),
-            top_count: 0,
+            counts: Counts {
+                routes: trie.len(),
+                ..Counts::default()
+            },
+            build: next_build(),
+            // Construction stamps every node 1, and so does whatever
+            // changes before the first publish; no copy is older than that.
+            publish: 1,
+            control: Some(trie.clone()),
+            interner: HashMap::default(),
+            free: Vec::new(),
+            stamps: Vec::new(),
+            last_copy_writes: None,
             _marker: PhantomData,
         };
         dag.root = dag.build_top(trie.root(), 0);
@@ -161,22 +248,34 @@ impl<A: Address> PrefixDag<A> {
         self.lambda.min(ROOT_BITS)
     }
 
-    /// Number of routes (delegates to the control FIB).
+    /// Number of routes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.control.len()
+        self.counts.routes
     }
 
     /// Whether the FIB holds no routes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.control.is_empty()
+        self.counts.routes == 0
+    }
+
+    /// Whether this is the data-plane half alone, as
+    /// [`Self::publish_copy`] hands out: a lookup structure with no control
+    /// FIB, which declines every update.
+    #[must_use]
+    pub fn is_published_copy(&self) -> bool {
+        self.control.is_none()
     }
 
     /// The control FIB (the uncompressed image of this DAG).
+    ///
+    /// # Panics
+    /// Panics on a published copy, which has none — the control FIB lives
+    /// with the working engine.
     #[must_use]
     pub fn control(&self) -> &BinaryTrie<A> {
-        &self.control
+        self.control.as_ref().expect(NO_CONTROL)
     }
 
     // ------------------------------------------------------------------
@@ -185,12 +284,33 @@ impl<A: Address> PrefixDag<A> {
 
     fn alloc(&mut self, node: DagNode) -> u32 {
         if let Some(idx) = self.free.pop() {
+            self.counts.free_slots -= 1;
             self.nodes[idx as usize] = node;
+            self.stamps[idx as usize] = self.publish;
             idx
         } else {
-            let idx = self.nodes.len() as u32;
             self.nodes.push(node);
-            idx
+            self.stamps.push(self.publish);
+            self.nodes.len() as u32 - 1
+        }
+    }
+
+    /// Returns a dead node's slot to the free list. The slot keeps its
+    /// bits until [`Self::alloc`] reuses it, so this is not a node write.
+    fn free_slot(&mut self, idx: u32) {
+        self.free.push(idx);
+        self.counts.free_slots += 1;
+    }
+
+    /// The one place a live node's `left`, `right` or `label` is written:
+    /// a node the data plane can read differently afterwards is stamped
+    /// for the next [`Self::publish_copy`].
+    fn write(&mut self, idx: u32, edit: impl FnOnce(&mut DagNode)) {
+        let node = &mut self.nodes[idx as usize];
+        let before = (node.left, node.right, node.label);
+        edit(node);
+        if before != (node.left, node.right, node.label) {
+            self.stamps[idx as usize] = self.publish;
         }
     }
 
@@ -201,7 +321,7 @@ impl<A: Address> PrefixDag<A> {
         }
         let left = node.left().map(|c| self.build_top(c, depth + 1));
         let right = node.right().map(|c| self.build_top(c, depth + 1));
-        self.top_count += 1;
+        self.counts.top_nodes += 1;
         self.alloc(DagNode {
             left: left.unwrap_or(NONE),
             right: right.unwrap_or(NONE),
@@ -246,6 +366,7 @@ impl<A: Address> PrefixDag<A> {
             refcount: 1,
         });
         self.interner.insert(Key::Leaf(label), idx);
+        self.counts.folded_leaves += 1;
         idx
     }
 
@@ -266,6 +387,7 @@ impl<A: Address> PrefixDag<A> {
             refcount: 1,
         });
         self.interner.insert(Key::Interior(left, right), idx);
+        self.counts.folded_interior += 1;
         idx
     }
 
@@ -285,11 +407,14 @@ impl<A: Address> PrefixDag<A> {
         };
         let removed = self.interner.remove(&key);
         debug_assert_eq!(removed, Some(idx), "interner out of sync at {idx}");
-        if !node.is_leaf() {
+        if node.is_leaf() {
+            self.counts.folded_leaves -= 1;
+        } else {
+            self.counts.folded_interior -= 1;
             self.release(node.left);
             self.release(node.right);
         }
-        self.free.push(idx);
+        self.free_slot(idx);
     }
 
     // ------------------------------------------------------------------
@@ -389,14 +514,16 @@ impl<A: Address> PrefixDag<A> {
     /// Cost: O(W) when `prefix.len() < λ`; O(W + 2^(W−λ)) otherwise
     /// (Theorem 3).
     pub fn insert(&mut self, prefix: Prefix<A>, next_hop: NextHop) -> Option<NextHop> {
-        let old = self.control.insert(prefix, next_hop);
+        let control = self.control.as_mut().expect(NO_CONTROL);
+        let old = control.insert(prefix, next_hop);
+        self.counts.routes += usize::from(old.is_none());
         if prefix.len() < self.lambda {
             // Shallow update: edit the top tree in place.
             let mut idx = self.root;
             for depth in 0..prefix.len() {
                 idx = self.ensure_top_child(idx, prefix.bit(depth));
             }
-            self.nodes[idx as usize].label = next_hop.index();
+            self.write(idx, |node| node.label = next_hop.index());
         } else {
             self.refold_portal(prefix);
         }
@@ -408,7 +535,8 @@ impl<A: Address> PrefixDag<A> {
     ///
     /// Same complexity as [`Self::insert`].
     pub fn remove(&mut self, prefix: Prefix<A>) -> Option<NextHop> {
-        let old = self.control.remove(prefix)?;
+        let old = self.control.as_mut().expect(NO_CONTROL).remove(prefix)?;
+        self.counts.routes -= 1;
         if prefix.len() < self.lambda {
             let mut path = Vec::with_capacity(prefix.len() as usize + 1);
             let mut idx = self.root;
@@ -418,7 +546,7 @@ impl<A: Address> PrefixDag<A> {
                 debug_assert_ne!(idx, NONE, "top tree out of sync with control FIB");
                 path.push(idx);
             }
-            self.nodes[idx as usize].label = NONE;
+            self.write(idx, |node| node.label = NONE);
             self.prune_top(&path, prefix);
         } else {
             self.refold_portal(prefix);
@@ -434,9 +562,9 @@ impl<A: Address> PrefixDag<A> {
         // `fold` mutates the arena while walking the control trie, so the
         // control is moved out for the duration (it is not touched by any
         // arena operation).
-        let control = std::mem::take(&mut self.control);
+        let control = self.control.take().expect(NO_CONTROL);
         self.refold_portal_inner(prefix, &control);
-        self.control = control;
+        self.control = Some(control);
     }
 
     fn refold_portal_inner(&mut self, prefix: Prefix<A>, control: &BinaryTrie<A>) {
@@ -553,8 +681,8 @@ impl<A: Address> PrefixDag<A> {
             if node.left == NONE && node.right == NONE && node.label == NONE {
                 let parent = path[depth - 1];
                 self.set_top_child(parent, prefix.bit(depth as u8 - 1), NONE);
-                self.free.push(idx);
-                self.top_count -= 1;
+                self.free_slot(idx);
+                self.counts.top_nodes -= 1;
             } else {
                 break;
             }
@@ -571,11 +699,13 @@ impl<A: Address> PrefixDag<A> {
     }
 
     fn set_top_child(&mut self, idx: u32, bit: bool, child: u32) {
-        if bit {
-            self.nodes[idx as usize].right = child;
-        } else {
-            self.nodes[idx as usize].left = child;
-        }
+        self.write(idx, |node| {
+            if bit {
+                node.right = child;
+            } else {
+                node.left = child;
+            }
+        });
     }
 
     fn ensure_top_child(&mut self, idx: u32, bit: bool) -> u32 {
@@ -589,9 +719,124 @@ impl<A: Address> PrefixDag<A> {
             label: NONE,
             refcount: 1,
         });
-        self.top_count += 1;
+        self.counts.top_nodes += 1;
         self.set_top_child(idx, bit, new);
         new
+    }
+
+    // ------------------------------------------------------------------
+    // Publish
+    // ------------------------------------------------------------------
+
+    /// A fresh copy of the data-plane half, with no control half.
+    fn data_plane(&self) -> Self {
+        Self {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            root_array: self.root_array.clone(),
+            lambda: self.lambda,
+            counts: self.counts,
+            build: self.build,
+            publish: self.publish,
+            control: None,
+            interner: HashMap::default(),
+            free: Vec::new(),
+            stamps: Vec::new(),
+            last_copy_writes: None,
+            _marker: PhantomData,
+        }
+    }
+
+    /// The engine a router publishes: the data-plane half of `self` as it
+    /// stands, which answers every read-only method as `self` does now and
+    /// declines every update.
+    ///
+    /// `recycled` is a copy this engine published earlier and nobody reads
+    /// any more. If it is one — of this build, of an earlier publish, no
+    /// longer than the arena — it is brought up to date in place, however
+    /// old: the nodes stamped since its publish, the arena's growth, the
+    /// root array; [`Self::last_copy_writes`] then reports the node records
+    /// written. Anything else (a copy of another build, a working engine)
+    /// is dropped and a fresh copy allocated. (Called on a published copy,
+    /// this is a plain copy of it.)
+    #[must_use]
+    pub fn publish_copy(&mut self, recycled: Option<Self>) -> Self {
+        if self.is_published_copy() {
+            return self.data_plane();
+        }
+        let reusable = recycled.filter(|buffer| {
+            buffer.is_published_copy()
+                && buffer.build == self.build
+                && buffer.publish < self.publish
+                && buffer.nodes.len() <= self.nodes.len()
+        });
+        let copy = match reusable {
+            Some(mut buffer) => {
+                let had = buffer.nodes.len();
+                let mut writes = self.nodes.len() - had;
+                let current = self.nodes.iter().zip(&self.stamps);
+                for (node, (now, &stamp)) in buffer.nodes.iter_mut().zip(current) {
+                    if stamp > buffer.publish {
+                        *node = *now;
+                        writes += 1;
+                    }
+                }
+                buffer.nodes.extend_from_slice(&self.nodes[had..]);
+                buffer.root_array.copy_from_slice(&self.root_array);
+                buffer.root = self.root;
+                buffer.counts = self.counts;
+                buffer.publish = self.publish;
+                self.last_copy_writes = Some(writes);
+                buffer
+            }
+            None => {
+                self.last_copy_writes = None;
+                self.data_plane()
+            }
+        };
+        debug_assert!(
+            copy.same_data_plane(self),
+            "published copy differs from the working arena"
+        );
+        self.publish = match self.publish.checked_add(1) {
+            Some(next) => next,
+            None => {
+                // Out of publish numbers: start a lineage, so no copy of
+                // this one is compared against stamps that restart.
+                self.build = next_build();
+                self.stamps.fill(0);
+                1
+            }
+        };
+        copy
+    }
+
+    /// Node records the last [`Self::publish_copy`] wrote into the buffer
+    /// it was handed; `None` when it allocated a fresh copy instead.
+    #[must_use]
+    pub fn last_copy_writes(&self) -> Option<usize> {
+        self.last_copy_writes
+    }
+
+    /// Bytes of change-tracking state: the per-node stamps, a `u32` each,
+    /// however many updates went by unpublished.
+    #[must_use]
+    pub fn tracking_bytes(&self) -> usize {
+        self.stamps.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Whether a lookup, an image encode or a size report can tell `self`
+    /// from `other`: every node on `(left, right, label)` — reference
+    /// counts are the control half's business — every root entry, the
+    /// root, λ and the counters.
+    fn same_data_plane(&self, other: &Self) -> bool {
+        let reads = |n: &DagNode| (n.left, n.right, n.label);
+        self.nodes
+            .iter()
+            .map(reads)
+            .eq(other.nodes.iter().map(reads))
+            && self.root_array == other.root_array
+            && (self.root, self.lambda, self.counts) == (other.root, other.lambda, other.counts)
     }
 
     // ------------------------------------------------------------------
@@ -601,18 +846,18 @@ impl<A: Address> PrefixDag<A> {
     /// Structure counters.
     #[must_use]
     pub fn stats(&self) -> DagStats {
-        let folded_leaves = self
-            .interner
-            .keys()
-            .filter(|k| matches!(k, Key::Leaf(_)))
-            .count();
-        let folded_interior = self.interner.len() - folded_leaves;
-        DagStats {
-            lambda: self.lambda,
-            top_nodes: self.top_count,
+        let Counts {
+            top_nodes,
             folded_interior,
             folded_leaves,
-            live_nodes: self.top_count + self.interner.len(),
+            ..
+        } = self.counts;
+        DagStats {
+            lambda: self.lambda,
+            top_nodes,
+            folded_interior,
+            folded_leaves,
+            live_nodes: top_nodes + folded_interior + folded_leaves,
         }
     }
 
@@ -670,7 +915,7 @@ impl<A: Address> PrefixDag<A> {
     /// Actual arena footprint in bytes (live slots only; 16 bytes each).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        (self.nodes.len() - self.free.len()) * std::mem::size_of::<DagNode>()
+        (self.nodes.len() - self.counts.free_slots) * std::mem::size_of::<DagNode>()
     }
 
     /// Fraction of arena slots sitting on the free list, in `[0, 1]`.
@@ -685,14 +930,17 @@ impl<A: Address> PrefixDag<A> {
         if self.nodes.is_empty() {
             0.0
         } else {
-            self.free.len() as f64 / self.nodes.len() as f64
+            self.counts.free_slots as f64 / self.nodes.len() as f64
         }
     }
 
     /// Verifies internal consistency: every root-array entry is what a
     /// bit-by-bit walk from the root finds, reference counts match
-    /// in-degrees, the interner indexes exactly the folded region, and
-    /// every folded interior has two children. Test/diagnostic use.
+    /// in-degrees, the interner indexes exactly the folded region, every
+    /// folded interior has two children, and the counters agree with the
+    /// control FIB, the interner and the free list. A published copy has
+    /// only the root array to check (its reference counts are whatever
+    /// they were when each node was last written). Test/diagnostic use.
     ///
     /// # Panics
     /// Panics if an invariant is broken.
@@ -722,6 +970,17 @@ impl<A: Address> PrefixDag<A> {
                 "root-array entry {slot:#x} differs from the walk from the root"
             );
         }
+        let Some(control) = &self.control else {
+            return;
+        };
+        assert_eq!(self.counts.routes, control.len(), "route count");
+        assert_eq!(self.counts.free_slots, self.free.len(), "free-slot count");
+        assert_eq!(
+            self.counts.folded_leaves + self.counts.folded_interior,
+            self.interner.len(),
+            "folded node counts"
+        );
+        assert_eq!(self.stamps.len(), self.nodes.len(), "one stamp a node");
         // Count in-edges of every folded node.
         let mut indegree: HashMap<u32, u32> = HashMap::new();
         let mut stack = vec![(self.root, 0u8)];
@@ -761,7 +1020,10 @@ impl<A: Address> PrefixDag<A> {
                 );
             }
         }
-        assert_eq!(visited_top, self.top_count, "top node count out of sync");
+        assert_eq!(
+            visited_top, self.counts.top_nodes,
+            "top node count out of sync"
+        );
         for &idx in self.interner.values() {
             let node = self.nodes[idx as usize];
             let mut expected = indegree.get(&idx).copied().unwrap_or(0);
@@ -1234,6 +1496,154 @@ mod tests {
             root_array_differential::<u32>(lambda);
             root_array_differential::<u128>(lambda);
         }
+    }
+
+    /// A deterministic announce/withdraw stream over a few thousand
+    /// `/16`–`/27`s, so slots are freed and reused as it runs.
+    fn churn(dag: &mut PrefixDag<u32>, x: &mut u64, rounds: usize) {
+        for _ in 0..rounds {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            let addr = 0x0A00_0000 | (*x >> 32) as u32 & 0x403F_C000;
+            let prefix = Prefix4::new(addr, 16 + (*x % 12) as u8);
+            if x.is_multiple_of(3) {
+                dag.remove(prefix);
+            } else {
+                dag.insert(prefix, nh((*x % 7) as u32));
+            }
+        }
+    }
+
+    /// A copy is what the working engine is, to every reader: node for
+    /// node against a fresh copy, and answer for answer on the methods a
+    /// snapshot serves.
+    fn assert_copy_is_current(dag: &PrefixDag<u32>, copy: &PrefixDag<u32>) {
+        assert!(copy.is_published_copy());
+        assert!(copy.same_data_plane(&dag.data_plane()));
+        assert_eq!(copy.write_packed(), dag.write_packed());
+        assert_eq!(copy.model_size_bits(), dag.model_size_bits());
+        assert_eq!(
+            (copy.stats(), copy.len(), copy.size_bytes(), copy.lambda()),
+            (dag.stats(), dag.len(), dag.size_bytes(), dag.lambda())
+        );
+        assert_eq!(copy.fragmentation(), dag.fragmentation());
+        copy.assert_invariants();
+        assert_equivalent(dag.control(), copy, 2000);
+    }
+
+    #[test]
+    fn publish_copy_syncs_a_recycled_copy_and_refuses_anything_else() {
+        let mut x: u64 = 0x5EED_CAFE_F00D_0001;
+        let mut dag = PrefixDag::from_trie(&fig1_trie(), 11);
+        churn(&mut dag, &mut x, 300);
+
+        // The recycling a router does: the copy of three publishes ago
+        // comes back, across arena growth and free-list reuse.
+        let mut kept = std::collections::VecDeque::new();
+        let mut reused = 0;
+        for _ in 0..12 {
+            churn(&mut dag, &mut x, 40);
+            let recycled = if kept.len() == 3 {
+                kept.pop_front()
+            } else {
+                None
+            };
+            let offered = recycled.is_some();
+            let copy = dag.publish_copy(recycled);
+            assert_eq!(dag.last_copy_writes().is_some(), offered);
+            if let Some(writes) = dag.last_copy_writes() {
+                assert!(writes > 0 && writes < dag.nodes.len(), "{writes} writes");
+                reused += 1;
+            }
+            assert_copy_is_current(&dag, &copy);
+            kept.push_back(copy);
+        }
+        assert_eq!(reused, 9);
+        // With nothing changed in between there is nothing to write.
+        let current = kept.pop_back().unwrap();
+        let again = dag.publish_copy(Some(current));
+        assert_eq!(dag.last_copy_writes(), Some(0));
+        assert_copy_is_current(&dag, &again);
+
+        // A copy far older than any router keeps: synced all the same,
+        // each node that changed since written once.
+        let old = dag.publish_copy(None);
+        for _ in 0..40 {
+            churn(&mut dag, &mut x, 50);
+            drop(dag.publish_copy(None));
+        }
+        let copy = dag.publish_copy(Some(old));
+        let writes = dag.last_copy_writes().expect("synced");
+        assert!(writes > 0 && writes <= dag.nodes.len(), "{writes} writes");
+        assert_copy_is_current(&dag, &copy);
+
+        // A copy of another build: same table, same λ, another arena.
+        let mut other = PrefixDag::from_trie(dag.control(), 11);
+        let foreign = other.publish_copy(None);
+        // A copy of this build with more nodes than the arena has (no
+        // sequence of calls makes one; the hook must not index past the
+        // arena all the same).
+        let mut longer = dag.publish_copy(None);
+        longer.nodes.extend_from_within(..8);
+        // A copy that claims a publish this engine has not made yet.
+        let mut early = dag.publish_copy(None);
+        early.publish = dag.publish;
+        // A full working engine, as a router's epoch 0 holds.
+        let working = dag.clone();
+        for refused in [early, foreign, longer, working] {
+            let copy = dag.publish_copy(Some(refused));
+            assert_eq!(dag.last_copy_writes(), None, "refused, copied afresh");
+            assert_copy_is_current(&dag, &copy);
+            churn(&mut dag, &mut x, 10);
+        }
+
+        // Out of publish numbers, the engine starts a lineage: the last
+        // copy of the old one is not synced against stamps that restart.
+        dag.publish = u32::MAX;
+        let last = dag.publish_copy(None);
+        assert_eq!((last.publish, dag.publish), (u32::MAX, 1));
+        churn(&mut dag, &mut x, 10);
+        let copy = dag.publish_copy(Some(last));
+        assert_eq!(dag.last_copy_writes(), None);
+        assert_copy_is_current(&dag, &copy);
+        churn(&mut dag, &mut x, 10);
+        let copy = dag.publish_copy(Some(copy));
+        assert!(dag.last_copy_writes().is_some());
+        assert_copy_is_current(&dag, &copy);
+        dag.assert_invariants();
+    }
+
+    #[test]
+    fn a_published_copy_declines_updates_and_has_no_control_fib() {
+        let mut dag = PrefixDag::from_trie(&fig1_trie(), 4);
+        let copy = dag.publish_copy(None);
+        assert!(copy.is_published_copy() && !dag.is_published_copy());
+        assert_equivalent(dag.control(), &copy, 500);
+        let refuses = |f: fn(PrefixDag<u32>)| {
+            let copy = copy.data_plane();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(copy))).is_err()
+        };
+        assert!(refuses(|mut c| {
+            c.insert(p("10.0.0.0/8"), nh(1));
+        }));
+        assert!(refuses(|mut c| {
+            c.remove(p("0.0.0.0/1"));
+        }));
+        assert!(refuses(|c| {
+            let _ = c.control();
+        }));
+        // A clone of a working engine is a working engine of its own
+        // lineage; the copies of one are no use to the other.
+        let mut twin = dag.clone();
+        twin.insert(p("10.0.0.0/8"), nh(1));
+        twin.assert_invariants();
+        assert_eq!(dag.lookup(0x0A00_0001), Some(nh(3)));
+        let theirs = twin.publish_copy(None);
+        assert_eq!(theirs.lookup(0x0A00_0001), Some(nh(1)));
+        let ours = dag.publish_copy(Some(theirs));
+        assert_eq!(dag.last_copy_writes(), None);
+        assert_eq!(ours.lookup(0x0A00_0001), Some(nh(3)));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! epoch-snapshotted data-plane engines, with optional FIB-image
 //! persistence and warm restart.
 
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,10 +69,21 @@ impl<E> std::fmt::Debug for SnapEngine<E> {
     }
 }
 
+/// Published snapshots the router keeps its own [`Arc`] on: the current
+/// one, the one the [`SnapCell`] may still hold retired, and the one a
+/// publish may reuse.
+const KEPT_SNAPSHOTS: usize = 3;
+
 /// An immutable data-plane image: the engine state the router published at
 /// one epoch. Handed out as an [`Arc`], so packet-path readers keep a
 /// consistent view for as long as they hold it while the control plane
 /// swaps newer epochs in behind them.
+///
+/// A published engine is a *lookup structure*: it answers every read-only
+/// method as the router's working engine did when the epoch was cut, and
+/// nothing more — the control FIB lives in the router
+/// ([`Router::control`]), and an engine that publishes only its data-plane
+/// half ([`fib_core::PrefixDag`]) declines updates here.
 #[derive(Debug)]
 pub struct EpochSnapshot<E> {
     epoch: u64,
@@ -96,9 +108,12 @@ impl<E> EpochSnapshot<E> {
         self.routes
     }
 
-    /// The underlying owned engine, or `None` when this snapshot serves
-    /// straight from a loaded FIB image (a warm-restarted router before
-    /// its first publish).
+    /// The engine this epoch serves from — what
+    /// [`FibUpdate::publish_copy`] made of the working engine: a lookup
+    /// structure, not something to update (epoch 0 alone is a full clone
+    /// of the engine [`Router::new`] built). `None` when this snapshot
+    /// serves straight from a loaded FIB image (a warm-restarted router
+    /// before its first publish).
     #[must_use]
     pub fn engine(&self) -> Option<&E> {
         match &self.engine {
@@ -293,6 +308,13 @@ pub struct RouterStats {
     pub replayed: u64,
     /// Epoch images spilled to the spool directory.
     pub spills: u64,
+    /// Publishes [`FibUpdate::publish_copy`] wrote into a snapshot an
+    /// earlier publish had cut and every reader had let go of, instead
+    /// of allocating a copy.
+    pub recycled: u64,
+    /// Node records those publishes wrote, in total
+    /// ([`FibUpdate::last_copy_writes`]).
+    pub copied_nodes: u64,
 }
 
 /// One journaled control-plane change awaiting replay onto a rebuilt
@@ -437,6 +459,11 @@ pub struct Router<A: Address, E: Send + Sync + 'static> {
     journal: Vec<JournalOp<A>>,
     rebuild: Option<RebuildJob<E>>,
     published: SnapCell<EpochSnapshot<E>>,
+    /// The last [`KEPT_SNAPSHOTS`] snapshots published, oldest first. The
+    /// router's reference keeps a retired snapshot from dying on whichever
+    /// forwarding thread lets go of it last, and hands the oldest to the
+    /// next publish if no reader still pins it.
+    kept: VecDeque<Arc<EpochSnapshot<E>>>,
     epoch: u64,
     since_publish: usize,
     stats: RouterStats,
@@ -476,6 +503,7 @@ where
             stale: false,
             journal: Vec::new(),
             rebuild: None,
+            kept: VecDeque::from([Arc::clone(&snapshot)]),
             published: SnapCell::new(snapshot),
             epoch: 0,
             since_publish: 0,
@@ -703,6 +731,7 @@ where
             stale: replayed > 0,
             journal: Vec::new(),
             rebuild: None,
+            kept: VecDeque::from([Arc::clone(&snapshot)]),
             published: SnapCell::new(snapshot),
             epoch,
             since_publish: usize::try_from(replayed).unwrap_or(usize::MAX),
@@ -1193,6 +1222,17 @@ where
     /// loses none of them. The epoch is spilled as a full image only when
     /// the journal has outgrown [`SpoolConfig::journal_fold_bytes`].
     ///
+    /// The snapshot's engine is [`FibUpdate::publish_copy`] of the working
+    /// engine — a lookup structure, answering as the working engine does
+    /// at this call; the control FIB stays here ([`Self::control`]). The
+    /// router keeps a reference to the last three snapshots it published,
+    /// so a retired one is reclaimed on this thread, not on the forwarding
+    /// thread that lets go of it last, and offers the oldest back to the
+    /// hook when no reader pins it any more: the prefix DAG then writes
+    /// only the nodes that changed since ([`RouterStats::recycled`],
+    /// [`RouterStats::copied_nodes`]). A pinned snapshot is never written
+    /// or waited for; that publish copies afresh.
+    ///
     /// If the working engine went stale (static engine under churn) or is
     /// absent (warm restart), it is (re)built first — preferring a
     /// finished background rebuild plus journal replay over a build on
@@ -1265,9 +1305,26 @@ where
         (snapshot, summary, stats)
     }
 
+    /// Makes room in [`Self::kept`] for the snapshot about to be cut and
+    /// returns the engine of the one that falls out, if the router held
+    /// the last reference to it. A reader that still pins that snapshot
+    /// simply keeps it: nobody waits, and the publish copies afresh.
+    fn retire_oldest(&mut self) -> Option<E> {
+        if self.kept.len() < KEPT_SNAPSHOTS {
+            return None;
+        }
+        match Arc::try_unwrap(self.kept.pop_front()?).ok()?.engine {
+            SnapEngine::Owned(engine) => Some(engine),
+            SnapEngine::Image(_) => None,
+        }
+    }
+
     /// The shared publish path: [`Self::publish`] attaches no slab; a
     /// hot publish always cuts a fresh epoch (its slab is new state even
     /// when no route changed), a plain one reuses an unchanged snapshot.
+    /// The epoch's engine comes from the one [`FibUpdate::publish_copy`]
+    /// call below, handed the oldest kept snapshot's engine when the
+    /// router was its last holder.
     fn publish_with(&mut self, hot: Option<HotSlab>) -> Arc<EpochSnapshot<E>> {
         if self.rebuild.is_some() {
             // Harvest if done; block only if the working engine is stale
@@ -1275,7 +1332,7 @@ where
             self.finish_rebuild(self.stale);
         }
         // No-op publish: nothing changed since the last epoch, so reuse
-        // the published snapshot instead of cloning the engine again. A
+        // the published snapshot instead of copying the engine again. A
         // freshly warm-restarted router with no pending journal lands
         // here, so its snapshot keeps serving the image and its owned
         // engine stays unbuilt.
@@ -1298,8 +1355,15 @@ where
         self.epoch += 1;
         self.since_publish = 0;
         self.stats.epochs += 1;
-        let engine = SnapEngine::Owned(self.working.as_ref().expect("materialized").clone());
+        let recycled = self.retire_oldest();
+        let working = self.working.as_mut().expect("materialized");
+        let engine = SnapEngine::Owned(working.publish_copy(recycled));
+        if let Some(writes) = working.last_copy_writes() {
+            self.stats.recycled += 1;
+            self.stats.copied_nodes += writes as u64;
+        }
         let snapshot = EpochSnapshot::cut(self.epoch, self.control.len(), engine, hot);
+        self.kept.push_back(Arc::clone(&snapshot));
         self.published.publish(Arc::clone(&snapshot));
         // Durability: fold an outgrown journal into a full image of this
         // epoch (which also syncs and resets it), else just commit it.

@@ -2,14 +2,20 @@
 //! trie absorb the same BGP-style update feed; every published epoch
 //! snapshot must agree with the oracle on a fixed lookup trace, including
 //! the epochs cut while a degradation-triggered background rebuild was in
-//! flight and the first epoch after its journal replay.
+//! flight and the first epoch after its journal replay. Every published
+//! pDAG is also what the router's working engine is — a published copy,
+//! freshly allocated or a recycled snapshot rewritten where it changed,
+//! packs to the words a reference engine fed the same updates packs to.
 
-use fib_core::{BuildConfig, PrefixDag, SerializedDag};
-use fib_router::{Router, RouterConfig, SpoolConfig, StdFs};
-use fib_trie::BinaryTrie;
+use fib_core::{BuildConfig, HotConfig, PrefixDag, SerializedDag};
+use fib_router::{EpochSnapshot, Router, RouterConfig, SpoolConfig, StdFs};
+use fib_trie::{Address, BinaryTrie};
 use fib_workload::rng::Xoshiro256;
 use fib_workload::updates::{bgp_sequence, UpdateOp};
+use fib_workload::HeatMap;
 use fib_workload::{traces, FibSpec};
+
+use std::sync::Arc;
 
 fn rng(seed: u64) -> Xoshiro256 {
     Xoshiro256::seed_from_u64(seed)
@@ -34,23 +40,59 @@ fn assert_snapshot_matches_oracle<E>(
     }
 }
 
-#[test]
-fn pdag_router_tracks_oracle_through_bgp_churn_and_rebuild() {
+/// The published engine against `reference`, a working engine that
+/// absorbed the same updates in place and was never copied, compacted or
+/// recycled: the packed image (words and root — what a spill writes and a
+/// reader of the image walks) and the §4.2 model size.
+fn assert_published_is_the_working_engine<A: Address>(
+    snapshot: &EpochSnapshot<PrefixDag<A>>,
+    reference: &PrefixDag<A>,
+) {
+    let published = snapshot.engine().expect("an owned engine");
+    let epoch = snapshot.epoch();
+    assert!(epoch == 0 || published.is_published_copy());
+    assert_eq!(
+        published.write_packed(),
+        reference.write_packed(),
+        "epoch {epoch}: packed image"
+    );
+    assert_eq!(
+        published.model_size_bits(),
+        reference.model_size_bits(),
+        "epoch {epoch}: model size"
+    );
+    assert_eq!(published.len(), reference.len(), "epoch {epoch}: routes");
+}
+
+/// The 12k-update BGP stream through a `Router<PrefixDag>` at `lambda`,
+/// published every `burst` updates — across the background compactions
+/// `degradation_threshold` forces (a new arena: no snapshot cut before it
+/// can be synced afterwards), arena growth and free-list reuse — with a
+/// publish that has nothing to publish and two hot publishes on the way.
+/// Returns the router and whether a background rebuild was seen in flight.
+fn pdag_churn_differential(
+    lambda: u8,
+    degradation_threshold: f64,
+    burst: usize,
+) -> (Router<u32, PrefixDag<u32>>, bool) {
     let base: BinaryTrie<u32> = FibSpec::dfz_like(15_000).generate(&mut rng(1));
     let updates = bgp_sequence(&mut rng(2), &base, 12_000);
     let trace = traces::uniform::<u32, _>(&mut rng(3), 1_500);
 
     let config = RouterConfig {
-        build: BuildConfig::with_lambda(11),
+        build: BuildConfig::with_lambda(lambda),
         publish_every: None, // published explicitly every batch below
-        // Low threshold so the BGP feed provably crosses it mid-test.
-        degradation_threshold: 0.002,
+        degradation_threshold,
         background_rebuild: true,
     };
     let mut router: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
+    let mut reference = PrefixDag::from_trie(&base, lambda);
     let mut oracle = base;
+    // A reader that moves on at every epoch, so snapshots come back.
+    let mut plane = router.data_plane();
 
     assert_snapshot_matches_oracle(&router.snapshot(), &oracle, &trace);
+    assert_published_is_the_working_engine(&router.snapshot(), &reference);
 
     let mut saw_rebuild_in_flight = false;
     let mut epochs_checked = 0usize;
@@ -58,30 +100,60 @@ fn pdag_router_tracks_oracle_through_bgp_churn_and_rebuild() {
         match *op {
             UpdateOp::Announce(p, nh) => {
                 oracle.insert(p, nh);
+                reference.insert(p, nh);
                 router.announce(p, nh);
             }
             UpdateOp::Withdraw(p) => {
                 oracle.remove(p);
+                reference.remove(p);
                 router.withdraw(p);
             }
         }
         saw_rebuild_in_flight |= router.rebuild_in_flight();
-        // Publish (and differentially check) every 500 updates — some of
-        // these epochs are cut while the background re-fold is running.
-        if (i + 1) % 500 == 0 {
+        // Publish (and differentially check) every burst — some of these
+        // epochs are cut while the background re-fold is running.
+        if (i + 1) % burst == 0 {
             let snapshot = router.publish();
             assert_snapshot_matches_oracle(&snapshot, &oracle, &trace);
+            assert_published_is_the_working_engine(&snapshot, &reference);
             epochs_checked += 1;
+            match epochs_checked {
+                // Nothing to publish: the same snapshot, and the next
+                // publish still finds its buffers where it left them.
+                7 => assert!(Arc::ptr_eq(&router.publish(), &snapshot)),
+                // A hot publish cuts an epoch with no route changed: a
+                // recycled snapshot has only older epochs to catch up on.
+                // (No traffic sampled, so λ stays where the test put it.)
+                9 | 15 => {
+                    let hot = router
+                        .publish_hot(&HeatMap::new(1, 24, 64), &HotConfig::for_width(32))
+                        .0;
+                    assert_eq!(hot.epoch(), snapshot.epoch() + 1);
+                    assert_snapshot_matches_oracle(&hot, &oracle, &trace);
+                    assert_published_is_the_working_engine(&hot, &reference);
+                }
+                _ => {}
+            }
+            assert_eq!(plane.current().epoch(), router.epoch());
         }
     }
     // Drain any still-running rebuild and verify its journal replay.
     router.finish_rebuild(true);
     let last = router.publish();
     assert_snapshot_matches_oracle(&last, &oracle, &trace);
+    assert_published_is_the_working_engine(&last, &reference);
+    assert_eq!(epochs_checked, 12_000 / burst);
+    (router, saw_rebuild_in_flight)
+}
 
+#[test]
+fn pdag_router_tracks_oracle_through_bgp_churn_and_rebuild() {
+    // Low threshold so the BGP feed provably crosses it mid-test — here,
+    // between any two publishes, so every snapshot that comes back is of
+    // an arena the working engine has left behind.
+    let (router, saw_rebuild_in_flight) = pdag_churn_differential(11, 0.002, 500);
     let stats = router.stats();
     assert_eq!(stats.updates, 12_000);
-    assert!(epochs_checked >= 24);
     assert!(
         saw_rebuild_in_flight,
         "the degradation policy never started a background rebuild"
@@ -95,6 +167,28 @@ fn pdag_router_tracks_oracle_through_bgp_churn_and_rebuild() {
         "pDAG must absorb every update in place: {stats:?}"
     );
     assert_eq!(stats.in_place, stats.updates);
+    // 24 stream publishes and two hot ones; the last had nothing left.
+    assert_eq!(stats.epochs, 1 + 26);
+}
+
+/// The same stream with compactions rare enough that most publishes find
+/// a snapshot of their own arena to write into, at the default barrier and
+/// the ones that bracket it: everything folded (λ = 0: the root itself is
+/// a folded node), the root array covering the whole top tree (λ = 8), and
+/// nothing folded (λ = 32: a plain trie, which never compacts).
+#[test]
+fn published_copies_are_the_working_engine_at_every_barrier() {
+    for lambda in [0, 8, 11, 32] {
+        let (router, _) = pdag_churn_differential(lambda, 0.05, 500);
+        let stats = router.stats();
+        assert_eq!((stats.updates, stats.declined), (12_000, 0), "λ = {lambda}");
+        // 26 publishes: the first three have nothing to write into, nor
+        // have the three after each compaction.
+        assert!(
+            stats.recycled > 0 && stats.recycled + 3 + 3 * stats.rebuilds >= 26,
+            "λ = {lambda}: {stats:?}"
+        );
+    }
 }
 
 #[test]
@@ -336,9 +430,17 @@ fn warm_restart_skips_corrupt_images() {
 }
 
 /// IPv6 churn: the router tracks the oracle through a u128 update feed —
-/// the satellite coverage the IPv4-only suite was missing.
+/// the satellite coverage the IPv4-only suite was missing — and what it
+/// publishes is its working engine, at the IPv4 default barrier and at
+/// one past the root array's reach.
 #[test]
 fn ipv6_router_tracks_oracle_through_churn() {
+    for lambda in [11, 16] {
+        ipv6_churn_differential(lambda);
+    }
+}
+
+fn ipv6_churn_differential(lambda: u8) {
     let mut base: BinaryTrie<u128> = BinaryTrie::new();
     base.insert(
         "::/0".parse::<fib_trie::Prefix6>().unwrap(),
@@ -356,26 +458,30 @@ fn ipv6_router_tracks_oracle_through_churn() {
     let trace = traces::uniform::<u128, _>(&mut rng(42), 800);
 
     let config = RouterConfig {
-        build: BuildConfig::with_lambda(16),
+        build: BuildConfig::with_lambda(lambda),
         publish_every: None,
         degradation_threshold: 0.05,
         background_rebuild: true,
     };
     let mut router: Router<u128, PrefixDag<u128>> = Router::new(base.clone(), config);
+    let mut reference = PrefixDag::from_trie(&base, lambda);
     let mut oracle = base;
     for (i, op) in updates.iter().enumerate() {
         match *op {
             UpdateOp::Announce(p, nh) => {
                 oracle.insert(p, nh);
+                reference.insert(p, nh);
                 router.announce(p, nh);
             }
             UpdateOp::Withdraw(p) => {
                 oracle.remove(p);
+                reference.remove(p);
                 router.withdraw(p);
             }
         }
-        if (i + 1) % 500 == 0 {
+        if (i + 1) % 250 == 0 {
             let snapshot = router.publish();
+            assert_published_is_the_working_engine(&snapshot, &reference);
             let mut out = vec![None; trace.len()];
             snapshot.lookup_batch(&trace, &mut out);
             for (&addr, &got) in trace.iter().zip(&out) {
@@ -385,8 +491,11 @@ fn ipv6_router_tracks_oracle_through_churn() {
     }
     router.finish_rebuild(true);
     let last = router.publish();
+    assert_published_is_the_working_engine(&last, &reference);
     for &addr in &trace {
         assert_eq!(last.lookup(addr), oracle.lookup(addr), "{addr:#034x}");
     }
-    assert_eq!(router.stats().updates, 3_000);
+    let stats = router.stats();
+    assert_eq!(stats.updates, 3_000);
+    assert!(stats.recycled > 0, "λ = {lambda}: {stats:?}");
 }

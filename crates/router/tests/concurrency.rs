@@ -8,7 +8,9 @@
 //!   epoch after a newer one;
 //! * **oracle agreement** — every lookup a reader performs matches the
 //!   control-plane oracle *as of the epoch the reader was served*, so a
-//!   snapshot can never mix routes from two epochs.
+//!   snapshot can never mix routes from two epochs;
+//! * **recycling writes nothing a reader can reach** — a snapshot some
+//!   reader still pins is never the one a publish rewrites.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -151,6 +153,77 @@ fn forwarding_threads_never_observe_torn_snapshots_under_churn() {
         total_checked += checked;
     }
     assert!(total_checked > 1_000, "suspiciously little verification");
+}
+
+/// One reader stops refreshing and sits on its snapshot while the router
+/// publishes ten more epochs beside a second reader that keeps up. The
+/// router recycles the snapshots that came back — and skips the pinned
+/// one, which answers for its own epoch to the end.
+#[test]
+fn a_pinned_snapshot_is_never_recycled_under_its_reader() {
+    const PINNED: u64 = 2;
+    const PUBLISHES: u64 = 12;
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(8_000).generate(&mut rng(11));
+    let updates = bgp_sequence(&mut rng(12), &base, PUBLISHES as usize * 50);
+    let config = RouterConfig {
+        build: BuildConfig::with_lambda(11),
+        publish_every: None,
+        ..RouterConfig::default()
+    };
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
+    let mut pinning = router.data_plane();
+    let mut refreshing = router.data_plane();
+    let mut oracle = base;
+    let mut pinned = None;
+    for burst in updates.chunks(50) {
+        for op in burst {
+            match *op {
+                UpdateOp::Announce(p, nh) => {
+                    oracle.insert(p, nh);
+                    router.announce(p, nh);
+                }
+                UpdateOp::Withdraw(p) => {
+                    oracle.remove(p);
+                    router.withdraw(p);
+                }
+            }
+        }
+        router.publish();
+        assert_eq!(refreshing.current().epoch(), router.epoch());
+        if router.epoch() == PINNED {
+            // Its last refresh: from here on it reads what it holds.
+            pinned = Some((Arc::clone(pinning.current()), oracle.clone()));
+        }
+    }
+    assert_eq!(router.epoch(), PUBLISHES);
+    let stats = router.stats();
+    assert_eq!(stats.rebuilds, 0, "one arena throughout: {stats:?}");
+    // Publishes 1 and 2 had nothing to take back and 3 was offered epoch
+    // 0's full clone; of the nine after, the one that would have taken the
+    // pinned epoch back copied afresh instead.
+    assert_eq!(stats.recycled, PUBLISHES - 3 - 1, "{stats:?}");
+
+    let (snapshot, oracle_then) = pinned.expect("the pinned epoch was published");
+    assert_eq!(snapshot.epoch(), PINNED);
+    const { assert!(PUBLISHES - PINNED >= 8) };
+    let mut r = rng(13);
+    let mut differs = 0;
+    for _ in 0..4_096 {
+        // Half the probes where the later epochs changed something.
+        let addr = match updates[r.random::<u32>() as usize % updates.len()] {
+            UpdateOp::Announce(p, _) | UpdateOp::Withdraw(p) if r.random::<u32>() % 2 == 0 => {
+                p.addr()
+            }
+            _ => r.random::<u32>(),
+        };
+        assert_eq!(
+            snapshot.lookup(addr),
+            oracle_then.lookup(addr),
+            "the pinned epoch changed under its reader at {addr:#010x}"
+        );
+        differs += u32::from(oracle_then.lookup(addr) != oracle.lookup(addr));
+    }
+    assert!(differs > 0, "the later epochs changed none of the probes");
 }
 
 #[test]

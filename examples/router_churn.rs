@@ -115,4 +115,12 @@ fn main() {
         stats.background_rebuilds,
         stats.replayed,
     );
+    // A publish writes the nodes that changed into a snapshot every
+    // reader has left, unless a compaction installed a new arena since.
+    println!(
+        "recycled {} of {} publishes, {} nodes copied",
+        stats.recycled,
+        stats.epochs - 1,
+        stats.copied_nodes,
+    );
 }

@@ -46,7 +46,7 @@ fn main() {
         base,
         RouterConfig {
             build: BuildConfig::with_lambda(11),
-            publish_every: Some(256), // each publish is one journal sync
+            publish_every: Some(64), // each publish is one journal sync
             degradation_threshold: 0.25,
             background_rebuild: false,
         },
@@ -142,5 +142,19 @@ fn main() {
         trace.len()
     );
     assert_eq!(diverged, 0, "recovered FIB must answer like the original");
+
+    // No publish copied the engine once snapshots started coming back:
+    // nothing here pins one and nothing compacts, so every publish after
+    // the first three wrote only the nodes its updates had moved.
+    let stats = router.stats();
+    let publishes = stats.epochs - 1;
+    println!(
+        "recycled {} of {publishes} publishes, {} nodes copied",
+        stats.recycled, stats.copied_nodes
+    );
+    assert!(
+        stats.recycled * 10 >= publishes * 9,
+        "publishes stopped recycling snapshots"
+    );
     println!("OK — spool left at {dir} for `fibc spool-status {dir}`");
 }
