@@ -69,8 +69,6 @@ fn update_benches() {
     let router_config = RouterConfig {
         build: BuildConfig::with_lambda(11),
         publish_every: None,
-        degradation_threshold: 0.25,
-        background_rebuild: false,
     };
     let group = BenchGroup::new("router_churn").sample_size(10);
     for (seq_name, seq) in [("random", &rand_seq), ("bgp", &bgp_seq)] {

@@ -110,10 +110,6 @@ fn router_config() -> RouterConfig {
     RouterConfig {
         build: BuildConfig::default(),
         publish_every: Some(PUBLISH_EVERY),
-        degradation_threshold: 0.25,
-        // Background threads would make op interleavings scheduler-
-        // dependent; the sweep needs every run bit-identical.
-        background_rebuild: false,
     }
 }
 

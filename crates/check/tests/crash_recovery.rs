@@ -261,7 +261,6 @@ fn suspended_spool_resumes_to_healthy_after_operator_clears_fault() {
         script.base.clone(),
         RouterConfig {
             publish_every: Some(20),
-            background_rebuild: false,
             ..RouterConfig::default()
         },
     );

@@ -281,8 +281,9 @@ pub trait FibUpdate<A: Address> {
     }
 
     /// How far the structure has degraded from its freshly built form, in
-    /// `[0, 1]`. A router compares this against its rebuild threshold;
-    /// engines without a meaningful metric report 0.
+    /// `[0, 1]`. A router checks it after every update and compacts —
+    /// rebuilds the engine from its control FIB, on the control thread —
+    /// once it passes 0.25; engines without a meaningful metric report 0.
     fn degradation(&self) -> f64 {
         0.0
     }

@@ -8,15 +8,15 @@
 //! split explicit; the prefix-DAG memory-bound follow-up assumes the
 //! snapshot lifecycle outright). This crate is that seam:
 //!
-//! * [`Router`] — control plane (oracle [`fib_trie::BinaryTrie`] + update
-//!   journal) and data plane ([`EpochSnapshot`]s published through a
-//!   wait-free [`SnapCell`]) over any engine implementing the `fib-core`
-//!   trait family. Engines with in-place updates
-//!   ([`fib_core::FibUpdate`]) absorb churn directly; static images are
-//!   rebuilt from the oracle at publish time. A degradation policy (pDAG
-//!   arena fragmentation from λ-barrier refolds) triggers compacting
-//!   rebuilds, on a background thread when configured, with the journal
-//!   replayed onto the fresh engine before it goes live.
+//! * [`Router`] — control plane (oracle [`fib_trie::BinaryTrie`], plus
+//!   an on-disk update journal when a spool is armed) and data plane
+//!   ([`EpochSnapshot`]s published through a wait-free [`SnapCell`]) over
+//!   any engine implementing the `fib-core` trait family. Engines with
+//!   in-place updates ([`fib_core::FibUpdate`]) absorb churn directly;
+//!   static images are rebuilt from the oracle at publish time. A
+//!   degradation policy (pDAG arena fragmentation from λ-barrier
+//!   refolds) compacts the engine in line when it crosses 0.25 — which
+//!   BGP churn rarely does. Every rebuild runs on the control thread.
 //! * [`SnapCell`] — home-grown single-writer snapshot publication:
 //!   `AtomicPtr` + generation counter + hazard-slot deferred
 //!   reclamation. The reader fast path is one atomic load; no reader
@@ -31,7 +31,8 @@
 //!   per-VRF oracles compiled into one cross-table-deduped
 //!   [`fib_core::CompiledVrfSet`], published atomically with per-VRF
 //!   epochs, plus [`VrfDataPlane`] with a VRF-bucketed, allocation-free
-//!   mixed batch path and staleness-checked background rebuilds.
+//!   mixed batch path. A publish recompiles only the tables that
+//!   changed, on the control thread.
 //!
 //! ```
 //! use fib_core::PrefixDag;
@@ -78,7 +79,4 @@ pub use runtime::{
 };
 pub use snapcell::{SnapCell, SnapReader};
 pub use spoolfs::{FaultConfig, FaultFs, SpoolFile, SpoolFs, StdFs, TailPolicy};
-pub use vrf::{
-    VrfBatchScratch, VrfDataPlane, VrfInstallError, VrfRebuild, VrfRebuildJob, VrfRouterStats,
-    VrfSetRouter, VrfSnapshot,
-};
+pub use vrf::{VrfBatchScratch, VrfDataPlane, VrfRouterStats, VrfSetRouter, VrfSnapshot};

@@ -28,6 +28,11 @@
 //! every instant the newest durable image plus a journal that applies on
 //! top of it exist on disk.
 //!
+//! On a real filesystem every `create` and `rename` also syncs the
+//! directory it lands in before it returns ([`crate::StdFs`]), so a renamed
+//! image, a rewritten journal or a freshly created one cannot vanish from
+//! the namespace in a power cut after its bytes were synced.
+//!
 //! A warm restart that finds a torn or bit-flipped journal tail rewrites
 //! the journal to its valid prefix (temp file → `fsync` → rename, again)
 //! before it accepts appends: a record appended behind the damage would

@@ -5,11 +5,10 @@
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use crate::lifecycle::{
     encode_record, image_path, journal_path, parse_image_name, quarantine_image, read_journal,
-    JournalRecord, Spool, SpoolConfig, SpoolHealth, JOURNAL_RECORD,
+    JournalRecord, Spool, SpoolConfig, SpoolHealth,
 };
 use crate::snapcell::{SnapCell, SnapReader};
 use crate::spoolfs::{SpoolFs, StdFs};
@@ -32,13 +31,6 @@ pub struct RouterConfig {
     /// Auto-publish a new epoch snapshot after this many updates
     /// (`None` = only on explicit [`Router::publish`] calls).
     pub publish_every: Option<usize>,
-    /// When the working engine's [`FibUpdate::degradation`] exceeds this,
-    /// the router schedules a compacting rebuild. pDAG degradation is
-    /// arena fragmentation from λ-barrier refolds.
-    pub degradation_threshold: f64,
-    /// Run scheduled rebuilds on a background thread (the control CPU of
-    /// the paper's software router) instead of inline.
-    pub background_rebuild: bool,
 }
 
 impl Default for RouterConfig {
@@ -46,11 +38,19 @@ impl Default for RouterConfig {
         Self {
             build: BuildConfig::default(),
             publish_every: Some(1024),
-            degradation_threshold: 0.25,
-            background_rebuild: true,
         }
     }
 }
+
+/// When the working engine's [`FibUpdate::degradation`] exceeds this, the
+/// update that pushed it there compacts the engine in line
+/// ([`Router::start_rebuild`]). pDAG degradation is arena fragmentation
+/// from λ-barrier refolds, and BGP churn rarely gets here: on the
+/// benchmark's stream (`bgp_sequence` over taz, table seed `0xF1B`) it
+/// peaks at 0.024 over 2 M updates at taz 1.0 and 0.18 at taz 0.1; only
+/// taz 0.02 crossed it (0.27 after 200 k updates), where the re-fold costs
+/// 0.4 ms — 18 ms at taz 1.0.
+const DEGRADATION_THRESHOLD: f64 = 0.25;
 
 /// What a published snapshot serves from: an owned engine (the normal
 /// path) or a loaded FIB image whose zero-copy view answers lookups (the
@@ -294,17 +294,17 @@ pub struct RouterStats {
     /// Epoch snapshots published.
     pub epochs: u64,
     /// Engine rebuilds from the control FIB installed as the working
-    /// engine (inline and background), however they were compiled.
+    /// engine, all on the control thread — at a publish that found the
+    /// working engine stale or absent, or a compaction
+    /// ([`Router::start_rebuild`]) — however they were compiled.
     pub rebuilds: u64,
     /// The rebuilds among [`Self::rebuilds`] that
     /// [`FibBuild::rebuild_from`] served from the previous engine;
     /// `rebuilds − warm_rebuilds` were cold [`FibBuild::build_weighted`]
     /// compiles.
     pub warm_rebuilds: u64,
-    /// Rebuilds that ran on a background thread.
-    pub background_rebuilds: u64,
-    /// Journal entries replayed onto freshly rebuilt engines (or, after a
-    /// warm restart, onto the restored control FIB).
+    /// Spool journal records a warm restart replayed onto the restored
+    /// control FIB.
     pub replayed: u64,
     /// Epoch images spilled to the spool directory.
     pub spills: u64,
@@ -315,36 +315,6 @@ pub struct RouterStats {
     /// Node records those publishes wrote, in total
     /// ([`FibUpdate::last_copy_writes`]).
     pub copied_nodes: u64,
-}
-
-/// One journaled control-plane change awaiting replay onto a rebuilt
-/// engine.
-#[derive(Clone, Copy, Debug)]
-enum JournalOp<A: Address> {
-    Announce(Prefix<A>, NextHop),
-    Withdraw(Prefix<A>),
-}
-
-struct RebuildJob<E> {
-    /// The rebuilt engine, and whether it came from the previous one.
-    handle: JoinHandle<(E, bool)>,
-}
-
-/// One engine build from the control FIB — the single compile call of the
-/// router: [`FibBuild::rebuild_from`] when a previous engine is at hand
-/// and takes the job, a cold [`FibBuild::build_weighted`] otherwise.
-/// Returns the engine and whether the previous one served it.
-fn build_engine<A: Address, E: FibBuild<A>>(
-    previous: Option<&E>,
-    control: &BinaryTrie<A>,
-    build: &BuildConfig,
-    heat: Option<&(Vec<(u64, u64)>, u8)>,
-) -> (E, bool) {
-    let heat = heat.map(|(entries, depth)| (entries.as_slice(), *depth));
-    match previous.and_then(|p| E::rebuild_from(p, control, build, heat)) {
-        Some(engine) => (engine, true),
-        None => (E::build_weighted(control, build, heat), false),
-    }
 }
 
 /// Why a warm restart could not come up.
@@ -382,15 +352,6 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "engine build panicked".to_string())
 }
 
-/// Encodes a journal op into its durable record form.
-fn record_of<A: Address>(op: &JournalOp<A>) -> [u8; JOURNAL_RECORD] {
-    let (tag, prefix, nh) = match op {
-        JournalOp::Announce(p, nh) => (b'A', p, nh.index()),
-        JournalOp::Withdraw(p) => (b'W', p, 0),
-    };
-    encode_record(tag, prefix.len(), nh, prefix.addr().to_u128())
-}
-
 /// A point-in-time health report: spool persistence state, rebuild-panic
 /// bookkeeping, and whether the data plane is serving a stale epoch.
 /// Forwarding never stops in any of these states — the report describes
@@ -404,8 +365,8 @@ pub struct RouterHealth {
     pub spool_recoveries: u64,
     /// Images this router moved to `spool/quarantine/` (restart + scrub).
     pub quarantined: u64,
-    /// Engine builds (inline or background) that panicked and were
-    /// contained instead of propagating.
+    /// Engine builds that panicked and were contained instead of
+    /// unwinding into the caller.
     pub rebuild_panics: u64,
     /// Message of the most recent contained build panic.
     pub last_rebuild_panic: Option<String>,
@@ -416,19 +377,19 @@ pub struct RouterHealth {
 }
 
 /// A software router split along the paper's §5 architecture: a slow
-/// control plane owning the oracle [`BinaryTrie`] plus an update journal,
-/// and a fast data plane serving immutable, `Arc`-swapped epoch snapshots
-/// of a compressed engine.
+/// control plane owning the oracle [`BinaryTrie`], and a fast data plane
+/// serving immutable, `Arc`-swapped epoch snapshots of a compressed
+/// engine.
 ///
 /// Updates flow control-first: every change lands in the control FIB, then
 /// the router tries the engine's in-place path ([`FibUpdate`]). Engines
 /// with λ-barrier updates (the prefix DAG) absorb them directly; static
 /// images decline and are rebuilt from the control FIB at the next
-/// [`publish`](Self::publish). When in-place churn degrades the working
-/// engine past [`RouterConfig::degradation_threshold`], a compacting
-/// rebuild is scheduled — on a background thread when configured — and the
-/// journal bridges the gap: operations accepted while the rebuild runs are
-/// replayed onto the new engine before it is published.
+/// [`publish`](Self::publish). Every rebuild runs on the control thread,
+/// through one call: at a publish that finds the working engine stale, or
+/// at [`Self::start_rebuild`], which the update that pushes the working
+/// engine's [`FibUpdate::degradation`] past 0.25 makes itself — a
+/// compaction BGP churn rarely asks for (see `start_rebuild`).
 ///
 /// With a spool enabled ([`Self::enable_spool`]), every accepted update is
 /// written to an on-disk journal, every [`publish`](Self::publish) makes
@@ -455,9 +416,6 @@ pub struct Router<A: Address, E: Send + Sync + 'static> {
     /// The working engine no longer reflects `control` (static engine
     /// declined an update); it must be rebuilt before the next publish.
     stale: bool,
-    /// Ops applied to `control` since the in-flight rebuild started.
-    journal: Vec<JournalOp<A>>,
-    rebuild: Option<RebuildJob<E>>,
     published: SnapCell<EpochSnapshot<E>>,
     /// The last [`KEPT_SNAPSHOTS`] snapshots published, oldest first. The
     /// router's reference keeps a retired snapshot from dying on whichever
@@ -468,12 +426,12 @@ pub struct Router<A: Address, E: Send + Sync + 'static> {
     since_publish: usize,
     stats: RouterStats,
     spool: Option<Spool>,
-    /// Contained engine-build panics (inline and background).
+    /// Contained engine-build panics.
     rebuild_panics: u64,
     last_rebuild_panic: Option<String>,
-    /// Set after a build panic: no new rebuilds are scheduled until a
-    /// build succeeds again (prevents a panic storm on a poisoned
-    /// control state).
+    /// Set after a build panic: the degradation check compacts nothing
+    /// until a build succeeds again (prevents a panic storm on a
+    /// poisoned control state).
     rebuild_suspended: bool,
     /// The published snapshot lags the control FIB because materializing
     /// a fresh engine panicked at the last publish.
@@ -501,8 +459,6 @@ where
             control,
             working: Some(working),
             stale: false,
-            journal: Vec::new(),
-            rebuild: None,
             kept: VecDeque::from([Arc::clone(&snapshot)]),
             published: SnapCell::new(snapshot),
             epoch: 0,
@@ -520,21 +476,29 @@ where
         }
     }
 
-    /// Builds an engine from the control FIB as it stands — from the
-    /// working engine it replaces when that engine can
-    /// ([`build_engine`]) — and installs it as the working engine.
-    /// Returns whether one was installed: a panicking build is contained
-    /// — recorded through [`Self::note_rebuild_panic`] instead of
-    /// unwinding into the control plane — and leaves the previous working
-    /// engine where it was.
+    /// Builds an engine from the control FIB as it stands and installs it
+    /// as the working engine — the router's one compile call:
+    /// [`FibBuild::rebuild_from`] the working engine it replaces when
+    /// that engine takes the job, a cold [`FibBuild::build_weighted`]
+    /// otherwise. Returns whether one was installed: a panicking build is
+    /// contained — recorded in [`Self::health`] instead of unwinding into
+    /// the control plane — and leaves the previous working engine where
+    /// it was.
     fn materialize(&mut self) -> bool {
+        let heat = self
+            .heat_profile
+            .as_ref()
+            .map(|(entries, depth)| (entries.as_slice(), *depth));
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            build_engine(
-                self.working.as_ref(),
-                &self.control,
-                &self.config.build,
-                self.heat_profile.as_ref(),
-            )
+            let (control, build) = (&self.control, &self.config.build);
+            match self
+                .working
+                .as_ref()
+                .and_then(|p| E::rebuild_from(p, control, build, heat))
+            {
+                Some(engine) => (engine, true),
+                None => (E::build_weighted(control, build, heat), false),
+            }
         }));
         match built {
             Ok((engine, warm)) => {
@@ -546,16 +510,12 @@ where
                 true
             }
             Err(p) => {
-                self.note_rebuild_panic(panic_message(&*p));
+                self.rebuild_panics += 1;
+                self.last_rebuild_panic = Some(panic_message(&*p));
+                self.rebuild_suspended = true;
                 false
             }
         }
-    }
-
-    fn note_rebuild_panic(&mut self, msg: String) {
-        self.rebuild_panics += 1;
-        self.last_rebuild_panic = Some(msg);
-        self.rebuild_suspended = true;
     }
 
     /// Rebuilds a router from the newest valid epoch image in `dir` plus
@@ -729,8 +689,6 @@ where
             control,
             working: None,
             stale: replayed > 0,
-            journal: Vec::new(),
-            rebuild: None,
             kept: VecDeque::from([Arc::clone(&snapshot)]),
             published: SnapCell::new(snapshot),
             epoch,
@@ -874,12 +832,13 @@ where
         moved
     }
 
-    /// Journals one accepted update, routing failures through the health
+    /// Journals one accepted update — an announce of `next_hop`, or a
+    /// withdraw when it is `None` — routing failures through the health
     /// machine: a healthy spool writes the record to the journal file —
     /// the next publish's [`Self::commit_spool`] makes it durable; a
     /// degraded spool whose backoff elapsed attempts a recovery re-spill
     /// instead; a suspended spool does nothing.
-    fn spool_append(&mut self, op: &JournalOp<A>) {
+    fn spool_append(&mut self, prefix: Prefix<A>, next_hop: Option<NextHop>) {
         let Some(spool) = self.spool.as_mut() else {
             return;
         };
@@ -887,7 +846,8 @@ where
             return;
         }
         if spool.health.is_healthy() {
-            let rec = record_of(op);
+            let (tag, nh) = next_hop.map_or((b'W', 0), |nh| (b'A', nh.index()));
+            let rec = encode_record(tag, prefix.len(), nh, prefix.addr().to_u128());
             let now = spool.fs.now();
             if let Err(e) = spool.append(&rec) {
                 let cfg = spool.cfg;
@@ -1000,12 +960,6 @@ where
         self.stats
     }
 
-    /// Whether a background rebuild is currently in flight.
-    #[must_use]
-    pub fn rebuild_in_flight(&self) -> bool {
-        self.rebuild.is_some()
-    }
-
     /// A reader handle for forwarding threads (lock-free snapshot reads).
     #[must_use]
     pub fn data_plane(&self) -> DataPlane<E> {
@@ -1039,11 +993,7 @@ where
     /// Announces (inserts or replaces) a route.
     pub fn announce(&mut self, prefix: Prefix<A>, next_hop: NextHop) {
         self.control.insert(prefix, next_hop);
-        let op = JournalOp::Announce(prefix, next_hop);
-        self.spool_append(&op);
-        if self.rebuild.is_some() {
-            self.journal.push(op);
-        }
+        self.spool_append(prefix, Some(next_hop));
         self.apply_to_working(|w| w.try_insert(prefix, next_hop).map(|_| ()));
         self.after_update();
     }
@@ -1051,11 +1001,7 @@ where
     /// Withdraws a route.
     pub fn withdraw(&mut self, prefix: Prefix<A>) {
         self.control.remove(prefix);
-        let op = JournalOp::Withdraw(prefix);
-        self.spool_append(&op);
-        if self.rebuild.is_some() {
-            self.journal.push(op);
-        }
+        self.spool_append(prefix, None);
         self.apply_to_working(|w| w.try_remove(prefix).map(|_| ()));
         self.after_update();
     }
@@ -1086,23 +1032,14 @@ where
     fn after_update(&mut self) {
         self.stats.updates += 1;
         self.since_publish += 1;
-        // Harvest a completed background rebuild eagerly (a cheap
-        // `is_finished` probe): the compacted engine replaces the working
-        // one right away and the journal stays bounded even for callers
-        // that stream updates and rarely publish.
-        if self.rebuild.is_some() {
-            self.finish_rebuild(false);
-        }
         // λ-barrier-aware maintenance: in-place updates are cheap, but
-        // refolds fragment the arena; past the threshold, schedule a
-        // compacting rebuild while the working engine keeps serving.
+        // refolds fragment the arena; past the threshold, compact.
         if !self.stale
             && !self.rebuild_suspended
-            && self.rebuild.is_none()
             && self
                 .working
                 .as_ref()
-                .is_some_and(|w| w.degradation() > self.config.degradation_threshold)
+                .is_some_and(|w| w.degradation() > DEGRADATION_THRESHOLD)
         {
             self.start_rebuild();
         }
@@ -1124,95 +1061,19 @@ where
         }
     }
 
-    /// Schedules a rebuild from the control FIB: on a background thread
-    /// when [`RouterConfig::background_rebuild`] is set (journaling
-    /// subsequent updates for replay), inline otherwise. Either way the
-    /// engine is offered the previous one first
-    /// ([`FibBuild::rebuild_from`]).
-    pub fn start_rebuild(&mut self) {
-        if self.rebuild.is_some() {
-            return;
-        }
-        if self.config.background_rebuild {
-            let control = self.control.clone();
-            let build = self.config.build;
-            let heat = self.heat_profile.clone();
-            // The engine of the last publish stands in for `working` as
-            // the previous engine: sharing the snapshot is a refcount
-            // bump, where a copy of `working` would be paid on this thread
-            // even by the engines that decline it.
-            let published = self.snapshot();
-            self.journal.clear();
-            self.rebuild = Some(RebuildJob {
-                handle: std::thread::spawn(move || {
-                    build_engine(published.engine(), &control, &build, heat.as_ref())
-                }),
-            });
-        } else {
-            // An inline compaction that panicked is contained: the old
-            // working engine keeps serving.
-            self.materialize();
-        }
-    }
-
-    /// Harvests a finished background rebuild, replaying the journal onto
-    /// the new engine. With `block`, waits for an unfinished one. Returns
-    /// whether a rebuilt engine was installed.
+    /// Compacts now: rebuilds the working engine from the control FIB on
+    /// this thread, offering it the previous one first
+    /// ([`FibBuild::rebuild_from`]). The update that pushes the working
+    /// engine's [`FibUpdate::degradation`] past 0.25 calls this itself —
+    /// BGP churn rarely does (see [`PrefixDag::fragmentation`] for the
+    /// measured peaks), and the re-fold is 18 ms at taz 1.0. A build that
+    /// panics is contained: it is recorded in [`Self::health`], the old
+    /// working engine keeps serving, and the degradation check compacts
+    /// nothing more until a build succeeds.
     ///
-    /// A rebuild thread that panicked is contained here: the panic is
-    /// recorded in [`Self::health`], further rebuilds are suspended until
-    /// a build succeeds, and the router keeps serving the last good
-    /// epoch — the panic never propagates into the control plane.
-    pub fn finish_rebuild(&mut self, block: bool) -> bool {
-        let finished = match &self.rebuild {
-            Some(job) => block || job.handle.is_finished(),
-            None => false,
-        };
-        if !finished {
-            return false;
-        }
-        let job = self.rebuild.take().expect("checked above");
-        let (mut fresh, warm) = match job.handle.join() {
-            Ok(built) => built,
-            Err(p) => {
-                self.note_rebuild_panic(panic_message(&*p));
-                self.journal.clear();
-                return false;
-            }
-        };
-        // Bring the rebuilt engine up to date with the control FIB.
-        let mut replayed = 0u64;
-        let mut replay_ok = true;
-        for op in &self.journal {
-            let applied = match *op {
-                JournalOp::Announce(p, nh) => fresh.try_insert(p, nh).is_ok(),
-                JournalOp::Withdraw(p) => fresh.try_remove(p).is_ok(),
-            };
-            if applied {
-                replayed += 1;
-            } else {
-                replay_ok = false;
-                break;
-            }
-        }
-        // Only an installed engine counts toward the rebuild stats; a
-        // background build whose replay failed is discarded.
-        let installed = if replay_ok {
-            self.working = Some(fresh);
-            self.stale = false;
-            self.rebuild_suspended = false;
-            self.stats.rebuilds += 1;
-            self.stats.warm_rebuilds += u64::from(warm);
-            self.stats.background_rebuilds += 1;
-            self.stats.replayed += replayed;
-            true
-        } else {
-            // A static engine cannot replay; fold the journal in by
-            // rebuilding from the (already up-to-date) control FIB.
-            self.materialize()
-        };
-        self.journal.clear();
-        installed
+    /// [`PrefixDag::fragmentation`]: fib_core::PrefixDag::fragmentation
+    pub fn start_rebuild(&mut self) {
+        self.materialize();
     }
 
     /// Cuts and publishes a new epoch snapshot reflecting the control FIB
@@ -1234,12 +1095,10 @@ where
     /// or waited for; that publish copies afresh.
     ///
     /// If the working engine went stale (static engine under churn) or is
-    /// absent (warm restart), it is (re)built first — preferring a
-    /// finished background rebuild plus journal replay over a build on
-    /// this thread, and [`FibBuild::rebuild_from`] the stale engine over a
-    /// cold [`FibBuild::build_weighted`] ([`RouterStats::warm_rebuilds`]
-    /// counts which). A still-running background rebuild is only waited on
-    /// when correctness requires it.
+    /// absent (warm restart), it is (re)built first, on this thread —
+    /// [`FibBuild::rebuild_from`] the stale engine over a cold
+    /// [`FibBuild::build_weighted`] ([`RouterStats::warm_rebuilds`] counts
+    /// which).
     ///
     /// A build that panics is contained: the router keeps serving the
     /// last good epoch, flags [`RouterHealth::serving_stale`], and
@@ -1326,11 +1185,6 @@ where
     /// call below, handed the oldest kept snapshot's engine when the
     /// router was its last holder.
     fn publish_with(&mut self, hot: Option<HotSlab>) -> Arc<EpochSnapshot<E>> {
-        if self.rebuild.is_some() {
-            // Harvest if done; block only if the working engine is stale
-            // and the snapshot would otherwise diverge from control.
-            self.finish_rebuild(self.stale);
-        }
         // No-op publish: nothing changed since the last epoch, so reuse
         // the published snapshot instead of copying the engine again. A
         // freshly warm-restarted router with no pending journal lands
@@ -1574,12 +1428,8 @@ mod tests {
 
     #[test]
     fn background_rebuild_compacts_and_preserves_equivalence() {
-        let mut cfg = config();
-        cfg.degradation_threshold = 0.01;
-        let mut router: Router<u32, PrefixDag<u32>> = Router::new(base_fib(), cfg);
-        // Churn deep prefixes to fragment the arena until a background
-        // rebuild fires, then keep updating while it runs.
-        let mut fired = false;
+        let mut router: Router<u32, PrefixDag<u32>> = Router::new(base_fib(), config());
+        // Churn deep prefixes to fragment the arena, then compact in line.
         for i in 0..4000u32 {
             let prefix = Prefix4::new(0x0A00_0000 | ((i % 97) << 10), 24);
             if i % 3 == 2 {
@@ -1587,21 +1437,28 @@ mod tests {
             } else {
                 router.announce(prefix, nh(i % 5));
             }
-            fired |= router.rebuild_in_flight();
         }
-        let snap = router.publish();
-        assert!(fired, "degradation threshold never tripped");
-        router.finish_rebuild(true);
-        assert!(router.stats().background_rebuilds >= 1);
+        let before = router.publish();
+        let then = router.control().clone();
+        let fragmented = before.engine().expect("owned").degradation();
+        assert!(fragmented > 0.0, "the churn left no holes");
+        let rebuilds = router.stats().rebuilds;
+        router.start_rebuild();
+        assert_eq!(router.stats().rebuilds, rebuilds + 1);
+        router.announce(p("192.168.0.0/16"), nh(7));
+        router.withdraw(p("10.64.0.0/10"));
+        let after = router.publish();
+        assert!(
+            after.engine().expect("owned").degradation() < fragmented,
+            "the compaction left the holes in place"
+        );
+        // The compacted engine takes updates in place, and each epoch
+        // answers for its own control FIB.
+        assert_eq!(router.stats().declined, 0);
         for i in 0..3000u32 {
             let addr = i.wrapping_mul(0x9E37_79B9);
-            assert_eq!(snap.lookup(addr), router.control().lookup(addr));
-        }
-        // After the harvest the working engine is compact again.
-        let fresh = router.publish();
-        for i in 0..3000u32 {
-            let addr = i.wrapping_mul(0x9E37_79B9);
-            assert_eq!(fresh.lookup(addr), router.control().lookup(addr));
+            assert_eq!(before.lookup(addr), then.lookup(addr));
+            assert_eq!(after.lookup(addr), router.control().lookup(addr));
         }
     }
 
@@ -1616,31 +1473,6 @@ mod tests {
         assert_eq!(second.epoch(), 1);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(router.stats().epochs, 2, "initial + one real publish");
-    }
-
-    #[test]
-    fn update_path_harvests_finished_background_rebuilds() {
-        let mut cfg = config();
-        cfg.degradation_threshold = 0.0001;
-        let mut router: Router<u32, PrefixDag<u32>> = Router::new(base_fib(), cfg);
-        // Enough churn that a rebuild both starts and finishes while
-        // updates keep streaming — without any publish() call.
-        for round in 0..200u32 {
-            let prefix = Prefix4::new(0x0A00_0000 | (round << 12), 24);
-            router.announce(prefix, nh(1));
-            router.withdraw(prefix);
-            if router.stats().background_rebuilds > 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        router.finish_rebuild(true);
-        assert!(
-            router.stats().background_rebuilds >= 1,
-            "the update path never harvested: {:?}",
-            router.stats()
-        );
-        assert!(!router.rebuild_in_flight() || router.stats().background_rebuilds >= 1);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   seeded offset with a possible bit of garbage in the surviving
 //!   unsynced span (what a half-written sector looks like).
 //! * **Namespace** operations (`create`, `rename`, `remove_file`) are
-//!   atomic and durable immediately — the ext4-style simplification.
+//!   atomic and durable immediately — the ext4-style simplification,
+//!   which [`StdFs`] earns for `create` and `rename` by syncing the
+//!   parent directory before it returns.
 //!   `rename` never leaves a mixed state, but it happily renames a file
 //!   whose *content* is still volatile: exactly the torn-image failure
 //!   the temp-file + fsync + rename protocol must prevent.
@@ -120,7 +122,9 @@ pub trait SpoolFs: Send + Sync {
 // ---------------------------------------------------------------------
 
 /// The production [`SpoolFs`]: thin forwarding onto `std::fs`, with
-/// [`SpoolFile::sync`] mapped to `File::sync_data`.
+/// [`SpoolFile::sync`] mapped to `File::sync_data`, and `create` and
+/// `rename` syncing the parent directory before they return — what makes
+/// the namespace as durable as [`FaultFs`] models it.
 #[derive(Debug)]
 pub struct StdFs {
     epoch: std::time::Instant,
@@ -144,6 +148,17 @@ impl StdFs {
 
 struct StdFile {
     file: std::fs::File,
+}
+
+/// Syncs the directory holding `path`, making a new or renamed entry of it
+/// durable: syncing a file's content does not cover its name, which a
+/// power cut can otherwise take with it.
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(parent)?.sync_all()
 }
 
 impl SpoolFile for StdFile {
@@ -178,9 +193,9 @@ impl SpoolFs for StdFs {
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn SpoolFile>> {
-        Ok(Box::new(StdFile {
-            file: std::fs::File::create(path)?,
-        }))
+        let file = std::fs::File::create(path)?;
+        sync_parent(path)?;
+        Ok(Box::new(StdFile { file }))
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn SpoolFile>> {
@@ -193,7 +208,12 @@ impl SpoolFs for StdFs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
+        std::fs::rename(from, to)?;
+        sync_parent(to)?;
+        if from.parent() != to.parent() {
+            sync_parent(from)?;
+        }
+        Ok(())
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
@@ -698,6 +718,37 @@ mod tests {
         assert!(!fs.exists(&tmp));
         assert_eq!(fs.read_dir(&dir).unwrap(), vec![fin.clone()]);
         fs.remove_file(&fin).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The journal rewrite's shape on a real directory: `create` → write →
+    /// sync → `rename` over an existing file, each namespace step
+    /// followed by a directory sync that must not fail.
+    #[test]
+    fn std_rename_replaces_the_destination() {
+        let dir = std::env::temp_dir().join(format!("fib-spoolfs-rename-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = StdFs::new();
+        fs.create_dir_all(&dir).unwrap();
+        let (tmp, journal) = (dir.join("journal.tmp"), dir.join("journal.log"));
+        for (path, bytes) in [(&journal, &b"old journal"[..]), (&tmp, b"new")] {
+            let mut f = fs.create(path).unwrap();
+            f.write_all(bytes).unwrap();
+            f.sync().unwrap();
+        }
+        fs.rename(&tmp, &journal).unwrap();
+        assert_eq!(
+            fs.read(&journal).unwrap(),
+            b"new",
+            "the destination is replaced"
+        );
+        assert!(!fs.exists(&tmp), "the source is gone");
+        assert_eq!(fs.read_dir(&dir).unwrap(), vec![journal.clone()]);
+        // The journal keeps growing through an append handle.
+        let mut f = fs.open_append(&journal).unwrap();
+        f.write_all(b"+rec").unwrap();
+        f.sync().unwrap();
+        assert_eq!(fs.read(&journal).unwrap(), b"new+rec");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,7 +34,6 @@
 //! bucketing needs is caller-owned ([`VrfBatchScratch`]): steady-state
 //! forwarding does not allocate.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -165,90 +164,14 @@ impl<A: Address> VrfBatchScratch<A> {
     }
 }
 
-/// A finished recompilation, ready to install.
-pub struct VrfRebuild<A: Address + Send + Sync + 'static> {
-    set: CompiledVrfSet<A>,
-    basis_version: u64,
-    dirty: BTreeSet<u32>,
-    /// Tables of `set` folded in this recompile; the rest were carried.
-    refolded: u64,
-}
-
-/// The control state a recompile needs: the published snapshot to
-/// recompile from and the oracles that changed since it — clean tables
-/// are not captured. Run [`VrfRebuildJob::run`] anywhere, then hand the
-/// result back to [`VrfSetRouter::install`].
-///
-/// `T` is how the job holds those oracles: clones for a job that leaves
-/// the control thread ([`VrfSetRouter::begin_rebuild`], the default),
-/// borrows for the inline [`VrfSetRouter::publish`].
-pub struct VrfRebuildJob<A: Address + Send + Sync + 'static, T = BinaryTrie<A>> {
-    basis: Arc<VrfSnapshot<A>>,
-    /// Every table in id order; `Some` holds the oracle to re-fold,
-    /// `None` carries the table over from `basis`.
-    fleet: Vec<(u32, Option<T>)>,
-    config: BuildConfig,
-    policy: VrfPolicy,
-    basis_version: u64,
-    dirty: BTreeSet<u32>,
-}
-
-impl<A: Address + Send + Sync + 'static, T: Borrow<BinaryTrie<A>>> VrfRebuildJob<A, T> {
-    /// Recompiles the captured fleet. CPU-heavy in proportion to the
-    /// tables that changed; designed to run off the control thread.
-    #[must_use]
-    pub fn run(self) -> VrfRebuild<A> {
-        let fleet: Vec<_> = self
-            .fleet
-            .iter()
-            .map(|(id, trie)| (*id, trie.as_ref().map(T::borrow)))
-            .collect();
-        VrfRebuild {
-            set: recompile_vrf_set(&self.basis.set, &fleet, &self.config, &self.policy),
-            basis_version: self.basis_version,
-            dirty: self.dirty,
-            refolded: fleet.iter().filter(|(_, trie)| trie.is_some()).count() as u64,
-        }
-    }
-}
-
-/// Why a finished rebuild could not be installed.
-#[derive(Debug, PartialEq, Eq)]
-pub enum VrfInstallError {
-    /// The control plane changed after the rebuild was begun; installing
-    /// it would silently drop those updates. Begin a fresh rebuild.
-    Stale {
-        /// Version the rebuild was cut at.
-        built: u64,
-        /// Version the control plane is at now.
-        current: u64,
-    },
-}
-
-impl std::fmt::Display for VrfInstallError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Stale { built, current } => write!(
-                f,
-                "rebuild is stale: built at control version {built}, control is at {current}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for VrfInstallError {}
-
 /// The multi-tenant control plane: per-VRF oracles, recompiled into one
-/// shared-arena set at publish time.
+/// shared-arena set at publish time, on the control thread.
 pub struct VrfSetRouter<A: Address + Send + Sync + 'static> {
     oracles: BTreeMap<u32, BinaryTrie<A>>,
     /// VRFs whose oracle changed since the last publish.
     dirty: BTreeSet<u32>,
     config: BuildConfig,
     policy: VrfPolicy,
-    /// Mutation counter (every control change bumps it) — the staleness
-    /// basis for background rebuilds.
-    version: u64,
     epoch: u64,
     vrf_epochs: BTreeMap<u32, u64>,
     cell: SnapCell<VrfSnapshot<A>>,
@@ -288,7 +211,6 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             dirty: BTreeSet::new(),
             config,
             policy,
-            version: 0,
             epoch: 0,
             vrf_epochs: BTreeMap::new(),
             cell: SnapCell::new(initial),
@@ -312,7 +234,7 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// Installs (or replaces) a whole table.
     pub fn insert_vrf(&mut self, vrf: u32, table: BinaryTrie<A>) {
         self.oracles.insert(vrf, table);
-        self.touch(vrf);
+        self.dirty.insert(vrf);
     }
 
     /// Removes a table. Returns whether it existed.
@@ -321,7 +243,7 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         if existed {
             // A removal is a fleet change: the next publish must
             // recompile even though the id no longer has an oracle.
-            self.touch(vrf);
+            self.dirty.insert(vrf);
         }
         existed
     }
@@ -334,7 +256,7 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             .entry(vrf)
             .or_default()
             .insert(prefix, next_hop);
-        self.touch(vrf);
+        self.dirty.insert(vrf);
         prev
     }
 
@@ -342,18 +264,15 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     pub fn withdraw(&mut self, vrf: u32, prefix: Prefix<A>) -> Option<NextHop> {
         let removed = self.oracles.get_mut(&vrf).and_then(|t| t.remove(prefix));
         if removed.is_some() {
-            self.touch(vrf);
+            self.dirty.insert(vrf);
         }
         removed
     }
 
-    fn touch(&mut self, vrf: u32) {
-        self.dirty.insert(vrf);
-        self.version += 1;
-    }
-
-    /// Captures what the next recompile needs, holding each oracle that
-    /// must be re-folded as `oracle(trie)`.
+    /// Recompiles what changed and publishes a new epoch, on this thread,
+    /// borrowing the oracles in place. A publish with no control changes
+    /// since the last one reuses the published snapshot (no recompile, no
+    /// epoch bump).
     ///
     /// A fixed `Auto` weight or `Pinned` choice vector goes stale when
     /// tables come and go after construction; one whose length no longer
@@ -363,8 +282,11 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// policy moves it to another engine, and always under `Auto`, whose
     /// placement is a fleet-wide decision; every other table carries over
     /// from the published set.
-    fn capture<'a, T>(&'a self, oracle: impl Fn(&'a BinaryTrie<A>) -> T) -> VrfRebuildJob<A, T> {
+    pub fn publish(&mut self) -> Arc<VrfSnapshot<A>> {
         let basis = self.cell.load();
+        if self.dirty.is_empty() && self.epoch > 0 {
+            return basis;
+        }
         let tables = self.oracles.len();
         let policy = match &self.policy {
             VrfPolicy::Auto { weights } if !weights.is_empty() && weights.len() != tables => {
@@ -375,7 +297,9 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             VrfPolicy::Pinned { choices } if choices.len() != tables => VrfPolicy::Shared,
             other => other.clone(),
         };
-        let fleet = self
+        // Every table in id order; `Some` holds the oracle to re-fold,
+        // `None` carries the table over from `basis`.
+        let fleet: Vec<(u32, Option<&BinaryTrie<A>>)> = self
             .oracles
             .iter()
             .enumerate()
@@ -384,69 +308,20 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
                 let refold = self.dirty.contains(id)
                     || fixed.is_none()
                     || basis.set.table(*id).map(CompiledVrf::choice) != fixed;
-                (*id, refold.then(|| oracle(trie)))
+                (*id, refold.then_some(trie))
             })
             .collect();
-        VrfRebuildJob {
-            basis,
-            fleet,
-            config: self.config,
-            policy,
-            basis_version: self.version,
-            dirty: self.dirty.clone(),
-        }
-    }
+        let set = recompile_vrf_set(&basis.set, &fleet, &self.config, &policy);
+        let refolded = fleet.iter().filter(|(_, trie)| trie.is_some()).count() as u64;
 
-    /// Recompiles what changed and publishes a new epoch, borrowing the
-    /// oracles in place. A publish with no control changes since the last
-    /// one reuses the published snapshot (no recompile, no epoch bump).
-    pub fn publish(&mut self) -> Arc<VrfSnapshot<A>> {
-        if self.dirty.is_empty() && self.epoch > 0 {
-            return self.cell.load();
-        }
-        let rebuild = self.capture(|trie| trie).run();
-        match self.install(rebuild) {
-            Ok(snapshot) => snapshot,
-            // Unreachable: nothing can touch `self` between the capture
-            // and the install on one `&mut self` call.
-            Err(e) => unreachable!("inline rebuild stale: {e}"),
-        }
-    }
-
-    /// Captures the control state for an off-thread recompile: the
-    /// published snapshot and clones of the oracles to re-fold. The
-    /// router keeps serving and absorbing updates meanwhile; a rebuild
-    /// begun before further updates is rejected at install time.
-    #[must_use]
-    pub fn begin_rebuild(&self) -> VrfRebuildJob<A> {
-        self.capture(BinaryTrie::clone)
-    }
-
-    /// Installs a finished rebuild as the next epoch.
-    ///
-    /// # Errors
-    /// [`VrfInstallError::Stale`] when the control plane changed after
-    /// the rebuild was begun — the updates would otherwise be dropped.
-    pub fn install(
-        &mut self,
-        rebuild: VrfRebuild<A>,
-    ) -> Result<Arc<VrfSnapshot<A>>, VrfInstallError> {
-        if rebuild.basis_version != self.version {
-            return Err(VrfInstallError::Stale {
-                built: rebuild.basis_version,
-                current: self.version,
-            });
-        }
         self.epoch += 1;
-        for &vrf in &rebuild.dirty {
+        for vrf in std::mem::take(&mut self.dirty) {
             self.vrf_epochs.insert(vrf, self.epoch);
         }
-        self.dirty.clear();
         // Drop epoch bookkeeping for ids no longer in the fleet.
-        let live: BTreeSet<u32> = rebuild.set.tables.iter().map(|t| t.id).collect();
+        let live: BTreeSet<u32> = set.tables.iter().map(|t| t.id).collect();
         self.vrf_epochs.retain(|id, _| live.contains(id));
-        let vrf_epochs: Vec<(u32, u64)> = rebuild
-            .set
+        let vrf_epochs: Vec<(u32, u64)> = set
             .tables
             .iter()
             .map(|t| {
@@ -457,16 +332,16 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             })
             .collect();
         self.stats.publishes += 1;
-        self.stats.tables_refolded += rebuild.refolded;
-        self.stats.tables_carried += rebuild.set.tables.len() as u64 - rebuild.refolded;
+        self.stats.tables_refolded += refolded;
+        self.stats.tables_carried += set.tables.len() as u64 - refolded;
         let snapshot = Arc::new(VrfSnapshot {
-            set: rebuild.set,
+            set,
             epoch: self.epoch,
             vrf_epochs,
         });
-        self.superseded = Some(self.cell.load());
+        self.superseded = Some(basis);
         self.cell.publish(Arc::clone(&snapshot));
-        Ok(snapshot)
+        snapshot
     }
 
     /// Publish counters since construction.
@@ -636,31 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn background_rebuild_installs_and_rejects_stale() {
-        let mut router = two_vrf_router();
-        router.publish();
-        router.announce(1, p("10.9.0.0/16"), nh(9));
-        let job = router.begin_rebuild();
-        let rebuild = job.run();
-        let snapshot = router.install(rebuild).expect("no interleaved updates");
-        assert_eq!(snapshot.epoch(), 2);
-        assert_eq!(snapshot.lookup(1, 0x0A09_0001), Some(nh(9)));
-
-        // An update between begin and install makes the rebuild stale.
-        let job = router.begin_rebuild();
-        router.announce(2, p("10.10.0.0/16"), nh(10));
-        let rebuild = job.run();
-        match router.install(rebuild) {
-            Err(VrfInstallError::Stale { built, current }) => assert!(built < current),
-            Ok(_) => panic!("stale rebuild must be rejected"),
-        }
-        // The dropped rebuild lost nothing: a fresh publish carries the
-        // interleaved update.
-        let snapshot = router.publish();
-        assert_eq!(snapshot.lookup(2, 0x0A0A_0001), Some(nh(10)));
-    }
-
-    #[test]
     fn pinned_choices_of_the_wrong_length_fall_back_to_shared() {
         let pinned = VrfPolicy::Pinned {
             choices: vec![VrfEngineChoice::Serialized, VrfEngineChoice::Shared],
@@ -676,9 +526,9 @@ mod tests {
             VrfEngineChoice::Serialized
         );
 
-        // A third table makes the two-entry vector stale: inline and
-        // background publishes both place everything on the shared arena
-        // instead of panicking in the compiler's shape check.
+        // A third table makes the two-entry vector stale: every publish
+        // places everything on the shared arena instead of panicking in
+        // the compiler's shape check.
         router.announce(3, p("10.3.0.0/16"), nh(3));
         let snapshot = router.publish();
         assert!(snapshot
@@ -688,8 +538,7 @@ mod tests {
             .all(|t| t.choice() == VrfEngineChoice::Shared));
         assert_eq!(snapshot.lookup(1, 0x0A00_0001), Some(nh(2)));
         router.announce(4, p("10.4.0.0/16"), nh(4));
-        let rebuild = router.begin_rebuild().run();
-        let snapshot = router.install(rebuild).expect("no interleaved updates");
+        let snapshot = router.publish();
         assert_eq!(snapshot.set().stats.shared_tables, 4);
         assert_eq!(snapshot.lookup(4, 0x0A04_0001), Some(nh(4)));
 

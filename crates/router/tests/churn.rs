@@ -1,11 +1,11 @@
 //! Differential churn: a `Router<PrefixDag>` and an independent oracle
 //! trie absorb the same BGP-style update feed; every published epoch
 //! snapshot must agree with the oracle on a fixed lookup trace, including
-//! the epochs cut while a degradation-triggered background rebuild was in
-//! flight and the first epoch after its journal replay. Every published
-//! pDAG is also what the router's working engine is — a published copy,
-//! freshly allocated or a recycled snapshot rewritten where it changed,
-//! packs to the words a reference engine fed the same updates packs to.
+//! the epochs cut right after an in-line compaction (`start_rebuild`).
+//! Every published pDAG is also what the router's working engine is — a
+//! published copy, freshly allocated or a recycled snapshot rewritten
+//! where it changed, packs to the words a reference engine fed the same
+//! updates packs to.
 
 use fib_core::{BuildConfig, HotConfig, PrefixDag, SerializedDag};
 use fib_router::{EpochSnapshot, Router, RouterConfig, SpoolConfig, StdFs};
@@ -64,26 +64,25 @@ fn assert_published_is_the_working_engine<A: Address>(
     assert_eq!(published.len(), reference.len(), "epoch {epoch}: routes");
 }
 
+/// Publishes that cut an epoch in [`pdag_churn_differential`]: 24 stream
+/// publishes and two hot ones.
+const EPOCHS: u64 = 26;
+
 /// The 12k-update BGP stream through a `Router<PrefixDag>` at `lambda`,
-/// published every `burst` updates — across the background compactions
-/// `degradation_threshold` forces (a new arena: no snapshot cut before it
-/// can be synced afterwards), arena growth and free-list reuse — with a
-/// publish that has nothing to publish and two hot publishes on the way.
-/// Returns the router and whether a background rebuild was seen in flight.
-fn pdag_churn_differential(
-    lambda: u8,
-    degradation_threshold: f64,
-    burst: usize,
-) -> (Router<u32, PrefixDag<u32>>, bool) {
+/// published every 500 updates — across compactions forced with
+/// `start_rebuild()` before the stream publishes numbered in `compact_at`
+/// (1-based; a new arena: no snapshot cut before it can be synced
+/// afterwards), arena growth and free-list reuse — with a publish that has
+/// nothing to publish and two hot publishes on the way.
+fn pdag_churn_differential(lambda: u8, compact_at: &[usize]) -> Router<u32, PrefixDag<u32>> {
+    const BURST: usize = 500;
     let base: BinaryTrie<u32> = FibSpec::dfz_like(15_000).generate(&mut rng(1));
     let updates = bgp_sequence(&mut rng(2), &base, 12_000);
     let trace = traces::uniform::<u32, _>(&mut rng(3), 1_500);
 
     let config = RouterConfig {
         build: BuildConfig::with_lambda(lambda),
-        publish_every: None, // published explicitly every batch below
-        degradation_threshold,
-        background_rebuild: true,
+        publish_every: None, // published explicitly every burst below
     };
     let mut router: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
     let mut reference = PrefixDag::from_trie(&base, lambda);
@@ -94,7 +93,6 @@ fn pdag_churn_differential(
     assert_snapshot_matches_oracle(&router.snapshot(), &oracle, &trace);
     assert_published_is_the_working_engine(&router.snapshot(), &reference);
 
-    let mut saw_rebuild_in_flight = false;
     let mut epochs_checked = 0usize;
     for (i, op) in updates.iter().enumerate() {
         match *op {
@@ -109,14 +107,16 @@ fn pdag_churn_differential(
                 router.withdraw(p);
             }
         }
-        saw_rebuild_in_flight |= router.rebuild_in_flight();
         // Publish (and differentially check) every burst — some of these
-        // epochs are cut while the background re-fold is running.
-        if (i + 1) % burst == 0 {
+        // epochs are the first of a freshly compacted arena.
+        if (i + 1) % BURST == 0 {
+            epochs_checked += 1;
+            if compact_at.contains(&epochs_checked) {
+                router.start_rebuild();
+            }
             let snapshot = router.publish();
             assert_snapshot_matches_oracle(&snapshot, &oracle, &trace);
             assert_published_is_the_working_engine(&snapshot, &reference);
-            epochs_checked += 1;
             match epochs_checked {
                 // Nothing to publish: the same snapshot, and the next
                 // publish still finds its buffers where it left them.
@@ -137,55 +137,50 @@ fn pdag_churn_differential(
             assert_eq!(plane.current().epoch(), router.epoch());
         }
     }
-    // Drain any still-running rebuild and verify its journal replay.
-    router.finish_rebuild(true);
     let last = router.publish();
     assert_snapshot_matches_oracle(&last, &oracle, &trace);
     assert_published_is_the_working_engine(&last, &reference);
-    assert_eq!(epochs_checked, 12_000 / burst);
-    (router, saw_rebuild_in_flight)
+    assert_eq!(epochs_checked, 12_000 / BURST);
+    let stats = router.stats();
+    assert_eq!(
+        (stats.updates, stats.declined, stats.in_place),
+        (12_000, 0, 12_000),
+        "λ = {lambda}: pDAG must absorb every update in place"
+    );
+    // The last publish had nothing left.
+    assert_eq!(stats.epochs, 1 + EPOCHS, "λ = {lambda}");
+    assert_eq!(
+        stats.rebuilds,
+        compact_at.len() as u64,
+        "λ = {lambda}: the stream never reaches the degradation threshold"
+    );
+    router
 }
 
 #[test]
 fn pdag_router_tracks_oracle_through_bgp_churn_and_rebuild() {
-    // Low threshold so the BGP feed provably crosses it mid-test — here,
-    // between any two publishes, so every snapshot that comes back is of
-    // an arena the working engine has left behind.
-    let (router, saw_rebuild_in_flight) = pdag_churn_differential(11, 0.002, 500);
-    let stats = router.stats();
-    assert_eq!(stats.updates, 12_000);
-    assert!(
-        saw_rebuild_in_flight,
-        "the degradation policy never started a background rebuild"
-    );
-    assert!(
-        stats.background_rebuilds >= 1,
-        "no background rebuild completed: {stats:?}"
-    );
-    assert_eq!(
-        stats.declined, 0,
-        "pDAG must absorb every update in place: {stats:?}"
-    );
-    assert_eq!(stats.in_place, stats.updates);
-    // 24 stream publishes and two hot ones; the last had nothing left.
-    assert_eq!(stats.epochs, 1 + 26);
+    // A compaction before every publish: every snapshot that comes back
+    // is of an arena the working engine has left behind.
+    let every: Vec<usize> = (1..=24).collect();
+    let stats = pdag_churn_differential(11, &every).stats();
+    assert_eq!(stats.recycled, 0, "{stats:?}");
 }
 
-/// The same stream with compactions rare enough that most publishes find
-/// a snapshot of their own arena to write into, at the default barrier and
-/// the ones that bracket it: everything folded (λ = 0: the root itself is
-/// a folded node), the root array covering the whole top tree (λ = 8), and
-/// nothing folded (λ = 32: a plain trie, which never compacts).
+/// The same stream with two compactions, at the default barrier and the
+/// ones that bracket it: everything folded (λ = 0: the root itself is a
+/// folded node), the root array covering the whole top tree (λ = 8), and
+/// nothing folded (λ = 32: a plain trie).
 #[test]
 fn published_copies_are_the_working_engine_at_every_barrier() {
     for lambda in [0, 8, 11, 32] {
-        let (router, _) = pdag_churn_differential(lambda, 0.05, 500);
-        let stats = router.stats();
-        assert_eq!((stats.updates, stats.declined), (12_000, 0), "λ = {lambda}");
-        // 26 publishes: the first three have nothing to write into, nor
-        // have the three after each compaction.
-        assert!(
-            stats.recycled > 0 && stats.recycled + 3 + 3 * stats.rebuilds >= 26,
+        let stats = pdag_churn_differential(lambda, &[6, 13]).stats();
+        // The first three publishes have nothing of this arena to write
+        // into (the third is offered epoch 0's full clone), nor have the
+        // three after each compaction (stream publishes 6–8 and 13–15);
+        // every other publish recycles.
+        assert_eq!(
+            stats.recycled,
+            EPOCHS - 3 - 3 * 2,
             "λ = {lambda}: {stats:?}"
         );
     }
@@ -203,8 +198,6 @@ fn static_engine_router_matches_oracle_at_every_publish() {
     let config = RouterConfig {
         build: BuildConfig::with_lambda(11),
         publish_every: Some(250),
-        degradation_threshold: 0.25,
-        background_rebuild: false,
     };
     let mut router: Router<u32, SerializedDag<u32>> = Router::new(base.clone(), config);
     let mut oracle = base;
@@ -252,8 +245,6 @@ fn warm_restart_answers_identically_to_a_router_that_never_died() {
     let config = RouterConfig {
         build: BuildConfig::with_lambda(11),
         publish_every: None,
-        degradation_threshold: 0.25,
-        background_rebuild: false,
     };
     // The reference router lives through everything.
     let mut survivor: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
@@ -360,8 +351,6 @@ fn warm_restart_skips_corrupt_images() {
     let config = RouterConfig {
         build: BuildConfig::with_lambda(11),
         publish_every: None,
-        degradation_threshold: 0.25,
-        background_rebuild: false,
     };
     let mut router: Router<u32, SerializedDag<u32>> = Router::new(base, config);
     // A zero fold threshold checkpoints at every record, so the one update
@@ -460,8 +449,6 @@ fn ipv6_churn_differential(lambda: u8) {
     let config = RouterConfig {
         build: BuildConfig::with_lambda(lambda),
         publish_every: None,
-        degradation_threshold: 0.05,
-        background_rebuild: true,
     };
     let mut router: Router<u128, PrefixDag<u128>> = Router::new(base.clone(), config);
     let mut reference = PrefixDag::from_trie(&base, lambda);
@@ -480,6 +467,10 @@ fn ipv6_churn_differential(lambda: u8) {
             }
         }
         if (i + 1) % 250 == 0 {
+            // One compaction halfway: the v6 arena is refolded too.
+            if i + 1 == 1_500 {
+                router.start_rebuild();
+            }
             let snapshot = router.publish();
             assert_published_is_the_working_engine(&snapshot, &reference);
             let mut out = vec![None; trace.len()];
@@ -489,13 +480,12 @@ fn ipv6_churn_differential(lambda: u8) {
             }
         }
     }
-    router.finish_rebuild(true);
     let last = router.publish();
     assert_published_is_the_working_engine(&last, &reference);
     for &addr in &trace {
         assert_eq!(last.lookup(addr), oracle.lookup(addr), "{addr:#034x}");
     }
     let stats = router.stats();
-    assert_eq!(stats.updates, 3_000);
+    assert_eq!((stats.updates, stats.rebuilds), (3_000, 1));
     assert!(stats.recycled > 0, "λ = {lambda}: {stats:?}");
 }

@@ -1,9 +1,8 @@
 //! Rebuild-panic containment: a deliberately panicking engine build
-//! must never take the control plane down. Inline rebuilds, background
-//! rebuild threads (the historical `join().expect` escalation path),
-//! and publish-time materialization all degrade to serving the last
-//! good epoch with the panic recorded in [`Router::health`], and a
-//! later successful build restores freshness.
+//! must never take the control plane down. A compaction
+//! ([`Router::start_rebuild`]) and publish-time materialization both
+//! degrade to serving the last good epoch with the panic recorded in
+//! [`Router::health`], and a later successful build restores freshness.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -116,7 +115,6 @@ fn inline_rebuild_panic_is_contained_and_a_later_build_recovers() {
         base(1),
         RouterConfig {
             publish_every: None,
-            background_rebuild: false,
             ..RouterConfig::default()
         },
     );
@@ -145,40 +143,6 @@ fn inline_rebuild_panic_is_contained_and_a_later_build_recovers() {
 }
 
 #[test]
-fn background_rebuild_panic_does_not_propagate_through_join() {
-    let _guard = TOGGLES.lock().unwrap_or_else(|p| p.into_inner());
-    PANIC_BUILD.store(false, Ordering::Relaxed); // ordering: Relaxed — test toggle
-    FORCE_REBUILD.store(false, Ordering::Relaxed); // ordering: Relaxed — test toggle
-
-    let trace = traces::uniform::<u32, _>(&mut Xoshiro256::seed_from_u64(4), 256);
-    let mut router: Router<u32, Flaky> = Router::new(
-        base(2),
-        RouterConfig {
-            publish_every: None,
-            background_rebuild: true,
-            ..RouterConfig::default()
-        },
-    );
-
-    PANIC_BUILD.store(true, Ordering::Relaxed); // ordering: Relaxed — test toggle
-    router.start_rebuild();
-    // Before the fix this join escalated the worker's panic into the
-    // caller; now it must contain it and report through health.
-    assert!(
-        !router.finish_rebuild(true),
-        "panicked build installs nothing"
-    );
-    assert_eq!(router.health().rebuild_panics, 1);
-    assert_serves_control(&mut router, &trace);
-
-    PANIC_BUILD.store(false, Ordering::Relaxed); // ordering: Relaxed — test toggle
-    router.start_rebuild();
-    assert!(router.finish_rebuild(true), "healthy build must install");
-    assert_eq!(router.health().rebuild_panics, 1, "no new panics");
-    assert_serves_control(&mut router, &trace);
-}
-
-#[test]
 fn publish_serves_stale_epoch_while_builds_panic_then_heals() {
     let _guard = TOGGLES.lock().unwrap_or_else(|p| p.into_inner());
     PANIC_BUILD.store(false, Ordering::Relaxed); // ordering: Relaxed — test toggle
@@ -189,7 +153,6 @@ fn publish_serves_stale_epoch_while_builds_panic_then_heals() {
         base(6),
         RouterConfig {
             publish_every: None,
-            background_rebuild: false,
             ..RouterConfig::default()
         },
     );

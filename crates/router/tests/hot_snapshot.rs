@@ -17,7 +17,6 @@ const REARM: usize = 512 * 64;
 fn config() -> RouterConfig {
     RouterConfig {
         publish_every: None,
-        background_rebuild: false,
         ..RouterConfig::default()
     }
 }

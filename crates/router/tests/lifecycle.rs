@@ -36,8 +36,6 @@ fn apply(router: &mut Router<u32, PrefixDag<u32>>, ops: &[UpdateOp<u32>]) {
 fn config() -> RouterConfig {
     RouterConfig {
         publish_every: Some(16),
-        // Deterministic op counts: no scheduler-dependent rebuild thread.
-        background_rebuild: false,
         ..RouterConfig::default()
     }
 }
@@ -102,7 +100,6 @@ fn journal_folds_into_a_fresh_image_at_the_size_threshold() {
         control,
         RouterConfig {
             publish_every: None, // folding is the only checkpoint trigger
-            background_rebuild: false,
             ..RouterConfig::default()
         },
     );

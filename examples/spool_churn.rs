@@ -47,8 +47,6 @@ fn main() {
         RouterConfig {
             build: BuildConfig::with_lambda(11),
             publish_every: Some(64), // each publish is one journal sync
-            degradation_threshold: 0.25,
-            background_rebuild: false,
         },
     );
     let spool_cfg = SpoolConfig {
@@ -120,14 +118,8 @@ fn main() {
 
     // Reboot from what is on disk and differentially check the recovered
     // control FIB against the control plane that never died.
-    let recovered = Router::<u32, PrefixDag<u32>>::warm_restart(
-        &dir,
-        RouterConfig {
-            background_rebuild: false,
-            ..RouterConfig::default()
-        },
-    )
-    .expect("warm restart");
+    let recovered = Router::<u32, PrefixDag<u32>>::warm_restart(&dir, RouterConfig::default())
+        .expect("warm restart");
     assert_eq!(recovered.stats().replayed as usize, TAIL);
     let mut diverged = 0usize;
     for &addr in &trace {

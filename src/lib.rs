@@ -20,11 +20,11 @@
 //!   Table 2 engine and borrows it back as a `*Ref` view; the `fibc`
 //!   binary drives the pipeline from the shell),
 //! * [`router`] — the control/data-plane router core of §5:
-//!   [`router::Router`] pairs an oracle control FIB and update journal
-//!   with epoch snapshots published through the wait-free
-//!   [`router::SnapCell`] (lock-free packet-path reads), applies
-//!   in-place pDAG updates until arena fragmentation triggers a
-//!   (background) compacting rebuild, makes every publish durable with
+//!   [`router::Router`] pairs an oracle control FIB with epoch snapshots
+//!   published through the wait-free [`router::SnapCell`] (lock-free
+//!   packet-path reads), applies in-place pDAG updates and rebuilds on
+//!   the control thread (at a stale publish, or a compaction once arena
+//!   fragmentation passes 0.25), makes every publish durable with
 //!   one journal sync when a spool is armed (a `fibimage/v1` checkpoint
 //!   only where the journal folds) and warm-restarts from the newest
 //!   valid image plus journal replay, and

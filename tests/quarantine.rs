@@ -62,14 +62,9 @@ fn warm_restart_quarantines_the_whole_corrupt_corpus_and_serves_the_honest_image
     }
     assert!(corrupt.len() >= 10, "corpus shrank to {}", corrupt.len());
 
-    let recovered = Router::<u32, SerializedDag<u32>>::warm_restart(
-        &spool,
-        RouterConfig {
-            background_rebuild: false,
-            ..RouterConfig::default()
-        },
-    )
-    .expect("the honest image must still serve");
+    let recovered =
+        Router::<u32, SerializedDag<u32>>::warm_restart(&spool, RouterConfig::default())
+            .expect("the honest image must still serve");
 
     // The newest *honest* image won, not the newest file.
     assert_eq!(recovered.epoch(), HONEST_EPOCH);

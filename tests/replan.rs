@@ -42,7 +42,6 @@ fn taz(scale: f64) -> BinaryTrie<u32> {
 fn config() -> RouterConfig {
     RouterConfig {
         publish_every: None,
-        background_rebuild: false,
         ..RouterConfig::default()
     }
 }

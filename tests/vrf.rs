@@ -10,19 +10,21 @@
 //! * **Answer equivalence** — every compiled VRF answers bit-identically
 //!   to its own `BinaryTrie` oracle, for IPv4 and IPv6, under uniform and
 //!   Zipf key streams, both scalar and through the VRF-bucketed batch
-//!   path, and across a rebuild running on a background thread.
+//!   path, and across a publish while another thread still holds the
+//!   snapshot it replaces.
 //! * **Bit-identity under churn** — a publish recompiles only the tables
 //!   that changed, against the published arena; after every publish the
 //!   installed set must equal a from-scratch `compile_vrf_set` over the
-//!   current oracles field for field, inline and through the background
-//!   `begin_rebuild → run → install` path alike.
+//!   current oracles field for field, however the updates between two
+//!   publishes fall across the fleet.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 use fibcomp::core::{
     compile_vrf_set, BuildConfig, CompiledVrfSet, VrfEngineChoice, VrfPolicy, VrfTable,
 };
-use fibcomp::router::{VrfBatchScratch, VrfInstallError, VrfRebuild, VrfRebuildJob, VrfSetRouter};
+use fibcomp::router::{VrfBatchScratch, VrfSetRouter};
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
 use fibcomp::workload::traces::{self, ZipfTrace};
@@ -209,8 +211,10 @@ fn differential_across_rebuild<A: Address + Send + Sync + 'static>(tag: &str) {
     let keys = fleet_keys(&oracles, &mut rng, 64);
     assert_matches_oracles(&snapshot, &oracles, &keys, &format!("{tag} initial"));
 
-    // Mutate half the fleet, then compile the new set on a background
-    // thread while the published snapshot keeps serving the old answers.
+    // Mutate half the fleet, then publish while a second thread holds the
+    // snapshot the publish replaces and keeps answering from it for the
+    // oracles it was cut from.
+    let before = oracles.clone();
     for vrf in [0u32, 2, 4] {
         for (p, nh) in arb_routes::<A>(&mut rng, 20) {
             router.announce(vrf, p, nh);
@@ -222,15 +226,24 @@ fn differential_across_rebuild<A: Address + Send + Sync + 'static>(tag: &str) {
             oracles.get_mut(&vrf).unwrap().remove(p);
         }
     }
-    let job = router.begin_rebuild();
-    let worker = std::thread::spawn(move || job.run());
-    // Old snapshot stays valid mid-rebuild: re-check a slice of the keys
-    // against pre-mutation oracles via the snapshot we already hold.
-    for &(vrf, addr) in keys.iter().take(200) {
-        let _ = snapshot.lookup(vrf, addr); // must not tear or panic
-    }
-    let rebuilt = worker.join().expect("rebuild thread panicked");
-    router.install(rebuilt).expect("rebuild went stale");
+    let published = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            let mut rounds = 0u32;
+            loop {
+                // Checked once more after the publish returned.
+                let after = published.load(SeqCst);
+                assert_matches_oracles(&snapshot, &before, &keys, &format!("{tag} held"));
+                rounds += 1;
+                if after {
+                    return rounds;
+                }
+            }
+        });
+        router.publish();
+        published.store(true, SeqCst);
+        assert!(holder.join().expect("holder thread panicked") >= 1);
+    });
 
     let mut reader = router.reader();
     let fresh_keys = fleet_keys(&oracles, &mut rng, 64);
@@ -275,20 +288,12 @@ fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrf
     assert_eq!(got.stats, want.stats, "{tag}: stats");
 }
 
-/// Runs a captured rebuild job on a worker thread.
-fn run_off_thread<A: Address + Send + Sync + 'static>(job: VrfRebuildJob<A>) -> VrfRebuild<A> {
-    std::thread::spawn(move || job.run())
-        .join()
-        .expect("rebuild thread panicked")
-}
-
 /// A control plane under churn, mirrored in plain oracles the router
 /// never sees.
 struct ChurnHarness<A: Address + Send + Sync + 'static> {
     router: VrfSetRouter<A>,
     oracles: BTreeMap<u32, BinaryTrie<A>>,
     policy: VrfPolicy,
-    background: bool,
     rng: Xoshiro256,
     publishes: u64,
 }
@@ -325,17 +330,10 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
         }
     }
 
-    /// Publishes (inline or through a background job) and checks the
-    /// installed set against a from-scratch compile and every oracle.
+    /// Publishes and checks the installed set against a from-scratch
+    /// compile and every oracle.
     fn publish_and_check(&mut self, tag: &str) {
-        if self.background {
-            let rebuilt = run_off_thread(self.router.begin_rebuild());
-            self.router
-                .install(rebuilt)
-                .expect("no interleaved updates");
-        } else {
-            self.router.publish();
-        }
+        self.router.publish();
         self.publishes += 1;
         assert_eq!(
             self.router.epoch(),
@@ -366,15 +364,12 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
 }
 
 /// The churn sequence: bursts into rotating VRFs, a new id, a removed id,
-/// a table withdrawn down to empty, and (background mode) a stale job.
-fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(
-    family: &str,
-    policy: &VrfPolicy,
-    background: bool,
-) {
+/// a table withdrawn down to empty, and two bursts between one publish and
+/// the next.
+fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(family: &str, policy: &VrfPolicy) {
     const TABLES: u32 = 6;
-    let tag = |step: &str| format!("{family} {policy:?} background={background}: {step}");
-    let mut rng = Xoshiro256::for_case("vrf_churn_bit_identity", u64::from(background));
+    let tag = |step: &str| format!("{family} {policy:?}: {step}");
+    let mut rng = Xoshiro256::for_case("vrf_churn_bit_identity", 0);
     let base: BinaryTrie<A> = FibSpec::dfz_like(300).generate(&mut rng);
     let fleet = VrfFleetSpec {
         tables: TABLES as usize,
@@ -386,7 +381,6 @@ fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(
         router: VrfSetRouter::new(BuildConfig::default(), policy.clone()),
         oracles: BTreeMap::new(),
         policy: policy.clone(),
-        background,
         rng,
         publishes: 0,
     };
@@ -430,18 +424,11 @@ fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(
     h.burst(4);
     h.publish_and_check(&tag("burst into the emptied table"));
 
-    if background {
-        // An update between begin and install: the job is rejected, and
-        // a fresh one carries both changes.
-        h.burst(0);
-        let job = h.router.begin_rebuild();
-        h.burst(5);
-        assert!(matches!(
-            h.router.install(run_off_thread(job)),
-            Err(VrfInstallError::Stale { .. })
-        ));
-        h.publish_and_check(&tag("fresh publish after a stale job"));
-    }
+    // A second burst lands, in another table, before the first is
+    // published: one publish carries both.
+    h.burst(0);
+    h.burst(5);
+    h.publish_and_check(&tag("two bursts between publishes"));
 
     // A publish with nothing to do changes nothing.
     let before = h.router.stats();
@@ -467,15 +454,13 @@ fn churn_policies() -> [VrfPolicy; 2] {
 #[test]
 fn every_publish_is_bit_identical_to_a_full_compile_v4() {
     for policy in churn_policies() {
-        churn_stays_bit_identical::<u32>("v4", &policy, false);
-        churn_stays_bit_identical::<u32>("v4", &policy, true);
+        churn_stays_bit_identical::<u32>("v4", &policy);
     }
 }
 
 #[test]
 fn every_publish_is_bit_identical_to_a_full_compile_v6() {
     for policy in churn_policies() {
-        churn_stays_bit_identical::<u128>("v6", &policy, false);
-        churn_stays_bit_identical::<u128>("v6", &policy, true);
+        churn_stays_bit_identical::<u128>("v6", &policy);
     }
 }
