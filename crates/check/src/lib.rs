@@ -5,9 +5,9 @@
 //! 1. **Concurrency model checker** ([`model`] + [`sync`]) — a
 //!    deterministic DFS explorer with bounded preemption and a
 //!    simplified C11 weak-memory model. The `fib-router` snapshot
-//!    publication protocol (`SnapCellCore`) and update bus are generic
-//!    over a synchronization shim; [`sync::ModelShim`] instantiates
-//!    them on instrumented primitives so *the shipping source* is
+//!    publication protocol (`SnapCellCore`) is generic over a
+//!    synchronization shim; [`sync::ModelShim`] instantiates it on
+//!    instrumented primitives so *the shipping source* is
 //!    exhaustively explored for use-after-free, stale reads, deadlock,
 //!    and leaked snapshots.
 //! 2. **Repo-invariant linter** ([`lint`], CLI `fibcheck`) — a

@@ -1,8 +1,7 @@
 //! Model-side implementations of the `fib_router::shim` trait family.
 //!
 //! [`ModelShim`] is the second instantiation of the shim that
-//! [`fib_router::snapcell::SnapCellCore`] and the update bus are generic
-//! over: every atomic access, mutex acquisition, and heap-cell
+//! [`fib_router::snapcell::SnapCellCore`] is generic over: every atomic access, mutex acquisition, and heap-cell
 //! read/free becomes a scheduling point of the [`crate::model`]
 //! explorer, and the "heap" is a slab with liveness flags so
 //! use-after-free is a detected violation instead of undefined
@@ -197,12 +196,3 @@ impl Shim for ModelShim {
 pub type ModelSnapCell<T> = fib_router::snapcell::SnapCellCore<T, ModelShim>;
 /// The production reader handle running on model primitives.
 pub type ModelSnapReader<T> = fib_router::snapcell::SnapReaderCore<T, ModelShim>;
-/// The production update-bus sender running on model primitives.
-pub type ModelBusSender<T> = fib_router::runtime::BusSenderCore<T, ModelShim>;
-/// The production update-bus receiver running on model primitives.
-pub type ModelBusReceiver<T> = fib_router::runtime::BusReceiverCore<T, ModelShim>;
-
-/// A model-shim update-bus channel.
-pub fn model_bus_channel<T: Send + 'static>() -> (ModelBusSender<T>, ModelBusReceiver<T>) {
-    fib_router::runtime::bus_channel_core::<T, ModelShim>()
-}

@@ -190,6 +190,46 @@ fn transient_write_failure_degrades_then_recovers_with_respill() {
     }
 }
 
+#[test]
+fn an_outage_then_a_crash_recovers_an_oracle_state() {
+    let script = script();
+    let spool = sweep_spool_config(SpoolMutant::None);
+    // One failed op degrades the spool, and whatever update it was
+    // journaling never reaches the journal; the retry re-spills a newer
+    // image, and the journal left beside it may still be stamped with
+    // the older epoch. A crash 1–8 ops after the outage lands inside that
+    // re-spill (create, write, sync, rename, journal reset) or just past
+    // it. A restart that replayed the older journal over the newer image
+    // would revert what the unjournaled update changed.
+    let mut violations = Vec::new();
+    for outage in 10..=200u64 {
+        for delay in 1..=8 {
+            let run = run_churn(
+                &script,
+                env_seed(),
+                FaultConfig {
+                    fail_ops: Some((outage, outage + 1)),
+                    crash_at_op: Some(outage + delay),
+                    tail: env_tail(),
+                    ..FaultConfig::default()
+                },
+                spool,
+            );
+            if let Err(v) = verify_recovery(&script, &run, spool) {
+                violations.push(format!(
+                    "outage at op {outage}, crash at op {}: {v}",
+                    outage + delay
+                ));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "{} runs: {violations:#?}",
+        violations.len()
+    );
+}
+
 /// Bytes `enable_spool` puts on disk for the script's base FIB (the base
 /// image plus the journal header), so a disk budget can be stated as
 /// "the base spill and this many journal records".

@@ -23,10 +23,10 @@
 //!   ever blocks on a lock.
 //! * [`DataPlane`] — the cloneable reader handle forwarding threads
 //!   hold: a cached snapshot refreshed on a generation bump.
-//! * [`Forwarder`] / [`UpdateBus`] (module [`runtime`]) — the multi-core
-//!   forwarding runtime: N worker threads with private traffic sources
-//!   and per-worker stats (packets, drops, ns/lookup histogram with
-//!   p50/p99), plus the MPSC bus the control plane drains.
+//! * [`Forwarder`] (module [`runtime`]) — the multi-core forwarding
+//!   runtime: N worker threads with private traffic sources and
+//!   per-worker stats (packets, drops, ns/lookup histogram with
+//!   p50/p99).
 //! * [`VrfSetRouter`] (module [`vrf`]) — the multi-tenant control plane:
 //!   per-VRF oracles compiled into one cross-table-deduped
 //!   [`fib_core::CompiledVrfSet`], published atomically with per-VRF
@@ -68,14 +68,12 @@ pub mod spoolfs;
 pub mod vrf;
 
 pub use lifecycle::{
-    scan_spool, SpoolConfig, SpoolHealth, SpoolImageStatus, SpoolMutant, SpoolStatus,
+    scan_spool, RestartError, SpoolConfig, SpoolHealth, SpoolImageStatus, SpoolMutant, SpoolStatus,
 };
-pub use router::{
-    DataPlane, EpochSnapshot, RestartError, Router, RouterConfig, RouterHealth, RouterStats,
-};
+pub use router::{DataPlane, EpochSnapshot, Router, RouterConfig, RouterHealth, RouterStats};
 pub use runtime::{
-    AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode, RouteUpdate,
-    UpdateBus, UpdateReceiver, WorkerReport, HEAT_SAMPLE,
+    AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode, WorkerReport,
+    HEAT_SAMPLE,
 };
 pub use snapcell::{SnapCell, SnapReader};
 pub use spoolfs::{FaultConfig, FaultFs, SpoolFile, SpoolFs, StdFs, TailPolicy};

@@ -21,22 +21,42 @@
 //! points at durable, complete bytes; a crash mid-spill leaves at worst
 //! a stray `.tmp` the next retention pass sweeps. The journal is reset
 //! *after* the image rename: until the new image is durable, the old
-//! journal (stamped with the previous image's epoch) still covers every
-//! acknowledged update, and replay is idempotent (per-prefix
-//! last-writer-wins), so the overlap is harmless. Retention runs last
-//! and only ever deletes images older than the configured keep set — at
-//! every instant the newest durable image plus a journal that applies on
-//! top of it exist on disk.
+//! image plus the old journal stamped with its epoch still cover every
+//! acknowledged update; once the new image is renamed into place it
+//! holds all of them, and the old journal no longer applies (see
+//! [Recovery](#recovery)). Retention runs last and only ever deletes
+//! images older than the configured keep set — at every instant the
+//! newest durable image, plus the journal when it applies on top of it,
+//! holds every acknowledged update.
 //!
 //! On a real filesystem every `create` and `rename` also syncs the
 //! directory it lands in before it returns ([`crate::StdFs`]), so a renamed
 //! image, a rewritten journal or a freshly created one cannot vanish from
 //! the namespace in a power cut after its bytes were synced.
 //!
-//! A warm restart that finds a torn or bit-flipped journal tail rewrites
-//! the journal to its valid prefix (temp file → `fsync` → rename, again)
-//! before it accepts appends: a record appended behind the damage would
-//! be beyond the point where the next replay stops.
+//! # Recovery
+//!
+//! A warm restart serves the newest epoch image that lints clean,
+//! decodes, carries a routes section and the router's engine can view;
+//! an image the lint flags is moved to `quarantine/` with a typed reason
+//! file. The journal applies on top of that image only when its header
+//! names the image's own epoch — the one rule replay, re-arm and
+//! [`SpoolStatus::journal_bridges`] share; any other journal is
+//! restamped, never replayed. One that ends in a torn or bit-flipped tail
+//! is first rewritten to its valid prefix (temp file → `fsync` → rename):
+//! appends behind the damage would sit past where the next replay stops.
+//!
+//! An older journal must not be replayed: an image holds every record of
+//! the journals before it, and may hold more — an update whose append
+//! failed (the spool degraded) is in no journal, only in the recovery
+//! re-spill's image. A crash before that spill's journal reset leaves the
+//! old journal beside the newer image, and an older record for a prefix
+//! the unjournaled update changed would revert it: a FIB that never
+//! existed. A *newer* journal (the restart fell back past a corrupt
+//! image) cannot bridge the records in between either. One case the rule
+//! cannot see: a recovery re-spill with no publish since the last image
+//! replaces that image under the same epoch, so the old journal still
+//! matches it — open until such a re-spill lands under a fresh epoch.
 //!
 //! # Journal format (`FIBJRNL2`)
 //!
@@ -46,18 +66,22 @@
 //! bit-flipped tail instead of applying garbage — `FIBJRNL1` had only a
 //! length sanity check, which random bytes pass 1 time in 5 for IPv4.
 
+use std::cmp::Reverse;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use fib_core::{FibImage, ImageError};
+
+use crate::router::RouterHealth;
 use crate::spoolfs::{SpoolFile, SpoolFs};
 
 /// On-disk journal record size: op (1) + prefix length (1) + checksum
 /// (2) + next-hop (4) + address (16).
-pub(crate) const JOURNAL_RECORD: usize = 24;
+const JOURNAL_RECORD: usize = 24;
 /// Journal header: magic (8) + base epoch (8).
-pub(crate) const JOURNAL_HEADER: usize = 16;
+const JOURNAL_HEADER: usize = 16;
 const JOURNAL_MAGIC: &[u8; 8] = b"FIBJRNL2";
 
 /// A decoded journal record: `(tag, prefix length, next-hop, address)`.
@@ -113,7 +137,7 @@ fn decode_record(rec: &[u8], mutant: SpoolMutant) -> Option<JournalRecord> {
 ///
 /// The [`SpoolMutant::ReplayPastTail`] protocol mutant makes none of
 /// those stops and forces whatever it reads into range.
-pub(crate) fn read_journal(
+fn read_journal(
     buf: &[u8],
     width: u8,
     mutant: SpoolMutant,
@@ -254,16 +278,17 @@ impl std::fmt::Display for SpoolHealth {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum HealthPhase {
+    #[default]
     Healthy,
     Degraded,
     Suspended,
 }
 
 /// The retry/backoff state machine behind [`SpoolHealth`].
-#[derive(Debug)]
-pub(crate) struct HealthState {
+#[derive(Debug, Default)]
+struct HealthState {
     phase: HealthPhase,
     retries: u32,
     backoff: Duration,
@@ -271,22 +296,11 @@ pub(crate) struct HealthState {
     next_retry: Duration,
     last_error: Option<String>,
     /// Degraded/Suspended → Healthy transitions (re-spill verified).
-    pub(crate) recoveries: u64,
+    recoveries: u64,
 }
 
 impl HealthState {
-    pub(crate) fn new() -> Self {
-        Self {
-            phase: HealthPhase::Healthy,
-            retries: 0,
-            backoff: Duration::ZERO,
-            next_retry: Duration::ZERO,
-            last_error: None,
-            recoveries: 0,
-        }
-    }
-
-    pub(crate) fn view(&self) -> SpoolHealth {
+    fn view(&self) -> SpoolHealth {
         match self.phase {
             HealthPhase::Healthy => SpoolHealth::Healthy,
             HealthPhase::Degraded => SpoolHealth::Degraded {
@@ -300,17 +314,17 @@ impl HealthState {
         }
     }
 
-    pub(crate) fn is_healthy(&self) -> bool {
+    fn is_healthy(&self) -> bool {
         self.phase == HealthPhase::Healthy
     }
 
-    pub(crate) fn is_suspended(&self) -> bool {
+    fn is_suspended(&self) -> bool {
         self.phase == HealthPhase::Suspended
     }
 
     /// Records a persistence failure at virtual time `now`: bumps the
     /// exponential backoff, suspends past the retry budget.
-    pub(crate) fn note_failure(&mut self, cfg: &SpoolConfig, now: Duration, error: String) {
+    fn note_failure(&mut self, cfg: &SpoolConfig, now: Duration, error: String) {
         self.retries = self.retries.saturating_add(1);
         self.last_error = Some(error);
         if self.retries > cfg.max_retries {
@@ -325,7 +339,7 @@ impl HealthState {
 
     /// Records a successful persistence operation: an unhealthy spool
     /// counts a recovery and returns to `Healthy`.
-    pub(crate) fn note_success(&mut self) {
+    fn note_success(&mut self) {
         if self.phase != HealthPhase::Healthy {
             self.recoveries += 1;
         }
@@ -336,13 +350,13 @@ impl HealthState {
     }
 
     /// Whether a degraded spool's backoff has elapsed (a retry is due).
-    pub(crate) fn retry_due(&self, now: Duration) -> bool {
+    fn retry_due(&self, now: Duration) -> bool {
         self.phase == HealthPhase::Degraded && now >= self.next_retry
     }
 
     /// Operator re-arm: a suspended (or degraded) spool becomes
     /// immediately retryable with a fresh retry budget.
-    pub(crate) fn resume(&mut self) {
+    fn resume(&mut self) {
         if self.phase != HealthPhase::Healthy {
             self.phase = HealthPhase::Degraded;
             self.retries = 0;
@@ -352,40 +366,90 @@ impl HealthState {
     }
 }
 
+/// Why a warm restart could not come up.
+#[derive(Debug)]
+pub enum RestartError {
+    /// The spool directory holds no loadable image with a routes section.
+    NoValidImage,
+    /// Filesystem failure scanning the spool.
+    Io(String),
+    /// The newest image failed to decode for the requested engine.
+    Image(ImageError),
+    /// Every candidate failed validation; the message is the typed lint
+    /// reason the last one was quarantined with.
+    Quarantined(String),
+}
+
+impl std::fmt::Display for RestartError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoValidImage => write!(f, "no valid FIB image in the spool directory"),
+            Self::Io(e) => write!(f, "spool i/o error: {e}"),
+            Self::Image(e) => write!(f, "spool image error: {e}"),
+            Self::Quarantined(reason) => write!(f, "all spool images quarantined; last: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for RestartError {}
+
 /// Durable-spool state: where epoch images are spilled, the update
 /// journal bridging the gap since the last spill, and the health
-/// machine deciding whether writes are attempted at all.
+/// machine deciding whether writes are attempted at all — every health
+/// rule is applied in here.
 pub(crate) struct Spool {
-    pub(crate) fs: Arc<dyn SpoolFs>,
-    pub(crate) dir: PathBuf,
-    pub(crate) cfg: SpoolConfig,
+    fs: Arc<dyn SpoolFs>,
+    dir: PathBuf,
+    cfg: SpoolConfig,
     journal: Option<Box<dyn SpoolFile>>,
     /// Records were appended since the journal was last synced.
     uncommitted: bool,
-    /// Epoch the journal's records apply on top of.
-    pub(crate) journal_epoch: u64,
     /// Bytes in the journal file (header included).
-    pub(crate) journal_bytes: u64,
+    journal_bytes: u64,
     /// Newest epoch with a spilled image.
-    pub(crate) last_spilled: Option<u64>,
-    pub(crate) health: HealthState,
+    last_spilled: Option<u64>,
+    health: HealthState,
     /// Images moved to quarantine by this router (restart + scrub).
-    pub(crate) quarantined: u64,
+    quarantined: u64,
 }
 
-pub(crate) fn image_path(dir: &Path, epoch: u64) -> PathBuf {
+fn image_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("epoch-{epoch:016x}.img"))
 }
 
-pub(crate) fn journal_path(dir: &Path) -> PathBuf {
+fn journal_path(dir: &Path) -> PathBuf {
     dir.join("journal.log")
 }
 
 /// Parses `epoch-{hex}.img` names back to their epoch.
-pub(crate) fn parse_image_name(path: &Path) -> Option<u64> {
+fn parse_image_name(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let hex = name.strip_prefix("epoch-")?.strip_suffix(".img")?;
     u64::from_str_radix(hex, 16).ok()
+}
+
+/// Epoch images as `(epoch, path)`, newest first.
+type Images = Vec<(u64, PathBuf)>;
+
+/// The one listing of a spool directory: its epoch images, and the stray
+/// `.tmp` files a crash mid-spill left behind.
+fn list_images(fs: &dyn SpoolFs, dir: &Path) -> io::Result<(Images, Vec<PathBuf>)> {
+    let (mut images, mut temps) = (Vec::new(), Vec::new());
+    for path in fs.read_dir(dir)? {
+        if let Some(epoch) = parse_image_name(&path) {
+            images.push((epoch, path));
+        } else if path.extension().is_some_and(|e| e == "tmp") {
+            temps.push(path);
+        }
+    }
+    images.sort_by_key(|&(epoch, _)| Reverse(epoch));
+    Ok((images, temps))
+}
+
+/// Whether a journal stamped `journal_epoch` applies on top of the image
+/// of `image_epoch`: only one started on that very image does.
+fn journal_applies(journal_epoch: u64, image_epoch: u64) -> bool {
+    journal_epoch == image_epoch
 }
 
 impl Spool {
@@ -399,12 +463,91 @@ impl Spool {
             cfg,
             journal: None,
             uncommitted: false,
-            journal_epoch: 0,
             journal_bytes: 0,
             last_spilled: None,
-            health: HealthState::new(),
+            health: HealthState::default(),
             quarantined: 0,
         })
+    }
+
+    /// Warm restart up to the control FIB (see [Recovery](self#recovery)):
+    /// the newest image `serves` accepts, and the journal re-armed on it.
+    /// Returns the armed spool, the image, its epoch and the `width`-bit
+    /// journal records to replay onto the image's routes.
+    pub(crate) fn recover(
+        fs: Arc<dyn SpoolFs>,
+        dir: &Path,
+        cfg: SpoolConfig,
+        width: u8,
+        serves: impl Fn(&FibImage) -> Result<(), ImageError>,
+    ) -> Result<(Self, FibImage, u64, Vec<JournalRecord>), RestartError> {
+        let dir_error = |e: io::Error| RestartError::Io(format!("{}: {e}", dir.display()));
+        let (images, _) = list_images(fs.as_ref(), dir).map_err(dir_error)?;
+        let mut quarantined = 0u64;
+        let mut load = |path: &Path| {
+            let bytes = fs.read(path).map_err(|e| RestartError::Io(e.to_string()))?;
+            if let Some((issue, moved)) = quarantine_flagged(fs.as_ref(), dir, path, &bytes) {
+                quarantined += u64::from(moved);
+                return Err(RestartError::Quarantined(issue));
+            }
+            let image = FibImage::from_bytes(&bytes).map_err(RestartError::Image)?;
+            // A lint-clean image the engine cannot serve belongs to a
+            // different engine/family: honest data, skipped in place.
+            serves(&image).map_err(RestartError::Image)?;
+            let no_routes = ImageError::MissingSection(fib_core::image::sections::ROUTES);
+            image
+                .has_routes()
+                .then_some(image)
+                .ok_or(RestartError::Image(no_routes))
+        };
+        let mut last_error = RestartError::NoValidImage;
+        let Some((epoch, image)) = images.iter().find_map(|(epoch, path)| {
+            let loaded = load(path).map_err(|e| last_error = e);
+            loaded.ok().map(|image| (*epoch, image))
+        }) else {
+            return Err(last_error);
+        };
+
+        // A missing, short or unreadable header is restamped too: it would
+        // hide whatever is appended behind it.
+        let journal = fs
+            .read(&journal_path(dir))
+            .ok()
+            .and_then(|buf| read_journal(&buf, width, cfg.mutant));
+        let mut spool = Self::arm(fs, dir.to_path_buf(), cfg).map_err(dir_error)?;
+        spool.last_spilled = Some(epoch);
+        spool.quarantined = quarantined;
+        let (records, rearmed) = match journal {
+            Some((base, records, torn_bytes)) if journal_applies(base, epoch) => {
+                let rearmed = if torn_bytes > 0 {
+                    spool.rewrite_journal(epoch, &records)
+                } else {
+                    spool.open_journal_append()
+                };
+                (records, rearmed)
+            }
+            _ => (Vec::new(), spool.reset_journal(epoch)),
+        };
+        if let Err(e) = rearmed {
+            let now = spool.fs.now();
+            spool.fail(now, &e);
+        }
+        Ok((spool, image, epoch, records))
+    }
+
+    /// The spool's half of a [`RouterHealth`] report.
+    pub(crate) fn report(&self) -> RouterHealth {
+        RouterHealth {
+            spool: Some(self.health.view()),
+            spool_recoveries: self.health.recoveries,
+            quarantined: self.quarantined,
+            ..RouterHealth::default()
+        }
+    }
+
+    /// Notes a persistence failure observed at `now`.
+    fn fail(&mut self, now: Duration, error: &io::Error) {
+        self.health.note_failure(&self.cfg, now, error.to_string());
     }
 
     /// Starts a journal file at `path` — the header stamped with the
@@ -429,88 +572,121 @@ impl Spool {
         }
         self.journal = Some(f);
         self.uncommitted = false;
-        self.journal_epoch = epoch;
         self.journal_bytes = bytes.len() as u64;
         Ok(())
     }
 
     /// Truncates the journal and stamps it with the epoch its future
     /// records apply on top of.
-    pub(crate) fn reset_journal(&mut self, epoch: u64) -> io::Result<()> {
+    fn reset_journal(&mut self, epoch: u64) -> io::Result<()> {
         self.start_journal(&journal_path(&self.dir), epoch, &[])
     }
 
     /// Replaces the journal with exactly `records` on base `epoch`: temp
     /// file → sync → rename, so a crash at any point leaves the old file
     /// or the new one, never fewer durable records than before.
-    pub(crate) fn rewrite_journal(
-        &mut self,
-        epoch: u64,
-        records: &[JournalRecord],
-    ) -> io::Result<()> {
+    fn rewrite_journal(&mut self, epoch: u64, records: &[JournalRecord]) -> io::Result<()> {
         let tmp = self.dir.join("journal.tmp");
         self.start_journal(&tmp, epoch, records)?;
         self.fs.rename(&tmp, &journal_path(&self.dir))
     }
 
-    /// Re-opens an existing journal in append mode (warm restart). Its
+    /// Re-opens the existing journal in append mode (warm restart). Its
     /// records may have outlived a dead process in the kernel's cache
     /// only, so they count as uncommitted until the next publish.
-    pub(crate) fn open_journal_append(&mut self, epoch: u64) -> io::Result<()> {
+    fn open_journal_append(&mut self) -> io::Result<()> {
         let path = journal_path(&self.dir);
         let f = self.fs.open_append(&path)?;
         self.journal = Some(f);
-        self.journal_epoch = epoch;
         self.journal_bytes = self.fs.file_len(&path).unwrap_or(0);
         self.uncommitted = self.journal_bytes > JOURNAL_HEADER as u64;
         Ok(())
     }
 
-    /// Appends one record: written through to the journal file, so a
-    /// process that dies keeps it, but durable only after the next
-    /// [`Self::commit`]. The caller routes the error through the health
-    /// machine.
-    pub(crate) fn append(&mut self, rec: &[u8; JOURNAL_RECORD]) -> io::Result<()> {
-        let f = self
-            .journal
+    /// The open journal file.
+    fn journal(&mut self) -> io::Result<&mut Box<dyn SpoolFile>> {
+        self.journal
             .as_mut()
-            .ok_or_else(|| io::Error::other("journal not armed"))?;
-        f.write_all(rec)?;
-        self.uncommitted = true;
-        self.journal_bytes += JOURNAL_RECORD as u64;
-        Ok(())
+            .ok_or_else(|| io::Error::other("journal not armed"))
     }
 
-    /// Makes every record appended so far durable with one sync (none
-    /// when nothing was appended since the last).
-    pub(crate) fn commit(&mut self) -> io::Result<()> {
-        if !self.uncommitted {
-            return Ok(());
+    /// Journals one record when healthy: written through to the file (a
+    /// process that dies keeps it), durable after the next
+    /// [`Self::commit`]. A degraded spool journals nothing and returns
+    /// whether its retry is due — the caller then re-spills.
+    #[must_use]
+    pub(crate) fn append(&mut self, rec: &[u8; JOURNAL_RECORD]) -> bool {
+        if self.health.is_suspended() {
+            return false;
         }
-        let skip = matches!(
+        let now = self.fs.now();
+        if !self.health.is_healthy() {
+            return self.health.retry_due(now);
+        }
+        match self.journal().and_then(|f| f.write_all(rec)) {
+            Ok(()) => {
+                self.uncommitted = true;
+                self.journal_bytes += JOURNAL_RECORD as u64;
+            }
+            Err(e) => self.fail(now, &e),
+        }
+        false
+    }
+
+    /// Makes every record a healthy spool appended so far durable with
+    /// one sync (none when nothing was appended since the last).
+    pub(crate) fn commit(&mut self) {
+        if !self.health.is_healthy() || !self.uncommitted {
+            return;
+        }
+        if !matches!(
             self.cfg.mutant,
             SpoolMutant::SkipFsync | SpoolMutant::AckBeforeSync
-        );
-        if !skip {
-            self.journal
-                .as_mut()
-                .ok_or_else(|| io::Error::other("journal not armed"))?
-                .sync()?;
+        ) {
+            if let Err(e) = self.journal().and_then(|f| f.sync()) {
+                let now = self.fs.now();
+                return self.fail(now, &e);
+            }
         }
         self.uncommitted = false;
-        Ok(())
     }
 
-    /// Whether the journal has outgrown the fold threshold (time to
-    /// compact it into a fresh image).
+    /// Whether a healthy spool's journal has outgrown the fold threshold
+    /// (time to compact it into a fresh image).
     pub(crate) fn wants_fold(&self) -> bool {
-        self.journal_bytes > self.cfg.journal_fold_bytes + JOURNAL_HEADER as u64
+        self.health.is_healthy()
+            && self.journal_bytes > self.cfg.journal_fold_bytes + JOURNAL_HEADER as u64
+    }
+
+    /// Lands the `image` of `epoch` ([`Self::land`]) if one is due: a
+    /// recovery re-spill (`force`) unless suspended, else only a healthy
+    /// spool's first of `epoch`. Returns whether it landed (healthy again).
+    pub(crate) fn spill(
+        &mut self,
+        epoch: u64,
+        force: bool,
+        image: impl FnOnce() -> Option<Result<Vec<u8>, ImageError>>,
+    ) -> bool {
+        let due = !self.health.is_suspended()
+            && (force || (self.health.is_healthy() && self.last_spilled != Some(epoch)));
+        let Some(image) = due.then(image).flatten() else {
+            return false;
+        };
+        let now = self.fs.now();
+        match image
+            .map_err(io::Error::other)
+            .and_then(|bytes| self.land(epoch, &bytes))
+        {
+            Ok(()) => self.health.note_success(),
+            Err(e) => self.fail(now, &e),
+        }
+        self.health.is_healthy()
     }
 
     /// Lands `bytes` as the durable image of `epoch` via the
     /// crash-consistent protocol (temp file → fsync → rename), then
     /// resets the journal onto the new base and prunes old checkpoints.
-    pub(crate) fn spill(&mut self, epoch: u64, bytes: &[u8]) -> io::Result<()> {
+    fn land(&mut self, epoch: u64, bytes: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(format!("epoch-{epoch:016x}.tmp"));
         let fin = image_path(&self.dir, epoch);
         let mut f = self.fs.create(&tmp)?;
@@ -549,48 +725,71 @@ impl Spool {
     /// Prunes epoch images beyond the newest `keep + 1` and sweeps
     /// stray `.tmp` files. Best-effort: a retention failure never
     /// degrades health (the spool is *over*-complete, not broken).
-    pub(crate) fn retention(&mut self) {
-        let Ok(entries) = self.fs.read_dir(&self.dir) else {
+    fn retention(&mut self) {
+        let Ok((images, temps)) = list_images(self.fs.as_ref(), &self.dir) else {
             return;
         };
-        let mut epochs: Vec<u64> = Vec::new();
-        for path in &entries {
-            if let Some(epoch) = parse_image_name(path) {
-                epochs.push(epoch);
-            } else if path.extension().is_some_and(|e| e == "tmp") {
-                let _ = self.fs.remove_file(path);
+        let pruned = images.iter().skip(self.cfg.keep + 1).map(|(_, path)| path);
+        for path in temps.iter().chain(pruned) {
+            let _ = self.fs.remove_file(path);
+        }
+    }
+
+    /// Operator re-arm: a suspended (or degraded) spool becomes
+    /// immediately retryable with a fresh retry budget.
+    pub(crate) fn resume(&mut self) {
+        self.health.resume();
+    }
+
+    /// Lints every epoch image and moves the ones it flags to
+    /// `quarantine/` with typed reasons. Returns how many it moved and
+    /// whether the image of the newest spilled epoch is gone (the caller
+    /// re-spills it).
+    pub(crate) fn scrub(&mut self) -> (usize, bool) {
+        let Ok((images, _)) = list_images(self.fs.as_ref(), &self.dir) else {
+            return (0, false);
+        };
+        let mut moved = 0usize;
+        // In directory order: oldest first.
+        for (_, path) in images.iter().rev() {
+            if let Ok(bytes) = self.fs.read(path) {
+                let flagged = quarantine_flagged(self.fs.as_ref(), &self.dir, path, &bytes);
+                moved += usize::from(flagged.is_some_and(|(_, landed)| landed));
             }
         }
-        epochs.sort_unstable_by(|a, b| b.cmp(a));
-        for &old in epochs.iter().skip(self.cfg.keep + 1) {
-            let _ = self.fs.remove_file(&image_path(&self.dir, old));
-        }
+        self.quarantined += moved as u64;
+        let lost_current = self
+            .last_spilled
+            .is_some_and(|epoch| !self.fs.exists(&image_path(&self.dir, epoch)));
+        (moved, lost_current)
     }
 }
 
-/// Moves a failed-validation image into `dir/quarantine/` and writes a
-/// `<name>.reason` file holding the typed lint code plus detail, so an
-/// operator (or `fibc spool-status`) can see *why* without re-linting.
-pub(crate) fn quarantine_image(
+/// Fully lints image `bytes` read from `path`. Anything flagged is
+/// corruption: the file moves to `dir/quarantine/` beside a `<name>.reason`
+/// file with the typed lint code plus detail, so an operator (or `fibc
+/// spool-status`) sees *why*. Returns the first issue and whether it moved.
+fn quarantine_flagged(
     fs: &dyn SpoolFs,
     dir: &Path,
     path: &Path,
-    code: &str,
-    detail: &str,
-) -> io::Result<PathBuf> {
-    let qdir = dir.join("quarantine");
-    fs.create_dir_all(&qdir)?;
-    let name = path
-        .file_name()
-        .ok_or_else(|| io::Error::other("image path has no file name"))?;
-    let dest = qdir.join(name);
-    fs.rename(path, &dest)?;
-    let mut reason_name = name.to_os_string();
-    reason_name.push(".reason");
-    let mut reason = fs.create(&qdir.join(reason_name))?;
-    reason.write_all(format!("{code}: {detail}\n").as_bytes())?;
-    reason.sync()?;
-    Ok(dest)
+    bytes: &[u8],
+) -> Option<(String, bool)> {
+    let issue = fib_core::lint::lint_bytes(bytes).into_iter().next()?;
+    let moved = (|| {
+        let qdir = dir.join("quarantine");
+        fs.create_dir_all(&qdir)?;
+        let name = path
+            .file_name()
+            .ok_or_else(|| io::Error::other("image path has no file name"))?;
+        fs.rename(path, &qdir.join(name))?;
+        let mut reason_name = name.to_os_string();
+        reason_name.push(".reason");
+        let mut reason = fs.create(&qdir.join(reason_name))?;
+        reason.write_all(format!("{issue}\n").as_bytes())?;
+        reason.sync()
+    })();
+    Some((issue.to_string(), moved.is_ok()))
 }
 
 /// One image's entry in a [`SpoolStatus`] report.
@@ -678,25 +877,21 @@ impl std::fmt::Display for SpoolStatus {
 /// land in the report instead.
 pub fn scan_spool(fs: &dyn SpoolFs, dir: &Path) -> io::Result<SpoolStatus> {
     let mut status = SpoolStatus::default();
-    let entries = fs.read_dir(dir)?;
-    for path in &entries {
-        let Some(epoch) = parse_image_name(path) else {
-            continue;
-        };
-        let bytes = fs.read(path).unwrap_or_default();
+    let (images, _) = list_images(fs, dir)?;
+    for (epoch, path) in images {
+        let bytes = fs.read(&path).unwrap_or_default();
         let issues: Vec<String> = fib_core::lint::lint_bytes(&bytes)
             .into_iter()
             .map(|i| i.to_string())
             .collect();
         status.image_bytes += bytes.len() as u64;
         status.images.push(SpoolImageStatus {
-            path: path.clone(),
+            path,
             epoch,
             bytes: bytes.len() as u64,
             issues,
         });
     }
-    status.images.sort_by_key(|i| std::cmp::Reverse(i.epoch));
     if let Some(best) = status.images.iter().find(|i| i.issues.is_empty()) {
         status.newest_valid_epoch = Some(best.epoch);
         status.newest_age = fs.age(&best.path);
@@ -714,7 +909,7 @@ pub fn scan_spool(fs: &dyn SpoolFs, dir: &Path) -> io::Result<SpoolStatus> {
         status.journal_torn_bytes = torn_bytes;
         status.journal_bridges = status
             .newest_valid_epoch
-            .is_some_and(|newest| epoch <= newest);
+            .is_some_and(|newest| journal_applies(epoch, newest));
     }
 
     let qdir = dir.join("quarantine");
@@ -796,7 +991,7 @@ mod tests {
             max_retries: 3,
             ..SpoolConfig::default()
         };
-        let mut h = HealthState::new();
+        let mut h = HealthState::default();
         assert!(h.is_healthy());
         let mut now = Duration::from_millis(100);
         h.note_failure(&cfg, now, "boom".into());
@@ -832,7 +1027,7 @@ mod tests {
         };
         let mut spool = Spool::arm(fs.clone(), dir.clone(), cfg).unwrap();
         for epoch in 1..=4u64 {
-            spool.spill(epoch, &[0xAB; 32]).unwrap();
+            assert!(spool.spill(epoch, false, || Some(Ok(vec![0xAB; 32]))));
         }
         let left: Vec<u64> = fs
             .paths()
@@ -846,7 +1041,11 @@ mod tests {
                 .any(|p| p.extension().is_some_and(|e| e == "tmp")),
             "no stray temp files"
         );
-        assert_eq!(spool.journal_epoch, 4);
+        let journal = fs.read(&journal_path(&dir)).unwrap();
+        assert_eq!(
+            read_journal(&journal, 32, SpoolMutant::None),
+            Some((4, vec![], 0))
+        );
     }
 
     #[test]
@@ -859,18 +1058,19 @@ mod tests {
         f.write_all(b"junk").unwrap();
         f.sync().unwrap();
         drop(f);
-        let dest = quarantine_image(&fs, &dir, &img, "image-bad-magic", "not a fibimage").unwrap();
+        let (issue, moved) = quarantine_flagged(&fs, &dir, &img, b"junk").unwrap();
+        assert!(moved && issue.starts_with("image-"), "{issue}");
         assert!(!fs.exists(&img));
-        assert!(fs.exists(&dest));
+        assert!(fs.exists(&dir.join("quarantine/epoch-0000000000000009.img")));
         let reason = fs
             .read(&dir.join("quarantine/epoch-0000000000000009.img.reason"))
             .unwrap();
-        assert_eq!(reason, b"image-bad-magic: not a fibimage\n");
+        assert_eq!(reason, format!("{issue}\n").into_bytes());
         let status = scan_spool(&fs, &dir).unwrap();
         assert_eq!(status.quarantined, 1);
         assert_eq!(
             status.quarantine_reasons,
-            vec!["epoch-0000000000000009.img: image-bad-magic: not a fibimage".to_string()]
+            vec![format!("epoch-0000000000000009.img: {issue}")]
         );
     }
 }

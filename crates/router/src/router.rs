@@ -6,16 +6,13 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::lifecycle::{
-    encode_record, image_path, journal_path, parse_image_name, quarantine_image, read_journal,
-    JournalRecord, Spool, SpoolConfig, SpoolHealth,
-};
+use crate::lifecycle::{encode_record, RestartError, Spool, SpoolConfig, SpoolHealth};
 use crate::snapcell::{SnapCell, SnapReader};
 use crate::spoolfs::{SpoolFs, StdFs};
 
 use fib_core::{
     write_image, BuildConfig, FibBuild, FibImage, FibLookup, FibUpdate, HotConfig, HotFront,
-    HotSlab, HotStats, ImageCodec, ImageError,
+    HotSlab, HotStats, ImageCodec,
 };
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 use fib_workload::{HeatMap, HeatSummary};
@@ -317,33 +314,6 @@ pub struct RouterStats {
     pub copied_nodes: u64,
 }
 
-/// Why a warm restart could not come up.
-#[derive(Debug)]
-pub enum RestartError {
-    /// The spool directory holds no loadable image with a routes section.
-    NoValidImage,
-    /// Filesystem failure scanning the spool.
-    Io(String),
-    /// The newest image failed to decode for the requested engine.
-    Image(ImageError),
-    /// Every candidate failed validation; the message is the typed lint
-    /// reason the last one was quarantined with.
-    Quarantined(String),
-}
-
-impl std::fmt::Display for RestartError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NoValidImage => write!(f, "no valid FIB image in the spool directory"),
-            Self::Io(e) => write!(f, "spool i/o error: {e}"),
-            Self::Image(e) => write!(f, "spool image error: {e}"),
-            Self::Quarantined(reason) => write!(f, "all spool images quarantined; last: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for RestartError {}
-
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<&str>()
@@ -454,14 +424,25 @@ where
         let working = E::build(&control, &config.build);
         let snapshot =
             EpochSnapshot::cut(0, control.len(), SnapEngine::Owned(working.clone()), None);
+        Self::serving(config, control, Some(working), snapshot)
+    }
+
+    /// A router over `control` whose data plane serves `snapshot`, with
+    /// nothing pending and no spool.
+    fn serving(
+        config: RouterConfig,
+        control: BinaryTrie<A>,
+        working: Option<E>,
+        snapshot: Arc<EpochSnapshot<E>>,
+    ) -> Self {
         Self {
             config,
             control,
-            working: Some(working),
+            working,
             stale: false,
+            epoch: snapshot.epoch(),
             kept: VecDeque::from([Arc::clone(&snapshot)]),
             published: SnapCell::new(snapshot),
-            epoch: 0,
             since_publish: 0,
             stats: RouterStats {
                 epochs: 1,
@@ -519,17 +500,16 @@ where
     }
 
     /// Rebuilds a router from the newest valid epoch image in `dir` plus
-    /// journal replay — the warm-restart path.
+    /// the journal stamped with that image's epoch — the warm-restart path
+    /// (see [Recovery](crate::lifecycle#recovery) for the rule and the
+    /// quarantine of corrupt images).
     ///
     /// The published snapshot serves lookups **directly from the loaded
     /// image** (zero-copy view), so forwarding resumes in image-load time
-    /// instead of engine-rebuild time. The control FIB is restored from
-    /// the image's routes section; journaled updates recorded after the
-    /// spill are replayed onto it (they reach the data plane at the next
-    /// [`publish`](Self::publish), exactly like any other pending update).
-    /// Images that fail validation are moved to `spool/quarantine/` with
-    /// a typed reason file; images built for another engine or address
-    /// family are skipped in place.
+    /// instead of engine-rebuild time. The control FIB is the image's
+    /// routes section plus the journal's records, which reach the data
+    /// plane at the next [`publish`](Self::publish), exactly like any
+    /// other pending update.
     ///
     /// # Errors
     /// [`RestartError`] when the directory cannot be scanned or holds no
@@ -544,182 +524,53 @@ where
     /// point.
     ///
     /// # Errors
-    /// [`RestartError`] when the directory cannot be scanned or holds no
-    /// valid image for this engine and address family.
+    /// As [`Self::warm_restart`].
     pub fn warm_restart_with(
         fs: Arc<dyn SpoolFs>,
         dir: impl AsRef<Path>,
         config: RouterConfig,
         spool_cfg: SpoolConfig,
     ) -> Result<Self, RestartError> {
-        let dir = dir.as_ref();
-        let entries = fs
-            .read_dir(dir)
-            .map_err(|e| RestartError::Io(format!("{}: {e}", dir.display())))?;
-        let mut candidates: Vec<(u64, PathBuf)> = entries
-            .iter()
-            .filter_map(|path| parse_image_name(path).map(|epoch| (epoch, path.clone())))
-            .collect();
-        candidates.sort_by_key(|&(epoch, _)| std::cmp::Reverse(epoch));
-        if candidates.is_empty() {
-            return Err(RestartError::NoValidImage);
-        }
-        let mut quarantined = 0u64;
-        let mut last_error: Option<RestartError> = None;
-        let mut picked: Option<(u64, FibImage)> = None;
-        for (epoch, path) in &candidates {
-            let bytes = match fs.read(path) {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    last_error = Some(RestartError::Io(e.to_string()));
-                    continue;
-                }
-            };
-            // Full lint (container + deep passes): anything it flags is
-            // evidence of corruption, so the file is moved aside with a
-            // typed reason rather than silently skipped and re-tripped-over
-            // at every future restart.
-            let issues = fib_core::lint::lint_bytes(&bytes);
-            if let Some(first) = issues.first() {
-                if quarantine_image(fs.as_ref(), dir, path, first.code, &first.detail).is_ok() {
-                    quarantined += 1;
-                }
-                last_error = Some(RestartError::Quarantined(first.to_string()));
-                continue;
-            }
-            let image = match FibImage::from_bytes(&bytes) {
-                Ok(image) => image,
-                Err(e) => {
-                    last_error = Some(RestartError::Image(e));
-                    continue;
-                }
-            };
-            // A lint-clean image that this engine cannot view belongs to a
-            // different engine/family: honest data, wrong consumer — skip
-            // it in place.
-            if let Err(e) = E::view(&image) {
-                last_error = Some(RestartError::Image(e));
-                continue;
-            }
-            if !image.has_routes() {
-                last_error = Some(RestartError::Image(ImageError::MissingSection(
-                    fib_core::image::sections::ROUTES,
-                )));
-                continue;
-            }
-            picked = Some((*epoch, image));
-            break;
-        }
-        let Some((epoch, image)) = picked else {
-            return Err(last_error.unwrap_or(RestartError::NoValidImage));
-        };
+        let (spool, image, epoch, records) =
+            Spool::recover(fs, dir.as_ref(), spool_cfg, A::WIDTH, |image| {
+                E::view(image).map(drop)
+            })?;
         let mut control = image.routes::<A>().map_err(RestartError::Image)?;
-
-        // Journal replay: records apply on top of their stamped epoch.
-        // journal_epoch ≤ image epoch is safe regardless of newer (corrupt,
-        // quarantined) image files: per-prefix last-writer-wins makes
-        // records a newer image already includes idempotent. A journal
-        // stamped *newer* than the image we restored cannot bridge the gap
-        // and is ignored (and restamped below). `read_journal` yields
-        // only the records before a torn or bit-flipped tail.
-        let mut replayed = 0u64;
-        let journal: Option<(u64, Vec<JournalRecord>, u64)> = fs
-            .read(&journal_path(dir))
-            .ok()
-            .and_then(|buf| read_journal(&buf, A::WIDTH, spool_cfg.mutant));
-        if let Some((journal_epoch, records, _)) = &journal {
-            if *journal_epoch <= epoch {
-                for &(tag, len, nh, addr) in records {
-                    let prefix = Prefix::new(A::from_u128(addr), len);
-                    if tag == b'W' {
-                        control.remove(prefix);
-                    } else {
-                        control.insert(prefix, NextHop::new(nh));
-                    }
-                    replayed += 1;
-                }
+        for &(tag, len, nh, addr) in &records {
+            let prefix = Prefix::new(A::from_u128(addr), len);
+            if tag == b'W' {
+                control.remove(prefix);
+            } else {
+                control.insert(prefix, NextHop::new(nh));
             }
         }
 
         let routes = image.route_count() as usize;
         let image = Arc::new(image);
         // An image compiled with a hot slab (`write_image_hot`) keeps
-        // serving it: the lint above checked every pinned block against
-        // the routes section and the engine view.
+        // serving it: the lint checked every pinned block against the
+        // routes section and the engine view.
         let slab = image
             .section(fib_core::image::sections::HOT_SLAB)
             .ok()
             .and_then(|words| HotSlab::from_words(words).ok());
         let snapshot =
             EpochSnapshot::cut(epoch, routes, SnapEngine::Image(Arc::clone(&image)), slab);
-        let mut spool = Spool::arm(Arc::clone(&fs), dir.to_path_buf(), spool_cfg)
-            .map_err(|e| RestartError::Io(format!("{}: {e}", dir.display())))?;
-        spool.last_spilled = Some(epoch);
-        spool.quarantined = quarantined;
-        // Restamp the journal unless it already applies on top of the
-        // restored image. A *newer* header (we fell back past a corrupt
-        // image) would make a second crash ignore everything appended
-        // from here on; an *older* one holds only records the image
-        // already includes; a missing, short or unreadable header hides
-        // whatever is appended behind it. Either way the records on disk
-        // are dead weight relative to `epoch`, so start clean. The normal
-        // case — the journal sits on this very image — re-opens the file
-        // in append mode: its records are in `control` but in no image
-        // yet. If it ends in a torn or bit-flipped tail, though, it is
-        // first rewritten to the records just replayed: anything appended
-        // behind the damage would be mis-framed by a partial record, or
-        // sit past the record the next replay stops at.
-        let rearm = match &journal {
-            Some((journal_epoch, records, torn_bytes)) if *journal_epoch == epoch => {
-                if *torn_bytes > 0 {
-                    spool.rewrite_journal(epoch, records)
-                } else {
-                    spool.open_journal_append(epoch)
-                }
-            }
-            _ => spool.reset_journal(epoch),
-        };
-        if let Err(e) = rearm {
-            let now = fs.now();
-            let cfg = spool.cfg;
-            spool.health.note_failure(&cfg, now, e.to_string());
-        }
-        let mut router = Self {
-            config,
-            control,
-            working: None,
-            stale: replayed > 0,
-            kept: VecDeque::from([Arc::clone(&snapshot)]),
-            published: SnapCell::new(snapshot),
-            epoch,
-            since_publish: usize::try_from(replayed).unwrap_or(usize::MAX),
-            stats: RouterStats {
-                epochs: 1,
-                replayed,
-                ..RouterStats::default()
-            },
-            spool: None,
-            rebuild_panics: 0,
-            last_rebuild_panic: None,
-            rebuild_suspended: false,
-            serving_stale: false,
-            heat_profile: None,
-        };
+        let mut router = Self::serving(config, control, None, snapshot);
+        router.stale = !records.is_empty();
+        router.since_publish = records.len();
+        router.stats.replayed = records.len() as u64;
         router.spool = Some(spool);
         Ok(router)
     }
 
-    /// Arms FIB-image persistence: the current state is spilled to `dir`
-    /// as a `fibimage/v1` file (routes section included) immediately, so
-    /// a crash right after this call is already recoverable via
-    /// [`Self::warm_restart`]; from then on every accepted update is
-    /// appended to `dir/journal.log` and every [`Self::publish`] syncs
-    /// it. An update is durable once the `publish()` after it returns
-    /// with [`Self::spool_health`] `Healthy`; a crash loses at most the
-    /// unpublished tail and always recovers a prefix of the update
-    /// sequence. Further images are written only when the journal
-    /// outgrows [`SpoolConfig::journal_fold_bytes`] (or a recovery or
-    /// scrub forces one), never per publish.
+    /// Arms FIB-image persistence (see [`crate::lifecycle`]): the current
+    /// state is spilled to `dir` as a `fibimage/v1` file (routes section
+    /// included) at once, every accepted update is appended to
+    /// `dir/journal.log`, and every [`Self::publish`] syncs it. An update
+    /// is durable once the `publish()` after it returns with
+    /// [`Self::spool_health`] `Healthy`; a crash loses at most the
+    /// unpublished tail.
     ///
     /// # Errors
     /// Only directory creation can fail hard; any later write failure
@@ -740,31 +591,16 @@ where
         dir: impl Into<PathBuf>,
         cfg: SpoolConfig,
     ) -> std::io::Result<()> {
-        let mut spool = Spool::arm(fs, dir.into(), cfg)?;
-        spool.journal_epoch = self.epoch;
-        self.spool = Some(spool);
+        self.spool = Some(Spool::arm(fs, dir.into(), cfg)?);
         // Base spill: image + journal header for the *current* epoch.
         self.spill_current(false);
         Ok(())
     }
 
-    /// `Some(error)` while spool persistence is degraded or suspended
-    /// (forwarding continues; durability is catching up or down); `None`
-    /// while the spool is healthy or absent.
-    #[must_use]
-    pub fn spool_error(&self) -> Option<String> {
-        match self.spool.as_ref().map(|s| s.health.view()) {
-            None | Some(SpoolHealth::Healthy) => None,
-            Some(SpoolHealth::Degraded { error, .. } | SpoolHealth::Suspended { error }) => {
-                Some(error)
-            }
-        }
-    }
-
     /// Spool persistence health (`None`: no spool armed).
     #[must_use]
     pub fn spool_health(&self) -> Option<SpoolHealth> {
-        self.spool.as_ref().map(|s| s.health.view())
+        self.spool.as_ref().and_then(|spool| spool.report().spool)
     }
 
     /// A point-in-time health report: spool state, recoveries,
@@ -772,12 +608,10 @@ where
     #[must_use]
     pub fn health(&self) -> RouterHealth {
         RouterHealth {
-            spool: self.spool.as_ref().map(|s| s.health.view()),
-            spool_recoveries: self.spool.as_ref().map_or(0, |s| s.health.recoveries),
-            quarantined: self.spool.as_ref().map_or(0, |s| s.quarantined),
             rebuild_panics: self.rebuild_panics,
             last_rebuild_panic: self.last_rebuild_panic.clone(),
             serving_stale: self.serving_stale,
+            ..self.spool.as_ref().map(Spool::report).unwrap_or_default()
         }
     }
 
@@ -786,8 +620,8 @@ where
     /// budget and immediately attempts a recovery re-spill of the
     /// current epoch. Returns the resulting health (`None`: no spool).
     pub fn resume_spool(&mut self) -> Option<SpoolHealth> {
-        self.spool.as_mut()?.health.resume();
-        self.try_spool_recovery();
+        self.spool.as_mut()?.resume();
+        self.spill_current(true);
         self.spool_health()
     }
 
@@ -796,36 +630,7 @@ where
     /// current epoch's own image was among the casualties, it is
     /// re-spilled. Returns how many images were quarantined.
     pub fn scrub_spool(&mut self) -> usize {
-        let Some(spool) = &self.spool else {
-            return 0;
-        };
-        let fs = Arc::clone(&spool.fs);
-        let dir = spool.dir.clone();
-        let Ok(entries) = fs.read_dir(&dir) else {
-            return 0;
-        };
-        let mut moved = 0usize;
-        for path in &entries {
-            if parse_image_name(path).is_none() {
-                continue;
-            }
-            let Ok(bytes) = fs.read(path) else {
-                continue;
-            };
-            let issues = fib_core::lint::lint_bytes(&bytes);
-            if let Some(first) = issues.first() {
-                if quarantine_image(fs.as_ref(), &dir, path, first.code, &first.detail).is_ok() {
-                    moved += 1;
-                }
-            }
-        }
-        let spool = self.spool.as_mut().expect("checked above");
-        spool.quarantined += moved as u64;
-        // The scrub may have eaten the image backing the current epoch;
-        // restore full recoverability right away.
-        let lost_current = spool
-            .last_spilled
-            .is_some_and(|epoch| !fs.exists(&image_path(&dir, epoch)));
+        let (moved, lost_current) = self.spool.as_mut().map_or((0, false), Spool::scrub);
         if lost_current {
             self.spill_current(true);
         }
@@ -833,101 +638,44 @@ where
     }
 
     /// Journals one accepted update — an announce of `next_hop`, or a
-    /// withdraw when it is `None` — routing failures through the health
-    /// machine: a healthy spool writes the record to the journal file —
-    /// the next publish's [`Self::commit_spool`] makes it durable; a
-    /// degraded spool whose backoff elapsed attempts a recovery re-spill
-    /// instead; a suspended spool does nothing.
+    /// withdraw when it is `None` — or, once a degraded spool's retry is
+    /// due, re-spills the current epoch instead.
     fn spool_append(&mut self, prefix: Prefix<A>, next_hop: Option<NextHop>) {
         let Some(spool) = self.spool.as_mut() else {
             return;
         };
-        if spool.health.is_suspended() {
-            return;
-        }
-        if spool.health.is_healthy() {
-            let (tag, nh) = next_hop.map_or((b'W', 0), |nh| (b'A', nh.index()));
-            let rec = encode_record(tag, prefix.len(), nh, prefix.addr().to_u128());
-            let now = spool.fs.now();
-            if let Err(e) = spool.append(&rec) {
-                let cfg = spool.cfg;
-                spool.health.note_failure(&cfg, now, e.to_string());
-            }
-            return;
-        }
-        let now = spool.fs.now();
-        if spool.health.retry_due(now) {
-            self.try_spool_recovery();
+        let (tag, nh) = next_hop.map_or((b'W', 0), |nh| (b'A', nh.index()));
+        let rec = encode_record(tag, prefix.len(), nh, prefix.addr().to_u128());
+        if spool.append(&rec) {
+            self.spill_current(true);
         }
     }
 
-    /// The durability half of a publish: one sync covering every record
-    /// journaled since the last one, a failure degrading health. Does
-    /// nothing without a healthy spool (a degraded one journals nothing;
-    /// its recovery re-spills instead).
+    /// The durability half of a publish ([`Spool::commit`]).
     fn commit_spool(&mut self) {
-        let Some(spool) = self.spool.as_mut() else {
-            return;
-        };
-        if !spool.health.is_healthy() {
-            return;
+        if let Some(spool) = self.spool.as_mut() {
+            spool.commit();
         }
-        if let Err(e) = spool.commit() {
-            let (cfg, now) = (spool.cfg, spool.fs.now());
-            spool.health.note_failure(&cfg, now, e.to_string());
-        }
-    }
-
-    /// One recovery attempt for a degraded/resumed spool: re-spill the
-    /// *current* epoch (updates accepted while degraded were never
-    /// journaled, so only a fresh full image re-establishes durability),
-    /// which also resets the journal onto the new base. Success flips
-    /// health back to `Healthy`.
-    fn try_spool_recovery(&mut self) {
-        if self.spool.is_none() {
-            return;
-        }
-        self.spill_current(true);
     }
 
     /// Spills the current control state + working engine as the current
-    /// epoch's image via the crash-consistent protocol, restamping the
-    /// journal and pruning old checkpoints. `force` re-spills even when
-    /// this epoch is already on disk (the recovery path: the on-disk
-    /// image may predate updates lost while degraded). No-op without a
-    /// spool; failures degrade health.
+    /// epoch's image when the spool says one is due ([`Spool::spill`];
+    /// `force` for a recovery re-spill). No-op without a spool.
     fn spill_current(&mut self, force: bool) {
-        let Some(spool) = &self.spool else {
+        let Some(mut spool) = self.spool.take() else {
             return;
         };
-        if !force && (!spool.health.is_healthy() || spool.last_spilled == Some(self.epoch)) {
-            return;
-        }
-        if spool.health.is_suspended() {
-            return;
-        }
-        // The spilled engine must reflect `control` exactly; materialize
-        // it if needed (same rule publish applies).
-        if (self.stale || self.working.is_none()) && !self.materialize() {
-            return;
-        }
-        let engine = self.working.as_ref().expect("just materialized");
-        let bytes = write_image(engine, Some(&self.control), self.epoch);
-        let spool = self.spool.as_mut().expect("checked above");
-        let now = spool.fs.now();
-        let outcome = bytes
-            .map_err(|e| std::io::Error::other(e.to_string()))
-            .and_then(|bytes| spool.spill(self.epoch, &bytes));
-        match outcome {
-            Ok(()) => {
-                spool.health.note_success();
-                self.stats.spills += 1;
+        let spilled = spool.spill(self.epoch, force, || {
+            // The spilled engine must reflect `control` exactly;
+            // materialize it if needed (same rule publish applies).
+            if (self.stale || self.working.is_none()) && !self.materialize() {
+                return None;
             }
-            Err(e) => {
-                let cfg = spool.cfg;
-                spool.health.note_failure(&cfg, now, e.to_string());
-            }
-        }
+            let engine = self.working.as_ref()?;
+            Some(write_image(engine, Some(&self.control), self.epoch))
+        });
+        self.stats.spills += u64::from(spilled);
+        self.spool = Some(spool);
     }
 
     /// The control-plane oracle.
@@ -1052,11 +800,7 @@ where
         // Journal compaction: once the on-disk journal outgrows the fold
         // threshold, cut an epoch — its publish spills a fresh image that
         // subsumes every journaled record and resets the journal onto it.
-        if self
-            .spool
-            .as_ref()
-            .is_some_and(|s| s.health.is_healthy() && s.wants_fold())
-        {
+        if self.spool.as_ref().is_some_and(Spool::wants_fold) {
             self.publish();
         }
     }

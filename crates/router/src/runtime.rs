@@ -1,7 +1,7 @@
 //! The multi-core forwarding runtime: N worker threads serving lookups
-//! off wait-free snapshot readers, an MPSC update bus draining into the
-//! control plane, and per-worker statistics (packets, drops, ns/lookup
-//! histogram).
+//! off wait-free snapshot readers, with per-worker statistics (packets,
+//! drops, ns/lookup histogram). Updates reach the control plane as plain
+//! calls on its [`Router`](crate::Router), from whichever thread owns it.
 //!
 //! The shape follows the paper's §5 software router: one control CPU
 //! absorbs churn and periodically publishes an immutable compressed
@@ -15,18 +15,15 @@
 //!
 //! [`lookup_stream`]: fib_core::FibLookup::lookup_stream
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fib_core::ImageCodec;
-use fib_trie::{Address, NextHop, Prefix};
+use fib_trie::{Address, NextHop};
 use fib_workload::{HeatMap, HeatSketch};
 
-use crate::router::{EpochSnapshot, Router};
-use crate::shim::{MutexLike, Shim};
-use crate::snapcell::{RealShim, SnapCell};
+use crate::router::EpochSnapshot;
+use crate::snapcell::SnapCell;
 
 // ---------------------------------------------------------------------
 // Latency histogram
@@ -473,172 +470,13 @@ impl Forwarder {
     }
 }
 
-// ---------------------------------------------------------------------
-// The update bus
-// ---------------------------------------------------------------------
-
-/// One control-plane change in flight on the update bus.
-#[derive(Clone, Copy, Debug)]
-pub enum RouteUpdate<A: Address> {
-    /// Insert or replace a route.
-    Announce(Prefix<A>, NextHop),
-    /// Remove a route.
-    Withdraw(Prefix<A>),
-}
-
-/// Shared state of one [`BusSenderCore`]/[`BusReceiverCore`] pair.
-struct BusState<T> {
-    queue: VecDeque<T>,
-    rx_alive: bool,
-}
-
-/// The cloneable producer half of the generic MPSC bus the update plane
-/// rides on. Generic over the [`Shim`] so the `fib-check` model checker
-/// can exhaustively explore the send/drain interleavings of the *same*
-/// queue the production [`UpdateBus`] alias uses.
-pub struct BusSenderCore<T: Send + 'static, S: Shim> {
-    inner: Arc<S::Mutex<BusState<T>>>,
-}
-
-/// The single-consumer half: the control plane polls it with
-/// [`BusReceiverCore::try_recv`]; dropping it hangs up the bus.
-pub struct BusReceiverCore<T: Send + 'static, S: Shim> {
-    inner: Arc<S::Mutex<BusState<T>>>,
-}
-
-/// A connected sender/receiver pair over shim `S`.
-#[must_use]
-pub fn bus_channel_core<T: Send + 'static, S: Shim>() -> (BusSenderCore<T, S>, BusReceiverCore<T, S>)
-{
-    let inner = Arc::new(S::Mutex::new(BusState {
-        queue: VecDeque::new(),
-        rx_alive: true,
-    }));
-    (
-        BusSenderCore {
-            inner: Arc::clone(&inner),
-        },
-        BusReceiverCore { inner },
-    )
-}
-
-impl<T: Send + 'static, S: Shim> BusSenderCore<T, S> {
-    /// Enqueues `value`; `false` if the receiver hung up.
-    pub fn send(&self, value: T) -> bool {
-        let mut state = self.inner.lock();
-        if !state.rx_alive {
-            return false;
-        }
-        state.queue.push_back(value);
-        true
-    }
-}
-
-impl<T: Send + 'static, S: Shim> Clone for BusSenderCore<T, S> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T: Send + 'static, S: Shim> BusReceiverCore<T, S> {
-    /// Dequeues the oldest pending value, if any (non-blocking).
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
-    }
-}
-
-impl<T: Send + 'static, S: Shim> Drop for BusReceiverCore<T, S> {
-    fn drop(&mut self) {
-        let mut state = self.inner.lock();
-        state.rx_alive = false;
-        state.queue.clear();
-    }
-}
-
-/// The cloneable producer half of the MPSC update bus: BGP sessions,
-/// CLIs, test drivers — anything that generates churn — send updates
-/// here; the control-plane thread drains them into its [`Router`] with
-/// [`Router::drain_updates`].
-#[derive(Clone)]
-pub struct UpdateBus<A: Address + Send + 'static> {
-    tx: BusSenderCore<RouteUpdate<A>, RealShim>,
-}
-
-/// The control plane's receiving half of the update bus.
-pub struct UpdateReceiver<A: Address + Send + 'static> {
-    rx: BusReceiverCore<RouteUpdate<A>, RealShim>,
-}
-
-impl<A: Address + Send + 'static> UpdateBus<A> {
-    /// A connected bus: the sender handle plus the receiver the control
-    /// plane owns.
-    #[must_use]
-    pub fn channel() -> (Self, UpdateReceiver<A>) {
-        let (tx, rx) = bus_channel_core();
-        (Self { tx }, UpdateReceiver { rx })
-    }
-
-    /// Queues an announce; `false` if the control plane hung up.
-    pub fn announce(&self, prefix: Prefix<A>, next_hop: NextHop) -> bool {
-        self.tx.send(RouteUpdate::Announce(prefix, next_hop))
-    }
-
-    /// Queues a withdraw; `false` if the control plane hung up.
-    pub fn withdraw(&self, prefix: Prefix<A>) -> bool {
-        self.tx.send(RouteUpdate::Withdraw(prefix))
-    }
-}
-
-impl<A: Address + Send + 'static> std::fmt::Debug for UpdateBus<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UpdateBus").finish_non_exhaustive()
-    }
-}
-
-impl<A: Address + Send + 'static> std::fmt::Debug for UpdateReceiver<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UpdateReceiver").finish_non_exhaustive()
-    }
-}
-
-impl<A, E> Router<A, E>
-where
-    A: Address + Send + Sync + 'static,
-    E: fib_core::FibLookup<A>
-        + fib_core::FibBuild<A>
-        + fib_core::FibUpdate<A>
-        + ImageCodec<A>
-        + Clone
-        + Send
-        + Sync
-        + 'static,
-{
-    /// Drains every update currently queued on the bus into the control
-    /// plane (non-blocking) and returns how many were applied. Publishing
-    /// follows the router's normal policy ([`crate::RouterConfig::
-    /// publish_every`] or an explicit [`Router::publish`]).
-    pub fn drain_updates(&mut self, rx: &UpdateReceiver<A>) -> usize {
-        let mut applied = 0;
-        while let Some(update) = rx.rx.try_recv() {
-            match update {
-                RouteUpdate::Announce(p, nh) => self.announce(p, nh),
-                RouteUpdate::Withdraw(p) => self.withdraw(p),
-            }
-            applied += 1;
-        }
-        applied
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fib_core::SerializedDag;
     use fib_trie::{BinaryTrie, Prefix4};
 
-    use crate::router::RouterConfig;
+    use crate::router::{Router, RouterConfig};
 
     fn base_fib() -> BinaryTrie<u32> {
         let mut t = BinaryTrie::new();
@@ -886,32 +724,5 @@ mod tests {
         let r = &reports[0];
         assert!(r.drops > 0, "2 Gpps into one core must drop");
         assert!(r.packets > 0);
-    }
-
-    #[test]
-    fn update_bus_drains_into_the_control_plane() {
-        let mut router: Router<u32, SerializedDag<u32>> = Router::new(
-            base_fib(),
-            RouterConfig {
-                publish_every: None,
-                ..RouterConfig::default()
-            },
-        );
-        let (bus, rx) = UpdateBus::channel();
-        let bus2 = bus.clone();
-        assert!(bus.announce("192.168.0.0/16".parse().unwrap(), NextHop::new(7)));
-        assert!(bus2.withdraw("10.64.0.0/10".parse().unwrap()));
-        assert_eq!(router.drain_updates(&rx), 2);
-        router.publish();
-        assert_eq!(
-            router.snapshot().lookup(0xC0A8_0001u32),
-            Some(NextHop::new(7))
-        );
-        assert_eq!(
-            router.snapshot().lookup(0x0A40_0001u32),
-            Some(NextHop::new(2)),
-            "withdrawn /10 falls back to /8"
-        );
-        assert_eq!(router.drain_updates(&rx), 0, "bus is empty");
     }
 }

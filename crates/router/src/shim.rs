@@ -1,9 +1,8 @@
-//! Synchronization shim: the trait family that lets the `SnapCell` and
-//! `UpdateBus` protocol cores run unchanged on either real `std::sync`
-//! primitives or the `fib-check` model checker's instrumented replacements.
+//! Synchronization shim: the trait family that lets the `SnapCell`
+//! protocol core run unchanged on either real `std::sync` primitives or the
+//! `fib-check` model checker's instrumented replacements.
 //!
-//! The protocol code in [`crate::snapcell`] and [`crate::runtime`] is generic
-//! over [`Shim`]; the production aliases instantiate it with [`crate::snapcell::RealShim`]
+//! The protocol code in [`crate::snapcell`] is generic over [`Shim`]; the production aliases instantiate it with [`crate::snapcell::RealShim`]
 //! (plain std atomics, `Box::into_raw` pointers), while `fib-check` provides a
 //! `ModelShim` whose every operation is a scheduling point of a deterministic
 //! DFS explorer. Keeping one source for both sides is the point: the code the

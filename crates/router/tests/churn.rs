@@ -8,7 +8,7 @@
 //! updates packs to.
 
 use fib_core::{BuildConfig, HotConfig, PrefixDag, SerializedDag};
-use fib_router::{EpochSnapshot, Router, RouterConfig, SpoolConfig, StdFs};
+use fib_router::{EpochSnapshot, Router, RouterConfig, SpoolConfig, SpoolHealth, StdFs};
 use fib_trie::{Address, BinaryTrie};
 use fib_workload::rng::Xoshiro256;
 use fib_workload::updates::{bgp_sequence, UpdateOp};
@@ -262,7 +262,7 @@ fn warm_restart_answers_identically_to_a_router_that_never_died() {
     victim
         .enable_spool_with(StdFs::shared(), &dir, spool)
         .expect("spool arms");
-    assert!(victim.spool_error().is_none());
+    assert_eq!(victim.spool_health(), Some(SpoolHealth::Healthy));
 
     for op in published_part {
         match *op {
@@ -337,7 +337,7 @@ fn warm_restart_answers_identically_to_a_router_that_never_died() {
         );
     }
     // The restart spilled nothing yet beyond what publish just wrote.
-    assert!(restarted.spool_error().is_none());
+    assert_eq!(restarted.spool_health(), Some(SpoolHealth::Healthy));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -150,7 +150,7 @@ fn journal_append_failure_degrades_health_and_retry_heals() {
         }
         other => panic!("expected Degraded after append failure, got {other}"),
     }
-    assert!(router.spool_error().is_some());
+    assert!(!router.spool_health().expect("armed").is_healthy());
 
     // Fault cleared: the backoff schedule retries a re-spill from inside
     // the normal update path and health returns to Healthy.

@@ -27,10 +27,9 @@
 //!   fragmentation passes 0.25), makes every publish durable with
 //!   one journal sync when a spool is armed (a `fibimage/v1` checkpoint
 //!   only where the journal folds) and warm-restarts from the newest
-//!   valid image plus journal replay, and
+//!   valid image plus the journal stamped with its epoch, and
 //!   [`router::Forwarder`] runs the multi-core forwarding runtime
-//!   (per-worker snapshot caches, an MPSC [`router::UpdateBus`] into the
-//!   control plane, per-worker latency histograms),
+//!   (per-worker snapshot caches and latency histograms),
 //! * [`workload`] — synthetic FIB generators, BGP-like update sequences and
 //!   lookup traces standing in for the paper's proprietary datasets,
 //! * [`hwsim`] — SRAM/FPGA cycle model and cache-hierarchy simulator used
