@@ -57,7 +57,7 @@ pub use image::{
     any_view, hot_any_view, load_image, write_image, write_image_file, write_image_hot, AnyView,
     EngineKind, FibImage, HotAnyView, ImageCodec, ImageError, ImageWriter,
 };
-pub use pdag::{DagStats, PrefixDag, PrefixDagRef};
+pub use pdag::{DagStats, PrefixDag, PrefixDagRef, RootArray, RootEntry};
 pub use serialized::{SerializedDag, SerializedDagRef, SER_REFILL_LANES};
 pub use strmodel::FoldedString;
 pub use vrf::{

@@ -36,6 +36,16 @@
 //! node above depth `k` is an unshared top node, so an update re-derives
 //! just the entries under the changed prefix.
 //!
+//! A table of a compiled VRF fleet ([`crate::CompiledVrfSet`]) walks from
+//! the same array, derived by the same function over its packed arena
+//! words ([`RootArray`]), with `k` fixed at 8 whatever λ is. The
+//! `min(λ, 8)` above exists so that an in-place update touches only
+//! unshared top nodes; a compiled set is never updated in place, and the
+//! derivation just replays a walk's first eight steps, which is exact
+//! over any DAG — shared nodes above depth 8 included, at any λ, v4 and
+//! v6. So neither a fleet's directory nor its image records a `k`: a
+//! loaded set derives exactly the arrays its compiler derived.
+//!
 //! # Two halves
 //!
 //! A [`PrefixDag`] is a *data-plane half* — the node arena, the root
@@ -81,7 +91,8 @@ pub(crate) const NONE: u32 = u32::MAX;
 
 const NO_CONTROL: &str = "a published pDAG copy has no control FIB: update the working engine";
 
-/// Most levels the root array collapses (`k = min(λ, ROOT_BITS)`).
+/// Most levels the root array collapses: `k = min(λ, ROOT_BITS)` on a
+/// [`PrefixDag`], exactly `ROOT_BITS` on a [`RootArray`].
 const ROOT_BITS: u8 = 8;
 
 /// Source of build ids: one per arena lineage.
@@ -96,12 +107,74 @@ fn next_build() -> u64 {
 
 /// Where the walk for one `k`-bit address prefix starts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct RootEntry {
+pub struct RootEntry {
     /// The node at depth `k` on the path; `NONE` when the path ended
     /// above, and `last` is then the answer.
-    node: u32,
+    pub(crate) node: u32,
     /// The last label on the path above depth `k` (`NONE`: none).
+    pub(crate) last: u32,
+}
+
+impl RootEntry {
+    /// The start of a walk from `root`: the one entry of a `k = 0` array.
+    const fn at(root: u32) -> Self {
+        Self {
+            node: root,
+            last: NONE,
+        }
+    }
+}
+
+/// The root array of a packed pDAG table: one [`RootEntry`] per 8-bit
+/// address prefix, 2 KiB. A compiled VRF fleet derives one per shared
+/// table with a root, at compile and at image load alike (see the module
+/// docs' "Root array").
+pub type RootArray = [RootEntry; 1 << ROOT_BITS];
+
+/// Fills the `2^(k − depth)` entries of `entries` under the `depth`-bit
+/// path `slot`, whose node is `idx` (`NONE`: the path already ended)
+/// with `last` the last label above it, by replaying the walk: `node`
+/// reads a node as `(left, right, label)`. The updatable pDAG's arena and
+/// a packed fleet arena both derive their arrays through this.
+fn fill_entries(
+    entries: &mut [RootEntry],
+    k: u8,
+    idx: u32,
+    depth: u8,
+    slot: usize,
     last: u32,
+    node: &impl Fn(u32) -> (u32, u32, u32),
+) {
+    if depth == k {
+        entries[slot] = RootEntry { node: idx, last };
+        return;
+    }
+    let (left, right, last) = if idx == NONE {
+        (NONE, NONE, last)
+    } else {
+        let (left, right, label) = node(idx);
+        (left, right, if label == NONE { last } else { label })
+    };
+    fill_entries(entries, k, left, depth + 1, slot << 1, last, node);
+    fill_entries(entries, k, right, depth + 1, slot << 1 | 1, last, node);
+}
+
+/// Node `idx` of a packed image as `(left, right, label)`.
+#[inline]
+fn packed_node(words: &[u64], idx: u32) -> (u32, u32, u32) {
+    let children = words[2 * idx as usize];
+    let label = words[2 * idx as usize + 1] as u32;
+    (children as u32, (children >> 32) as u32, label)
+}
+
+/// The [`RootArray`] of the table rooted at `root` (not `NONE`) in the
+/// packed arena `words`, whose child references are in range.
+pub(crate) fn packed_root_array(words: &[u64], root: u32) -> Box<RootArray> {
+    let mut array = Box::new([RootEntry::at(NONE); 1 << ROOT_BITS]);
+    fill_entries(&mut array[..], ROOT_BITS, root, 0, 0, NONE, &|idx| {
+        packed_node(words, idx)
+    });
+    array
 }
 
 /// Interning key of a folded node (the sub-trie id of Definition 1):
@@ -219,11 +292,7 @@ impl<A: Address> PrefixDag<A> {
             _marker: PhantomData,
         };
         dag.root = dag.build_top(trie.root(), 0);
-        let unset = RootEntry {
-            node: NONE,
-            last: NONE,
-        };
-        dag.root_array = vec![unset; 1 << dag.root_bits()];
+        dag.root_array = vec![RootEntry::at(NONE); 1 << dag.root_bits()];
         dag.fill_root(dag.root, 0, 0, NONE);
         dag
     }
@@ -464,19 +533,12 @@ impl<A: Address> PrefixDag<A> {
     /// (`NONE`: the path already ended), which sits at `depth ≤ k` under
     /// the `depth`-bit path `slot` with `last` the last label above it.
     fn fill_root(&mut self, idx: u32, depth: u8, slot: usize, last: u32) {
-        if depth == self.root_bits() {
-            self.root_array[slot] = RootEntry { node: idx, last };
-            return;
-        }
-        let (left, right, last) = if idx == NONE {
-            (NONE, NONE, last)
-        } else {
-            let node = self.nodes[idx as usize];
-            let last = if node.label == NONE { last } else { node.label };
-            (node.left, node.right, last)
-        };
-        self.fill_root(left, depth + 1, slot << 1, last);
-        self.fill_root(right, depth + 1, slot << 1 | 1, last);
+        let k = self.root_bits();
+        let nodes = &self.nodes;
+        fill_entries(&mut self.root_array, k, idx, depth, slot, last, &|i| {
+            let node = nodes[i as usize];
+            (node.left, node.right, node.label)
+        });
     }
 
     /// Brings the root array up to date after an arena edit on `prefix`'s
@@ -1093,10 +1155,17 @@ impl<A: Address> PrefixDag<A> {
 /// Borrowed zero-copy view of a packed [`PrefixDag`] image: plain trie
 /// traversal with label fall-through over two-word node records
 /// (`left | right << 32`, `label`).
+///
+/// A view of a pDAG image walks from its root; a compiled fleet's
+/// shared-arena table is viewed with its [`RootArray`] and walks from
+/// there. The loop is one: a walk from the root is the `k = 0` case,
+/// whose one entry is the root with no label above it.
 #[derive(Clone, Copy, Debug)]
 pub struct PrefixDagRef<'a, A: Address> {
     words: &'a [u64],
     root: u32,
+    /// Where the walk starts when present; `None` starts it at `root`.
+    root_array: Option<&'a RootArray>,
     _marker: PhantomData<A>,
 }
 
@@ -1135,8 +1204,23 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
         Ok(Self {
             words,
             root,
+            root_array: None,
             _marker: PhantomData,
         })
+    }
+
+    /// The view a compiled fleet serves a shared-arena table by: over the
+    /// arena `words`, from the table's `root_array` — `None` for a table
+    /// with no root, whose every lookup answers `None`. Unchecked: the
+    /// words and the array come from the fleet compiler, or from an image
+    /// whose arena passed [`Self::from_parts`]'s scan.
+    pub(crate) fn from_root_array(words: &'a [u64], root_array: Option<&'a RootArray>) -> Self {
+        Self {
+            words,
+            root: NONE,
+            root_array,
+            _marker: PhantomData,
+        }
     }
 
     /// The pointer range of the borrowed words, for zero-copy assertions
@@ -1156,34 +1240,37 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
     /// Longest-prefix-match lookup — the same standard trie traversal as
     /// [`PrefixDag::lookup`] (Lemma 5), over the packed image.
     #[must_use]
+    #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        if self.root == NONE {
-            return None;
-        }
-        let mut idx = self.root;
-        let mut last = NONE;
-        let mut depth = 0u8;
-        loop {
-            let children = self.words[2 * idx as usize];
-            let label = self.words[2 * idx as usize + 1] as u32;
+        self.lookup_with_depth(addr).0
+    }
+
+    /// Lookup that also reports the node records read after the walk's
+    /// start, counted as [`PrefixDag::lookup_with_depth`] counts them:
+    /// from the root, the root is the first read; from a root array, the
+    /// node its entry names is.
+    #[must_use]
+    #[inline]
+    pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
+        let (entry, mut depth) = match self.root_array {
+            Some(array) => (array[addr.bits(0, ROOT_BITS) as usize], ROOT_BITS),
+            None => (RootEntry::at(self.root), 0),
+        };
+        let (mut idx, mut last) = (entry.node, entry.last);
+        let mut reads: Depth = 0;
+        while idx != NONE {
+            let (left, right, label) = packed_node(self.words, idx);
+            reads += 1;
             if label != NONE {
                 last = label;
             }
             if depth >= A::WIDTH {
                 break;
             }
-            let child = if addr.bit(depth) {
-                (children >> 32) as u32
-            } else {
-                children as u32
-            };
-            if child == NONE {
-                break;
-            }
-            idx = child;
+            idx = if addr.bit(depth) { right } else { left };
             depth += 1;
         }
-        (last != NONE).then(|| NextHop::new(last))
+        ((last != NONE).then(|| NextHop::new(last)), reads)
     }
 }
 

@@ -18,7 +18,8 @@
 //! table's root or dedicated engine is carried over. The invariant the
 //! tests pin is **bit-identity**: after every publish the installed set
 //! equals a from-scratch [`fib_core::compile_vrf_set`] over the current
-//! oracles, arena words, roots, per-table counts and statistics alike.
+//! oracles, arena words, roots, root arrays, per-table counts and
+//! statistics alike.
 //! [`VrfPolicy::Auto`] is the exception to the saving, not to the
 //! invariant: its placement weighs each table against the rest of the
 //! fleet, so it re-folds every table on every publish.
@@ -30,16 +31,16 @@
 //!
 //! Batched lookups bucket a mixed `(vrf, addr)` stream by VRF id so each
 //! run goes through its table's engine batch path (the shared arena's
-//! interleaved walk, or a dedicated engine's lanes). The scratch the
+//! walk from the table's root array, or a dedicated engine's lanes).
+//! Runs of one table are walked back to back, so its root array and the
+//! top of its arena stay in cache across the run. The scratch the
 //! bucketing needs is caller-owned ([`VrfBatchScratch`]): steady-state
 //! forwarding does not allocate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use fib_core::{
-    recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibLookup, PrefixDagRef, VrfPolicy,
-};
+use fib_core::{recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibLookup, VrfPolicy};
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
 use crate::snapcell::{SnapCell, SnapReader};
@@ -134,10 +135,7 @@ impl<A: Address> VrfSnapshot<A> {
             return;
         };
         match &table.dedicated {
-            None => match PrefixDagRef::<A>::from_parts_trusted(&self.set.arena, table.root) {
-                Ok(view) => view.lookup_batch(addrs, hops),
-                Err(_) => hops.fill(None),
-            },
+            None => self.set.shared_view(table).lookup_batch(addrs, hops),
             Some(dedicated) => dedicated.engine().lookup_batch(addrs, hops),
         }
     }

@@ -30,8 +30,8 @@ use fibcomp::core::lint as image_lint;
 use fibcomp::core::{
     compile_vrf_set, hot_any_view, write_image, write_image_hot, write_vrf_image, BuildConfig,
     EngineKind, FibBuild, FibImage, FibLookup, HotAnyView, HotConfig, HotSlab, ImageCodec,
-    ImageError, PrefixDag, SerializedDag, VarStrideDag, VrfPolicy, VrfSetRef, VrfTable, XbwFib,
-    XbwStorage,
+    ImageError, PrefixDag, RootArray, SerializedDag, VarStrideDag, VrfPolicy, VrfSetRef, VrfTable,
+    XbwFib, XbwStorage,
 };
 use fibcomp::router::{scan_spool, LatencyHistogram, StdFs};
 use fibcomp::trie::{Address, BinaryTrie, LcTrie, NextHop, Prefix};
@@ -455,6 +455,12 @@ fn inspect_vrfs<A: Address>(image: &FibImage) -> Result<(), String> {
         stats.unique_nodes,
         stats.total_nodes,
         stats.sharing_ratio()
+    );
+    let array_bytes = std::mem::size_of::<RootArray>() as u64;
+    println!(
+        "    root arrays   {} B ({} tables x {array_bytes} B, derived at load)",
+        stats.root_bytes,
+        stats.root_bytes / array_bytes
     );
     println!(
         "    resident      {} B vs {} B independent ({:.1}% saved)",

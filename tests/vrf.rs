@@ -15,14 +15,16 @@
 //! * **Bit-identity under churn** — a publish recompiles only the tables
 //!   that changed, against the published arena; after every publish the
 //!   installed set must equal a from-scratch `compile_vrf_set` over the
-//!   current oracles field for field, however the updates between two
-//!   publishes fall across the fleet.
+//!   current oracles field for field, root arrays included, however the
+//!   updates between two publishes fall across the fleet — and the set's
+//!   image, reloaded, must answer as the set does.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 use fibcomp::core::{
-    compile_vrf_set, BuildConfig, CompiledVrfSet, VrfEngineChoice, VrfPolicy, VrfTable,
+    compile_vrf_set, write_vrf_image, BuildConfig, CompiledVrfSet, FibImage, VrfEngineChoice,
+    VrfPolicy, VrfSetRef, VrfTable,
 };
 use fibcomp::router::{VrfBatchScratch, VrfSetRouter};
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
@@ -266,7 +268,7 @@ fn every_vrf_matches_its_oracle_across_a_background_rebuild_v6() {
 }
 
 /// Field-for-field equality of two compiled sets: arena words, every
-/// table's directory record, and the aggregate statistics.
+/// table's directory record and root array, and the aggregate statistics.
 fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrfSet<A>, tag: &str) {
     assert_eq!(got.arena, want.arena, "{tag}: arena words");
     let record = |set: &CompiledVrfSet<A>| -> Vec<_> {
@@ -280,6 +282,7 @@ fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrf
                     t.routes,
                     t.reachable_nodes,
                     t.solo_nodes,
+                    t.root_array().copied(),
                 )
             })
             .collect()
@@ -331,7 +334,8 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
     }
 
     /// Publishes and checks the installed set against a from-scratch
-    /// compile and every oracle.
+    /// compile and every oracle, and its image — whose loader derives the
+    /// root arrays afresh — against the set.
     fn publish_and_check(&mut self, tag: &str) {
         self.router.publish();
         self.publishes += 1;
@@ -360,6 +364,23 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
         assert_sets_identical(snapshot.set(), &scratch, tag);
         let keys = fleet_keys(&self.oracles, &mut self.rng, 24);
         assert_matches_oracles(snapshot, &self.oracles, &keys, tag);
+
+        let bytes = write_vrf_image(snapshot.set(), snapshot.epoch()).expect("a fleet image");
+        let image = FibImage::from_bytes(&bytes).expect("the image loads");
+        let loaded = VrfSetRef::<A>::from_image(&image).expect("its view assembles");
+        assert_eq!(
+            loaded.stats().root_bytes,
+            snapshot.set().stats.root_bytes,
+            "{tag}: the loader derives as many root arrays"
+        );
+        for &(vrf, addr) in &keys {
+            assert_eq!(
+                loaded.lookup(vrf, addr),
+                snapshot.lookup(vrf, addr),
+                "{tag} image: vrf {vrf} addr {:#x}",
+                addr.to_u128()
+            );
+        }
     }
 }
 
