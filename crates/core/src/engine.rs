@@ -26,8 +26,9 @@
 //! once, as inherent methods of the borrowed view its image is served
 //! from. [`engine_table`] then has one row per engine, and everything
 //! that must know the whole set is generated from it: `FibLookup` for
-//! the owned type and for the view (here), and [`crate::EngineKind`],
-//! [`crate::AnyView`] and [`crate::any_view`] (in [`crate::image`]).
+//! the owned type and for the view (here), and [`crate::EngineKind`] with
+//! its [`crate::EngineKind::visit`], [`crate::AnyView`] and
+//! [`crate::any_view`] (in [`crate::image`]).
 //! [`roster`] is the matching value-level list — one built engine per
 //! benchmark row — that the benches and differential tests enumerate.
 
@@ -317,9 +318,9 @@ pub trait FibUpdate<A: Address> {
     }
 }
 
-/// References forward wholesale, so wrappers like [`crate::hot::HotFib`]
-/// can compose over a borrowed engine (including `&dyn` trait objects)
-/// without taking ownership.
+/// References forward wholesale, so code generic over `impl FibLookup`
+/// takes a borrowed engine (including a `&dyn` trait object) without
+/// taking ownership.
 impl<A: Address, E: FibLookup<A> + ?Sized> FibLookup<A> for &E {
     fn name(&self) -> &'static str {
         E::name(self)

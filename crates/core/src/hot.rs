@@ -17,9 +17,9 @@
 //! works) and pins pure blocks until the entry budget is spent.
 //!
 //! [`HotFront`] puts the slab, behind an adaptive hit-rate gate, in front
-//! of any engine ([`HotFib`] owns one beside an engine; image views and
-//! `fib-router`'s hot epochs hold one too): a probe is one hash + at most
-//! [`HOT_PROBE`] cache-adjacent slot reads, and a hit skips the
+//! of any engine (`fib-router`'s epoch snapshots hold one, whether a hot
+//! publish or an image's slab section put it there): a probe is one hash
+//! and at most [`HOT_PROBE`] cache-adjacent slot reads, and a hit skips the
 //! compressed walk entirely while remaining bit-identical to it — impure
 //! blocks are never promoted, so the slab can only answer what the full
 //! walk would. Batched lookups compact slab misses into sub-batches so
@@ -30,11 +30,7 @@
 //! counts under, so a sketch recorded at depth `D` feeds a slab compiled
 //! at depth `D` with no translation.
 
-use std::marker::PhantomData;
-
 use fib_trie::{block_hash, Address, BinaryTrie, NextHop};
-
-use crate::engine::FibLookup;
 
 /// Maximum slab block depth (keys keep their low 8 bits free for the
 /// occupancy tag; matches `fib_workload::heat::MAX_HEAT_DEPTH`).
@@ -249,20 +245,19 @@ impl HotSlab {
         out.extend_from_slice(&[0u64; 5]);
         out.extend_from_slice(&self.slots);
     }
+}
 
-    /// Parses a section payload written by [`HotSlab::write_words`],
-    /// re-owning the slot words.
-    ///
-    /// # Errors
-    /// [`fib_succinct::storage::StorageError`] on any malformed field.
-    pub fn from_words(words: &[u64]) -> Result<Self, fib_succinct::storage::StorageError> {
-        let r = HotSlabRef::from_words(words)?;
-        Ok(Self {
+impl From<HotSlabRef<'_>> for HotSlab {
+    /// Re-owns the slot words of a validated view — a section payload
+    /// written by [`HotSlab::write_words`], parsed by
+    /// [`HotSlabRef::from_words`].
+    fn from(r: HotSlabRef<'_>) -> Self {
+        Self {
             depth: r.depth,
             mask: r.mask,
-            occupied: words[2] as usize,
+            occupied: r.entries().count(),
             slots: r.slots.to_vec(), // fibcheck: allow(hot-path): load-time parse, not packet path
-        })
+        }
     }
 }
 
@@ -516,43 +511,22 @@ fn calibrate_gate<A: Address>(slab: HotSlabRef<'_>, inner: impl Fn(A) -> Option<
     (ratio * 1000.0) as u64
 }
 
-/// Where a [`HotFront`] keeps its slab: owned ([`HotSlab`]) or borrowed
-/// from an image section ([`HotSlabRef`]).
-pub trait SlabStore {
-    /// The borrowed view all query code runs on.
-    fn slab_view(&self) -> HotSlabRef<'_>;
-}
-
-impl SlabStore for HotSlab {
-    #[inline]
-    fn slab_view(&self) -> HotSlabRef<'_> {
-        self.as_ref()
-    }
-}
-
-impl SlabStore for HotSlabRef<'_> {
-    #[inline]
-    fn slab_view(&self) -> HotSlabRef<'_> {
-        *self
-    }
-}
-
 /// A hot slab and its adaptive `Gate`, to be put in front of any
 /// engine: the one place "probe the slab, fall through to the walk" is
-/// written. [`HotFib`], the image composition in `crate::image` and
-/// `fib-router`'s hot epoch snapshots all serve through it, handing in
-/// the inner engine's kernel as a closure.
+/// written. `fib-router`'s epoch snapshots — hot publishes and images
+/// that carry a slab alike — serve through it, handing in the inner
+/// engine's kernel as a closure.
 ///
 /// Compilation promotes only pure blocks, so a front answers exactly what
 /// the engine behind it would, probing or bypassed — the gate only
 /// decides *whether the probe is worth it*.
 #[derive(Debug)]
-pub struct HotFront<S = HotSlab> {
-    slab: S,
+pub struct HotFront {
+    slab: HotSlab,
     gate: Gate,
 }
 
-impl<S: Clone> Clone for HotFront<S> {
+impl Clone for HotFront {
     /// Clones carry the calibrated threshold but start with fresh window
     /// counters in probing mode.
     fn clone(&self) -> Self {
@@ -563,13 +537,13 @@ impl<S: Clone> Clone for HotFront<S> {
     }
 }
 
-impl<S: SlabStore> HotFront<S> {
+impl HotFront {
     /// Puts `slab` in front of the engine whose scalar walk is `inner`,
     /// calibrating the gate from the measured probe and walk costs
     /// (microseconds; see `Gate`).
     #[must_use]
-    pub fn calibrated<A: Address>(slab: S, inner: impl Fn(A) -> Option<NextHop>) -> Self {
-        let threshold = calibrate_gate(slab.slab_view(), inner);
+    pub fn calibrated<A: Address>(slab: HotSlab, inner: impl Fn(A) -> Option<NextHop>) -> Self {
+        let threshold = calibrate_gate(slab.as_ref(), inner);
         Self {
             slab,
             gate: Gate::new(threshold),
@@ -578,7 +552,7 @@ impl<S: SlabStore> HotFront<S> {
 
     /// The slab.
     #[must_use]
-    pub fn slab(&self) -> &S {
+    pub fn slab(&self) -> &HotSlab {
         &self.slab
     }
 
@@ -611,7 +585,7 @@ impl<S: SlabStore> HotFront<S> {
             // stays bypassed until traffic reaches a batch entry point.
             return inner(addr);
         }
-        let hit = self.slab.slab_view().probe_addr(addr);
+        let hit = self.slab.as_ref().probe_addr(addr);
         self.gate.record(1, u64::from(hit.is_some()));
         match hit {
             Some(answer) => answer,
@@ -636,7 +610,7 @@ impl<S: SlabStore> HotFront<S> {
         mut kernel: impl FnMut(&[A], &mut [Option<NextHop>]),
     ) {
         assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-        let slab = self.slab.slab_view();
+        let slab = self.slab.as_ref();
         if self.gate.is_bypassed() {
             let sampled = addrs.iter().step_by(GATE_SAMPLE as usize);
             let probes = sampled.len() as u64;
@@ -675,77 +649,6 @@ impl<S: SlabStore> HotFront<S> {
     }
 }
 
-/// An engine with a hot slab pinned in front of it: a thin owner of the
-/// engine and its [`HotFront`], extensionally equal to the engine alone
-/// (the equivalence tests pin this bit-for-bit), and — through the
-/// front's gate — never slower than it on traffic the slab cannot serve.
-#[derive(Clone, Debug)]
-pub struct HotFib<A: Address, E: FibLookup<A>> {
-    inner: E,
-    front: HotFront,
-    _marker: PhantomData<A>,
-}
-
-impl<A: Address, E: FibLookup<A>> HotFib<A, E> {
-    /// Wraps `inner` with a compiled slab, calibrating the adaptive
-    /// probe gate from the measured probe and inner-walk costs.
-    #[must_use]
-    pub fn new(inner: E, slab: HotSlab) -> Self {
-        let front = HotFront::calibrated(slab, |addr| inner.lookup(addr));
-        Self {
-            inner,
-            front,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The gated slab (what the gate decided is readable from it).
-    #[must_use]
-    pub fn front(&self) -> &HotFront {
-        &self.front
-    }
-
-    /// The wrapped engine.
-    #[must_use]
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the inner engine.
-    #[must_use]
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-}
-
-impl<A: Address, E: FibLookup<A>> FibLookup<A> for HotFib<A, E> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    #[inline]
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        self.front.lookup(addr, |a| self.inner.lookup(a))
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        self.front
-            .lookup_batch(addrs, out, |a, o| self.inner.lookup_batch(a, o));
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes() + self.front.slab().size_bytes()
-    }
-
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        self.inner.lookup_traced(addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        self.inner.traces_memory()
-    }
-}
-
 /// Traffic mass per matched-prefix depth, from heat entries and the
 /// control trie: `mass[d]` is the fraction of recorded traffic whose
 /// longest-prefix match sits at depth `d`. Feeds
@@ -768,7 +671,7 @@ pub fn depth_mass_from_heat<A: Address>(trie: &BinaryTrie<A>, heat: &[(u64, u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BuildConfig, FibBuild};
+    use crate::engine::{BuildConfig, FibBuild, FibLookup};
     use crate::pdag::PrefixDag;
     use fib_trie::Prefix;
 
@@ -824,21 +727,25 @@ mod tests {
         let (slab, stats) = HotSlab::compile(&trie, &heat, &cfg);
         assert!(stats.promoted > 0);
         let dag = PrefixDag::build(&trie, &BuildConfig::default());
-        let hot = HotFib::new(dag, slab);
+        let hot = HotFront::calibrated(slab, |a| dag.lookup(a));
         let probes: Vec<u32> = (0..4096u32)
             .map(|i| i.wrapping_mul(0x9E37_79B9))
             .chain((0..=255).map(|b| 0x0A01_0000 | (b << 8) | (b & 0xFF)))
             .collect();
         let mut got = vec![None; probes.len()];
         let mut want = vec![None; probes.len()];
-        hot.lookup_batch(&probes, &mut got);
-        hot.inner().lookup_batch(&probes, &mut want);
+        hot.lookup_batch(&probes, &mut got, |a, o| dag.lookup_batch(a, o));
+        dag.lookup_batch(&probes, &mut want);
         assert_eq!(got, want);
         for &p in &probes {
-            assert_eq!(hot.lookup(p), trie.lookup(p), "addr {p:#x}");
+            assert_eq!(
+                hot.lookup(p, |a| dag.lookup(a)),
+                trie.lookup(p),
+                "addr {p:#x}"
+            );
         }
         let mut streamed = vec![None; probes.len()];
-        hot.lookup_stream(&probes, &mut streamed);
+        hot.lookup_batch(&probes, &mut streamed, |a, o| dag.lookup_stream(a, o));
         assert_eq!(streamed, want);
     }
 
@@ -853,7 +760,7 @@ mod tests {
         let (slab, _) = HotSlab::compile(&trie, &heat, &cfg);
         let mut words = Vec::new();
         slab.write_words(&mut words);
-        let back = HotSlab::from_words(&words).unwrap();
+        let back = HotSlab::from(HotSlabRef::from_words(&words).unwrap());
         assert_eq!(back, slab);
         let r = HotSlabRef::from_words(&words).unwrap();
         assert_eq!(r.probe(hot_key(0x0A01_0300u32, 24)), Some(Some(nh(3))));

@@ -52,7 +52,7 @@ use fib_succinct::{fnv1a, fnv1a_continue, Arena, StorageError};
 use fib_trie::{Address, NextHop, Prefix};
 
 use crate::engine::table_types::*;
-use crate::hot::{HotFront, HotSlabRef};
+use crate::hot::HotSlabRef;
 use crate::vsdag::VsShape;
 use crate::FibLookup;
 
@@ -640,8 +640,9 @@ pub fn write_image<A: Address, E: ImageCodec<A>>(
 }
 
 /// [`write_image`] plus a [`sections::HOT_SLAB`] section carrying a
-/// compiled traffic-aware hot slab, so any view assembled over the image
-/// (see [`hot_any_view`]) serves the pinned blocks without recompilation.
+/// compiled traffic-aware hot slab, so a snapshot served from the image
+/// (`fib_router::EpochSnapshot::from_image`) answers from the pinned
+/// blocks without recompilation.
 ///
 /// # Errors
 /// [`ImageError::Unsupported`] for engine configurations with no image
@@ -955,9 +956,23 @@ pub(crate) fn xbw_view<'i, A: Address>(
 // What the engine table generates for images
 // ---------------------------------------------------------------------
 
-/// [`engine_table`](crate::engine) consumer: the image-kind enum, the
-/// type-erased view and its dispatch, from the rows that carry an `image`
-/// column and the `containers` block.
+/// Work over one engine type that a run-time [`EngineKind`] picks —
+/// `fibc compile` builds and encodes `E`, `fibc serve` serves an image
+/// through `E`'s view. [`EngineKind::visit`] is the one place a kind
+/// becomes a type.
+pub trait EngineVisitor<A: Address> {
+    /// What a visit returns.
+    type Output;
+
+    /// Does the work with `E`, the engine the visited kind names.
+    fn visit<E>(self) -> Self::Output
+    where
+        E: ImageCodec<A> + crate::FibBuild<A> + Send + Sync + 'static;
+}
+
+/// [`engine_table`](crate::engine) consumer: the image-kind enum with its
+/// [`EngineKind::visit`], the type-erased view and its dispatch, from the
+/// rows that carry an `image` column and the `containers` block.
 macro_rules! impl_image_kinds {
     (
         engines { $(
@@ -1010,6 +1025,22 @@ macro_rules! impl_image_kinds {
                     $( $ccli => Some(Self::$ckind), )*
                     _ => None,
                 }
+            }
+
+            /// Runs `visitor` with the owned engine type this kind names.
+            ///
+            /// # Errors
+            /// [`ImageError::Unsupported`] for a container kind, which
+            /// names no single engine.
+            pub fn visit<A, V>(self, visitor: V) -> Result<V::Output, ImageError>
+            where
+                A: Address + Send + Sync + 'static,
+                V: EngineVisitor<A>,
+            {
+                Ok(match self {
+                    $($( Self::$kind => visitor.visit::<$owned<A>>(), )?)*
+                    $( Self::$ckind => return Err(ImageError::Unsupported($why)), )*
+                })
             }
         }
 
@@ -1097,77 +1128,5 @@ impl FibImage {
                 .map(Some)
                 .map_err(|e| ImageError::Malformed(e.0)),
         }
-    }
-}
-
-/// A type-erased image view with the image's hot slab (if any) pinned in
-/// front behind its gate — what `fibc serve` serves every image through,
-/// so one compiled `--heat` answers from its slab.
-#[derive(Clone, Debug)]
-pub struct HotAnyView<'a, A: Address> {
-    front: Option<HotFront<HotSlabRef<'a>>>,
-    inner: AnyView<'a, A>,
-}
-
-/// Assembles [`any_view`] plus the image's optional hot slab, so images
-/// written by [`write_image_hot`] get their traffic-aware layout for free.
-///
-/// # Errors
-/// Any [`ImageError`].
-pub fn hot_any_view<A: Address>(image: &FibImage) -> Result<HotAnyView<'_, A>, ImageError> {
-    let inner = any_view(image)?;
-    let front = image
-        .hot_slab()?
-        .map(|slab| HotFront::calibrated(slab, |addr| inner.lookup(addr)));
-    Ok(HotAnyView { front, inner })
-}
-
-impl<'a, A: Address> HotAnyView<'a, A> {
-    /// The slab view, when the image carries one.
-    #[must_use]
-    pub fn slab(&self) -> Option<HotSlabRef<'a>> {
-        self.front.as_ref().map(|front| *front.slab())
-    }
-
-    /// The gated slab, when the image carries one (what the gate
-    /// decided is readable from it).
-    #[must_use]
-    pub fn front(&self) -> Option<&HotFront<HotSlabRef<'a>>> {
-        self.front.as_ref()
-    }
-}
-
-impl<A: Address> FibLookup<A> for HotAnyView<'_, A> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    #[inline]
-    fn lookup(&self, addr: A) -> Option<NextHop> {
-        match &self.front {
-            Some(front) => front.lookup(addr, |a| self.inner.lookup(a)),
-            None => self.inner.lookup(addr),
-        }
-    }
-
-    fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        match &self.front {
-            Some(front) => front.lookup_batch(addrs, out, |a, o| self.inner.lookup_batch(a, o)),
-            None => self.inner.lookup_batch(addrs, out),
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes() + self.slab().map_or(0, |s| s.size_bytes())
-    }
-
-    /// The engine's own walk: the trace models the structure's memory,
-    /// which a slab hit would skip.
-    fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        self.inner.lookup_traced(addr, sink)
-    }
-
-    fn traces_memory(&self) -> bool {
-        self.inner.traces_memory()
     }
 }

@@ -49,13 +49,10 @@ mod xbw;
 
 pub use engine::{roster, BuildConfig, FibBuild, FibLookup, FibUpdate, RebuildNeeded, Roster};
 pub use entropy::FibEntropy;
-pub use hot::{
-    depth_mass_from_heat, hot_key, HotConfig, HotFib, HotFront, HotSlab, HotSlabRef, HotStats,
-    SlabStore,
-};
+pub use hot::{depth_mass_from_heat, hot_key, HotConfig, HotFront, HotSlab, HotSlabRef, HotStats};
 pub use image::{
-    any_view, hot_any_view, load_image, write_image, write_image_file, write_image_hot, AnyView,
-    EngineKind, FibImage, HotAnyView, ImageCodec, ImageError, ImageWriter,
+    any_view, load_image, write_image, write_image_file, write_image_hot, AnyView, EngineKind,
+    EngineVisitor, FibImage, ImageCodec, ImageError, ImageWriter,
 };
 pub use pdag::{DagStats, PrefixDag, PrefixDagRef, RootArray, RootEntry};
 pub use serialized::{SerializedDag, SerializedDagRef, SER_REFILL_LANES};

@@ -26,13 +26,15 @@
 //! * [`Forwarder`] (module [`runtime`]) — the multi-core forwarding
 //!   runtime: N worker threads with private traffic sources and
 //!   per-worker stats (packets, drops, ns/lookup histogram with
-//!   p50/p99).
+//!   p50/p99). `fibc serve` runs it too, over an image-backed
+//!   [`EpochSnapshot::from_image`] — the snapshot a warm restart serves.
 //! * [`VrfSetRouter`] (module [`vrf`]) — the multi-tenant control plane:
 //!   per-VRF oracles compiled into one cross-table-deduped
 //!   [`fib_core::CompiledVrfSet`], published atomically with per-VRF
 //!   epochs, plus [`VrfDataPlane`] with a VRF-bucketed, allocation-free
 //!   mixed batch path. A publish recompiles only the tables that
-//!   changed, on the control thread.
+//!   changed, on the control thread; a compile that panics is contained
+//!   as the single-table router's builds are ([`RouterHealth`]).
 //!
 //! ```
 //! use fib_core::PrefixDag;

@@ -12,7 +12,7 @@ use crate::spoolfs::{SpoolFs, StdFs};
 
 use fib_core::{
     write_image, BuildConfig, FibBuild, FibImage, FibLookup, FibUpdate, HotConfig, HotFront,
-    HotSlab, HotStats, ImageCodec,
+    HotSlab, HotStats, ImageCodec, ImageError,
 };
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 use fib_workload::{HeatMap, HeatSummary};
@@ -50,11 +50,11 @@ impl Default for RouterConfig {
 const DEGRADATION_THRESHOLD: f64 = 0.25;
 
 /// What a published snapshot serves from: an owned engine (the normal
-/// path) or a loaded FIB image whose zero-copy view answers lookups (the
-/// warm-restart path, until the first rebuild replaces it).
+/// path) or a loaded FIB image whose zero-copy view answers lookups (a
+/// warm restart until its first rebuild, or `fibc serve`).
 enum SnapEngine<E> {
     Owned(E),
-    Image(Arc<FibImage>),
+    Image(FibImage),
 }
 
 impl<E> std::fmt::Debug for SnapEngine<E> {
@@ -109,8 +109,7 @@ impl<E> EpochSnapshot<E> {
     /// [`FibUpdate::publish_copy`] made of the working engine: a lookup
     /// structure, not something to update (epoch 0 alone is a full clone
     /// of the engine [`Router::new`] built). `None` when this snapshot
-    /// serves straight from a loaded FIB image (a warm-restarted router
-    /// before its first publish).
+    /// serves straight from a loaded FIB image ([`Self::from_image`]).
     #[must_use]
     pub fn engine(&self) -> Option<&E> {
         match &self.engine {
@@ -142,6 +141,39 @@ impl<E> EpochSnapshot<E> {
         self.hot.as_ref().map(HotFront::bypassed)
     }
 
+    /// A snapshot that serves lookups straight from `image`'s zero-copy
+    /// view — what a warm restart publishes and what `fibc serve` runs its
+    /// forwarding workers over. The image is validated once, here, with a
+    /// full [`ImageCodec::view`]; the snapshot's lookups then assemble the
+    /// scan-free [`ImageCodec::view_prevalidated`] once per call (per batch
+    /// on the batch paths). Epoch and route count come from the header. A
+    /// [`HOT_SLAB`](fib_core::image::sections::HOT_SLAB) section goes in
+    /// front of the view behind the same calibrated [`HotFront`] a
+    /// [`Router::publish_hot`] attaches.
+    ///
+    /// # Errors
+    /// Any [`ImageError`] of `E`'s view, including an image of another
+    /// engine or address family, or a malformed slab section.
+    pub fn from_image<A: Address>(image: FibImage) -> Result<Arc<Self>, ImageError>
+    where
+        E: ImageCodec<A>,
+    {
+        E::view(&image)?;
+        let epoch = image.epoch();
+        Self::over_image(image, epoch)
+    }
+
+    /// [`Self::from_image`] without the validation, for an `image` that
+    /// already passed [`ImageCodec::view`], served as `epoch`.
+    fn over_image<A: Address>(image: FibImage, epoch: u64) -> Result<Arc<Self>, ImageError>
+    where
+        E: ImageCodec<A>,
+    {
+        let slab = image.hot_slab()?.map(HotSlab::from);
+        let routes = image.route_count() as usize;
+        Ok(Self::cut(epoch, routes, SnapEngine::Image(image), slab))
+    }
+
     /// Cuts a snapshot. A `slab` goes in front of the engine behind a gate
     /// calibrated against the snapshot's own scalar walk (≈3k probes and
     /// walks: microseconds beside the engine clone or image load before).
@@ -166,8 +198,8 @@ impl<E> EpochSnapshot<E> {
 
     /// Runs `serve` on the engine behind the slab: the owned one, or the
     /// image's zero-copy view, assembled once per call. The image passed
-    /// a full `E::view` at restart and is immutable, so the view skips
-    /// the O(n) reference scans.
+    /// a full `E::view` before it was installed and is immutable, so the
+    /// view skips the O(n) reference scans.
     fn with_engine<A: Address, R>(&self, serve: impl FnOnce(&dyn FibLookup<A>) -> R) -> R
     where
         E: ImageCodec<A>,
@@ -175,7 +207,7 @@ impl<E> EpochSnapshot<E> {
         match &self.engine {
             SnapEngine::Owned(e) => serve(e),
             SnapEngine::Image(img) => {
-                serve(&E::view_prevalidated(img).expect("validated at restart"))
+                serve(&E::view_prevalidated(img).expect("validated at install"))
             }
         }
     }
@@ -184,8 +216,8 @@ impl<E> EpochSnapshot<E> {
     ///
     /// # Panics
     /// Panics if an image-backed snapshot's image stopped validating —
-    /// impossible for images installed by [`Router::warm_restart`], which
-    /// validates before publishing.
+    /// impossible, as [`Self::from_image`] and [`Router::warm_restart`]
+    /// validate it before serving.
     #[must_use]
     pub fn lookup<A: Address>(&self, addr: A) -> Option<NextHop>
     where
@@ -196,7 +228,7 @@ impl<E> EpochSnapshot<E> {
         let walk = |addr| match &self.engine {
             SnapEngine::Owned(e) => e.lookup(addr),
             SnapEngine::Image(img) => E::view_prevalidated(img)
-                .expect("validated at restart")
+                .expect("validated at install")
                 .lookup(addr),
         };
         match &self.hot {
@@ -314,12 +346,48 @@ pub struct RouterStats {
     pub copied_nodes: u64,
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&str>()
-        .map(ToString::to_string)
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "engine build panicked".to_string())
+/// Build-panic containment, written once for both control planes: a
+/// build runs through [`Self::run`], which turns a panic into a
+/// [`RouterHealth`] record instead of unwinding into the caller.
+#[derive(Debug, Default)]
+pub(crate) struct BuildPanics {
+    count: u64,
+    last: Option<String>,
+    /// The last build run panicked.
+    pub(crate) failing: bool,
+    /// The published snapshot lags the control state because the last
+    /// publish could not build; the router serves the last good epoch.
+    pub(crate) serving_stale: bool,
+}
+
+impl BuildPanics {
+    /// Runs `build`, returning `None` and recording the panic if it
+    /// panicked.
+    pub(crate) fn run<T>(&mut self, build: impl FnOnce() -> T) -> Option<T> {
+        let panic = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
+            Ok(built) => {
+                self.failing = false;
+                return Some(built);
+            }
+            Err(panic) => panic,
+        };
+        let message = panic.downcast_ref::<&str>().map(ToString::to_string);
+        let message = message.or_else(|| panic.downcast_ref::<String>().cloned());
+        self.count += 1;
+        self.last = Some(message.unwrap_or_else(|| "build panicked".to_string()));
+        self.failing = true;
+        None
+    }
+
+    /// `base` with the build half of the report filled in.
+    pub(crate) fn report(&self, base: RouterHealth) -> RouterHealth {
+        RouterHealth {
+            rebuild_panics: self.count,
+            last_rebuild_panic: self.last.clone(),
+            serving_stale: self.serving_stale,
+            ..base
+        }
+    }
 }
 
 /// A point-in-time health report: spool persistence state, rebuild-panic
@@ -396,16 +464,10 @@ pub struct Router<A: Address, E: Send + Sync + 'static> {
     since_publish: usize,
     stats: RouterStats,
     spool: Option<Spool>,
-    /// Contained engine-build panics.
-    rebuild_panics: u64,
-    last_rebuild_panic: Option<String>,
-    /// Set after a build panic: the degradation check compacts nothing
-    /// until a build succeeds again (prevents a panic storm on a
-    /// poisoned control state).
-    rebuild_suspended: bool,
-    /// The published snapshot lags the control FIB because materializing
-    /// a fresh engine panicked at the last publish.
-    serving_stale: bool,
+    /// Contained engine-build panics. While the last build failed, the
+    /// degradation check compacts nothing until a build succeeds again
+    /// (prevents a panic storm on a poisoned control state).
+    builds: BuildPanics,
     /// The last merged traffic interval, in `HeatSummary` entry shape.
     /// Threaded into every engine (re)build so heat-aware engines (the
     /// variable-stride DAG) re-stride their layout for measured traffic;
@@ -449,10 +511,7 @@ where
                 ..RouterStats::default()
             },
             spool: None,
-            rebuild_panics: 0,
-            last_rebuild_panic: None,
-            rebuild_suspended: false,
-            serving_stale: false,
+            builds: BuildPanics::default(),
             heat_profile: None,
         }
     }
@@ -470,7 +529,7 @@ where
             .heat_profile
             .as_ref()
             .map(|(entries, depth)| (entries.as_slice(), *depth));
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let Some((engine, warm)) = self.builds.run(|| {
             let (control, build) = (&self.control, &self.config.build);
             match self
                 .working
@@ -480,23 +539,14 @@ where
                 Some(engine) => (engine, true),
                 None => (E::build_weighted(control, build, heat), false),
             }
-        }));
-        match built {
-            Ok((engine, warm)) => {
-                self.working = Some(engine);
-                self.stale = false;
-                self.stats.rebuilds += 1;
-                self.stats.warm_rebuilds += u64::from(warm);
-                self.rebuild_suspended = false;
-                true
-            }
-            Err(p) => {
-                self.rebuild_panics += 1;
-                self.last_rebuild_panic = Some(panic_message(&*p));
-                self.rebuild_suspended = true;
-                false
-            }
-        }
+        }) else {
+            return false;
+        };
+        self.working = Some(engine);
+        self.stale = false;
+        self.stats.rebuilds += 1;
+        self.stats.warm_rebuilds += u64::from(warm);
+        true
     }
 
     /// Rebuilds a router from the newest valid epoch image in `dir` plus
@@ -545,17 +595,9 @@ where
             }
         }
 
-        let routes = image.route_count() as usize;
-        let image = Arc::new(image);
-        // An image compiled with a hot slab (`write_image_hot`) keeps
-        // serving it: the lint checked every pinned block against the
-        // routes section and the engine view.
-        let slab = image
-            .section(fib_core::image::sections::HOT_SLAB)
-            .ok()
-            .and_then(|words| HotSlab::from_words(words).ok());
-        let snapshot =
-            EpochSnapshot::cut(epoch, routes, SnapEngine::Image(Arc::clone(&image)), slab);
+        // Served under the epoch the spool names the image by, which the
+        // journal rule keyed on; `recover` already ran the full view.
+        let snapshot = EpochSnapshot::over_image(image, epoch).map_err(RestartError::Image)?;
         let mut router = Self::serving(config, control, None, snapshot);
         router.stale = !records.is_empty();
         router.since_publish = records.len();
@@ -607,12 +649,8 @@ where
     /// quarantine count, contained rebuild panics, staleness.
     #[must_use]
     pub fn health(&self) -> RouterHealth {
-        RouterHealth {
-            rebuild_panics: self.rebuild_panics,
-            last_rebuild_panic: self.last_rebuild_panic.clone(),
-            serving_stale: self.serving_stale,
-            ..self.spool.as_ref().map(Spool::report).unwrap_or_default()
-        }
+        let spool = self.spool.as_ref().map(Spool::report).unwrap_or_default();
+        self.builds.report(spool)
     }
 
     /// Operator re-arm after a suspended (or degraded) spool's root
@@ -783,7 +821,7 @@ where
         // λ-barrier-aware maintenance: in-place updates are cheap, but
         // refolds fragment the arena; past the threshold, compact.
         if !self.stale
-            && !self.rebuild_suspended
+            && !self.builds.failing
             && self
                 .working
                 .as_ref()
@@ -943,13 +981,13 @@ where
             // panic is already in health) and retry the materialization
             // at the next publish (auto-publish cadence bounds the retry
             // rate).
-            self.serving_stale = true;
+            self.builds.serving_stale = true;
             self.stale = true;
             self.since_publish = 0;
             self.commit_spool();
             return self.snapshot();
         }
-        self.serving_stale = false;
+        self.builds.serving_stale = false;
         self.epoch += 1;
         self.since_publish = 0;
         self.stats.epochs += 1;

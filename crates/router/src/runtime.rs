@@ -13,6 +13,11 @@
 //! cross-core traffic on the packet path is the generation counter line,
 //! which is read-shared until the (rare) publish invalidates it.
 //!
+//! [`Forwarder::run`] is the one serving loop: the router's own readers,
+//! the benchmark, and `fibc serve` (over an image-backed
+//! [`EpochSnapshot::from_image`]) all run it, so what `fibc serve` prints
+//! is the [`WorkerReport`]s this module fills.
+//!
 //! [`lookup_stream`]: fib_core::FibLookup::lookup_stream
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -43,6 +43,7 @@ use std::sync::Arc;
 use fib_core::{recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibLookup, VrfPolicy};
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
+use crate::router::{BuildPanics, RouterHealth};
 use crate::snapcell::{SnapCell, SnapReader};
 
 /// An immutable, published multi-tenant forwarding state: the compiled
@@ -179,6 +180,7 @@ pub struct VrfSetRouter<A: Address + Send + Sync + 'static> {
     /// forwarding worker that was still reading it.
     superseded: Option<Arc<VrfSnapshot<A>>>,
     stats: VrfRouterStats,
+    builds: BuildPanics,
 }
 
 /// Plain publish counters of a [`VrfSetRouter`]: exact and repeatable,
@@ -214,6 +216,7 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             cell: SnapCell::new(initial),
             superseded: None,
             stats: VrfRouterStats::default(),
+            builds: BuildPanics::default(),
         }
     }
 
@@ -280,6 +283,11 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// policy moves it to another engine, and always under `Auto`, whose
     /// placement is a fleet-wide decision; every other table carries over
     /// from the published set.
+    ///
+    /// A compile that panics is contained: the router keeps serving the
+    /// last good set at its epoch, records the panic in [`Self::health`]
+    /// with [`RouterHealth::serving_stale`] set, and keeps every pending
+    /// change for the next publish to retry.
     pub fn publish(&mut self) -> Arc<VrfSnapshot<A>> {
         let basis = self.cell.load();
         if self.dirty.is_empty() && self.epoch > 0 {
@@ -309,7 +317,14 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
                 (*id, refold.then_some(trie))
             })
             .collect();
-        let set = recompile_vrf_set(&basis.set, &fleet, &self.config, &policy);
+        let Some(set) = self
+            .builds
+            .run(|| recompile_vrf_set(&basis.set, &fleet, &self.config, &policy))
+        else {
+            self.builds.serving_stale = true;
+            return basis;
+        };
+        self.builds.serving_stale = false;
         let refolded = fleet.iter().filter(|(_, trie)| trie.is_some()).count() as u64;
 
         self.epoch += 1;
@@ -340,6 +355,13 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         self.superseded = Some(basis);
         self.cell.publish(Arc::clone(&snapshot));
         snapshot
+    }
+
+    /// Contained compile panics and whether the published set lags the
+    /// oracles; a fleet has no spool, so [`RouterHealth::spool`] is `None`.
+    #[must_use]
+    pub fn health(&self) -> RouterHealth {
+        self.builds.report(RouterHealth::default())
     }
 
     /// Publish counters since construction.

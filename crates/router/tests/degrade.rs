@@ -3,15 +3,17 @@
 //! ([`Router::start_rebuild`]) and publish-time materialization both
 //! degrade to serving the last good epoch with the panic recorded in
 //! [`Router::health`], and a later successful build restores freshness.
+//! A fleet compile that panics ([`VrfSetRouter::publish`]) degrades the
+//! same way, into [`VrfSetRouter::health`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use fib_core::{
     BuildConfig, EngineKind, FibBuild, FibImage, FibLookup, FibUpdate, ImageCodec, ImageError,
-    ImageWriter, PrefixDag, RebuildNeeded,
+    ImageWriter, PrefixDag, RebuildNeeded, VrfEngineChoice, VrfPolicy,
 };
-use fib_router::{Router, RouterConfig};
+use fib_router::{Router, RouterConfig, VrfSetRouter};
 use fib_trie::{BinaryTrie, NextHop, Prefix};
 use fib_workload::rng::Xoshiro256;
 use fib_workload::{traces, FibSpec};
@@ -187,4 +189,69 @@ fn publish_serves_stale_epoch_while_builds_panic_then_heals() {
         router.control().lookup(0xC0A8_0101),
         "the update accepted during the outage must be served after recovery"
     );
+}
+
+#[test]
+fn a_panicking_fleet_compile_is_contained_and_the_next_publish_heals() {
+    // A vsdag table under a config the vsdag compiler refuses: the fleet
+    // compile panics inside `publish`.
+    let config = BuildConfig {
+        vs_max_stride: 0,
+        ..BuildConfig::default()
+    };
+    let policy = VrfPolicy::Pinned {
+        choices: vec![VrfEngineChoice::Shared, VrfEngineChoice::VsDag],
+    };
+    let mut router = VrfSetRouter::new(config, policy);
+    router.insert_vrf(1, base(11));
+    router.insert_vrf(2, base(12));
+    let mut reader = router.reader();
+    let trace = traces::uniform::<u32, _>(&mut Xoshiro256::seed_from_u64(13), 256);
+
+    let served = router.publish();
+    assert_eq!(served.epoch(), 0, "the failed publish cut no epoch");
+    assert_eq!(router.epoch(), 0);
+    let health = router.health();
+    assert_eq!(health.rebuild_panics, 1, "panic must be recorded");
+    assert!(
+        health
+            .last_rebuild_panic
+            .as_deref()
+            .is_some_and(|m| m.contains("max_stride 0 out of [1, 16]")),
+        "panic message must survive: {:?}",
+        health.last_rebuild_panic
+    );
+    assert!(health.serving_stale, "health must flag staleness");
+    assert!(health.spool.is_none(), "a fleet has no spool");
+    // Readers keep answering from epoch 0, which holds no table yet.
+    assert_eq!(reader.snapshot().epoch(), 0);
+    for &addr in &trace {
+        assert_eq!(reader.lookup(1, addr), None);
+    }
+
+    // A third table makes the two-entry choice vector stale, so placement
+    // falls back to `Shared`; the pending tables are still dirty, and the
+    // next publish folds all three.
+    router.insert_vrf(3, base(14));
+    let healed = router.publish();
+    assert_eq!(healed.epoch(), 1);
+    let health = router.health();
+    assert!(!health.serving_stale);
+    assert_eq!(health.rebuild_panics, 1, "no new panics");
+    assert!(healed
+        .set()
+        .tables
+        .iter()
+        .all(|t| t.choice() == VrfEngineChoice::Shared));
+    assert_eq!(reader.snapshot().epoch(), 1);
+    for vrf in [1, 2, 3] {
+        let oracle = router.oracle(vrf).expect("announced");
+        for &addr in &trace {
+            assert_eq!(
+                reader.lookup(vrf, addr),
+                oracle.lookup(addr),
+                "vrf {vrf} diverges from its oracle at {addr:#010x}"
+            );
+        }
+    }
 }

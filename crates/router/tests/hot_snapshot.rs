@@ -1,4 +1,4 @@
-//! A hot epoch snapshot is gated like `HotFib`, and answers exactly as
+//! A hot epoch snapshot is gated by its `HotFront`, and answers exactly as
 //! the control FIB does in both gate modes — through `lookup`,
 //! `lookup_batch` and `lookup_stream`, on an owned engine and on the
 //! zero-copy view of an image that carries the slab.

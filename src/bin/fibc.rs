@@ -18,23 +18,36 @@
 //! fibc serve fib.img --probe 100000        # deterministic benchmark probes
 //! ```
 //!
+//! `fibc serve` runs the product's serving path, not one of its own: a
+//! single-table image becomes an image-backed `EpochSnapshot`
+//! (`EpochSnapshot::from_image`, what a warm restart serves too),
+//! published in a `SnapCell` and driven by the forwarding runtime's
+//! `Forwarder::run`; what it prints is read off the runtime's
+//! `WorkerReport`s. Compile and serve pick the engine an image or
+//! `--engine` names through `EngineKind::visit`, the one dispatch the
+//! engine table generates.
+//!
 //! Routes files are plain text: one `prefix next_hop_index` pair per line
 //! (`10.0.0.0/8 3`, `2001:db8::/32 1`), `#` comments allowed. The address
 //! family is inferred from the first route (or forced with `--v6`).
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use fibcomp::core::image::sections;
 use fibcomp::core::lint as image_lint;
 use fibcomp::core::{
-    compile_vrf_set, hot_any_view, write_image, write_image_hot, write_vrf_image, BuildConfig,
-    EngineKind, FibBuild, FibImage, FibLookup, HotAnyView, HotConfig, HotSlab, ImageCodec,
-    ImageError, PrefixDag, RootArray, SerializedDag, VarStrideDag, VrfPolicy, VrfSetRef, VrfTable,
-    XbwFib, XbwStorage,
+    compile_vrf_set, write_image, write_image_hot, write_vrf_image, BuildConfig, EngineKind,
+    EngineVisitor, FibBuild, FibImage, HotConfig, HotSlab, ImageCodec, ImageError, RootArray,
+    VarStrideDag, VrfPolicy, VrfSetRef, VrfTable, XbwStorage,
 };
-use fibcomp::router::{scan_spool, LatencyHistogram, StdFs};
-use fibcomp::trie::{Address, BinaryTrie, LcTrie, NextHop, Prefix};
+use fibcomp::router::{
+    scan_spool, EpochSnapshot, Forwarder, ForwarderConfig, PacingMode, SnapCell, StdFs,
+    WorkerReport,
+};
+use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
 use fibcomp::workload::loadgen::{AddrStream, KeyModel};
 use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::vrf::{fleet_weights, instance_fleet, mixed_keys};
@@ -75,10 +88,12 @@ usage:
                --out IMG    (multi-tenant set: one shared dedup arena)
   fibc inspect IMG
   fibc lint IMG
-  fibc serve IMG [--probe N | --duration S] [--threads N] \
+  fibc serve IMG [--probe N] [--duration S] [--threads N] \\
                  [--keys uniform|zipf|bursty] [--batch N] [--seed N]
-                 (without --probe/--duration: addresses on stdin, batched;
-                  vrfset images take 'VRF ADDR' lines / mixed-VRF probes)
+                 (--probe: N lookups across all threads, rounded up to
+                  whole batches; --duration: S seconds; neither: addresses
+                  on stdin, batched; vrfset images take 'VRF ADDR' lines /
+                  mixed-VRF probes)
   fibc serve --spool DIR [--health-every S] [serve options]
                  (newest valid spool image; health one-liner on stderr)
   fibc spool-status DIR";
@@ -159,6 +174,9 @@ fn compile(args: &[String]) -> Result<(), String> {
     }
     let engine = EngineKind::parse(opt(args, "--engine").ok_or("--engine is required")?)
         .ok_or("unknown engine (want xbw|pdag|serialized|lctrie|vsdag)")?;
+    if engine == EngineKind::VrfSet {
+        return Err("vrfset images hold many tables; compile one with --vrfs N".into());
+    }
     let out = opt(args, "--out").ok_or("--out is required")?;
     let epoch: u64 = opt(args, "--epoch")
         .unwrap_or("0")
@@ -206,7 +224,7 @@ fn compile(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn compile_trie<A: Address>(
+fn compile_trie<A: Address + Send + Sync + 'static>(
     trie: &BinaryTrie<A>,
     engine: EngineKind,
     config: &BuildConfig,
@@ -245,23 +263,18 @@ fn compile_trie<A: Address>(
     let weights = sampled
         .as_ref()
         .map(|(_, summary)| (summary.entries(), summary.depth()));
-    let bytes = match engine {
-        EngineKind::Xbw => encode::<A, XbwFib<A>>(trie, config, routes, epoch, slab, weights),
-        EngineKind::PrefixDag => {
-            encode::<A, PrefixDag<A>>(trie, config, routes, epoch, slab, weights)
-        }
-        EngineKind::SerializedDag => {
-            encode::<A, SerializedDag<A>>(trie, config, routes, epoch, slab, weights)
-        }
-        EngineKind::LcTrie => encode::<A, LcTrie<A>>(trie, config, routes, epoch, slab, weights),
-        EngineKind::VsDag => {
-            encode::<A, VarStrideDag<A>>(trie, config, routes, epoch, slab, weights)
-        }
-        EngineKind::VrfSet => {
-            return Err("vrfset images hold many tables; compile one with --vrfs N".into())
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let encode = Encode {
+        trie,
+        config,
+        routes,
+        epoch,
+        slab,
+        weights,
+    };
+    let bytes = engine
+        .visit(encode)
+        .and_then(|encoded| encoded)
+        .map_err(|e| e.to_string())?;
     std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "compiled {} routes -> {} ({} engine, {} bytes)",
@@ -284,18 +297,30 @@ fn compile_trie<A: Address>(
     Ok(())
 }
 
-fn encode<A: Address, E: ImageCodec<A> + FibBuild<A>>(
-    trie: &BinaryTrie<A>,
-    config: &BuildConfig,
-    routes: Option<&BinaryTrie<A>>,
+/// `fibc compile`'s work for the engine `--engine` names: build it over
+/// the trie (heat-weighted when `--heat` sampled a profile) and encode it,
+/// with the slab section when there is one.
+struct Encode<'a, A: Address> {
+    trie: &'a BinaryTrie<A>,
+    config: &'a BuildConfig,
+    routes: Option<&'a BinaryTrie<A>>,
     epoch: u64,
-    slab: Option<&HotSlab>,
-    weights: Option<(&[(u64, u64)], u8)>,
-) -> Result<Vec<u8>, ImageError> {
-    let engine = E::build_weighted(trie, config, weights);
-    match slab {
-        Some(slab) => write_image_hot(&engine, routes, epoch, slab),
-        None => write_image(&engine, routes, epoch),
+    slab: Option<&'a HotSlab>,
+    weights: Option<(&'a [(u64, u64)], u8)>,
+}
+
+impl<A: Address> EngineVisitor<A> for Encode<'_, A> {
+    type Output = Result<Vec<u8>, ImageError>;
+
+    fn visit<E>(self) -> Self::Output
+    where
+        E: ImageCodec<A> + FibBuild<A> + Send + Sync + 'static,
+    {
+        let engine = E::build_weighted(self.trie, self.config, self.weights);
+        match self.slab {
+            Some(slab) => write_image_hot(&engine, self.routes, self.epoch, slab),
+            None => write_image(&engine, self.routes, self.epoch),
+        }
     }
 }
 
@@ -505,15 +530,10 @@ fn serve(args: &[String]) -> Result<(), String> {
         return serve_spool(dir, args);
     }
     let path = args.first().ok_or(
-        "usage: fibc serve IMG [--probe N | --duration S] [--threads N] \
+        "usage: fibc serve IMG [--probe N] [--duration S] [--threads N] \
          [--keys uniform|zipf|bursty] [--batch N] [--seed N]",
     )?;
-    let image = FibImage::load(path).map_err(|e| e.to_string())?;
-    match image.family() {
-        4 => serve_family::<u32>(&image, args),
-        6 => serve_family::<u128>(&image, args),
-        other => Err(format!("unknown address family {other}")),
-    }
+    serve_image(FibImage::load(path).map_err(|e| e.to_string())?, args)
 }
 
 /// `fibc serve --spool DIR`: serves the newest image in the spool that
@@ -541,7 +561,7 @@ fn serve_spool(dir: &str, args: &[String]) -> Result<(), String> {
         std::thread::spawn(move || {
             let fs = StdFs::shared();
             loop {
-                std::thread::sleep(std::time::Duration::from_secs_f64(every));
+                std::thread::sleep(Duration::from_secs_f64(every));
                 match scan_spool(fs.as_ref(), &ticker_dir) {
                     Ok(s) => eprintln!("{s}"),
                     Err(e) => eprintln!("spool scan failed: {e}"),
@@ -549,10 +569,16 @@ fn serve_spool(dir: &str, args: &[String]) -> Result<(), String> {
             }
         });
     }
-    let image = FibImage::load(&picked.path).map_err(|e| e.to_string())?;
+    serve_image(
+        FibImage::load(&picked.path).map_err(|e| e.to_string())?,
+        args,
+    )
+}
+
+fn serve_image(image: FibImage, args: &[String]) -> Result<(), String> {
     match image.family() {
-        4 => serve_family::<u32>(&image, args),
-        6 => serve_family::<u128>(&image, args),
+        4 => serve_family::<u32>(image, args),
+        6 => serve_family::<u128>(image, args),
         other => Err(format!("unknown address family {other}")),
     }
 }
@@ -600,181 +626,136 @@ fn parse_seed(args: &[String]) -> Result<u64, String> {
     .map_err(|e| format!("--seed: {e}"))
 }
 
-/// Builds one worker's address stream under the requested key model;
-/// Zipf and bursty models draw destinations from `fib` (the image's
-/// routes section, decoded once by the caller and shared by reference).
-fn worker_stream<A: Address>(
-    model: KeyModel,
-    fib: Option<&BinaryTrie<A>>,
-    seed: u64,
-    worker: u64,
-) -> AddrStream<A> {
-    match fib {
-        Some(fib) => AddrStream::new(model, fib, seed, worker),
-        None => AddrStream::uniform(seed, worker),
-    }
-}
-
-/// How long a benchmark worker runs: a fixed probe count or a wall-clock
-/// duration.
-#[derive(Clone, Copy)]
-enum ServeBudget {
-    Probes(usize),
-    Wall(std::time::Duration),
-}
-
 /// What `fibc serve` says about the image's hot slab: its pinned blocks
 /// and what the gate in front of it currently decides.
-fn slab_line<A: Address>(view: &HotAnyView<'_, A>) -> String {
-    let Some(front) = view.front() else {
+fn slab_line<E>(snapshot: &EpochSnapshot<E>) -> String {
+    let (Some(slab), Some(bypassed)) = (snapshot.hot_slab(), snapshot.hot_bypassed()) else {
         return "no hot slab".into();
     };
-    let gate = if front.bypassed() {
-        "bypassed"
-    } else {
-        "probing"
-    };
-    format!(
-        "hot slab: {} blocks, gate {gate}",
-        front.slab().entries().count()
-    )
+    let gate = if bypassed { "bypassed" } else { "probing" };
+    format!("hot slab: {} blocks, gate {gate}", slab.occupied())
 }
 
-/// One worker's serve loop over the shared zero-copy image view: batches
-/// from its private stream through the view's batch kernel (behind the
-/// image's hot slab, when it has one), with per-batch latency recorded
-/// in a log₂ histogram.
-fn serve_worker<A: Address + AddrText>(
-    view: &HotAnyView<'_, A>,
-    stream: &mut AddrStream<A>,
-    budget: ServeBudget,
-    batch: usize,
-) -> (u64, u64, LatencyHistogram, f64) {
-    let mut hist = LatencyHistogram::default();
-    let mut packets = 0u64;
-    let mut matched = 0u64;
-    let mut buf: Vec<A> = Vec::with_capacity(batch);
-    let mut out = vec![None; batch];
-    let start = std::time::Instant::now();
-    loop {
-        let n = match budget {
-            ServeBudget::Probes(total) => {
-                let left = total.saturating_sub(packets as usize);
-                if left == 0 {
-                    break;
-                }
-                left.min(batch)
-            }
-            ServeBudget::Wall(limit) => {
-                if start.elapsed() >= limit {
-                    break;
-                }
-                batch
-            }
-        };
-        stream.fill(&mut buf, n);
-        let t0 = std::time::Instant::now();
-        view.lookup_stream(&buf, &mut out[..n]);
-        let dt = t0.elapsed().as_nanos() as f64;
-        packets += n as u64;
-        matched += out[..n].iter().filter(|o| o.is_some()).count() as u64;
-        hist.record(dt / n as f64, n as u64);
-    }
-    (packets, matched, hist, start.elapsed().as_secs_f64())
+/// `fibc serve`'s work for the engine a single-table image encodes: an
+/// image-backed [`EpochSnapshot`] of it, served by the forwarding runtime
+/// ([`Forwarder::run`]) under `--probe`/`--duration`, or to stdin
+/// addresses.
+struct Serve<'a> {
+    image: FibImage,
+    args: &'a [String],
 }
 
-/// Runs `threads` workers against the image and prints per-worker stats
-/// plus the aggregate.
-fn serve_bench<A: Address + AddrText + Sync>(
-    image: &FibImage,
-    args: &[String],
-    budget: ServeBudget,
-) -> Result<(), String> {
-    let threads: usize = opt(args, "--threads")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|e| format!("--threads: {e}"))?;
-    let threads = threads.max(1);
-    let batch: usize = opt(args, "--batch")
-        .unwrap_or("256")
-        .parse()
-        .map_err(|e| format!("--batch: {e}"))?;
-    let keys = opt(args, "--keys").unwrap_or("uniform");
-    let seed = parse_seed(args)?;
-    let Some(model) = KeyModel::parse(keys) else {
-        return Err(format!("--keys: unknown model '{keys}'"));
-    };
-    // Decode the routes section once; every worker shares it by
-    // reference (Zipf/bursty streams build their own popularity model,
-    // but the trie decode is the expensive part).
-    let fib: Option<BinaryTrie<A>> = if model == KeyModel::Uniform {
-        None
-    } else {
-        Some(image.routes().map_err(|e| {
-            format!("--keys {keys} needs the image's routes section ({e}); use --keys uniform")
-        })?)
-    };
-    let fib = fib.as_ref();
-    let view = hot_any_view::<A>(image).map_err(|e| e.to_string())?;
-    let view = &view;
-    let engine = view.name();
+impl<A: Address + AddrText + Send + Sync + 'static> EngineVisitor<A> for Serve<'_> {
+    type Output = Result<(), String>;
 
-    // --probe is fixed total work: split it across the pool (the first
-    // workers absorb the remainder) so `--probe N --threads T` always
-    // performs N lookups, enabling like-for-like thread comparisons.
-    let worker_budget = |worker: usize| match budget {
-        ServeBudget::Probes(total) => {
-            let share = total / threads + usize::from(worker < total % threads);
-            ServeBudget::Probes(share)
+    fn visit<E>(self) -> Self::Output
+    where
+        E: ImageCodec<A> + FibBuild<A> + Send + Sync + 'static,
+    {
+        let Serve { image, args } = self;
+        let probes: Option<usize> = opt(args, "--probe")
+            .map(|n| n.parse().map_err(|e| format!("--probe: {e}")))
+            .transpose()?;
+        let duration: Option<f64> = opt(args, "--duration")
+            .map(|s| s.parse().map_err(|e| format!("--duration: {e}")))
+            .transpose()?;
+        if probes.is_none() && duration.is_none() {
+            let snapshot = EpochSnapshot::<E>::from_image(image).map_err(|e| e.to_string())?;
+            // Stdout carries only answers; the slab line goes where parse
+            // errors go.
+            eprintln!("{}", slab_line(&snapshot));
+            return serve_stdin(&snapshot);
         }
-        wall => wall,
-    };
-    let results: Vec<(u64, u64, LatencyHistogram, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let budget = worker_budget(worker);
-                scope.spawn(move || {
-                    let mut stream = worker_stream::<A>(model, fib, seed, worker as u64);
-                    serve_worker(view, &mut stream, budget, batch)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serve worker panicked"))
-            .collect()
-    });
-
-    let mut total_hist = LatencyHistogram::default();
-    let mut total_packets = 0u64;
-    let mut total_matched = 0u64;
-    let mut total_mlps = 0.0;
-    for (worker, (packets, matched, hist, secs)) in results.into_iter().enumerate() {
-        let mlps = if secs > 0.0 {
-            packets as f64 / secs / 1e6
-        } else {
-            0.0
+        let threads: usize = opt(args, "--threads")
+            .unwrap_or("1")
+            .parse()
+            .map_err(|e| format!("--threads: {e}"))?;
+        let batch: usize = opt(args, "--batch")
+            .unwrap_or("256")
+            .parse()
+            .map_err(|e| format!("--batch: {e}"))?;
+        let keys = opt(args, "--keys").unwrap_or("uniform");
+        let seed = parse_seed(args)?;
+        let Some(model) = KeyModel::parse(keys) else {
+            return Err(format!("--keys: unknown model '{keys}'"));
         };
-        println!(
-            "worker {worker}: {packets} pkts ({matched} matched), \
-             {mlps:.2} Mlps, p50 {:.1} ns, p99 {:.1} ns",
-            hist.p50(),
-            hist.p99()
+        // Decode the routes section once; every worker shares it by
+        // reference (Zipf/bursty streams build their own popularity model,
+        // but the trie decode is the expensive part).
+        let fib: Option<BinaryTrie<A>> = if model == KeyModel::Uniform {
+            None
+        } else {
+            Some(image.routes().map_err(|e| {
+                format!("--keys {keys} needs the image's routes section ({e}); use --keys uniform")
+            })?)
+        };
+        let cell = SnapCell::new(EpochSnapshot::<E>::from_image(image).map_err(|e| e.to_string())?);
+        let config = ForwarderConfig {
+            threads: threads.max(1),
+            batch: batch.max(1),
+            duration: duration.map_or(Duration::MAX, Duration::from_secs_f64),
+            pacing: PacingMode::Closed,
+        };
+        // --probe is a budget the pool shares: the source whose batch uses
+        // it up stops the pool, so every worker finishes the batch it is
+        // on and the total is N rounded up to whole batches (below
+        // N + threads × batch).
+        let forwarder = Forwarder::new();
+        let claimed = AtomicUsize::new(0);
+        let reports = forwarder.run(&cell, &config, |worker| {
+            let mut stream = match &fib {
+                Some(fib) => AddrStream::new(model, fib, seed, worker as u64),
+                None => AddrStream::uniform(seed, worker as u64),
+            };
+            let (forwarder, claimed) = (&forwarder, &claimed);
+            move |buf: &mut Vec<A>, n: usize| {
+                stream.fill(buf, n);
+                let Some(total) = probes else { return };
+                // ordering: Relaxed — a work counter: only its own total
+                // is read, and the pool's join publishes everything else.
+                if claimed.fetch_add(n, Ordering::Relaxed) + n >= total {
+                    forwarder.stop();
+                }
+            }
+        });
+        let via = format!(
+            "{} ({keys}, {} thr, batch {batch})",
+            E::ENGINE.name(),
+            config.threads
         );
-        total_hist.merge(&hist);
-        total_packets += packets;
-        total_matched += matched;
-        total_mlps += mlps;
+        print_reports(&reports, &via);
+        println!("{}", slab_line(&cell.load()));
+        Ok(())
     }
+}
+
+/// Prints one line per worker and the pool's total, all read off the
+/// runtime's own [`WorkerReport`]s.
+fn print_reports(reports: &[WorkerReport], via: &str) {
+    let mut hist = reports[0].hist.clone();
+    for r in &reports[1..] {
+        hist.merge(&r.hist);
+    }
+    for r in reports {
+        println!(
+            "worker {}: {} pkts ({} matched), {:.2} Mlps, p50 {:.1} ns, p99 {:.1} ns",
+            r.worker,
+            r.packets,
+            r.matched,
+            r.mlookups_per_s(),
+            r.hist.p50(),
+            r.hist.p99()
+        );
+    }
+    let packets: u64 = reports.iter().map(|r| r.packets).sum();
+    let matched: u64 = reports.iter().map(|r| r.matched).sum();
+    let mlps: f64 = reports.iter().map(WorkerReport::mlookups_per_s).sum();
     println!(
-        "total via {engine} ({keys}, {threads} thr, batch {batch}): \
-         {total_packets} pkts ({total_matched} matched), {total_mlps:.2} Mlps, \
+        "total via {via}: {packets} pkts ({matched} matched), {mlps:.2} Mlps, \
          p50 {:.1} ns, p99 {:.1} ns",
-        total_hist.p50(),
-        total_hist.p99()
+        hist.p50(),
+        hist.p99()
     );
-    println!("{}", slab_line(view));
-    Ok(())
 }
 
 /// `fibc serve` on a vrfset image: `--probe N` runs a deterministic
@@ -858,41 +839,34 @@ fn serve_vrf_family<A: Address + AddrText>(
     Ok(())
 }
 
-fn serve_family<A: Address + AddrText + Sync>(
-    image: &FibImage,
+fn serve_family<A: Address + AddrText + Send + Sync + 'static>(
+    image: FibImage,
     args: &[String],
 ) -> Result<(), String> {
-    if image.engine() == Ok(EngineKind::VrfSet) {
-        return serve_vrf_family::<A>(image, args);
+    let kind = image.engine().map_err(|e| e.to_string())?;
+    if kind == EngineKind::VrfSet {
+        return serve_vrf_family::<A>(&image, args);
     }
-    if let Some(count) = opt(args, "--probe") {
-        let count: usize = count.parse().map_err(|e| format!("--probe: {e}"))?;
-        return serve_bench::<A>(image, args, ServeBudget::Probes(count));
-    }
-    if let Some(secs) = opt(args, "--duration") {
-        let secs: f64 = secs.parse().map_err(|e| format!("--duration: {e}"))?;
-        return serve_bench::<A>(
-            image,
-            args,
-            ServeBudget::Wall(std::time::Duration::from_secs_f64(secs)),
-        );
-    }
-    // Interactive/pipe mode: one address per line on stdin, resolved in
-    // batches through the interleaved lookup_batch path, answers in
-    // input order. Batching must never delay an answer a slow producer
-    // is waiting for (a terminal, a lockstep coprocess, `tail -f`), so
-    // the queue is flushed whenever the read buffer drains — a full pipe
-    // keeps batching, a line-at-a-time producer gets a line-at-a-time
-    // echo.
-    let view = hot_any_view::<A>(image).map_err(|e| e.to_string())?;
-    // Stdout carries only answers; the slab line goes where parse errors go.
-    eprintln!("{}", slab_line(&view));
+    kind.visit::<A, _>(Serve { image, args })
+        .map_err(|e| e.to_string())
+        .and_then(|served| served)
+}
+
+/// Interactive/pipe mode: one address per line on stdin, resolved in
+/// batches through the snapshot's `lookup_batch`, answers in input order.
+/// Batching must never delay an answer a slow producer is waiting for (a
+/// terminal, a lockstep coprocess, `tail -f`), so the queue is flushed
+/// whenever the read buffer drains — a full pipe keeps batching, a
+/// line-at-a-time producer gets a line-at-a-time echo.
+fn serve_stdin<A: Address + AddrText, E: ImageCodec<A>>(
+    snapshot: &EpochSnapshot<E>,
+) -> Result<(), String> {
     const STDIN_BATCH: usize = 1024;
     let mut texts: Vec<String> = Vec::with_capacity(STDIN_BATCH);
     let mut addrs: Vec<A> = Vec::with_capacity(STDIN_BATCH);
     let mut out = vec![None; STDIN_BATCH];
     let mut flush = |texts: &mut Vec<String>, addrs: &mut Vec<A>| {
-        view.lookup_batch(addrs, &mut out[..addrs.len()]);
+        snapshot.lookup_batch(addrs, &mut out[..addrs.len()]);
         for (text, nh) in texts.iter().zip(&out) {
             match nh {
                 Some(nh) => println!("{text} -> {nh}"),

@@ -1,8 +1,9 @@
 //! Traffic-aware hot-layout guarantees.
 //!
 //! The hot slab is an *optimization*, never a semantic change: a
-//! [`HotFib`] (and an image view fronted by the image's slab section) must
-//! be extensionally equal to the engine it fronts — on
+//! [`HotFront`] over an engine (and an image-backed snapshot fronted by
+//! the image's slab section) must be extensionally equal to the engine it
+//! fronts — on
 //! uniform, Zipf-skewed, and adversarial boundary keys, for v4 and v6 —
 //! because compilation only promotes blocks whose every address shares one
 //! longest-prefix-match answer. And the heat pipeline feeding it must be
@@ -11,9 +12,10 @@
 //! slab.
 
 use fibcomp::core::{
-    hot_any_view, write_image_hot, FibImage, FibLookup, HotConfig, HotFib, HotSlab, MultibitDag,
-    PrefixDag, SerializedDag, XbwFib, XbwStorage,
+    write_image_hot, FibImage, FibLookup, HotConfig, HotFront, HotSlab, MultibitDag, PrefixDag,
+    SerializedDag, XbwFib, XbwStorage,
 };
+use fibcomp::router::EpochSnapshot;
 use fibcomp::trie::{Address, BinaryTrie, LcTrie, NextHop};
 use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::{traces, FibSpec, HeatMap, HeatSummary};
@@ -22,12 +24,28 @@ fn rng(seed: u64) -> Xoshiro256 {
     Xoshiro256::seed_from_u64(seed)
 }
 
+/// The lookup entry points of `plain` with a slab in front: single,
+/// batch and stream.
+struct Hot<L, B, S> {
+    lookup: L,
+    batch: B,
+    stream: S,
+}
+
 /// Checks that `hot` — `plain` with a slab in front — is bit-identical to
 /// it on `keys`, through every lookup entry point.
-fn assert_same<A: Address>(hot: &impl FibLookup<A>, plain: &impl FibLookup<A>, keys: &[A]) {
+fn assert_same<A: Address>(
+    hot: Hot<
+        impl Fn(A) -> Option<NextHop>,
+        impl Fn(&[A], &mut [Option<NextHop>]),
+        impl Fn(&[A], &mut [Option<NextHop>]),
+    >,
+    plain: &impl FibLookup<A>,
+    keys: &[A],
+) {
     for &key in keys {
         assert_eq!(
-            hot.lookup(key),
+            (hot.lookup)(key),
             plain.lookup(key),
             "{} hot/plain single-lookup divergence",
             plain.name()
@@ -37,18 +55,23 @@ fn assert_same<A: Address>(hot: &impl FibLookup<A>, plain: &impl FibLookup<A>, k
     let mut want = vec![poison; keys.len()];
     let mut got = vec![poison; keys.len()];
     plain.lookup_batch(keys, &mut want);
-    hot.lookup_batch(keys, &mut got);
+    (hot.batch)(keys, &mut got);
     assert_eq!(got, want, "{} hot/plain batch divergence", plain.name());
     got.fill(poison);
-    hot.lookup_stream(keys, &mut got);
+    (hot.stream)(keys, &mut got);
     assert_eq!(got, want, "{} hot/plain stream divergence", plain.name());
 }
 
-/// Wraps `engine` with `slab` and checks the composite against the bare
-/// engine.
+/// Puts `slab` in front of `engine` and checks the composite against the
+/// bare engine.
 fn assert_twin<A: Address, E: FibLookup<A>>(engine: E, slab: &HotSlab, keys: &[A]) {
-    let hot = HotFib::new(engine, slab.clone());
-    assert_same(&hot, hot.inner(), keys);
+    let front = HotFront::calibrated(slab.clone(), |a| engine.lookup(a));
+    let hot = Hot {
+        lookup: |a| front.lookup(a, |a| engine.lookup(a)),
+        batch: |a: &[A], o: &mut [_]| front.lookup_batch(a, o, |a, o| engine.lookup_batch(a, o)),
+        stream: |a: &[A], o: &mut [_]| front.lookup_batch(a, o, |a, o| engine.lookup_stream(a, o)),
+    };
+    assert_same(hot, &engine, keys);
 }
 
 /// Uniform + Zipf + adversarial boundary keys for `trie`.
@@ -94,13 +117,21 @@ fn check_hot_layouts<A: Address>(trie: &BinaryTrie<A>, config: &HotConfig, seed:
     assert_twin(LcTrie::with_params(trie, 0.5, 16), &slab, &keys);
     assert_twin(XbwFib::build(trie, XbwStorage::Succinct), &slab, &keys);
     let ser = SerializedDag::from_dag(&dag);
-    // The same composition over an image: the slab section, borrowed,
-    // in front of the zero-copy engine view.
+    // The same composition over an image: the slab section in front of
+    // the zero-copy engine view, as a served snapshot.
     let bytes = write_image_hot(&ser, None, 0, &slab).expect("serialized dag encodes");
     let image = FibImage::from_bytes(&bytes).expect("just encoded");
-    let view = hot_any_view::<A>(&image).expect("just encoded");
-    assert_eq!(view.slab().map(|s| s.capacity()), Some(slab.capacity()));
-    assert_same(&view, &ser, &keys);
+    let snap = EpochSnapshot::<SerializedDag<A>>::from_image(image).expect("just encoded");
+    assert_eq!(
+        snap.hot_slab().map(HotSlab::capacity),
+        Some(slab.capacity())
+    );
+    let hot = Hot {
+        lookup: |a| snap.lookup(a),
+        batch: |a: &[A], o: &mut [_]| snap.lookup_batch(a, o),
+        stream: |a: &[A], o: &mut [_]| snap.lookup_stream(a, o),
+    };
+    assert_same(hot, &ser, &keys);
     assert_twin(ser, &slab, &keys);
     assert_twin(dag, &slab, &keys);
     assert_twin(MultibitDag::from_trie(trie, 8), &slab, &keys);
