@@ -25,7 +25,16 @@
 //! plan's pre-dedup slot mass fits a configurable multiple of the fixed
 //! stride-4 plan. `μ = 0` with uniform weights degenerates to the best
 //! fixed stride (and beats it when mixing strides pays); `max_stride = 1`
-//! degenerates to the binary prefix DAG. The constant stride itself is
+//! degenerates to the binary prefix DAG.
+//!
+//! One DP round is one forward pass over the leaf-pushed arena, which is
+//! in post-order: each internal node leaves on a stack its **depth
+//! sums** — level 0 its own `(C, cost, mass)`, level `k` the sums of
+//! those over `I_k(v)` — for `k < max_stride`. A node's level `k + 1` is
+//! its two children's level `k` added, so the candidates of every stride
+//! are read off the node's own record (`O(max_stride)` per node, no
+//! subtree re-walk), and the two child records on top of the stack are
+//! replaced by the parent's. The constant stride itself is
 //! the other way to fill in the per-node choice — [`StridePlan::Fixed`],
 //! spelled [`MultibitDag::from_trie`] at call sites — and goes through
 //! the same emitter, view, kernels and image codec as a planned one.
@@ -301,127 +310,128 @@ struct Plan {
     mass: u64,
 }
 
-/// Work arrays of [`solve`], allocated once per compile and reused by
-/// every round of the μ search. A round writes each internal node's entry
-/// (children before parents) before it reads it, and nothing reads a
-/// leaf's, so no array is cleared between rounds.
+/// One level of a node's depth sums: over a set of internal nodes, the
+/// sum of their penalized costs `C`, of their unpenalized costs, and of
+/// their pre-dedup slot masses.
+#[derive(Clone, Copy, Debug, Default)]
+struct Level {
+    pcost: f64,
+    cost: f64,
+    mass: u64,
+}
+
+impl Level {
+    fn add(self, other: Self) -> Self {
+        Self {
+            pcost: self.pcost + other.pcost,
+            cost: self.cost + other.cost,
+            mass: self.mass + other.mass,
+        }
+    }
+}
+
+/// Work state of [`solve`], allocated once per compile and reused by
+/// every round of the μ search. A round writes every internal node's
+/// `choice` and nothing reads a leaf's, so `choice` is not cleared between
+/// rounds; the stacks are.
 struct Scratch {
     choice: Vec<u8>,
-    pcost: Vec<f64>,
-    cost: Vec<f64>,
-    mass: Vec<u64>,
-    stack: Vec<(u32, bool)>,
-    frontier: Vec<u32>,
-    next: Vec<u32>,
+    /// The records of the nodes whose parent the pass has not reached,
+    /// back to back: a node's depth sums, level 0 first, at most
+    /// `max_stride` levels. A leaf's record is empty.
+    levels: Vec<Level>,
+    /// Where each pending record starts in `levels`, oldest first.
+    starts: Vec<usize>,
 }
 
 impl Scratch {
     fn new(n: usize) -> Self {
         Self {
             choice: vec![0; n],
-            pcost: vec![0.0; n],
-            cost: vec![0.0; n],
-            mass: vec![0; n],
-            stack: Vec::new(),
-            frontier: Vec::new(),
-            next: Vec::new(),
+            levels: Vec::new(),
+            starts: Vec::new(),
         }
     }
 }
 
 /// Runs the DP recurrence bottom-up for one Lagrangian penalty `mu`
 /// (traffic cost per slot). Leaves the per-node choice that minimizes
-/// `cost + mu·mass` in `scratch.choice` and returns the unpenalized
-/// `(cost, mass)` it achieves.
+/// `cost + mu·mass` in `scratch.choice` and returns the root's
+/// `(C, cost, mass)` — the penalized objective and the unpenalized cost
+/// and mass it achieves (all zero when the root is a leaf).
+///
+/// One forward pass over the post-order arena ([`ProperTrie`]'s
+/// invariant): the children's records are the top two on the stack. Their
+/// level `k` summed is the node's level `k + 1`, the sums over `I_{k+1}`,
+/// so stride `s` costs `μ·2^s` plus level `s`. Strides stop one past the
+/// deepest level — every path has hit a leaf there, and wider strides only
+/// add slots — and ties go to the narrower stride.
 fn solve<A: Address>(
     proper: &ProperTrie<A>,
     weights: &[f64],
     max_stride: u8,
     mu: f64,
     scratch: &mut Scratch,
-) -> (f64, u64) {
+) -> Level {
+    const POST_ORDER: &str = "post-order: a node's children are the top two records";
     let Scratch {
         choice,
-        pcost,
-        cost,
-        mass,
-        stack,
-        frontier,
-        next,
+        levels,
+        starts,
     } = scratch;
-    stack.clear();
-    stack.push((proper.root_idx(), false));
-    while let Some((idx, expanded)) = stack.pop() {
-        let ProperNode::Internal { left, right } = *proper.node(idx) else {
-            continue;
-        };
-        if !expanded {
-            stack.push((idx, true));
-            stack.push((left, false));
-            stack.push((right, false));
+    let cap = usize::from(max_stride);
+    levels.clear();
+    starts.clear();
+    for (i, node) in proper.nodes().iter().enumerate() {
+        if let ProperNode::Leaf(_) = node {
+            starts.push(levels.len());
             continue;
         }
-        // The frontier holds the internal descendants at depth exactly s
-        // — the slots that recurse; each candidate stride extends the
-        // previous one's frontier by one level instead of re-walking the
-        // subtree per candidate.
-        frontier.clear();
-        let mut psum = 0.0;
-        let mut csum = 0.0;
-        let mut msum = 0u64;
-        for c in [left, right] {
-            if matches!(proper.node(c), ProperNode::Internal { .. }) {
-                frontier.push(c);
-                psum += pcost[c as usize];
-                csum += cost[c as usize];
-                msum += mass[c as usize];
-            }
+        let right = starts.pop().expect(POST_ORDER);
+        let left = starts.pop().expect(POST_ORDER);
+        // Fold the right child's record into the left's, in place: level
+        // `k` of the sum is the node's level `k + 1`. Child records hold at
+        // most `cap` levels, so `depth ≤ cap`.
+        let (left_len, right_len) = (right - left, levels.len() - right);
+        for k in 0..left_len.min(right_len) {
+            levels[left + k] = levels[left + k].add(levels[right + k]);
         }
-        let mut best_s = 1u8;
-        let mut best_p = mu * 2.0 + psum;
-        let mut best_c = csum;
-        let mut best_m = 2 + msum;
-        for s in 2..=max_stride {
-            if frontier.is_empty() {
-                // Every path already hit a leaf: wider strides only add
-                // slots.
-                break;
-            }
-            next.clear();
-            psum = 0.0;
-            csum = 0.0;
-            msum = 0;
-            for &f in frontier.iter() {
-                let ProperNode::Internal { left, right } = *proper.node(f) else {
-                    unreachable!("frontier holds internal nodes")
-                };
-                for c in [left, right] {
-                    if matches!(proper.node(c), ProperNode::Internal { .. }) {
-                        next.push(c);
-                        psum += pcost[c as usize];
-                        csum += cost[c as usize];
-                        msum += mass[c as usize];
-                    }
-                }
-            }
-            std::mem::swap(frontier, next);
+        if right_len > left_len {
+            levels.copy_within(right + left_len.., left + left_len);
+        }
+        let depth = left_len.max(right_len);
+        levels.truncate(left + depth);
+        let below = &levels[left..];
+        let candidate = |s: usize| {
+            let sums = below.get(s - 1).copied().unwrap_or_default();
             let width = 1u64 << s;
-            let p = mu * width as f64 + psum;
-            if p < best_p {
-                best_p = p;
+            Level {
+                pcost: mu * width as f64 + sums.pcost,
+                cost: sums.cost,
+                mass: width + sums.mass,
+            }
+        };
+        let mut best_s = 1;
+        let mut best = candidate(1);
+        for s in 2..=(depth + 1).min(cap) {
+            let c = candidate(s);
+            if c.pcost < best.pcost {
                 best_s = s;
-                best_c = csum;
-                best_m = width + msum;
+                best = c;
             }
         }
-        let w = weights[idx as usize];
-        choice[idx as usize] = best_s;
-        pcost[idx as usize] = w + best_p;
-        cost[idx as usize] = w + best_c;
-        mass[idx as usize] = best_m;
+        let w = weights[i];
+        choice[i] = best_s as u8;
+        let own = Level {
+            pcost: w + best.pcost,
+            cost: w + best.cost,
+            mass: best.mass,
+        };
+        levels.insert(left, own);
+        levels.truncate(left + cap);
+        starts.push(left);
     }
-    let r = proper.root_idx() as usize;
-    (cost[r], mass[r])
+    levels.first().copied().unwrap_or_default()
 }
 
 /// Pre-dedup slot mass of the fixed-stride-`s` plan — the budget's unit.
@@ -512,11 +522,8 @@ impl<A: Address> Planner<A> {
             "max_stride {max_stride} out of [1, 16]"
         );
         let proper = ProperTrie::from_trie(trie);
-        let spans = proper.node_spans();
-        let weights = match heat {
-            Some((entries, depth)) => project_heat_weights(&spans, entries, depth),
-            None => project_heat_weights(&spans, &[], 0),
-        };
+        let (entries, depth) = heat.unwrap_or((&[], 0));
+        let weights = project_heat_weights(&proper, entries, depth);
         let budget_slots = params.budget.is_finite().then(|| {
             let reference = forced_mass(&proper, 4).max(1);
             (params.budget * reference as f64) as u64
@@ -535,7 +542,7 @@ impl<A: Address> Planner<A> {
     /// One DP round at penalty `mu`.
     fn solve(&mut self, mu: f64) -> Plan {
         self.solves += 1;
-        let (cost, mass) = solve(
+        let root = solve(
             &self.proper,
             &self.weights,
             self.max_stride,
@@ -544,8 +551,8 @@ impl<A: Address> Planner<A> {
         );
         Plan {
             choice: self.scratch.choice.clone(),
-            cost,
-            mass,
+            cost: root.cost,
+            mass: root.mass,
         }
     }
 
@@ -1741,5 +1748,244 @@ mod tests {
         assert_eq!(vs.lookup(a), Some(nh(1)));
         assert_eq!(vs.lookup(b), Some(nh(2)));
         assert_eq!(vs.lookup(0u128), None);
+    }
+
+    /// The DP round as first written, kept as the reference the depth-sum
+    /// pass is compared against: a depth-first walk that, at every
+    /// internal node, grows a frontier of its internal descendants one
+    /// level per candidate stride and sums their results left to right.
+    /// Given `forced` choices it takes those instead of the cheapest and
+    /// so sums what that plan costs.
+    struct Frontier {
+        choice: Vec<u8>,
+        pcost: Vec<f64>,
+        cost: Vec<f64>,
+        mass: Vec<u64>,
+    }
+
+    impl Frontier {
+        fn solve<A: Address>(
+            proper: &ProperTrie<A>,
+            weights: &[f64],
+            max_stride: u8,
+            mu: f64,
+            forced: Option<&[u8]>,
+        ) -> Self {
+            let n = proper.node_count();
+            let mut f = Self {
+                choice: vec![0; n],
+                pcost: vec![0.0; n],
+                cost: vec![0.0; n],
+                mass: vec![0; n],
+            };
+            let mut stack = vec![(proper.root_idx(), false)];
+            while let Some((idx, expanded)) = stack.pop() {
+                let ProperNode::Internal { left, right } = *proper.node(idx) else {
+                    continue;
+                };
+                if !expanded {
+                    stack.extend([(idx, true), (left, false), (right, false)]);
+                    continue;
+                }
+                let candidates = f.candidates(proper, idx, max_stride, mu);
+                let (i, w) = (idx as usize, weights[idx as usize]);
+                let mut best = 0;
+                for (k, c) in candidates.iter().enumerate().skip(1) {
+                    if c.pcost < candidates[best].pcost {
+                        best = k;
+                    }
+                }
+                if let Some(forced) = forced {
+                    best = usize::from(forced[i]) - 1;
+                }
+                f.choice[i] = best as u8 + 1;
+                f.pcost[i] = w + candidates[best].pcost;
+                f.cost[i] = w + candidates[best].cost;
+                f.mass[i] = candidates[best].mass;
+            }
+            f
+        }
+
+        /// `(μ·2^s + Σ C, Σ cost, 2^s + Σ mass)` over `I_s(idx)` for every
+        /// stride `s` the round tries, `s = 1` first; the sums read this
+        /// round's results for the descendants.
+        fn candidates<A: Address>(
+            &self,
+            proper: &ProperTrie<A>,
+            idx: u32,
+            max_stride: u8,
+            mu: f64,
+        ) -> Vec<Level> {
+            let mut frontier = vec![idx];
+            let mut out = Vec::new();
+            for s in 1..=max_stride {
+                if frontier.is_empty() {
+                    // Every path already hit a leaf.
+                    break;
+                }
+                let mut next = Vec::new();
+                let mut sum = Level::default();
+                for &f in &frontier {
+                    let ProperNode::Internal { left, right } = *proper.node(f) else {
+                        unreachable!("frontier holds internal nodes")
+                    };
+                    for c in [left, right] {
+                        if let ProperNode::Internal { .. } = proper.node(c) {
+                            next.push(c);
+                            let c = c as usize;
+                            sum.pcost += self.pcost[c];
+                            sum.cost += self.cost[c];
+                            sum.mass += self.mass[c];
+                        }
+                    }
+                }
+                frontier = next;
+                let width = 1u64 << s;
+                out.push(Level {
+                    pcost: mu * width as f64 + sum.pcost,
+                    cost: sum.cost,
+                    mass: width + sum.mass,
+                });
+            }
+            out
+        }
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+    }
+
+    /// One round of [`solve`] against the frontier reference at every
+    /// stride cap and penalty the planner meets. A node may choose another
+    /// stride than the reference only where the reference's own
+    /// candidates for the two tie to 1e-12 relative: the depth sums add
+    /// two subtrees' totals where the frontier folds left to right, so an
+    /// exact tie may round either way. With no such flip the masses are
+    /// equal and the costs and objectives equal to 1e-12 relative; with
+    /// one, the objective still is (both plans are optimal), and the
+    /// round's sums are what the reference sums for the round's own
+    /// choices. Returns how many choices flipped.
+    fn assert_round_matches_frontier<A: Address>(
+        proper: &ProperTrie<A>,
+        weights: &[f64],
+        tag: &str,
+    ) -> usize {
+        // An interior penalty of the magnitude the default budget's
+        // bisection settles on, not a power of two.
+        const BISECTED_MU: f64 = 1.37e-7;
+        let mut scratch = Scratch::new(proper.node_count());
+        let r = proper.root_idx() as usize;
+        let mut flips = 0;
+        for max_stride in [1u8, 4, 12, 16] {
+            for mu in [0.0, 1e-12, BISECTED_MU, MASS_ONLY_MU] {
+                let tag = format!("{tag}, max_stride {max_stride}, μ = {mu:e}");
+                let got = solve(proper, weights, max_stride, mu, &mut scratch);
+                let want = Frontier::solve(proper, weights, max_stride, mu, None);
+                let mut flipped = 0;
+                for (i, node) in proper.nodes().iter().enumerate() {
+                    let (g, w) = (scratch.choice[i], want.choice[i]);
+                    if matches!(node, ProperNode::Leaf(_)) || g == w {
+                        continue;
+                    }
+                    let c = want.candidates(proper, i as u32, max_stride, mu);
+                    let (pg, pw) = (c[usize::from(g) - 1].pcost, c[usize::from(w) - 1].pcost);
+                    assert!(
+                        close(pg, pw),
+                        "{tag}: node {i} chose {g} ({pg}) over {w} ({pw})"
+                    );
+                    flipped += 1;
+                }
+                let objective = |p: f64| close(got.pcost, p);
+                assert!(
+                    objective(want.pcost[r]),
+                    "{tag}: objective {} vs {}",
+                    got.pcost,
+                    want.pcost[r]
+                );
+                let sums = if flipped == 0 {
+                    want
+                } else {
+                    Frontier::solve(proper, weights, max_stride, mu, Some(&scratch.choice))
+                };
+                assert_eq!(got.mass, sums.mass[r], "{tag}: mass, {flipped} flips");
+                assert!(
+                    close(got.cost, sums.cost[r]),
+                    "{tag}: cost {} vs {}",
+                    got.cost,
+                    sums.cost[r]
+                );
+                assert!(
+                    objective(sums.pcost[r]),
+                    "{tag}: objective of the round's own plan"
+                );
+                flips += flipped;
+            }
+        }
+        flips
+    }
+
+    /// [`assert_round_matches_frontier`] under uniform weights, and under
+    /// heat at the slab's block depth: the block of each route's address
+    /// and one random block per route, counts in `[1, 1000)`.
+    fn assert_planner_round_matches<A: Address>(trie: &BinaryTrie<A>, name: &str) {
+        use fib_workload::rng::{Rng, Xoshiro256};
+        let proper = ProperTrie::from_trie(trie);
+        // Uniform weights are dyadic, so sums of them are exact in either
+        // order and a tie between them stays a tie, which both rounds
+        // break to the narrower stride. On these tables no choice flips
+        // at any μ: uniform plans, and so a uniform compile's bytes, are
+        // the frontier round's.
+        let uniform = project_heat_weights(&proper, &[], 0);
+        let flips = assert_round_matches_frontier(&proper, &uniform, &format!("{name}, uniform"));
+        assert_eq!(flips, 0, "{name}: uniform weights flip no choice");
+
+        let depth = crate::HotConfig::for_width(A::WIDTH).depth;
+        let mut rng = Xoshiro256::seed_from_u64(0x5EED);
+        let mut heat = Vec::new();
+        for (prefix, _) in trie.iter() {
+            let random = A::from_u128(rng.random::<u128>() >> (128 - u32::from(A::WIDTH)));
+            for addr in [prefix.addr(), random] {
+                heat.push((
+                    fib_trie::block_key(addr, depth),
+                    rng.random_range(1..1000u64),
+                ));
+            }
+        }
+        let heat = project_heat_weights(&proper, &heat, depth);
+        assert_round_matches_frontier(&proper, &heat, &format!("{name}, heat"));
+    }
+
+    #[test]
+    fn depth_sum_round_matches_the_frontier_reference() {
+        use fib_workload::rng::Xoshiro256;
+        let mut taz = fib_workload::instances::by_name("taz").unwrap();
+        taz.n_prefixes = 4_000;
+        assert_planner_round_matches(&taz.build(0xF1B), "taz 4k");
+        assert_planner_round_matches(&spread_trie(), "spread");
+        let v6: BinaryTrie<u128> = fib_workload::FibSpec {
+            max_len: 64,
+            ..fib_workload::FibSpec::dfz_like(3_000)
+        }
+        .generate(&mut Xoshiro256::seed_from_u64(6));
+        assert_planner_round_matches(&v6, "v6");
+
+        // Hostile shapes. A chain: one internal node per level down to a
+        // /32, alternating labels so nothing coalesces.
+        let chain: BinaryTrie<u32> = (0..=32u8)
+            .map(|len| (Prefix4::new(0x0A0B_0C0D, len), nh(u32::from(len % 2))))
+            .collect();
+        assert_planner_round_matches(&chain, "/0…/32 chain");
+        // A /8 split into its 65,536 /24s: a complete tree sixteen levels
+        // deep, the widest frontier any stride cap reaches.
+        let mut split: BinaryTrie<u32> = BinaryTrie::new();
+        split.insert(p("0.0.0.0/0"), nh(0));
+        for i in 0..1u32 << 16 {
+            split.insert(Prefix4::new(0x0A00_0000 | i << 8, 24), nh(1 + i % 2));
+        }
+        assert_planner_round_matches(&split, "/8 into /24s");
+        let mut single: BinaryTrie<u32> = BinaryTrie::new();
+        single.insert(p("10.1.0.0/16"), nh(1));
+        assert_planner_round_matches(&single, "single route");
+        assert_planner_round_matches(&BinaryTrie::<u32>::new(), "empty");
     }
 }

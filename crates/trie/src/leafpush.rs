@@ -39,6 +39,14 @@ pub enum ProperNode {
 }
 
 /// The leaf-pushed normal form of a FIB.
+///
+/// The arena is in **post-order**: every node's subtree occupies the
+/// arena positions just before it, its left subtree first, then its
+/// right subtree, then the node itself — so children precede their
+/// parent, a right child sits at its parent's index minus one, and the
+/// root is the last node. One forward pass over [`Self::nodes`] with a
+/// stack of per-node results therefore finds a node's two children as
+/// the top two entries: the variable-stride DP relies on it.
 #[derive(Clone, Debug)]
 pub struct ProperTrie<A: Address> {
     nodes: Vec<ProperNode>,
@@ -125,6 +133,12 @@ impl<A: Address> ProperTrie<A> {
     #[must_use]
     pub fn node(&self, idx: u32) -> &ProperNode {
         &self.nodes[idx as usize]
+    }
+
+    /// The whole arena, in post-order (see the type's docs).
+    #[must_use]
+    pub fn nodes(&self) -> &[ProperNode] {
+        &self.nodes
     }
 
     /// Longest-prefix-match lookup: walk to the unique covering leaf.
@@ -254,48 +268,28 @@ impl<A: Address> ProperTrie<A> {
     pub fn size_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<ProperNode>()
     }
-
-    /// Per-node `(path, depth)` spans, indexed by arena position: `path`
-    /// is the root-to-node bit string MSB-aligned in a `u64` (the same
-    /// alignment workload heat keys use) and `depth` is the node's depth
-    /// in bits, so the node covers the address interval
-    /// `[path, path + 2^(64−depth))`. Nodes deeper than 64 bits keep the
-    /// top 64 path bits — heat keys never reach that deep.
-    #[must_use]
-    pub fn node_spans(&self) -> Vec<(u64, u8)> {
-        let mut spans = vec![(0u64, 0u8); self.nodes.len()];
-        let mut stack = vec![(self.root, 0u64, 0u8)];
-        while let Some((idx, path, depth)) = stack.pop() {
-            spans[idx as usize] = (path, depth);
-            if let ProperNode::Internal { left, right } = self.nodes[idx as usize] {
-                stack.push((left, path, depth + 1));
-                let right_path = if depth < 64 {
-                    path | 1u64 << (63 - depth)
-                } else {
-                    path
-                };
-                stack.push((right, right_path, depth + 1));
-            }
-        }
-        spans
-    }
 }
 
 /// Projects aggregated heat counts onto per-node traffic weights of a
-/// leaf-pushed trie.
+/// leaf-pushed trie, indexed by arena position.
 ///
-/// `spans` is [`ProperTrie::node_spans`]; `entries` are `(key, count)`
-/// pairs whose keys are address prefixes MSB-aligned in a `u64` and
-/// truncated to `heat_depth` bits (the workload `HeatSummary` shape). A
-/// node at depth `d ≤ heat_depth` weighs the sum of all counts falling in
-/// its address interval; below the measured depth the covering block's
-/// mass is split uniformly (`count · 2^−(d − heat_depth)`), matching the
-/// "uniform within a block" assumption heat sampling makes. Weights are
-/// returned as fractions of the total count; when the total is zero the
-/// uniform address-fraction distribution `2^−d` is returned instead.
+/// `entries` are `(key, count)` pairs whose keys are address prefixes
+/// MSB-aligned in a `u64` and truncated to `heat_depth ≤ 64` bits (the
+/// workload `HeatSummary` shape). A node at depth `d ≤ heat_depth` weighs
+/// the sum of all counts falling in its address interval; below the
+/// measured depth the covering block's mass is split uniformly
+/// (`count · 2^−(d − heat_depth)`), matching the "uniform within a block"
+/// assumption heat sampling makes. Weights are returned as fractions of
+/// the total count; when the total is zero the uniform address-fraction
+/// distribution `2^−d` is returned instead.
+///
+/// One pre-order pass: a node inside the measured depth hands its
+/// children the two halves of its own run of sorted keys, split by one
+/// binary search over that run; a deeper node weighs half its parent,
+/// which is exact (a power-of-two scale of a normal `f64`).
 #[must_use]
-pub fn project_heat_weights(
-    spans: &[(u64, u8)],
+pub fn project_heat_weights<A: Address>(
+    proper: &ProperTrie<A>,
     entries: &[(u64, u64)],
     heat_depth: u8,
 ) -> Vec<f64> {
@@ -304,43 +298,39 @@ pub fn project_heat_weights(
     let mut prefix = Vec::with_capacity(keys.len() + 1);
     prefix.push(0u64);
     for &(_, c) in &keys {
-        prefix.push(prefix.last().unwrap() + c);
+        prefix.push(prefix[prefix.len() - 1] + c);
     }
-    let total = *prefix.last().unwrap();
-    if total == 0 {
-        return spans
-            .iter()
-            .map(|&(_, d)| 0.5f64.powi(i32::from(d)))
-            .collect();
-    }
-    let range_sum = |lo: u64, hi_incl: u64| -> u64 {
-        let a = keys.partition_point(|&(k, _)| k < lo);
-        let b = keys.partition_point(|&(k, _)| k <= hi_incl);
-        prefix[b] - prefix[a]
-    };
+    let total = prefix[keys.len()];
     let totalf = total as f64;
-    spans
-        .iter()
-        .map(|&(path, depth)| {
-            if depth <= heat_depth {
-                let hi = if depth == 0 {
-                    u64::MAX
-                } else {
-                    path | (u64::MAX >> depth)
-                };
-                range_sum(path, hi) as f64 / totalf
-            } else {
-                let (block, hi) = if heat_depth == 0 {
-                    (0, u64::MAX)
-                } else {
-                    let block = path & (u64::MAX << (64 - heat_depth));
-                    (block, block | (u64::MAX >> heat_depth))
-                };
-                let mass = range_sum(block, hi) as f64 / totalf;
-                mass * 0.5f64.powi(i32::from(depth - heat_depth))
-            }
-        })
-        .collect()
+    let measured = |depth: u8| total > 0 && depth <= heat_depth;
+    // The root carries all traffic either way (`total / total` is exactly
+    // one). A stack entry is a node, its depth, its MSB-aligned path and
+    // its run `[lo, hi)` of `keys`; path and run are read only while the
+    // node's children are measured.
+    let mut weights = vec![0.0f64; proper.node_count()];
+    weights[proper.root_idx() as usize] = 1.0;
+    let mut stack = vec![(proper.root_idx(), 0u8, 0u64, 0usize, keys.len())];
+    while let Some((idx, depth, path, lo, hi)) = stack.pop() {
+        let ProperNode::Internal { left, right } = *proper.node(idx) else {
+            continue;
+        };
+        let child = depth + 1;
+        if measured(child) {
+            let right_path = path | 1u64 << (63 - depth);
+            let mid = lo + keys[lo..hi].partition_point(|&(k, _)| k < right_path);
+            weights[left as usize] = (prefix[mid] - prefix[lo]) as f64 / totalf;
+            weights[right as usize] = (prefix[hi] - prefix[mid]) as f64 / totalf;
+            stack.push((right, child, right_path, mid, hi));
+            stack.push((left, child, path, lo, mid));
+        } else {
+            let half = weights[idx as usize] * 0.5;
+            weights[left as usize] = half;
+            weights[right as usize] = half;
+            stack.push((right, child, path, lo, hi));
+            stack.push((left, child, path, lo, hi));
+        }
+    }
+    weights
 }
 
 #[cfg(test)]
@@ -495,6 +485,189 @@ mod tests {
             assert_eq!(traced, pt.lookup(addr), "addr {addr:#x}");
             assert!(touches >= 1, "the root is always read");
         }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `routes` prefixes of uniform length in `[0, max_len]` over four
+    /// next-hops: deep, lopsided normal forms with plenty of coalescing.
+    fn random_trie<A: Address>(seed: u64, routes: usize, max_len: u8) -> BinaryTrie<A> {
+        let mut s = seed;
+        let mut trie = BinaryTrie::new();
+        for _ in 0..routes {
+            let wide = u128::from(splitmix(&mut s)) << 64 | u128::from(splitmix(&mut s));
+            let addr = A::from_u128(wide >> (128 - u32::from(A::WIDTH)));
+            let len = (splitmix(&mut s) % (u64::from(max_len) + 1)) as u8;
+            let hop = nh((splitmix(&mut s) % 4) as u32);
+            trie.insert(crate::addr::Prefix::new(addr, len), hop);
+        }
+        trie
+    }
+
+    fn random_tries() -> (Vec<ProperTrie<u32>>, Vec<ProperTrie<u128>>) {
+        let v4 = (0..4)
+            .map(|seed| ProperTrie::from_trie(&random_trie::<u32>(seed, 400, 32)))
+            .chain([ProperTrie::from_trie(&fig1_trie())])
+            .collect();
+        let v6 = (0..4)
+            .map(|seed| ProperTrie::from_trie(&random_trie::<u128>(seed, 400, 60)))
+            .collect();
+        (v4, v6)
+    }
+
+    #[test]
+    fn arena_is_post_order() {
+        let (v4, v6) = random_tries();
+        let check = |nodes: &[ProperNode], root: u32| {
+            // Subtree sizes in one forward pass: a node's right child sits
+            // just before it and its left child just before the right
+            // subtree, so the subtrees tile the arena up to the node.
+            let mut size = vec![0u32; nodes.len()];
+            for (i, node) in nodes.iter().enumerate() {
+                size[i] = match *node {
+                    ProperNode::Leaf(_) => 1,
+                    ProperNode::Internal { left, right } => {
+                        assert_eq!(right as usize + 1, i, "right child of {i}");
+                        assert_eq!(left + size[right as usize], right, "left child of {i}");
+                        1 + size[left as usize] + size[right as usize]
+                    }
+                };
+            }
+            assert_eq!(root as usize + 1, nodes.len(), "the root is last");
+            assert_eq!(size[root as usize] as usize, nodes.len());
+        };
+        for pt in &v4 {
+            check(pt.nodes(), pt.root_idx());
+        }
+        for pt in &v6 {
+            check(pt.nodes(), pt.root_idx());
+        }
+        let empty = ProperTrie::from_trie(&BinaryTrie::<u32>::new());
+        check(empty.nodes(), empty.root_idx());
+    }
+
+    /// The projection as first written — every node's address span, then
+    /// two binary searches over the whole key array per node — kept as
+    /// the reference the one-pass projection must equal bit for bit.
+    fn reference_weights<A: Address>(
+        pt: &ProperTrie<A>,
+        entries: &[(u64, u64)],
+        heat_depth: u8,
+    ) -> Vec<f64> {
+        let mut spans = vec![(0u64, 0u8); pt.node_count()];
+        let mut stack = vec![(pt.root_idx(), 0u64, 0u8)];
+        while let Some((idx, path, depth)) = stack.pop() {
+            spans[idx as usize] = (path, depth);
+            if let ProperNode::Internal { left, right } = *pt.node(idx) {
+                stack.push((left, path, depth + 1));
+                let right_path = if depth < 64 {
+                    path | 1u64 << (63 - depth)
+                } else {
+                    path
+                };
+                stack.push((right, right_path, depth + 1));
+            }
+        }
+        let mut keys: Vec<(u64, u64)> = entries.iter().copied().filter(|&(_, c)| c > 0).collect();
+        keys.sort_unstable_by_key(|&(k, _)| k);
+        let mut prefix = vec![0u64];
+        for &(_, c) in &keys {
+            prefix.push(prefix.last().unwrap() + c);
+        }
+        let total = *prefix.last().unwrap();
+        if total == 0 {
+            return spans
+                .iter()
+                .map(|&(_, d)| 0.5f64.powi(i32::from(d)))
+                .collect();
+        }
+        let range_sum = |lo: u64, hi_incl: u64| -> u64 {
+            let a = keys.partition_point(|&(k, _)| k < lo);
+            let b = keys.partition_point(|&(k, _)| k <= hi_incl);
+            prefix[b] - prefix[a]
+        };
+        let totalf = total as f64;
+        spans
+            .iter()
+            .map(|&(path, depth)| {
+                if depth <= heat_depth {
+                    let hi = if depth == 0 {
+                        u64::MAX
+                    } else {
+                        path | (u64::MAX >> depth)
+                    };
+                    range_sum(path, hi) as f64 / totalf
+                } else {
+                    let (block, hi) = if heat_depth == 0 {
+                        (0, u64::MAX)
+                    } else {
+                        let block = path & (u64::MAX << (64 - heat_depth));
+                        (block, block | (u64::MAX >> heat_depth))
+                    };
+                    let mass = range_sum(block, hi) as f64 / totalf;
+                    mass * 0.5f64.powi(i32::from(depth - heat_depth))
+                }
+            })
+            .collect()
+    }
+
+    /// `n` heat entries truncated to `depth` bits, some of them zero.
+    fn random_heat(seed: u64, n: usize, depth: u8) -> Vec<(u64, u64)> {
+        let mut s = seed;
+        let mask = if depth == 0 {
+            0
+        } else {
+            u64::MAX << (64 - depth)
+        };
+        (0..n)
+            .map(|_| (splitmix(&mut s) & mask, splitmix(&mut s) % 50))
+            .collect()
+    }
+
+    fn assert_bit_identical<A: Address>(pt: &ProperTrie<A>, entries: &[(u64, u64)], depth: u8) {
+        let bits = |w: Vec<f64>| w.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(project_heat_weights(pt, entries, depth)),
+            bits(reference_weights(pt, entries, depth)),
+            "heat depth {depth}, {} entries",
+            entries.len()
+        );
+    }
+
+    #[test]
+    fn heat_projection_equals_the_range_sum_reference() {
+        let (v4, v6) = random_tries();
+        // 40 is deeper than any v4 trie; an empty summary is uniform.
+        for (i, pt) in v4.iter().enumerate() {
+            for depth in [0u8, 1, 8, 24, 40] {
+                for n in [0usize, 1, 300] {
+                    assert_bit_identical(
+                        pt,
+                        &random_heat(i as u64 * 7 + n as u64, n, depth),
+                        depth,
+                    );
+                }
+            }
+        }
+        for (i, pt) in v6.iter().enumerate() {
+            for depth in [0u8, 16, 48, 63] {
+                for n in [0usize, 1, 300] {
+                    assert_bit_identical(
+                        pt,
+                        &random_heat(i as u64 * 7 + n as u64, n, depth),
+                        depth,
+                    );
+                }
+            }
+        }
+        // All-zero counts are an empty summary.
+        assert_bit_identical(&v4[0], &[(0, 0), (1 << 63, 0)], 1);
     }
 
     #[test]

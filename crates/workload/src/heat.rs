@@ -342,13 +342,13 @@ impl HeatSummary {
 
     /// Projects this summary onto per-node traffic weights of a
     /// leaf-pushed trie — the input the variable-stride DP minimizes
-    /// against. `spans` is [`fib_trie::ProperTrie::node_spans`]; the
-    /// returned vector is parallel to it, each entry the fraction of
-    /// recorded traffic whose lookup path passes through that node
-    /// (uniform address fractions when the summary is empty).
+    /// against. The returned vector is indexed by `proper`'s arena
+    /// positions, each entry the fraction of recorded traffic whose
+    /// lookup path passes through that node (uniform address fractions
+    /// when the summary is empty).
     #[must_use]
-    pub fn node_weights(&self, spans: &[(u64, u8)]) -> Vec<f64> {
-        fib_trie::project_heat_weights(spans, &self.entries, self.depth)
+    pub fn node_weights<A: Address>(&self, proper: &fib_trie::ProperTrie<A>) -> Vec<f64> {
+        fib_trie::project_heat_weights(proper, &self.entries, self.depth)
     }
 
     /// Per-depth traffic weights for the traffic-weighted λ choice: for
