@@ -664,41 +664,6 @@ pub fn write_image_hot<A: Address, E: ImageCodec<A>>(
     Ok(writer.finish())
 }
 
-/// [`write_image`] straight to a file, atomically (write to a `.tmp`
-/// sibling, then rename).
-///
-/// # Errors
-/// [`ImageError::Io`] on filesystem failure.
-pub fn write_image_file<A: Address, E: ImageCodec<A>>(
-    engine: &E,
-    routes: Option<&BinaryTrie<A>>,
-    epoch: u64,
-    path: impl AsRef<Path>,
-) -> Result<(), ImageError> {
-    let bytes = write_image(engine, routes, epoch)?;
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| ImageError::Io(format!("{}: {e}", path.display()));
-    std::fs::write(&tmp, &bytes).map_err(io)?;
-    std::fs::rename(&tmp, path).map_err(io)?;
-    Ok(())
-}
-
-/// Loads an image file and hands the typed view to `f` (the view borrows
-/// the image, so it cannot outlive this call — hold a [`FibImage`]
-/// yourself for longer-lived serving).
-///
-/// # Errors
-/// Any [`ImageError`].
-pub fn load_image<A: Address, E: ImageCodec<A>, T>(
-    path: impl AsRef<Path>,
-    f: impl FnOnce(E::Ref<'_>) -> T,
-) -> Result<T, ImageError> {
-    let image = FibImage::load(path)?;
-    let view = E::view(&image)?;
-    Ok(f(view))
-}
-
 // ---------------------------------------------------------------------
 // Codec implementations
 // ---------------------------------------------------------------------

@@ -51,8 +51,8 @@ pub use engine::{roster, BuildConfig, FibBuild, FibLookup, FibUpdate, RebuildNee
 pub use entropy::FibEntropy;
 pub use hot::{depth_mass_from_heat, hot_key, HotConfig, HotFront, HotSlab, HotSlabRef, HotStats};
 pub use image::{
-    any_view, load_image, write_image, write_image_file, write_image_hot, AnyView, EngineKind,
-    EngineVisitor, FibImage, ImageCodec, ImageError, ImageWriter,
+    any_view, write_image, write_image_hot, AnyView, EngineKind, EngineVisitor, FibImage,
+    ImageCodec, ImageError, ImageWriter,
 };
 pub use pdag::{DagStats, PrefixDag, PrefixDagRef, RootArray, RootEntry};
 pub use serialized::{SerializedDag, SerializedDagRef, SER_REFILL_LANES};

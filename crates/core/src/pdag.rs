@@ -177,6 +177,54 @@ pub(crate) fn packed_root_array(words: &[u64], root: u32) -> Box<RootArray> {
     array
 }
 
+/// The compacting BFS every packed image is written by: one queue
+/// seeded with `roots` in order (`NONE` entries skipped), the left child
+/// visited before the right, ids assigned on first discovery. `count`
+/// bounds the node indices and `node` reads a node as `(left, right,
+/// label)`. Returns two words per reached node — `left | right << 32`
+/// and the label — and each root remapped. A pDAG packs its one root
+/// ([`PrefixDag::write_packed`]); a compiled VRF fleet packs every
+/// table's root into one shared arena.
+pub(crate) fn pack_bfs(
+    count: usize,
+    roots: &[u32],
+    node: impl Fn(u32) -> (u32, u32, u32),
+) -> (Vec<u64>, Vec<u32>) {
+    let mut remap = vec![NONE; count];
+    let mut order: Vec<u32> = Vec::new();
+    let mut discover = |idx: u32, order: &mut Vec<u32>| {
+        if idx != NONE && remap[idx as usize] == NONE {
+            remap[idx as usize] = order.len() as u32;
+            order.push(idx);
+        }
+    };
+    for &root in roots {
+        discover(root, &mut order);
+    }
+    // `order` doubles as the queue: everything past `next` is pending.
+    let mut next = 0;
+    while next < order.len() {
+        let (left, right, _) = node(order[next]);
+        discover(left, &mut order);
+        discover(right, &mut order);
+        next += 1;
+    }
+    let packed = |idx: u32| {
+        if idx == NONE {
+            NONE
+        } else {
+            remap[idx as usize]
+        }
+    };
+    let mut words = Vec::with_capacity(order.len() * 2);
+    for &idx in &order {
+        let (left, right, label) = node(idx);
+        words.push(u64::from(packed(left)) | (u64::from(packed(right)) << 32));
+        words.push(u64::from(label));
+    }
+    (words, roots.iter().map(|&root| packed(root)).collect())
+}
+
 /// Interning key of a folded node (the sub-trie id of Definition 1):
 /// leaves are identical iff they hold the same label; interior nodes are
 /// identical iff their children are the same folded nodes.
@@ -1120,35 +1168,11 @@ impl<A: Address> PrefixDag<A> {
     /// the remap is by node identity.
     #[must_use]
     pub fn write_packed(&self) -> (Vec<u64>, u32) {
-        if self.root == NONE {
-            return (Vec::new(), NONE);
-        }
-        let mut remap: HashMap<u32, u32> = HashMap::new();
-        let mut order: Vec<u32> = Vec::new();
-        let mut queue = std::collections::VecDeque::from([self.root]);
-        remap.insert(self.root, 0);
-        order.push(self.root);
-        while let Some(idx) = queue.pop_front() {
+        let (words, roots) = pack_bfs(self.nodes.len(), &[self.root], |idx| {
             let node = self.nodes[idx as usize];
-            for child in [node.left, node.right] {
-                if child != NONE && !remap.contains_key(&child) {
-                    remap.insert(child, order.len() as u32);
-                    order.push(child);
-                    queue.push_back(child);
-                }
-            }
-        }
-        let mut words = Vec::with_capacity(order.len() * 2);
-        for &idx in &order {
-            let node = self.nodes[idx as usize];
-            let left = node.left;
-            let right = node.right;
-            let ml = if left == NONE { NONE } else { remap[&left] };
-            let mr = if right == NONE { NONE } else { remap[&right] };
-            words.push(u64::from(ml) | (u64::from(mr) << 32));
-            words.push(u64::from(node.label));
-        }
-        (words, 0)
+            (node.left, node.right, node.label)
+        });
+        (words, roots[0])
     }
 }
 

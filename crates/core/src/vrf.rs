@@ -15,8 +15,8 @@
 //! 2. A **cross-table canonical interner** re-keys every packed node on
 //!    `(left, right, label)` identity, post-order, so structurally
 //!    identical subtrees from *different* tables land on one arena slot.
-//! 3. A multi-root BFS (the `write_packed` remap, extended to one queue
-//!    seeded with every table's root) packs the interned nodes into a
+//! 3. The same compacting BFS, its one queue seeded with every table's
+//!    root (`pack_bfs` in the pdag module), packs the interned nodes into a
 //!    single word arena in the exact two-word [`PrefixDagRef`] record
 //!    format. Every shared table with a root then gets the §5.3 root
 //!    array the updatable pDAG walks from ([`RootArray`]: for each 8-bit
@@ -61,7 +61,7 @@ use crate::image::{
     sections, serialized_view, vsdag_view, xbw_view, AnyView, EngineKind, FibImage, ImageCodec,
     ImageError, ImageWriter,
 };
-use crate::pdag::{packed_root_array, PrefixDag, PrefixDagRef, RootArray};
+use crate::pdag::{pack_bfs, packed_root_array, PrefixDag, PrefixDagRef, RootArray};
 use crate::serialized::{SerializedDag, SerializedDagRef};
 use crate::vsdag::{VarStrideDag, VarStrideDagRef};
 use crate::xbw::{XbwFib, XbwStorage};
@@ -534,45 +534,6 @@ impl ArenaInterner {
     }
 }
 
-/// Multi-root compacting BFS over the interner's nodes — `write_packed`'s
-/// remap extended to one queue seeded with every table's root. Returns
-/// the arena words (two per node) and each root remapped.
-fn pack_arena(nodes: &[(u32, u32, u32)], roots: &[u32]) -> (Vec<u64>, Vec<u32>) {
-    let mut remap = vec![NONE; nodes.len()];
-    let mut order: Vec<u32> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    for &root in roots {
-        if root != NONE && remap[root as usize] == NONE {
-            remap[root as usize] = order.len() as u32;
-            order.push(root);
-            queue.push_back(root);
-        }
-    }
-    while let Some(idx) = queue.pop_front() {
-        let (l, r, _) = nodes[idx as usize];
-        for child in [l, r] {
-            if child != NONE && remap[child as usize] == NONE {
-                remap[child as usize] = order.len() as u32;
-                order.push(child);
-                queue.push_back(child);
-            }
-        }
-    }
-    let mut words = Vec::with_capacity(order.len() * 2);
-    for &idx in &order {
-        let (l, r, label) = nodes[idx as usize];
-        let ml = if l == NONE { NONE } else { remap[l as usize] };
-        let mr = if r == NONE { NONE } else { remap[r as usize] };
-        words.push(u64::from(ml) | (u64::from(mr) << 32));
-        words.push(u64::from(label));
-    }
-    let packed_roots = roots
-        .iter()
-        .map(|&r| if r == NONE { NONE } else { remap[r as usize] })
-        .collect();
-    (words, packed_roots)
-}
-
 /// Nodes reachable from `root` over packed arena words.
 fn reachable_count(words: &[u64], root: u32) -> u64 {
     if root == NONE {
@@ -743,7 +704,8 @@ pub fn recompile_vrf_set<A: Address>(
             _ => NONE,
         })
         .collect();
-    let (arena, packed_roots) = pack_arena(&interner.nodes, &canon_roots);
+    let nodes = &interner.nodes;
+    let (arena, packed_roots) = pack_bfs(nodes.len(), &canon_roots, |idx| nodes[idx as usize]);
 
     // Assemble per-table results and statistics.
     let mut stats = VrfSetStats {

@@ -36,6 +36,13 @@
 //!   changed, on the control thread; a compile that panics is contained
 //!   as the single-table router's builds are ([`RouterHealth`]).
 //!
+//! The two control planes share one crate-private publish core: the
+//! epoch counter, the [`SnapCell`], a reference to the last three
+//! snapshots published (so a retired one is freed on the control thread,
+//! and the single-table router reuses its engine when no reader pins it)
+//! and the crate's one build-panic containment. Each router keeps only
+//! its control state.
+//!
 //! ```
 //! use fib_core::PrefixDag;
 //! use fib_router::{Router, RouterConfig};
@@ -62,6 +69,7 @@
 #![warn(missing_docs)]
 
 pub mod lifecycle;
+mod publish;
 mod router;
 pub mod runtime;
 pub mod shim;

@@ -2,11 +2,11 @@
 //! epoch-snapshotted data-plane engines, with optional FIB-image
 //! persistence and warm restart.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::lifecycle::{encode_record, RestartError, Spool, SpoolConfig, SpoolHealth};
+use crate::publish::Publisher;
 use crate::snapcell::{SnapCell, SnapReader};
 use crate::spoolfs::{SpoolFs, StdFs};
 
@@ -65,11 +65,6 @@ impl<E> std::fmt::Debug for SnapEngine<E> {
         }
     }
 }
-
-/// Published snapshots the router keeps its own [`Arc`] on: the current
-/// one, the one the [`SnapCell`] may still hold retired, and the one a
-/// publish may reuse.
-const KEPT_SNAPSHOTS: usize = 3;
 
 /// An immutable data-plane image: the engine state the router published at
 /// one epoch. Handed out as an [`Arc`], so packet-path readers keep a
@@ -160,12 +155,12 @@ impl<E> EpochSnapshot<E> {
     {
         E::view(&image)?;
         let epoch = image.epoch();
-        Self::over_image(image, epoch)
+        Self::over_image(image, epoch).map(Arc::new)
     }
 
     /// [`Self::from_image`] without the validation, for an `image` that
     /// already passed [`ImageCodec::view`], served as `epoch`.
-    fn over_image<A: Address>(image: FibImage, epoch: u64) -> Result<Arc<Self>, ImageError>
+    fn over_image<A: Address>(image: FibImage, epoch: u64) -> Result<Self, ImageError>
     where
         E: ImageCodec<A>,
     {
@@ -182,7 +177,7 @@ impl<E> EpochSnapshot<E> {
         routes: usize,
         engine: SnapEngine<E>,
         slab: Option<HotSlab>,
-    ) -> Arc<Self>
+    ) -> Self
     where
         E: ImageCodec<A>,
     {
@@ -193,7 +188,7 @@ impl<E> EpochSnapshot<E> {
             hot: None,
         };
         snapshot.hot = slab.map(|slab| HotFront::calibrated(slab, |a| snapshot.lookup(a)));
-        Arc::new(snapshot)
+        snapshot
     }
 
     /// Runs `serve` on the engine behind the slab: the owned one, or the
@@ -346,54 +341,12 @@ pub struct RouterStats {
     pub copied_nodes: u64,
 }
 
-/// Build-panic containment, written once for both control planes: a
-/// build runs through [`Self::run`], which turns a panic into a
-/// [`RouterHealth`] record instead of unwinding into the caller.
-#[derive(Debug, Default)]
-pub(crate) struct BuildPanics {
-    count: u64,
-    last: Option<String>,
-    /// The last build run panicked.
-    pub(crate) failing: bool,
-    /// The published snapshot lags the control state because the last
-    /// publish could not build; the router serves the last good epoch.
-    pub(crate) serving_stale: bool,
-}
-
-impl BuildPanics {
-    /// Runs `build`, returning `None` and recording the panic if it
-    /// panicked.
-    pub(crate) fn run<T>(&mut self, build: impl FnOnce() -> T) -> Option<T> {
-        let panic = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
-            Ok(built) => {
-                self.failing = false;
-                return Some(built);
-            }
-            Err(panic) => panic,
-        };
-        let message = panic.downcast_ref::<&str>().map(ToString::to_string);
-        let message = message.or_else(|| panic.downcast_ref::<String>().cloned());
-        self.count += 1;
-        self.last = Some(message.unwrap_or_else(|| "build panicked".to_string()));
-        self.failing = true;
-        None
-    }
-
-    /// `base` with the build half of the report filled in.
-    pub(crate) fn report(&self, base: RouterHealth) -> RouterHealth {
-        RouterHealth {
-            rebuild_panics: self.count,
-            last_rebuild_panic: self.last.clone(),
-            serving_stale: self.serving_stale,
-            ..base
-        }
-    }
-}
-
 /// A point-in-time health report: spool persistence state, rebuild-panic
 /// bookkeeping, and whether the data plane is serving a stale epoch.
 /// Forwarding never stops in any of these states — the report describes
 /// what *durability and freshness* guarantees currently hold.
+/// Both control planes fill in the build half from their shared publish
+/// core; only a [`Router`] has a spool half.
 #[derive(Clone, Debug, Default)]
 pub struct RouterHealth {
     /// Spool persistence health (`None`: no spool armed).
@@ -408,9 +361,9 @@ pub struct RouterHealth {
     pub rebuild_panics: u64,
     /// Message of the most recent contained build panic.
     pub last_rebuild_panic: Option<String>,
-    /// The published snapshot no longer reflects the control FIB because
-    /// the last attempt to materialize an engine panicked; the router
-    /// keeps serving the last good epoch.
+    /// The published snapshot no longer reflects the control state
+    /// because the last publish's build panicked; the router keeps
+    /// serving the last good epoch until a publish succeeds.
     pub serving_stale: bool,
 }
 
@@ -454,20 +407,12 @@ pub struct Router<A: Address, E: Send + Sync + 'static> {
     /// The working engine no longer reflects `control` (static engine
     /// declined an update); it must be rebuilt before the next publish.
     stale: bool,
-    published: SnapCell<EpochSnapshot<E>>,
-    /// The last [`KEPT_SNAPSHOTS`] snapshots published, oldest first. The
-    /// router's reference keeps a retired snapshot from dying on whichever
-    /// forwarding thread lets go of it last, and hands the oldest to the
-    /// next publish if no reader still pins it.
-    kept: VecDeque<Arc<EpochSnapshot<E>>>,
-    epoch: u64,
+    /// While its last build failed, the degradation check compacts
+    /// nothing (prevents a panic storm on a poisoned control state).
+    publisher: Publisher<EpochSnapshot<E>>,
     since_publish: usize,
     stats: RouterStats,
     spool: Option<Spool>,
-    /// Contained engine-build panics. While the last build failed, the
-    /// degradation check compacts nothing until a build succeeds again
-    /// (prevents a panic storm on a poisoned control state).
-    builds: BuildPanics,
     /// The last merged traffic interval, in `HeatSummary` entry shape.
     /// Threaded into every engine (re)build so heat-aware engines (the
     /// variable-stride DAG) re-stride their layout for measured traffic;
@@ -495,23 +440,20 @@ where
         config: RouterConfig,
         control: BinaryTrie<A>,
         working: Option<E>,
-        snapshot: Arc<EpochSnapshot<E>>,
+        snapshot: EpochSnapshot<E>,
     ) -> Self {
         Self {
             config,
             control,
             working,
             stale: false,
-            epoch: snapshot.epoch(),
-            kept: VecDeque::from([Arc::clone(&snapshot)]),
-            published: SnapCell::new(snapshot),
+            publisher: Publisher::new(snapshot.epoch(), snapshot),
             since_publish: 0,
             stats: RouterStats {
                 epochs: 1,
                 ..RouterStats::default()
             },
             spool: None,
-            builds: BuildPanics::default(),
             heat_profile: None,
         }
     }
@@ -520,16 +462,14 @@ where
     /// as the working engine — the router's one compile call:
     /// [`FibBuild::rebuild_from`] the working engine it replaces when
     /// that engine takes the job, a cold [`FibBuild::build_weighted`]
-    /// otherwise. Returns whether one was installed: a panicking build is
-    /// contained — recorded in [`Self::health`] instead of unwinding into
-    /// the control plane — and leaves the previous working engine where
-    /// it was.
+    /// otherwise. Returns whether one was installed: a build that panics
+    /// is contained and leaves the previous working engine in place.
     fn materialize(&mut self) -> bool {
         let heat = self
             .heat_profile
             .as_ref()
             .map(|(entries, depth)| (entries.as_slice(), *depth));
-        let Some((engine, warm)) = self.builds.run(|| {
+        let Some((engine, warm)) = self.publisher.build(|| {
             let (control, build) = (&self.control, &self.config.build);
             match self
                 .working
@@ -649,8 +589,8 @@ where
     /// quarantine count, contained rebuild panics, staleness.
     #[must_use]
     pub fn health(&self) -> RouterHealth {
-        let spool = self.spool.as_ref().map(Spool::report).unwrap_or_default();
-        self.builds.report(spool)
+        self.publisher
+            .report(self.spool.as_ref().map(Spool::report).unwrap_or_default())
     }
 
     /// Operator re-arm after a suspended (or degraded) spool's root
@@ -703,14 +643,15 @@ where
         let Some(mut spool) = self.spool.take() else {
             return;
         };
-        let spilled = spool.spill(self.epoch, force, || {
+        let epoch = self.publisher.epoch();
+        let spilled = spool.spill(epoch, force, || {
             // The spilled engine must reflect `control` exactly;
             // materialize it if needed (same rule publish applies).
             if (self.stale || self.working.is_none()) && !self.materialize() {
                 return None;
             }
             let engine = self.working.as_ref()?;
-            Some(write_image(engine, Some(&self.control), self.epoch))
+            Some(write_image(engine, Some(&self.control), epoch))
         });
         self.stats.spills += u64::from(spilled);
         self.spool = Some(spool);
@@ -737,7 +678,7 @@ where
     /// Epoch of the currently published snapshot.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.publisher.epoch()
     }
 
     /// Activity counters.
@@ -750,7 +691,7 @@ where
     #[must_use]
     pub fn data_plane(&self) -> DataPlane<E> {
         DataPlane {
-            reader: self.published.reader(),
+            reader: self.publisher.cell().reader(),
         }
     }
 
@@ -758,14 +699,14 @@ where
     /// readers directly (see [`crate::Forwarder`]).
     #[must_use]
     pub fn snap_cell(&self) -> &SnapCell<EpochSnapshot<E>> {
-        &self.published
+        self.publisher.cell()
     }
 
     /// The currently published snapshot (control-path read; forwarding
     /// threads should hold a [`DataPlane`]).
     #[must_use]
     pub fn snapshot(&self) -> Arc<EpochSnapshot<E>> {
-        self.published.load()
+        self.publisher.cell().load()
     }
 
     /// Convenience lookup on the published snapshot. Forwarding threads
@@ -796,22 +737,11 @@ where
     /// stale flag and counters. A missing engine (warm restart) counts as
     /// declined.
     fn apply_to_working(&mut self, f: impl FnOnce(&mut E) -> Result<(), fib_core::RebuildNeeded>) {
-        if self.stale {
+        if !self.stale && self.working.as_mut().is_some_and(|w| f(w).is_ok()) {
+            self.stats.in_place += 1;
+        } else {
+            self.stale = true;
             self.stats.declined += 1;
-            return;
-        }
-        match self.working.as_mut() {
-            Some(w) => match f(w) {
-                Ok(()) => self.stats.in_place += 1,
-                Err(_) => {
-                    self.stale = true;
-                    self.stats.declined += 1;
-                }
-            },
-            None => {
-                self.stale = true;
-                self.stats.declined += 1;
-            }
         }
     }
 
@@ -821,7 +751,7 @@ where
         // λ-barrier-aware maintenance: in-place updates are cheap, but
         // refolds fragment the arena; past the threshold, compact.
         if !self.stale
-            && !self.builds.failing
+            && !self.publisher.failing()
             && self
                 .working
                 .as_ref()
@@ -868,13 +798,12 @@ where
     /// The snapshot's engine is [`FibUpdate::publish_copy`] of the working
     /// engine — a lookup structure, answering as the working engine does
     /// at this call; the control FIB stays here ([`Self::control`]). The
-    /// router keeps a reference to the last three snapshots it published,
-    /// so a retired one is reclaimed on this thread, not on the forwarding
-    /// thread that lets go of it last, and offers the oldest back to the
-    /// hook when no reader pins it any more: the prefix DAG then writes
-    /// only the nodes that changed since ([`RouterStats::recycled`],
-    /// [`RouterStats::copied_nodes`]). A pinned snapshot is never written
-    /// or waited for; that publish copies afresh.
+    /// router keeps the last three snapshots, so a retired one is freed
+    /// on this thread, and hands the oldest engine to the hook when no
+    /// reader pins it any more: the prefix DAG then writes only the nodes
+    /// that changed since ([`RouterStats::recycled`],
+    /// [`RouterStats::copied_nodes`]); a publish after a pinned one
+    /// copies afresh.
     ///
     /// If the working engine went stale (static engine under churn) or is
     /// absent (warm restart), it is (re)built first, on this thread —
@@ -946,26 +875,11 @@ where
         (snapshot, summary, stats)
     }
 
-    /// Makes room in [`Self::kept`] for the snapshot about to be cut and
-    /// returns the engine of the one that falls out, if the router held
-    /// the last reference to it. A reader that still pins that snapshot
-    /// simply keeps it: nobody waits, and the publish copies afresh.
-    fn retire_oldest(&mut self) -> Option<E> {
-        if self.kept.len() < KEPT_SNAPSHOTS {
-            return None;
-        }
-        match Arc::try_unwrap(self.kept.pop_front()?).ok()?.engine {
-            SnapEngine::Owned(engine) => Some(engine),
-            SnapEngine::Image(_) => None,
-        }
-    }
-
     /// The shared publish path: [`Self::publish`] attaches no slab; a
     /// hot publish always cuts a fresh epoch (its slab is new state even
     /// when no route changed), a plain one reuses an unchanged snapshot.
-    /// The epoch's engine comes from the one [`FibUpdate::publish_copy`]
-    /// call below, handed the oldest kept snapshot's engine when the
-    /// router was its last holder.
+    /// The one [`FibUpdate::publish_copy`] call below is the only use of
+    /// the snapshot the publish core hands back.
     fn publish_with(&mut self, hot: Option<HotSlab>) -> Arc<EpochSnapshot<E>> {
         // No-op publish: nothing changed since the last epoch, so reuse
         // the published snapshot instead of copying the engine again. A
@@ -977,30 +891,28 @@ where
             return self.snapshot();
         }
         if (self.stale || self.working.is_none()) && !self.materialize() {
-            // Graceful degradation: keep serving the last good epoch (the
-            // panic is already in health) and retry the materialization
-            // at the next publish (auto-publish cadence bounds the retry
-            // rate).
-            self.builds.serving_stale = true;
+            // Keep serving the last good epoch and retry at the next
+            // publish (auto-publish cadence bounds the retry rate).
             self.stale = true;
             self.since_publish = 0;
             self.commit_spool();
-            return self.snapshot();
+            return self.publisher.serve_stale();
         }
-        self.builds.serving_stale = false;
-        self.epoch += 1;
         self.since_publish = 0;
         self.stats.epochs += 1;
-        let recycled = self.retire_oldest();
-        let working = self.working.as_mut().expect("materialized");
-        let engine = SnapEngine::Owned(working.publish_copy(recycled));
-        if let Some(writes) = working.last_copy_writes() {
-            self.stats.recycled += 1;
-            self.stats.copied_nodes += writes as u64;
-        }
-        let snapshot = EpochSnapshot::cut(self.epoch, self.control.len(), engine, hot);
-        self.kept.push_back(Arc::clone(&snapshot));
-        self.published.publish(Arc::clone(&snapshot));
+        let snapshot = self.publisher.publish(|epoch, retired| {
+            let working = self.working.as_mut().expect("materialized");
+            let recycled = retired.and_then(|snapshot| match snapshot.engine {
+                SnapEngine::Owned(engine) => Some(engine),
+                SnapEngine::Image(_) => None,
+            });
+            let engine = SnapEngine::Owned(working.publish_copy(recycled));
+            if let Some(writes) = working.last_copy_writes() {
+                self.stats.recycled += 1;
+                self.stats.copied_nodes += writes as u64;
+            }
+            EpochSnapshot::cut(epoch, self.control.len(), engine, hot)
+        });
         // Durability: fold an outgrown journal into a full image of this
         // epoch (which also syncs and resets it), else just commit it.
         if self.spool.as_ref().is_some_and(Spool::wants_fold) {

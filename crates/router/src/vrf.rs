@@ -5,8 +5,9 @@
 //! The single-table [`crate::Router`] pairs one oracle with one engine.
 //! A provider-edge box runs hundreds of logical tables whose FIBs are
 //! mostly identical, so [`VrfSetRouter`] pairs a *map* of oracles with
-//! one [`CompiledVrfSet`], swapped in atomically through the same
-//! [`SnapCell`] machinery the single-table router uses. Readers
+//! one [`CompiledVrfSet`], swapped in atomically through the publish
+//! core (epoch, [`SnapCell`](crate::SnapCell), retirement ring, contained
+//! builds) the single-table router uses. Readers
 //! ([`VrfDataPlane`]) therefore see all tables move in lock-step: one
 //! atomic load observes a consistent fleet, never VRF 7 from epoch 4
 //! next to VRF 9 from epoch 5.
@@ -27,7 +28,9 @@
 //!
 //! Epochs are tracked at two grains: the *set* epoch counts publishes,
 //! and each VRF carries the set epoch at which its table last changed —
-//! so a reader can tell "the fleet moved" apart from "my VRF moved".
+//! so a reader can tell "the fleet moved" apart from "my VRF moved". A
+//! publish stamps the tables that changed with the new epoch and copies
+//! every other table's from the snapshot it replaces.
 //!
 //! Batched lookups bucket a mixed `(vrf, addr)` stream by VRF id so each
 //! run goes through its table's engine batch path (the shared arena's
@@ -43,8 +46,9 @@ use std::sync::Arc;
 use fib_core::{recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibLookup, VrfPolicy};
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
-use crate::router::{BuildPanics, RouterHealth};
-use crate::snapcell::{SnapCell, SnapReader};
+use crate::publish::Publisher;
+use crate::router::RouterHealth;
+use crate::snapcell::SnapReader;
 
 /// An immutable, published multi-tenant forwarding state: the compiled
 /// set plus set- and per-VRF epochs.
@@ -155,11 +159,7 @@ impl<A: Address> VrfBatchScratch<A> {
     /// An empty scratch (vectors grow on first use).
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            order: Vec::new(),
-            addrs: Vec::new(),
-            hops: Vec::new(),
-        }
+        Self::default()
     }
 }
 
@@ -171,16 +171,8 @@ pub struct VrfSetRouter<A: Address + Send + Sync + 'static> {
     dirty: BTreeSet<u32>,
     config: BuildConfig,
     policy: VrfPolicy,
-    epoch: u64,
-    vrf_epochs: BTreeMap<u32, u64>,
-    cell: SnapCell<VrfSnapshot<A>>,
-    /// The snapshot the latest publish replaced, kept one generation so
-    /// that its last reference — and the free of a multi-megabyte arena
-    /// — drops on the control thread, not inside the refresh of the
-    /// forwarding worker that was still reading it.
-    superseded: Option<Arc<VrfSnapshot<A>>>,
     stats: VrfRouterStats,
-    builds: BuildPanics,
+    publisher: Publisher<VrfSnapshot<A>>,
 }
 
 /// Plain publish counters of a [`VrfSetRouter`]: exact and repeatable,
@@ -201,22 +193,18 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// always have a snapshot.
     #[must_use]
     pub fn new(config: BuildConfig, policy: VrfPolicy) -> Self {
-        let initial = Arc::new(VrfSnapshot {
+        let empty = VrfSnapshot {
             set: CompiledVrfSet::default(),
             epoch: 0,
             vrf_epochs: Vec::new(),
-        });
+        };
         Self {
             oracles: BTreeMap::new(),
             dirty: BTreeSet::new(),
             config,
             policy,
-            epoch: 0,
-            vrf_epochs: BTreeMap::new(),
-            cell: SnapCell::new(initial),
-            superseded: None,
             stats: VrfRouterStats::default(),
-            builds: BuildPanics::default(),
+            publisher: Publisher::new(0, empty),
         }
     }
 
@@ -288,9 +276,11 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// last good set at its epoch, records the panic in [`Self::health`]
     /// with [`RouterHealth::serving_stale`] set, and keeps every pending
     /// change for the next publish to retry.
+    /// The router keeps the last three sets, as [`crate::Router`] does,
+    /// so a retired set's arena is freed on this thread.
     pub fn publish(&mut self) -> Arc<VrfSnapshot<A>> {
-        let basis = self.cell.load();
-        if self.dirty.is_empty() && self.epoch > 0 {
+        let basis = self.publisher.cell().load();
+        if self.dirty.is_empty() && self.publisher.epoch() > 0 {
             return basis;
         }
         let tables = self.oracles.len();
@@ -318,50 +308,34 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             })
             .collect();
         let Some(set) = self
-            .builds
-            .run(|| recompile_vrf_set(&basis.set, &fleet, &self.config, &policy))
+            .publisher
+            .build(|| recompile_vrf_set(&basis.set, &fleet, &self.config, &policy))
         else {
-            self.builds.serving_stale = true;
-            return basis;
+            return self.publisher.serve_stale();
         };
-        self.builds.serving_stale = false;
         let refolded = fleet.iter().filter(|(_, trie)| trie.is_some()).count() as u64;
-
-        self.epoch += 1;
-        for vrf in std::mem::take(&mut self.dirty) {
-            self.vrf_epochs.insert(vrf, self.epoch);
-        }
-        // Drop epoch bookkeeping for ids no longer in the fleet.
-        let live: BTreeSet<u32> = set.tables.iter().map(|t| t.id).collect();
-        self.vrf_epochs.retain(|id, _| live.contains(id));
-        let vrf_epochs: Vec<(u32, u64)> = set
-            .tables
-            .iter()
-            .map(|t| {
-                (
-                    t.id,
-                    self.vrf_epochs.get(&t.id).copied().unwrap_or(self.epoch),
-                )
-            })
-            .collect();
         self.stats.publishes += 1;
         self.stats.tables_refolded += refolded;
         self.stats.tables_carried += set.tables.len() as u64 - refolded;
-        let snapshot = Arc::new(VrfSnapshot {
-            set,
-            epoch: self.epoch,
-            vrf_epochs,
-        });
-        self.superseded = Some(basis);
-        self.cell.publish(Arc::clone(&snapshot));
-        snapshot
+        let dirty = std::mem::take(&mut self.dirty);
+        // A retired set is of no further use to a fleet: it drops here.
+        self.publisher.publish(|epoch, _retired| {
+            let carried = |id| basis.vrf_epoch(id).filter(|_| !dirty.contains(&id));
+            let stamp = |t: &CompiledVrf<A>| (t.id, carried(t.id).unwrap_or(epoch));
+            let vrf_epochs = set.tables.iter().map(stamp).collect();
+            VrfSnapshot {
+                set,
+                epoch,
+                vrf_epochs,
+            }
+        })
     }
 
     /// Contained compile panics and whether the published set lags the
     /// oracles; a fleet has no spool, so [`RouterHealth::spool`] is `None`.
     #[must_use]
     pub fn health(&self) -> RouterHealth {
-        self.builds.report(RouterHealth::default())
+        self.publisher.report(RouterHealth::default())
     }
 
     /// Publish counters since construction.
@@ -374,14 +348,14 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     #[must_use]
     pub fn reader(&self) -> VrfDataPlane<A> {
         VrfDataPlane {
-            reader: self.cell.reader(),
+            reader: self.publisher.cell().reader(),
         }
     }
 
     /// The set epoch of the latest publish.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.publisher.epoch()
     }
 }
 

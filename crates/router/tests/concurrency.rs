@@ -16,8 +16,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
-use fib_core::{BuildConfig, PrefixDag, SerializedDag};
-use fib_router::{Router, RouterConfig};
+use fib_core::{BuildConfig, PrefixDag, SerializedDag, VrfPolicy};
+use fib_router::{Router, RouterConfig, VrfSetRouter};
 use fib_trie::BinaryTrie;
 use fib_workload::rng::{Rng, Xoshiro256};
 use fib_workload::updates::{bgp_sequence, UpdateOp};
@@ -222,6 +222,72 @@ fn a_pinned_snapshot_is_never_recycled_under_its_reader() {
             "the pinned epoch changed under its reader at {addr:#010x}"
         );
         differs += u32::from(oracle_then.lookup(addr) != oracle.lookup(addr));
+    }
+    assert!(differs > 0, "the later epochs changed none of the probes");
+}
+
+/// The fleet retires through the same publish core: a set one reader
+/// pins answers for its own epoch through ten more publishes, and the
+/// router lets go of it.
+#[test]
+fn a_pinned_fleet_snapshot_stays_intact_after_the_router_lets_go() {
+    const VRFS: u32 = 4;
+    const PINNED: u64 = 2;
+    const PUBLISHES: u64 = 12;
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(2_000).generate(&mut rng(21));
+    let updates = bgp_sequence(&mut rng(22), &base, PUBLISHES as usize * 50);
+    let mut router = VrfSetRouter::new(BuildConfig::with_lambda(11), VrfPolicy::Shared);
+    for vrf in 0..VRFS {
+        router.insert_vrf(vrf, base.clone());
+    }
+    let mut pinning = router.reader();
+    let mut refreshing = router.reader();
+    let mut pinned = None;
+    for (round, burst) in updates.chunks(50).enumerate() {
+        for (i, op) in burst.iter().enumerate() {
+            let vrf = (round + i) as u32 % VRFS;
+            match *op {
+                UpdateOp::Announce(p, nh) => {
+                    router.announce(vrf, p, nh);
+                }
+                UpdateOp::Withdraw(p) => {
+                    router.withdraw(vrf, p);
+                }
+            }
+        }
+        router.publish();
+        assert_eq!(refreshing.snapshot().epoch(), router.epoch());
+        if router.epoch() == PINNED {
+            // Its last refresh: from here on it reads what it holds.
+            let oracles: Vec<BinaryTrie<u32>> = (0..VRFS)
+                .map(|vrf| router.oracle(vrf).expect("inserted").clone())
+                .collect();
+            pinned = Some((Arc::clone(pinning.snapshot()), oracles));
+        }
+    }
+    assert_eq!(router.epoch(), PUBLISHES);
+    drop(pinning);
+
+    let (snapshot, oracles_then) = pinned.expect("the pinned epoch was published");
+    assert_eq!(snapshot.epoch(), PINNED);
+    assert_eq!(Arc::strong_count(&snapshot), 1, "the router still holds it");
+    let mut r = rng(23);
+    let mut differs = 0;
+    for _ in 0..4_096 {
+        let vrf = r.random::<u32>() % VRFS;
+        let addr = match updates[r.random::<u32>() as usize % updates.len()] {
+            UpdateOp::Announce(p, _) | UpdateOp::Withdraw(p) if r.random::<u32>() % 2 == 0 => {
+                p.addr()
+            }
+            _ => r.random::<u32>(),
+        };
+        let then = oracles_then[vrf as usize].lookup(addr);
+        assert_eq!(
+            snapshot.lookup(vrf, addr),
+            then,
+            "the pinned set changed under its reader: vrf {vrf} at {addr:#010x}"
+        );
+        differs += u32::from(then != router.oracle(vrf).expect("inserted").lookup(addr));
     }
     assert!(differs > 0, "the later epochs changed none of the probes");
 }

@@ -93,7 +93,8 @@ usage:
                  (--probe: N lookups across all threads, rounded up to
                   whole batches; --duration: S seconds; neither: addresses
                   on stdin, batched; vrfset images take 'VRF ADDR' lines /
-                  mixed-VRF probes)
+                  single-threaded mixed-VRF --probe runs, and refuse
+                  --duration, --threads and --batch)
   fibc serve --spool DIR [--health-every S] [serve options]
                  (newest valid spool image; health one-liner on stderr)
   fibc spool-status DIR";
@@ -759,12 +760,20 @@ fn print_reports(reports: &[WorkerReport], via: &str) {
 }
 
 /// `fibc serve` on a vrfset image: `--probe N` runs a deterministic
-/// mixed-VRF stream (uniform or Zipf-skewed across tables); stdin mode
-/// takes `VRF ADDR` lines and answers in input order.
+/// mixed-VRF stream (uniform or Zipf-skewed across tables) on this
+/// thread; stdin mode takes `VRF ADDR` lines and answers in input order.
+/// The forwarding runtime's flags have no meaning here and are refused,
+/// not ignored.
 fn serve_vrf_family<A: Address + AddrText>(
     image: &FibImage,
     args: &[String],
 ) -> Result<(), String> {
+    let runtime_flags = ["--duration", "--threads", "--batch"];
+    if let Some(refused) = runtime_flags.iter().find(|f| flag(args, f)) {
+        return Err(format!(
+            "{refused} is not supported on a vrfset image (use --probe N or 'VRF ADDR' lines on stdin)"
+        ));
+    }
     let view = VrfSetRef::<A>::from_image(image).map_err(|e| e.to_string())?;
     if view.is_empty() {
         return Err("vrf set holds no tables".into());

@@ -1,14 +1,15 @@
 //! What `fibc serve` answers, driven through the built binary: every
 //! single-table engine's image answers stdin addresses as its routes
 //! section does, `--probe` is one budget the forwarding workers share,
-//! and an image compiled with `--heat` serves through its slab.
+//! an image compiled with `--heat` serves through its slab, and a vrfset
+//! image refuses the forwarding runtime's flags.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
-use fibcomp::core::FibImage;
+use fibcomp::core::{FibImage, VrfSetRef};
 use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::traces;
 
@@ -148,4 +149,64 @@ fn a_heat_compiled_image_serves_through_its_slab() {
         let slab = stdout.lines().any(|l| l.starts_with("hot slab: "));
         assert_eq!(slab, *name == "vsdag-hot", "{name}\n{stdout}");
     }
+}
+
+/// A vrfset image serves `--probe` and `VRF ADDR` lines on one thread;
+/// the forwarding runtime's flags are refused by name rather than
+/// silently dropped (`--duration` alone used to fall through to stdin).
+#[test]
+fn a_vrfset_image_refuses_runtime_flags_and_still_answers() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fibc_serve");
+    std::fs::create_dir_all(&dir).expect("image dir");
+    let path = dir.join("fleet.img");
+    let img = path.to_str().expect("utf-8 path");
+    stdout_of(&fibc(&[
+        "compile",
+        "--vrfs",
+        "4",
+        "--instance",
+        "taz",
+        "--scale",
+        "0.02",
+        "--out",
+        img,
+    ]));
+
+    for args in [
+        &["--duration", "0.2"][..],
+        &["--probe", "1000", "--threads", "2"],
+        &["--probe", "1000", "--batch", "64"],
+    ] {
+        let refused = args[args.len() - 2];
+        let mut argv = vec!["serve", img];
+        argv.extend(args);
+        let output = fibc(&argv);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{argv:?} exited 0");
+        assert!(stderr.contains(refused), "{argv:?}: {stderr}");
+    }
+
+    let stdout = stdout_of(&fibc(&["serve", img, "--probe", "1000"]));
+    assert!(
+        stdout.starts_with("vrf probe (uniform): 1000 pkts"),
+        "{stdout}"
+    );
+
+    let image = FibImage::load(&path).expect("compiled image loads");
+    let view = VrfSetRef::<u32>::from_image(&image).expect("a vrfset image");
+    let addrs = traces::uniform::<u32, _>(&mut Xoshiro256::seed_from_u64(29), 64);
+    let mut input = String::new();
+    let mut want = Vec::new();
+    for (i, &addr) in addrs.iter().enumerate() {
+        let vrf = view.tables()[i % view.len()].id;
+        let text = format!("{vrf} {}", std::net::Ipv4Addr::from(addr));
+        want.push(match view.lookup(vrf, addr) {
+            Some(nh) => format!("{text} -> {nh}"),
+            None => format!("{text} -> no route"),
+        });
+        input.push_str(&text);
+        input.push('\n');
+    }
+    let stdout = stdout_of(&serve_stdin(&path, &input));
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), want);
 }

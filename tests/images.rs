@@ -354,12 +354,11 @@ fn image_file_roundtrip_via_disk() {
     let trie = v4_fib(1_000, 9);
     let ser: SerializedDag<u32> = FibBuild::build(&trie, &BuildConfig::default());
     let path = dir.join("t.img");
-    fibcomp::core::write_image_file(&ser, Some(&trie), 1, &path).unwrap();
+    std::fs::write(&path, write_image(&ser, Some(&trie), 1).unwrap()).unwrap();
     let keys = traces::uniform::<u32, _>(&mut rng(10), 500);
-    let hits = fibcomp::core::load_image::<u32, SerializedDag<u32>, usize>(&path, |view| {
-        keys.iter().filter(|&&k| view.lookup(k).is_some()).count()
-    })
-    .unwrap();
+    let image = FibImage::load(&path).unwrap();
+    let view = <SerializedDag<u32> as ImageCodec<u32>>::view(&image).unwrap();
+    let hits = keys.iter().filter(|&&k| view.lookup(k).is_some()).count();
     let expected = keys.iter().filter(|&&k| ser.lookup(k).is_some()).count();
     assert_eq!(hits, expected);
     std::fs::remove_dir_all(&dir).ok();
