@@ -27,8 +27,10 @@
 //! from. [`engine_table`] then has one row per engine, and everything
 //! that must know the whole set is generated from it: `FibLookup` for
 //! the owned type and for the view (here), and [`crate::EngineKind`] with
-//! its [`crate::EngineKind::visit`], [`crate::AnyView`] and
-//! [`crate::any_view`] (in [`crate::image`]).
+//! its [`crate::EngineKind::visit`] and [`crate::EngineKind::sections`],
+//! and [`crate::AnyView`] with its [`crate::AnyView::parse`] (in
+//! [`crate::image`]) — which single-engine images and a fleet's dedicated
+//! tables share.
 //! [`roster`] is the matching value-level list — one built engine per
 //! benchmark row — that the benches and differential tests enumerate.
 

@@ -100,18 +100,19 @@ pub mod sections {
     /// Optional traffic-aware hot slab (any engine): meta block + slot
     /// words, see [`crate::hot::HotSlab::write_words`].
     pub const HOT_SLAB: u32 = 0x60;
-    /// Multi-tenant VRF directory: `[table_count]` then 4 words per VRF
-    /// (`id | engine << 32`, root-or-section-base, route count, reachable
-    /// node count). See [`crate::vrf`].
+    /// Multi-tenant VRF directory: `[table_count]`, then 6 words per VRF
+    /// — `id | choice << 32` (a [`crate::vrf::VrfEngineChoice`] code, 0–3),
+    /// root, routes, reachable nodes, solo nodes, zero. A dedicated table's
+    /// sections sit at [`VRF_TABLE_BASE`] by directory index.
     pub const VRF_DIR: u32 = 0x70;
     /// The shared hash-consed VRF arena: packed pDAG node records
     /// (identical format to [`PDAG_NODES`]), one arena serving every
     /// shared-placement table through its own root.
     pub const VRF_PDAG: u32 = 0x71;
     /// Base id for per-VRF dedicated-engine sections: table at directory
-    /// index `i` owns ids `VRF_TABLE_BASE + i·VRF_TABLE_STRIDE ..+ STRIDE`
-    /// (slot 0 = params, slots 1.. = the engine's payload sections in
-    /// their canonical order).
+    /// index `i` owns ids `VRF_TABLE_BASE + i·VRF_TABLE_STRIDE ..+ STRIDE`,
+    /// slot `p` holding the section at position `p` of its engine's
+    /// [`ImageCodec::SECTIONS`](super::ImageCodec::SECTIONS).
     pub const VRF_TABLE_BASE: u32 = 0x1000;
     /// Section-id stride per VRF table (see [`VRF_TABLE_BASE`]).
     pub const VRF_TABLE_STRIDE: u32 = 8;
@@ -510,16 +511,6 @@ impl ImageWriter {
         self.entries.push((id, start, len));
     }
 
-    /// Re-emits every section of `sub` into this writer with ids passed
-    /// through `map` — how the VRF compiler nests a dedicated per-table
-    /// engine's sections (written by its ordinary [`ImageCodec`]) under
-    /// that table's private id block without the codec knowing.
-    pub fn import_remapped(&mut self, sub: ImageWriter, map: impl Fn(u32) -> u32) {
-        for (id, start, len) in sub.entries {
-            self.section(map(id), &sub.payload[start..start + len]);
-        }
-    }
-
     /// Appends the routes section (3 words per route).
     pub fn routes<A: Address>(&mut self, trie: &BinaryTrie<A>) {
         self.section_with(sections::ROUTES, |out| {
@@ -573,6 +564,14 @@ impl ImageWriter {
     }
 }
 
+/// A section accessor: canonical section id → that section's words.
+pub trait Sections<'i>: Fn(u32) -> Result<&'i [u64], ImageError> {}
+
+impl<'i, F: Fn(u32) -> Result<&'i [u64], ImageError>> Sections<'i> for F {}
+
+/// A codec's section layout: `(canonical id, name)` per section.
+pub type Layout = &'static [(u32, &'static str)];
+
 /// An engine that can serialize itself into a FIB image and serve lookups
 /// from a borrowed view of one.
 ///
@@ -582,6 +581,10 @@ impl ImageWriter {
 pub trait ImageCodec<A: Address>: FibLookup<A> + Sized {
     /// The engine id stamped into the header.
     const ENGINE: EngineKind;
+
+    /// What [`Self::write_sections`] emits, in order: the layout a vrfset
+    /// table's id block, lint and `fibc inspect` read.
+    const SECTIONS: Layout;
 
     /// Borrowed zero-copy view type.
     type Ref<'i>: FibLookup<A> + Copy;
@@ -593,22 +596,33 @@ pub trait ImageCodec<A: Address>: FibLookup<A> + Sized {
     /// encoding.
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError>;
 
-    /// Assembles the zero-copy view over a loaded image.
+    /// Assembles the view from the sections `section` resolves by
+    /// canonical id; `trusted` may skip the per-element reference scans
+    /// (the O(n) part of validation).
     ///
     /// # Errors
     /// Any [`ImageError`]; hostile images fail loudly, never panic.
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError>;
+    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError>;
 
-    /// Like [`Self::view`], but engines may skip their per-element
-    /// reference scans (the O(n) part of validation). Only for images
-    /// that already passed a full [`Self::view`] — a [`FibImage`] is
-    /// immutable once loaded, so one validation covers its lifetime.
-    /// The router's image-backed snapshots use this on the lookup path.
+    /// The zero-copy view over a loaded image: header check, then parse.
+    ///
+    /// # Errors
+    /// Any [`ImageError`]; hostile images fail loudly, never panic.
+    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
+        image.expect::<A>(Self::ENGINE)?;
+        Self::parse(|id| image.section(id), false)
+    }
+
+    /// Like [`Self::view`], but trusted: only for images that already
+    /// passed a full [`Self::view`] — a [`FibImage`] is immutable once
+    /// loaded, so one validation covers its lifetime. The router's
+    /// image-backed snapshots use this on the lookup path.
     ///
     /// # Errors
     /// Any [`ImageError`].
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        Self::view(image)
+        image.expect::<A>(Self::ENGINE)?;
+        Self::parse(|id| image.section(id), true)
     }
 
     /// The resident size claim recorded in the header — the engine's own
@@ -668,34 +682,23 @@ pub fn write_image_hot<A: Address, E: ImageCodec<A>>(
 // Codec implementations
 // ---------------------------------------------------------------------
 //
-// Each codec parses its sections in one `*_view` function; `view` and
-// `view_prevalidated` differ only in the constructor they hand it — the
-// validating `from_parts` or the scan-free `from_parts_trusted`. The
-// parsers read sections through an accessor from canonical section id to
-// payload words, so the one parser serves a single-engine image
-// ([`engine_sections`]) and a vrfset table's private id block
-// ([`crate::vrf::VrfSetRef::from_image`]) alike.
+// One `parse` per codec serves a single-engine image (`view`) and a
+// vrfset table's id block (`AnyView::parse`) alike; its `SECTIONS` is the
+// layout the fleet, lint and `fibc inspect` read.
 
-/// The section accessor of a single-engine image: checks the header says
-/// `kind` over `A`, then resolves canonical ids directly.
-fn engine_sections<'i, A: Address>(
-    image: &'i FibImage,
-    kind: EngineKind,
-) -> Result<impl Fn(u32) -> Result<&'i [u64], ImageError>, ImageError> {
-    image.expect::<A>(kind)?;
-    Ok(move |id| image.section(id))
-}
-
-/// The first word of a `PARAMS` section.
-fn first_param(params: &[u64]) -> Result<u64, ImageError> {
-    params
-        .first()
-        .copied()
-        .ok_or(ImageError::Malformed("params"))
+/// The first word of a `PARAMS` section, which must fit `T`.
+fn first_param<T: TryFrom<u64>>(params: &[u64], what: &'static str) -> Result<T, ImageError> {
+    let word = params.first().ok_or(ImageError::Malformed("params"))?;
+    T::try_from(*word).map_err(|_| ImageError::Malformed(what))
 }
 
 impl<A: Address> ImageCodec<A> for SerializedDag<A> {
     const ENGINE: EngineKind = EngineKind::SerializedDag;
+    const SECTIONS: Layout = &[
+        (sections::PARAMS, "params"),
+        (sections::SER_ENTRIES, "serialized.entries"),
+        (sections::SER_NODES, "serialized.nodes"),
+    ];
     type Ref<'i> = SerializedDagRef<'i, A>;
 
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
@@ -705,14 +708,16 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
         Ok(())
     }
 
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        let sections = engine_sections::<A>(image, Self::ENGINE)?;
-        serialized_view(sections, SerializedDagRef::from_parts)
-    }
-
-    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        let sections = engine_sections::<A>(image, Self::ENGINE)?;
-        serialized_view(sections, SerializedDagRef::from_parts_trusted)
+    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
+        let lambda = first_param(section(sections::PARAMS)?, "λ out of range")?;
+        let entries = section(sections::SER_ENTRIES)?;
+        let nodes = section(sections::SER_NODES)?;
+        if trusted {
+            SerializedDagRef::from_parts_trusted(lambda, entries, nodes)
+        } else {
+            SerializedDagRef::from_parts(lambda, entries, nodes)
+        }
+        .map_err(ImageError::Malformed)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -720,22 +725,14 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
     }
 }
 
-pub(crate) fn serialized_view<'i, V>(
-    section: impl Fn(u32) -> Result<&'i [u64], ImageError>,
-    from_parts: impl FnOnce(u8, &'i [u64], &'i [u64]) -> Result<V, &'static str>,
-) -> Result<V, ImageError> {
-    let lambda = u8::try_from(first_param(section(sections::PARAMS)?)?)
-        .map_err(|_| ImageError::Malformed("λ out of range"))?;
-    from_parts(
-        lambda,
-        section(sections::SER_ENTRIES)?,
-        section(sections::SER_NODES)?,
-    )
-    .map_err(ImageError::Malformed)
-}
-
 impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
     const ENGINE: EngineKind = EngineKind::VsDag;
+    const SECTIONS: Layout = &[
+        (sections::PARAMS, "params"),
+        (sections::VS_NODES, "vsdag.nodes"),
+        (sections::VS_BLOCKS, "vsdag.blocks"),
+        (sections::VS_RUNS, "vsdag.runs"),
+    ];
     type Ref<'i> = VarStrideDagRef<'i, A>;
 
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
@@ -756,14 +753,38 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
         Ok(())
     }
 
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        let sections = engine_sections::<A>(image, Self::ENGINE)?;
-        vsdag_view(sections, VarStrideDagRef::from_parts)
-    }
-
-    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        let sections = engine_sections::<A>(image, Self::ENGINE)?;
-        vsdag_view(sections, VarStrideDagRef::from_parts_trusted)
+    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
+        // All four sections before any word is read: an image of the flat
+        // layout (three `PARAMS` words, slots in the retired 0x42) stops at
+        // the missing block table, by name.
+        let params = section(sections::PARAMS)?;
+        let nodes = section(sections::VS_NODES)?;
+        let blocks = section(sections::VS_BLOCKS)?;
+        let runs = section(sections::VS_RUNS)?;
+        let &[root, node_count, slots, block_count, run_count, run_width, ..] = params else {
+            return Err(ImageError::Malformed("params"));
+        };
+        let count =
+            |word: u64, what| usize::try_from(word).map_err(|_| ImageError::Malformed(what));
+        let shape = VsShape {
+            root: u32::try_from(root).map_err(|_| ImageError::Malformed("root out of range"))?,
+            slots: count(slots, "slot count out of range")?,
+            runs: count(run_count, "run count out of range")?,
+            run_width: u32::try_from(run_width)
+                .map_err(|_| ImageError::Malformed("run width out of range"))?,
+        };
+        if nodes.len() != count(node_count, "node count out of range")? {
+            return Err(ImageError::Malformed("node directory length mismatch"));
+        }
+        if blocks.len() != count(block_count, "block count out of range")? {
+            return Err(ImageError::Malformed("block table length mismatch"));
+        }
+        if trusted {
+            VarStrideDagRef::from_parts_trusted(nodes, blocks, runs, shape)
+        } else {
+            VarStrideDagRef::from_parts(nodes, blocks, runs, shape)
+        }
+        .map_err(ImageError::Malformed)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -771,39 +792,12 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
     }
 }
 
-pub(crate) fn vsdag_view<'i, V>(
-    section: impl Fn(u32) -> Result<&'i [u64], ImageError>,
-    from_parts: impl FnOnce(&'i [u64], &'i [u64], &'i [u64], VsShape) -> Result<V, &'static str>,
-) -> Result<V, ImageError> {
-    // All four sections before any word is read: an image of the flat
-    // layout (three `PARAMS` words, slots in the retired 0x42) stops at
-    // the missing block table, by name.
-    let params = section(sections::PARAMS)?;
-    let nodes = section(sections::VS_NODES)?;
-    let blocks = section(sections::VS_BLOCKS)?;
-    let runs = section(sections::VS_RUNS)?;
-    let &[root, node_count, slots, block_count, run_count, run_width, ..] = params else {
-        return Err(ImageError::Malformed("params"));
-    };
-    let count = |word: u64, what| usize::try_from(word).map_err(|_| ImageError::Malformed(what));
-    let shape = VsShape {
-        root: u32::try_from(root).map_err(|_| ImageError::Malformed("root out of range"))?,
-        slots: count(slots, "slot count out of range")?,
-        runs: count(run_count, "run count out of range")?,
-        run_width: u32::try_from(run_width)
-            .map_err(|_| ImageError::Malformed("run width out of range"))?,
-    };
-    if nodes.len() != count(node_count, "node count out of range")? {
-        return Err(ImageError::Malformed("node directory length mismatch"));
-    }
-    if blocks.len() != count(block_count, "block count out of range")? {
-        return Err(ImageError::Malformed("block table length mismatch"));
-    }
-    from_parts(nodes, blocks, runs, shape).map_err(ImageError::Malformed)
-}
-
 impl<A: Address> ImageCodec<A> for LcTrie<A> {
     const ENGINE: EngineKind = EngineKind::LcTrie;
+    const SECTIONS: Layout = &[
+        (sections::PARAMS, "params"),
+        (sections::LC_NODES, "lctrie.nodes"),
+    ];
     type Ref<'i> = LcTrieRef<'i, A>;
 
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
@@ -812,12 +806,15 @@ impl<A: Address> ImageCodec<A> for LcTrie<A> {
         Ok(())
     }
 
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        rooted_view::<A, Self, _>(image, sections::LC_NODES, LcTrieRef::from_parts)
-    }
-
-    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        rooted_view::<A, Self, _>(image, sections::LC_NODES, LcTrieRef::from_parts_trusted)
+    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
+        let root = first_param(section(sections::PARAMS)?, "root out of range")?;
+        let nodes = section(sections::LC_NODES)?;
+        if trusted {
+            LcTrieRef::from_parts_trusted(nodes, root)
+        } else {
+            LcTrieRef::from_parts(nodes, root)
+        }
+        .map_err(ImageError::Malformed)
     }
 
     /// The *packed arena* bytes, deliberately not the kernel memory model
@@ -830,6 +827,10 @@ impl<A: Address> ImageCodec<A> for LcTrie<A> {
 
 impl<A: Address> ImageCodec<A> for PrefixDag<A> {
     const ENGINE: EngineKind = EngineKind::PrefixDag;
+    const SECTIONS: Layout = &[
+        (sections::PARAMS, "params"),
+        (sections::PDAG_NODES, "pdag.nodes"),
+    ];
     type Ref<'i> = PrefixDagRef<'i, A>;
 
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
@@ -842,16 +843,15 @@ impl<A: Address> ImageCodec<A> for PrefixDag<A> {
         Ok(())
     }
 
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        rooted_view::<A, Self, _>(image, sections::PDAG_NODES, PrefixDagRef::from_parts)
-    }
-
-    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        rooted_view::<A, Self, _>(
-            image,
-            sections::PDAG_NODES,
-            PrefixDagRef::from_parts_trusted,
-        )
+    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
+        let root = first_param(section(sections::PARAMS)?, "root out of range")?;
+        let nodes = section(sections::PDAG_NODES)?;
+        if trusted {
+            PrefixDagRef::from_parts_trusted(nodes, root)
+        } else {
+            PrefixDagRef::from_parts(nodes, root)
+        }
+        .map_err(ImageError::Malformed)
     }
 
     /// The compacted arena bytes (16 per live node) — the exact payload
@@ -861,21 +861,14 @@ impl<A: Address> ImageCodec<A> for PrefixDag<A> {
     }
 }
 
-/// The view of an engine stored as one node section plus a root index in
-/// `PARAMS[0]` (the LC-trie and the prefix DAG).
-fn rooted_view<'i, A: Address, E: ImageCodec<A>, V>(
-    image: &'i FibImage,
-    nodes: u32,
-    from_parts: impl FnOnce(&'i [u64], u32) -> Result<V, &'static str>,
-) -> Result<V, ImageError> {
-    image.expect::<A>(E::ENGINE)?;
-    let root = u32::try_from(first_param(image.section(sections::PARAMS)?)?)
-        .map_err(|_| ImageError::Malformed("root out of range"))?;
-    from_parts(image.section(nodes)?, root).map_err(ImageError::Malformed)
-}
-
 impl<A: Address> ImageCodec<A> for XbwFib<A> {
     const ENGINE: EngineKind = EngineKind::Xbw;
+    const SECTIONS: Layout = &[
+        (sections::PARAMS, "params"),
+        (sections::XBW_SI, "xbw.s_i"),
+        (sections::XBW_SA, "xbw.s_alpha"),
+        (sections::XBW_LABELS, "xbw.labels"),
+    ];
     type Ref<'i> = XbwFibRef<'i, A>;
 
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
@@ -891,30 +884,25 @@ impl<A: Address> ImageCodec<A> for XbwFib<A> {
         Ok(())
     }
 
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        xbw_view(engine_sections::<A>(image, Self::ENGINE)?)
+    /// XBW-b has no scan-free constructor: trusted or not, it validates.
+    fn parse<'i>(section: impl Sections<'i>, _: bool) -> Result<Self::Ref<'i>, ImageError> {
+        let params = section(sections::PARAMS)?;
+        if params.len() < 2 {
+            return Err(ImageError::Malformed("params"));
+        }
+        XbwFibRef::from_parts(
+            params[0],
+            params[1],
+            section(sections::XBW_SI)?,
+            section(sections::XBW_SA)?,
+            section(sections::XBW_LABELS)?,
+        )
+        .map_err(ImageError::from)
     }
 
     fn resident_size_bytes(&self) -> usize {
         self.size_bytes()
     }
-}
-
-pub(crate) fn xbw_view<'i, A: Address>(
-    section: impl Fn(u32) -> Result<&'i [u64], ImageError>,
-) -> Result<XbwFibRef<'i, A>, ImageError> {
-    let params = section(sections::PARAMS)?;
-    if params.len() < 2 {
-        return Err(ImageError::Malformed("params"));
-    }
-    XbwFibRef::from_parts(
-        params[0],
-        params[1],
-        section(sections::XBW_SI)?,
-        section(sections::XBW_SA)?,
-        section(sections::XBW_LABELS)?,
-    )
-    .map_err(ImageError::from)
 }
 
 // ---------------------------------------------------------------------
@@ -963,6 +951,20 @@ macro_rules! impl_image_kinds {
         }
 
         impl EngineKind {
+            /// Every kind, engines first, in table order.
+            pub const ALL: &'static [Self] = &[$($(Self::$kind,)?)* $(Self::$ckind,)*];
+
+            /// The engine's [`ImageCodec::SECTIONS`]; empty for a
+            /// container kind, whose layout is its own module's.
+            #[must_use]
+            pub fn sections(self) -> Layout {
+                match self {
+                    // The layout does not depend on the address family.
+                    $($( Self::$kind => <$owned<u32> as ImageCodec<u32>>::SECTIONS, )?)*
+                    $( Self::$ckind => &[], )*
+                }
+            }
+
             /// Decodes the header byte.
             #[must_use]
             pub fn from_u8(v: u8) -> Option<Self> {
@@ -1021,18 +1023,23 @@ macro_rules! impl_image_kinds {
             )?)*
         }
 
-        /// Assembles the engine-appropriate view for whatever `image`
-        /// encodes.
-        ///
-        /// # Errors
-        /// Any [`ImageError`].
-        pub fn any_view<A: Address>(image: &FibImage) -> Result<AnyView<'_, A>, ImageError> {
-            Ok(match image.engine()? {
-                $($(
-                    EngineKind::$kind => AnyView::$kind(<$owned<A> as ImageCodec<A>>::view(image)?),
-                )?)*
-                $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
-            })
+        impl<'i, A: Address> AnyView<'i, A> {
+            /// The view of a `kind` engine, [`ImageCodec::parse`]d from the
+            /// sections `section` resolves by canonical id.
+            ///
+            /// # Errors
+            /// [`ImageError::Unsupported`] for a container kind; else as
+            /// the engine's parse.
+            pub fn parse(
+                kind: EngineKind,
+                section: impl Sections<'i>,
+                trusted: bool,
+            ) -> Result<Self, ImageError> {
+                Ok(match kind {
+                    $($( EngineKind::$kind => Self::$kind($owned::<A>::parse(section, trusted)?), )?)*
+                    $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
+                })
+            }
         }
 
         impl<A: Address> FibLookup<A> for AnyView<'_, A> {
@@ -1078,6 +1085,16 @@ macro_rules! impl_image_kinds {
 
 crate::engine::engine_table!(impl_image_kinds);
 
+/// Assembles the engine-appropriate view for whatever `image` encodes.
+///
+/// # Errors
+/// Any [`ImageError`].
+pub fn any_view<A: Address>(image: &FibImage) -> Result<AnyView<'_, A>, ImageError> {
+    let kind = image.engine()?;
+    image.expect::<A>(kind)?;
+    AnyView::parse(kind, |id| image.section(id), false)
+}
+
 impl FibImage {
     /// Borrows the optional [`sections::HOT_SLAB`] section as a validated
     /// slab view; `Ok(None)` when the image carries no slab.
@@ -1092,6 +1109,51 @@ impl FibImage {
             Ok(words) => HotSlabRef::from_words(words)
                 .map(Some)
                 .map_err(|e| ImageError::Malformed(e.0)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BuildConfig, FibBuild};
+
+    /// Builds the visited engine over a table and reports the section ids
+    /// its image carries beside the layout its codec declares.
+    struct Emitted<'t>(&'t BinaryTrie<u32>);
+
+    impl EngineVisitor<u32> for Emitted<'_> {
+        type Output = (Vec<u32>, Layout);
+
+        fn visit<E>(self) -> Self::Output
+        where
+            E: ImageCodec<u32> + FibBuild<u32> + Send + Sync + 'static,
+        {
+            let engine = E::build(self.0, &BuildConfig::default());
+            let bytes = write_image(&engine, None, 0).expect("every codec has an encoding");
+            let image = FibImage::from_bytes(&bytes).expect("the image loads");
+            let ids = image.section_table().iter().map(|e| e.id).collect();
+            (ids, E::SECTIONS)
+        }
+    }
+
+    /// `SECTIONS` is what a vrfset table's slots, lint and `fibc inspect`
+    /// read, so it must be exactly what `write_sections` emits, in order.
+    #[test]
+    fn every_codec_writes_exactly_its_sections_in_order() {
+        let mut trie = BinaryTrie::new();
+        for (addr, len, hop) in [(0, 0, 1), (0x0A00_0000, 8, 2), (0x0A01_0000, 16, 3)] {
+            trie.insert(Prefix::new(addr, len), NextHop::new(hop));
+        }
+        for &kind in EngineKind::ALL {
+            let Ok((written, layout)) = kind.visit(Emitted(&trie)) else {
+                assert_eq!(kind, EngineKind::VrfSet, "only the container has no codec");
+                continue;
+            };
+            let declared: Vec<u32> = layout.iter().map(|&(id, _)| id).collect();
+            assert_eq!(written, declared, "{}", kind.name());
+            assert_eq!(kind.sections(), layout, "{}", kind.name());
+            assert!(layout.len() <= sections::VRF_TABLE_STRIDE as usize);
         }
     }
 }

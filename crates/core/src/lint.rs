@@ -44,6 +44,7 @@ use fib_trie::Address;
 
 use crate::hot::{key_addr, HotSlabRef};
 use crate::image::{any_view, sections, EngineKind, FibImage, ImageError, SectionEntry};
+use crate::vrf::{VrfSetRef, VrfSetStats};
 use crate::FibLookup;
 
 /// Word-size of the header and the alignment unit of section payloads.
@@ -525,8 +526,8 @@ fn wavelet_pass(words: &[u64], issues: &mut Vec<LintIssue>) -> Option<usize> {
 const VS_MAX_STRIDE: u64 = 16;
 
 /// Deep pass over a [`EngineKind::VsDag`] image. Re-derives the block
-/// tiling and the run ranks from the raw words — independently of
-/// [`crate::VarStrideDagRef`]'s load validation — so a corrupt image the
+/// tiling and the run ranks from the raw words — independently of the
+/// vsdag view's load validation — so a corrupt image the
 /// view refuses still yields the *named* class of damage:
 ///
 /// * `vsdag-stride-out-of-range` — a directory entry's stride field is
@@ -702,14 +703,13 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
         issues.push(issue("vrf-dir-malformed", "directory has no count word"));
         return;
     };
-    let count = count as usize;
-    if dir.len() != 1 + count * crate::vrf::VRF_DIR_RECORD_WORDS {
+    let records = (count as usize).saturating_mul(crate::vrf::VRF_DIR_RECORD_WORDS);
+    if dir.len() - 1 != records {
         issues.push(issue(
             "vrf-dir-malformed",
             format!(
-                "directory is {} words; {count} tables need {}",
-                dir.len(),
-                1 + count * crate::vrf::VRF_DIR_RECORD_WORDS
+                "directory holds {} record words; {count} tables need {records}",
+                dir.len() - 1
             ),
         ));
         return;
@@ -737,7 +737,9 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
         ));
     }
     let mut prev_id: Option<u32> = None;
-    let mut route_sum = 0u64;
+    // Σ routes, Σ standalone bytes, Σ reachable nodes: `None` once one
+    // overflows, which only a hostile directory can make happen.
+    let mut sums = Some((0u64, 0u64, 0u64));
     for (index, record) in dir[1..]
         .chunks_exact(crate::vrf::VRF_DIR_RECORD_WORDS)
         .enumerate()
@@ -750,7 +752,13 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             ));
         }
         prev_id = Some(id);
-        route_sum += record[2];
+        sums = sums.and_then(|(routes, solo, reachable)| {
+            Some((
+                routes.checked_add(record[2])?,
+                solo.checked_add(record[4].checked_mul(16)?)?,
+                reachable.checked_add(record[3])?,
+            ))
+        });
         let choice = u8::try_from(record[0] >> 32)
             .ok()
             .and_then(crate::vrf::VrfEngineChoice::from_u8);
@@ -764,8 +772,8 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             ));
             continue;
         };
-        match choice {
-            crate::vrf::VrfEngineChoice::Shared => {
+        match choice.engine_kind() {
+            None => {
                 let root = record[1] as u32;
                 if root != PDAG_NONE && root as usize >= n_nodes {
                     issues.push(issue(
@@ -785,18 +793,9 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
                     ));
                 }
             }
-            crate::vrf::VrfEngineChoice::Serialized
-            | crate::vrf::VrfEngineChoice::Xbw
-            | crate::vrf::VrfEngineChoice::VsDag => {
+            Some(kind) => {
                 let base = crate::vrf::vrf_section_base(index);
-                // Params plus payload sections: serialized carries two
-                // payloads, xbw and vsdag three.
-                let slots = if choice == crate::vrf::VrfEngineChoice::Serialized {
-                    3
-                } else {
-                    4
-                };
-                for slot in 0..slots {
+                for slot in 0..kind.sections().len() as u32 {
                     if image.section(base + slot).is_err() {
                         issues.push(issue(
                             "vrf-dangling-section",
@@ -811,38 +810,19 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             }
         }
     }
-    if route_sum != image.route_count() {
-        issues.push(issue(
+    match sums {
+        None => issues.push(issue(
+            "vrf-dir-malformed",
+            "directory route or node counts overflow when summed",
+        )),
+        Some((route_sum, ..)) if route_sum != image.route_count() => issues.push(issue(
             "route-count-mismatch",
             format!(
                 "header claims {} routes, directory tables sum to {route_sum}",
                 image.route_count()
             ),
-        ));
-    }
-    if !issues.is_empty() {
-        return; // view assembly below would only repeat the findings
-    }
-    // Validating view assembly + the size-claim drift check the plain
-    // engines get from view_pass.
-    let view_size = match image.family() {
-        4 => crate::vrf::VrfSetRef::<u32>::from_image(image).map(|v| v.stats().resident_bytes()),
-        _ => crate::vrf::VrfSetRef::<u128>::from_image(image).map(|v| v.stats().resident_bytes()),
-    };
-    match view_size {
-        Err(e) => issues.push(issue("view-malformed", e.to_string())),
-        Ok(resident) => {
-            let claimed = image.claimed_size_bytes();
-            let drift = claimed.abs_diff(resident);
-            if drift > resident / 2 + 1024 {
-                issues.push(issue(
-                    "size-claim-drift",
-                    format!(
-                        "header claims {claimed} resident bytes, the set view accounts {resident}"
-                    ),
-                ));
-            }
-        }
+        )),
+        Some(_) => {}
     }
 }
 
@@ -851,27 +831,24 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
 // ---------------------------------------------------------------------
 
 fn view_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
-    if image.engine().is_err() || !matches!(image.family(), 4 | 6) {
+    let Ok(kind) = image.engine() else {
         return; // already reported; a view cannot be built
+    };
+    // A vrfset view would only repeat what `vrf_pass` found.
+    let vrf_set = kind == EngineKind::VrfSet;
+    if !matches!(image.family(), 4 | 6) || (vrf_set && !issues.is_empty()) {
+        return;
     }
-    if image.engine() == Ok(EngineKind::VrfSet) {
-        return; // VRF-keyed; vrf_pass assembles and sizes the set view
-    }
-    let view_size = match image.family() {
-        4 => match any_view::<u32>(image) {
-            Ok(view) => FibLookup::<u32>::size_bytes(&view),
-            Err(e) => {
-                issues.push(issue("view-malformed", e.to_string()));
-                return;
-            }
-        },
-        _ => match any_view::<u128>(image) {
-            Ok(view) => FibLookup::<u128>::size_bytes(&view),
-            Err(e) => {
-                issues.push(issue("view-malformed", e.to_string()));
-                return;
-            }
-        },
+    let set_size = |set: VrfSetStats| set.resident_bytes() as usize;
+    let view_size = match (vrf_set, image.family()) {
+        (true, 4) => VrfSetRef::<u32>::from_image(image).map(|v| set_size(v.stats())),
+        (true, _) => VrfSetRef::<u128>::from_image(image).map(|v| set_size(v.stats())),
+        (false, 4) => any_view::<u32>(image).map(|view| view.size_bytes()),
+        (false, _) => any_view::<u128>(image).map(|view| view.size_bytes()),
+    };
+    let view_size = match view_size {
+        Ok(size) => size,
+        Err(e) => return issues.push(issue("view-malformed", e.to_string())),
     };
     // A hot slab rides along in the resident-size claim (it is served,
     // not decoded away); parse failures are hot_slab_pass's to report.
@@ -1092,6 +1069,51 @@ mod tests {
         assert!(
             issues.iter().any(|i| i.code == "vrf-dir-malformed"),
             "{issues:?}"
+        );
+    }
+
+    #[test]
+    fn vrf_dir_counts_that_overflow_are_malformed_not_a_panic() {
+        use crate::vrf::{compile_vrf_set, write_vrf_image, VrfPolicy, VrfSetRef, VrfTable};
+        let t1 = small_fib();
+        let tables = [VrfTable { id: 1, trie: &t1 }, VrfTable { id: 2, trie: &t1 }];
+        let set = compile_vrf_set(&tables, &BuildConfig::default(), &VrfPolicy::Shared);
+        let good = write_vrf_image(&set, 0).unwrap();
+        let dir = FibImage::from_bytes(&good).unwrap().section_table()[1];
+        assert_eq!(dir.id, sections::VRF_DIR);
+        // Record word 4 is the standalone node count, charged at 16 bytes a
+        // node; a second record's reachable count makes the sum overflow.
+        let record_words = crate::vrf::VRF_DIR_RECORD_WORDS;
+        let word = |record: usize, w: usize| (dir.offset + 1 + record * record_words + w) * 8;
+        for (at, value) in [(word(0, 4), 1u64 << 60), (word(1, 3), u64::MAX)] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let bad = repair_checksum(bad);
+            let issues = lint_bytes(&bad);
+            assert!(
+                issues.iter().any(|i| i.code == "vrf-dir-malformed"),
+                "{issues:?}"
+            );
+            let image = FibImage::from_bytes(&bad).unwrap();
+            assert_eq!(
+                VrfSetRef::<u32>::from_image(&image).err(),
+                Some(ImageError::Malformed("vrf dir counts overflow"))
+            );
+        }
+        // A table count whose record words overflow is a length mismatch.
+        let mut bad = good;
+        let count = dir.offset * 8;
+        bad[count..count + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let bad = repair_checksum(bad);
+        let issues = lint_bytes(&bad);
+        assert!(
+            issues.iter().any(|i| i.code == "vrf-dir-malformed"),
+            "{issues:?}"
+        );
+        let image = FibImage::from_bytes(&bad).unwrap();
+        assert_eq!(
+            VrfSetRef::<u32>::from_image(&image).err(),
+            Some(ImageError::Malformed("vrf dir length"))
         );
     }
 

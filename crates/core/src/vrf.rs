@@ -1,6 +1,6 @@
 //! Multi-tenant VRF compilation: many logical forwarding tables folded
 //! into **one shared, hash-consed prefix-DAG arena**, with a measured
-//! cost model placing each table on the engine that serves it best.
+//! cost model able to place a table on an engine of its own.
 //!
 //! Production routers hold thousands of VRFs whose FIBs share most of
 //! their structure. The paper's trie-folding merges identical subtrees
@@ -28,6 +28,10 @@
 //!    ([`VrfSetStats::root_bytes`]); an image does not store them, its
 //!    loader ([`VrfSetRef::from_image`]) derives the same ones.
 //!
+//! Steps 2 and 3 see shared-placement tables only; a dedicated table is
+//! folded in step 1 for its standalone node count alone, the
+//! independent-compilation baseline every table records.
+//!
 //! A fleet that changes a table at a time is recompiled **from the set
 //! compiled before it** ([`recompile_vrf_set`]): steps 1 and 2 run for
 //! the changed tables only, against an interner seeded with the previous
@@ -35,20 +39,21 @@
 //! the bytes a from-scratch compile would. [`compile_vrf_set`] is that
 //! function with nothing to start from.
 //!
-//! Not every table belongs in the shared arena. The [`CostModel`] —
-//! fitted from measured per-engine size/speed points (the
-//! `engine.<name>.stream_ns` / `.bytes` metrics of `BENCHMARK.json`) plus
-//! live traffic weight from the `HeatSketch` — places each table on one of
-//! three engines: the shared arena (charged only its *marginal* unique
-//! bytes), a dedicated [`SerializedDag`] (fastest, ~8 ns), or a
-//! dedicated entropy-mode [`XbwFib`] (smallest, ~1.3 bits/route). Hot
-//! tables land on pdag-serialized, cold tables on xbw-entropy,
-//! high-overlap tables stay shared.
+//! Not every table belongs in the shared arena. Under
+//! [`VrfPolicy::Auto`] a cost model — fitted from measured per-engine
+//! size/speed points plus live traffic weight from the `HeatSketch` —
+//! places each table on the shared arena (charged only its *marginal*
+//! unique bytes) or on a dedicated pdag-serialized, vsdag or xbw-entropy
+//! engine; [`VrfPolicy::Pinned`] names the placements outright. A
+//! dedicated table is an ordinary engine: [`VrfEngineChoice::engine_kind`]
+//! names its [`EngineKind`], whose `visit` builds it (XBW-b in entropy
+//! storage) and whose codec writes it and [`AnyView::parse`]s it back.
 //!
 //! The whole set ships as one `fibimage/v1` file: a [`sections::VRF_DIR`]
-//! directory, the shared [`sections::VRF_PDAG`] arena, and per-table
-//! dedicated-engine sections in private id blocks. [`VrfSetRef`]
-//! reassembles the zero-copy per-VRF views from a loaded image.
+//! directory, the shared [`sections::VRF_PDAG`] arena, and each dedicated
+//! table's sections at [`vrf_section_base`] of its directory index plus
+//! their position in [`ImageCodec::SECTIONS`]. [`VrfSetRef`] reassembles
+//! the zero-copy per-VRF views from a loaded image.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -58,13 +63,11 @@ use fib_trie::{Address, BinaryTrie, NextHop};
 use crate::engine::{BuildConfig, FibBuild, FibLookup};
 use crate::idhash::IdBuildHasher;
 use crate::image::{
-    sections, serialized_view, vsdag_view, xbw_view, AnyView, EngineKind, FibImage, ImageCodec,
-    ImageError, ImageWriter,
+    sections, write_image, AnyView, EngineKind, EngineVisitor, FibImage, ImageCodec, ImageError,
+    ImageWriter,
 };
 use crate::pdag::{pack_bfs, packed_root_array, PrefixDag, PrefixDagRef, RootArray};
-use crate::serialized::{SerializedDag, SerializedDagRef};
-use crate::vsdag::{VarStrideDag, VarStrideDagRef};
-use crate::xbw::{XbwFib, XbwStorage};
+use crate::xbw::XbwStorage;
 
 const NONE: u32 = u32::MAX;
 
@@ -113,6 +116,18 @@ impl VrfEngineChoice {
             Self::VsDag => "vsdag",
         }
     }
+
+    /// The engine a dedicated placement builds, `None` for the shared
+    /// arena — the one place a placement becomes an [`EngineKind`].
+    #[must_use]
+    pub fn engine_kind(self) -> Option<EngineKind> {
+        match self {
+            Self::Shared => None,
+            Self::Serialized => Some(EngineKind::SerializedDag),
+            Self::Xbw => Some(EngineKind::Xbw),
+            Self::VsDag => Some(EngineKind::VsDag),
+        }
+    }
 }
 
 /// Measured size/speed cost model for per-VRF engine placement.
@@ -132,25 +147,23 @@ impl VrfEngineChoice {
 /// `vsdag_bits_per_route` (fitted before the vsdag stored runs), are due
 /// a re-fit together, since any one of them moves placements.
 #[derive(Clone, Copy, Debug)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Measured ns/lookup of a dedicated serialized DAG.
-    pub serialized_ns: f64,
+    serialized_ns: f64,
     /// Measured density of a dedicated serialized DAG, bits per route.
-    pub serialized_bits_per_route: f64,
+    serialized_bits_per_route: f64,
     /// Measured ns/lookup of a dedicated entropy-mode XBW-b.
-    pub xbw_ns: f64,
+    xbw_ns: f64,
     /// Measured density of entropy-mode XBW-b, bits per route.
-    pub xbw_bits_per_route: f64,
+    xbw_bits_per_route: f64,
     /// Measured ns/lookup of a dedicated variable-stride DAG.
-    pub vsdag_ns: f64,
-    /// Measured density of a dedicated variable-stride DAG, bits per
-    /// route.
-    pub vsdag_bits_per_route: f64,
+    vsdag_ns: f64,
+    /// Measured density of a dedicated variable-stride DAG, bits/route.
+    vsdag_bits_per_route: f64,
     /// Measured ns/lookup of the shared packed pDAG walk.
-    pub shared_ns: f64,
-    /// Memory rent: the cost of one resident byte, in the same units as
-    /// one expected nanosecond of lookup latency.
-    pub byte_rent: f64,
+    shared_ns: f64,
+    /// Memory rent: one resident byte's cost, in expected lookup ns.
+    byte_rent: f64,
 }
 
 impl Default for CostModel {
@@ -169,56 +182,27 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// The placement cost of `choice` for a table with `routes` routes,
-    /// `marginal_shared_bytes` of arena bytes unique to it, and a
-    /// normalized traffic weight in `[0, 1]`.
-    #[must_use]
-    pub fn cost(
-        &self,
-        choice: VrfEngineChoice,
-        routes: u64,
-        marginal_shared_bytes: u64,
-        traffic_weight: f64,
-    ) -> f64 {
-        let (ns, bytes) = match choice {
-            VrfEngineChoice::Shared => (self.shared_ns, marginal_shared_bytes as f64),
-            VrfEngineChoice::Serialized => (
-                self.serialized_ns,
-                routes as f64 * self.serialized_bits_per_route / 8.0,
-            ),
-            VrfEngineChoice::Xbw => (self.xbw_ns, routes as f64 * self.xbw_bits_per_route / 8.0),
-            VrfEngineChoice::VsDag => (
-                self.vsdag_ns,
-                routes as f64 * self.vsdag_bits_per_route / 8.0,
-            ),
+    /// The cheapest engine for a table with `routes` routes, `marginal`
+    /// arena bytes unique to it and a normalized traffic `weight` in
+    /// `[0, 1]` (the first in declaration order on a tie). Hot tables land
+    /// on serialized, cold low-overlap tables on xbw-entropy, high-overlap
+    /// tables on the shared arena.
+    fn place(&self, routes: u64, marginal: u64, weight: f64) -> VrfEngineChoice {
+        use VrfEngineChoice::{Serialized, Shared, VsDag, Xbw};
+        let dedicated = |ns, bits_per_route| (ns, routes as f64 * bits_per_route / 8.0);
+        let cost = |choice| {
+            let (ns, bytes) = match choice {
+                Shared => (self.shared_ns, marginal as f64),
+                Serialized => dedicated(self.serialized_ns, self.serialized_bits_per_route),
+                Xbw => dedicated(self.xbw_ns, self.xbw_bits_per_route),
+                VsDag => dedicated(self.vsdag_ns, self.vsdag_bits_per_route),
+            };
+            weight * ns + self.byte_rent * bytes
         };
-        traffic_weight * ns + self.byte_rent * bytes
-    }
-
-    /// Picks the cheapest engine for one table. Hot tables (large
-    /// `traffic_weight`) land on serialized, cold low-overlap tables on
-    /// xbw-entropy, high-overlap tables on the shared arena.
-    #[must_use]
-    pub fn place(
-        &self,
-        routes: u64,
-        marginal_shared_bytes: u64,
-        traffic_weight: f64,
-    ) -> VrfEngineChoice {
-        let mut best = VrfEngineChoice::Shared;
-        let mut best_cost = self.cost(best, routes, marginal_shared_bytes, traffic_weight);
-        for choice in [
-            VrfEngineChoice::Serialized,
-            VrfEngineChoice::Xbw,
-            VrfEngineChoice::VsDag,
-        ] {
-            let c = self.cost(choice, routes, marginal_shared_bytes, traffic_weight);
-            if c < best_cost {
-                best = choice;
-                best_cost = c;
-            }
-        }
-        best
+        [Shared, Serialized, Xbw, VsDag]
+            .into_iter()
+            .min_by(|a, b| cost(*a).total_cmp(&cost(*b)))
+            .expect("four candidates")
     }
 }
 
@@ -322,42 +306,74 @@ impl VrfSetStats {
 /// `Arc` so every later set that carries the table over unchanged shares
 /// it instead of copying or rebuilding it.
 #[derive(Clone)]
-pub enum VrfDedicated<A: Address> {
-    /// [`VrfEngineChoice::Serialized`].
-    Serialized(Arc<SerializedDag<A>>),
-    /// [`VrfEngineChoice::Xbw`].
-    Xbw(Arc<XbwFib<A>>),
-    /// [`VrfEngineChoice::VsDag`].
-    VsDag(Arc<VarStrideDag<A>>),
+pub struct VrfDedicated<A: Address> {
+    choice: VrfEngineChoice,
+    engine: Arc<dyn Dedicated<A>>,
+    /// What the engine's view over its own image sections sizes itself
+    /// at — the bytes [`VrfSetRef::stats`] charges for the table, so a
+    /// loaded set accounts as the compiled one does.
+    served_bytes: u64,
 }
 
 impl<A: Address> VrfDedicated<A> {
     /// The placement this engine realizes.
     #[must_use]
     pub fn choice(&self) -> VrfEngineChoice {
-        match self {
-            Self::Serialized(_) => VrfEngineChoice::Serialized,
-            Self::Xbw(_) => VrfEngineChoice::Xbw,
-            Self::VsDag(_) => VrfEngineChoice::VsDag,
-        }
+        self.choice
     }
 
     /// The engine behind its lookup interface.
     #[must_use]
     pub fn engine(&self) -> &dyn FibLookup<A> {
-        match self {
-            Self::Serialized(e) => &**e,
-            Self::Xbw(e) => &**e,
-            Self::VsDag(e) => &**e,
-        }
+        &*self.engine
     }
+}
 
-    fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
-        match self {
-            Self::Serialized(e) => ImageCodec::<A>::write_sections(&**e, writer),
-            Self::Xbw(e) => ImageCodec::<A>::write_sections(&**e, writer),
-            Self::VsDag(e) => ImageCodec::<A>::write_sections(&**e, writer),
+/// What a fleet keeps of a dedicated engine: its lookups, and its image
+/// sections, written into a table's id block.
+trait Dedicated<A: Address>: FibLookup<A> + Send + Sync {
+    /// Writes each section at `base` + its position in the codec's
+    /// [`ImageCodec::SECTIONS`].
+    fn write_at(&self, writer: &mut ImageWriter, base: u32) -> Result<(), ImageError>;
+}
+
+impl<A: Address, E: ImageCodec<A> + Send + Sync> Dedicated<A> for E {
+    fn write_at(&self, writer: &mut ImageWriter, base: u32) -> Result<(), ImageError> {
+        let image = FibImage::from_bytes(&write_image(self, None, 0)?)?;
+        for (slot, &(id, _)) in (0..).zip(E::SECTIONS) {
+            writer.section(base + slot, image.section(id)?);
         }
+        Ok(())
+    }
+}
+
+/// Builds the engine [`EngineKind::visit`] names over one table, an
+/// XBW-b always in the entropy storage the cost model prices.
+struct BuildDedicated<'a, A: Address> {
+    choice: VrfEngineChoice,
+    trie: &'a BinaryTrie<A>,
+    config: &'a BuildConfig,
+}
+
+impl<A: Address> EngineVisitor<A> for BuildDedicated<'_, A> {
+    type Output = Result<VrfDedicated<A>, ImageError>;
+
+    fn visit<E>(self) -> Self::Output
+    where
+        E: ImageCodec<A> + FibBuild<A> + Send + Sync + 'static,
+    {
+        let config = BuildConfig {
+            xbw_storage: XbwStorage::Entropy,
+            ..*self.config
+        };
+        let engine = E::build(self.trie, &config);
+        let image = FibImage::from_bytes(&write_image(&engine, None, 0)?)?;
+        let served_bytes = E::view_prevalidated(&image)?.size_bytes() as u64;
+        Ok(VrfDedicated {
+            choice: self.choice,
+            engine: Arc::new(engine),
+            served_bytes,
+        })
     }
 }
 
@@ -399,11 +415,10 @@ impl<A: Address> CompiledVrf<A> {
         self.root_array.as_deref()
     }
 
-    /// Footprint of the dedicated engine (0 on the shared arena).
+    /// Footprint of the dedicated engine as served from its image (0 on
+    /// the shared arena).
     fn dedicated_bytes(&self) -> u64 {
-        self.dedicated
-            .as_ref()
-            .map_or(0, |d| d.engine().size_bytes() as u64)
+        self.dedicated.as_ref().map_or(0, |d| d.served_bytes)
     }
 }
 
@@ -579,7 +594,7 @@ enum Source<'a, A: Address> {
 /// (when non-empty) or `VrfPolicy::Pinned` choices differ in length from
 /// `tables`.
 #[must_use]
-pub fn compile_vrf_set<A: Address>(
+pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
     tables: &[VrfTable<'_, A>],
     config: &BuildConfig,
     policy: &VrfPolicy,
@@ -619,7 +634,7 @@ pub fn compile_vrf_set<A: Address>(
 /// absent from `previous` or the policy places it on another engine than
 /// `previous` did; or if a table is carried under `Auto`.
 #[must_use]
-pub fn recompile_vrf_set<A: Address>(
+pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
     previous: &CompiledVrfSet<A>,
     fleet: &[(u32, Option<&BinaryTrie<A>>)],
     config: &BuildConfig,
@@ -732,19 +747,15 @@ pub fn recompile_vrf_set<A: Address>(
             Source::Folded {
                 trie, ref words, ..
             } => {
-                let dedicated = match choice {
-                    VrfEngineChoice::Shared => None,
-                    VrfEngineChoice::Serialized => Some(VrfDedicated::Serialized(Arc::new(
-                        SerializedDag::build(trie, config),
-                    ))),
-                    VrfEngineChoice::Xbw => Some(VrfDedicated::Xbw(Arc::new(XbwFib::build(
-                        trie,
-                        XbwStorage::Entropy,
-                    )))),
-                    VrfEngineChoice::VsDag => Some(VrfDedicated::VsDag(Arc::new(
-                        VarStrideDag::from_trie(trie, config.vs_params()),
-                    ))),
+                let build = BuildDedicated {
+                    choice,
+                    trie,
+                    config,
                 };
+                let dedicated = choice.engine_kind().map(|kind| {
+                    (kind.visit(build).and_then(|built| built))
+                        .expect("a placement names an engine with an image encoding")
+                });
                 CompiledVrf {
                     id,
                     root,
@@ -818,24 +829,9 @@ pub fn vrf_section_base(index: usize) -> u32 {
     sections::VRF_TABLE_BASE + index as u32 * sections::VRF_TABLE_STRIDE
 }
 
-/// Slot offset of a canonical engine section id inside a table's private
-/// id block: params at 0, payload sections at 1.. in their codec order.
-fn vrf_section_slot(id: u32) -> u32 {
-    match id {
-        sections::PARAMS => 0,
-        sections::SER_ENTRIES | sections::XBW_SI | sections::VS_NODES => 1,
-        sections::SER_NODES | sections::XBW_SA | sections::VS_BLOCKS => 2,
-        sections::XBW_LABELS | sections::VS_RUNS => 3,
-        other => {
-            debug_assert!(false, "unexpected dedicated-engine section {other:#x}");
-            4
-        }
-    }
-}
-
 /// Serializes a compiled set into one `fibimage/v1` blob: `VRF_DIR`
 /// directory, shared `VRF_PDAG` arena, and the dedicated engines'
-/// sections remapped into per-table id blocks.
+/// sections in per-table id blocks.
 ///
 /// # Errors
 /// [`ImageError::Unsupported`] if a dedicated engine configuration has
@@ -868,13 +864,10 @@ pub fn write_vrf_image<A: Address>(
     });
     writer.section(sections::VRF_PDAG, &set.arena);
     for (index, t) in set.tables.iter().enumerate() {
-        let Some(dedicated) = &t.dedicated else {
-            continue;
-        };
-        let base = vrf_section_base(index);
-        let mut sub = ImageWriter::new::<A>(EngineKind::VrfSet, t.routes, epoch);
-        dedicated.write_sections(&mut sub)?;
-        writer.import_remapped(sub, |id| base + vrf_section_slot(id));
+        if let Some(dedicated) = &t.dedicated {
+            let base = vrf_section_base(index);
+            dedicated.engine.write_at(&mut writer, base)?;
+        }
     }
     Ok(writer.finish())
 }
@@ -943,9 +936,9 @@ pub struct VrfSetRef<'a, A: Address> {
 
 impl<'a, A: Address> VrfSetRef<'a, A> {
     /// Assembles the view, validating the directory (ids strictly
-    /// ascending, roots in range, dedicated sections present) and the
-    /// shared arena's child references, and derives every shared table's
-    /// root array.
+    /// ascending, roots in range, dedicated sections present, counts
+    /// whose byte sums fit a `u64`) and the shared arena's child
+    /// references, and derives every shared table's root array.
     ///
     /// # Errors
     /// Any [`ImageError`]; hostile images fail loudly, never panic.
@@ -954,7 +947,7 @@ impl<'a, A: Address> VrfSetRef<'a, A> {
         let dir = image.section(sections::VRF_DIR)?;
         let arena = image.section(sections::VRF_PDAG)?;
         let count = *dir.first().ok_or(ImageError::Malformed("vrf dir empty"))? as usize;
-        if dir.len() != 1 + count * VRF_DIR_RECORD_WORDS {
+        if dir.len() - 1 != count.saturating_mul(VRF_DIR_RECORD_WORDS) {
             return Err(ImageError::Malformed("vrf dir length"));
         }
         // One full child-range scan over the shared arena covers every
@@ -965,6 +958,8 @@ impl<'a, A: Address> VrfSetRef<'a, A> {
         let mut tables = Vec::with_capacity(count);
         let mut root_arrays = Vec::with_capacity(count);
         let mut prev_id: Option<u32> = None;
+        // What `stats` sums of the raw directory words, checked here.
+        let (mut solo_bytes, mut reachable) = (0u64, 0u64);
         for (index, record) in dir[1..].chunks_exact(VRF_DIR_RECORD_WORDS).enumerate() {
             let id = record[0] as u32;
             if prev_id.is_some_and(|p| p >= id) {
@@ -976,11 +971,13 @@ impl<'a, A: Address> VrfSetRef<'a, A> {
                 .and_then(VrfEngineChoice::from_u8)
                 .ok_or(ImageError::Malformed("vrf engine choice"))?;
             let root = record[1] as u32;
-            // A dedicated engine's sections sit in the table's private id
-            // block; the layouts themselves are `image.rs`'s to parse.
-            let section = |id| image.section(vrf_section_base(index) + vrf_section_slot(id));
-            let engine = match choice {
-                VrfEngineChoice::Shared => {
+            let overflow = || ImageError::Malformed("vrf dir counts overflow");
+            solo_bytes = (record[4].checked_mul(16))
+                .and_then(|bytes| solo_bytes.checked_add(bytes))
+                .ok_or_else(overflow)?;
+            reachable = reachable.checked_add(record[3]).ok_or_else(overflow)?;
+            let engine = match choice.engine_kind() {
+                None => {
                     if root != NONE && u64::from(root) >= n_nodes {
                         return Err(ImageError::Malformed("vrf root out of range"));
                     }
@@ -989,14 +986,16 @@ impl<'a, A: Address> VrfSetRef<'a, A> {
                             .map_err(ImageError::Malformed)?,
                     )
                 }
-                VrfEngineChoice::Serialized => VrfEngineRef::Dedicated(AnyView::SerializedDag(
-                    serialized_view(section, SerializedDagRef::from_parts)?,
-                )),
-                VrfEngineChoice::Xbw => VrfEngineRef::Dedicated(AnyView::Xbw(xbw_view(section)?)),
-                VrfEngineChoice::VsDag => VrfEngineRef::Dedicated(AnyView::VsDag(vsdag_view(
-                    section,
-                    VarStrideDagRef::from_parts,
-                )?)),
+                // Canonical section `id` sits at the table's block base plus
+                // its position in the engine's `SECTIONS`.
+                Some(kind) => {
+                    let slot = |id| kind.sections().iter().position(|&(s, _)| s == id);
+                    let section = |id| match slot(id) {
+                        Some(slot) => image.section(vrf_section_base(index) + slot as u32),
+                        None => Err(ImageError::MissingSection(id)),
+                    };
+                    VrfEngineRef::Dedicated(AnyView::parse(kind, section, false)?)
+                }
             };
             tables.push(VrfTableRef {
                 id,
@@ -1189,9 +1188,9 @@ mod tests {
             assert_eq!(record(got), record(want));
         }
         // Carried means shared, not rebuilt.
-        let engine = |set: &CompiledVrfSet<u32>| match &set.tables[0].dedicated {
-            Some(VrfDedicated::Serialized(dag)) => Arc::clone(dag),
-            _ => panic!("table 1 is pinned to serialized"),
+        let engine = |set: &CompiledVrfSet<u32>| {
+            let dedicated = set.tables[0].dedicated.clone();
+            dedicated.expect("table 1 is pinned to serialized").engine
         };
         assert!(Arc::ptr_eq(&engine(&previous), &engine(&next)));
         for i in 0..2048u32 {

@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use fib_core::{
-    BuildConfig, EngineKind, FibBuild, FibImage, FibLookup, FibUpdate, ImageCodec, ImageError,
-    ImageWriter, PrefixDag, RebuildNeeded, VrfEngineChoice, VrfPolicy,
+    BuildConfig, EngineKind, FibBuild, FibLookup, FibUpdate, ImageCodec, ImageError, ImageWriter,
+    PrefixDag, RebuildNeeded, VrfEngineChoice, VrfPolicy,
 };
 use fib_router::{Router, RouterConfig, VrfSetRouter};
 use fib_trie::{BinaryTrie, NextHop, Prefix};
@@ -79,12 +79,16 @@ impl FibUpdate<u32> for Flaky {
 
 impl ImageCodec<u32> for Flaky {
     const ENGINE: EngineKind = <PrefixDag<u32> as ImageCodec<u32>>::ENGINE;
+    const SECTIONS: fib_core::image::Layout = <PrefixDag<u32> as ImageCodec<u32>>::SECTIONS;
     type Ref<'i> = <PrefixDag<u32> as ImageCodec<u32>>::Ref<'i>;
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
         self.0.write_sections(writer)
     }
-    fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        <PrefixDag<u32> as ImageCodec<u32>>::view(image)
+    fn parse<'i>(
+        section: impl fib_core::image::Sections<'i>,
+        trusted: bool,
+    ) -> Result<Self::Ref<'i>, ImageError> {
+        <PrefixDag<u32> as ImageCodec<u32>>::parse(section, trusted)
     }
     fn resident_size_bytes(&self) -> usize {
         self.0.resident_size_bytes()

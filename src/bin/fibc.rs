@@ -397,27 +397,20 @@ fn compile_vrfs(args: &[String], vrfs: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// A section's name: an engine section's from its codec's `SECTIONS`,
+/// the rest from here.
 fn section_name(id: u32) -> &'static str {
-    if id >= sections::VRF_TABLE_BASE {
-        return "vrf.table";
-    }
     match id {
-        sections::PARAMS => "params",
         sections::ROUTES => "routes",
-        sections::XBW_SI => "xbw.s_i",
-        sections::XBW_SA => "xbw.s_alpha",
-        sections::XBW_LABELS => "xbw.labels",
-        sections::PDAG_NODES => "pdag.nodes",
-        sections::SER_ENTRIES => "serialized.entries",
-        sections::SER_NODES => "serialized.nodes",
-        sections::VS_NODES => "vsdag.nodes",
-        sections::VS_BLOCKS => "vsdag.blocks",
-        sections::VS_RUNS => "vsdag.runs",
-        sections::LC_NODES => "lctrie.nodes",
         sections::HOT_SLAB => "hot.slab",
         sections::VRF_DIR => "vrf.dir",
         sections::VRF_PDAG => "vrf.pdag",
-        _ => "unknown",
+        _ if id >= sections::VRF_TABLE_BASE => "vrf.table",
+        _ => EngineKind::ALL
+            .iter()
+            .flat_map(|kind| kind.sections())
+            .find(|&&(section, _)| section == id)
+            .map_or("unknown", |&(_, name)| name),
     }
 }
 

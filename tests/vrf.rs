@@ -22,9 +22,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
+use fibcomp::core::lint::lint_bytes;
 use fibcomp::core::{
-    compile_vrf_set, write_vrf_image, BuildConfig, CompiledVrfSet, FibImage, VrfEngineChoice,
-    VrfPolicy, VrfSetRef, VrfTable,
+    compile_vrf_set, vrf_section_base, write_vrf_image, BuildConfig, CompiledVrfSet, FibImage,
+    VrfEngineChoice, VrfPolicy, VrfSetRef, VrfTable,
 };
 use fibcomp::router::{VrfBatchScratch, VrfSetRouter};
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
@@ -47,7 +48,10 @@ fn arb_routes<A: Address>(rng: &mut impl Rng, max: usize) -> Vec<(Prefix<A>, Nex
 }
 
 /// Folded node count of a table compiled on its own (a one-table set).
-fn solo_nodes<A: Address>(trie: &BinaryTrie<A>, config: &BuildConfig) -> u64 {
+fn solo_nodes<A: Address + Send + Sync + 'static>(
+    trie: &BinaryTrie<A>,
+    config: &BuildConfig,
+) -> u64 {
     let tables = [VrfTable { id: 0, trie }];
     compile_vrf_set(&tables, config, &VrfPolicy::Shared)
         .stats
@@ -265,6 +269,84 @@ fn every_vrf_matches_its_oracle_across_a_background_rebuild_v4() {
 #[test]
 fn every_vrf_matches_its_oracle_across_a_background_rebuild_v6() {
     differential_across_rebuild::<u128>("v6");
+}
+
+/// A pinned fleet with every placement — shared, serialized, xbw and vsdag
+/// — through the whole image path: compiled, written, loaded, answering as
+/// the oracles do, accounted as compiled and lint-clean; and with any one
+/// section of any dedicated table dropped, lint names the dangling section.
+fn every_placement_roundtrips<A: Address + Send + Sync + 'static>(tag: &str) {
+    use VrfEngineChoice::{Serialized, Shared, VsDag, Xbw};
+    let mut rng = Xoshiro256::for_case("vrf_every_placement", 0);
+    let base: BinaryTrie<A> = FibSpec::dfz_like(400).generate(&mut rng);
+    let fleet = VrfFleetSpec {
+        tables: 5,
+        overlap: 0.9,
+        seed: 0x5EC7,
+    }
+    .generate(&base);
+    let oracles: BTreeMap<u32, BinaryTrie<A>> = (0..).step_by(3).zip(fleet).collect();
+    let tables: Vec<VrfTable<'_, A>> = oracles
+        .iter()
+        .map(|(id, trie)| VrfTable { id: *id, trie })
+        .collect();
+    let choices = vec![Serialized, Shared, Xbw, Shared, VsDag];
+    let policy = VrfPolicy::Pinned {
+        choices: choices.clone(),
+    };
+    let set = compile_vrf_set(&tables, &BuildConfig::default(), &policy);
+    let placed: Vec<_> = set.tables.iter().map(|t| t.choice()).collect();
+    assert_eq!(placed, choices, "{tag}");
+
+    let bytes = write_vrf_image(&set, 3).expect("a fleet image");
+    let image = FibImage::from_bytes(&bytes).expect("the image loads");
+    let view = VrfSetRef::<A>::from_image(&image).expect("its view assembles");
+    assert_eq!(
+        view.stats(),
+        set.stats,
+        "{tag}: the loader accounts the same"
+    );
+    for (vrf, addr) in fleet_keys(&oracles, &mut rng, 256) {
+        let want = oracles[&vrf].lookup(addr);
+        let at = format!("{tag}: vrf {vrf} addr {:#x}", addr.to_u128());
+        assert_eq!(set.lookup(vrf, addr), want, "{at}");
+        assert_eq!(view.lookup(vrf, addr), want, "{at} (image)");
+    }
+    assert_eq!(lint_bytes(&bytes), Vec::new(), "{tag}");
+
+    for (index, table) in set.tables.iter().enumerate() {
+        let Some(kind) = table.choice().engine_kind() else {
+            continue;
+        };
+        for slot in 0..kind.sections().len() as u32 {
+            let doomed = vrf_section_base(index) + slot;
+            let pos = (image.section_table().iter())
+                .position(|e| e.id == doomed)
+                .unwrap_or_else(|| panic!("{tag}: section {doomed:#x} written"));
+            let mut bad = bytes.clone();
+            let id_word = (8 + 2 * pos) * 8;
+            bad[id_word..id_word + 8].copy_from_slice(&0x0EEEu64.to_le_bytes());
+            bad[56..64].fill(0);
+            let checksum = fibcomp::succinct::fnv1a(&bad);
+            bad[56..64].copy_from_slice(&checksum.to_le_bytes());
+            let issues = lint_bytes(&bad);
+            assert!(
+                issues.iter().any(|i| i.code == "vrf-dangling-section"),
+                "{tag}: {} table {index} without {doomed:#x}: {issues:?}",
+                kind.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_dedicated_engine_roundtrips_through_a_fleet_image_v4() {
+    every_placement_roundtrips::<u32>("v4");
+}
+
+#[test]
+fn every_dedicated_engine_roundtrips_through_a_fleet_image_v6() {
+    every_placement_roundtrips::<u128>("v6");
 }
 
 /// Field-for-field equality of two compiled sets: arena words, every
