@@ -1,5 +1,7 @@
 //! Ablation studies supporting the paper's design choices (not a paper
-//! artifact, but DESIGN.md commits to them):
+//! artifact: they check the two choices this reproduction makes on its
+//! own — which λ formula to ship and which XBW-b storage backends to
+//! offer):
 //!
 //! * **A1 — barrier formulas**: how the λ of Eq. (2)/(3) compares with an
 //!   exhaustive sweep, across FIBs of different entropy;

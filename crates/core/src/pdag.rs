@@ -38,13 +38,19 @@
 //!
 //! A table of a compiled VRF fleet ([`crate::CompiledVrfSet`]) walks from
 //! the same array, derived by the same function over its packed arena
-//! words ([`RootArray`]), with `k` fixed at 8 whatever λ is. The
-//! `min(λ, 8)` above exists so that an in-place update touches only
-//! unshared top nodes; a compiled set is never updated in place, and the
-//! derivation just replays a walk's first eight steps, which is exact
-//! over any DAG — shared nodes above depth 8 included, at any λ, v4 and
-//! v6. So neither a fleet's directory nor its image records a `k`: a
-//! loaded set derives exactly the arrays its compiler derived.
+//! ([`RootArray`]), with `k` fixed at 8 whatever λ is. The `min(λ, 8)`
+//! above exists so that an in-place update touches only unshared top
+//! nodes; a compiled set is never updated in place, and the derivation
+//! just replays a walk's first eight steps, which is exact over any DAG —
+//! shared nodes above depth 8 included, at any λ, v4 and v6. So neither a
+//! fleet's directory nor its image records a `k`: a loaded set derives
+//! exactly the arrays its compiler derived.
+//!
+//! There is one walk, [`PrefixDagRef::lookup_with_depth`], and it starts
+//! from a slice of `2^k` entries for any `k ≤ 8`: the updatable pDAG's
+//! `min(λ, 8)` array, a fleet table's 256 entries, or — for a kind-2
+//! image, which stores no array — the `k = 0` start at the root with no
+//! label above it. [`PrefixDag::lookup`] is that walk over its own arena.
 //!
 //! # Two halves
 //!
@@ -52,31 +58,41 @@
 //! array, the root, λ and the counters `len` / `stats` / `size_bytes`
 //! read, which is all a lookup, an image encode or a size report touches —
 //! and a *control half*: the control FIB (the uncompressed image the paper
-//! keeps in control-plane DRAM, §4.3), the interning map, the free list
-//! and the change stamps. A working engine has both. What a router publishes
-//! ([`PrefixDag::publish_copy`]) is the data-plane half alone: it answers
-//! every read-only method exactly as the working engine did at that
-//! publish, and it cannot be updated.
+//! keeps in control-plane DRAM, §4.3), the interning map, the free list,
+//! the reference counts and the change stamps. A working engine has both.
+//! What a router publishes ([`PrefixDag::publish_copy`]) is the data-plane
+//! half alone: it answers every read-only method exactly as the working
+//! engine did at that publish, and it cannot be updated.
 //!
-//! Every write that changes a node's `left`, `right` or `label` goes
-//! through one setter that stamps the node with the number of the publish
-//! it will first show in — one `u32` a node, however many updates pass
-//! with nobody publishing. A reference-count write is not a change: the
-//! data plane never reads the count. Handed back a copy it published
-//! earlier, `publish_copy` rewrites just the nodes stamped since that
-//! copy's publish (each once, however often it changed), appends the
-//! arena's growth and refreshes the root array, so a publish costs what
-//! changed, and most of the buffer's cache lines are left as the
-//! forwarding thread last saw them.
+//! The arena is the record every packed form of the structure uses — two
+//! words a node, `left | right << 32` and the label, the layout of a
+//! kind-2 image and of a fleet's shared arena — read through one decoder
+//! (`packed_node`). A published copy therefore holds the image's records
+//! and nothing else, in arena order with the free-list holes still in
+//! place; writing an image drops the holes and renumbers in BFS order
+//! ([`PrefixDag::write_packed`]).
+//!
+//! Every write that changes a node's record goes through one setter that
+//! stamps the node with the number of the publish it will first show in
+//! — one `u32` a node, however many updates pass with nobody publishing.
+//! A reference count lives beside the stamps, not in the record: the data
+//! plane never reads it, so changing one is not a node write. Handed back
+//! a copy it published earlier, `publish_copy` rewrites just the records
+//! stamped since that copy's publish (each once, however often it
+//! changed), appends the arena's growth and refreshes the root array, so
+//! a publish costs what changed, and most of the buffer's cache lines are
+//! left as the forwarding thread last saw them.
 //!
 //! # Update strategy
 //!
 //! The paper's §4.3 decompresses the DAG path node-by-node and re-folds
-//! below the changed prefix. We implement the same-worst-case but simpler
-//! variant (see DESIGN.md): an update at depth `p < λ` edits the top tree
-//! in O(W); an update at depth `p ≥ λ` re-normalizes the one affected
-//! λ-subtrie from the control FIB and re-folds it in O(2^(W−λ)), releasing
-//! the old subtrie's references. Both match Theorem 3's bound.
+//! below the changed prefix. We implement a simpler variant with the same
+//! worst case: an update at depth `p < λ` edits the top tree in O(W); an
+//! update at depth `p ≥ λ` re-normalizes the one affected λ-subtrie from
+//! the control FIB and re-folds it in O(2^(W−λ)), releasing the old
+//! subtrie's references. Both match Theorem 3's bound; the re-fold reuses
+//! the old fold's sibling subtries on the changed path (`refold_path`),
+//! so the common case costs O(W + 2^(W−p)) for an update at depth `p`.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -131,70 +147,66 @@ impl RootEntry {
 /// docs' "Root array").
 pub type RootArray = [RootEntry; 1 << ROOT_BITS];
 
-/// Fills the `2^(k − depth)` entries of `entries` under the `depth`-bit
-/// path `slot`, whose node is `idx` (`NONE`: the path already ended)
-/// with `last` the last label above it, by replaying the walk: `node`
-/// reads a node as `(left, right, label)`. The updatable pDAG's arena and
-/// a packed fleet arena both derive their arrays through this.
+/// Node `idx` of a record arena as `(left, right, label)` — the one
+/// decoder of the two-word record `left | right << 32`, `label` that the
+/// updatable pDAG, its images and a fleet's shared arena all store.
+#[inline]
+pub(crate) fn packed_node(words: &[u64], idx: u32) -> (u32, u32, u32) {
+    let at = 2 * idx as usize;
+    let record = &words[at..at + 2];
+    (record[0] as u32, (record[0] >> 32) as u32, record[1] as u32)
+}
+
+/// The two words [`packed_node`] decodes as `(left, right, label)`.
+#[inline]
+pub(crate) fn record(left: u32, right: u32, label: u32) -> [u64; 2] {
+    [u64::from(left) | (u64::from(right) << 32), u64::from(label)]
+}
+
+/// Fills the `2^(k − depth)` entries of the `2^k`-entry `entries` under
+/// the `depth`-bit path `slot`, whose node in the record arena `words` is
+/// `idx` (`NONE`: the path already ended) with `last` the last label
+/// above it, by replaying the walk. The updatable pDAG and a packed fleet
+/// arena both derive their arrays through this.
 fn fill_entries(
     entries: &mut [RootEntry],
-    k: u8,
+    words: &[u64],
     idx: u32,
     depth: u8,
     slot: usize,
     last: u32,
-    node: &impl Fn(u32) -> (u32, u32, u32),
 ) {
-    if depth == k {
+    if 1 << depth == entries.len() {
         entries[slot] = RootEntry { node: idx, last };
         return;
     }
     let (left, right, last) = if idx == NONE {
         (NONE, NONE, last)
     } else {
-        let (left, right, label) = node(idx);
+        let (left, right, label) = packed_node(words, idx);
         (left, right, if label == NONE { last } else { label })
     };
-    fill_entries(entries, k, left, depth + 1, slot << 1, last, node);
-    fill_entries(entries, k, right, depth + 1, slot << 1 | 1, last, node);
-}
-
-/// Node `idx` of a packed image as `(left, right, label)`.
-#[inline]
-fn packed_node(words: &[u64], idx: u32) -> (u32, u32, u32) {
-    let children = words[2 * idx as usize];
-    let label = words[2 * idx as usize + 1] as u32;
-    (children as u32, (children >> 32) as u32, label)
+    fill_entries(entries, words, left, depth + 1, slot << 1, last);
+    fill_entries(entries, words, right, depth + 1, slot << 1 | 1, last);
 }
 
 /// The [`RootArray`] of the table rooted at `root` (not `NONE`) in the
 /// packed arena `words`, whose child references are in range.
 pub(crate) fn packed_root_array(words: &[u64], root: u32) -> Box<RootArray> {
     let mut array = Box::new([RootEntry::at(NONE); 1 << ROOT_BITS]);
-    fill_entries(&mut array[..], ROOT_BITS, root, 0, 0, NONE, &|idx| {
-        packed_node(words, idx)
-    });
+    fill_entries(&mut array[..], words, root, 0, 0, NONE);
     array
 }
 
-/// The compacting BFS every packed image is written by: one queue
-/// seeded with `roots` in order (`NONE` entries skipped), the left child
-/// visited before the right, ids assigned on first discovery. `count`
-/// bounds the node indices and `node` reads a node as `(left, right,
-/// label)`. Returns two words per reached node — `left | right << 32`
-/// and the label — and each root remapped. A pDAG packs its one root
-/// ([`PrefixDag::write_packed`]); a compiled VRF fleet packs every
-/// table's root into one shared arena.
-pub(crate) fn pack_bfs(
-    count: usize,
-    roots: &[u32],
-    node: impl Fn(u32) -> (u32, u32, u32),
-) -> (Vec<u64>, Vec<u32>) {
-    let mut remap = vec![NONE; count];
+/// The nodes reachable from `roots` in the record arena `words`, each
+/// once, in the order of one BFS queue seeded with `roots` in order
+/// (`NONE` entries skipped) that visits the left child before the right.
+pub(crate) fn bfs_order(words: &[u64], roots: &[u32]) -> Vec<u32> {
+    let mut seen = vec![false; words.len() / 2];
     let mut order: Vec<u32> = Vec::new();
     let mut discover = |idx: u32, order: &mut Vec<u32>| {
-        if idx != NONE && remap[idx as usize] == NONE {
-            remap[idx as usize] = order.len() as u32;
+        if idx != NONE && !seen[idx as usize] {
+            seen[idx as usize] = true;
             order.push(idx);
         }
     };
@@ -204,10 +216,24 @@ pub(crate) fn pack_bfs(
     // `order` doubles as the queue: everything past `next` is pending.
     let mut next = 0;
     while next < order.len() {
-        let (left, right, _) = node(order[next]);
+        let (left, right, _) = packed_node(words, order[next]);
         discover(left, &mut order);
         discover(right, &mut order);
         next += 1;
+    }
+    order
+}
+
+/// The compacting BFS every packed image is written by: the records of
+/// the nodes [`bfs_order`] reaches from `roots`, renumbered in that
+/// order, and each root remapped. A pDAG packs its one root
+/// ([`PrefixDag::write_packed`]); a compiled VRF fleet packs every
+/// table's root into one shared arena.
+pub(crate) fn pack_bfs(words: &[u64], roots: &[u32]) -> (Vec<u64>, Vec<u32>) {
+    let order = bfs_order(words, roots);
+    let mut remap = vec![NONE; words.len() / 2];
+    for (new, &old) in (0..).zip(&order) {
+        remap[old as usize] = new;
     }
     let packed = |idx: u32| {
         if idx == NONE {
@@ -216,13 +242,12 @@ pub(crate) fn pack_bfs(
             remap[idx as usize]
         }
     };
-    let mut words = Vec::with_capacity(order.len() * 2);
+    let mut out = Vec::with_capacity(order.len() * 2);
     for &idx in &order {
-        let (left, right, label) = node(idx);
-        words.push(u64::from(packed(left)) | (u64::from(packed(right)) << 32));
-        words.push(u64::from(label));
+        let (left, right, label) = packed_node(words, idx);
+        out.extend(record(packed(left), packed(right), label));
     }
-    (words, roots.iter().map(|&root| packed(root)).collect())
+    (out, roots.iter().map(|&root| packed(root)).collect())
 }
 
 /// Interning key of a folded node (the sub-trie id of Definition 1):
@@ -234,21 +259,6 @@ enum Key {
     Leaf(u32),
     /// Folded interior node keyed by its folded children.
     Interior(u32, u32),
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DagNode {
-    pub(crate) left: u32,
-    pub(crate) right: u32,
-    pub(crate) label: u32,
-    /// Reference count; fixed at 1 for top (unshared) nodes.
-    refcount: u32,
-}
-
-impl DagNode {
-    pub(crate) fn is_leaf(self) -> bool {
-        self.left == NONE && self.right == NONE
-    }
 }
 
 /// What [`PrefixDag::len`], [`PrefixDag::stats`] and
@@ -273,7 +283,8 @@ struct Counts {
 /// "Two halves".
 pub struct PrefixDag<A: Address> {
     // Data-plane half: all a published copy carries.
-    pub(crate) nodes: Vec<DagNode>,
+    /// Two words a node: `left | right << 32`, then the label.
+    pub(crate) nodes: Vec<u64>,
     pub(crate) root: u32,
     /// One entry per `min(λ, ROOT_BITS)`-bit address prefix.
     root_array: Vec<RootEntry>,
@@ -289,6 +300,8 @@ pub struct PrefixDag<A: Address> {
     control: Option<BinaryTrie<A>>,
     interner: HashMap<Key, u32, IdBuildHasher>,
     free: Vec<u32>,
+    /// Per node, its reference count; fixed at 1 for top (unshared) nodes.
+    refcounts: Vec<u32>,
     /// Per node, the publish its last change first shows in.
     stamps: Vec<u32>,
     /// What the last [`Self::publish_copy`] wrote into a reused buffer.
@@ -306,6 +319,7 @@ impl<A: Address> Clone for PrefixDag<A> {
             control: self.control.clone(),
             interner: self.interner.clone(),
             free: self.free.clone(),
+            refcounts: self.refcounts.clone(),
             stamps: self.stamps.clone(),
             ..self.data_plane()
         }
@@ -335,13 +349,14 @@ impl<A: Address> PrefixDag<A> {
             control: Some(trie.clone()),
             interner: HashMap::default(),
             free: Vec::new(),
+            refcounts: Vec::new(),
             stamps: Vec::new(),
             last_copy_writes: None,
             _marker: PhantomData,
         };
         dag.root = dag.build_top(trie.root(), 0);
-        dag.root_array = vec![RootEntry::at(NONE); 1 << dag.root_bits()];
-        dag.fill_root(dag.root, 0, 0, NONE);
+        dag.root_array = vec![RootEntry::at(NONE); 1 << lambda.min(ROOT_BITS)];
+        fill_entries(&mut dag.root_array, &dag.nodes, dag.root, 0, 0, NONE);
         dag
     }
 
@@ -358,11 +373,6 @@ impl<A: Address> PrefixDag<A> {
     #[must_use]
     pub fn lambda(&self) -> u8 {
         self.lambda
-    }
-
-    /// Levels collapsed into the root array.
-    fn root_bits(&self) -> u8 {
-        self.lambda.min(ROOT_BITS)
     }
 
     /// Number of routes.
@@ -399,16 +409,32 @@ impl<A: Address> PrefixDag<A> {
     // Construction
     // ------------------------------------------------------------------
 
-    fn alloc(&mut self, node: DagNode) -> u32 {
+    /// Node `idx` as `(left, right, label)`.
+    #[inline]
+    pub(crate) fn node(&self, idx: u32) -> (u32, u32, u32) {
+        packed_node(&self.nodes, idx)
+    }
+
+    fn is_leaf(&self, idx: u32) -> bool {
+        let (left, right, _) = self.node(idx);
+        left == NONE && right == NONE
+    }
+
+    /// A node holding one reference, in a free slot if there is one.
+    fn alloc(&mut self, left: u32, right: u32, label: u32) -> u32 {
+        let words = record(left, right, label);
         if let Some(idx) = self.free.pop() {
             self.counts.free_slots -= 1;
-            self.nodes[idx as usize] = node;
+            let at = 2 * idx as usize;
+            self.nodes[at..at + 2].copy_from_slice(&words);
+            self.refcounts[idx as usize] = 1;
             self.stamps[idx as usize] = self.publish;
             idx
         } else {
-            self.nodes.push(node);
+            self.nodes.extend(words);
+            self.refcounts.push(1);
             self.stamps.push(self.publish);
-            self.nodes.len() as u32 - 1
+            self.stamps.len() as u32 - 1
         }
     }
 
@@ -419,14 +445,14 @@ impl<A: Address> PrefixDag<A> {
         self.counts.free_slots += 1;
     }
 
-    /// The one place a live node's `left`, `right` or `label` is written:
-    /// a node the data plane can read differently afterwards is stamped
-    /// for the next [`Self::publish_copy`].
-    fn write(&mut self, idx: u32, edit: impl FnOnce(&mut DagNode)) {
-        let node = &mut self.nodes[idx as usize];
-        let before = (node.left, node.right, node.label);
-        edit(node);
-        if before != (node.left, node.right, node.label) {
+    /// The one place a live node's record is rewritten: a node the data
+    /// plane can read differently afterwards is stamped for the next
+    /// [`Self::publish_copy`].
+    fn write(&mut self, idx: u32, (left, right, label): (u32, u32, u32)) {
+        let words = record(left, right, label);
+        let at = 2 * idx as usize;
+        if self.nodes[at..at + 2] != words {
+            self.nodes[at..at + 2].copy_from_slice(&words);
             self.stamps[idx as usize] = self.publish;
         }
     }
@@ -439,12 +465,11 @@ impl<A: Address> PrefixDag<A> {
         let left = node.left().map(|c| self.build_top(c, depth + 1));
         let right = node.right().map(|c| self.build_top(c, depth + 1));
         self.counts.top_nodes += 1;
-        self.alloc(DagNode {
-            left: left.unwrap_or(NONE),
-            right: right.unwrap_or(NONE),
-            label: node.label().map_or(NONE, |nh| nh.index()),
-            refcount: 1,
-        })
+        self.alloc(
+            left.unwrap_or(NONE),
+            right.unwrap_or(NONE),
+            node.label().map_or(NONE, |nh| nh.index()),
+        )
     }
 
     /// Leaf-pushes and hash-conses the control subtrie at `node` in one
@@ -464,7 +489,7 @@ impl<A: Address> PrefixDag<A> {
         // Coalescing (normalization): identical sibling leaves merge into
         // their parent. Interning makes identical leaves *the same node*,
         // so the check is pointer equality.
-        if left == right && self.nodes[left as usize].is_leaf() {
+        if left == right && self.is_leaf(left) {
             self.release(right); // give back one of our two references
             return left;
         }
@@ -473,15 +498,10 @@ impl<A: Address> PrefixDag<A> {
 
     fn intern_leaf(&mut self, label: u32) -> u32 {
         if let Some(&existing) = self.interner.get(&Key::Leaf(label)) {
-            self.nodes[existing as usize].refcount += 1;
+            self.refcounts[existing as usize] += 1;
             return existing;
         }
-        let idx = self.alloc(DagNode {
-            left: NONE,
-            right: NONE,
-            label,
-            refcount: 1,
-        });
+        let idx = self.alloc(NONE, NONE, label);
         self.interner.insert(Key::Leaf(label), idx);
         self.counts.folded_leaves += 1;
         idx
@@ -490,19 +510,14 @@ impl<A: Address> PrefixDag<A> {
     /// The paper's `put(i, j, v)`: share an interior node by child ids.
     fn intern_interior(&mut self, left: u32, right: u32) -> u32 {
         if let Some(&existing) = self.interner.get(&Key::Interior(left, right)) {
-            self.nodes[existing as usize].refcount += 1;
+            self.refcounts[existing as usize] += 1;
             // The existing node already owns references to these children;
             // give back the ones acquired while building them.
             self.release(left);
             self.release(right);
             return existing;
         }
-        let idx = self.alloc(DagNode {
-            left,
-            right,
-            label: NONE,
-            refcount: 1,
-        });
+        let idx = self.alloc(left, right, NONE);
         self.interner.insert(Key::Interior(left, right), idx);
         self.counts.folded_interior += 1;
         idx
@@ -511,25 +526,27 @@ impl<A: Address> PrefixDag<A> {
     /// The paper's `get`: drop one reference, freeing (and un-indexing)
     /// the node and its subtree when the count reaches zero.
     fn release(&mut self, idx: u32) {
-        let node = self.nodes[idx as usize];
-        debug_assert!(node.refcount >= 1, "release of dead node {idx}");
-        if node.refcount > 1 {
-            self.nodes[idx as usize].refcount -= 1;
+        let refcount = &mut self.refcounts[idx as usize];
+        debug_assert!(*refcount >= 1, "release of dead node {idx}");
+        if *refcount > 1 {
+            *refcount -= 1;
             return;
         }
-        let key = if node.is_leaf() {
-            Key::Leaf(node.label)
+        let (left, right, label) = self.node(idx);
+        let leaf = left == NONE && right == NONE;
+        let key = if leaf {
+            Key::Leaf(label)
         } else {
-            Key::Interior(node.left, node.right)
+            Key::Interior(left, right)
         };
         let removed = self.interner.remove(&key);
         debug_assert_eq!(removed, Some(idx), "interner out of sync at {idx}");
-        if node.is_leaf() {
+        if leaf {
             self.counts.folded_leaves -= 1;
         } else {
             self.counts.folded_interior -= 1;
-            self.release(node.left);
-            self.release(node.right);
+            self.release(left);
+            self.release(right);
         }
         self.free_slot(idx);
     }
@@ -544,7 +561,7 @@ impl<A: Address> PrefixDag<A> {
     #[must_use]
     #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        self.lookup_with_depth(addr).0
+        self.view().lookup(addr)
     }
 
     /// Lookup that also reports the node records read after the root-array
@@ -553,40 +570,18 @@ impl<A: Address> PrefixDag<A> {
     #[must_use]
     #[inline]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
-        let mut depth = self.root_bits();
-        let entry = self.root_array[addr.bits(0, depth) as usize];
-        let mut idx = entry.node;
-        let mut last = entry.last;
-        let mut reads: Depth = 0;
-        while idx != NONE {
-            let node = self.nodes[idx as usize];
-            reads += 1;
-            if node.label != NONE {
-                last = node.label;
-            }
-            if depth >= A::WIDTH {
-                break;
-            }
-            idx = if addr.bit(depth) {
-                node.right
-            } else {
-                node.left
-            };
-            depth += 1;
-        }
-        ((last != NONE).then(|| NextHop::new(last)), reads)
+        self.view().lookup_with_depth(addr)
     }
 
-    /// Re-derives the root-array entries below the top-tree node `idx`
-    /// (`NONE`: the path already ended), which sits at `depth ≤ k` under
-    /// the `depth`-bit path `slot` with `last` the last label above it.
-    fn fill_root(&mut self, idx: u32, depth: u8, slot: usize, last: u32) {
-        let k = self.root_bits();
-        let nodes = &self.nodes;
-        fill_entries(&mut self.root_array, k, idx, depth, slot, last, &|i| {
-            let node = nodes[i as usize];
-            (node.left, node.right, node.label)
-        });
+    /// The packed walk over this arena, from this root array.
+    #[inline]
+    fn view(&self) -> PrefixDagRef<'_, A> {
+        PrefixDagRef {
+            words: &self.nodes,
+            root: self.root,
+            root_array: &self.root_array,
+            _marker: PhantomData,
+        }
     }
 
     /// Brings the root array up to date after an arena edit on `prefix`'s
@@ -595,24 +590,21 @@ impl<A: Address> PrefixDag<A> {
     /// moved — nodes created or pruned along the path carry no label and
     /// no child off it.
     fn refresh_root(&mut self, prefix: Prefix<A>) {
-        let stop = prefix.len().min(self.root_bits());
+        let stop = prefix.len().min(self.lambda.min(ROOT_BITS));
         let mut idx = self.root;
         let mut last = NONE;
         for depth in 0..stop {
             if idx == NONE {
                 break;
             }
-            let node = self.nodes[idx as usize];
-            if node.label != NONE {
-                last = node.label;
+            let (left, right, label) = self.node(idx);
+            if label != NONE {
+                last = label;
             }
-            idx = if prefix.bit(depth) {
-                node.right
-            } else {
-                node.left
-            };
+            idx = if prefix.bit(depth) { right } else { left };
         }
-        self.fill_root(idx, stop, prefix.addr().bits(0, stop) as usize, last);
+        let slot = prefix.addr().bits(0, stop) as usize;
+        fill_entries(&mut self.root_array, &self.nodes, idx, stop, slot, last);
     }
 
     // ------------------------------------------------------------------
@@ -633,7 +625,8 @@ impl<A: Address> PrefixDag<A> {
             for depth in 0..prefix.len() {
                 idx = self.ensure_top_child(idx, prefix.bit(depth));
             }
-            self.write(idx, |node| node.label = next_hop.index());
+            let (left, right, _) = self.node(idx);
+            self.write(idx, (left, right, next_hop.index()));
         } else {
             self.refold_portal(prefix);
         }
@@ -656,7 +649,8 @@ impl<A: Address> PrefixDag<A> {
                 debug_assert_ne!(idx, NONE, "top tree out of sync with control FIB");
                 path.push(idx);
             }
-            self.write(idx, |node| node.label = NONE);
+            let (left, right, _) = self.node(idx);
+            self.write(idx, (left, right, NONE));
             self.prune_top(&path, prefix);
         } else {
             self.refold_portal(prefix);
@@ -749,8 +743,7 @@ impl<A: Address> PrefixDag<A> {
     ) -> u32 {
         let reached_change = depth >= prefix.len();
         let ctrl_ends = ctrl.is_none_or(|n| n.is_leaf()) || depth == A::WIDTH;
-        let old_is_leaf = self.nodes[old as usize].is_leaf();
-        if reached_change || ctrl_ends || old_is_leaf {
+        if reached_change || ctrl_ends || self.is_leaf(old) {
             // Everything below here must be re-normalized from the control
             // FIB (or the old fold coalesced and offers nothing to share).
             return self.fold(ctrl, inherited, depth);
@@ -758,23 +751,23 @@ impl<A: Address> PrefixDag<A> {
         let node = ctrl.expect("checked non-leaf control node");
         let effective = node.label().map(|nh| nh.index()).or(inherited);
         let bit = prefix.bit(depth);
-        let old_node = self.nodes[old as usize];
+        let (old_left, old_right, _) = self.node(old);
         let (old_follow, old_other) = if bit {
-            (old_node.right, old_node.left)
+            (old_right, old_left)
         } else {
-            (old_node.left, old_node.right)
+            (old_left, old_right)
         };
         let follow_ctrl = if bit { node.right() } else { node.left() };
         let new_follow = self.refold_path(follow_ctrl, old_follow, depth + 1, prefix, effective);
         // The sibling subtrie is untouched by this update, so its fold is
         // identical — acquire a reference instead of re-folding.
-        self.nodes[old_other as usize].refcount += 1;
+        self.refcounts[old_other as usize] += 1;
         let (left, right) = if bit {
             (old_other, new_follow)
         } else {
             (new_follow, old_other)
         };
-        if left == right && self.nodes[left as usize].is_leaf() {
+        if left == right && self.is_leaf(left) {
             self.release(right);
             return left;
         }
@@ -787,8 +780,7 @@ impl<A: Address> PrefixDag<A> {
     fn prune_top(&mut self, path: &[u32], prefix: Prefix<A>) {
         for depth in (1..path.len()).rev() {
             let idx = path[depth];
-            let node = self.nodes[idx as usize];
-            if node.left == NONE && node.right == NONE && node.label == NONE {
+            if self.node(idx) == (NONE, NONE, NONE) {
                 let parent = path[depth - 1];
                 self.set_top_child(parent, prefix.bit(depth as u8 - 1), NONE);
                 self.free_slot(idx);
@@ -800,22 +792,22 @@ impl<A: Address> PrefixDag<A> {
     }
 
     fn top_child(&self, idx: u32, bit: bool) -> u32 {
-        let node = self.nodes[idx as usize];
+        let (left, right, _) = self.node(idx);
         if bit {
-            node.right
+            right
         } else {
-            node.left
+            left
         }
     }
 
     fn set_top_child(&mut self, idx: u32, bit: bool, child: u32) {
-        self.write(idx, |node| {
-            if bit {
-                node.right = child;
-            } else {
-                node.left = child;
-            }
-        });
+        let (left, right, label) = self.node(idx);
+        let node = if bit {
+            (left, child, label)
+        } else {
+            (child, right, label)
+        };
+        self.write(idx, node);
     }
 
     fn ensure_top_child(&mut self, idx: u32, bit: bool) -> u32 {
@@ -823,12 +815,7 @@ impl<A: Address> PrefixDag<A> {
         if child != NONE {
             return child;
         }
-        let new = self.alloc(DagNode {
-            left: NONE,
-            right: NONE,
-            label: NONE,
-            refcount: 1,
-        });
+        let new = self.alloc(NONE, NONE, NONE);
         self.counts.top_nodes += 1;
         self.set_top_child(idx, bit, new);
         new
@@ -851,6 +838,7 @@ impl<A: Address> PrefixDag<A> {
             control: None,
             interner: HashMap::default(),
             free: Vec::new(),
+            refcounts: Vec::new(),
             stamps: Vec::new(),
             last_copy_writes: None,
             _marker: PhantomData,
@@ -883,11 +871,11 @@ impl<A: Address> PrefixDag<A> {
         let copy = match reusable {
             Some(mut buffer) => {
                 let had = buffer.nodes.len();
-                let mut writes = self.nodes.len() - had;
-                let current = self.nodes.iter().zip(&self.stamps);
-                for (node, (now, &stamp)) in buffer.nodes.iter_mut().zip(current) {
+                let mut writes = (self.nodes.len() - had) / 2;
+                let current = self.nodes.chunks_exact(2).zip(&self.stamps);
+                for (node, (now, &stamp)) in buffer.nodes.chunks_exact_mut(2).zip(current) {
                     if stamp > buffer.publish {
-                        *node = *now;
+                        node.copy_from_slice(now);
                         writes += 1;
                     }
                 }
@@ -936,15 +924,10 @@ impl<A: Address> PrefixDag<A> {
     }
 
     /// Whether a lookup, an image encode or a size report can tell `self`
-    /// from `other`: every node on `(left, right, label)` — reference
-    /// counts are the control half's business — every root entry, the
-    /// root, λ and the counters.
+    /// from `other`: every node record, every root entry, the root, λ and
+    /// the counters.
     fn same_data_plane(&self, other: &Self) -> bool {
-        let reads = |n: &DagNode| (n.left, n.right, n.label);
-        self.nodes
-            .iter()
-            .map(reads)
-            .eq(other.nodes.iter().map(reads))
+        self.nodes == other.nodes
             && self.root_array == other.root_array
             && (self.root, self.lambda, self.counts) == (other.root, other.lambda, other.counts)
     }
@@ -975,35 +958,15 @@ impl<A: Address> PrefixDag<A> {
     /// leaf labels, ⊥ excluded) — the δ of the size model.
     #[must_use]
     pub fn distinct_labels(&self) -> usize {
-        let mut labels: Vec<u32> = self
-            .nodes_live()
-            .filter_map(|n| (n.label != NONE).then_some(n.label))
+        // Live nodes are the reachable ones: free slots keep stale bits.
+        let mut labels: Vec<u32> = bfs_order(&self.nodes, &[self.root])
+            .into_iter()
+            .map(|idx| self.node(idx).2)
+            .filter(|&label| label != NONE)
             .collect(); // fibcheck: allow(hot-path): control-plane statistics; reached through a name-collision edge, not the lookup walk
         labels.sort_unstable();
         labels.dedup();
         labels.len()
-    }
-
-    fn nodes_live(&self) -> impl Iterator<Item = DagNode> + '_ {
-        // Live nodes = reachable; free slots keep stale bits, so walk.
-        let mut seen = vec![false; self.nodes.len()]; // fibcheck: allow(hot-path): control-plane statistics; reached through a name-collision edge, not the lookup walk
-        let mut stack = Vec::new();
-        if self.root != NONE {
-            stack.push(self.root);
-            seen[self.root as usize] = true;
-        }
-        let mut out = Vec::new();
-        while let Some(idx) = stack.pop() {
-            let node = self.nodes[idx as usize];
-            out.push(node);
-            for child in [node.left, node.right] {
-                if child != NONE && !seen[child as usize] {
-                    seen[child as usize] = true;
-                    stack.push(child);
-                }
-            }
-        }
-        out.into_iter()
     }
 
     /// Storage size in bits under the paper's §4.2 memory model: nodes
@@ -1025,7 +988,7 @@ impl<A: Address> PrefixDag<A> {
     /// Actual arena footprint in bytes (live slots only; 16 bytes each).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        (self.nodes.len() - self.counts.free_slots) * std::mem::size_of::<DagNode>()
+        (self.nodes.len() / 2 - self.counts.free_slots) * 16
     }
 
     /// Fraction of arena slots sitting on the free list, in `[0, 1]`.
@@ -1044,7 +1007,7 @@ impl<A: Address> PrefixDag<A> {
         if self.nodes.is_empty() {
             0.0
         } else {
-            self.counts.free_slots as f64 / self.nodes.len() as f64
+            self.counts.free_slots as f64 / (self.nodes.len() / 2) as f64
         }
     }
 
@@ -1059,7 +1022,7 @@ impl<A: Address> PrefixDag<A> {
     /// # Panics
     /// Panics if an invariant is broken.
     pub fn assert_invariants(&self) {
-        let k = self.root_bits();
+        let k = self.lambda.min(ROOT_BITS);
         assert_eq!(self.root_array.len(), 1 << k, "root array is not 2^k");
         for (slot, &entry) in self.root_array.iter().enumerate() {
             let mut node = self.root;
@@ -1068,14 +1031,14 @@ impl<A: Address> PrefixDag<A> {
                 if node == NONE {
                     break;
                 }
-                let above = self.nodes[node as usize];
-                if above.label != NONE {
-                    last = above.label;
+                let (left, right, label) = self.node(node);
+                if label != NONE {
+                    last = label;
                 }
                 node = if slot >> (k - 1 - depth) & 1 == 1 {
-                    above.right
+                    right
                 } else {
-                    above.left
+                    left
                 };
             }
             assert_eq!(
@@ -1094,7 +1057,9 @@ impl<A: Address> PrefixDag<A> {
             self.interner.len(),
             "folded node counts"
         );
-        assert_eq!(self.stamps.len(), self.nodes.len(), "one stamp a node");
+        let slots = self.nodes.len() / 2;
+        assert_eq!(self.stamps.len(), slots, "one stamp a node");
+        assert_eq!(self.refcounts.len(), slots, "one reference count a node");
         // Count in-edges of every folded node.
         let mut indegree: HashMap<u32, u32> = HashMap::new();
         let mut stack = vec![(self.root, 0u8)];
@@ -1107,12 +1072,12 @@ impl<A: Address> PrefixDag<A> {
         }
         let mut visited_top = 0usize;
         while let Some((idx, depth)) = stack.pop() {
-            let node = self.nodes[idx as usize];
+            let (left, right, _) = self.node(idx);
             let folded = depth >= self.lambda;
             if !folded {
                 visited_top += 1;
             }
-            for child in [node.left, node.right] {
+            for child in [left, right] {
                 if child == NONE {
                     continue;
                 }
@@ -1127,9 +1092,9 @@ impl<A: Address> PrefixDag<A> {
                     stack.push((child, depth + 1));
                 }
             }
-            if folded && !node.is_leaf() {
+            if folded && !self.is_leaf(idx) {
                 assert!(
-                    node.left != NONE && node.right != NONE,
+                    left != NONE && right != NONE,
                     "folded interior missing child"
                 );
             }
@@ -1139,16 +1104,15 @@ impl<A: Address> PrefixDag<A> {
             "top node count out of sync"
         );
         for &idx in self.interner.values() {
-            let node = self.nodes[idx as usize];
+            let refcount = self.refcounts[idx as usize];
             let mut expected = indegree.get(&idx).copied().unwrap_or(0);
             if idx == self.root {
                 // The λ=0 root portal is held by the root handle itself.
                 expected += 1;
             }
             assert_eq!(
-                node.refcount, expected,
-                "refcount mismatch at folded node {idx}: {} vs in-degree {expected}",
-                node.refcount
+                refcount, expected,
+                "refcount mismatch at folded node {idx}: {refcount} vs in-degree {expected}"
             );
         }
         assert_eq!(
@@ -1159,19 +1123,15 @@ impl<A: Address> PrefixDag<A> {
     }
 
     /// Serializes the DAG as a compact packed word image: reachable nodes
-    /// are renumbered in BFS order (dropping free-list holes and the
-    /// refcounts the read-only data plane never needs) into two words per
-    /// node — `left | right << 32` and the label. Returns the words and
-    /// the remapped root index.
+    /// are renumbered in BFS order, dropping free-list holes, in the
+    /// arena's own two-word records. Returns the words and the remapped
+    /// root index.
     ///
     /// Shared folded nodes are emitted once; the sharing survives because
     /// the remap is by node identity.
     #[must_use]
     pub fn write_packed(&self) -> (Vec<u64>, u32) {
-        let (words, roots) = pack_bfs(self.nodes.len(), &[self.root], |idx| {
-            let node = self.nodes[idx as usize];
-            (node.left, node.right, node.label)
-        });
+        let (words, roots) = pack_bfs(&self.nodes, &[self.root]);
         (words, roots[0])
     }
 }
@@ -1180,16 +1140,20 @@ impl<A: Address> PrefixDag<A> {
 /// traversal with label fall-through over two-word node records
 /// (`left | right << 32`, `label`).
 ///
-/// A view of a pDAG image walks from its root; a compiled fleet's
-/// shared-arena table is viewed with its [`RootArray`] and walks from
-/// there. The loop is one: a walk from the root is the `k = 0` case,
-/// whose one entry is the root with no label above it.
+/// The walk is one, whatever it starts from (see the module docs' "Root
+/// array"): a view of a pDAG image starts at its root, the `k = 0` case
+/// whose one entry is the root with no label above it; a compiled fleet's
+/// shared-arena table starts at its [`RootArray`]; and the updatable
+/// [`PrefixDag`] looks up through this walk over its own arena and
+/// `min(λ, 8)`-level array.
 #[derive(Clone, Copy, Debug)]
 pub struct PrefixDagRef<'a, A: Address> {
     words: &'a [u64],
+    /// Where the walk starts when `root_array` is empty.
     root: u32,
-    /// Where the walk starts when present; `None` starts it at `root`.
-    root_array: Option<&'a RootArray>,
+    /// Where the walk starts: `2^k` entries for some `k ≤ 8`, indexed by
+    /// the address's first `k` bits; empty starts it at `root`.
+    root_array: &'a [RootEntry],
     _marker: PhantomData<A>,
 }
 
@@ -1203,9 +1167,9 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
     pub fn from_parts(words: &'a [u64], root: u32) -> Result<Self, &'static str> {
         let view = Self::from_parts_trusted(words, root)?;
         let n_nodes = words.len() / 2;
-        for i in 0..n_nodes {
-            let children = words[2 * i];
-            for child in [children as u32, (children >> 32) as u32] {
+        for i in 0..n_nodes as u32 {
+            let (left, right, _) = packed_node(words, i);
+            for child in [left, right] {
                 if child != NONE && child as usize >= n_nodes {
                     return Err("pdag child out of range");
                 }
@@ -1228,7 +1192,7 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
         Ok(Self {
             words,
             root,
-            root_array: None,
+            root_array: &[],
             _marker: PhantomData,
         })
     }
@@ -1242,7 +1206,7 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
         Self {
             words,
             root: NONE,
-            root_array,
+            root_array: root_array.map_or(&[], |array| &array[..]),
             _marker: PhantomData,
         }
     }
@@ -1261,8 +1225,8 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
         self.words.len() * 8
     }
 
-    /// Longest-prefix-match lookup — the same standard trie traversal as
-    /// [`PrefixDag::lookup`] (Lemma 5), over the packed image.
+    /// Longest-prefix-match lookup — standard trie traversal (Lemma 5)
+    /// over the packed records.
     #[must_use]
     #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
@@ -1270,16 +1234,22 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
     }
 
     /// Lookup that also reports the node records read after the walk's
-    /// start, counted as [`PrefixDag::lookup_with_depth`] counts them:
-    /// from the root, the root is the first read; from a root array, the
-    /// node its entry names is.
+    /// start: from the root, the root is the first read; from a root
+    /// array, the node its entry names is.
     #[must_use]
     #[inline]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
-        let (entry, mut depth) = match self.root_array {
-            Some(array) => (array[addr.bits(0, ROOT_BITS) as usize], ROOT_BITS),
-            None => (RootEntry::at(self.root), 0),
+        // A view with no root array starts at its root: the k = 0 array.
+        let from_root = [RootEntry::at(self.root)];
+        let array = if self.root_array.is_empty() {
+            &from_root[..]
+        } else {
+            self.root_array
         };
+        // The length is a power of two, 1 at least; `| 1` spares `ilog2`
+        // its check for zero.
+        let mut depth = (array.len() | 1).ilog2() as u8;
+        let entry = array[(addr.bits(0, ROOT_BITS) >> (ROOT_BITS - depth)) as usize];
         let (mut idx, mut last) = (entry.node, entry.last);
         let mut reads: Depth = 0;
         while idx != NONE {
@@ -1668,7 +1638,10 @@ mod tests {
             let copy = dag.publish_copy(recycled);
             assert_eq!(dag.last_copy_writes().is_some(), offered);
             if let Some(writes) = dag.last_copy_writes() {
-                assert!(writes > 0 && writes < dag.nodes.len(), "{writes} writes");
+                assert!(
+                    writes > 0 && writes < dag.nodes.len() / 2,
+                    "{writes} writes"
+                );
                 reused += 1;
             }
             assert_copy_is_current(&dag, &copy);
@@ -1690,7 +1663,10 @@ mod tests {
         }
         let copy = dag.publish_copy(Some(old));
         let writes = dag.last_copy_writes().expect("synced");
-        assert!(writes > 0 && writes <= dag.nodes.len(), "{writes} writes");
+        assert!(
+            writes > 0 && writes <= dag.nodes.len() / 2,
+            "{writes} writes"
+        );
         assert_copy_is_current(&dag, &copy);
 
         // A copy of another build: same table, same λ, another arena.
@@ -1700,7 +1676,7 @@ mod tests {
         // sequence of calls makes one; the hook must not index past the
         // arena all the same).
         let mut longer = dag.publish_copy(None);
-        longer.nodes.extend_from_within(..8);
+        longer.nodes.extend_from_within(..16);
         // A copy that claims a publish this engine has not made yet.
         let mut early = dag.publish_copy(None);
         early.publish = dag.publish;

@@ -139,12 +139,12 @@ impl<A: Address> SerializedDag<A> {
             if idx == NONE {
                 break;
             }
-            let node = dag.nodes[idx as usize];
-            if node.label != NONE {
-                fallback = node.label;
+            let (left, right, label) = dag.node(idx);
+            if label != NONE {
+                fallback = label;
             }
             let bit = (v >> (lambda - 1 - depth)) & 1 == 1;
-            idx = if bit { node.right } else { node.left };
+            idx = if bit { right } else { left };
         }
         let slot = if idx == NONE {
             LEAF_TAG | BOT
@@ -163,9 +163,9 @@ impl<A: Address> SerializedDag<A> {
         ser_idx: &mut std::collections::HashMap<u32, u32>,
         nodes: &mut Vec<u64>,
     ) -> u32 {
-        let node = dag.nodes[idx as usize];
-        if node.is_leaf() {
-            return LEAF_TAG | if node.label == NONE { BOT } else { node.label };
+        let (left, right, label) = dag.node(idx);
+        if (left, right) == (NONE, NONE) {
+            return LEAF_TAG | if label == NONE { BOT } else { label };
         }
         if let Some(&existing) = ser_idx.get(&idx) {
             return existing;
@@ -173,8 +173,8 @@ impl<A: Address> SerializedDag<A> {
         let record = nodes.len() as u32;
         nodes.push(0); // reserve before recursing (shared DAG, no cycles)
         ser_idx.insert(idx, record);
-        let left = Self::encode(dag, node.left, ser_idx, nodes);
-        let right = Self::encode(dag, node.right, ser_idx, nodes);
+        let left = Self::encode(dag, left, ser_idx, nodes);
+        let right = Self::encode(dag, right, ser_idx, nodes);
         nodes[record as usize] = u64::from(left) | (u64::from(right) << 32);
         record
     }

@@ -10,27 +10,34 @@
 //! compiler here exploits exactly that:
 //!
 //! 1. Every table is folded by the ordinary [`PrefixDag`] compiler
-//!    (leaf-pushing below the λ barrier, within-table interning) and
-//!    packed by its `write_packed` compacting BFS.
-//! 2. A **cross-table canonical interner** re-keys every packed node on
-//!    `(left, right, label)` identity, post-order, so structurally
-//!    identical subtrees from *different* tables land on one arena slot.
-//! 3. The same compacting BFS, its one queue seeded with every table's
-//!    root (`pack_bfs` in the pdag module), packs the interned nodes into a
-//!    single word arena in the exact two-word [`PrefixDagRef`] record
-//!    format. Every shared table with a root then gets the §5.3 root
-//!    array the updatable pDAG walks from ([`RootArray`]: for each 8-bit
-//!    address prefix, the node at depth 8 and the last label above it),
-//!    derived from the packed arena — for carried tables too, since the
-//!    BFS renumbers their nodes — and each VRF is served zero-copy by a
-//!    `PrefixDagRef` over the shared words that starts its walk eight
-//!    levels down. The arrays are 2 KiB a table and charged
-//!    ([`VrfSetStats::root_bytes`]); an image does not store them, its
-//!    loader ([`VrfSetRef::from_image`]) derives the same ones.
+//!    (leaf-pushing below the λ barrier, within-table interning), whose
+//!    arena already holds the two-word records (`left | right << 32`,
+//!    `label`) every packed form of the structure uses.
+//! 2. A **cross-table canonical interner** re-keys every node reachable
+//!    from the fold's root on `(left, right, label)` identity, post-order,
+//!    straight from that arena, one table at a time in id order, so
+//!    structurally identical subtrees from *different* tables land on one
+//!    record. The nodes each table adds are its marginal nodes, what
+//!    [`VrfPolicy::Auto`] charges it; its fold's live node count is its
+//!    standalone size (`solo_nodes`). The fold is then dropped.
+//! 3. The compacting BFS every packed pDAG image is written by, its one
+//!    queue seeded with every shared-placement table's root (`pack_bfs`
+//!    in the pdag module), packs the interned records into a single word
+//!    arena in the exact [`PrefixDagRef`] record format. Every shared
+//!    table with a root then gets the §5.3 root array the updatable pDAG
+//!    walks from ([`RootArray`]: for each 8-bit address prefix, the node
+//!    at depth 8 and the last label above it), derived from the packed
+//!    arena — for carried tables too, since the BFS renumbers their
+//!    nodes — and each VRF is served zero-copy by a `PrefixDagRef` over
+//!    the shared words that starts its walk eight levels down. The
+//!    arrays are 2 KiB a table and charged ([`VrfSetStats::root_bytes`]);
+//!    an image does not store them, its loader
+//!    ([`VrfSetRef::from_image`]) derives the same ones.
 //!
-//! Steps 2 and 3 see shared-placement tables only; a dedicated table is
-//! folded in step 1 for its standalone node count alone, the
-//! independent-compilation baseline every table records.
+//! Step 2 sees every supplied table, a dedicated one too; step 3 packs
+//! only what shared-placement roots reach, and the BFS orders nodes by
+//! structure, not by interner id, so a dedicated table's records in the
+//! interner change no arena byte.
 //!
 //! A fleet that changes a table at a time is recompiled **from the set
 //! compiled before it** ([`recompile_vrf_set`]): steps 1 and 2 run for
@@ -66,7 +73,9 @@ use crate::image::{
     sections, write_image, AnyView, EngineKind, EngineVisitor, FibImage, ImageCodec, ImageError,
     ImageWriter,
 };
-use crate::pdag::{pack_bfs, packed_root_array, PrefixDag, PrefixDagRef, RootArray};
+use crate::pdag::{
+    bfs_order, pack_bfs, packed_node, packed_root_array, record, PrefixDag, PrefixDagRef, RootArray,
+};
 use crate::xbw::XbwStorage;
 
 const NONE: u32 = u32::MAX;
@@ -474,11 +483,12 @@ impl<A: Address> CompiledVrfSet<A> {
     }
 }
 
-/// Cross-table canonical interner: one slot per distinct
-/// `(left, right, label)` triple, in first-interned order.
+/// Cross-table canonical interner: one record per distinct
+/// `(left, right, label)` triple, in first-interned order, in the pDAG's
+/// two-word record layout.
 struct ArenaInterner {
     map: HashMap<(u32, u32, u32), u32, IdBuildHasher>,
-    nodes: Vec<(u32, u32, u32)>,
+    nodes: Vec<u64>,
 }
 
 impl ArenaInterner {
@@ -488,97 +498,67 @@ impl ArenaInterner {
     /// record and no traversal, and a root into `arena` is its own
     /// canonical id. An empty `arena` gives the empty interner.
     fn seeded(arena: &[u64]) -> Self {
-        let n = arena.len() / 2;
-        let mut interner = Self {
-            map: HashMap::with_capacity_and_hasher(n, IdBuildHasher::default()),
-            nodes: Vec::with_capacity(n),
-        };
-        for (idx, record) in arena.chunks_exact(2).enumerate() {
-            let (children, label) = (record[0], record[1] as u32);
-            let key = (children as u32, (children >> 32) as u32, label);
-            let earlier = interner.map.insert(key, idx as u32);
+        let n = (arena.len() / 2) as u32;
+        let mut map = HashMap::with_capacity_and_hasher(n as usize, IdBuildHasher::default());
+        for idx in 0..n {
+            let earlier = map.insert(packed_node(arena, idx), idx);
             debug_assert!(earlier.is_none(), "arena record {idx} is not canonical");
-            interner.nodes.push(key);
         }
-        interner
+        Self {
+            map,
+            nodes: arena.to_vec(),
+        }
     }
 
-    fn intern(&mut self, left: u32, right: u32, label: u32) -> u32 {
-        if let Some(&id) = self.map.get(&(left, right, label)) {
-            return id;
-        }
-        let id = self.nodes.len() as u32;
-        self.map.insert((left, right, label), id);
-        self.nodes.push((left, right, label));
-        id
+    /// Nodes interned so far.
+    fn len(&self) -> usize {
+        self.nodes.len() / 2
     }
 
-    /// Interns every node of one table's packed pDAG, post-order, and
-    /// returns the table's canonical root. `memo` maps the table's local
-    /// node indices to canonical ids. Recursion depth is bounded by the
-    /// address width (packed pDAGs are depth-bounded DAGs).
-    fn intern_packed(&mut self, words: &[u64], root: u32) -> u32 {
-        if root == NONE {
+    /// Interns every node reachable from `root` in the record arena
+    /// `words` — a folded [`PrefixDag`]'s, free slots and all — post-order,
+    /// and returns the table's canonical root. `memo` maps the arena's node
+    /// indices to canonical ids. Recursion depth is bounded by the address
+    /// width (a pDAG is a depth-bounded DAG).
+    fn intern_table(&mut self, words: &[u64], root: u32) -> u32 {
+        let mut memo = vec![NONE; words.len() / 2];
+        self.intern_at(words, root, &mut memo)
+    }
+
+    fn intern_at(&mut self, words: &[u64], idx: u32, memo: &mut [u32]) -> u32 {
+        if idx == NONE {
             return NONE;
         }
-        let n = words.len() / 2;
-        let mut memo = vec![NONE; n];
-        self.intern_packed_at(words, root, &mut memo)
-    }
-
-    fn intern_packed_at(&mut self, words: &[u64], idx: u32, memo: &mut [u32]) -> u32 {
         if memo[idx as usize] != NONE {
             return memo[idx as usize];
         }
-        let children = words[2 * idx as usize];
-        let label = words[2 * idx as usize + 1] as u32;
-        let (l, r) = (children as u32, (children >> 32) as u32);
-        let cl = if l == NONE {
-            NONE
-        } else {
-            self.intern_packed_at(words, l, memo)
-        };
-        let cr = if r == NONE {
-            NONE
-        } else {
-            self.intern_packed_at(words, r, memo)
-        };
-        let id = self.intern(cl, cr, label);
+        let (left, right, label) = packed_node(words, idx);
+        let node = (
+            self.intern_at(words, left, memo),
+            self.intern_at(words, right, memo),
+            label,
+        );
+        let nodes = &mut self.nodes;
+        let id = *self.map.entry(node).or_insert_with(|| {
+            nodes.extend(record(node.0, node.1, node.2));
+            (nodes.len() / 2 - 1) as u32
+        });
         memo[idx as usize] = id;
         id
     }
 }
 
-/// Nodes reachable from `root` over packed arena words.
-fn reachable_count(words: &[u64], root: u32) -> u64 {
-    if root == NONE {
-        return 0;
-    }
-    let n = words.len() / 2;
-    let mut seen = vec![false; n];
-    let mut stack = vec![root];
-    seen[root as usize] = true;
-    let mut count = 0u64;
-    while let Some(idx) = stack.pop() {
-        count += 1;
-        let children = words[2 * idx as usize];
-        for child in [children as u32, (children >> 32) as u32] {
-            if child != NONE && !seen[child as usize] {
-                seen[child as usize] = true;
-                stack.push(child);
-            }
-        }
-    }
-    count
-}
-
 /// Where one table of a recompile comes from.
 enum Source<'a, A: Address> {
-    /// Folded from its trie in this compile: the standalone packed pDAG.
+    /// Folded from its trie and interned in this compile.
     Folded {
         trie: &'a BinaryTrie<A>,
-        words: Vec<u64>,
+        /// Its canonical root in the interner.
         root: u32,
+        /// Nodes its interning added (what `Auto` charges it).
+        marginal_nodes: u64,
+        /// Live nodes of its standalone fold.
+        solo_nodes: u64,
     },
     /// Unchanged since the previous set: its compiled table there.
     Carried(&'a CompiledVrf<A>),
@@ -613,8 +593,9 @@ pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
 /// `previous` that `fleet` does not list are dropped. Policy vectors are
 /// parallel to `fleet`.
 ///
-/// The cross-table interner is seeded with `previous.arena` (already
-/// canonical, so a carried root is its own canonical id), the supplied
+/// When a carried table keeps a shared root, the cross-table interner is
+/// seeded with `previous.arena` (already canonical, so that root is its
+/// own canonical id); the supplied
 /// tables are interned against it, and the multi-root BFS packs what is
 /// reachable from the new roots. That BFS orders nodes by structure, not
 /// by interner id, so the result is **bit-identical** — arena, roots,
@@ -625,8 +606,8 @@ pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
 ///
 /// Under [`VrfPolicy::Auto`] placement is a fleet-wide decision (a
 /// table's marginal bytes depend on every lower id), so every table must
-/// be supplied; the trial interning pass that prices the marginals runs
-/// under `Auto` only.
+/// be supplied; the interning pass records each table's marginal nodes
+/// as it goes, so pricing them costs no second pass.
 ///
 /// # Panics
 /// Panics if two tables share an id; if `Auto` weights (when non-empty)
@@ -662,14 +643,27 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
         assert!(pair[0].1 != pair[1].1, "duplicate VRF id {}", pair[0].1);
     }
 
-    // Fold and pack every supplied table with the ordinary single-table
-    // compiler; look every other one up in the previous set.
+    // Fold every supplied table with the ordinary single-table compiler
+    // and intern it straight from its arena, in id order; look every other
+    // one up in the previous set. The interner starts from the previous
+    // arena when a shared root into it is kept.
+    let keeps_root = fleet.iter().any(|&(id, trie)| {
+        trie.is_none() && previous.table(id).is_some_and(|t| t.dedicated.is_none())
+    });
+    let mut interner = ArenaInterner::seeded(if keeps_root { &previous.arena } else { &[] });
     let sources: Vec<Source<'_, A>> = indexed
         .iter()
         .map(|&(orig, id)| match fleet[orig].1 {
             Some(trie) => {
-                let (words, root) = PrefixDag::build(trie, config).write_packed();
-                Source::Folded { trie, words, root }
+                let dag = PrefixDag::build(trie, config);
+                let before = interner.len();
+                let root = interner.intern_table(&dag.nodes, dag.root);
+                Source::Folded {
+                    trie,
+                    root,
+                    marginal_nodes: (interner.len() - before) as u64,
+                    solo_nodes: dag.stats().live_nodes as u64,
+                }
             }
             None => Source::Carried(
                 previous
@@ -679,18 +673,39 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
         })
         .collect();
 
-    // Placement. A carried table stays where it is.
-    let choices: Vec<VrfEngineChoice> = match policy {
-        VrfPolicy::Auto { weights } => auto_placement(&sources, &indexed, weights),
-        fixed => indexed
-            .iter()
-            .map(|&(orig, _)| {
-                fixed
-                    .fixed_choice(orig)
-                    .expect("Shared and Pinned fix every placement")
-            })
-            .collect(),
+    // Placement. A carried table stays where it is. `Auto` (never seeded:
+    // it carries nothing) prices each table's marginal nodes — those no
+    // lower id brought — against its normalized traffic weight (empty or
+    // all-zero weights mean uniform).
+    let model = CostModel::default();
+    let weights: &[f64] = match policy {
+        VrfPolicy::Auto { weights } => weights,
+        _ => &[],
     };
+    let total: f64 = weights.iter().sum();
+    let uniform = 1.0 / sources.len().max(1) as f64;
+    let place = |orig: usize, source: &Source<'_, A>| {
+        if let Some(choice) = policy.fixed_choice(orig) {
+            return choice;
+        }
+        let Source::Folded {
+            trie,
+            marginal_nodes,
+            ..
+        } = source
+        else {
+            unreachable!("Auto supplies every table");
+        };
+        let weight = if total > 0.0 {
+            weights[orig] / total
+        } else {
+            uniform
+        };
+        model.place(trie.len() as u64, marginal_nodes * 16, weight)
+    };
+    let choices: Vec<VrfEngineChoice> = (sources.iter().zip(&indexed))
+        .map(|(source, &(orig, _))| place(orig, source))
+        .collect();
     for (source, choice) in sources.iter().zip(&choices) {
         if let Source::Carried(table) = source {
             assert_eq!(
@@ -702,25 +717,19 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
         }
     }
 
-    // Final interning over shared-placement tables only, against the
-    // previous arena when a root into it is kept.
-    let keeps_root = sources
-        .iter()
-        .any(|s| matches!(s, Source::Carried(t) if t.dedicated.is_none()));
-    let mut interner = ArenaInterner::seeded(if keeps_root { &previous.arena } else { &[] });
+    // Pack what the shared-placement roots reach; a dedicated table's
+    // nodes sit in the interner unreached.
     let canon_roots: Vec<u32> = sources
         .iter()
         .zip(&choices)
         .map(|(source, choice)| match (choice, source) {
-            (VrfEngineChoice::Shared, Source::Folded { words, root, .. }) => {
-                interner.intern_packed(words, *root)
-            }
+            (VrfEngineChoice::Shared, Source::Folded { root, .. }) => *root,
             (VrfEngineChoice::Shared, Source::Carried(table)) => table.root,
             _ => NONE,
         })
         .collect();
-    let nodes = &interner.nodes;
-    let (arena, packed_roots) = pack_bfs(nodes.len(), &canon_roots, |idx| nodes[idx as usize]);
+    let (arena, packed_roots) = pack_bfs(&interner.nodes, &canon_roots);
+    drop(interner);
 
     // Assemble per-table results and statistics.
     let mut stats = VrfSetStats {
@@ -745,7 +754,7 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
                 ..*prev
             },
             Source::Folded {
-                trie, ref words, ..
+                trie, solo_nodes, ..
             } => {
                 let build = BuildDedicated {
                     choice,
@@ -760,8 +769,8 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
                     id,
                     root,
                     routes: trie.len() as u64,
-                    reachable_nodes: reachable_count(&arena, root),
-                    solo_nodes: (words.len() / 2) as u64,
+                    reachable_nodes: bfs_order(&arena, &[root]).len() as u64,
+                    solo_nodes,
                     dedicated,
                     root_array,
                 }
@@ -783,40 +792,6 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
         tables: out_tables,
         stats,
     }
-}
-
-/// [`VrfPolicy::Auto`] placement: a trial cross-table interning in id
-/// order records each table's marginal node contribution, and the cost
-/// model prices it against the table's normalized traffic weight
-/// (`weights` is parallel to the input order `indexed` remembers; empty
-/// or all-zero means uniform).
-fn auto_placement<A: Address>(
-    sources: &[Source<'_, A>],
-    indexed: &[(usize, u32)],
-    weights: &[f64],
-) -> Vec<VrfEngineChoice> {
-    let uniform = 1.0 / sources.len().max(1) as f64;
-    let total: f64 = weights.iter().sum();
-    let model = CostModel::default();
-    let mut trial = ArenaInterner::seeded(&[]);
-    sources
-        .iter()
-        .zip(indexed)
-        .map(|(source, &(orig, _))| {
-            let Source::Folded { trie, words, root } = source else {
-                unreachable!("Auto supplies every table");
-            };
-            let before = trial.nodes.len();
-            trial.intern_packed(words, *root);
-            let marginal_nodes = (trial.nodes.len() - before) as u64;
-            let weight = if total > 0.0 {
-                weights[orig] / total
-            } else {
-                uniform
-            };
-            model.place(trie.len() as u64, marginal_nodes * 16, weight)
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------

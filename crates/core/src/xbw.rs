@@ -20,9 +20,9 @@
 //! * [`XbwStorage::Entropy`] — `S_I` in RRR, `S_α` in a Huffman-shaped
 //!   wavelet tree: `2n + n·H0 + o(n)` bits, Lemma 3.
 //!
-//! Updates rebuild the transform (see DESIGN.md): the paper's dynamic
-//! variant via Mäkinen–Navarro indexes is cited but not evaluated there
-//! either.
+//! Updates rebuild the transform: XBW-b is the static, size-optimal end
+//! of the paper's trade-off, and its dynamic variant via Mäkinen–Navarro
+//! indexes is cited but not evaluated in the paper either.
 
 use fib_succinct::{
     BitVec, IntVec, IntVecRef, RrrVec, RrrVecRef, RsBitVec, RsBitVecRef, StorageError, WaveletTree,

@@ -34,15 +34,20 @@ use crate::snapcell::SnapCell;
 // Latency histogram
 // ---------------------------------------------------------------------
 
-/// Number of power-of-two buckets; bucket 47 tops out at 2^47/16 ns ≈ 2.4
-/// hours per lookup, far beyond anything observable.
-const HIST_BUCKETS: usize = 48;
+/// Sub-buckets per octave, as a bit count: every bucket is at most 1/16
+/// as wide as its lower edge.
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
+/// `SUB` one-unit buckets, then `SUB` per octave up to `u64::MAX`.
+const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
 /// Fixed-point scale: histogram values are in 1/16 ns, so sub-nanosecond
 /// per-lookup latencies (large batches on small engines) stay resolvable.
 const HIST_SCALE: f64 = 16.0;
 
-/// A log₂-bucketed ns/lookup histogram: fixed size, merge-friendly, no
-/// allocation on the record path.
+/// A log-linear ns/lookup histogram — 16 buckets an octave, quantiles
+/// interpolated by rank inside a bucket, so a steady latency reads as
+/// itself within a sixteenth: fixed size, merge-friendly, no allocation
+/// on the record path.
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     buckets: [u64; HIST_BUCKETS],
@@ -59,11 +64,29 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
+    /// The bucket holding fixed-point value `fixed`.
+    fn index(fixed: u64) -> usize {
+        if fixed < SUB as u64 {
+            return fixed as usize;
+        }
+        let msb = 63 - fixed.leading_zeros();
+        let sub = (fixed >> (msb - SUB_BITS)) as usize & (SUB - 1);
+        (msb - SUB_BITS + 1) as usize * SUB + sub
+    }
+
+    /// `(lower edge, width)` of bucket `index`, in fixed-point units.
+    fn edges(index: usize) -> (u64, u64) {
+        if index < SUB {
+            return (index as u64, 1);
+        }
+        let shift = (index / SUB - 1) as u32;
+        (((SUB + index % SUB) as u64) << shift, 1 << shift)
+    }
+
     /// Records `count` lookups that each took `ns_per_lookup`.
     pub fn record(&mut self, ns_per_lookup: f64, count: u64) {
-        let fixed = (ns_per_lookup * HIST_SCALE).max(1.0) as u64;
-        let bucket = (63 - fixed.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[bucket] += count;
+        let fixed = (ns_per_lookup * HIST_SCALE).max(0.0) as u64;
+        self.buckets[Self::index(fixed)] += count;
         self.count += count;
     }
 
@@ -81,21 +104,22 @@ impl LatencyHistogram {
         self.count += other.count;
     }
 
-    /// The `q`-quantile (`0 < q ≤ 1`) in nanoseconds, as the geometric
-    /// midpoint of the bucket holding that rank; 0.0 when empty.
+    /// The `q`-quantile (`0 < q ≤ 1`) in nanoseconds, interpolated by rank
+    /// inside the bucket holding it; 0.0 when empty.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
+        let rank = (self.count as f64 * q).clamp(1.0, self.count as f64);
         let mut seen = 0u64;
-        for (bucket, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Bucket b covers fixed-point [2^b, 2^{b+1}): midpoint 1.5·2^b.
-                return (1.5 * (1u64 << bucket) as f64) / HIST_SCALE;
+        for (index, &n) in self.buckets.iter().enumerate() {
+            if n > 0 && (seen + n) as f64 >= rank {
+                let (lo, width) = Self::edges(index);
+                let within = (rank - seen as f64) / n as f64;
+                return (lo as f64 + width as f64 * within) / HIST_SCALE;
             }
+            seen += n;
         }
         unreachable!("rank within count")
     }
@@ -509,6 +533,31 @@ mod tests {
         let mut tiny = LatencyHistogram::default();
         tiny.record(0.25, 4);
         assert!(tiny.p50() > 0.0 && tiny.p50() < 1.0);
+    }
+
+    #[test]
+    fn histogram_reads_a_steady_latency_within_a_sixteenth() {
+        for ns in [0.25, 10.0, 37.5, 900.0] {
+            let mut h = LatencyHistogram::default();
+            h.record(ns, 100);
+            let p50 = h.p50();
+            assert!(
+                (p50 - ns).abs() <= ns / 16.0 + 1.0 / HIST_SCALE,
+                "{ns} ns reads p50 = {p50}"
+            );
+        }
+    }
+
+    #[test]
+    fn histogram_buckets_tile_the_range_without_gaps() {
+        let mut next = 0;
+        for index in 0..HIST_BUCKETS - SUB {
+            let (lo, width) = LatencyHistogram::edges(index);
+            assert_eq!((lo, LatencyHistogram::index(lo)), (next, index));
+            assert_eq!(LatencyHistogram::index(lo + width - 1), index);
+            next = lo + width;
+        }
+        assert_eq!(LatencyHistogram::index(u64::MAX), HIST_BUCKETS - 1);
     }
 
     #[test]

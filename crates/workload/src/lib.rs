@@ -2,9 +2,10 @@
 //!
 //! The paper evaluates on five proprietary router FIBs, RouteViews BGP
 //! dumps, a CAIDA packet trace and a BGP update log — none of which can be
-//! redistributed. This crate builds faithful synthetic stand-ins (the
-//! substitution ledger in DESIGN.md argues why each preserves the relevant
-//! behaviour):
+//! redistributed. This crate builds synthetic stand-ins that keep what
+//! the evaluation measures — prefix-length and next-hop distributions,
+//! label entropy, update mix and key locality — rather than the bytes of
+//! the originals:
 //!
 //! * [`labels`] — next-hop label distributions (truncated Poisson,
 //!   Bernoulli, geometric-calibrated-to-H0, uniform) with exact entropy

@@ -24,13 +24,14 @@ use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 use fibcomp::core::lint::lint_bytes;
 use fibcomp::core::{
-    compile_vrf_set, vrf_section_base, write_vrf_image, BuildConfig, CompiledVrfSet, FibImage,
-    VrfEngineChoice, VrfPolicy, VrfSetRef, VrfTable,
+    compile_vrf_set, vrf_section_base, write_vrf_image, BuildConfig, CompiledVrfSet, FibBuild,
+    FibImage, PrefixDag, VrfEngineChoice, VrfPolicy, VrfSetRef, VrfTable,
 };
 use fibcomp::router::{VrfBatchScratch, VrfSetRouter};
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
 use fibcomp::workload::traces::{self, ZipfTrace};
+use fibcomp::workload::vrf::{fleet_weights, instance_fleet};
 use fibcomp::workload::{FibSpec, VrfFleetSpec};
 
 const CASES: u64 = 16;
@@ -347,6 +348,88 @@ fn every_dedicated_engine_roundtrips_through_a_fleet_image_v4() {
 #[test]
 fn every_dedicated_engine_roundtrips_through_a_fleet_image_v6() {
     every_placement_roundtrips::<u128>("v6");
+}
+
+/// A table's `solo_nodes` is its standalone packed pDAG's node count,
+/// though the compiler reads it off the fold it interns and writes no
+/// image: v4 and v6 fleets (an empty table among them), all shared and
+/// with a dedicated table, at barriers below, at and above the root
+/// array's eight levels and at W.
+fn solo_nodes_count_the_standalone_image<A: Address + Send + Sync + 'static>(tag: &str) {
+    let mut rng = Xoshiro256::for_case("vrf_solo_nodes", 0);
+    let base: BinaryTrie<A> = FibSpec::dfz_like(300).generate(&mut rng);
+    let mut fleet = VrfFleetSpec {
+        tables: 4,
+        overlap: 0.8,
+        seed: 0x5010,
+    }
+    .generate(&base);
+    fleet.push(BinaryTrie::new());
+    let tables: Vec<VrfTable<'_, A>> = (0..)
+        .zip(&fleet)
+        .map(|(id, trie)| VrfTable { id, trie })
+        .collect();
+    let mut pinned = vec![VrfEngineChoice::Shared; fleet.len()];
+    pinned[1] = VrfEngineChoice::Xbw;
+    for lambda in [0, 4, 8, 11, A::WIDTH] {
+        let config = BuildConfig::with_lambda(lambda);
+        let want: Vec<u64> = fleet
+            .iter()
+            .map(|trie| (PrefixDag::build(trie, &config).write_packed().0.len() / 2) as u64)
+            .collect();
+        let policies = [
+            VrfPolicy::Shared,
+            VrfPolicy::Pinned {
+                choices: pinned.clone(),
+            },
+        ];
+        for policy in &policies {
+            let set = compile_vrf_set(&tables, &config, policy);
+            let got: Vec<u64> = set.tables.iter().map(|t| t.solo_nodes).collect();
+            assert_eq!(got, want, "{tag} λ {lambda} {policy:?}");
+        }
+    }
+}
+
+#[test]
+fn solo_nodes_count_the_standalone_image_v4() {
+    solo_nodes_count_the_standalone_image::<u32>("v4");
+}
+
+#[test]
+fn solo_nodes_count_the_standalone_image_v6() {
+    solo_nodes_count_the_standalone_image::<u128>("v6");
+}
+
+/// The `Auto` placements of the fleet CI compiles (`fibc compile --vrfs 64
+/// --instance taz --scale 0.02 --overlap 0.9 --vrf-policy auto --vrf-skew
+/// 1.2`, seed 3851): hot tables on dedicated serialized engines, the
+/// rest on the shared arena. The cost model prices each table's marginal
+/// arena nodes, counted in id order, so a change to how the compiler
+/// interns moves this vector.
+#[test]
+fn auto_placement_of_the_ci_fleet_is_pinned() {
+    let fleet = instance_fleet("taz", 0.02, 64, 0.9, 3851).expect("taz is an instance");
+    let tables: Vec<VrfTable<'_, u32>> = (0..)
+        .zip(&fleet)
+        .map(|(id, trie)| VrfTable { id, trie })
+        .collect();
+    let policy = VrfPolicy::Auto {
+        weights: fleet_weights(64, 1.2),
+    };
+    let set = compile_vrf_set(&tables, &BuildConfig::default(), &policy);
+    let placed: String = (set.tables.iter())
+        .map(|t| match t.choice() {
+            VrfEngineChoice::Shared => 'S',
+            VrfEngineChoice::Serialized => 'R',
+            VrfEngineChoice::Xbw => 'X',
+            VrfEngineChoice::VsDag => 'V',
+        })
+        .collect();
+    assert_eq!(
+        placed,
+        "RRRRRRRRRRRRRRRRRRSRSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSS"
+    );
 }
 
 /// Field-for-field equality of two compiled sets: arena words, every
