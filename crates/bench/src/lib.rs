@@ -104,10 +104,8 @@ pub fn f(value: f64, precision: usize) -> String {
 /// Panics if the instance name is unknown.
 #[must_use]
 pub fn instance_fib(name: &str, scale: f64, seed: u64) -> fib_trie::BinaryTrie<u32> {
-    let mut inst = fib_workload::instances::by_name(name)
-        .unwrap_or_else(|| panic!("unknown paper instance '{name}'"));
-    inst.n_prefixes = ((inst.n_prefixes as f64 * scale) as usize).max(64);
-    inst.build(seed)
+    fib_workload::instances::scaled(name, scale, seed)
+        .unwrap_or_else(|| panic!("unknown paper instance '{name}'"))
 }
 
 /// Parses a `--scale=X` argument from the command line, defaulting to 1.0.

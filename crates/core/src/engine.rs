@@ -399,7 +399,7 @@ macro_rules! engine_table {
             }
             containers {
                 VrfSet = 6, "vrfset",
-                    "vrfset images are VRF-keyed; assemble a crate::vrf::VrfSetRef instead";
+                    "vrfset images are VRF-keyed; load one with crate::vrf::CompiledVrfSet::from_image";
             }
         }
     };

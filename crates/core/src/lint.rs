@@ -44,7 +44,7 @@ use fib_trie::Address;
 
 use crate::hot::{key_addr, HotSlabRef};
 use crate::image::{any_view, sections, EngineKind, FibImage, ImageError, SectionEntry};
-use crate::vrf::{VrfSetRef, VrfSetStats};
+use crate::vrf::{CompiledVrfSet, VrfSetStats};
 use crate::FibLookup;
 
 /// Word-size of the header and the alignment unit of section payloads.
@@ -679,11 +679,11 @@ fn vsdag_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
 // VRF set: directory hygiene, shared-arena shape, dedicated sections
 // ---------------------------------------------------------------------
 
-/// Deep pass over a [`EngineKind::VrfSet`] image. Re-derives the
-/// directory and shared-arena invariants from the raw words —
-/// independently of [`crate::vrf::VrfSetRef`]'s own load validation —
-/// then assembles the validating set view per family so every dedicated
-/// engine's structure gets its usual load-path scrutiny too.
+/// Deep pass over a [`EngineKind::VrfSet`] image: re-derives the
+/// directory and shared-arena invariants from the raw words,
+/// independently of [`CompiledVrfSet::from_image`]'s own load
+/// validation. (`view_pass` then loads the set, so every dedicated
+/// engine's structure gets its usual load-path scrutiny too.)
 fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
     let Ok(dir) = image.section(sections::VRF_DIR) else {
         issues.push(issue(
@@ -841,8 +841,8 @@ fn view_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
     }
     let set_size = |set: VrfSetStats| set.resident_bytes() as usize;
     let view_size = match (vrf_set, image.family()) {
-        (true, 4) => VrfSetRef::<u32>::from_image(image).map(|v| set_size(v.stats())),
-        (true, _) => VrfSetRef::<u128>::from_image(image).map(|v| set_size(v.stats())),
+        (true, 4) => CompiledVrfSet::<u32>::from_image(image).map(|v| set_size(v.stats)),
+        (true, _) => CompiledVrfSet::<u128>::from_image(image).map(|v| set_size(v.stats)),
         (false, 4) => any_view::<u32>(image).map(|view| view.size_bytes()),
         (false, _) => any_view::<u128>(image).map(|view| view.size_bytes()),
     };
@@ -1074,7 +1074,7 @@ mod tests {
 
     #[test]
     fn vrf_dir_counts_that_overflow_are_malformed_not_a_panic() {
-        use crate::vrf::{compile_vrf_set, write_vrf_image, VrfPolicy, VrfSetRef, VrfTable};
+        use crate::vrf::{compile_vrf_set, write_vrf_image, VrfPolicy, VrfTable};
         let t1 = small_fib();
         let tables = [VrfTable { id: 1, trie: &t1 }, VrfTable { id: 2, trie: &t1 }];
         let set = compile_vrf_set(&tables, &BuildConfig::default(), &VrfPolicy::Shared);
@@ -1096,7 +1096,7 @@ mod tests {
             );
             let image = FibImage::from_bytes(&bad).unwrap();
             assert_eq!(
-                VrfSetRef::<u32>::from_image(&image).err(),
+                CompiledVrfSet::<u32>::from_image(&image).err(),
                 Some(ImageError::Malformed("vrf dir counts overflow"))
             );
         }
@@ -1112,7 +1112,7 @@ mod tests {
         );
         let image = FibImage::from_bytes(&bad).unwrap();
         assert_eq!(
-            VrfSetRef::<u32>::from_image(&image).err(),
+            CompiledVrfSet::<u32>::from_image(&image).err(),
             Some(ImageError::Malformed("vrf dir length"))
         );
     }

@@ -32,7 +32,7 @@
 //!    the shared words that starts its walk eight levels down. The
 //!    arrays are 2 KiB a table and charged ([`VrfSetStats::root_bytes`]);
 //!    an image does not store them, its loader
-//!    ([`VrfSetRef::from_image`]) derives the same ones.
+//!    ([`CompiledVrfSet::from_image`]) derives the same ones.
 //!
 //! Step 2 sees every supplied table, a dedicated one too; step 3 packs
 //! only what shared-placement roots reach, and the BFS orders nodes by
@@ -59,8 +59,17 @@
 //! The whole set ships as one `fibimage/v1` file: a [`sections::VRF_DIR`]
 //! directory, the shared [`sections::VRF_PDAG`] arena, and each dedicated
 //! table's sections at [`vrf_section_base`] of its directory index plus
-//! their position in [`ImageCodec::SECTIONS`]. [`VrfSetRef`] reassembles
-//! the zero-copy per-VRF views from a loaded image.
+//! their position in [`ImageCodec::SECTIONS`].
+//!
+//! A fleet has one type, [`CompiledVrfSet`], whether compiled or loaded:
+//! [`CompiledVrfSet::from_image`] gives back the set its compiler built,
+//! arena, roots, root arrays, counts and statistics alike. Only a
+//! dedicated table's engine still differs by origin: a compiled table
+//! keeps the engine it built, a loaded one keeps its own sections and
+//! serves through a view parsed per call. A loaded set is therefore a
+//! valid `previous` for [`recompile_vrf_set`], and a fleet restarts by
+//! loading its image, then recompiling what changed; a carried loaded
+//! dedicated table serves from its sections until it is next re-folded.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -71,7 +80,7 @@ use crate::engine::{BuildConfig, FibBuild, FibLookup};
 use crate::idhash::IdBuildHasher;
 use crate::image::{
     sections, write_image, AnyView, EngineKind, EngineVisitor, FibImage, ImageCodec, ImageError,
-    ImageWriter,
+    ImageWriter, Sections,
 };
 use crate::pdag::{
     bfs_order, pack_bfs, packed_node, packed_root_array, record, PrefixDag, PrefixDagRef, RootArray,
@@ -317,11 +326,24 @@ impl VrfSetStats {
 #[derive(Clone)]
 pub struct VrfDedicated<A: Address> {
     choice: VrfEngineChoice,
-    engine: Arc<dyn Dedicated<A>>,
+    engine: DedicatedEngine<A>,
     /// What the engine's view over its own image sections sizes itself
-    /// at — the bytes [`VrfSetRef::stats`] charges for the table, so a
-    /// loaded set accounts as the compiled one does.
+    /// at — the bytes [`VrfSetStats::dedicated_bytes`] charges for the
+    /// table, so a loaded set accounts as the compiled one does.
     served_bytes: u64,
+}
+
+/// Where a dedicated table's lookups run.
+#[derive(Clone)]
+enum DedicatedEngine<A: Address> {
+    /// The engine the compiler built, kept rather than served from its
+    /// sections: a view parsed per call costs a batch a parse per run,
+    /// and a scalar lookup one per packet.
+    Built(Arc<dyn Dedicated<A>>),
+    /// A loaded table's sections, at their canonical ids in a one-engine
+    /// image: fully parsed once at load, then served through a trusted
+    /// view parsed per call, as an image-backed snapshot serves.
+    Loaded(Arc<FibImage>),
 }
 
 impl<A: Address> VrfDedicated<A> {
@@ -331,28 +353,84 @@ impl<A: Address> VrfDedicated<A> {
         self.choice
     }
 
-    /// The engine behind its lookup interface.
+    /// Longest-prefix match against this table.
     #[must_use]
-    pub fn engine(&self) -> &dyn FibLookup<A> {
-        &*self.engine
+    #[inline]
+    pub fn lookup(&self, addr: A) -> Option<NextHop> {
+        match &self.engine {
+            DedicatedEngine::Built(engine) => engine.lookup(addr),
+            DedicatedEngine::Loaded(image) => Self::view(image).lookup(addr),
+        }
     }
-}
 
-/// What a fleet keeps of a dedicated engine: its lookups, and its image
-/// sections, written into a table's id block.
-trait Dedicated<A: Address>: FibLookup<A> + Send + Sync {
-    /// Writes each section at `base` + its position in the codec's
-    /// [`ImageCodec::SECTIONS`].
-    fn write_at(&self, writer: &mut ImageWriter, base: u32) -> Result<(), ImageError>;
-}
+    /// Batched longest-prefix match against this table.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `addrs`.
+    pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+        match &self.engine {
+            DedicatedEngine::Built(engine) => engine.lookup_batch(addrs, out),
+            DedicatedEngine::Loaded(image) => Self::view(image).lookup_batch(addrs, out),
+        }
+    }
 
-impl<A: Address, E: ImageCodec<A> + Send + Sync> Dedicated<A> for E {
+    /// The trusted view over a loaded table's one-engine image.
+    fn view(image: &FibImage) -> AnyView<'_, A> {
+        (image.engine())
+            .and_then(|kind| AnyView::parse(kind, |id| image.section(id), true))
+            .expect("a loaded table passed a full parse at load") // fibcheck: allow(hot-path): the image is immutable and was validated once, at load
+    }
+
+    /// A table [`CompiledVrfSet::from_image`] loads: `section` resolves
+    /// its sections by canonical id. They are fully parsed — what a
+    /// hostile image fails on — then copied into a one-engine image.
+    fn load<'i>(
+        choice: VrfEngineChoice,
+        kind: EngineKind,
+        section: impl Sections<'i>,
+    ) -> Result<Self, ImageError> {
+        let served_bytes = AnyView::<A>::parse(kind, &section, false)?.size_bytes() as u64;
+        let mut writer = ImageWriter::new::<A>(kind, 0, 0);
+        for &(id, _) in kind.sections() {
+            writer.section(id, section(id)?);
+        }
+        let image = FibImage::from_bytes(&writer.finish())?;
+        Ok(Self {
+            choice,
+            engine: DedicatedEngine::Loaded(Arc::new(image)),
+            served_bytes,
+        })
+    }
+
+    /// Writes the table's sections into `writer` at `base` + their
+    /// position in the engine's [`ImageCodec::SECTIONS`]: a loaded table's
+    /// as they were loaded, a built one's re-encoded.
     fn write_at(&self, writer: &mut ImageWriter, base: u32) -> Result<(), ImageError> {
-        let image = FibImage::from_bytes(&write_image(self, None, 0)?)?;
-        for (slot, &(id, _)) in (0..).zip(E::SECTIONS) {
+        let built;
+        let image = match &self.engine {
+            DedicatedEngine::Built(engine) => {
+                built = engine.image()?;
+                &built
+            }
+            DedicatedEngine::Loaded(image) => &**image,
+        };
+        for (slot, &(id, _)) in (0..).zip(image.engine()?.sections()) {
             writer.section(base + slot, image.section(id)?);
         }
         Ok(())
+    }
+}
+
+/// What a fleet keeps of a built dedicated engine: its lookups, and its
+/// one-engine image.
+trait Dedicated<A: Address>: FibLookup<A> + Send + Sync {
+    /// The engine written as a one-engine image.
+    fn image(&self) -> Result<FibImage, ImageError>;
+}
+
+impl<A: Address, E: ImageCodec<A> + Send + Sync> Dedicated<A> for E {
+    fn image(&self) -> Result<FibImage, ImageError> {
+        FibImage::from_bytes(&write_image(self, None, 0)?)
     }
 }
 
@@ -376,11 +454,10 @@ impl<A: Address> EngineVisitor<A> for BuildDedicated<'_, A> {
             ..*self.config
         };
         let engine = E::build(self.trie, &config);
-        let image = FibImage::from_bytes(&write_image(&engine, None, 0)?)?;
-        let served_bytes = E::view_prevalidated(&image)?.size_bytes() as u64;
+        let served_bytes = E::view_prevalidated(&engine.image()?)?.size_bytes() as u64;
         Ok(VrfDedicated {
             choice: self.choice,
-            engine: Arc::new(engine),
+            engine: DedicatedEngine::Built(Arc::new(engine)),
             served_bytes,
         })
     }
@@ -423,12 +500,6 @@ impl<A: Address> CompiledVrf<A> {
     pub fn root_array(&self) -> Option<&RootArray> {
         self.root_array.as_deref()
     }
-
-    /// Footprint of the dedicated engine as served from its image (0 on
-    /// the shared arena).
-    fn dedicated_bytes(&self) -> u64 {
-        self.dedicated.as_ref().map_or(0, |d| d.served_bytes)
-    }
 }
 
 /// A compiled multi-tenant set: the shared arena, per-table roots and
@@ -456,6 +527,108 @@ impl<A: Address> Default for CompiledVrfSet<A> {
 }
 
 impl<A: Address> CompiledVrfSet<A> {
+    /// The set over `arena` and `tables` (sorted by id), with the
+    /// statistics both a compile and a load charge it.
+    fn assemble(arena: Vec<u64>, tables: Vec<CompiledVrf<A>>) -> Self {
+        let mut stats = VrfSetStats {
+            tables: tables.len(),
+            unique_nodes: (arena.len() / 2) as u64,
+            arena_bytes: arena.len() as u64 * 8,
+            ..VrfSetStats::default()
+        };
+        for table in &tables {
+            stats.independent_bytes += table.solo_nodes * 16;
+            if table.root_array.is_some() {
+                stats.root_bytes += ROOT_ARRAY_BYTES;
+            }
+            match &table.dedicated {
+                None => {
+                    stats.shared_tables += 1;
+                    stats.total_nodes += table.reachable_nodes;
+                }
+                Some(dedicated) => stats.dedicated_bytes += dedicated.served_bytes,
+            }
+        }
+        Self {
+            arena,
+            tables,
+            stats,
+        }
+    }
+
+    /// Loads the set a [`write_vrf_image`] file holds — the set its
+    /// compiler built, but that a dedicated table serves from its own
+    /// sections instead of a built engine.
+    ///
+    /// Everything is validated here, once: the directory (its length, ids
+    /// strictly ascending, known engine choices, counts whose byte sums
+    /// fit a `u64`, shared roots in range), one child-range scan over the
+    /// shared arena, and a full parse of every dedicated table's
+    /// sections. The arena is copied out of the image once, and every
+    /// shared table's root array is derived from it.
+    ///
+    /// # Errors
+    /// Any [`ImageError`]; hostile images fail loudly, never panic.
+    pub fn from_image(image: &FibImage) -> Result<Self, ImageError> {
+        image.expect::<A>(EngineKind::VrfSet)?;
+        let dir = image.section(sections::VRF_DIR)?;
+        let arena = image.section(sections::VRF_PDAG)?;
+        let count = *dir.first().ok_or(ImageError::Malformed("vrf dir empty"))? as usize;
+        if dir.len() - 1 != count.saturating_mul(VRF_DIR_RECORD_WORDS) {
+            return Err(ImageError::Malformed("vrf dir length"));
+        }
+        PrefixDagRef::<A>::from_parts(arena, if arena.is_empty() { NONE } else { 0 })
+            .map_err(ImageError::Malformed)?;
+        let n_nodes = (arena.len() / 2) as u64;
+        let mut tables: Vec<CompiledVrf<A>> = Vec::with_capacity(count);
+        // What the statistics sum of the raw directory words, checked here.
+        let (mut solo_bytes, mut reachable) = (0u64, 0u64);
+        for (index, record) in dir[1..].chunks_exact(VRF_DIR_RECORD_WORDS).enumerate() {
+            let id = record[0] as u32;
+            if tables.last().is_some_and(|prev| prev.id >= id) {
+                return Err(ImageError::Malformed("vrf ids not strictly ascending"));
+            }
+            let choice = u8::try_from(record[0] >> 32)
+                .ok()
+                .and_then(VrfEngineChoice::from_u8)
+                .ok_or(ImageError::Malformed("vrf engine choice"))?;
+            let overflow = || ImageError::Malformed("vrf dir counts overflow");
+            solo_bytes = (record[4].checked_mul(16))
+                .and_then(|bytes| solo_bytes.checked_add(bytes))
+                .ok_or_else(overflow)?;
+            reachable = reachable.checked_add(record[3]).ok_or_else(overflow)?;
+            let (root, dedicated) = match choice.engine_kind() {
+                None => {
+                    let root = record[1] as u32;
+                    if root != NONE && u64::from(root) >= n_nodes {
+                        return Err(ImageError::Malformed("vrf root out of range"));
+                    }
+                    (root, None)
+                }
+                // Canonical section `id` sits at the table's block base plus
+                // its position in the engine's `SECTIONS`.
+                Some(kind) => {
+                    let slot = |id| kind.sections().iter().position(|&(s, _)| s == id);
+                    let section = |id| match slot(id) {
+                        Some(slot) => image.section(vrf_section_base(index) + slot as u32),
+                        None => Err(ImageError::MissingSection(id)),
+                    };
+                    (NONE, Some(VrfDedicated::load(choice, kind, section)?))
+                }
+            };
+            tables.push(CompiledVrf {
+                id,
+                root,
+                routes: record[2],
+                reachable_nodes: record[3],
+                solo_nodes: record[4],
+                dedicated,
+                root_array: (root != NONE).then(|| packed_root_array(arena, root)),
+            });
+        }
+        Ok(Self::assemble(arena.to_vec(), tables))
+    }
+
     /// The compiled table for `vrf`, if present.
     #[must_use]
     pub fn table(&self, vrf: u32) -> Option<&CompiledVrf<A>> {
@@ -463,13 +636,57 @@ impl<A: Address> CompiledVrfSet<A> {
         self.tables.get(i)
     }
 
-    /// VRF-keyed longest-prefix match against the compiled set.
+    /// VRF-keyed longest-prefix match against the set. Unknown VRFs
+    /// answer `None` (no table, no routes).
     #[must_use]
+    #[inline]
     pub fn lookup(&self, vrf: u32, addr: A) -> Option<NextHop> {
         let table = self.table(vrf)?;
         match &table.dedicated {
             None => self.shared_view(table).lookup(addr),
-            Some(dedicated) => dedicated.engine().lookup(addr),
+            Some(dedicated) => dedicated.lookup(addr),
+        }
+    }
+
+    /// Resolves a mixed `(vrf, addr)` batch, answers in input order.
+    ///
+    /// Keys are bucketed by VRF id so every run flows through its table's
+    /// batch path — the shared arena's walk from the table's root array,
+    /// or a dedicated engine's lanes — instead of ping-ponging between
+    /// tables per packet; a run's root array and the top of its arena stay
+    /// in cache across it. All working memory lives in `scratch`; after
+    /// its vectors have grown to the steady batch size this path does not
+    /// allocate.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `keys`.
+    pub fn lookup_batch(
+        &self,
+        keys: &[(u32, A)],
+        out: &mut [Option<NextHop>],
+        scratch: &mut VrfBatchScratch<A>,
+    ) {
+        assert!(out.len() >= keys.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
+        let VrfBatchScratch { order, addrs, hops } = scratch;
+        order.clear();
+        order.extend(0..keys.len() as u32);
+        order.sort_unstable_by_key(|&i| keys[i as usize].0);
+        for run in order.chunk_by(|&a, &b| keys[a as usize].0 == keys[b as usize].0) {
+            let vrf = keys[run[0] as usize].0;
+            addrs.clear();
+            addrs.extend(run.iter().map(|&i| keys[i as usize].1));
+            hops.clear();
+            hops.resize(run.len(), None);
+            // An unknown VRF's run keeps the `None`s it was filled with.
+            if let Some(table) = self.table(vrf) {
+                match &table.dedicated {
+                    None => self.shared_view(table).lookup_batch(addrs, hops),
+                    Some(dedicated) => dedicated.lookup_batch(addrs, hops),
+                }
+            }
+            for (&i, &hop) in run.iter().zip(hops.iter()) {
+                out[i as usize] = hop;
+            }
         }
     }
 
@@ -480,6 +697,24 @@ impl<A: Address> CompiledVrfSet<A> {
     #[inline]
     pub fn shared_view<'s>(&'s self, table: &'s CompiledVrf<A>) -> PrefixDagRef<'s, A> {
         PrefixDagRef::from_root_array(&self.arena, table.root_array())
+    }
+}
+
+/// Caller-owned working memory for [`CompiledVrfSet::lookup_batch`].
+/// Reuse one per worker; it grows to the batch size once and is then
+/// stable.
+#[derive(Default)]
+pub struct VrfBatchScratch<A: Address> {
+    order: Vec<u32>,
+    addrs: Vec<A>,
+    hops: Vec<Option<NextHop>>,
+}
+
+impl<A: Address> VrfBatchScratch<A> {
+    /// An empty scratch (vectors grow on first use).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -601,8 +836,9 @@ pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
 /// by interner id, so the result is **bit-identical** — arena, roots,
 /// root arrays, per-table counts, statistics — to a from-scratch
 /// [`compile_vrf_set`] over the same tables, provided `previous` was
-/// compiled by this function under the same `config` and every carried
-/// table's trie is what it was then.
+/// compiled by this function under the same `config` — or loaded
+/// ([`CompiledVrfSet::from_image`]) from the image of such a set — and
+/// every carried table's trie is what it was then.
 ///
 /// Under [`VrfPolicy::Auto`] placement is a fleet-wide decision (a
 /// table's marginal bytes depend on every lower id), so every table must
@@ -731,67 +967,48 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
     let (arena, packed_roots) = pack_bfs(&interner.nodes, &canon_roots);
     drop(interner);
 
-    // Assemble per-table results and statistics.
-    let mut stats = VrfSetStats {
-        tables: indexed.len(),
-        unique_nodes: (arena.len() / 2) as u64,
-        arena_bytes: arena.len() as u64 * 8,
-        ..VrfSetStats::default()
-    };
-    let mut out_tables = Vec::with_capacity(indexed.len());
-    for (pos, (source, &(_, id))) in sources.iter().zip(&indexed).enumerate() {
-        let choice = choices[pos];
-        let root = match choice {
-            VrfEngineChoice::Shared => packed_roots[pos],
-            _ => NONE,
-        };
-        let root_array = (root != NONE).then(|| packed_root_array(&arena, root));
-        let table = match *source {
-            Source::Carried(prev) => CompiledVrf {
-                root,
-                root_array,
-                dedicated: prev.dedicated.clone(),
-                ..*prev
-            },
-            Source::Folded {
-                trie, solo_nodes, ..
-            } => {
-                let build = BuildDedicated {
-                    choice,
-                    trie,
-                    config,
-                };
-                let dedicated = choice.engine_kind().map(|kind| {
-                    (kind.visit(build).and_then(|built| built))
-                        .expect("a placement names an engine with an image encoding")
-                });
-                CompiledVrf {
-                    id,
+    // Assemble per-table results; the set charges their statistics.
+    let tables = (sources.iter().zip(&indexed).enumerate())
+        .map(|(pos, (source, &(_, id)))| {
+            let choice = choices[pos];
+            let root = match choice {
+                VrfEngineChoice::Shared => packed_roots[pos],
+                _ => NONE,
+            };
+            let root_array = (root != NONE).then(|| packed_root_array(&arena, root));
+            match *source {
+                Source::Carried(prev) => CompiledVrf {
                     root,
-                    routes: trie.len() as u64,
-                    reachable_nodes: bfs_order(&arena, &[root]).len() as u64,
-                    solo_nodes,
-                    dedicated,
                     root_array,
+                    dedicated: prev.dedicated.clone(),
+                    ..*prev
+                },
+                Source::Folded {
+                    trie, solo_nodes, ..
+                } => {
+                    let build = BuildDedicated {
+                        choice,
+                        trie,
+                        config,
+                    };
+                    let dedicated = choice.engine_kind().map(|kind| {
+                        (kind.visit(build).and_then(|built| built))
+                            .expect("a placement names an engine with an image encoding")
+                    });
+                    CompiledVrf {
+                        id,
+                        root,
+                        routes: trie.len() as u64,
+                        reachable_nodes: bfs_order(&arena, &[root]).len() as u64,
+                        solo_nodes,
+                        dedicated,
+                        root_array,
+                    }
                 }
             }
-        };
-        stats.independent_bytes += table.solo_nodes * 16;
-        stats.dedicated_bytes += table.dedicated_bytes();
-        if table.root_array.is_some() {
-            stats.root_bytes += ROOT_ARRAY_BYTES;
-        }
-        if choice == VrfEngineChoice::Shared {
-            stats.shared_tables += 1;
-            stats.total_nodes += table.reachable_nodes;
-        }
-        out_tables.push(table);
-    }
-    CompiledVrfSet {
-        arena,
-        tables: out_tables,
-        stats,
-    }
+        })
+        .collect();
+    CompiledVrfSet::assemble(arena, tables)
 }
 
 // ---------------------------------------------------------------------
@@ -840,232 +1057,10 @@ pub fn write_vrf_image<A: Address>(
     writer.section(sections::VRF_PDAG, &set.arena);
     for (index, t) in set.tables.iter().enumerate() {
         if let Some(dedicated) = &t.dedicated {
-            let base = vrf_section_base(index);
-            dedicated.engine.write_at(&mut writer, base)?;
+            dedicated.write_at(&mut writer, vrf_section_base(index))?;
         }
     }
     Ok(writer.finish())
-}
-
-// ---------------------------------------------------------------------
-// Zero-copy view
-// ---------------------------------------------------------------------
-
-/// The per-table zero-copy engine view inside a VRF image.
-#[derive(Clone, Copy, Debug)]
-pub enum VrfEngineRef<'a, A: Address> {
-    /// Root over the shared arena. This view walks from the root, bit by
-    /// bit: the same answers as [`VrfSetRef::lookup`], which starts at
-    /// the table's root array, for more node reads (9.1 against 2.0 a
-    /// lookup on a fleet of taz-0.1 tables).
-    Shared(PrefixDagRef<'a, A>),
-    /// The table's own engine, read from its private section block.
-    Dedicated(AnyView<'a, A>),
-}
-
-impl<A: Address> VrfEngineRef<'_, A> {
-    /// Longest-prefix match against this table.
-    #[must_use]
-    #[inline]
-    pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        match self {
-            Self::Shared(v) => v.lookup(addr),
-            Self::Dedicated(v) => v.lookup(addr),
-        }
-    }
-}
-
-/// One table of a [`VrfSetRef`].
-///
-/// A `VrfTableRef` is `Copy` and borrows only the image, so it cannot
-/// hold the root array its set derived at load: a caller holding one
-/// walks a shared table from its root through [`Self::engine`]. The walk
-/// the set serves from is [`VrfSetRef::lookup`] by the table's id.
-#[derive(Clone, Copy, Debug)]
-pub struct VrfTableRef<'a, A: Address> {
-    /// VRF id.
-    pub id: u32,
-    /// Engine placement recorded in the directory.
-    pub choice: VrfEngineChoice,
-    /// Routes recorded in the directory.
-    pub routes: u64,
-    /// Reachable shared-arena nodes recorded in the directory.
-    pub reachable_nodes: u64,
-    /// Standalone packed-pDAG node count recorded in the directory.
-    pub solo_nodes: u64,
-    /// The table's engine view.
-    pub engine: VrfEngineRef<'a, A>,
-}
-
-/// Zero-copy VRF-keyed view over a loaded [`EngineKind::VrfSet`] image,
-/// plus the root arrays it derives at load — the ones the compiler
-/// derived, since the image stores none.
-pub struct VrfSetRef<'a, A: Address> {
-    tables: Vec<VrfTableRef<'a, A>>,
-    /// The shared arena's words.
-    arena: &'a [u64],
-    /// Parallel to `tables`: a shared table's root array, present exactly
-    /// when it has a root.
-    root_arrays: Vec<Option<Box<RootArray>>>,
-}
-
-impl<'a, A: Address> VrfSetRef<'a, A> {
-    /// Assembles the view, validating the directory (ids strictly
-    /// ascending, roots in range, dedicated sections present, counts
-    /// whose byte sums fit a `u64`) and the shared arena's child
-    /// references, and derives every shared table's root array.
-    ///
-    /// # Errors
-    /// Any [`ImageError`]; hostile images fail loudly, never panic.
-    pub fn from_image(image: &'a FibImage) -> Result<Self, ImageError> {
-        image.expect::<A>(EngineKind::VrfSet)?;
-        let dir = image.section(sections::VRF_DIR)?;
-        let arena = image.section(sections::VRF_PDAG)?;
-        let count = *dir.first().ok_or(ImageError::Malformed("vrf dir empty"))? as usize;
-        if dir.len() - 1 != count.saturating_mul(VRF_DIR_RECORD_WORDS) {
-            return Err(ImageError::Malformed("vrf dir length"));
-        }
-        // One full child-range scan over the shared arena covers every
-        // shared table; per-table views are then assembled trusted.
-        PrefixDagRef::<A>::from_parts(arena, if arena.is_empty() { NONE } else { 0 })
-            .map_err(ImageError::Malformed)?;
-        let n_nodes = (arena.len() / 2) as u64;
-        let mut tables = Vec::with_capacity(count);
-        let mut root_arrays = Vec::with_capacity(count);
-        let mut prev_id: Option<u32> = None;
-        // What `stats` sums of the raw directory words, checked here.
-        let (mut solo_bytes, mut reachable) = (0u64, 0u64);
-        for (index, record) in dir[1..].chunks_exact(VRF_DIR_RECORD_WORDS).enumerate() {
-            let id = record[0] as u32;
-            if prev_id.is_some_and(|p| p >= id) {
-                return Err(ImageError::Malformed("vrf ids not strictly ascending"));
-            }
-            prev_id = Some(id);
-            let choice = u8::try_from(record[0] >> 32)
-                .ok()
-                .and_then(VrfEngineChoice::from_u8)
-                .ok_or(ImageError::Malformed("vrf engine choice"))?;
-            let root = record[1] as u32;
-            let overflow = || ImageError::Malformed("vrf dir counts overflow");
-            solo_bytes = (record[4].checked_mul(16))
-                .and_then(|bytes| solo_bytes.checked_add(bytes))
-                .ok_or_else(overflow)?;
-            reachable = reachable.checked_add(record[3]).ok_or_else(overflow)?;
-            let engine = match choice.engine_kind() {
-                None => {
-                    if root != NONE && u64::from(root) >= n_nodes {
-                        return Err(ImageError::Malformed("vrf root out of range"));
-                    }
-                    VrfEngineRef::Shared(
-                        PrefixDagRef::from_parts_trusted(arena, root)
-                            .map_err(ImageError::Malformed)?,
-                    )
-                }
-                // Canonical section `id` sits at the table's block base plus
-                // its position in the engine's `SECTIONS`.
-                Some(kind) => {
-                    let slot = |id| kind.sections().iter().position(|&(s, _)| s == id);
-                    let section = |id| match slot(id) {
-                        Some(slot) => image.section(vrf_section_base(index) + slot as u32),
-                        None => Err(ImageError::MissingSection(id)),
-                    };
-                    VrfEngineRef::Dedicated(AnyView::parse(kind, section, false)?)
-                }
-            };
-            tables.push(VrfTableRef {
-                id,
-                choice,
-                routes: record[2],
-                reachable_nodes: record[3],
-                solo_nodes: record[4],
-                engine,
-            });
-            // A shared root is in range by now: derive where its walk starts.
-            let shared = choice == VrfEngineChoice::Shared && root != NONE;
-            root_arrays.push(shared.then(|| packed_root_array(arena, root)));
-        }
-        Ok(Self {
-            tables,
-            arena,
-            root_arrays,
-        })
-    }
-
-    /// Number of tables.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether the set holds no tables.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
-    /// All tables, sorted by VRF id.
-    #[must_use]
-    pub fn tables(&self) -> &[VrfTableRef<'a, A>] {
-        &self.tables
-    }
-
-    /// The table for `vrf`, if present.
-    #[must_use]
-    #[inline]
-    pub fn table(&self, vrf: u32) -> Option<&VrfTableRef<'a, A>> {
-        let i = self.tables.binary_search_by_key(&vrf, |t| t.id).ok()?;
-        self.tables.get(i)
-    }
-
-    /// VRF-keyed longest-prefix match: a shared table's walk starts at
-    /// its root array, as the compiled set's does. Unknown VRFs answer
-    /// `None` (no table, no routes).
-    #[must_use]
-    #[inline]
-    pub fn lookup(&self, vrf: u32, addr: A) -> Option<NextHop> {
-        let i = self.tables.binary_search_by_key(&vrf, |t| t.id).ok()?;
-        match self.tables[i].engine {
-            VrfEngineRef::Shared(_) => {
-                PrefixDagRef::<A>::from_root_array(self.arena, self.root_arrays[i].as_deref())
-                    .lookup(addr)
-            }
-            VrfEngineRef::Dedicated(view) => view.lookup(addr),
-        }
-    }
-
-    /// Unique nodes in the shared arena.
-    #[must_use]
-    pub fn unique_nodes(&self) -> u64 {
-        (self.arena.len() / 2) as u64
-    }
-
-    /// Recomputes aggregate dedup statistics from the directory and the
-    /// root arrays derived at load.
-    #[must_use]
-    pub fn stats(&self) -> VrfSetStats {
-        let mut stats = VrfSetStats {
-            tables: self.tables.len(),
-            unique_nodes: self.unique_nodes(),
-            arena_bytes: self.unique_nodes() * 16,
-            ..VrfSetStats::default()
-        };
-        for (t, root_array) in self.tables.iter().zip(&self.root_arrays) {
-            stats.independent_bytes += t.solo_nodes * 16;
-            if root_array.is_some() {
-                stats.root_bytes += ROOT_ARRAY_BYTES;
-            }
-            match t.engine {
-                VrfEngineRef::Shared(_) => {
-                    stats.shared_tables += 1;
-                    stats.total_nodes += t.reachable_nodes;
-                }
-                VrfEngineRef::Dedicated(v) => {
-                    stats.dedicated_bytes += v.size_bytes() as u64;
-                }
-            }
-        }
-        stats
-    }
 }
 
 #[cfg(test)]
@@ -1165,7 +1160,10 @@ mod tests {
         // Carried means shared, not rebuilt.
         let engine = |set: &CompiledVrfSet<u32>| {
             let dedicated = set.tables[0].dedicated.clone();
-            dedicated.expect("table 1 is pinned to serialized").engine
+            match dedicated.expect("table 1 is pinned to serialized").engine {
+                DedicatedEngine::Built(engine) => engine,
+                DedicatedEngine::Loaded(_) => unreachable!("compiled, not loaded"),
+            }
         };
         assert!(Arc::ptr_eq(&engine(&previous), &engine(&next)));
         for i in 0..2048u32 {
@@ -1232,18 +1230,19 @@ mod tests {
         let image = FibImage::from_bytes(&bytes).unwrap();
         assert_eq!(image.engine().unwrap(), EngineKind::VrfSet);
         assert_eq!(image.epoch(), 42);
-        let view = VrfSetRef::<u32>::from_image(&image).unwrap();
-        assert_eq!(view.len(), 2);
+        let loaded = CompiledVrfSet::<u32>::from_image(&image).unwrap();
+        assert_eq!(loaded.tables.len(), 2);
         for i in 0..4096u32 {
             let addr = i.wrapping_mul(0x85EB_CA6B);
-            assert_eq!(view.lookup(3, addr), t1.lookup(addr));
-            assert_eq!(view.lookup(11, addr), t2.lookup(addr));
+            assert_eq!(loaded.lookup(3, addr), t1.lookup(addr));
+            assert_eq!(loaded.lookup(11, addr), t2.lookup(addr));
         }
-        let stats = view.stats();
-        assert_eq!(stats.tables, 2);
-        assert_eq!(stats.unique_nodes, set.stats.unique_nodes);
-        assert_eq!(stats.total_nodes, set.stats.total_nodes);
-        assert!(stats.sharing_ratio() > 1.0, "overlapping tables share");
+        assert_eq!(loaded.arena, set.arena);
+        assert_eq!(loaded.stats, set.stats);
+        assert!(
+            loaded.stats.sharing_ratio() > 1.0,
+            "overlapping tables share"
+        );
     }
 
     /// What the root-array entry for 8-bit prefix `slot` must hold: the
@@ -1299,22 +1298,25 @@ mod tests {
             assert_eq!(set.stats.root_bytes, 4 * ROOT_ARRAY_BYTES, "λ {lambda}");
             let bytes = write_vrf_image(&set, 0).unwrap();
             let image = FibImage::from_bytes(&bytes).unwrap();
-            let view = VrfSetRef::<u32>::from_image(&image).unwrap();
+            let loaded = CompiledVrfSet::<u32>::from_image(&image).unwrap();
             assert_eq!(
-                view.stats(),
-                set.stats,
+                loaded.stats, set.stats,
                 "λ {lambda}: the loader charges the same"
             );
-            for ((table, trie), loaded) in set.tables.iter().zip(tries).zip(&view.root_arrays) {
+            for ((table, trie), loaded_table) in set.tables.iter().zip(tries).zip(&loaded.tables) {
                 let array = table.root_array().expect("every table here has a root");
-                assert_eq!(Some(array), loaded.as_deref(), "λ {lambda}: load = compile");
+                assert_eq!(
+                    Some(array),
+                    loaded_table.root_array(),
+                    "λ {lambda}: load = compile"
+                );
                 for (slot, &entry) in array.iter().enumerate() {
                     assert_eq!(entry, walked_entry(&set.arena, table.root, slot));
                 }
                 for &addr in &probes {
                     let want = trie.lookup(addr);
                     assert_eq!(set.lookup(table.id, addr), want, "λ {lambda}, {addr:#x}");
-                    assert_eq!(view.lookup(table.id, addr), want, "λ {lambda}, {addr:#x}");
+                    assert_eq!(loaded.lookup(table.id, addr), want, "λ {lambda}, {addr:#x}");
                 }
             }
             // A default route alone ends every path above depth 8; a table
@@ -1371,12 +1373,12 @@ mod tests {
         assert_eq!(set.tables[0].choice(), VrfEngineChoice::VsDag);
         let bytes = write_vrf_image(&set, 0).unwrap();
         let image = FibImage::from_bytes(&bytes).unwrap();
-        let view = VrfSetRef::<u32>::from_image(&image).unwrap();
+        let loaded = CompiledVrfSet::<u32>::from_image(&image).unwrap();
         for i in 0..2048u32 {
             let addr = i.wrapping_mul(0xC2B2_AE35);
-            assert_eq!(view.lookup(1, addr), t1.lookup(addr));
-            assert_eq!(view.lookup(2, addr), t2.lookup(addr));
-            assert_eq!(view.lookup(3, addr), t3.lookup(addr));
+            assert_eq!(loaded.lookup(1, addr), t1.lookup(addr));
+            assert_eq!(loaded.lookup(2, addr), t2.lookup(addr));
+            assert_eq!(loaded.lookup(3, addr), t3.lookup(addr));
         }
     }
 
@@ -1396,13 +1398,13 @@ mod tests {
         assert_eq!(set.tables[0].choice(), VrfEngineChoice::VsDag);
         let bytes = write_vrf_image(&set, 9).unwrap();
         let image = FibImage::from_bytes(&bytes).unwrap();
-        let view = VrfSetRef::<u32>::from_image(&image).unwrap();
-        assert_eq!(view.tables()[0].choice, VrfEngineChoice::VsDag);
+        let loaded = CompiledVrfSet::<u32>::from_image(&image).unwrap();
+        assert_eq!(loaded.tables[0].choice(), VrfEngineChoice::VsDag);
         for i in 0..4096u32 {
             let addr = i.wrapping_mul(0x85EB_CA6B);
             assert_eq!(set.lookup(1, addr), t1.lookup(addr));
-            assert_eq!(view.lookup(1, addr), t1.lookup(addr));
-            assert_eq!(view.lookup(2, addr), t2.lookup(addr));
+            assert_eq!(loaded.lookup(1, addr), t1.lookup(addr));
+            assert_eq!(loaded.lookup(2, addr), t2.lookup(addr));
         }
         assert_eq!(crate::lint::lint_bytes(&bytes), Vec::new());
     }
@@ -1419,13 +1421,13 @@ mod tests {
         let set = compile_vrf_set(&tables, &BuildConfig::default(), &VrfPolicy::Shared);
         let bytes = write_vrf_image(&set, 0).unwrap();
         let image = FibImage::from_bytes(&bytes).unwrap();
-        let view = VrfSetRef::<u128>::from_image(&image).unwrap();
+        let loaded = CompiledVrfSet::<u128>::from_image(&image).unwrap();
         let probe: u128 = "2001:db8:9::1"
             .parse::<std::net::Ipv6Addr>()
             .unwrap()
             .into();
-        assert_eq!(view.lookup(5, probe), Some(nh(1)));
-        assert_eq!(view.lookup(6, probe), Some(nh(3)));
+        assert_eq!(loaded.lookup(5, probe), Some(nh(1)));
+        assert_eq!(loaded.lookup(6, probe), Some(nh(3)));
     }
 
     #[test]

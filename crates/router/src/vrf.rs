@@ -32,18 +32,17 @@
 //! publish stamps the tables that changed with the new epoch and copies
 //! every other table's from the snapshot it replaces.
 //!
-//! Batched lookups bucket a mixed `(vrf, addr)` stream by VRF id so each
-//! run goes through its table's engine batch path (the shared arena's
-//! walk from the table's root array, or a dedicated engine's lanes).
-//! Runs of one table are walked back to back, so its root array and the
-//! top of its arena stay in cache across the run. The scratch the
-//! bucketing needs is caller-owned ([`VrfBatchScratch`]): steady-state
-//! forwarding does not allocate.
+//! Batched lookups are the set's own ([`CompiledVrfSet::lookup_batch`]):
+//! a mixed `(vrf, addr)` stream is bucketed by VRF id so each run goes
+//! through its table's batch path, and the scratch the bucketing needs is
+//! caller-owned ([`VrfBatchScratch`]), so steady-state forwarding does
+//! not allocate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use fib_core::{recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibLookup, VrfPolicy};
+pub use fib_core::VrfBatchScratch;
+use fib_core::{recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, VrfPolicy};
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
 use crate::publish::Publisher;
@@ -91,13 +90,9 @@ impl<A: Address> VrfSnapshot<A> {
         self.set.lookup(vrf, addr)
     }
 
-    /// Resolves a mixed `(vrf, addr)` batch, answers in input order.
-    ///
-    /// Keys are bucketed by VRF id so every run flows through its
-    /// table's engine *batch* path instead of ping-ponging between
-    /// tables per packet. All working memory lives in `scratch`; after
-    /// its vectors have grown to the steady batch size this path does
-    /// not allocate.
+    /// Resolves a mixed `(vrf, addr)` batch, answers in input order,
+    /// through the set's VRF-bucketed batch path
+    /// ([`CompiledVrfSet::lookup_batch`]).
     ///
     /// # Panics
     /// Panics if `out` is shorter than `keys`.
@@ -107,59 +102,7 @@ impl<A: Address> VrfSnapshot<A> {
         out: &mut [Option<NextHop>],
         scratch: &mut VrfBatchScratch<A>,
     ) {
-        assert!(out.len() >= keys.len(), "output buffer too small");
-        scratch.order.clear();
-        scratch.order.extend(0..keys.len() as u32);
-        scratch.order.sort_unstable_by_key(|&i| keys[i as usize].0);
-        let mut start = 0usize;
-        while start < scratch.order.len() {
-            let vrf = keys[scratch.order[start] as usize].0;
-            let mut end = start + 1;
-            while end < scratch.order.len() && keys[scratch.order[end] as usize].0 == vrf {
-                end += 1;
-            }
-            let run = &scratch.order[start..end];
-            scratch.addrs.clear();
-            scratch
-                .addrs
-                .extend(run.iter().map(|&i| keys[i as usize].1));
-            scratch.hops.clear();
-            scratch.hops.resize(run.len(), None);
-            self.run_table(vrf, &scratch.addrs, &mut scratch.hops);
-            for (&i, &hop) in run.iter().zip(scratch.hops.iter()) {
-                out[i as usize] = hop;
-            }
-            start = end;
-        }
-    }
-
-    /// One bucketed run against a single table's engine batch path.
-    fn run_table(&self, vrf: u32, addrs: &[A], hops: &mut [Option<NextHop>]) {
-        let Some(table) = self.set.table(vrf) else {
-            hops.fill(None);
-            return;
-        };
-        match &table.dedicated {
-            None => self.set.shared_view(table).lookup_batch(addrs, hops),
-            Some(dedicated) => dedicated.engine().lookup_batch(addrs, hops),
-        }
-    }
-}
-
-/// Caller-owned working memory for [`VrfSnapshot::lookup_batch`]. Reuse
-/// one per worker; it grows to the batch size once and is then stable.
-#[derive(Default)]
-pub struct VrfBatchScratch<A: Address> {
-    order: Vec<u32>,
-    addrs: Vec<A>,
-    hops: Vec<Option<NextHop>>,
-}
-
-impl<A: Address> VrfBatchScratch<A> {
-    /// An empty scratch (vectors grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+        self.set.lookup_batch(keys, out, scratch);
     }
 }
 

@@ -308,6 +308,15 @@ pub fn by_name(name: &str) -> Option<PaperInstance> {
     all().into_iter().find(|i| i.name == name)
 }
 
+/// The instance `name` at `scale` of its published prefix count (64
+/// prefixes at least), built from `seed`; `None` for an unknown name.
+#[must_use]
+pub fn scaled(name: &str, scale: f64, seed: u64) -> Option<BinaryTrie<u32>> {
+    let mut instance = by_name(name)?;
+    instance.n_prefixes = ((instance.n_prefixes as f64 * scale) as usize).max(64);
+    Some(instance.build(seed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

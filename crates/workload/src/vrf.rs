@@ -123,7 +123,7 @@ fn churn_route<A: Address, R: Rng + ?Sized>(
     }
 }
 
-/// Builds the ISSUE's canonical fleet: the named paper instance at
+/// Builds the canonical fleet: the named paper instance at
 /// `scale`, derived into `tables` VRFs at the given `overlap`. Returns
 /// `None` for an unknown instance name.
 #[must_use]
@@ -134,12 +134,7 @@ pub fn instance_fleet(
     overlap: f64,
     seed: u64,
 ) -> Option<Vec<BinaryTrie<u32>>> {
-    let mut inst = instances::by_name(name)?;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    {
-        inst.n_prefixes = ((inst.n_prefixes as f64 * scale) as usize).max(64);
-    }
-    let base = inst.build(seed);
+    let base = instances::scaled(name, scale, seed)?;
     Some(
         VrfFleetSpec {
             tables,

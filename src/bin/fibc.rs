@@ -31,6 +31,7 @@
 //! (`10.0.0.0/8 3`, `2001:db8::/32 1`), `#` comments allowed. The address
 //! family is inferred from the first route (or forced with `--v6`).
 
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,19 +40,41 @@ use std::time::Duration;
 use fibcomp::core::image::sections;
 use fibcomp::core::lint as image_lint;
 use fibcomp::core::{
-    compile_vrf_set, write_image, write_image_hot, write_vrf_image, BuildConfig, EngineKind,
-    EngineVisitor, FibBuild, FibImage, HotConfig, HotSlab, ImageCodec, ImageError, RootArray,
-    VarStrideDag, VrfPolicy, VrfSetRef, VrfTable, XbwStorage,
+    compile_vrf_set, write_image, write_image_hot, write_vrf_image, BuildConfig, CompiledVrfSet,
+    EngineKind, EngineVisitor, FibBuild, FibImage, HotConfig, HotSlab, ImageCodec, ImageError,
+    RootArray, VarStrideDag, VrfBatchScratch, VrfPolicy, VrfTable, XbwStorage,
 };
 use fibcomp::router::{
     scan_spool, EpochSnapshot, Forwarder, ForwarderConfig, PacingMode, SnapCell, StdFs,
     WorkerReport,
 };
-use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
+use fibcomp::trie::io::parse_routes;
+use fibcomp::trie::{Address, BinaryTrie, ParsePrefixError, Prefix};
 use fibcomp::workload::loadgen::{AddrStream, KeyModel};
 use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::vrf::{fleet_weights, instance_fleet, mixed_keys};
-use fibcomp::workload::{traces, HeatSummary};
+use fibcomp::workload::{instances, traces, HeatSummary};
+
+/// `fibc`'s `println!`, shadowing the standard one (which panics once
+/// stdout is closed): every line goes through [`emit`].
+macro_rules! println {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `fibc`'s one stdout writer. A reader that went away (`fibc inspect
+/// IMG | head`) ends the command quietly with status 0, as it ends `cat`;
+/// any other stdout error is reported and exits with status 1.
+fn emit(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("fibc: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -111,31 +134,14 @@ fn flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
-fn parse_routes<A: Address>(path: &str) -> Result<BinaryTrie<A>, String>
+/// Reads a routes file in the tabular format `fib_trie::io` parses.
+fn read_routes<A: Address>(path: &str) -> Result<BinaryTrie<A>, String>
 where
-    Prefix<A>: std::str::FromStr,
-    <Prefix<A> as std::str::FromStr>::Err: std::fmt::Display,
+    Prefix<A>: std::str::FromStr<Err = ParsePrefixError>,
 {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut trie = BinaryTrie::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(prefix), Some(nh)) = (parts.next(), parts.next()) else {
-            return Err(format!("{path}:{}: want 'prefix next_hop'", lineno + 1));
-        };
-        let prefix: Prefix<A> = prefix
-            .parse()
-            .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let nh: u32 = nh
-            .parse()
-            .map_err(|e| format!("{path}:{}: bad next-hop: {e}", lineno + 1))?;
-        trie.insert(prefix, NextHop::new(nh));
-    }
-    Ok(trie)
+    let routes = parse_routes::<A>(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok(routes.into_iter().collect())
 }
 
 fn build_config(args: &[String]) -> Result<BuildConfig, String> {
@@ -201,10 +207,10 @@ fn compile(args: &[String]) -> Result<(), String> {
 
     if flag(args, "--v6") {
         let routes = opt(args, "--routes").ok_or("--routes is required with --v6")?;
-        let trie = parse_routes::<u128>(routes)?;
+        let trie = read_routes::<u128>(routes)?;
         compile_trie(&trie, engine, &config, epoch, with_routes, heat, out)
     } else if let Some(routes) = opt(args, "--routes") {
-        let trie = parse_routes::<u32>(routes)?;
+        let trie = read_routes::<u32>(routes)?;
         compile_trie(&trie, engine, &config, epoch, with_routes, heat, out)
     } else if let Some(name) = opt(args, "--instance") {
         let scale: f64 = opt(args, "--scale")
@@ -215,10 +221,8 @@ fn compile(args: &[String]) -> Result<(), String> {
             .unwrap_or("3851")
             .parse()
             .map_err(|e| format!("--seed: {e}"))?;
-        let mut inst = fibcomp::workload::instances::by_name(name)
+        let trie = instances::scaled(name, scale, seed)
             .ok_or_else(|| format!("unknown paper instance '{name}'"))?;
-        inst.n_prefixes = ((inst.n_prefixes as f64 * scale) as usize).max(64);
-        let trie = inst.build(seed);
         compile_trie(&trie, engine, &config, epoch, with_routes, heat, out)
     } else {
         Err("need --routes FILE or --instance NAME".into())
@@ -462,8 +466,8 @@ fn inspect(args: &[String]) -> Result<(), String> {
 /// The vrfset half of `inspect`: aggregate dedup stats, then one row per
 /// VRF (placement, routes, and its share of the arena).
 fn inspect_vrfs<A: Address>(image: &FibImage) -> Result<(), String> {
-    let view = VrfSetRef::<A>::from_image(image).map_err(|e| e.to_string())?;
-    let stats = view.stats();
+    let set = CompiledVrfSet::<A>::from_image(image).map_err(|e| e.to_string())?;
+    let stats = &set.stats;
     println!("  vrf set");
     println!(
         "    tables        {} ({} on the shared arena)",
@@ -487,11 +491,11 @@ fn inspect_vrfs<A: Address>(image: &FibImage) -> Result<(), String> {
         stats.independent_bytes,
         stats.bytes_saved() as f64 / stats.independent_bytes.max(1) as f64 * 100.0
     );
-    for t in view.tables() {
+    for t in &set.tables {
         println!(
             "    vrf {:>5}  {:<12} {:>9} routes  {:>9} arena nodes ({:>9} solo)",
             t.id,
-            t.choice.name(),
+            t.choice().name(),
             t.routes,
             t.reachable_nodes,
             t.solo_nodes
@@ -752,9 +756,14 @@ fn print_reports(reports: &[WorkerReport], via: &str) {
     );
 }
 
+/// Keys per `lookup_batch` call of a vrfset `--probe` run — the
+/// forwarding runtime's default `--batch`.
+const VRF_PROBE_BATCH: usize = 256;
+
 /// `fibc serve` on a vrfset image: `--probe N` runs a deterministic
-/// mixed-VRF stream (uniform or Zipf-skewed across tables) on this
-/// thread; stdin mode takes `VRF ADDR` lines and answers in input order.
+/// mixed-VRF stream (uniform or Zipf-skewed across tables) through the
+/// set's VRF-bucketed batch path on this thread; stdin mode takes
+/// `VRF ADDR` lines and answers in input order.
 /// The forwarding runtime's flags have no meaning here and are refused,
 /// not ignored.
 fn serve_vrf_family<A: Address + AddrText>(
@@ -767,13 +776,11 @@ fn serve_vrf_family<A: Address + AddrText>(
             "{refused} is not supported on a vrfset image (use --probe N or 'VRF ADDR' lines on stdin)"
         ));
     }
-    let view = VrfSetRef::<A>::from_image(image).map_err(|e| e.to_string())?;
-    if view.is_empty() {
+    let set = CompiledVrfSet::<A>::from_image(image).map_err(|e| e.to_string())?;
+    let tables = set.tables.len();
+    if tables == 0 {
         return Err("vrf set holds no tables".into());
     }
-    // Directory order → VRF id: the probe stream draws table *slots* so
-    // skew lands on real ids even when they are sparse.
-    let ids: Vec<u32> = view.tables().iter().map(|t| t.id).collect();
     if let Some(count) = opt(args, "--probe") {
         let count: usize = count.parse().map_err(|e| format!("--probe: {e}"))?;
         let seed = parse_seed(args)?;
@@ -782,16 +789,25 @@ fn serve_vrf_family<A: Address + AddrText>(
             "uniform" => None,
             // Zipf/bursty skew lands on table popularity here; addresses
             // stay uniform (key locality inside a table is not modelled).
-            "zipf" | "bursty" => Some(fleet_weights(view.len(), 1.0)),
+            "zipf" | "bursty" => Some(fleet_weights(tables, 1.0)),
             other => return Err(format!("--keys: unknown model '{other}'")),
         };
-        let probes: Vec<(u32, A)> = mixed_keys(view.len(), weights.as_deref(), seed, count);
+        // The stream draws table *slots* (directory order), so skew lands
+        // on real ids even when they are sparse.
+        let probes: Vec<(u32, A)> = mixed_keys(tables, weights.as_deref(), seed, count)
+            .into_iter()
+            .map(|(slot, addr)| (set.tables[slot as usize].id, addr))
+            .collect();
+        let mut out = vec![None; VRF_PROBE_BATCH];
+        let mut scratch = VrfBatchScratch::new();
         let start = std::time::Instant::now();
         let mut matched = 0u64;
-        for &(slot, addr) in &probes {
-            if view.lookup(ids[slot as usize], addr).is_some() {
-                matched += 1;
-            }
+        for batch in probes.chunks(VRF_PROBE_BATCH) {
+            set.lookup_batch(batch, &mut out, &mut scratch);
+            matched += out[..batch.len()]
+                .iter()
+                .filter(|hop| hop.is_some())
+                .count() as u64;
         }
         let secs = start.elapsed().as_secs_f64();
         let mlps = if secs > 0.0 {
@@ -800,8 +816,7 @@ fn serve_vrf_family<A: Address + AddrText>(
             0.0
         };
         println!(
-            "vrf probe ({keys}): {count} pkts over {} VRFs ({matched} matched), {mlps:.2} Mlps",
-            view.len()
+            "vrf probe ({keys}): {count} pkts over {tables} VRFs ({matched} matched), {mlps:.2} Mlps"
         );
         return Ok(());
     }
@@ -831,7 +846,7 @@ fn serve_vrf_family<A: Address + AddrText>(
             }
         };
         match A::parse_addr(addr) {
-            Ok(addr) => match view.lookup(vrf, addr) {
+            Ok(addr) => match set.lookup(vrf, addr) {
                 Some(nh) => println!("{text} -> {nh}"),
                 None => println!("{text} -> no route"),
             },

@@ -1,15 +1,17 @@
 //! What `fibc serve` answers, driven through the built binary: every
 //! single-table engine's image answers stdin addresses as its routes
 //! section does, `--probe` is one budget the forwarding workers share,
-//! an image compiled with `--heat` serves through its slab, and a vrfset
-//! image refuses the forwarding runtime's flags.
+//! an image compiled with `--heat` serves through its slab, a vrfset
+//! image refuses the forwarding runtime's flags, and a reader that closes
+//! `fibc`'s stdout ends it quietly. Beside them, `fibc compile --routes`
+//! refuses a routes line it cannot read whole.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
-use fibcomp::core::{FibImage, VrfSetRef};
+use fibcomp::core::{CompiledVrfSet, FibImage};
 use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::traces;
 
@@ -151,26 +153,35 @@ fn a_heat_compiled_image_serves_through_its_slab() {
     }
 }
 
+/// A fleet image of four taz 0.02 tables, compiled once per test binary.
+fn fleet_image() -> &'static Path {
+    static FLEET_BUILT: OnceLock<PathBuf> = OnceLock::new();
+    FLEET_BUILT.get_or_init(|| {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fibc_serve");
+        std::fs::create_dir_all(&dir).expect("image dir");
+        let path = dir.join("fleet.img");
+        let img = path.to_str().expect("utf-8 path");
+        let args = [
+            "compile",
+            "--vrfs",
+            "4",
+            "--instance",
+            "taz",
+            "--scale",
+            "0.02",
+        ];
+        stdout_of(&fibc(&[&args[..], &["--out", img]].concat()));
+        path
+    })
+}
+
 /// A vrfset image serves `--probe` and `VRF ADDR` lines on one thread;
 /// the forwarding runtime's flags are refused by name rather than
 /// silently dropped (`--duration` alone used to fall through to stdin).
 #[test]
 fn a_vrfset_image_refuses_runtime_flags_and_still_answers() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fibc_serve");
-    std::fs::create_dir_all(&dir).expect("image dir");
-    let path = dir.join("fleet.img");
+    let path = fleet_image();
     let img = path.to_str().expect("utf-8 path");
-    stdout_of(&fibc(&[
-        "compile",
-        "--vrfs",
-        "4",
-        "--instance",
-        "taz",
-        "--scale",
-        "0.02",
-        "--out",
-        img,
-    ]));
 
     for args in [
         &["--duration", "0.2"][..],
@@ -192,21 +203,85 @@ fn a_vrfset_image_refuses_runtime_flags_and_still_answers() {
         "{stdout}"
     );
 
-    let image = FibImage::load(&path).expect("compiled image loads");
-    let view = VrfSetRef::<u32>::from_image(&image).expect("a vrfset image");
+    let image = FibImage::load(path).expect("compiled image loads");
+    let set = CompiledVrfSet::<u32>::from_image(&image).expect("a vrfset image");
     let addrs = traces::uniform::<u32, _>(&mut Xoshiro256::seed_from_u64(29), 64);
     let mut input = String::new();
     let mut want = Vec::new();
     for (i, &addr) in addrs.iter().enumerate() {
-        let vrf = view.tables()[i % view.len()].id;
+        let vrf = set.tables[i % set.tables.len()].id;
         let text = format!("{vrf} {}", std::net::Ipv4Addr::from(addr));
-        want.push(match view.lookup(vrf, addr) {
+        want.push(match set.lookup(vrf, addr) {
             Some(nh) => format!("{text} -> {nh}"),
             None => format!("{text} -> no route"),
         });
         input.push_str(&text);
         input.push('\n');
     }
-    let stdout = stdout_of(&serve_stdin(&path, &input));
+    let stdout = stdout_of(&serve_stdin(path, &input));
     assert_eq!(stdout.lines().collect::<Vec<_>>(), want);
+}
+
+/// A reader that goes away before `fibc serve` answers (`fibc serve IMG |
+/// true`) ends it quietly with status 0, for a single-table image and a
+/// fleet alike, instead of a panic on the broken pipe.
+#[test]
+fn a_closed_stdout_ends_serve_quietly() {
+    let serialized = images().iter().find(|(name, _)| *name == "serialized");
+    let serialized = &serialized.expect("a serialized image").1;
+    for (path, line) in [(&**serialized, "8.8.8.8\n"), (fleet_image(), "1 8.8.8.8\n")] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fibc"))
+            .arg("serve")
+            .arg(path)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("fibc runs");
+        drop(child.stdout.take());
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin
+            .write_all(line.as_bytes())
+            .expect("stdin takes the line");
+        drop(stdin);
+        let output = child.wait_with_output().expect("fibc exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success(),
+            "{path:?}: {:?}\n{stderr}",
+            output.status
+        );
+        assert!(!stderr.contains("panicked"), "{path:?}: {stderr}");
+    }
+}
+
+/// `fibc compile --routes` reads a routes file line by line, and a line
+/// with a column too many is refused by file and line — not compiled as
+/// its first two columns.
+#[test]
+fn compile_refuses_a_routes_line_with_a_third_column() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fibc_serve");
+    std::fs::create_dir_all(&dir).expect("image dir");
+    let routes = dir.join("three-columns.txt");
+    std::fs::write(&routes, "0.0.0.0/0 1\n10.0.0.0/8 3 7\n").expect("routes file");
+    let routes = routes.to_str().expect("utf-8 path");
+    let out = dir.join("three-columns.img");
+    let output = fibc(&[
+        "compile",
+        "--engine",
+        "serialized",
+        "--routes",
+        routes,
+        "--out",
+        out.to_str().expect("utf-8 path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success(),
+        "a third column compiled: {stderr}"
+    );
+    assert!(
+        stderr.contains(&format!("{routes}: line 2:")),
+        "the error names the file and line: {stderr}"
+    );
 }

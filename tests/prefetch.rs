@@ -12,9 +12,7 @@ use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::traces::uniform;
 
 fn taz_fib(scale: f64) -> BinaryTrie<u32> {
-    let mut inst = instances::by_name("taz").expect("taz instance");
-    inst.n_prefixes = ((inst.n_prefixes as f64 * scale) as usize).max(64);
-    inst.build(0xF1B)
+    instances::scaled("taz", scale, 0xF1B).expect("taz instance")
 }
 
 fn v6_fib() -> BinaryTrie<u128> {

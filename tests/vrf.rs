@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 use fibcomp::core::lint::lint_bytes;
 use fibcomp::core::{
-    compile_vrf_set, vrf_section_base, write_vrf_image, BuildConfig, CompiledVrfSet, FibBuild,
-    FibImage, PrefixDag, VrfEngineChoice, VrfPolicy, VrfSetRef, VrfTable,
+    compile_vrf_set, recompile_vrf_set, vrf_section_base, write_vrf_image, BuildConfig,
+    CompiledVrfSet, FibBuild, FibImage, PrefixDag, VrfEngineChoice, VrfPolicy, VrfTable,
 };
 use fibcomp::router::{VrfBatchScratch, VrfSetRouter};
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
@@ -273,9 +273,10 @@ fn every_vrf_matches_its_oracle_across_a_background_rebuild_v6() {
 }
 
 /// A pinned fleet with every placement — shared, serialized, xbw and vsdag
-/// — through the whole image path: compiled, written, loaded, answering as
-/// the oracles do, accounted as compiled and lint-clean; and with any one
-/// section of any dedicated table dropped, lint names the dangling section.
+/// — through the whole image path: compiled, written, loaded back into the
+/// set that was compiled, answering as the oracles do, written again to
+/// the same bytes and lint-clean; and with any one section of any
+/// dedicated table dropped, lint names the dangling section.
 fn every_placement_roundtrips<A: Address + Send + Sync + 'static>(tag: &str) {
     use VrfEngineChoice::{Serialized, Shared, VsDag, Xbw};
     let mut rng = Xoshiro256::for_case("vrf_every_placement", 0);
@@ -301,17 +302,25 @@ fn every_placement_roundtrips<A: Address + Send + Sync + 'static>(tag: &str) {
 
     let bytes = write_vrf_image(&set, 3).expect("a fleet image");
     let image = FibImage::from_bytes(&bytes).expect("the image loads");
-    let view = VrfSetRef::<A>::from_image(&image).expect("its view assembles");
+    let loaded = CompiledVrfSet::<A>::from_image(&image).expect("the set loads");
+    assert_sets_identical(&loaded, &set, tag);
     assert_eq!(
-        view.stats(),
-        set.stats,
-        "{tag}: the loader accounts the same"
+        write_vrf_image(&loaded, 3).expect("a fleet image"),
+        bytes,
+        "{tag}: a loaded set writes the bytes it was loaded from"
     );
-    for (vrf, addr) in fleet_keys(&oracles, &mut rng, 256) {
+    let keys = fleet_keys(&oracles, &mut rng, 256);
+    for &(vrf, addr) in &keys {
         let want = oracles[&vrf].lookup(addr);
         let at = format!("{tag}: vrf {vrf} addr {:#x}", addr.to_u128());
         assert_eq!(set.lookup(vrf, addr), want, "{at}");
-        assert_eq!(view.lookup(vrf, addr), want, "{at} (image)");
+        assert_eq!(loaded.lookup(vrf, addr), want, "{at} (image)");
+    }
+    let mut out = vec![None; keys.len()];
+    loaded.lookup_batch(&keys, &mut out, &mut VrfBatchScratch::new());
+    for (&(vrf, addr), got) in keys.iter().zip(&out) {
+        let at = format!("{tag}: vrf {vrf} addr {:#x}", addr.to_u128());
+        assert_eq!(*got, oracles[&vrf].lookup(addr), "{at} (image batch)");
     }
     assert_eq!(lint_bytes(&bytes), Vec::new(), "{tag}");
 
@@ -432,6 +441,102 @@ fn auto_placement_of_the_ci_fleet_is_pinned() {
     );
 }
 
+/// The two fleets CI compiles — `fibc compile --vrfs 64 --instance taz
+/// --scale 0.02 --overlap 0.9`, all shared and under `--vrf-policy auto
+/// --vrf-skew 1.2` (nineteen dedicated serialized tables) — load back into
+/// the sets compiled, and write the bytes they were loaded from.
+#[test]
+fn the_ci_fleets_load_back_into_the_sets_compiled() {
+    let fleet = instance_fleet("taz", 0.02, 64, 0.9, 3851).expect("taz is an instance");
+    let tables: Vec<VrfTable<'_, u32>> = (0..)
+        .zip(&fleet)
+        .map(|(id, trie)| VrfTable { id, trie })
+        .collect();
+    let auto = VrfPolicy::Auto {
+        weights: fleet_weights(64, 1.2),
+    };
+    for policy in [VrfPolicy::Shared, auto] {
+        let set = compile_vrf_set(&tables, &BuildConfig::default(), &policy);
+        let bytes = write_vrf_image(&set, 0).expect("a fleet image");
+        let image = FibImage::from_bytes(&bytes).expect("the image loads");
+        let loaded = CompiledVrfSet::<u32>::from_image(&image).expect("the set loads");
+        let tag = format!("{policy:?}");
+        assert_sets_identical(&loaded, &set, &tag);
+        let again = write_vrf_image(&loaded, 0).expect("a fleet image");
+        assert!(again == bytes, "{tag}: the loaded set writes other bytes");
+    }
+}
+
+/// A loaded set is a recompile basis — a fleet restarts by loading its
+/// image, then recompiling: a pinned fleet recompiled from the set its
+/// image loads, carrying shared and dedicated tables, equals a
+/// from-scratch compile over the same tables in records, statistics and
+/// image bytes, and answers as the oracles do.
+fn a_loaded_set_recompiles_as_the_compiled_one<A: Address + Send + Sync + 'static>(tag: &str) {
+    use VrfEngineChoice::{Serialized, Shared, VsDag, Xbw};
+    let mut rng = Xoshiro256::for_case("vrf_loaded_basis", 0);
+    let base: BinaryTrie<A> = FibSpec::dfz_like(400).generate(&mut rng);
+    let fleet = VrfFleetSpec {
+        tables: 5,
+        overlap: 0.9,
+        seed: 0xB0A7,
+    }
+    .generate(&base);
+    let mut oracles: BTreeMap<u32, BinaryTrie<A>> = (0..).zip(fleet).collect();
+    let policy = VrfPolicy::Pinned {
+        choices: vec![Serialized, Shared, Xbw, Shared, VsDag],
+    };
+    let config = BuildConfig::default();
+    let compile = |oracles: &BTreeMap<u32, BinaryTrie<A>>| {
+        let tables: Vec<VrfTable<'_, A>> = (oracles.iter())
+            .map(|(id, trie)| VrfTable { id: *id, trie })
+            .collect();
+        compile_vrf_set(&tables, &config, &policy)
+    };
+    let bytes = write_vrf_image(&compile(&oracles), 1).expect("a fleet image");
+    let image = FibImage::from_bytes(&bytes).expect("the image loads");
+    let loaded = CompiledVrfSet::<A>::from_image(&image).expect("the set loads");
+
+    // A shared and a dedicated table change; the serialized and xbw
+    // tables and the other shared one are carried from the loaded set.
+    let changed = [1, 4];
+    for vrf in changed {
+        for (prefix, hop) in arb_routes::<A>(&mut rng, 24) {
+            oracles.get_mut(&vrf).expect("a table").insert(prefix, hop);
+        }
+    }
+    let next: Vec<(u32, Option<&BinaryTrie<A>>)> = (oracles.iter())
+        .map(|(id, trie)| (*id, changed.contains(id).then_some(trie)))
+        .collect();
+    let recompiled = recompile_vrf_set(&loaded, &next, &config, &policy);
+    let full = compile(&oracles);
+    assert_sets_identical(&recompiled, &full, tag);
+    let image_of = |set| write_vrf_image(set, 2).expect("a fleet image");
+    assert!(
+        image_of(&recompiled) == image_of(&full),
+        "{tag}: the recompiled set writes other bytes"
+    );
+    let keys = fleet_keys(&oracles, &mut rng, 128);
+    let mut out = vec![None; keys.len()];
+    recompiled.lookup_batch(&keys, &mut out, &mut VrfBatchScratch::new());
+    for (&(vrf, addr), got) in keys.iter().zip(&out) {
+        let want = oracles[&vrf].lookup(addr);
+        let at = format!("{tag}: vrf {vrf} addr {:#x}", addr.to_u128());
+        assert_eq!(recompiled.lookup(vrf, addr), want, "{at}");
+        assert_eq!(*got, want, "{at} (batch)");
+    }
+}
+
+#[test]
+fn a_loaded_set_recompiles_as_the_compiled_one_v4() {
+    a_loaded_set_recompiles_as_the_compiled_one::<u32>("v4");
+}
+
+#[test]
+fn a_loaded_set_recompiles_as_the_compiled_one_v6() {
+    a_loaded_set_recompiles_as_the_compiled_one::<u128>("v6");
+}
+
 /// Field-for-field equality of two compiled sets: arena words, every
 /// table's directory record and root array, and the aggregate statistics.
 fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrfSet<A>, tag: &str) {
@@ -499,8 +604,8 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
     }
 
     /// Publishes and checks the installed set against a from-scratch
-    /// compile and every oracle, and its image — whose loader derives the
-    /// root arrays afresh — against the set.
+    /// compile and every oracle, and the set its image loads back into —
+    /// root arrays derived afresh — against the installed one.
     fn publish_and_check(&mut self, tag: &str) {
         self.router.publish();
         self.publishes += 1;
@@ -532,12 +637,8 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
 
         let bytes = write_vrf_image(snapshot.set(), snapshot.epoch()).expect("a fleet image");
         let image = FibImage::from_bytes(&bytes).expect("the image loads");
-        let loaded = VrfSetRef::<A>::from_image(&image).expect("its view assembles");
-        assert_eq!(
-            loaded.stats().root_bytes,
-            snapshot.set().stats.root_bytes,
-            "{tag}: the loader derives as many root arrays"
-        );
+        let loaded = CompiledVrfSet::<A>::from_image(&image).expect("the set loads");
+        assert_sets_identical(&loaded, snapshot.set(), &format!("{tag} image"));
         for &(vrf, addr) in &keys {
             assert_eq!(
                 loaded.lookup(vrf, addr),
