@@ -1194,6 +1194,7 @@ mod tests {
     #[test]
     fn vrf_dangling_dedicated_section_is_detected() {
         use crate::vrf::{compile_vrf_set, vrf_section_base, write_vrf_image, VrfPolicy, VrfTable};
+        use std::collections::BTreeMap;
         let t1 = small_fib();
         let t2 = small_fib();
         let tables = [VrfTable { id: 1, trie: &t1 }, VrfTable { id: 2, trie: &t2 }];
@@ -1202,7 +1203,7 @@ mod tests {
             &tables,
             &BuildConfig::default(),
             &VrfPolicy::Auto {
-                weights: vec![0.99, 0.01],
+                weights: BTreeMap::from([(1, 0.99), (2, 0.01)]),
             },
         );
         assert!(

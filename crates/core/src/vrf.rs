@@ -51,10 +51,13 @@
 //! size/speed points plus live traffic weight from the `HeatSketch` —
 //! places each table on the shared arena (charged only its *marginal*
 //! unique bytes) or on a dedicated pdag-serialized, vsdag or xbw-entropy
-//! engine; [`VrfPolicy::Pinned`] names the placements outright. A
-//! dedicated table is an ordinary engine: [`VrfEngineChoice::engine_kind`]
-//! names its [`EngineKind`], whose `visit` builds it (XBW-b in entropy
-//! storage) and whose codec writes it and [`AnyView::parse`]s it back.
+//! engine; [`VrfPolicy::Pinned`] names the placements outright. Both
+//! key their inputs (traffic weights, choices) by VRF id, never by a
+//! table's position, so a table keeps its placement however the fleet
+//! around it changes. A dedicated table is an ordinary engine:
+//! [`VrfEngineChoice::engine_kind`] names its [`EngineKind`], whose
+//! `visit` builds it (XBW-b in entropy storage) and whose codec writes it
+//! and [`AnyView::parse`]s it back.
 //!
 //! The whole set ships as one `fibimage/v1` file: a [`sections::VRF_DIR`]
 //! directory, the shared [`sections::VRF_PDAG`] arena, and each dedicated
@@ -71,7 +74,7 @@
 //! loading its image, then recompiling what changed; a carried loaded
 //! dedicated table serves from its sections until it is next re-folded.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use fib_trie::{Address, BinaryTrie, NextHop};
@@ -224,40 +227,40 @@ impl CostModel {
     }
 }
 
-/// Placement policy for [`compile_vrf_set`].
+/// Placement policy for [`compile_vrf_set`], keyed by VRF id: a table
+/// keeps its placement however many tables come and go beside it.
 #[derive(Clone, Debug)]
 pub enum VrfPolicy {
     /// Every table on the shared arena — the pure-dedup configuration the
     /// memory benchmarks measure.
     Shared,
-    /// Cost-model placement. `weights` are per-table traffic weights
-    /// parallel to the input tables (normalized internally; empty means
-    /// uniform).
+    /// Cost-model placement. `weights` are per-VRF traffic weights,
+    /// normalized over the fleet; a VRF with no entry weighs the mean of
+    /// the fleet's given weights, so an empty or all-zero map is uniform.
     Auto {
-        /// Per-table traffic weights (e.g. live `HeatSketch` mass).
-        weights: Vec<f64>,
+        /// Traffic weight by VRF id (e.g. live `HeatSketch` mass).
+        weights: BTreeMap<u32, f64>,
     },
-    /// Explicit placement, one choice per input table — operator
-    /// overrides and deterministic tests bypass the cost model.
+    /// Explicit placement by VRF id — operator overrides and
+    /// deterministic tests bypass the cost model. A VRF with no entry is
+    /// [`VrfEngineChoice::Shared`].
     Pinned {
-        /// Per-table engine choices, parallel to the input tables.
-        choices: Vec<VrfEngineChoice>,
+        /// Engine choice by VRF id.
+        choices: BTreeMap<u32, VrfEngineChoice>,
     },
 }
 
 impl VrfPolicy {
-    /// The placement this policy fixes for input table `index` whatever
-    /// the rest of the fleet holds — `None` under [`VrfPolicy::Auto`],
-    /// whose cost model charges a table the arena nodes no lower id
-    /// already brought.
-    ///
-    /// # Panics
-    /// Panics if `index` is past the end of `Pinned` choices.
+    /// The placement this policy fixes for VRF `id` whatever the rest of
+    /// the fleet holds — `None` under [`VrfPolicy::Auto`], whose cost
+    /// model charges a table the arena nodes no lower id already brought.
     #[must_use]
-    pub fn fixed_choice(&self, index: usize) -> Option<VrfEngineChoice> {
+    pub fn fixed_choice(&self, id: u32) -> Option<VrfEngineChoice> {
         match self {
             Self::Shared => Some(VrfEngineChoice::Shared),
-            Self::Pinned { choices } => Some(choices[index]),
+            Self::Pinned { choices } => {
+                Some(choices.get(&id).copied().unwrap_or(VrfEngineChoice::Shared))
+            }
             Self::Auto { .. } => None,
         }
     }
@@ -800,33 +803,38 @@ enum Source<'a, A: Address> {
 }
 
 /// Compiles `tables` into one shared arena plus dedicated engines per the
-/// placement policy. Tables are sorted by id in the result; ids must be
-/// unique. This is [`recompile_vrf_set`] from the empty set with every
-/// table supplied.
+/// placement policy. Tables are sorted by id in the result. This is
+/// [`recompile_vrf_set`] from the empty set with every table supplied.
 ///
 /// # Panics
-/// Panics if two tables share an id, or if `VrfPolicy::Auto` weights
-/// (when non-empty) or `VrfPolicy::Pinned` choices differ in length from
-/// `tables`.
+/// Panics if two tables share an id.
 #[must_use]
 pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
     tables: &[VrfTable<'_, A>],
     config: &BuildConfig,
     policy: &VrfPolicy,
 ) -> CompiledVrfSet<A> {
-    let fleet: Vec<_> = tables.iter().map(|t| (t.id, Some(t.trie))).collect();
+    let mut fleet = BTreeMap::new();
+    for t in tables {
+        assert!(
+            fleet.insert(t.id, Some(t.trie)).is_none(),
+            "duplicate VRF id {}",
+            t.id
+        );
+    }
     recompile_vrf_set(&CompiledVrfSet::default(), &fleet, config, policy)
 }
 
 /// Recompiles a fleet from the set compiled before it, folding only the
 /// tables that changed.
 ///
-/// `fleet` lists every table of the new set: `Some(trie)` is folded,
-/// interned and placed afresh; `None` is **carried over** from `previous`
-/// — its root (or dedicated engine), route count and node counts are
-/// taken as they stand, and its trie is never looked at. Tables of
-/// `previous` that `fleet` does not list are dropped. Policy vectors are
-/// parallel to `fleet`.
+/// `fleet` maps every VRF id of the new set to its table: `Some(trie)` is
+/// folded, interned and placed afresh; `None` is **carried over** from
+/// `previous` — its root (or dedicated engine), route count and node
+/// counts are taken as they stand, and its trie is never looked at.
+/// Tables of `previous` that `fleet` does not list are dropped. The
+/// policy places each table by its id, so tables coming and going move
+/// no other table.
 ///
 /// When a carried table keeps a shared root, the cross-table interner is
 /// seeded with `previous.arena` (already canonical, so that root is its
@@ -846,50 +854,34 @@ pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
 /// as it goes, so pricing them costs no second pass.
 ///
 /// # Panics
-/// Panics if two tables share an id; if `Auto` weights (when non-empty)
-/// or `Pinned` choices differ in length from `fleet`; if a carried id is
-/// absent from `previous` or the policy places it on another engine than
-/// `previous` did; or if a table is carried under `Auto`.
+/// Panics if a carried id is absent from `previous` or the policy places
+/// it on another engine than `previous` did, or if a table is carried
+/// under `Auto`.
 #[must_use]
 pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
     previous: &CompiledVrfSet<A>,
-    fleet: &[(u32, Option<&BinaryTrie<A>>)],
+    fleet: &BTreeMap<u32, Option<&BinaryTrie<A>>>,
     config: &BuildConfig,
     policy: &VrfPolicy,
 ) -> CompiledVrfSet<A> {
-    match policy {
-        VrfPolicy::Shared => {}
-        VrfPolicy::Pinned { choices } => {
-            assert_eq!(choices.len(), fleet.len(), "one choice per table");
-        }
-        VrfPolicy::Auto { weights } => {
-            assert!(
-                weights.is_empty() || weights.len() == fleet.len(),
-                "one weight per table"
-            );
-            assert!(
-                fleet.iter().all(|(_, trie)| trie.is_some()),
-                "Auto placement is fleet-wide: every table must be supplied"
-            );
-        }
-    }
-    let mut indexed: Vec<(usize, u32)> = fleet.iter().map(|(id, _)| *id).enumerate().collect();
-    indexed.sort_by_key(|&(_, id)| id);
-    for pair in indexed.windows(2) {
-        assert!(pair[0].1 != pair[1].1, "duplicate VRF id {}", pair[0].1);
+    if let VrfPolicy::Auto { .. } = policy {
+        assert!(
+            fleet.values().all(Option::is_some),
+            "Auto placement is fleet-wide: every table must be supplied"
+        );
     }
 
     // Fold every supplied table with the ordinary single-table compiler
     // and intern it straight from its arena, in id order; look every other
     // one up in the previous set. The interner starts from the previous
     // arena when a shared root into it is kept.
-    let keeps_root = fleet.iter().any(|&(id, trie)| {
+    let keeps_root = fleet.iter().any(|(&id, trie)| {
         trie.is_none() && previous.table(id).is_some_and(|t| t.dedicated.is_none())
     });
     let mut interner = ArenaInterner::seeded(if keeps_root { &previous.arena } else { &[] });
-    let sources: Vec<Source<'_, A>> = indexed
+    let sources: Vec<Source<'_, A>> = fleet
         .iter()
-        .map(|&(orig, id)| match fleet[orig].1 {
+        .map(|(&id, trie)| match *trie {
             Some(trie) => {
                 let dag = PrefixDag::build(trie, config);
                 let before = interner.len();
@@ -911,47 +903,35 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
 
     // Placement. A carried table stays where it is. `Auto` (never seeded:
     // it carries nothing) prices each table's marginal nodes — those no
-    // lower id brought — against its normalized traffic weight (empty or
-    // all-zero weights mean uniform).
+    // lower id brought — against its normalized traffic weight.
     let model = CostModel::default();
-    let weights: &[f64] = match policy {
-        VrfPolicy::Auto { weights } => weights,
-        _ => &[],
+    let weights = match policy {
+        VrfPolicy::Auto { weights } => normalized_weights(weights, fleet.keys()),
+        _ => Vec::new(),
     };
-    let total: f64 = weights.iter().sum();
-    let uniform = 1.0 / sources.len().max(1) as f64;
-    let place = |orig: usize, source: &Source<'_, A>| {
-        if let Some(choice) = policy.fixed_choice(orig) {
-            return choice;
-        }
-        let Source::Folded {
-            trie,
-            marginal_nodes,
-            ..
-        } = source
-        else {
-            unreachable!("Auto supplies every table");
-        };
-        let weight = if total > 0.0 {
-            weights[orig] / total
-        } else {
-            uniform
-        };
-        model.place(trie.len() as u64, marginal_nodes * 16, weight)
-    };
-    let choices: Vec<VrfEngineChoice> = (sources.iter().zip(&indexed))
-        .map(|(source, &(orig, _))| place(orig, source))
+    let choices: Vec<VrfEngineChoice> = (fleet.keys().zip(&sources).enumerate())
+        .map(|(pos, (&id, source))| {
+            let choice = policy.fixed_choice(id).unwrap_or_else(|| {
+                let Source::Folded {
+                    trie,
+                    marginal_nodes,
+                    ..
+                } = source
+                else {
+                    unreachable!("Auto supplies every table");
+                };
+                model.place(trie.len() as u64, marginal_nodes * 16, weights[pos])
+            });
+            if let Source::Carried(table) = source {
+                assert_eq!(
+                    table.choice(),
+                    choice,
+                    "carried VRF {id} changes engine: supply its trie"
+                );
+            }
+            choice
+        })
         .collect();
-    for (source, choice) in sources.iter().zip(&choices) {
-        if let Source::Carried(table) = source {
-            assert_eq!(
-                table.choice(),
-                *choice,
-                "carried VRF {} changes engine: supply its trie",
-                table.id
-            );
-        }
-    }
 
     // Pack what the shared-placement roots reach; a dedicated table's
     // nodes sit in the interner unreached.
@@ -968,8 +948,8 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
     drop(interner);
 
     // Assemble per-table results; the set charges their statistics.
-    let tables = (sources.iter().zip(&indexed).enumerate())
-        .map(|(pos, (source, &(_, id)))| {
+    let tables = (fleet.keys().zip(&sources).enumerate())
+        .map(|(pos, (&id, source))| {
             let choice = choices[pos];
             let root = match choice {
                 VrfEngineChoice::Shared => packed_roots[pos],
@@ -1009,6 +989,24 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
         })
         .collect();
     CompiledVrfSet::assemble(arena, tables)
+}
+
+/// Each VRF's share of the fleet's traffic under [`VrfPolicy::Auto`], in
+/// the order of `ids`: its weight — the mean of the fleet's given weights
+/// when `weights` names it not — over their sum, summed in id order.
+/// Uniform when that sum is not positive (no weights, or all zero).
+fn normalized_weights<'i>(
+    weights: &BTreeMap<u32, f64>,
+    ids: impl ExactSizeIterator<Item = &'i u32> + Clone,
+) -> Vec<f64> {
+    let given: Vec<f64> = ids.clone().filter_map(|id| weights.get(id).copied()).collect();
+    let mean = given.iter().sum::<f64>() / given.len().max(1) as f64;
+    let raw: Vec<f64> = ids.map(|id| weights.get(id).copied().unwrap_or(mean)).collect();
+    let total: f64 = raw.iter().sum();
+    let uniform = 1.0 / raw.len().max(1) as f64;
+    raw.iter()
+        .map(|w| if total > 0.0 { w / total } else { uniform })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1131,7 +1129,7 @@ mod tests {
         let mut t3 = base_table();
         t3.remove(p("192.168.7.0/24"));
         let config = BuildConfig::default();
-        let policy = policy_of(3);
+        let policy = serialized_vrf_1();
         let tables = |t2| {
             [
                 VrfTable { id: 1, trie: &t1 },
@@ -1145,7 +1143,7 @@ mod tests {
         let mut t2_next = t2.clone();
         t2_next.insert(p("172.16.0.0/12"), nh(5));
         t2_next.remove(p("10.1.0.0/16"));
-        let fleet = [(1, None), (2, Some(&t2_next)), (3, None)];
+        let fleet = BTreeMap::from([(1, None), (2, Some(&t2_next)), (3, None)]);
         let next = recompile_vrf_set(&previous, &fleet, &config, &policy);
         let full = compile_vrf_set(&tables(&t2_next), &config, &policy);
         assert_eq!(next.arena, full.arena);
@@ -1174,21 +1172,22 @@ mod tests {
         }
 
         // A table the fleet no longer lists is dropped, nodes and all.
-        let shrunk = recompile_vrf_set(&next, &[(1, None), (3, None)], &config, &policy_of(2));
+        let fleet = BTreeMap::from([(1, None), (3, None)]);
+        let shrunk = recompile_vrf_set(&next, &fleet, &config, &policy);
         let full = compile_vrf_set(
             &[VrfTable { id: 1, trie: &t1 }, VrfTable { id: 3, trie: &t3 }],
             &config,
-            &policy_of(2),
+            &policy,
         );
         assert_eq!(shrunk.arena, full.arena);
         assert_eq!(shrunk.stats, full.stats);
     }
 
-    /// `Serialized` first, `Shared` after, for a fleet of `n`.
-    fn policy_of(n: usize) -> VrfPolicy {
-        let mut choices = vec![VrfEngineChoice::Shared; n];
-        choices[0] = VrfEngineChoice::Serialized;
-        VrfPolicy::Pinned { choices }
+    /// VRF 1 on `Serialized`, every other VRF on the shared arena.
+    fn serialized_vrf_1() -> VrfPolicy {
+        VrfPolicy::Pinned {
+            choices: BTreeMap::from([(1, VrfEngineChoice::Serialized)]),
+        }
     }
 
     #[test]
@@ -1196,8 +1195,9 @@ mod tests {
     fn carrying_a_table_onto_another_engine_is_refused() {
         let t = base_table();
         let config = BuildConfig::default();
-        let previous = compile_vrf_set(&[VrfTable { id: 1, trie: &t }], &config, &policy_of(1));
-        let _ = recompile_vrf_set(&previous, &[(1, None)], &config, &VrfPolicy::Shared);
+        let previous = compile_vrf_set(&[VrfTable { id: 1, trie: &t }], &config, &serialized_vrf_1());
+        let fleet = BTreeMap::from([(1, None)]);
+        let _ = recompile_vrf_set(&previous, &fleet, &config, &VrfPolicy::Shared);
     }
 
     #[test]
@@ -1367,7 +1367,7 @@ mod tests {
             &tables,
             &BuildConfig::default(),
             &VrfPolicy::Auto {
-                weights: vec![0.98, 0.01, 0.01],
+                weights: BTreeMap::from([(1, 0.98), (2, 0.01), (3, 0.01)]),
             },
         );
         assert_eq!(set.tables[0].choice(), VrfEngineChoice::VsDag);
@@ -1383,6 +1383,38 @@ mod tests {
     }
 
     #[test]
+    fn auto_weighs_an_unnamed_vrf_at_the_mean_and_an_empty_map_uniformly() {
+        let t1 = base_table();
+        let mut t2 = base_table();
+        t2.insert(p("10.9.0.0/16"), nh(6));
+        let t3 = base_table();
+        let tables = [
+            VrfTable { id: 1, trie: &t1 },
+            VrfTable { id: 2, trie: &t2 },
+            VrfTable { id: 3, trie: &t3 },
+        ];
+        let placed = |weights: &[(u32, f64)]| {
+            let policy = VrfPolicy::Auto {
+                weights: weights.iter().copied().collect(),
+            };
+            let set = compile_vrf_set(&tables, &BuildConfig::default(), &policy);
+            set.tables.iter().map(|t| t.choice()).collect::<Vec<_>>()
+        };
+        // VRF 3 copies VRF 1, so it adds no arena node: cold, it stays
+        // shared; at the mean weight it is hot enough to leave.
+        let unnamed = placed(&[(1, 1.0), (2, 0.0)]);
+        assert_eq!(unnamed, placed(&[(1, 1.0), (2, 0.0), (3, (1.0 + 0.0) / 2.0)]));
+        assert_ne!(unnamed, placed(&[(1, 1.0), (2, 0.0), (3, 0.0)]));
+
+        let ids = [1, 2, 3];
+        let uniform = vec![1.0 / 3.0; 3];
+        for weights in [BTreeMap::new(), BTreeMap::from([(1, 0.0), (2, 0.0)])] {
+            assert_eq!(normalized_weights(&weights, ids.iter()), uniform);
+        }
+        assert_eq!(placed(&[]), placed(&[(1, 1.0), (2, 1.0), (3, 1.0)]));
+    }
+
+    #[test]
     fn pinned_vsdag_placement_roundtrips() {
         let t1 = base_table();
         let mut t2 = base_table();
@@ -1392,7 +1424,7 @@ mod tests {
             &tables,
             &BuildConfig::default(),
             &VrfPolicy::Pinned {
-                choices: vec![VrfEngineChoice::VsDag, VrfEngineChoice::Shared],
+                choices: BTreeMap::from([(1, VrfEngineChoice::VsDag), (2, VrfEngineChoice::Shared)]),
             },
         );
         assert_eq!(set.tables[0].choice(), VrfEngineChoice::VsDag);

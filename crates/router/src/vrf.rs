@@ -206,14 +206,11 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// since the last one reuses the published snapshot (no recompile, no
     /// epoch bump).
     ///
-    /// A fixed `Auto` weight or `Pinned` choice vector goes stale when
-    /// tables come and go after construction; one whose length no longer
-    /// matches the fleet falls back — to uniform weights, to
-    /// [`VrfPolicy::Shared`] — rather than panic in the compiler's shape
-    /// check. A table is re-folded when its oracle changed, when the
-    /// policy moves it to another engine, and always under `Auto`, whose
-    /// placement is a fleet-wide decision; every other table carries over
-    /// from the published set.
+    /// The policy places tables by VRF id, so tables coming and going
+    /// leave every other table's placement alone. A table is re-folded
+    /// when its oracle changed, when the policy moves it to another
+    /// engine, and always under `Auto`, whose placement is a fleet-wide
+    /// decision; every other table carries over from the published set.
     ///
     /// A compile that panics is contained: the router keeps serving the
     /// last good set at its epoch, records the panic in [`Self::health`]
@@ -226,33 +223,22 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         if self.dirty.is_empty() && self.publisher.epoch() > 0 {
             return basis;
         }
-        let tables = self.oracles.len();
-        let policy = match &self.policy {
-            VrfPolicy::Auto { weights } if !weights.is_empty() && weights.len() != tables => {
-                VrfPolicy::Auto {
-                    weights: Vec::new(),
-                }
-            }
-            VrfPolicy::Pinned { choices } if choices.len() != tables => VrfPolicy::Shared,
-            other => other.clone(),
-        };
-        // Every table in id order; `Some` holds the oracle to re-fold,
-        // `None` carries the table over from `basis`.
-        let fleet: Vec<(u32, Option<&BinaryTrie<A>>)> = self
+        // Every table; `Some` holds the oracle to re-fold, `None` carries
+        // the table over from `basis`.
+        let fleet: BTreeMap<u32, Option<&BinaryTrie<A>>> = self
             .oracles
             .iter()
-            .enumerate()
-            .map(|(index, (id, trie))| {
-                let fixed = policy.fixed_choice(index);
-                let refold = self.dirty.contains(id)
+            .map(|(&id, trie)| {
+                let fixed = self.policy.fixed_choice(id);
+                let refold = self.dirty.contains(&id)
                     || fixed.is_none()
-                    || basis.set.table(*id).map(CompiledVrf::choice) != fixed;
-                (*id, refold.then_some(trie))
+                    || basis.set.table(id).map(CompiledVrf::choice) != fixed;
+                (id, refold.then_some(trie))
             })
             .collect();
         let Some(set) = self
             .publisher
-            .build(|| recompile_vrf_set(&basis.set, &fleet, &self.config, &policy))
+            .build(|| recompile_vrf_set(&basis.set, &fleet, &self.config, &self.policy))
         else {
             return self.publisher.serve_stale();
         };
@@ -414,7 +400,7 @@ mod tests {
             let mut r = VrfSetRouter::new(
                 BuildConfig::default(),
                 VrfPolicy::Auto {
-                    weights: vec![0.005, 0.005, 0.99],
+                    weights: BTreeMap::from([(1, 0.005), (2, 0.005), (7, 0.99)]),
                 },
             );
             for (vrf, oracle) in [1, 2, 7].iter().zip([
@@ -448,48 +434,49 @@ mod tests {
     }
 
     #[test]
-    fn pinned_choices_of_the_wrong_length_fall_back_to_shared() {
+    fn pinned_placements_follow_the_vrf_id() {
+        use VrfEngineChoice::{Serialized, Shared, Xbw};
         let pinned = VrfPolicy::Pinned {
-            choices: vec![VrfEngineChoice::Serialized, VrfEngineChoice::Shared],
+            choices: BTreeMap::from([(1, Shared), (2, Xbw), (3, Serialized)]),
         };
         let mut router = VrfSetRouter::new(BuildConfig::default(), pinned);
-        for vrf in [1, 2] {
+        for vrf in [1, 2, 3] {
             router.announce(vrf, p("0.0.0.0/0"), nh(1));
-            router.announce(vrf, p("10.0.0.0/8"), nh(2));
+            router.announce(vrf, p("10.0.0.0/8"), nh(vrf));
         }
-        let snapshot = router.publish();
+        let placed = |snapshot: &VrfSnapshot<u32>| -> Vec<_> {
+            (snapshot.set().tables.iter())
+                .map(|t| (t.id, t.choice()))
+                .collect()
+        };
         assert_eq!(
-            snapshot.set().tables[0].choice(),
-            VrfEngineChoice::Serialized
+            placed(&router.publish()),
+            [(1, Shared), (2, Xbw), (3, Serialized)]
         );
 
-        // A third table makes the two-entry vector stale: every publish
-        // places everything on the shared arena instead of panicking in
-        // the compiler's shape check.
-        router.announce(3, p("10.3.0.0/16"), nh(3));
-        let snapshot = router.publish();
-        assert!(snapshot
-            .set()
-            .tables
-            .iter()
-            .all(|t| t.choice() == VrfEngineChoice::Shared));
-        assert_eq!(snapshot.lookup(1, 0x0A00_0001), Some(nh(2)));
+        // VRF 1 leaves and unpinned VRF 4 arrives: the others stay put.
+        router.remove_vrf(1);
         router.announce(4, p("10.4.0.0/16"), nh(4));
         let snapshot = router.publish();
-        assert_eq!(snapshot.set().stats.shared_tables, 4);
+        assert_eq!(placed(&snapshot), [(2, Xbw), (3, Serialized), (4, Shared)]);
+        assert_eq!(snapshot.lookup(1, 0x0A00_0001), None);
         assert_eq!(snapshot.lookup(4, 0x0A04_0001), Some(nh(4)));
+        let carried = router.stats().tables_carried;
 
-        // Back at two tables the vector applies again, by position.
-        router.remove_vrf(1);
-        router.remove_vrf(3);
+        router.announce(5, p("10.5.0.0/16"), nh(5));
         let snapshot = router.publish();
-        let placed: Vec<_> = snapshot.set().tables.iter().map(|t| t.choice()).collect();
         assert_eq!(
-            placed,
-            [VrfEngineChoice::Serialized, VrfEngineChoice::Shared]
+            placed(&snapshot),
+            [(2, Xbw), (3, Serialized), (4, Shared), (5, Shared)]
         );
-        assert_eq!(snapshot.lookup(2, 0x0A00_0001), Some(nh(2)));
-        assert_eq!(snapshot.lookup(4, 0x0A04_0001), Some(nh(4)));
+        assert_eq!(
+            router.stats().tables_carried - carried,
+            3,
+            "VRFs 2, 3 and 4 are carried, not re-folded"
+        );
+        for vrf in [2, 3] {
+            assert_eq!(snapshot.lookup(vrf, 0x0A00_0001), Some(nh(vrf)));
+        }
     }
 
     #[test]
@@ -532,7 +519,7 @@ mod tests {
         let mut auto = VrfSetRouter::new(
             BuildConfig::default(),
             VrfPolicy::Auto {
-                weights: Vec::new(),
+                weights: BTreeMap::new(),
             },
         );
         for vrf in 0..16 {

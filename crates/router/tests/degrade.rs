@@ -6,6 +6,7 @@
 //! A fleet compile that panics ([`VrfSetRouter::publish`]) degrades the
 //! same way, into [`VrfSetRouter::health`].
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -204,7 +205,7 @@ fn a_panicking_fleet_compile_is_contained_and_the_next_publish_heals() {
         ..BuildConfig::default()
     };
     let policy = VrfPolicy::Pinned {
-        choices: vec![VrfEngineChoice::Shared, VrfEngineChoice::VsDag],
+        choices: BTreeMap::from([(2, VrfEngineChoice::VsDag)]),
     };
     let mut router = VrfSetRouter::new(config, policy);
     router.insert_vrf(1, base(11));
@@ -233,9 +234,10 @@ fn a_panicking_fleet_compile_is_contained_and_the_next_publish_heals() {
         assert_eq!(reader.lookup(1, addr), None);
     }
 
-    // A third table makes the two-entry choice vector stale, so placement
-    // falls back to `Shared`; the pending tables are still dirty, and the
-    // next publish folds all three.
+    // The table pinned to the engine that cannot be built leaves, and a
+    // third (unpinned, so shared) arrives; the pending tables are still
+    // dirty, and the next publish folds VRFs 1 and 3.
+    assert!(router.remove_vrf(2));
     router.insert_vrf(3, base(14));
     let healed = router.publish();
     assert_eq!(healed.epoch(), 1);
@@ -248,7 +250,10 @@ fn a_panicking_fleet_compile_is_contained_and_the_next_publish_heals() {
         .iter()
         .all(|t| t.choice() == VrfEngineChoice::Shared));
     assert_eq!(reader.snapshot().epoch(), 1);
-    for vrf in [1, 2, 3] {
+    for &addr in &trace {
+        assert_eq!(reader.lookup(2, addr), None, "VRF 2 was removed");
+    }
+    for vrf in [1, 3] {
         let oracle = router.oracle(vrf).expect("announced");
         for &addr in &trace {
             assert_eq!(

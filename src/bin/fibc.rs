@@ -365,8 +365,9 @@ fn compile_vrfs(args: &[String], vrfs: usize) -> Result<(), String> {
         .map_err(|e| format!("--seed: {e}"))?;
     let policy = match opt(args, "--vrf-policy").unwrap_or("shared") {
         "shared" => VrfPolicy::Shared,
+        // Keyed by the ids the tables get below, 0..N.
         "auto" => VrfPolicy::Auto {
-            weights: fleet_weights(vrfs, skew),
+            weights: (0..).zip(fleet_weights(vrfs, skew)).collect(),
         },
         other => return Err(format!("--vrf-policy: unknown policy '{other}'")),
     };

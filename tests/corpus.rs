@@ -13,6 +13,7 @@
 //! word is off by one, so lookups through it would silently misroute.
 //! Only the deep cross-validation pass catches it.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -269,11 +270,7 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>, &'static str)> {
         &vrf_tables,
         &config,
         &VrfPolicy::Pinned {
-            choices: vec![
-                VrfEngineChoice::Serialized,
-                VrfEngineChoice::Shared,
-                VrfEngineChoice::Shared,
-            ],
+            choices: BTreeMap::from([(1, VrfEngineChoice::Serialized)]),
         },
     );
     assert_eq!(

@@ -292,12 +292,12 @@ fn every_placement_roundtrips<A: Address + Send + Sync + 'static>(tag: &str) {
         .iter()
         .map(|(id, trie)| VrfTable { id: *id, trie })
         .collect();
-    let choices = vec![Serialized, Shared, Xbw, Shared, VsDag];
+    let choices = BTreeMap::from([(0, Serialized), (3, Shared), (6, Xbw), (9, Shared), (12, VsDag)]);
     let policy = VrfPolicy::Pinned {
         choices: choices.clone(),
     };
     let set = compile_vrf_set(&tables, &BuildConfig::default(), &policy);
-    let placed: Vec<_> = set.tables.iter().map(|t| t.choice()).collect();
+    let placed: BTreeMap<_, _> = set.tables.iter().map(|t| (t.id, t.choice())).collect();
     assert_eq!(placed, choices, "{tag}");
 
     let bytes = write_vrf_image(&set, 3).expect("a fleet image");
@@ -378,8 +378,7 @@ fn solo_nodes_count_the_standalone_image<A: Address + Send + Sync + 'static>(tag
         .zip(&fleet)
         .map(|(id, trie)| VrfTable { id, trie })
         .collect();
-    let mut pinned = vec![VrfEngineChoice::Shared; fleet.len()];
-    pinned[1] = VrfEngineChoice::Xbw;
+    let pinned = BTreeMap::from([(1, VrfEngineChoice::Xbw)]);
     for lambda in [0, 4, 8, 11, A::WIDTH] {
         let config = BuildConfig::with_lambda(lambda);
         let want: Vec<u64> = fleet
@@ -424,7 +423,7 @@ fn auto_placement_of_the_ci_fleet_is_pinned() {
         .map(|(id, trie)| VrfTable { id, trie })
         .collect();
     let policy = VrfPolicy::Auto {
-        weights: fleet_weights(64, 1.2),
+        weights: (0..).zip(fleet_weights(64, 1.2)).collect(),
     };
     let set = compile_vrf_set(&tables, &BuildConfig::default(), &policy);
     let placed: String = (set.tables.iter())
@@ -453,7 +452,7 @@ fn the_ci_fleets_load_back_into_the_sets_compiled() {
         .map(|(id, trie)| VrfTable { id, trie })
         .collect();
     let auto = VrfPolicy::Auto {
-        weights: fleet_weights(64, 1.2),
+        weights: (0..).zip(fleet_weights(64, 1.2)).collect(),
     };
     for policy in [VrfPolicy::Shared, auto] {
         let set = compile_vrf_set(&tables, &BuildConfig::default(), &policy);
@@ -484,7 +483,7 @@ fn a_loaded_set_recompiles_as_the_compiled_one<A: Address + Send + Sync + 'stati
     .generate(&base);
     let mut oracles: BTreeMap<u32, BinaryTrie<A>> = (0..).zip(fleet).collect();
     let policy = VrfPolicy::Pinned {
-        choices: vec![Serialized, Shared, Xbw, Shared, VsDag],
+        choices: BTreeMap::from([(0, Serialized), (1, Shared), (2, Xbw), (3, Shared), (4, VsDag)]),
     };
     let config = BuildConfig::default();
     let compile = |oracles: &BTreeMap<u32, BinaryTrie<A>>| {
@@ -505,7 +504,7 @@ fn a_loaded_set_recompiles_as_the_compiled_one<A: Address + Send + Sync + 'stati
             oracles.get_mut(&vrf).expect("a table").insert(prefix, hop);
         }
     }
-    let next: Vec<(u32, Option<&BinaryTrie<A>>)> = (oracles.iter())
+    let next: BTreeMap<u32, Option<&BinaryTrie<A>>> = (oracles.iter())
         .map(|(id, trie)| (*id, changed.contains(id).then_some(trie)))
         .collect();
     let recompiled = recompile_vrf_set(&loaded, &next, &config, &policy);
@@ -535,6 +534,68 @@ fn a_loaded_set_recompiles_as_the_compiled_one_v4() {
 #[test]
 fn a_loaded_set_recompiles_as_the_compiled_one_v6() {
     a_loaded_set_recompiles_as_the_compiled_one::<u128>("v6");
+}
+
+/// A pinned router places each table by its VRF id: VRF 1 leaving and
+/// VRFs 4 and 5 arriving leave VRFs 2 and 3 on the engines they are
+/// pinned to, and put the unpinned newcomers on the shared arena.
+fn pins_follow_the_vrf_id<A: Address + Send + Sync + 'static>(tag: &str) {
+    use VrfEngineChoice::{Serialized, Shared, Xbw};
+    let mut rng = Xoshiro256::for_case("vrf_pins_follow_ids", 0);
+    let base: BinaryTrie<A> = FibSpec::dfz_like(300).generate(&mut rng);
+    let fleet = VrfFleetSpec {
+        tables: 5,
+        overlap: 0.9,
+        seed: 0x1D5,
+    }
+    .generate(&base);
+    let mut arrivals = (1..).zip(fleet);
+    let policy = VrfPolicy::Pinned {
+        choices: BTreeMap::from([(1, Shared), (2, Xbw), (3, Serialized)]),
+    };
+    let mut router = VrfSetRouter::new(BuildConfig::default(), policy);
+    let mut oracles = BTreeMap::new();
+    let mut publish_and_place = |router: &mut VrfSetRouter<A>, arrive: usize, leave: &[u32]| {
+        for (id, table) in arrivals.by_ref().take(arrive) {
+            oracles.insert(id, table.clone());
+            router.insert_vrf(id, table);
+        }
+        for id in leave {
+            oracles.remove(id);
+            assert!(router.remove_vrf(*id));
+        }
+        let snapshot = router.publish();
+        let keys = fleet_keys(&oracles, &mut rng, 32);
+        assert_matches_oracles(&snapshot, &oracles, &keys, tag);
+        (snapshot.set().tables.iter())
+            .map(|t| (t.id, t.choice()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        publish_and_place(&mut router, 3, &[]),
+        [(1, Shared), (2, Xbw), (3, Serialized)],
+        "{tag}"
+    );
+    assert_eq!(
+        publish_and_place(&mut router, 1, &[1]),
+        [(2, Xbw), (3, Serialized), (4, Shared)],
+        "{tag}: VRF 1 out, VRF 4 in"
+    );
+    assert_eq!(
+        publish_and_place(&mut router, 1, &[]),
+        [(2, Xbw), (3, Serialized), (4, Shared), (5, Shared)],
+        "{tag}: VRF 5 in"
+    );
+}
+
+#[test]
+fn pins_follow_the_vrf_id_v4() {
+    pins_follow_the_vrf_id::<u32>("v4");
+}
+
+#[test]
+fn pins_follow_the_vrf_id_v6() {
+    pins_follow_the_vrf_id::<u128>("v6");
 }
 
 /// Field-for-field equality of two compiled sets: arena words, every
@@ -615,23 +676,19 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
             "{tag}: one epoch per publish"
         );
 
-        // A pinned vector applies while its length matches the fleet and
-        // falls back to all-shared otherwise.
-        let expected_policy = match &self.policy {
-            VrfPolicy::Pinned { choices } if choices.len() != self.oracles.len() => {
-                VrfPolicy::Shared
-            }
-            other => other.clone(),
-        };
         let tables: Vec<VrfTable<'_, A>> = self
             .oracles
             .iter()
             .map(|(id, trie)| VrfTable { id: *id, trie })
             .collect();
-        let scratch = compile_vrf_set(&tables, &BuildConfig::default(), &expected_policy);
+        let scratch = compile_vrf_set(&tables, &BuildConfig::default(), &self.policy);
         let mut reader = self.router.reader();
         let snapshot = reader.snapshot();
         assert_sets_identical(snapshot.set(), &scratch, tag);
+        for table in &snapshot.set().tables {
+            let pinned = self.policy.fixed_choice(table.id);
+            assert_eq!(Some(table.choice()), pinned, "{tag}: VRF {}", table.id);
+        }
         let keys = fleet_keys(&self.oracles, &mut self.rng, 24);
         assert_matches_oracles(snapshot, &self.oracles, &keys, tag);
 
@@ -682,15 +739,14 @@ fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(family: &str, p
         h.publish_and_check(&tag(&format!("burst {round}")));
     }
 
-    // A new id, by announce into a VRF the router has never seen; the
-    // fleet is now one longer than any pinned vector.
+    // A new id, by announce into a VRF the router has never seen.
     h.burst(40);
     h.publish_and_check(&tag("announce into a new id"));
     h.burst(3);
     h.publish_and_check(&tag("burst beside the new id"));
 
-    // A whole table installed at once, and one removed: ids shift under
-    // a pinned vector's positions without their oracles changing.
+    // A whole table installed at once, and one removed: the tables
+    // around them keep their ids, their oracles and their placements.
     let donor = h.oracles[&1].clone();
     h.oracles.insert(17, donor.clone());
     h.router.insert_vrf(17, donor);
@@ -731,10 +787,10 @@ fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(family: &str, p
     );
 }
 
-/// `Shared`, and a pinned fleet with one dedicated `Serialized` table.
+/// `Shared`, and a pinned fleet with a dedicated `Serialized` table from
+/// the start and a dedicated `Xbw` one installed by `insert_vrf`.
 fn churn_policies() -> [VrfPolicy; 2] {
-    let mut choices = vec![VrfEngineChoice::Shared; 6];
-    choices[2] = VrfEngineChoice::Serialized;
+    let choices = BTreeMap::from([(2, VrfEngineChoice::Serialized), (17, VrfEngineChoice::Xbw)]);
     [VrfPolicy::Shared, VrfPolicy::Pinned { choices }]
 }
 
