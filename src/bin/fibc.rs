@@ -116,11 +116,68 @@ usage:
                  (--probe: N lookups across all threads, rounded up to
                   whole batches; --duration: S seconds; neither: addresses
                   on stdin, batched; vrfset images take 'VRF ADDR' lines /
-                  single-threaded mixed-VRF --probe runs, and refuse
-                  --duration, --threads and --batch)
+                  single-threaded mixed-VRF --probe runs, and read only
+                  --probe, --keys and --seed)
   fibc serve --spool DIR [--health-every S] [serve options]
                  (newest valid spool image; health one-liner on stderr)
-  fibc spool-status DIR";
+  fibc spool-status DIR
+Every command refuses a flag it does not read.";
+
+/// Flags `fibc compile` reads for one table, and with `--vrfs` for a
+/// fleet (whose dedicated XBW tables always use entropy storage).
+const COMPILE_FLAGS: &[&str] = &[
+    "--engine",
+    "--routes",
+    "--instance",
+    "--scale",
+    "--seed",
+    "--out",
+    "--v6",
+    "--xbw-mode",
+    "--lambda",
+    "--vs-budget",
+    "--vs-max-stride",
+    "--epoch",
+    "--no-routes",
+    "--heat",
+    "--heat-samples",
+];
+const COMPILE_VRFS_FLAGS: &[&str] = &[
+    "--vrfs",
+    "--instance",
+    "--scale",
+    "--overlap",
+    "--vrf-policy",
+    "--vrf-skew",
+    "--seed",
+    "--out",
+    "--epoch",
+    "--lambda",
+    "--vs-budget",
+    "--vs-max-stride",
+];
+/// Flags `fibc serve` reads on a single-table image, and on a vrfset
+/// image (served on one thread in fixed batches); `--spool` adds its own.
+const SERVE_FLAGS: &[&str] = &[
+    "--probe",
+    "--duration",
+    "--threads",
+    "--batch",
+    "--keys",
+    "--seed",
+];
+const SERVE_VRF_FLAGS: &[&str] = &["--probe", "--keys", "--seed"];
+const SPOOL_FLAGS: &[&str] = &["--spool", "--health-every"];
+
+/// Refuses any `--…` argument that `reads` does not name: a flag `fibc`
+/// would not read — a typo, or one of another form of the command — is
+/// an error, never silently ignored. `what` names the command form.
+fn refuse_unread(args: &[String], reads: &[&str], what: &str) -> Result<(), String> {
+    match (args.iter()).find(|a| a.starts_with("--") && !reads.contains(&a.as_str())) {
+        Some(unread) => Err(format!("{unread}: not read by {what}")),
+        None => Ok(()),
+    }
+}
 
 /// `--key value` argument lookup.
 fn opt<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
@@ -176,9 +233,11 @@ fn build_config(args: &[String]) -> Result<BuildConfig, String> {
 
 fn compile(args: &[String]) -> Result<(), String> {
     if let Some(vrfs) = opt(args, "--vrfs") {
+        refuse_unread(args, COMPILE_VRFS_FLAGS, "`fibc compile --vrfs`")?;
         let vrfs: usize = vrfs.parse().map_err(|e| format!("--vrfs: {e}"))?;
         return compile_vrfs(args, vrfs);
     }
+    refuse_unread(args, COMPILE_FLAGS, "`fibc compile`")?;
     let engine = EngineKind::parse(opt(args, "--engine").ok_or("--engine is required")?)
         .ok_or("unknown engine (want xbw|pdag|serialized|lctrie|vsdag)")?;
     if engine == EngineKind::VrfSet {
@@ -420,6 +479,7 @@ fn section_name(id: u32) -> &'static str {
 }
 
 fn inspect(args: &[String]) -> Result<(), String> {
+    refuse_unread(args, &[], "`fibc inspect`")?;
     let path = args.first().ok_or("usage: fibc inspect IMG")?;
     let image = FibImage::load(path).map_err(|e| e.to_string())?;
     let engine = image.engine().map(EngineKind::name).unwrap_or("<unknown>");
@@ -511,6 +571,7 @@ fn inspect_vrfs<A: Address>(image: &FibImage) -> Result<(), String> {
 /// shape, section layout) and cross-checks it — a file can pass the
 /// checksum and still fail lint.
 fn lint(args: &[String]) -> Result<(), String> {
+    refuse_unread(args, &[], "`fibc lint`")?;
     let path = args.first().ok_or("usage: fibc lint IMG")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let issues = image_lint::lint_bytes(&bytes);
@@ -586,6 +647,7 @@ fn serve_image(image: FibImage, args: &[String]) -> Result<(), String> {
 /// quarantine detail. Exits non-zero when nothing in the spool could
 /// serve a warm restart.
 fn spool_status(args: &[String]) -> Result<(), String> {
+    refuse_unread(args, &[], "`fibc spool-status`")?;
     let dir = args.first().ok_or("usage: fibc spool-status DIR")?;
     let fs = StdFs::shared();
     let status = scan_spool(fs.as_ref(), Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
@@ -765,18 +827,10 @@ const VRF_PROBE_BATCH: usize = 256;
 /// mixed-VRF stream (uniform or Zipf-skewed across tables) through the
 /// set's VRF-bucketed batch path on this thread; stdin mode takes
 /// `VRF ADDR` lines and answers in input order.
-/// The forwarding runtime's flags have no meaning here and are refused,
-/// not ignored.
 fn serve_vrf_family<A: Address + AddrText>(
     image: &FibImage,
     args: &[String],
 ) -> Result<(), String> {
-    let runtime_flags = ["--duration", "--threads", "--batch"];
-    if let Some(refused) = runtime_flags.iter().find(|f| flag(args, f)) {
-        return Err(format!(
-            "{refused} is not supported on a vrfset image (use --probe N or 'VRF ADDR' lines on stdin)"
-        ));
-    }
     let set = CompiledVrfSet::<A>::from_image(image).map_err(|e| e.to_string())?;
     let tables = set.tables.len();
     if tables == 0 {
@@ -862,6 +916,14 @@ fn serve_family<A: Address + AddrText + Send + Sync + 'static>(
     args: &[String],
 ) -> Result<(), String> {
     let kind = image.engine().map_err(|e| e.to_string())?;
+    // The forwarding runtime's flags have no meaning on a vrfset image:
+    // they are refused, not ignored.
+    let (reads, what) = match kind {
+        EngineKind::VrfSet => (SERVE_VRF_FLAGS, "`fibc serve` on a vrfset image"),
+        _ => (SERVE_FLAGS, "`fibc serve`"),
+    };
+    let spool = if flag(args, "--spool") { SPOOL_FLAGS } else { &[] };
+    refuse_unread(args, &[reads, spool].concat(), what)?;
     if kind == EngineKind::VrfSet {
         return serve_vrf_family::<A>(&image, args);
     }

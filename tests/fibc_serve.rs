@@ -4,7 +4,8 @@
 //! an image compiled with `--heat` serves through its slab, a vrfset
 //! image refuses the forwarding runtime's flags, and a reader that closes
 //! `fibc`'s stdout ends it quietly. Beside them, `fibc compile --routes`
-//! refuses a routes line it cannot read whole.
+//! refuses a routes line it cannot read whole, and every command refuses
+//! a flag it does not read.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -284,4 +285,40 @@ fn compile_refuses_a_routes_line_with_a_third_column() {
         stderr.contains(&format!("{routes}: line 2:")),
         "the error names the file and line: {stderr}"
     );
+}
+
+/// `fibc` refuses, by name and before any work, a flag the command does
+/// not read: a fleet compile handed `--routes` (its tables come from an
+/// instance) used to compile taz at full scale regardless, and a typo
+/// such as `--thread` used to be ignored.
+#[test]
+fn flags_a_command_does_not_read_are_refused() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fibc_serve");
+    std::fs::create_dir_all(&dir).expect("image dir");
+    let out = dir.join("refused-fleet.img");
+    let (_, single) = &images()[0];
+    let fleet = [
+        "compile",
+        "--vrfs",
+        "4",
+        "--instance",
+        "taz",
+        "--scale",
+        "0.02",
+        "--routes",
+        "/nonexistent",
+        "--out",
+        out.to_str().expect("utf-8 path"),
+    ];
+    let typo = ["serve", single.to_str().expect("utf-8 path"), "--thread", "2"];
+    for (argv, refused) in [(&fleet[..], "--routes"), (&typo, "--thread")] {
+        let output = fibc(argv);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{argv:?} exited 0");
+        assert!(
+            stderr.starts_with(&format!("fibc: {refused}: ")),
+            "{argv:?}: {stderr}"
+        );
+    }
+    assert!(!out.exists(), "the refused compile wrote an image");
 }
