@@ -999,9 +999,14 @@ fn normalized_weights<'i>(
     weights: &BTreeMap<u32, f64>,
     ids: impl ExactSizeIterator<Item = &'i u32> + Clone,
 ) -> Vec<f64> {
-    let given: Vec<f64> = ids.clone().filter_map(|id| weights.get(id).copied()).collect();
+    let given: Vec<f64> = ids
+        .clone()
+        .filter_map(|id| weights.get(id).copied())
+        .collect();
     let mean = given.iter().sum::<f64>() / given.len().max(1) as f64;
-    let raw: Vec<f64> = ids.map(|id| weights.get(id).copied().unwrap_or(mean)).collect();
+    let raw: Vec<f64> = ids
+        .map(|id| weights.get(id).copied().unwrap_or(mean))
+        .collect();
     let total: f64 = raw.iter().sum();
     let uniform = 1.0 / raw.len().max(1) as f64;
     raw.iter()
@@ -1195,7 +1200,11 @@ mod tests {
     fn carrying_a_table_onto_another_engine_is_refused() {
         let t = base_table();
         let config = BuildConfig::default();
-        let previous = compile_vrf_set(&[VrfTable { id: 1, trie: &t }], &config, &serialized_vrf_1());
+        let previous = compile_vrf_set(
+            &[VrfTable { id: 1, trie: &t }],
+            &config,
+            &serialized_vrf_1(),
+        );
         let fleet = BTreeMap::from([(1, None)]);
         let _ = recompile_vrf_set(&previous, &fleet, &config, &VrfPolicy::Shared);
     }
@@ -1403,7 +1412,10 @@ mod tests {
         // VRF 3 copies VRF 1, so it adds no arena node: cold, it stays
         // shared; at the mean weight it is hot enough to leave.
         let unnamed = placed(&[(1, 1.0), (2, 0.0)]);
-        assert_eq!(unnamed, placed(&[(1, 1.0), (2, 0.0), (3, (1.0 + 0.0) / 2.0)]));
+        assert_eq!(
+            unnamed,
+            placed(&[(1, 1.0), (2, 0.0), (3, (1.0 + 0.0) / 2.0)])
+        );
         assert_ne!(unnamed, placed(&[(1, 1.0), (2, 0.0), (3, 0.0)]));
 
         let ids = [1, 2, 3];
@@ -1424,7 +1436,10 @@ mod tests {
             &tables,
             &BuildConfig::default(),
             &VrfPolicy::Pinned {
-                choices: BTreeMap::from([(1, VrfEngineChoice::VsDag), (2, VrfEngineChoice::Shared)]),
+                choices: BTreeMap::from([
+                    (1, VrfEngineChoice::VsDag),
+                    (2, VrfEngineChoice::Shared),
+                ]),
             },
         );
         assert_eq!(set.tables[0].choice(), VrfEngineChoice::VsDag);

@@ -238,12 +238,6 @@ impl<A: Address> Prefix<A> {
         self.len
     }
 
-    /// Whether this is the zero-length root prefix.
-    #[must_use]
-    pub fn is_root(self) -> bool {
-        self.len == 0
-    }
-
     /// The `i`-th bit of the prefix, `i < len`.
     #[must_use]
     pub fn bit(self, i: u8) -> bool {

@@ -342,85 +342,10 @@ impl<A: Address> BinaryTrie<A> {
         false
     }
 
-    /// Number of distinct canonical subtrees in the raw structure: the
-    /// node count this trie occupies after hash-consing, i.e. interning
-    /// every subtree on `(left, right, label)` identity. Two occurrences
-    /// of a structurally identical subtree (same shape, same labels)
-    /// collapse to one entry — within this trie here, and across tries in
-    /// the multi-table VRF arena compiler that reuses the same canonical
-    /// form.
-    #[must_use]
-    pub fn distinct_subtrees(&self) -> usize {
-        let mut ids: std::collections::HashMap<(u32, u32, u32), u32> =
-            std::collections::HashMap::new();
-        self.intern_from(0, &mut ids);
-        ids.len()
-    }
-
-    /// Post-order canonical-id interning of the subtree at `idx`; returns
-    /// the canonical id. Recursion depth is bounded by the address width.
-    fn intern_from(
-        &self,
-        idx: u32,
-        ids: &mut std::collections::HashMap<(u32, u32, u32), u32>,
-    ) -> u32 {
-        let node = self.nodes[idx as usize];
-        let l = if node.left == NONE {
-            NONE
-        } else {
-            self.intern_from(node.left, ids)
-        };
-        let r = if node.right == NONE {
-            NONE
-        } else {
-            self.intern_from(node.right, ids)
-        };
-        let next = ids.len() as u32;
-        *ids.entry((l, r, node.label)).or_insert(next)
-    }
-
-    /// Canonical structural hashes of every live subtree, one entry per
-    /// node, computed in a single post-order pass (children's hashes feed
-    /// the parent's). Equal hashes ⇔ structurally identical subtrees, up
-    /// to 64-bit collisions; the interning property tests cross-check the
-    /// counts against exact `(left, right, label)` interning.
-    #[must_use]
-    pub fn canonical_hashes(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.node_count());
-        self.hash_from(0, &mut out);
-        out
-    }
-
-    /// Post-order canonical hashing; returns the hash of the subtree at
-    /// `idx` and appends it (and every descendant's) to `out`.
-    fn hash_from(&self, idx: u32, out: &mut Vec<u64>) -> u64 {
-        let node = self.nodes[idx as usize];
-        let lh = if node.left == NONE {
-            CANON_ABSENT
-        } else {
-            self.hash_from(node.left, out)
-        };
-        let rh = if node.right == NONE {
-            CANON_ABSENT
-        } else {
-            self.hash_from(node.right, out)
-        };
-        let h = canon_combine(lh, rh, node.label);
-        out.push(h);
-        h
-    }
-
     /// Approximate heap footprint in bytes (12 bytes per arena slot).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
-    }
-
-    /// Storage under the classic BSD Patricia model the paper quotes:
-    /// 24 bytes per node.
-    #[must_use]
-    pub fn bsd_model_bytes(&self) -> usize {
-        self.node_count() * 24
     }
 
     #[inline]
@@ -451,25 +376,6 @@ impl<A: Address> FromIterator<(Prefix<A>, NextHop)> for BinaryTrie<A> {
         }
         trie
     }
-}
-
-/// Sentinel hash mixed in for an absent child in canonical hashing.
-const CANON_ABSENT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// FNV-1a-style combine of a subtree's canonical parts: left hash, right
-/// hash, label. Order matters (left before right) so mirrored subtrees
-/// hash differently.
-fn canon_combine(left: u64, right: u64, label: u32) -> u64 {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    for part in [left, right, u64::from(label)] {
-        for shift in [0u32, 16, 32, 48] {
-            h ^= (part >> shift) & 0xFFFF;
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
 }
 
 /// Read-only view of a [`BinaryTrie`] node, used by the leaf-pushing and
@@ -516,15 +422,6 @@ impl<'a, A: Address> NodeRef<'a, A> {
         n.left == NONE && n.right == NONE
     }
 
-    /// Canonical structural hash of the subtree rooted here: equal across
-    /// tries exactly when the subtrees are structurally identical (same
-    /// shape and labels). This is the key the cross-table VRF interner
-    /// and its property tests use to reason about shared structure.
-    #[must_use]
-    pub fn canonical_hash(self) -> u64 {
-        let mut scratch = Vec::new();
-        self.trie.hash_from(self.idx, &mut scratch)
-    }
 }
 
 #[cfg(test)]
@@ -714,81 +611,6 @@ mod tests {
         // v6: pure everywhere on an empty trie (default answer None).
         let t6: BinaryTrie<u128> = BinaryTrie::new();
         assert_eq!(t6.block_resolution(0, 48), Some(None));
-    }
-
-    #[test]
-    fn canonical_hash_identifies_identical_subtrees() {
-        // Two disjoint branches carrying structurally identical subtrees:
-        // 10.0.0.0/8 → {/16 nh 7} and 20.0.0.0/8 → {/16 nh 7} have equal
-        // shapes below the /8 nodes.
-        let mut t: BinaryTrie<u32> = BinaryTrie::new();
-        t.insert(p("10.0.0.0/8"), nh(5));
-        t.insert(p("10.0.0.0/16"), nh(7));
-        t.insert(p("20.0.0.0/8"), nh(5));
-        t.insert(p("20.0.0.0/16"), nh(7));
-        let walk = |top: u8| {
-            let mut node = t.root();
-            for d in 0..8 {
-                let bit = (top >> (7 - d)) & 1 == 1;
-                node = if bit {
-                    node.right().unwrap()
-                } else {
-                    node.left().unwrap()
-                };
-            }
-            node
-        };
-        assert_eq!(walk(10).canonical_hash(), walk(20).canonical_hash());
-        // A label change below breaks the identity.
-        let mut t2 = t.clone();
-        t2.insert(p("20.0.0.0/16"), nh(8));
-        let walk2 = |top: u8| {
-            let mut node = t2.root();
-            for d in 0..8 {
-                let bit = (top >> (7 - d)) & 1 == 1;
-                node = if bit {
-                    node.right().unwrap()
-                } else {
-                    node.left().unwrap()
-                };
-            }
-            node
-        };
-        assert_ne!(walk2(10).canonical_hash(), walk2(20).canonical_hash());
-    }
-
-    #[test]
-    fn distinct_subtrees_counts_hash_consed_nodes() {
-        let mut t: BinaryTrie<u32> = BinaryTrie::new();
-        assert_eq!(t.distinct_subtrees(), 1, "empty trie is one canonical node");
-        // A left-spine of unlabeled nodes ending in one label: the two
-        // routes below produce mirrored-but-distinct paths, while the
-        // identical tails collapse.
-        t.insert(p("10.0.0.0/8"), nh(1));
-        t.insert(p("20.0.0.0/8"), nh(1));
-        let census = t.canonical_hashes();
-        let distinct: std::collections::HashSet<u64> = census.iter().copied().collect();
-        assert_eq!(
-            distinct.len(),
-            t.distinct_subtrees(),
-            "hash census and exact interning agree"
-        );
-        assert!(
-            t.distinct_subtrees() < t.node_count(),
-            "shared tails must collapse: {} vs {}",
-            t.distinct_subtrees(),
-            t.node_count()
-        );
-    }
-
-    #[test]
-    fn canonical_hash_is_order_sensitive() {
-        // left-only vs right-only single-step subtrees must differ.
-        let mut a: BinaryTrie<u32> = BinaryTrie::new();
-        a.insert(p("0.0.0.0/1"), nh(1));
-        let mut b: BinaryTrie<u32> = BinaryTrie::new();
-        b.insert(p("128.0.0.0/1"), nh(1));
-        assert_ne!(a.root().canonical_hash(), b.root().canonical_hash());
     }
 
     #[test]

@@ -324,12 +324,6 @@ impl HeatSummary {
         self.missed
     }
 
-    /// The hottest `n` keys.
-    #[must_use]
-    pub fn top_keys(&self, n: usize) -> Vec<u64> {
-        self.entries.iter().take(n).map(|&(k, _)| k).collect()
-    }
-
     /// Fraction of recorded traffic covered by the hottest `n` entries.
     #[must_use]
     pub fn coverage(&self, n: usize) -> f64 {
@@ -340,22 +334,6 @@ impl HeatSummary {
         covered as f64 / self.total as f64
     }
 
-    /// Projects this summary onto per-node traffic weights of a
-    /// leaf-pushed trie — the input the variable-stride DP minimizes
-    /// against. The returned vector is indexed by `proper`'s arena
-    /// positions, each entry the fraction of recorded traffic whose
-    /// lookup path passes through that node (uniform address fractions
-    /// when the summary is empty).
-    #[must_use]
-    pub fn node_weights<A: Address>(&self, proper: &fib_trie::ProperTrie<A>) -> Vec<f64> {
-        fib_trie::project_heat_weights(proper, &self.entries, self.depth)
-    }
-
-    /// Per-depth traffic weights for the traffic-weighted λ choice: for
-    /// each trie depth `d` (0..=depth), the fraction of traffic whose
-    /// matched block sits at depth ≥ `d` is derivable from these keys via
-    /// the control trie; here we only expose the raw mass per key.
-    ///
     /// Deterministic FNV-1a fingerprint over the ordered entries — the
     /// value the determinism test pins.
     #[must_use]

@@ -123,57 +123,24 @@ usage:
   fibc spool-status DIR
 Every command refuses a flag it does not read.";
 
-/// Flags `fibc compile` reads for one table, and with `--vrfs` for a
+/// The flags `fibc compile` reads for one table, and with `--vrfs` for a
 /// fleet (whose dedicated XBW tables always use entropy storage).
-const COMPILE_FLAGS: &[&str] = &[
-    "--engine",
-    "--routes",
-    "--instance",
-    "--scale",
-    "--seed",
-    "--out",
-    "--v6",
-    "--xbw-mode",
-    "--lambda",
-    "--vs-budget",
-    "--vs-max-stride",
-    "--epoch",
-    "--no-routes",
-    "--heat",
-    "--heat-samples",
-];
-const COMPILE_VRFS_FLAGS: &[&str] = &[
-    "--vrfs",
-    "--instance",
-    "--scale",
-    "--overlap",
-    "--vrf-policy",
-    "--vrf-skew",
-    "--seed",
-    "--out",
-    "--epoch",
-    "--lambda",
-    "--vs-budget",
-    "--vs-max-stride",
-];
-/// Flags `fibc serve` reads on a single-table image, and on a vrfset
-/// image (served on one thread in fixed batches); `--spool` adds its own.
-const SERVE_FLAGS: &[&str] = &[
-    "--probe",
-    "--duration",
-    "--threads",
-    "--batch",
-    "--keys",
-    "--seed",
-];
-const SERVE_VRF_FLAGS: &[&str] = &["--probe", "--keys", "--seed"];
-const SPOOL_FLAGS: &[&str] = &["--spool", "--health-every"];
+const COMPILE_FLAGS: &str = "--engine --routes --instance --scale --seed --out --v6 --xbw-mode \
+    --lambda --vs-budget --vs-max-stride --epoch --no-routes --heat --heat-samples";
+const COMPILE_VRFS_FLAGS: &str = "--vrfs --instance --scale --overlap --vrf-policy --vrf-skew \
+    --seed --out --epoch --lambda --vs-budget --vs-max-stride";
+/// The flags `fibc serve` reads on a single-table image, on a vrfset
+/// image (served on one thread in fixed batches), and with `--spool`.
+const SERVE_FLAGS: &str = "--probe --duration --threads --batch --keys --seed";
+const SERVE_VRF_FLAGS: &str = "--probe --keys --seed";
+const SPOOL_FLAGS: &str = "--spool --health-every";
 
-/// Refuses any `--…` argument that `reads` does not name: a flag `fibc`
-/// would not read — a typo, or one of another form of the command — is
-/// an error, never silently ignored. `what` names the command form.
-fn refuse_unread(args: &[String], reads: &[&str], what: &str) -> Result<(), String> {
-    match (args.iter()).find(|a| a.starts_with("--") && !reads.contains(&a.as_str())) {
+/// Refuses any `--…` argument the space-separated `reads` does not name:
+/// a flag `fibc` would not read — a typo, or one of another form of the
+/// command — is an error, never silently ignored. `what` names the form.
+fn refuse_unread(args: &[String], reads: &str, what: &str) -> Result<(), String> {
+    let read = |arg: &String| reads.split_whitespace().any(|f| f == arg);
+    match args.iter().find(|a| a.starts_with("--") && !read(a)) {
         Some(unread) => Err(format!("{unread}: not read by {what}")),
         None => Ok(()),
     }
@@ -479,7 +446,7 @@ fn section_name(id: u32) -> &'static str {
 }
 
 fn inspect(args: &[String]) -> Result<(), String> {
-    refuse_unread(args, &[], "`fibc inspect`")?;
+    refuse_unread(args, "", "`fibc inspect`")?;
     let path = args.first().ok_or("usage: fibc inspect IMG")?;
     let image = FibImage::load(path).map_err(|e| e.to_string())?;
     let engine = image.engine().map(EngineKind::name).unwrap_or("<unknown>");
@@ -571,7 +538,7 @@ fn inspect_vrfs<A: Address>(image: &FibImage) -> Result<(), String> {
 /// shape, section layout) and cross-checks it — a file can pass the
 /// checksum and still fail lint.
 fn lint(args: &[String]) -> Result<(), String> {
-    refuse_unread(args, &[], "`fibc lint`")?;
+    refuse_unread(args, "", "`fibc lint`")?;
     let path = args.first().ok_or("usage: fibc lint IMG")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let issues = image_lint::lint_bytes(&bytes);
@@ -647,7 +614,7 @@ fn serve_image(image: FibImage, args: &[String]) -> Result<(), String> {
 /// quarantine detail. Exits non-zero when nothing in the spool could
 /// serve a warm restart.
 fn spool_status(args: &[String]) -> Result<(), String> {
-    refuse_unread(args, &[], "`fibc spool-status`")?;
+    refuse_unread(args, "", "`fibc spool-status`")?;
     let dir = args.first().ok_or("usage: fibc spool-status DIR")?;
     let fs = StdFs::shared();
     let status = scan_spool(fs.as_ref(), Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
@@ -922,8 +889,12 @@ fn serve_family<A: Address + AddrText + Send + Sync + 'static>(
         EngineKind::VrfSet => (SERVE_VRF_FLAGS, "`fibc serve` on a vrfset image"),
         _ => (SERVE_FLAGS, "`fibc serve`"),
     };
-    let spool = if flag(args, "--spool") { SPOOL_FLAGS } else { &[] };
-    refuse_unread(args, &[reads, spool].concat(), what)?;
+    let spool = if flag(args, "--spool") {
+        SPOOL_FLAGS
+    } else {
+        ""
+    };
+    refuse_unread(args, &format!("{reads} {spool}"), what)?;
     if kind == EngineKind::VrfSet {
         return serve_vrf_family::<A>(&image, args);
     }

@@ -310,7 +310,12 @@ fn flags_a_command_does_not_read_are_refused() {
         "--out",
         out.to_str().expect("utf-8 path"),
     ];
-    let typo = ["serve", single.to_str().expect("utf-8 path"), "--thread", "2"];
+    let typo = [
+        "serve",
+        single.to_str().expect("utf-8 path"),
+        "--thread",
+        "2",
+    ];
     for (argv, refused) in [(&fleet[..], "--routes"), (&typo, "--thread")] {
         let output = fibc(argv);
         let stderr = String::from_utf8_lossy(&output.stderr);

@@ -292,7 +292,13 @@ fn every_placement_roundtrips<A: Address + Send + Sync + 'static>(tag: &str) {
         .iter()
         .map(|(id, trie)| VrfTable { id: *id, trie })
         .collect();
-    let choices = BTreeMap::from([(0, Serialized), (3, Shared), (6, Xbw), (9, Shared), (12, VsDag)]);
+    let choices = BTreeMap::from([
+        (0, Serialized),
+        (3, Shared),
+        (6, Xbw),
+        (9, Shared),
+        (12, VsDag),
+    ]);
     let policy = VrfPolicy::Pinned {
         choices: choices.clone(),
     };
@@ -483,7 +489,13 @@ fn a_loaded_set_recompiles_as_the_compiled_one<A: Address + Send + Sync + 'stati
     .generate(&base);
     let mut oracles: BTreeMap<u32, BinaryTrie<A>> = (0..).zip(fleet).collect();
     let policy = VrfPolicy::Pinned {
-        choices: BTreeMap::from([(0, Serialized), (1, Shared), (2, Xbw), (3, Shared), (4, VsDag)]),
+        choices: BTreeMap::from([
+            (0, Serialized),
+            (1, Shared),
+            (2, Xbw),
+            (3, Shared),
+            (4, VsDag),
+        ]),
     };
     let config = BuildConfig::default();
     let compile = |oracles: &BTreeMap<u32, BinaryTrie<A>>| {
