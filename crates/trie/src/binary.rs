@@ -177,19 +177,36 @@ impl<A: Address> BinaryTrie<A> {
     /// visited below the root (used by depth statistics).
     #[must_use]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
+        self.walk(addr, |_| {})
+    }
+
+    /// Lookup reporting every node touch as `(byte offset, byte size)`
+    /// within the arena — the access stream for cache simulation.
+    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
+        const NODE_BYTES: u64 = 12;
+        self.walk(addr, |idx| {
+            sink(u64::from(idx) * NODE_BYTES, NODE_BYTES as u32)
+        })
+        .0
+    }
+
+    /// The walk from the root, remembering the deepest label passed;
+    /// `touch` sees the arena index of every node read, the root's first
+    /// (a traced lookup is this walk with a reporting `touch`).
+    #[inline]
+    fn walk(&self, addr: A, mut touch: impl FnMut(u32)) -> (Option<NextHop>, Depth) {
         let mut idx = 0u32;
+        touch(idx);
         let mut best = self.nodes[0].label;
         let mut depth = 0u8;
-        loop {
-            if depth >= A::WIDTH {
-                break;
-            }
+        while depth < A::WIDTH {
             let child = self.child(idx, addr.bit(depth));
             if child == NONE {
                 break;
             }
             idx = child;
             depth += 1;
+            touch(idx);
             let label = self.nodes[idx as usize].label;
             if label != NONE {
                 best = label;
@@ -199,33 +216,6 @@ impl<A: Address> BinaryTrie<A> {
             (best != NONE).then(|| NextHop::new(best)),
             Depth::from(depth),
         )
-    }
-
-    /// Lookup reporting every node touch as `(byte offset, byte size)`
-    /// within the arena — the access stream for cache simulation.
-    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        const NODE_BYTES: u64 = 12;
-        let mut idx = 0u32;
-        sink(0, NODE_BYTES as u32);
-        let mut best = self.nodes[0].label;
-        let mut depth = 0u8;
-        loop {
-            if depth >= A::WIDTH {
-                break;
-            }
-            let child = self.child(idx, addr.bit(depth));
-            if child == NONE {
-                break;
-            }
-            idx = child;
-            depth += 1;
-            sink(u64::from(idx) * NODE_BYTES, NODE_BYTES as u32);
-            let label = self.nodes[idx as usize].label;
-            if label != NONE {
-                best = label;
-            }
-        }
-        (best != NONE).then(|| NextHop::new(best))
     }
 
     /// Iterates over all routes in lexicographic (DFS, left-first) order.
@@ -421,7 +411,6 @@ impl<'a, A: Address> NodeRef<'a, A> {
         let n = &self.trie.nodes[self.idx as usize];
         n.left == NONE && n.right == NONE
     }
-
 }
 
 #[cfg(test)]

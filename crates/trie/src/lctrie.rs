@@ -235,18 +235,8 @@ impl<A: Address> LcTrie<A> {
     /// when modeling the paper's 26 MB in-kernel `fib_trie`.
     pub fn lookup_traced_kernel(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
         const KERNEL_NODE_BYTES: u64 = 40;
-        let mut idx = self.root;
-        let mut offset = 0u8;
-        loop {
-            sink(u64::from(idx) * KERNEL_NODE_BYTES, KERNEL_NODE_BYTES as u32);
-            let word = self.nodes[idx as usize];
-            if word & LEAF_TAG != 0 {
-                return unpack_leaf(word);
-            }
-            let bits = ((word >> 32) & 0xFF) as u8;
-            idx = (word as u32) + addr.bits(offset, bits);
-            offset += bits;
-        }
+        let touch = |idx| sink(u64::from(idx) * KERNEL_NODE_BYTES, KERNEL_NODE_BYTES as u32);
+        self.view().walk(addr, touch).0
     }
 
     /// Number of nodes (branch slots included).
@@ -368,26 +358,31 @@ impl<'a, A: Address> LcTrieRef<'a, A> {
     #[must_use]
     #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        let mut idx = self.root;
-        let mut offset = 0u8;
-        loop {
-            let word = self.nodes[idx as usize];
-            if word & LEAF_TAG != 0 {
-                return unpack_leaf(word);
-            }
-            let bits = ((word >> 32) & 0xFF) as u8;
-            idx = (word as u32) + addr.bits(offset, bits);
-            offset += bits;
-        }
+        self.walk(addr, |_| {}).0
     }
 
     /// Lookup returning the number of branch nodes traversed.
     #[must_use]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
+        self.walk(addr, |_| {})
+    }
+
+    /// Lookup reporting every node touch as `(byte offset, byte size)`
+    /// within the arena — the access stream for cache simulation.
+    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
+        self.walk(addr, |idx| sink(u64::from(idx) * 8, 8)).0
+    }
+
+    /// The walk from the root to a leaf, counting branch hops; `touch`
+    /// sees the index of every node word read (a traced lookup is this
+    /// walk with a reporting `touch`).
+    #[inline]
+    fn walk(&self, addr: A, mut touch: impl FnMut(u32)) -> (Option<NextHop>, Depth) {
         let mut idx = self.root;
         let mut offset = 0u8;
         let mut hops: Depth = 0;
         loop {
+            touch(idx);
             let word = self.nodes[idx as usize];
             if word & LEAF_TAG != 0 {
                 return (unpack_leaf(word), hops);
@@ -396,23 +391,6 @@ impl<'a, A: Address> LcTrieRef<'a, A> {
             idx = (word as u32) + addr.bits(offset, bits);
             offset += bits;
             hops += 1;
-        }
-    }
-
-    /// Lookup reporting every node touch as `(byte offset, byte size)`
-    /// within the arena — the access stream for cache simulation.
-    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        let mut idx = self.root;
-        let mut offset = 0u8;
-        loop {
-            sink(u64::from(idx) * 8, 8);
-            let word = self.nodes[idx as usize];
-            if word & LEAF_TAG != 0 {
-                return unpack_leaf(word);
-            }
-            let bits = ((word >> 32) & 0xFF) as u8;
-            idx = (word as u32) + addr.bits(offset, bits);
-            offset += bits;
         }
     }
 

@@ -144,17 +144,7 @@ impl<A: Address> ProperTrie<A> {
     /// Longest-prefix-match lookup: walk to the unique covering leaf.
     #[must_use]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        let mut idx = self.root;
-        let mut depth = 0u8;
-        loop {
-            match self.nodes[idx as usize] {
-                ProperNode::Leaf(label) => return label,
-                ProperNode::Internal { left, right } => {
-                    idx = if addr.bit(depth) { right } else { left };
-                    depth += 1;
-                }
-            }
-        }
+        self.walk(addr, |_| {})
     }
 
     /// Lookup reporting every node touch as `(byte offset, byte size)`
@@ -163,10 +153,20 @@ impl<A: Address> ProperTrie<A> {
     /// level of the walk reads exactly one record.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
         let node_bytes = std::mem::size_of::<ProperNode>() as u64;
+        self.walk(addr, |idx| {
+            sink(u64::from(idx) * node_bytes, node_bytes as u32)
+        })
+    }
+
+    /// The walk from the root to the covering leaf; `touch` sees the
+    /// arena index of every record read (a traced lookup is this walk
+    /// with a reporting `touch`).
+    #[inline]
+    fn walk(&self, addr: A, mut touch: impl FnMut(u32)) -> Option<NextHop> {
         let mut idx = self.root;
         let mut depth = 0u8;
         loop {
-            sink(u64::from(idx) * node_bytes, node_bytes as u32);
+            touch(idx);
             match self.nodes[idx as usize] {
                 ProperNode::Leaf(label) => return label,
                 ProperNode::Internal { left, right } => {
