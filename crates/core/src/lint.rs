@@ -262,23 +262,7 @@ fn pdag_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
         ));
         return;
     }
-    let child = |i: usize, right: bool| -> u32 {
-        let w = nodes[2 * i];
-        if right {
-            (w >> 32) as u32
-        } else {
-            w as u32
-        }
-    };
-    let mut out_of_range = 0usize;
-    for i in 0..n {
-        for r in [false, true] {
-            let c = child(i, r);
-            if c != PDAG_NONE && c as usize >= n {
-                out_of_range += 1;
-            }
-        }
-    }
+    let out_of_range = children_out_of_range(nodes);
     if out_of_range > 0 {
         issues.push(issue(
             "pdag-child-out-of-range",
@@ -295,39 +279,12 @@ fn pdag_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
         }
         return;
     }
-    // Iterative 3-color DFS: gray-hit ⇒ cycle; white-after ⇒ unreachable.
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
     let mut color = vec![WHITE; n];
-    // (node, next child to expand: 0 = left, 1 = right, 2 = retire)
-    let mut stack: Vec<(u32, u8)> = vec![(root, 0)];
-    color[root as usize] = GRAY;
-    let mut cycle = false;
-    while let Some((node, branch)) = stack.pop() {
-        if branch == 2 {
-            color[node as usize] = BLACK;
-            continue;
-        }
-        stack.push((node, branch + 1));
-        let c = child(node as usize, branch == 1);
-        if c == PDAG_NONE {
-            continue;
-        }
-        match color[c as usize] {
-            GRAY if !cycle => {
-                issues.push(issue(
-                    "pdag-cycle",
-                    format!("node {c} is its own ancestor (edge from node {node})"),
-                ));
-                cycle = true;
-            }
-            WHITE => {
-                color[c as usize] = GRAY;
-                stack.push((c, 0));
-            }
-            _ => {}
-        }
+    if let Some((node, c)) = walk_arena(nodes, root, &mut color) {
+        issues.push(issue(
+            "pdag-cycle",
+            format!("node {c} is its own ancestor (edge from node {node})"),
+        ));
     }
     let unreached = color.iter().filter(|&&c| c == WHITE).count();
     if unreached > 0 {
@@ -336,6 +293,53 @@ fn pdag_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             format!("{unreached} of {n} packed nodes unreachable from the root"),
         ));
     }
+}
+
+/// Child references of a packed pDAG record arena (`left | right << 32`,
+/// `label`) that point past its last node.
+fn children_out_of_range(nodes: &[u64]) -> usize {
+    let n = nodes.len() / 2;
+    (nodes.iter().step_by(2))
+        .flat_map(|&w| [w as u32, (w >> 32) as u32])
+        .filter(|&c| c != PDAG_NONE && c as usize >= n)
+        .count()
+}
+
+/// Three-colour marks of [`walk_arena`]: unseen, on the current path, done.
+const WHITE: u8 = 0;
+const GRAY: u8 = 1;
+const BLACK: u8 = 2;
+
+/// Iterative three-colour DFS from `root` over a packed pDAG record arena
+/// whose children are all in range, marking `color`: a gray hit closes a
+/// cycle, and a node still white after every root is walked with the
+/// same `color` is reached by none. Returns the first cycle edge,
+/// `(node, child)`.
+fn walk_arena(nodes: &[u64], root: u32, color: &mut [u8]) -> Option<(u32, u32)> {
+    let mut cycle = None;
+    // (node, next child to expand: 0 = left, 1 = right, 2 = retire)
+    let mut stack: Vec<(u32, u8)> = vec![(root, 0)];
+    color[root as usize] = GRAY;
+    while let Some((node, branch)) = stack.pop() {
+        if branch == 2 {
+            color[node as usize] = BLACK;
+            continue;
+        }
+        stack.push((node, branch + 1));
+        let c = (nodes[2 * node as usize] >> (32 * u32::from(branch))) as u32;
+        if c == PDAG_NONE {
+            continue;
+        }
+        match color[c as usize] {
+            GRAY => cycle = cycle.or(Some((node, c))),
+            WHITE => {
+                color[c as usize] = GRAY;
+                stack.push((c, 0));
+            }
+            _ => {}
+        }
+    }
+    cycle
 }
 
 // ---------------------------------------------------------------------
@@ -722,14 +726,7 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
         return;
     }
     let n_nodes = arena.len() / 2;
-    let mut out_of_range = 0usize;
-    for node in arena.chunks_exact(2) {
-        for child in [node[0] as u32, (node[0] >> 32) as u32] {
-            if child != PDAG_NONE && child as usize >= n_nodes {
-                out_of_range += 1;
-            }
-        }
-    }
+    let out_of_range = children_out_of_range(arena);
     if out_of_range > 0 {
         issues.push(issue(
             "vrf-arena-malformed",
@@ -737,6 +734,9 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
         ));
     }
     let mut prev_id: Option<u32> = None;
+    // Shared tables whose root is in range: `(index, id, root, claimed
+    // reachable nodes)`, for the arena walks below.
+    let mut shared = Vec::new();
     // Σ routes, Σ standalone bytes, Σ reachable nodes: `None` once one
     // overflows, which only a hostile directory can make happen.
     let mut sums = Some((0u64, 0u64, 0u64));
@@ -782,15 +782,8 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
                             "table {index} (vrf {id}): root {root} with only {n_nodes} arena nodes"
                         ),
                     ));
-                }
-                if record[3] > n_nodes as u64 {
-                    issues.push(issue(
-                        "vrf-dir-malformed",
-                        format!(
-                            "table {index} (vrf {id}): claims {} reachable nodes of {n_nodes}",
-                            record[3]
-                        ),
-                    ));
+                } else {
+                    shared.push((index, id, root, record[3]));
                 }
             }
             Some(kind) => {
@@ -810,6 +803,9 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             }
         }
     }
+    if out_of_range == 0 {
+        vrf_arena_pass(arena, &shared, issues);
+    }
     match sums {
         None => issues.push(issue(
             "vrf-dir-malformed",
@@ -823,6 +819,47 @@ fn vrf_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             ),
         )),
         Some(_) => {}
+    }
+}
+
+/// The shared arena's structure, walked from every shared table's root
+/// (`shared` as `vrf_pass` collects it, children in range): no node is
+/// its own ancestor, every node is reached from some root — the compiler
+/// packs exactly what the shared roots reach — and each table reaches
+/// the node count its directory record claims.
+fn vrf_arena_pass(arena: &[u64], shared: &[(usize, u32, u32, u64)], issues: &mut Vec<LintIssue>) {
+    let n_nodes = arena.len() / 2;
+    let mut reached = vec![false; n_nodes];
+    let mut cycle = None;
+    for &(index, id, root, claimed) in shared {
+        let mut color = vec![WHITE; n_nodes];
+        if root != PDAG_NONE {
+            cycle = cycle.or(walk_arena(arena, root, &mut color));
+        }
+        let mut reaches = 0u64;
+        for (seen, &c) in reached.iter_mut().zip(&color) {
+            *seen |= c != WHITE;
+            reaches += u64::from(c != WHITE);
+        }
+        if reaches != claimed {
+            issues.push(issue(
+                "vrf-dir-malformed",
+                format!("table {index} (vrf {id}): claims {claimed} reachable nodes, its root reaches {reaches}"),
+            ));
+        }
+    }
+    if let Some((node, c)) = cycle {
+        issues.push(issue(
+            "vrf-arena-cycle",
+            format!("arena node {c} is its own ancestor (edge from node {node})"),
+        ));
+    }
+    let unreached = reached.iter().filter(|&&seen| !seen).count();
+    if unreached > 0 {
+        issues.push(issue(
+            "vrf-arena-unreachable",
+            format!("{unreached} of {n_nodes} arena nodes unreachable from every shared root"),
+        ));
     }
 }
 
@@ -1070,6 +1107,52 @@ mod tests {
             issues.iter().any(|i| i.code == "vrf-dir-malformed"),
             "{issues:?}"
         );
+    }
+
+    /// A one-table fleet's clean image and its shared arena's section
+    /// entry, for the arena mutations below.
+    fn one_table_fleet() -> (Vec<u8>, SectionEntry) {
+        use crate::vrf::{compile_vrf_set, write_vrf_image, VrfPolicy, VrfTable};
+        let trie = small_fib();
+        let tables = [VrfTable { id: 1, trie: &trie }];
+        let set = compile_vrf_set(&tables, &BuildConfig::default(), &VrfPolicy::Shared);
+        let good = write_vrf_image(&set, 0).unwrap();
+        assert_eq!(lint_bytes(&good), Vec::new());
+        let image = FibImage::from_bytes(&good).unwrap();
+        let entry = image
+            .section_table()
+            .iter()
+            .find(|e| e.id == sections::VRF_PDAG)
+            .copied()
+            .unwrap();
+        assert!(entry.len >= 4, "need at least two arena nodes");
+        (good, entry)
+    }
+
+    #[test]
+    fn vrf_arena_cycle_is_detected() {
+        // Point the last arena node's left child back at the root, node 0.
+        let (mut bad, entry) = one_table_fleet();
+        let last = (entry.offset + entry.len - 2) * 8;
+        bad[last..last + 4].copy_from_slice(&0u32.to_le_bytes());
+        let issues = lint_bytes(&repair_checksum(bad));
+        assert!(
+            issues.iter().any(|i| i.code == "vrf-arena-cycle"),
+            "{issues:?}"
+        );
+    }
+
+    #[test]
+    fn vrf_arena_orphans_and_a_wrong_reachable_count_are_detected() {
+        // Cut the root's children: the rest of the arena is reached by no
+        // table, and the table reaches one node, not what it claims.
+        let (mut bad, entry) = one_table_fleet();
+        let root_word = entry.offset * 8;
+        bad[root_word..root_word + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let issues = lint_bytes(&repair_checksum(bad));
+        let has = |code| issues.iter().any(|i| i.code == code);
+        assert!(has("vrf-arena-unreachable"), "{issues:?}");
+        assert!(has("vrf-dir-malformed"), "{issues:?}");
     }
 
     #[test]

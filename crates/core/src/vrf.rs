@@ -258,9 +258,7 @@ impl VrfPolicy {
     pub fn fixed_choice(&self, id: u32) -> Option<VrfEngineChoice> {
         match self {
             Self::Shared => Some(VrfEngineChoice::Shared),
-            Self::Pinned { choices } => {
-                Some(choices.get(&id).copied().unwrap_or(VrfEngineChoice::Shared))
-            }
+            Self::Pinned { choices } => choices.get(&id).copied().or(Some(VrfEngineChoice::Shared)),
             Self::Auto { .. } => None,
         }
     }
@@ -903,12 +901,23 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
 
     // Placement. A carried table stays where it is. `Auto` (never seeded:
     // it carries nothing) prices each table's marginal nodes — those no
-    // lower id brought — against its normalized traffic weight.
+    // lower id brought — against its share of the fleet's traffic: its
+    // weight (the mean of the fleet's given weights when it has none)
+    // over their sum, summed in id order; uniform when that sum is not
+    // positive (no weights, or all zero).
     let model = CostModel::default();
-    let weights = match policy {
-        VrfPolicy::Auto { weights } => normalized_weights(weights, fleet.keys()),
+    let weights: Vec<f64> = match policy {
+        VrfPolicy::Auto { weights } => {
+            let given: Vec<_> = (fleet.keys().filter_map(|id| weights.get(id))).collect();
+            let mean = given.iter().copied().sum::<f64>() / given.len().max(1) as f64;
+            (fleet.keys())
+                .map(|id| *weights.get(id).unwrap_or(&mean))
+                .collect()
+        }
         _ => Vec::new(),
     };
+    let total: f64 = weights.iter().sum();
+    let uniform = 1.0 / fleet.len().max(1) as f64;
     let choices: Vec<VrfEngineChoice> = (fleet.keys().zip(&sources).enumerate())
         .map(|(pos, (&id, source))| {
             let choice = policy.fixed_choice(id).unwrap_or_else(|| {
@@ -920,7 +929,12 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
                 else {
                     unreachable!("Auto supplies every table");
                 };
-                model.place(trie.len() as u64, marginal_nodes * 16, weights[pos])
+                let weight = if total > 0.0 {
+                    weights[pos] / total
+                } else {
+                    uniform
+                };
+                model.place(trie.len() as u64, marginal_nodes * 16, weight)
             });
             if let Source::Carried(table) = source {
                 assert_eq!(
@@ -989,29 +1003,6 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
         })
         .collect();
     CompiledVrfSet::assemble(arena, tables)
-}
-
-/// Each VRF's share of the fleet's traffic under [`VrfPolicy::Auto`], in
-/// the order of `ids`: its weight — the mean of the fleet's given weights
-/// when `weights` names it not — over their sum, summed in id order.
-/// Uniform when that sum is not positive (no weights, or all zero).
-fn normalized_weights<'i>(
-    weights: &BTreeMap<u32, f64>,
-    ids: impl ExactSizeIterator<Item = &'i u32> + Clone,
-) -> Vec<f64> {
-    let given: Vec<f64> = ids
-        .clone()
-        .filter_map(|id| weights.get(id).copied())
-        .collect();
-    let mean = given.iter().sum::<f64>() / given.len().max(1) as f64;
-    let raw: Vec<f64> = ids
-        .map(|id| weights.get(id).copied().unwrap_or(mean))
-        .collect();
-    let total: f64 = raw.iter().sum();
-    let uniform = 1.0 / raw.len().max(1) as f64;
-    raw.iter()
-        .map(|w| if total > 0.0 { w / total } else { uniform })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1418,12 +1409,9 @@ mod tests {
         );
         assert_ne!(unnamed, placed(&[(1, 1.0), (2, 0.0), (3, 0.0)]));
 
-        let ids = [1, 2, 3];
-        let uniform = vec![1.0 / 3.0; 3];
-        for weights in [BTreeMap::new(), BTreeMap::from([(1, 0.0), (2, 0.0)])] {
-            assert_eq!(normalized_weights(&weights, ids.iter()), uniform);
-        }
-        assert_eq!(placed(&[]), placed(&[(1, 1.0), (2, 1.0), (3, 1.0)]));
+        let uniform = placed(&[(1, 1.0), (2, 1.0), (3, 1.0)]);
+        assert_eq!(placed(&[]), uniform);
+        assert_eq!(placed(&[(1, 0.0), (2, 0.0)]), uniform);
     }
 
     #[test]
