@@ -288,9 +288,8 @@ fn compile_refuses_a_routes_line_with_a_third_column() {
 }
 
 /// `fibc` refuses, by name and before any work, a flag the command does
-/// not read: a fleet compile handed `--routes` (its tables come from an
-/// instance) used to compile taz at full scale regardless, and a typo
-/// such as `--thread` used to be ignored.
+/// not read: `--routes` beside `compile --vrfs` (a fleet's tables come
+/// from an instance), and a typo such as `--thread`.
 #[test]
 fn flags_a_command_does_not_read_are_refused() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fibc_serve");
