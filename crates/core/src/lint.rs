@@ -844,7 +844,9 @@ fn vrf_arena_pass(arena: &[u64], shared: &[(usize, u32, u32, u64)], issues: &mut
         if reaches != claimed {
             issues.push(issue(
                 "vrf-dir-malformed",
-                format!("table {index} (vrf {id}): claims {claimed} reachable nodes, its root reaches {reaches}"),
+                format!(
+                    "table {index} (vrf {id}): claims {claimed} reachable nodes, reaches {reaches}"
+                ),
             ));
         }
     }
