@@ -74,7 +74,7 @@
 //! loading its image, then recompiling what changed; a carried loaded
 //! dedicated table serves from its sections until it is next re-folded.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use fib_trie::{Address, BinaryTrie, NextHop};
@@ -802,7 +802,7 @@ enum Source<'a, A: Address> {
 
 /// Compiles `tables` into one shared arena plus dedicated engines per the
 /// placement policy. Tables are sorted by id in the result. This is
-/// [`recompile_vrf_set`] from the empty set with every table supplied.
+/// [`recompile_vrf_set`] from the empty set.
 ///
 /// # Panics
 /// Panics if two tables share an id.
@@ -815,72 +815,65 @@ pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
     let mut fleet = BTreeMap::new();
     for t in tables {
         assert!(
-            fleet.insert(t.id, Some(t.trie)).is_none(),
+            fleet.insert(t.id, t.trie).is_none(),
             "duplicate VRF id {}",
             t.id
         );
     }
-    recompile_vrf_set(&CompiledVrfSet::default(), &fleet, config, policy)
+    let empty = CompiledVrfSet::default();
+    recompile_vrf_set(&empty, &fleet, &BTreeSet::new(), config, policy).0
 }
 
 /// Recompiles a fleet from the set compiled before it, folding only the
-/// tables that changed.
+/// tables that changed; returns the set and how many tables it folded.
 ///
-/// `fleet` maps every VRF id of the new set to its table: `Some(trie)` is
-/// folded, interned and placed afresh; `None` is **carried over** from
-/// `previous` — its root (or dedicated engine), route count and node
-/// counts are taken as they stand, and its trie is never looked at.
-/// Tables of `previous` that `fleet` does not list are dropped. The
-/// policy places each table by its id, so tables coming and going move
-/// no other table.
+/// `tables` maps every VRF id of the new set to its trie; tables of
+/// `previous` it does not list are dropped. A table is **carried over**
+/// from `previous` — its root (or dedicated engine), route count and node
+/// counts taken as they stand, its trie never looked at — unless its id
+/// is in `changed`, it is new, or the policy places it on another engine
+/// than `previous` did; those are folded, interned and placed afresh.
+/// Under [`VrfPolicy::Auto`] placement is a fleet-wide decision (a
+/// table's marginal bytes depend on every lower id), so every table is
+/// folded; the interning pass records each table's marginal nodes as it
+/// goes, so pricing them costs no second pass. The policy places tables
+/// by id, so tables coming and going move no other table.
 ///
 /// When a carried table keeps a shared root, the cross-table interner is
 /// seeded with `previous.arena` (already canonical, so that root is its
-/// own canonical id); the supplied
-/// tables are interned against it, and the multi-root BFS packs what is
-/// reachable from the new roots. That BFS orders nodes by structure, not
-/// by interner id, so the result is **bit-identical** — arena, roots,
-/// root arrays, per-table counts, statistics — to a from-scratch
-/// [`compile_vrf_set`] over the same tables, provided `previous` was
-/// compiled by this function under the same `config` — or loaded
-/// ([`CompiledVrfSet::from_image`]) from the image of such a set — and
-/// every carried table's trie is what it was then.
-///
-/// Under [`VrfPolicy::Auto`] placement is a fleet-wide decision (a
-/// table's marginal bytes depend on every lower id), so every table must
-/// be supplied; the interning pass records each table's marginal nodes
-/// as it goes, so pricing them costs no second pass.
-///
-/// # Panics
-/// Panics if a carried id is absent from `previous` or the policy places
-/// it on another engine than `previous` did, or if a table is carried
-/// under `Auto`.
+/// own canonical id); the folded tables are interned against it, and the
+/// multi-root BFS packs what is reachable from the new roots. That BFS
+/// orders nodes by structure, not by interner id, so the result is
+/// **bit-identical** — arena, roots, root arrays, per-table counts,
+/// statistics — to a from-scratch [`compile_vrf_set`] over the same
+/// tables, provided `previous` was compiled by this function under the
+/// same `config` — or loaded ([`CompiledVrfSet::from_image`]) from the
+/// image of such a set — and every table not in `changed` is what it was
+/// then.
 #[must_use]
 pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
     previous: &CompiledVrfSet<A>,
-    fleet: &BTreeMap<u32, Option<&BinaryTrie<A>>>,
+    tables: &BTreeMap<u32, &BinaryTrie<A>>,
+    changed: &BTreeSet<u32>,
     config: &BuildConfig,
     policy: &VrfPolicy,
-) -> CompiledVrfSet<A> {
-    if let VrfPolicy::Auto { .. } = policy {
-        assert!(
-            fleet.values().all(Option::is_some),
-            "Auto placement is fleet-wide: every table must be supplied"
-        );
-    }
-
-    // Fold every supplied table with the ordinary single-table compiler
-    // and intern it straight from its arena, in id order; look every other
-    // one up in the previous set. The interner starts from the previous
-    // arena when a shared root into it is kept.
-    let keeps_root = fleet.iter().any(|(&id, trie)| {
-        trie.is_none() && previous.table(id).is_some_and(|t| t.dedicated.is_none())
-    });
+) -> (CompiledVrfSet<A>, usize) {
+    // Carry what is unchanged and stays on its engine (never under `Auto`,
+    // which fixes no choice); fold every other table with the ordinary
+    // single-table compiler and intern it straight from its arena, in id
+    // order. The interner starts from the previous arena when a shared
+    // root into it is kept.
+    let carried = |id: u32| {
+        let fixed = policy.fixed_choice(id);
+        (previous.table(id)).filter(|t| !changed.contains(&id) && Some(t.choice()) == fixed)
+    };
+    let keeps_root = (tables.keys()).any(|&id| carried(id).is_some_and(|t| t.dedicated.is_none()));
     let mut interner = ArenaInterner::seeded(if keeps_root { &previous.arena } else { &[] });
-    let sources: Vec<Source<'_, A>> = fleet
+    let sources: Vec<Source<'_, A>> = tables
         .iter()
-        .map(|(&id, trie)| match *trie {
-            Some(trie) => {
+        .map(|(&id, &trie)| match carried(id) {
+            Some(table) => Source::Carried(table),
+            None => {
                 let dag = PrefixDag::build(trie, config);
                 let before = interner.len();
                 let root = interner.intern_table(&dag.nodes, dag.root);
@@ -891,59 +884,42 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
                     solo_nodes: dag.stats().live_nodes as u64,
                 }
             }
-            None => Source::Carried(
-                previous
-                    .table(id)
-                    .unwrap_or_else(|| panic!("carried VRF {id} is not in the previous set")),
-            ),
         })
         .collect();
 
-    // Placement. A carried table stays where it is. `Auto` (never seeded:
-    // it carries nothing) prices each table's marginal nodes — those no
-    // lower id brought — against its share of the fleet's traffic: its
-    // weight (the mean of the fleet's given weights when it has none)
-    // over their sum, summed in id order; uniform when that sum is not
-    // positive (no weights, or all zero).
+    // Placement. A carried table stays where it is. `Auto` prices each
+    // table's marginal nodes — those no lower id brought — against its
+    // share of the fleet's traffic: its weight (the mean of the fleet's
+    // given weights when it has none) over their sum, summed in id order;
+    // uniform when that sum is not positive (no weights, or all zero).
     let model = CostModel::default();
     let weights: Vec<f64> = match policy {
         VrfPolicy::Auto { weights } => {
-            let given: Vec<_> = (fleet.keys().filter_map(|id| weights.get(id))).collect();
+            let given: Vec<_> = (tables.keys().filter_map(|id| weights.get(id))).collect();
             let mean = given.iter().copied().sum::<f64>() / given.len().max(1) as f64;
-            (fleet.keys())
+            (tables.keys())
                 .map(|id| *weights.get(id).unwrap_or(&mean))
                 .collect()
         }
         _ => Vec::new(),
     };
     let total: f64 = weights.iter().sum();
-    let uniform = 1.0 / fleet.len().max(1) as f64;
-    let choices: Vec<VrfEngineChoice> = (fleet.keys().zip(&sources).enumerate())
-        .map(|(pos, (&id, source))| {
-            let choice = policy.fixed_choice(id).unwrap_or_else(|| {
-                let Source::Folded {
-                    trie,
-                    marginal_nodes,
-                    ..
-                } = source
-                else {
-                    unreachable!("Auto supplies every table");
-                };
+    let uniform = 1.0 / tables.len().max(1) as f64;
+    let choices: Vec<VrfEngineChoice> = (tables.keys().zip(&sources).enumerate())
+        .map(|(pos, (&id, source))| match *source {
+            Source::Carried(table) => table.choice(),
+            Source::Folded {
+                trie,
+                marginal_nodes,
+                ..
+            } => policy.fixed_choice(id).unwrap_or_else(|| {
                 let weight = if total > 0.0 {
                     weights[pos] / total
                 } else {
                     uniform
                 };
                 model.place(trie.len() as u64, marginal_nodes * 16, weight)
-            });
-            if let Source::Carried(table) = source {
-                assert_eq!(
-                    table.choice(),
-                    choice,
-                    "carried VRF {id} changes engine: supply its trie"
-                );
-            }
-            choice
+            }),
         })
         .collect();
 
@@ -962,7 +938,10 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
     drop(interner);
 
     // Assemble per-table results; the set charges their statistics.
-    let tables = (fleet.keys().zip(&sources).enumerate())
+    let folded = (sources.iter())
+        .filter(|source| matches!(source, Source::Folded { .. }))
+        .count();
+    let compiled = (tables.keys().zip(&sources).enumerate())
         .map(|(pos, (&id, source))| {
             let choice = choices[pos];
             let root = match choice {
@@ -1002,7 +981,7 @@ pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
             }
         })
         .collect();
-    CompiledVrfSet::assemble(arena, tables)
+    (CompiledVrfSet::assemble(arena, compiled), folded)
 }
 
 // ---------------------------------------------------------------------
@@ -1139,8 +1118,9 @@ mod tests {
         let mut t2_next = t2.clone();
         t2_next.insert(p("172.16.0.0/12"), nh(5));
         t2_next.remove(p("10.1.0.0/16"));
-        let fleet = BTreeMap::from([(1, None), (2, Some(&t2_next)), (3, None)]);
-        let next = recompile_vrf_set(&previous, &fleet, &config, &policy);
+        let fleet = BTreeMap::from([(1, &t1), (2, &t2_next), (3, &t3)]);
+        let (next, folded) = recompile_vrf_set(&previous, &fleet, &[2].into(), &config, &policy);
+        assert_eq!(folded, 1, "VRF 2 alone is folded");
         let full = compile_vrf_set(&tables(&t2_next), &config, &policy);
         assert_eq!(next.arena, full.arena);
         assert_eq!(next.stats, full.stats);
@@ -1168,8 +1148,8 @@ mod tests {
         }
 
         // A table the fleet no longer lists is dropped, nodes and all.
-        let fleet = BTreeMap::from([(1, None), (3, None)]);
-        let shrunk = recompile_vrf_set(&next, &fleet, &config, &policy);
+        let fleet = BTreeMap::from([(1, &t1), (3, &t3)]);
+        let (shrunk, _) = recompile_vrf_set(&next, &fleet, &BTreeSet::new(), &config, &policy);
         let full = compile_vrf_set(
             &[VrfTable { id: 1, trie: &t1 }, VrfTable { id: 3, trie: &t3 }],
             &config,
@@ -1187,17 +1167,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "changes engine")]
-    fn carrying_a_table_onto_another_engine_is_refused() {
+    fn a_table_the_policy_moves_is_refolded() {
         let t = base_table();
         let config = BuildConfig::default();
-        let previous = compile_vrf_set(
-            &[VrfTable { id: 1, trie: &t }],
+        let tables = [VrfTable { id: 1, trie: &t }];
+        let previous = compile_vrf_set(&tables, &config, &serialized_vrf_1());
+        let fleet = BTreeMap::from([(1, &t)]);
+        let (moved, folded) = recompile_vrf_set(
+            &previous,
+            &fleet,
+            &BTreeSet::new(),
             &config,
-            &serialized_vrf_1(),
+            &VrfPolicy::Shared,
         );
-        let fleet = BTreeMap::from([(1, None)]);
-        let _ = recompile_vrf_set(&previous, &fleet, &config, &VrfPolicy::Shared);
+        assert_eq!(folded, 1, "unchanged, but moved: folded again");
+        assert_eq!(moved.tables[0].choice(), VrfEngineChoice::Shared);
+        let full = compile_vrf_set(&tables, &config, &VrfPolicy::Shared);
+        assert_eq!(moved.arena, full.arena);
+        assert_eq!(moved.stats, full.stats);
+        assert_eq!(moved.tables[0].root, full.tables[0].root);
+        for i in 0..2048u32 {
+            let addr = i.wrapping_mul(0x9E37_79B9);
+            assert_eq!(moved.lookup(1, addr), t.lookup(addr));
+        }
     }
 
     #[test]

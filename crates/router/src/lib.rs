@@ -26,15 +26,20 @@
 //! * [`Forwarder`] (module [`runtime`]) — the multi-core forwarding
 //!   runtime: N worker threads with private traffic sources and
 //!   per-worker stats (packets, drops, ns/lookup histogram with
-//!   p50/p99). `fibc serve` runs it too, over an image-backed
-//!   [`EpochSnapshot::from_image`] — the snapshot a warm restart serves.
+//!   p50/p99), generic over the snapshot it serves ([`Serve`]): a
+//!   table's [`EpochSnapshot`] or a fleet's [`VrfSnapshot`], one loop for
+//!   both control planes. `fibc serve` runs it too, over an image-backed
+//!   [`EpochSnapshot::from_image`] — the snapshot a warm restart serves —
+//!   or a fleet's [`VrfSnapshot::from_image`].
 //! * [`VrfSetRouter`] (module [`vrf`]) — the multi-tenant control plane:
 //!   per-VRF oracles compiled into one cross-table-deduped
 //!   [`fib_core::CompiledVrfSet`], published atomically with per-VRF
 //!   epochs, plus [`VrfDataPlane`] with a VRF-bucketed, allocation-free
-//!   mixed batch path. A publish recompiles only the tables that
-//!   changed, on the control thread; a compile that panics is contained
-//!   as the single-table router's builds are ([`RouterHealth`]).
+//!   mixed batch path; [`VrfSetRouter::snap_cell`] hands a [`Forwarder`]
+//!   the fleet as [`Router::snap_cell`] hands it a table. A publish
+//!   recompiles only the tables that changed, on the control thread; a
+//!   compile that panics is contained as the single-table router's
+//!   builds are ([`RouterHealth`]).
 //!
 //! The two control planes share one crate-private publish core: the
 //! epoch counter, the [`SnapCell`], a reference to the last three
@@ -82,7 +87,7 @@ pub use lifecycle::{
 };
 pub use router::{DataPlane, EpochSnapshot, Router, RouterConfig, RouterHealth, RouterStats};
 pub use runtime::{
-    AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode, WorkerReport,
+    AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode, Serve, WorkerReport,
     HEAT_SAMPLE,
 };
 pub use snapcell::{SnapCell, SnapReader};

@@ -1,34 +1,38 @@
 //! The multi-core forwarding runtime: N worker threads serving lookups
 //! off wait-free snapshot readers, with per-worker statistics (packets,
 //! drops, ns/lookup histogram). Updates reach the control plane as plain
-//! calls on its [`Router`](crate::Router), from whichever thread owns it.
+//! calls on its [`Router`](crate::Router) or
+//! [`VrfSetRouter`](crate::VrfSetRouter), from whichever thread owns it.
 //!
 //! The shape follows the paper's §5 software router: one control CPU
 //! absorbs churn and periodically publishes an immutable compressed
 //! image; every other core runs a tight forward loop — refill a batch
 //! from its traffic source, pick up the current snapshot (one atomic
 //! generation check via [`SnapCell`]), resolve the batch through the
-//! engine's batch kernel ([`lookup_stream`]), record latency.
+//! snapshot's batch path ([`Serve::serve`]), record latency.
 //! Workers never take a lock and never contend with each other; the only
 //! cross-core traffic on the packet path is the generation counter line,
 //! which is read-shared until the (rare) publish invalidates it.
 //!
-//! [`Forwarder::run`] is the one serving loop: the router's own readers,
-//! the benchmark, and `fibc serve` (over an image-backed
-//! [`EpochSnapshot::from_image`]) all run it, so what `fibc serve` prints
-//! is the [`WorkerReport`]s this module fills.
-//!
-//! [`lookup_stream`]: fib_core::FibLookup::lookup_stream
+//! [`Forwarder::run`] is the one serving loop, for both control planes: a
+//! single table's [`EpochSnapshot`] serves addresses through its engine's
+//! batch kernel, a fleet's [`VrfSnapshot`] serves `(vrf, addr)` pairs
+//! through its VRF-bucketed batch path. The router's own readers, the
+//! benchmark and `fibc serve` (over an image-backed
+//! [`EpochSnapshot::from_image`] or [`VrfSnapshot::from_image`]) all run
+//! it, so what `fibc serve` prints is the [`WorkerReport`]s this module
+//! fills, whatever the image holds.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use fib_core::ImageCodec;
+use fib_core::{ImageCodec, VrfBatchScratch};
 use fib_trie::{Address, NextHop};
-use fib_workload::{HeatMap, HeatSketch};
+use fib_workload::HeatMap;
 
 use crate::router::EpochSnapshot;
 use crate::snapcell::SnapCell;
+use crate::vrf::VrfSnapshot;
 
 // ---------------------------------------------------------------------
 // Latency histogram
@@ -267,6 +271,48 @@ where
     }
 }
 
+/// A published snapshot the forwarding loop serves: a batch of keys `K`
+/// in, one next hop per key out, in input order.
+pub trait Serve<K>: Send + Sync + 'static {
+    /// Per-worker state the batch path reuses from batch to batch, so the
+    /// loop does not allocate.
+    type Scratch: Default;
+
+    /// The epoch this snapshot was published as.
+    fn epoch(&self) -> u64;
+
+    /// Resolves `keys` into `out[..keys.len()]`.
+    fn serve(&self, keys: &[K], out: &mut [Option<NextHop>], scratch: &mut Self::Scratch);
+}
+
+/// A single table serves addresses through its engine's batch kernel
+/// ([`EpochSnapshot::lookup_stream`]).
+impl<A: Address, E: ImageCodec<A> + Send + Sync + 'static> Serve<A> for EpochSnapshot<E> {
+    type Scratch = ();
+
+    fn epoch(&self) -> u64 {
+        EpochSnapshot::epoch(self)
+    }
+
+    fn serve(&self, keys: &[A], out: &mut [Option<NextHop>], (): &mut ()) {
+        self.lookup_stream(keys, out);
+    }
+}
+
+/// A fleet serves `(vrf, addr)` pairs through its VRF-bucketed batch path
+/// ([`VrfSnapshot::lookup_batch`]).
+impl<A: Address + Send + Sync + 'static> Serve<(u32, A)> for VrfSnapshot<A> {
+    type Scratch = VrfBatchScratch<A>;
+
+    fn epoch(&self) -> u64 {
+        VrfSnapshot::epoch(self)
+    }
+
+    fn serve(&self, keys: &[(u32, A)], out: &mut [Option<NextHop>], scratch: &mut Self::Scratch) {
+        self.lookup_batch(keys, out, scratch);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Heat sampling
 // ---------------------------------------------------------------------
@@ -348,18 +394,13 @@ impl Forwarder {
     ///
     /// # Panics
     /// Panics if a worker thread panicked.
-    pub fn run<A, E, S>(
+    pub fn run<K, T: Serve<K>, S: AddressSource<K>>(
         &self,
-        cell: &SnapCell<EpochSnapshot<E>>,
+        cell: &SnapCell<T>,
         config: &ForwarderConfig,
         make_source: impl Fn(usize) -> S + Sync,
-    ) -> Vec<WorkerReport>
-    where
-        A: Address + Send + Sync,
-        E: ImageCodec<A> + Send + Sync,
-        S: AddressSource<A>,
-    {
-        self.run_inner(cell, config, make_source, None)
+    ) -> Vec<WorkerReport> {
+        self.run_inner(cell, config, make_source, |_| |_: &[K], _| 0)
     }
 
     /// [`Self::run`] with traffic sampling: each worker records one in
@@ -373,33 +414,30 @@ impl Forwarder {
     ///
     /// # Panics
     /// Panics if a worker thread panicked.
-    pub fn run_sampled<A, E, S>(
+    pub fn run_sampled<A: Address, T: Serve<A>, S: AddressSource<A>>(
         &self,
-        cell: &SnapCell<EpochSnapshot<E>>,
+        cell: &SnapCell<T>,
         config: &ForwarderConfig,
         make_source: impl Fn(usize) -> S + Sync,
         heat: &HeatMap,
-    ) -> Vec<WorkerReport>
-    where
-        A: Address + Send + Sync,
-        E: ImageCodec<A> + Send + Sync,
-        S: AddressSource<A>,
-    {
-        self.run_inner(cell, config, make_source, Some(heat))
+    ) -> Vec<WorkerReport> {
+        self.run_inner(cell, config, make_source, |worker| {
+            let sketch = heat.sketch(worker % heat.workers());
+            let mut sampler = HeatSampler::default();
+            move |addrs: &[A], batch| sampler.sample(addrs, batch, |addr| sketch.record(addr))
+        })
     }
 
-    fn run_inner<A, E, S>(
+    /// The pool: worker `i` serves from `make_source(i)` and hands every
+    /// batch it served, with its index, to `make_sample(i)`, which returns
+    /// how many addresses it recorded.
+    fn run_inner<K, T: Serve<K>, S: AddressSource<K>, R: FnMut(&[K], u64) -> u64 + Send>(
         &self,
-        cell: &SnapCell<EpochSnapshot<E>>,
+        cell: &SnapCell<T>,
         config: &ForwarderConfig,
         make_source: impl Fn(usize) -> S + Sync,
-        heat: Option<&HeatMap>,
-    ) -> Vec<WorkerReport>
-    where
-        A: Address + Send + Sync,
-        E: ImageCodec<A> + Send + Sync,
-        S: AddressSource<A>,
-    {
+        make_sample: impl Fn(usize) -> R + Sync,
+    ) -> Vec<WorkerReport> {
         // ordering: Relaxed — reset before any worker spawns; the spawn
         // itself is the synchronization point that makes it visible.
         self.stop.store(false, Ordering::Relaxed);
@@ -407,8 +445,8 @@ impl Forwarder {
             let handles: Vec<_> = (0..config.threads.max(1))
                 .map(|worker| {
                     let source = make_source(worker);
-                    let sketch = heat.map(|h| h.sketch(worker % h.workers()));
-                    scope.spawn(move || self.worker_loop(cell, config, worker, source, sketch))
+                    let sample = make_sample(worker);
+                    scope.spawn(move || self.worker_loop(cell, config, worker, source, sample))
                 })
                 .collect();
             handles
@@ -418,26 +456,21 @@ impl Forwarder {
         })
     }
 
-    fn worker_loop<A, E, S>(
+    fn worker_loop<K, T: Serve<K>>(
         &self,
-        cell: &SnapCell<EpochSnapshot<E>>,
+        cell: &SnapCell<T>,
         config: &ForwarderConfig,
         worker: usize,
-        mut source: S,
-        sketch: Option<&HeatSketch>,
-    ) -> WorkerReport
-    where
-        A: Address,
-        E: ImageCodec<A> + Send + Sync + 'static,
-        S: AddressSource<A>,
-    {
+        mut source: impl AddressSource<K>,
+        mut sample: impl FnMut(&[K], u64) -> u64,
+    ) -> WorkerReport {
         let mut reader = cell.reader();
         let mut report = WorkerReport::new(worker);
         let mut last_gen = reader.generation();
         let batch = config.batch.max(1);
-        let mut buf: Vec<A> = Vec::with_capacity(batch);
+        let mut buf: Vec<K> = Vec::with_capacity(batch);
         let mut out: Vec<Option<NextHop>> = vec![None; batch];
-        let mut sampler = HeatSampler::default();
+        let mut scratch = T::Scratch::default();
         let start = Instant::now();
         loop {
             let elapsed = start.elapsed();
@@ -477,14 +510,12 @@ impl Forwarder {
             report.first_epoch = report.first_epoch.min(epoch);
             report.last_epoch = report.last_epoch.max(epoch);
             let t0 = Instant::now();
-            snap.lookup_stream(&buf, &mut out[..n]);
+            snap.serve(&buf, &mut out[..n], &mut scratch);
             let dt = t0.elapsed().as_nanos() as f64;
-            // Sample heat outside the timed window: the sketch is this
-            // worker's own, so the records are uncontended fetch-adds.
-            if let Some(sketch) = sketch {
-                report.heat_samples +=
-                    sampler.sample(&buf[..n], report.batches, |addr| sketch.record(addr));
-            }
+            // Sample heat outside the timed window: under `run_sampled`
+            // the sketch is this worker's own, so the records are
+            // uncontended fetch-adds.
+            report.heat_samples += sample(&buf[..n], report.batches);
             let gen = reader.generation();
             if gen != last_gen {
                 report.refreshes += 1;

@@ -6,7 +6,7 @@
 //! A provider-edge box runs hundreds of logical tables whose FIBs are
 //! mostly identical, so [`VrfSetRouter`] pairs a *map* of oracles with
 //! one [`CompiledVrfSet`], swapped in atomically through the publish
-//! core (epoch, [`SnapCell`](crate::SnapCell), retirement ring, contained
+//! core (epoch, [`SnapCell`], retirement ring, contained
 //! builds) the single-table router uses. Readers
 //! ([`VrfDataPlane`]) therefore see all tables move in lock-step: one
 //! atomic load observes a consistent fleet, never VRF 7 from epoch 4
@@ -42,12 +42,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 pub use fib_core::VrfBatchScratch;
-use fib_core::{recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, VrfPolicy};
+use fib_core::{
+    recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibImage, ImageError, VrfPolicy,
+};
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
 use crate::publish::Publisher;
 use crate::router::RouterHealth;
-use crate::snapcell::SnapReader;
+use crate::snapcell::{SnapCell, SnapReader};
 
 /// An immutable, published multi-tenant forwarding state: the compiled
 /// set plus set- and per-VRF epochs.
@@ -60,6 +62,27 @@ pub struct VrfSnapshot<A: Address> {
 }
 
 impl<A: Address> VrfSnapshot<A> {
+    /// A snapshot serving the fleet `image` holds, loaded by
+    /// [`CompiledVrfSet::from_image`] — what [`crate::EpochSnapshot::from_image`]
+    /// is for one table. Every table carries the image's epoch.
+    ///
+    /// # Errors
+    /// Any [`ImageError`] of [`CompiledVrfSet::from_image`].
+    pub fn from_image(image: &FibImage) -> Result<Arc<Self>, ImageError> {
+        let set = CompiledVrfSet::from_image(image)?;
+        Ok(Arc::new(Self::whole(set, image.epoch())))
+    }
+
+    /// `set` served as `epoch`, every table stamped with it.
+    fn whole(set: CompiledVrfSet<A>, epoch: u64) -> Self {
+        let vrf_epochs = set.tables.iter().map(|t| (t.id, epoch)).collect();
+        Self {
+            set,
+            epoch,
+            vrf_epochs,
+        }
+    }
+
     /// The set epoch (counts publishes; 0 = initial empty state).
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -136,11 +159,7 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// always have a snapshot.
     #[must_use]
     pub fn new(config: BuildConfig, policy: VrfPolicy) -> Self {
-        let empty = VrfSnapshot {
-            set: CompiledVrfSet::default(),
-            epoch: 0,
-            vrf_epochs: Vec::new(),
-        };
+        let empty = VrfSnapshot::whole(CompiledVrfSet::default(), 0);
         Self {
             oracles: BTreeMap::new(),
             dirty: BTreeSet::new(),
@@ -207,10 +226,11 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// epoch bump).
     ///
     /// The policy places tables by VRF id, so tables coming and going
-    /// leave every other table's placement alone. A table is re-folded
-    /// when its oracle changed, when the policy moves it to another
-    /// engine, and always under `Auto`, whose placement is a fleet-wide
-    /// decision; every other table carries over from the published set.
+    /// leave every other table's placement alone. [`recompile_vrf_set`]
+    /// re-folds a table when its oracle changed, when the policy moves it
+    /// to another engine, and always under `Auto`, whose placement is a
+    /// fleet-wide decision; every other table carries over from the
+    /// published set.
     ///
     /// A compile that panics is contained: the router keeps serving the
     /// last good set at its epoch, records the panic in [`Self::health`]
@@ -223,29 +243,16 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         if self.dirty.is_empty() && self.publisher.epoch() > 0 {
             return basis;
         }
-        // Every table; `Some` holds the oracle to re-fold, `None` carries
-        // the table over from `basis`.
-        let fleet: BTreeMap<u32, Option<&BinaryTrie<A>>> = self
-            .oracles
-            .iter()
-            .map(|(&id, trie)| {
-                let fixed = self.policy.fixed_choice(id);
-                let refold = self.dirty.contains(&id)
-                    || fixed.is_none()
-                    || basis.set.table(id).map(CompiledVrf::choice) != fixed;
-                (id, refold.then_some(trie))
-            })
-            .collect();
-        let Some(set) = self
-            .publisher
-            .build(|| recompile_vrf_set(&basis.set, &fleet, &self.config, &self.policy))
+        let tables = self.oracles.iter().map(|(&id, trie)| (id, trie)).collect();
+        let (config, policy, dirty) = (&self.config, &self.policy, &self.dirty);
+        let Some((set, refolded)) = (self.publisher)
+            .build(|| recompile_vrf_set(&basis.set, &tables, dirty, config, policy))
         else {
             return self.publisher.serve_stale();
         };
-        let refolded = fleet.iter().filter(|(_, trie)| trie.is_some()).count() as u64;
         self.stats.publishes += 1;
-        self.stats.tables_refolded += refolded;
-        self.stats.tables_carried += set.tables.len() as u64 - refolded;
+        self.stats.tables_refolded += refolded as u64;
+        self.stats.tables_carried += (set.tables.len() - refolded) as u64;
         let dirty = std::mem::take(&mut self.dirty);
         // A retired set is of no further use to a fleet: it drops here.
         self.publisher.publish(|epoch, _retired| {
@@ -279,6 +286,13 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         VrfDataPlane {
             reader: self.publisher.cell().reader(),
         }
+    }
+
+    /// The publication cell itself, for runtimes that register readers
+    /// directly (see [`crate::Forwarder`]), as [`crate::Router::snap_cell`].
+    #[must_use]
+    pub fn snap_cell(&self) -> &SnapCell<VrfSnapshot<A>> {
+        self.publisher.cell()
     }
 
     /// The set epoch of the latest publish.

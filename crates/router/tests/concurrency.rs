@@ -11,13 +11,20 @@
 //!   snapshot can never mix routes from two epochs;
 //! * **recycling writes nothing a reader can reach** — a snapshot some
 //!   reader still pins is never the one a publish rewrites.
+//!
+//! A fleet is served by the same forwarding loop as a table:
+//! [`fib_router::Forwarder::run`] over a [`VrfSetRouter`]'s snapshots
+//! while its control thread publishes announce bursts.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use fib_core::{BuildConfig, PrefixDag, SerializedDag, VrfPolicy};
-use fib_router::{Router, RouterConfig, VrfSetRouter};
+use fib_core::{BuildConfig, PrefixDag, SerializedDag, VrfBatchScratch, VrfPolicy};
+use fib_router::{
+    Forwarder, ForwarderConfig, PacingMode, Router, RouterConfig, Serve, SnapCell, VrfSetRouter,
+};
 use fib_trie::BinaryTrie;
 use fib_workload::rng::{Rng, Xoshiro256};
 use fib_workload::updates::{bgp_sequence, UpdateOp};
@@ -290,6 +297,95 @@ fn a_pinned_fleet_snapshot_stays_intact_after_the_router_lets_go() {
         differs += u32::from(then != router.oracle(vrf).expect("inserted").lookup(addr));
     }
     assert!(differs > 0, "the later epochs changed none of the probes");
+}
+
+/// Forwarding workers serve a fleet through `Forwarder::run` while the
+/// control thread announces bursts into one VRF at a time and publishes
+/// each: no worker sees an epoch go backwards, every one picks up new
+/// epochs, and the last set answers as every VRF's oracle does.
+#[test]
+fn forwarding_workers_serve_a_fleet_through_announce_bursts() {
+    const VRFS: u32 = 4;
+    const THREADS: usize = 2;
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(2_000).generate(&mut rng(31));
+    let announces: Vec<_> = (bgp_sequence(&mut rng(32), &base, 2_000).into_iter())
+        .filter_map(|op| match op {
+            UpdateOp::Announce(p, nh) => Some((p, nh)),
+            UpdateOp::Withdraw(_) => None,
+        })
+        .collect();
+    let mut router = VrfSetRouter::new(BuildConfig::with_lambda(11), VrfPolicy::Shared);
+    for vrf in 0..VRFS {
+        router.insert_vrf(vrf, base.clone());
+    }
+    // The control thread holds the router mutably, so it cannot lend the
+    // router's own cell to the pool: it publishes each set into this one
+    // as well.
+    let cell = SnapCell::new(router.publish());
+    let pool = Forwarder::new();
+    let config = ForwarderConfig {
+        threads: THREADS,
+        batch: 64,
+        duration: Duration::from_secs(60),
+        pacing: PacingMode::Closed,
+    };
+    // Batches each worker has drawn keys for.
+    let fills: Vec<AtomicUsize> = (0..THREADS).map(|_| AtomicUsize::new(0)).collect();
+    let wait_for_fills_past = |counts: Vec<usize>| {
+        for (fill, count) in fills.iter().zip(counts) {
+            while fill.load(SeqCst) <= count {
+                std::thread::yield_now();
+            }
+        }
+    };
+    let reports = std::thread::scope(|scope| {
+        let control = scope.spawn(|| {
+            // Every worker is serving (and `run` has armed its stop flag)
+            // before the first burst.
+            wait_for_fills_past(vec![0; THREADS]);
+            for (round, burst) in announces.chunks(50).enumerate() {
+                for &(prefix, hop) in burst {
+                    router.announce(round as u32 % VRFS, prefix, hop);
+                }
+                cell.publish(router.publish());
+            }
+            // A batch drawn after the last publish checks the generation
+            // after it: every worker has seen a refresh before it stops.
+            wait_for_fills_past(fills.iter().map(|f| f.load(SeqCst)).collect());
+            pool.stop();
+        });
+        let reports = pool.run(&cell, &config, |worker| {
+            let (mut r, fill) = (rng(40 + worker as u64), &fills[worker]);
+            move |buf: &mut Vec<(u32, u32)>, n: usize| {
+                buf.clear();
+                buf.extend((0..n).map(|_| (r.random::<u32>() % VRFS, r.random::<u32>())));
+                fill.fetch_add(1, SeqCst);
+            }
+        });
+        control.join().expect("control thread panicked");
+        reports
+    });
+    let publishes = announces.len().div_ceil(50) as u64 + 1;
+    assert_eq!(router.epoch(), publishes);
+    for r in &reports {
+        assert!(!r.epoch_regressed, "worker {} went back an epoch", r.worker);
+        assert!(r.refreshes > 0, "worker {} never saw a publish", r.worker);
+        assert!(r.last_epoch <= publishes, "worker {}", r.worker);
+    }
+
+    // A final pass through the call every worker makes.
+    let snapshot = router.snap_cell().load();
+    assert_eq!(snapshot.epoch(), publishes);
+    let mut r = rng(33);
+    let keys: Vec<(u32, u32)> = (0..4_096)
+        .map(|_| (r.random::<u32>() % VRFS, r.random::<u32>()))
+        .collect();
+    let mut out = vec![None; keys.len()];
+    snapshot.serve(&keys, &mut out, &mut VrfBatchScratch::new());
+    for (&(vrf, addr), got) in keys.iter().zip(&out) {
+        let oracle = router.oracle(vrf).expect("inserted");
+        assert_eq!(*got, oracle.lookup(addr), "vrf {vrf} at {addr:#010x}");
+    }
 }
 
 #[test]

@@ -45,4 +45,4 @@ pub use genfib::FibSpec;
 pub use heat::{heat_key, HeatMap, HeatSketch, HeatSummary};
 pub use instances::{InstanceGroup, PaperInstance, PaperRow};
 pub use labels::LabelModel;
-pub use vrf::{fleet_weights, instance_fleet, mixed_keys, VrfFleetSpec};
+pub use vrf::{fleet_weights, instance_fleet, mixed_keys, MixedKeys, VrfFleetSpec};

@@ -13,18 +13,19 @@
 //!   more-specifics),
 //! * [`instance_fleet`] — the same, seeded from a named Table 1 paper
 //!   instance (the ISSUE's "64 VRFs derived from taz" fleet),
-//! * [`mixed_keys`] — an interleaved `(vrf, addr)` probe stream over the
-//!   fleet, uniformly or Zipf-weighted across VRFs,
+//! * [`mixed_keys`] / [`MixedKeys`] — an interleaved `(vrf, addr)` probe
+//!   stream over the fleet, uniformly or Zipf-weighted across VRFs,
 //! * [`fleet_weights`] — the matching per-VRF traffic-weight vector for
 //!   cost-model engine placement.
 //!
 //! Everything is deterministic given a seed.
 
+use std::marker::PhantomData;
+
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
 use crate::instances;
 use crate::rng::{Rng, Xoshiro256};
-use crate::traces;
 
 /// How to derive a fleet of VRF tables from one base FIB.
 #[derive(Clone, Copy, Debug)]
@@ -164,9 +165,7 @@ pub fn fleet_weights(tables: usize, s: f64) -> Vec<f64> {
 }
 
 /// An interleaved probe stream over the fleet: `count` pairs of
-/// `(vrf id, addr)`. VRF ids are drawn from `weights` (see
-/// [`fleet_weights`]; uniform when `None`); addresses are uniform over
-/// the space, the paper's "rand." key model.
+/// `(vrf id, addr)` — the first `count` of [`MixedKeys`].
 ///
 /// # Panics
 /// Panics if `tables` is 0 or `weights` has the wrong length.
@@ -177,33 +176,67 @@ pub fn mixed_keys<A: Address>(
     seed: u64,
     count: usize,
 ) -> Vec<(u32, A)> {
-    assert!(tables > 0, "need at least one table");
-    let cumulative: Option<Vec<f64>> = weights.map(|w| {
-        assert_eq!(w.len(), tables, "one weight per table");
-        let mut acc = 0.0;
-        w.iter()
-            .map(|x| {
-                acc += x;
-                acc
-            })
-            .collect()
-    });
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let mut addr_rng = Xoshiro256::seed_from_u64(seed ^ 0xA5A5_5A5A_F00D_BEEF);
-    (0..count)
-        .map(|_| {
-            #[allow(clippy::cast_possible_truncation)]
-            let vrf = match &cumulative {
-                None => rng.random_range(0..tables) as u32,
-                Some(cum) => {
-                    let x: f64 = rng.random::<f64>() * cum.last().copied().unwrap_or(1.0);
-                    cum.partition_point(|&c| c <= x).min(tables - 1) as u32
-                }
-            };
-            let addr = traces::uniform::<A, _>(&mut addr_rng, 1)[0];
-            (vrf, addr)
-        })
-        .collect()
+    MixedKeys::new(tables, weights, seed).take(count).collect()
+}
+
+/// An endless interleaved probe stream over the fleet: `(vrf id, addr)`
+/// pairs, VRF ids `0..tables` drawn from `weights` (see
+/// [`fleet_weights`]; uniform when `None`), addresses uniform over the
+/// space, the paper's "rand." key model. A forwarding worker draws its
+/// keys from one a batch at a time.
+pub struct MixedKeys<A> {
+    tables: usize,
+    cumulative: Option<Vec<f64>>,
+    rng: Xoshiro256,
+    addr_rng: Xoshiro256,
+    addr: PhantomData<A>,
+}
+
+impl<A: Address> MixedKeys<A> {
+    /// The stream `seed` draws.
+    ///
+    /// # Panics
+    /// Panics if `tables` is 0 or `weights` has the wrong length.
+    #[must_use]
+    pub fn new(tables: usize, weights: Option<&[f64]>, seed: u64) -> Self {
+        assert!(tables > 0, "need at least one table");
+        let cumulative = weights.map(|w| {
+            assert_eq!(w.len(), tables, "one weight per table");
+            let mut acc = 0.0;
+            w.iter()
+                .map(|x| {
+                    acc += x;
+                    acc
+                })
+                .collect()
+        });
+        Self {
+            tables,
+            cumulative,
+            rng: Xoshiro256::seed_from_u64(seed),
+            addr_rng: Xoshiro256::seed_from_u64(seed ^ 0xA5A5_5A5A_F00D_BEEF),
+            addr: PhantomData,
+        }
+    }
+}
+
+impl<A: Address> Iterator for MixedKeys<A> {
+    type Item = (u32, A);
+
+    fn next(&mut self) -> Option<(u32, A)> {
+        let tables = self.tables;
+        #[allow(clippy::cast_possible_truncation)]
+        let vrf = match &self.cumulative {
+            None => self.rng.random_range(0..tables) as u32,
+            Some(cum) => {
+                let x: f64 = self.rng.random::<f64>() * cum.last().copied().unwrap_or(1.0);
+                cum.partition_point(|&c| c <= x).min(tables - 1) as u32
+            }
+        };
+        // The draw `traces::uniform` makes, one address at a time.
+        let addr = A::from_u128(self.addr_rng.random::<u128>() >> (128 - u32::from(A::WIDTH)));
+        Some((vrf, addr))
+    }
 }
 
 #[cfg(test)]
@@ -211,6 +244,7 @@ mod tests {
     use super::*;
     use crate::genfib::FibSpec;
     use crate::labels::LabelModel;
+    use crate::traces;
 
     fn small_base() -> BinaryTrie<u32> {
         let spec = FibSpec {
@@ -315,6 +349,14 @@ mod tests {
         let keys: Vec<(u32, u32)> = mixed_keys(4, None, 9, 4_000);
         let again: Vec<(u32, u32)> = mixed_keys(4, None, 9, 4_000);
         assert_eq!(keys, again);
+        let addrs = traces::uniform::<u32, _>(
+            &mut Xoshiro256::seed_from_u64(9 ^ 0xA5A5_5A5A_F00D_BEEF),
+            4_000,
+        );
+        assert!(
+            keys.iter().map(|&(_, a)| a).eq(addrs),
+            "the addresses are a uniform trace"
+        );
         let mut seen = [false; 4];
         for &(v, _) in &keys {
             seen[v as usize] = true;

@@ -20,12 +20,14 @@
 //!
 //! `fibc serve` runs the product's serving path, not one of its own: a
 //! single-table image becomes an image-backed `EpochSnapshot`
-//! (`EpochSnapshot::from_image`, what a warm restart serves too),
-//! published in a `SnapCell` and driven by the forwarding runtime's
-//! `Forwarder::run`; what it prints is read off the runtime's
-//! `WorkerReport`s. Compile and serve pick the engine an image or
-//! `--engine` names through `EngineKind::visit`, the one dispatch the
-//! engine table generates.
+//! (`EpochSnapshot::from_image`, what a warm restart serves too), a
+//! vrfset image a `VrfSnapshot` (`VrfSnapshot::from_image`), published in
+//! a `SnapCell` and driven by the forwarding runtime's `Forwarder::run`;
+//! what it prints is read off the runtime's `WorkerReport`s, one format
+//! for both. Each image kind supplies only its snapshot, its per-worker
+//! key stream and its stdin key syntax. Compile and serve pick the engine
+//! an image or `--engine` names through `EngineKind::visit`, the one
+//! dispatch the engine table generates.
 //!
 //! Routes files are plain text: one `prefix next_hop_index` pair per line
 //! (`10.0.0.0/8 3`, `2001:db8::/32 1`), `#` comments allowed. The address
@@ -34,7 +36,9 @@
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use fibcomp::core::image::sections;
@@ -42,17 +46,17 @@ use fibcomp::core::lint as image_lint;
 use fibcomp::core::{
     compile_vrf_set, write_image, write_image_hot, write_vrf_image, BuildConfig, CompiledVrfSet,
     EngineKind, EngineVisitor, FibBuild, FibImage, HotConfig, HotSlab, ImageCodec, ImageError,
-    RootArray, VarStrideDag, VrfBatchScratch, VrfPolicy, VrfTable, XbwStorage,
+    RootArray, VarStrideDag, VrfPolicy, VrfTable, XbwStorage,
 };
 use fibcomp::router::{
-    scan_spool, EpochSnapshot, Forwarder, ForwarderConfig, PacingMode, SnapCell, StdFs,
-    WorkerReport,
+    scan_spool, AddressSource, EpochSnapshot, Forwarder, ForwarderConfig, PacingMode, Serve,
+    SnapCell, StdFs, VrfSnapshot, WorkerReport,
 };
 use fibcomp::trie::io::parse_routes;
 use fibcomp::trie::{Address, BinaryTrie, ParsePrefixError, Prefix};
 use fibcomp::workload::loadgen::{AddrStream, KeyModel};
 use fibcomp::workload::rng::Xoshiro256;
-use fibcomp::workload::vrf::{fleet_weights, instance_fleet, mixed_keys};
+use fibcomp::workload::vrf::{fleet_weights, instance_fleet, MixedKeys};
 use fibcomp::workload::{instances, traces, HeatSummary};
 
 /// `fibc`'s `println!`, shadowing the standard one (which panics once
@@ -114,10 +118,9 @@ usage:
   fibc serve IMG [--probe N] [--duration S] [--threads N] \\
                  [--keys uniform|zipf|bursty] [--batch N] [--seed N]
                  (--probe: N lookups across all threads, rounded up to
-                  whole batches; --duration: S seconds; neither: addresses
-                  on stdin, batched; vrfset images take 'VRF ADDR' lines /
-                  single-threaded mixed-VRF --probe runs, and read only
-                  --probe, --keys and --seed)
+                  whole batches; --duration: S seconds; neither: keys on
+                  stdin, batched, one per line: ADDR, or 'VRF ADDR' on a
+                  vrfset image, whose --keys skew picks tables)
   fibc serve --spool DIR [--health-every S] [serve options]
                  (newest valid spool image; health one-liner on stderr)
   fibc spool-status DIR
@@ -129,10 +132,8 @@ const COMPILE_FLAGS: &str = "--engine --routes --instance --scale --seed --out -
     --lambda --vs-budget --vs-max-stride --epoch --no-routes --heat --heat-samples";
 const COMPILE_VRFS_FLAGS: &str = "--vrfs --instance --scale --overlap --vrf-policy --vrf-skew \
     --seed --out --epoch --lambda --vs-budget --vs-max-stride";
-/// The flags `fibc serve` reads on a single-table image, on a vrfset
-/// image (served on one thread in fixed batches), and with `--spool`.
+/// The flags `fibc serve` reads on any image, and with `--spool`.
 const SERVE_FLAGS: &str = "--probe --duration --threads --batch --keys --seed";
-const SERVE_VRF_FLAGS: &str = "--probe --keys --seed";
 const SPOOL_FLAGS: &str = "--spool --health-every";
 
 /// Refuses any `--…` argument the space-separated `reads` does not name:
@@ -154,6 +155,15 @@ fn opt<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// `--key value` parsed as a `T`; `None` when the flag is absent.
+fn parsed<T: FromStr>(args: &[String], key: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = opt(args, key).map(str::parse::<T>).transpose();
+    value.map_err(|e| format!("{key}: {e}"))
+}
+
 fn flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
@@ -170,25 +180,21 @@ where
 
 fn build_config(args: &[String]) -> Result<BuildConfig, String> {
     let mut config = BuildConfig::default();
-    if let Some(lambda) = opt(args, "--lambda") {
-        config.lambda = Some(lambda.parse().map_err(|e| format!("--lambda: {e}"))?);
-    }
-    if let Some(budget) = opt(args, "--vs-budget") {
-        config.vs_budget = budget.parse().map_err(|e| format!("--vs-budget: {e}"))?;
+    config.lambda = parsed(args, "--lambda")?.or(config.lambda);
+    if let Some(budget) = parsed::<f64>(args, "--vs-budget")? {
         // `inf` is the documented "no budget"; NaN would silently mean it.
-        if config.vs_budget.is_nan() || config.vs_budget <= 0.0 {
+        if budget.is_nan() || budget <= 0.0 {
             return Err(format!(
                 "--vs-budget: want a multiple > 0 or inf, got {budget}"
             ));
         }
+        config.vs_budget = budget;
     }
-    if let Some(max_stride) = opt(args, "--vs-max-stride") {
-        config.vs_max_stride = max_stride
-            .parse()
-            .map_err(|e| format!("--vs-max-stride: {e}"))?;
-        if !(1..=16).contains(&config.vs_max_stride) {
+    if let Some(max_stride) = parsed(args, "--vs-max-stride")? {
+        if !(1..=16).contains(&max_stride) {
             return Err(format!("--vs-max-stride: want 1..=16, got {max_stride}"));
         }
+        config.vs_max_stride = max_stride;
     }
     config.xbw_storage = match opt(args, "--xbw-mode").unwrap_or("entropy") {
         "succinct" => XbwStorage::Succinct,
@@ -199,9 +205,8 @@ fn build_config(args: &[String]) -> Result<BuildConfig, String> {
 }
 
 fn compile(args: &[String]) -> Result<(), String> {
-    if let Some(vrfs) = opt(args, "--vrfs") {
+    if let Some(vrfs) = parsed(args, "--vrfs")? {
         refuse_unread(args, COMPILE_VRFS_FLAGS, "`fibc compile --vrfs`")?;
-        let vrfs: usize = vrfs.parse().map_err(|e| format!("--vrfs: {e}"))?;
         return compile_vrfs(args, vrfs);
     }
     refuse_unread(args, COMPILE_FLAGS, "`fibc compile`")?;
@@ -211,25 +216,14 @@ fn compile(args: &[String]) -> Result<(), String> {
         return Err("vrfset images hold many tables; compile one with --vrfs N".into());
     }
     let out = opt(args, "--out").ok_or("--out is required")?;
-    let epoch: u64 = opt(args, "--epoch")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|e| format!("--epoch: {e}"))?;
+    let epoch = parsed(args, "--epoch")?.unwrap_or(0);
     let config = build_config(args)?;
     let with_routes = !flag(args, "--no-routes");
     // --heat: sample a Zipf-skewed trace over the routes, compile a hot
     // slab from it, and embed it as the image's HOT_SLAB section (image
     // views then front every lookup with the slab for free).
-    let heat: Option<usize> = if flag(args, "--heat") {
-        Some(
-            opt(args, "--heat-samples")
-                .unwrap_or("65536")
-                .parse()
-                .map_err(|e| format!("--heat-samples: {e}"))?,
-        )
-    } else {
-        None
-    };
+    let samples = parsed(args, "--heat-samples")?.unwrap_or(65536);
+    let heat = flag(args, "--heat").then_some(samples);
 
     if flag(args, "--v6") {
         let routes = opt(args, "--routes").ok_or("--routes is required with --v6")?;
@@ -239,14 +233,8 @@ fn compile(args: &[String]) -> Result<(), String> {
         let trie = read_routes::<u32>(routes)?;
         compile_trie(&trie, engine, &config, epoch, with_routes, heat, out)
     } else if let Some(name) = opt(args, "--instance") {
-        let scale: f64 = opt(args, "--scale")
-            .unwrap_or("1.0")
-            .parse()
-            .map_err(|e| format!("--scale: {e}"))?;
-        let seed: u64 = opt(args, "--seed")
-            .unwrap_or("3851")
-            .parse()
-            .map_err(|e| format!("--seed: {e}"))?;
+        let scale = parsed(args, "--scale")?.unwrap_or(1.0);
+        let seed = parsed(args, "--seed")?.unwrap_or(3851);
         let trie = instances::scaled(name, scale, seed)
             .ok_or_else(|| format!("unknown paper instance '{name}'"))?;
         compile_trie(&trie, engine, &config, epoch, with_routes, heat, out)
@@ -364,31 +352,16 @@ fn compile_vrfs(args: &[String], vrfs: usize) -> Result<(), String> {
         return Err("--vrfs: need at least one table".into());
     }
     let out = opt(args, "--out").ok_or("--out is required")?;
-    let epoch: u64 = opt(args, "--epoch")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|e| format!("--epoch: {e}"))?;
+    let epoch = parsed(args, "--epoch")?.unwrap_or(0);
     let config = build_config(args)?;
     let instance = opt(args, "--instance").unwrap_or("taz");
-    let scale: f64 = opt(args, "--scale")
-        .unwrap_or("1.0")
-        .parse()
-        .map_err(|e| format!("--scale: {e}"))?;
-    let overlap: f64 = opt(args, "--overlap")
-        .unwrap_or("0.9")
-        .parse()
-        .map_err(|e| format!("--overlap: {e}"))?;
+    let scale = parsed(args, "--scale")?.unwrap_or(1.0);
+    let overlap = parsed(args, "--overlap")?.unwrap_or(0.9);
     if !(0.0..=1.0).contains(&overlap) {
         return Err(format!("--overlap: want 0.0..=1.0, got {overlap}"));
     }
-    let skew: f64 = opt(args, "--vrf-skew")
-        .unwrap_or("1.0")
-        .parse()
-        .map_err(|e| format!("--vrf-skew: {e}"))?;
-    let seed: u64 = opt(args, "--seed")
-        .unwrap_or("3851")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
+    let skew = parsed(args, "--vrf-skew")?.unwrap_or(1.0);
+    let seed = parsed(args, "--seed")?.unwrap_or(3851);
     let policy = match opt(args, "--vrf-policy").unwrap_or("shared") {
         "shared" => VrfPolicy::Shared,
         // Keyed by the ids the tables get below, 0..N.
@@ -577,10 +550,7 @@ fn serve_spool(dir: &str, args: &[String]) -> Result<(), String> {
         .iter()
         .find(|i| i.issues.is_empty())
         .ok_or_else(|| format!("{dir}: no image lints clean (verdict {})", status.verdict()))?;
-    let every: f64 = opt(args, "--health-every")
-        .unwrap_or("10")
-        .parse()
-        .map_err(|e| format!("--health-every: {e}"))?;
+    let every = parsed(args, "--health-every")?.unwrap_or(10.0);
     if every > 0.0 {
         let ticker_dir = spool_dir.clone();
         // Detached on purpose: the ticker lives exactly as long as the
@@ -664,80 +634,66 @@ fn slab_line<E>(snapshot: &EpochSnapshot<E>) -> String {
     format!("hot slab: {} blocks, gate {gate}", slab.occupied())
 }
 
-/// `fibc serve`'s work for the engine a single-table image encodes: an
-/// image-backed [`EpochSnapshot`] of it, served by the forwarding runtime
-/// ([`Forwarder::run`]) under `--probe`/`--duration`, or to stdin
-/// addresses.
-struct Serve<'a> {
-    image: FibImage,
-    args: &'a [String],
+/// `fibc serve`'s forwarding-runtime run — `--probe N` or `--duration S`
+/// and the flags that shape it — the same on every image kind.
+struct ServeRun {
+    /// `--probe`'s budget, which the workers share.
+    probes: Option<usize>,
+    config: ForwarderConfig,
+    model: KeyModel,
+    seed: u64,
 }
 
-impl<A: Address + AddrText + Send + Sync + 'static> EngineVisitor<A> for Serve<'_> {
-    type Output = Result<(), String>;
-
-    fn visit<E>(self) -> Self::Output
-    where
-        E: ImageCodec<A> + FibBuild<A> + Send + Sync + 'static,
-    {
-        let Serve { image, args } = self;
-        let probes: Option<usize> = opt(args, "--probe")
-            .map(|n| n.parse().map_err(|e| format!("--probe: {e}")))
-            .transpose()?;
-        let duration: Option<f64> = opt(args, "--duration")
-            .map(|s| s.parse().map_err(|e| format!("--duration: {e}")))
-            .transpose()?;
+impl ServeRun {
+    /// The run `args` ask for; `None` (serve stdin) when they name
+    /// neither `--probe` nor `--duration`.
+    fn parse(args: &[String]) -> Result<Option<Self>, String> {
+        let probes = parsed(args, "--probe")?;
+        let duration: Option<f64> = parsed(args, "--duration")?;
         if probes.is_none() && duration.is_none() {
-            let snapshot = EpochSnapshot::<E>::from_image(image).map_err(|e| e.to_string())?;
-            // Stdout carries only answers; the slab line goes where parse
-            // errors go.
-            eprintln!("{}", slab_line(&snapshot));
-            return serve_stdin(&snapshot);
+            return Ok(None);
         }
-        let threads: usize = opt(args, "--threads")
-            .unwrap_or("1")
-            .parse()
-            .map_err(|e| format!("--threads: {e}"))?;
-        let batch: usize = opt(args, "--batch")
-            .unwrap_or("256")
-            .parse()
-            .map_err(|e| format!("--batch: {e}"))?;
+        let threads: usize = parsed(args, "--threads")?.unwrap_or(1);
+        let batch: usize = parsed(args, "--batch")?.unwrap_or(256);
         let keys = opt(args, "--keys").unwrap_or("uniform");
-        let seed = parse_seed(args)?;
-        let Some(model) = KeyModel::parse(keys) else {
-            return Err(format!("--keys: unknown model '{keys}'"));
-        };
-        // Decode the routes section once; every worker shares it by
-        // reference (Zipf/bursty streams build their own popularity model,
-        // but the trie decode is the expensive part).
-        let fib: Option<BinaryTrie<A>> = if model == KeyModel::Uniform {
-            None
-        } else {
-            Some(image.routes().map_err(|e| {
-                format!("--keys {keys} needs the image's routes section ({e}); use --keys uniform")
-            })?)
-        };
-        let cell = SnapCell::new(EpochSnapshot::<E>::from_image(image).map_err(|e| e.to_string())?);
+        let model =
+            KeyModel::parse(keys).ok_or_else(|| format!("--keys: unknown model '{keys}'"))?;
         let config = ForwarderConfig {
             threads: threads.max(1),
             batch: batch.max(1),
             duration: duration.map_or(Duration::MAX, Duration::from_secs_f64),
             pacing: PacingMode::Closed,
         };
+        let seed = parse_seed(args)?;
+        Ok(Some(Self {
+            probes,
+            config,
+            model,
+            seed,
+        }))
+    }
+
+    /// Runs [`Forwarder::run`] over `snapshot`, worker `i` drawing its
+    /// keys from `make_source(i)`, and prints one line per worker and the
+    /// pool's total via `engine`, all read off the [`WorkerReport`]s.
+    fn serve<K, T: Serve<K>, S: AddressSource<K>>(
+        &self,
+        snapshot: &Arc<T>,
+        make_source: impl Fn(usize) -> S + Sync,
+        engine: &str,
+    ) {
+        let cell = SnapCell::new(Arc::clone(snapshot));
         // --probe is a budget the pool shares: the source whose batch uses
         // it up stops the pool, so every worker finishes the batch it is
         // on and the total is N rounded up to whole batches (below
         // N + threads × batch).
         let forwarder = Forwarder::new();
         let claimed = AtomicUsize::new(0);
-        let reports = forwarder.run(&cell, &config, |worker| {
-            let mut stream = match &fib {
-                Some(fib) => AddrStream::new(model, fib, seed, worker as u64),
-                None => AddrStream::uniform(seed, worker as u64),
-            };
-            let (forwarder, claimed) = (&forwarder, &claimed);
-            move |buf: &mut Vec<A>, n: usize| {
-                stream.fill(buf, n);
+        let reports = forwarder.run(&cell, &self.config, |worker| {
+            let mut source = make_source(worker);
+            let (forwarder, claimed, probes) = (&forwarder, &claimed, self.probes);
+            move |buf: &mut Vec<K>, n: usize| {
+                source.fill(buf, n);
                 let Some(total) = probes else { return };
                 // ordering: Relaxed — a work counter: only its own total
                 // is read, and the pool's join publishes everything else.
@@ -746,178 +702,149 @@ impl<A: Address + AddrText + Send + Sync + 'static> EngineVisitor<A> for Serve<'
                 }
             }
         });
-        let via = format!(
-            "{} ({keys}, {} thr, batch {batch})",
-            E::ENGINE.name(),
-            config.threads
+        let mut hist = reports[0].hist.clone();
+        for r in &reports[1..] {
+            hist.merge(&r.hist);
+        }
+        for r in &reports {
+            println!(
+                "worker {}: {} pkts ({} matched), {:.2} Mlps, p50 {:.1} ns, p99 {:.1} ns",
+                r.worker,
+                r.packets,
+                r.matched,
+                r.mlookups_per_s(),
+                r.hist.p50(),
+                r.hist.p99()
+            );
+        }
+        let packets: u64 = reports.iter().map(|r| r.packets).sum();
+        let matched: u64 = reports.iter().map(|r| r.matched).sum();
+        let mlps: f64 = reports.iter().map(WorkerReport::mlookups_per_s).sum();
+        let (keys, threads, batch) = (self.model.name(), self.config.threads, self.config.batch);
+        println!(
+            "total via {engine} ({keys}, {threads} thr, batch {batch}): {packets} pkts \
+             ({matched} matched), {mlps:.2} Mlps, p50 {:.1} ns, p99 {:.1} ns",
+            hist.p50(),
+            hist.p99()
         );
-        print_reports(&reports, &via);
-        println!("{}", slab_line(&cell.load()));
+    }
+}
+
+/// `fibc serve`'s work for the engine a single-table image encodes: an
+/// image-backed [`EpochSnapshot`] of it, keyed by addresses (drawn from
+/// the image's routes under `--keys zipf|bursty`).
+struct ServeTable<'a> {
+    image: FibImage,
+    run: Option<&'a ServeRun>,
+}
+
+impl<A: Address + KeyText + Send + Sync + 'static> EngineVisitor<A> for ServeTable<'_> {
+    type Output = Result<(), String>;
+
+    fn visit<E>(self) -> Self::Output
+    where
+        E: ImageCodec<A> + FibBuild<A> + Send + Sync + 'static,
+    {
+        let ServeTable { image, run } = self;
+        // Decode the routes section once, before the snapshot takes the
+        // image; every worker shares it by reference (Zipf/bursty streams
+        // build their own popularity model, but the trie decode is the
+        // expensive part).
+        let fib: Option<BinaryTrie<A>> = match run {
+            Some(run) if run.model != KeyModel::Uniform => Some(image.routes().map_err(|e| {
+                let keys = run.model.name();
+                format!("--keys {keys} needs the image's routes section ({e}); use --keys uniform")
+            })?),
+            _ => None,
+        };
+        let snapshot = EpochSnapshot::<E>::from_image(image).map_err(|e| e.to_string())?;
+        let Some(run) = run else {
+            // Stdout carries only answers; the slab line goes where parse
+            // errors go.
+            eprintln!("{}", slab_line(&snapshot));
+            return serve_stdin::<A, _>(&*snapshot);
+        };
+        let make_source = |worker| {
+            let mut stream = match &fib {
+                Some(fib) => AddrStream::new(run.model, fib, run.seed, worker as u64),
+                None => AddrStream::uniform(run.seed, worker as u64),
+            };
+            move |buf: &mut Vec<A>, n: usize| stream.fill(buf, n)
+        };
+        run.serve(&snapshot, make_source, E::ENGINE.name());
+        println!("{}", slab_line(&snapshot));
         Ok(())
     }
 }
 
-/// Prints one line per worker and the pool's total, all read off the
-/// runtime's own [`WorkerReport`]s.
-fn print_reports(reports: &[WorkerReport], via: &str) {
-    let mut hist = reports[0].hist.clone();
-    for r in &reports[1..] {
-        hist.merge(&r.hist);
-    }
-    for r in reports {
-        println!(
-            "worker {}: {} pkts ({} matched), {:.2} Mlps, p50 {:.1} ns, p99 {:.1} ns",
-            r.worker,
-            r.packets,
-            r.matched,
-            r.mlookups_per_s(),
-            r.hist.p50(),
-            r.hist.p99()
-        );
-    }
-    let packets: u64 = reports.iter().map(|r| r.packets).sum();
-    let matched: u64 = reports.iter().map(|r| r.matched).sum();
-    let mlps: f64 = reports.iter().map(WorkerReport::mlookups_per_s).sum();
-    println!(
-        "total via {via}: {packets} pkts ({matched} matched), {mlps:.2} Mlps, \
-         p50 {:.1} ns, p99 {:.1} ns",
-        hist.p50(),
-        hist.p99()
-    );
-}
-
-/// Keys per `lookup_batch` call of a vrfset `--probe` run — the
-/// forwarding runtime's default `--batch`.
-const VRF_PROBE_BATCH: usize = 256;
-
-/// `fibc serve` on a vrfset image: `--probe N` runs a deterministic
-/// mixed-VRF stream (uniform or Zipf-skewed across tables) through the
-/// set's VRF-bucketed batch path on this thread; stdin mode takes
-/// `VRF ADDR` lines and answers in input order.
-fn serve_vrf_family<A: Address + AddrText>(
+/// `fibc serve` on a vrfset image: a [`VrfSnapshot`] of the fleet, keyed
+/// by `(vrf, addr)` pairs. `--keys zipf|bursty` skews table popularity;
+/// addresses stay uniform (key locality inside a table is not modelled).
+fn serve_fleet<A: Address + KeyText + Send + Sync + 'static>(
     image: &FibImage,
-    args: &[String],
+    run: Option<&ServeRun>,
 ) -> Result<(), String> {
-    let set = CompiledVrfSet::<A>::from_image(image).map_err(|e| e.to_string())?;
-    let tables = set.tables.len();
-    if tables == 0 {
+    let snapshot = VrfSnapshot::<A>::from_image(image).map_err(|e| e.to_string())?;
+    let Some(run) = run else {
+        return serve_stdin::<(u32, A), _>(&*snapshot);
+    };
+    // Keys draw table slots (directory order), so skew lands on real ids
+    // even when they are sparse.
+    let ids: Vec<u32> = snapshot.set().tables.iter().map(|t| t.id).collect();
+    if ids.is_empty() {
         return Err("vrf set holds no tables".into());
     }
-    if let Some(count) = opt(args, "--probe") {
-        let count: usize = count.parse().map_err(|e| format!("--probe: {e}"))?;
-        let seed = parse_seed(args)?;
-        let keys = opt(args, "--keys").unwrap_or("uniform");
-        let weights = match keys {
-            "uniform" => None,
-            // Zipf/bursty skew lands on table popularity here; addresses
-            // stay uniform (key locality inside a table is not modelled).
-            "zipf" | "bursty" => Some(fleet_weights(tables, 1.0)),
-            other => return Err(format!("--keys: unknown model '{other}'")),
-        };
-        // The stream draws table *slots* (directory order), so skew lands
-        // on real ids even when they are sparse.
-        let probes: Vec<(u32, A)> = mixed_keys(tables, weights.as_deref(), seed, count)
-            .into_iter()
-            .map(|(slot, addr)| (set.tables[slot as usize].id, addr))
-            .collect();
-        let mut out = vec![None; VRF_PROBE_BATCH];
-        let mut scratch = VrfBatchScratch::new();
-        let start = std::time::Instant::now();
-        let mut matched = 0u64;
-        for batch in probes.chunks(VRF_PROBE_BATCH) {
-            set.lookup_batch(batch, &mut out, &mut scratch);
-            matched += out[..batch.len()]
-                .iter()
-                .filter(|hop| hop.is_some())
-                .count() as u64;
+    let weights = (run.model != KeyModel::Uniform).then(|| fleet_weights(ids.len(), 1.0));
+    let (ids, weights) = (&ids, weights.as_deref());
+    let make_source = |worker| {
+        let seed = run.seed.wrapping_add(worker as u64);
+        let mut keys = MixedKeys::<A>::new(ids.len(), weights, seed);
+        move |buf: &mut Vec<(u32, A)>, n: usize| {
+            buf.clear();
+            buf.extend((keys.by_ref().take(n)).map(|(slot, addr)| (ids[slot as usize], addr)));
         }
-        let secs = start.elapsed().as_secs_f64();
-        let mlps = if secs > 0.0 {
-            count as f64 / secs / 1e6
-        } else {
-            0.0
-        };
-        println!(
-            "vrf probe ({keys}): {count} pkts over {tables} VRFs ({matched} matched), {mlps:.2} Mlps"
-        );
-        return Ok(());
-    }
-    let stdin = std::io::stdin();
-    let mut reader = std::io::BufReader::new(stdin.lock());
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = std::io::BufRead::read_line(&mut reader, &mut line).map_err(|e| e.to_string())?;
-        if n == 0 {
-            break;
-        }
-        let text = line.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
-        let mut parts = text.split_whitespace();
-        let (Some(vrf), Some(addr)) = (parts.next(), parts.next()) else {
-            eprintln!("{text}: want 'VRF ADDR'");
-            continue;
-        };
-        let vrf: u32 = match vrf.parse() {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{text}: bad VRF id: {e}");
-                continue;
-            }
-        };
-        match A::parse_addr(addr) {
-            Ok(addr) => match set.lookup(vrf, addr) {
-                Some(nh) => println!("{text} -> {nh}"),
-                None => println!("{text} -> no route"),
-            },
-            Err(e) => eprintln!("{text}: {e}"),
-        }
-    }
+    };
+    run.serve(&snapshot, make_source, EngineKind::VrfSet.name());
     Ok(())
 }
 
-fn serve_family<A: Address + AddrText + Send + Sync + 'static>(
+fn serve_family<A: Address + KeyText + Send + Sync + 'static>(
     image: FibImage,
     args: &[String],
 ) -> Result<(), String> {
-    let kind = image.engine().map_err(|e| e.to_string())?;
-    // The forwarding runtime's flags have no meaning on a vrfset image:
-    // they are refused, not ignored.
-    let (reads, what) = match kind {
-        EngineKind::VrfSet => (SERVE_VRF_FLAGS, "`fibc serve` on a vrfset image"),
-        _ => (SERVE_FLAGS, "`fibc serve`"),
-    };
     let spool = if flag(args, "--spool") {
         SPOOL_FLAGS
     } else {
         ""
     };
-    refuse_unread(args, &format!("{reads} {spool}"), what)?;
-    if kind == EngineKind::VrfSet {
-        return serve_vrf_family::<A>(&image, args);
-    }
-    kind.visit::<A, _>(Serve { image, args })
+    refuse_unread(args, &format!("{SERVE_FLAGS} {spool}"), "`fibc serve`")?;
+    let run = ServeRun::parse(args)?;
+    match image.engine().map_err(|e| e.to_string())? {
+        EngineKind::VrfSet => serve_fleet::<A>(&image, run.as_ref()),
+        kind => (kind.visit::<A, _>(ServeTable {
+            image,
+            run: run.as_ref(),
+        }))
         .map_err(|e| e.to_string())
-        .and_then(|served| served)
+        .and_then(|served| served),
+    }
 }
 
-/// Interactive/pipe mode: one address per line on stdin, resolved in
-/// batches through the snapshot's `lookup_batch`, answers in input order.
-/// Batching must never delay an answer a slow producer is waiting for (a
-/// terminal, a lockstep coprocess, `tail -f`), so the queue is flushed
-/// whenever the read buffer drains — a full pipe keeps batching, a
-/// line-at-a-time producer gets a line-at-a-time echo.
-fn serve_stdin<A: Address + AddrText, E: ImageCodec<A>>(
-    snapshot: &EpochSnapshot<E>,
-) -> Result<(), String> {
+/// Interactive/pipe mode: one key per line on stdin (`#` starts a
+/// comment; blank lines are skipped), resolved in batches through the
+/// snapshot's batch path, answers on stdout in input order, unreadable
+/// lines on stderr. Batching must never delay an answer a slow producer
+/// is waiting for (a terminal, a lockstep coprocess, `tail -f`), so the
+/// queue is flushed whenever the read buffer drains — a full pipe keeps
+/// batching, a line-at-a-time producer gets a line-at-a-time echo.
+fn serve_stdin<K: KeyText, T: Serve<K>>(snapshot: &T) -> Result<(), String> {
     const STDIN_BATCH: usize = 1024;
     let mut texts: Vec<String> = Vec::with_capacity(STDIN_BATCH);
-    let mut addrs: Vec<A> = Vec::with_capacity(STDIN_BATCH);
+    let mut keys: Vec<K> = Vec::with_capacity(STDIN_BATCH);
     let mut out = vec![None; STDIN_BATCH];
-    let mut flush = |texts: &mut Vec<String>, addrs: &mut Vec<A>| {
-        snapshot.lookup_batch(addrs, &mut out[..addrs.len()]);
+    let mut scratch = T::Scratch::default();
+    let mut flush = |texts: &mut Vec<String>, keys: &mut Vec<K>| {
+        snapshot.serve(keys, &mut out[..keys.len()], &mut scratch);
         for (text, nh) in texts.iter().zip(&out) {
             match nh {
                 Some(nh) => println!("{text} -> {nh}"),
@@ -925,7 +852,7 @@ fn serve_stdin<A: Address + AddrText, E: ImageCodec<A>>(
             }
         }
         texts.clear();
-        addrs.clear();
+        keys.clear();
     };
     let stdin = std::io::stdin();
     let mut reader = std::io::BufReader::new(stdin.lock());
@@ -936,52 +863,63 @@ fn serve_stdin<A: Address + AddrText, E: ImageCodec<A>>(
         if n == 0 {
             break;
         }
-        let text = line.trim();
+        let text = line.split('#').next().unwrap_or_default().trim();
         let drained = reader.buffer().is_empty();
         if text.is_empty() {
             if drained {
-                flush(&mut texts, &mut addrs);
+                flush(&mut texts, &mut keys);
             }
             continue;
         }
-        match A::parse_addr(text) {
-            Ok(addr) => {
+        match K::parse_key(text) {
+            Ok(key) => {
                 texts.push(text.to_string());
-                addrs.push(addr);
-                if drained || addrs.len() == STDIN_BATCH {
-                    flush(&mut texts, &mut addrs);
+                keys.push(key);
+                if drained || keys.len() == STDIN_BATCH {
+                    flush(&mut texts, &mut keys);
                 }
             }
             Err(e) => {
                 // Keep output order: answer everything queued, then the
                 // error.
-                flush(&mut texts, &mut addrs);
+                flush(&mut texts, &mut keys);
                 eprintln!("{text}: {e}");
             }
         }
     }
-    flush(&mut texts, &mut addrs);
+    flush(&mut texts, &mut keys);
     Ok(())
 }
 
-/// Textual address parsing per family (dotted quad / RFC 5952).
-trait AddrText: Sized {
-    fn parse_addr(text: &str) -> Result<Self, String>;
+/// A key's text on `fibc serve`'s stdin: an address per family (dotted
+/// quad / RFC 5952), or `VRF ADDR` on a vrfset image.
+trait KeyText: Sized {
+    fn parse_key(text: &str) -> Result<Self, String>;
 }
 
-impl AddrText for u32 {
-    fn parse_addr(text: &str) -> Result<Self, String> {
+impl KeyText for u32 {
+    fn parse_key(text: &str) -> Result<Self, String> {
         text.parse::<std::net::Ipv4Addr>()
             .map(u32::from)
             .map_err(|e| e.to_string())
     }
 }
 
-impl AddrText for u128 {
-    fn parse_addr(text: &str) -> Result<Self, String> {
+impl KeyText for u128 {
+    fn parse_key(text: &str) -> Result<Self, String> {
         text.parse::<std::net::Ipv6Addr>()
             .map(u128::from)
             .map_err(|e| e.to_string())
+    }
+}
+
+impl<A: KeyText> KeyText for (u32, A) {
+    fn parse_key(text: &str) -> Result<Self, String> {
+        let (vrf, addr) = text
+            .split_once(char::is_whitespace)
+            .ok_or("want 'VRF ADDR'")?;
+        let vrf = vrf.parse().map_err(|e| format!("bad VRF id: {e}"))?;
+        Ok((vrf, A::parse_key(addr.trim_start())?))
     }
 }
 

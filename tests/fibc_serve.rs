@@ -2,8 +2,9 @@
 //! single-table engine's image answers stdin addresses as its routes
 //! section does, `--probe` is one budget the forwarding workers share,
 //! an image compiled with `--heat` serves through its slab, a vrfset
-//! image refuses the forwarding runtime's flags, and a reader that closes
-//! `fibc`'s stdout ends it quietly. Beside them, `fibc compile --routes`
+//! image runs the same forwarding runtime and reports, both kinds read
+//! stdin by one rule, and a reader that closes `fibc`'s stdout ends it
+//! quietly. Beside them, `fibc compile --routes`
 //! refuses a routes line it cannot read whole, and every command refuses
 //! a flag it does not read.
 
@@ -127,21 +128,26 @@ fn probe_is_one_budget_the_workers_share() {
         ]));
         let workers = stdout.lines().filter(|l| l.starts_with("worker ")).count();
         assert_eq!(workers, 2, "{name}: one line per worker\n{stdout}");
-        let totals: Vec<&str> = stdout
-            .lines()
-            .filter(|l| l.starts_with("total via "))
-            .collect();
-        assert_eq!(totals.len(), 1, "{name}: one total line\n{stdout}");
-        let packets: u64 = totals[0]
-            .split_once(": ")
-            .and_then(|(_, rest)| rest.split_once(' '))
-            .and_then(|(n, _)| n.parse().ok())
-            .unwrap_or_else(|| panic!("{name}: no packet count in {:?}", totals[0]));
+        let packets = total_packets(&stdout, name);
         assert!(
             (PROBES..PROBES + 2 * BATCH).contains(&packets),
             "{name}: {packets} lookups for a budget of {PROBES}"
         );
     }
+}
+
+/// The packet count of `stdout`'s one `total via` line.
+fn total_packets(stdout: &str, name: &str) -> u64 {
+    let totals: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("total via "))
+        .collect();
+    assert_eq!(totals.len(), 1, "{name}: one total line\n{stdout}");
+    totals[0]
+        .split_once(": ")
+        .and_then(|(_, rest)| rest.split_once(' '))
+        .and_then(|(n, _)| n.parse().ok())
+        .unwrap_or_else(|| panic!("{name}: no packet count in {:?}", totals[0]))
 }
 
 #[test]
@@ -176,33 +182,37 @@ fn fleet_image() -> &'static Path {
     })
 }
 
-/// A vrfset image serves `--probe` and `VRF ADDR` lines on one thread;
-/// the forwarding runtime's flags are refused by name rather than
-/// silently dropped (`--duration` alone used to fall through to stdin).
+/// A vrfset image runs the forwarding runtime as a single-table image
+/// does — the same flags, one line per worker and a `total via` line —
+/// and answers `VRF ADDR` lines on stdin as its set does.
 #[test]
-fn a_vrfset_image_refuses_runtime_flags_and_still_answers() {
+fn a_vrfset_image_serves_through_the_forwarding_runtime() {
     let path = fleet_image();
     let img = path.to_str().expect("utf-8 path");
 
-    for args in [
-        &["--duration", "0.2"][..],
-        &["--probe", "1000", "--threads", "2"],
-        &["--probe", "1000", "--batch", "64"],
-    ] {
-        let refused = args[args.len() - 2];
-        let mut argv = vec!["serve", img];
-        argv.extend(args);
-        let output = fibc(&argv);
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{argv:?} exited 0");
-        assert!(stderr.contains(refused), "{argv:?}: {stderr}");
-    }
+    let timed = ["serve", img, "--duration", "0.2", "--threads", "2"];
+    let stdout = stdout_of(&fibc(&timed));
+    let workers = stdout.lines().filter(|l| l.starts_with("worker ")).count();
+    assert_eq!(workers, 2, "one line per worker\n{stdout}");
+    assert!(total_packets(&stdout, "vrfset") > 0, "{stdout}");
 
-    let stdout = stdout_of(&fibc(&["serve", img, "--probe", "1000"]));
+    let probed = [
+        "serve",
+        img,
+        "--probe",
+        "1000",
+        "--threads",
+        "2",
+        "--keys",
+        "zipf",
+    ];
+    let stdout = stdout_of(&fibc(&probed));
     assert!(
-        stdout.starts_with("vrf probe (uniform): 1000 pkts"),
+        stdout.contains("total via vrfset (zipf, 2 thr, batch 256): "),
         "{stdout}"
     );
+    let packets = total_packets(&stdout, "vrfset");
+    assert!(packets >= 1_000, "{packets} lookups for a budget of 1000");
 
     let image = FibImage::load(path).expect("compiled image loads");
     let set = CompiledVrfSet::<u32>::from_image(&image).expect("a vrfset image");
@@ -221,6 +231,68 @@ fn a_vrfset_image_refuses_runtime_flags_and_still_answers() {
     }
     let stdout = stdout_of(&serve_stdin(path, &input));
     assert_eq!(stdout.lines().collect::<Vec<_>>(), want);
+}
+
+/// Both image kinds read stdin by one rule: blank lines and `#` comments
+/// are skipped, a line that does not parse is named on stderr, and every
+/// other line is answered on stdout in input order.
+#[test]
+fn stdin_skips_blanks_and_comments_and_names_bad_lines() {
+    let serialized = images().iter().find(|(name, _)| *name == "serialized");
+    let serialized = &serialized.expect("a serialized image").1;
+    let table = FibImage::load(serialized).expect("compiled image loads");
+    let oracle = table.routes::<u32>().expect("the routes section");
+    let fleet = FibImage::load(fleet_image()).expect("compiled image loads");
+    let set = CompiledVrfSet::<u32>::from_image(&fleet).expect("a vrfset image");
+    let answer = |text: &str, hop: Option<_>| match hop {
+        Some(nh) => format!("{text} -> {nh}"),
+        None => format!("{text} -> no route"),
+    };
+    let (a, b) = (0x0808_0808u32, 0x0A01_0203u32);
+    let (first, last) = (set.tables[0].id, set.tables[set.tables.len() - 1].id);
+    let cases = [
+        (
+            &**serialized,
+            "8.8.8.8\n\n# a comment\n10.1.2.3  # trailing\n8.8.8\n   \n10.1.2.3\n".to_string(),
+            vec![
+                answer("8.8.8.8", oracle.lookup(a)),
+                answer("10.1.2.3", oracle.lookup(b)),
+                answer("10.1.2.3", oracle.lookup(b)),
+            ],
+            vec!["8.8.8: ".to_string()],
+        ),
+        (
+            fleet_image(),
+            format!(
+                "{first} 8.8.8.8\n\n# a comment\n{last} 10.1.2.3 # trailing\n8.8.8.8\n\
+                 x 8.8.8.8\n{first} 8.8.8\n{last} 8.8.8.8\n"
+            ),
+            vec![
+                answer(&format!("{first} 8.8.8.8"), set.lookup(first, a)),
+                answer(&format!("{last} 10.1.2.3"), set.lookup(last, b)),
+                answer(&format!("{last} 8.8.8.8"), set.lookup(last, a)),
+            ],
+            vec![
+                "8.8.8.8: want 'VRF ADDR'".to_string(),
+                "x 8.8.8.8: bad VRF id".to_string(),
+                format!("{first} 8.8.8: "),
+            ],
+        ),
+    ];
+    for (path, input, want, errors) in cases {
+        let output = serve_stdin(path, &input);
+        let stdout = stdout_of(&output);
+        assert_eq!(stdout.lines().collect::<Vec<_>>(), want, "{path:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let named: Vec<&str> = stderr.lines().filter(|l| !l.contains("slab")).collect();
+        assert_eq!(named.len(), errors.len(), "{path:?}: {stderr}");
+        for (line, error) in named.iter().zip(&errors) {
+            assert!(
+                line.starts_with(error),
+                "{path:?}: {line:?} is not {error:?}"
+            );
+        }
+    }
 }
 
 /// A reader that goes away before `fibc serve` answers (`fibc serve IMG |

@@ -516,10 +516,14 @@ fn a_loaded_set_recompiles_as_the_compiled_one<A: Address + Send + Sync + 'stati
             oracles.get_mut(&vrf).expect("a table").insert(prefix, hop);
         }
     }
-    let next: BTreeMap<u32, Option<&BinaryTrie<A>>> = (oracles.iter())
-        .map(|(id, trie)| (*id, changed.contains(id).then_some(trie)))
-        .collect();
-    let recompiled = recompile_vrf_set(&loaded, &next, &config, &policy);
+    let next: BTreeMap<u32, &BinaryTrie<A>> =
+        oracles.iter().map(|(id, trie)| (*id, trie)).collect();
+    let (recompiled, folded) = recompile_vrf_set(&loaded, &next, &changed.into(), &config, &policy);
+    assert_eq!(
+        folded,
+        changed.len(),
+        "{tag}: the changed tables alone are folded"
+    );
     let full = compile(&oracles);
     assert_sets_identical(&recompiled, &full, tag);
     let image_of = |set| write_vrf_image(set, 2).expect("a fleet image");
