@@ -329,3 +329,73 @@ fn suspended_spool_resumes_to_healthy_after_operator_clears_fault() {
     );
     assert!(router.health().spool_recoveries >= 1);
 }
+
+/// The same-epoch re-spill probe. With no publish since the base image,
+/// a degraded spool's recovery re-spill would replace that image under
+/// its own epoch; a crash at the re-spill's journal reset then left the
+/// old journal matching the new image, and replay reverted what the
+/// unjournaled update changed — P→2 beside Q→4, a FIB that never existed.
+/// The re-spill lands under a fresh epoch, so the old journal applies to
+/// no image that holds more than it.
+#[test]
+fn a_respill_after_no_publish_lands_under_a_fresh_epoch() {
+    use fib_core::PrefixDag;
+    use fib_router::spoolfs::{FaultFs, SpoolFs};
+    use fib_router::{Router, RouterConfig};
+    use fib_trie::{BinaryTrie, NextHop, Prefix};
+    use std::sync::Arc;
+
+    let nh = NextHop::new;
+    let prefix = |s: &str| -> Prefix<u32> { s.parse().expect("a prefix") };
+    let (p, q) = (prefix("10.1.0.0/16"), prefix("10.2.0.0/16"));
+    let mut base = BinaryTrie::new();
+    base.insert(prefix("0.0.0.0/0"), nh(1));
+    let fs = FaultFs::with_config(
+        env_seed(),
+        FaultConfig {
+            tail: TailPolicy::Keep,
+            ..FaultConfig::default()
+        },
+    );
+    let shared: Arc<dyn SpoolFs> = Arc::new(fs.clone());
+    let config = RouterConfig {
+        publish_every: None,
+        ..RouterConfig::default()
+    };
+    let spool = sweep_spool_config(SpoolMutant::None);
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
+    router
+        .enable_spool_with(shared, "/spool", spool)
+        .expect("spool dir");
+    assert_eq!(router.epoch(), 0, "armed at epoch 0");
+
+    // P→2 is journaled; the append of P→3 fails, so P→3 is in no journal.
+    router.announce(p, nh(2));
+    let next = fs.op_count() + 1;
+    fs.reconfigure(|c| c.fail_ops = Some((next, next + 1)));
+    router.announce(p, nh(3));
+    assert!(router.spool_health().is_some_and(|h| !h.is_healthy()));
+    // Q→4's append finds the retry due and re-spills: image create,
+    // write, sync and rename, then the journal reset — crash at its start.
+    let reset = fs.op_count() + 5;
+    fs.reconfigure(|c| c.crash_at_op = Some(reset));
+    router.announce(q, nh(4));
+    assert!(fs.crashed(), "the re-spill reached its journal reset");
+
+    let boot: Arc<dyn SpoolFs> = Arc::new(fs.durable_clone());
+    let recovered = Router::<u32, PrefixDag<u32>>::warm_restart_with(boot, "/spool", config, spool)
+        .expect("an image survives");
+    let state = |fib: &BinaryTrie<u32>| (fib.exact_match(p), fib.exact_match(q));
+    let oracle = [
+        (None, None),
+        (Some(nh(2)), None),
+        (Some(nh(3)), None),
+        (Some(nh(3)), Some(nh(4))),
+    ];
+    let got = state(recovered.control());
+    assert!(
+        oracle.contains(&got),
+        "restarted to {got:?}, no oracle state"
+    );
+    assert_eq!(got, (Some(nh(3)), Some(nh(4))), "the re-spill's image");
+}

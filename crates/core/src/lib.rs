@@ -58,9 +58,9 @@ pub use pdag::{DagStats, PrefixDag, PrefixDagRef, RootArray, RootEntry};
 pub use serialized::{SerializedDag, SerializedDagRef, SER_REFILL_LANES};
 pub use strmodel::FoldedString;
 pub use vrf::{
-    compile_vrf_set, recompile_vrf_set, vrf_section_base, write_vrf_image, CompiledVrf,
-    CompiledVrfSet, VrfBatchScratch, VrfDedicated, VrfEngineChoice, VrfPolicy, VrfSetStats,
-    VrfTable, VRF_DIR_RECORD_WORDS,
+    compile_vrf_set, vrf_section_base, write_vrf_image, CompiledVrf, CompiledVrfSet, VrfArena,
+    VrfBatchScratch, VrfDedicated, VrfEngineChoice, VrfPolicy, VrfSetStats, VrfSync, VrfTable,
+    VRF_DIR_RECORD_WORDS,
 };
 pub use vsdag::{
     MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VsShape, VS_REFILL_LANES,

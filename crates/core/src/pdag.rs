@@ -40,11 +40,12 @@
 //! the same array, derived by the same function over its packed arena
 //! ([`RootArray`]), with `k` fixed at 8 whatever λ is. The `min(λ, 8)`
 //! above exists so that an in-place update touches only unshared top
-//! nodes; a compiled set is never updated in place, and the derivation
-//! just replays a walk's first eight steps, which is exact over any DAG —
-//! shared nodes above depth 8 included, at any λ, v4 and v6. So neither a
-//! fleet's directory nor its image records a `k`: a loaded set derives
-//! exactly the arrays its compiler derived.
+//! nodes; a fleet table's array is never patched, but derived whole
+//! whenever the table's root moves, and the derivation just replays a
+//! walk's first eight steps, which is exact over any DAG — shared nodes
+//! above depth 8 included, at any λ, v4 and v6. So neither a fleet's
+//! directory nor its image records a `k`: a loaded set derives exactly
+//! the arrays its compiler derived.
 //!
 //! There is one walk, [`PrefixDagRef::lookup_with_depth`], and it starts
 //! from a slice of `2^k` entries for any `k ≤ 8`: the updatable pDAG's
@@ -109,13 +110,14 @@ const NO_CONTROL: &str = "a published pDAG copy has no control FIB: update the w
 
 /// Most levels the root array collapses: `k = min(λ, ROOT_BITS)` on a
 /// [`PrefixDag`], exactly `ROOT_BITS` on a [`RootArray`].
-const ROOT_BITS: u8 = 8;
+pub(crate) const ROOT_BITS: u8 = 8;
 
 /// Source of build ids: one per arena lineage.
 static NEXT_BUILD: AtomicU64 = AtomicU64::new(1);
 
-/// A build id no other [`PrefixDag`] in the process carries.
-fn next_build() -> u64 {
+/// A build id no other [`PrefixDag`] or VRF fleet arena in the process
+/// carries.
+pub(crate) fn next_build() -> u64 {
     // ordering: Relaxed — the counter only has to hand out distinct
     // values; it publishes no other data.
     NEXT_BUILD.fetch_add(1, Ordering::Relaxed)
@@ -332,6 +334,13 @@ impl<A: Address> PrefixDag<A> {
     /// `lambda = W` degenerates to a plain prefix tree.
     #[must_use]
     pub fn from_trie(trie: &BinaryTrie<A>, lambda: u8) -> Self {
+        Self::from_control(trie.clone(), lambda)
+    }
+
+    /// [`Self::from_trie`] that keeps `control` as the control FIB
+    /// instead of a copy of it.
+    #[must_use]
+    pub fn from_control(control: BinaryTrie<A>, lambda: u8) -> Self {
         let lambda = lambda.min(A::WIDTH);
         let mut dag = Self {
             nodes: Vec::new(),
@@ -339,14 +348,14 @@ impl<A: Address> PrefixDag<A> {
             root_array: Vec::new(),
             lambda,
             counts: Counts {
-                routes: trie.len(),
+                routes: control.len(),
                 ..Counts::default()
             },
             build: next_build(),
             // Construction stamps every node 1, and so does whatever
             // changes before the first publish; no copy is older than that.
             publish: 1,
-            control: Some(trie.clone()),
+            control: None,
             interner: HashMap::default(),
             free: Vec::new(),
             refcounts: Vec::new(),
@@ -354,9 +363,10 @@ impl<A: Address> PrefixDag<A> {
             last_copy_writes: None,
             _marker: PhantomData,
         };
-        dag.root = dag.build_top(trie.root(), 0);
+        dag.root = dag.build_top(control.root(), 0);
         dag.root_array = vec![RootEntry::at(NONE); 1 << lambda.min(ROOT_BITS)];
         fill_entries(&mut dag.root_array, &dag.nodes, dag.root, 0, 0, NONE);
+        dag.control = Some(control);
         dag
     }
 
@@ -896,6 +906,13 @@ impl<A: Address> PrefixDag<A> {
             copy.same_data_plane(self),
             "published copy differs from the working arena"
         );
+        self.advance_publish();
+        copy
+    }
+
+    /// Moves on to the next publish number: records written from here on
+    /// are stamped above every stamp so far.
+    fn advance_publish(&mut self) {
         self.publish = match self.publish.checked_add(1) {
             Some(next) => next,
             None => {
@@ -906,7 +923,22 @@ impl<A: Address> PrefixDag<A> {
                 1
             }
         };
-        copy
+    }
+
+    /// Change tracking for a mirror of this engine's records — a VRF
+    /// fleet's shared arena, which re-interns only what changed. Closes
+    /// the current window, as a publish does, and returns it: a record
+    /// written after this call is [`Self::changed_since`] it.
+    pub(crate) fn close_window(&mut self) -> (u64, u32) {
+        let window = (self.build, self.publish);
+        self.advance_publish();
+        window
+    }
+
+    /// Whether record `idx` was written after [`Self::close_window`]
+    /// returned `window` (always, for a window of another lineage).
+    pub(crate) fn changed_since(&self, window: (u64, u32), idx: u32) -> bool {
+        window.0 != self.build || self.stamps[idx as usize] > window.1
     }
 
     /// Node records the last [`Self::publish_copy`] wrote into the buffer

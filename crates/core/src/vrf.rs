@@ -13,38 +13,52 @@
 //!    (leaf-pushing below the λ barrier, within-table interning), whose
 //!    arena already holds the two-word records (`left | right << 32`,
 //!    `label`) every packed form of the structure uses.
-//! 2. A **cross-table canonical interner** re-keys every node reachable
-//!    from the fold's root on `(left, right, label)` identity, post-order,
-//!    straight from that arena, one table at a time in id order, so
-//!    structurally identical subtrees from *different* tables land on one
-//!    record. The nodes each table adds are its marginal nodes, what
-//!    [`VrfPolicy::Auto`] charges it; its fold's live node count is its
-//!    standalone size (`solo_nodes`). The fold is then dropped.
+//! 2. A **cross-table canonical arena** ([`VrfArena`]) interns every node
+//!    reachable from the fold's root on `(left, right, label)` identity,
+//!    post-order, straight from that arena, one table at a time in id
+//!    order, so structurally identical subtrees from *different* tables
+//!    land on one record. The nodes each table adds are its marginal
+//!    nodes, what [`VrfPolicy::Auto`] charges it; its fold's live node
+//!    count is its standalone size (`solo_nodes`).
 //! 3. The compacting BFS every packed pDAG image is written by, its one
-//!    queue seeded with every shared-placement table's root (`pack_bfs`
-//!    in the pdag module), packs the interned records into a single word
-//!    arena in the exact [`PrefixDagRef`] record format. Every shared
-//!    table with a root then gets the §5.3 root array the updatable pDAG
-//!    walks from ([`RootArray`]: for each 8-bit address prefix, the node
-//!    at depth 8 and the last label above it), derived from the packed
-//!    arena — for carried tables too, since the BFS renumbers their
-//!    nodes — and each VRF is served zero-copy by a `PrefixDagRef` over
-//!    the shared words that starts its walk eight levels down. The
-//!    arrays are 2 KiB a table and charged ([`VrfSetStats::root_bytes`]);
-//!    an image does not store them, its loader
-//!    ([`CompiledVrfSet::from_image`]) derives the same ones.
+//!    queue seeded with every shared-placement table's root, renumbers
+//!    the records the roots reach into a single word arena in the exact
+//!    [`PrefixDagRef`] record format. Every shared table with a root then
+//!    gets the §5.3 root array the updatable pDAG walks from
+//!    ([`RootArray`]: for each 8-bit address prefix, the node at depth 8
+//!    and the last label above it), derived from the arena, and each VRF
+//!    is served zero-copy by a `PrefixDagRef` over the shared words that
+//!    starts its walk eight levels down. The arrays are 2 KiB a table and
+//!    charged ([`VrfSetStats::root_bytes`]); an image does not store
+//!    them, its loader ([`CompiledVrfSet::from_image`]) derives the same
+//!    ones.
 //!
-//! Step 2 sees every supplied table, a dedicated one too; step 3 packs
-//! only what shared-placement roots reach, and the BFS orders nodes by
-//! structure, not by interner id, so a dedicated table's records in the
-//! interner change no arena byte.
+//! Under `Auto` step 2 sees every table, a dedicated one too, whose
+//! records are then released; step 3 packs only what shared-placement
+//! roots reach, and the BFS orders nodes by structure, not by interning
+//! order, so a table's records never depend on how they were interned.
+//! [`compile_vrf_set`] runs the three steps from an empty arena.
 //!
-//! A fleet that changes a table at a time is recompiled **from the set
-//! compiled before it** ([`recompile_vrf_set`]): steps 1 and 2 run for
-//! the changed tables only, against an interner seeded with the previous
-//! arena, and step 3 — whose order depends on structure alone — emits
-//! the bytes a from-scratch compile would. [`compile_vrf_set`] is that
-//! function with nothing to start from.
+//! A fleet whose tables change a few routes at a time keeps its arena
+//! ([`VrfArena`]) and each table's fold as an updatable [`PrefixDag`], so
+//! a publish **costs what changed**. The pDAG absorbs an update in place
+//! and stamps the nodes it writes; the arena keeps a reference count per
+//! record, re-interns only the nodes a dirty table's pDAG stamped since
+//! the last sync plus the top nodes above them, releases the old root,
+//! and derives root arrays and reachable counts for the dirty tables
+//! alone. Its records live in an append-only buffer
+//! ([`fib_succinct::WordLog`]): a new record is appended, a released one
+//! left in place as a free slot, and no record a published set can read
+//! is written again — so a publish ([`VrfArena::publish`]) hands out a
+//! view of the buffer that shares every record, and every cache line a
+//! reader holds, with the set before it, and adds only what was appended.
+//! Step 3 becomes compaction into a new buffer: it runs when free slots
+//! pass a quarter of the arena, after a sync that panicked, under
+//! `Auto`, and whenever an image is written ([`write_vrf_image`]), so
+//! images stay bit-identical to a full compile. Between compactions a
+//! set answers, counts its tables and charges its statistics as the full
+//! compile does, all but [`VrfSetStats::free_slots`]; its records sit
+//! where they were interned.
 //!
 //! Not every table belongs in the shared arena. Under
 //! [`VrfPolicy::Auto`] a cost model — fitted from measured per-engine
@@ -64,15 +78,14 @@
 //! table's sections at [`vrf_section_base`] of its directory index plus
 //! their position in [`ImageCodec::SECTIONS`].
 //!
-//! A fleet has one type, [`CompiledVrfSet`], whether compiled or loaded:
-//! [`CompiledVrfSet::from_image`] gives back the set its compiler built,
-//! arena, roots, root arrays, counts and statistics alike. Only a
+//! A fleet has one type, [`CompiledVrfSet`], whether compiled, kept or
+//! loaded: [`CompiledVrfSet::from_image`] gives back the set its compiler
+//! built, arena, roots, root arrays, counts and statistics alike. Only a
 //! dedicated table's engine still differs by origin: a compiled table
 //! keeps the engine it built, a loaded one keeps its own sections and
-//! serves through a view parsed per call. A loaded set is therefore a
-//! valid `previous` for [`recompile_vrf_set`], and a fleet restarts by
-//! loading its image, then recompiling what changed; a carried loaded
-//! dedicated table serves from its sections until it is next re-folded.
+//! serves through a view parsed per call. A loaded set carries no
+//! control state, so it seeds no arena; a fleet that restarts will
+//! rebuild its tables from per-table routes sections.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -86,9 +99,11 @@ use crate::image::{
     ImageWriter, Sections,
 };
 use crate::pdag::{
-    bfs_order, pack_bfs, packed_node, packed_root_array, record, PrefixDag, PrefixDagRef, RootArray,
+    bfs_order, next_build, pack_bfs, packed_node, packed_root_array, record, PrefixDag,
+    PrefixDagRef, RootArray, ROOT_BITS,
 };
 use crate::xbw::XbwStorage;
+use fib_succinct::{SharedWords, WordLog};
 
 const NONE: u32 = u32::MAX;
 
@@ -97,6 +112,10 @@ pub const VRF_DIR_RECORD_WORDS: usize = 6;
 
 /// Resident bytes of one shared table's [`RootArray`].
 const ROOT_ARRAY_BYTES: u64 = std::mem::size_of::<RootArray>() as u64;
+
+/// Walks [`CompiledVrfSet::lookup_batch`] keeps in flight, as many as
+/// the serialized engine's batch kernel ([`crate::SER_REFILL_LANES`]).
+const FLEET_LANES: usize = 8;
 
 /// The engine a VRF table is placed on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -286,6 +305,11 @@ pub struct VrfSetStats {
     pub unique_nodes: u64,
     /// Shared arena footprint (16 bytes per unique node).
     pub arena_bytes: u64,
+    /// Arena slots whose record a kept arena ([`VrfArena`]) released and
+    /// has not compacted away: 16 bytes each, held by every reader of the
+    /// set but counted in no other field. 0 in a compiled, loaded or
+    /// just-compacted set.
+    pub free_slots: u64,
     /// Root arrays of the shared tables with a root, 2 KiB each.
     pub root_bytes: u64,
     /// Dedicated per-table engine footprints, summed.
@@ -296,6 +320,32 @@ pub struct VrfSetStats {
 }
 
 impl VrfSetStats {
+    /// The statistics of `tables` over an arena of `unique_nodes` live
+    /// records and `free_slots` free ones.
+    fn of<A: Address>(tables: &[CompiledVrf<A>], unique_nodes: u64, free_slots: u64) -> Self {
+        let mut stats = Self {
+            tables: tables.len(),
+            unique_nodes,
+            arena_bytes: unique_nodes * 16,
+            free_slots,
+            ..Self::default()
+        };
+        for table in tables {
+            stats.independent_bytes += table.solo_nodes * 16;
+            if table.root_array.is_some() {
+                stats.root_bytes += ROOT_ARRAY_BYTES;
+            }
+            match &table.dedicated {
+                None => {
+                    stats.shared_tables += 1;
+                    stats.total_nodes += table.reachable_nodes;
+                }
+                Some(dedicated) => stats.dedicated_bytes += dedicated.served_bytes,
+            }
+        }
+        stats
+    }
+
     /// `total_nodes / unique_nodes`: how many tables each arena node
     /// serves on average (1.0 = no cross-table sharing).
     #[must_use]
@@ -307,11 +357,11 @@ impl VrfSetStats {
         }
     }
 
-    /// Resident bytes of the whole set (arena + root arrays + dedicated
-    /// engines).
+    /// Resident bytes of the whole set: the arena slots a reader holds,
+    /// free ones included, root arrays and dedicated engines.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.arena_bytes + self.root_bytes + self.dedicated_bytes
+        self.arena_bytes + self.free_slots * 16 + self.root_bytes + self.dedicated_bytes
     }
 
     /// Bytes saved versus compiling every table independently.
@@ -465,6 +515,7 @@ impl<A: Address> EngineVisitor<A> for BuildDedicated<'_, A> {
 }
 
 /// One compiled table of a [`CompiledVrfSet`].
+#[derive(Clone)]
 pub struct CompiledVrf<A: Address> {
     /// VRF id.
     pub id: u32,
@@ -482,8 +533,9 @@ pub struct CompiledVrf<A: Address> {
     /// The table's own engine; `None` places it on the shared arena.
     pub dedicated: Option<VrfDedicated<A>>,
     /// Where the table's walk starts: derived from the arena at `root`,
-    /// present exactly when `root` is.
-    root_array: Option<Box<RootArray>>,
+    /// present exactly when `root` is; shared by every set the table is
+    /// carried into.
+    root_array: Option<Arc<RootArray>>,
 }
 
 impl<A: Address> CompiledVrf<A> {
@@ -505,22 +557,28 @@ impl<A: Address> CompiledVrf<A> {
 
 /// A compiled multi-tenant set: the shared arena, per-table roots and
 /// dedicated engines, and dedup statistics.
+///
+/// A set a [`VrfArena`] publishes may hold free slots in its arena —
+/// records no root reaches, counted in [`VrfSetStats::free_slots`] — and
+/// its records in the order they were interned; one compiled, loaded or
+/// just compacted holds exactly the records its shared roots reach, in
+/// BFS order.
 pub struct CompiledVrfSet<A: Address> {
     /// The shared hash-consed arena, two packed words per node (the
-    /// [`PrefixDagRef`] record format).
-    pub arena: Vec<u64>,
+    /// [`PrefixDagRef`] record format): a view of a [`VrfArena`]'s
+    /// append-only buffer, which later sets published from it share.
+    pub arena: SharedWords,
     /// Per-table results, sorted by VRF id.
     pub tables: Vec<CompiledVrf<A>>,
     /// Aggregate dedup statistics.
     pub stats: VrfSetStats,
 }
 
-/// The empty set: no tables, no arena — what a from-scratch compile
-/// recompiles from.
+/// The empty set: no tables, no arena.
 impl<A: Address> Default for CompiledVrfSet<A> {
     fn default() -> Self {
         Self {
-            arena: Vec::new(),
+            arena: SharedWords::default(),
             tables: Vec::new(),
             stats: VrfSetStats::default(),
         }
@@ -528,35 +586,6 @@ impl<A: Address> Default for CompiledVrfSet<A> {
 }
 
 impl<A: Address> CompiledVrfSet<A> {
-    /// The set over `arena` and `tables` (sorted by id), with the
-    /// statistics both a compile and a load charge it.
-    fn assemble(arena: Vec<u64>, tables: Vec<CompiledVrf<A>>) -> Self {
-        let mut stats = VrfSetStats {
-            tables: tables.len(),
-            unique_nodes: (arena.len() / 2) as u64,
-            arena_bytes: arena.len() as u64 * 8,
-            ..VrfSetStats::default()
-        };
-        for table in &tables {
-            stats.independent_bytes += table.solo_nodes * 16;
-            if table.root_array.is_some() {
-                stats.root_bytes += ROOT_ARRAY_BYTES;
-            }
-            match &table.dedicated {
-                None => {
-                    stats.shared_tables += 1;
-                    stats.total_nodes += table.reachable_nodes;
-                }
-                Some(dedicated) => stats.dedicated_bytes += dedicated.served_bytes,
-            }
-        }
-        Self {
-            arena,
-            tables,
-            stats,
-        }
-    }
-
     /// Loads the set a [`write_vrf_image`] file holds — the set its
     /// compiler built, but that a dedicated table serves from its own
     /// sections instead of a built engine.
@@ -624,17 +653,27 @@ impl<A: Address> CompiledVrfSet<A> {
                 reachable_nodes: record[3],
                 solo_nodes: record[4],
                 dedicated,
-                root_array: (root != NONE).then(|| packed_root_array(arena, root)),
+                root_array: (root != NONE).then(|| Arc::from(packed_root_array(arena, root))),
             });
         }
-        Ok(Self::assemble(arena.to_vec(), tables))
+        let stats = VrfSetStats::of(&tables, n_nodes, 0);
+        Ok(Self {
+            arena: SharedWords::from(arena),
+            tables,
+            stats,
+        })
     }
 
     /// The compiled table for `vrf`, if present.
     #[must_use]
+    #[inline]
     pub fn table(&self, vrf: u32) -> Option<&CompiledVrf<A>> {
-        let i = self.tables.binary_search_by_key(&vrf, |t| t.id).ok()?;
-        self.tables.get(i)
+        // Ids are often dense from 0: the table at index `vrf` first.
+        let dense = self.tables.get(vrf as usize).filter(|t| t.id == vrf);
+        dense.or_else(|| {
+            let i = self.tables.binary_search_by_key(&vrf, |t| t.id).ok()?;
+            self.tables.get(i)
+        })
     }
 
     /// VRF-keyed longest-prefix match against the set. Unknown VRFs
@@ -651,13 +690,17 @@ impl<A: Address> CompiledVrfSet<A> {
 
     /// Resolves a mixed `(vrf, addr)` batch, answers in input order.
     ///
-    /// Keys are bucketed by VRF id so every run flows through its table's
-    /// batch path — the shared arena's walk from the table's root array,
-    /// or a dedicated engine's lanes — instead of ping-ponging between
-    /// tables per packet; a run's root array and the top of its arena stay
-    /// in cache across it. All working memory lives in `scratch`; after
-    /// its vectors have grown to the steady batch size this path does not
-    /// allocate.
+    /// Keys of shared-arena tables are walked in input order, up to eight
+    /// at a time: a lane starts at its key's root-array
+    /// entry and follows node records through the shared arena — the walk
+    /// of [`PrefixDagRef::lookup_with_depth`], one record a step — so the
+    /// record fetches of different keys, whatever their tables, overlap
+    /// instead of each walk's chain serializing the next; a key whose walk
+    /// ends at its root-array entry is answered without taking a lane.
+    /// Keys of dedicated tables are bucketed by VRF id, and each run goes
+    /// through its engine's batch path. All working memory lives in
+    /// `scratch`; after its vectors have grown to the steady batch size
+    /// this path does not allocate.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `keys`.
@@ -670,21 +713,77 @@ impl<A: Address> CompiledVrfSet<A> {
         assert!(out.len() >= keys.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
         let VrfBatchScratch { order, addrs, hops } = scratch;
         order.clear();
-        order.extend(0..keys.len() as u32);
+        let answer = |last: u32| (last != NONE).then(|| NextHop::new(last));
+        // Per lane: the key it walks (`usize::MAX`: none), the record it
+        // reads next, the last label above it, and that record's depth.
+        let mut job = [usize::MAX; FLEET_LANES];
+        let mut node = [NONE; FLEET_LANES];
+        let mut last = [NONE; FLEET_LANES];
+        let mut depth = [0u8; FLEET_LANES];
+        let (mut live, mut next) = (0usize, 0usize);
+        while live > 0 || next < keys.len() {
+            for lane in 0..FLEET_LANES {
+                let j = job[lane];
+                if j != usize::MAX {
+                    if node[lane] != NONE {
+                        let (left, right, label) = packed_node(&self.arena, node[lane]);
+                        if label != NONE {
+                            last[lane] = label;
+                        }
+                        let d = depth[lane];
+                        node[lane] = match d >= A::WIDTH {
+                            true => NONE,
+                            false if keys[j].1.bit(d) => right,
+                            false => left,
+                        };
+                        depth[lane] = d + 1;
+                        continue;
+                    }
+                    out[j] = answer(last[lane]);
+                    job[lane] = usize::MAX;
+                    live -= 1;
+                }
+                // Refill: answer keys inline until one needs a lane.
+                while next < keys.len() {
+                    let (i, (vrf, addr)) = (next, keys[next]);
+                    next += 1;
+                    let Some(table) = self.table(vrf) else {
+                        out[i] = None;
+                        continue;
+                    };
+                    if table.dedicated.is_some() {
+                        order.push(i as u32);
+                        continue;
+                    }
+                    let Some(array) = table.root_array() else {
+                        out[i] = None;
+                        continue;
+                    };
+                    let entry = array[addr.bits(0, ROOT_BITS) as usize];
+                    if entry.node == NONE {
+                        out[i] = answer(entry.last);
+                        continue;
+                    }
+                    (job[lane], node[lane], last[lane]) = (i, entry.node, entry.last);
+                    depth[lane] = ROOT_BITS;
+                    live += 1;
+                    break;
+                }
+            }
+        }
         order.sort_unstable_by_key(|&i| keys[i as usize].0);
         for run in order.chunk_by(|&a, &b| keys[a as usize].0 == keys[b as usize].0) {
-            let vrf = keys[run[0] as usize].0;
+            let Some(dedicated) = self
+                .table(keys[run[0] as usize].0)
+                .and_then(|t| t.dedicated.as_ref())
+            else {
+                continue;
+            };
             addrs.clear();
             addrs.extend(run.iter().map(|&i| keys[i as usize].1));
             hops.clear();
             hops.resize(run.len(), None);
-            // An unknown VRF's run keeps the `None`s it was filled with.
-            if let Some(table) = self.table(vrf) {
-                match &table.dedicated {
-                    None => self.shared_view(table).lookup_batch(addrs, hops),
-                    Some(dedicated) => dedicated.lookup_batch(addrs, hops),
-                }
-            }
+            dedicated.lookup_batch(addrs, hops);
             for (&i, &hop) in run.iter().zip(hops.iter()) {
                 out[i as usize] = hop;
             }
@@ -719,90 +818,486 @@ impl<A: Address> VrfBatchScratch<A> {
     }
 }
 
-/// Cross-table canonical interner: one record per distinct
-/// `(left, right, label)` triple, in first-interned order, in the pDAG's
-/// two-word record layout.
-struct ArenaInterner {
+/// What one [`VrfArena::sync`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VrfSync {
+    /// Tables re-interned into the arena or rebuilt on a dedicated engine.
+    pub refolded: usize,
+    /// Whether the sync ended in a compaction (a fresh BFS-packed arena).
+    pub compacted: bool,
+}
+
+/// What one [`VrfArena::publish`] handed a reader.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VrfPublish {
+    /// Records the set holds that the set published before it does not:
+    /// those appended since, or every one in a new buffer.
+    pub records_written: usize,
+    /// Whether the set reads the buffer the set published before it read,
+    /// appended to, rather than a new one.
+    pub shared: bool,
+}
+
+/// How one shared table's pDAG maps onto the arena.
+#[derive(Default)]
+struct Mirror {
+    /// Per pDAG node, the arena record it stands for — valid for every
+    /// node live at the last sync.
+    memo: Vec<u32>,
+    /// The pDAG's change window at that sync ([`PrefixDag::close_window`]);
+    /// lineage 0, which no pDAG carries, marks every node changed.
+    seen: (u64, u32),
+}
+
+/// One table's re-intern walk: its pDAG, what the arena knew of it, and
+/// the changed nodes already interned this time (a DAG reaches a shared
+/// node by many paths).
+struct Walk<'d, A: Address> {
+    dag: &'d PrefixDag<A>,
+    seen: (u64, u32),
+    memo: &'d mut [u32],
+    done: Vec<bool>,
+}
+
+/// Fewest words a new arena buffer holds.
+const MIN_ARENA_WORDS: usize = 1 << 10;
+
+/// A VRF fleet's shared arena, kept from one publish to the next: one
+/// hash-consed record per distinct `(left, right, label)` triple, with a
+/// reference count per record (held by parent records and by table
+/// roots), in an append-only buffer ([`WordLog`]) every published set
+/// reads a prefix of.
+///
+/// [`Self::sync`] brings it in line with a fleet of updatable pDAGs,
+/// re-interning only the nodes a dirty table's pDAG wrote since the last
+/// sync and the top-tree nodes above them: a new record is appended, and
+/// a record whose last reference goes is dropped from the index and left
+/// in place, a free slot. Nothing a published set can read is ever
+/// written again, so [`Self::publish`] costs what changed: the next set
+/// shares the buffer — and the reader's cached lines of it — with the one
+/// before, and adds only the records appended since. The BFS repack of a
+/// full compile is compaction here, into a new buffer: it runs when the
+/// arena is built from empty, when free slots pass a quarter of it,
+/// after a sync that did not finish (a contained panic), and at every
+/// sync under [`VrfPolicy::Auto`], whose placement is fleet-wide. An
+/// image is always written compacted ([`write_vrf_image`]).
+pub struct VrfArena<A: Address> {
+    /// The records, live ones and free slots.
+    log: WordLog,
+    /// `log`'s lineage: fresh for every new buffer.
+    build: u64,
+    /// Every table's record and root array, sorted by id.
+    tables: Vec<CompiledVrf<A>>,
+    stats: VrfSetStats,
+    /// Every live record's slot, by content.
     map: HashMap<(u32, u32, u32), u32, IdBuildHasher>,
-    nodes: Vec<u64>,
+    /// Per slot: references to its record from parent records and roots.
+    refcounts: Vec<u32>,
+    /// Slots whose record lost its last reference.
+    free: usize,
+    /// Per shared table, by VRF id.
+    mirrors: BTreeMap<u32, Mirror>,
+    /// A sync is under way — still set at the next one if it panicked.
+    torn: bool,
+    /// `(build, words)` of the buffer the last published set reads.
+    published: (u64, usize),
 }
 
-impl ArenaInterner {
-    /// An interner already holding every node of a packed arena this
-    /// compiler emitted, each under its arena index: arena records are
-    /// pairwise distinct canonical triples, so seeding is one insert per
-    /// record and no traversal, and a root into `arena` is its own
-    /// canonical id. An empty `arena` gives the empty interner.
-    fn seeded(arena: &[u64]) -> Self {
-        let n = (arena.len() / 2) as u32;
-        let mut map = HashMap::with_capacity_and_hasher(n as usize, IdBuildHasher::default());
-        for idx in 0..n {
-            let earlier = map.insert(packed_node(arena, idx), idx);
-            debug_assert!(earlier.is_none(), "arena record {idx} is not canonical");
-        }
+impl<A: Address> Default for VrfArena<A> {
+    fn default() -> Self {
         Self {
-            map,
-            nodes: arena.to_vec(),
+            log: WordLog::with_capacity(0),
+            build: 0,
+            tables: Vec::new(),
+            stats: VrfSetStats::default(),
+            map: HashMap::default(),
+            refcounts: Vec::new(),
+            free: 0,
+            mirrors: BTreeMap::new(),
+            torn: false,
+            published: (0, 0),
         }
-    }
-
-    /// Nodes interned so far.
-    fn len(&self) -> usize {
-        self.nodes.len() / 2
-    }
-
-    /// Interns every node reachable from `root` in the record arena
-    /// `words` — a folded [`PrefixDag`]'s, free slots and all — post-order,
-    /// and returns the table's canonical root. `memo` maps the arena's node
-    /// indices to canonical ids. Recursion depth is bounded by the address
-    /// width (a pDAG is a depth-bounded DAG).
-    fn intern_table(&mut self, words: &[u64], root: u32) -> u32 {
-        let mut memo = vec![NONE; words.len() / 2];
-        self.intern_at(words, root, &mut memo)
-    }
-
-    fn intern_at(&mut self, words: &[u64], idx: u32, memo: &mut [u32]) -> u32 {
-        if idx == NONE {
-            return NONE;
-        }
-        if memo[idx as usize] != NONE {
-            return memo[idx as usize];
-        }
-        let (left, right, label) = packed_node(words, idx);
-        let node = (
-            self.intern_at(words, left, memo),
-            self.intern_at(words, right, memo),
-            label,
-        );
-        let nodes = &mut self.nodes;
-        let id = *self.map.entry(node).or_insert_with(|| {
-            nodes.extend(record(node.0, node.1, node.2));
-            (nodes.len() / 2 - 1) as u32
-        });
-        memo[idx as usize] = id;
-        id
     }
 }
 
-/// Where one table of a recompile comes from.
-enum Source<'a, A: Address> {
-    /// Folded from its trie and interned in this compile.
-    Folded {
-        trie: &'a BinaryTrie<A>,
-        /// Its canonical root in the interner.
-        root: u32,
-        /// Nodes its interning added (what `Auto` charges it).
-        marginal_nodes: u64,
-        /// Live nodes of its standalone fold.
-        solo_nodes: u64,
-    },
-    /// Unchanged since the previous set: its compiled table there.
-    Carried(&'a CompiledVrf<A>),
+impl<A: Address + Send + Sync + 'static> VrfArena<A> {
+    /// An empty arena (no tables).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Brings the arena in line with `dags`, one updatable pDAG per VRF
+    /// id, of which those in `dirty` changed since the last sync; tables
+    /// the last sync held and `dags` does not are dropped.
+    ///
+    /// A shared table is re-interned when it is dirty, new, or moved onto
+    /// the arena: its pDAG's nodes written since the last sync and the top
+    /// nodes above them get their records, and its old root is released,
+    /// freeing what no other record or root still holds. Its root array
+    /// and reachable count are derived afresh; every other table's stay. A
+    /// dedicated table is rebuilt when it is dirty, new or moved; otherwise
+    /// its engine is carried. Under an entropy-chosen λ (`config.lambda`
+    /// `None`), a dirty table whose barrier moved has its pDAG rebuilt at
+    /// the new one first.
+    ///
+    /// From an empty arena, after a sync that panicked, and under
+    /// [`VrfPolicy::Auto`], every table is interned afresh in id order and
+    /// the arena compacted, so the next set published is bit-identical to
+    /// [`compile_vrf_set`] over the same tables; otherwise the arena is
+    /// compacted once its free slots pass a quarter of it, with the same
+    /// result. Between compactions a published set answers, and counts
+    /// its tables and statistics, as a full compile does, all but
+    /// [`VrfSetStats::free_slots`].
+    pub fn sync(
+        &mut self,
+        dags: &mut BTreeMap<u32, PrefixDag<A>>,
+        dirty: &BTreeSet<u32>,
+        config: &BuildConfig,
+        policy: &VrfPolicy,
+    ) -> VrfSync {
+        if config.lambda.is_none() {
+            for (_, dag) in dags.iter_mut().filter(|(id, _)| dirty.contains(id)) {
+                let lambda = config.lambda_for(dag.control());
+                if lambda != dag.lambda() {
+                    *dag = PrefixDag::from_trie(dag.control(), lambda);
+                }
+            }
+        }
+        let from_empty =
+            self.torn || matches!(policy, VrfPolicy::Auto { .. }) || self.log.is_empty();
+        self.torn = true;
+        if from_empty {
+            self.restart();
+        }
+        let mut previous: BTreeMap<u32, CompiledVrf<A>> = std::mem::take(&mut self.tables)
+            .into_iter()
+            .map(|table| (table.id, table))
+            .collect();
+        // A root into the arena a from-empty sync cleared went with it.
+        let let_go = |arena: &mut Self, previous: Option<&CompiledVrf<A>>| {
+            if let Some(table) = previous.filter(|t| !from_empty && t.root != NONE) {
+                arena.release(table.root);
+            }
+        };
+        for (&id, table) in previous.iter().filter(|(id, _)| !dags.contains_key(id)) {
+            let_go(self, Some(table));
+            self.mirrors.remove(&id);
+        }
+
+        // Intern what the arena must hold, in id order: every table under
+        // `Auto`, so each one's marginal nodes — those no lower id brought
+        // — can be priced; the shared tables that changed under a fixed
+        // placement. A new root is held before the old one is let go, so
+        // the records the two share stay put.
+        let mut roots = Vec::with_capacity(dags.len());
+        let mut marginal = Vec::with_capacity(dags.len());
+        for (&id, dag) in dags.iter_mut() {
+            let fixed = policy.fixed_choice(id);
+            let stale = from_empty
+                || dirty.contains(&id)
+                || previous
+                    .get(&id)
+                    .is_none_or(|table| table.dedicated.is_some());
+            let (root, added) = match fixed {
+                None | Some(VrfEngineChoice::Shared) if stale => {
+                    let before = self.refcounts.len();
+                    let root = self.intern_dag(id, dag);
+                    let added = self.refcounts.len() - before;
+                    self.acquire(root);
+                    let_go(self, previous.get(&id));
+                    (Some(root), added as u64)
+                }
+                _ => (None, 0),
+            };
+            roots.push(root);
+            marginal.push(added);
+        }
+        let choices = place(policy, dags, &marginal);
+
+        // A fresh shared table's root array waits for the compaction,
+        // which would renumber it.
+        let mut refolded = 0;
+        let mut tables = Vec::with_capacity(dags.len());
+        for (((&id, dag), root), choice) in dags.iter().zip(roots).zip(choices) {
+            let prev = previous.remove(&id);
+            refolded += usize::from(root.is_some());
+            let fresh = |root, reachable_nodes, dedicated| CompiledVrf {
+                id,
+                root,
+                routes: dag.len() as u64,
+                reachable_nodes,
+                solo_nodes: dag.stats().live_nodes as u64,
+                dedicated,
+                root_array: None,
+            };
+            let Some(kind) = choice.engine_kind() else {
+                tables.push(match root {
+                    Some(root) => {
+                        let reachable = bfs_order(self.log.words(), &[root]).len();
+                        fresh(root, reachable as u64, None)
+                    }
+                    None => prev.expect("a shared table not re-interned is carried"),
+                });
+                continue;
+            };
+            if let Some(root) = root {
+                // Interned for `Auto`'s pricing, then placed off the arena.
+                self.release(root);
+            } else {
+                let_go(self, prev.as_ref());
+            }
+            self.mirrors.remove(&id);
+            let kept = prev.filter(|table| table.choice() == choice && !dirty.contains(&id));
+            tables.push(match kept {
+                Some(table) => table,
+                None => {
+                    refolded += usize::from(root.is_none());
+                    let build = BuildDedicated {
+                        choice,
+                        trie: dag.control(),
+                        config,
+                    };
+                    let engine = (kind.visit(build).and_then(|built| built))
+                        .expect("a placement names an engine with an image encoding");
+                    fresh(NONE, 0, Some(engine))
+                }
+            });
+        }
+        self.tables = tables;
+
+        let compacted = from_empty || 4 * self.free > self.refcounts.len();
+        if compacted {
+            self.compact();
+        }
+        for table in &mut self.tables {
+            if table.root != NONE && (compacted || table.root_array.is_none()) {
+                let array = packed_root_array(self.log.words(), table.root);
+                table.root_array = Some(Arc::from(array));
+            }
+        }
+        let live = (self.refcounts.len() - self.free) as u64;
+        self.stats = VrfSetStats::of(&self.tables, live, self.free as u64);
+        self.torn = false;
+        VrfSync {
+            refolded,
+            compacted,
+        }
+    }
+
+    /// The set a reader is handed: the arena as it stands, answering as
+    /// it does now. Its records are a view of the arena's buffer — the
+    /// view the set published before it read, plus what was appended
+    /// since, unless a compaction moved the arena to a new buffer — and
+    /// its tables share their root arrays with the arena, so a publish
+    /// copies nothing but the table records.
+    pub fn publish(&mut self) -> (CompiledVrfSet<A>, VrfPublish) {
+        let (build, had) = self.published;
+        let shared = build == self.build;
+        let records_written = (self.log.len() - if shared { had } else { 0 }) / 2;
+        self.published = (self.build, self.log.len());
+        let set = CompiledVrfSet {
+            arena: self.log.shared(),
+            tables: self.tables.clone(),
+            stats: self.stats,
+        };
+        let publish = VrfPublish {
+            records_written,
+            shared,
+        };
+        (set, publish)
+    }
+
+    /// Forgets every record, in a new buffer; the tables stay, for what a
+    /// sync carries of them.
+    fn restart(&mut self) {
+        self.log = WordLog::with_capacity(MIN_ARENA_WORDS);
+        self.build = next_build();
+        self.map.clear();
+        self.refcounts.clear();
+        self.free = 0;
+        self.mirrors.clear();
+    }
+
+    /// Re-interns shared table `id`'s pDAG where it changed since the
+    /// table's last sync — all of it the first time — and returns its root
+    /// record, not yet held.
+    fn intern_dag(&mut self, id: u32, dag: &mut PrefixDag<A>) -> u32 {
+        let mut mirror = self.mirrors.remove(&id).unwrap_or_default();
+        let slots = dag.nodes.len() / 2;
+        mirror.memo.resize(slots, NONE);
+        let mut walk = Walk {
+            dag: &*dag,
+            seen: mirror.seen,
+            memo: &mut mirror.memo,
+            done: vec![false; slots],
+        };
+        let (root, _) = self.intern_node(&mut walk, dag.root, 0);
+        mirror.seen = dag.close_window();
+        self.mirrors.insert(id, mirror);
+        root
+    }
+
+    /// The record of pDAG node `idx`, reached at `depth`, and whether it
+    /// may differ from the one the last sync gave it. A folded node
+    /// written before then is what it was, children and all; a top node
+    /// is re-interned when it or anything below it was written.
+    fn intern_node(&mut self, walk: &mut Walk<'_, A>, idx: u32, depth: u8) -> (u32, bool) {
+        if idx == NONE {
+            return (NONE, false);
+        }
+        let at = idx as usize;
+        if walk.done[at] {
+            return (walk.memo[at], true);
+        }
+        let written = walk.dag.changed_since(walk.seen, idx);
+        if !written && depth >= walk.dag.lambda() {
+            return (walk.memo[at], false);
+        }
+        let (left, right, label) = walk.dag.node(idx);
+        let (left, left_moved) = self.intern_node(walk, left, depth + 1);
+        let (right, right_moved) = self.intern_node(walk, right, depth + 1);
+        if !(written || left_moved || right_moved) {
+            return (walk.memo[at], false);
+        }
+        walk.memo[at] = self.intern(left, right, label);
+        walk.done[at] = true;
+        (walk.memo[at], true)
+    }
+
+    /// The record `(left, right, label)`: the live one, or a new one
+    /// appended, holding a reference to each child.
+    fn intern(&mut self, left: u32, right: u32, label: u32) -> u32 {
+        let key = (left, right, label);
+        if let Some(&idx) = self.map.get(&key) {
+            return idx;
+        }
+        self.acquire(left);
+        self.acquire(right);
+        let words = record(left, right, label);
+        if !self.log.try_extend(&words) {
+            // Out of room: the same records in a buffer twice the size.
+            let mut log = WordLog::with_capacity((2 * self.log.capacity()).max(MIN_ARENA_WORDS));
+            let grown = log.try_extend(self.log.words()) && log.try_extend(&words);
+            debug_assert!(grown, "a buffer twice the size holds one record more");
+            self.log = log;
+            self.build = next_build();
+        }
+        let idx = self.refcounts.len() as u32;
+        self.refcounts.push(0);
+        self.map.insert(key, idx);
+        idx
+    }
+
+    fn acquire(&mut self, idx: u32) {
+        if idx != NONE {
+            self.refcounts[idx as usize] += 1;
+        }
+    }
+
+    /// Drops one reference; at the last, the record leaves the index — a
+    /// free slot, its words left as they are — and releases its children.
+    fn release(&mut self, idx: u32) {
+        if idx == NONE {
+            return;
+        }
+        let count = &mut self.refcounts[idx as usize];
+        debug_assert!(*count > 0, "release of dead record {idx}");
+        *count -= 1;
+        if *count > 0 {
+            return;
+        }
+        let key = packed_node(self.log.words(), idx);
+        let removed = self.map.remove(&key);
+        debug_assert_eq!(removed, Some(idx), "record {idx} is not the live one");
+        self.free += 1;
+        self.release(key.0);
+        self.release(key.1);
+    }
+
+    /// The BFS repack of a full compile, into a new buffer with room to
+    /// append as many records again: the records the shared roots reach,
+    /// in id order, renumbered in the order of one queue seeded with them.
+    fn compact(&mut self) {
+        let roots: Vec<u32> = self.tables.iter().map(|table| table.root).collect();
+        let order = bfs_order(self.log.words(), &roots);
+        debug_assert_eq!(
+            order.len(),
+            self.refcounts.len() - self.free,
+            "a held record no root reaches"
+        );
+        let mut remap = vec![NONE; self.refcounts.len()];
+        for (new, &old) in (0..).zip(&order) {
+            remap[old as usize] = new;
+        }
+        let moved = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
+        let mut log = WordLog::with_capacity((4 * order.len()).max(MIN_ARENA_WORDS));
+        for &old in &order {
+            let (left, right, label) = packed_node(self.log.words(), old);
+            log.try_extend(&record(moved(left), moved(right), label));
+        }
+        self.refcounts = (order.iter())
+            .map(|&old| self.refcounts[old as usize])
+            .collect();
+        self.free = 0;
+        self.map.clear();
+        for idx in 0..order.len() as u32 {
+            self.map.insert(packed_node(log.words(), idx), idx);
+        }
+        self.log = log;
+        self.build = next_build();
+        for table in &mut self.tables {
+            table.root = moved(table.root);
+        }
+        for mirror in self.mirrors.values_mut() {
+            for record in &mut mirror.memo {
+                *record = moved(*record);
+            }
+        }
+    }
+}
+
+/// Each table's engine, in id order. A fixed policy names it; `Auto`
+/// prices each table's `marginal` nodes — those no lower id brought —
+/// against its share of the fleet's traffic: its weight (the mean of the
+/// fleet's given weights when it has none) over their sum, summed in id
+/// order; uniform when that sum is not positive (no weights, or all zero).
+fn place<A: Address>(
+    policy: &VrfPolicy,
+    dags: &BTreeMap<u32, PrefixDag<A>>,
+    marginal: &[u64],
+) -> Vec<VrfEngineChoice> {
+    let model = CostModel::default();
+    let weights: Vec<f64> = match policy {
+        VrfPolicy::Auto { weights } => {
+            let given: Vec<_> = (dags.keys().filter_map(|id| weights.get(id))).collect();
+            let mean = given.iter().copied().sum::<f64>() / given.len().max(1) as f64;
+            (dags.keys())
+                .map(|id| *weights.get(id).unwrap_or(&mean))
+                .collect()
+        }
+        _ => Vec::new(),
+    };
+    let total: f64 = weights.iter().sum();
+    let uniform = 1.0 / dags.len().max(1) as f64;
+    (dags.iter().enumerate())
+        .map(|(pos, (&id, dag))| {
+            policy.fixed_choice(id).unwrap_or_else(|| {
+                let weight = if total > 0.0 {
+                    weights[pos] / total
+                } else {
+                    uniform
+                };
+                model.place(dag.len() as u64, marginal[pos] * 16, weight)
+            })
+        })
+        .collect()
 }
 
 /// Compiles `tables` into one shared arena plus dedicated engines per the
-/// placement policy. Tables are sorted by id in the result. This is
-/// [`recompile_vrf_set`] from the empty set.
+/// placement policy: each table folded by the ordinary pDAG compiler,
+/// interned into an empty [`VrfArena`] in id order, and the arena
+/// compacted. Tables are sorted by id in the result.
 ///
 /// # Panics
 /// Panics if two tables share an id.
@@ -812,176 +1307,19 @@ pub fn compile_vrf_set<A: Address + Send + Sync + 'static>(
     config: &BuildConfig,
     policy: &VrfPolicy,
 ) -> CompiledVrfSet<A> {
-    let mut fleet = BTreeMap::new();
+    let mut dags = BTreeMap::new();
     for t in tables {
+        let dag = PrefixDag::build(t.trie, config);
         assert!(
-            fleet.insert(t.id, t.trie).is_none(),
+            dags.insert(t.id, dag).is_none(),
             "duplicate VRF id {}",
             t.id
         );
     }
-    let empty = CompiledVrfSet::default();
-    recompile_vrf_set(&empty, &fleet, &BTreeSet::new(), config, policy).0
-}
-
-/// Recompiles a fleet from the set compiled before it, folding only the
-/// tables that changed; returns the set and how many tables it folded.
-///
-/// `tables` maps every VRF id of the new set to its trie; tables of
-/// `previous` it does not list are dropped. A table is **carried over**
-/// from `previous` — its root (or dedicated engine), route count and node
-/// counts taken as they stand, its trie never looked at — unless its id
-/// is in `changed`, it is new, or the policy places it on another engine
-/// than `previous` did; those are folded, interned and placed afresh.
-/// Under [`VrfPolicy::Auto`] placement is a fleet-wide decision (a
-/// table's marginal bytes depend on every lower id), so every table is
-/// folded; the interning pass records each table's marginal nodes as it
-/// goes, so pricing them costs no second pass. The policy places tables
-/// by id, so tables coming and going move no other table.
-///
-/// When a carried table keeps a shared root, the cross-table interner is
-/// seeded with `previous.arena` (already canonical, so that root is its
-/// own canonical id); the folded tables are interned against it, and the
-/// multi-root BFS packs what is reachable from the new roots. That BFS
-/// orders nodes by structure, not by interner id, so the result is
-/// **bit-identical** — arena, roots, root arrays, per-table counts,
-/// statistics — to a from-scratch [`compile_vrf_set`] over the same
-/// tables, provided `previous` was compiled by this function under the
-/// same `config` — or loaded ([`CompiledVrfSet::from_image`]) from the
-/// image of such a set — and every table not in `changed` is what it was
-/// then.
-#[must_use]
-pub fn recompile_vrf_set<A: Address + Send + Sync + 'static>(
-    previous: &CompiledVrfSet<A>,
-    tables: &BTreeMap<u32, &BinaryTrie<A>>,
-    changed: &BTreeSet<u32>,
-    config: &BuildConfig,
-    policy: &VrfPolicy,
-) -> (CompiledVrfSet<A>, usize) {
-    // Carry what is unchanged and stays on its engine (never under `Auto`,
-    // which fixes no choice); fold every other table with the ordinary
-    // single-table compiler and intern it straight from its arena, in id
-    // order. The interner starts from the previous arena when a shared
-    // root into it is kept.
-    let carried = |id: u32| {
-        let fixed = policy.fixed_choice(id);
-        (previous.table(id)).filter(|t| !changed.contains(&id) && Some(t.choice()) == fixed)
-    };
-    let keeps_root = (tables.keys()).any(|&id| carried(id).is_some_and(|t| t.dedicated.is_none()));
-    let mut interner = ArenaInterner::seeded(if keeps_root { &previous.arena } else { &[] });
-    let sources: Vec<Source<'_, A>> = tables
-        .iter()
-        .map(|(&id, &trie)| match carried(id) {
-            Some(table) => Source::Carried(table),
-            None => {
-                let dag = PrefixDag::build(trie, config);
-                let before = interner.len();
-                let root = interner.intern_table(&dag.nodes, dag.root);
-                Source::Folded {
-                    trie,
-                    root,
-                    marginal_nodes: (interner.len() - before) as u64,
-                    solo_nodes: dag.stats().live_nodes as u64,
-                }
-            }
-        })
-        .collect();
-
-    // Placement. A carried table stays where it is. `Auto` prices each
-    // table's marginal nodes — those no lower id brought — against its
-    // share of the fleet's traffic: its weight (the mean of the fleet's
-    // given weights when it has none) over their sum, summed in id order;
-    // uniform when that sum is not positive (no weights, or all zero).
-    let model = CostModel::default();
-    let weights: Vec<f64> = match policy {
-        VrfPolicy::Auto { weights } => {
-            let given: Vec<_> = (tables.keys().filter_map(|id| weights.get(id))).collect();
-            let mean = given.iter().copied().sum::<f64>() / given.len().max(1) as f64;
-            (tables.keys())
-                .map(|id| *weights.get(id).unwrap_or(&mean))
-                .collect()
-        }
-        _ => Vec::new(),
-    };
-    let total: f64 = weights.iter().sum();
-    let uniform = 1.0 / tables.len().max(1) as f64;
-    let choices: Vec<VrfEngineChoice> = (tables.keys().zip(&sources).enumerate())
-        .map(|(pos, (&id, source))| match *source {
-            Source::Carried(table) => table.choice(),
-            Source::Folded {
-                trie,
-                marginal_nodes,
-                ..
-            } => policy.fixed_choice(id).unwrap_or_else(|| {
-                let weight = if total > 0.0 {
-                    weights[pos] / total
-                } else {
-                    uniform
-                };
-                model.place(trie.len() as u64, marginal_nodes * 16, weight)
-            }),
-        })
-        .collect();
-
-    // Pack what the shared-placement roots reach; a dedicated table's
-    // nodes sit in the interner unreached.
-    let canon_roots: Vec<u32> = sources
-        .iter()
-        .zip(&choices)
-        .map(|(source, choice)| match (choice, source) {
-            (VrfEngineChoice::Shared, Source::Folded { root, .. }) => *root,
-            (VrfEngineChoice::Shared, Source::Carried(table)) => table.root,
-            _ => NONE,
-        })
-        .collect();
-    let (arena, packed_roots) = pack_bfs(&interner.nodes, &canon_roots);
-    drop(interner);
-
-    // Assemble per-table results; the set charges their statistics.
-    let folded = (sources.iter())
-        .filter(|source| matches!(source, Source::Folded { .. }))
-        .count();
-    let compiled = (tables.keys().zip(&sources).enumerate())
-        .map(|(pos, (&id, source))| {
-            let choice = choices[pos];
-            let root = match choice {
-                VrfEngineChoice::Shared => packed_roots[pos],
-                _ => NONE,
-            };
-            let root_array = (root != NONE).then(|| packed_root_array(&arena, root));
-            match *source {
-                Source::Carried(prev) => CompiledVrf {
-                    root,
-                    root_array,
-                    dedicated: prev.dedicated.clone(),
-                    ..*prev
-                },
-                Source::Folded {
-                    trie, solo_nodes, ..
-                } => {
-                    let build = BuildDedicated {
-                        choice,
-                        trie,
-                        config,
-                    };
-                    let dedicated = choice.engine_kind().map(|kind| {
-                        (kind.visit(build).and_then(|built| built))
-                            .expect("a placement names an engine with an image encoding")
-                    });
-                    CompiledVrf {
-                        id,
-                        root,
-                        routes: trie.len() as u64,
-                        reachable_nodes: bfs_order(&arena, &[root]).len() as u64,
-                        solo_nodes,
-                        dedicated,
-                        root_array,
-                    }
-                }
-            }
-        })
-        .collect();
-    (CompiledVrfSet::assemble(arena, compiled), folded)
+    let dirty = dags.keys().copied().collect();
+    let mut arena = VrfArena::new();
+    arena.sync(&mut dags, &dirty, config, policy);
+    arena.publish().0
 }
 
 // ---------------------------------------------------------------------
@@ -998,6 +1336,10 @@ pub fn vrf_section_base(index: usize) -> u32 {
 /// directory, shared `VRF_PDAG` arena, and the dedicated engines'
 /// sections in per-table id blocks.
 ///
+/// The arena is written compacted — the records the shared roots reach,
+/// in BFS order — so a kept arena's set, free slots and all, writes the
+/// bytes [`compile_vrf_set`] over the same tables would.
+///
 /// # Errors
 /// [`ImageError::Unsupported`] if a dedicated engine configuration has
 /// no image encoding.
@@ -1005,9 +1347,15 @@ pub fn write_vrf_image<A: Address>(
     set: &CompiledVrfSet<A>,
     epoch: u64,
 ) -> Result<Vec<u8>, ImageError> {
+    let roots: Vec<u32> = set.tables.iter().map(|t| t.root).collect();
+    let (arena, roots) = pack_bfs(&set.arena, &roots);
     let route_count: u64 = set.tables.iter().map(|t| t.routes).sum();
     let mut writer = ImageWriter::new::<A>(EngineKind::VrfSet, route_count, epoch);
-    writer.set_claimed_size_bytes(set.stats.resident_bytes());
+    let compacted = VrfSetStats {
+        free_slots: 0,
+        ..set.stats
+    };
+    writer.set_claimed_size_bytes(compacted.resident_bytes());
     writer.section(
         sections::PARAMS,
         &[
@@ -1018,16 +1366,16 @@ pub fn write_vrf_image<A: Address>(
     );
     writer.section_with(sections::VRF_DIR, |out| {
         out.push(set.tables.len() as u64);
-        for t in &set.tables {
+        for (t, &root) in set.tables.iter().zip(&roots) {
             out.push(u64::from(t.id) | (u64::from(t.choice() as u8) << 32));
-            out.push(u64::from(t.root));
+            out.push(u64::from(root));
             out.push(t.routes);
             out.push(t.reachable_nodes);
             out.push(t.solo_nodes);
             out.push(0);
         }
     });
-    writer.section(sections::VRF_PDAG, &set.arena);
+    writer.section(sections::VRF_PDAG, &arena);
     for (index, t) in set.tables.iter().enumerate() {
         if let Some(dedicated) = &t.dedicated {
             dedicated.write_at(&mut writer, vrf_section_base(index))?;
@@ -1094,102 +1442,6 @@ mod tests {
             assert_eq!(set.lookup(2, addr), t2.lookup(addr), "vrf 2 addr {addr:#x}");
         }
         assert_eq!(set.lookup(7, 0), None, "unknown VRF answers None");
-    }
-
-    #[test]
-    fn recompile_carries_clean_tables_and_equals_a_full_compile() {
-        let t1 = base_table();
-        let mut t2 = base_table();
-        t2.insert(p("10.2.0.0/16"), nh(4));
-        let mut t3 = base_table();
-        t3.remove(p("192.168.7.0/24"));
-        let config = BuildConfig::default();
-        let policy = serialized_vrf_1();
-        let tables = |t2| {
-            [
-                VrfTable { id: 1, trie: &t1 },
-                VrfTable { id: 2, trie: t2 },
-                VrfTable { id: 3, trie: &t3 },
-            ]
-        };
-        let previous = compile_vrf_set(&tables(&t2), &config, &policy);
-
-        // VRF 2 changes; 1 (dedicated) and 3 (shared) are carried.
-        let mut t2_next = t2.clone();
-        t2_next.insert(p("172.16.0.0/12"), nh(5));
-        t2_next.remove(p("10.1.0.0/16"));
-        let fleet = BTreeMap::from([(1, &t1), (2, &t2_next), (3, &t3)]);
-        let (next, folded) = recompile_vrf_set(&previous, &fleet, &[2].into(), &config, &policy);
-        assert_eq!(folded, 1, "VRF 2 alone is folded");
-        let full = compile_vrf_set(&tables(&t2_next), &config, &policy);
-        assert_eq!(next.arena, full.arena);
-        assert_eq!(next.stats, full.stats);
-        let record = |t: &CompiledVrf<u32>| {
-            let counts = (t.routes, t.reachable_nodes, t.solo_nodes);
-            (t.id, t.choice(), t.root, counts)
-        };
-        for (got, want) in next.tables.iter().zip(&full.tables) {
-            assert_eq!(record(got), record(want));
-        }
-        // Carried means shared, not rebuilt.
-        let engine = |set: &CompiledVrfSet<u32>| {
-            let dedicated = set.tables[0].dedicated.clone();
-            match dedicated.expect("table 1 is pinned to serialized").engine {
-                DedicatedEngine::Built(engine) => engine,
-                DedicatedEngine::Loaded(_) => unreachable!("compiled, not loaded"),
-            }
-        };
-        assert!(Arc::ptr_eq(&engine(&previous), &engine(&next)));
-        for i in 0..2048u32 {
-            let addr = i.wrapping_mul(0x9E37_79B9);
-            assert_eq!(next.lookup(1, addr), t1.lookup(addr));
-            assert_eq!(next.lookup(2, addr), t2_next.lookup(addr));
-            assert_eq!(next.lookup(3, addr), t3.lookup(addr));
-        }
-
-        // A table the fleet no longer lists is dropped, nodes and all.
-        let fleet = BTreeMap::from([(1, &t1), (3, &t3)]);
-        let (shrunk, _) = recompile_vrf_set(&next, &fleet, &BTreeSet::new(), &config, &policy);
-        let full = compile_vrf_set(
-            &[VrfTable { id: 1, trie: &t1 }, VrfTable { id: 3, trie: &t3 }],
-            &config,
-            &policy,
-        );
-        assert_eq!(shrunk.arena, full.arena);
-        assert_eq!(shrunk.stats, full.stats);
-    }
-
-    /// VRF 1 on `Serialized`, every other VRF on the shared arena.
-    fn serialized_vrf_1() -> VrfPolicy {
-        VrfPolicy::Pinned {
-            choices: BTreeMap::from([(1, VrfEngineChoice::Serialized)]),
-        }
-    }
-
-    #[test]
-    fn a_table_the_policy_moves_is_refolded() {
-        let t = base_table();
-        let config = BuildConfig::default();
-        let tables = [VrfTable { id: 1, trie: &t }];
-        let previous = compile_vrf_set(&tables, &config, &serialized_vrf_1());
-        let fleet = BTreeMap::from([(1, &t)]);
-        let (moved, folded) = recompile_vrf_set(
-            &previous,
-            &fleet,
-            &BTreeSet::new(),
-            &config,
-            &VrfPolicy::Shared,
-        );
-        assert_eq!(folded, 1, "unchanged, but moved: folded again");
-        assert_eq!(moved.tables[0].choice(), VrfEngineChoice::Shared);
-        let full = compile_vrf_set(&tables, &config, &VrfPolicy::Shared);
-        assert_eq!(moved.arena, full.arena);
-        assert_eq!(moved.stats, full.stats);
-        assert_eq!(moved.tables[0].root, full.tables[0].root);
-        for i in 0..2048u32 {
-            let addr = i.wrapping_mul(0x9E37_79B9);
-            assert_eq!(moved.lookup(1, addr), t.lookup(addr));
-        }
     }
 
     #[test]

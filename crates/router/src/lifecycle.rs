@@ -53,10 +53,11 @@
 //! old journal beside the newer image, and an older record for a prefix
 //! the unjournaled update changed would revert it: a FIB that never
 //! existed. A *newer* journal (the restart fell back past a corrupt
-//! image) cannot bridge the records in between either. One case the rule
-//! cannot see: a recovery re-spill with no publish since the last image
-//! replaces that image under the same epoch, so the old journal still
-//! matches it — open until such a re-spill lands under a fresh epoch.
+//! image) cannot bridge the records in between either. For the rule to
+//! hold, no two images may carry one epoch: a recovery re-spill with no
+//! publish since the last image cuts a fresh epoch first
+//! (`Spool::respills_over`), so the journal stamped with the image it
+//! replaces never matches it.
 //!
 //! # Journal format (`FIBJRNL2`)
 //!
@@ -656,6 +657,13 @@ impl Spool {
     pub(crate) fn wants_fold(&self) -> bool {
         self.health.is_healthy()
             && self.journal_bytes > self.cfg.journal_fold_bytes + JOURNAL_HEADER as u64
+    }
+
+    /// Whether a recovery re-spill at `epoch` would replace the newest
+    /// image under its own epoch, where the journal stamped with that
+    /// epoch would still apply to it: the caller cuts a fresh epoch first.
+    pub(crate) fn respills_over(&self, epoch: u64) -> bool {
+        !self.health.is_suspended() && self.last_spilled == Some(epoch)
     }
 
     /// Lands the `image` of `epoch` ([`Self::land`]) if one is due: a

@@ -599,7 +599,7 @@ where
     /// current epoch. Returns the resulting health (`None`: no spool).
     pub fn resume_spool(&mut self) -> Option<SpoolHealth> {
         self.spool.as_mut()?.resume();
-        self.spill_current(true);
+        self.respill();
         self.spool_health()
     }
 
@@ -610,7 +610,7 @@ where
     pub fn scrub_spool(&mut self) -> usize {
         let (moved, lost_current) = self.spool.as_mut().map_or((0, false), Spool::scrub);
         if lost_current {
-            self.spill_current(true);
+            self.respill();
         }
         moved
     }
@@ -625,7 +625,7 @@ where
         let (tag, nh) = next_hop.map_or((b'W', 0), |nh| (b'A', nh.index()));
         let rec = encode_record(tag, prefix.len(), nh, prefix.addr().to_u128());
         if spool.append(&rec) {
-            self.spill_current(true);
+            self.respill();
         }
     }
 
@@ -634,6 +634,26 @@ where
         if let Some(spool) = self.spool.as_mut() {
             spool.commit();
         }
+    }
+
+    /// A recovery re-spill, landed under an epoch no image carries yet:
+    /// when the newest image is the current epoch's — no publish since it
+    /// landed — an epoch is cut first, so the journal stamped with that
+    /// image's epoch can never be replayed over the image that replaces
+    /// it. When no epoch can be cut (the engine does not build), nothing
+    /// is spilled and the next retry tries again.
+    fn respill(&mut self) {
+        let epoch = self.publisher.epoch();
+        if self
+            .spool
+            .as_ref()
+            .is_some_and(|spool| spool.respills_over(epoch))
+            && self.cut_epoch(None).is_none()
+        {
+            self.publisher.serve_stale();
+            return;
+        }
+        self.spill_current(true);
     }
 
     /// Spills the current control state + working engine as the current
@@ -890,13 +910,30 @@ where
             self.commit_spool();
             return self.snapshot();
         }
-        if (self.stale || self.working.is_none()) && !self.materialize() {
+        let Some(snapshot) = self.cut_epoch(hot) else {
             // Keep serving the last good epoch and retry at the next
             // publish (auto-publish cadence bounds the retry rate).
-            self.stale = true;
-            self.since_publish = 0;
             self.commit_spool();
             return self.publisher.serve_stale();
+        };
+        // Durability: fold an outgrown journal into a full image of this
+        // epoch (which also syncs and resets it), else just commit it.
+        if self.spool.as_ref().is_some_and(Spool::wants_fold) {
+            self.spill_current(false);
+        } else {
+            self.commit_spool();
+        }
+        snapshot
+    }
+
+    /// Cuts the next epoch from the working engine, built first if it is
+    /// stale or absent; `None`, with the engine marked stale, when the
+    /// build fails.
+    fn cut_epoch(&mut self, hot: Option<HotSlab>) -> Option<Arc<EpochSnapshot<E>>> {
+        if (self.stale || self.working.is_none()) && !self.materialize() {
+            self.stale = true;
+            self.since_publish = 0;
+            return None;
         }
         self.since_publish = 0;
         self.stats.epochs += 1;
@@ -913,14 +950,7 @@ where
             }
             EpochSnapshot::cut(epoch, self.control.len(), engine, hot)
         });
-        // Durability: fold an outgrown journal into a full image of this
-        // epoch (which also syncs and resets it), else just commit it.
-        if self.spool.as_ref().is_some_and(Spool::wants_fold) {
-            self.spill_current(false);
-        } else {
-            self.commit_spool();
-        }
-        snapshot
+        Some(snapshot)
     }
 }
 #[cfg(test)]

@@ -1,30 +1,39 @@
-//! Multi-tenant VRF runtime: per-VRF control oracles, one compiled
-//! shared-arena set, wait-free publication, and VRF-keyed batched
-//! lookups.
+//! Multi-tenant VRF runtime: one updatable pDAG per VRF, one shared
+//! arena kept across publishes, wait-free publication, and VRF-keyed
+//! batched lookups.
 //!
 //! The single-table [`crate::Router`] pairs one oracle with one engine.
 //! A provider-edge box runs hundreds of logical tables whose FIBs are
-//! mostly identical, so [`VrfSetRouter`] pairs a *map* of oracles with
-//! one [`CompiledVrfSet`], swapped in atomically through the publish
-//! core (epoch, [`SnapCell`], retirement ring, contained
-//! builds) the single-table router uses. Readers
-//! ([`VrfDataPlane`]) therefore see all tables move in lock-step: one
-//! atomic load observes a consistent fleet, never VRF 7 from epoch 4
-//! next to VRF 9 from epoch 5.
+//! mostly identical, so [`VrfSetRouter`] keeps a *map* of updatable
+//! [`PrefixDag`]s — each one's control trie is its VRF's oracle, held
+//! once — over one shared [`VrfArena`], whose [`CompiledVrfSet`] is
+//! swapped in atomically through the publish core (epoch, [`SnapCell`],
+//! retirement ring, contained builds) the single-table router uses.
+//! Readers ([`VrfDataPlane`]) therefore see all tables move in
+//! lock-step: one atomic load observes a consistent fleet, never VRF 7
+//! from epoch 4 next to VRF 9 from epoch 5.
 //!
-//! A publish costs what changed, not what exists. It recompiles *from
-//! the published set* ([`recompile_vrf_set`]): only the tables touched
-//! since the last publish — or moved to another engine by the policy —
-//! are folded and interned, against the published arena; every other
-//! table's root or dedicated engine is carried over. The invariant the
-//! tests pin is **bit-identity**: after every publish the installed set
-//! equals a from-scratch [`fib_core::compile_vrf_set`] over the current
-//! oracles, arena words, roots, root arrays, per-table counts and
-//! statistics alike.
-//! [`VrfPolicy::Auto`] is the exception to the saving, not to the
-//! invariant: its placement weighs each table against the rest of the
-//! fleet, so it re-folds every table on every publish.
-//! [`VrfSetRouter::stats`] counts both kinds.
+//! A publish costs what changed, not what exists — the fold included.
+//! An announce or withdraw updates its VRF's pDAG in place, as
+//! [`crate::Router`] updates its engine; the publish re-interns only the
+//! nodes the dirty tables' pDAGs wrote since the last one, plus the top
+//! nodes above them, into the kept arena, and derives root arrays and
+//! reachable counts for those tables alone. The arena only ever appends,
+//! so the published set is a view of the buffer the set before it read,
+//! extended by the records appended since ([`VrfArena::publish`]); a
+//! reader that moves on to it keeps every line of the arena it had
+//! cached. Every other table's root, root array or dedicated engine is
+//! carried over. The invariant the tests pin: after every
+//! publish the installed set answers, counts its tables and charges its
+//! statistics (all but free slots) as a from-scratch
+//! [`fib_core::compile_vrf_set`] over the current oracles, and its image
+//! — written compacted — is that compile's byte for byte; a publish that
+//! compacts the arena (free slots past a quarter of it) installs the
+//! compile's set itself. [`VrfPolicy::Auto`] is the exception to the
+//! saving, not to the invariant: its placement weighs each table against
+//! the rest of the fleet, so every publish interns every table into an
+//! empty arena and compacts it. [`VrfSetRouter::stats`] counts both
+//! kinds, and the records each publish writes.
 //!
 //! Epochs are tracked at two grains: the *set* epoch counts publishes,
 //! and each VRF carries the set epoch at which its table last changed —
@@ -43,7 +52,8 @@ use std::sync::Arc;
 
 pub use fib_core::VrfBatchScratch;
 use fib_core::{
-    recompile_vrf_set, BuildConfig, CompiledVrf, CompiledVrfSet, FibImage, ImageError, VrfPolicy,
+    BuildConfig, CompiledVrf, CompiledVrfSet, FibBuild, FibImage, ImageError, PrefixDag, VrfArena,
+    VrfPolicy,
 };
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
@@ -129,12 +139,16 @@ impl<A: Address> VrfSnapshot<A> {
     }
 }
 
-/// The multi-tenant control plane: per-VRF oracles, recompiled into one
-/// shared-arena set at publish time, on the control thread.
+/// The multi-tenant control plane: one updatable pDAG per VRF, kept in
+/// one shared arena ([`VrfArena`]) and published from it, on the control
+/// thread.
 pub struct VrfSetRouter<A: Address + Send + Sync + 'static> {
-    oracles: BTreeMap<u32, BinaryTrie<A>>,
-    /// VRFs whose oracle changed since the last publish.
+    /// Each VRF's table, updated in place; its control trie is the VRF's
+    /// oracle.
+    tables: BTreeMap<u32, PrefixDag<A>>,
+    /// VRFs whose table changed since the last publish.
     dirty: BTreeSet<u32>,
+    arena: VrfArena<A>,
     config: BuildConfig,
     policy: VrfPolicy,
     stats: VrfRouterStats,
@@ -147,10 +161,20 @@ pub struct VrfSetRouter<A: Address + Send + Sync + 'static> {
 pub struct VrfRouterStats {
     /// Installed publishes (each one is a set epoch).
     pub publishes: u64,
-    /// Tables folded and interned, summed over those publishes.
+    /// Tables re-interned into the arena or rebuilt on a dedicated
+    /// engine, summed over those publishes.
     pub tables_refolded: u64,
     /// Tables carried over from the previously published set untouched.
     pub tables_carried: u64,
+    /// Arena records the published sets hold that the set before each
+    /// did not: those appended since, or all of a new buffer.
+    pub records_written: u64,
+    /// Publishes whose set reads the arena buffer the set before it read,
+    /// appended to, instead of a new one.
+    pub recycled: u64,
+    /// Publishes whose arena was compacted (BFS-repacked), the first
+    /// publish's included.
+    pub compactions: u64,
 }
 
 impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
@@ -161,8 +185,9 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     pub fn new(config: BuildConfig, policy: VrfPolicy) -> Self {
         let empty = VrfSnapshot::whole(CompiledVrfSet::default(), 0);
         Self {
-            oracles: BTreeMap::new(),
+            tables: BTreeMap::new(),
             dirty: BTreeSet::new(),
+            arena: VrfArena::new(),
             config,
             policy,
             stats: VrfRouterStats::default(),
@@ -173,87 +198,98 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// Number of logical tables.
     #[must_use]
     pub fn tables(&self) -> usize {
-        self.oracles.len()
+        self.tables.len()
     }
 
-    /// The control oracle of `vrf`, if present.
+    /// The control oracle of `vrf`, if present: its pDAG's control trie.
     #[must_use]
     pub fn oracle(&self, vrf: u32) -> Option<&BinaryTrie<A>> {
-        self.oracles.get(&vrf)
+        self.tables.get(&vrf).map(PrefixDag::control)
     }
 
-    /// Installs (or replaces) a whole table.
+    /// Installs (or replaces) a whole table, folded around `table` itself
+    /// as its control trie.
     pub fn insert_vrf(&mut self, vrf: u32, table: BinaryTrie<A>) {
-        self.oracles.insert(vrf, table);
+        let lambda = self.config.lambda_for(&table);
+        self.tables
+            .insert(vrf, PrefixDag::from_control(table, lambda));
         self.dirty.insert(vrf);
     }
 
     /// Removes a table. Returns whether it existed.
     pub fn remove_vrf(&mut self, vrf: u32) -> bool {
-        let existed = self.oracles.remove(&vrf).is_some();
+        let existed = self.tables.remove(&vrf).is_some();
         if existed {
-            // A removal is a fleet change: the next publish must
-            // recompile even though the id no longer has an oracle.
+            // A removal is a fleet change: the next publish must run even
+            // though the id no longer has a table.
             self.dirty.insert(vrf);
         }
         existed
     }
 
-    /// Announces a route in `vrf` (creating the table if new). Returns
-    /// the previous next-hop for that exact prefix.
+    /// Announces a route in `vrf` (creating the table if new), folding it
+    /// into the VRF's pDAG in place. Returns the previous next-hop for
+    /// that exact prefix.
     pub fn announce(&mut self, vrf: u32, prefix: Prefix<A>, next_hop: NextHop) -> Option<NextHop> {
-        let prev = self
-            .oracles
-            .entry(vrf)
-            .or_default()
+        let config = &self.config;
+        let prev = (self.tables.entry(vrf))
+            .or_insert_with(|| PrefixDag::build(&BinaryTrie::new(), config))
             .insert(prefix, next_hop);
         self.dirty.insert(vrf);
         prev
     }
 
-    /// Withdraws a route from `vrf`. Returns the removed next-hop.
+    /// Withdraws a route from `vrf`, in place. Returns the removed
+    /// next-hop.
     pub fn withdraw(&mut self, vrf: u32, prefix: Prefix<A>) -> Option<NextHop> {
-        let removed = self.oracles.get_mut(&vrf).and_then(|t| t.remove(prefix));
+        let removed = self.tables.get_mut(&vrf).and_then(|t| t.remove(prefix));
         if removed.is_some() {
             self.dirty.insert(vrf);
         }
         removed
     }
 
-    /// Recompiles what changed and publishes a new epoch, on this thread,
-    /// borrowing the oracles in place. A publish with no control changes
-    /// since the last one reuses the published snapshot (no recompile, no
+    /// Brings the shared arena up to date with what changed and publishes
+    /// a new epoch, on this thread. A publish with no control changes
+    /// since the last one reuses the published snapshot (no sync, no
     /// epoch bump).
     ///
     /// The policy places tables by VRF id, so tables coming and going
-    /// leave every other table's placement alone. [`recompile_vrf_set`]
-    /// re-folds a table when its oracle changed, when the policy moves it
-    /// to another engine, and always under `Auto`, whose placement is a
-    /// fleet-wide decision; every other table carries over from the
-    /// published set.
+    /// leave every other table's placement alone. [`VrfArena::sync`]
+    /// re-interns a shared table's changed nodes when it changed or was
+    /// moved, rebuilds a dedicated one, and starts from an empty arena
+    /// under `Auto`, whose placement is a fleet-wide decision; every
+    /// other table carries over. The set handed to readers reads the
+    /// arena buffer the set before it read, extended
+    /// ([`VrfRouterStats::recycled`]), unless the sync compacted it into a
+    /// new one.
     ///
-    /// A compile that panics is contained: the router keeps serving the
-    /// last good set at its epoch, records the panic in [`Self::health`]
-    /// with [`RouterHealth::serving_stale`] set, and keeps every pending
-    /// change for the next publish to retry.
+    /// A sync that panics is contained: the router keeps serving the last
+    /// good set at its epoch, records the panic in [`Self::health`] with
+    /// [`RouterHealth::serving_stale`] set, and keeps every pending
+    /// change for the next publish, which rebuilds the arena from empty.
     /// The router keeps the last three sets, as [`crate::Router`] does,
-    /// so a retired set's arena is freed on this thread.
+    /// so a retired set — and an arena buffer no set reads any more — is
+    /// freed on this thread.
     pub fn publish(&mut self) -> Arc<VrfSnapshot<A>> {
         let basis = self.publisher.cell().load();
         if self.dirty.is_empty() && self.publisher.epoch() > 0 {
             return basis;
         }
-        let tables = self.oracles.iter().map(|(&id, trie)| (id, trie)).collect();
+        let (arena, tables) = (&mut self.arena, &mut self.tables);
         let (config, policy, dirty) = (&self.config, &self.policy, &self.dirty);
-        let Some((set, refolded)) = (self.publisher)
-            .build(|| recompile_vrf_set(&basis.set, &tables, dirty, config, policy))
+        let Some(sync) = (self.publisher).build(|| arena.sync(tables, dirty, config, policy))
         else {
             return self.publisher.serve_stale();
         };
         self.stats.publishes += 1;
-        self.stats.tables_refolded += refolded as u64;
-        self.stats.tables_carried += (set.tables.len() - refolded) as u64;
+        self.stats.tables_refolded += sync.refolded as u64;
+        self.stats.tables_carried += (self.tables.len() - sync.refolded) as u64;
+        self.stats.compactions += u64::from(sync.compacted);
         let dirty = std::mem::take(&mut self.dirty);
+        let (set, published) = self.arena.publish();
+        self.stats.records_written += published.records_written as u64;
+        self.stats.recycled += u64::from(published.shared);
         // A retired set is of no further use to a fleet: it drops here.
         self.publisher.publish(|epoch, _retired| {
             let carried = |id| basis.vrf_epoch(id).filter(|_| !dirty.contains(&id));
@@ -506,26 +542,26 @@ mod tests {
             router.insert_vrf(vrf, table(vrf));
         }
         router.publish();
-        let first = VrfRouterStats {
-            publishes: 1,
-            tables_refolded: 16,
-            tables_carried: 0,
+        let counts = |stats: VrfRouterStats| {
+            let VrfRouterStats {
+                publishes,
+                tables_refolded,
+                tables_carried,
+                ..
+            } = stats;
+            (publishes, tables_refolded, tables_carried)
         };
-        assert_eq!(router.stats(), first);
+        assert_eq!(counts(router.stats()), (1, 16, 0));
 
         // A burst into one of sixteen re-folds that one.
         for i in 0..100u32 {
             router.announce(5, Prefix4::new(0xC000_0000 | i << 8, 24), nh(3));
         }
         router.publish();
-        let second = VrfRouterStats {
-            publishes: 2,
-            tables_refolded: 17,
-            tables_carried: 15,
-        };
-        assert_eq!(router.stats(), second);
+        assert_eq!(counts(router.stats()), (2, 17, 15));
 
         // A publish with nothing to do re-folds nothing.
+        let second = router.stats();
         router.publish();
         assert_eq!(router.stats(), second);
 
@@ -542,14 +578,7 @@ mod tests {
         auto.publish();
         auto.announce(5, p("192.0.2.0/24"), nh(3));
         auto.publish();
-        assert_eq!(
-            auto.stats(),
-            VrfRouterStats {
-                publishes: 2,
-                tables_refolded: 32,
-                tables_carried: 0,
-            }
-        );
+        assert_eq!(counts(auto.stats()), (2, 32, 0));
     }
 
     #[test]

@@ -47,9 +47,10 @@
 //!   directory gives O(1) expected time on FIB-shaped inputs and O(log n)
 //!   only for pathologically clustered ones.
 
-// `deny` rather than `forbid`: one module, `storage`, carries a
-// narrowly-scoped `#[allow]` for the advisory `madvise(MADV_HUGEPAGE)`
-// syscall; everything else stays unsafe-free.
+// `deny` rather than `forbid`: one module, `storage`, carries
+// narrowly-scoped `#[allow]`s — for the advisory `madvise(MADV_HUGEPAGE)`
+// syscall and for the append-only `WordLog` its readers share while it
+// grows; everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -66,7 +67,7 @@ pub use bits::BitVec;
 pub use intvec::{IntVec, IntVecRef};
 pub use rrr::{RrrVec, RrrVecRef};
 pub use rsvec::{RsBitVec, RsBitVecRef};
-pub use storage::{Arena, StorageError};
+pub use storage::{Arena, SharedWords, StorageError, WordLog};
 pub use wavelet::{WaveletBacking, WaveletShape, WaveletTree, WaveletTreeRef};
 
 /// Number of bits needed to distinguish `count` values: `⌈log2(count)⌉`.

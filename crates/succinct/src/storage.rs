@@ -26,8 +26,16 @@
 //! `Vec<u64>` by one alignment block and starts the logical words at the
 //! first 64-byte boundary inside the allocation (computed with
 //! `pointer::align_offset`).
+//!
+//! A [`WordLog`] is the one growable store here: an append-only run of
+//! words whose readers ([`SharedWords`]) each see a frozen prefix while
+//! the one writer appends past it, in the same allocation. It needs
+//! `unsafe` to hand out `&[u64]` views of memory the writer still owns,
+//! and keeps every condition that makes them sound inside this module.
 
 use std::fmt;
+use std::ptr::NonNull;
+use std::sync::Arc;
 
 /// Words per 64-byte alignment block.
 pub const BLOCK_WORDS: usize = 8;
@@ -203,6 +211,165 @@ impl PartialEq for Arena {
 
 impl Eq for Arena {}
 
+/// The allocation behind a [`WordLog`] and the [`SharedWords`] taken
+/// from it: room for `cap` words, of which the log has written a prefix.
+struct LogBuf {
+    ptr: NonNull<u64>,
+    cap: usize,
+}
+
+// SAFETY: `ptr` owns `cap` words of a heap allocation no other value
+// frees (`cap` itself is never changed). The words are written only
+// through the one `WordLog` that owns the buffer, each once, at indices
+// past every prefix a `SharedWords` or a `WordLog::words` borrow covers;
+// every other access reads a prefix that is never written again. Sharing
+// a `LogBuf` between threads thus never lets two of them touch one word
+// unless both only read it, and dropping it on any thread frees memory
+// no view can reach any more (each view holds the `Arc`).
+#[allow(unsafe_code)]
+unsafe impl Send for LogBuf {}
+#[allow(unsafe_code)]
+unsafe impl Sync for LogBuf {}
+
+impl Drop for LogBuf {
+    #[allow(unsafe_code)]
+    fn drop(&mut self) {
+        // SAFETY: `ptr` and `cap` are the allocation of a `Vec<u64>` that
+        // `WordLog::with_capacity` took apart and nothing else frees;
+        // `u64` needs no drop, so a length of 0 gives the allocation back.
+        unsafe { drop(Vec::from_raw_parts(self.ptr.as_ptr(), 0, self.cap)) }
+    }
+}
+
+/// An append-only run of `u64` words with one writer and any number of
+/// frozen readers: [`Self::shared`] hands out a [`SharedWords`] over the
+/// words written so far, and later appends land past it, in the same
+/// allocation. A reader's view therefore keeps its memory — and whatever
+/// of it its core has cached — while the writer grows the run, so
+/// successive views share every word they have in common. A word is
+/// never written twice; a log that is full stays full (start a new one).
+pub struct WordLog {
+    buf: Arc<LogBuf>,
+    len: usize,
+}
+
+impl WordLog {
+    /// An empty log with room for at least `cap` words. Pages the log
+    /// never writes are never touched.
+    #[must_use]
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut words = std::mem::ManuallyDrop::new(Vec::<u64>::with_capacity(cap));
+        let ptr = NonNull::new(words.as_mut_ptr()).expect("a Vec's pointer is never null");
+        let cap = words.capacity();
+        Self {
+            buf: Arc::new(LogBuf { ptr, cap }),
+            len: 0,
+        }
+    }
+
+    /// Words written.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no word was written.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Words the log can hold.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.buf.cap
+    }
+
+    /// The words written so far.
+    #[must_use]
+    #[allow(unsafe_code)]
+    pub fn words(&self) -> &[u64] {
+        // SAFETY: the first `len` words are initialized, and no write
+        // reaches them again (`try_extend` writes past `len` and needs
+        // `&mut self`, which this borrow excludes).
+        unsafe { std::slice::from_raw_parts(self.buf.ptr.as_ptr(), self.len) }
+    }
+
+    /// Appends `words` if the log has room for all of them; returns
+    /// whether it did (a full log is left as it was).
+    #[allow(unsafe_code)]
+    pub fn try_extend(&mut self, words: &[u64]) -> bool {
+        if words.len() > self.buf.cap - self.len {
+            return false;
+        }
+        // SAFETY: `len..len + words.len()` lies inside the allocation and
+        // past every prefix handed out: a `SharedWords` covers the length
+        // it was taken at (≤ `len`), and `&mut self` rules out a live
+        // `words()` borrow. `words` cannot overlap the unwritten tail.
+        unsafe {
+            let tail = self.buf.ptr.as_ptr().add(self.len);
+            std::ptr::copy_nonoverlapping(words.as_ptr(), tail, words.len());
+        }
+        self.len += words.len();
+        true
+    }
+
+    /// A reader's view of the words written so far; appends after this
+    /// call are not part of it.
+    #[must_use]
+    pub fn shared(&self) -> SharedWords {
+        SharedWords {
+            buf: Some(Arc::clone(&self.buf)),
+            len: self.len,
+        }
+    }
+}
+
+/// A frozen prefix of a [`WordLog`], dereferencing to its words; clones
+/// share the allocation. Views taken from one log share every word they
+/// have in common.
+#[derive(Clone, Default)]
+pub struct SharedWords {
+    buf: Option<Arc<LogBuf>>,
+    len: usize,
+}
+
+impl std::ops::Deref for SharedWords {
+    type Target = [u64];
+
+    #[allow(unsafe_code)]
+    fn deref(&self) -> &[u64] {
+        match &self.buf {
+            // SAFETY: the log wrote the first `len` words before this view
+            // was taken and writes only past them (see `LogBuf`).
+            Some(buf) => unsafe { std::slice::from_raw_parts(buf.ptr.as_ptr(), self.len) },
+            None => &[],
+        }
+    }
+}
+
+impl From<&[u64]> for SharedWords {
+    fn from(words: &[u64]) -> Self {
+        let mut log = WordLog::with_capacity(words.len());
+        log.try_extend(words);
+        log.shared()
+    }
+}
+
+impl PartialEq for SharedWords {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedWords {}
+
+impl fmt::Debug for SharedWords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Pads `words` with zeros up to the next 64-byte (8-word) boundary.
 pub fn pad_to_block(words: &mut Vec<u64>) {
     while words.len() % BLOCK_WORDS != 0 {
@@ -266,6 +433,30 @@ pub fn meta_usize(v: u64) -> Result<usize, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_word_log_appends_past_the_views_it_handed_out() {
+        let mut log = WordLog::with_capacity(6);
+        assert!(log.try_extend(&[1, 2]));
+        let first = log.shared();
+        assert!(log.try_extend(&[3, 4, 5]));
+        let second = log.shared();
+        // Another thread reads the first view while the log appends.
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| first.iter().sum::<u64>());
+            assert!(log.try_extend(&[6]));
+            assert_eq!(reader.join().expect("the reader"), 3);
+        });
+        assert_eq!((&*first, &*second), (&[1, 2][..], &[1, 2, 3, 4, 5][..]));
+        assert_eq!(first.as_ptr(), second.as_ptr(), "one allocation");
+        assert_eq!(log.words(), &[1, 2, 3, 4, 5, 6][..log.len()]);
+        assert!(!log.try_extend(&[7; 64]), "a full log refuses");
+        assert_eq!(log.len(), log.words().len());
+        let copy = SharedWords::from(&[1u64, 2][..]);
+        assert!(copy == first && copy.as_ptr() != first.as_ptr());
+        drop(log);
+        assert_eq!(&*second, &[1, 2, 3, 4, 5][..], "a view outlives its log");
+    }
 
     #[test]
     fn arena_is_64_byte_aligned() {

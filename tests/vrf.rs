@@ -12,20 +12,26 @@
 //!   Zipf key streams, both scalar and through the VRF-bucketed batch
 //!   path, and across a publish while another thread still holds the
 //!   snapshot it replaces.
-//! * **Bit-identity under churn** — a publish recompiles only the tables
-//!   that changed, against the published arena; after every publish the
-//!   installed set must equal a from-scratch `compile_vrf_set` over the
-//!   current oracles field for field, root arrays included, however the
-//!   updates between two publishes fall across the fleet — and the set's
-//!   image, reloaded, must answer as the set does.
+//! * **A full compile's answers under churn, its bytes at compaction** —
+//!   a publish re-interns only what changed in the tables that changed,
+//!   into the arena it keeps; after every publish the installed set must
+//!   answer, count its tables and charge its statistics (all but free
+//!   slots) as a from-scratch `compile_vrf_set` over the current oracles,
+//!   however the updates between two publishes fall across the fleet;
+//!   its image, compacted as it is written, must be the full compile's
+//!   byte for byte; and a publish that compacts installs the full
+//!   compile's set itself.
+//! * **Publishes that cost what changed** — the exact counters of
+//!   [`fibcomp::router::VrfRouterStats`]: records written into the
+//!   readers' sets, recycled sets, compactions.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 use fibcomp::core::lint::lint_bytes;
 use fibcomp::core::{
-    compile_vrf_set, recompile_vrf_set, vrf_section_base, write_vrf_image, BuildConfig,
-    CompiledVrfSet, FibBuild, FibImage, PrefixDag, VrfEngineChoice, VrfPolicy, VrfTable,
+    compile_vrf_set, vrf_section_base, write_vrf_image, BuildConfig, CompiledVrfSet, FibBuild,
+    FibImage, PrefixDag, VrfEngineChoice, VrfPolicy, VrfTable,
 };
 use fibcomp::router::{VrfBatchScratch, VrfSetRouter};
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix};
@@ -472,12 +478,13 @@ fn the_ci_fleets_load_back_into_the_sets_compiled() {
     }
 }
 
-/// A loaded set is a recompile basis — a fleet restarts by loading its
-/// image, then recompiling: a pinned fleet recompiled from the set its
-/// image loads, carrying shared and dedicated tables, equals a
-/// from-scratch compile over the same tables in records, statistics and
-/// image bytes, and answers as the oracles do.
-fn a_loaded_set_recompiles_as_the_compiled_one<A: Address + Send + Sync + 'static>(tag: &str) {
+/// A pinned fleet with every placement, installed in a router as a
+/// restart from per-table routes would: two tables change, a shared and a
+/// dedicated one, and the publish rebuilds those two alone — the
+/// serialized and xbw tables and the other shared one are carried — and
+/// writes the image a from-scratch compile over the same tables writes,
+/// answering as the oracles do.
+fn a_pinned_fleet_republishes_as_the_compiled_one<A: Address + Send + Sync + 'static>(tag: &str) {
     use VrfEngineChoice::{Serialized, Shared, VsDag, Xbw};
     let mut rng = Xoshiro256::for_case("vrf_loaded_basis", 0);
     let base: BinaryTrie<A> = FibSpec::dfz_like(400).generate(&mut rng);
@@ -498,58 +505,140 @@ fn a_loaded_set_recompiles_as_the_compiled_one<A: Address + Send + Sync + 'stati
         ]),
     };
     let config = BuildConfig::default();
-    let compile = |oracles: &BTreeMap<u32, BinaryTrie<A>>| {
-        let tables: Vec<VrfTable<'_, A>> = (oracles.iter())
-            .map(|(id, trie)| VrfTable { id: *id, trie })
-            .collect();
-        compile_vrf_set(&tables, &config, &policy)
-    };
-    let bytes = write_vrf_image(&compile(&oracles), 1).expect("a fleet image");
-    let image = FibImage::from_bytes(&bytes).expect("the image loads");
-    let loaded = CompiledVrfSet::<A>::from_image(&image).expect("the set loads");
+    let mut router = VrfSetRouter::new(config, policy.clone());
+    for (&id, trie) in &oracles {
+        router.insert_vrf(id, trie.clone());
+    }
+    router.publish();
 
-    // A shared and a dedicated table change; the serialized and xbw
-    // tables and the other shared one are carried from the loaded set.
     let changed = [1, 4];
     for vrf in changed {
         for (prefix, hop) in arb_routes::<A>(&mut rng, 24) {
             oracles.get_mut(&vrf).expect("a table").insert(prefix, hop);
+            router.announce(vrf, prefix, hop);
         }
     }
-    let next: BTreeMap<u32, &BinaryTrie<A>> =
-        oracles.iter().map(|(id, trie)| (*id, trie)).collect();
-    let (recompiled, folded) = recompile_vrf_set(&loaded, &next, &changed.into(), &config, &policy);
+    let before = router.stats();
+    let snapshot = router.publish();
+    let after = router.stats();
     assert_eq!(
-        folded,
+        (after.tables_refolded - before.tables_refolded) as usize,
         changed.len(),
-        "{tag}: the changed tables alone are folded"
+        "{tag}: the changed tables alone are rebuilt"
     );
-    let full = compile(&oracles);
-    assert_sets_identical(&recompiled, &full, tag);
-    let image_of = |set| write_vrf_image(set, 2).expect("a fleet image");
+    assert_eq!(after.tables_carried - before.tables_carried, 3, "{tag}");
+    let full = compile_fleet(&oracles, &config, &policy);
+    assert_answers_as(snapshot.set(), &full, tag);
     assert!(
-        image_of(&recompiled) == image_of(&full),
-        "{tag}: the recompiled set writes other bytes"
+        write_vrf_image(snapshot.set(), 2).expect("a fleet image")
+            == write_vrf_image(&full, 2).expect("a fleet image"),
+        "{tag}: the republished set writes other bytes"
     );
     let keys = fleet_keys(&oracles, &mut rng, 128);
-    let mut out = vec![None; keys.len()];
-    recompiled.lookup_batch(&keys, &mut out, &mut VrfBatchScratch::new());
-    for (&(vrf, addr), got) in keys.iter().zip(&out) {
-        let want = oracles[&vrf].lookup(addr);
-        let at = format!("{tag}: vrf {vrf} addr {:#x}", addr.to_u128());
-        assert_eq!(recompiled.lookup(vrf, addr), want, "{at}");
-        assert_eq!(*got, want, "{at} (batch)");
+    assert_matches_oracles(&snapshot, &oracles, &keys, tag);
+}
+
+#[test]
+fn a_pinned_fleet_republishes_as_the_compiled_one_v4() {
+    a_pinned_fleet_republishes_as_the_compiled_one::<u32>("v4");
+}
+
+#[test]
+fn a_pinned_fleet_republishes_as_the_compiled_one_v6() {
+    a_pinned_fleet_republishes_as_the_compiled_one::<u128>("v6");
+}
+
+/// A clean table is carried, a changed one re-interned, and a table the
+/// fleet no longer lists dropped, nodes and all: with VRF 1 dedicated
+/// (its engine the very one built before) and VRFs 2 and 3 shared, each
+/// publish writes the image of a full compile over the tables it holds.
+#[test]
+fn a_publish_carries_clean_tables_and_equals_a_full_compile() {
+    let mut rng = Xoshiro256::for_case("vrf_carry_clean", 0);
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(300).generate(&mut rng);
+    let fleet = VrfFleetSpec {
+        tables: 3,
+        overlap: 0.9,
+        seed: 0xCA7,
     }
+    .generate(&base);
+    let mut oracles: BTreeMap<u32, BinaryTrie<u32>> = (1..).zip(fleet).collect();
+    let policy = VrfPolicy::Pinned {
+        choices: BTreeMap::from([(1, VrfEngineChoice::Serialized)]),
+    };
+    let config = BuildConfig::default();
+    let mut router = VrfSetRouter::new(config, policy.clone());
+    for (&id, trie) in &oracles {
+        router.insert_vrf(id, trie.clone());
+    }
+    let first = router.publish();
+
+    for (prefix, hop) in arb_routes::<u32>(&mut rng, 24) {
+        oracles.get_mut(&2).expect("VRF 2").insert(prefix, hop);
+        router.announce(2, prefix, hop);
+    }
+    let victim = oracles[&2].iter().nth(3).map(|(p, _)| p).expect("a route");
+    oracles.get_mut(&2).expect("VRF 2").remove(victim);
+    assert!(router.withdraw(2, victim).is_some());
+    let next = router.publish();
+    let stats = router.stats();
+    // VRF 2 alone is re-folded: VRF 1 keeps the engine the first publish
+    // built, VRF 3 its records and root array.
+    assert_eq!((stats.tables_refolded, stats.tables_carried), (3 + 1, 2));
+    let array = |snapshot: &fibcomp::router::VrfSnapshot<u32>| {
+        let table = snapshot.set().table(3).expect("VRF 3");
+        table.root_array().map(std::ptr::from_ref)
+    };
+    assert_eq!(array(&first), array(&next), "VRF 3's root array is shared");
+    let full = compile_fleet(&oracles, &config, &policy);
+    assert_answers_as(next.set(), &full, "one changed");
+    assert!(write_vrf_image(next.set(), 0).unwrap() == write_vrf_image(&full, 0).unwrap());
+    let keys = fleet_keys(&oracles, &mut rng, 128);
+    assert_matches_oracles(&next, &oracles, &keys, "one changed");
+
+    assert!(router.remove_vrf(2));
+    oracles.remove(&2);
+    let shrunk = router.publish();
+    let full = compile_fleet(&oracles, &config, &policy);
+    assert_answers_as(shrunk.set(), &full, "VRF 2 dropped");
+    assert!(write_vrf_image(shrunk.set(), 0).unwrap() == write_vrf_image(&full, 0).unwrap());
 }
 
+/// Under `Auto` a table moves when the fleet around it does: cold VRF 1
+/// first brings its own nodes and leaves the arena; once VRF 0, a copy of
+/// it, brings them instead, VRF 1 adds none, and the cost model moves it
+/// onto the shared arena — untouched, but folded in again, and served
+/// from there as the full compile serves it.
 #[test]
-fn a_loaded_set_recompiles_as_the_compiled_one_v4() {
-    a_loaded_set_recompiles_as_the_compiled_one::<u32>("v4");
-}
+fn a_table_the_policy_moves_is_refolded() {
+    let mut rng = Xoshiro256::for_case("vrf_policy_moves", 0);
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(400).generate(&mut rng);
+    let hot: BinaryTrie<u32> = FibSpec::dfz_like(100).generate(&mut rng);
+    let policy = VrfPolicy::Auto {
+        weights: BTreeMap::from([(0, 0.001), (1, 0.001), (5, 1.0)]),
+    };
+    let config = BuildConfig::default();
+    let mut oracles = BTreeMap::from([(1, base.clone()), (5, hot)]);
+    let mut router = VrfSetRouter::new(config, policy.clone());
+    for (&id, trie) in &oracles {
+        router.insert_vrf(id, trie.clone());
+    }
+    let choice = |snapshot: &fibcomp::router::VrfSnapshot<u32>, id| {
+        snapshot.set().table(id).map(|t| t.choice())
+    };
+    let before = router.publish();
+    assert_ne!(choice(&before, 1), Some(VrfEngineChoice::Shared));
 
-#[test]
-fn a_loaded_set_recompiles_as_the_compiled_one_v6() {
-    a_loaded_set_recompiles_as_the_compiled_one::<u128>("v6");
+    oracles.insert(0, base.clone());
+    router.insert_vrf(0, base);
+    let moved = router.publish();
+    assert_eq!(choice(&moved, 1), Some(VrfEngineChoice::Shared));
+    assert_eq!(moved.vrf_epoch(1), Some(1), "VRF 1 itself did not change");
+    let full = compile_fleet(&oracles, &config, &policy);
+    assert_answers_as(moved.set(), &full, "moved");
+    assert!(write_vrf_image(moved.set(), 0).unwrap() == write_vrf_image(&full, 0).unwrap());
+    let keys = fleet_keys(&oracles, &mut rng, 128);
+    assert_matches_oracles(&moved, &oracles, &keys, "moved");
 }
 
 /// A pinned router places each table by its VRF id: VRF 1 leaving and
@@ -638,17 +727,69 @@ fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrf
     assert_eq!(got.stats, want.stats, "{tag}: stats");
 }
 
+/// What a kept arena's set shares with the full compile `want` whatever
+/// its record order: every table's id, placement and counts, and the
+/// statistics but for free slots.
+fn assert_answers_as<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrfSet<A>, tag: &str) {
+    let record = |set: &CompiledVrfSet<A>| -> Vec<_> {
+        (set.tables.iter())
+            .map(|t| (t.id, t.choice(), t.routes, t.reachable_nodes, t.solo_nodes))
+            .collect()
+    };
+    assert_eq!(record(got), record(want), "{tag}: table records");
+    let free = got.stats.free_slots;
+    let stats = fibcomp::core::VrfSetStats {
+        free_slots: 0,
+        ..got.stats
+    };
+    assert_eq!(stats, want.stats, "{tag}: stats ({free} free slots aside)");
+    assert_eq!(
+        got.stats.resident_bytes(),
+        want.stats.resident_bytes() + 16 * free,
+        "{tag}: a free slot is resident"
+    );
+}
+
+/// `compile_vrf_set` over `oracles`.
+fn compile_fleet<A: Address + Send + Sync + 'static>(
+    oracles: &BTreeMap<u32, BinaryTrie<A>>,
+    config: &BuildConfig,
+    policy: &VrfPolicy,
+) -> CompiledVrfSet<A> {
+    let tables: Vec<VrfTable<'_, A>> = (oracles.iter())
+        .map(|(id, trie)| VrfTable { id: *id, trie })
+        .collect();
+    compile_vrf_set(&tables, config, policy)
+}
+
 /// A control plane under churn, mirrored in plain oracles the router
 /// never sees.
 struct ChurnHarness<A: Address + Send + Sync + 'static> {
     router: VrfSetRouter<A>,
     oracles: BTreeMap<u32, BinaryTrie<A>>,
+    config: BuildConfig,
     policy: VrfPolicy,
     rng: Xoshiro256,
     publishes: u64,
 }
 
 impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
+    fn new(config: BuildConfig, policy: &VrfPolicy, rng: Xoshiro256) -> Self {
+        Self {
+            router: VrfSetRouter::new(config, policy.clone()),
+            oracles: BTreeMap::new(),
+            config,
+            policy: policy.clone(),
+            rng,
+            publishes: 0,
+        }
+    }
+
+    fn insert_vrf(&mut self, vrf: u32, table: BinaryTrie<A>) {
+        self.oracles.insert(vrf, table.clone());
+        self.router.insert_vrf(vrf, table);
+    }
+
     fn announce(&mut self, vrf: u32, prefix: Prefix<A>, next_hop: NextHop) {
         self.router.announce(vrf, prefix, next_hop);
         self.oracles
@@ -681,10 +822,12 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
     }
 
     /// Publishes and checks the installed set against a from-scratch
-    /// compile and every oracle, and the set its image loads back into —
-    /// root arrays derived afresh — against the installed one.
-    fn publish_and_check(&mut self, tag: &str) {
-        self.router.publish();
+    /// compile and every oracle — answers, table records, statistics —
+    /// and its image, which the set writes compacted, against the full
+    /// compile's: the same bytes, loading back into the full compile's
+    /// set. Returns the installed snapshot.
+    fn publish_and_check(&mut self, tag: &str) -> std::sync::Arc<fibcomp::router::VrfSnapshot<A>> {
+        let snapshot = self.router.publish();
         self.publishes += 1;
         assert_eq!(
             self.router.epoch(),
@@ -692,26 +835,21 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
             "{tag}: one epoch per publish"
         );
 
-        let tables: Vec<VrfTable<'_, A>> = self
-            .oracles
-            .iter()
-            .map(|(id, trie)| VrfTable { id: *id, trie })
-            .collect();
-        let scratch = compile_vrf_set(&tables, &BuildConfig::default(), &self.policy);
-        let mut reader = self.router.reader();
-        let snapshot = reader.snapshot();
-        assert_sets_identical(snapshot.set(), &scratch, tag);
+        let scratch = compile_fleet(&self.oracles, &self.config, &self.policy);
+        assert_answers_as(snapshot.set(), &scratch, tag);
         for table in &snapshot.set().tables {
             let pinned = self.policy.fixed_choice(table.id);
             assert_eq!(Some(table.choice()), pinned, "{tag}: VRF {}", table.id);
         }
         let keys = fleet_keys(&self.oracles, &mut self.rng, 24);
-        assert_matches_oracles(snapshot, &self.oracles, &keys, tag);
+        assert_matches_oracles(&snapshot, &self.oracles, &keys, tag);
 
         let bytes = write_vrf_image(snapshot.set(), snapshot.epoch()).expect("a fleet image");
+        let want = write_vrf_image(&scratch, snapshot.epoch()).expect("a fleet image");
+        assert!(bytes == want, "{tag}: the image is not the full compile's");
         let image = FibImage::from_bytes(&bytes).expect("the image loads");
         let loaded = CompiledVrfSet::<A>::from_image(&image).expect("the set loads");
-        assert_sets_identical(&loaded, snapshot.set(), &format!("{tag} image"));
+        assert_sets_identical(&loaded, &scratch, &format!("{tag} image"));
         for &(vrf, addr) in &keys {
             assert_eq!(
                 loaded.lookup(vrf, addr),
@@ -720,15 +858,21 @@ impl<A: Address + Send + Sync + 'static> ChurnHarness<A> {
                 addr.to_u128()
             );
         }
+        snapshot
     }
 }
 
 /// The churn sequence: bursts into rotating VRFs, a new id, a removed id,
 /// a table withdrawn down to empty, and two bursts between one publish and
-/// the next.
-fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(family: &str, policy: &VrfPolicy) {
+/// the next. Returns how many of its publishes moved an entropy-chosen λ
+/// of some table (0 under a fixed one).
+fn churn_answers_as_a_full_compile<A: Address + Send + Sync + 'static>(
+    family: &str,
+    config: BuildConfig,
+    policy: &VrfPolicy,
+) -> usize {
     const TABLES: u32 = 6;
-    let tag = |step: &str| format!("{family} {policy:?}: {step}");
+    let tag = |step: &str| format!("{family} {:?} {policy:?}: {step}", config.lambda);
     let mut rng = Xoshiro256::for_case("vrf_churn_bit_identity", 0);
     let base: BinaryTrie<A> = FibSpec::dfz_like(300).generate(&mut rng);
     let fleet = VrfFleetSpec {
@@ -737,57 +881,66 @@ fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(family: &str, p
         seed: 0xC4,
     }
     .generate(&base);
-    let mut h = ChurnHarness {
-        router: VrfSetRouter::new(BuildConfig::default(), policy.clone()),
-        oracles: BTreeMap::new(),
-        policy: policy.clone(),
-        rng,
-        publishes: 0,
-    };
+    let mut h = ChurnHarness::new(config, policy, rng);
     for (id, table) in fleet.into_iter().enumerate() {
-        h.oracles.insert(id as u32, table.clone());
-        h.router.insert_vrf(id as u32, table);
+        h.insert_vrf(id as u32, table);
     }
-    h.publish_and_check(&tag("first publish"));
+    let barriers = |h: &ChurnHarness<A>| -> Vec<u8> {
+        (h.oracles.values())
+            .map(|trie| config.lambda_for(trie))
+            .collect()
+    };
+    let mut moves = 0;
+    let mut publish = |h: &mut ChurnHarness<A>, step: &str, before: Vec<u8>| {
+        h.publish_and_check(&tag(step));
+        moves += usize::from(before != barriers(h));
+    };
+    let before = barriers(&h);
+    publish(&mut h, "first publish", before);
 
     for round in 0..2 * TABLES {
+        let before = barriers(&h);
         h.burst(round % TABLES);
-        h.publish_and_check(&tag(&format!("burst {round}")));
+        publish(&mut h, &format!("burst {round}"), before);
     }
 
     // A new id, by announce into a VRF the router has never seen.
+    let before = barriers(&h);
     h.burst(40);
-    h.publish_and_check(&tag("announce into a new id"));
+    publish(&mut h, "announce into a new id", before);
+    let before = barriers(&h);
     h.burst(3);
-    h.publish_and_check(&tag("burst beside the new id"));
+    publish(&mut h, "burst beside the new id", before);
 
     // A whole table installed at once, and one removed: the tables
     // around them keep their ids, their oracles and their placements.
     let donor = h.oracles[&1].clone();
-    h.oracles.insert(17, donor.clone());
-    h.router.insert_vrf(17, donor);
-    h.publish_and_check(&tag("insert_vrf"));
+    h.insert_vrf(17, donor);
+    publish(&mut h, "insert_vrf", Vec::new());
     for gone in [1, 40] {
         assert!(h.router.remove_vrf(gone));
         h.oracles.remove(&gone);
-        h.publish_and_check(&tag(&format!("remove_vrf {gone}")));
+        publish(&mut h, &format!("remove_vrf {gone}"), Vec::new());
     }
 
     // A table withdrawn down to empty stays in the fleet, answering None.
     let doomed: Vec<Prefix<A>> = h.oracles[&4].iter().map(|(p, _)| p).collect();
+    let before = barriers(&h);
     for prefix in doomed {
         h.withdraw(4, prefix);
     }
     assert!(h.oracles[&4].is_empty());
-    h.publish_and_check(&tag("table withdrawn to empty"));
+    publish(&mut h, "table withdrawn to empty", before);
+    let before = barriers(&h);
     h.burst(4);
-    h.publish_and_check(&tag("burst into the emptied table"));
+    publish(&mut h, "burst into the emptied table", before);
 
     // A second burst lands, in another table, before the first is
     // published: one publish carries both.
+    let before = barriers(&h);
     h.burst(0);
     h.burst(5);
-    h.publish_and_check(&tag("two bursts between publishes"));
+    publish(&mut h, "two bursts between publishes", before);
 
     // A publish with nothing to do changes nothing.
     let before = h.router.stats();
@@ -801,6 +954,7 @@ fn churn_stays_bit_identical<A: Address + Send + Sync + 'static>(family: &str, p
         "{}: {before:?}",
         tag("most tables are carried")
     );
+    moves
 }
 
 /// `Shared`, and a pinned fleet with a dedicated `Serialized` table from
@@ -811,15 +965,139 @@ fn churn_policies() -> [VrfPolicy; 2] {
 }
 
 #[test]
-fn every_publish_is_bit_identical_to_a_full_compile_v4() {
+fn every_publish_answers_as_a_full_compile_and_compacts_to_its_bytes_v4() {
     for policy in churn_policies() {
-        churn_stays_bit_identical::<u32>("v4", &policy);
+        churn_answers_as_a_full_compile::<u32>("v4", BuildConfig::default(), &policy);
     }
 }
 
 #[test]
-fn every_publish_is_bit_identical_to_a_full_compile_v6() {
+fn every_publish_answers_as_a_full_compile_and_compacts_to_its_bytes_v6() {
     for policy in churn_policies() {
-        churn_stays_bit_identical::<u128>("v6", &policy);
+        churn_answers_as_a_full_compile::<u128>("v6", BuildConfig::default(), &policy);
+    }
+}
+
+/// The same churn under an entropy-chosen λ: a table whose barrier moves
+/// has its pDAG rebuilt at the new one, and the sequence moves some.
+#[test]
+fn every_publish_answers_as_a_full_compile_under_an_entropy_barrier() {
+    let moves = churn_answers_as_a_full_compile::<u32>(
+        "v4",
+        BuildConfig::entropy_barrier(),
+        &VrfPolicy::Shared,
+    );
+    assert!(moves > 0, "no publish moved a table's barrier");
+}
+
+/// A fleet of `tables` overlapping dfz-like tables in a shared router,
+/// published once, with its oracles.
+fn published_fleet(tables: usize, routes: usize, overlap: f64, seed: u64) -> ChurnHarness<u32> {
+    let mut rng = Xoshiro256::for_case("vrf_publish_counters", seed);
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(routes).generate(&mut rng);
+    let fleet = VrfFleetSpec {
+        tables,
+        overlap,
+        seed,
+    }
+    .generate(&base);
+    let mut h = ChurnHarness::new(BuildConfig::default(), &VrfPolicy::Shared, rng);
+    for (id, table) in (0..).zip(fleet) {
+        h.insert_vrf(id, table);
+    }
+    h.publish_and_check("first publish");
+    h
+}
+
+/// A publish costs what changed, counted exactly: after the first, which
+/// writes every record, each 24-announce BGP burst into one VRF of eight
+/// adds under 5 % of the arena's records to the buffer the set before it
+/// read, and shares the rest; a publish with nothing dirty writes nothing.
+#[test]
+fn a_publish_writes_only_what_changed() {
+    let mut h = published_fleet(8, 10_000, 0.5, 1);
+    let first = h.router.stats();
+    assert_eq!((first.recycled, first.compactions), (0, 1));
+    assert_eq!(
+        first.records_written,
+        (h.router.reader().snapshot().set().arena.len() / 2) as u64,
+        "the first publish copies every record"
+    );
+    let stream = fibcomp::workload::updates::bgp_sequence(&mut h.rng, &h.oracles[&3], 4000);
+    let mut announces = stream.iter().filter_map(|op| match *op {
+        fibcomp::workload::updates::UpdateOp::Announce(p, nh) => Some((p, nh)),
+        fibcomp::workload::updates::UpdateOp::Withdraw(_) => None,
+    });
+    let mut previous = h.router.reader().snapshot().clone();
+    for round in 0..13 {
+        let vrf = round % 8;
+        for (prefix, hop) in announces.by_ref().take(24) {
+            h.announce(vrf, prefix, hop);
+        }
+        let before = h.router.stats();
+        let snapshot = h.router.publish();
+        let written = h.router.stats().records_written - before.records_written;
+        let records = (snapshot.set().arena.len() / 2) as u64;
+        assert!(
+            20 * written < records,
+            "burst {round}: {written} of {records} records written"
+        );
+        let (now, then) = (&snapshot.set().arena, &previous.set().arena);
+        assert!(
+            now.as_ptr() == then.as_ptr() && now[..then.len()] == then[..],
+            "burst {round}: the set extends the buffer the set before it read"
+        );
+        previous = snapshot;
+    }
+    let steady = h.router.stats();
+    assert_eq!(steady.recycled, 13, "{steady:?}");
+    assert_eq!(steady.compactions, 1, "BGP bursts compact nothing");
+
+    h.router.publish();
+    assert_eq!(h.router.stats(), steady, "nothing dirty, nothing written");
+    h.publishes = h.router.epoch();
+    h.burst(2);
+    h.publish_and_check("after the bursts");
+}
+
+/// Withdrawing tables route by route frees arena records; the publish
+/// whose free slots pass a quarter of the arena compacts it, and the set
+/// it installs is then the full compile's, word for word. Publishes
+/// before it hold free slots and answer as the full compile does.
+#[test]
+fn a_churn_past_a_quarter_free_compacts_to_a_full_compile() {
+    let mut h = published_fleet(4, 1500, 0.3, 2);
+    let mut held_free = false;
+    for round in 0.. {
+        assert!(
+            round < 200,
+            "free slots never passed a quarter of the arena"
+        );
+        let vrf = 1 + round % 3;
+        let doomed: Vec<Prefix<u32>> = h.oracles[&vrf]
+            .iter()
+            .step_by(4)
+            .take(40)
+            .map(|(p, _)| p)
+            .collect();
+        for prefix in doomed {
+            h.withdraw(vrf, prefix);
+        }
+        let before = h.router.stats();
+        let snapshot = h.publish_and_check(&format!("withdrawals {round}"));
+        let set = snapshot.set();
+        if h.router.stats().compactions > before.compactions {
+            assert!(held_free, "a publish before the compaction held free slots");
+            assert_eq!(set.stats.free_slots, 0);
+            let full = compile_fleet(&h.oracles, &h.config, &h.policy);
+            assert_sets_identical(set, &full, "compacted");
+            break;
+        }
+        let slots = (set.arena.len() / 2) as u64;
+        assert!(
+            4 * set.stats.free_slots <= slots,
+            "round {round}: past a quarter, not compacted"
+        );
+        held_free |= set.stats.free_slots > 0;
     }
 }
