@@ -75,8 +75,6 @@ fn image_views(trie: &BinaryTrie<u32>, keys: &[u32]) {
         write_image, FibBuild, FibImage, FibLookup, ImageCodec, SerializedDag, VarStrideDag,
         XbwFib, XbwStorage,
     };
-    use fib_trie::LcTrie;
-
     fn bench_view<E: ImageCodec<u32> + FibBuild<u32>>(
         group: &BenchGroup,
         name: &str,
@@ -111,7 +109,6 @@ fn image_views(trie: &BinaryTrie<u32>, keys: &[u32]) {
     bench_view::<XbwFib<u32>>(&group, "xbw-entropy", trie, &config, keys);
     bench_view::<SerializedDag<u32>>(&group, "pdag-serialized", trie, &config, keys);
     bench_view::<VarStrideDag<u32>>(&group, "vsdag", trie, &config, keys);
-    bench_view::<LcTrie<u32>>(&group, "fib_trie", trie, &config, keys);
 }
 
 fn main() {

@@ -12,7 +12,7 @@
 //!   DFZ-like FIB, the exact bit statistics the XBW-b lookup loop sees.
 
 use fib_bench::timing::BenchGroup;
-use fib_succinct::{BitVec, RrrVec, RsBitVec, WaveletBacking, WaveletShape, WaveletTree};
+use fib_succinct::{BitVec, RrrVec, RsBitVec, WaveletTree};
 use fib_trie::{BinaryTrie, ProperNode, ProperTrie};
 use fib_workload::rng::Xoshiro256;
 use fib_workload::FibSpec;
@@ -150,47 +150,30 @@ fn wavelet_primitives() {
     let seq: Vec<u64> = (0..N as u64)
         .map(|i| if i % 16 == 0 { 1 + (i / 16) % 15 } else { 0 })
         .collect();
-    let variants = [
-        (
-            "balanced",
-            WaveletTree::with_backing(&seq, 16, WaveletShape::Balanced, WaveletBacking::Plain),
-        ),
-        (
-            "huffman",
-            WaveletTree::with_backing(&seq, 16, WaveletShape::Huffman, WaveletBacking::Plain),
-        ),
-        (
-            "huffman-rrr",
-            WaveletTree::with_backing(&seq, 16, WaveletShape::Huffman, WaveletBacking::Rrr),
-        ),
-    ];
+    let wt = WaveletTree::new(&seq, 16);
     let positions: Vec<usize> = (0..OPS).map(|i| (i * 7919) % N).collect();
 
     let group = BenchGroup::new("wavelet/access").throughput_elements(OPS as u64);
-    for (name, wt) in &variants {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for &p in &positions {
-                    acc = acc.wrapping_add(wt.access(black_box(p)));
-                }
-                black_box(acc)
-            });
+    group.bench_function("huffman-rrr", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for &p in &positions {
+                acc = acc.wrapping_add(wt.access(black_box(p)));
+            }
+            black_box(acc)
         });
-    }
+    });
 
     let group = BenchGroup::new("wavelet/rank").throughput_elements(OPS as u64);
-    for (name, wt) in &variants {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for &p in &positions {
-                    acc = acc.wrapping_add(wt.rank_sym(0, black_box(p)));
-                }
-                black_box(acc)
-            });
+    group.bench_function("huffman-rrr", |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for &p in &positions {
+                acc = acc.wrapping_add(wt.rank_sym(0, black_box(p)));
+            }
+            black_box(acc)
         });
-    }
+    });
 }
 
 fn main() {

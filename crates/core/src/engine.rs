@@ -6,9 +6,9 @@
 //! * [`FibLookup`] — the data-plane surface: single and batched
 //!   longest-prefix match, resident size, and the traced-lookup hooks the
 //!   cache/SRAM simulators consume. Engines with a flat memory layout
-//!   ([`SerializedDag`], [`VarStrideDag`], [`LcTrie`]) and the succinct
-//!   [`XbwFib`] override [`FibLookup::lookup_batch`] with interleaved
-//!   multi-lane walks.
+//!   ([`SerializedDag`], [`VarStrideDag`]) and the succinct [`XbwFib`]
+//!   override [`FibLookup::lookup_batch`] with interleaved multi-lane
+//!   walks.
 //! * [`FibBuild`] — the control-plane build step: every engine constructs
 //!   from the oracle [`BinaryTrie`] under one uniform [`BuildConfig`], so
 //!   a router can re-emit any representation from its control FIB — and
@@ -47,7 +47,7 @@ pub(crate) mod table_types {
     pub(crate) use crate::serialized::{SerializedDag, SerializedDagRef};
     pub(crate) use crate::vsdag::{VarStrideDag, VarStrideDagRef};
     pub(crate) use crate::xbw::{XbwFib, XbwFibRef};
-    pub(crate) use fib_trie::{BinaryTrie, LcTrie, LcTrieRef, ProperTrie, RouteTable};
+    pub(crate) use fib_trie::{BinaryTrie, LcTrie, ProperTrie, RouteTable};
 }
 use table_types::*;
 
@@ -381,11 +381,11 @@ macro_rules! engine_table {
                 RouteTable |e| e, "tabular", scalar, e.model_size_bits().div_ceil(8);
                 BinaryTrie |e| e, "binary-trie", traced, e.size_bytes();
                 ProperTrie |e| e, "leaf-pushed", traced, e.size_bytes();
-                // Owned size is the kernel memory model — the paper
-                // compares against the kernel structure's footprint; the
-                // view reports the packed arena the image actually serves.
-                LcTrie |e| e, "fib_trie", traced, e.kernel_model_bytes(),
-                    image LcTrieRef, LcTrie = 5, "lctrie";
+                // Size is the kernel memory model — the paper compares
+                // against the kernel structure's footprint. Id 5 /
+                // "lctrie" is retired: the LC-trie is a Table 2 baseline
+                // on neither frontier and has no image encoding.
+                LcTrie |e| e, "fib_trie", traced, e.kernel_model_bytes();
                 XbwFib |e| e, "XBW-b", kernels, e.size_bytes(),
                     image XbwFibRef, Xbw = 1, "xbw";
                 PrefixDag |e| e, "pDAG", scalar, e.model_size_bits().div_ceil(8),

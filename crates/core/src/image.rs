@@ -95,8 +95,9 @@ pub mod sections {
     /// Variable-stride DAG runs: one tagged reference per maximal run,
     /// 16 or 32 bits each as `PARAMS` declares.
     pub const VS_RUNS: u32 = 0x44;
-    /// LC-trie packed nodes.
-    pub const LC_NODES: u32 = 0x50;
+    // 0x50 is reserved: it was the packed node section of the retired
+    // engine 5 (the LC-trie, which is Table 2's `fib_trie` baseline and
+    // has no image encoding) and must never be reassigned.
     /// Optional traffic-aware hot slab (any engine): meta block + slot
     /// words, see [`crate::hot::HotSlab::write_words`].
     pub const HOT_SLAB: u32 = 0x60;
@@ -163,8 +164,9 @@ pub enum ImageError {
     MissingSection(u32),
     /// Structurally invalid contents.
     Malformed(&'static str),
-    /// The engine configuration has no image encoding (e.g. the
-    /// ablation-only per-level XBW-b backend).
+    /// The request has no single-engine encoding: a container kind (a
+    /// vrfset) asked for as one engine, or a configuration a codec cannot
+    /// write.
     Unsupported(&'static str),
 }
 
@@ -792,39 +794,6 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
     }
 }
 
-impl<A: Address> ImageCodec<A> for LcTrie<A> {
-    const ENGINE: EngineKind = EngineKind::LcTrie;
-    const SECTIONS: Layout = &[
-        (sections::PARAMS, "params"),
-        (sections::LC_NODES, "lctrie.nodes"),
-    ];
-    type Ref<'i> = LcTrieRef<'i, A>;
-
-    fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
-        writer.section(sections::PARAMS, &[u64::from(self.root())]);
-        writer.section(sections::LC_NODES, self.packed_nodes());
-        Ok(())
-    }
-
-    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
-        let root = first_param(section(sections::PARAMS)?, "root out of range")?;
-        let nodes = section(sections::LC_NODES)?;
-        if trusted {
-            LcTrieRef::from_parts_trusted(nodes, root)
-        } else {
-            LcTrieRef::from_parts(nodes, root)
-        }
-        .map_err(ImageError::Malformed)
-    }
-
-    /// The *packed arena* bytes, deliberately not the kernel memory model
-    /// that [`FibLookup::size_bytes`] reports for Table 2 — the image
-    /// stores the packed form, so that is what the size claim must track.
-    fn resident_size_bytes(&self) -> usize {
-        LcTrie::size_bytes(self)
-    }
-}
-
 impl<A: Address> ImageCodec<A> for PrefixDag<A> {
     const ENGINE: EngineKind = EngineKind::PrefixDag;
     const SECTIONS: Layout = &[
@@ -872,9 +841,7 @@ impl<A: Address> ImageCodec<A> for XbwFib<A> {
     type Ref<'i> = XbwFibRef<'i, A>;
 
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
-        let (si_kind, sa_kind) = self.image_kind_codes().ok_or(ImageError::Unsupported(
-            "per-level XBW-b has no image encoding",
-        ))?;
+        let (si_kind, sa_kind) = self.image_kind_codes();
         let (n_leaves, t_nodes) = self.image_counts();
         writer.set_prefix_count(n_leaves);
         writer.section(sections::PARAMS, &[si_kind, sa_kind, n_leaves, t_nodes]);

@@ -65,6 +65,4 @@ pub use vrf::{
 pub use vsdag::{
     MultibitDag, StridePlan, VarStrideDag, VarStrideDagRef, VsParams, VsShape, VS_REFILL_LANES,
 };
-pub use xbw::{
-    SaStorage, SiStorage, XbwFib, XbwFibRef, XbwSizeReport, XbwStorage, XBW_BATCH_LANES,
-};
+pub use xbw::{XbwFib, XbwFibRef, XbwSizeReport, XbwStorage, XBW_BATCH_LANES};

@@ -16,9 +16,9 @@
 //! * wavelet-tree shape: child tags valid, child indices strictly
 //!   decreasing (the builder pushes children first — any other order
 //!   can loop a descent);
-//! * rank directories: every `S_I`/wavelet-node plain bit vector's
-//!   line counts, intra-line prefix counts, select samples, and tail
-//!   padding recomputed from the data bits
+//! * rank directories: the plain `S_I` bit vector's line counts,
+//!   intra-line prefix counts, select samples, and tail padding
+//!   recomputed from the data bits
 //!   ([`fib_succinct::RsBitVecRef::audit`]) — the showcase class,
 //!   because a corrupted count word passes every size check the loader
 //!   makes and then silently misroutes;
@@ -115,8 +115,8 @@ pub fn lint_image(image: &FibImage) -> Vec<LintIssue> {
         Ok(EngineKind::Xbw) => xbw_pass(image, &mut issues),
         Ok(EngineKind::VrfSet) => vrf_pass(image, &mut issues),
         Ok(EngineKind::VsDag) => vsdag_pass(image, &mut issues),
-        // serialized / lctrie structure is fully covered by their
-        // validating views, exercised in view_pass below.
+        // serialized structure is fully covered by its validating
+        // view, exercised in view_pass below.
         Ok(_) | Err(_) => {}
     }
     view_pass(image, &mut issues);
@@ -441,11 +441,12 @@ fn wavelet_pass(words: &[u64], issues: &mut Vec<LintIssue>) -> Option<usize> {
     let len = words[0] as usize;
     let n_nodes = words[1] as usize;
     let root = words[2];
+    // Node vectors are RRR, backing code 1; the writer emits no other.
     let backing = words[4];
-    if backing > 1 {
+    if backing != 1 {
         issues.push(issue(
             "view-malformed",
-            format!("wavelet backing code {backing} unknown"),
+            format!("wavelet backing code {backing} is not RRR (1)"),
         ));
         return None;
     }
@@ -487,8 +488,6 @@ fn wavelet_pass(words: &[u64], issues: &mut Vec<LintIssue>) -> Option<usize> {
                 _ => {}
             }
         }
-        // Audit each node's payload; the rank directories inside the
-        // wavelet are exactly as able to misroute as the top-level S_I.
         let payload_off = rec[2] as usize;
         let Some(payload) = words.get(payload_off..) else {
             issues.push(issue(
@@ -497,22 +496,7 @@ fn wavelet_pass(words: &[u64], issues: &mut Vec<LintIssue>) -> Option<usize> {
             ));
             continue;
         };
-        if backing == 0 {
-            match RsBitVecRef::from_words(payload) {
-                Ok((view, _)) => {
-                    if let Err(e) = view.audit() {
-                        issues.push(issue(
-                            "rank-directory-mismatch",
-                            format!("wavelet node {idx}: {}", e.0),
-                        ));
-                    }
-                }
-                Err(e) => issues.push(issue(
-                    "view-malformed",
-                    format!("wavelet node {idx}: {}", e.0),
-                )),
-            }
-        } else if let Err(e) = RrrVecRef::from_words(payload) {
+        if let Err(e) = RrrVecRef::from_words(payload) {
             issues.push(issue(
                 "view-malformed",
                 format!("wavelet node {idx} (rrr): {}", e.0),
@@ -1067,6 +1051,36 @@ mod tests {
     }
 
     #[test]
+    fn a_wavelet_backing_other_than_rrr_is_refused() {
+        let trie = small_fib();
+        let xbw = crate::XbwFib::build(&trie, crate::XbwStorage::Entropy);
+        let good = write_image(&xbw, None, 0).unwrap();
+        assert_eq!(lint_bytes(&good), Vec::new());
+        let image = FibImage::from_bytes(&good).unwrap();
+        let sa = image
+            .section_table()
+            .iter()
+            .find(|e| e.id == sections::XBW_SA)
+            .copied()
+            .unwrap();
+        // Meta word 4 is the node backing; RRR's 1 is the only one written.
+        let backing = (sa.offset + 4) * 8;
+        assert_eq!(good[backing], 1);
+        let mut bad = good;
+        bad[backing] = 0;
+        let bad = repair_checksum(bad);
+        let issues = lint_bytes(&bad);
+        assert!(
+            issues
+                .iter()
+                .any(|i| i.code == "view-malformed" && i.detail.contains("backing")),
+            "{issues:?}"
+        );
+        let image = FibImage::from_bytes(&bad).unwrap();
+        assert!(any_view::<u32>(&image).is_err());
+    }
+
+    #[test]
     fn issue_renders_code_colon_detail() {
         let i = issue("some-code", "what happened");
         assert_eq!(i.to_string(), "some-code: what happened");
@@ -1137,11 +1151,37 @@ mod tests {
         let (mut bad, entry) = one_table_fleet();
         let last = (entry.offset + entry.len - 2) * 8;
         bad[last..last + 4].copy_from_slice(&0u32.to_le_bytes());
-        let issues = lint_bytes(&repair_checksum(bad));
+        let bad = repair_checksum(bad);
+        let issues = lint_bytes(&bad);
         assert!(
             issues.iter().any(|i| i.code == "vrf-arena-cycle"),
             "{issues:?}"
         );
+        // The loader checks child ranges only, so the cyclic arena loads.
+        // Served, it may answer wrongly, but every walk ends: each is
+        // bounded by the address width. Writing it back out ends too.
+        let image = FibImage::from_bytes(&bad).unwrap();
+        let set = CompiledVrfSet::<u32>::from_image(&image).expect("child ranges are in bounds");
+        let keys: Vec<(u32, u32)> = (0..512u32)
+            .map(|i| (1, i.wrapping_mul(0x9E37_79B9)))
+            .chain([(1, 0), (1, u32::MAX), (1, 0x0A01_0101)])
+            .collect();
+        let scalar: Vec<_> = keys.iter().map(|&(vrf, a)| set.lookup(vrf, a)).collect();
+        let mut batch = vec![None; keys.len()];
+        let mut scratch = crate::vrf::VrfBatchScratch::new();
+        set.lookup_batch(&keys, &mut batch, &mut scratch);
+        assert_eq!(batch, scalar, "the two walks read the same records");
+        // The sample does cross the bent edge: 10.1.1.1 leaves the last
+        // node (its /24) for the root and walks on past the honest depth.
+        let honest = one_table_fleet().0;
+        let honest = CompiledVrfSet::<u32>::from_image(&FibImage::from_bytes(&honest).unwrap());
+        let honest = honest.unwrap();
+        let depth = |set: &CompiledVrfSet<u32>, addr| {
+            let table = set.table(1).unwrap();
+            set.shared_view(table).lookup_with_depth(addr).1
+        };
+        assert!(depth(&set, 0x0A01_0101) > depth(&honest, 0x0A01_0101));
+        crate::vrf::write_vrf_image(&set, 0).expect("the arena writes back out");
     }
 
     #[test]

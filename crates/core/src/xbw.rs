@@ -18,7 +18,18 @@
 //! * [`XbwStorage::Succinct`] — `S_I` in a plain rank bitvector, `S_α`
 //!   packed at `⌈lg δ⌉` bits/label: `2n + n·lg δ + o(n)` bits, Lemma 2;
 //! * [`XbwStorage::Entropy`] — `S_I` in RRR, `S_α` in a Huffman-shaped
-//!   wavelet tree: `2n + n·H0 + o(n)` bits, Lemma 3.
+//!   wavelet tree over RRR nodes: `2n + n·H0 + o(n)` bits, Lemma 3.
+//!
+//! They are the only two. The other (`S_I`, `S_α`) pairings — RRR `S_I`
+//! under packed labels, a balanced or plain-node wavelet tree — and a
+//! per-level backend (one wavelet tree per trie depth, §3.2's
+//! higher-order-entropy sketch) were measured in the XBW-b backend
+//! ablation and retired. None is a mode the paper bounds; each lost to
+//! one of the two on both size and lookup time or fell between them.
+//! Per-level never had an image encoding, and on the taz stand-in the
+//! depth-conditioned entropy that A2 still prints
+//! ([`FibEntropy::contextual_entropy_bits`](crate::FibEntropy::contextual_entropy_bits))
+//! matches `E` (6.3 KB both at taz 0.1), so it had nothing to win.
 //!
 //! Updates rebuild the transform: XBW-b is the static, size-optimal end
 //! of the paper's trade-off, and its dynamic variant via Mäkinen–Navarro
@@ -52,55 +63,14 @@ use std::marker::PhantomData;
 /// (its walk is decode-bound, not latency-bound).
 pub const XBW_BATCH_LANES: usize = 8;
 
-/// How the two XBW-b strings are stored.
+/// How the two XBW-b strings are stored: the two modes the paper proves
+/// a size bound for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum XbwStorage {
     /// Plain rank directory + packed labels (`2n + n·lg δ`, Lemma 2).
     Succinct,
     /// RRR + Huffman wavelet tree (`2n + n·H0 + o(n)`, Lemma 3).
     Entropy,
-    /// Any combination, for the ablation benchmarks.
-    Custom(SiStorage, SaStorage),
-}
-
-/// Storage for the trie-shape string `S_I`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SiStorage {
-    /// Uncompressed bits + rank directory.
-    Plain,
-    /// RRR-compressed.
-    Rrr,
-}
-
-/// Storage for the label string `S_α`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SaStorage {
-    /// Fixed-width packed labels.
-    Packed,
-    /// Balanced wavelet tree, plain nodes.
-    WaveletBalanced,
-    /// Huffman-shaped wavelet tree, plain nodes (`n(H0+1)` bits).
-    WaveletHuffman,
-    /// Huffman-shaped wavelet tree over RRR-compressed nodes — the true
-    /// `n·H0 + o(n)` realization used by [`XbwStorage::Entropy`].
-    WaveletHuffmanRrr,
-    /// One Huffman/RRR wavelet tree **per trie level**. Because XBW-b's
-    /// BFS order clusters equal-context (equal-depth) labels, this is the
-    /// higher-order-entropy upgrade §3.2 sketches: when the label
-    /// distribution shifts with depth (e.g. a dominant default next-hop
-    /// near the root, diverse peering routes deep down), it compresses
-    /// below `n·H0`.
-    HuffmanPerLevel,
-}
-
-impl XbwStorage {
-    fn kinds(self) -> (SiStorage, SaStorage) {
-        match self {
-            Self::Succinct => (SiStorage::Plain, SaStorage::Packed),
-            Self::Entropy => (SiStorage::Rrr, SaStorage::WaveletHuffmanRrr),
-            Self::Custom(si, sa) => (si, sa),
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -132,12 +102,6 @@ impl SiStore {
 enum SaStore {
     Packed(IntVec),
     Wavelet(WaveletTree),
-    /// Per-level trees plus the global leaf rank at which each level
-    /// starts (levels are contiguous in BFS order).
-    PerLevel {
-        trees: Vec<WaveletTree>,
-        starts: Vec<usize>,
-    },
 }
 
 impl SaStore {
@@ -146,11 +110,6 @@ impl SaStore {
         match self {
             Self::Packed(v) => v.get(i),
             Self::Wavelet(w) => w.access(i),
-            Self::PerLevel { trees, starts } => {
-                // Levels are few (≤ W+1): find the enclosing one.
-                let level = starts.partition_point(|&s| s <= i) - 1;
-                trees[level].access(i - starts[level])
-            }
         }
     }
 
@@ -158,9 +117,6 @@ impl SaStore {
         match self {
             Self::Packed(v) => v.size_bits(),
             Self::Wavelet(w) => w.size_bits(),
-            Self::PerLevel { trees, starts } => {
-                trees.iter().map(WaveletTree::size_bits).sum::<usize>() + starts.len() * 64
-            }
         }
     }
 }
@@ -224,62 +180,29 @@ impl<A: Address> XbwFib<A> {
 
         let mut si_bits = BitVec::with_capacity(proper.node_count());
         let mut symbols = Vec::with_capacity(proper.n_leaves());
-        // Global leaf rank at which each depth's leaves begin (leaves are
-        // depth-contiguous in BFS order). Used by the per-level backend.
-        let mut level_starts = Vec::new();
-        let mut last_depth = None;
-        for (depth, node) in proper.bfs_with_depth() {
+        for (_, node) in proper.bfs_with_depth() {
             match node {
                 ProperNode::Internal { .. } => si_bits.push(false),
                 ProperNode::Leaf(label) => {
-                    if last_depth != Some(depth) {
-                        level_starts.push(symbols.len());
-                        last_depth = Some(depth);
-                    }
                     si_bits.push(true);
                     symbols.push(symbol_of(*label));
                 }
             }
         }
 
-        let (si_kind, sa_kind) = storage.kinds();
-        let si = match si_kind {
-            SiStorage::Plain => SiStore::Plain(RsBitVec::new(si_bits)),
-            SiStorage::Rrr => SiStore::Rrr(RrrVec::new(&si_bits)),
-        };
         let sigma = label_map.len().max(1);
-        let sa = match sa_kind {
-            SaStorage::Packed => {
+        let (si, sa) = match storage {
+            XbwStorage::Succinct => {
                 let mut iv = IntVec::new(fib_succinct::ceil_log2(sigma as u64));
                 for &s in &symbols {
                     iv.push(s);
                 }
-                SaStore::Packed(iv)
+                (SiStore::Plain(RsBitVec::new(si_bits)), SaStore::Packed(iv))
             }
-            SaStorage::WaveletBalanced => SaStore::Wavelet(WaveletTree::balanced(&symbols, sigma)),
-            SaStorage::WaveletHuffman => SaStore::Wavelet(WaveletTree::huffman(&symbols, sigma)),
-            SaStorage::WaveletHuffmanRrr => SaStore::Wavelet(WaveletTree::with_backing(
-                &symbols,
-                sigma,
-                fib_succinct::WaveletShape::Huffman,
-                fib_succinct::WaveletBacking::Rrr,
-            )),
-            SaStorage::HuffmanPerLevel => {
-                let mut trees = Vec::with_capacity(level_starts.len());
-                for (i, &start) in level_starts.iter().enumerate() {
-                    let end = level_starts.get(i + 1).copied().unwrap_or(symbols.len());
-                    trees.push(WaveletTree::with_backing(
-                        &symbols[start..end],
-                        sigma,
-                        fib_succinct::WaveletShape::Huffman,
-                        fib_succinct::WaveletBacking::Rrr,
-                    ));
-                }
-                SaStore::PerLevel {
-                    trees,
-                    starts: level_starts,
-                }
-            }
+            XbwStorage::Entropy => (
+                SiStore::Rrr(RrrVec::new(&si_bits)),
+                SaStore::Wavelet(WaveletTree::new(&symbols, sigma)),
+            ),
         };
         Self {
             si,
@@ -373,11 +296,10 @@ impl<A: Address> XbwFib<A> {
     // ------------------------------------------------------------------
 
     /// Storage kind codes for the image header: `(S_I kind, S_α kind)`
-    /// with 0 = plain/packed and 1 = RRR/wavelet. `None` when the engine
-    /// uses the per-level backend, which has no image encoding (it is an
-    /// ablation-only mode).
+    /// with 0 = plain/packed and 1 = RRR/wavelet — `(0, 0)` for
+    /// [`XbwStorage::Succinct`], `(1, 1)` for [`XbwStorage::Entropy`].
     #[must_use]
-    pub(crate) fn image_kind_codes(&self) -> Option<(u64, u64)> {
+    pub(crate) fn image_kind_codes(&self) -> (u64, u64) {
         let si = match self.si {
             SiStore::Plain(_) => 0,
             SiStore::Rrr(_) => 1,
@@ -385,9 +307,8 @@ impl<A: Address> XbwFib<A> {
         let sa = match self.sa {
             SaStore::Packed(_) => 0,
             SaStore::Wavelet(_) => 1,
-            SaStore::PerLevel { .. } => return None,
         };
-        Some((si, sa))
+        (si, sa)
     }
 
     /// `(n_leaves, t_nodes)` for the image header.
@@ -405,15 +326,10 @@ impl<A: Address> XbwFib<A> {
     }
 
     /// Serializes the label string `S_α`.
-    ///
-    /// # Panics
-    /// Panics on the per-level backend (callers gate on
-    /// [`Self::image_kind_codes`]).
     pub(crate) fn write_sa_words(&self, out: &mut Vec<u64>) {
         match &self.sa {
             SaStore::Packed(v) => v.write_words(out),
             SaStore::Wavelet(w) => w.write_words(out),
-            SaStore::PerLevel { .. } => unreachable!("per-level S_α has no image encoding"),
         }
     }
 
@@ -790,13 +706,7 @@ mod tests {
         .collect()
     }
 
-    const ALL_STORAGES: [XbwStorage; 5] = [
-        XbwStorage::Succinct,
-        XbwStorage::Entropy,
-        XbwStorage::Custom(SiStorage::Plain, SaStorage::WaveletBalanced),
-        XbwStorage::Custom(SiStorage::Rrr, SaStorage::Packed),
-        XbwStorage::Custom(SiStorage::Rrr, SaStorage::HuffmanPerLevel),
-    ];
+    const ALL_STORAGES: [XbwStorage; 2] = [XbwStorage::Succinct, XbwStorage::Entropy];
 
     #[test]
     fn fig2_transform_shape() {
@@ -918,38 +828,6 @@ mod tests {
             "XBW-b {} bits vs entropy bound {}",
             total,
             metrics.entropy_bits()
-        );
-    }
-
-    #[test]
-    fn per_level_mode_exploits_depth_context() {
-        // Two depth regimes with disjoint alphabets (see the matching
-        // entropy test): per-level H = 1 bit while the global mixture has
-        // H0 ≈ 1.72, so the level-partitioned backend must win.
-        let mut trie: BinaryTrie<u32> = BinaryTrie::new();
-        for i in 0..8192u32 {
-            trie.insert(Prefix4::new(i << 18, 14), nh(i % 2));
-        }
-        for j in 0..2048u32 {
-            trie.insert(Prefix4::new(0x8000_0000 | (j << 20), 12), nh(2 + j % 2));
-        }
-        let global = XbwFib::build(
-            &trie,
-            XbwStorage::Custom(SiStorage::Rrr, SaStorage::WaveletHuffmanRrr),
-        );
-        let leveled = XbwFib::build(
-            &trie,
-            XbwStorage::Custom(SiStorage::Rrr, SaStorage::HuffmanPerLevel),
-        );
-        // Equivalence first.
-        for i in 0..3000u32 {
-            let addr = i.wrapping_mul(0x9E37_79B9);
-            assert_eq!(leveled.lookup(addr), global.lookup(addr), "addr {addr:#x}");
-        }
-        let (g, l) = (global.size_report().sa_bits, leveled.size_report().sa_bits);
-        assert!(
-            l < g,
-            "per-level S_α ({l} bits) should beat single-tree ({g} bits) on depth-dependent labels"
         );
     }
 

@@ -18,9 +18,10 @@
 //!   addition), the in-word finish of every select query,
 //! * [`IntVec`] — fixed-width packed integer arrays,
 //! * [`huffman`] — canonical Huffman codes over small alphabets,
-//! * [`WaveletTree`] — a pointer-based wavelet tree, either balanced
-//!   (`n·lg σ` bits) or Huffman-shaped (`n(H0+1) + o(n)` bits), supporting
-//!   `access`, `rank_sym` and `select_sym`.
+//! * [`WaveletTree`] — a pointer-based, Huffman-shaped wavelet tree over
+//!   RRR-compressed node vectors (`n·H0 + o(n)` bits, the label string of
+//!   XBW-b's Lemma 3 entropy mode), supporting `access`, `rank_sym` and
+//!   `select_sym`.
 //!
 //! Both bit vectors additionally expose a fused `access_rank1(i)` →
 //! `(bit, rank)` primitive that answers "what is bit `i` and how many ones
@@ -68,7 +69,7 @@ pub use intvec::{IntVec, IntVecRef};
 pub use rrr::{RrrVec, RrrVecRef};
 pub use rsvec::{RsBitVec, RsBitVecRef};
 pub use storage::{Arena, SharedWords, StorageError, WordLog};
-pub use wavelet::{WaveletBacking, WaveletShape, WaveletTree, WaveletTreeRef};
+pub use wavelet::{WaveletTree, WaveletTreeRef};
 
 /// Number of bits needed to distinguish `count` values: `⌈log2(count)⌉`.
 ///

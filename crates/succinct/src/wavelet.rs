@@ -1,106 +1,41 @@
-//! Pointer-based wavelet trees, balanced or Huffman-shaped, with plain or
-//! RRR-compressed node bit vectors.
+//! Pointer-based, Huffman-shaped wavelet trees over RRR-compressed node
+//! bit vectors: the `n·H0 + o(n)`-bit string self-index (Ferragina–
+//! Manzini–Mäkinen–Navarro) that stores XBW-b's label string `S_α` in
+//! the entropy mode of Lemma 3.
+//!
+//! It is the only shape and node backing: the entropy mode is the tree's
+//! one caller, and a balanced shape or plain node vectors would be
+//! storage modes the paper proves no bound for.
 //!
 //! For FIB images the tree serializes into one aligned word run
 //! ([`WaveletTree::write_words`]): a meta block, a fixed-width node table,
-//! and each node's bit vector as a nested storage section. The zero-copy
+//! and each node's RRR vector as a nested storage section. The zero-copy
 //! [`WaveletTreeRef`] parses that run and answers `access` — the only
 //! primitive the XBW-b lookup walk needs — by descending the node table
-//! and materializing each node's [`crate::RsBitVecRef`]/[`crate::RrrVecRef`]
-//! on the fly from borrowed words (no allocation, no copies).
+//! and materializing each node's [`crate::RrrVecRef`] on the fly from
+//! borrowed words (no allocation, no copies).
 
 use crate::bits::BitVec;
 use crate::huffman::{self, Code};
 use crate::rrr::{RrrVec, RrrVecRef};
-use crate::rsvec::{RsBitVec, RsBitVecRef};
 use crate::storage::{self, meta_usize, pad_to_block, StorageError, BLOCK_WORDS};
 
-/// Shape of the code tree a [`WaveletTree`] is built around.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaveletShape {
-    /// Fixed-width codes: `n·⌈lg σ⌉` bits, uniform O(lg σ) query depth.
-    Balanced,
-    /// Canonical Huffman codes: `n(H0+1) + o(n)` bits, O(avg code length)
-    /// expected query depth. This is the entropy-compressed mode the paper's
-    /// Lemma 3 relies on for the label string `S_α`.
-    Huffman,
-}
+/// The meta block's node-backing word: always 1, RRR. It stays in the
+/// encoding so images keep their bytes; the loader and lint refuse any
+/// other value.
+const RRR_BACKING: u64 = 1;
 
-/// Storage of each node's bit vector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaveletBacking {
-    /// Plain bits + rank directory: fastest, ~37 % overhead.
-    Plain,
-    /// RRR-compressed: removes Huffman's one-bit-per-symbol floor, taking
-    /// the whole tree to `n·H0 + o(n)` bits (Ferragina–Manzini–Mäkinen–
-    /// Navarro), at the price of slower node ranks.
-    Rrr,
-}
-
-#[derive(Clone, Debug)]
-enum NodeBits {
-    Plain(RsBitVec),
-    Rrr(RrrVec),
-}
-
-impl NodeBits {
-    fn build(bits: BitVec, backing: WaveletBacking) -> Self {
-        match backing {
-            WaveletBacking::Plain => Self::Plain(RsBitVec::new(bits)),
-            WaveletBacking::Rrr => Self::Rrr(RrrVec::new(&bits)),
-        }
-    }
-
-    /// Fused `(bit, rank_bit(bit, i))` from a single directory probe (or a
-    /// single RRR block decode) — the descent step of `access` needs
-    /// exactly this pair.
-    #[inline]
-    fn access_rank(&self, i: usize) -> (bool, usize) {
-        let (bit, r1) = match self {
-            Self::Plain(v) => v.access_rank1(i),
-            Self::Rrr(v) => v.access_rank1(i),
-        };
-        (bit, if bit { r1 } else { i - r1 })
-    }
-
-    #[inline]
-    fn rank_bit(&self, bit: bool, i: usize) -> usize {
-        match self {
-            Self::Plain(v) => v.rank_bit(bit, i),
-            Self::Rrr(v) => {
-                if bit {
-                    v.rank1(i)
-                } else {
-                    v.rank0(i)
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn select_bit(&self, bit: bool, q: usize) -> Option<usize> {
-        match self {
-            Self::Plain(v) => v.select_bit(bit, q),
-            Self::Rrr(v) => {
-                if bit {
-                    v.select1(q)
-                } else {
-                    v.select0(q)
-                }
-            }
-        }
-    }
-
-    fn size_bits(&self) -> usize {
-        match self {
-            Self::Plain(v) => v.size_bits(),
-            Self::Rrr(v) => v.size_bits(),
-        }
-    }
+/// The descent step of `access`: bit `i` and `rank1(i)` from one fused
+/// RRR block decode, mapped to `(bit, rank_bit(bit, i))` — the position
+/// in the child the bit selects.
+#[inline]
+fn descend((bit, r1): (bool, usize), i: usize) -> (bool, usize) {
+    (bit, if bit { r1 } else { i - r1 })
 }
 
 /// Reference to a wavelet-tree child: an internal node, a leaf holding one
-/// symbol, or absent (an unused balanced-code branch).
+/// symbol, or absent (the root of a tree with at most one distinct
+/// symbol; the serialized `none` tag).
 #[derive(Clone, Copy, Debug)]
 enum ChildRef {
     Node(u32),
@@ -110,7 +45,7 @@ enum ChildRef {
 
 #[derive(Clone, Debug)]
 struct WtNode {
-    bits: NodeBits,
+    bits: RrrVec,
     left: ChildRef,
     right: ChildRef,
 }
@@ -118,8 +53,9 @@ struct WtNode {
 /// A static sequence over a small alphabet supporting `access`, symbol
 /// `rank` and symbol `select`.
 ///
-/// Queries walk the code tree; at each node a rank (down) or select (up) on
-/// that node's bit vector maps positions between parent and child.
+/// Queries walk the Huffman code tree; at each node a rank (down) or
+/// select (up) on that node's RRR vector maps positions between parent
+/// and child.
 #[derive(Clone, Debug)]
 pub struct WaveletTree {
     nodes: Vec<WtNode>,
@@ -128,63 +64,31 @@ pub struct WaveletTree {
     /// Set when at most one distinct symbol exists (its code is empty).
     single: Option<u64>,
     len: usize,
-    shape: WaveletShape,
-    backing: WaveletBacking,
 }
 
 impl WaveletTree {
-    /// Builds a wavelet tree over `seq` with plain node bit vectors.
+    /// Builds the Huffman-shaped, RRR-backed tree over `seq`:
+    /// `n·H0 + o(n)` bits (Huffman's one-bit-per-symbol floor removed by
+    /// the RRR nodes), O(average code length) expected query depth.
     ///
     /// # Panics
     /// Panics if any symbol is `≥ sigma`.
     #[must_use]
-    pub fn new(seq: &[u64], sigma: usize, shape: WaveletShape) -> Self {
-        Self::with_backing(seq, sigma, shape, WaveletBacking::Plain)
-    }
-
-    /// Builds a wavelet tree with the given shape and node backing.
-    ///
-    /// # Panics
-    /// Panics if any symbol is `≥ sigma`.
-    #[must_use]
-    pub fn with_backing(
-        seq: &[u64],
-        sigma: usize,
-        shape: WaveletShape,
-        backing: WaveletBacking,
-    ) -> Self {
+    pub fn new(seq: &[u64], sigma: usize) -> Self {
+        let mut freqs = vec![0u64; sigma];
         for &s in seq {
             assert!(
                 (s as usize) < sigma,
                 "symbol {s} out of alphabet 0..{sigma}"
             );
+            freqs[s as usize] += 1;
         }
-        let codes = match shape {
-            WaveletShape::Balanced => {
-                let width = crate::ceil_log2(sigma as u64) as u8;
-                (0..sigma as u64)
-                    .map(|s| Code {
-                        bits: s,
-                        len: width,
-                    })
-                    .collect()
-            }
-            WaveletShape::Huffman => {
-                let mut freqs = vec![0u64; sigma];
-                for &s in seq {
-                    freqs[s as usize] += 1;
-                }
-                huffman::build_codes(&freqs)
-            }
-        };
         let mut tree = Self {
             nodes: Vec::new(),
-            codes,
+            codes: huffman::build_codes(&freqs),
             root: ChildRef::None,
             single: None,
             len: seq.len(),
-            shape,
-            backing,
         };
         let distinct: std::collections::BTreeSet<u64> = seq.iter().copied().collect();
         if distinct.len() <= 1 {
@@ -194,18 +98,6 @@ impl WaveletTree {
         // With ≥ 2 distinct symbols every present code has len ≥ 1.
         tree.root = tree.build_node(seq.to_vec(), 0);
         tree
-    }
-
-    /// Balanced shape, `n·⌈lg σ⌉` bits.
-    #[must_use]
-    pub fn balanced(seq: &[u64], sigma: usize) -> Self {
-        Self::new(seq, sigma, WaveletShape::Balanced)
-    }
-
-    /// Huffman shape, `n(H0+1) + o(n)` bits.
-    #[must_use]
-    pub fn huffman(seq: &[u64], sigma: usize) -> Self {
-        Self::new(seq, sigma, WaveletShape::Huffman)
     }
 
     fn build_node(&mut self, seq: Vec<u64>, depth: u8) -> ChildRef {
@@ -227,7 +119,7 @@ impl WaveletTree {
         let right = self.build_child(ones, depth + 1);
         let idx = self.nodes.len() as u32;
         self.nodes.push(WtNode {
-            bits: NodeBits::build(bits, self.backing),
+            bits: RrrVec::new(&bits),
             left,
             right,
         });
@@ -257,12 +149,6 @@ impl WaveletTree {
         self.len == 0
     }
 
-    /// The shape this tree was built with.
-    #[must_use]
-    pub fn shape(&self) -> WaveletShape {
-        self.shape
-    }
-
     /// The symbol at position `i` (the paper's `access(S, q)` primitive).
     ///
     /// # Panics
@@ -280,7 +166,7 @@ impl WaveletTree {
             match node_ref {
                 ChildRef::Node(n) => {
                     let node = &self.nodes[n as usize];
-                    let (bit, mapped) = node.bits.access_rank(pos);
+                    let (bit, mapped) = descend(node.bits.access_rank1(pos), pos);
                     pos = mapped;
                     node_ref = if bit { node.right } else { node.left };
                 }
@@ -318,7 +204,11 @@ impl WaveletTree {
                 ChildRef::Node(n) => {
                     let node = &self.nodes[n as usize];
                     let bit = code.bit(depth);
-                    pos = node.bits.rank_bit(bit, pos);
+                    pos = if bit {
+                        node.bits.rank1(pos)
+                    } else {
+                        node.bits.rank0(pos)
+                    };
                     node_ref = if bit { node.right } else { node.left };
                 }
                 ChildRef::Leaf(s) => return if s == sym { pos } else { 0 },
@@ -364,12 +254,16 @@ impl WaveletTree {
                 let bit = code.bit(depth);
                 let child = if bit { node.right } else { node.left };
                 let pos_in_child = self.select_rec(child, sym, code, depth + 1, q)?;
-                node.bits.select_bit(bit, pos_in_child + 1)
+                if bit {
+                    node.bits.select1(pos_in_child + 1)
+                } else {
+                    node.bits.select0(pos_in_child + 1)
+                }
             }
         }
     }
 
-    /// Footprint in bits: all node bit vectors (with their rank
+    /// Footprint in bits: all node RRR vectors (with their sampled rank
     /// directories) plus the per-symbol code table.
     #[must_use]
     pub fn size_bits(&self) -> usize {
@@ -377,9 +271,10 @@ impl WaveletTree {
         nodes + self.codes.len() * (64 + 8)
     }
 
-    /// Serializes the tree as one aligned word run: an 8-word meta block,
-    /// a 4-word-per-node table (children + payload offset), then each
-    /// node's bit vector as a nested aligned section. Codes are *not*
+    /// Serializes the tree as one aligned word run: an 8-word meta block
+    /// (length, node count, root, single symbol, the backing word — always
+    /// 1, RRR —, run length), a 4-word-per-node table (children + payload
+    /// offset), then each node's RRR vector as a nested aligned section. Codes are *not*
     /// serialized: the image view only answers `access`, which descends by
     /// stored bits alone.
     pub fn write_words(&self, out: &mut Vec<u64>) {
@@ -393,10 +288,7 @@ impl WaveletTree {
                 Some(s) => (1u64 << 63) | s,
                 None => 0,
             },
-            match self.backing {
-                WaveletBacking::Plain => 0,
-                WaveletBacking::Rrr => 1,
-            },
+            RRR_BACKING,
             0, // patched below: total words of this run
             0,
             0,
@@ -406,10 +298,7 @@ impl WaveletTree {
         pad_to_block(out);
         for (idx, node) in self.nodes.iter().enumerate() {
             let payload_off = (out.len() - base) as u64;
-            match &node.bits {
-                NodeBits::Plain(v) => v.write_words(out),
-                NodeBits::Rrr(v) => v.write_words(out),
-            }
+            node.bits.write_words(out);
             out[table_at + idx * 4] = pack_child(node.left);
             out[table_at + idx * 4 + 1] = pack_child(node.right);
             out[table_at + idx * 4 + 2] = payload_off;
@@ -443,23 +332,6 @@ fn unpack_child(w: u64) -> Result<ChildRef, StorageError> {
     }
 }
 
-/// A borrowed node bit vector, materialized on the fly during descent.
-enum NodeBitsRef<'a> {
-    Plain(RsBitVecRef<'a>),
-    Rrr(RrrVecRef<'a>),
-}
-
-impl<'a> NodeBitsRef<'a> {
-    #[inline]
-    fn access_rank(&self, i: usize) -> (bool, usize) {
-        let (bit, r1) = match self {
-            Self::Plain(v) => v.access_rank1(i),
-            Self::Rrr(v) => v.access_rank1(i),
-        };
-        (bit, if bit { r1 } else { i - r1 })
-    }
-}
-
 /// Borrowed zero-copy view of a serialized [`WaveletTree`], supporting
 /// `access` (the primitive the XBW-b lookup loop consumes).
 #[derive(Clone, Copy, Debug)]
@@ -470,7 +342,6 @@ pub struct WaveletTreeRef<'a> {
     root: u64,
     single: Option<u64>,
     len: usize,
-    backing: WaveletBacking,
 }
 
 impl<'a> WaveletTreeRef<'a> {
@@ -489,11 +360,9 @@ impl<'a> WaveletTreeRef<'a> {
         let n_nodes = meta_usize(meta[1])?;
         let root = meta[2];
         let single = (meta[3] >> 63 == 1).then_some(meta[3] & !(1u64 << 63));
-        let backing = match meta[4] {
-            0 => WaveletBacking::Plain,
-            1 => WaveletBacking::Rrr,
-            _ => return Err(StorageError("wavelet backing invalid")),
-        };
+        if meta[4] != RRR_BACKING {
+            return Err(StorageError("wavelet backing invalid"));
+        }
         let consumed = meta_usize(meta[5])?;
         if consumed > words.len() || consumed % BLOCK_WORDS != 0 {
             return Err(StorageError("wavelet run truncated"));
@@ -504,7 +373,6 @@ impl<'a> WaveletTreeRef<'a> {
             root,
             single,
             len,
-            backing,
         };
         // Structural validation: every child reference in range, node
         // indices strictly decreasing parent → child (the builder pushes
@@ -524,11 +392,7 @@ impl<'a> WaveletTreeRef<'a> {
                     }
                 }
             }
-            let node_len = match &bits {
-                NodeBitsRef::Plain(v) => v.len(),
-                NodeBitsRef::Rrr(v) => v.len(),
-            };
-            if node_len == 0 {
+            if bits.is_empty() {
                 return Err(StorageError("wavelet node is empty"));
             }
         }
@@ -548,7 +412,7 @@ impl<'a> WaveletTreeRef<'a> {
 
     /// Node `idx`: `(packed left, packed right, bits view)`.
     #[inline]
-    fn node(&self, idx: usize) -> Result<(u64, u64, NodeBitsRef<'a>), StorageError> {
+    fn node(&self, idx: usize) -> Result<(u64, u64, RrrVecRef<'a>), StorageError> {
         if idx >= self.n_nodes {
             return Err(StorageError("wavelet node index out of range"));
         }
@@ -558,11 +422,7 @@ impl<'a> WaveletTreeRef<'a> {
             .words
             .get(payload_off..)
             .ok_or(StorageError("wavelet payload offset out of range"))?;
-        let bits = match self.backing {
-            WaveletBacking::Plain => NodeBitsRef::Plain(RsBitVecRef::from_words(payload)?.0),
-            WaveletBacking::Rrr => NodeBitsRef::Rrr(RrrVecRef::from_words(payload)?.0),
-        };
-        Ok((rec[0], rec[1], bits))
+        Ok((rec[0], rec[1], RrrVecRef::from_words(payload)?.0))
     }
 
     /// Sequence length.
@@ -594,7 +454,7 @@ impl<'a> WaveletTreeRef<'a> {
             match node_ref {
                 ChildRef::Node(n) => {
                     let (left, right, bits) = self.node(n as usize).expect("validated at parse"); // fibcheck: allow(hot-path): image validated at parse; a miss here is unreachable
-                    let (bit, mapped) = bits.access_rank(pos);
+                    let (bit, mapped) = descend(bits.access_rank1(pos), pos);
                     pos = mapped;
                     let child = if bit { right } else { left };
                     // A dangling child is impossible in a parse-validated
@@ -612,18 +472,18 @@ impl<'a> WaveletTreeRef<'a> {
 mod tests {
     use super::*;
 
-    fn check_all_ops(seq: &[u64], sigma: usize, shape: WaveletShape) {
-        let wt = WaveletTree::new(seq, sigma, shape);
+    fn check_all_ops(seq: &[u64], sigma: usize) {
+        let wt = WaveletTree::new(seq, sigma);
         assert_eq!(wt.len(), seq.len());
         // access
         for (i, &s) in seq.iter().enumerate() {
-            assert_eq!(wt.access(i), s, "access({i}) [{shape:?}]");
+            assert_eq!(wt.access(i), s, "access({i})");
         }
         // rank for every symbol at sampled positions
         for sym in 0..sigma as u64 {
             let mut count = 0;
             for i in 0..=seq.len() {
-                assert_eq!(wt.rank_sym(sym, i), count, "rank_{sym}({i}) [{shape:?}]");
+                assert_eq!(wt.rank_sym(sym, i), count, "rank_{sym}({i})");
                 if i < seq.len() && seq[i] == sym {
                     count += 1;
                 }
@@ -635,11 +495,7 @@ mod tests {
             for (i, &s) in seq.iter().enumerate() {
                 if s == sym {
                     q += 1;
-                    assert_eq!(
-                        wt.select_sym(sym, q),
-                        Some(i),
-                        "select_{sym}({q}) [{shape:?}]"
-                    );
+                    assert_eq!(wt.select_sym(sym, q), Some(i), "select_{sym}({q})");
                 }
             }
             assert_eq!(wt.select_sym(sym, q + 1), None);
@@ -654,48 +510,40 @@ mod tests {
     }
 
     #[test]
-    fn balanced_small_alphabet() {
-        check_all_ops(&pseudo_seq(300, 4, 1), 4, WaveletShape::Balanced);
-    }
-
-    #[test]
     fn huffman_small_alphabet() {
-        check_all_ops(&pseudo_seq(300, 4, 2), 4, WaveletShape::Huffman);
+        check_all_ops(&pseudo_seq(300, 4, 2), 4);
     }
 
     #[test]
     fn non_power_of_two_alphabet() {
-        check_all_ops(&pseudo_seq(257, 5, 3), 5, WaveletShape::Balanced);
-        check_all_ops(&pseudo_seq(257, 5, 4), 5, WaveletShape::Huffman);
+        check_all_ops(&pseudo_seq(257, 5, 3), 5);
+        check_all_ops(&pseudo_seq(257, 5, 4), 5);
     }
 
     #[test]
-    fn skewed_distribution_both_shapes() {
+    fn skewed_distribution() {
         // 90% zeros, tail spread over 7 other symbols.
         let seq: Vec<u64> = (0..500u64)
             .map(|i| if i % 10 != 0 { 0 } else { 1 + (i / 10) % 7 })
             .collect();
-        check_all_ops(&seq, 8, WaveletShape::Balanced);
-        check_all_ops(&seq, 8, WaveletShape::Huffman);
+        check_all_ops(&seq, 8);
     }
 
     #[test]
     fn single_distinct_symbol() {
         let seq = vec![3u64; 50];
-        for shape in [WaveletShape::Balanced, WaveletShape::Huffman] {
-            let wt = WaveletTree::new(&seq, 6, shape);
-            assert_eq!(wt.access(49), 3);
-            assert_eq!(wt.rank_sym(3, 50), 50);
-            assert_eq!(wt.rank_sym(2, 50), 0);
-            assert_eq!(wt.select_sym(3, 50), Some(49));
-            assert_eq!(wt.select_sym(3, 51), None);
-            assert_eq!(wt.select_sym(2, 1), None);
-        }
+        let wt = WaveletTree::new(&seq, 6);
+        assert_eq!(wt.access(49), 3);
+        assert_eq!(wt.rank_sym(3, 50), 50);
+        assert_eq!(wt.rank_sym(2, 50), 0);
+        assert_eq!(wt.select_sym(3, 50), Some(49));
+        assert_eq!(wt.select_sym(3, 51), None);
+        assert_eq!(wt.select_sym(2, 1), None);
     }
 
     #[test]
     fn empty_sequence() {
-        let wt = WaveletTree::huffman(&[], 4);
+        let wt = WaveletTree::new(&[], 4);
         assert!(wt.is_empty());
         assert_eq!(wt.rank_sym(0, 0), 0);
         assert_eq!(wt.select_sym(0, 1), None);
@@ -704,7 +552,7 @@ mod tests {
     #[test]
     fn absent_symbol_queries() {
         let seq = pseudo_seq(100, 3, 9); // symbols 0..3 only
-        let wt = WaveletTree::huffman(&seq, 10);
+        let wt = WaveletTree::new(&seq, 10);
         assert_eq!(wt.rank_sym(7, 100), 0);
         assert_eq!(wt.select_sym(7, 1), None);
         assert_eq!(wt.rank_sym(999, 100), 0, "out-of-alphabet symbol");
@@ -717,51 +565,26 @@ mod tests {
         let seq: Vec<u64> = (0..n as u64)
             .map(|i| if i % 32 == 0 { 1 + (i / 32) % 15 } else { 0 })
             .collect();
-        let bal = WaveletTree::balanced(&seq, 16);
-        let huf = WaveletTree::huffman(&seq, 16);
+        // What fixed-width codes store before any rank directory.
+        let fixed_width_bits = n * 4;
+        let huf = WaveletTree::new(&seq, 16);
         assert!(
-            huf.size_bits() * 2 < bal.size_bits(),
-            "huffman {} not < half of balanced {}",
-            huf.size_bits(),
-            bal.size_bits()
+            huf.size_bits() * 2 < fixed_width_bits,
+            "huffman {} not < half of the fixed-width {fixed_width_bits}",
+            huf.size_bits()
         );
-    }
-
-    #[test]
-    fn rrr_backing_agrees_with_plain_on_all_ops() {
-        let seq = pseudo_seq(700, 9, 21);
-        let plain =
-            WaveletTree::with_backing(&seq, 9, WaveletShape::Huffman, WaveletBacking::Plain);
-        let rrr = WaveletTree::with_backing(&seq, 9, WaveletShape::Huffman, WaveletBacking::Rrr);
-        for i in 0..seq.len() {
-            assert_eq!(plain.access(i), rrr.access(i), "access({i})");
-        }
-        for sym in 0..9u64 {
-            for i in (0..=seq.len()).step_by(13) {
-                assert_eq!(plain.rank_sym(sym, i), rrr.rank_sym(sym, i));
-            }
-            for q in 1..=80 {
-                assert_eq!(plain.select_sym(sym, q), rrr.select_sym(sym, q));
-            }
-        }
     }
 
     #[test]
     fn rrr_backing_breaks_the_one_bit_floor() {
-        // 97% of symbols are 0: H0 ≈ 0.3 but Huffman alone cannot go below
-        // 1 bit/symbol. With RRR-compressed nodes the total must drop well
-        // under n bits.
+        // 97% of symbols are 0: H0 ≈ 0.3 but Huffman codes alone cannot
+        // go below 1 bit/symbol. With RRR-compressed nodes the total must
+        // drop well under n bits.
         let n = 60_000usize;
         let seq: Vec<u64> = (0..n as u64)
             .map(|i| if i % 32 == 0 { 1 + (i / 32) % 15 } else { 0 })
             .collect();
-        let plain =
-            WaveletTree::with_backing(&seq, 16, WaveletShape::Huffman, WaveletBacking::Plain);
-        let rrr = WaveletTree::with_backing(&seq, 16, WaveletShape::Huffman, WaveletBacking::Rrr);
-        assert!(
-            plain.size_bits() >= n,
-            "plain Huffman cannot beat 1 bit/symbol"
-        );
+        let rrr = WaveletTree::new(&seq, 16);
         assert!(
             rrr.size_bits() < n * 2 / 3,
             "RRR-backed tree too large: {} bits for {n} symbols",
@@ -772,7 +595,7 @@ mod tests {
     #[test]
     fn larger_alphabet_roundtrip() {
         let seq = pseudo_seq(2000, 64, 11);
-        let wt = WaveletTree::huffman(&seq, 64);
+        let wt = WaveletTree::new(&seq, 64);
         for (i, &s) in seq.iter().enumerate() {
             assert_eq!(wt.access(i), s);
         }
@@ -780,25 +603,21 @@ mod tests {
 
     #[test]
     fn serialized_view_access_matches_owned() {
-        for backing in [WaveletBacking::Plain, WaveletBacking::Rrr] {
-            for (n, sigma) in [(2000usize, 9u64), (700, 2), (64, 33)] {
-                let seq = pseudo_seq(n, sigma, 77);
-                let wt =
-                    WaveletTree::with_backing(&seq, sigma as usize, WaveletShape::Huffman, backing);
-                let mut words = Vec::new();
-                wt.write_words(&mut words);
-                assert_eq!(words.len() % 8, 0);
-                let arena = crate::storage::Arena::from_words(&words);
-                let (view, consumed) = WaveletTreeRef::from_words(arena.words()).unwrap();
-                assert_eq!(consumed, words.len());
-                let arena_range = arena.words().as_ptr_range();
-                let pr = view.payload_ptr_range();
-                assert!(
-                    pr.start >= arena_range.start as usize && pr.end <= arena_range.end as usize
-                );
-                for (i, &s) in seq.iter().enumerate() {
-                    assert_eq!(view.access(i), s, "{backing:?} access({i})");
-                }
+        for (n, sigma) in [(2000usize, 9u64), (700, 2), (64, 33)] {
+            let seq = pseudo_seq(n, sigma, 77);
+            let wt = WaveletTree::new(&seq, sigma as usize);
+            let mut words = Vec::new();
+            wt.write_words(&mut words);
+            assert_eq!(words.len() % 8, 0);
+            assert_eq!(words[4], RRR_BACKING);
+            let arena = crate::storage::Arena::from_words(&words);
+            let (view, consumed) = WaveletTreeRef::from_words(arena.words()).unwrap();
+            assert_eq!(consumed, words.len());
+            let arena_range = arena.words().as_ptr_range();
+            let pr = view.payload_ptr_range();
+            assert!(pr.start >= arena_range.start as usize && pr.end <= arena_range.end as usize);
+            for (i, &s) in seq.iter().enumerate() {
+                assert_eq!(view.access(i), s, "access({i})");
             }
         }
     }
@@ -806,7 +625,7 @@ mod tests {
     #[test]
     fn serialized_single_symbol_and_empty() {
         for seq in [vec![5u64; 40], Vec::new()] {
-            let wt = WaveletTree::huffman(&seq, 8);
+            let wt = WaveletTree::new(&seq, 8);
             let mut words = Vec::new();
             wt.write_words(&mut words);
             let (view, _) = WaveletTreeRef::from_words(&words).unwrap();
@@ -820,15 +639,21 @@ mod tests {
     #[test]
     fn serialized_view_rejects_corruption() {
         let seq = pseudo_seq(900, 5, 3);
-        let wt = WaveletTree::with_backing(&seq, 5, WaveletShape::Huffman, WaveletBacking::Rrr);
+        let wt = WaveletTree::new(&seq, 5);
         let mut words = Vec::new();
         wt.write_words(&mut words);
         for cut in [0usize, 5, 8, 24, words.len() - 8] {
             assert!(WaveletTreeRef::from_words(&words[..cut]).is_err(), "{cut}");
         }
-        let mut bad = words.clone();
-        bad[4] = 7; // unknown backing
-        assert!(WaveletTreeRef::from_words(&bad).is_err());
+        // Any backing word but RRR's 1 is refused.
+        for backing in [0, 7] {
+            let mut bad = words.clone();
+            bad[4] = backing;
+            assert!(
+                WaveletTreeRef::from_words(&bad).is_err(),
+                "backing {backing}"
+            );
+        }
         let mut bad = words.clone();
         bad[8] = (1u64 << 62) | u64::from(u32::MAX); // child points out of range
         assert!(WaveletTreeRef::from_words(&bad).is_err());

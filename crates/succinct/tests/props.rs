@@ -7,7 +7,7 @@
 //! proptest default of 256); a failure message carries the case number, so
 //! any counterexample reproduces exactly.
 
-use fib_succinct::{BitVec, IntVec, RrrVec, RsBitVec, WaveletShape, WaveletTree};
+use fib_succinct::{BitVec, IntVec, RrrVec, RsBitVec, WaveletTree};
 use fib_workload::rng::{Rng, Xoshiro256};
 
 const CASES: u64 = 256;
@@ -245,13 +245,7 @@ fn wavelet_access_rank_select_match_naive() {
         let mut rng = Xoshiro256::for_case("wavelet_access_rank_select_match_naive", case);
         let n: usize = rng.random_range(0..600);
         let seq: Vec<u64> = (0..n).map(|_| rng.random_range(0..12u64)).collect();
-        let huffman: bool = rng.random();
-        let shape = if huffman {
-            WaveletShape::Huffman
-        } else {
-            WaveletShape::Balanced
-        };
-        let wt = WaveletTree::new(&seq, 12, shape);
+        let wt = WaveletTree::new(&seq, 12);
         for (i, &s) in seq.iter().enumerate() {
             assert_eq!(wt.access(i), s, "case {case}, access({i})");
         }

@@ -15,10 +15,8 @@
 //! inflate/halve heuristics.
 //!
 //! Storage is one packed `u64` per node (leaf tag + label, or stride +
-//! child base), so the whole arena is a flat word string: the owned
-//! [`LcTrie`] and the zero-copy [`LcTrieRef`] — which FIB images borrow
-//! straight out of a loaded buffer — run the identical lookup code over
-//! the same encoding.
+//! child base), so the whole arena is a flat word string. The LC-trie is
+//! a baseline only: it has no FIB-image encoding.
 
 use std::marker::PhantomData;
 
@@ -30,8 +28,7 @@ use crate::nexthop::NextHop;
 /// Packed node encoding: bit 63 tags a leaf; a leaf stores `label + 1` in
 /// the low 33 bits (0 = no route); a branch stores the stride in bits
 /// 32–39 and the child base index in the low 32 bits. Children of a
-/// branch always live at higher indices than the branch itself, which is
-/// what makes the walk on untrusted (image-loaded) words terminate.
+/// branch always live at higher indices than the branch itself.
 const LEAF_TAG: u64 = 1 << 63;
 
 #[inline]
@@ -60,15 +57,6 @@ pub struct LcTrie<A: Address> {
     nodes: Vec<u64>,
     root: u32,
     max_stride: u8,
-    _marker: PhantomData<A>,
-}
-
-/// Borrowed zero-copy view of an [`LcTrie`]'s packed node words: the
-/// query surface over owned or image-loaded memory.
-#[derive(Clone, Copy, Debug)]
-pub struct LcTrieRef<'a, A: Address> {
-    nodes: &'a [u64],
-    root: u32,
     _marker: PhantomData<A>,
 }
 
@@ -183,49 +171,24 @@ impl<A: Address> LcTrie<A> {
         Descend::Reached(idx)
     }
 
-    /// The borrowed view all queries run on.
-    #[must_use]
-    #[inline]
-    pub fn view(&self) -> LcTrieRef<'_, A> {
-        LcTrieRef {
-            nodes: &self.nodes,
-            root: self.root,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The packed node words (one per node). Serialize these plus
-    /// [`Self::root`] offsets to persist the trie; rebuild a queryable
-    /// view with [`LcTrieRef::from_parts`].
-    #[must_use]
-    pub fn packed_nodes(&self) -> &[u64] {
-        &self.nodes
-    }
-
-    /// Index of the root node.
-    #[must_use]
-    pub fn root(&self) -> u32 {
-        self.root
-    }
-
     /// Longest-prefix-match lookup.
     #[must_use]
     #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        self.view().lookup(addr)
+        self.walk(addr, |_| {}).0
     }
 
     /// Lookup returning the number of branch nodes traversed (the paper's
     /// Table 2 "depth").
     #[must_use]
     pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
-        self.view().lookup_with_depth(addr)
+        self.walk(addr, |_| {})
     }
 
     /// Lookup reporting every node touch as `(byte offset, byte size)`
     /// within the arena — the access stream for cache simulation.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        self.view().lookup_traced(addr, sink)
+        self.walk(addr, |idx| sink(u64::from(idx) * 8, 8)).0
     }
 
     /// Like [`Self::lookup_traced`], but with accesses laid out as the
@@ -236,7 +199,7 @@ impl<A: Address> LcTrie<A> {
     pub fn lookup_traced_kernel(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
         const KERNEL_NODE_BYTES: u64 = 40;
         let touch = |idx| sink(u64::from(idx) * KERNEL_NODE_BYTES, KERNEL_NODE_BYTES as u32);
-        self.view().walk(addr, touch).0
+        self.walk(addr, touch).0
     }
 
     /// Number of nodes (branch slots included).
@@ -299,79 +262,6 @@ impl<A: Address> LcTrie<A> {
     pub fn root_is_branch(&self) -> bool {
         self.nodes[self.root as usize] & LEAF_TAG == 0
     }
-}
-
-impl<'a, A: Address> LcTrieRef<'a, A> {
-    /// Assembles a view over packed node words, validating the encoding so
-    /// the walk can neither loop nor index out of bounds: every branch's
-    /// child array must lie fully inside `nodes` and strictly above the
-    /// branch itself, and strides must fit the address width.
-    ///
-    /// # Errors
-    /// A static message naming the structural violation.
-    pub fn from_parts(nodes: &'a [u64], root: u32) -> Result<Self, &'static str> {
-        let view = Self::from_parts_trusted(nodes, root)?;
-        for (idx, &word) in nodes.iter().enumerate() {
-            if word & LEAF_TAG != 0 {
-                continue;
-            }
-            let bits = (word >> 32) & 0xFF;
-            let base = (word as u32) as usize;
-            if bits == 0 || bits > u64::from(A::WIDTH) {
-                return Err("lc-trie stride out of range");
-            }
-            let width = 1usize << bits;
-            if base <= idx || base.saturating_add(width) > nodes.len() {
-                return Err("lc-trie child array out of range");
-            }
-        }
-        Ok(view)
-    }
-
-    /// [`Self::from_parts`] minus the O(n) node scan — only for words
-    /// that already passed a full validation (the scan is what proves the
-    /// walk terminates, so a loaded image must run it once; images are
-    /// immutable after load, so once is enough).
-    pub fn from_parts_trusted(nodes: &'a [u64], root: u32) -> Result<Self, &'static str> {
-        if nodes.is_empty() {
-            return Err("lc-trie has no nodes");
-        }
-        if root as usize >= nodes.len() {
-            return Err("lc-trie root out of range");
-        }
-        Ok(Self {
-            nodes,
-            root,
-            _marker: PhantomData,
-        })
-    }
-
-    /// The pointer range of the borrowed node words, for zero-copy
-    /// assertions in tests.
-    #[must_use]
-    pub fn payload_ptr_range(&self) -> std::ops::Range<usize> {
-        let start = self.nodes.as_ptr() as usize;
-        start..start + std::mem::size_of_val(self.nodes)
-    }
-
-    /// Longest-prefix-match lookup.
-    #[must_use]
-    #[inline]
-    pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        self.walk(addr, |_| {}).0
-    }
-
-    /// Lookup returning the number of branch nodes traversed.
-    #[must_use]
-    pub fn lookup_with_depth(&self, addr: A) -> (Option<NextHop>, Depth) {
-        self.walk(addr, |_| {})
-    }
-
-    /// Lookup reporting every node touch as `(byte offset, byte size)`
-    /// within the arena — the access stream for cache simulation.
-    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        self.walk(addr, |idx| sink(u64::from(idx) * 8, 8)).0
-    }
 
     /// The walk from the root to a leaf, counting branch hops; `touch`
     /// sees the index of every node word read (a traced lookup is this
@@ -392,18 +282,6 @@ impl<'a, A: Address> LcTrieRef<'a, A> {
             offset += bits;
             hops += 1;
         }
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Arena footprint in bytes (8 per packed node).
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * 8
     }
 }
 

@@ -47,7 +47,7 @@ pub use addr::{
     MAX_BLOCK_DEPTH,
 };
 pub use binary::{BinaryTrie, NodeRef};
-pub use lctrie::{LcTrie, LcTrieRef};
+pub use lctrie::LcTrie;
 pub use leafpush::{project_heat_weights, ProperNode, ProperTrie};
 pub use nexthop::NextHop;
 pub use table::RouteTable;

@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! # Compile a routes file into an image
-//! # (engine: xbw|pdag|serialized|lctrie|vsdag).
+//! # (engine: xbw|pdag|serialized|vsdag).
 //! fibc compile --engine serialized --routes routes.txt --out fib.img
 //!
 //! # Or compile a synthetic paper instance (taz, hbone, …) at a scale.
@@ -105,7 +105,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  fibc compile --engine <xbw|pdag|serialized|lctrie|vsdag> \\
+  fibc compile --engine <xbw|pdag|serialized|vsdag> \\
                (--routes FILE | --instance NAME [--scale S] [--seed N]) \\
                --out IMG [--v6] [--xbw-mode succinct|entropy] [--lambda N] \\
                [--vs-budget F] [--vs-max-stride N] \\
@@ -211,7 +211,7 @@ fn compile(args: &[String]) -> Result<(), String> {
     }
     refuse_unread(args, COMPILE_FLAGS, "`fibc compile`")?;
     let engine = EngineKind::parse(opt(args, "--engine").ok_or("--engine is required")?)
-        .ok_or("unknown engine (want xbw|pdag|serialized|lctrie|vsdag)")?;
+        .ok_or("unknown engine (want xbw|pdag|serialized|vsdag)")?;
     if engine == EngineKind::VrfSet {
         return Err("vrfset images hold many tables; compile one with --vrfs N".into());
     }

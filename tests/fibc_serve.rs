@@ -18,11 +18,10 @@ use fibcomp::workload::rng::Xoshiro256;
 use fibcomp::workload::traces;
 
 /// Every single-table `--engine`, plus `vsdag` compiled with `--heat`.
-const IMAGES: [(&str, &[&str]); 6] = [
+const IMAGES: [(&str, &[&str]); 5] = [
     ("xbw", &[]),
     ("pdag", &[]),
     ("serialized", &[]),
-    ("lctrie", &[]),
     ("vsdag", &[]),
     ("vsdag-hot", &["--heat"]),
 ];

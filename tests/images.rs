@@ -7,7 +7,7 @@ use fibcomp::core::{
     any_view, write_image, BuildConfig, EngineKind, FibBuild, FibImage, FibLookup, ImageCodec,
     ImageError, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, XbwFib, XbwStorage,
 };
-use fibcomp::trie::{Address, BinaryTrie, LcTrie, NextHop, Prefix4, Prefix6};
+use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix4, Prefix6};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
 use fibcomp::workload::{traces, FibSpec};
 
@@ -100,7 +100,6 @@ fn engines_v4(trie: &BinaryTrie<u32>) -> impl Iterator<Item = (&'static str, Vec
     let dag: PrefixDag<u32> = FibBuild::build(trie, &config);
     let ser: SerializedDag<u32> = FibBuild::build(trie, &config);
     let mb = MultibitDag::from_trie(trie, config.stride);
-    let lc: LcTrie<u32> = FibBuild::build(trie, &config);
     let vs: VarStrideDag<u32> = FibBuild::build(trie, &config);
     [
         ("xbw-succinct", write_image(&xbw_s, Some(trie), 0).unwrap()),
@@ -108,7 +107,6 @@ fn engines_v4(trie: &BinaryTrie<u32>) -> impl Iterator<Item = (&'static str, Vec
         ("pdag", write_image(&dag, Some(trie), 0).unwrap()),
         ("serialized", write_image(&ser, Some(trie), 0).unwrap()),
         ("multibit", write_image(&mb, Some(trie), 0).unwrap()),
-        ("lctrie", write_image(&lc, Some(trie), 0).unwrap()),
         ("vsdag", write_image(&vs, Some(trie), 0).unwrap()),
     ]
     .into_iter()
@@ -124,7 +122,6 @@ fn every_engine_roundtrips_on_ipv4() {
     assert_roundtrip::<u32, PrefixDag<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u32, SerializedDag<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip(&MultibitDag::from_trie(&trie, config.stride), &trie, &keys);
-    assert_roundtrip::<u32, LcTrie<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u32, VarStrideDag<u32>>(&FibBuild::build(&trie, &config), &trie, &keys);
 }
 
@@ -142,7 +139,6 @@ fn every_engine_roundtrips_on_ipv6() {
     assert_roundtrip::<u128, PrefixDag<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u128, SerializedDag<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip(&MultibitDag::from_trie(&trie, config.stride), &trie, &keys);
-    assert_roundtrip::<u128, LcTrie<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
     assert_roundtrip::<u128, VarStrideDag<u128>>(&FibBuild::build(&trie, &config), &trie, &keys);
 }
 
@@ -167,11 +163,6 @@ fn loaded_views_borrow_from_the_image_arena() {
     let mb = MultibitDag::from_trie(&trie, config.stride);
     let image = FibImage::from_bytes(&write_image(&mb, None, 0).unwrap()).unwrap();
     let view = <MultibitDag<u32> as ImageCodec<u32>>::view(&image).unwrap();
-    within(view.payload_ptr_range(), image.words().as_ptr_range());
-
-    let lc: LcTrie<u32> = FibBuild::build(&trie, &config);
-    let image = FibImage::from_bytes(&write_image(&lc, None, 0).unwrap()).unwrap();
-    let view = <LcTrie<u32> as ImageCodec<u32>>::view(&image).unwrap();
     within(view.payload_ptr_range(), image.words().as_ptr_range());
 
     let dag: PrefixDag<u32> = FibBuild::build(&trie, &config);
@@ -313,28 +304,11 @@ fn repair_checksum(mut bytes: Vec<u8>) -> Vec<u8> {
 }
 
 #[test]
-fn per_level_xbw_declines_image_encoding() {
-    let trie = v4_fib(500, 8);
-    let xbw = XbwFib::build(
-        &trie,
-        XbwStorage::Custom(
-            fibcomp::core::SiStorage::Rrr,
-            fibcomp::core::SaStorage::HuffmanPerLevel,
-        ),
-    );
-    assert!(matches!(
-        write_image(&xbw, None, 0),
-        Err(ImageError::Unsupported(_))
-    ));
-}
-
-#[test]
 fn engine_kind_names_roundtrip() {
     for kind in [
         EngineKind::Xbw,
         EngineKind::PrefixDag,
         EngineKind::SerializedDag,
-        EngineKind::LcTrie,
         EngineKind::VrfSet,
         EngineKind::VsDag,
     ] {
@@ -345,6 +319,9 @@ fn engine_kind_names_roundtrip() {
     // Retired with the stride-`s` multibit DAG; never reassigned.
     assert_eq!(EngineKind::from_u8(4), None);
     assert_eq!(EngineKind::parse("multibit"), None);
+    // Retired with the LC-trie's image codec; never reassigned.
+    assert_eq!(EngineKind::from_u8(5), None);
+    assert_eq!(EngineKind::parse("lctrie"), None);
 }
 
 #[test]
