@@ -624,10 +624,15 @@ impl<A: Address> PrefixDag<A> {
     /// Inserts or replaces a route, returning the previous next-hop.
     ///
     /// Cost: O(W) when `prefix.len() < λ`; O(W + 2^(W−λ)) otherwise
-    /// (Theorem 3).
+    /// (Theorem 3). A re-announce of the next-hop the prefix already
+    /// has costs the control-trie insert alone: the arena, the root
+    /// array and the change stamps stay as they are.
     pub fn insert(&mut self, prefix: Prefix<A>, next_hop: NextHop) -> Option<NextHop> {
         let control = self.control.as_mut().expect(NO_CONTROL);
         let old = control.insert(prefix, next_hop);
+        if old == Some(next_hop) {
+            return old;
+        }
         self.counts.routes += usize::from(old.is_none());
         if prefix.len() < self.lambda {
             // Shallow update: edit the top tree in place.
@@ -646,7 +651,8 @@ impl<A: Address> PrefixDag<A> {
 
     /// Removes a route, returning its next-hop if it existed.
     ///
-    /// Same complexity as [`Self::insert`].
+    /// Same complexity as [`Self::insert`]; withdrawing a prefix the
+    /// table does not hold costs the control-trie walk alone.
     pub fn remove(&mut self, prefix: Prefix<A>) -> Option<NextHop> {
         let old = self.control.as_mut().expect(NO_CONTROL).remove(prefix)?;
         self.counts.routes -= 1;
@@ -1463,6 +1469,29 @@ mod tests {
         dag.assert_invariants();
         assert_eq!(dag.stats(), baseline, "fold state must return to baseline");
         assert_equivalent(&trie, &dag, 1000);
+    }
+
+    #[test]
+    fn an_update_that_changes_no_route_writes_nothing() {
+        for lambda in [0u8, 2, 11] {
+            let mut dag = PrefixDag::from_trie(&fig1_trie(), lambda);
+            dag.insert(p("10.1.2.0/24"), nh(7));
+            let (nodes, roots, stats) = (dag.nodes.clone(), dag.root_array.clone(), dag.stats());
+            let window = dag.close_window();
+            // A route in the top tree (at λ ≥ 2), one folded below the
+            // barrier, and a withdraw of a prefix the table never held.
+            assert_eq!(dag.insert(p("0.0.0.0/1"), nh(3)), Some(nh(3)));
+            assert_eq!(dag.insert(p("10.1.2.0/24"), nh(7)), Some(nh(7)));
+            assert_eq!(dag.remove(p("10.1.3.0/24")), None);
+            dag.assert_invariants();
+            assert!(
+                dag.nodes == nodes && dag.root_array == roots,
+                "λ = {lambda}"
+            );
+            assert_eq!(dag.stats(), stats, "λ = {lambda}");
+            let stamped = (0..dag.stamps.len() as u32).filter(|&i| dag.changed_since(window, i));
+            assert_eq!(stamped.count(), 0, "λ = {lambda}");
+        }
     }
 
     #[test]

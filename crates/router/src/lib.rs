@@ -13,8 +13,9 @@
 //!   ([`EpochSnapshot`]s published through a wait-free [`SnapCell`]) over
 //!   any engine implementing the `fib-core` trait family. Engines with
 //!   in-place updates ([`fib_core::FibUpdate`]) absorb churn directly;
-//!   static images are rebuilt from the oracle at publish time. A
-//!   degradation policy (pDAG arena fragmentation from λ-barrier
+//!   static images are rebuilt from the oracle at publish time. An update
+//!   that leaves the oracle as it was stops there and reaches no engine.
+//!   A degradation policy (pDAG arena fragmentation from λ-barrier
 //!   refolds) compacts the engine in line when it crosses 0.25 — which
 //!   BGP churn rarely does. Every rebuild runs on the control thread.
 //! * [`SnapCell`] — home-grown single-writer snapshot publication:

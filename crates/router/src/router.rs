@@ -309,12 +309,24 @@ impl<E: Send + Sync + 'static> DataPlane<E> {
 /// Counters describing what a [`Router`] has done so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouterStats {
-    /// Updates accepted by the control plane.
+    /// Updates accepted by the control plane:
+    /// `in_place + declined + unchanged`.
     pub updates: u64,
     /// Updates the working engine absorbed in place.
     pub in_place: u64,
-    /// Updates the working engine declined ([`fib_core::RebuildNeeded`]).
+    /// Updates the working engine declined ([`fib_core::RebuildNeeded`]),
+    /// so that it is rebuilt at the next publish, and the
+    /// [`Self::unchanged`] updates of that same publish interval, which
+    /// the rebuild covers: a static engine counts every update of an
+    /// interval that changed a route, wherever its no-ops fall.
     pub declined: u64,
+    /// Updates that left the control FIB as it was — a re-announce of the
+    /// next-hop a prefix already had, a withdraw of a prefix it did not
+    /// hold. They are journaled but never reach the working engine, so
+    /// they make no static engine stale, and a publish after nothing but
+    /// these reuses the published snapshot. Until a later update of the
+    /// same interval is declined: then they move to [`Self::declined`].
+    pub unchanged: u64,
     /// Epoch snapshots published.
     pub epochs: u64,
     /// Engine rebuilds from the control FIB installed as the working
@@ -410,7 +422,11 @@ pub struct Router<A: Address, E: Send + Sync + 'static> {
     /// While its last build failed, the degradation check compacts
     /// nothing (prevents a panic storm on a poisoned control state).
     publisher: Publisher<EpochSnapshot<E>>,
+    /// Updates since the last publish (the auto-publish cadence).
     since_publish: usize,
+    /// Of those, the ones counted [`RouterStats::unchanged`]: all of
+    /// them, while the control FIB is as the published epoch has it.
+    unchanged_since_publish: usize,
     stats: RouterStats,
     spool: Option<Spool>,
     /// The last merged traffic interval, in `HeatSummary` entry shape.
@@ -449,6 +465,7 @@ where
             stale: false,
             publisher: Publisher::new(snapshot.epoch(), snapshot),
             since_publish: 0,
+            unchanged_since_publish: 0,
             stats: RouterStats {
                 epochs: 1,
                 ..RouterStats::default()
@@ -737,31 +754,51 @@ where
         self.snapshot().lookup(addr)
     }
 
-    /// Announces (inserts or replaces) a route.
+    /// Announces (inserts or replaces) a route. Journaled like every
+    /// update; a re-announce of the next-hop the control FIB already holds
+    /// stops there ([`RouterStats::unchanged`]): the working engine is not
+    /// touched, and a static one is not made stale by it.
     pub fn announce(&mut self, prefix: Prefix<A>, next_hop: NextHop) {
-        self.control.insert(prefix, next_hop);
+        let old = self.control.insert(prefix, next_hop);
         self.spool_append(prefix, Some(next_hop));
-        self.apply_to_working(|w| w.try_insert(prefix, next_hop).map(|_| ()));
+        self.apply_to_working(old != Some(next_hop), |w| {
+            w.try_insert(prefix, next_hop).map(|_| ())
+        });
         self.after_update();
     }
 
-    /// Withdraws a route.
+    /// Withdraws a route. Journaled like every update; withdrawing a
+    /// prefix the control FIB does not hold stops there, as a
+    /// same-next-hop [`Self::announce`] does.
     pub fn withdraw(&mut self, prefix: Prefix<A>) {
-        self.control.remove(prefix);
+        let old = self.control.remove(prefix);
         self.spool_append(prefix, None);
-        self.apply_to_working(|w| w.try_remove(prefix).map(|_| ()));
+        self.apply_to_working(old.is_some(), |w| w.try_remove(prefix).map(|_| ()));
         self.after_update();
     }
 
     /// Runs an in-place update against the working engine, tracking the
-    /// stale flag and counters. A missing engine (warm restart) counts as
-    /// declined.
-    fn apply_to_working(&mut self, f: impl FnOnce(&mut E) -> Result<(), fib_core::RebuildNeeded>) {
-        if !self.stale && self.working.as_mut().is_some_and(|w| f(w).is_ok()) {
+    /// stale flag and counters — unless the update left the control FIB
+    /// as it was (`changed` false), which leaves the engine and the flag
+    /// alone. A missing engine (warm restart) counts as declined, and so
+    /// does every update of an interval once one is declined.
+    fn apply_to_working(
+        &mut self,
+        changed: bool,
+        f: impl FnOnce(&mut E) -> Result<(), fib_core::RebuildNeeded>,
+    ) {
+        if !changed && !self.stale {
+            self.stats.unchanged += 1;
+            self.unchanged_since_publish += 1;
+        } else if changed && !self.stale && self.working.as_mut().is_some_and(|w| f(w).is_ok()) {
             self.stats.in_place += 1;
         } else {
+            // The rebuild this decline calls for covers the interval's
+            // earlier no-ops too.
+            let covered = std::mem::take(&mut self.unchanged_since_publish) as u64;
+            self.stats.unchanged -= covered;
+            self.stats.declined += covered + 1;
             self.stale = true;
-            self.stats.declined += 1;
         }
     }
 
@@ -814,6 +851,9 @@ where
     /// when it returns with [`Self::spool_health`] `Healthy`, a crash
     /// loses none of them. The epoch is spilled as a full image only when
     /// the journal has outgrown [`SpoolConfig::journal_fold_bytes`].
+    /// When no update since the last publish changed the control FIB
+    /// (none came, or all were [`RouterStats::unchanged`]), no epoch is
+    /// cut: the journal is committed and the served snapshot returned.
     ///
     /// The snapshot's engine is [`FibUpdate::publish_copy`] of the working
     /// engine — a lookup structure, answering as the working engine does
@@ -901,12 +941,19 @@ where
     /// The one [`FibUpdate::publish_copy`] call below is the only use of
     /// the snapshot the publish core hands back.
     fn publish_with(&mut self, hot: Option<HotSlab>) -> Arc<EpochSnapshot<E>> {
-        // No-op publish: nothing changed since the last epoch, so reuse
-        // the published snapshot instead of copying the engine again. A
-        // freshly warm-restarted router with no pending journal lands
-        // here, so its snapshot keeps serving the image and its owned
-        // engine stays unbuilt.
-        if self.since_publish == 0 && !self.stale && hot.is_none() {
+        // No-op publish: nothing changed since the last epoch — no update,
+        // or only unchanged ones — so reuse the published snapshot instead
+        // of copying the engine again. A freshly warm-restarted router
+        // with no pending journal lands here, so its snapshot keeps
+        // serving the image and its owned engine stays unbuilt. A journal
+        // past its fold threshold cuts an epoch all the same, to fold.
+        if self.since_publish == self.unchanged_since_publish
+            && !self.stale
+            && hot.is_none()
+            && !self.spool.as_ref().is_some_and(Spool::wants_fold)
+        {
+            self.since_publish = 0;
+            self.unchanged_since_publish = 0;
             self.commit_spool();
             return self.snapshot();
         }
@@ -930,12 +977,12 @@ where
     /// stale or absent; `None`, with the engine marked stale, when the
     /// build fails.
     fn cut_epoch(&mut self, hot: Option<HotSlab>) -> Option<Arc<EpochSnapshot<E>>> {
+        self.since_publish = 0;
+        self.unchanged_since_publish = 0;
         if (self.stale || self.working.is_none()) && !self.materialize() {
             self.stale = true;
-            self.since_publish = 0;
             return None;
         }
-        self.since_publish = 0;
         self.stats.epochs += 1;
         let snapshot = self.publisher.publish(|epoch, retired| {
             let working = self.working.as_mut().expect("materialized");

@@ -229,18 +229,21 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
 
     /// Announces a route in `vrf` (creating the table if new), folding it
     /// into the VRF's pDAG in place. Returns the previous next-hop for
-    /// that exact prefix.
+    /// that exact prefix. A re-announce of that next-hop changes nothing
+    /// and leaves the VRF clean for the next publish.
     pub fn announce(&mut self, vrf: u32, prefix: Prefix<A>, next_hop: NextHop) -> Option<NextHop> {
         let config = &self.config;
         let prev = (self.tables.entry(vrf))
             .or_insert_with(|| PrefixDag::build(&BinaryTrie::new(), config))
             .insert(prefix, next_hop);
-        self.dirty.insert(vrf);
+        if prev != Some(next_hop) {
+            self.dirty.insert(vrf);
+        }
         prev
     }
 
     /// Withdraws a route from `vrf`, in place. Returns the removed
-    /// next-hop.
+    /// next-hop; withdrawing a prefix `vrf` does not hold leaves it clean.
     pub fn withdraw(&mut self, vrf: u32, prefix: Prefix<A>) -> Option<NextHop> {
         let removed = self.tables.get_mut(&vrf).and_then(|t| t.remove(prefix));
         if removed.is_some() {

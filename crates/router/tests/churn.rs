@@ -9,7 +9,7 @@
 
 use fib_core::{BuildConfig, HotConfig, PrefixDag, SerializedDag};
 use fib_router::{EpochSnapshot, Router, RouterConfig, SpoolConfig, SpoolHealth, StdFs};
-use fib_trie::{Address, BinaryTrie};
+use fib_trie::{Address, BinaryTrie, NextHop};
 use fib_workload::rng::Xoshiro256;
 use fib_workload::updates::{bgp_sequence, UpdateOp};
 use fib_workload::HeatMap;
@@ -94,15 +94,18 @@ fn pdag_churn_differential(lambda: u8, compact_at: &[usize]) -> Router<u32, Pref
     assert_published_is_the_working_engine(&router.snapshot(), &reference);
 
     let mut epochs_checked = 0usize;
+    // Updates that leave the oracle as it was: a re-announce of the hop a
+    // prefix already has, a withdraw of a prefix it does not hold.
+    let mut unchanged = 0u64;
     for (i, op) in updates.iter().enumerate() {
         match *op {
             UpdateOp::Announce(p, nh) => {
-                oracle.insert(p, nh);
+                unchanged += u64::from(oracle.insert(p, nh) == Some(nh));
                 reference.insert(p, nh);
                 router.announce(p, nh);
             }
             UpdateOp::Withdraw(p) => {
-                oracle.remove(p);
+                unchanged += u64::from(oracle.remove(p).is_none());
                 reference.remove(p);
                 router.withdraw(p);
             }
@@ -142,10 +145,12 @@ fn pdag_churn_differential(lambda: u8, compact_at: &[usize]) -> Router<u32, Pref
     assert_published_is_the_working_engine(&last, &reference);
     assert_eq!(epochs_checked, 12_000 / BURST);
     let stats = router.stats();
+    assert!(unchanged > 0, "the stream re-announces routes");
+    assert_eq!((stats.updates, stats.declined), (12_000, 0), "λ = {lambda}");
     assert_eq!(
-        (stats.updates, stats.declined, stats.in_place),
-        (12_000, 0, 12_000),
-        "λ = {lambda}: pDAG must absorb every update in place"
+        (stats.in_place, stats.unchanged),
+        (12_000 - unchanged, unchanged),
+        "λ = {lambda}: pDAG must absorb every update that changes a route in place"
     );
     // The last publish had nothing left.
     assert_eq!(stats.epochs, 1 + EPOCHS, "λ = {lambda}");
@@ -218,6 +223,77 @@ fn static_engine_router_matches_oracle_at_every_publish() {
     let stats = router.stats();
     assert_eq!(stats.in_place, 0);
     assert!(stats.rebuilds >= 8, "{stats:?}");
+}
+
+/// A burst that changes no route — same-hop re-announces and withdraws
+/// of prefixes the table does not hold — stops at the control FIB: the
+/// static engine is not made stale, so the publish after it rebuilds
+/// nothing and serves the snapshot it served. In a burst that does
+/// change a route the rebuild covers every update, no-ops included.
+#[test]
+fn a_burst_that_changes_no_route_rebuilds_no_static_engine() {
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(2_000).generate(&mut rng(7));
+    let config = RouterConfig {
+        build: BuildConfig::with_lambda(11),
+        publish_every: None,
+    };
+    let mut router: Router<u32, SerializedDag<u32>> = Router::new(base.clone(), config);
+    let held: Vec<_> = base.iter().step_by(5).collect();
+    let absent: Vec<_> = (0..200u32)
+        .map(|i| fib_trie::Prefix::new(0xE000_0000 | i << 8, 24))
+        .filter(|&p| base.exact_match(p).is_none())
+        .collect();
+    assert!(!absent.is_empty());
+    for &(prefix, hop) in &held {
+        router.announce(prefix, hop);
+    }
+    for &prefix in &absent {
+        router.withdraw(prefix);
+    }
+    let burst = (held.len() + absent.len()) as u64;
+    let served = router.snapshot();
+    let before = router.stats();
+    let snapshot = router.publish();
+    let after = router.stats();
+    assert_eq!(
+        (after.updates, after.unchanged, after.in_place),
+        (burst, burst, 0),
+        "{after:?}"
+    );
+    assert_eq!(
+        (after.rebuilds, after.declined, after.epochs),
+        (before.rebuilds, before.declined, before.epochs),
+        "{after:?}"
+    );
+    assert!(Arc::ptr_eq(&snapshot, &served), "a new epoch");
+    let trace = traces::uniform::<u32, _>(&mut rng(8), 800);
+    assert_snapshot_matches_oracle(&snapshot, &base, &trace);
+
+    // The same no-ops around one real change: the engine is rebuilt for
+    // the change, and every update of the burst counts as declined.
+    let (moved, hop) = held[0];
+    let mut oracle = base.clone();
+    oracle.insert(moved, NextHop::new(hop.index() + 1));
+    for &(prefix, hop) in &held[1..] {
+        router.announce(prefix, hop);
+    }
+    router.announce(moved, NextHop::new(hop.index() + 1));
+    for &prefix in &absent {
+        router.withdraw(prefix);
+    }
+    let snapshot = router.publish();
+    let last = router.stats();
+    assert_eq!(
+        (last.unchanged, last.declined, last.in_place),
+        (burst, burst, 0),
+        "{last:?}"
+    );
+    assert_eq!(
+        (last.rebuilds, last.epochs),
+        (after.rebuilds + 1, after.epochs + 1),
+        "{last:?}"
+    );
+    assert_snapshot_matches_oracle(&snapshot, &oracle, &trace);
 }
 
 // ---------------------------------------------------------------------

@@ -127,6 +127,42 @@ fn journal_folds_into_a_fresh_image_at_the_size_threshold() {
     assert_eq!(status.verdict(), "ok");
 }
 
+/// Updates that change no route publish no epoch of their own, but they
+/// are journaled: a journal of nothing else still folds at the threshold.
+#[test]
+fn a_journal_of_updates_that_change_no_route_folds_too() {
+    let fs = FaultFs::new(13);
+    let shared: Arc<dyn SpoolFs> = Arc::new(fs.clone());
+    let control = base(3, 300);
+    let absent: Vec<_> = (0..40u32)
+        .map(|i| Prefix::new(0xE000_0000 | i << 8, 24))
+        .filter(|&p| control.exact_match(p).is_none())
+        .collect();
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(
+        control,
+        RouterConfig {
+            publish_every: None,
+            ..RouterConfig::default()
+        },
+    );
+    let cfg = SpoolConfig {
+        journal_fold_bytes: 24 * 8,
+        ..spool_cfg()
+    };
+    router
+        .enable_spool_with(Arc::clone(&shared), DIR, cfg)
+        .expect("spool dir");
+    for &prefix in &absent {
+        router.withdraw(prefix);
+    }
+    let stats = router.stats();
+    assert_eq!(stats.unchanged, absent.len() as u64);
+    assert!(stats.spills >= 4, "no fold: {stats:?}");
+    let status = scan_spool(shared.as_ref(), Path::new(DIR)).expect("scan");
+    assert!(status.journal_records <= 9, "{}", status.journal_records);
+    assert_eq!(status.verdict(), "ok");
+}
+
 #[test]
 fn journal_append_failure_degrades_health_and_retry_heals() {
     let fs = FaultFs::new(14);

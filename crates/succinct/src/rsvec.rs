@@ -245,13 +245,6 @@ impl RsBitVec {
         self.view().rank0(i)
     }
 
-    /// `rank1(i)` if `bit`, else `rank0(i)`.
-    #[must_use]
-    #[inline]
-    pub fn rank_bit(&self, bit: bool, i: usize) -> usize {
-        self.view().rank_bit(bit, i)
-    }
-
     /// Fused `(get(i), rank1(i))` from the same single cache-line touch.
     ///
     /// # Panics
@@ -272,12 +265,6 @@ impl RsBitVec {
     #[must_use]
     pub fn select0(&self, q: usize) -> Option<usize> {
         self.view().select0(q)
-    }
-
-    /// `select1(q)` if `bit`, else `select0(q)`.
-    #[must_use]
-    pub fn select_bit(&self, bit: bool, q: usize) -> Option<usize> {
-        self.view().select_bit(bit, q)
     }
 
     /// Footprint in bits: the interleaved lines (data + in-line
@@ -447,17 +434,6 @@ impl<'a> RsBitVecRef<'a> {
         i - self.rank1(i)
     }
 
-    /// `rank1(i)` if `bit`, else `rank0(i)`.
-    #[must_use]
-    #[inline]
-    pub fn rank_bit(&self, bit: bool, i: usize) -> usize {
-        if bit {
-            self.rank1(i)
-        } else {
-            self.rank0(i)
-        }
-    }
-
     /// Fused `(get(i), rank1(i))` from the same single cache-line touch:
     /// callers that need both (wavelet-tree descent, the XBW-b lookup
     /// loop) pay one memory dependence chain instead of two.
@@ -558,16 +534,6 @@ impl<'a> RsBitVecRef<'a> {
         let pos = s * LINE_BITS + w * 64 + select_in_word(!line[2 + w], within as u32) as usize;
         debug_assert!(pos < self.len);
         Some(pos)
-    }
-
-    /// `select1(q)` if `bit`, else `select0(q)`.
-    #[must_use]
-    pub fn select_bit(&self, bit: bool, q: usize) -> Option<usize> {
-        if bit {
-            self.select1(q)
-        } else {
-            self.select0(q)
-        }
     }
 
     /// Footprint in bits (same accounting as [`RsBitVec::size_bits`]).
@@ -771,15 +737,6 @@ mod tests {
         assert_eq!(ones.rank1(600), 600);
         assert_eq!(ones.select1(600), Some(599));
         assert_eq!(ones.select1(601), None);
-    }
-
-    #[test]
-    fn rank_bit_and_select_bit_dispatch() {
-        let (_, rs) = build(|i| i % 2 == 0, 100);
-        assert_eq!(rs.rank_bit(true, 10), 5);
-        assert_eq!(rs.rank_bit(false, 10), 5);
-        assert_eq!(rs.select_bit(true, 1), Some(0));
-        assert_eq!(rs.select_bit(false, 1), Some(1));
     }
 
     #[test]

@@ -26,8 +26,9 @@ use crate::storage::{self, meta_usize, pad_to_block, StorageError, BLOCK_WORDS};
 const RRR_BACKING: u64 = 1;
 
 /// The descent step of `access`: bit `i` and `rank1(i)` from one fused
-/// RRR block decode, mapped to `(bit, rank_bit(bit, i))` — the position
-/// in the child the bit selects.
+/// RRR block decode, mapped to `(bit, r)` with `r` = `rank1(i)` for a set
+/// bit and `rank0(i)` for a clear one — the position in the child the bit
+/// selects.
 #[inline]
 fn descend((bit, r1): (bool, usize), i: usize) -> (bool, usize) {
     (bit, if bit { r1 } else { i - r1 })

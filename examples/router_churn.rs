@@ -106,9 +106,16 @@ fn main() {
 
     let stats = router.stats();
     println!("\nsurvived {total_updates} updates and {total_lookups} lookups with zero divergence");
+    // A BGP re-announce of the hop a prefix already has stops at the
+    // control FIB: every update is in place, declined or unchanged.
+    assert_eq!(
+        stats.updates,
+        stats.in_place + stats.declined + stats.unchanged,
+        "the update counters do not add up: {stats:?}"
+    );
     println!(
-        "router stats: {} epochs, {} in-place updates, {} rebuilds ({} from the previous engine)",
-        stats.epochs, stats.in_place, stats.rebuilds, stats.warm_rebuilds,
+        "router stats: {} epochs, {} in-place updates, {} unchanged, {} rebuilds ({} from the previous engine)",
+        stats.epochs, stats.in_place, stats.unchanged, stats.rebuilds, stats.warm_rebuilds,
     );
     // A publish writes the nodes that changed into a snapshot every
     // reader has left, unless a compaction installed a new arena since.

@@ -1060,6 +1060,35 @@ fn a_publish_writes_only_what_changed() {
     h.publish_and_check("after the bursts");
 }
 
+/// A burst that changes no route in its VRF — same-hop re-announces and
+/// withdraws of prefixes the VRF does not hold — leaves the VRF clean:
+/// the publish after it hands back the snapshot already served, at the
+/// same epoch, and refolds no table.
+#[test]
+fn a_burst_that_changes_no_route_publishes_nothing() {
+    let mut h = published_fleet(4, 2_000, 0.5, 3);
+    let held: Vec<(Prefix<u32>, NextHop)> = h.oracles[&2].iter().step_by(3).collect();
+    let absent: Vec<Prefix<u32>> = (0..64u32)
+        .map(|i| Prefix::new(0xE000_0000 | i << 8, 24))
+        .filter(|&p| h.oracles[&2].exact_match(p).is_none())
+        .collect();
+    assert!(!held.is_empty() && !absent.is_empty());
+    let served = h.router.publish();
+    let (epoch, before) = (h.router.epoch(), h.router.stats());
+    for (prefix, hop) in held {
+        assert_eq!(h.router.announce(2, prefix, hop), Some(hop));
+    }
+    for prefix in absent {
+        assert_eq!(h.router.withdraw(2, prefix), None);
+    }
+    let snapshot = h.router.publish();
+    assert!(std::sync::Arc::ptr_eq(&snapshot, &served), "a new set");
+    assert_eq!(h.router.epoch(), epoch);
+    assert_eq!(h.router.stats(), before);
+    h.burst(2);
+    h.publish_and_check("a burst after the no-ops");
+}
+
 /// Withdrawing tables route by route frees arena records; the publish
 /// whose free slots pass a quarter of the arena compacts it, and the set
 /// it installs is then the full compile's, word for word. Publishes
