@@ -19,9 +19,10 @@
 //! * the updatable pDAG's lookup starts at its root-array entry, and so
 //!   does every shared-arena table's of a compiled fleet; the node records
 //!   each reads from there are pinned;
-//! * an in-place publish costs what changed too: the pDAG router writes
-//!   the nodes that moved into a snapshot that came back, not a copy of
-//!   the engine, and what it publishes carries no control FIB;
+//! * an in-place publish costs what changed too: the pDAG router appends
+//!   the records that moved to the buffer the snapshot before it reads,
+//!   not a copy of the engine, and what it publishes carries no control
+//!   FIB;
 //! * BGP churn leaves the pDAG's free-list fragmentation under half the
 //!   router's compaction threshold, so no compaction runs on its own.
 //!
@@ -277,16 +278,16 @@ fn fleet_walk_starts_at_the_root_array() {
     );
 }
 
-/// Ten bursts of 100 updates and a `publish()` each, one reader moving on
-/// at every epoch. The first two publishes have no snapshot to take back
-/// and the third gets epoch 0's, a full working engine, which the hook
-/// declines; each of the other seven writes into the snapshot of three
-/// bursts ago just the node records that changed since, each once: 821
-/// of 6,258 on average — at taz 1.0, where the arena is seven times this
-/// one and a burst moves as many nodes (937 of 42,383), about 2 % of it.
+/// Ten bursts of 100 updates and a `publish()` each at taz 1.0, one reader
+/// moving on at every epoch. The first publish packs the working engine's
+/// live records into a new log; each of the nine after appends to it just
+/// the records its burst changed — 487 of 42,383 on average, 1.1 % of the
+/// arena, the top-tree records above what changed included — and hands
+/// the reader a copy that reads the buffer the copy before it read,
+/// extended by exactly those records.
 #[test]
-fn in_place_publish_writes_what_changed_into_a_recycled_snapshot() {
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+fn in_place_publish_appends_what_changed_to_the_buffer_readers_share() {
+    let trie = instance_fib("taz", 1.0, 0xF1B);
     let updates = bgp_sequence(&mut Xoshiro256::seed_from_u64(11), &trie, 10 * 100);
     let config = RouterConfig {
         build: BuildConfig::with_lambda(11),
@@ -295,20 +296,47 @@ fn in_place_publish_writes_what_changed_into_a_recycled_snapshot() {
     let mut router: Router<u32, PrefixDag<u32>> = Router::new(trie, config);
     let arena = router.snapshot().engine().expect("owned").size_bytes() / 16;
     let mut plane = router.data_plane();
+    let mut read: Option<std::ops::Range<usize>> = None;
+    let mut appended = Vec::new();
     for burst in updates.chunks(100) {
+        let before = router.stats();
         apply(&mut router, burst);
         router.publish();
-        assert_eq!(plane.current().epoch(), router.epoch());
+        let after = router.stats();
+        let snapshot = plane.current();
+        assert_eq!(snapshot.epoch(), router.epoch());
+        let buffer = (snapshot.engine().expect("owned").view()).payload_ptr_range();
+        let written = (after.records_written - before.records_written) as usize;
+        if after.recycled > before.recycled {
+            let read = read.expect("a shared publish follows a packed one");
+            assert_eq!(buffer.start, read.start, "the buffer the last copy reads");
+            assert_eq!(
+                buffer.end - read.end,
+                16 * written,
+                "extended by what changed"
+            );
+            assert!(
+                20 * written < arena,
+                "{written} of {arena} records appended"
+            );
+            appended.push(written);
+        } else {
+            assert_eq!(after.compactions, before.compactions + 1);
+        }
+        read = Some(buffer);
     }
     let stats = router.stats();
     assert_eq!((stats.epochs, stats.rebuilds), (11, 0));
-    assert!(stats.recycled >= stats.epochs - 4);
     assert_eq!(
-        (stats.recycled, stats.copied_nodes, arena),
-        (7, 5_748, 6_258),
-        "reused publishes, node records they wrote, arena nodes"
+        (stats.recycled, stats.compactions, arena),
+        (9, 1, 42_383),
+        "shared publishes, packs, arena records"
     );
-    assert!(stats.copied_nodes / stats.recycled < arena as u64 / 4);
+    assert_eq!(
+        appended,
+        [548, 467, 431, 413, 520, 479, 509, 497, 516],
+        "records each shared publish appended"
+    );
 
     // What was published is the lookup half: it holds no control FIB and
     // declines an update the way a static image does.

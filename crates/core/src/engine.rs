@@ -19,8 +19,9 @@
 //!   [`BinaryTrie`], [`RouteTable`]) apply them in place; static images
 //!   decline and let the router schedule a rebuild. Its
 //!   [`FibUpdate::publish_copy`] is what a router publishes of a working
-//!   engine: a clone by default, the data-plane half written into a
-//!   recycled snapshot for the [`PrefixDag`].
+//!   engine: a clone by default; for the [`PrefixDag`], the data-plane
+//!   half, reading the records an append-only log holds, with only what
+//!   changed since the last publish appended to it.
 //!
 //! An engine writes its walk, batch kernel, stream kernel and traced walk
 //! once, as inherent methods of the borrowed view its image is served
@@ -298,26 +299,37 @@ pub trait FibUpdate<A: Address> {
     /// accept updates (an engine that publishes only its lookup structure
     /// declines them with [`RebuildNeeded`]).
     ///
-    /// `recycled` is a copy this hook returned earlier that no reader
-    /// holds any more — or anything else of the type, the hook checks. An
-    /// engine that can bring it up to date for less than a copy costs
-    /// ([`PrefixDag`] rewrites only the nodes that changed since) returns
-    /// it; the default drops it and clones, which for a static engine is
-    /// the whole truth.
+    /// The default clones, which for a static engine is the whole truth.
+    /// An engine that can publish for less than a copy costs does:
+    /// [`PrefixDag`] appends the records that changed since its last
+    /// publish to a log its copies share ([`Self::last_publish`]).
     #[must_use]
-    fn publish_copy(&mut self, recycled: Option<Self>) -> Self
+    fn publish_copy(&mut self) -> Self
     where
         Self: Clone,
     {
-        drop(recycled);
         self.clone()
     }
 
-    /// Node records the last [`Self::publish_copy`] wrote into the
-    /// buffer it was handed, `None` when it copied afresh (the default).
-    fn last_copy_writes(&self) -> Option<usize> {
+    /// What the last [`Self::publish_copy`] handed a reader, for an engine
+    /// that publishes from an append-only record log; `None` for one that
+    /// publishes clones (the default).
+    fn last_publish(&self) -> Option<ArenaPublish> {
         None
     }
+}
+
+/// What one publish from an append-only record log handed a reader: a
+/// [`PrefixDag`]'s ([`FibUpdate::last_publish`]) or a VRF fleet arena's
+/// ([`crate::VrfArena::publish`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArenaPublish {
+    /// Records the published copy holds that the copy published before it
+    /// does not: those appended since, or every one in a new buffer.
+    pub records_written: usize,
+    /// Whether the copy reads the buffer the copy published before it
+    /// read, appended to, rather than a new one.
+    pub shared: bool,
 }
 
 /// References forward wholesale, so code generic over `impl FibLookup`
@@ -368,7 +380,9 @@ impl<A: Address, E: FibLookup<A> + ?Sized> FibLookup<A> for &E {
 /// * `tier` says how much of [`FibLookup`] the walk overrides, each tier
 ///   including the one before: `scalar` (`lookup`), `traced`
 ///   (+ `lookup_traced`), `kernels` (+ `lookup_batch`, the engine's one
-///   batch kernel). What a tier leaves out keeps the trait's default.
+///   batch kernel). `batched` is `scalar` plus `lookup_batch`: a scalar
+///   walk looped over one view a batch. What a tier leaves out keeps the
+///   trait's default.
 /// * `image` names the zero-copy view the engine's [`crate::ImageCodec`]
 ///   assembles and the [`crate::EngineKind`] it is stamped with; the id
 ///   is a byte of the on-disk header, so it is never reused.
@@ -388,7 +402,7 @@ macro_rules! engine_table {
                 LcTrie |e| e, "fib_trie", traced, e.kernel_model_bytes();
                 XbwFib |e| e, "XBW-b", kernels, e.size_bytes(),
                     image XbwFibRef, Xbw = 1, "xbw";
-                PrefixDag |e| e, "pDAG", scalar, e.model_size_bits().div_ceil(8),
+                PrefixDag |e| e.view(), "pDAG", batched, e.model_size_bits().div_ceil(8),
                     image PrefixDagRef, PrefixDag = 2, "pdag";
                 SerializedDag |e| e.view(), "pDAG-serialized", kernels, e.size_bytes(),
                     image SerializedDagRef, SerializedDag = 3, "serialized";
@@ -419,6 +433,14 @@ macro_rules! fib_lookup_methods {
         fn size_bytes(&self) -> usize {
             let $e = self;
             $size
+        }
+    };
+    (batched, $e:ident, $walk:expr, $size:expr) => {
+        fib_lookup_methods!(scalar, $e, $walk, $size);
+
+        fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+            let $e = self;
+            $walk.lookup_batch(addrs, out);
         }
     };
     (traced, $e:ident, $walk:expr, $size:expr) => {
@@ -662,12 +684,12 @@ impl<A: Address> FibUpdate<A> for PrefixDag<A> {
         Ok(self.remove(prefix))
     }
 
-    fn publish_copy(&mut self, recycled: Option<Self>) -> Self {
-        PrefixDag::publish_copy(self, recycled)
+    fn publish_copy(&mut self) -> Self {
+        PrefixDag::publish_copy(self)
     }
 
-    fn last_copy_writes(&self) -> Option<usize> {
-        PrefixDag::last_copy_writes(self)
+    fn last_publish(&self) -> Option<ArenaPublish> {
+        PrefixDag::last_publish(self)
     }
 
     /// Arena fragmentation: λ-barrier refolds leave free-list holes behind
@@ -834,12 +856,12 @@ mod tests {
         assert_eq!(xbw.try_remove(p), Err(RebuildNeeded));
         // What a router publishes of the pDAG is its lookup half, which
         // declines like a static image; a static engine's copy is a clone.
-        let mut published = FibUpdate::publish_copy(&mut dag, None);
+        let mut published = FibUpdate::publish_copy(&mut dag);
         assert_eq!(published.try_insert(p, nh(7)), Err(RebuildNeeded));
         assert_eq!(published.try_remove(p), Err(RebuildNeeded));
         assert_eq!(published.lookup(0x0A01_0001), dag.lookup(0x0A01_0001));
-        let copy = ser.publish_copy(Some(ser.clone()));
-        assert_eq!(FibUpdate::<u32>::last_copy_writes(&ser), None);
+        let copy = ser.publish_copy();
+        assert_eq!(FibUpdate::<u32>::last_publish(&ser), None);
         assert_eq!(copy.view().lookup(0x0A01_0001), dag.lookup(0x0A01_0001));
     }
 

@@ -47,7 +47,9 @@ pub mod vrf;
 mod vsdag;
 mod xbw;
 
-pub use engine::{roster, BuildConfig, FibBuild, FibLookup, FibUpdate, RebuildNeeded, Roster};
+pub use engine::{
+    roster, ArenaPublish, BuildConfig, FibBuild, FibLookup, FibUpdate, RebuildNeeded, Roster,
+};
 pub use entropy::FibEntropy;
 pub use hot::{depth_mass_from_heat, hot_key, HotConfig, HotFront, HotSlab, HotSlabRef, HotStats};
 pub use image::{

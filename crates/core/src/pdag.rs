@@ -55,34 +55,52 @@
 //!
 //! # Two halves
 //!
-//! A [`PrefixDag`] is a *data-plane half* — the node arena, the root
+//! A [`PrefixDag`] is a *data-plane half* — the node records, the root
 //! array, the root, λ and the counters `len` / `stats` / `size_bytes`
 //! read, which is all a lookup, an image encode or a size report touches —
 //! and a *control half*: the control FIB (the uncompressed image the paper
 //! keeps in control-plane DRAM, §4.3), the interning map, the free list,
-//! the reference counts and the change stamps. A working engine has both.
-//! What a router publishes ([`PrefixDag::publish_copy`]) is the data-plane
-//! half alone: it answers every read-only method exactly as the working
-//! engine did at that publish, and it cannot be updated.
+//! the reference counts, the change stamps and the record log it
+//! publishes into. A working engine has both, and its records are an
+//! arena it rewrites in place. What a router publishes
+//! ([`PrefixDag::publish_copy`]) is the data-plane half alone, its records
+//! a view of that log: it answers every read-only method exactly as the
+//! working engine did at that publish, and it cannot be updated.
 //!
-//! The arena is the record every packed form of the structure uses — two
+//! Every record is the one every packed form of the structure uses — two
 //! words a node, `left | right << 32` and the label, the layout of a
 //! kind-2 image and of a fleet's shared arena — read through one decoder
-//! (`packed_node`). A published copy therefore holds the image's records
-//! and nothing else, in arena order with the free-list holes still in
-//! place; writing an image drops the holes and renumbers in BFS order
-//! ([`PrefixDag::write_packed`]).
+//! (`packed_node`). Writing an image drops the arena's free-list holes
+//! and the log's dead records and renumbers in BFS order
+//! ([`PrefixDag::write_packed`]), so a working engine and every copy it
+//! published at one state write the same words.
+//!
+//! # Publish
 //!
 //! Every write that changes a node's record goes through one setter that
 //! stamps the node with the number of the publish it will first show in
-//! — one `u32` a node, however many updates pass with nobody publishing.
-//! A reference count lives beside the stamps, not in the record: the data
-//! plane never reads it, so changing one is not a node write. Handed back
-//! a copy it published earlier, `publish_copy` rewrites just the records
-//! stamped since that copy's publish (each once, however often it
-//! changed), appends the arena's growth and refreshes the root array, so
-//! a publish costs what changed, and most of the buffer's cache lines are
-//! left as the forwarding thread last saw them.
+//! — one `u32` a node, however many updates pass with nobody publishing —
+//! and an update stamps the top nodes on its path too, so an unstamped
+//! node has nothing stamped below it. A reference count lives beside the
+//! stamps, not in the record: the data plane never reads it, so changing
+//! one is not a node write.
+//!
+//! The working engine publishes into an append-only record log
+//! ([`fib_succinct::WordLog`]). It remembers, per arena slot, where the
+//! slot's record sits in the log, and lists the slots it stamps between
+//! two publishes. `publish_copy` appends one record for each listed slot
+//! still live, children remapped through that table, and hands out a
+//! copy whose records are a [`fib_succinct::SharedWords`] view of the
+//! log, with its root and root array remapped the same way. A publish
+//! therefore costs what changed, and consecutive copies read one buffer:
+//! the records a reader has cached are never written again, and the new
+//! ones land past them. A record the working engine rewrote or freed
+//! since stays in the log, dead, so the log's records are its live
+//! records plus dead ones. When the log has no room for a publish's
+//! records — it is made with room for `LOG_ROOM` times the live records
+//! it starts with — the publish packs the live records afresh, in BFS
+//! order, into a new log; so does the first publish of a new build (a
+//! fresh fold, a compaction, a clone).
 //!
 //! # Update strategy
 //!
@@ -97,11 +115,13 @@
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fib_succinct::ceil_log2;
+use fib_succinct::{ceil_log2, SharedWords, WordLog};
 use fib_trie::{Address, BinaryTrie, Depth, NextHop, NodeRef, Prefix};
 
+use crate::engine::ArenaPublish;
 use crate::idhash::IdBuildHasher;
 
 pub(crate) const NONE: u32 = u32::MAX;
@@ -111,6 +131,18 @@ const NO_CONTROL: &str = "a published pDAG copy has no control FIB: update the w
 /// Most levels the root array collapses: `k = min(λ, ROOT_BITS)` on a
 /// [`PrefixDag`], exactly `ROOT_BITS` on a [`RootArray`].
 pub(crate) const ROOT_BITS: u8 = 8;
+
+/// A new record log has room for this many times the live records it
+/// starts with; a publish that finds it full packs the live records into
+/// a new one (see the module docs' "Publish"). Measured at taz 1.0, λ 11,
+/// a reader following 1,000-update bursts (≈ 3 k records appended a
+/// publish, a pack every ≈ 18): 1.5 and 2 read alike, 4 reads ≈ 10 %
+/// slower (the live records spread over more lines), and 2 packs a third
+/// less often than 1.5.
+const LOG_ROOM: usize = 2;
+
+/// Fewest records a new record log has room for.
+const MIN_LOG_RECORDS: usize = 512;
 
 /// Source of build ids: one per arena lineage.
 static NEXT_BUILD: AtomicU64 = AtomicU64::new(1);
@@ -226,29 +258,36 @@ pub(crate) fn bfs_order(words: &[u64], roots: &[u32]) -> Vec<u32> {
     order
 }
 
-/// The compacting BFS every packed image is written by: the records of
-/// the nodes [`bfs_order`] reaches from `roots`, renumbered in that
-/// order, and each root remapped. A pDAG packs its one root
-/// ([`PrefixDag::write_packed`]); a compiled VRF fleet packs every
-/// table's root into one shared arena.
-pub(crate) fn pack_bfs(words: &[u64], roots: &[u32]) -> (Vec<u64>, Vec<u32>) {
+/// The compacting BFS every packed form is written by: the records of
+/// the nodes [`bfs_order`] reaches from `roots`, renumbered in that order
+/// and handed to `emit` one by one. Returns the renumbering, one entry per
+/// record of `words` (`NONE` for those not reached). A pDAG packs its one
+/// root into an image ([`PrefixDag::write_packed`]) and into a fresh
+/// record log; a VRF fleet packs every table's root into one shared
+/// arena.
+pub(crate) fn pack_bfs_with(
+    words: &[u64],
+    roots: &[u32],
+    mut emit: impl FnMut([u64; 2]),
+) -> Vec<u32> {
     let order = bfs_order(words, roots);
     let mut remap = vec![NONE; words.len() / 2];
     for (new, &old) in (0..).zip(&order) {
         remap[old as usize] = new;
     }
-    let packed = |idx: u32| {
-        if idx == NONE {
-            NONE
-        } else {
-            remap[idx as usize]
-        }
-    };
-    let mut out = Vec::with_capacity(order.len() * 2);
+    let packed = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
     for &idx in &order {
         let (left, right, label) = packed_node(words, idx);
-        out.extend(record(packed(left), packed(right), label));
+        emit(record(packed(left), packed(right), label));
     }
+    remap
+}
+
+/// [`pack_bfs_with`] into one word vector, with each root remapped.
+pub(crate) fn pack_bfs(words: &[u64], roots: &[u32]) -> (Vec<u64>, Vec<u32>) {
+    let mut out = Vec::new();
+    let remap = pack_bfs_with(words, roots, |node| out.extend(node));
+    let packed = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
     (out, roots.iter().map(|&root| packed(root)).collect())
 }
 
@@ -276,29 +315,69 @@ struct Counts {
     free_slots: usize,
 }
 
+/// Where a [`PrefixDag`]'s node records live; either way a lookup reads
+/// them as one word slice.
+#[derive(Clone)]
+enum Records {
+    /// A working engine's arena, rewritten in place, free slots included.
+    Arena(Vec<u64>),
+    /// A published copy's: the prefix of its working engine's record log
+    /// the log held when the copy was published, dead records included.
+    Log(SharedWords),
+}
+
+impl Deref for Records {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Self::Arena(words) => words,
+            Self::Log(words) => words,
+        }
+    }
+}
+
+/// The record log a working engine publishes into (see the module docs'
+/// "Publish").
+struct PublishLog {
+    /// The records every published copy reads a prefix of.
+    words: WordLog,
+    /// Per arena slot, the index of its record in `words` — current for
+    /// every slot live at the last publish.
+    at: Vec<u32>,
+    /// The slots stamped since the last publish, each once: the records
+    /// the next one appends (those still live).
+    dirty: Vec<u32>,
+    /// Words of `words` the last published copy reads.
+    published: usize,
+    /// What the last publish handed a reader.
+    last: ArenaPublish,
+}
+
 /// A FIB compressed by trie-folding.
 ///
 /// A working engine owns a *control FIB* (a plain [`BinaryTrie`], the
 /// uncompressed image the paper keeps in control-plane DRAM) that drives
 /// updates, plus the folded arena the data plane reads; a published copy
-/// ([`Self::publish_copy`]) is the arena side alone — see the module docs'
+/// ([`Self::publish_copy`]) is the data-plane half alone, reading its
+/// records from the working engine's record log — see the module docs'
 /// "Two halves".
 pub struct PrefixDag<A: Address> {
     // Data-plane half: all a published copy carries.
     /// Two words a node: `left | right << 32`, then the label.
-    pub(crate) nodes: Vec<u64>,
+    nodes: Records,
     pub(crate) root: u32,
     /// One entry per `min(λ, ROOT_BITS)`-bit address prefix.
     root_array: Vec<RootEntry>,
     lambda: u8,
     counts: Counts,
-    /// The arena lineage: fresh for every [`Self::from_trie`] and every
-    /// clone, shared by a working engine and the copies it publishes.
-    build: u64,
-    /// In a published copy, the number of the publish it shows; in a
-    /// working engine, the number its next one will have (from 1).
-    publish: u32,
     // Control half: `None` / empty in a published copy.
+    /// The arena lineage: fresh for every [`Self::from_trie`] and every
+    /// clone.
+    build: u64,
+    /// The number the next publish will have (from 1).
+    publish: u32,
     control: Option<BinaryTrie<A>>,
     interner: HashMap<Key, u32, IdBuildHasher>,
     free: Vec<u32>,
@@ -306,24 +385,31 @@ pub struct PrefixDag<A: Address> {
     refcounts: Vec<u32>,
     /// Per node, the publish its last change first shows in.
     stamps: Vec<u32>,
-    /// What the last [`Self::publish_copy`] wrote into a reused buffer.
-    last_copy_writes: Option<usize>,
+    /// What [`Self::publish_copy`] appends to; `None` until the first.
+    log: Option<PublishLog>,
     _marker: PhantomData<A>,
 }
 
 impl<A: Address> Clone for PrefixDag<A> {
     /// An independent engine: it diverges from `self` from here on, so it
-    /// starts a lineage of its own and no copy `self` published is ever
-    /// synced against it.
+    /// starts a lineage of its own, and its first publish packs a record
+    /// log of its own. (A published copy's clone reads the same log.)
     fn clone(&self) -> Self {
         Self {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            root_array: self.root_array.clone(),
+            lambda: self.lambda,
+            counts: self.counts,
             build: next_build(),
+            publish: self.publish,
             control: self.control.clone(),
             interner: self.interner.clone(),
             free: self.free.clone(),
             refcounts: self.refcounts.clone(),
             stamps: self.stamps.clone(),
-            ..self.data_plane()
+            log: None,
+            _marker: PhantomData,
         }
     }
 }
@@ -343,7 +429,7 @@ impl<A: Address> PrefixDag<A> {
     pub fn from_control(control: BinaryTrie<A>, lambda: u8) -> Self {
         let lambda = lambda.min(A::WIDTH);
         let mut dag = Self {
-            nodes: Vec::new(),
+            nodes: Records::Arena(Vec::new()),
             root: NONE,
             root_array: Vec::new(),
             lambda,
@@ -353,14 +439,14 @@ impl<A: Address> PrefixDag<A> {
             },
             build: next_build(),
             // Construction stamps every node 1, and so does whatever
-            // changes before the first publish; no copy is older than that.
+            // changes before the first publish.
             publish: 1,
             control: None,
             interner: HashMap::default(),
             free: Vec::new(),
             refcounts: Vec::new(),
             stamps: Vec::new(),
-            last_copy_writes: None,
+            log: None,
             _marker: PhantomData,
         };
         dag.root = dag.build_top(control.root(), 0);
@@ -425,6 +511,19 @@ impl<A: Address> PrefixDag<A> {
         packed_node(&self.nodes, idx)
     }
 
+    /// Arena slots, live and free.
+    pub(crate) fn slots(&self) -> usize {
+        self.nodes.len() / 2
+    }
+
+    /// The arena updates write.
+    fn arena(&mut self) -> &mut Vec<u64> {
+        match &mut self.nodes {
+            Records::Arena(words) => words,
+            Records::Log(_) => panic!("{NO_CONTROL}"),
+        }
+    }
+
     fn is_leaf(&self, idx: u32) -> bool {
         let (left, right, _) = self.node(idx);
         left == NONE && right == NONE
@@ -436,21 +535,25 @@ impl<A: Address> PrefixDag<A> {
         if let Some(idx) = self.free.pop() {
             self.counts.free_slots -= 1;
             let at = 2 * idx as usize;
-            self.nodes[at..at + 2].copy_from_slice(&words);
+            self.arena()[at..at + 2].copy_from_slice(&words);
             self.refcounts[idx as usize] = 1;
-            self.stamps[idx as usize] = self.publish;
+            self.touch(idx);
             idx
         } else {
-            self.nodes.extend(words);
+            self.arena().extend(words);
             self.refcounts.push(1);
-            self.stamps.push(self.publish);
-            self.stamps.len() as u32 - 1
+            self.stamps.push(0);
+            let idx = self.stamps.len() as u32 - 1;
+            self.touch(idx);
+            idx
         }
     }
 
-    /// Returns a dead node's slot to the free list. The slot keeps its
-    /// bits until [`Self::alloc`] reuses it, so this is not a node write.
+    /// Returns a dead node's slot to the free list, with no reference. The
+    /// slot keeps its bits until [`Self::alloc`] reuses it, so this is not
+    /// a node write.
     fn free_slot(&mut self, idx: u32) {
+        self.refcounts[idx as usize] = 0;
         self.free.push(idx);
         self.counts.free_slots += 1;
     }
@@ -462,8 +565,21 @@ impl<A: Address> PrefixDag<A> {
         let words = record(left, right, label);
         let at = 2 * idx as usize;
         if self.nodes[at..at + 2] != words {
-            self.nodes[at..at + 2].copy_from_slice(&words);
-            self.stamps[idx as usize] = self.publish;
+            self.arena()[at..at + 2].copy_from_slice(&words);
+            self.touch(idx);
+        }
+    }
+
+    /// Stamps node `idx` with the publish it will first show in: its
+    /// record changed, or — for a top node on an update's path — a record
+    /// below it did (see the module docs' "Publish").
+    fn touch(&mut self, idx: u32) {
+        let stamp = &mut self.stamps[idx as usize];
+        if *stamp != self.publish {
+            *stamp = self.publish;
+            if let Some(log) = self.log.as_mut() {
+                log.dirty.push(idx);
+            }
         }
     }
 
@@ -583,9 +699,13 @@ impl<A: Address> PrefixDag<A> {
         self.view().lookup_with_depth(addr)
     }
 
-    /// The packed walk over this arena, from this root array.
+    /// The walk over this engine's records, from its root array: a
+    /// working engine's arena, or the record log a published copy reads
+    /// (whose [`PrefixDagRef::payload_ptr_range`] shows which buffer that
+    /// is). Every lookup of `self` runs it.
+    #[must_use]
     #[inline]
-    fn view(&self) -> PrefixDagRef<'_, A> {
+    pub fn view(&self) -> PrefixDagRef<'_, A> {
         PrefixDagRef {
             words: &self.nodes,
             root: self.root,
@@ -638,6 +758,7 @@ impl<A: Address> PrefixDag<A> {
             // Shallow update: edit the top tree in place.
             let mut idx = self.root;
             for depth in 0..prefix.len() {
+                self.touch(idx);
                 idx = self.ensure_top_child(idx, prefix.bit(depth));
             }
             let (left, right, _) = self.node(idx);
@@ -661,6 +782,7 @@ impl<A: Address> PrefixDag<A> {
             let mut idx = self.root;
             path.push(idx);
             for depth in 0..prefix.len() {
+                self.touch(idx);
                 idx = self.top_child(idx, prefix.bit(depth));
                 debug_assert_ne!(idx, NONE, "top tree out of sync with control FIB");
                 path.push(idx);
@@ -717,9 +839,11 @@ impl<A: Address> PrefixDag<A> {
         let mut idx = self.root;
         path.push(idx);
         for depth in 0..self.lambda - 1 {
+            self.touch(idx);
             idx = self.ensure_top_child(idx, prefix.bit(depth));
             path.push(idx);
         }
+        self.touch(idx);
         let portal_bit = prefix.bit(self.lambda - 1);
         let old_portal = self.top_child(idx, portal_bit);
         let new_portal = match ctrl {
@@ -841,12 +965,47 @@ impl<A: Address> PrefixDag<A> {
     // Publish
     // ------------------------------------------------------------------
 
-    /// A fresh copy of the data-plane half, with no control half.
-    fn data_plane(&self) -> Self {
-        Self {
-            nodes: self.nodes.clone(),
-            root: self.root,
-            root_array: self.root_array.clone(),
+    /// The engine a router publishes: the data-plane half of `self` as it
+    /// stands, which answers every read-only method as `self` does now and
+    /// declines every update. (Called on a published copy, this is a plain
+    /// copy of it.)
+    ///
+    /// The copy's records are a view of this engine's record log: the
+    /// records of the nodes stamped since the last publish, and of the top
+    /// nodes above them, are appended to it, so the copy shares its buffer
+    /// — and whatever a reader cached of it — with the copy published
+    /// before it. The first publish of a build, and one that finds the log
+    /// full, packs the live records into a new log instead. Either way the
+    /// cost is what changed plus, at a pack, one BFS of the live records;
+    /// [`Self::last_publish`] says which it was.
+    #[must_use]
+    pub fn publish_copy(&mut self) -> Self {
+        if self.is_published_copy() {
+            return self.clone();
+        }
+        let shared = self.append_changes();
+        if !shared {
+            self.pack_log();
+        }
+        self.advance_publish();
+        let log = self.log.as_mut().expect("appended or packed");
+        let words = log.words.len();
+        log.last = ArenaPublish {
+            records_written: (words - if shared { log.published } else { 0 }) / 2,
+            shared,
+        };
+        log.published = words;
+        let at = |idx: u32| log.at.get(idx as usize).copied().unwrap_or(NONE);
+        let root_array = (self.root_array.iter())
+            .map(|entry| RootEntry {
+                node: at(entry.node),
+                last: entry.last,
+            })
+            .collect();
+        let copy = Self {
+            nodes: Records::Log(log.words.shared()),
+            root: at(self.root),
+            root_array,
             lambda: self.lambda,
             counts: self.counts,
             build: self.build,
@@ -856,64 +1015,65 @@ impl<A: Address> PrefixDag<A> {
             free: Vec::new(),
             refcounts: Vec::new(),
             stamps: Vec::new(),
-            last_copy_writes: None,
+            log: None,
             _marker: PhantomData,
-        }
-    }
-
-    /// The engine a router publishes: the data-plane half of `self` as it
-    /// stands, which answers every read-only method as `self` does now and
-    /// declines every update.
-    ///
-    /// `recycled` is a copy this engine published earlier and nobody reads
-    /// any more. If it is one — of this build, of an earlier publish, no
-    /// longer than the arena — it is brought up to date in place, however
-    /// old: the nodes stamped since its publish, the arena's growth, the
-    /// root array; [`Self::last_copy_writes`] then reports the node records
-    /// written. Anything else (a copy of another build, a working engine)
-    /// is dropped and a fresh copy allocated. (Called on a published copy,
-    /// this is a plain copy of it.)
-    #[must_use]
-    pub fn publish_copy(&mut self, recycled: Option<Self>) -> Self {
-        if self.is_published_copy() {
-            return self.data_plane();
-        }
-        let reusable = recycled.filter(|buffer| {
-            buffer.is_published_copy()
-                && buffer.build == self.build
-                && buffer.publish < self.publish
-                && buffer.nodes.len() <= self.nodes.len()
-        });
-        let copy = match reusable {
-            Some(mut buffer) => {
-                let had = buffer.nodes.len();
-                let mut writes = (self.nodes.len() - had) / 2;
-                let current = self.nodes.chunks_exact(2).zip(&self.stamps);
-                for (node, (now, &stamp)) in buffer.nodes.chunks_exact_mut(2).zip(current) {
-                    if stamp > buffer.publish {
-                        node.copy_from_slice(now);
-                        writes += 1;
-                    }
-                }
-                buffer.nodes.extend_from_slice(&self.nodes[had..]);
-                buffer.root_array.copy_from_slice(&self.root_array);
-                buffer.root = self.root;
-                buffer.counts = self.counts;
-                buffer.publish = self.publish;
-                self.last_copy_writes = Some(writes);
-                buffer
-            }
-            None => {
-                self.last_copy_writes = None;
-                self.data_plane()
-            }
         };
         debug_assert!(
-            copy.same_data_plane(self),
+            copy.write_packed() == self.write_packed(),
             "published copy differs from the working arena"
         );
-        self.advance_publish();
         copy
+    }
+
+    /// Appends a record for every live slot stamped since the last
+    /// publish to the log, children remapped through the slot → record
+    /// table; returns `false`, appending nothing, when there is no log or
+    /// it cannot take them, and a pack must run instead.
+    ///
+    /// Every such record gets its index before any is written, so the
+    /// order needs no walk: a child stamped too is remapped to its new
+    /// record, an unstamped one to the record the last publish gave it.
+    fn append_changes(&mut self) -> bool {
+        let slots = self.slots();
+        let Some(log) = self.log.as_mut() else {
+            return false;
+        };
+        if log.dirty.len() > (log.words.capacity() - log.words.len()) / 2 {
+            return false;
+        }
+        log.at.resize(slots, NONE);
+        let live = |idx: &&u32| self.refcounts[**idx as usize] > 0;
+        let start = (log.words.len() / 2) as u32;
+        for (next, &idx) in (start..).zip(log.dirty.iter().filter(live)) {
+            log.at[idx as usize] = next;
+        }
+        let at = |idx: u32| log.at.get(idx as usize).copied().unwrap_or(NONE);
+        for &idx in log.dirty.iter().filter(live) {
+            let (left, right, label) = packed_node(&self.nodes, idx);
+            let fits = log.words.try_extend(&record(at(left), at(right), label));
+            debug_assert!(fits, "room was checked");
+        }
+        log.dirty.clear();
+        true
+    }
+
+    /// Packs the live records into a new log, in BFS order from the root
+    /// — the order [`Self::write_packed`] writes — with room to append
+    /// [`LOG_ROOM`] − 1 times as many again.
+    fn pack_log(&mut self) {
+        let live = self.stats().live_nodes;
+        let mut words = WordLog::with_capacity(2 * (LOG_ROOM * live).max(MIN_LOG_RECORDS));
+        let at = pack_bfs_with(&self.nodes, &[self.root], |node| {
+            let fits = words.try_extend(&node);
+            debug_assert!(fits, "a new log holds every live record");
+        });
+        self.log = Some(PublishLog {
+            words,
+            at,
+            dirty: Vec::new(),
+            published: 0,
+            last: ArenaPublish::default(),
+        });
     }
 
     /// Moves on to the next publish number: records written from here on
@@ -922,8 +1082,9 @@ impl<A: Address> PrefixDag<A> {
         self.publish = match self.publish.checked_add(1) {
             Some(next) => next,
             None => {
-                // Out of publish numbers: start a lineage, so no copy of
-                // this one is compared against stamps that restart.
+                // Out of publish numbers: start a lineage, so no fleet
+                // window of this one is compared against stamps that
+                // restart.
                 self.build = next_build();
                 self.stamps.fill(0);
                 1
@@ -941,33 +1102,31 @@ impl<A: Address> PrefixDag<A> {
         window
     }
 
-    /// Whether record `idx` was written after [`Self::close_window`]
-    /// returned `window` (always, for a window of another lineage).
+    /// Whether node `idx` was stamped after [`Self::close_window`]
+    /// returned `window` (always, for a window of another lineage): its
+    /// record was written, or — for a top node — one below it was.
     pub(crate) fn changed_since(&self, window: (u64, u32), idx: u32) -> bool {
         window.0 != self.build || self.stamps[idx as usize] > window.1
     }
 
-    /// Node records the last [`Self::publish_copy`] wrote into the buffer
-    /// it was handed; `None` when it allocated a fresh copy instead.
+    /// What the last [`Self::publish_copy`] handed a reader: the records
+    /// it appended and that the buffer was the one the copy before it
+    /// reads, or every record of a new buffer. `None` before the first
+    /// publish and on a published copy.
     #[must_use]
-    pub fn last_copy_writes(&self) -> Option<usize> {
-        self.last_copy_writes
+    pub fn last_publish(&self) -> Option<ArenaPublish> {
+        self.log.as_ref().map(|log| log.last)
     }
 
     /// Bytes of change-tracking state: the per-node stamps, a `u32` each,
-    /// however many updates went by unpublished.
+    /// however many updates went by unpublished, and — once the engine
+    /// has published — the per-node index into its record log and the
+    /// list of nodes stamped since the last publish, a `u32` each at most.
     #[must_use]
     pub fn tracking_bytes(&self) -> usize {
-        self.stamps.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Whether a lookup, an image encode or a size report can tell `self`
-    /// from `other`: every node record, every root entry, the root, λ and
-    /// the counters.
-    fn same_data_plane(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
-            && self.root_array == other.root_array
-            && (self.root, self.lambda, self.counts) == (other.root, other.lambda, other.counts)
+        let log = self.log.as_ref();
+        let at = log.map_or(0, |log| log.at.capacity() + log.dirty.capacity());
+        (self.stamps.capacity() + at) * std::mem::size_of::<u32>()
     }
 
     // ------------------------------------------------------------------
@@ -1023,13 +1182,18 @@ impl<A: Address> PrefixDag<A> {
             + delta as usize * lg_delta
     }
 
-    /// Actual arena footprint in bytes (live slots only; 16 bytes each).
+    /// Bytes of live records, 16 each: what an image of this state
+    /// stores. A working engine's arena holds free slots beside them, and
+    /// the record log a published copy reads holds dead records — ones
+    /// the working engine has rewritten or freed since they were appended
+    /// — until its next pack; neither is counted.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        (self.nodes.len() / 2 - self.counts.free_slots) * 16
+        self.stats().live_nodes * 16
     }
 
-    /// Fraction of arena slots sitting on the free list, in `[0, 1]`.
+    /// Fraction of arena slots sitting on the free list, in `[0, 1]` —
+    /// of the working engine's arena, on a published copy too.
     ///
     /// A freshly folded DAG is fully compact (0.0); λ-barrier updates
     /// recycle slots but leave holes behind, so locality of the data-plane
@@ -1042,10 +1206,12 @@ impl<A: Address> PrefixDag<A> {
     /// and crosses 0.25 only at taz 0.02 (0.27 after 200 k).
     #[must_use]
     pub fn fragmentation(&self) -> f64 {
-        if self.nodes.is_empty() {
+        // Every slot is live or free.
+        let slots = self.stats().live_nodes + self.counts.free_slots;
+        if slots == 0 {
             0.0
         } else {
-            self.counts.free_slots as f64 / (self.nodes.len() / 2) as f64
+            self.counts.free_slots as f64 / slots as f64
         }
     }
 
@@ -1054,8 +1220,8 @@ impl<A: Address> PrefixDag<A> {
     /// in-degrees, the interner indexes exactly the folded region, every
     /// folded interior has two children, and the counters agree with the
     /// control FIB, the interner and the free list. A published copy has
-    /// only the root array to check (its reference counts are whatever
-    /// they were when each node was last written). Test/diagnostic use.
+    /// only the root array to check (it holds no reference counts).
+    /// Test/diagnostic use.
     ///
     /// # Panics
     /// Panics if an invariant is broken.
@@ -1095,9 +1261,14 @@ impl<A: Address> PrefixDag<A> {
             self.interner.len(),
             "folded node counts"
         );
-        let slots = self.nodes.len() / 2;
+        let slots = self.slots();
         assert_eq!(self.stamps.len(), slots, "one stamp a node");
         assert_eq!(self.refcounts.len(), slots, "one reference count a node");
+        assert_eq!(
+            self.stats().live_nodes + self.counts.free_slots,
+            slots,
+            "a slot neither live nor free"
+        );
         // Count in-edges of every folded node.
         let mut indegree: HashMap<u32, u32> = HashMap::new();
         let mut stack = vec![(self.root, 0u8)];
@@ -1257,7 +1428,8 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
         start..start + std::mem::size_of_val(self.words)
     }
 
-    /// Image footprint in bytes (16 per node).
+    /// Bytes of the borrowed words, 16 per record: an image's footprint;
+    /// over a published pDAG copy's record log, its dead records too.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
         self.words.len() * 8
@@ -1269,6 +1441,21 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
     #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
         self.lookup_with_depth(addr).0
+    }
+
+    /// [`Self::lookup`] of each of `addrs` into `out`, over this one view:
+    /// an owned [`PrefixDag`] picks its records' slice once a batch, not
+    /// once a lookup.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `addrs`.
+    // Out of line for the reason `FibLookup::lookup_batch` is.
+    #[inline(never)]
+    pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
+        for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
+            *slot = self.lookup(*addr);
+        }
     }
 
     /// Lookup that also reports the node records read after the walk's
@@ -1476,7 +1663,7 @@ mod tests {
         for lambda in [0u8, 2, 11] {
             let mut dag = PrefixDag::from_trie(&fig1_trie(), lambda);
             dag.insert(p("10.1.2.0/24"), nh(7));
-            let (nodes, roots, stats) = (dag.nodes.clone(), dag.root_array.clone(), dag.stats());
+            let (nodes, roots, stats) = (dag.nodes.to_vec(), dag.root_array.clone(), dag.stats());
             let window = dag.close_window();
             // A route in the top tree (at λ ≥ 2), one folded below the
             // barrier, and a withdraw of a prefix the table never held.
@@ -1485,7 +1672,7 @@ mod tests {
             assert_eq!(dag.remove(p("10.1.3.0/24")), None);
             dag.assert_invariants();
             assert!(
-                dag.nodes == nodes && dag.root_array == roots,
+                *dag.nodes == nodes[..] && dag.root_array == roots,
                 "λ = {lambda}"
             );
             assert_eq!(dag.stats(), stats, "λ = {lambda}");
@@ -1661,12 +1848,11 @@ mod tests {
         }
     }
 
-    /// A copy is what the working engine is, to every reader: node for
-    /// node against a fresh copy, and answer for answer on the methods a
-    /// snapshot serves.
+    /// A copy is what the working engine is, to every reader: the image
+    /// it packs to, and answer for answer on the methods a snapshot
+    /// serves.
     fn assert_copy_is_current(dag: &PrefixDag<u32>, copy: &PrefixDag<u32>) {
         assert!(copy.is_published_copy());
-        assert!(copy.same_data_plane(&dag.data_plane()));
         assert_eq!(copy.write_packed(), dag.write_packed());
         assert_eq!(copy.model_size_bits(), dag.model_size_bits());
         assert_eq!(
@@ -1678,102 +1864,115 @@ mod tests {
         assert_equivalent(dag.control(), copy, 2000);
     }
 
+    /// The buffer a copy's records are a view of.
+    fn buffer(copy: &PrefixDag<u32>) -> std::ops::Range<usize> {
+        copy.view().payload_ptr_range()
+    }
+
     #[test]
-    fn publish_copy_syncs_a_recycled_copy_and_refuses_anything_else() {
+    fn publish_copy_appends_what_changed_to_one_log() {
         let mut x: u64 = 0x5EED_CAFE_F00D_0001;
         let mut dag = PrefixDag::from_trie(&fig1_trie(), 11);
         churn(&mut dag, &mut x, 300);
+        assert_eq!(dag.last_publish(), None);
 
-        // The recycling a router does: the copy of three publishes ago
-        // comes back, across arena growth and free-list reuse.
-        let mut kept = std::collections::VecDeque::new();
-        let mut reused = 0;
-        for _ in 0..12 {
-            churn(&mut dag, &mut x, 40);
-            let recycled = if kept.len() == 3 {
-                kept.pop_front()
-            } else {
-                None
-            };
-            let offered = recycled.is_some();
-            let copy = dag.publish_copy(recycled);
-            assert_eq!(dag.last_copy_writes().is_some(), offered);
-            if let Some(writes) = dag.last_copy_writes() {
-                assert!(
-                    writes > 0 && writes < dag.nodes.len() / 2,
-                    "{writes} writes"
-                );
-                reused += 1;
-            }
+        // The first publish packs the live records into a new log.
+        let first = dag.publish_copy();
+        let live = dag.stats().live_nodes;
+        assert_eq!(
+            dag.last_publish(),
+            Some(ArenaPublish {
+                records_written: live,
+                shared: false
+            })
+        );
+        assert_copy_is_current(&dag, &first);
+        assert_eq!(
+            first.view().size_bytes(),
+            16 * live,
+            "packed: no dead record"
+        );
+
+        // Later ones append what changed to the same buffer, and every
+        // copy goes on answering for the state it was published at.
+        let mut kept = vec![(first, dag.control().clone())];
+        for _ in 0..6 {
+            churn(&mut dag, &mut x, 5);
+            let copy = dag.publish_copy();
+            let published = dag.last_publish().expect("published");
+            assert!(published.shared, "{published:?}");
+            let written = published.records_written;
+            assert!(written > 0 && written < dag.stats().live_nodes, "{written}");
+            let before = buffer(&kept.last().expect("a copy").0);
+            let now = buffer(&copy);
+            assert_eq!(now.start, before.start, "one buffer");
+            assert_eq!(now.end - before.end, 16 * written, "appended past it");
             assert_copy_is_current(&dag, &copy);
-            kept.push_back(copy);
+            kept.push((copy, dag.control().clone()));
         }
-        assert_eq!(reused, 9);
-        // With nothing changed in between there is nothing to write.
-        let current = kept.pop_back().unwrap();
-        let again = dag.publish_copy(Some(current));
-        assert_eq!(dag.last_copy_writes(), Some(0));
+        // With nothing changed in between there is nothing to append.
+        let again = dag.publish_copy();
+        assert_eq!(
+            dag.last_publish(),
+            Some(ArenaPublish {
+                records_written: 0,
+                shared: true
+            })
+        );
         assert_copy_is_current(&dag, &again);
 
-        // A copy far older than any router keeps: synced all the same,
-        // each node that changed since written once.
-        let old = dag.publish_copy(None);
-        for _ in 0..40 {
-            churn(&mut dag, &mut x, 50);
-            drop(dag.publish_copy(None));
-        }
-        let copy = dag.publish_copy(Some(old));
-        let writes = dag.last_copy_writes().expect("synced");
-        assert!(
-            writes > 0 && writes <= dag.nodes.len() / 2,
-            "{writes} writes"
-        );
-        assert_copy_is_current(&dag, &copy);
-
-        // A copy of another build: same table, same λ, another arena.
-        let mut other = PrefixDag::from_trie(dag.control(), 11);
-        let foreign = other.publish_copy(None);
-        // A copy of this build with more nodes than the arena has (no
-        // sequence of calls makes one; the hook must not index past the
-        // arena all the same).
-        let mut longer = dag.publish_copy(None);
-        longer.nodes.extend_from_within(..16);
-        // A copy that claims a publish this engine has not made yet.
-        let mut early = dag.publish_copy(None);
-        early.publish = dag.publish;
-        // A full working engine, as a router's epoch 0 holds.
-        let working = dag.clone();
-        for refused in [early, foreign, longer, working] {
-            let copy = dag.publish_copy(Some(refused));
-            assert_eq!(dag.last_copy_writes(), None, "refused, copied afresh");
-            assert_copy_is_current(&dag, &copy);
-            churn(&mut dag, &mut x, 10);
+        // Until the log is full: that publish packs a new one.
+        let packed = loop {
+            churn(&mut dag, &mut x, 40);
+            let copy = dag.publish_copy();
+            let published = dag.last_publish().expect("published");
+            if !published.shared {
+                assert_eq!(published.records_written, dag.stats().live_nodes);
+                break copy;
+            }
+        };
+        assert_copy_is_current(&dag, &packed);
+        assert_ne!(buffer(&packed).start, buffer(&again).start);
+        for (copy, then) in &kept {
+            copy.assert_invariants();
+            assert_equivalent(then, copy, 1000);
         }
 
-        // Out of publish numbers, the engine starts a lineage: the last
-        // copy of the old one is not synced against stamps that restart.
+        // A clone is an engine of its own: its first publish packs a log
+        // of its own, and neither engine's publishes move the other's.
+        let mut twin = dag.clone();
+        let ours = dag.publish_copy();
+        let theirs = twin.publish_copy();
+        assert!(!twin.last_publish().expect("published").shared);
+        assert!(dag.last_publish().expect("published").shared);
+        assert_ne!(buffer(&ours).start, buffer(&theirs).start);
+        twin.insert(p("10.0.0.0/8"), nh(1));
+        assert_copy_is_current(&twin, &twin.clone().publish_copy());
+        assert_copy_is_current(&dag, &ours);
+
+        // Out of publish numbers, the engine starts a lineage, and the
+        // stamps that restart list what changed all the same.
         dag.publish = u32::MAX;
-        let last = dag.publish_copy(None);
-        assert_eq!((last.publish, dag.publish), (u32::MAX, 1));
-        churn(&mut dag, &mut x, 10);
-        let copy = dag.publish_copy(Some(last));
-        assert_eq!(dag.last_copy_writes(), None);
-        assert_copy_is_current(&dag, &copy);
-        churn(&mut dag, &mut x, 10);
-        let copy = dag.publish_copy(Some(copy));
-        assert!(dag.last_copy_writes().is_some());
-        assert_copy_is_current(&dag, &copy);
+        let (last, then) = (dag.publish_copy(), dag.control().clone());
+        assert_eq!(dag.publish, 1);
+        for _ in 0..2 {
+            churn(&mut dag, &mut x, 10);
+            let copy = dag.publish_copy();
+            assert!(dag.last_publish().expect("published").shared);
+            assert_copy_is_current(&dag, &copy);
+        }
         dag.assert_invariants();
+        assert_equivalent(&then, &last, 1000);
     }
 
     #[test]
     fn a_published_copy_declines_updates_and_has_no_control_fib() {
         let mut dag = PrefixDag::from_trie(&fig1_trie(), 4);
-        let copy = dag.publish_copy(None);
+        let copy = dag.publish_copy();
         assert!(copy.is_published_copy() && !dag.is_published_copy());
         assert_equivalent(dag.control(), &copy, 500);
         let refuses = |f: fn(PrefixDag<u32>)| {
-            let copy = copy.data_plane();
+            let copy = copy.clone();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(copy))).is_err()
         };
         assert!(refuses(|mut c| {
@@ -1785,17 +1984,22 @@ mod tests {
         assert!(refuses(|c| {
             let _ = c.control();
         }));
+        // A copy of a copy reads the same records, and publishes nothing.
+        let mut again = copy.clone();
+        let copied = again.publish_copy();
+        assert_eq!(buffer(&copied), buffer(&copy));
+        assert_eq!(again.last_publish(), None);
         // A clone of a working engine is a working engine of its own
-        // lineage; the copies of one are no use to the other.
+        // lineage; what one publishes does not move the other.
         let mut twin = dag.clone();
         twin.insert(p("10.0.0.0/8"), nh(1));
         twin.assert_invariants();
         assert_eq!(dag.lookup(0x0A00_0001), Some(nh(3)));
-        let theirs = twin.publish_copy(None);
+        let theirs = twin.publish_copy();
         assert_eq!(theirs.lookup(0x0A00_0001), Some(nh(1)));
-        let ours = dag.publish_copy(Some(theirs));
-        assert_eq!(dag.last_copy_writes(), None);
+        let ours = dag.publish_copy();
         assert_eq!(ours.lookup(0x0A00_0001), Some(nh(3)));
+        assert_eq!(copy.lookup(0x0A00_0001), Some(nh(3)));
     }
 
     #[test]

@@ -92,15 +92,15 @@ use std::sync::Arc;
 
 use fib_trie::{Address, BinaryTrie, NextHop};
 
-use crate::engine::{BuildConfig, FibBuild, FibLookup};
+use crate::engine::{ArenaPublish, BuildConfig, FibBuild, FibLookup};
 use crate::idhash::IdBuildHasher;
 use crate::image::{
     sections, write_image, AnyView, EngineKind, EngineVisitor, FibImage, ImageCodec, ImageError,
     ImageWriter, Sections,
 };
 use crate::pdag::{
-    bfs_order, next_build, pack_bfs, packed_node, packed_root_array, record, PrefixDag,
-    PrefixDagRef, RootArray, ROOT_BITS,
+    bfs_order, next_build, pack_bfs, pack_bfs_with, packed_node, packed_root_array, record,
+    PrefixDag, PrefixDagRef, RootArray, ROOT_BITS,
 };
 use crate::xbw::XbwStorage;
 use fib_succinct::{SharedWords, WordLog};
@@ -827,17 +827,6 @@ pub struct VrfSync {
     pub compacted: bool,
 }
 
-/// What one [`VrfArena::publish`] handed a reader.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VrfPublish {
-    /// Records the set holds that the set published before it does not:
-    /// those appended since, or every one in a new buffer.
-    pub records_written: usize,
-    /// Whether the set reads the buffer the set published before it read,
-    /// appended to, rather than a new one.
-    pub shared: bool,
-}
-
 /// How one shared table's pDAG maps onto the arena.
 #[derive(Default)]
 struct Mirror {
@@ -1091,7 +1080,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// since, unless a compaction moved the arena to a new buffer — and
     /// its tables share their root arrays with the arena, so a publish
     /// copies nothing but the table records.
-    pub fn publish(&mut self) -> (CompiledVrfSet<A>, VrfPublish) {
+    pub fn publish(&mut self) -> (CompiledVrfSet<A>, ArenaPublish) {
         let (build, had) = self.published;
         let shared = build == self.build;
         let records_written = (self.log.len() - if shared { had } else { 0 }) / 2;
@@ -1101,7 +1090,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
             tables: self.tables.clone(),
             stats: self.stats,
         };
-        let publish = VrfPublish {
+        let publish = ArenaPublish {
             records_written,
             shared,
         };
@@ -1124,7 +1113,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// record, not yet held.
     fn intern_dag(&mut self, id: u32, dag: &mut PrefixDag<A>) -> u32 {
         let mut mirror = self.mirrors.remove(&id).unwrap_or_default();
-        let slots = dag.nodes.len() / 2;
+        let slots = dag.slots();
         mirror.memo.resize(slots, NONE);
         let mut walk = Walk {
             dag: &*dag,
@@ -1132,37 +1121,30 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
             memo: &mut mirror.memo,
             done: vec![false; slots],
         };
-        let (root, _) = self.intern_node(&mut walk, dag.root, 0);
+        let root = self.intern_node(&mut walk, dag.root);
         mirror.seen = dag.close_window();
         self.mirrors.insert(id, mirror);
         root
     }
 
-    /// The record of pDAG node `idx`, reached at `depth`, and whether it
-    /// may differ from the one the last sync gave it. A folded node
-    /// written before then is what it was, children and all; a top node
-    /// is re-interned when it or anything below it was written.
-    fn intern_node(&mut self, walk: &mut Walk<'_, A>, idx: u32, depth: u8) -> (u32, bool) {
+    /// The record of pDAG node `idx`, interned again if the pDAG stamped
+    /// it since the last sync. A node it did not stamp is what it was,
+    /// children and all: an update stamps the top nodes above every record
+    /// it writes.
+    fn intern_node(&mut self, walk: &mut Walk<'_, A>, idx: u32) -> u32 {
         if idx == NONE {
-            return (NONE, false);
+            return NONE;
         }
         let at = idx as usize;
-        if walk.done[at] {
-            return (walk.memo[at], true);
-        }
-        let written = walk.dag.changed_since(walk.seen, idx);
-        if !written && depth >= walk.dag.lambda() {
-            return (walk.memo[at], false);
+        if walk.done[at] || !walk.dag.changed_since(walk.seen, idx) {
+            return walk.memo[at];
         }
         let (left, right, label) = walk.dag.node(idx);
-        let (left, left_moved) = self.intern_node(walk, left, depth + 1);
-        let (right, right_moved) = self.intern_node(walk, right, depth + 1);
-        if !(written || left_moved || right_moved) {
-            return (walk.memo[at], false);
-        }
+        let left = self.intern_node(walk, left);
+        let right = self.intern_node(walk, right);
         walk.memo[at] = self.intern(left, right, label);
         walk.done[at] = true;
-        (walk.memo[at], true)
+        walk.memo[at]
     }
 
     /// The record `(left, right, label)`: the live one, or a new one
@@ -1220,30 +1202,26 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// in id order, renumbered in the order of one queue seeded with them.
     fn compact(&mut self) {
         let roots: Vec<u32> = self.tables.iter().map(|table| table.root).collect();
-        let order = bfs_order(self.log.words(), &roots);
-        debug_assert_eq!(
-            order.len(),
-            self.refcounts.len() - self.free,
-            "a held record no root reaches"
-        );
-        let mut remap = vec![NONE; self.refcounts.len()];
-        for (new, &old) in (0..).zip(&order) {
-            remap[old as usize] = new;
+        let live = self.refcounts.len() - self.free;
+        let mut log = WordLog::with_capacity((4 * live).max(MIN_ARENA_WORDS));
+        let remap = pack_bfs_with(self.log.words(), &roots, |node| {
+            log.try_extend(&node);
+        });
+        let records = log.words().len() / 2;
+        debug_assert_eq!(records, live, "a held record no root reaches");
+        let mut refcounts = vec![0; records];
+        for (&new, &count) in remap.iter().zip(&self.refcounts) {
+            if new != NONE {
+                refcounts[new as usize] = count;
+            }
         }
-        let moved = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
-        let mut log = WordLog::with_capacity((4 * order.len()).max(MIN_ARENA_WORDS));
-        for &old in &order {
-            let (left, right, label) = packed_node(self.log.words(), old);
-            log.try_extend(&record(moved(left), moved(right), label));
-        }
-        self.refcounts = (order.iter())
-            .map(|&old| self.refcounts[old as usize])
-            .collect();
+        self.refcounts = refcounts;
         self.free = 0;
         self.map.clear();
-        for idx in 0..order.len() as u32 {
+        for idx in 0..records as u32 {
             self.map.insert(packed_node(log.words(), idx), idx);
         }
+        let moved = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
         self.log = log;
         self.build = next_build();
         for table in &mut self.tables {

@@ -7,8 +7,9 @@ use crate::router::RouterHealth;
 use crate::snapcell::SnapCell;
 
 /// Published snapshots a [`Publisher`] keeps its own [`Arc`] on: the
-/// current one, the one the [`SnapCell`] may still hold retired, and the
-/// one the next publish may take back.
+/// current one, the one the [`SnapCell`] may still hold retired, and one
+/// before it, so that a reader a publish late to move on has usually let
+/// go of a snapshot by the time this thread drops it.
 const KEPT_SNAPSHOTS: usize = 3;
 
 /// The publish half of a control plane: its epoch, the [`SnapCell`]
@@ -80,21 +81,16 @@ impl<S: Send + Sync + 'static> Publisher<S> {
         self.cell.load()
     }
 
-    /// Cuts and publishes the next epoch. `cut` gets its number and, once
-    /// the ring is full, the snapshot pushed out of it — only if no reader
-    /// pins it; a pinned one is never written or waited for. Whatever
-    /// `cut` does not keep of it is freed on this thread.
-    pub(crate) fn publish(&mut self, cut: impl FnOnce(u64, Option<S>) -> S) -> Arc<S> {
-        let retired = if self.kept.len() < KEPT_SNAPSHOTS {
-            None
-        } else {
-            self.kept
-                .pop_front()
-                .and_then(|oldest| Arc::try_unwrap(oldest).ok())
-        };
+    /// Cuts and publishes the next epoch: `cut` gets its number. Once the
+    /// ring is full, the snapshot pushed out of it is dropped here — and
+    /// freed, unless a reader still holds it.
+    pub(crate) fn publish(&mut self, cut: impl FnOnce(u64) -> S) -> Arc<S> {
+        if self.kept.len() == KEPT_SNAPSHOTS {
+            self.kept.pop_front();
+        }
         self.epoch += 1;
         self.serving_stale = false;
-        let snapshot = Arc::new(cut(self.epoch, retired));
+        let snapshot = Arc::new(cut(self.epoch));
         self.kept.push_back(Arc::clone(&snapshot));
         self.cell.publish(Arc::clone(&snapshot));
         snapshot
@@ -118,44 +114,12 @@ mod tests {
     #[test]
     fn the_ring_lets_go_after_kept_snapshots_more_publishes() {
         let mut core = Publisher::new(0, 0u64);
-        let first = core.publish(|epoch, _| epoch);
+        let first = core.publish(|epoch| epoch);
         for more in 1..=KEPT_SNAPSHOTS {
             assert!(Arc::strong_count(&first) > 1, "released after {more}");
-            core.publish(|epoch, _| epoch);
+            core.publish(|epoch| epoch);
         }
         assert_eq!(Arc::strong_count(&first), 1, "the core still holds it");
         assert_eq!(core.epoch(), 1 + KEPT_SNAPSHOTS as u64);
-    }
-
-    #[test]
-    fn a_pinned_snapshot_is_never_handed_to_the_cut() {
-        const PINNED: u64 = 2;
-        let mut core = Publisher::new(0, 0u64);
-        let mut handed = Vec::new();
-        let mut pinned = None;
-        for _ in 0..8 {
-            let snapshot = core.publish(|epoch, retired| {
-                handed.push(retired);
-                epoch
-            });
-            if *snapshot == PINNED {
-                pinned = Some(snapshot);
-            }
-        }
-        // Publish n takes back epoch n − 3 — except the pinned one.
-        let expected = [
-            None,
-            None,
-            Some(0),
-            Some(1),
-            None,
-            Some(3),
-            Some(4),
-            Some(5),
-        ];
-        assert_eq!(handed, expected);
-        let pinned = pinned.expect("epoch 2 was published");
-        assert_eq!(*pinned, PINNED);
-        assert_eq!(Arc::strong_count(&pinned), 1);
     }
 }

@@ -344,13 +344,18 @@ pub struct RouterStats {
     pub replayed: u64,
     /// Epoch images spilled to the spool directory.
     pub spills: u64,
-    /// Publishes [`FibUpdate::publish_copy`] wrote into a snapshot an
-    /// earlier publish had cut and every reader had let go of, instead
-    /// of allocating a copy.
+    /// Records the published engines hold that the engine published
+    /// before each did not: those appended to its record log since, or
+    /// all of a new log ([`FibUpdate::last_publish`]). An engine published
+    /// as a clone counts none.
+    pub records_written: u64,
+    /// Publishes whose engine reads the record log the engine published
+    /// before it read, appended to, instead of a new one.
     pub recycled: u64,
-    /// Node records those publishes wrote, in total
-    /// ([`FibUpdate::last_copy_writes`]).
-    pub copied_nodes: u64,
+    /// Publishes that packed the live records into a new log (a BFS
+    /// repack): the first publish of every newly built working engine,
+    /// and each one that found the log full.
+    pub compactions: u64,
 }
 
 /// A point-in-time health report: spool persistence state, rebuild-panic
@@ -858,12 +863,13 @@ where
     /// The snapshot's engine is [`FibUpdate::publish_copy`] of the working
     /// engine — a lookup structure, answering as the working engine does
     /// at this call; the control FIB stays here ([`Self::control`]). The
-    /// router keeps the last three snapshots, so a retired one is freed
-    /// on this thread, and hands the oldest engine to the hook when no
-    /// reader pins it any more: the prefix DAG then writes only the nodes
-    /// that changed since ([`RouterStats::recycled`],
-    /// [`RouterStats::copied_nodes`]); a publish after a pinned one
-    /// copies afresh.
+    /// prefix DAG publishes by appending the records that changed since
+    /// its last publish to a log the snapshots share, and packs a new log
+    /// now and then ([`RouterStats::records_written`],
+    /// [`RouterStats::recycled`], [`RouterStats::compactions`]); no record
+    /// a snapshot reads is written again, whoever still holds it. The
+    /// router keeps the last three snapshots, so a retired one is usually
+    /// freed on this thread.
     ///
     /// If the working engine went stale (static engine under churn) or is
     /// absent (warm restart), it is (re)built first, on this thread —
@@ -938,8 +944,6 @@ where
     /// The shared publish path: [`Self::publish`] attaches no slab; a
     /// hot publish always cuts a fresh epoch (its slab is new state even
     /// when no route changed), a plain one reuses an unchanged snapshot.
-    /// The one [`FibUpdate::publish_copy`] call below is the only use of
-    /// the snapshot the publish core hands back.
     fn publish_with(&mut self, hot: Option<HotSlab>) -> Arc<EpochSnapshot<E>> {
         // No-op publish: nothing changed since the last epoch — no update,
         // or only unchanged ones — so reuse the published snapshot instead
@@ -984,16 +988,13 @@ where
             return None;
         }
         self.stats.epochs += 1;
-        let snapshot = self.publisher.publish(|epoch, retired| {
+        let snapshot = self.publisher.publish(|epoch| {
             let working = self.working.as_mut().expect("materialized");
-            let recycled = retired.and_then(|snapshot| match snapshot.engine {
-                SnapEngine::Owned(engine) => Some(engine),
-                SnapEngine::Image(_) => None,
-            });
-            let engine = SnapEngine::Owned(working.publish_copy(recycled));
-            if let Some(writes) = working.last_copy_writes() {
-                self.stats.recycled += 1;
-                self.stats.copied_nodes += writes as u64;
+            let engine = SnapEngine::Owned(working.publish_copy());
+            if let Some(published) = working.last_publish() {
+                self.stats.records_written += published.records_written as u64;
+                self.stats.recycled += u64::from(published.shared);
+                self.stats.compactions += u64::from(!published.shared);
             }
             EpochSnapshot::cut(epoch, self.control.len(), engine, hot)
         });

@@ -293,8 +293,7 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         let (set, published) = self.arena.publish();
         self.stats.records_written += published.records_written as u64;
         self.stats.recycled += u64::from(published.shared);
-        // A retired set is of no further use to a fleet: it drops here.
-        self.publisher.publish(|epoch, _retired| {
+        self.publisher.publish(|epoch| {
             let carried = |id| basis.vrf_epoch(id).filter(|_| !dirty.contains(&id));
             let stamp = |t: &CompiledVrf<A>| (t.id, carried(t.id).unwrap_or(epoch));
             let vrf_epochs = set.tables.iter().map(stamp).collect();

@@ -3,9 +3,11 @@
 //! snapshot must agree with the oracle on a fixed lookup trace, including
 //! the epochs cut right after an in-line compaction (`start_rebuild`).
 //! Every published pDAG is also what the router's working engine is — a
-//! published copy, freshly allocated or a recycled snapshot rewritten
-//! where it changed, packs to the words a reference engine fed the same
-//! updates packs to.
+//! published copy, reading a record log freshly packed or appended to
+//! since the copy before it, answers and packs as a reference engine fed
+//! the same updates does — and an old copy goes on answering for its own
+//! epoch however many publishes append to its log or move the engine to
+//! a new one.
 
 use fib_core::{BuildConfig, HotConfig, PrefixDag, SerializedDag};
 use fib_router::{EpochSnapshot, Router, RouterConfig, SpoolConfig, SpoolHealth, StdFs};
@@ -41,16 +43,24 @@ fn assert_snapshot_matches_oracle<E>(
 }
 
 /// The published engine against `reference`, a working engine that
-/// absorbed the same updates in place and was never copied, compacted or
-/// recycled: the packed image (words and root — what a spill writes and a
-/// reader of the image walks) and the §4.2 model size.
+/// absorbed the same updates in place and was never published or
+/// compacted: the answers on `trace`, the packed image (words and root —
+/// what a spill writes and a reader of the image walks) and the §4.2
+/// model size. Not the records themselves: a copy reads them from a log
+/// that holds dead records beside them, in the order they were appended.
 fn assert_published_is_the_working_engine<A: Address>(
     snapshot: &EpochSnapshot<PrefixDag<A>>,
     reference: &PrefixDag<A>,
+    trace: &[A],
 ) {
     let published = snapshot.engine().expect("an owned engine");
     let epoch = snapshot.epoch();
     assert!(epoch == 0 || published.is_published_copy());
+    let mut answers = vec![None; trace.len()];
+    published.view().lookup_batch(trace, &mut answers);
+    for (&addr, &got) in trace.iter().zip(&answers) {
+        assert_eq!(got, reference.lookup(addr), "epoch {epoch}: answer");
+    }
     assert_eq!(
         published.write_packed(),
         reference.write_packed(),
@@ -91,7 +101,7 @@ fn pdag_churn_differential(lambda: u8, compact_at: &[usize]) -> Router<u32, Pref
     let mut plane = router.data_plane();
 
     assert_snapshot_matches_oracle(&router.snapshot(), &oracle, &trace);
-    assert_published_is_the_working_engine(&router.snapshot(), &reference);
+    assert_published_is_the_working_engine(&router.snapshot(), &reference, &trace);
 
     let mut epochs_checked = 0usize;
     // Updates that leave the oracle as it was: a re-announce of the hop a
@@ -119,21 +129,21 @@ fn pdag_churn_differential(lambda: u8, compact_at: &[usize]) -> Router<u32, Pref
             }
             let snapshot = router.publish();
             assert_snapshot_matches_oracle(&snapshot, &oracle, &trace);
-            assert_published_is_the_working_engine(&snapshot, &reference);
+            assert_published_is_the_working_engine(&snapshot, &reference, &trace);
             match epochs_checked {
                 // Nothing to publish: the same snapshot, and the next
                 // publish still finds its buffers where it left them.
                 7 => assert!(Arc::ptr_eq(&router.publish(), &snapshot)),
-                // A hot publish cuts an epoch with no route changed: a
-                // recycled snapshot has only older epochs to catch up on.
-                // (No traffic sampled, so λ stays where the test put it.)
+                // A hot publish cuts an epoch with no route changed: its
+                // copy appends nothing to the log the last one reads. (No
+                // traffic sampled, so λ stays where the test put it.)
                 9 | 15 => {
                     let hot = router
                         .publish_hot(&HeatMap::new(1, 24, 64), &HotConfig::for_width(32))
                         .0;
                     assert_eq!(hot.epoch(), snapshot.epoch() + 1);
                     assert_snapshot_matches_oracle(&hot, &oracle, &trace);
-                    assert_published_is_the_working_engine(&hot, &reference);
+                    assert_published_is_the_working_engine(&hot, &reference, &trace);
                 }
                 _ => {}
             }
@@ -142,7 +152,7 @@ fn pdag_churn_differential(lambda: u8, compact_at: &[usize]) -> Router<u32, Pref
     }
     let last = router.publish();
     assert_snapshot_matches_oracle(&last, &oracle, &trace);
-    assert_published_is_the_working_engine(&last, &reference);
+    assert_published_is_the_working_engine(&last, &reference, &trace);
     assert_eq!(epochs_checked, 12_000 / BURST);
     let stats = router.stats();
     assert!(unchanged > 0, "the stream re-announces routes");
@@ -164,31 +174,184 @@ fn pdag_churn_differential(lambda: u8, compact_at: &[usize]) -> Router<u32, Pref
 
 #[test]
 fn pdag_router_tracks_oracle_through_bgp_churn_and_rebuild() {
-    // A compaction before every publish: every snapshot that comes back
-    // is of an arena the working engine has left behind.
+    // A compaction before every stream publish: each packs the new
+    // engine's records into a log of its own; only the two hot publishes,
+    // right after a stream one, extend a log.
     let every: Vec<usize> = (1..=24).collect();
     let stats = pdag_churn_differential(11, &every).stats();
-    assert_eq!(stats.recycled, 0, "{stats:?}");
+    assert_eq!((stats.compactions, stats.recycled), (24, 2), "{stats:?}");
 }
 
 /// The same stream with two compactions, at the default barrier and the
 /// ones that bracket it: everything folded (λ = 0: the root itself is a
 /// folded node), the root array covering the whole top tree (λ = 8), and
-/// nothing folded (λ = 32: a plain trie).
+/// nothing folded (λ = 32: a plain trie). A publish packs a new record
+/// log at the start, after each compaction and whenever the log is full
+/// (four times at λ ≤ 11, never at λ 32); every other one extends the
+/// log the one before it read.
 #[test]
 fn published_copies_are_the_working_engine_at_every_barrier() {
-    for lambda in [0, 8, 11, 32] {
-        let stats = pdag_churn_differential(lambda, &[6, 13]).stats();
-        // The first three publishes have nothing of this arena to write
-        // into (the third is offered epoch 0's full clone), nor have the
-        // three after each compaction (stream publishes 6–8 and 13–15);
-        // every other publish recycles.
+    let counts: Vec<_> = [0, 8, 11, 32]
+        .into_iter()
+        .map(|lambda| {
+            let stats = pdag_churn_differential(lambda, &[6, 13]).stats();
+            assert_eq!(stats.recycled + stats.compactions, EPOCHS, "{stats:?}");
+            (lambda, stats.compactions, stats.records_written)
+        })
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            (0, 7, 56_109),
+            (8, 7, 59_062),
+            (11, 7, 60_946),
+            (32, 3, 139_158)
+        ],
+        "(λ, compactions, records written)"
+    );
+}
+
+/// Bursts published after the held epoch in the isolation tests below.
+const LATER_BURSTS: usize = 60;
+
+/// A pDAG router 400 updates into a BGP stream, published there; the
+/// snapshot it served then and an oracle cloned at that epoch; the rest
+/// of the stream, 60 bursts of 40; and the probes the held snapshot is
+/// checked on: both ends of every prefix the stream touches and a uniform
+/// trace.
+#[allow(clippy::type_complexity)]
+fn held_epoch(
+    seed: u64,
+) -> (
+    Router<u32, PrefixDag<u32>>,
+    Arc<EpochSnapshot<PrefixDag<u32>>>,
+    BinaryTrie<u32>,
+    Vec<UpdateOp<u32>>,
+    Vec<u32>,
+) {
+    let base: BinaryTrie<u32> = FibSpec::dfz_like(6_000).generate(&mut rng(seed));
+    let mut updates = bgp_sequence(&mut rng(seed + 1), &base, 400 + LATER_BURSTS * 40);
+    let later = updates.split_off(400);
+    let config = RouterConfig {
+        build: BuildConfig::with_lambda(11),
+        publish_every: None,
+    };
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(base.clone(), config);
+    let mut oracle = base;
+    for op in &updates {
+        match *op {
+            UpdateOp::Announce(p, nh) => {
+                oracle.insert(p, nh);
+                router.announce(p, nh);
+            }
+            UpdateOp::Withdraw(p) => {
+                oracle.remove(p);
+                router.withdraw(p);
+            }
+        }
+    }
+    let held = router.publish();
+    let mut probes = traces::uniform::<u32, _>(&mut rng(seed + 2), 2_000);
+    for op in updates.iter().chain(&later) {
+        let (UpdateOp::Announce(p, _) | UpdateOp::Withdraw(p)) = *op;
+        let host = u32::MAX.checked_shr(u32::from(p.len())).unwrap_or(0);
+        probes.extend([p.addr(), p.addr() | host]);
+    }
+    (router, held, oracle, later, probes)
+}
+
+/// Publishes `later` in bursts of 40 and returns how many of those
+/// publishes packed a new record log.
+fn publish_later(router: &mut Router<u32, PrefixDag<u32>>, later: &[UpdateOp<u32>]) -> u64 {
+    let before = router.stats();
+    for burst in later.chunks(40) {
+        for op in burst {
+            match *op {
+                UpdateOp::Announce(p, nh) => router.announce(p, nh),
+                UpdateOp::Withdraw(p) => router.withdraw(p),
+            }
+        }
+        router.publish();
+    }
+    let after = router.stats();
+    assert_eq!(after.epochs - before.epochs, LATER_BURSTS as u64);
+    assert_eq!(after.rebuilds, before.rebuilds, "no rebuild: {after:?}");
+    after.compactions - before.compactions
+}
+
+/// `snapshot`'s answers on `probes`, batched and one by one, against
+/// `oracle`.
+fn assert_answers(
+    snapshot: &EpochSnapshot<PrefixDag<u32>>,
+    oracle: &BinaryTrie<u32>,
+    probes: &[u32],
+) {
+    let mut batched = vec![None; probes.len()];
+    snapshot.lookup_batch(probes, &mut batched);
+    for (&addr, &got) in probes.iter().zip(&batched) {
+        let want = oracle.lookup(addr);
+        assert_eq!(got, want, "epoch {} at {addr:#010x}", snapshot.epoch());
         assert_eq!(
-            stats.recycled,
-            EPOCHS - 3 - 3 * 2,
-            "λ = {lambda}: {stats:?}"
+            snapshot.lookup(addr),
+            want,
+            "epoch {} at {addr:#010x}",
+            snapshot.epoch()
         );
     }
+}
+
+/// A reader holds an old published copy while sixty later publishes
+/// append to the record log it reads and at least one of them, finding
+/// the log full, packs the live records into a new one: the copy goes on
+/// answering exactly for its own epoch, on every prefix the later bursts
+/// changed too.
+#[test]
+fn an_old_copy_answers_its_own_epoch_across_appends_and_a_pack() {
+    let (mut router, held, then, later, probes) = held_epoch(61);
+    let buffer = |snapshot: &EpochSnapshot<PrefixDag<u32>>| {
+        snapshot.engine().expect("owned").view().payload_ptr_range()
+    };
+    let packs = publish_later(&mut router, &later);
+    assert!(packs >= 1, "the log never filled");
+    let now = buffer(&router.snapshot());
+    assert_ne!(now.start, buffer(&held).start, "a pack moved the records");
+    let moved = probes
+        .iter()
+        .filter(|&&addr| then.lookup(addr) != router.control().lookup(addr))
+        .count();
+    assert!(moved > 100, "only {moved} probes changed answer since");
+    assert_answers(&held, &then, &probes);
+    assert_answers(&router.snapshot(), router.control(), &probes);
+}
+
+/// The same with the reader on a thread of its own, checking the held
+/// copy over and over while the control thread publishes.
+#[test]
+fn an_old_copy_answers_its_own_epoch_while_a_control_thread_publishes() {
+    let (mut router, held, then, later, probes) = held_epoch(71);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let passes = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut passes = 0u64;
+            loop {
+                // One more pass after the control thread is done.
+                let last = done.load(std::sync::atomic::Ordering::Acquire);
+                assert_answers(&held, &then, &probes);
+                passes += 1;
+                if last {
+                    return passes;
+                }
+            }
+        });
+        let packs = publish_later(&mut router, &later);
+        done.store(true, std::sync::atomic::Ordering::Release);
+        assert!(packs >= 1, "the log never filled");
+        reader
+            .join()
+            .expect("the held copy changed under its reader")
+    });
+    assert!(passes >= 2, "{passes} passes");
+    assert_answers(&router.snapshot(), router.control(), &probes);
 }
 
 #[test]
@@ -548,7 +711,7 @@ fn ipv6_churn_differential(lambda: u8) {
                 router.start_rebuild();
             }
             let snapshot = router.publish();
-            assert_published_is_the_working_engine(&snapshot, &reference);
+            assert_published_is_the_working_engine(&snapshot, &reference, &trace);
             let mut out = vec![None; trace.len()];
             snapshot.lookup_batch(&trace, &mut out);
             for (&addr, &got) in trace.iter().zip(&out) {
@@ -557,7 +720,7 @@ fn ipv6_churn_differential(lambda: u8) {
         }
     }
     let last = router.publish();
-    assert_published_is_the_working_engine(&last, &reference);
+    assert_published_is_the_working_engine(&last, &reference, &trace);
     for &addr in &trace {
         assert_eq!(last.lookup(addr), oracle.lookup(addr), "{addr:#034x}");
     }

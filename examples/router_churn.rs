@@ -117,12 +117,21 @@ fn main() {
         "router stats: {} epochs, {} in-place updates, {} unchanged, {} rebuilds ({} from the previous engine)",
         stats.epochs, stats.in_place, stats.unchanged, stats.rebuilds, stats.warm_rebuilds,
     );
-    // A publish writes the nodes that changed into a snapshot every
-    // reader has left, unless a compaction installed a new arena since.
+    // A publish appends the records that changed to the log the snapshot
+    // before it reads; the first publish of each arena — the first one
+    // and the one after the compaction — packs a new log instead.
+    let publishes = stats.epochs - 1;
+    assert_eq!(
+        stats.recycled + stats.compactions,
+        publishes,
+        "every publish shares a log or packs one: {stats:?}"
+    );
+    assert!(
+        stats.compactions >= 2,
+        "a new arena shared a log: {stats:?}"
+    );
     println!(
-        "recycled {} of {} publishes, {} nodes copied",
-        stats.recycled,
-        stats.epochs - 1,
-        stats.copied_nodes,
+        "shared {} of {publishes} publishes, {} records appended, {} compactions",
+        stats.recycled, stats.records_written, stats.compactions,
     );
 }
