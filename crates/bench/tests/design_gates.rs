@@ -386,10 +386,10 @@ fn bgp_churn_never_reaches_the_compaction_threshold() {
     assert_eq!(stats.rebuilds, 0, "{stats:?}");
 }
 
-/// Change tracking is one `u32` stamp a node, so an engine nobody
-/// publishes from — the benchmark's `engine.update_ns` scratch clone, a
-/// `fibc` one-shot — carries the same state after 50,000 updates as after
-/// none: within one word per arena slot.
+/// Change tracking starts at a consumer's first drain, so an engine
+/// nobody publishes from — the benchmark's `engine.update_ns` scratch
+/// clone, a `fibc` one-shot — carries the same state after 50,000 updates
+/// as after none: within one word per arena slot.
 #[test]
 fn change_tracking_is_bounded_without_a_publisher() {
     let trie = instance_fib("taz", 0.1, 0xF1B);

@@ -42,9 +42,10 @@
 //! A fleet whose tables change a few routes at a time keeps its arena
 //! ([`VrfArena`]) and each table's fold as an updatable [`PrefixDag`], so
 //! a publish **costs what changed**. The pDAG absorbs an update in place
-//! and stamps the nodes it writes; the arena keeps a reference count per
-//! record, re-interns only the nodes a dirty table's pDAG stamped since
-//! the last sync plus the top nodes above them, releases the old root,
+//! and lists the nodes it writes in its change set; the arena keeps a
+//! reference count per record, re-interns only the nodes on a dirty
+//! table's change set — those written since the last sync plus the top
+//! nodes above them — draining it as it goes, releases the old root,
 //! and derives root arrays and reachable counts for the dirty tables
 //! alone. Its records live in an append-only buffer
 //! ([`fib_succinct::WordLog`]): a new record is appended, a released one
@@ -99,8 +100,8 @@ use crate::image::{
     ImageWriter, Sections,
 };
 use crate::pdag::{
-    bfs_order, next_build, pack_bfs, pack_bfs_with, packed_node, packed_root_array, record,
-    PrefixDag, PrefixDagRef, RootArray, ROOT_BITS,
+    bfs_order, new_log, pack_bfs, pack_bfs_with, packed_node, packed_root_array, record, PrefixDag,
+    PrefixDagRef, RootArray, ROOT_BITS,
 };
 use crate::xbw::XbwStorage;
 use fib_succinct::{SharedWords, WordLog};
@@ -827,30 +828,6 @@ pub struct VrfSync {
     pub compacted: bool,
 }
 
-/// How one shared table's pDAG maps onto the arena.
-#[derive(Default)]
-struct Mirror {
-    /// Per pDAG node, the arena record it stands for — valid for every
-    /// node live at the last sync.
-    memo: Vec<u32>,
-    /// The pDAG's change window at that sync ([`PrefixDag::close_window`]);
-    /// lineage 0, which no pDAG carries, marks every node changed.
-    seen: (u64, u32),
-}
-
-/// One table's re-intern walk: its pDAG, what the arena knew of it, and
-/// the changed nodes already interned this time (a DAG reaches a shared
-/// node by many paths).
-struct Walk<'d, A: Address> {
-    dag: &'d PrefixDag<A>,
-    seen: (u64, u32),
-    memo: &'d mut [u32],
-    done: Vec<bool>,
-}
-
-/// Fewest words a new arena buffer holds.
-const MIN_ARENA_WORDS: usize = 1 << 10;
-
 /// A VRF fleet's shared arena, kept from one publish to the next: one
 /// hash-consed record per distinct `(left, right, label)` triple, with a
 /// reference count per record (held by parent records and by table
@@ -873,8 +850,6 @@ const MIN_ARENA_WORDS: usize = 1 << 10;
 pub struct VrfArena<A: Address> {
     /// The records, live ones and free slots.
     log: WordLog,
-    /// `log`'s lineage: fresh for every new buffer.
-    build: u64,
     /// Every table's record and root array, sorted by id.
     tables: Vec<CompiledVrf<A>>,
     stats: VrfSetStats,
@@ -884,19 +859,21 @@ pub struct VrfArena<A: Address> {
     refcounts: Vec<u32>,
     /// Slots whose record lost its last reference.
     free: usize,
-    /// Per shared table, by VRF id.
-    mirrors: BTreeMap<u32, Mirror>,
+    /// Per shared table, by VRF id, how its pDAG maps onto the arena: per
+    /// pDAG node, the record it stands for — valid for every node live at
+    /// the last sync.
+    mirrors: BTreeMap<u32, Vec<u32>>,
     /// A sync is under way — still set at the next one if it panicked.
     torn: bool,
-    /// `(build, words)` of the buffer the last published set reads.
-    published: (u64, usize),
+    /// Words of `log` the last published set reads; `None` when `log` is
+    /// a buffer no set has read yet.
+    published: Option<usize>,
 }
 
 impl<A: Address> Default for VrfArena<A> {
     fn default() -> Self {
         Self {
             log: WordLog::with_capacity(0),
-            build: 0,
             tables: Vec::new(),
             stats: VrfSetStats::default(),
             map: HashMap::default(),
@@ -904,7 +881,7 @@ impl<A: Address> Default for VrfArena<A> {
             free: 0,
             mirrors: BTreeMap::new(),
             torn: false,
-            published: (0, 0),
+            published: None,
         }
     }
 }
@@ -928,7 +905,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// dedicated table is rebuilt when it is dirty, new or moved; otherwise
     /// its engine is carried. Under an entropy-chosen λ (`config.lambda`
     /// `None`), a dirty table whose barrier moved has its pDAG rebuilt at
-    /// the new one first.
+    /// the new one first, from the control FIB it moves out of the old.
     ///
     /// From an empty arena, after a sync that panicked, and under
     /// [`VrfPolicy::Auto`], every table is interned afresh in id order and
@@ -949,7 +926,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
             for (_, dag) in dags.iter_mut().filter(|(id, _)| dirty.contains(id)) {
                 let lambda = config.lambda_for(dag.control());
                 if lambda != dag.lambda() {
-                    *dag = PrefixDag::from_trie(dag.control(), lambda);
+                    dag.refold_at(lambda);
                 }
             }
         }
@@ -1081,10 +1058,9 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// its tables share their root arrays with the arena, so a publish
     /// copies nothing but the table records.
     pub fn publish(&mut self) -> (CompiledVrfSet<A>, ArenaPublish) {
-        let (build, had) = self.published;
-        let shared = build == self.build;
-        let records_written = (self.log.len() - if shared { had } else { 0 }) / 2;
-        self.published = (self.build, self.log.len());
+        let shared = self.published.is_some();
+        let records_written = (self.log.len() - self.published.unwrap_or(0)) / 2;
+        self.published = Some(self.log.len());
         let set = CompiledVrfSet {
             arena: self.log.shared(),
             tables: self.tables.clone(),
@@ -1100,8 +1076,8 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// Forgets every record, in a new buffer; the tables stay, for what a
     /// sync carries of them.
     fn restart(&mut self) {
-        self.log = WordLog::with_capacity(MIN_ARENA_WORDS);
-        self.build = next_build();
+        self.log = new_log(0);
+        self.published = None;
         self.map.clear();
         self.refcounts.clear();
         self.free = 0;
@@ -1109,42 +1085,38 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     }
 
     /// Re-interns shared table `id`'s pDAG where it changed since the
-    /// table's last sync — all of it the first time — and returns its root
-    /// record, not yet held.
+    /// table's last sync, draining its change set — all of it when the
+    /// arena holds no mirror of it or nobody drained the pDAG before —
+    /// and returns its root record, not yet held.
     fn intern_dag(&mut self, id: u32, dag: &mut PrefixDag<A>) -> u32 {
-        let mut mirror = self.mirrors.remove(&id).unwrap_or_default();
-        let slots = dag.slots();
-        mirror.memo.resize(slots, NONE);
-        let mut walk = Walk {
-            dag: &*dag,
-            seen: mirror.seen,
-            memo: &mut mirror.memo,
-            done: vec![false; slots],
-        };
-        let root = self.intern_node(&mut walk, dag.root);
-        mirror.seen = dag.close_window();
-        self.mirrors.insert(id, mirror);
+        let tracked = dag.start_drain();
+        let mut memo = (self.mirrors.remove(&id))
+            .filter(|_| tracked)
+            .unwrap_or_default();
+        memo.resize(dag.slots(), NONE);
+        let root = self.intern_node(dag, &mut memo, dag.root);
+        dag.finish_drain();
+        self.mirrors.insert(id, memo);
         root
     }
 
-    /// The record of pDAG node `idx`, interned again if the pDAG stamped
-    /// it since the last sync. A node it did not stamp is what it was,
-    /// children and all: an update stamps the top nodes above every record
-    /// it writes.
-    fn intern_node(&mut self, walk: &mut Walk<'_, A>, idx: u32) -> u32 {
+    /// The record of pDAG node `idx` by `memo`, interned again if it has
+    /// none or is on the pDAG's change set, which it comes off. A node off
+    /// the set — or interned by this walk already — is what it was,
+    /// children and all: an update lists the top nodes above its writes.
+    fn intern_node(&mut self, dag: &mut PrefixDag<A>, memo: &mut [u32], idx: u32) -> u32 {
         if idx == NONE {
             return NONE;
         }
         let at = idx as usize;
-        if walk.done[at] || !walk.dag.changed_since(walk.seen, idx) {
-            return walk.memo[at];
+        if !dag.take_change(idx) && memo[at] != NONE {
+            return memo[at];
         }
-        let (left, right, label) = walk.dag.node(idx);
-        let left = self.intern_node(walk, left);
-        let right = self.intern_node(walk, right);
-        walk.memo[at] = self.intern(left, right, label);
-        walk.done[at] = true;
-        walk.memo[at]
+        let (left, right, label) = dag.node(idx);
+        let left = self.intern_node(dag, memo, left);
+        let right = self.intern_node(dag, memo, right);
+        memo[at] = self.intern(left, right, label);
+        memo[at]
     }
 
     /// The record `(left, right, label)`: the live one, or a new one
@@ -1158,12 +1130,12 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
         self.acquire(right);
         let words = record(left, right, label);
         if !self.log.try_extend(&words) {
-            // Out of room: the same records in a buffer twice the size.
-            let mut log = WordLog::with_capacity((2 * self.log.capacity()).max(MIN_ARENA_WORDS));
+            // Out of room: the records it holds, in a new log sized for them.
+            let mut log = new_log(self.log.capacity() / 2);
             let grown = log.try_extend(self.log.words()) && log.try_extend(&words);
             debug_assert!(grown, "a buffer twice the size holds one record more");
             self.log = log;
-            self.build = next_build();
+            self.published = None;
         }
         let idx = self.refcounts.len() as u32;
         self.refcounts.push(0);
@@ -1203,7 +1175,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     fn compact(&mut self) {
         let roots: Vec<u32> = self.tables.iter().map(|table| table.root).collect();
         let live = self.refcounts.len() - self.free;
-        let mut log = WordLog::with_capacity((4 * live).max(MIN_ARENA_WORDS));
+        let mut log = new_log(live);
         let remap = pack_bfs_with(self.log.words(), &roots, |node| {
             log.try_extend(&node);
         });
@@ -1223,12 +1195,12 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
         }
         let moved = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
         self.log = log;
-        self.build = next_build();
+        self.published = None;
         for table in &mut self.tables {
             table.root = moved(table.root);
         }
-        for mirror in self.mirrors.values_mut() {
-            for record in &mut mirror.memo {
+        for memo in self.mirrors.values_mut() {
+            for record in memo {
                 *record = moved(*record);
             }
         }

@@ -964,18 +964,28 @@ fn churn_policies() -> [VrfPolicy; 2] {
     [VrfPolicy::Shared, VrfPolicy::Pinned { choices }]
 }
 
-#[test]
-fn every_publish_answers_as_a_full_compile_and_compacts_to_its_bytes_v4() {
-    for policy in churn_policies() {
-        churn_answers_as_a_full_compile::<u32>("v4", BuildConfig::default(), &policy);
+/// The churn at fixed barriers from the root down to the host bits, the
+/// default λ 11 first. At λ 0 the root itself is a folded node, which an
+/// update can move onto a record the arena already holds. A pinned
+/// `Serialized` table needs λ ≤ 25 (`SerializedDag::from_dag`), so above
+/// that `Shared` runs alone.
+fn churn_at_barriers<A: Address + Send + Sync + 'static>(family: &str, barriers: &[u8]) {
+    for &lambda in barriers {
+        let policies = churn_policies().into_iter();
+        for policy in policies.filter(|p| lambda <= 25 || matches!(p, VrfPolicy::Shared)) {
+            churn_answers_as_a_full_compile::<A>(family, BuildConfig::with_lambda(lambda), &policy);
+        }
     }
 }
 
 #[test]
+fn every_publish_answers_as_a_full_compile_and_compacts_to_its_bytes_v4() {
+    churn_at_barriers::<u32>("v4", &[11, 0, 1, 8, 32]);
+}
+
+#[test]
 fn every_publish_answers_as_a_full_compile_and_compacts_to_its_bytes_v6() {
-    for policy in churn_policies() {
-        churn_answers_as_a_full_compile::<u128>("v6", BuildConfig::default(), &policy);
-    }
+    churn_at_barriers::<u128>("v6", &[11, 0, 128]);
 }
 
 /// The same churn under an entropy-chosen λ: a table whose barrier moves
