@@ -327,7 +327,7 @@ fn suspended_spool_resumes_to_healthy_after_operator_clears_fault() {
         SpoolHealth::Healthy,
         "resume must re-spill and heal"
     );
-    assert!(router.health().spool_recoveries >= 1);
+    assert!(router.stats().spool_recoveries >= 1);
 }
 
 /// The same-epoch re-spill probe. With no publish since the base image,

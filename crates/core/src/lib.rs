@@ -61,7 +61,7 @@ pub use serialized::{SerializedDag, SerializedDagRef, SER_REFILL_LANES};
 pub use strmodel::FoldedString;
 pub use vrf::{
     compile_vrf_set, vrf_section_base, write_vrf_image, CompiledVrf, CompiledVrfSet, VrfArena,
-    VrfBatchScratch, VrfDedicated, VrfEngineChoice, VrfPolicy, VrfSetStats, VrfSync, VrfTable,
+    VrfBatchScratch, VrfDedicated, VrfEngineChoice, VrfPolicy, VrfSetStats, VrfTable,
     VRF_DIR_RECORD_WORDS,
 };
 pub use vsdag::{

@@ -819,15 +819,6 @@ impl<A: Address> VrfBatchScratch<A> {
     }
 }
 
-/// What one [`VrfArena::sync`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VrfSync {
-    /// Tables re-interned into the arena or rebuilt on a dedicated engine.
-    pub refolded: usize,
-    /// Whether the sync ended in a compaction (a fresh BFS-packed arena).
-    pub compacted: bool,
-}
-
 /// A VRF fleet's shared arena, kept from one publish to the next: one
 /// hash-consed record per distinct `(left, right, label)` triple, with a
 /// reference count per record (held by parent records and by table
@@ -915,13 +906,17 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// result. Between compactions a published set answers, and counts
     /// its tables and statistics, as a full compile does, all but
     /// [`VrfSetStats::free_slots`].
+    ///
+    /// Returns how many tables it re-interned or rebuilt on a dedicated
+    /// engine. Whether it compacted shows at the next [`Self::publish`],
+    /// whose readers then move to a new buffer.
     pub fn sync(
         &mut self,
         dags: &mut BTreeMap<u32, PrefixDag<A>>,
         dirty: &BTreeSet<u32>,
         config: &BuildConfig,
         policy: &VrfPolicy,
-    ) -> VrfSync {
+    ) -> usize {
         if config.lambda.is_none() {
             for (_, dag) in dags.iter_mut().filter(|(id, _)| dirty.contains(id)) {
                 let lambda = config.lambda_for(dag.control());
@@ -1045,10 +1040,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
         let live = (self.refcounts.len() - self.free) as u64;
         self.stats = VrfSetStats::of(&self.tables, live, self.free as u64);
         self.torn = false;
-        VrfSync {
-            refolded,
-            compacted,
-        }
+        refolded
     }
 
     /// The set a reader is handed: the arena as it stands, answering as

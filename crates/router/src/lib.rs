@@ -33,21 +33,22 @@
 //!   [`EpochSnapshot::from_image`] — the snapshot a warm restart serves —
 //!   or a fleet's [`VrfSnapshot::from_image`].
 //! * [`VrfSetRouter`] (module [`vrf`]) — the multi-tenant control plane:
-//!   per-VRF oracles compiled into one cross-table-deduped
+//!   one updatable pDAG per VRF, interned into one cross-table-deduped
 //!   [`fib_core::CompiledVrfSet`], published atomically with per-VRF
-//!   epochs, plus [`VrfDataPlane`] with a VRF-bucketed, allocation-free
-//!   mixed batch path; [`VrfSetRouter::snap_cell`] hands a [`Forwarder`]
-//!   the fleet as [`Router::snap_cell`] hands it a table. A publish
-//!   recompiles only the tables that changed, on the control thread; a
-//!   compile that panics is contained as the single-table router's
-//!   builds are ([`RouterHealth`]).
+//!   epochs, plus [`VrfDataPlane`] with an allocation-free mixed batch
+//!   path (shared tables' keys walked eight at a time in input order,
+//!   dedicated tables' keys bucketed by VRF);
+//!   [`VrfSetRouter::snap_cell`] hands a [`Forwarder`] the fleet as
+//!   [`Router::snap_cell`] hands it a table. A publish re-interns only
+//!   the nodes that changed, on the control thread; a sync that panics is
+//!   contained as the single-table router's builds are.
 //!
 //! The two control planes share one crate-private publish core: the
 //! epoch counter, the [`SnapCell`], a reference to the last three
-//! snapshots published (so a retired one is freed on the control thread,
-//! and the single-table router reuses its engine when no reader pins it)
-//! and the crate's one build-panic containment. Each router keeps only
-//! its control state.
+//! snapshots published (so a retired one is freed on the control thread),
+//! the crate's one build-panic containment, and the [`RouterStats`] both
+//! routers report — its publish half counted there, once. Each router
+//! keeps only its control state.
 //!
 //! ```
 //! use fib_core::PrefixDag;
@@ -86,11 +87,11 @@ pub mod vrf;
 pub use lifecycle::{
     scan_spool, RestartError, SpoolConfig, SpoolHealth, SpoolImageStatus, SpoolMutant, SpoolStatus,
 };
-pub use router::{DataPlane, EpochSnapshot, Router, RouterConfig, RouterHealth, RouterStats};
+pub use router::{DataPlane, EpochSnapshot, Router, RouterConfig, RouterStats};
 pub use runtime::{
     AddressSource, Forwarder, ForwarderConfig, LatencyHistogram, PacingMode, Serve, WorkerReport,
     HEAT_SAMPLE,
 };
 pub use snapcell::{SnapCell, SnapReader};
 pub use spoolfs::{FaultConfig, FaultFs, SpoolFile, SpoolFs, StdFs, TailPolicy};
-pub use vrf::{VrfBatchScratch, VrfDataPlane, VrfRouterStats, VrfSetRouter, VrfSnapshot};
+pub use vrf::{VrfBatchScratch, VrfDataPlane, VrfSetRouter, VrfSnapshot};

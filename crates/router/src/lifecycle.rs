@@ -75,7 +75,7 @@ use std::time::Duration;
 
 use fib_core::{FibImage, ImageError};
 
-use crate::router::RouterHealth;
+use crate::router::RouterStats;
 use crate::spoolfs::{SpoolFile, SpoolFs};
 
 /// On-disk journal record size: op (1) + prefix length (1) + checksum
@@ -536,14 +536,11 @@ impl Spool {
         Ok((spool, image, epoch, records))
     }
 
-    /// The spool's half of a [`RouterHealth`] report.
-    pub(crate) fn report(&self) -> RouterHealth {
-        RouterHealth {
-            spool: Some(self.health.view()),
-            spool_recoveries: self.health.recoveries,
-            quarantined: self.quarantined,
-            ..RouterHealth::default()
-        }
+    /// Fills in the spool's fields of `stats`.
+    pub(crate) fn count(&self, stats: &mut RouterStats) {
+        stats.spool = Some(self.health.view());
+        stats.spool_recoveries = self.health.recoveries;
+        stats.quarantined = self.quarantined;
     }
 
     /// Notes a persistence failure observed at `now`.

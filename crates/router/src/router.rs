@@ -306,81 +306,95 @@ impl<E: Send + Sync + 'static> DataPlane<E> {
     }
 }
 
-/// Counters describing what a [`Router`] has done so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// What a control plane has done so far, and the state it serves in: the
+/// one report of a [`Router`] and of a [`VrfSetRouter`]. A field marked
+/// "only" is set by that router alone (the other reads 0, `None` or
+/// `false`); both set the rest. The publish half — [`Self::epochs`], the
+/// record counters, build panics and [`Self::serving_stale`] — is counted
+/// for both by the publish core they share. Forwarding never stops in any
+/// state it reports: what degrades is durability and freshness.
+///
+/// [`VrfSetRouter`]: crate::VrfSetRouter
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Updates accepted by the control plane:
-    /// `in_place + declined + unchanged`.
+    /// `in_place + declined + unchanged`. A fleet counts its announces
+    /// and withdraws; a whole table installed or removed is no update.
     pub updates: u64,
-    /// Updates the working engine absorbed in place.
+    /// Updates the working engine absorbed in place; on a fleet, those
+    /// that changed their VRF's pDAG.
     pub in_place: u64,
-    /// Updates the working engine declined ([`fib_core::RebuildNeeded`]),
-    /// so that it is rebuilt at the next publish, and the
-    /// [`Self::unchanged`] updates of that same publish interval, which
-    /// the rebuild covers: a static engine counts every update of an
-    /// interval that changed a route, wherever its no-ops fall.
+    /// [`Router`] only: updates the working engine declined
+    /// ([`fib_core::RebuildNeeded`]), so that it is rebuilt at the next
+    /// publish, and the [`Self::unchanged`] updates of that same publish
+    /// interval, which the rebuild covers: a static engine counts every
+    /// update of an interval that changed a route, wherever its no-ops
+    /// fall.
     pub declined: u64,
-    /// Updates that left the control FIB as it was — a re-announce of the
-    /// next-hop a prefix already had, a withdraw of a prefix it did not
-    /// hold. They are journaled but never reach the working engine, so
-    /// they make no static engine stale, and a publish after nothing but
-    /// these reuses the published snapshot. Until a later update of the
-    /// same interval is declined: then they move to [`Self::declined`].
+    /// Updates that left the control FIB as it was — a re-announce of the next-hop a prefix already had, a withdraw of a
+    /// prefix it did not hold. They never reach the working engine (a
+    /// spool journals them), so they make no static engine stale and leave
+    /// a fleet's VRF clean, and a publish after nothing but these reuses
+    /// the published snapshot. On a [`Router`], until a later update of
+    /// the same interval is declined: then they move to
+    /// [`Self::declined`].
     pub unchanged: u64,
-    /// Epoch snapshots published.
+    /// Snapshots published, the initial one included.
     pub epochs: u64,
-    /// Engine rebuilds from the control FIB installed as the working
-    /// engine, all on the control thread — at a publish that found the
-    /// working engine stale or absent, or a compaction
+    /// [`Router`] only: engine rebuilds from the control FIB installed as
+    /// the working engine, all on the control thread — at a publish that
+    /// found the working engine stale or absent, or a compaction
     /// ([`Router::start_rebuild`]) — however they were compiled.
     pub rebuilds: u64,
-    /// The rebuilds among [`Self::rebuilds`] that
+    /// [`Router`] only: the rebuilds among [`Self::rebuilds`] that
     /// [`FibBuild::rebuild_from`] served from the previous engine;
     /// `rebuilds − warm_rebuilds` were cold [`FibBuild::build_weighted`]
     /// compiles.
     pub warm_rebuilds: u64,
-    /// Spool journal records a warm restart replayed onto the restored
-    /// control FIB.
+    /// [`Router`] only: spool journal records a warm restart replayed onto
+    /// the restored control FIB.
     pub replayed: u64,
-    /// Epoch images spilled to the spool directory.
+    /// [`Router`] only: epoch images spilled to the spool directory.
     pub spills: u64,
-    /// Records the published engines hold that the engine published
-    /// before each did not: those appended to its record log since, or
-    /// all of a new log ([`FibUpdate::last_publish`]). An engine published
-    /// as a clone counts none.
+    /// [`VrfSetRouter`](crate::VrfSetRouter) only: tables re-interned
+    /// into the arena or rebuilt on a dedicated engine, summed over its
+    /// publishes.
+    pub tables_refolded: u64,
+    /// [`VrfSetRouter`](crate::VrfSetRouter) only: tables carried over
+    /// from the previously published set untouched, summed over its
+    /// publishes.
+    pub tables_carried: u64,
+    /// Records the published snapshots hold that the snapshot published
+    /// before each did not: those appended to the record log (a
+    /// pDAG's, or a fleet's arena) since, or all of a new log
+    /// ([`fib_core::ArenaPublish`]). An engine published as a clone counts
+    /// none.
     pub records_written: u64,
-    /// Publishes whose engine reads the record log the engine published
-    /// before it read, appended to, instead of a new one.
+    /// Publishes whose readers read the record log the snapshot published
+    /// before read, appended to.
     pub recycled: u64,
-    /// Publishes that packed the live records into a new log (a BFS
-    /// repack): the first publish of every newly built working engine,
-    /// and each one that found the log full.
+    /// Publishes whose readers moved to a new record log: a BFS
+    /// repack of the live records — the first publish of every newly
+    /// built pDAG or fleet arena, a fleet's compaction — or a log that was
+    /// full. `recycled + compactions` counts every publish from a record
+    /// log.
     pub compactions: u64,
-}
-
-/// A point-in-time health report: spool persistence state, rebuild-panic
-/// bookkeeping, and whether the data plane is serving a stale epoch.
-/// Forwarding never stops in any of these states — the report describes
-/// what *durability and freshness* guarantees currently hold.
-/// Both control planes fill in the build half from their shared publish
-/// core; only a [`Router`] has a spool half.
-#[derive(Clone, Debug, Default)]
-pub struct RouterHealth {
-    /// Spool persistence health (`None`: no spool armed).
+    /// [`Router`] only: spool persistence health (`None`: no spool armed).
     pub spool: Option<SpoolHealth>,
-    /// Degraded/Suspended → Healthy transitions (each one re-spilled and
-    /// re-verified the newest epoch).
+    /// [`Router`] only: Degraded/Suspended → Healthy spool transitions
+    /// (each one re-spilled and re-verified the newest epoch).
     pub spool_recoveries: u64,
-    /// Images this router moved to `spool/quarantine/` (restart + scrub).
+    /// [`Router`] only: images moved to `spool/quarantine/` (restart +
+    /// scrub).
     pub quarantined: u64,
-    /// Engine builds that panicked and were contained instead of
-    /// unwinding into the caller.
+    /// Engine builds (on a fleet, arena syncs) that panicked and were
+    /// contained instead of unwinding into the caller.
     pub rebuild_panics: u64,
     /// Message of the most recent contained build panic.
     pub last_rebuild_panic: Option<String>,
     /// The published snapshot no longer reflects the control state
-    /// because the last publish's build panicked; the router keeps
-    /// serving the last good epoch until a publish succeeds.
+    /// because the last publish's build panicked; the last good
+    /// epoch keeps serving until a publish succeeds.
     pub serving_stale: bool,
 }
 
@@ -424,15 +438,14 @@ pub struct Router<A: Address, E: Send + Sync + 'static> {
     /// The working engine no longer reflects `control` (static engine
     /// declined an update); it must be rebuilt before the next publish.
     stale: bool,
-    /// While its last build failed, the degradation check compacts
-    /// nothing (prevents a panic storm on a poisoned control state).
+    /// The publish half: epoch, readers' cell, contained builds and this
+    /// router's [`RouterStats`].
     publisher: Publisher<EpochSnapshot<E>>,
     /// Updates since the last publish (the auto-publish cadence).
     since_publish: usize,
     /// Of those, the ones counted [`RouterStats::unchanged`]: all of
     /// them, while the control FIB is as the published epoch has it.
     unchanged_since_publish: usize,
-    stats: RouterStats,
     spool: Option<Spool>,
     /// The last merged traffic interval, in `HeatSummary` entry shape.
     /// Threaded into every engine (re)build so heat-aware engines (the
@@ -471,10 +484,6 @@ where
             publisher: Publisher::new(snapshot.epoch(), snapshot),
             since_publish: 0,
             unchanged_since_publish: 0,
-            stats: RouterStats {
-                epochs: 1,
-                ..RouterStats::default()
-            },
             spool: None,
             heat_profile: None,
         }
@@ -506,8 +515,8 @@ where
         };
         self.working = Some(engine);
         self.stale = false;
-        self.stats.rebuilds += 1;
-        self.stats.warm_rebuilds += u64::from(warm);
+        self.publisher.stats.rebuilds += 1;
+        self.publisher.stats.warm_rebuilds += u64::from(warm);
         true
     }
 
@@ -563,7 +572,7 @@ where
         let mut router = Self::serving(config, control, None, snapshot);
         router.stale = !records.is_empty();
         router.since_publish = records.len();
-        router.stats.replayed = records.len() as u64;
+        router.publisher.stats.replayed = records.len() as u64;
         router.spool = Some(spool);
         Ok(router)
     }
@@ -578,7 +587,7 @@ where
     ///
     /// # Errors
     /// Only directory creation can fail hard; any later write failure
-    /// degrades [`Self::health`] instead of returning an error.
+    /// degrades [`RouterStats::spool`] instead of returning an error.
     pub fn enable_spool(&mut self, dir: impl Into<PathBuf>) -> std::io::Result<()> {
         self.enable_spool_with(StdFs::shared(), dir, SpoolConfig::default())
     }
@@ -588,7 +597,7 @@ where
     ///
     /// # Errors
     /// Only directory creation can fail hard; any later write failure
-    /// degrades [`Self::health`] instead of returning an error.
+    /// degrades [`RouterStats::spool`] instead of returning an error.
     pub fn enable_spool_with(
         &mut self,
         fs: Arc<dyn SpoolFs>,
@@ -601,18 +610,11 @@ where
         Ok(())
     }
 
-    /// Spool persistence health (`None`: no spool armed).
+    /// Spool persistence health (`None`: no spool armed):
+    /// [`RouterStats::spool`].
     #[must_use]
     pub fn spool_health(&self) -> Option<SpoolHealth> {
-        self.spool.as_ref().and_then(|spool| spool.report().spool)
-    }
-
-    /// A point-in-time health report: spool state, recoveries,
-    /// quarantine count, contained rebuild panics, staleness.
-    #[must_use]
-    pub fn health(&self) -> RouterHealth {
-        self.publisher
-            .report(self.spool.as_ref().map(Spool::report).unwrap_or_default())
+        self.stats().spool
     }
 
     /// Operator re-arm after a suspended (or degraded) spool's root
@@ -695,7 +697,7 @@ where
             let engine = self.working.as_ref()?;
             Some(write_image(engine, Some(&self.control), epoch))
         });
-        self.stats.spills += u64::from(spilled);
+        self.publisher.stats.spills += u64::from(spilled);
         self.spool = Some(spool);
     }
 
@@ -723,10 +725,14 @@ where
         self.publisher.epoch()
     }
 
-    /// Activity counters.
+    /// What this router has done so far, and its spool and build health.
     #[must_use]
     pub fn stats(&self) -> RouterStats {
-        self.stats
+        let mut stats = self.publisher.stats.clone();
+        if let Some(spool) = &self.spool {
+            spool.count(&mut stats);
+        }
+        stats
     }
 
     /// A reader handle for forwarding threads (lock-free snapshot reads).
@@ -792,26 +798,29 @@ where
         changed: bool,
         f: impl FnOnce(&mut E) -> Result<(), fib_core::RebuildNeeded>,
     ) {
+        let stats = &mut self.publisher.stats;
+        stats.updates += 1;
         if !changed && !self.stale {
-            self.stats.unchanged += 1;
+            stats.unchanged += 1;
             self.unchanged_since_publish += 1;
         } else if changed && !self.stale && self.working.as_mut().is_some_and(|w| f(w).is_ok()) {
-            self.stats.in_place += 1;
+            stats.in_place += 1;
         } else {
             // The rebuild this decline calls for covers the interval's
             // earlier no-ops too.
             let covered = std::mem::take(&mut self.unchanged_since_publish) as u64;
-            self.stats.unchanged -= covered;
-            self.stats.declined += covered + 1;
+            stats.unchanged -= covered;
+            stats.declined += covered + 1;
             self.stale = true;
         }
     }
 
     fn after_update(&mut self) {
-        self.stats.updates += 1;
         self.since_publish += 1;
         // λ-barrier-aware maintenance: in-place updates are cheap, but
-        // refolds fragment the arena; past the threshold, compact.
+        // refolds fragment the arena; past the threshold, compact — unless
+        // the last build failed (no panic storm on a poisoned control
+        // state).
         if !self.stale
             && !self.publisher.failing()
             && self
@@ -841,7 +850,8 @@ where
     /// engine's [`FibUpdate::degradation`] past 0.25 calls this itself —
     /// BGP churn rarely does (see [`PrefixDag::fragmentation`] for the
     /// measured peaks), and the re-fold is 18 ms at taz 1.0. A build that
-    /// panics is contained: it is recorded in [`Self::health`], the old
+    /// panics is contained: it is counted in
+    /// [`RouterStats::rebuild_panics`], the old
     /// working engine keeps serving, and the degradation check compacts
     /// nothing more until a build succeeds.
     ///
@@ -878,7 +888,7 @@ where
     /// which).
     ///
     /// A build that panics is contained: the router keeps serving the
-    /// last good epoch, flags [`RouterHealth::serving_stale`], and
+    /// last good epoch, flags [`RouterStats::serving_stale`], and
     /// retries at the next publish.
     pub fn publish(&mut self) -> Arc<EpochSnapshot<E>> {
         self.publish_with(None)
@@ -987,18 +997,12 @@ where
             self.stale = true;
             return None;
         }
-        self.stats.epochs += 1;
-        let snapshot = self.publisher.publish(|epoch| {
+        Some(self.publisher.publish(|epoch| {
             let working = self.working.as_mut().expect("materialized");
             let engine = SnapEngine::Owned(working.publish_copy());
-            if let Some(published) = working.last_publish() {
-                self.stats.records_written += published.records_written as u64;
-                self.stats.recycled += u64::from(published.shared);
-                self.stats.compactions += u64::from(!published.shared);
-            }
-            EpochSnapshot::cut(epoch, self.control.len(), engine, hot)
-        });
-        Some(snapshot)
+            let snapshot = EpochSnapshot::cut(epoch, self.control.len(), engine, hot);
+            (snapshot, working.last_publish())
+        }))
     }
 }
 #[cfg(test)]
@@ -1245,6 +1249,9 @@ mod tests {
         assert_eq!(second.epoch(), 1);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(router.stats().epochs, 2, "initial + one real publish");
+        let stats = router.stats();
+        router.publish();
+        assert_eq!(router.stats(), stats, "a no-op publish counts nothing");
     }
 
     #[test]

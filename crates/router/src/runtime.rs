@@ -17,7 +17,8 @@
 //! [`Forwarder::run`] is the one serving loop, for both control planes: a
 //! single table's [`EpochSnapshot`] serves addresses through its engine's
 //! batch kernel, a fleet's [`VrfSnapshot`] serves `(vrf, addr)` pairs
-//! through its VRF-bucketed batch path. The router's own readers, the
+//! through its set's batch path, which walks shared tables' keys in input
+//! order and buckets only dedicated tables' keys by VRF. The router's own readers, the
 //! benchmark and `fibc serve` (over an image-backed
 //! [`EpochSnapshot::from_image`] or [`VrfSnapshot::from_image`]) all run
 //! it, so what `fibc serve` prints is the [`WorkerReport`]s this module

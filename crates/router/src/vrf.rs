@@ -33,7 +33,8 @@
 //! saving, not to the invariant: its placement weighs each table against
 //! the rest of the fleet, so every publish interns every table into an
 //! empty arena and compacts it. [`VrfSetRouter::stats`] counts both
-//! kinds, and the records each publish writes.
+//! kinds, and the records each publish writes, in the [`RouterStats`] a
+//! [`crate::Router`] reports too.
 //!
 //! Epochs are tracked at two grains: the *set* epoch counts publishes,
 //! and each VRF carries the set epoch at which its table last changed —
@@ -42,10 +43,11 @@
 //! every other table's from the snapshot it replaces.
 //!
 //! Batched lookups are the set's own ([`CompiledVrfSet::lookup_batch`]):
-//! a mixed `(vrf, addr)` stream is bucketed by VRF id so each run goes
-//! through its table's batch path, and the scratch the bucketing needs is
-//! caller-owned ([`VrfBatchScratch`]), so steady-state forwarding does
-//! not allocate.
+//! keys of shared tables are walked through the shared arena in input
+//! order, eight at a time, whatever their VRFs; only keys of dedicated
+//! tables are bucketed by VRF id, each run through its engine's batch
+//! path. The scratch that needs is caller-owned ([`VrfBatchScratch`]), so
+//! steady-state forwarding does not allocate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -58,7 +60,7 @@ use fib_core::{
 use fib_trie::{Address, BinaryTrie, NextHop, Prefix};
 
 use crate::publish::Publisher;
-use crate::router::RouterHealth;
+use crate::router::RouterStats;
 use crate::snapcell::{SnapCell, SnapReader};
 
 /// An immutable, published multi-tenant forwarding state: the compiled
@@ -124,8 +126,7 @@ impl<A: Address> VrfSnapshot<A> {
     }
 
     /// Resolves a mixed `(vrf, addr)` batch, answers in input order,
-    /// through the set's VRF-bucketed batch path
-    /// ([`CompiledVrfSet::lookup_batch`]).
+    /// through the set's batch path ([`CompiledVrfSet::lookup_batch`]).
     ///
     /// # Panics
     /// Panics if `out` is shorter than `keys`.
@@ -151,30 +152,9 @@ pub struct VrfSetRouter<A: Address + Send + Sync + 'static> {
     arena: VrfArena<A>,
     config: BuildConfig,
     policy: VrfPolicy,
-    stats: VrfRouterStats,
+    /// The publish half: epoch, readers' cell, contained syncs and this
+    /// router's [`RouterStats`].
     publisher: Publisher<VrfSnapshot<A>>,
-}
-
-/// Plain publish counters of a [`VrfSetRouter`]: exact and repeatable,
-/// where publish latency is neither.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VrfRouterStats {
-    /// Installed publishes (each one is a set epoch).
-    pub publishes: u64,
-    /// Tables re-interned into the arena or rebuilt on a dedicated
-    /// engine, summed over those publishes.
-    pub tables_refolded: u64,
-    /// Tables carried over from the previously published set untouched.
-    pub tables_carried: u64,
-    /// Arena records the published sets hold that the set before each
-    /// did not: those appended since, or all of a new buffer.
-    pub records_written: u64,
-    /// Publishes whose set reads the arena buffer the set before it read,
-    /// appended to, instead of a new one.
-    pub recycled: u64,
-    /// Publishes whose arena was compacted (BFS-repacked), the first
-    /// publish's included.
-    pub compactions: u64,
 }
 
 impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
@@ -190,7 +170,6 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
             arena: VrfArena::new(),
             config,
             policy,
-            stats: VrfRouterStats::default(),
             publisher: Publisher::new(0, empty),
         }
     }
@@ -230,15 +209,14 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// Announces a route in `vrf` (creating the table if new), folding it
     /// into the VRF's pDAG in place. Returns the previous next-hop for
     /// that exact prefix. A re-announce of that next-hop changes nothing
-    /// and leaves the VRF clean for the next publish.
+    /// ([`RouterStats::unchanged`]) and leaves the VRF clean for the next
+    /// publish.
     pub fn announce(&mut self, vrf: u32, prefix: Prefix<A>, next_hop: NextHop) -> Option<NextHop> {
         let config = &self.config;
         let prev = (self.tables.entry(vrf))
             .or_insert_with(|| PrefixDag::build(&BinaryTrie::new(), config))
             .insert(prefix, next_hop);
-        if prev != Some(next_hop) {
-            self.dirty.insert(vrf);
-        }
+        self.count_update(vrf, prev != Some(next_hop));
         prev
     }
 
@@ -246,10 +224,21 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// next-hop; withdrawing a prefix `vrf` does not hold leaves it clean.
     pub fn withdraw(&mut self, vrf: u32, prefix: Prefix<A>) -> Option<NextHop> {
         let removed = self.tables.get_mut(&vrf).and_then(|t| t.remove(prefix));
-        if removed.is_some() {
-            self.dirty.insert(vrf);
-        }
+        self.count_update(vrf, removed.is_some());
         removed
+    }
+
+    /// Counts an update of `vrf` — in place when it `changed` the VRF's
+    /// pDAG, which the next publish then re-interns.
+    fn count_update(&mut self, vrf: u32, changed: bool) {
+        let stats = &mut self.publisher.stats;
+        stats.updates += 1;
+        if changed {
+            stats.in_place += 1;
+            self.dirty.insert(vrf);
+        } else {
+            stats.unchanged += 1;
+        }
     }
 
     /// Brings the shared arena up to date with what changed and publishes
@@ -264,12 +253,12 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
     /// under `Auto`, whose placement is a fleet-wide decision; every
     /// other table carries over. The set handed to readers reads the
     /// arena buffer the set before it read, extended
-    /// ([`VrfRouterStats::recycled`]), unless the sync compacted it into a
-    /// new one.
+    /// ([`RouterStats::recycled`]), unless the sync moved the arena to a
+    /// new one ([`RouterStats::compactions`]).
     ///
     /// A sync that panics is contained: the router keeps serving the last
-    /// good set at its epoch, records the panic in [`Self::health`] with
-    /// [`RouterHealth::serving_stale`] set, and keeps every pending
+    /// good set at its epoch, counts the panic in [`Self::stats`] with
+    /// [`RouterStats::serving_stale`] set, and keeps every pending
     /// change for the next publish, which rebuilds the arena from empty.
     /// The router keeps the last three sets, as [`crate::Router`] does,
     /// so a retired set — and an arena buffer no set reads any more — is
@@ -281,41 +270,35 @@ impl<A: Address + Send + Sync + 'static> VrfSetRouter<A> {
         }
         let (arena, tables) = (&mut self.arena, &mut self.tables);
         let (config, policy, dirty) = (&self.config, &self.policy, &self.dirty);
-        let Some(sync) = (self.publisher).build(|| arena.sync(tables, dirty, config, policy))
+        let Some(refolded) = (self.publisher).build(|| arena.sync(tables, dirty, config, policy))
         else {
             return self.publisher.serve_stale();
         };
-        self.stats.publishes += 1;
-        self.stats.tables_refolded += sync.refolded as u64;
-        self.stats.tables_carried += (self.tables.len() - sync.refolded) as u64;
-        self.stats.compactions += u64::from(sync.compacted);
+        let stats = &mut self.publisher.stats;
+        stats.tables_refolded += refolded as u64;
+        stats.tables_carried += (self.tables.len() - refolded) as u64;
         let dirty = std::mem::take(&mut self.dirty);
         let (set, published) = self.arena.publish();
-        self.stats.records_written += published.records_written as u64;
-        self.stats.recycled += u64::from(published.shared);
         self.publisher.publish(|epoch| {
             let carried = |id| basis.vrf_epoch(id).filter(|_| !dirty.contains(&id));
             let stamp = |t: &CompiledVrf<A>| (t.id, carried(t.id).unwrap_or(epoch));
             let vrf_epochs = set.tables.iter().map(stamp).collect();
-            VrfSnapshot {
+            let snapshot = VrfSnapshot {
                 set,
                 epoch,
                 vrf_epochs,
-            }
+            };
+            (snapshot, Some(published))
         })
     }
 
-    /// Contained compile panics and whether the published set lags the
-    /// oracles; a fleet has no spool, so [`RouterHealth::spool`] is `None`.
+    /// What this router has done so far — updates, publishes, tables
+    /// refolded and carried, records written — and whether the published
+    /// set lags the oracles; a fleet has no spool, so
+    /// [`RouterStats::spool`] is `None`.
     #[must_use]
-    pub fn health(&self) -> RouterHealth {
-        self.publisher.report(RouterHealth::default())
-    }
-
-    /// Publish counters since construction.
-    #[must_use]
-    pub fn stats(&self) -> VrfRouterStats {
-        self.stats
+    pub fn stats(&self) -> RouterStats {
+        self.publisher.stats.clone()
     }
 
     /// A wait-free reader handle for a forwarding worker.
@@ -544,23 +527,23 @@ mod tests {
             router.insert_vrf(vrf, table(vrf));
         }
         router.publish();
-        let counts = |stats: VrfRouterStats| {
-            let VrfRouterStats {
-                publishes,
+        let counts = |stats: RouterStats| {
+            let RouterStats {
+                epochs,
                 tables_refolded,
                 tables_carried,
                 ..
             } = stats;
-            (publishes, tables_refolded, tables_carried)
+            (epochs, tables_refolded, tables_carried)
         };
-        assert_eq!(counts(router.stats()), (1, 16, 0));
+        assert_eq!(counts(router.stats()), (2, 16, 0));
 
         // A burst into one of sixteen re-folds that one.
         for i in 0..100u32 {
             router.announce(5, Prefix4::new(0xC000_0000 | i << 8, 24), nh(3));
         }
         router.publish();
-        assert_eq!(counts(router.stats()), (2, 17, 15));
+        assert_eq!(counts(router.stats()), (3, 17, 15));
 
         // A publish with nothing to do re-folds nothing.
         let second = router.stats();
@@ -580,7 +563,7 @@ mod tests {
         auto.publish();
         auto.announce(5, p("192.0.2.0/24"), nh(3));
         auto.publish();
-        assert_eq!(counts(auto.stats()), (2, 32, 0));
+        assert_eq!(counts(auto.stats()), (3, 32, 0));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! must never take the control plane down. A compaction
 //! ([`Router::start_rebuild`]) and publish-time materialization both
 //! degrade to serving the last good epoch with the panic recorded in
-//! [`Router::health`], and a later successful build restores freshness.
+//! [`Router::stats`], and a later successful build restores freshness.
 //! A fleet compile that panics ([`VrfSetRouter::publish`]) degrades the
-//! same way, into [`VrfSetRouter::health`].
+//! same way, into [`VrfSetRouter::stats`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -129,7 +129,7 @@ fn inline_rebuild_panic_is_contained_and_a_later_build_recovers() {
 
     PANIC_BUILD.store(true, Ordering::Relaxed); // ordering: Relaxed — test toggle
     router.start_rebuild();
-    let health = router.health();
+    let health = router.stats();
     assert_eq!(health.rebuild_panics, 1, "panic must be recorded");
     assert!(
         health
@@ -145,7 +145,7 @@ fn inline_rebuild_panic_is_contained_and_a_later_build_recovers() {
 
     PANIC_BUILD.store(false, Ordering::Relaxed); // ordering: Relaxed — test toggle
     router.start_rebuild();
-    assert_eq!(router.health().rebuild_panics, 1, "no new panics");
+    assert_eq!(router.stats().rebuild_panics, 1, "no new panics");
     assert_serves_control(&mut router, &trace);
 }
 
@@ -173,8 +173,8 @@ fn publish_serves_stale_epoch_while_builds_panic_then_heals() {
     let victim = Prefix::new(0xC0A8_0000u32, 16);
     router.announce(victim, NextHop::new(7));
     let during = router.publish();
-    assert!(router.health().serving_stale, "health must flag staleness");
-    assert!(router.health().rebuild_panics >= 1);
+    assert!(router.stats().serving_stale, "health must flag staleness");
+    assert!(router.stats().rebuild_panics >= 1);
     for &addr in &trace {
         assert_eq!(
             during.lookup(addr),
@@ -188,7 +188,7 @@ fn publish_serves_stale_epoch_while_builds_panic_then_heals() {
     FORCE_REBUILD.store(false, Ordering::Relaxed); // ordering: Relaxed — test toggle
     PANIC_BUILD.store(false, Ordering::Relaxed); // ordering: Relaxed — test toggle
     assert_serves_control(&mut router, &trace);
-    assert!(!router.health().serving_stale);
+    assert!(!router.stats().serving_stale);
     assert_eq!(
         router.publish().lookup(0xC0A8_0101),
         router.control().lookup(0xC0A8_0101),
@@ -216,7 +216,7 @@ fn a_panicking_fleet_compile_is_contained_and_the_next_publish_heals() {
     let served = router.publish();
     assert_eq!(served.epoch(), 0, "the failed publish cut no epoch");
     assert_eq!(router.epoch(), 0);
-    let health = router.health();
+    let health = router.stats();
     assert_eq!(health.rebuild_panics, 1, "panic must be recorded");
     assert!(
         health
@@ -241,7 +241,7 @@ fn a_panicking_fleet_compile_is_contained_and_the_next_publish_heals() {
     router.insert_vrf(3, base(14));
     let healed = router.publish();
     assert_eq!(healed.epoch(), 1);
-    let health = router.health();
+    let health = router.stats();
     assert!(!health.serving_stale);
     assert_eq!(health.rebuild_panics, 1, "no new panics");
     assert!(healed

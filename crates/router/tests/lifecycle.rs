@@ -197,7 +197,7 @@ fn journal_append_failure_degrades_health_and_retry_heals() {
         "retry must heal after the fault clears: {:?}",
         router.spool_health()
     );
-    assert!(router.health().spool_recoveries >= 1);
+    assert!(router.stats().spool_recoveries >= 1);
 
     // The healed spool is fully recoverable once the tail is published
     // (publish is the durability point): reboot the durable state and
@@ -237,7 +237,7 @@ fn scrub_quarantines_bit_rot_with_typed_reason_and_respills() {
 
     let moved = router.scrub_spool();
     assert_eq!(moved, 1, "exactly the rotted image is quarantined");
-    assert_eq!(router.health().quarantined, 1);
+    assert_eq!(router.stats().quarantined, 1);
 
     let after = scan_spool(shared.as_ref(), Path::new(DIR)).expect("scan");
     assert_eq!(after.quarantined, 1);
@@ -278,7 +278,7 @@ fn enospc_exhausts_retries_into_suspended_then_resume_heals() {
     // Operator frees space and resumes: one call re-spills and heals.
     fs.reconfigure(|c| c.enospc_after_bytes = None);
     assert_eq!(router.resume_spool(), Some(SpoolHealth::Healthy));
-    assert!(router.health().spool_recoveries >= 1);
+    assert!(router.stats().spool_recoveries >= 1);
     let status = scan_spool(shared.as_ref(), Path::new(DIR)).expect("scan");
     assert_eq!(status.verdict(), "ok");
 }

@@ -69,7 +69,7 @@ fn warm_restart_quarantines_the_whole_corrupt_corpus_and_serves_the_honest_image
     // The newest *honest* image won, not the newest file.
     assert_eq!(recovered.epoch(), HONEST_EPOCH);
     assert_eq!(recovered.control().len(), 600);
-    assert_eq!(recovered.health().quarantined, corrupt.len() as u64);
+    assert_eq!(recovered.stats().quarantined, corrupt.len() as u64);
     let snapshot = recovered.snapshot();
     let trace = traces::uniform::<u32, _>(&mut Xoshiro256::seed_from_u64(9), 256);
     for &addr in &trace {

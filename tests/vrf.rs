@@ -22,7 +22,7 @@
 //!   byte for byte; and a publish that compacts installs the full
 //!   compile's set itself.
 //! * **Publishes that cost what changed** — the exact counters of
-//!   [`fibcomp::router::VrfRouterStats`]: records written into the
+//!   [`fibcomp::router::RouterStats`]: records written into the
 //!   readers' sets, recycled sets, compactions.
 
 use std::collections::BTreeMap;
@@ -948,7 +948,7 @@ fn churn_answers_as_a_full_compile<A: Address + Send + Sync + 'static>(
     assert_eq!(h.router.stats(), before);
     assert_eq!(h.router.epoch(), h.publishes);
     // The sequence above went through the carry-over path, not around it.
-    assert_eq!(before.publishes, h.publishes);
+    assert_eq!(before.epochs, h.publishes + 1, "the publishes and epoch 0");
     assert!(
         before.tables_carried > 2 * before.tables_refolded,
         "{}: {before:?}",
@@ -1070,10 +1070,81 @@ fn a_publish_writes_only_what_changed() {
     h.publish_and_check("after the bursts");
 }
 
+/// The two control planes split one update stream alike: a single-table
+/// pDAG router and a one-VRF fleet, fed the same BGP stream and published
+/// at the same points, count the same updates in place, declined and
+/// unchanged, and cut the same epochs — a publish after only unchanged
+/// updates cuts none on either side.
+#[test]
+fn both_control_planes_split_updates_alike() {
+    use fibcomp::router::{Router, RouterConfig, RouterStats};
+    use fibcomp::workload::updates::{bgp_sequence, UpdateOp};
+
+    let mut rng = Xoshiro256::for_case("vrf_update_split", 0);
+    let table: BinaryTrie<u32> = FibSpec::dfz_like(2_000).generate(&mut rng);
+    let stream = bgp_sequence(&mut rng, &table, 3_000);
+    let config = RouterConfig {
+        build: BuildConfig::default(),
+        publish_every: None,
+    };
+    let mut router: Router<u32, PrefixDag<u32>> = Router::new(table.clone(), config);
+    let mut fleet = VrfSetRouter::new(config.build, VrfPolicy::Shared);
+    fleet.insert_vrf(0, table);
+    fleet.publish();
+    let split = |stats: RouterStats| {
+        let RouterStats {
+            updates,
+            in_place,
+            declined,
+            unchanged,
+            epochs,
+            ..
+        } = stats;
+        [updates, in_place, declined, unchanged, epochs]
+    };
+    let delta = |now: RouterStats, then: [u64; 5]| -> Vec<u64> {
+        split(now).iter().zip(then).map(|(n, t)| n - t).collect()
+    };
+    let (router_base, fleet_base) = (split(router.stats()), split(fleet.stats()));
+    // One-update bursts first, so that some publish follows nothing but
+    // an unchanged update; then bursts of 97.
+    let bursts: Vec<_> = (stream.chunks(1).take(200))
+        .chain(stream[200..].chunks(97))
+        .collect();
+    for (i, burst) in bursts.iter().enumerate() {
+        for op in *burst {
+            match *op {
+                UpdateOp::Announce(prefix, next_hop) => {
+                    router.announce(prefix, next_hop);
+                    fleet.announce(0, prefix, next_hop);
+                }
+                UpdateOp::Withdraw(prefix) => {
+                    router.withdraw(prefix);
+                    fleet.withdraw(0, prefix);
+                }
+            }
+        }
+        router.publish();
+        fleet.publish();
+        assert_eq!(
+            delta(router.stats(), router_base),
+            delta(fleet.stats(), fleet_base),
+            "burst {i}: (updates, in place, declined, unchanged, epochs)"
+        );
+    }
+    let counted = delta(fleet.stats(), fleet_base);
+    assert_eq!(counted[0], stream.len() as u64);
+    assert!(counted[3] > 0, "the stream re-announced no route unchanged");
+    assert!(
+        counted[4] < bursts.len() as u64,
+        "every burst cut an epoch: {counted:?}"
+    );
+}
+
 /// A burst that changes no route in its VRF — same-hop re-announces and
 /// withdraws of prefixes the VRF does not hold — leaves the VRF clean:
 /// the publish after it hands back the snapshot already served, at the
-/// same epoch, and refolds no table.
+/// same epoch, and refolds no table; the burst is counted unchanged.
 #[test]
 fn a_burst_that_changes_no_route_publishes_nothing() {
     let mut h = published_fleet(4, 2_000, 0.5, 3);
@@ -1083,6 +1154,7 @@ fn a_burst_that_changes_no_route_publishes_nothing() {
         .filter(|&p| h.oracles[&2].exact_match(p).is_none())
         .collect();
     assert!(!held.is_empty() && !absent.is_empty());
+    let noops = (held.len() + absent.len()) as u64;
     let served = h.router.publish();
     let (epoch, before) = (h.router.epoch(), h.router.stats());
     for (prefix, hop) in held {
@@ -1094,7 +1166,12 @@ fn a_burst_that_changes_no_route_publishes_nothing() {
     let snapshot = h.router.publish();
     assert!(std::sync::Arc::ptr_eq(&snapshot, &served), "a new set");
     assert_eq!(h.router.epoch(), epoch);
-    assert_eq!(h.router.stats(), before);
+    let counted = fibcomp::router::RouterStats {
+        updates: before.updates + noops,
+        unchanged: before.unchanged + noops,
+        ..before
+    };
+    assert_eq!(h.router.stats(), counted);
     h.burst(2);
     h.publish_and_check("a burst after the no-ops");
 }
