@@ -46,8 +46,11 @@
 //! reference count per record, re-interns only the nodes on a dirty
 //! table's change set — those written since the last sync plus the top
 //! nodes above them — draining it as it goes, releases the old root,
-//! and derives root arrays and reachable counts for the dirty tables
-//! alone. Its records live in an append-only buffer
+//! and derives root arrays for the dirty tables alone. A table's
+//! reachable count, which costs a walk of the whole table, waits for the
+//! next compaction: between two, a re-interned table keeps the count of
+//! its last one, and [`CompiledVrfSet::reachable_counts`] takes exact
+//! ones of any set. Its records live in an append-only buffer
 //! ([`fib_succinct::WordLog`]): a new record is appended, a released one
 //! left in place as a free slot, and no record a published set can read
 //! is written again — so a publish ([`VrfArena::publish`]) hands out a
@@ -57,9 +60,12 @@
 //! pass a quarter of the arena, after a sync that panicked, under
 //! `Auto`, and whenever an image is written ([`write_vrf_image`]), so
 //! images stay bit-identical to a full compile. Between compactions a
-//! set answers, counts its tables and charges its statistics as the full
-//! compile does, all but [`VrfSetStats::free_slots`]; its records sit
-//! where they were interned.
+//! set answers and charges its statistics as the full compile does, all
+//! but [`VrfSetStats::free_slots`] and the reachable counts of the tables
+//! re-interned since the last compaction ([`CompiledVrf::reachable_nodes`],
+//! [`VrfSetStats::total_nodes`]); its exact counts
+//! ([`CompiledVrfSet::reachable_counts`]) are the full compile's, and its
+//! records sit where they were interned.
 //!
 //! Not every table belongs in the shared arena. Under
 //! [`VrfPolicy::Auto`] a cost model — fitted from measured per-engine
@@ -300,7 +306,10 @@ pub struct VrfSetStats {
     /// Tables placed on the shared arena.
     pub shared_tables: usize,
     /// Σ over shared tables of nodes reachable from their roots — what
-    /// independent canonical compiles would have stored.
+    /// independent canonical compiles would have stored. Σ of the tables'
+    /// [`CompiledVrf::reachable_nodes`], so exact in a compiled, loaded or
+    /// just-compacted set; between a kept arena's compactions it holds
+    /// the last compaction's count for a table re-interned since.
     pub total_nodes: u64,
     /// Unique nodes in the shared arena after cross-table interning.
     pub unique_nodes: u64,
@@ -526,7 +535,11 @@ pub struct CompiledVrf<A: Address> {
     /// Routes in the table.
     pub routes: u64,
     /// Nodes reachable from `root` in the shared arena (0 for dedicated
-    /// placements).
+    /// placements). Exact in a compiled, loaded or just-compacted set, and
+    /// for a table placed on a kept arena since its last compaction; a
+    /// table that arena re-interned since holds the count its last
+    /// compaction took, until the next one
+    /// ([`CompiledVrfSet::reachable_counts`] is exact for any set).
     pub reachable_nodes: u64,
     /// This table's standalone packed-pDAG node count — the
     /// independent-compilation baseline recorded in the directory.
@@ -559,11 +572,13 @@ impl<A: Address> CompiledVrf<A> {
 /// A compiled multi-tenant set: the shared arena, per-table roots and
 /// dedicated engines, and dedup statistics.
 ///
-/// A set a [`VrfArena`] publishes may hold free slots in its arena —
-/// records no root reaches, counted in [`VrfSetStats::free_slots`] — and
-/// its records in the order they were interned; one compiled, loaded or
+/// A set a [`VrfArena`] publishes may hold free slots in its arena
+/// (records no root reaches, counted in [`VrfSetStats::free_slots`]), its
+/// records in the order they were interned, and the last compaction's
+/// reachable counts for tables re-interned since
+/// ([`Self::reachable_counts`] counts afresh); one compiled, loaded or
 /// just compacted holds exactly the records its shared roots reach, in
-/// BFS order.
+/// BFS order, and exact counts.
 pub struct CompiledVrfSet<A: Address> {
     /// The shared hash-consed arena, two packed words per node (the
     /// [`PrefixDagRef`] record format): a view of a [`VrfArena`]'s
@@ -791,6 +806,17 @@ impl<A: Address> CompiledVrfSet<A> {
         }
     }
 
+    /// Per table, in table order, the nodes reachable from its root in
+    /// this set's arena (0 for a dedicated table): exact for any set,
+    /// where a kept arena's [`CompiledVrf::reachable_nodes`] may be its
+    /// last compaction's. One walk of each shared table, so O(Σ tables).
+    #[must_use]
+    pub fn reachable_counts(&self) -> Vec<u64> {
+        (self.tables.iter())
+            .map(|table| reachable(&self.arena, table.root))
+            .collect()
+    }
+
     /// The walk that serves `table`, one of this set's shared-arena
     /// tables: over the arena, from the table's root array. (Handed a
     /// dedicated table, which has no root array, it answers `None`.)
@@ -846,6 +872,9 @@ pub struct VrfArena<A: Address> {
     stats: VrfSetStats,
     /// Every live record's slot, by content.
     map: HashMap<(u32, u32, u32), u32, IdBuildHasher>,
+    /// Shared tables, by VRF id, re-interned since their reachable count
+    /// was taken: the next compaction counts them.
+    uncounted: BTreeSet<u32>,
     /// Per slot: references to its record from parent records and roots.
     refcounts: Vec<u32>,
     /// Slots whose record lost its last reference.
@@ -868,6 +897,7 @@ impl<A: Address> Default for VrfArena<A> {
             tables: Vec::new(),
             stats: VrfSetStats::default(),
             map: HashMap::default(),
+            uncounted: BTreeSet::new(),
             refcounts: Vec::new(),
             free: 0,
             mirrors: BTreeMap::new(),
@@ -891,8 +921,12 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// A shared table is re-interned when it is dirty, new, or moved onto
     /// the arena: its pDAG's nodes written since the last sync and the top
     /// nodes above them get their records, and its old root is released,
-    /// freeing what no other record or root still holds. Its root array
-    /// and reachable count are derived afresh; every other table's stay. A
+    /// freeing what no other record or root still holds. Its root array is
+    /// derived afresh; every other table's stays. Its reachable count is
+    /// taken at once only when it is new to the arena, whose interning
+    /// walked it whole anyway; a table the arena held keeps its count
+    /// until the next compaction takes it, so a sync costs what changed
+    /// plus O(tables). A
     /// dedicated table is rebuilt when it is dirty, new or moved; otherwise
     /// its engine is carried. Under an entropy-chosen λ (`config.lambda`
     /// `None`), a dirty table whose barrier moved has its pDAG rebuilt at
@@ -903,9 +937,11 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// the arena compacted, so the next set published is bit-identical to
     /// [`compile_vrf_set`] over the same tables; otherwise the arena is
     /// compacted once its free slots pass a quarter of it, with the same
-    /// result. Between compactions a published set answers, and counts
-    /// its tables and statistics, as a full compile does, all but
-    /// [`VrfSetStats::free_slots`].
+    /// result. Between compactions a published set answers, and charges
+    /// its statistics, as a full compile does, all but
+    /// [`VrfSetStats::free_slots`] and the stored reachable counts of the
+    /// tables re-interned since the last compaction
+    /// ([`CompiledVrfSet::reachable_counts`] gives the exact ones).
     ///
     /// Returns how many tables it re-interned or rebuilt on a dedicated
     /// engine. Whether it compacted shows at the next [`Self::publish`],
@@ -944,6 +980,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
         for (&id, table) in previous.iter().filter(|(id, _)| !dags.contains_key(id)) {
             let_go(self, Some(table));
             self.mirrors.remove(&id);
+            self.uncounted.remove(&id);
         }
 
         // Intern what the arena must hold, in id order: every table under
@@ -995,8 +1032,19 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
             let Some(kind) = choice.engine_kind() else {
                 tables.push(match root {
                     Some(root) => {
-                        let reachable = bfs_order(self.log.words(), &[root]).len();
-                        fresh(root, reachable as u64, None)
+                        // A table new to the arena was interned whole, so
+                        // counting it costs no more; one the arena held
+                        // keeps its count until the next compaction, which
+                        // a from-empty sync runs now.
+                        let held = prev.filter(|table| table.dedicated.is_none());
+                        let count = match held {
+                            None if !from_empty => reachable(self.log.words(), root),
+                            held => {
+                                self.uncounted.insert(id);
+                                held.map_or(0, |table| table.reachable_nodes)
+                            }
+                        };
+                        fresh(root, count, None)
                     }
                     None => prev.expect("a shared table not re-interned is carried"),
                 });
@@ -1009,6 +1057,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
                 let_go(self, prev.as_ref());
             }
             self.mirrors.remove(&id);
+            self.uncounted.remove(&id);
             let kept = prev.filter(|table| table.choice() == choice && !dirty.contains(&id));
             tables.push(match kept {
                 Some(table) => table,
@@ -1164,6 +1213,8 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// The BFS repack of a full compile, into a new buffer with room to
     /// append as many records again: the records the shared roots reach,
     /// in id order, renumbered in the order of one queue seeded with them.
+    /// It then takes the reachable counts of the tables re-interned since
+    /// their last, so the tables are the full compile's too.
     fn compact(&mut self) {
         let roots: Vec<u32> = self.tables.iter().map(|table| table.root).collect();
         let live = self.refcounts.len() - self.free;
@@ -1196,7 +1247,17 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
                 *record = moved(*record);
             }
         }
+        let stale = (self.tables.iter_mut()).filter(|table| self.uncounted.contains(&table.id));
+        for table in stale {
+            table.reachable_nodes = reachable(self.log.words(), table.root);
+        }
+        self.uncounted.clear();
     }
+}
+
+/// The records of `words` that `root` reaches (0 for `NONE`).
+fn reachable(words: &[u64], root: u32) -> u64 {
+    bfs_order(words, &[root]).len() as u64
 }
 
 /// Each table's engine, in id order. A fixed policy names it; `Auto`
@@ -1279,7 +1340,8 @@ pub fn vrf_section_base(index: usize) -> u32 {
 /// sections in per-table id blocks.
 ///
 /// The arena is written compacted — the records the shared roots reach,
-/// in BFS order — so a kept arena's set, free slots and all, writes the
+/// in BFS order — and every table's reachable count taken from it, so a
+/// kept arena's set, free slots and stale counts and all, writes the
 /// bytes [`compile_vrf_set`] over the same tables would.
 ///
 /// # Errors
@@ -1291,6 +1353,7 @@ pub fn write_vrf_image<A: Address>(
 ) -> Result<Vec<u8>, ImageError> {
     let roots: Vec<u32> = set.tables.iter().map(|t| t.root).collect();
     let (arena, roots) = pack_bfs(&set.arena, &roots);
+    let counts: Vec<u64> = roots.iter().map(|&root| reachable(&arena, root)).collect();
     let route_count: u64 = set.tables.iter().map(|t| t.routes).sum();
     let mut writer = ImageWriter::new::<A>(EngineKind::VrfSet, route_count, epoch);
     let compacted = VrfSetStats {
@@ -1303,16 +1366,16 @@ pub fn write_vrf_image<A: Address>(
         &[
             set.tables.len() as u64,
             set.stats.unique_nodes,
-            set.stats.total_nodes,
+            counts.iter().sum(),
         ],
     );
     writer.section_with(sections::VRF_DIR, |out| {
         out.push(set.tables.len() as u64);
-        for (t, &root) in set.tables.iter().zip(&roots) {
+        for ((t, &root), &count) in set.tables.iter().zip(&roots).zip(&counts) {
             out.push(u64::from(t.id) | (u64::from(t.choice() as u8) << 32));
             out.push(u64::from(root));
             out.push(t.routes);
-            out.push(t.reachable_nodes);
+            out.push(count);
             out.push(t.solo_nodes);
             out.push(0);
         }

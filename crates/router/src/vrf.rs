@@ -17,19 +17,23 @@
 //! An announce or withdraw updates its VRF's pDAG in place, as
 //! [`crate::Router`] updates its engine; the publish re-interns only the
 //! nodes the dirty tables' pDAGs wrote since the last one, plus the top
-//! nodes above them, into the kept arena, and derives root arrays and
-//! reachable counts for those tables alone. The arena only ever appends,
+//! nodes above them, into the kept arena, and derives root arrays for
+//! those tables alone; their reachable counts, a walk of each whole
+//! table, wait for the arena's next compaction. The arena only ever appends,
 //! so the published set is a view of the buffer the set before it read,
 //! extended by the records appended since ([`VrfArena::publish`]); a
 //! reader that moves on to it keeps every line of the arena it had
 //! cached. Every other table's root, root array or dedicated engine is
 //! carried over. The invariant the tests pin: after every
-//! publish the installed set answers, counts its tables and charges its
-//! statistics (all but free slots) as a from-scratch
-//! [`fib_core::compile_vrf_set`] over the current oracles, and its image
-//! — written compacted — is that compile's byte for byte; a publish that
-//! compacts the arena (free slots past a quarter of it) installs the
-//! compile's set itself. [`VrfPolicy::Auto`] is the exception to the
+//! publish the installed set answers and charges its statistics as a
+//! from-scratch [`fib_core::compile_vrf_set`] over the current oracles,
+//! all but free slots and the stored reachable counts of tables
+//! re-interned since the last compaction, which hold that compaction's
+//! count; its exact counts ([`CompiledVrfSet::reachable_counts`]) are
+//! the compile's, and its image — written compacted, counts taken from
+//! it — is that compile's byte for byte; a publish that compacts the
+//! arena (free slots past a quarter of it) installs the compile's set
+//! itself, counts and all. [`VrfPolicy::Auto`] is the exception to the
 //! saving, not to the invariant: its placement weighs each table against
 //! the rest of the fleet, so every publish interns every table into an
 //! empty arena and compacts it. [`VrfSetRouter::stats`] counts both

@@ -15,8 +15,9 @@
 //! * **A full compile's answers under churn, its bytes at compaction** —
 //!   a publish re-interns only what changed in the tables that changed,
 //!   into the arena it keeps; after every publish the installed set must
-//!   answer, count its tables and charge its statistics (all but free
-//!   slots) as a from-scratch `compile_vrf_set` over the current oracles,
+//!   answer, count its tables exactly on demand and charge its statistics
+//!   (all but free slots, and the stored counts a compaction will renew)
+//!   as a from-scratch `compile_vrf_set` over the current oracles,
 //!   however the updates between two publishes fall across the fleet;
 //!   its image, compacted as it is written, must be the full compile's
 //!   byte for byte; and a publish that compacts installs the full
@@ -728,18 +729,27 @@ fn assert_sets_identical<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrf
 }
 
 /// What a kept arena's set shares with the full compile `want` whatever
-/// its record order: every table's id, placement and counts, and the
-/// statistics but for free slots.
+/// its record order: every table's id, placement, routes, exact reachable
+/// count and solo count, and the statistics but for free slots, with the
+/// reachable total the exact counts sum to. (The compile's stored counts
+/// are exact; a kept set's may be its last compaction's.)
 fn assert_answers_as<A: Address>(got: &CompiledVrfSet<A>, want: &CompiledVrfSet<A>, tag: &str) {
     let record = |set: &CompiledVrfSet<A>| -> Vec<_> {
-        (set.tables.iter())
-            .map(|t| (t.id, t.choice(), t.routes, t.reachable_nodes, t.solo_nodes))
+        (set.tables.iter().zip(set.reachable_counts()))
+            .map(|(t, reachable)| (t.id, t.choice(), t.routes, reachable, t.solo_nodes))
             .collect()
     };
     assert_eq!(record(got), record(want), "{tag}: table records");
+    let exact: Vec<u64> = want.tables.iter().map(|t| t.reachable_nodes).collect();
+    assert_eq!(
+        want.reachable_counts(),
+        exact,
+        "{tag}: a compile counts exactly"
+    );
     let free = got.stats.free_slots;
     let stats = fibcomp::core::VrfSetStats {
         free_slots: 0,
+        total_nodes: got.reachable_counts().iter().sum(),
         ..got.stats
     };
     assert_eq!(stats, want.stats, "{tag}: stats ({free} free slots aside)");
@@ -1174,6 +1184,74 @@ fn a_burst_that_changes_no_route_publishes_nothing() {
     assert_eq!(h.router.stats(), counted);
     h.burst(2);
     h.publish_and_check("a burst after the no-ops");
+}
+
+/// A set published between compactions counts exactly on demand: each
+/// shared table reaches the nodes a one-table compile of its oracle
+/// holds, a dedicated one none. Its stored counts are what the docs say:
+/// a re-interned table's is the last compaction's, and a table new to the
+/// arena is counted as it arrives.
+fn counts_between_compactions_are_exact_on_demand<A: Address + Send + Sync + 'static>(tag: &str) {
+    let mut rng = Xoshiro256::for_case("vrf_counts_on_demand", 0);
+    let base: BinaryTrie<A> = FibSpec::dfz_like(1500).generate(&mut rng);
+    let fleet = VrfFleetSpec {
+        tables: 4,
+        overlap: 0.9,
+        seed: 0xC0C0,
+    }
+    .generate(&base);
+    let policy = VrfPolicy::Pinned {
+        choices: BTreeMap::from([(1, VrfEngineChoice::Serialized)]),
+    };
+    let config = BuildConfig::default();
+    let mut h = ChurnHarness::new(config, &policy, rng);
+    for (id, table) in (0..).zip(fleet) {
+        h.insert_vrf(id, table);
+    }
+    let compacted = h.publish_and_check(&format!("{tag} first publish"));
+    let compacted: Vec<u64> = (compacted.set().tables.iter())
+        .map(|t| t.reachable_nodes)
+        .collect();
+    let donor = h.oracles[&2].clone();
+    h.insert_vrf(9, donor);
+    for vrf in [0, 1, 2] {
+        h.burst(vrf);
+    }
+    let before = h.router.stats();
+    let snapshot = h.publish_and_check(&format!("{tag} bursts"));
+    let after = h.router.stats();
+    assert_eq!(
+        (after.recycled - before.recycled, after.compactions),
+        (1, before.compactions),
+        "{tag}: the publish recycles, it does not compact"
+    );
+    let set = snapshot.set();
+    let on_demand = set.reachable_counts();
+    for (table, &count) in set.tables.iter().zip(&on_demand) {
+        let want = match table.choice() {
+            VrfEngineChoice::Shared => solo_nodes(&h.oracles[&table.id], &config),
+            _ => 0,
+        };
+        assert_eq!(count, want, "{tag}: VRF {} counts its own fold", table.id);
+    }
+    let stored: Vec<u64> = set.tables.iter().map(|t| t.reachable_nodes).collect();
+    let mut want = compacted;
+    want.push(on_demand[4]);
+    assert_eq!(
+        stored, want,
+        "{tag}: re-interned tables keep the compaction's counts, a new one is counted"
+    );
+    assert_ne!(stored, on_demand, "{tag}: the bursts moved some count");
+}
+
+#[test]
+fn counts_between_compactions_are_exact_on_demand_v4() {
+    counts_between_compactions_are_exact_on_demand::<u32>("v4");
+}
+
+#[test]
+fn counts_between_compactions_are_exact_on_demand_v6() {
+    counts_between_compactions_are_exact_on_demand::<u128>("v6");
 }
 
 /// Withdrawing tables route by route frees arena records; the publish
