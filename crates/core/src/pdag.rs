@@ -88,21 +88,23 @@
 //! publishes, or a VRF fleet's arena ([`crate::VrfArena`]), which walks
 //! the pDAG from the root and takes each node it re-interns off the set.
 //!
-//! The working engine publishes into an append-only record log
-//! ([`fib_succinct::WordLog`]). It remembers, per arena slot, where the
-//! slot's record sits in the log. `publish_copy` appends one record for
-//! each slot on the change set still live, children remapped through
-//! that table, and hands out a copy whose records are a
-//! [`fib_succinct::SharedWords`] view of the log, with its root and root
-//! array remapped the same way. A publish therefore costs what changed,
-//! and consecutive copies read one buffer: the records a reader has
-//! cached are never written again, and the new ones land past them. A
-//! record the working engine rewrote or freed since stays in the log,
-//! dead, so the log's records are its live records plus dead ones. When
-//! the log has no room for a publish's records — it is made with room
-//! for `LOG_ROOM` times the live records it starts with — the publish
-//! packs the live records afresh, in BFS order, into a new log; so does
-//! the first publish, which takes the engine whole.
+//! Both publishers — the working engine here and a VRF fleet's arena —
+//! write records through `RecordLog`, the one holder of an append-only
+//! buffer ([`fib_succinct::WordLog`]). It packs live records in BFS order
+//! into a new buffer with room for `LOG_ROOM` times as many, appends
+//! (growing a full log into one twice its size), and publishes a
+//! [`fib_succinct::SharedWords`] view with what it adds to the view
+//! before ([`crate::ArenaPublish`]). No record a reader may hold is
+//! written again, so consecutive views share one buffer; readers move to
+//! a new one only after a pack (a pDAG's first publish, a full pDAG log,
+//! a fleet compaction) or a growth (a fleet log that filled mid-sync).
+//!
+//! The working engine remembers, per arena slot, where its record sits
+//! in the log. `publish_copy` appends a record for each live slot on the
+//! change set, children remapped through that table, and hands out a copy
+//! reading the log's view: a publish costs what changed. Records rewritten
+//! or freed since stay in the log, dead, until a publish that finds the
+//! log full packs the live ones into a new log rather than growing it.
 //!
 //! # Update strategy
 //!
@@ -134,23 +136,15 @@ const NO_CONTROL: &str = "a published pDAG copy has no control FIB: update the w
 pub(crate) const ROOT_BITS: u8 = 8;
 
 /// A new record log has room for this many times the live records it
-/// starts with; a publish that finds it full packs the live records into
-/// a new one (see the module docs' "Publish"). Measured at taz 1.0, λ 11,
-/// a reader following 1,000-update bursts (≈ 3 k records appended a
-/// publish, a pack every ≈ 18): 1.5 and 2 read alike, 4 reads ≈ 10 %
+/// starts with (see the module docs' "Publish"). Measured at taz 1.0,
+/// λ 11, a reader following 1,000-update bursts (≈ 3 k records appended
+/// a publish, a pack every ≈ 18): 1.5 and 2 read alike, 4 reads ≈ 10 %
 /// slower (the live records spread over more lines), and 2 packs a third
 /// less often than 1.5.
 const LOG_ROOM: usize = 2;
 
 /// Fewest records a new record log has room for.
 const MIN_LOG_RECORDS: usize = 512;
-
-/// An empty record log for `live` records: room for [`LOG_ROOM`] times
-/// as many, [`MIN_LOG_RECORDS`] at least. A pDAG's publish log and a VRF
-/// fleet's arena are both sized by it.
-pub(crate) fn new_log(live: usize) -> WordLog {
-    WordLog::with_capacity(2 * (LOG_ROOM * live).max(MIN_LOG_RECORDS))
-}
 
 /// Where the walk for one `k`-bit address prefix starts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -258,10 +252,8 @@ pub(crate) fn bfs_order(words: &[u64], roots: &[u32]) -> Vec<u32> {
 /// The compacting BFS every packed form is written by: the records of
 /// the nodes [`bfs_order`] reaches from `roots`, renumbered in that order
 /// and handed to `emit` one by one. Returns the renumbering, one entry per
-/// record of `words` (`NONE` for those not reached). A pDAG packs its one
-/// root into an image ([`PrefixDag::write_packed`]) and into a fresh
-/// record log; a VRF fleet packs every table's root into one shared
-/// arena.
+/// record of `words` (`NONE` for those not reached): an image's words
+/// ([`pack_bfs`]) or a new record log's ([`RecordLog::packed`]).
 pub(crate) fn pack_bfs_with(
     words: &[u64],
     roots: &[u32],
@@ -286,6 +278,76 @@ pub(crate) fn pack_bfs(words: &[u64], roots: &[u32]) -> (Vec<u64>, Vec<u32>) {
     let remap = pack_bfs_with(words, roots, |node| out.extend(node));
     let packed = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
     (out, roots.iter().map(|&root| packed(root)).collect())
+}
+
+/// The record log under a pDAG's published copies and a VRF fleet's
+/// published sets, and the one holder of its [`WordLog`] (see the module
+/// docs' "Publish"). Every log it makes is a buffer no reader holds.
+pub(crate) struct RecordLog {
+    words: WordLog,
+    /// Words the last publish handed readers; `None` before the first.
+    published: Option<usize>,
+}
+
+impl Default for RecordLog {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl RecordLog {
+    /// An empty log with room for [`LOG_ROOM`] times `live` records,
+    /// [`MIN_LOG_RECORDS`] at least.
+    fn new(live: usize) -> Self {
+        let words = WordLog::with_capacity(2 * (LOG_ROOM * live).max(MIN_LOG_RECORDS));
+        Self {
+            words,
+            published: None,
+        }
+    }
+
+    /// [`pack_bfs_with`] into a new log sized for `live` records, and the
+    /// renumbering.
+    pub(crate) fn packed(words: &[u64], roots: &[u32], live: usize) -> (Self, Vec<u32>) {
+        let mut log = Self::new(live);
+        let remap = pack_bfs_with(words, roots, |node| {
+            let fits = log.words.try_extend(&node);
+            debug_assert!(fits, "a new log holds every live record");
+        });
+        (log, remap)
+    }
+
+    /// Appends `node`, first moving a full log into one twice its size.
+    pub(crate) fn push(&mut self, node: [u64; 2]) {
+        if !self.words.try_extend(&node) {
+            let mut grown = Self::new(self.words.capacity() / 2);
+            let fits = grown.words.try_extend(self.words()) && grown.words.try_extend(&node);
+            debug_assert!(fits, "a buffer twice the size holds one record more");
+            *self = grown;
+        }
+    }
+
+    /// Records the log can take before it is full.
+    pub(crate) fn room(&self) -> usize {
+        (self.words.capacity() - self.words.len()) / 2
+    }
+
+    /// The records, two words each.
+    pub(crate) fn words(&self) -> &[u64] {
+        self.words.words()
+    }
+
+    /// A reader's view of the records so far, and what it adds to the
+    /// view before it: the records appended since, or all of a new buffer.
+    pub(crate) fn publish(&mut self) -> (SharedWords, ArenaPublish) {
+        let len = self.words.len();
+        let publish = ArenaPublish {
+            records_written: (len - self.published.unwrap_or(0)) / 2,
+            shared: self.published.is_some(),
+        };
+        self.published = Some(len);
+        (self.words.shared(), publish)
+    }
 }
 
 /// Interning key of a folded node (the sub-trie id of Definition 1):
@@ -374,16 +436,13 @@ impl Changes {
     }
 }
 
-/// The record log a working engine publishes into (see the module docs'
-/// "Publish").
+/// A working engine's record log and what it keeps beside it.
 struct PublishLog {
     /// The records every published copy reads a prefix of.
-    words: WordLog,
-    /// Per arena slot, the index of its record in `words` — current for
+    records: RecordLog,
+    /// Per arena slot, the index of its record in `records` — current for
     /// every slot live at the last publish.
     at: Vec<u32>,
-    /// Words of `words` the last published copy reads.
-    published: usize,
     /// What the last publish handed a reader.
     last: ArenaPublish,
 }
@@ -1007,18 +1066,17 @@ impl<A: Address> PrefixDag<A> {
         if self.is_published_copy() {
             return self.clone();
         }
-        let shared = self.start_drain() && self.append_changes();
-        if !shared {
-            self.pack_log();
+        if !(self.start_drain() && self.append_changes()) {
+            // A pack, in the order `write_packed` writes.
+            let (records, at) =
+                RecordLog::packed(&self.nodes, &[self.root], self.stats().live_nodes);
+            let last = ArenaPublish::default();
+            self.log = Some(PublishLog { records, at, last });
         }
         self.finish_drain();
         let log = self.log.as_mut().expect("appended or packed");
-        let words = log.words.len();
-        log.last = ArenaPublish {
-            records_written: (words - if shared { log.published } else { 0 }) / 2,
-            shared,
-        };
-        log.published = words;
+        let (words, last) = log.records.publish();
+        log.last = last;
         let at = |idx: u32| log.at.get(idx as usize).copied().unwrap_or(NONE);
         let root_array = (self.root_array.iter())
             .map(|entry| RootEntry {
@@ -1027,7 +1085,7 @@ impl<A: Address> PrefixDag<A> {
             })
             .collect();
         let copy = Self {
-            nodes: Records::Log(log.words.shared()),
+            nodes: Records::Log(words),
             root: at(self.root),
             root_array,
             lambda: self.lambda,
@@ -1060,39 +1118,21 @@ impl<A: Address> PrefixDag<A> {
         let (Some(log), Some(changes)) = (self.log.as_mut(), self.changes.as_ref()) else {
             return false;
         };
-        if changes.slots.len() > (log.words.capacity() - log.words.len()) / 2 {
+        if changes.slots.len() > log.records.room() {
             return false;
         }
         log.at.resize(slots, NONE);
         let live = |idx: &&u32| self.refcounts[**idx as usize] > 0;
-        let start = (log.words.len() / 2) as u32;
+        let start = (log.records.words().len() / 2) as u32;
         for (next, &idx) in (start..).zip(changes.slots.iter().filter(live)) {
             log.at[idx as usize] = next;
         }
         let at = |idx: u32| log.at.get(idx as usize).copied().unwrap_or(NONE);
         for &idx in changes.slots.iter().filter(live) {
             let (left, right, label) = packed_node(&self.nodes, idx);
-            let fits = log.words.try_extend(&record(at(left), at(right), label));
-            debug_assert!(fits, "room was checked");
+            log.records.push(record(at(left), at(right), label));
         }
         true
-    }
-
-    /// Packs the live records into a new log, in BFS order from the root
-    /// — the order [`Self::write_packed`] writes — with room to append
-    /// [`LOG_ROOM`] − 1 times as many again.
-    fn pack_log(&mut self) {
-        let mut words = new_log(self.stats().live_nodes);
-        let at = pack_bfs_with(&self.nodes, &[self.root], |node| {
-            let fits = words.try_extend(&node);
-            debug_assert!(fits, "a new log holds every live record");
-        });
-        self.log = Some(PublishLog {
-            words,
-            at,
-            published: 0,
-            last: ArenaPublish::default(),
-        });
     }
 
     /// Starts a drain of the change set: whether it lists what changed
@@ -1894,6 +1934,68 @@ mod tests {
     /// The buffer a copy's records are a view of.
     fn buffer(copy: &PrefixDag<u32>) -> std::ops::Range<usize> {
         copy.view().payload_ptr_range()
+    }
+
+    /// The four publishes a record log reports: a pack and a growth move
+    /// readers to a new buffer and count every record; an append counts
+    /// what it added to the buffer the view before it reads; a publish
+    /// with nothing appended counts nothing.
+    #[test]
+    fn record_log_reports_every_publish_kind() {
+        // Root 0 over leaves 1 and 2; record 3 is unreachable.
+        let mut arena = Vec::new();
+        for node in [
+            (1, 2, NONE),
+            (NONE, NONE, 7),
+            (NONE, NONE, 8),
+            (NONE, NONE, 9),
+        ] {
+            arena.extend(record(node.0, node.1, node.2));
+        }
+        let (mut log, remap) = RecordLog::packed(&arena, &[0], 3);
+        assert_eq!(remap, [0, 1, 2, NONE]);
+        let (packed, publish) = log.publish();
+        let new_buffer = |records_written| ArenaPublish {
+            records_written,
+            shared: false,
+        };
+        assert_eq!(publish, new_buffer(3), "a pack");
+        assert_eq!(&packed[..], &arena[..6]);
+
+        log.push(record(0, 1, 5));
+        log.push(record(1, 2, 6));
+        let (appended, publish) = log.publish();
+        let appending = |records_written| ArenaPublish {
+            records_written,
+            shared: true,
+        };
+        assert_eq!(publish, appending(2), "an append");
+        assert_eq!(appended.as_ptr(), packed.as_ptr(), "one buffer");
+        assert_eq!(appended[..packed.len()], packed[..]);
+
+        let (again, publish) = log.publish();
+        assert_eq!(publish, appending(0), "nothing appended");
+        assert_eq!(again, appended);
+
+        let room = log.room();
+        assert_eq!(
+            room,
+            MIN_LOG_RECORDS - 5,
+            "LOG_ROOM × 3 records is under the floor"
+        );
+        for idx in 0..room as u32 {
+            log.push(record(idx, idx, idx));
+        }
+        assert_eq!(log.room(), 0);
+        let (full, _) = log.publish();
+        log.push(record(1, 1, 1));
+        let (grown, publish) = log.publish();
+        let records = 5 + room + 1;
+        assert_eq!(publish, new_buffer(records), "a growth");
+        assert_ne!(grown.as_ptr(), full.as_ptr(), "a new buffer");
+        assert_eq!(grown[..full.len()], full[..], "the records moved with it");
+        assert_eq!(log.room(), 2 * (records - 1) - records, "twice the size");
+        assert_eq!(&appended[..], &full[..10], "an old view reads what it did");
     }
 
     #[test]

@@ -50,16 +50,17 @@
 //! reachable count, which costs a walk of the whole table, waits for the
 //! next compaction: between two, a re-interned table keeps the count of
 //! its last one, and [`CompiledVrfSet::reachable_counts`] takes exact
-//! ones of any set. Its records live in an append-only buffer
-//! ([`fib_succinct::WordLog`]): a new record is appended, a released one
-//! left in place as a free slot, and no record a published set can read
-//! is written again — so a publish ([`VrfArena::publish`]) hands out a
-//! view of the buffer that shares every record, and every cache line a
-//! reader holds, with the set before it, and adds only what was appended.
-//! Step 3 becomes compaction into a new buffer: it runs when free slots
-//! pass a quarter of the arena, after a sync that panicked, under
-//! `Auto`, and whenever an image is written ([`write_vrf_image`]), so
-//! images stay bit-identical to a full compile. Between compactions a
+//! ones of any set. Its records live in a `RecordLog`, the one writer of
+//! the log [`PrefixDag::publish_copy`] appends to too: a new record is
+//! appended, a released one left in place as a free slot, and nothing
+//! a published set can read is written again, so a publish
+//! ([`VrfArena::publish`]) shares every record, and every line a reader
+//! has cached, with the set before it. Readers move to a new buffer only
+//! at a compaction — step 3 into a new buffer, when free slots pass a
+//! quarter of the arena, after a sync that panicked, and under `Auto` —
+//! or when a sync fills the log, which grows into one twice its size.
+//! Images ([`write_vrf_image`]) are written compacted, so they stay
+//! bit-identical to a full compile. Between compactions a
 //! set answers and charges its statistics as the full compile does, all
 //! but [`VrfSetStats::free_slots`] and the reachable counts of the tables
 //! re-interned since the last compaction ([`CompiledVrf::reachable_nodes`],
@@ -106,11 +107,11 @@ use crate::image::{
     ImageWriter, Sections,
 };
 use crate::pdag::{
-    bfs_order, new_log, pack_bfs, pack_bfs_with, packed_node, packed_root_array, record, PrefixDag,
-    PrefixDagRef, RootArray, ROOT_BITS,
+    bfs_order, pack_bfs, packed_node, packed_root_array, record, PrefixDag, PrefixDagRef,
+    RecordLog, RootArray, ROOT_BITS,
 };
 use crate::xbw::XbwStorage;
-use fib_succinct::{SharedWords, WordLog};
+use fib_succinct::SharedWords;
 
 const NONE: u32 = u32::MAX;
 
@@ -848,25 +849,23 @@ impl<A: Address> VrfBatchScratch<A> {
 /// A VRF fleet's shared arena, kept from one publish to the next: one
 /// hash-consed record per distinct `(left, right, label)` triple, with a
 /// reference count per record (held by parent records and by table
-/// roots), in an append-only buffer ([`WordLog`]) every published set
-/// reads a prefix of.
+/// roots), in a `RecordLog`, the record log a single pDAG publishes into.
 ///
-/// [`Self::sync`] brings it in line with a fleet of updatable pDAGs,
-/// re-interning only the nodes a dirty table's pDAG wrote since the last
-/// sync and the top-tree nodes above them: a new record is appended, and
-/// a record whose last reference goes is dropped from the index and left
-/// in place, a free slot. Nothing a published set can read is ever
-/// written again, so [`Self::publish`] costs what changed: the next set
-/// shares the buffer — and the reader's cached lines of it — with the one
-/// before, and adds only the records appended since. The BFS repack of a
-/// full compile is compaction here, into a new buffer: it runs when the
-/// arena is built from empty, when free slots pass a quarter of it,
-/// after a sync that did not finish (a contained panic), and at every
-/// sync under [`VrfPolicy::Auto`], whose placement is fleet-wide. An
-/// image is always written compacted ([`write_vrf_image`]).
+/// [`Self::sync`] re-interns only the nodes a dirty table's pDAG wrote
+/// since the last sync and the top-tree nodes above them: a new record is
+/// appended, and one whose last reference goes leaves the index and stays
+/// in place, a free slot. So [`Self::publish`] costs what changed, and
+/// the next set shares the buffer — and a reader's cached lines of it —
+/// with the one before. The log alone moves readers to a new buffer: at
+/// a compaction, the BFS repack of a full compile (from empty, past a
+/// quarter free slots, after a contained panic, at every sync under
+/// [`VrfPolicy::Auto`]), or when a sync fills the log, which grows into
+/// a buffer twice its size. An image is always written compacted
+/// ([`write_vrf_image`]).
+#[derive(Default)]
 pub struct VrfArena<A: Address> {
     /// The records, live ones and free slots.
-    log: WordLog,
+    log: RecordLog,
     /// Every table's record and root array, sorted by id.
     tables: Vec<CompiledVrf<A>>,
     stats: VrfSetStats,
@@ -885,26 +884,6 @@ pub struct VrfArena<A: Address> {
     mirrors: BTreeMap<u32, Vec<u32>>,
     /// A sync is under way — still set at the next one if it panicked.
     torn: bool,
-    /// Words of `log` the last published set reads; `None` when `log` is
-    /// a buffer no set has read yet.
-    published: Option<usize>,
-}
-
-impl<A: Address> Default for VrfArena<A> {
-    fn default() -> Self {
-        Self {
-            log: WordLog::with_capacity(0),
-            tables: Vec::new(),
-            stats: VrfSetStats::default(),
-            map: HashMap::default(),
-            uncounted: BTreeSet::new(),
-            refcounts: Vec::new(),
-            free: 0,
-            mirrors: BTreeMap::new(),
-            torn: false,
-            published: None,
-        }
-    }
 }
 
 impl<A: Address + Send + Sync + 'static> VrfArena<A> {
@@ -937,15 +916,13 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// the arena compacted, so the next set published is bit-identical to
     /// [`compile_vrf_set`] over the same tables; otherwise the arena is
     /// compacted once its free slots pass a quarter of it, with the same
-    /// result. Between compactions a published set answers, and charges
-    /// its statistics, as a full compile does, all but
-    /// [`VrfSetStats::free_slots`] and the stored reachable counts of the
-    /// tables re-interned since the last compaction
-    /// ([`CompiledVrfSet::reachable_counts`] gives the exact ones).
+    /// result, and between compactions a set answers as one (see the
+    /// module docs).
     ///
     /// Returns how many tables it re-interned or rebuilt on a dedicated
-    /// engine. Whether it compacted shows at the next [`Self::publish`],
-    /// whose readers then move to a new buffer.
+    /// engine. Whether it compacted, or filled the log and grew it, shows
+    /// at the next [`Self::publish`], whose readers then move to a new
+    /// buffer.
     pub fn sync(
         &mut self,
         dags: &mut BTreeMap<u32, PrefixDag<A>>,
@@ -962,7 +939,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
             }
         }
         let from_empty =
-            self.torn || matches!(policy, VrfPolicy::Auto { .. }) || self.log.is_empty();
+            self.torn || matches!(policy, VrfPolicy::Auto { .. }) || self.log.words().is_empty();
         self.torn = true;
         if from_empty {
             self.restart();
@@ -1095,21 +1072,15 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// The set a reader is handed: the arena as it stands, answering as
     /// it does now. Its records are a view of the arena's buffer — the
     /// view the set published before it read, plus what was appended
-    /// since, unless a compaction moved the arena to a new buffer — and
-    /// its tables share their root arrays with the arena, so a publish
-    /// copies nothing but the table records.
+    /// since, unless a compaction or the log's growth moved the arena to
+    /// a new buffer — and its tables share their root arrays with the
+    /// arena, so a publish copies nothing but the table records.
     pub fn publish(&mut self) -> (CompiledVrfSet<A>, ArenaPublish) {
-        let shared = self.published.is_some();
-        let records_written = (self.log.len() - self.published.unwrap_or(0)) / 2;
-        self.published = Some(self.log.len());
+        let (arena, publish) = self.log.publish();
         let set = CompiledVrfSet {
-            arena: self.log.shared(),
+            arena,
             tables: self.tables.clone(),
             stats: self.stats,
-        };
-        let publish = ArenaPublish {
-            records_written,
-            shared,
         };
         (set, publish)
     }
@@ -1117,8 +1088,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     /// Forgets every record, in a new buffer; the tables stay, for what a
     /// sync carries of them.
     fn restart(&mut self) {
-        self.log = new_log(0);
-        self.published = None;
+        self.log = RecordLog::default();
         self.map.clear();
         self.refcounts.clear();
         self.free = 0;
@@ -1169,15 +1139,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
         }
         self.acquire(left);
         self.acquire(right);
-        let words = record(left, right, label);
-        if !self.log.try_extend(&words) {
-            // Out of room: the records it holds, in a new log sized for them.
-            let mut log = new_log(self.log.capacity() / 2);
-            let grown = log.try_extend(self.log.words()) && log.try_extend(&words);
-            debug_assert!(grown, "a buffer twice the size holds one record more");
-            self.log = log;
-            self.published = None;
-        }
+        self.log.push(record(left, right, label));
         let idx = self.refcounts.len() as u32;
         self.refcounts.push(0);
         self.map.insert(key, idx);
@@ -1218,10 +1180,7 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
     fn compact(&mut self) {
         let roots: Vec<u32> = self.tables.iter().map(|table| table.root).collect();
         let live = self.refcounts.len() - self.free;
-        let mut log = new_log(live);
-        let remap = pack_bfs_with(self.log.words(), &roots, |node| {
-            log.try_extend(&node);
-        });
+        let (log, remap) = RecordLog::packed(self.log.words(), &roots, live);
         let records = log.words().len() / 2;
         debug_assert_eq!(records, live, "a held record no root reaches");
         let mut refcounts = vec![0; records];
@@ -1238,7 +1197,6 @@ impl<A: Address + Send + Sync + 'static> VrfArena<A> {
         }
         let moved = |idx: u32| remap.get(idx as usize).copied().unwrap_or(NONE);
         self.log = log;
-        self.published = None;
         for table in &mut self.tables {
             table.root = moved(table.root);
         }

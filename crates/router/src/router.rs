@@ -373,11 +373,12 @@ pub struct RouterStats {
     /// Publishes whose readers read the record log the snapshot published
     /// before read, appended to.
     pub recycled: u64,
-    /// Publishes whose readers moved to a new record log: a BFS
-    /// repack of the live records — the first publish of every newly
-    /// built pDAG or fleet arena, a fleet's compaction — or a log that was
-    /// full. `recycled + compactions` counts every publish from a record
-    /// log.
+    /// Publishes whose readers moved to a new record log, which core's
+    /// `RecordLog` alone decides: a BFS repack of the live records — the first
+    /// publish of every newly built pDAG or fleet arena, a pDAG publish
+    /// that found its log full, a fleet's compaction — or a fleet log
+    /// that filled mid-sync and grew into a buffer twice its size.
+    /// `recycled + compactions` counts every publish from a record log.
     pub compactions: u64,
     /// [`Router`] only: spool persistence health (`None`: no spool armed).
     pub spool: Option<SpoolHealth>,

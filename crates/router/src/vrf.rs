@@ -19,12 +19,17 @@
 //! nodes the dirty tables' pDAGs wrote since the last one, plus the top
 //! nodes above them, into the kept arena, and derives root arrays for
 //! those tables alone; their reachable counts, a walk of each whole
-//! table, wait for the arena's next compaction. The arena only ever appends,
+//! table, wait for the arena's next compaction. The arena's records live
+//! in core's `RecordLog`, the one record log type, which a
+//! [`crate::Router`]'s pDAG publishes through too: it only ever appends,
 //! so the published set is a view of the buffer the set before it read,
 //! extended by the records appended since ([`VrfArena::publish`]); a
 //! reader that moves on to it keeps every line of the arena it had
-//! cached. Every other table's root, root array or dedicated engine is
-//! carried over. The invariant the tests pin: after every
+//! cached. Readers move to a new buffer only at a
+//! compaction or when a publish's records filled the log, which then
+//! grew into a buffer twice its size ([`RouterStats::compactions`]).
+//! Every other table's root, root array or dedicated engine is carried
+//! over. The invariant the tests pin: after every
 //! publish the installed set answers and charges its statistics as a
 //! from-scratch [`fib_core::compile_vrf_set`] over the current oracles,
 //! all but free slots and the stored reachable counts of tables

@@ -330,12 +330,16 @@ fn an_old_copy_answers_its_own_epoch_across_appends_and_a_pack() {
 fn an_old_copy_answers_its_own_epoch_while_a_control_thread_publishes() {
     let (mut router, held, then, later, probes) = held_epoch(71);
     let done = std::sync::atomic::AtomicBool::new(false);
+    // Set once the reader has seen `done` false: its first pass then
+    // overlaps the publishes, however late the thread starts.
+    let started = std::sync::atomic::AtomicBool::new(false);
     let passes = std::thread::scope(|scope| {
         let reader = scope.spawn(|| {
             let mut passes = 0u64;
             loop {
                 // One more pass after the control thread is done.
                 let last = done.load(std::sync::atomic::Ordering::Acquire);
+                started.store(true, std::sync::atomic::Ordering::Release);
                 assert_answers(&held, &then, &probes);
                 passes += 1;
                 if last {
@@ -343,6 +347,9 @@ fn an_old_copy_answers_its_own_epoch_while_a_control_thread_publishes() {
                 }
             }
         });
+        while !started.load(std::sync::atomic::Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         let packs = publish_later(&mut router, &later);
         done.store(true, std::sync::atomic::Ordering::Release);
         assert!(packs >= 1, "the log never filled");

@@ -1295,3 +1295,55 @@ fn a_churn_past_a_quarter_free_compacts_to_a_full_compile() {
         held_free |= set.stats.free_slots > 0;
     }
 }
+
+/// A sync whose records outgrow the arena's log before its free slots
+/// pass a quarter grows the log into a buffer twice the size instead of
+/// compacting: the readers move to the new buffer (a compaction by the
+/// counters, every record written), the set keeps its free slots and
+/// interning order, a set held from before still answers for its own
+/// epoch, and the next burst appends to the grown buffer again.
+#[test]
+fn a_fleet_log_that_fills_mid_sync_grows_and_moves_readers() {
+    let mut h = published_fleet(2, 1500, 0.5, 3);
+    let held = h.router.reader().snapshot().clone();
+    let then = h.oracles.clone();
+    let keys = fleet_keys(&then, &mut h.rng, 64);
+
+    // A table four times the size of either, sharing nothing with them,
+    // and a burst that frees some records in the same sync.
+    let mut rng = Xoshiro256::for_case("vrf_log_growth", 0);
+    let big: BinaryTrie<u32> = FibSpec::dfz_like(6000).generate(&mut rng);
+    h.insert_vrf(2, big);
+    h.burst(0);
+    let before = h.router.stats();
+    let snapshot = h.publish_and_check("growth");
+    let after = h.router.stats();
+    let set = snapshot.set();
+    assert!(set.stats.free_slots > 0, "grown, not compacted");
+    let full = compile_fleet(&h.oracles, &h.config, &h.policy);
+    assert_ne!(set.arena, full.arena, "grown, not compacted");
+    assert_eq!(
+        (after.compactions, after.recycled),
+        (before.compactions + 1, before.recycled),
+        "the readers moved to a new buffer"
+    );
+    assert_eq!(
+        after.records_written - before.records_written,
+        (set.arena.len() / 2) as u64,
+        "a new buffer: every record written"
+    );
+    assert_ne!(set.arena.as_ptr(), held.set().arena.as_ptr());
+    assert_matches_oracles(&held, &then, &keys, "held across the growth");
+
+    h.burst(1);
+    let grown = snapshot;
+    let snapshot = h.publish_and_check("after the growth");
+    let next = h.router.stats();
+    assert_eq!(
+        (next.compactions, next.recycled),
+        (after.compactions, after.recycled + 1),
+        "the burst after it appends"
+    );
+    let (now, then) = (&snapshot.set().arena, &grown.set().arena);
+    assert!(now.as_ptr() == then.as_ptr() && now[..then.len()] == then[..]);
+}
