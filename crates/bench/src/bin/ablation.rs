@@ -116,6 +116,7 @@ fn a2_xbw_backends(scale: f64) {
             sa_name.to_string(),
             kb(report.si_bits / 8),
             kb(report.sa_bits / 8),
+            (report.root_bits / 8).to_string(),
             kb(report.total_bytes()),
             f(report.total_bits() as f64 / metrics.entropy_bits(), 2),
             f(ns, 0),
@@ -127,6 +128,7 @@ fn a2_xbw_backends(scale: f64) {
         "S_α",
         "S_I KB",
         "S_α KB",
+        "root B",
         "total KB",
         "vs E",
         "ns/lookup",

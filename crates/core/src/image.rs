@@ -46,7 +46,9 @@
 //! `&[u64]` sub-slices of that arena. The `images` integration tests
 //! assert this with pointer-range checks.
 
+use std::any::Any;
 use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 use fib_succinct::{fnv1a, fnv1a_continue, Arena, StorageError};
 use fib_trie::{Address, NextHop, Prefix};
@@ -224,6 +226,11 @@ pub struct FibImage {
     prefix_count: u64,
     epoch: u64,
     claimed_size_bytes: u64,
+    /// What a codec derives from the sections once and keeps for the
+    /// image's lifetime (XBW-b's root table), so a trusted view parsed
+    /// per call copies it instead of deriving it again. Not part of the
+    /// file.
+    derived: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl FibImage {
@@ -307,7 +314,27 @@ impl FibImage {
             prefix_count,
             epoch,
             claimed_size_bytes,
+            derived: OnceLock::new(),
         })
+    }
+
+    /// What a codec derives from this image's sections: `derive`'s,
+    /// computed on the first call and kept for the image's lifetime.
+    ///
+    /// # Errors
+    /// `derive`'s, or [`ImageError::Malformed`] when the image keeps a
+    /// value of another type.
+    pub(crate) fn derived<T: Any + Send + Sync>(
+        &self,
+        derive: impl FnOnce() -> Result<T, ImageError>,
+    ) -> Result<&T, ImageError> {
+        if self.derived.get().is_none() {
+            let value: Arc<dyn Any + Send + Sync> = Arc::new(derive()?);
+            self.derived.get_or_init(|| value);
+        }
+        (self.derived.get())
+            .and_then(|value| value.downcast_ref())
+            .ok_or(ImageError::Malformed("derived state"))
     }
 
     /// Reads and decodes an image file.
@@ -851,25 +878,45 @@ impl<A: Address> ImageCodec<A> for XbwFib<A> {
         Ok(())
     }
 
-    /// XBW-b has no scan-free constructor: trusted or not, it validates.
+    /// XBW-b has no scan-free constructor: trusted or not, it validates
+    /// and derives the root table.
     fn parse<'i>(section: impl Sections<'i>, _: bool) -> Result<Self::Ref<'i>, ImageError> {
-        let params = section(sections::PARAMS)?;
-        if params.len() < 2 {
-            return Err(ImageError::Malformed("params"));
-        }
-        XbwFibRef::from_parts(
-            params[0],
-            params[1],
-            section(sections::XBW_SI)?,
-            section(sections::XBW_SA)?,
-            section(sections::XBW_LABELS)?,
-        )
-        .map_err(ImageError::from)
+        xbw_parse(section, None)
+    }
+
+    /// Derives the root table on the image's first trusted view only:
+    /// the image keeps it, and every later view copies it.
+    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
+        image.expect::<A>(Self::ENGINE)?;
+        let section = |id| image.section(id);
+        let root = image.derived(|| Ok(Self::parse(section, true)?.root_table()))?;
+        xbw_parse(section, Some(*root))
     }
 
     fn resident_size_bytes(&self) -> usize {
         self.size_bytes()
     }
+}
+
+/// The XBW-b view over `section`'s sections, its root table copied
+/// from `root` when given (see [`XbwFibRef::from_parts_rooted`]).
+fn xbw_parse<'i, A: Address>(
+    section: impl Sections<'i>,
+    root: Option<crate::xbw::RootTable>,
+) -> Result<XbwFibRef<'i, A>, ImageError> {
+    let params = section(sections::PARAMS)?;
+    if params.len() < 2 {
+        return Err(ImageError::Malformed("params"));
+    }
+    XbwFibRef::from_parts_rooted(
+        params[0],
+        params[1],
+        section(sections::XBW_SI)?,
+        section(sections::XBW_SA)?,
+        section(sections::XBW_LABELS)?,
+        root,
+    )
+    .map_err(ImageError::from)
 }
 
 // ---------------------------------------------------------------------
@@ -982,6 +1029,10 @@ macro_rules! impl_image_kinds {
         /// `fibc serve` and inspection tooling dispatch on. It forwards all
         /// of [`FibLookup`], so a kernel or a traced walk the concrete view
         /// has is reached through the erased one too.
+        // The XBW-b view carries its derived 512-byte root table inline so
+        // that views stay `Copy`; boxing that variant would cost every
+        // parse an allocation.
+        #[allow(clippy::large_enum_variant)]
         #[derive(Clone, Copy, Debug)]
         pub enum AnyView<'a, A: Address> {
             $($(
@@ -1004,6 +1055,20 @@ macro_rules! impl_image_kinds {
             ) -> Result<Self, ImageError> {
                 Ok(match kind {
                     $($( EngineKind::$kind => Self::$kind($owned::<A>::parse(section, trusted)?), )?)*
+                    $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
+                })
+            }
+
+            /// The [`ImageCodec::view_prevalidated`] of the engine a
+            /// one-engine `image` encodes: only for an image that already
+            /// passed a full parse.
+            ///
+            /// # Errors
+            /// [`ImageError::Unsupported`] for a container kind; else as
+            /// the engine's trusted view.
+            pub fn prevalidated(image: &'i FibImage) -> Result<Self, ImageError> {
+                Ok(match image.engine()? {
+                    $($( EngineKind::$kind => Self::$kind($owned::<A>::view_prevalidated(image)?), )?)*
                     $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
                 })
             }

@@ -438,9 +438,8 @@ impl<A: Address> VrfDedicated<A> {
 
     /// The trusted view over a loaded table's one-engine image.
     fn view(image: &FibImage) -> AnyView<'_, A> {
-        (image.engine())
-            .and_then(|kind| AnyView::parse(kind, |id| image.section(id), true))
-            .expect("a loaded table passed a full parse at load") // fibcheck: allow(hot-path): the image is immutable and was validated once, at load
+        let view = AnyView::prevalidated(image);
+        view.expect("a loaded table passed a full parse at load") // fibcheck: allow(hot-path): the image is immutable and was validated once, at load
     }
 
     /// A table [`CompiledVrfSet::from_image`] loads: `section` resolves

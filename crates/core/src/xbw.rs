@@ -34,6 +34,35 @@
 //! Updates rebuild the transform: XBW-b is the static, size-optimal end
 //! of the paper's trade-off, and its dynamic variant via Mäkinen–Navarro
 //! indexes is cited but not evaluated in the paper either.
+//!
+//! # Root table
+//!
+//! Every lookup walks the same top levels of `S_I`, so, as the pDAG's
+//! root array does (see [`crate::pdag`]), the first
+//! [`ROOT_BITS`](crate::pdag::ROOT_BITS) = 8 levels are collapsed into a
+//! table of 256 `u16` entries, one per 8-bit address prefix. An entry
+//! holds the leaf rank when the prefix's path ends above depth 8 (the
+//! answer then needs no `S_I` probe at all), else the `S_I` position of
+//! its depth-8 node, where the walk goes on. A leaf at depth `d ≥ 8`
+//! costs `d − 7` probes instead of `d + 1`.
+//!
+//! The table is 512 bytes whatever the FIB's size, like the pDAG's root
+//! array: 0.57 % of a taz 1.0 XBW-b, and most of a tiny one. Its depth
+//! is a constant, not a knob, so one start function serves every table.
+//! What is resident is charged: [`XbwSizeReport::root_bits`] counts it
+//! in the total, and the traced walk models it as one 2-byte read placed
+//! after `S_α`.
+//!
+//! The table is a function of `S_I` alone, derived by replaying the
+//! walk's first 8 steps (at most 255 probes). The build derives it and
+//! so does [`XbwFibRef::from_parts`], so images keep their sections and
+//! an image written before the table existed serves unchanged. A load
+//! refuses an `S_I` whose top levels leave the string: the derivation
+//! probes image words no one has checked, through a checked probe. A
+//! loaded image keeps the table it derived, so the trusted view an
+//! image-backed snapshot or fleet table parses per call
+//! ([`ImageCodec::view_prevalidated`](crate::image::ImageCodec::view_prevalidated))
+//! copies it instead of deriving it again.
 
 use fib_succinct::{
     BitVec, IntVec, IntVecRef, RrrVec, RrrVecRef, RsBitVec, RsBitVecRef, StorageError, WaveletTree,
@@ -41,6 +70,8 @@ use fib_succinct::{
 };
 use fib_trie::{Address, BinaryTrie, NextHop, ProperNode, ProperTrie};
 use std::marker::PhantomData;
+
+use crate::pdag::ROOT_BITS;
 
 /// Number of lookups [`XbwFib::lookup_batch`] interleaves.
 ///
@@ -51,17 +82,104 @@ use std::marker::PhantomData;
 /// gain to register spills in the lane state (~0.80×). 8 is the plateau,
 /// so it stays.
 ///
-/// The original per-chunk *lockstep* kernel lost on cache-resident
-/// strings (~1.3× scalar on taz 0.1, hidden behind a residency gate
-/// that dispatched those tables to the scalar walk): a lane matching
-/// shallow idled until the whole chunk retired, so little of the serial
-/// rank/access dependency chain actually overlapped. The rolling-refill
-/// kernel keeps all 8 lanes busy across the stream and wins everywhere
-/// — 0.71× scalar uniform / 0.69× zipf on the cache-resident taz 0.1
-/// string (`engine.batch_ns` against `engine.scalar_ns` on
-/// `serve-compact` is the live figure), so the batch-side gate is gone and only the RRR backing stays scalar
-/// (its walk is decode-bound, not latency-bound).
+/// The original per-chunk *lockstep* kernel lost even on cache-resident
+/// strings: a lane that matched shallow idled until its whole chunk
+/// retired, so little of the serial rank/access chain overlapped. The
+/// rolling-refill kernel keeps all 8 lanes busy across the stream, and
+/// it wins in cache as well as out of it, so every table takes it. The
+/// live figure is `engine.batch_ns` against `engine.scalar_ns` on the
+/// benchmark's `serve-compact` workload (taz 1.0). Only the RRR backing
+/// stays scalar: its walk is bound by decoding, not by load latency.
 pub const XBW_BATCH_LANES: usize = 8;
+
+/// Tag of a [`RootTable`] entry that holds the `S_I` position of a
+/// depth-[`ROOT_BITS`] node; an entry without it holds a leaf rank.
+const NODE: u16 = 1 << 15;
+
+/// The root table: where the walk for each [`ROOT_BITS`]-bit address
+/// prefix starts (see the module docs' "Root table").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RootTable([u16; 1 << ROOT_BITS]);
+
+/// Where the walk for one address starts.
+#[derive(Clone, Copy, Debug)]
+enum Start {
+    /// The path ended above depth [`ROOT_BITS`]: the leaf with this rank
+    /// answers.
+    Leaf(usize),
+    /// The walk goes on from this `S_I` position, at depth [`ROOT_BITS`].
+    Node(usize),
+}
+
+impl RootTable {
+    /// What the table takes in memory, and so what the size reports
+    /// charge for it.
+    const BYTES: usize = std::mem::size_of::<Self>();
+
+    /// Derives the table of the shape string `si` by replaying the walk's
+    /// first [`ROOT_BITS`] steps.
+    ///
+    /// # Errors
+    /// [`StorageError`] when a walk leaves the string or an entry does
+    /// not fit: `si` came from an image and is not an XBW-b shape.
+    fn derive(si: SiRef<'_>) -> Result<Self, StorageError> {
+        let mut entries = [0u16; 1 << ROOT_BITS];
+        fill_entries(si, &mut entries, 0, 0, 0)?;
+        Ok(Self(entries))
+    }
+
+    /// Index of the entry `addr` starts from.
+    #[inline]
+    fn slot<A: Address>(addr: A) -> usize {
+        addr.bits(0, ROOT_BITS) as usize
+    }
+
+    /// Where the walk for `addr` starts.
+    #[inline]
+    fn root_start<A: Address>(&self, addr: A) -> Start {
+        let entry = usize::from(self.0[Self::slot(addr)]);
+        if entry & usize::from(NODE) == 0 {
+            Start::Leaf(entry)
+        } else {
+            Start::Node(entry & !usize::from(NODE))
+        }
+    }
+}
+
+/// Fills the `2^(ROOT_BITS − depth)` entries under the `depth`-bit path
+/// `slot`, whose node sits at `S_I` position `i`, by replaying the walk.
+fn fill_entries(
+    si: SiRef<'_>,
+    entries: &mut [u16; 1 << ROOT_BITS],
+    i: usize,
+    depth: u8,
+    slot: usize,
+) -> Result<(), StorageError> {
+    const OUT: StorageError = StorageError("S_I top levels leave the string");
+    // Every entry, node position or leaf rank, is below 2^9 in a trie
+    // shape; the tag bit must stay clear.
+    let entry = |value: usize| u16::try_from(value).ok().filter(|&v| v & NODE == 0);
+    let below = ROOT_BITS - depth;
+    if below == 0 {
+        entries[slot] = entry(i).filter(|_| i < si.len()).ok_or(OUT)? | NODE;
+        return Ok(());
+    }
+    let (leaf, rank1) = si.checked_access_rank1(i)?;
+    if leaf {
+        let rank = entry(rank1).ok_or(OUT)?;
+        for e in &mut entries[slot << below..(slot + 1) << below] {
+            *e = rank;
+        }
+        return Ok(());
+    }
+    // The children of the r-th interior node (1-based) sit at 2r−1, 2r.
+    let left = (i + 1)
+        .checked_sub(rank1)
+        .and_then(|r| (2 * r).checked_sub(1))
+        .ok_or(OUT)?;
+    fill_entries(si, entries, left, depth + 1, slot << 1)?;
+    fill_entries(si, entries, left + 1, depth + 1, slot << 1 | 1)
+}
 
 /// How the two XBW-b strings are stored: the two modes the paper proves
 /// a size bound for.
@@ -130,13 +248,15 @@ pub struct XbwSizeReport {
     pub sa_bits: usize,
     /// The symbol → next-hop table.
     pub label_map_bits: usize,
+    /// The root table (see the module docs' "Root table").
+    pub root_bits: usize,
 }
 
 impl XbwSizeReport {
     /// Total bits.
     #[must_use]
     pub fn total_bits(&self) -> usize {
-        self.si_bits + self.sa_bits + self.label_map_bits
+        self.si_bits + self.sa_bits + self.label_map_bits + self.root_bits
     }
 
     /// Total bytes, rounded up.
@@ -153,6 +273,7 @@ pub struct XbwFib<A: Address> {
     sa: SaStore,
     /// Symbol → next-hop (⊥ included when present in the normal form).
     label_map: Vec<Option<NextHop>>,
+    root: RootTable,
     n_leaves: usize,
     t_nodes: usize,
     _marker: PhantomData<A>,
@@ -204,19 +325,23 @@ impl<A: Address> XbwFib<A> {
                 SaStore::Wavelet(WaveletTree::new(&symbols, sigma)),
             ),
         };
+        let root = RootTable::derive(si.as_view()).expect("a built S_I is a trie shape");
         Self {
             si,
             sa,
             label_map,
+            root,
             n_leaves: proper.n_leaves(),
             t_nodes: proper.node_count(),
             _marker: PhantomData,
         }
     }
 
-    /// Longest-prefix match on the compressed form (§3.1's `lookup`): walk
-    /// the level-order encoding with one *fused* `access_rank1` probe per
-    /// level, O(W) in total.
+    /// Longest-prefix match on the compressed form (§3.1's `lookup`): one
+    /// root-table read replaces the top 8 levels, then the walk goes on
+    /// down the level-order encoding with one *fused* `access_rank1` probe
+    /// per level, at most `W − 7` probes in total (none when the path
+    /// ends above depth 8; see the module docs' "Root table").
     ///
     /// The paper's pseudo-code issues an `access` then a `rank0`/`rank1`
     /// at each level; those hit the same `S_I` word and directory entry,
@@ -244,15 +369,17 @@ impl<A: Address> XbwFib<A> {
     }
 
     /// Lookup reporting every memory touch as `(byte offset, byte size)`
-    /// for cache simulation, under a flat `[S_I | S_α | label map]` layout.
+    /// for cache simulation, under a flat `[S_I | S_α | root table]`
+    /// layout.
     ///
-    /// The access model: each level of the walk reads the 8-byte `S_I`
-    /// word holding bit `i` (the `access` and the `rank` of §3.1 hit the
-    /// same word plus a directory entry that lives alongside it), and the
-    /// final label decode walks ≈`lg δ` wavelet-tree levels inside the
-    /// `S_α` region — one 8-byte touch per level, spread across the
-    /// per-level sub-arrays. Offsets are deterministic for a given query,
-    /// which is all the cache and SRAM replay harnesses need.
+    /// The access model: the walk starts with one 2-byte root-table read;
+    /// each level below the table reads the 8-byte `S_I` word holding bit
+    /// `i` (the `access` and the `rank` of §3.1 hit the same word plus a
+    /// directory entry that lives alongside it); the final label read is
+    /// one 8-byte `S_α` word for packed labels, or `⌈lg δ⌉` wavelet-tree
+    /// levels — one 8-byte touch per level, spread across the per-level
+    /// sub-arrays. Offsets are deterministic for a given query, which is
+    /// all the cache and SRAM replay harnesses need.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
         lookup_traced(self, addr, sink)
     }
@@ -282,6 +409,7 @@ impl<A: Address> XbwFib<A> {
             si_bits: self.si.size_bits(),
             sa_bits: self.sa.size_bits(),
             label_map_bits: self.label_map.len() * 33,
+            root_bits: RootTable::BYTES * 8,
         }
     }
 
@@ -352,11 +480,28 @@ enum SiRef<'a> {
 }
 
 impl SiRef<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Self::Plain(v) => v.len(),
+            Self::Rrr(v) => v.len(),
+        }
+    }
+
     #[inline]
     fn access_rank1(&self, i: usize) -> (bool, usize) {
         match self {
             Self::Plain(v) => v.access_rank1(i),
             Self::Rrr(v) => v.access_rank1(i),
+        }
+    }
+
+    /// [`Self::access_rank1`] over untrusted words: a probe that would
+    /// leave the string is an error, never a panic.
+    fn checked_access_rank1(&self, i: usize) -> Result<(bool, usize), StorageError> {
+        match self {
+            Self::Plain(v) if i < v.len() => Ok(v.access_rank1(i)),
+            Self::Plain(_) => Err(StorageError("S_I top levels leave the string")),
+            Self::Rrr(v) => v.checked_access_rank1(i),
         }
     }
 }
@@ -389,21 +534,39 @@ pub struct XbwFibRef<'a, A: Address> {
     /// Words the `S_I` and `S_α` sections hold (for size reporting and
     /// the traced walk's layout).
     string_words: (usize, usize),
+    /// Derived from `S_I` on load, as the build derives it.
+    root: RootTable,
     _marker: PhantomData<A>,
 }
 
 impl<'a, A: Address> XbwFibRef<'a, A> {
     /// Assembles a view from the three image sections, validating that
-    /// the strings agree (`S_α` holds exactly one symbol per `S_I` leaf).
+    /// the strings agree (`S_α` holds exactly one symbol per `S_I` leaf),
+    /// and derives the root table from `S_I`.
     ///
     /// # Errors
-    /// [`StorageError`] on malformed sections or inconsistent strings.
+    /// [`StorageError`] on malformed sections, inconsistent strings, or
+    /// an `S_I` whose top levels leave the string.
     pub fn from_parts(
         si_kind: u64,
         sa_kind: u64,
         si_words: &'a [u64],
         sa_words: &'a [u64],
         labels: &'a [u64],
+    ) -> Result<Self, StorageError> {
+        Self::from_parts_rooted(si_kind, sa_kind, si_words, sa_words, labels, None)
+    }
+
+    /// [`Self::from_parts`], with the root table copied from `root`
+    /// when given: the [`Self::root_table`] of a view over the same
+    /// sections, which already derived it.
+    pub(crate) fn from_parts_rooted(
+        si_kind: u64,
+        sa_kind: u64,
+        si_words: &'a [u64],
+        sa_words: &'a [u64],
+        labels: &'a [u64],
+        root: Option<RootTable>,
     ) -> Result<Self, StorageError> {
         let (si, si_len, si_ones, si_consumed) = match si_kind {
             0 => {
@@ -441,8 +604,17 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
             sa,
             labels,
             string_words: (si_consumed, sa_consumed),
+            root: match root {
+                Some(root) => root,
+                None => RootTable::derive(si)?,
+            },
             _marker: PhantomData,
         })
+    }
+
+    /// The root table, for [`Self::from_parts_rooted`].
+    pub(crate) fn root_table(&self) -> RootTable {
+        self.root
     }
 
     /// Total borrowed payload words (`S_I` + `S_α` + label map).
@@ -469,10 +641,11 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
         ]
     }
 
-    /// The borrowed payloads' bytes — the image-resident footprint.
+    /// The borrowed payloads' bytes and the derived root table's — the
+    /// resident footprint.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.payload_words() * 8
+        self.payload_words() * 8 + RootTable::BYTES
     }
 
     /// Longest-prefix match (see [`XbwFib::lookup`]), over borrowed
@@ -510,13 +683,26 @@ trait Strings {
     /// loops so a query pays for it once, not per level.
     fn si(&self) -> SiRef<'_>;
 
+    /// The root table every walk starts from.
+    fn root(&self) -> &RootTable;
+
     /// Next-hop of the leaf with 0-based leaf rank `rank`: one `S_α`
     /// access, then the symbol → next-hop table.
     fn leaf(&self, rank: usize) -> Option<NextHop>;
 
-    /// `(S_I bytes, S_α bytes, δ)` of the flat layout the traced walk
-    /// models. Off the packet path: sizing the owned stores walks them.
-    fn traced_layout(&self) -> (u64, u64, usize);
+    /// `(S_I bytes, S_α bytes, label read)` of the flat layout the traced
+    /// walk models. Off the packet path: sizing the owned stores walks
+    /// them.
+    fn traced_layout(&self) -> (u64, u64, LabelRead);
+}
+
+/// How the traced walk models the final `S_α` read.
+#[derive(Clone, Copy, Debug)]
+enum LabelRead {
+    /// Labels packed at this many bits: one word holds the label.
+    Packed(u32),
+    /// A wavelet tree over this many symbols: one read per level.
+    Wavelet(usize),
 }
 
 impl<A: Address> Strings for XbwFib<A> {
@@ -526,15 +712,24 @@ impl<A: Address> Strings for XbwFib<A> {
     }
 
     #[inline]
+    fn root(&self) -> &RootTable {
+        &self.root
+    }
+
+    #[inline]
     fn leaf(&self, rank: usize) -> Option<NextHop> {
         self.label_map[self.sa.access(rank) as usize]
     }
 
-    fn traced_layout(&self) -> (u64, u64, usize) {
+    fn traced_layout(&self) -> (u64, u64, LabelRead) {
+        let label = match &self.sa {
+            SaStore::Packed(v) => LabelRead::Packed(v.width()),
+            SaStore::Wavelet(_) => LabelRead::Wavelet(self.label_map.len()),
+        };
         (
             (self.si.size_bits().div_ceil(64) * 8) as u64,
             (self.sa.size_bits().div_ceil(64) * 8) as u64,
-            self.label_map.len(),
+            label,
         )
     }
 }
@@ -546,32 +741,44 @@ impl<A: Address> Strings for XbwFibRef<'_, A> {
     }
 
     #[inline]
+    fn root(&self) -> &RootTable {
+        &self.root
+    }
+
+    #[inline]
     fn leaf(&self, rank: usize) -> Option<NextHop> {
         let word = self.labels[self.sa.access(rank) as usize];
         (word != u64::MAX).then(|| NextHop::new(word as u32))
     }
 
-    fn traced_layout(&self) -> (u64, u64, usize) {
+    fn traced_layout(&self) -> (u64, u64, LabelRead) {
         let (si_words, sa_words) = self.string_words;
-        (si_words as u64 * 8, sa_words as u64 * 8, self.labels.len())
+        let label = match self.sa {
+            SaRef::Packed(v) => LabelRead::Packed(v.width()),
+            SaRef::Wavelet(_) => LabelRead::Wavelet(self.labels.len()),
+        };
+        (si_words as u64 * 8, sa_words as u64 * 8, label)
     }
 }
 
-/// The scalar walk: one fused `access_rank1` probe per level, each
-/// `S_I` position reported to `touch` first (the traced lookup is this
-/// walk with a reporting `touch`). Returns the answer and the leaf rank
-/// it was read at.
+/// The scalar walk: the root table, then one fused `access_rank1` probe
+/// per level, each `S_I` position reported to `touch` first (the traced
+/// lookup is this walk with a reporting `touch`). Returns the answer and
+/// the leaf rank it was read at.
 #[inline]
 fn walk<A: Address>(
     strings: &impl Strings,
     addr: A,
     mut touch: impl FnMut(usize),
 ) -> (Option<NextHop>, usize) {
+    let mut i = match strings.root().root_start(addr) {
+        Start::Leaf(rank) => return (strings.leaf(rank), rank),
+        Start::Node(i) => i,
+    };
+    let mut q = ROOT_BITS;
     // 0-based variant of the paper's pseudo-code: the children of the
     // r-th interior node (1-based) sit at positions 2r−1 and 2r.
     let si = strings.si();
-    let mut i = 0usize;
-    let mut q = 0u8;
     loop {
         touch(i);
         let (leaf, rank1) = si.access_rank1(i);
@@ -603,6 +810,28 @@ fn lookup_batch<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Opti
     }
 }
 
+/// The next walk for a lane of [`interleaved_walk`]: answers the
+/// addresses from `*next` on that the root table answers alone, and
+/// returns the first that needs `S_I` as `(index, start position)`, or
+/// `None` once the stream is drained.
+#[inline]
+fn next_walk<A: Address>(
+    strings: &impl Strings,
+    addrs: &[A],
+    out: &mut [Option<NextHop>],
+    next: &mut usize,
+) -> Option<(usize, usize)> {
+    while let Some(&addr) = addrs.get(*next) {
+        let j = *next;
+        *next += 1;
+        match strings.root().root_start(addr) {
+            Start::Leaf(rank) => out[j] = strings.leaf(rank),
+            Start::Node(i) => return Some((j, i)),
+        }
+    }
+    None
+}
+
 /// The rolling-refill walk kernel behind `lookup_batch`. It takes the
 /// plain shape string itself, not the backing enum: the RRR fallback is
 /// the caller's, and the per-level probe compiles to the one rank-line
@@ -613,7 +842,6 @@ fn interleaved_walk<A: Address>(
     addrs: &[A],
     out: &mut [Option<NextHop>],
 ) {
-    let n = addrs.len();
     // Rolling lane refill: each slot owns one in-flight walk and takes
     // the next address from the stream the moment its walk resolves.
     // The earlier per-chunk lockstep paid a convoy tax — a lane that
@@ -624,14 +852,17 @@ fn interleaved_walk<A: Address>(
     // strings, where the overlap hides the serial rank/access
     // dependency chain rather than memory latency.
     let mut pos = [0usize; XBW_BATCH_LANES];
-    let mut depth = [0u8; XBW_BATCH_LANES];
+    let mut depth = [ROOT_BITS; XBW_BATCH_LANES];
     // Index into `addrs` each lane is walking; `usize::MAX` = drained.
     let mut job = [usize::MAX; XBW_BATCH_LANES];
-    let mut live = XBW_BATCH_LANES.min(n);
-    for (lane, slot) in job.iter_mut().enumerate().take(live) {
-        *slot = lane;
+    let mut next = 0;
+    let mut live = 0;
+    for lane in 0..XBW_BATCH_LANES {
+        if let Some((j, i)) = next_walk(strings, addrs, out, &mut next) {
+            (job[lane], pos[lane]) = (j, i);
+            live += 1;
+        }
     }
-    let mut next = live;
     while live > 0 {
         for lane in 0..XBW_BATCH_LANES {
             let j = job[lane];
@@ -641,13 +872,9 @@ fn interleaved_walk<A: Address>(
             let (leaf, rank1) = si.access_rank1(pos[lane]);
             if leaf {
                 out[j] = strings.leaf(rank1);
-                if next < n {
-                    // Refill in place: the next walk starts at the
-                    // root word, which is hot.
-                    job[lane] = next;
-                    pos[lane] = 0;
-                    depth[lane] = 0;
-                    next += 1;
+                // Refill in place, from the root table.
+                if let Some((j, i)) = next_walk(strings, addrs, out, &mut next) {
+                    (job[lane], pos[lane], depth[lane]) = (j, i, ROOT_BITS);
                 } else {
                     job[lane] = usize::MAX;
                     live -= 1;
@@ -666,16 +893,26 @@ fn lookup_traced<A: Address>(
     addr: A,
     sink: &mut dyn FnMut(u64, u32),
 ) -> Option<NextHop> {
-    let (si_bytes, sa_bytes, delta) = strings.traced_layout();
+    let (si_bytes, sa_bytes, label) = strings.traced_layout();
     let sa_bytes = sa_bytes.max(8);
+    // The root table sits after S_α: one 2-byte entry.
+    sink(si_bytes + sa_bytes + 2 * RootTable::slot(addr) as u64, 2);
     let (hop, leaf_rank) = walk(strings, addr, |i| sink((i as u64 / 64) * 8, 8));
-    // Wavelet walk: one level per code bit, each level owning roughly
-    // an equal slice of the S_α region.
-    let levels = fib_succinct::ceil_log2(delta.max(2) as u64).max(1);
-    let slice = (sa_bytes / u64::from(levels)).max(8);
-    for level in 0..u64::from(levels) {
-        let within = (leaf_rank as u64 / 8 * 8) % slice;
-        sink(si_bytes + (level * slice + within) % sa_bytes, 8);
+    let leaf_rank = leaf_rank as u64;
+    match label {
+        LabelRead::Packed(width) => {
+            sink(si_bytes + leaf_rank * u64::from(width) / 64 * 8, 8);
+        }
+        LabelRead::Wavelet(delta) => {
+            // One level per code bit, each level owning roughly an equal
+            // slice of the S_α region.
+            let levels = fib_succinct::ceil_log2(delta.max(2) as u64).max(1);
+            let slice = (sa_bytes / u64::from(levels)).max(8);
+            for level in 0..u64::from(levels) {
+                let within = (leaf_rank / 8 * 8) % slice;
+                sink(si_bytes + (level * slice + within) % sa_bytes, 8);
+            }
+        }
     }
     hop
 }
@@ -842,11 +1079,211 @@ mod tests {
                 assert_eq!(traced, xbw.lookup(addr), "{storage:?} addr {addr:#x}");
                 assert!(!touches.is_empty(), "{storage:?} produced no accesses");
                 let total_bytes = (xbw.si.size_bits().div_ceil(64) * 8
-                    + (xbw.sa.size_bits().div_ceil(64) * 8).max(8))
-                    as u64;
+                    + (xbw.sa.size_bits().div_ceil(64) * 8).max(8)
+                    + RootTable::BYTES) as u64;
                 for &(off, _) in &touches {
                     assert!(off < total_bytes, "touch {off} outside the modeled image");
                 }
+            }
+        }
+    }
+
+    /// `S_I` probes of the scalar walk for `addr`.
+    fn probes<A: Address>(xbw: &XbwFib<A>, addr: A) -> usize {
+        let mut probes = 0;
+        walk(xbw, addr, |_| probes += 1);
+        probes
+    }
+
+    /// A v4 table of `n` dfz-like routes.
+    fn dfz(n: usize, seed: u64) -> BinaryTrie<u32> {
+        use fib_workload::rng::Xoshiro256;
+        fib_workload::FibSpec::dfz_like(n).generate(&mut Xoshiro256::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn shallow_tables_answer_every_key_from_the_root_table() {
+        let mut default_only: BinaryTrie<u32> = BinaryTrie::new();
+        default_only.insert(p("0.0.0.0/0"), nh(3));
+        for storage in ALL_STORAGES {
+            // Every leaf of these sits above depth 8 (a lone root leaf for
+            // the empty and the default-only FIB), so the table holds all
+            // of it.
+            for trie in [fig1_trie(), BinaryTrie::new(), default_only.clone()] {
+                let xbw = XbwFib::build(&trie, storage);
+                for top in 0..=255u32 {
+                    let addr = top << 24 | 0x00AB_CDEF;
+                    assert_eq!(xbw.lookup(addr), trie.lookup(addr), "{storage:?} {addr:#x}");
+                    assert_eq!(probes(&xbw, addr), 0, "{storage:?} {addr:#x}");
+                    let mut out = [None];
+                    xbw.lookup_batch(&[addr], &mut out);
+                    assert_eq!(out[0], trie.lookup(addr), "{storage:?} {addr:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn host_routes_resolve_through_an_eight_level_table() {
+        let mut v4: BinaryTrie<u32> = BinaryTrie::new();
+        v4.insert(p("0.0.0.0/0"), nh(1));
+        v4.insert(p("10.0.0.0/7"), nh(3));
+        v4.insert(p("12.0.0.0/8"), nh(4));
+        v4.insert(p("255.255.255.255/32"), nh(2));
+        let host: fib_trie::Prefix6 = "2001:db8::1/128".parse().unwrap();
+        let mut v6: BinaryTrie<u128> = BinaryTrie::new();
+        v6.insert("::/0".parse().unwrap(), nh(1));
+        v6.insert(host, nh(2));
+        let a: u128 = "2001:db8::1".parse::<std::net::Ipv6Addr>().unwrap().into();
+        for storage in ALL_STORAGES {
+            let xbw = XbwFib::build(&v4, storage);
+            for addr in [u32::MAX, u32::MAX - 1, 0x0A01_0203, 0x0C00_0000, 0] {
+                assert_eq!(xbw.lookup(addr), v4.lookup(addr), "{storage:?} {addr:#x}");
+            }
+            // A leaf at depth d ≥ 8 takes d − 7 probes below the table, one
+            // above it none.
+            assert_eq!(probes(&xbw, u32::MAX), 25, "{storage:?}");
+            assert_eq!(probes(&xbw, 0x0C00_0000), 1, "{storage:?}");
+            assert_eq!(probes(&xbw, 0x0A01_0203), 0, "{storage:?}");
+            let xbw6 = XbwFib::build(&v6, storage);
+            assert_eq!(xbw6.lookup(a), Some(nh(2)), "{storage:?}");
+            assert_eq!(xbw6.lookup(a ^ 1), Some(nh(1)), "{storage:?}");
+            assert_eq!(xbw6.lookup(!a), Some(nh(1)), "{storage:?}");
+            assert_eq!(probes(&xbw6, a), 128 - 8 + 1, "{storage:?}");
+        }
+    }
+
+    #[test]
+    fn a_traced_lookup_probes_s_i_below_the_table_only() {
+        let trie = dfz(3_000, 0x7AB1E);
+        let proper = ProperTrie::from_trie(&trie);
+        let keys: Vec<u32> = (0..3_000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        for storage in ALL_STORAGES {
+            let xbw = XbwFib::from_proper(&proper, storage);
+            let (si_bytes, sa_bytes, _) = xbw.traced_layout();
+            let table_at = si_bytes + sa_bytes.max(8);
+            for &addr in &keys {
+                let mut levels = 0;
+                proper.lookup_traced(addr, &mut |_, _| levels += 1);
+                let (mut si, mut sa, mut table) = (0, 0, 0);
+                let hop = xbw.lookup_traced(addr, &mut |off, _| match off {
+                    off if off < si_bytes => si += 1,
+                    off if off < table_at => sa += 1,
+                    _ => table += 1,
+                });
+                assert_eq!(hop, trie.lookup(addr), "{storage:?} {addr:#x}");
+                // Levels walked are the leaf's depth + 1.
+                let want = (levels - i32::from(ROOT_BITS)).max(0);
+                assert_eq!(si, want, "{storage:?} {addr:#x}");
+                assert_eq!(table, 1, "{storage:?} {addr:#x}");
+                if storage == XbwStorage::Succinct {
+                    assert_eq!(sa, 1, "one packed label word, {addr:#x}");
+                }
+            }
+            let mut batch = vec![None; keys.len()];
+            xbw.lookup_batch(&keys, &mut batch);
+            for (&addr, &hop) in keys.iter().zip(&batch) {
+                assert_eq!(hop, trie.lookup(addr), "{storage:?} batch {addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_loaded_image_derives_the_built_table() {
+        use crate::image::{write_image, FibImage, ImageCodec};
+        use crate::AnyView;
+        let trie = dfz(3_000, 0x1AD);
+        let mut v6: BinaryTrie<u128> = BinaryTrie::new();
+        v6.insert("::/0".parse().unwrap(), nh(1));
+        v6.insert("2001:db8::1/128".parse().unwrap(), nh(2));
+        for storage in ALL_STORAGES {
+            let xbw = XbwFib::build(&trie, storage);
+            let bytes = write_image(&xbw, None, 0).unwrap();
+            let image = FibImage::from_bytes(&bytes).unwrap();
+            // The header claims the table's resident bytes exactly, and so
+            // does the view.
+            assert_eq!(xbw.size_report().root_bits, 512 * 8);
+            assert_eq!(image.claimed_size_bytes(), xbw.size_bytes() as u64);
+            let view = <XbwFib<u32> as ImageCodec<u32>>::view(&image).unwrap();
+            assert_eq!(view.root, xbw.root, "{storage:?}");
+            assert_eq!(view.size_bytes(), view.payload_words() * 8 + 512);
+            // The first trusted view derives the table and the image keeps
+            // it; the next ones copy it.
+            for _ in 0..2 {
+                let trusted = <XbwFib<u32> as ImageCodec<u32>>::view_prevalidated(&image).unwrap();
+                assert_eq!(trusted.root, xbw.root, "{storage:?}");
+                let kept = image.derived(|| -> Result<RootTable, _> {
+                    panic!("derived on the first trusted view")
+                });
+                assert_eq!(kept.unwrap(), &xbw.root);
+            }
+            let Ok(AnyView::Xbw(erased)) = AnyView::<u32>::prevalidated(&image) else {
+                panic!("{storage:?}: an XBW-b image");
+            };
+            assert_eq!(erased.root, xbw.root, "{storage:?}");
+            for addr in [0u32, 0x8000_0000, 0xC000_0001, u32::MAX] {
+                assert_eq!(
+                    view.lookup(addr),
+                    trie.lookup(addr),
+                    "{storage:?} {addr:#x}"
+                );
+            }
+
+            let xbw6: XbwFib<u128> = XbwFib::build(&v6, storage);
+            let bytes = write_image(&xbw6, None, 0).unwrap();
+            let image = FibImage::from_bytes(&bytes).unwrap();
+            let view = <XbwFib<u128> as ImageCodec<u128>>::view(&image).unwrap();
+            assert_eq!(view.root, xbw6.root, "{storage:?} v6");
+        }
+    }
+
+    #[test]
+    fn a_load_refuses_an_s_i_whose_top_levels_leave_the_string() {
+        const OUT: StorageError = StorageError("S_I top levels leave the string");
+        let trie = dfz(3_000, 0xBAD);
+        for storage in ALL_STORAGES {
+            let xbw = XbwFib::build(&trie, storage);
+            let (si_kind, sa_kind) = xbw.image_kind_codes();
+            let mut si = Vec::new();
+            xbw.write_si_words(&mut si);
+            let mut sa = Vec::new();
+            xbw.write_sa_words(&mut sa);
+            let labels = xbw.label_words();
+            let parse =
+                |si: &[u64]| XbwFibRef::<u32>::from_parts(si_kind, sa_kind, si, &sa, &labels).err();
+            assert_eq!(parse(&si), None, "{storage:?}");
+            let mut hostile = Vec::new();
+            match storage {
+                XbwStorage::Succinct => {
+                    // Words 0–7 are the rank vector's meta block, word 8
+                    // the count of ones before line 0: one past the root's
+                    // position sends the first step's rank arithmetic below
+                    // position 0.
+                    for count in [1, 2, 1 << 20, u64::MAX] {
+                        let mut bad = si.clone();
+                        bad[8] = count;
+                        hostile.push((bad, OUT));
+                    }
+                }
+                XbwStorage::Entropy => {
+                    // Words 0–7 are the RRR meta block (length, ones,
+                    // offset bits), then the 6-bit classes, the offset
+                    // stream, and the superblock directory, whose entry 0
+                    // holds the offset-stream position of block 0 in its
+                    // high half.
+                    let (len, off_bits) = (si[0] as usize, si[2]);
+                    let sup0 =
+                        8 + (len.div_ceil(63) * 6).div_ceil(64) + off_bits.div_ceil(64) as usize;
+                    for pos in [off_bits, u64::from(u32::MAX)] {
+                        let mut bad = si.clone();
+                        bad[sup0] = bad[sup0] & 0xFFFF_FFFF | pos << 32;
+                        hostile
+                            .push((bad, StorageError("rrr directory points outside the stream")));
+                    }
+                }
+            }
+            for (bad, err) in hostile {
+                assert_eq!(parse(&bad), Some(err), "{storage:?}");
             }
         }
     }

@@ -620,6 +620,28 @@ impl<'a> RrrVecRef<'a> {
         (bit, ones + below)
     }
 
+    /// [`Self::access_rank1`] for a view over untrusted words:
+    /// [`Self::from_words`] checks only the meta block, so a directory
+    /// entry or a class-2 offset that points outside the streams is
+    /// refused here instead of indexing past them.
+    ///
+    /// # Errors
+    /// [`StorageError`] when `i >= len()` or the probe would leave the
+    /// offset stream or the class-2 table.
+    pub fn checked_access_rank1(&self, i: usize) -> Result<(bool, usize), StorageError> {
+        if i >= self.len {
+            return Err(StorageError("rrr index out of bounds"));
+        }
+        let (ones, pos, k) = self.locate_block(i / BLOCK);
+        let outside = pos + offset_widths()[k] as usize > self.off_bits
+            || (k == 2 && self.offset_bits(pos, 11) as usize >= class2_patterns().len());
+        if outside {
+            return Err(StorageError("rrr directory points outside the stream"));
+        }
+        let (bit, below) = self.block_access_rank(pos, k, i % BLOCK);
+        Ok((bit, ones + below))
+    }
+
     /// Position of the `q`-th set bit (`q ≥ 1`), or `None`.
     #[must_use]
     pub fn select1(&self, q: usize) -> Option<usize> {
@@ -975,6 +997,32 @@ mod tests {
         let mut bad = words;
         bad[0] = u64::from(u32::MAX); // len past the supported ceiling
         assert!(RrrVecRef::from_words(&bad).is_err());
+    }
+
+    #[test]
+    fn checked_access_refuses_a_directory_outside_the_stream() {
+        // Block 0 holds bits 0 and 1: class 2.
+        let (bools, rrr) = build(|i| i < 2 || (i >= BLOCK && i % 7 == 3), 4000);
+        let mut words = Vec::new();
+        rrr.write_words(&mut words);
+        let view = RrrVecRef::from_words(&words).unwrap().0;
+        for i in 0..bools.len() {
+            assert_eq!(view.checked_access_rank1(i), Ok(rrr.access_rank1(i)));
+        }
+        assert!(view.checked_access_rank1(bools.len()).is_err());
+        let (sup0, off0) = (BLOCK_WORDS + view.sup_off, BLOCK_WORDS + view.off_off);
+        for pos in [view.off_bits as u64, u64::from(u32::MAX)] {
+            let mut bad = words.clone();
+            bad[sup0] = bad[sup0] & 0xFFFF_FFFF | pos << 32;
+            let view = RrrVecRef::from_words(&bad).unwrap().0;
+            assert!(view.checked_access_rank1(0).is_err(), "position {pos}");
+        }
+        // The class-2 table has C(63, 2) = 1953 entries: offset 2047 is
+        // past it.
+        let mut bad = words;
+        bad[off0] |= 0x7FF;
+        let view = RrrVecRef::from_words(&bad).unwrap().0;
+        assert!(view.checked_access_rank1(0).is_err());
     }
 
     #[test]
