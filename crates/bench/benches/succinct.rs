@@ -36,8 +36,8 @@ fn fib_shape_bits() -> BitVec {
     let proper = ProperTrie::from_trie(&trie);
     let mut bits = BitVec::with_capacity(N);
     'fill: loop {
-        for (_, node) in proper.bfs_with_depth() {
-            bits.push(matches!(node, ProperNode::Leaf(_)));
+        for idx in proper.level_order() {
+            bits.push(matches!(proper.node(idx), ProperNode::Leaf(_)));
             if bits.len() == N {
                 break 'fill;
             }

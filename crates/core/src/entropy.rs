@@ -63,7 +63,7 @@ impl FibEntropy {
     pub fn contextual_entropy_bits<A: Address>(proper: &ProperTrie<A>) -> f64 {
         use std::collections::BTreeMap;
         let mut per_level: BTreeMap<u8, BTreeMap<Option<fib_trie::NextHop>, u64>> = BTreeMap::new();
-        for (depth, node) in proper.bfs_with_depth() {
+        for (node, &depth) in proper.nodes().iter().zip(proper.depths()) {
             if let fib_trie::ProperNode::Leaf(label) = node {
                 *per_level
                     .entry(depth)

@@ -1,14 +1,17 @@
 //! The hasher of the three node interners — the pDAG's fold interner,
 //! the VRF compiler's cross-table arena interner, and the vsdag emitter's
-//! `(stride, slots)` interner.
+//! supernode interner, keyed by one `[u32]` slice: the stride as word 0,
+//! then the expanded slots.
 //!
 //! All key on 32-bit node ids and labels the compiler itself assigned —
 //! two or three of them, or a supernode's whole slot array (up to 65 536
 //! references) — and probe once per folded node; std's SipHash spends
 //! more on such a key than the rest of the probe. [`IdHasher`] folds each
 //! written word through [`fib_trie::block_hash`], the finalizer the hot
-//! slab and the heat sketch already share (a slot array arrives through
-//! `write`, two references per fold). It gives up SipHash's resistance to
+//! slab and the heat sketch already share (a slot slice arrives through
+//! `write`, two references per fold). The vsdag looks its key up as a
+//! borrowed slice, so the key is hashed once per lookup and hashed again
+//! only when it is new and goes in. It gives up SipHash's resistance to
 //! crafted keys, so it is for ids minted inside this crate only. No map
 //! is iterated for layout, so the hasher cannot move an output byte.
 

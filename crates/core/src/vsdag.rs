@@ -68,6 +68,19 @@
 //! table has one encoding and untrusted images are validated by a single
 //! pass ([`VarStrideDagRef::from_parts`]) after which the walk provably
 //! terminates in bounds.
+//!
+//! The emitter reads each proper-trie node once. A supernode of stride
+//! `s` fills its 2^s slots in one recursive descent — an early leaf
+//! fills its whole slot range, a node `s` levels down is encoded (its own
+//! supernode, first) into its one slot — so an expansion costs O(2^s)
+//! plus the nodes it covers. The slots go into a buffer reused at that
+//! level of the recursion, behind the stride as word 0, and that slice
+//! is the interner key: hashed once per lookup, boxed only when it is
+//! new (most expansions repeat one already interned). Children are
+//! interned before their parent, left to right, which is the post-order
+//! of the supernodes and so the directory order. The budget's unit and
+//! the heat-free weights read the depth [`ProperTrie`] records at
+//! leaf-push.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -435,34 +448,16 @@ fn solve<A: Address>(
 }
 
 /// Pre-dedup slot mass of the fixed-stride-`s` plan — the budget's unit.
+/// That plan's supernodes are the interior nodes at depths `0, s, 2s, …`
+/// (every ancestor of an interior node is interior), 2^s slots each, so
+/// one pass over the depth record, counting interior nodes by depth,
+/// finds them.
 fn forced_mass<A: Address>(proper: &ProperTrie<A>, s: u8) -> u64 {
-    if !matches!(proper.node(proper.root_idx()), ProperNode::Internal { .. }) {
-        return 0;
+    let mut interior = [0u64; u8::MAX as usize + 1];
+    for (node, &depth) in proper.nodes().iter().zip(proper.depths()) {
+        interior[usize::from(depth)] += u64::from(matches!(node, ProperNode::Internal { .. }));
     }
-    let mut total = 0u64;
-    let mut stack = vec![proper.root_idx()];
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut next: Vec<u32> = Vec::new();
-    while let Some(idx) = stack.pop() {
-        total += 1u64 << s;
-        frontier.clear();
-        frontier.push(idx);
-        for _ in 0..s {
-            next.clear();
-            for &f in &frontier {
-                if let ProperNode::Internal { left, right } = *proper.node(f) {
-                    for c in [left, right] {
-                        if matches!(proper.node(c), ProperNode::Internal { .. }) {
-                            next.push(c);
-                        }
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        stack.extend_from_slice(&frontier);
-    }
-    total
+    interior.iter().step_by(usize::from(s)).sum::<u64>() << s
 }
 
 /// A held-μ rebuild accepts a plan whose pre-dedup mass is at least
@@ -645,6 +640,8 @@ impl<A: Address> Planner<A> {
     }
 }
 
+/// Emits the directory, blocks and runs of one stride plan (see the
+/// module docs for the one-descent expansion and the interner).
 struct Emitter<'a, A: Address> {
     proper: &'a ProperTrie<A>,
     choice: &'a [u8],
@@ -654,34 +651,79 @@ struct Emitter<'a, A: Address> {
     /// table is out and the width can be chosen.
     runs: Vec<u32>,
     n_slots: usize,
-    interner: HashMap<(u8, Box<[u32]>), u32, IdBuildHasher>,
+    /// Every supernode emitted, keyed by its stride (word 0) and its
+    /// expanded slots. Looked up with a borrowed slice, so a key is
+    /// boxed only when it is new.
+    interner: HashMap<Box<[u32]>, u32, IdBuildHasher>,
+    /// Key buffers, one per level of supernode recursion, reused by every
+    /// expansion at that level.
+    keys: Vec<Vec<u32>>,
 }
 
-impl<A: Address> Emitter<'_, A> {
-    /// Encodes the proper-trie node `idx` as a tagged reference.
-    fn encode(&mut self, idx: u32) -> u32 {
-        match *self.proper.node(idx) {
-            ProperNode::Leaf(label) => LEAF_TAG | label.map_or(BOT, |nh| nh.index()),
-            ProperNode::Internal { .. } => {
-                let stride = self.choice[idx as usize];
-                let width = 1usize << stride;
-                let mut children = Vec::with_capacity(width);
-                for slot in 0..width {
-                    children.push(self.encode_slot(idx, slot as u32, stride));
-                }
-                let key = (stride, children.into_boxed_slice());
-                if let Some(&existing) = self.interner.get(&key) {
-                    return existing;
-                }
+/// The tagged reference of a leaf carrying `label`.
+fn leaf_ref(label: Option<NextHop>) -> u32 {
+    LEAF_TAG | label.map_or(BOT, |nh| nh.index())
+}
+
+impl<'a, A: Address> Emitter<'a, A> {
+    fn new(proper: &'a ProperTrie<A>, choice: &'a [u8]) -> Self {
+        Self {
+            proper,
+            choice,
+            nodes: Vec::new(),
+            blocks: Vec::new(),
+            runs: Vec::new(),
+            n_slots: 0,
+            interner: HashMap::default(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Encodes the proper-trie node `idx` as a tagged reference; `level`
+    /// counts the supernodes above it.
+    fn encode(&mut self, idx: u32, level: usize) -> u32 {
+        if let ProperNode::Leaf(label) = *self.proper.node(idx) {
+            return leaf_ref(label);
+        }
+        if level == self.keys.len() {
+            self.keys.push(Vec::new());
+        }
+        let mut key = std::mem::take(&mut self.keys[level]);
+        let stride = self.choice[idx as usize];
+        key.clear();
+        key.push(u32::from(stride));
+        key.resize(1 + (1 << stride), 0);
+        self.expand(idx, stride, &mut key[1..], level + 1);
+        let reference = match self.interner.get(key.as_slice()) {
+            Some(&existing) => existing,
+            None => {
                 let node = self.nodes.len() as u32;
                 // Children were interned before their parent, so every
                 // interior reference is a strictly smaller directory
                 // index — the monotonicity `from_parts` re-checks.
                 self.nodes
                     .push(u64::from(stride) << 32 | self.blocks.len() as u64);
-                self.collapse(&key.1);
-                self.interner.insert(key, node);
+                self.collapse(&key[1..]);
+                self.interner.insert(key.as_slice().into(), node);
                 node
+            }
+        };
+        self.keys[level] = key;
+        reference
+    }
+
+    /// Fills `slots`, the slots under `idx` that `bits` more address bits
+    /// select, in one descent: a leaf fills its whole range (controlled
+    /// prefix expansion), and a node `bits` below the supernode root is
+    /// encoded, one level of supernodes deeper, into its one slot.
+    fn expand(&mut self, idx: u32, bits: u8, slots: &mut [u32], level: usize) {
+        match *self.proper.node(idx) {
+            ProperNode::Leaf(label) => slots.fill(leaf_ref(label)),
+            ProperNode::Internal { .. } if bits == 0 => slots[0] = self.encode(idx, level),
+            ProperNode::Internal { left, right } => {
+                let (lo, hi) = slots.split_at_mut(slots.len() / 2);
+                self.expand(left, bits - 1, lo, level);
+                self.expand(right, bits - 1, hi, level);
             }
         }
     }
@@ -702,24 +744,6 @@ impl<A: Address> Emitter<'_, A> {
             self.blocks.push(u64::from(rank) << 32 | u64::from(starts));
         }
         self.n_slots += slots.len();
-    }
-
-    /// Walks `stride` bits (MSB-first bits of `slot`) down from `idx`,
-    /// duplicating early leaves into the slot (controlled prefix
-    /// expansion).
-    fn encode_slot(&mut self, mut idx: u32, slot: u32, stride: u8) -> u32 {
-        for depth in 0..stride {
-            match *self.proper.node(idx) {
-                ProperNode::Leaf(label) => {
-                    return LEAF_TAG | label.map_or(BOT, |nh| nh.index());
-                }
-                ProperNode::Internal { left, right } => {
-                    let bit = (slot >> (stride - 1 - depth)) & 1 == 1;
-                    idx = if bit { right } else { left };
-                }
-            }
-        }
-        self.encode(idx)
     }
 }
 
@@ -809,16 +833,14 @@ impl<A: Address> VarStrideDag<A> {
     /// Emits the hash-consed directory, blocks and runs for one stride per
     /// proper-trie node — the step planned and fixed strides share.
     fn emit(proper: &ProperTrie<A>, choice: &[u8]) -> Self {
-        let mut emitter = Emitter {
-            proper,
-            choice,
-            nodes: Vec::new(),
-            blocks: Vec::new(),
-            runs: Vec::new(),
-            n_slots: 0,
-            interner: HashMap::default(),
-        };
-        let root = emitter.encode(proper.root_idx());
+        let mut emitter = Emitter::new(proper, choice);
+        let root = emitter.encode(proper.root_idx(), 0);
+        Self::pack(emitter, root)
+    }
+
+    /// The table an emitter's output makes, its runs packed at the width
+    /// they fit.
+    fn pack(emitter: Emitter<'_, A>, root: u32) -> Self {
         // 16-bit references when every interior index and every label
         // has a 16-bit form distinct from ⊥.
         let fits = |&reference: &u32| reference == LEAF_TAG | BOT || reference & BOT < W16::BOT;
@@ -1748,6 +1770,204 @@ mod tests {
         assert_eq!(vs.lookup(a), Some(nh(1)));
         assert_eq!(vs.lookup(b), Some(nh(2)));
         assert_eq!(vs.lookup(0u128), None);
+    }
+
+    /// The budget reference as first written, kept as the oracle
+    /// [`forced_mass`] must equal: a walk from the root that grows each
+    /// supernode's frontier `s` levels down.
+    fn frontier_mass<A: Address>(proper: &ProperTrie<A>, s: u8) -> u64 {
+        if !matches!(proper.node(proper.root_idx()), ProperNode::Internal { .. }) {
+            return 0;
+        }
+        let mut total = 0u64;
+        let mut stack = vec![proper.root_idx()];
+        let mut frontier: Vec<u32> = Vec::new();
+        let mut next: Vec<u32> = Vec::new();
+        while let Some(idx) = stack.pop() {
+            total += 1u64 << s;
+            frontier.clear();
+            frontier.push(idx);
+            for _ in 0..s {
+                next.clear();
+                for &f in &frontier {
+                    if let ProperNode::Internal { left, right } = *proper.node(f) {
+                        for c in [left, right] {
+                            if matches!(proper.node(c), ProperNode::Internal { .. }) {
+                                next.push(c);
+                            }
+                        }
+                    }
+                }
+                std::mem::swap(&mut frontier, &mut next);
+            }
+            stack.extend_from_slice(&frontier);
+        }
+        total
+    }
+
+    #[test]
+    fn forced_mass_matches_the_frontier_walk() {
+        use fib_workload::rng::Xoshiro256;
+        let mut taz = fib_workload::instances::by_name("taz").unwrap();
+        taz.n_prefixes = 4_000;
+        let v6: BinaryTrie<u128> = fib_workload::FibSpec {
+            max_len: 64,
+            ..fib_workload::FibSpec::dfz_like(2_000)
+        }
+        .generate(&mut Xoshiro256::seed_from_u64(6));
+        let mut default_only: BinaryTrie<u32> = BinaryTrie::new();
+        default_only.insert(p("0.0.0.0/0"), nh(1));
+        let v4 = [
+            taz.build(0xF1B),
+            spread_trie(),
+            fig1_trie(),
+            default_only,
+            BinaryTrie::new(),
+        ];
+        for s in 1..=16u8 {
+            for trie in &v4 {
+                let proper = ProperTrie::from_trie(trie);
+                assert_eq!(
+                    forced_mass(&proper, s),
+                    frontier_mass(&proper, s),
+                    "v4, s = {s}"
+                );
+            }
+            let proper = ProperTrie::from_trie(&v6);
+            assert_eq!(
+                forced_mass(&proper, s),
+                frontier_mass(&proper, s),
+                "v6, s = {s}"
+            );
+        }
+    }
+
+    /// The emitter as first written, kept as the oracle the one-descent
+    /// emitter must equal word for word: every slot of a supernode walks
+    /// its `stride` bits down from the supernode root on its own, and the
+    /// interner keys on an owned `(stride, slots)` pair built before the
+    /// lookup. It shares only the block and run collapse.
+    struct SlotEmitter<'a, A: Address> {
+        out: Emitter<'a, A>,
+        interner: HashMap<(u8, Box<[u32]>), u32, IdBuildHasher>,
+    }
+
+    impl<A: Address> SlotEmitter<'_, A> {
+        fn emit(proper: &ProperTrie<A>, choice: &[u8]) -> VarStrideDag<A> {
+            let mut oracle = SlotEmitter {
+                out: Emitter::new(proper, choice),
+                interner: HashMap::default(),
+            };
+            let root = oracle.encode(proper.root_idx());
+            VarStrideDag::pack(oracle.out, root)
+        }
+
+        fn encode(&mut self, idx: u32) -> u32 {
+            match *self.out.proper.node(idx) {
+                ProperNode::Leaf(label) => leaf_ref(label),
+                ProperNode::Internal { .. } => {
+                    let stride = self.out.choice[idx as usize];
+                    let width = 1usize << stride;
+                    let mut children = Vec::with_capacity(width);
+                    for slot in 0..width {
+                        children.push(self.encode_slot(idx, slot as u32, stride));
+                    }
+                    let key = (stride, children.into_boxed_slice());
+                    if let Some(&existing) = self.interner.get(&key) {
+                        return existing;
+                    }
+                    let node = self.out.nodes.len() as u32;
+                    self.out
+                        .nodes
+                        .push(u64::from(stride) << 32 | self.out.blocks.len() as u64);
+                    self.out.collapse(&key.1);
+                    self.interner.insert(key, node);
+                    node
+                }
+            }
+        }
+
+        fn encode_slot(&mut self, mut idx: u32, slot: u32, stride: u8) -> u32 {
+            for depth in 0..stride {
+                match *self.out.proper.node(idx) {
+                    ProperNode::Leaf(label) => return leaf_ref(label),
+                    ProperNode::Internal { left, right } => {
+                        let bit = (slot >> (stride - 1 - depth)) & 1 == 1;
+                        idx = if bit { right } else { left };
+                    }
+                }
+            }
+            self.encode(idx)
+        }
+    }
+
+    fn assert_emits_as_the_oracle<A: Address>(trie: &BinaryTrie<A>, name: &str) {
+        let assert_same = |got: &VarStrideDag<A>, want: &VarStrideDag<A>, plan: &str| {
+            assert_eq!(got.node_words(), want.node_words(), "{name}, {plan}: nodes");
+            assert_eq!(
+                got.block_words(),
+                want.block_words(),
+                "{name}, {plan}: blocks"
+            );
+            assert_eq!(got.run_words(), want.run_words(), "{name}, {plan}: runs");
+            assert_eq!(got.shape(), want.shape(), "{name}, {plan}: shape");
+        };
+        let proper = ProperTrie::from_trie(trie);
+        // Stride 16 walks 2^16 slots a supernode in the oracle; the larger
+        // tables stop at 8.
+        let strides: &[u8] = if proper.node_count() < 1_000 {
+            &[1, 4, 8, 16]
+        } else {
+            &[1, 4, 8]
+        };
+        for &s in strides {
+            let want = SlotEmitter::emit(&proper, &vec![s; proper.node_count()]);
+            assert_same(
+                &MultibitDag::from_trie(trie, s),
+                &want,
+                &format!("stride {s}"),
+            );
+        }
+        // The planned compile, uniform and under heat on the route blocks.
+        let depth = crate::HotConfig::for_width(A::WIDTH).depth;
+        let heat: Vec<(u64, u64)> = trie
+            .iter()
+            .enumerate()
+            .map(|(i, (prefix, _))| (fib_trie::block_key(prefix.addr(), depth), 1 + i as u64 % 7))
+            .collect();
+        for (heat, plan) in [(None, "planned"), (Some((&heat[..], depth)), "heat")] {
+            let params = VsParams::default();
+            let mut planner = Planner::new(trie, params, heat);
+            let (choice, _) = planner.search();
+            let want = SlotEmitter::emit(&planner.proper, &choice.choice);
+            assert_same(
+                &VarStrideDag::from_trie_weighted(trie, params, heat),
+                &want,
+                plan,
+            );
+        }
+    }
+
+    #[test]
+    fn one_descent_emits_as_the_per_slot_oracle() {
+        use fib_workload::rng::Xoshiro256;
+        let mut taz = fib_workload::instances::by_name("taz").unwrap();
+        taz.n_prefixes = 3_000;
+        assert_emits_as_the_oracle(&taz.build(0xE417), "taz 3k");
+        let mut rng = Xoshiro256::seed_from_u64(0x5107);
+        let small: BinaryTrie<u32> = fib_workload::FibSpec::dfz_like(60).generate(&mut rng);
+        assert_emits_as_the_oracle(&small, "v4 60");
+        for (n, max_len) in [(2_000, 64u8), (40, 128)] {
+            let v6: BinaryTrie<u128> = fib_workload::FibSpec {
+                max_len,
+                ..fib_workload::FibSpec::dfz_like(n)
+            }
+            .generate(&mut rng);
+            assert_emits_as_the_oracle(&v6, &format!("v6 {n} to /{max_len}"));
+        }
+        assert_emits_as_the_oracle(&spread_trie(), "spread");
+        assert_emits_as_the_oracle(&fig1_trie(), "fig 1");
+        assert_emits_as_the_oracle(&BinaryTrie::<u32>::new(), "empty");
     }
 
     /// The DP round as first written, kept as the reference the depth-sum

@@ -287,29 +287,21 @@ impl<A: Address> XbwFib<A> {
     }
 
     /// Builds the transform from an already-normalized trie. This is the
-    /// O(t) construction of Lemma 1: one BFS pass fills both strings.
+    /// O(t) construction of Lemma 1: one pass over the level order
+    /// ([`ProperTrie::level_order`], a counting sort of the depth record)
+    /// fills both strings.
     #[must_use]
     pub fn from_proper(proper: &ProperTrie<A>, storage: XbwStorage) -> Self {
-        // Stable symbol numbering: sorted distinct labels.
-        let hist = proper.leaf_label_histogram();
-        let label_map: Vec<Option<NextHop>> = hist.keys().copied().collect();
-        let symbol_of = |label: Option<NextHop>| -> u64 {
-            label_map
-                .binary_search(&label)
-                .expect("label seen in histogram") as u64
-        };
-
         let mut si_bits = BitVec::with_capacity(proper.node_count());
         let mut symbols = Vec::with_capacity(proper.n_leaves());
-        for (_, node) in proper.bfs_with_depth() {
-            match node {
-                ProperNode::Internal { .. } => si_bits.push(false),
-                ProperNode::Leaf(label) => {
-                    si_bits.push(true);
-                    symbols.push(symbol_of(*label));
-                }
+        for idx in proper.level_order() {
+            let node = *proper.node(idx);
+            si_bits.push(matches!(node, ProperNode::Leaf(_)));
+            if let ProperNode::Leaf(label) = node {
+                symbols.push(label.map_or(0, |nh| u64::from(nh.index()) + 1));
             }
         }
+        let label_map = number_symbols(&mut symbols);
 
         let sigma = label_map.len().max(1);
         let (si, sa) = match storage {
@@ -470,6 +462,43 @@ impl<A: Address> XbwFib<A> {
             .map(|l| l.map_or(u64::MAX, |nh| u64::from(nh.index())))
             .collect()
     }
+}
+
+/// Renumbers label keys (⊥ as 0, next-hop `h` as `h + 1`: the order of
+/// `Option<NextHop>`) in place as symbols, each key's rank among the
+/// distinct keys, and returns the symbol → next-hop table: stable symbol
+/// numbering, the distinct labels sorted. Next-hop ids are dense in
+/// practice, so a key range within a few times the leaf count ranks
+/// through a table indexed by key, one read a leaf; a wider range sorts
+/// its keys instead.
+fn number_symbols(keys: &mut [u64]) -> Vec<Option<NextHop>> {
+    let label = |key: u64| key.checked_sub(1).map(|h| NextHop::new(h as u32));
+    let max = keys.iter().copied().max().unwrap_or(0);
+    if max > 2 * keys.len() as u64 + 1024 {
+        let mut distinct = keys.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for key in keys.iter_mut() {
+            *key = distinct.binary_search(key).expect("a key of its own set") as u64;
+        }
+        return distinct.into_iter().map(label).collect();
+    }
+    const ABSENT: u32 = u32::MAX;
+    let mut rank = vec![ABSENT; max as usize + 1];
+    for &key in keys.iter() {
+        rank[key as usize] = 0;
+    }
+    let mut labels = Vec::new();
+    for (key, r) in rank.iter_mut().enumerate() {
+        if *r != ABSENT {
+            *r = labels.len() as u32;
+            labels.push(label(key as u64));
+        }
+    }
+    for key in keys.iter_mut() {
+        *key = u64::from(rank[*key as usize]);
+    }
+    labels
 }
 
 /// Borrowed shape-string backing of an [`XbwFibRef`].
@@ -953,6 +982,44 @@ mod tests {
         assert_eq!(xbw.t_nodes(), 9);
         assert_eq!(xbw.n_leaves(), 5);
         assert_eq!(xbw.delta(), 3);
+    }
+
+    #[test]
+    fn symbols_number_the_sorted_distinct_labels() {
+        // Dense keys (the table path) and keys far apart (the sorting
+        // path), ⊥ among them or not, against a sorted map of the keys.
+        let dense: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 37 + i % 2).collect();
+        let sparse: Vec<u64> = (0..500u64).map(|i| ((i % 5) << 30) | (i % 3)).collect();
+        let bot_free: Vec<u64> = dense.iter().map(|k| k + 3).collect();
+        for keys in [dense, sparse, bot_free, vec![], vec![0]] {
+            let map: std::collections::BTreeMap<u64, u64> = keys
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .enumerate()
+                .map(|(rank, &key)| (key, rank as u64))
+                .collect();
+            let mut symbols = keys.clone();
+            let labels = number_symbols(&mut symbols);
+            let want: Vec<u64> = keys.iter().map(|k| map[k]).collect();
+            assert_eq!(symbols, want);
+            let want: Vec<_> = map
+                .keys()
+                .map(|&k| k.checked_sub(1).map(|h| nh(h as u32)))
+                .collect();
+            assert_eq!(labels, want);
+        }
+        // Next-hop ids far apart build through the sorting path.
+        let mut trie = fig1_trie();
+        trie.insert(p("192.0.0.0/2"), nh(3 << 29));
+        for storage in ALL_STORAGES {
+            let xbw = XbwFib::build(&trie, storage);
+            assert_eq!(xbw.delta(), 4);
+            for i in 0..=255u32 {
+                let addr = i << 24 | 0xABCDEF;
+                assert_eq!(xbw.lookup(addr), trie.lookup(addr), "{storage:?} {addr:#x}");
+            }
+        }
     }
 
     #[test]

@@ -58,15 +58,15 @@ impl BitVec {
         self.len == 0
     }
 
-    /// Appends a single bit.
+    /// Appends a single bit. Inlined, and the bit is ORed in without a
+    /// branch on its value: builders push one bit per trie node.
+    #[inline]
     pub fn push(&mut self, bit: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
             self.words.push(0);
         }
-        if bit {
-            self.words[word] |= 1u64 << (self.len % 64);
-        }
+        self.words[word] |= u64::from(bit) << (self.len % 64);
         self.len += 1;
     }
 
@@ -108,6 +108,7 @@ impl BitVec {
     ///
     /// # Panics
     /// Panics if `width > 64` or if `value` has bits above `width`.
+    #[inline]
     pub fn push_bits(&mut self, value: u64, width: u32) {
         assert!(width <= 64, "width {width} > 64");
         if width < 64 {

@@ -74,6 +74,7 @@ impl IntVec {
     ///
     /// # Panics
     /// Panics if `value` does not fit in `width` bits.
+    #[inline]
     pub fn push(&mut self, value: u64) {
         self.bits.push_bits(value, self.width);
         self.len += 1;

@@ -15,7 +15,6 @@
 //! defined.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 use crate::addr::Address;
@@ -47,9 +46,19 @@ pub enum ProperNode {
 /// root is the last node. One forward pass over [`Self::nodes`] with a
 /// stack of per-node results therefore finds a node's two children as
 /// the top two entries: the variable-stride DP relies on it.
+///
+/// Beside the arena lies the **depth record**, one byte a node: its
+/// distance from the root in bits, written as the leaf-push pushes the
+/// node and truncated with the arena when sibling leaves coalesce. The
+/// level order ([`Self::level_order`], a counting sort keyed by depth —
+/// post-order keeps each level left to right), the vsdag's budget
+/// reference and its heat-free weights (`2^−depth`) read it instead of
+/// walking the trie.
 #[derive(Clone, Debug)]
 pub struct ProperTrie<A: Address> {
     nodes: Vec<ProperNode>,
+    /// `depths[i]` is the depth of `nodes[i]`.
+    depths: Vec<u8>,
     root: u32,
     n_leaves: usize,
     _marker: PhantomData<A>,
@@ -61,6 +70,7 @@ impl<A: Address> ProperTrie<A> {
     pub fn from_trie(trie: &BinaryTrie<A>) -> Self {
         let mut builder = Self {
             nodes: Vec::new(),
+            depths: Vec::new(),
             root: 0,
             n_leaves: 0,
             _marker: PhantomData,
@@ -77,11 +87,11 @@ impl<A: Address> ProperTrie<A> {
         depth: u8,
     ) -> u32 {
         let Some(node) = node else {
-            return self.push_leaf(inherited);
+            return self.push_leaf(inherited, depth);
         };
         let effective = node.label().or(inherited);
         if node.is_leaf() || depth == A::WIDTH {
-            return self.push_leaf(effective);
+            return self.push_leaf(effective, depth);
         }
         let left = self.build(node.left(), effective, depth + 1);
         let right = self.build(node.right(), effective, depth + 1);
@@ -95,18 +105,21 @@ impl<A: Address> ProperTrie<A> {
                 debug_assert_eq!(right as usize, self.nodes.len() - 1);
                 debug_assert_eq!(left as usize, self.nodes.len() - 2);
                 self.nodes.truncate(self.nodes.len() - 2);
+                self.depths.truncate(self.nodes.len());
                 self.n_leaves -= 2;
-                return self.push_leaf(a);
+                return self.push_leaf(a, depth);
             }
         }
         let idx = self.nodes.len() as u32;
         self.nodes.push(ProperNode::Internal { left, right });
+        self.depths.push(depth);
         idx
     }
 
-    fn push_leaf(&mut self, label: Option<NextHop>) -> u32 {
+    fn push_leaf(&mut self, label: Option<NextHop>, depth: u8) -> u32 {
         let idx = self.nodes.len() as u32;
         self.nodes.push(ProperNode::Leaf(label));
+        self.depths.push(depth);
         self.n_leaves += 1;
         idx
     }
@@ -139,6 +152,13 @@ impl<A: Address> ProperTrie<A> {
     #[must_use]
     pub fn nodes(&self) -> &[ProperNode] {
         &self.nodes
+    }
+
+    /// The depth record: `depths()[i]` is the depth in bits of
+    /// `nodes()[i]` (the root's is 0).
+    #[must_use]
+    pub fn depths(&self) -> &[u8] {
+        &self.depths
     }
 
     /// Longest-prefix-match lookup: walk to the unique covering leaf.
@@ -177,34 +197,28 @@ impl<A: Address> ProperTrie<A> {
         }
     }
 
-    /// Level-order (BFS) traversal of the nodes — the order the XBW-b
-    /// transform serializes in.
-    pub fn bfs(&self) -> impl Iterator<Item = &ProperNode> {
-        let mut queue = VecDeque::from([self.root]);
-        std::iter::from_fn(move || {
-            let idx = queue.pop_front()?;
-            let node = &self.nodes[idx as usize];
-            if let ProperNode::Internal { left, right } = *node {
-                queue.push_back(left);
-                queue.push_back(right);
-            }
-            Some(node)
-        })
-    }
-
-    /// Level-order traversal carrying each node's depth — the label
-    /// context the XBW-b transform clusters by.
-    pub fn bfs_with_depth(&self) -> impl Iterator<Item = (u8, &ProperNode)> {
-        let mut queue = VecDeque::from([(0u8, self.root)]);
-        std::iter::from_fn(move || {
-            let (depth, idx) = queue.pop_front()?;
-            let node = &self.nodes[idx as usize];
-            if let ProperNode::Internal { left, right } = *node {
-                queue.push_back((depth + 1, left));
-                queue.push_back((depth + 1, right));
-            }
-            Some((depth, node))
-        })
+    /// Arena indices in level (BFS) order — root first, then each level
+    /// left to right: the order the XBW-b transform serializes in.
+    ///
+    /// One counting pass over the depth record and one stable scatter:
+    /// within a depth, the post-order arena already lists nodes left to
+    /// right (a node's whole subtree precedes its right sibling's).
+    #[must_use]
+    pub fn level_order(&self) -> Vec<u32> {
+        let mut next = [0u32; 1 + u8::MAX as usize + 1];
+        for &depth in &self.depths {
+            next[usize::from(depth) + 1] += 1;
+        }
+        for d in 1..next.len() {
+            next[d] += next[d - 1];
+        }
+        let mut order = vec![0u32; self.nodes.len()];
+        for (idx, &depth) in self.depths.iter().enumerate() {
+            let at = &mut next[usize::from(depth)];
+            order[*at as usize] = idx as u32;
+            *at += 1;
+        }
+        order
     }
 
     /// Histogram of leaf labels (the distribution whose Shannon entropy is
@@ -220,26 +234,16 @@ impl<A: Address> ProperTrie<A> {
         hist
     }
 
-    /// Maximum leaf depth in bits.
+    /// Maximum leaf depth in bits (the deepest node is a leaf).
     #[must_use]
     pub fn max_depth(&self) -> u8 {
-        let mut max = 0;
-        let mut stack = vec![(self.root, 0u8)];
-        while let Some((idx, depth)) = stack.pop() {
-            match self.nodes[idx as usize] {
-                ProperNode::Leaf(_) => max = max.max(depth),
-                ProperNode::Internal { left, right } => {
-                    stack.push((left, depth + 1));
-                    stack.push((right, depth + 1));
-                }
-            }
-        }
-        max
+        self.depths.iter().copied().max().unwrap_or(0)
     }
 
     /// Checks the structural invariants P1–P3 plus minimality (no two
-    /// coalescible sibling leaves). Intended for tests; cheap enough to run
-    /// on real FIBs.
+    /// coalescible sibling leaves), and every recorded depth against a
+    /// walk from the root. Intended for tests; cheap enough to run on
+    /// real FIBs.
     ///
     /// # Panics
     /// Panics with a descriptive message if an invariant is violated.
@@ -247,26 +251,34 @@ impl<A: Address> ProperTrie<A> {
         let t = self.node_count();
         let n = self.n_leaves();
         assert!(t == 2 * n - 1, "P3 violated: t = {t}, n = {n}");
-        let mut seen_leaves = 0;
-        for node in self.bfs() {
-            match node {
+        assert_eq!(self.depths.len(), t, "one recorded depth per node");
+        let (mut seen, mut seen_leaves) = (0, 0);
+        let mut stack = vec![(self.root, 0u8)];
+        while let Some((idx, depth)) = stack.pop() {
+            seen += 1;
+            assert_eq!(self.depths[idx as usize], depth, "recorded depth of {idx}");
+            match self.nodes[idx as usize] {
                 ProperNode::Leaf(_) => seen_leaves += 1,
                 ProperNode::Internal { left, right } => {
                     if let (ProperNode::Leaf(a), ProperNode::Leaf(b)) =
-                        (self.nodes[*left as usize], self.nodes[*right as usize])
+                        (self.nodes[left as usize], self.nodes[right as usize])
                     {
                         assert_ne!(a, b, "not minimal: coalescible sibling leaves");
                     }
+                    stack.push((left, depth + 1));
+                    stack.push((right, depth + 1));
                 }
             }
         }
+        assert_eq!(seen, t, "node count mismatch");
         assert_eq!(seen_leaves, n, "leaf count mismatch");
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: the arena and the depth
+    /// record.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<ProperNode>()
+        self.nodes.len() * (std::mem::size_of::<ProperNode>() + 1)
     }
 }
 
@@ -281,12 +293,14 @@ impl<A: Address> ProperTrie<A> {
 /// (`count · 2^−(d − heat_depth)`), matching the "uniform within a block"
 /// assumption heat sampling makes. Weights are returned as fractions of
 /// the total count; when the total is zero the uniform address-fraction
-/// distribution `2^−d` is returned instead.
+/// distribution `2^−d` is returned instead (the heat-free weights).
 ///
-/// One pre-order pass: a node inside the measured depth hands its
-/// children the two halves of its own run of sorted keys, split by one
-/// binary search over that run; a deeper node weighs half its parent,
-/// which is exact (a power-of-two scale of a normal `f64`).
+/// With heat, one pre-order pass: a node inside the measured depth hands
+/// its children the two halves of its own run of sorted keys, split by
+/// one binary search over that run; a deeper node weighs half its parent,
+/// which is exact (a power-of-two scale of a normal `f64`). Without, no
+/// walk: each node's `2^−d` is read off the depth record, the same bits
+/// the halving reaches.
 #[must_use]
 pub fn project_heat_weights<A: Address>(
     proper: &ProperTrie<A>,
@@ -301,10 +315,17 @@ pub fn project_heat_weights<A: Address>(
         prefix.push(prefix[prefix.len() - 1] + c);
     }
     let total = prefix[keys.len()];
+    if total == 0 {
+        // 2^−d built from its exponent field: exact, and normal for any
+        // d ≤ 128.
+        return proper
+            .depths()
+            .iter()
+            .map(|&d| f64::from_bits((1023 - u64::from(d)) << 52))
+            .collect();
+    }
     let totalf = total as f64;
-    let measured = |depth: u8| total > 0 && depth <= heat_depth;
-    // The root carries all traffic either way (`total / total` is exactly
-    // one). A stack entry is a node, its depth, its MSB-aligned path and
+    // The root carries all traffic (`total / total` is exactly one). A stack entry is a node, its depth, its MSB-aligned path and
     // its run `[lo, hi)` of `keys`; path and run are read only while the
     // node's children are measured.
     let mut weights = vec![0.0f64; proper.node_count()];
@@ -315,7 +336,7 @@ pub fn project_heat_weights<A: Address>(
             continue;
         };
         let child = depth + 1;
-        if measured(child) {
+        if child <= heat_depth {
             let right_path = path | 1u64 << (63 - depth);
             let mid = lo + keys[lo..hi].partition_point(|&(k, _)| k < right_path);
             weights[left as usize] = (prefix[mid] - prefix[lo]) as f64 / totalf;
@@ -371,8 +392,9 @@ mod tests {
         assert_eq!(pt.node_count(), 9);
         // Leaf labels in BFS order are 2 | 3 2 2 1 per Fig. 2's S_α.
         let bfs_labels: Vec<_> = pt
-            .bfs()
-            .filter_map(|n| match n {
+            .level_order()
+            .into_iter()
+            .filter_map(|i| match pt.node(i) {
                 ProperNode::Leaf(l) => Some(l.unwrap().index()),
                 ProperNode::Internal { .. } => None,
             })
@@ -448,9 +470,8 @@ mod tests {
         let pa = ProperTrie::from_trie(&a);
         let pb = ProperTrie::from_trie(&b);
         assert_eq!(pa.n_leaves(), pb.n_leaves());
-        let la: Vec<_> = pa.bfs().collect();
-        let lb: Vec<_> = pb.bfs().collect();
-        assert_eq!(la, lb);
+        assert_eq!(pa.nodes(), pb.nodes());
+        assert_eq!(pa.depths(), pb.depths());
     }
 
     #[test]
@@ -550,6 +571,76 @@ mod tests {
         }
         let empty = ProperTrie::from_trie(&BinaryTrie::<u32>::new());
         check(empty.nodes(), empty.root_idx());
+    }
+
+    /// Level order by a FIFO walk from the root, the reference the
+    /// counting sort over the depth record must equal.
+    fn queue_level_order<A: Address>(pt: &ProperTrie<A>) -> Vec<u32> {
+        let mut queue = std::collections::VecDeque::from([pt.root_idx()]);
+        let mut order = Vec::new();
+        while let Some(idx) = queue.pop_front() {
+            order.push(idx);
+            if let ProperNode::Internal { left, right } = *pt.node(idx) {
+                queue.extend([left, right]);
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn depth_record_gives_the_level_order() {
+        let (v4, v6) = random_tries();
+        let empty = ProperTrie::from_trie(&BinaryTrie::<u32>::new());
+        let mut host: BinaryTrie<u128> = BinaryTrie::new();
+        host.insert(crate::addr::Prefix::new(u128::MAX, 128), nh(1));
+        let host = ProperTrie::from_trie(&host);
+        assert_eq!(host.max_depth(), 128);
+        for pt in v4.iter().chain([&empty]) {
+            pt.assert_invariants();
+            assert_eq!(pt.level_order(), queue_level_order(pt));
+        }
+        for pt in v6.iter().chain([&host]) {
+            pt.assert_invariants();
+            assert_eq!(pt.level_order(), queue_level_order(pt));
+        }
+    }
+
+    /// The heat-free projection as the pre-order pass computed it: the
+    /// root weighs one and every child half its parent.
+    fn halving_weights<A: Address>(pt: &ProperTrie<A>) -> Vec<u64> {
+        let mut weights = vec![0.0f64; pt.node_count()];
+        weights[pt.root_idx() as usize] = 1.0;
+        let mut stack = vec![pt.root_idx()];
+        while let Some(idx) = stack.pop() {
+            if let ProperNode::Internal { left, right } = *pt.node(idx) {
+                let half = weights[idx as usize] * 0.5;
+                weights[left as usize] = half;
+                weights[right as usize] = half;
+                stack.extend([right, left]);
+            }
+        }
+        weights.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn heat_free_weights_equal_the_halving_pass() {
+        let (v4, v6) = random_tries();
+        let mut host: BinaryTrie<u128> = BinaryTrie::new();
+        host.insert(crate::addr::Prefix::new(1, 128), nh(1));
+        let host = ProperTrie::from_trie(&host);
+        let bits = |w: Vec<f64>| w.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for pt in &v4 {
+            assert_eq!(bits(project_heat_weights(pt, &[], 0)), halving_weights(pt));
+            // All-zero counts are no heat.
+            let zero = [(0, 0), (1 << 63, 0)];
+            assert_eq!(
+                bits(project_heat_weights(pt, &zero, 1)),
+                halving_weights(pt)
+            );
+        }
+        for pt in v6.iter().chain([&host]) {
+            assert_eq!(bits(project_heat_weights(pt, &[], 0)), halving_weights(pt));
+        }
     }
 
     /// The projection as first written — every node's address span, then
