@@ -83,7 +83,7 @@ fn main() {
     write_tsv("fig5", &header, &rows);
 
     println!("\nShape checks vs the paper:");
-    println!("- memory shrinks monotonically as λ decreases (≈10× from λ=32 to λ=0);");
+    println!("- memory falls ≈10× from λ=32 to λ=0 and is flat below λ≈12;");
     println!("- random-update cost explodes below λ≈5 and flattens above;");
     println!("- BGP-update cost stays nearly flat across the whole sweep;");
     println!("- the λ∈[5,12] plateau sustains ≥ 0.1 Mupd/s (paper: ~100 K/s).");

@@ -86,8 +86,11 @@ fn main() {
     write_tsv("table1", &header, &rows);
 
     println!("\nNotes:");
-    println!("- measured sizes are for synthetic stand-ins matched on (N, δ, route-H0);");
-    println!("  real FIBs have more leaf-level redundancy, so absolute KB differ while");
-    println!("  the orderings and ratios (XBW-b ≈ E, pDAG ≈ 3×E) should hold.");
-    println!("- pDAG size is the serialized λ=11 image, as deployed in §5.3.");
+    println!("- measured sizes are for synthetic stand-ins matched on N and route-H0;");
+    println!("  δ misses on four instances at scale 1.0 (hbone 17/195, access(d) 9/28,");
+    println!("  mobile 8/16, as6730 33/186): the H0-calibrated label model almost never");
+    println!("  draws the tail labels (ROADMAP N8 (b)). XBW-b ≈ E holds.");
+    println!("- pDAG size is the serialized λ=11 image, as deployed in §5.3: ν reads");
+    println!("  4.33–5.84 on the nine large instances at scale 1.0 (paper 2.60–4.10).");
+    println!("  The §4.2 model size (PrefixDag::size_bytes) reads 2.67×E on taz.");
 }

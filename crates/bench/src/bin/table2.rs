@@ -151,6 +151,8 @@ fn main() {
         "  trace:  0.037 / 13.8 / 5.68 Mlps;  cycles 67200 / 180 / 438;  miss 0.016 / 0.003 / 0.29"
     );
     println!("  FPGA:   6.9 Mlps at 7.1 cycles/lookup (100 MHz clock)");
-    println!("\nShape checks: pDAG ≫ XBW-b in speed, pDAG ≥ 2-3× fib_trie on rand keys,");
-    println!("fib_trie narrows the gap on the locality trace, pDAG misses ≈ 0.");
+    println!("\nShape checks: pDAG ≫ XBW-b in speed, pDAG misses ≈ 0.");
+    println!("Not reproduced: the paper's pDAG ≈ 4× fib_trie on rand keys. The LC-trie");
+    println!("model misses 0.112 times a packet at scale 1.0 under CacheSim::core_i5,");
+    println!("against the paper's 3.17, so the two run close on both key sets (ROADMAP N8 (c)).");
 }

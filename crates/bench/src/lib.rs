@@ -11,12 +11,16 @@
 //! * `fig6`   — size and compression efficiency vs. Bernoulli entropy,
 //! * `fig7`   — the same in the string model,
 //! * `ablation` — λ-formula and storage-backend ablations (not in the
-//!   paper; supports the design discussion of §4).
+//!   paper; supports the design discussion of §4),
+//! * `fibreport` — a Table 1 row for any FIB: entropy metrics, the
+//!   Eq. (2)/(3) barriers and every representation's size.
+//!
+//! Per-engine lookup, update and build timings are `benchmark/`'s
+//! per-layer rows; §5.3's multicore scaling claim is read with
+//! `fibc serve IMG --threads T`, the product's forwarding runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod timing;
 
 use std::time::Instant;
 

@@ -1,13 +1,17 @@
 //! Stand-ins for the FIB instances of Table 1.
 //!
 //! The real routers' FIBs (taz, hbone, …) are proprietary; the RouteViews
-//! dumps are external data. Each stand-in reproduces the *published
-//! parameters* that all of the paper's size quantities are functions of —
-//! prefix count `N`, next-hop count δ, and the route-level next-hop
-//! entropy `H0` — with the same generator the paper used for its own
-//! synthetic instances. The published I/E/XBW-b/pDAG/ν/η values ride along
-//! as [`PaperRow`] so the Table 1 harness prints paper-vs-measured side by
-//! side.
+//! dumps are external data. Each stand-in is generated, with the same
+//! generator the paper used for its own synthetic instances, from the
+//! *published parameters* that all of the paper's size quantities are
+//! functions of — prefix count `N`, next-hop count δ, and the route-level
+//! next-hop entropy `H0`. `N` and `H0` are matched. δ is an upper bound:
+//! [`LabelModel::geometric_for_h0`] reaches an `H0` far below lg δ by
+//! putting almost no mass on the tail labels, so at scale 1.0 four
+//! instances draw fewer (measured / published: hbone 17 / 195,
+//! access(d) 9 / 28, mobile 8 / 16, as6730 33 / 186). The published
+//! I/E/XBW-b/pDAG/ν/η values ride along as [`PaperRow`] so the Table 1
+//! harness prints paper-vs-measured side by side.
 
 use fib_trie::BinaryTrie;
 
@@ -67,10 +71,11 @@ pub struct PaperInstance {
 impl PaperInstance {
     /// Builds the stand-in FIB, deterministically for a given seed.
     ///
-    /// Labels follow a geometric model calibrated to the row's `H0`;
-    /// depth bias 0.35 pushes mass toward the /17–/24 band as in real
-    /// tables. The two synthetic rows use the paper's own truncated
-    /// Poisson model instead.
+    /// Labels follow a geometric model calibrated to the row's `H0`
+    /// (which may leave some of the δ labels undrawn); depth bias 0.35
+    /// pushes mass toward the /17–/24 band as in real tables. The two
+    /// synthetic rows use the paper's own truncated Poisson model
+    /// instead.
     #[must_use]
     pub fn build(&self, seed: u64) -> BinaryTrie<u32> {
         let labels = match self.group {

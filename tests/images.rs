@@ -35,8 +35,8 @@ fn v6_fib() -> BinaryTrie<u128> {
 }
 
 /// Writes `engine` to an image, loads it back, and checks: header fields,
-/// lookup equivalence on every probe (scalar and batched), and route
-/// restoration.
+/// lookup equivalence on every probe (scalar and batched), the traced
+/// walk's access sizes on every probe, and route restoration.
 fn assert_roundtrip<A, E>(engine: &E, trie: &BinaryTrie<A>, keys: &[A])
 where
     A: Address,
@@ -64,6 +64,22 @@ where
     engine.lookup_batch(keys, &mut owned_out);
     view.lookup_batch(keys, &mut image_out);
     assert_eq!(owned_out, image_out, "{} batch diverges", engine.name());
+    // The view walks what the owned engine walks: key by key, the same
+    // number of memory accesses with the same sizes.
+    let (mut owned_walk, mut image_walk) = (Vec::new(), Vec::new());
+    for &key in keys {
+        owned_walk.clear();
+        image_walk.clear();
+        engine.lookup_traced(key, &mut |_, size| owned_walk.push(size));
+        view.lookup_traced(key, &mut |_, size| image_walk.push(size));
+        assert_eq!(
+            owned_walk,
+            image_walk,
+            "{} image walk diverges at {:#x}",
+            engine.name(),
+            key.to_u128()
+        );
+    }
     // The routes section restores the control FIB exactly.
     let restored = image.routes::<A>().expect("routes decode");
     assert_eq!(restored.len(), trie.len());
