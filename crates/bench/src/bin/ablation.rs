@@ -105,9 +105,10 @@ fn a2_xbw_backends(scale: f64) {
     ] {
         let xbw = XbwFib::build(&trie, storage);
         let report = xbw.size_report();
+        let view = xbw.view();
         let mut i = 0usize;
         let ns = ns_per_call(20_000, || {
-            black_box(xbw.lookup(black_box(addrs[i % addrs.len()])));
+            black_box(view.lookup(black_box(addrs[i % addrs.len()])));
             i += 1;
         });
         rows.push(vec![

@@ -33,7 +33,8 @@
 //! [`crate::image`]) — which single-engine images and a fleet's dedicated
 //! tables share.
 //! [`roster`] is the matching value-level list — one built engine per
-//! benchmark row — that the benches and differential tests enumerate.
+//! benchmark row — that the differential tests (`tests/equivalence.rs`)
+//! and the batch guard (`crates/bench/tests/batch_guard.rs`) enumerate.
 
 use fib_trie::{Address, NextHop, Prefix};
 
@@ -400,7 +401,7 @@ macro_rules! engine_table {
                 // "lctrie" is retired: the LC-trie is a Table 2 baseline
                 // on neither frontier and has no image encoding.
                 LcTrie |e| e, "fib_trie", traced, e.kernel_model_bytes();
-                XbwFib |e| e, "XBW-b", kernels, e.size_bytes(),
+                XbwFib |e| e.view(), "XBW-b", kernels, e.size_bytes(),
                     image XbwFibRef, Xbw = 1, "xbw";
                 PrefixDag |e| e.view(), "pDAG", batched, e.model_size_bits().div_ceil(8),
                     image PrefixDagRef, PrefixDag = 2, "pdag";
@@ -500,8 +501,9 @@ engine_table!(impl_fib_lookup);
 /// One built engine per row of the benchmark's engine matrix, in its
 /// order (`binary-trie`, `fib_trie`, `xbw-succinct`, `xbw-entropy`,
 /// `pdag`, `pdag-serialized`, `multibit-dag`, `vsdag`) — the list the
-/// benches, the batch guard and the differential tests enumerate instead of
-/// each keeping its own. Fields are concrete so a caller can wrap or
+/// differential tests (`tests/equivalence.rs`) and the batch guard
+/// (`crates/bench/tests/batch_guard.rs`) enumerate instead of each keeping
+/// its own. Fields are concrete so a caller can wrap or
 /// inspect one engine; [`Roster::engines`] erases them for the loops.
 pub struct Roster<'t, A: Address> {
     /// The control trie itself.

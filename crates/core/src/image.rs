@@ -227,8 +227,8 @@ pub struct FibImage {
     epoch: u64,
     claimed_size_bytes: u64,
     /// What a codec derives from the sections once and keeps for the
-    /// image's lifetime (XBW-b's root table), so a trusted view parsed
-    /// per call copies it instead of deriving it again. Not part of the
+    /// image's lifetime (XBW-b's root table), so every view parsed from
+    /// the image borrows it instead of deriving it again. Not part of the
     /// file.
     derived: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
@@ -593,11 +593,6 @@ impl ImageWriter {
     }
 }
 
-/// A section accessor: canonical section id → that section's words.
-pub trait Sections<'i>: Fn(u32) -> Result<&'i [u64], ImageError> {}
-
-impl<'i, F: Fn(u32) -> Result<&'i [u64], ImageError>> Sections<'i> for F {}
-
 /// A codec's section layout: `(canonical id, name)` per section.
 pub type Layout = &'static [(u32, &'static str)];
 
@@ -625,13 +620,13 @@ pub trait ImageCodec<A: Address>: FibLookup<A> + Sized {
     /// encoding.
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError>;
 
-    /// Assembles the view from the sections `section` resolves by
-    /// canonical id; `trusted` may skip the per-element reference scans
+    /// Assembles the view from `image`'s sections, by canonical id, with
+    /// no header check; `trusted` may skip the per-element reference scans
     /// (the O(n) part of validation).
     ///
     /// # Errors
     /// Any [`ImageError`]; hostile images fail loudly, never panic.
-    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError>;
+    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError>;
 
     /// The zero-copy view over a loaded image: header check, then parse.
     ///
@@ -639,7 +634,7 @@ pub trait ImageCodec<A: Address>: FibLookup<A> + Sized {
     /// Any [`ImageError`]; hostile images fail loudly, never panic.
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
         image.expect::<A>(Self::ENGINE)?;
-        Self::parse(|id| image.section(id), false)
+        Self::parse(image, false)
     }
 
     /// Like [`Self::view`], but trusted: only for images that already
@@ -651,7 +646,7 @@ pub trait ImageCodec<A: Address>: FibLookup<A> + Sized {
     /// Any [`ImageError`].
     fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
         image.expect::<A>(Self::ENGINE)?;
-        Self::parse(|id| image.section(id), true)
+        Self::parse(image, true)
     }
 
     /// The resident size claim recorded in the header — the engine's own
@@ -712,8 +707,9 @@ pub fn write_image_hot<A: Address, E: ImageCodec<A>>(
 // ---------------------------------------------------------------------
 //
 // One `parse` per codec serves a single-engine image (`view`) and a
-// vrfset table's id block (`AnyView::parse`) alike; its `SECTIONS` is the
-// layout the fleet, lint and `fibc inspect` read.
+// vrfset table alike: a fleet copies a dedicated table's id block into a
+// one-engine image at load and parses that. `SECTIONS` is the layout the
+// fleet, lint and `fibc inspect` read.
 
 /// The first word of a `PARAMS` section, which must fit `T`.
 fn first_param<T: TryFrom<u64>>(params: &[u64], what: &'static str) -> Result<T, ImageError> {
@@ -737,10 +733,10 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
         Ok(())
     }
 
-    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
-        let lambda = first_param(section(sections::PARAMS)?, "λ out of range")?;
-        let entries = section(sections::SER_ENTRIES)?;
-        let nodes = section(sections::SER_NODES)?;
+    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
+        let lambda = first_param(image.section(sections::PARAMS)?, "λ out of range")?;
+        let entries = image.section(sections::SER_ENTRIES)?;
+        let nodes = image.section(sections::SER_NODES)?;
         if trusted {
             SerializedDagRef::from_parts_trusted(lambda, entries, nodes)
         } else {
@@ -782,14 +778,14 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
         Ok(())
     }
 
-    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
+    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
         // All four sections before any word is read: an image of the flat
         // layout (three `PARAMS` words, slots in the retired 0x42) stops at
         // the missing block table, by name.
-        let params = section(sections::PARAMS)?;
-        let nodes = section(sections::VS_NODES)?;
-        let blocks = section(sections::VS_BLOCKS)?;
-        let runs = section(sections::VS_RUNS)?;
+        let params = image.section(sections::PARAMS)?;
+        let nodes = image.section(sections::VS_NODES)?;
+        let blocks = image.section(sections::VS_BLOCKS)?;
+        let runs = image.section(sections::VS_RUNS)?;
         let &[root, node_count, slots, block_count, run_count, run_width, ..] = params else {
             return Err(ImageError::Malformed("params"));
         };
@@ -839,9 +835,9 @@ impl<A: Address> ImageCodec<A> for PrefixDag<A> {
         Ok(())
     }
 
-    fn parse<'i>(section: impl Sections<'i>, trusted: bool) -> Result<Self::Ref<'i>, ImageError> {
-        let root = first_param(section(sections::PARAMS)?, "root out of range")?;
-        let nodes = section(sections::PDAG_NODES)?;
+    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
+        let root = first_param(image.section(sections::PARAMS)?, "root out of range")?;
+        let nodes = image.section(sections::PDAG_NODES)?;
         if trusted {
             PrefixDagRef::from_parts_trusted(nodes, root)
         } else {
@@ -868,55 +864,19 @@ impl<A: Address> ImageCodec<A> for XbwFib<A> {
     type Ref<'i> = XbwFibRef<'i, A>;
 
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
-        let (si_kind, sa_kind) = self.image_kind_codes();
-        let (n_leaves, t_nodes) = self.image_counts();
-        writer.set_prefix_count(n_leaves);
-        writer.section(sections::PARAMS, &[si_kind, sa_kind, n_leaves, t_nodes]);
-        writer.section_with(sections::XBW_SI, |out| self.write_si_words(out));
-        writer.section_with(sections::XBW_SA, |out| self.write_sa_words(out));
-        writer.section(sections::XBW_LABELS, &self.label_words());
+        self.write_image_sections(writer);
         Ok(())
     }
 
-    /// XBW-b has no scan-free constructor: trusted or not, it validates
-    /// and derives the root table.
-    fn parse<'i>(section: impl Sections<'i>, _: bool) -> Result<Self::Ref<'i>, ImageError> {
-        xbw_parse(section, None)
-    }
-
-    /// Derives the root table on the image's first trusted view only:
-    /// the image keeps it, and every later view copies it.
-    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        let section = |id| image.section(id);
-        let root = image.derived(|| Ok(Self::parse(section, true)?.root_table()))?;
-        xbw_parse(section, Some(*root))
+    /// Validated or trusted, the view borrows the root table the image
+    /// keeps: its first view derives it.
+    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
+        XbwFibRef::parse(image, trusted)
     }
 
     fn resident_size_bytes(&self) -> usize {
         self.size_bytes()
     }
-}
-
-/// The XBW-b view over `section`'s sections, its root table copied
-/// from `root` when given (see [`XbwFibRef::from_parts_rooted`]).
-fn xbw_parse<'i, A: Address>(
-    section: impl Sections<'i>,
-    root: Option<crate::xbw::RootTable>,
-) -> Result<XbwFibRef<'i, A>, ImageError> {
-    let params = section(sections::PARAMS)?;
-    if params.len() < 2 {
-        return Err(ImageError::Malformed("params"));
-    }
-    XbwFibRef::from_parts_rooted(
-        params[0],
-        params[1],
-        section(sections::XBW_SI)?,
-        section(sections::XBW_SA)?,
-        section(sections::XBW_LABELS)?,
-        root,
-    )
-    .map_err(ImageError::from)
 }
 
 // ---------------------------------------------------------------------
@@ -1029,10 +989,6 @@ macro_rules! impl_image_kinds {
         /// `fibc serve` and inspection tooling dispatch on. It forwards all
         /// of [`FibLookup`], so a kernel or a traced walk the concrete view
         /// has is reached through the erased one too.
-        // The XBW-b view carries its derived 512-byte root table inline so
-        // that views stay `Copy`; boxing that variant would cost every
-        // parse an allocation.
-        #[allow(clippy::large_enum_variant)]
         #[derive(Clone, Copy, Debug)]
         pub enum AnyView<'a, A: Address> {
             $($(
@@ -1042,19 +998,19 @@ macro_rules! impl_image_kinds {
         }
 
         impl<'i, A: Address> AnyView<'i, A> {
-            /// The view of a `kind` engine, [`ImageCodec::parse`]d from the
-            /// sections `section` resolves by canonical id.
+            /// The view of a `kind` engine, [`ImageCodec::parse`]d from
+            /// `image`'s sections.
             ///
             /// # Errors
             /// [`ImageError::Unsupported`] for a container kind; else as
             /// the engine's parse.
             pub fn parse(
                 kind: EngineKind,
-                section: impl Sections<'i>,
+                image: &'i FibImage,
                 trusted: bool,
             ) -> Result<Self, ImageError> {
                 Ok(match kind {
-                    $($( EngineKind::$kind => Self::$kind($owned::<A>::parse(section, trusted)?), )?)*
+                    $($( EngineKind::$kind => Self::$kind($owned::<A>::parse(image, trusted)?), )?)*
                     $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
                 })
             }
@@ -1124,7 +1080,7 @@ crate::engine::engine_table!(impl_image_kinds);
 pub fn any_view<A: Address>(image: &FibImage) -> Result<AnyView<'_, A>, ImageError> {
     let kind = image.engine()?;
     image.expect::<A>(kind)?;
-    AnyView::parse(kind, |id| image.section(id), false)
+    AnyView::parse(kind, image, false)
 }
 
 impl FibImage {

@@ -104,7 +104,7 @@ use crate::engine::{ArenaPublish, BuildConfig, FibBuild, FibLookup};
 use crate::idhash::IdBuildHasher;
 use crate::image::{
     sections, write_image, AnyView, EngineKind, EngineVisitor, FibImage, ImageCodec, ImageError,
-    ImageWriter, Sections,
+    ImageWriter,
 };
 use crate::pdag::{
     bfs_order, pack_bfs, packed_node, packed_root_array, record, PrefixDag, PrefixDagRef,
@@ -442,20 +442,22 @@ impl<A: Address> VrfDedicated<A> {
         view.expect("a loaded table passed a full parse at load") // fibcheck: allow(hot-path): the image is immutable and was validated once, at load
     }
 
-    /// A table [`CompiledVrfSet::from_image`] loads: `section` resolves
-    /// its sections by canonical id. They are fully parsed — what a
-    /// hostile image fails on — then copied into a one-engine image.
-    fn load<'i>(
+    /// A table [`CompiledVrfSet::from_image`] loads from the sections at
+    /// `base` of `image`: they are copied into a one-engine image at
+    /// their canonical ids, which is then fully parsed — what a hostile
+    /// image fails on.
+    fn load(
         choice: VrfEngineChoice,
         kind: EngineKind,
-        section: impl Sections<'i>,
+        image: &FibImage,
+        base: u32,
     ) -> Result<Self, ImageError> {
-        let served_bytes = AnyView::<A>::parse(kind, &section, false)?.size_bytes() as u64;
         let mut writer = ImageWriter::new::<A>(kind, 0, 0);
-        for &(id, _) in kind.sections() {
-            writer.section(id, section(id)?);
+        for (slot, &(id, _)) in (0..).zip(kind.sections()) {
+            writer.section(id, image.section(base + slot)?);
         }
         let image = FibImage::from_bytes(&writer.finish())?;
+        let served_bytes = AnyView::<A>::parse(kind, &image, false)?.size_bytes() as u64;
         Ok(Self {
             choice,
             engine: DedicatedEngine::Loaded(Arc::new(image)),
@@ -651,15 +653,9 @@ impl<A: Address> CompiledVrfSet<A> {
                     }
                     (root, None)
                 }
-                // Canonical section `id` sits at the table's block base plus
-                // its position in the engine's `SECTIONS`.
                 Some(kind) => {
-                    let slot = |id| kind.sections().iter().position(|&(s, _)| s == id);
-                    let section = |id| match slot(id) {
-                        Some(slot) => image.section(vrf_section_base(index) + slot as u32),
-                        None => Err(ImageError::MissingSection(id)),
-                    };
-                    (NONE, Some(VrfDedicated::load(choice, kind, section)?))
+                    let base = vrf_section_base(index);
+                    (NONE, Some(VrfDedicated::load(choice, kind, image, base)?))
                 }
             };
             tables.push(CompiledVrf {

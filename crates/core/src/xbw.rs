@@ -55,25 +55,32 @@
 //!
 //! The table is a function of `S_I` alone, derived by replaying the
 //! walk's first 8 steps (at most 255 probes). The build derives it and
-//! so does [`XbwFibRef::from_parts`], so images keep their sections and
-//! an image written before the table existed serves unchanged. A load
+//! so does an image's first view, so images keep their sections and an
+//! image written before the table existed serves unchanged. A load
 //! refuses an `S_I` whose top levels leave the string: the derivation
-//! probes image words no one has checked, through a checked probe. A
-//! loaded image keeps the table it derived, so the trusted view an
-//! image-backed snapshot or fleet table parses per call
-//! ([`ImageCodec::view_prevalidated`](crate::image::ImageCodec::view_prevalidated))
-//! copies it instead of deriving it again.
+//! probes image words no one has checked, through a checked probe.
+//!
+//! A view borrows its table from the table's owner, never copies it: an
+//! [`XbwFib`] owns the table its [`XbwFib::view`] reads, and a loaded
+//! [`FibImage`] keeps the one its first view derived, which every later
+//! view of it reads — the validated
+//! [`ImageCodec::view`](crate::image::ImageCodec::view) and the trusted
+//! [`ImageCodec::view_prevalidated`](crate::image::ImageCodec::view_prevalidated)
+//! an image-backed snapshot or fleet table parses per call alike.
 
+use fib_succinct::storage::meta_run_words;
 use fib_succinct::{
-    BitVec, IntVec, IntVecRef, RrrVec, RrrVecRef, RsBitVec, RsBitVecRef, StorageError, WaveletTree,
-    WaveletTreeRef,
+    Arena, BitVec, IntVec, IntVecRef, RrrVec, RrrVecRef, RsBitVec, RsBitVecRef, StorageError,
+    WaveletTree, WaveletTreeRef,
 };
 use fib_trie::{Address, BinaryTrie, NextHop, ProperNode, ProperTrie};
 use std::marker::PhantomData;
+use std::ops::Range;
 
+use crate::image::{sections, FibImage, ImageError, ImageWriter};
 use crate::pdag::ROOT_BITS;
 
-/// Number of lookups [`XbwFib::lookup_batch`] interleaves.
+/// Number of lookups [`XbwFibRef::lookup_batch`] interleaves.
 ///
 /// Lane-width sweep on a DFZ-scale shape string (out-of-cache, uniform
 /// keys, median ns/lookup of the interleaved walk): 4 lanes leave load
@@ -98,8 +105,8 @@ const NODE: u16 = 1 << 15;
 
 /// The root table: where the walk for each [`ROOT_BITS`]-bit address
 /// prefix starts (see the module docs' "Root table").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct RootTable([u16; 1 << ROOT_BITS]);
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct RootTable([u16; 1 << ROOT_BITS]);
 
 /// Where the walk for one address starts.
 #[derive(Clone, Copy, Debug)]
@@ -191,6 +198,7 @@ pub enum XbwStorage {
     Entropy,
 }
 
+/// `S_I` as the build made it.
 #[derive(Clone, Debug)]
 enum SiStore {
     Plain(RsBitVec),
@@ -198,8 +206,6 @@ enum SiStore {
 }
 
 impl SiStore {
-    /// The borrowed view, hoisted out of walk loops so the per-query cost
-    /// is one construction instead of one per level.
     #[inline]
     fn as_view(&self) -> SiRef<'_> {
         match self {
@@ -216,25 +222,33 @@ impl SiStore {
     }
 }
 
+/// `S_α` as the build made it.
 #[derive(Clone, Debug)]
 enum SaStore {
     Packed(IntVec),
-    Wavelet(WaveletTree),
+    /// The words [`WaveletTree::write_words`] wrote, which the image's
+    /// `S_α` section holds, and the tree's [`WaveletTree::size_bits`].
+    Wavelet {
+        words: Arena,
+        bits: usize,
+    },
 }
 
 impl SaStore {
     #[inline]
-    fn access(&self, i: usize) -> u64 {
+    fn as_view(&self) -> SaRef<'_> {
         match self {
-            Self::Packed(v) => v.get(i),
-            Self::Wavelet(w) => w.access(i),
+            Self::Packed(v) => SaRef::Packed(v.view()),
+            Self::Wavelet { words, .. } => {
+                SaRef::Wavelet(WaveletTreeRef::from_words_trusted(words.words()))
+            }
         }
     }
 
     fn size_bits(&self) -> usize {
         match self {
             Self::Packed(v) => v.size_bits(),
-            Self::Wavelet(w) => w.size_bits(),
+            Self::Wavelet { bits, .. } => *bits,
         }
     }
 }
@@ -267,12 +281,16 @@ impl XbwSizeReport {
 }
 
 /// An entropy-compressed, statically queryable FIB — the XBW-b transform.
+///
+/// It holds what its image holds — `S_I`, `S_α` and the label words — and
+/// the root table, and serves every lookup through [`Self::view`].
 #[derive(Clone, Debug)]
 pub struct XbwFib<A: Address> {
     si: SiStore,
     sa: SaStore,
-    /// Symbol → next-hop (⊥ included when present in the normal form).
-    label_map: Vec<Option<NextHop>>,
+    /// Symbol → next-hop words (`u64::MAX` for ⊥, present when the normal
+    /// form has ⊥ leaves): the image's label section.
+    labels: Vec<u64>,
     root: RootTable,
     n_leaves: usize,
     t_nodes: usize,
@@ -301,9 +319,9 @@ impl<A: Address> XbwFib<A> {
                 symbols.push(label.map_or(0, |nh| u64::from(nh.index()) + 1));
             }
         }
-        let label_map = number_symbols(&mut symbols);
+        let labels = number_symbols(&mut symbols);
 
-        let sigma = label_map.len().max(1);
+        let sigma = labels.len().max(1);
         let (si, sa) = match storage {
             XbwStorage::Succinct => {
                 let mut iv = IntVec::new(fib_succinct::ceil_log2(sigma as u64));
@@ -312,16 +330,22 @@ impl<A: Address> XbwFib<A> {
                 }
                 (SiStore::Plain(RsBitVec::new(si_bits)), SaStore::Packed(iv))
             }
-            XbwStorage::Entropy => (
-                SiStore::Rrr(RrrVec::new(&si_bits)),
-                SaStore::Wavelet(WaveletTree::new(&symbols, sigma)),
-            ),
+            XbwStorage::Entropy => {
+                let tree = WaveletTree::new(&symbols, sigma);
+                let mut words = Vec::new();
+                tree.write_words(&mut words);
+                let sa = SaStore::Wavelet {
+                    words: Arena::from_words(&words),
+                    bits: tree.size_bits(),
+                };
+                (SiStore::Rrr(RrrVec::new(&si_bits)), sa)
+            }
         };
         let root = RootTable::derive(si.as_view()).expect("a built S_I is a trie shape");
         Self {
             si,
             sa,
-            label_map,
+            labels,
             root,
             n_leaves: proper.n_leaves(),
             t_nodes: proper.node_count(),
@@ -329,51 +353,19 @@ impl<A: Address> XbwFib<A> {
         }
     }
 
-    /// Longest-prefix match on the compressed form (§3.1's `lookup`): one
-    /// root-table read replaces the top 8 levels, then the walk goes on
-    /// down the level-order encoding with one *fused* `access_rank1` probe
-    /// per level, at most `W − 7` probes in total (none when the path
-    /// ends above depth 8; see the module docs' "Root table").
-    ///
-    /// The paper's pseudo-code issues an `access` then a `rank0`/`rank1`
-    /// at each level; those hit the same `S_I` word and directory entry,
-    /// so the fused primitive answers both from one probe:
-    /// `rank0(i + 1) = i + 1 − rank1(i)` whenever bit `i` is 0.
+    /// The borrowed view every lookup of this engine runs on. It borrows
+    /// the strings, the label words and the root table: nothing is
+    /// validated and nothing copied.
     #[must_use]
-    pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        walk(self, addr, |_| {}).0
-    }
-
-    /// Batched longest-prefix match: [`XBW_BATCH_LANES`] independent
-    /// walks advance interleaved with rolling lane refill, so the
-    /// directory and `S_α` accesses of different packets overlap instead
-    /// of serializing. Out of cache that hides miss latency; in cache it
-    /// still hides the serial rank/access dependency chain, so the
-    /// interleave wins at every table size (see [`XBW_BATCH_LANES`]).
-    /// Only the RRR-backed walk stays scalar: it is bound by the serial
-    /// combinatorial decode (ALU, not loads), which interleaving cannot
-    /// overlap.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        lookup_batch(self, addrs, out);
-    }
-
-    /// Lookup reporting every memory touch as `(byte offset, byte size)`
-    /// for cache simulation, under a flat `[S_I | S_α | root table]`
-    /// layout.
-    ///
-    /// The access model: the walk starts with one 2-byte root-table read;
-    /// each level below the table reads the 8-byte `S_I` word holding bit
-    /// `i` (the `access` and the `rank` of §3.1 hit the same word plus a
-    /// directory entry that lives alongside it); the final label read is
-    /// one 8-byte `S_α` word for packed labels, or `⌈lg δ⌉` wavelet-tree
-    /// levels — one 8-byte touch per level, spread across the per-level
-    /// sub-arrays. Offsets are deterministic for a given query, which is
-    /// all the cache and SRAM replay harnesses need.
-    pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        lookup_traced(self, addr, sink)
+    #[inline]
+    pub fn view(&self) -> XbwFibRef<'_, A> {
+        XbwFibRef {
+            si: self.si.as_view(),
+            sa: self.sa.as_view(),
+            labels: &self.labels,
+            root: &self.root,
+            _marker: PhantomData,
+        }
     }
 
     /// Number of leaves `n` of the underlying normal form.
@@ -391,7 +383,7 @@ impl<A: Address> XbwFib<A> {
     /// Alphabet size δ (⊥ included when present).
     #[must_use]
     pub fn delta(&self) -> usize {
-        self.label_map.len()
+        self.labels.len()
     }
 
     /// Size breakdown.
@@ -400,7 +392,7 @@ impl<A: Address> XbwFib<A> {
         XbwSizeReport {
             si_bits: self.si.size_bits(),
             sa_bits: self.sa.size_bits(),
-            label_map_bits: self.label_map.len() * 33,
+            label_map_bits: self.labels.len() * 33,
             root_bits: RootTable::BYTES * 8,
         }
     }
@@ -411,68 +403,42 @@ impl<A: Address> XbwFib<A> {
         self.size_report().total_bytes()
     }
 
-    // ------------------------------------------------------------------
-    // FIB-image serialization (consumed by `crate::image`)
-    // ------------------------------------------------------------------
-
-    /// Storage kind codes for the image header: `(S_I kind, S_α kind)`
-    /// with 0 = plain/packed and 1 = RRR/wavelet — `(0, 0)` for
-    /// [`XbwStorage::Succinct`], `(1, 1)` for [`XbwStorage::Entropy`].
-    #[must_use]
-    pub(crate) fn image_kind_codes(&self) -> (u64, u64) {
-        let si = match self.si {
+    /// Writes the image sections: `PARAMS` (`S_I` kind, `S_α` kind — 0 =
+    /// plain/packed, 1 = RRR/wavelet —, `n_leaves`, `t_nodes`), then `S_I`,
+    /// `S_α` and the label words.
+    pub(crate) fn write_image_sections(&self, writer: &mut ImageWriter) {
+        let si_kind = match self.si {
             SiStore::Plain(_) => 0,
             SiStore::Rrr(_) => 1,
         };
-        let sa = match self.sa {
+        let sa_kind = match self.sa {
             SaStore::Packed(_) => 0,
-            SaStore::Wavelet(_) => 1,
+            SaStore::Wavelet { .. } => 1,
         };
-        (si, sa)
-    }
-
-    /// `(n_leaves, t_nodes)` for the image header.
-    #[must_use]
-    pub(crate) fn image_counts(&self) -> (u64, u64) {
-        (self.n_leaves as u64, self.t_nodes as u64)
-    }
-
-    /// Serializes the shape string `S_I`.
-    pub(crate) fn write_si_words(&self, out: &mut Vec<u64>) {
-        match &self.si {
+        let (n_leaves, t_nodes) = (self.n_leaves as u64, self.t_nodes as u64);
+        writer.set_prefix_count(n_leaves);
+        writer.section(sections::PARAMS, &[si_kind, sa_kind, n_leaves, t_nodes]);
+        writer.section_with(sections::XBW_SI, |out| match &self.si {
             SiStore::Plain(v) => v.write_words(out),
             SiStore::Rrr(v) => v.write_words(out),
-        }
-    }
-
-    /// Serializes the label string `S_α`.
-    pub(crate) fn write_sa_words(&self, out: &mut Vec<u64>) {
-        match &self.sa {
+        });
+        writer.section_with(sections::XBW_SA, |out| match &self.sa {
             SaStore::Packed(v) => v.write_words(out),
-            SaStore::Wavelet(w) => w.write_words(out),
-        }
-    }
-
-    /// The symbol → next-hop table as one word per symbol (`u64::MAX` for
-    /// the ⊥ label).
-    #[must_use]
-    pub(crate) fn label_words(&self) -> Vec<u64> {
-        self.label_map
-            .iter()
-            .map(|l| l.map_or(u64::MAX, |nh| u64::from(nh.index())))
-            .collect()
+            SaStore::Wavelet { words, .. } => out.extend_from_slice(words.words()),
+        });
+        writer.section(sections::XBW_LABELS, &self.labels);
     }
 }
 
 /// Renumbers label keys (⊥ as 0, next-hop `h` as `h + 1`: the order of
 /// `Option<NextHop>`) in place as symbols, each key's rank among the
-/// distinct keys, and returns the symbol → next-hop table: stable symbol
-/// numbering, the distinct labels sorted. Next-hop ids are dense in
-/// practice, so a key range within a few times the leaf count ranks
-/// through a table indexed by key, one read a leaf; a wider range sorts
-/// its keys instead.
-fn number_symbols(keys: &mut [u64]) -> Vec<Option<NextHop>> {
-    let label = |key: u64| key.checked_sub(1).map(|h| NextHop::new(h as u32));
+/// distinct keys, and returns the symbol → next-hop words (`u64::MAX` for
+/// ⊥): stable symbol numbering, the distinct labels sorted. Next-hop ids
+/// are dense in practice, so a key range within a few times the leaf
+/// count ranks through a table indexed by key, one read a leaf; a wider
+/// range sorts its keys instead.
+fn number_symbols(keys: &mut [u64]) -> Vec<u64> {
+    let label = |key: u64| key.checked_sub(1).unwrap_or(u64::MAX);
     let max = keys.iter().copied().max().unwrap_or(0);
     if max > 2 * keys.len() as u64 + 1024 {
         let mut distinct = keys.to_vec();
@@ -516,6 +482,26 @@ impl SiRef<'_> {
         }
     }
 
+    fn count_ones(&self) -> usize {
+        match self {
+            Self::Plain(v) => v.count_ones(),
+            Self::Rrr(v) => v.count_ones(),
+        }
+    }
+
+    fn payload(&self) -> Range<usize> {
+        match self {
+            Self::Plain(v) => v.payload_ptr_range(),
+            Self::Rrr(v) => v.payload_ptr_range(),
+        }
+    }
+
+    /// Words the string's image section holds: a meta block, then the
+    /// payload.
+    fn section_words(&self) -> usize {
+        meta_run_words(self.payload().len() / 8)
+    }
+
     #[inline]
     fn access_rank1(&self, i: usize) -> (bool, usize) {
         match self {
@@ -543,6 +529,30 @@ enum SaRef<'a> {
 }
 
 impl SaRef<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Self::Packed(v) => v.len(),
+            Self::Wavelet(w) => w.len(),
+        }
+    }
+
+    fn payload(&self) -> Range<usize> {
+        match self {
+            Self::Packed(v) => v.payload_ptr_range(),
+            Self::Wavelet(w) => w.payload_ptr_range(),
+        }
+    }
+
+    /// Words the string's image section holds: a packed string's meta
+    /// block and payload, or a wavelet tree's whole run.
+    fn section_words(&self) -> usize {
+        let words = self.payload().len() / 8;
+        match self {
+            Self::Packed(_) => meta_run_words(words),
+            Self::Wavelet(_) => words,
+        }
+    }
+
     #[inline]
     fn access(&self, i: usize) -> u64 {
         match self {
@@ -552,403 +562,288 @@ impl SaRef<'_> {
     }
 }
 
-/// Borrowed zero-copy view of an [`XbwFib`] image: the §3.1 lookup walk
-/// over `S_I`/`S_α` sections parsed straight out of a loaded buffer.
+/// Borrowed zero-copy view of an [`XbwFib`] — over the built engine's own
+/// strings, or over an image's sections — and the one home of the §3.1
+/// walk: the scalar lookup, the rolling-refill batch kernel and the
+/// traced walk.
 #[derive(Clone, Copy, Debug)]
 pub struct XbwFibRef<'a, A: Address> {
     si: SiRef<'a>,
     sa: SaRef<'a>,
     /// Symbol → next-hop words (`u64::MAX` = ⊥).
     labels: &'a [u64],
-    /// Words the `S_I` and `S_α` sections hold (for size reporting and
-    /// the traced walk's layout).
-    string_words: (usize, usize),
-    /// Derived from `S_I` on load, as the build derives it.
-    root: RootTable,
+    /// Borrowed from its owner (see the module docs' "Root table").
+    root: &'a RootTable,
     _marker: PhantomData<A>,
 }
 
 impl<'a, A: Address> XbwFibRef<'a, A> {
-    /// Assembles a view from the three image sections, validating that
-    /// the strings agree (`S_α` holds exactly one symbol per `S_I` leaf),
-    /// and derives the root table from `S_I`.
+    /// The view over an XBW-b image's sections. It validates that the
+    /// strings agree (`S_α` holds exactly one symbol per `S_I` leaf) and
+    /// borrows the root table `image` keeps, which the image's first view
+    /// derives from `S_I`. `trusted`, for an image that already passed an
+    /// untrusted parse, skips the wavelet tree's node scan.
     ///
     /// # Errors
-    /// [`StorageError`] on malformed sections, inconsistent strings, or
-    /// an `S_I` whose top levels leave the string.
-    pub fn from_parts(
-        si_kind: u64,
-        sa_kind: u64,
-        si_words: &'a [u64],
-        sa_words: &'a [u64],
-        labels: &'a [u64],
-    ) -> Result<Self, StorageError> {
-        Self::from_parts_rooted(si_kind, sa_kind, si_words, sa_words, labels, None)
-    }
-
-    /// [`Self::from_parts`], with the root table copied from `root`
-    /// when given: the [`Self::root_table`] of a view over the same
-    /// sections, which already derived it.
-    pub(crate) fn from_parts_rooted(
-        si_kind: u64,
-        sa_kind: u64,
-        si_words: &'a [u64],
-        sa_words: &'a [u64],
-        labels: &'a [u64],
-        root: Option<RootTable>,
-    ) -> Result<Self, StorageError> {
-        let (si, si_len, si_ones, si_consumed) = match si_kind {
-            0 => {
-                let (v, used) = RsBitVecRef::from_words(si_words)?;
-                (SiRef::Plain(v), v.len(), v.count_ones(), used)
-            }
-            1 => {
-                let (v, used) = RrrVecRef::from_words(si_words)?;
-                (SiRef::Rrr(v), v.len(), v.count_ones(), used)
-            }
-            _ => return Err(StorageError("unknown S_I storage kind")),
+    /// [`ImageError`] on missing or malformed sections, inconsistent
+    /// strings, or an `S_I` whose top levels leave the string.
+    pub(crate) fn parse(image: &'a FibImage, trusted: bool) -> Result<Self, ImageError> {
+        let &[si_kind, sa_kind, ..] = image.section(sections::PARAMS)? else {
+            return Err(ImageError::Malformed("params"));
         };
-        let (sa, sa_len, sa_consumed) = match sa_kind {
-            0 => {
-                let (v, used) = IntVecRef::from_words(sa_words)?;
-                (SaRef::Packed(v), v.len(), used)
-            }
-            1 => {
-                let (w, used) = WaveletTreeRef::from_words(sa_words)?;
-                (SaRef::Wavelet(w), w.len(), used)
-            }
-            _ => return Err(StorageError("unknown S_α storage kind")),
+        let si_words = image.section(sections::XBW_SI)?;
+        let sa_words = image.section(sections::XBW_SA)?;
+        let labels = image.section(sections::XBW_LABELS)?;
+        let si = match si_kind {
+            0 => SiRef::Plain(RsBitVecRef::from_words(si_words)?.0),
+            1 => SiRef::Rrr(RrrVecRef::from_words(si_words)?.0),
+            _ => return Err(ImageError::Malformed("unknown S_I storage kind")),
         };
-        if si_ones != sa_len {
-            return Err(StorageError("S_α length does not match S_I leaves"));
+        let sa = match sa_kind {
+            0 => SaRef::Packed(IntVecRef::from_words(sa_words)?.0),
+            1 if trusted => SaRef::Wavelet(WaveletTreeRef::from_words_trusted(sa_words)),
+            1 => SaRef::Wavelet(WaveletTreeRef::from_words(sa_words)?.0),
+            _ => return Err(ImageError::Malformed("unknown S_α storage kind")),
+        };
+        if si.count_ones() != sa.len() {
+            return Err(ImageError::Malformed(
+                "S_α length does not match S_I leaves",
+            ));
         }
-        if si_len == 0 {
-            return Err(StorageError("S_I is empty"));
+        if si.len() == 0 {
+            return Err(ImageError::Malformed("S_I is empty"));
         }
         if labels.is_empty() {
-            return Err(StorageError("label map is empty"));
+            return Err(ImageError::Malformed("label map is empty"));
         }
         Ok(Self {
             si,
             sa,
             labels,
-            string_words: (si_consumed, sa_consumed),
-            root: match root {
-                Some(root) => root,
-                None => RootTable::derive(si)?,
-            },
+            root: image.derived(|| Ok(RootTable::derive(si)?))?,
             _marker: PhantomData,
         })
     }
 
-    /// The root table, for [`Self::from_parts_rooted`].
-    pub(crate) fn root_table(&self) -> RootTable {
-        self.root
-    }
-
-    /// Total borrowed payload words (`S_I` + `S_α` + label map).
+    /// Total borrowed payload words (`S_I` + `S_α` + label map): what the
+    /// image's three sections hold.
     #[must_use]
     pub fn payload_words(&self) -> usize {
-        self.string_words.0 + self.string_words.1 + self.labels.len()
+        self.si.section_words() + self.sa.section_words() + self.labels.len()
     }
 
     /// The pointer ranges of every borrowed payload (`S_I`, `S_α`, label
     /// map), for zero-copy assertions in tests.
     #[must_use]
-    pub fn payload_ptr_ranges(&self) -> Vec<std::ops::Range<usize>> {
+    pub fn payload_ptr_ranges(&self) -> Vec<Range<usize>> {
         let labels_start = self.labels.as_ptr() as usize;
         vec![
-            match &self.si {
-                SiRef::Plain(v) => v.payload_ptr_range(),
-                SiRef::Rrr(v) => v.payload_ptr_range(),
-            },
-            match &self.sa {
-                SaRef::Packed(v) => v.payload_ptr_range(),
-                SaRef::Wavelet(w) => w.payload_ptr_range(),
-            },
+            self.si.payload(),
+            self.sa.payload(),
             labels_start..labels_start + std::mem::size_of_val(self.labels),
         ]
     }
 
-    /// The borrowed payloads' bytes and the derived root table's — the
-    /// resident footprint.
+    /// The borrowed payloads' bytes and the root table's — the resident
+    /// footprint.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
         self.payload_words() * 8 + RootTable::BYTES
     }
 
-    /// Longest-prefix match (see [`XbwFib::lookup`]), over borrowed
-    /// sections.
+    /// Longest-prefix match on the compressed form (§3.1's `lookup`): one
+    /// root-table read replaces the top 8 levels, then the walk goes on
+    /// down the level-order encoding with one *fused* `access_rank1` probe
+    /// per level, at most `W − 7` probes in total (none when the path
+    /// ends above depth 8; see the module docs' "Root table").
+    ///
+    /// The paper's pseudo-code issues an `access` then a `rank0`/`rank1`
+    /// at each level; those hit the same `S_I` word and directory entry,
+    /// so the fused primitive answers both from one probe:
+    /// `rank0(i + 1) = i + 1 − rank1(i)` whenever bit `i` is 0.
     #[must_use]
+    #[inline]
     pub fn lookup(&self, addr: A) -> Option<NextHop> {
-        walk(self, addr, |_| {}).0
+        self.walk(addr, |_| {}).0
     }
 
-    /// Batched longest-prefix match (see [`XbwFib::lookup_batch`]).
+    /// Batched longest-prefix match: [`XBW_BATCH_LANES`] independent
+    /// walks advance interleaved with rolling lane refill, so the
+    /// directory and `S_α` accesses of different packets overlap instead
+    /// of serializing. Out of cache that hides miss latency; in cache it
+    /// still hides the serial rank/access dependency chain, so the
+    /// interleave wins at every table size (see [`XBW_BATCH_LANES`]).
+    /// Only the RRR-backed walk stays scalar: it is bound by the serial
+    /// combinatorial decode (ALU, not loads), which interleaving cannot
+    /// overlap.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `addrs`.
     pub fn lookup_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
-        lookup_batch(self, addrs, out);
+        assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
+        let out = &mut out[..addrs.len()];
+        match self.si {
+            SiRef::Rrr(_) => {
+                for (addr, slot) in addrs.iter().zip(out) {
+                    *slot = self.lookup(*addr);
+                }
+            }
+            SiRef::Plain(si) => self.interleaved_walk(si, addrs, out),
+        }
     }
 
-    /// Traced lookup (see [`XbwFib::lookup_traced`]), with the `S_I` and
-    /// `S_α` regions sized by the words the image stores for them.
+    /// Lookup reporting every memory touch as `(byte offset, byte size)`
+    /// for cache simulation, under a flat `[S_I | S_α | root table]`
+    /// layout whose string regions are the words the image sections hold.
+    ///
+    /// The access model: the walk starts with one 2-byte root-table read;
+    /// each level below the table reads the 8-byte `S_I` word holding bit
+    /// `i` (the `access` and the `rank` of §3.1 hit the same word plus a
+    /// directory entry that lives alongside it); the final label read is
+    /// one 8-byte `S_α` word for packed labels, or `⌈lg δ⌉` wavelet-tree
+    /// levels — one 8-byte touch per level, spread across the per-level
+    /// sub-arrays. Offsets are deterministic for a given query, which is
+    /// all the cache and SRAM replay harnesses need.
     pub fn lookup_traced(&self, addr: A, sink: &mut dyn FnMut(u64, u32)) -> Option<NextHop> {
-        lookup_traced(self, addr, sink)
+        let si_bytes = self.si.section_words() as u64 * 8;
+        let sa_bytes = (self.sa.section_words() as u64 * 8).max(8);
+        // The root table sits after S_α: one 2-byte entry.
+        sink(si_bytes + sa_bytes + 2 * RootTable::slot(addr) as u64, 2);
+        let (hop, leaf_rank) = self.walk(addr, |i| sink((i as u64 / 64) * 8, 8));
+        let leaf_rank = leaf_rank as u64;
+        match self.sa {
+            SaRef::Packed(v) => {
+                sink(si_bytes + leaf_rank * u64::from(v.width()) / 64 * 8, 8);
+            }
+            SaRef::Wavelet(_) => {
+                // One level per code bit, each level owning roughly an equal
+                // slice of the S_α region.
+                let delta = self.labels.len();
+                let levels = fib_succinct::ceil_log2(delta.max(2) as u64).max(1);
+                let slice = (sa_bytes / u64::from(levels)).max(8);
+                for level in 0..u64::from(levels) {
+                    let within = (leaf_rank / 8 * 8) % slice;
+                    sink(si_bytes + (level * slice + within) % sa_bytes, 8);
+                }
+            }
+        }
+        hop
     }
-}
-
-// ---------------------------------------------------------------------
-// The §3.1 walk, written once for owned and borrowed strings
-// ---------------------------------------------------------------------
-
-/// A pair of XBW-b strings as the lookup walk reads them. [`XbwFib`]
-/// answers from its owned stores and [`XbwFibRef`] from borrowed image
-/// sections; the scalar walk, the rolling-refill kernel
-/// and the traced walk below exist once, over this.
-trait Strings {
-    /// The shape string `S_I` as a borrowed view, hoisted out of walk
-    /// loops so a query pays for it once, not per level.
-    fn si(&self) -> SiRef<'_>;
-
-    /// The root table every walk starts from.
-    fn root(&self) -> &RootTable;
 
     /// Next-hop of the leaf with 0-based leaf rank `rank`: one `S_α`
-    /// access, then the symbol → next-hop table.
-    fn leaf(&self, rank: usize) -> Option<NextHop>;
-
-    /// `(S_I bytes, S_α bytes, label read)` of the flat layout the traced
-    /// walk models. Off the packet path: sizing the owned stores walks
-    /// them.
-    fn traced_layout(&self) -> (u64, u64, LabelRead);
-}
-
-/// How the traced walk models the final `S_α` read.
-#[derive(Clone, Copy, Debug)]
-enum LabelRead {
-    /// Labels packed at this many bits: one word holds the label.
-    Packed(u32),
-    /// A wavelet tree over this many symbols: one read per level.
-    Wavelet(usize),
-}
-
-impl<A: Address> Strings for XbwFib<A> {
-    #[inline]
-    fn si(&self) -> SiRef<'_> {
-        self.si.as_view()
-    }
-
-    #[inline]
-    fn root(&self) -> &RootTable {
-        &self.root
-    }
-
-    #[inline]
-    fn leaf(&self, rank: usize) -> Option<NextHop> {
-        self.label_map[self.sa.access(rank) as usize]
-    }
-
-    fn traced_layout(&self) -> (u64, u64, LabelRead) {
-        let label = match &self.sa {
-            SaStore::Packed(v) => LabelRead::Packed(v.width()),
-            SaStore::Wavelet(_) => LabelRead::Wavelet(self.label_map.len()),
-        };
-        (
-            (self.si.size_bits().div_ceil(64) * 8) as u64,
-            (self.sa.size_bits().div_ceil(64) * 8) as u64,
-            label,
-        )
-    }
-}
-
-impl<A: Address> Strings for XbwFibRef<'_, A> {
-    #[inline]
-    fn si(&self) -> SiRef<'_> {
-        self.si
-    }
-
-    #[inline]
-    fn root(&self) -> &RootTable {
-        &self.root
-    }
-
+    /// access, then the label word.
     #[inline]
     fn leaf(&self, rank: usize) -> Option<NextHop> {
         let word = self.labels[self.sa.access(rank) as usize];
         (word != u64::MAX).then(|| NextHop::new(word as u32))
     }
 
-    fn traced_layout(&self) -> (u64, u64, LabelRead) {
-        let (si_words, sa_words) = self.string_words;
-        let label = match self.sa {
-            SaRef::Packed(v) => LabelRead::Packed(v.width()),
-            SaRef::Wavelet(_) => LabelRead::Wavelet(self.labels.len()),
+    /// The scalar walk: the root table, then one fused `access_rank1`
+    /// probe per level, each `S_I` position reported to `touch` first
+    /// (the traced lookup is this walk with a reporting `touch`). Returns
+    /// the answer and the leaf rank it was read at.
+    #[inline]
+    fn walk(&self, addr: A, mut touch: impl FnMut(usize)) -> (Option<NextHop>, usize) {
+        let mut i = match self.root.root_start(addr) {
+            Start::Leaf(rank) => return (self.leaf(rank), rank),
+            Start::Node(i) => i,
         };
-        (si_words as u64 * 8, sa_words as u64 * 8, label)
-    }
-}
-
-/// The scalar walk: the root table, then one fused `access_rank1` probe
-/// per level, each `S_I` position reported to `touch` first (the traced
-/// lookup is this walk with a reporting `touch`). Returns the answer and
-/// the leaf rank it was read at.
-#[inline]
-fn walk<A: Address>(
-    strings: &impl Strings,
-    addr: A,
-    mut touch: impl FnMut(usize),
-) -> (Option<NextHop>, usize) {
-    let mut i = match strings.root().root_start(addr) {
-        Start::Leaf(rank) => return (strings.leaf(rank), rank),
-        Start::Node(i) => i,
-    };
-    let mut q = ROOT_BITS;
-    // 0-based variant of the paper's pseudo-code: the children of the
-    // r-th interior node (1-based) sit at positions 2r−1 and 2r.
-    let si = strings.si();
-    loop {
-        touch(i);
-        let (leaf, rank1) = si.access_rank1(i);
-        if leaf {
-            return (strings.leaf(rank1), rank1);
-        }
-        debug_assert!(q < A::WIDTH, "interior node below maximum depth");
-        // Bit i is 0 here, so rank0(i + 1) follows from rank1(i).
-        let r = i + 1 - rank1;
-        i = 2 * r - 1 + usize::from(addr.bit(q));
-        q += 1;
-    }
-}
-
-/// The RRR backing's batch path: its walk is bound by the
-/// serial combinatorial decode, which interleaving cannot overlap.
-fn scalar_loop<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Option<NextHop>]) {
-    for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-        *slot = walk(strings, *addr, |_| {}).0;
-    }
-}
-
-fn lookup_batch<A: Address>(strings: &impl Strings, addrs: &[A], out: &mut [Option<NextHop>]) {
-    assert!(out.len() >= addrs.len(), "output buffer too small"); // fibcheck: allow(hot-path): documented once-per-batch contract, not per-packet
-    let out = &mut out[..addrs.len()];
-    match strings.si() {
-        SiRef::Rrr(_) => scalar_loop(strings, addrs, out),
-        SiRef::Plain(si) => interleaved_walk(si, strings, addrs, out),
-    }
-}
-
-/// The next walk for a lane of [`interleaved_walk`]: answers the
-/// addresses from `*next` on that the root table answers alone, and
-/// returns the first that needs `S_I` as `(index, start position)`, or
-/// `None` once the stream is drained.
-#[inline]
-fn next_walk<A: Address>(
-    strings: &impl Strings,
-    addrs: &[A],
-    out: &mut [Option<NextHop>],
-    next: &mut usize,
-) -> Option<(usize, usize)> {
-    while let Some(&addr) = addrs.get(*next) {
-        let j = *next;
-        *next += 1;
-        match strings.root().root_start(addr) {
-            Start::Leaf(rank) => out[j] = strings.leaf(rank),
-            Start::Node(i) => return Some((j, i)),
-        }
-    }
-    None
-}
-
-/// The rolling-refill walk kernel behind `lookup_batch`. It takes the
-/// plain shape string itself, not the backing enum: the RRR fallback is
-/// the caller's, and the per-level probe compiles to the one rank-line
-/// read.
-fn interleaved_walk<A: Address>(
-    si: RsBitVecRef<'_>,
-    strings: &impl Strings,
-    addrs: &[A],
-    out: &mut [Option<NextHop>],
-) {
-    // Rolling lane refill: each slot owns one in-flight walk and takes
-    // the next address from the stream the moment its walk resolves.
-    // The earlier per-chunk lockstep paid a convoy tax — a lane that
-    // matched at depth 8 idled while its chunk-mates walked to depth
-    // 24, so the average number of overlapped walks sat well below
-    // [`XBW_BATCH_LANES`]. Keeping every lane busy across the whole
-    // stream is what lets the interleave pay even on cache-resident
-    // strings, where the overlap hides the serial rank/access
-    // dependency chain rather than memory latency.
-    let mut pos = [0usize; XBW_BATCH_LANES];
-    let mut depth = [ROOT_BITS; XBW_BATCH_LANES];
-    // Index into `addrs` each lane is walking; `usize::MAX` = drained.
-    let mut job = [usize::MAX; XBW_BATCH_LANES];
-    let mut next = 0;
-    let mut live = 0;
-    for lane in 0..XBW_BATCH_LANES {
-        if let Some((j, i)) = next_walk(strings, addrs, out, &mut next) {
-            (job[lane], pos[lane]) = (j, i);
-            live += 1;
-        }
-    }
-    while live > 0 {
-        for lane in 0..XBW_BATCH_LANES {
-            let j = job[lane];
-            if j == usize::MAX {
-                continue;
-            }
-            let (leaf, rank1) = si.access_rank1(pos[lane]);
+        let mut q = ROOT_BITS;
+        // 0-based variant of the paper's pseudo-code: the children of the
+        // r-th interior node (1-based) sit at positions 2r−1 and 2r.
+        let si = self.si;
+        loop {
+            touch(i);
+            let (leaf, rank1) = si.access_rank1(i);
             if leaf {
-                out[j] = strings.leaf(rank1);
-                // Refill in place, from the root table.
-                if let Some((j, i)) = next_walk(strings, addrs, out, &mut next) {
-                    (job[lane], pos[lane], depth[lane]) = (j, i, ROOT_BITS);
-                } else {
-                    job[lane] = usize::MAX;
-                    live -= 1;
-                }
-            } else {
-                let r = pos[lane] + 1 - rank1;
-                pos[lane] = 2 * r - 1 + usize::from(addrs[j].bit(depth[lane]));
-                depth[lane] += 1;
+                return (self.leaf(rank1), rank1);
             }
+            debug_assert!(q < A::WIDTH, "interior node below maximum depth");
+            // Bit i is 0 here, so rank0(i + 1) follows from rank1(i).
+            let r = i + 1 - rank1;
+            i = 2 * r - 1 + usize::from(addr.bit(q));
+            q += 1;
         }
     }
-}
 
-fn lookup_traced<A: Address>(
-    strings: &impl Strings,
-    addr: A,
-    sink: &mut dyn FnMut(u64, u32),
-) -> Option<NextHop> {
-    let (si_bytes, sa_bytes, label) = strings.traced_layout();
-    let sa_bytes = sa_bytes.max(8);
-    // The root table sits after S_α: one 2-byte entry.
-    sink(si_bytes + sa_bytes + 2 * RootTable::slot(addr) as u64, 2);
-    let (hop, leaf_rank) = walk(strings, addr, |i| sink((i as u64 / 64) * 8, 8));
-    let leaf_rank = leaf_rank as u64;
-    match label {
-        LabelRead::Packed(width) => {
-            sink(si_bytes + leaf_rank * u64::from(width) / 64 * 8, 8);
+    /// The next walk for a lane of [`Self::interleaved_walk`]: answers the
+    /// addresses from `*next` on that the root table answers alone, and
+    /// returns the first that needs `S_I` as `(index, start position)`, or
+    /// `None` once the stream is drained.
+    #[inline]
+    fn next_walk(
+        &self,
+        addrs: &[A],
+        out: &mut [Option<NextHop>],
+        next: &mut usize,
+    ) -> Option<(usize, usize)> {
+        while let Some(&addr) = addrs.get(*next) {
+            let j = *next;
+            *next += 1;
+            match self.root.root_start(addr) {
+                Start::Leaf(rank) => out[j] = self.leaf(rank),
+                Start::Node(i) => return Some((j, i)),
+            }
         }
-        LabelRead::Wavelet(delta) => {
-            // One level per code bit, each level owning roughly an equal
-            // slice of the S_α region.
-            let levels = fib_succinct::ceil_log2(delta.max(2) as u64).max(1);
-            let slice = (sa_bytes / u64::from(levels)).max(8);
-            for level in 0..u64::from(levels) {
-                let within = (leaf_rank / 8 * 8) % slice;
-                sink(si_bytes + (level * slice + within) % sa_bytes, 8);
+        None
+    }
+
+    /// The rolling-refill walk kernel behind [`Self::lookup_batch`]. It
+    /// takes the plain shape string itself, not the backing enum: the RRR
+    /// fallback is the caller's, and the per-level probe compiles to the
+    /// one rank-line read.
+    fn interleaved_walk(&self, si: RsBitVecRef<'_>, addrs: &[A], out: &mut [Option<NextHop>]) {
+        // Rolling lane refill: each slot owns one in-flight walk and takes
+        // the next address from the stream the moment its walk resolves.
+        // The earlier per-chunk lockstep paid a convoy tax — a lane that
+        // matched at depth 8 idled while its chunk-mates walked to depth
+        // 24, so the average number of overlapped walks sat well below
+        // [`XBW_BATCH_LANES`]. Keeping every lane busy across the whole
+        // stream is what lets the interleave pay even on cache-resident
+        // strings, where the overlap hides the serial rank/access
+        // dependency chain rather than memory latency.
+        let mut pos = [0usize; XBW_BATCH_LANES];
+        let mut depth = [ROOT_BITS; XBW_BATCH_LANES];
+        // Index into `addrs` each lane is walking; `usize::MAX` = drained.
+        let mut job = [usize::MAX; XBW_BATCH_LANES];
+        let mut next = 0;
+        let mut live = 0;
+        for lane in 0..XBW_BATCH_LANES {
+            if let Some((j, i)) = self.next_walk(addrs, out, &mut next) {
+                (job[lane], pos[lane]) = (j, i);
+                live += 1;
+            }
+        }
+        while live > 0 {
+            for lane in 0..XBW_BATCH_LANES {
+                let j = job[lane];
+                if j == usize::MAX {
+                    continue;
+                }
+                let (leaf, rank1) = si.access_rank1(pos[lane]);
+                if leaf {
+                    out[j] = self.leaf(rank1);
+                    // Refill in place, from the root table.
+                    if let Some((j, i)) = self.next_walk(addrs, out, &mut next) {
+                        (job[lane], pos[lane], depth[lane]) = (j, i, ROOT_BITS);
+                    } else {
+                        job[lane] = usize::MAX;
+                        live -= 1;
+                    }
+                } else {
+                    let r = pos[lane] + 1 - rank1;
+                    pos[lane] = 2 * r - 1 + usize::from(addrs[j].bit(depth[lane]));
+                    depth[lane] += 1;
+                }
             }
         }
     }
-    hop
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FibLookup;
     use fib_trie::Prefix4;
 
     fn nh(i: u32) -> NextHop {
@@ -1005,7 +900,7 @@ mod tests {
             assert_eq!(symbols, want);
             let want: Vec<_> = map
                 .keys()
-                .map(|&k| k.checked_sub(1).map(|h| nh(h as u32)))
+                .map(|&k| k.checked_sub(1).unwrap_or(u64::MAX))
                 .collect();
             assert_eq!(labels, want);
         }
@@ -1145,8 +1040,9 @@ mod tests {
                 let traced = xbw.lookup_traced(addr, &mut |off, sz| touches.push((off, sz)));
                 assert_eq!(traced, xbw.lookup(addr), "{storage:?} addr {addr:#x}");
                 assert!(!touches.is_empty(), "{storage:?} produced no accesses");
-                let total_bytes = (xbw.si.size_bits().div_ceil(64) * 8
-                    + (xbw.sa.size_bits().div_ceil(64) * 8).max(8)
+                let view = xbw.view();
+                let total_bytes = (view.si.section_words() * 8
+                    + (view.sa.section_words() * 8).max(8)
                     + RootTable::BYTES) as u64;
                 for &(off, _) in &touches {
                     assert!(off < total_bytes, "touch {off} outside the modeled image");
@@ -1158,7 +1054,7 @@ mod tests {
     /// `S_I` probes of the scalar walk for `addr`.
     fn probes<A: Address>(xbw: &XbwFib<A>, addr: A) -> usize {
         let mut probes = 0;
-        walk(xbw, addr, |_| probes += 1);
+        xbw.view().walk(addr, |_| probes += 1);
         probes
     }
 
@@ -1227,8 +1123,9 @@ mod tests {
         let keys: Vec<u32> = (0..3_000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         for storage in ALL_STORAGES {
             let xbw = XbwFib::from_proper(&proper, storage);
-            let (si_bytes, sa_bytes, _) = xbw.traced_layout();
-            let table_at = si_bytes + sa_bytes.max(8);
+            let view = xbw.view();
+            let si_bytes = view.si.section_words() as u64 * 8;
+            let table_at = si_bytes + (view.sa.section_words() as u64 * 8).max(8);
             for &addr in &keys {
                 let mut levels = 0;
                 proper.lookup_traced(addr, &mut |_, _| levels += 1);
@@ -1257,7 +1154,7 @@ mod tests {
 
     #[test]
     fn a_loaded_image_derives_the_built_table() {
-        use crate::image::{write_image, FibImage, ImageCodec};
+        use crate::image::{write_image, ImageCodec};
         use crate::AnyView;
         let trie = dfz(3_000, 0x1AD);
         let mut v6: BinaryTrie<u128> = BinaryTrie::new();
@@ -1265,6 +1162,8 @@ mod tests {
         v6.insert("2001:db8::1/128".parse().unwrap(), nh(2));
         for storage in ALL_STORAGES {
             let xbw = XbwFib::build(&trie, storage);
+            // The owned view borrows the engine's own table.
+            assert!(std::ptr::eq(xbw.view().root, &xbw.root), "{storage:?}");
             let bytes = write_image(&xbw, None, 0).unwrap();
             let image = FibImage::from_bytes(&bytes).unwrap();
             // The header claims the table's resident bytes exactly, and so
@@ -1272,22 +1171,26 @@ mod tests {
             assert_eq!(xbw.size_report().root_bits, 512 * 8);
             assert_eq!(image.claimed_size_bytes(), xbw.size_bytes() as u64);
             let view = <XbwFib<u32> as ImageCodec<u32>>::view(&image).unwrap();
-            assert_eq!(view.root, xbw.root, "{storage:?}");
+            assert_eq!(view.root, &xbw.root, "{storage:?}");
             assert_eq!(view.size_bytes(), view.payload_words() * 8 + 512);
-            // The first trusted view derives the table and the image keeps
-            // it; the next ones copy it.
-            for _ in 0..2 {
-                let trusted = <XbwFib<u32> as ImageCodec<u32>>::view_prevalidated(&image).unwrap();
-                assert_eq!(trusted.root, xbw.root, "{storage:?}");
-                let kept = image.derived(|| -> Result<RootTable, _> {
-                    panic!("derived on the first trusted view")
-                });
-                assert_eq!(kept.unwrap(), &xbw.root);
-            }
+            // The first view derived the table and the image keeps it;
+            // every later view, validated or trusted, borrows that one.
+            let kept = image
+                .derived(|| -> Result<RootTable, _> { panic!("the first view derives the table") });
+            let kept = kept.unwrap();
+            assert!(std::ptr::eq(view.root, kept), "{storage:?}");
+            let again = <XbwFib<u32> as ImageCodec<u32>>::view(&image).unwrap();
+            let trusted = <XbwFib<u32> as ImageCodec<u32>>::view_prevalidated(&image).unwrap();
             let Ok(AnyView::Xbw(erased)) = AnyView::<u32>::prevalidated(&image) else {
                 panic!("{storage:?}: an XBW-b image");
             };
-            assert_eq!(erased.root, xbw.root, "{storage:?}");
+            for borrowed in [again, trusted, erased] {
+                assert!(std::ptr::eq(borrowed.root, kept), "{storage:?}");
+            }
+            // A trusted view is an image's first view too: it derives.
+            let fresh = FibImage::from_bytes(&bytes).unwrap();
+            let trusted = <XbwFib<u32> as ImageCodec<u32>>::view_prevalidated(&fresh).unwrap();
+            assert_eq!(trusted.root, &xbw.root, "{storage:?}");
             for addr in [0u32, 0x8000_0000, 0xC000_0001, u32::MAX] {
                 assert_eq!(
                     view.lookup(addr),
@@ -1300,24 +1203,33 @@ mod tests {
             let bytes = write_image(&xbw6, None, 0).unwrap();
             let image = FibImage::from_bytes(&bytes).unwrap();
             let view = <XbwFib<u128> as ImageCodec<u128>>::view(&image).unwrap();
-            assert_eq!(view.root, xbw6.root, "{storage:?} v6");
+            assert_eq!(view.root, &xbw6.root, "{storage:?} v6");
         }
     }
 
     #[test]
     fn a_load_refuses_an_s_i_whose_top_levels_leave_the_string() {
+        use crate::image::{write_image, EngineKind, ImageCodec};
         const OUT: StorageError = StorageError("S_I top levels leave the string");
         let trie = dfz(3_000, 0xBAD);
         for storage in ALL_STORAGES {
             let xbw = XbwFib::build(&trie, storage);
-            let (si_kind, sa_kind) = xbw.image_kind_codes();
-            let mut si = Vec::new();
-            xbw.write_si_words(&mut si);
-            let mut sa = Vec::new();
-            xbw.write_sa_words(&mut sa);
-            let labels = xbw.label_words();
-            let parse =
-                |si: &[u64]| XbwFibRef::<u32>::from_parts(si_kind, sa_kind, si, &sa, &labels).err();
+            let good = FibImage::from_bytes(&write_image(&xbw, None, 0).unwrap()).unwrap();
+            let si = good.section(sections::XBW_SI).unwrap().to_vec();
+            // The image's view with its S_I words replaced by `si`.
+            let parse = |si: &[u64]| {
+                let mut writer = ImageWriter::new::<u32>(EngineKind::Xbw, 0, 0);
+                for &(id, _) in EngineKind::Xbw.sections() {
+                    let words = if id == sections::XBW_SI {
+                        si
+                    } else {
+                        good.section(id).unwrap()
+                    };
+                    writer.section(id, words);
+                }
+                let image = FibImage::from_bytes(&writer.finish()).unwrap();
+                <XbwFib<u32> as ImageCodec<u32>>::view(&image).err()
+            };
             assert_eq!(parse(&si), None, "{storage:?}");
             let mut hostile = Vec::new();
             match storage {
@@ -1350,7 +1262,7 @@ mod tests {
                 }
             }
             for (bad, err) in hostile {
-                assert_eq!(parse(&bad), Some(err), "{storage:?}");
+                assert_eq!(parse(&bad), Some(err.into()), "{storage:?}");
             }
         }
     }

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use fib_core::{
-    BuildConfig, EngineKind, FibBuild, FibLookup, FibUpdate, ImageCodec, ImageError, ImageWriter,
-    PrefixDag, RebuildNeeded, VrfEngineChoice, VrfPolicy,
+    BuildConfig, EngineKind, FibBuild, FibImage, FibLookup, FibUpdate, ImageCodec, ImageError,
+    ImageWriter, PrefixDag, RebuildNeeded, VrfEngineChoice, VrfPolicy,
 };
 use fib_router::{Router, RouterConfig, VrfSetRouter};
 use fib_trie::{BinaryTrie, NextHop, Prefix};
@@ -85,11 +85,8 @@ impl ImageCodec<u32> for Flaky {
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
         self.0.write_sections(writer)
     }
-    fn parse<'i>(
-        section: impl fib_core::image::Sections<'i>,
-        trusted: bool,
-    ) -> Result<Self::Ref<'i>, ImageError> {
-        <PrefixDag<u32> as ImageCodec<u32>>::parse(section, trusted)
+    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
+        <PrefixDag<u32> as ImageCodec<u32>>::parse(image, trusted)
     }
     fn resident_size_bytes(&self) -> usize {
         self.0.resident_size_bytes()

@@ -193,7 +193,7 @@ impl<'a> IntVecRef<'a> {
             .ok_or(StorageError("intvec size overflows"))?
             .div_ceil(64);
         let payload = storage::slice(words, BLOCK_WORDS, payload_words)?;
-        let consumed = (BLOCK_WORDS + payload_words).div_ceil(BLOCK_WORDS) * BLOCK_WORDS;
+        let consumed = storage::meta_run_words(payload_words);
         if consumed > words.len() {
             return Err(StorageError("intvec padding truncated"));
         }

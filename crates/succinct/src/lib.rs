@@ -18,10 +18,10 @@
 //!   addition), the in-word finish of every select query,
 //! * [`IntVec`] — fixed-width packed integer arrays,
 //! * [`huffman`] — canonical Huffman codes over small alphabets,
-//! * [`WaveletTree`] — a pointer-based, Huffman-shaped wavelet tree over
-//!   RRR-compressed node vectors (`n·H0 + o(n)` bits, the label string of
-//!   XBW-b's Lemma 3 entropy mode), supporting `access`, `rank_sym` and
-//!   `select_sym`.
+//! * [`WaveletTree`] — a Huffman-shaped wavelet tree over RRR-compressed
+//!   node vectors (`n·H0 + o(n)` bits, the label string of XBW-b's
+//!   Lemma 3 entropy mode): the builder, which writes the words its
+//!   [`WaveletTreeRef`] answers `access` from.
 //!
 //! Both bit vectors additionally expose a fused `access_rank1(i)` →
 //! `(bit, rank)` primitive that answers "what is bit `i` and how many ones

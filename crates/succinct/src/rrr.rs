@@ -372,7 +372,7 @@ impl<'a> RrrVecRef<'a> {
         let ow = off_bits.div_ceil(64);
         let payload_words = cw + ow + n_sup + words_for_u32s(n_sub);
         let payload = storage::slice(words, BLOCK_WORDS, payload_words)?;
-        let consumed = (BLOCK_WORDS + payload_words).div_ceil(BLOCK_WORDS) * BLOCK_WORDS;
+        let consumed = storage::meta_run_words(payload_words);
         if consumed > words.len() {
             return Err(StorageError("rrr padding truncated"));
         }

@@ -304,7 +304,7 @@ impl<'a> RsBitVecRef<'a> {
         let sel0_off = sel1_off + words_for_u32s(n_sel1);
         let payload_words = sel0_off + words_for_u32s(n_sel0);
         let payload = storage::slice(words, BLOCK_WORDS, payload_words)?;
-        let consumed = (BLOCK_WORDS + payload_words).div_ceil(BLOCK_WORDS) * BLOCK_WORDS;
+        let consumed = storage::meta_run_words(payload_words);
         if consumed > words.len() {
             return Err(StorageError("rank vector padding truncated"));
         }

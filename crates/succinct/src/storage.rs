@@ -377,6 +377,14 @@ pub fn pad_to_block(words: &mut Vec<u64>) {
     }
 }
 
+/// Words a structure serialized as one meta block and `payload` words
+/// occupies once padded to a whole block: what its `from_words` consumes.
+#[must_use]
+#[inline]
+pub fn meta_run_words(payload: usize) -> usize {
+    (BLOCK_WORDS + payload).div_ceil(BLOCK_WORDS) * BLOCK_WORDS
+}
+
 /// Number of words needed to hold `n` packed `u32` values (two per word).
 #[must_use]
 pub fn words_for_u32s(n: usize) -> usize {

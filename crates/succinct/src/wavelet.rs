@@ -1,18 +1,20 @@
-//! Pointer-based, Huffman-shaped wavelet trees over RRR-compressed node
-//! bit vectors: the `n·H0 + o(n)`-bit string self-index (Ferragina–
-//! Manzini–Mäkinen–Navarro) that stores XBW-b's label string `S_α` in
-//! the entropy mode of Lemma 3.
+//! Huffman-shaped wavelet trees over RRR-compressed node bit vectors:
+//! the `n·H0 + o(n)`-bit string self-index (Ferragina–Manzini–Mäkinen–
+//! Navarro) that stores XBW-b's label string `S_α` in the entropy mode of
+//! Lemma 3.
 //!
 //! It is the only shape and node backing: the entropy mode is the tree's
 //! one caller, and a balanced shape or plain node vectors would be
 //! storage modes the paper proves no bound for.
 //!
-//! For FIB images the tree serializes into one aligned word run
-//! ([`WaveletTree::write_words`]): a meta block, a fixed-width node table,
-//! and each node's RRR vector as a nested storage section. The zero-copy
-//! [`WaveletTreeRef`] parses that run and answers `access` — the only
-//! primitive the XBW-b lookup walk needs — by descending the node table
-//! and materializing each node's [`crate::RrrVecRef`] on the fly from
+//! [`WaveletTree`] is the builder: it shapes the tree, sizes it, and
+//! serializes it into one aligned word run ([`WaveletTree::write_words`]):
+//! a meta block, a fixed-width node table, and each node's RRR vector as a
+//! nested storage section. Every read runs on the zero-copy
+//! [`WaveletTreeRef`] over that run, whether the words are a built
+//! engine's or a loaded image's. It answers `access` — the only primitive
+//! the XBW-b lookup walk needs — by descending the node table and
+//! materializing each node's [`crate::RrrVecRef`] on the fly from
 //! borrowed words (no allocation, no copies).
 
 use crate::bits::BitVec;
@@ -25,10 +27,10 @@ use crate::storage::{self, meta_usize, pad_to_block, StorageError, BLOCK_WORDS};
 /// other value.
 const RRR_BACKING: u64 = 1;
 
-/// The descent step of `access`: bit `i` and `rank1(i)` from one fused
-/// RRR block decode, mapped to `(bit, r)` with `r` = `rank1(i)` for a set
-/// bit and `rank0(i)` for a clear one — the position in the child the bit
-/// selects.
+/// The descent step of [`WaveletTreeRef::access`]: bit `i` and
+/// `rank1(i)` from one fused RRR block decode, mapped to `(bit, r)` with
+/// `r` = `rank1(i)` for a set bit and `rank0(i)` for a clear one — the
+/// position in the child the bit selects.
 #[inline]
 fn descend((bit, r1): (bool, usize), i: usize) -> (bool, usize) {
     (bit, if bit { r1 } else { i - r1 })
@@ -51,12 +53,10 @@ struct WtNode {
     right: ChildRef,
 }
 
-/// A static sequence over a small alphabet supporting `access`, symbol
-/// `rank` and symbol `select`.
-///
-/// Queries walk the Huffman code tree; at each node a rank (down) or
-/// select (up) on that node's RRR vector maps positions between parent
-/// and child.
+/// The builder of a static sequence over a small alphabet: one RRR
+/// vector per node of the Huffman code tree, holding at each position
+/// the code bit that sends the symbol there to the left or right child.
+/// It sizes and writes the words; [`WaveletTreeRef`] reads them.
 #[derive(Clone, Debug)]
 pub struct WaveletTree {
     nodes: Vec<WtNode>,
@@ -138,132 +138,6 @@ impl WaveletTree {
         self.build_node(seq, depth)
     }
 
-    /// Sequence length.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the sequence is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The symbol at position `i` (the paper's `access(S, q)` primitive).
-    ///
-    /// # Panics
-    /// Panics in debug builds if `i >= len()`.
-    /// Release builds elide the check on the packet path.
-    #[must_use]
-    pub fn access(&self, i: usize) -> u64 {
-        debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        if let Some(s) = self.single {
-            return s;
-        }
-        let mut node_ref = self.root;
-        let mut pos = i;
-        loop {
-            match node_ref {
-                ChildRef::Node(n) => {
-                    let node = &self.nodes[n as usize];
-                    let (bit, mapped) = descend(node.bits.access_rank1(pos), pos);
-                    pos = mapped;
-                    node_ref = if bit { node.right } else { node.left };
-                }
-                ChildRef::Leaf(s) => return s,
-                ChildRef::None => unreachable!("access walked into an empty branch"), // fibcheck: allow(hot-path): statically impossible: built trees have no dangling child on an in-bounds path
-            }
-        }
-    }
-
-    /// Number of occurrences of `sym` in positions `[0, i)` (the paper's
-    /// `rank_s(S, q)` primitive).
-    ///
-    /// # Panics
-    /// Panics if `i > len()`.
-    #[must_use]
-    pub fn rank_sym(&self, sym: u64, i: usize) -> usize {
-        assert!(
-            i <= self.len,
-            "rank index {i} out of bounds (len {})",
-            self.len
-        );
-        if let Some(s) = self.single {
-            return if s == sym { i } else { 0 };
-        }
-        let Some(code) = self.codes.get(sym as usize) else {
-            return 0;
-        };
-        if code.len == 0 {
-            return 0; // zero-frequency symbol under Huffman coding
-        }
-        let mut node_ref = self.root;
-        let mut pos = i;
-        for depth in 0..code.len {
-            match node_ref {
-                ChildRef::Node(n) => {
-                    let node = &self.nodes[n as usize];
-                    let bit = code.bit(depth);
-                    pos = if bit {
-                        node.bits.rank1(pos)
-                    } else {
-                        node.bits.rank0(pos)
-                    };
-                    node_ref = if bit { node.right } else { node.left };
-                }
-                ChildRef::Leaf(s) => return if s == sym { pos } else { 0 },
-                ChildRef::None => return 0,
-            }
-        }
-        match node_ref {
-            ChildRef::Leaf(s) if s == sym => pos,
-            _ => 0,
-        }
-    }
-
-    /// Position of the `q`-th occurrence of `sym` (`q ≥ 1`), or `None`
-    /// (the paper's `select_s(S, q)` primitive).
-    #[must_use]
-    pub fn select_sym(&self, sym: u64, q: usize) -> Option<usize> {
-        if q == 0 {
-            return None;
-        }
-        if let Some(s) = self.single {
-            return (s == sym && q <= self.len).then(|| q - 1);
-        }
-        let code = *self.codes.get(sym as usize)?;
-        if code.len == 0 {
-            return None;
-        }
-        self.select_rec(self.root, sym, code, 0, q)
-    }
-
-    fn select_rec(
-        &self,
-        node_ref: ChildRef,
-        sym: u64,
-        code: Code,
-        depth: u8,
-        q: usize,
-    ) -> Option<usize> {
-        match node_ref {
-            ChildRef::Leaf(s) => (s == sym).then(|| q - 1),
-            ChildRef::None => None,
-            ChildRef::Node(n) => {
-                let node = &self.nodes[n as usize];
-                let bit = code.bit(depth);
-                let child = if bit { node.right } else { node.left };
-                let pos_in_child = self.select_rec(child, sym, code, depth + 1, q)?;
-                if bit {
-                    node.bits.select1(pos_in_child + 1)
-                } else {
-                    node.bits.select0(pos_in_child + 1)
-                }
-            }
-        }
-    }
-
     /// Footprint in bits: all node RRR vectors (with their sampled rank
     /// directories) plus the per-symbol code table.
     #[must_use]
@@ -276,8 +150,8 @@ impl WaveletTree {
     /// (length, node count, root, single symbol, the backing word — always
     /// 1, RRR —, run length), a 4-word-per-node table (children + payload
     /// offset), then each node's RRR vector as a nested aligned section. Codes are *not*
-    /// serialized: the image view only answers `access`, which descends by
-    /// stored bits alone.
+    /// serialized: [`WaveletTreeRef`] only answers `access`, which descends
+    /// by stored bits alone.
     pub fn write_words(&self, out: &mut Vec<u64>) {
         debug_assert_eq!(out.len() % BLOCK_WORDS, 0, "section must start aligned");
         let base = out.len();
@@ -334,7 +208,7 @@ fn unpack_child(w: u64) -> Result<ChildRef, StorageError> {
 }
 
 /// Borrowed zero-copy view of a serialized [`WaveletTree`], supporting
-/// `access` (the primitive the XBW-b lookup loop consumes).
+/// `access` (the primitive the XBW-b lookup walk consumes).
 #[derive(Clone, Copy, Debug)]
 pub struct WaveletTreeRef<'a> {
     /// The full serialized run (meta + table + payloads).
@@ -359,8 +233,6 @@ impl<'a> WaveletTreeRef<'a> {
         let meta = storage::slice(words, 0, BLOCK_WORDS)?;
         let len = meta_usize(meta[0])?;
         let n_nodes = meta_usize(meta[1])?;
-        let root = meta[2];
-        let single = (meta[3] >> 63 == 1).then_some(meta[3] & !(1u64 << 63));
         if meta[4] != RRR_BACKING {
             return Err(StorageError("wavelet backing invalid"));
         }
@@ -368,18 +240,12 @@ impl<'a> WaveletTreeRef<'a> {
         if consumed > words.len() || consumed % BLOCK_WORDS != 0 {
             return Err(StorageError("wavelet run truncated"));
         }
-        let view = Self {
-            words: &words[..consumed],
-            n_nodes,
-            root,
-            single,
-            len,
-        };
+        let view = Self::from_words_trusted(words);
         // Structural validation: every child reference in range, node
         // indices strictly decreasing parent → child (the builder pushes
         // children first), every payload parseable and length-consistent.
         storage::slice(words, BLOCK_WORDS, n_nodes * 4)?;
-        match unpack_child(root)? {
+        match unpack_child(view.root)? {
             ChildRef::Node(n) if (n as usize) < n_nodes => {}
             ChildRef::Node(_) => return Err(StorageError("wavelet root out of range")),
             _ => {}
@@ -397,10 +263,30 @@ impl<'a> WaveletTreeRef<'a> {
                 return Err(StorageError("wavelet node is empty"));
             }
         }
-        if n_nodes == 0 && len > 0 && single.is_none() {
+        if n_nodes == 0 && len > 0 && view.single.is_none() {
             return Err(StorageError("wavelet sequence has no storage"));
         }
         Ok((view, consumed))
+    }
+
+    /// The view over words [`WaveletTree::write_words`] wrote, or that
+    /// [`Self::from_words`] has validated before: it reads the meta block
+    /// only, with no node scan, so it costs the same for any tree.
+    ///
+    /// # Panics
+    /// Panics if `words` is shorter than the run its meta block claims,
+    /// which neither source ever is.
+    #[must_use]
+    #[inline]
+    pub fn from_words_trusted(words: &'a [u64]) -> Self {
+        let meta = &words[..BLOCK_WORDS];
+        Self {
+            words: &words[..meta[5] as usize],
+            n_nodes: meta[1] as usize,
+            root: meta[2],
+            single: (meta[3] >> 63 == 1).then_some(meta[3] & !(1u64 << 63)),
+            len: meta[0] as usize,
+        }
     }
 
     /// The pointer range of the borrowed run, for zero-copy assertions in
@@ -438,7 +324,7 @@ impl<'a> WaveletTreeRef<'a> {
         self.len == 0
     }
 
-    /// The symbol at position `i` (same walk as [`WaveletTree::access`]).
+    /// The symbol at position `i` (the paper's `access(S, q)` primitive).
     ///
     /// # Panics
     /// Panics in debug builds if `i >= len()`.
@@ -473,34 +359,26 @@ impl<'a> WaveletTreeRef<'a> {
 mod tests {
     use super::*;
 
-    fn check_all_ops(seq: &[u64], sigma: usize) {
-        let wt = WaveletTree::new(seq, sigma);
-        assert_eq!(wt.len(), seq.len());
-        // access
-        for (i, &s) in seq.iter().enumerate() {
-            assert_eq!(wt.access(i), s, "access({i})");
-        }
-        // rank for every symbol at sampled positions
-        for sym in 0..sigma as u64 {
-            let mut count = 0;
-            for i in 0..=seq.len() {
-                assert_eq!(wt.rank_sym(sym, i), count, "rank_{sym}({i})");
-                if i < seq.len() && seq[i] == sym {
-                    count += 1;
-                }
-            }
-        }
-        // select inverts rank
-        for sym in 0..sigma as u64 {
-            let mut q = 0;
+    /// The words `WaveletTree::new(seq, sigma)` writes.
+    fn written(seq: &[u64], sigma: usize) -> Vec<u64> {
+        let mut words = Vec::new();
+        WaveletTree::new(seq, sigma).write_words(&mut words);
+        words
+    }
+
+    /// Both views over the written tree read `seq` back, position by
+    /// position.
+    fn check_access(seq: &[u64], sigma: usize) {
+        let words = written(seq, sigma);
+        let (checked, consumed) = WaveletTreeRef::from_words(&words).unwrap();
+        assert_eq!(consumed, words.len());
+        let trusted = WaveletTreeRef::from_words_trusted(&words);
+        for view in [checked, trusted] {
+            assert_eq!(view.len(), seq.len());
+            assert_eq!(view.payload_ptr_range(), checked.payload_ptr_range());
             for (i, &s) in seq.iter().enumerate() {
-                if s == sym {
-                    q += 1;
-                    assert_eq!(wt.select_sym(sym, q), Some(i), "select_{sym}({q})");
-                }
+                assert_eq!(view.access(i), s, "access({i})");
             }
-            assert_eq!(wt.select_sym(sym, q + 1), None);
-            assert_eq!(wt.select_sym(sym, 0), None);
         }
     }
 
@@ -512,13 +390,13 @@ mod tests {
 
     #[test]
     fn huffman_small_alphabet() {
-        check_all_ops(&pseudo_seq(300, 4, 2), 4);
+        check_access(&pseudo_seq(300, 4, 2), 4);
     }
 
     #[test]
     fn non_power_of_two_alphabet() {
-        check_all_ops(&pseudo_seq(257, 5, 3), 5);
-        check_all_ops(&pseudo_seq(257, 5, 4), 5);
+        check_access(&pseudo_seq(257, 5, 3), 5);
+        check_access(&pseudo_seq(257, 5, 4), 5);
     }
 
     #[test]
@@ -527,36 +405,32 @@ mod tests {
         let seq: Vec<u64> = (0..500u64)
             .map(|i| if i % 10 != 0 { 0 } else { 1 + (i / 10) % 7 })
             .collect();
-        check_all_ops(&seq, 8);
+        check_access(&seq, 8);
     }
 
     #[test]
     fn single_distinct_symbol() {
+        // One symbol takes no node: the meta block answers every access.
         let seq = vec![3u64; 50];
-        let wt = WaveletTree::new(&seq, 6);
-        assert_eq!(wt.access(49), 3);
-        assert_eq!(wt.rank_sym(3, 50), 50);
-        assert_eq!(wt.rank_sym(2, 50), 0);
-        assert_eq!(wt.select_sym(3, 50), Some(49));
-        assert_eq!(wt.select_sym(3, 51), None);
-        assert_eq!(wt.select_sym(2, 1), None);
+        let words = written(&seq, 6);
+        assert_eq!(words[1], 0, "no nodes");
+        check_access(&seq, 6);
     }
 
     #[test]
     fn empty_sequence() {
-        let wt = WaveletTree::new(&[], 4);
-        assert!(wt.is_empty());
-        assert_eq!(wt.rank_sym(0, 0), 0);
-        assert_eq!(wt.select_sym(0, 1), None);
+        let words = written(&[], 4);
+        assert!(WaveletTreeRef::from_words(&words).unwrap().0.is_empty());
+        assert!(WaveletTreeRef::from_words_trusted(&words).is_empty());
     }
 
     #[test]
     fn absent_symbol_queries() {
-        let seq = pseudo_seq(100, 3, 9); // symbols 0..3 only
-        let wt = WaveletTree::new(&seq, 10);
-        assert_eq!(wt.rank_sym(7, 100), 0);
-        assert_eq!(wt.select_sym(7, 1), None);
-        assert_eq!(wt.rank_sym(999, 100), 0, "out-of-alphabet symbol");
+        // Symbols 0..3 of an alphabet of 10: the absent seven take no
+        // node, so three present symbols make a two-node tree.
+        let seq = pseudo_seq(100, 3, 9);
+        assert_eq!(written(&seq, 10)[1], 2);
+        check_access(&seq, 10);
     }
 
     #[test]
@@ -595,20 +469,14 @@ mod tests {
 
     #[test]
     fn larger_alphabet_roundtrip() {
-        let seq = pseudo_seq(2000, 64, 11);
-        let wt = WaveletTree::new(&seq, 64);
-        for (i, &s) in seq.iter().enumerate() {
-            assert_eq!(wt.access(i), s);
-        }
+        check_access(&pseudo_seq(2000, 64, 11), 64);
     }
 
     #[test]
     fn serialized_view_access_matches_owned() {
         for (n, sigma) in [(2000usize, 9u64), (700, 2), (64, 33)] {
             let seq = pseudo_seq(n, sigma, 77);
-            let wt = WaveletTree::new(&seq, sigma as usize);
-            let mut words = Vec::new();
-            wt.write_words(&mut words);
+            let words = written(&seq, sigma as usize);
             assert_eq!(words.len() % 8, 0);
             assert_eq!(words[4], RRR_BACKING);
             let arena = crate::storage::Arena::from_words(&words);
@@ -626,23 +494,13 @@ mod tests {
     #[test]
     fn serialized_single_symbol_and_empty() {
         for seq in [vec![5u64; 40], Vec::new()] {
-            let wt = WaveletTree::new(&seq, 8);
-            let mut words = Vec::new();
-            wt.write_words(&mut words);
-            let (view, _) = WaveletTreeRef::from_words(&words).unwrap();
-            assert_eq!(view.len(), seq.len());
-            for (i, &s) in seq.iter().enumerate() {
-                assert_eq!(view.access(i), s);
-            }
+            check_access(&seq, 8);
         }
     }
 
     #[test]
     fn serialized_view_rejects_corruption() {
-        let seq = pseudo_seq(900, 5, 3);
-        let wt = WaveletTree::new(&seq, 5);
-        let mut words = Vec::new();
-        wt.write_words(&mut words);
+        let words = written(&pseudo_seq(900, 5, 3), 5);
         for cut in [0usize, 5, 8, 24, words.len() - 8] {
             assert!(WaveletTreeRef::from_words(&words[..cut]).is_err(), "{cut}");
         }

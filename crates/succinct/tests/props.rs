@@ -7,7 +7,7 @@
 //! proptest default of 256); a failure message carries the case number, so
 //! any counterexample reproduces exactly.
 
-use fib_succinct::{BitVec, IntVec, RrrVec, RsBitVec, WaveletTree};
+use fib_succinct::{BitVec, IntVec, RrrVec, RsBitVec, WaveletTree, WaveletTreeRef};
 use fib_workload::rng::{Rng, Xoshiro256};
 
 const CASES: u64 = 256;
@@ -240,37 +240,20 @@ fn intvec_roundtrips() {
 }
 
 #[test]
-fn wavelet_access_rank_select_match_naive() {
+fn wavelet_view_access_matches_naive() {
     for case in 0..CASES {
-        let mut rng = Xoshiro256::for_case("wavelet_access_rank_select_match_naive", case);
+        let mut rng = Xoshiro256::for_case("wavelet_view_access_matches_naive", case);
         let n: usize = rng.random_range(0..600);
         let seq: Vec<u64> = (0..n).map(|_| rng.random_range(0..12u64)).collect();
-        let wt = WaveletTree::new(&seq, 12);
-        for (i, &s) in seq.iter().enumerate() {
-            assert_eq!(wt.access(i), s, "case {case}, access({i})");
-        }
-        for sym in 0..12u64 {
-            let mut count = 0;
-            for (i, &actual) in seq.iter().enumerate() {
-                assert_eq!(
-                    wt.rank_sym(sym, i),
-                    count,
-                    "case {case}, rank_sym({sym}, {i})"
-                );
-                if actual == sym {
-                    count += 1;
-                    assert_eq!(
-                        wt.select_sym(sym, count),
-                        Some(i),
-                        "case {case}, select_sym({sym}, {count})"
-                    );
-                }
+        let mut words = Vec::new();
+        WaveletTree::new(&seq, 12).write_words(&mut words);
+        let (checked, consumed) = WaveletTreeRef::from_words(&words).unwrap();
+        assert_eq!(consumed, words.len(), "case {case}");
+        for view in [checked, WaveletTreeRef::from_words_trusted(&words)] {
+            assert_eq!(view.len(), n, "case {case}");
+            for (i, &s) in seq.iter().enumerate() {
+                assert_eq!(view.access(i), s, "case {case}, access({i})");
             }
-            assert_eq!(
-                wt.select_sym(sym, count + 1),
-                None,
-                "case {case}, sym {sym}"
-            );
         }
     }
 }
