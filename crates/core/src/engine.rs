@@ -29,7 +29,7 @@
 //! that must know the whole set is generated from it: `FibLookup` for
 //! the owned type and for the view (here), and [`crate::EngineKind`] with
 //! its [`crate::EngineKind::visit`] and [`crate::EngineKind::sections`],
-//! and [`crate::AnyView`] with its [`crate::AnyView::parse`] (in
+//! and [`crate::AnyView`] with the dispatch of [`crate::any_view`] (in
 //! [`crate::image`]) — which single-engine images and a fleet's dedicated
 //! tables share.
 //! [`roster`] is the matching value-level list — one built engine per

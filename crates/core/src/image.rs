@@ -45,6 +45,16 @@
 //! [`FibImage::section`], [`ImageCodec::view`], [`any_view`] — hands out
 //! `&[u64]` sub-slices of that arena. The `images` integration tests
 //! assert this with pointer-range checks.
+//!
+//! # Validation
+//!
+//! An image's first view ([`ImageCodec::view`], [`any_view`]) runs every
+//! check of its engine's validating constructor, O(n) scans included, and
+//! the [`FibImage`] records that it passed, with what the parse derived
+//! (XBW-b's root table). Later views read the record and skip the scans,
+//! so a snapshot or fleet table served from an image parses its view per
+//! call. A failed parse records nothing; a record is read only by the
+//! codec (engine and address family) that wrote it.
 
 use std::any::Any;
 use std::path::Path;
@@ -214,7 +224,9 @@ pub struct SectionEntry {
 }
 
 /// A loaded FIB image: one aligned arena plus the parsed header and
-/// section table. All engine views borrow from it.
+/// section table. All engine views borrow from it. It is immutable, and
+/// keeps the record of its validation (module docs, "Validation"); a
+/// clone shares the record, as it holds the same bytes.
 #[derive(Clone, Debug)]
 pub struct FibImage {
     arena: Arena,
@@ -226,11 +238,21 @@ pub struct FibImage {
     prefix_count: u64,
     epoch: u64,
     claimed_size_bytes: u64,
-    /// What a codec derives from the sections once and keeps for the
-    /// image's lifetime (XBW-b's root table), so every view parsed from
-    /// the image borrows it instead of deriving it again. Not part of the
-    /// file.
-    derived: OnceLock<Arc<dyn Any + Send + Sync>>,
+    /// See [`Self::validated`]. Not part of the file.
+    record: OnceLock<Arc<Record>>,
+}
+
+/// What one codec's successful full parse of an image leaves in it.
+#[derive(Debug)]
+struct Record {
+    /// The codec that validated: its engine byte and address width.
+    codec: (u8, u8),
+    /// What it derived while validating: XBW-b's root table, or `()`.
+    value: Box<dyn Any + Send + Sync>,
+    /// Another codec's record of the same image. Only a hostile image,
+    /// one carrying two engines' sections, parsed past the header's
+    /// engine, ever has one.
+    next: OnceLock<Arc<Record>>,
 }
 
 impl FibImage {
@@ -314,27 +336,59 @@ impl FibImage {
             prefix_count,
             epoch,
             claimed_size_bytes,
-            derived: OnceLock::new(),
+            record: OnceLock::new(),
         })
     }
 
-    /// What a codec derives from this image's sections: `derive`'s,
-    /// computed on the first call and kept for the image's lifetime.
+    /// Codec `E`'s record of its full parse of this image: `validate`
+    /// runs every check of `E`'s validating constructor until it first
+    /// succeeds, and what it returned then is every later call's answer.
+    /// The record is keyed by `E`'s engine and address width, so another
+    /// codec's parse of the same bytes never reads it as its own.
     ///
     /// # Errors
-    /// `derive`'s, or [`ImageError::Malformed`] when the image keeps a
-    /// value of another type.
-    pub(crate) fn derived<T: Any + Send + Sync>(
+    /// `validate`'s, or [`ImageError::Malformed`] when `E` kept a value
+    /// of another type.
+    pub(crate) fn validated<A: Address, E: ImageCodec<A>, T: Any + Send + Sync>(
         &self,
-        derive: impl FnOnce() -> Result<T, ImageError>,
+        validate: impl FnOnce() -> Result<T, ImageError>,
     ) -> Result<&T, ImageError> {
-        if self.derived.get().is_none() {
-            let value: Arc<dyn Any + Send + Sync> = Arc::new(derive()?);
-            self.derived.get_or_init(|| value);
+        let codec = (E::ENGINE as u8, A::WIDTH);
+        let record = match self.record_of(codec, None) {
+            Some(record) => record,
+            None => {
+                let fresh = Arc::new(Record {
+                    codec,
+                    value: Box::new(validate()?),
+                    next: OnceLock::new(),
+                });
+                // Appended at the end of the chain, unless a racing parse
+                // by the same codec got there first.
+                (self.record_of(codec, Some(&fresh))).ok_or(ImageError::Malformed("record"))?
+            }
+        };
+        record
+            .value
+            .downcast_ref()
+            .ok_or(ImageError::Malformed("record"))
+    }
+
+    /// The record `codec` keeps in this image. At the end of the chain
+    /// `fresh`, when given, is appended, so the walk then always finds
+    /// one.
+    fn record_of(&self, codec: (u8, u8), fresh: Option<&Arc<Record>>) -> Option<&Record> {
+        let mut slot = &self.record;
+        loop {
+            let record = match (slot.get(), fresh) {
+                (Some(record), _) => record,
+                (None, Some(fresh)) => slot.get_or_init(|| Arc::clone(fresh)),
+                (None, None) => return None,
+            };
+            if record.codec == codec {
+                return Some(record);
+            }
+            slot = &record.next;
         }
-        (self.derived.get())
-            .and_then(|value| value.downcast_ref())
-            .ok_or(ImageError::Malformed("derived state"))
     }
 
     /// Reads and decodes an image file.
@@ -621,32 +675,23 @@ pub trait ImageCodec<A: Address>: FibLookup<A> + Sized {
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError>;
 
     /// Assembles the view from `image`'s sections, by canonical id, with
-    /// no header check; `trusted` may skip the per-element reference scans
-    /// (the O(n) part of validation).
+    /// no header check. The codec's first successful parse of `image`
+    /// runs its validating constructor inside the image's record (see the
+    /// module docs' "Validation"); every parse then builds the scan-free
+    /// view.
     ///
     /// # Errors
     /// Any [`ImageError`]; hostile images fail loudly, never panic.
-    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError>;
+    fn parse(image: &FibImage) -> Result<Self::Ref<'_>, ImageError>;
 
     /// The zero-copy view over a loaded image: header check, then parse.
+    /// Only an image's first view runs the O(n) scans.
     ///
     /// # Errors
     /// Any [`ImageError`]; hostile images fail loudly, never panic.
     fn view(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
         image.expect::<A>(Self::ENGINE)?;
-        Self::parse(image, false)
-    }
-
-    /// Like [`Self::view`], but trusted: only for images that already
-    /// passed a full [`Self::view`] — a [`FibImage`] is immutable once
-    /// loaded, so one validation covers its lifetime. The router's
-    /// image-backed snapshots use this on the lookup path.
-    ///
-    /// # Errors
-    /// Any [`ImageError`].
-    fn view_prevalidated(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
-        image.expect::<A>(Self::ENGINE)?;
-        Self::parse(image, true)
+        Self::parse(image)
     }
 
     /// The resident size claim recorded in the header — the engine's own
@@ -667,14 +712,7 @@ pub fn write_image<A: Address, E: ImageCodec<A>>(
     routes: Option<&BinaryTrie<A>>,
     epoch: u64,
 ) -> Result<Vec<u8>, ImageError> {
-    let route_count = routes.map_or(0, BinaryTrie::len) as u64;
-    let mut writer = ImageWriter::new::<A>(E::ENGINE, route_count, epoch);
-    writer.set_claimed_size_bytes(engine.resident_size_bytes() as u64);
-    engine.write_sections(&mut writer)?;
-    if let Some(trie) = routes {
-        writer.routes(trie);
-    }
-    Ok(writer.finish())
+    write_image_with(engine, routes, epoch, None)
 }
 
 /// [`write_image`] plus a [`sections::HOT_SLAB`] section carrying a
@@ -691,11 +729,25 @@ pub fn write_image_hot<A: Address, E: ImageCodec<A>>(
     epoch: u64,
     slab: &crate::hot::HotSlab,
 ) -> Result<Vec<u8>, ImageError> {
+    write_image_with(engine, routes, epoch, Some(slab))
+}
+
+/// The one image writer: the engine's sections, the slab's, then the
+/// routes. A slab is resident, so the size claim counts it.
+fn write_image_with<A: Address, E: ImageCodec<A>>(
+    engine: &E,
+    routes: Option<&BinaryTrie<A>>,
+    epoch: u64,
+    slab: Option<&crate::hot::HotSlab>,
+) -> Result<Vec<u8>, ImageError> {
     let route_count = routes.map_or(0, BinaryTrie::len) as u64;
     let mut writer = ImageWriter::new::<A>(E::ENGINE, route_count, epoch);
-    writer.set_claimed_size_bytes((engine.resident_size_bytes() + slab.size_bytes()) as u64);
+    let slab_bytes = slab.map_or(0, crate::hot::HotSlab::size_bytes);
+    writer.set_claimed_size_bytes((engine.resident_size_bytes() + slab_bytes) as u64);
     engine.write_sections(&mut writer)?;
-    writer.section_with(sections::HOT_SLAB, |out| slab.write_words(out));
+    if let Some(slab) = slab {
+        writer.section_with(sections::HOT_SLAB, |out| slab.write_words(out));
+    }
     if let Some(trie) = routes {
         writer.routes(trie);
     }
@@ -733,16 +785,16 @@ impl<A: Address> ImageCodec<A> for SerializedDag<A> {
         Ok(())
     }
 
-    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
+    fn parse(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
         let lambda = first_param(image.section(sections::PARAMS)?, "λ out of range")?;
         let entries = image.section(sections::SER_ENTRIES)?;
         let nodes = image.section(sections::SER_NODES)?;
-        if trusted {
-            SerializedDagRef::from_parts_trusted(lambda, entries, nodes)
-        } else {
-            SerializedDagRef::from_parts(lambda, entries, nodes)
-        }
-        .map_err(ImageError::Malformed)
+        image.validated::<A, Self, _>(|| {
+            SerializedDagRef::<A>::from_parts(lambda, entries, nodes)
+                .map_err(ImageError::Malformed)?;
+            Ok(())
+        })?;
+        SerializedDagRef::from_parts_trusted(lambda, entries, nodes).map_err(ImageError::Malformed)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -778,7 +830,7 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
         Ok(())
     }
 
-    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
+    fn parse(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
         // All four sections before any word is read: an image of the flat
         // layout (three `PARAMS` words, slots in the retired 0x42) stops at
         // the missing block table, by name.
@@ -804,12 +856,13 @@ impl<A: Address> ImageCodec<A> for VarStrideDag<A> {
         if blocks.len() != count(block_count, "block count out of range")? {
             return Err(ImageError::Malformed("block table length mismatch"));
         }
-        if trusted {
-            VarStrideDagRef::from_parts_trusted(nodes, blocks, runs, shape)
-        } else {
-            VarStrideDagRef::from_parts(nodes, blocks, runs, shape)
-        }
-        .map_err(ImageError::Malformed)
+        image.validated::<A, Self, _>(|| {
+            VarStrideDagRef::<A>::from_parts(nodes, blocks, runs, shape)
+                .map_err(ImageError::Malformed)?;
+            Ok(())
+        })?;
+        VarStrideDagRef::from_parts_trusted(nodes, blocks, runs, shape)
+            .map_err(ImageError::Malformed)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -835,15 +888,14 @@ impl<A: Address> ImageCodec<A> for PrefixDag<A> {
         Ok(())
     }
 
-    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
+    fn parse(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
         let root = first_param(image.section(sections::PARAMS)?, "root out of range")?;
         let nodes = image.section(sections::PDAG_NODES)?;
-        if trusted {
-            PrefixDagRef::from_parts_trusted(nodes, root)
-        } else {
-            PrefixDagRef::from_parts(nodes, root)
-        }
-        .map_err(ImageError::Malformed)
+        image.validated::<A, Self, _>(|| {
+            PrefixDagRef::<A>::from_parts(nodes, root).map_err(ImageError::Malformed)?;
+            Ok(())
+        })?;
+        PrefixDagRef::from_parts_trusted(nodes, root).map_err(ImageError::Malformed)
     }
 
     /// The compacted arena bytes (16 per live node) — the exact payload
@@ -868,10 +920,10 @@ impl<A: Address> ImageCodec<A> for XbwFib<A> {
         Ok(())
     }
 
-    /// Validated or trusted, the view borrows the root table the image
-    /// keeps: its first view derives it.
-    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
-        XbwFibRef::parse(image, trusted)
+    /// The view borrows the root table the image's record keeps: its
+    /// first view derives it.
+    fn parse(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
+        XbwFibRef::parse(image)
     }
 
     fn resident_size_bytes(&self) -> usize {
@@ -999,32 +1051,10 @@ macro_rules! impl_image_kinds {
 
         impl<'i, A: Address> AnyView<'i, A> {
             /// The view of a `kind` engine, [`ImageCodec::parse`]d from
-            /// `image`'s sections.
-            ///
-            /// # Errors
-            /// [`ImageError::Unsupported`] for a container kind; else as
-            /// the engine's parse.
-            pub fn parse(
-                kind: EngineKind,
-                image: &'i FibImage,
-                trusted: bool,
-            ) -> Result<Self, ImageError> {
+            /// `image`'s sections ([`any_view`]'s dispatch).
+            fn parse(kind: EngineKind, image: &'i FibImage) -> Result<Self, ImageError> {
                 Ok(match kind {
-                    $($( EngineKind::$kind => Self::$kind($owned::<A>::parse(image, trusted)?), )?)*
-                    $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
-                })
-            }
-
-            /// The [`ImageCodec::view_prevalidated`] of the engine a
-            /// one-engine `image` encodes: only for an image that already
-            /// passed a full parse.
-            ///
-            /// # Errors
-            /// [`ImageError::Unsupported`] for a container kind; else as
-            /// the engine's trusted view.
-            pub fn prevalidated(image: &'i FibImage) -> Result<Self, ImageError> {
-                Ok(match image.engine()? {
-                    $($( EngineKind::$kind => Self::$kind($owned::<A>::view_prevalidated(image)?), )?)*
+                    $($( EngineKind::$kind => Self::$kind($owned::<A>::parse(image)?), )?)*
                     $( EngineKind::$ckind => return Err(ImageError::Unsupported($why)), )*
                 })
             }
@@ -1073,14 +1103,15 @@ macro_rules! impl_image_kinds {
 
 crate::engine::engine_table!(impl_image_kinds);
 
-/// Assembles the engine-appropriate view for whatever `image` encodes.
+/// Assembles the engine-appropriate view for whatever `image` encodes:
+/// the erased [`ImageCodec::view`].
 ///
 /// # Errors
 /// Any [`ImageError`].
 pub fn any_view<A: Address>(image: &FibImage) -> Result<AnyView<'_, A>, ImageError> {
     let kind = image.engine()?;
     image.expect::<A>(kind)?;
-    AnyView::parse(kind, image, false)
+    AnyView::parse(kind, image)
 }
 
 impl FibImage {

@@ -1443,10 +1443,10 @@ impl<'a, A: Address> PrefixDagRef<'a, A> {
     }
 
     /// [`Self::from_parts`] minus the O(n) child scan — only for words
-    /// that already passed a full validation (a loaded image is
-    /// immutable, so one scan covers its lifetime). The walk is
+    /// that already passed it, as an image's record of its first view
+    /// vouches (see [`crate::image`], "Validation"). The walk is
     /// depth-bounded by `A::WIDTH` either way.
-    pub fn from_parts_trusted(words: &'a [u64], root: u32) -> Result<Self, &'static str> {
+    pub(crate) fn from_parts_trusted(words: &'a [u64], root: u32) -> Result<Self, &'static str> {
         if words.len() % 2 != 0 {
             return Err("pdag image word count is odd");
         }

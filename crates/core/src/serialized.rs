@@ -277,10 +277,10 @@ impl<'a, A: Address> SerializedDagRef<'a, A> {
     }
 
     /// [`Self::from_parts`] minus the O(n) reference scan — only for
-    /// words that already passed a full validation (a loaded image is
-    /// immutable, so one scan covers its lifetime). An unvalidated
+    /// words that already passed it, as an image's record of its first
+    /// view vouches (see [`crate::image`], "Validation"). An unvalidated
     /// out-of-range reference would panic on lookup, never corrupt.
-    pub fn from_parts_trusted(
+    pub(crate) fn from_parts_trusted(
         lambda: u8,
         entries: &'a [u64],
         nodes: &'a [u64],

@@ -79,7 +79,7 @@
 //! around it changes. A dedicated table is an ordinary engine:
 //! [`VrfEngineChoice::engine_kind`] names its [`EngineKind`], whose
 //! `visit` builds it (XBW-b in entropy storage) and whose codec writes it
-//! and [`AnyView::parse`]s it back.
+//! and reads it back through [`any_view`].
 //!
 //! The whole set ships as one `fibimage/v1` file: a [`sections::VRF_DIR`]
 //! directory, the shared [`sections::VRF_PDAG`] arena, and each dedicated
@@ -91,9 +91,11 @@
 //! built, arena, roots, root arrays, counts and statistics alike. Only a
 //! dedicated table's engine still differs by origin: a compiled table
 //! keeps the engine it built, a loaded one keeps its own sections and
-//! serves through a view parsed per call. A loaded set carries no
-//! control state, so it seeds no arena; a fleet that restarts will
-//! rebuild its tables from per-table routes sections.
+//! serves through a view parsed per call, which the image's record of its
+//! validation at load spares the O(n) scans (see [`crate::image`],
+//! "Validation"). A loaded set carries no control state, so it seeds no
+//! arena; a fleet that restarts will rebuild its tables from per-table
+//! routes sections.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -103,8 +105,8 @@ use fib_trie::{Address, BinaryTrie, NextHop};
 use crate::engine::{ArenaPublish, BuildConfig, FibBuild, FibLookup};
 use crate::idhash::IdBuildHasher;
 use crate::image::{
-    sections, write_image, AnyView, EngineKind, EngineVisitor, FibImage, ImageCodec, ImageError,
-    ImageWriter,
+    any_view, sections, write_image, AnyView, EngineKind, EngineVisitor, FibImage, ImageCodec,
+    ImageError, ImageWriter,
 };
 use crate::pdag::{
     bfs_order, pack_bfs, packed_node, packed_root_array, record, PrefixDag, PrefixDagRef,
@@ -403,8 +405,9 @@ enum DedicatedEngine<A: Address> {
     /// and a scalar lookup one per packet.
     Built(Arc<dyn Dedicated<A>>),
     /// A loaded table's sections, at their canonical ids in a one-engine
-    /// image: fully parsed once at load, then served through a trusted
-    /// view parsed per call, as an image-backed snapshot serves.
+    /// image: its first view, at load, validates it in full, and the view
+    /// parsed per call reads that record, as an image-backed snapshot's
+    /// does.
     Loaded(Arc<FibImage>),
 }
 
@@ -436,16 +439,16 @@ impl<A: Address> VrfDedicated<A> {
         }
     }
 
-    /// The trusted view over a loaded table's one-engine image.
+    /// The view over a loaded table's one-engine image.
     fn view(image: &FibImage) -> AnyView<'_, A> {
-        let view = AnyView::prevalidated(image);
-        view.expect("a loaded table passed a full parse at load") // fibcheck: allow(hot-path): the image is immutable and was validated once, at load
+        let view = any_view(image);
+        view.expect("the image recorded its view at load") // fibcheck: allow(hot-path): the image's record of its view at load makes this view infallible
     }
 
     /// A table [`CompiledVrfSet::from_image`] loads from the sections at
     /// `base` of `image`: they are copied into a one-engine image at
-    /// their canonical ids, which is then fully parsed — what a hostile
-    /// image fails on.
+    /// their canonical ids, whose first view validates them in full —
+    /// what a hostile image fails on.
     fn load(
         choice: VrfEngineChoice,
         kind: EngineKind,
@@ -457,7 +460,7 @@ impl<A: Address> VrfDedicated<A> {
             writer.section(id, image.section(base + slot)?);
         }
         let image = FibImage::from_bytes(&writer.finish())?;
-        let served_bytes = AnyView::<A>::parse(kind, &image, false)?.size_bytes() as u64;
+        let served_bytes = any_view::<A>(&image)?.size_bytes() as u64;
         Ok(Self {
             choice,
             engine: DedicatedEngine::Loaded(Arc::new(image)),
@@ -517,7 +520,7 @@ impl<A: Address> EngineVisitor<A> for BuildDedicated<'_, A> {
             ..*self.config
         };
         let engine = E::build(self.trie, &config);
-        let served_bytes = E::view_prevalidated(&engine.image()?)?.size_bytes() as u64;
+        let served_bytes = E::view(&engine.image()?)?.size_bytes() as u64;
         Ok(VrfDedicated {
             choice: self.choice,
             engine: DedicatedEngine::Built(Arc::new(engine)),

@@ -1048,9 +1048,9 @@ impl<'a, A: Address> VarStrideDagRef<'a, A> {
     }
 
     /// [`Self::from_parts`] minus the O(n) scan — only for words that
-    /// already passed a full validation (a loaded image is immutable, so
-    /// one scan covers its lifetime).
-    pub fn from_parts_trusted(
+    /// already passed it, as an image's record of its first view vouches
+    /// (see [`crate::image`], "Validation").
+    pub(crate) fn from_parts_trusted(
         nodes: &'a [u64],
         blocks: &'a [u64],
         runs: &'a [u64],

@@ -62,11 +62,11 @@
 //!
 //! A view borrows its table from the table's owner, never copies it: an
 //! [`XbwFib`] owns the table its [`XbwFib::view`] reads, and a loaded
-//! [`FibImage`] keeps the one its first view derived, which every later
-//! view of it reads — the validated
-//! [`ImageCodec::view`](crate::image::ImageCodec::view) and the trusted
-//! [`ImageCodec::view_prevalidated`](crate::image::ImageCodec::view_prevalidated)
-//! an image-backed snapshot or fleet table parses per call alike.
+//! [`FibImage`] keeps the one its first
+//! [`ImageCodec::view`](crate::image::ImageCodec::view) derived in the
+//! record of that validation, which every later view of it reads — the
+//! view an image-backed snapshot or fleet table parses per call among
+//! them.
 
 use fib_succinct::storage::meta_run_words;
 use fib_succinct::{
@@ -560,6 +560,18 @@ impl SaRef<'_> {
             Self::Wavelet(w) => w.access(i),
         }
     }
+
+    /// Whether every symbol [`Self::access`] can yield is below `bound`,
+    /// the label map's length: packed symbols one by one unless their
+    /// width cannot reach it, a wavelet tree's leaves and single symbol.
+    fn symbols_below(&self, bound: usize) -> bool {
+        let bound = bound as u64;
+        match self {
+            Self::Packed(v) if v.width() < 64 && 1 << v.width() <= bound => true,
+            Self::Packed(v) => (0..v.len()).all(|i| v.get(i) < bound),
+            Self::Wavelet(w) => w.max_symbol().is_none_or(|s| s < bound),
+        }
+    }
 }
 
 /// Borrowed zero-copy view of an [`XbwFib`] — over the built engine's own
@@ -578,16 +590,18 @@ pub struct XbwFibRef<'a, A: Address> {
 }
 
 impl<'a, A: Address> XbwFibRef<'a, A> {
-    /// The view over an XBW-b image's sections. It validates that the
-    /// strings agree (`S_α` holds exactly one symbol per `S_I` leaf) and
-    /// borrows the root table `image` keeps, which the image's first view
-    /// derives from `S_I`. `trusted`, for an image that already passed an
-    /// untrusted parse, skips the wavelet tree's node scan.
+    /// The view over an XBW-b image's sections, borrowing the root table
+    /// the image's record keeps. The image's first view validates the
+    /// sections inside that record: the strings agree (`S_α` holds exactly
+    /// one symbol per `S_I` leaf), every symbol `S_α` can yield indexes
+    /// the label map, and the root table derives from `S_I`. Every later
+    /// view skips the wavelet tree's node scan and the symbol checks.
     ///
     /// # Errors
     /// [`ImageError`] on missing or malformed sections, inconsistent
-    /// strings, or an `S_I` whose top levels leave the string.
-    pub(crate) fn parse(image: &'a FibImage, trusted: bool) -> Result<Self, ImageError> {
+    /// strings, a symbol past the label map, or an `S_I` whose top levels
+    /// leave the string.
+    pub(crate) fn parse(image: &'a FibImage) -> Result<Self, ImageError> {
         let &[si_kind, sa_kind, ..] = image.section(sections::PARAMS)? else {
             return Err(ImageError::Malformed("params"));
         };
@@ -599,28 +613,38 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
             1 => SiRef::Rrr(RrrVecRef::from_words(si_words)?.0),
             _ => return Err(ImageError::Malformed("unknown S_I storage kind")),
         };
+        let root = image.validated::<A, XbwFib<A>, _>(|| {
+            let sa = match sa_kind {
+                0 => SaRef::Packed(IntVecRef::from_words(sa_words)?.0),
+                1 => SaRef::Wavelet(WaveletTreeRef::from_words(sa_words)?.0),
+                _ => return Err(ImageError::Malformed("unknown S_α storage kind")),
+            };
+            if si.count_ones() != sa.len() {
+                return Err(ImageError::Malformed(
+                    "S_α length does not match S_I leaves",
+                ));
+            }
+            if si.len() == 0 {
+                return Err(ImageError::Malformed("S_I is empty"));
+            }
+            if labels.is_empty() {
+                return Err(ImageError::Malformed("label map is empty"));
+            }
+            if !sa.symbols_below(labels.len()) {
+                return Err(ImageError::Malformed("S_α symbol past the label map"));
+            }
+            Ok(RootTable::derive(si)?)
+        })?;
+        // The record vouches for the wavelet tree's nodes.
         let sa = match sa_kind {
             0 => SaRef::Packed(IntVecRef::from_words(sa_words)?.0),
-            1 if trusted => SaRef::Wavelet(WaveletTreeRef::from_words_trusted(sa_words)),
-            1 => SaRef::Wavelet(WaveletTreeRef::from_words(sa_words)?.0),
-            _ => return Err(ImageError::Malformed("unknown S_α storage kind")),
+            _ => SaRef::Wavelet(WaveletTreeRef::from_words_trusted(sa_words)),
         };
-        if si.count_ones() != sa.len() {
-            return Err(ImageError::Malformed(
-                "S_α length does not match S_I leaves",
-            ));
-        }
-        if si.len() == 0 {
-            return Err(ImageError::Malformed("S_I is empty"));
-        }
-        if labels.is_empty() {
-            return Err(ImageError::Malformed("label map is empty"));
-        }
         Ok(Self {
             si,
             sa,
             labels,
-            root: image.derived(|| Ok(RootTable::derive(si)?))?,
+            root,
             _marker: PhantomData,
         })
     }
@@ -1154,7 +1178,7 @@ mod tests {
 
     #[test]
     fn a_loaded_image_derives_the_built_table() {
-        use crate::image::{write_image, ImageCodec};
+        use crate::image::{any_view, write_image, ImageCodec};
         use crate::AnyView;
         let trie = dfz(3_000, 0x1AD);
         let mut v6: BinaryTrie<u128> = BinaryTrie::new();
@@ -1173,24 +1197,23 @@ mod tests {
             let view = <XbwFib<u32> as ImageCodec<u32>>::view(&image).unwrap();
             assert_eq!(view.root, &xbw.root, "{storage:?}");
             assert_eq!(view.size_bytes(), view.payload_words() * 8 + 512);
-            // The first view derived the table and the image keeps it;
-            // every later view, validated or trusted, borrows that one.
-            let kept = image
-                .derived(|| -> Result<RootTable, _> { panic!("the first view derives the table") });
+            // The first view derived the table in the image's record;
+            // every later view borrows that one, erased or not, and so
+            // does a clone's.
+            let kept = image.validated::<u32, XbwFib<u32>, RootTable>(|| {
+                panic!("the first view recorded the table")
+            });
             let kept = kept.unwrap();
             assert!(std::ptr::eq(view.root, kept), "{storage:?}");
             let again = <XbwFib<u32> as ImageCodec<u32>>::view(&image).unwrap();
-            let trusted = <XbwFib<u32> as ImageCodec<u32>>::view_prevalidated(&image).unwrap();
-            let Ok(AnyView::Xbw(erased)) = AnyView::<u32>::prevalidated(&image) else {
+            let Ok(AnyView::Xbw(erased)) = any_view::<u32>(&image) else {
                 panic!("{storage:?}: an XBW-b image");
             };
-            for borrowed in [again, trusted, erased] {
+            let clone = image.clone();
+            let cloned = <XbwFib<u32> as ImageCodec<u32>>::view(&clone).unwrap();
+            for borrowed in [again, erased, cloned] {
                 assert!(std::ptr::eq(borrowed.root, kept), "{storage:?}");
             }
-            // A trusted view is an image's first view too: it derives.
-            let fresh = FibImage::from_bytes(&bytes).unwrap();
-            let trusted = <XbwFib<u32> as ImageCodec<u32>>::view_prevalidated(&fresh).unwrap();
-            assert_eq!(trusted.root, &xbw.root, "{storage:?}");
             for addr in [0u32, 0x8000_0000, 0xC000_0001, u32::MAX] {
                 assert_eq!(
                     view.lookup(addr),

@@ -138,10 +138,11 @@ impl<E> EpochSnapshot<E> {
 
     /// A snapshot that serves lookups straight from `image`'s zero-copy
     /// view — what a warm restart publishes and what `fibc serve` runs its
-    /// forwarding workers over. The image is validated once, here, with a
-    /// full [`ImageCodec::view`]; the snapshot's lookups then assemble the
-    /// scan-free [`ImageCodec::view_prevalidated`] once per call (per batch
-    /// on the batch paths). Epoch and route count come from the header. A
+    /// forwarding workers over. The image's first [`ImageCodec::view`]
+    /// validates it in full (here, unless an earlier view did) and the
+    /// image records that, so the view the snapshot's lookups assemble
+    /// once per call (per batch on the batch paths) skips the O(n) scans.
+    /// Epoch and route count come from the header. A
     /// [`HOT_SLAB`](fib_core::image::sections::HOT_SLAB) section goes in
     /// front of the view behind the same calibrated [`HotFront`] a
     /// [`Router::publish_hot`] attaches.
@@ -153,17 +154,16 @@ impl<E> EpochSnapshot<E> {
     where
         E: ImageCodec<A>,
     {
-        E::view(&image)?;
         let epoch = image.epoch();
         Self::over_image(image, epoch).map(Arc::new)
     }
 
-    /// [`Self::from_image`] without the validation, for an `image` that
-    /// already passed [`ImageCodec::view`], served as `epoch`.
+    /// [`Self::from_image`] served as `epoch`.
     fn over_image<A: Address>(image: FibImage, epoch: u64) -> Result<Self, ImageError>
     where
         E: ImageCodec<A>,
     {
+        E::view(&image)?;
         let slab = image.hot_slab()?.map(HotSlab::from);
         let routes = image.route_count() as usize;
         Ok(Self::cut(epoch, routes, SnapEngine::Image(image), slab))
@@ -192,9 +192,8 @@ impl<E> EpochSnapshot<E> {
     }
 
     /// Runs `serve` on the engine behind the slab: the owned one, or the
-    /// image's zero-copy view, assembled once per call. The image passed
-    /// a full `E::view` before it was installed and is immutable, so the
-    /// view skips the O(n) reference scans.
+    /// image's zero-copy view, assembled once per call. The image's view
+    /// at install left its record, so this one skips the O(n) scans.
     fn with_engine<A: Address, R>(&self, serve: impl FnOnce(&dyn FibLookup<A>) -> R) -> R
     where
         E: ImageCodec<A>,
@@ -202,7 +201,7 @@ impl<E> EpochSnapshot<E> {
         match &self.engine {
             SnapEngine::Owned(e) => serve(e),
             SnapEngine::Image(img) => {
-                serve(&E::view_prevalidated(img).expect("validated at install"))
+                serve(&E::view(img).expect("the image recorded its view at install"))
             }
         }
     }
@@ -210,9 +209,8 @@ impl<E> EpochSnapshot<E> {
     /// Longest-prefix-match on the snapshot.
     ///
     /// # Panics
-    /// Panics if an image-backed snapshot's image stopped validating —
-    /// impossible, as [`Self::from_image`] and [`Router::warm_restart`]
-    /// validate it before serving.
+    /// Panics if an image-backed snapshot's view failed — impossible, as
+    /// the image keeps the record of the view that installed it.
     #[must_use]
     pub fn lookup<A: Address>(&self, addr: A) -> Option<NextHop>
     where
@@ -222,8 +220,8 @@ impl<E> EpochSnapshot<E> {
         // caller's loop should inline the walk.
         let walk = |addr| match &self.engine {
             SnapEngine::Owned(e) => e.lookup(addr),
-            SnapEngine::Image(img) => E::view_prevalidated(img)
-                .expect("validated at install")
+            SnapEngine::Image(img) => E::view(img)
+                .expect("the image recorded its view at install")
                 .lookup(addr),
         };
         match &self.hot {
@@ -568,7 +566,7 @@ where
         }
 
         // Served under the epoch the spool names the image by, which the
-        // journal rule keyed on; `recover` already ran the full view.
+        // journal rule keyed on; the view `recover` ran left its record.
         let snapshot = EpochSnapshot::over_image(image, epoch).map_err(RestartError::Image)?;
         let mut router = Self::serving(config, control, None, snapshot);
         router.stale = !records.is_empty();

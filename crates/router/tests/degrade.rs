@@ -85,8 +85,8 @@ impl ImageCodec<u32> for Flaky {
     fn write_sections(&self, writer: &mut ImageWriter) -> Result<(), ImageError> {
         self.0.write_sections(writer)
     }
-    fn parse(image: &FibImage, trusted: bool) -> Result<Self::Ref<'_>, ImageError> {
-        <PrefixDag<u32> as ImageCodec<u32>>::parse(image, trusted)
+    fn parse(image: &FibImage) -> Result<Self::Ref<'_>, ImageError> {
+        <PrefixDag<u32> as ImageCodec<u32>>::parse(image)
     }
     fn resident_size_bytes(&self) -> usize {
         self.0.resident_size_bytes()

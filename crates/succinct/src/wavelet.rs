@@ -253,17 +253,20 @@ impl<'a> WaveletTreeRef<'a> {
         for idx in 0..n_nodes {
             let (left, right, bits) = view.node(idx)?;
             for child in [left, right] {
-                if let ChildRef::Node(c) = unpack_child(child)? {
-                    if c as usize >= idx {
+                match unpack_child(child)? {
+                    ChildRef::Node(c) if c as usize >= idx => {
                         return Err(StorageError("wavelet child does not decrease"));
                     }
+                    // A descent that reached it would have no symbol.
+                    ChildRef::None => return Err(StorageError("wavelet node has an empty child")),
+                    _ => {}
                 }
             }
             if bits.is_empty() {
                 return Err(StorageError("wavelet node is empty"));
             }
         }
-        if n_nodes == 0 && len > 0 && view.single.is_none() {
+        if len > 0 && view.single.is_none() && matches!(unpack_child(view.root)?, ChildRef::None) {
             return Err(StorageError("wavelet sequence has no storage"));
         }
         Ok((view, consumed))
@@ -287,6 +290,28 @@ impl<'a> WaveletTreeRef<'a> {
             single: (meta[3] >> 63 == 1).then_some(meta[3] & !(1u64 << 63)),
             len: meta[0] as usize,
         }
+    }
+
+    /// The largest symbol [`Self::access`] can return: the single
+    /// symbol, else the largest leaf of the node table, reached or not;
+    /// `None` when the tree holds no symbol.
+    ///
+    /// # Panics
+    /// Panics if the node table is shorter than the meta block claims,
+    /// which it never is in a run [`Self::from_words`] validated.
+    #[must_use]
+    pub fn max_symbol(&self) -> Option<u64> {
+        if self.single.is_some() {
+            return self.single;
+        }
+        let table = &self.words[BLOCK_WORDS..BLOCK_WORDS + self.n_nodes * 4];
+        let children = table.chunks_exact(4).flat_map(|rec| [rec[0], rec[1]]);
+        (std::iter::once(self.root).chain(children))
+            .filter_map(|packed| match unpack_child(packed) {
+                Ok(ChildRef::Leaf(symbol)) => Some(symbol),
+                _ => None,
+            })
+            .max()
     }
 
     /// The pointer range of the borrowed run, for zero-copy assertions in
@@ -375,6 +400,7 @@ mod tests {
         let trusted = WaveletTreeRef::from_words_trusted(&words);
         for view in [checked, trusted] {
             assert_eq!(view.len(), seq.len());
+            assert_eq!(view.max_symbol(), seq.iter().max().copied());
             assert_eq!(view.payload_ptr_range(), checked.payload_ptr_range());
             for (i, &s) in seq.iter().enumerate() {
                 assert_eq!(view.access(i), s, "access({i})");
@@ -516,6 +542,16 @@ mod tests {
         let mut bad = words.clone();
         bad[8] = (1u64 << 62) | u64::from(u32::MAX); // child points out of range
         assert!(WaveletTreeRef::from_words(&bad).is_err());
+        // An empty child, or an empty root over symbols, leaves a descent
+        // with no symbol to return.
+        let empty = StorageError("wavelet node has an empty child");
+        let mut bad = words.clone();
+        bad[8] = 0;
+        assert_eq!(WaveletTreeRef::from_words(&bad).err(), Some(empty));
+        let mut bad = words.clone();
+        bad[2] = 0;
+        let none = StorageError("wavelet sequence has no storage");
+        assert_eq!(WaveletTreeRef::from_words(&bad).err(), Some(none));
         let mut bad = words;
         bad[5] = u64::MAX; // claimed length past the buffer
         assert!(WaveletTreeRef::from_words(&bad).is_err());

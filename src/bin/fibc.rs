@@ -305,7 +305,7 @@ fn compile_trie<A: Address + Send + Sync + 'static>(
     if engine == EngineKind::VsDag {
         // What the run collapse bought, read back from the image itself.
         let image = FibImage::from_bytes(&bytes).map_err(|e| e.to_string())?;
-        let shape = <VarStrideDag<A> as ImageCodec<A>>::view_prevalidated(&image)
+        let shape = <VarStrideDag<A> as ImageCodec<A>>::view(&image)
             .map_err(|e| e.to_string())?
             .shape();
         println!(

@@ -5,8 +5,9 @@
 //! image runs the same forwarding runtime and reports, both kinds read
 //! stdin by one rule, and a reader that closes `fibc`'s stdout ends it
 //! quietly. Beside them, `fibc compile --routes`
-//! refuses a routes line it cannot read whole, and every command refuses
-//! a flag it does not read.
+//! refuses a routes line it cannot read whole, every command refuses
+//! a flag it does not read, and a hostile image is refused by name, not
+//! served into a panic.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -396,4 +397,24 @@ fn flags_a_command_does_not_read_are_refused() {
         );
     }
     assert!(!out.exists(), "the refused compile wrote an image");
+}
+
+/// A hostile XBW-b image of the lint corpus, whose first packed `S_α`
+/// symbol indexes past its three labels, is refused at its view with the
+/// typed error — `fibc serve` exits non-zero and does not panic.
+#[test]
+fn serve_refuses_an_image_whose_symbols_leave_the_label_map() {
+    let image = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/xbw-symbol-range.img");
+    let output = fibc(&[
+        "serve",
+        image.to_str().expect("utf-8 path"),
+        "--probe",
+        "1000",
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "a hostile image served: {stderr}");
+    assert_eq!(
+        stderr.trim(),
+        "fibc: malformed image: S_α symbol past the label map"
+    );
 }

@@ -1,11 +1,13 @@
 //! FIB-image integration tests: roundtrip equivalence for every Table 2
 //! engine on IPv4 and IPv6, zero-copy pointer-range assertions, size
-//! accounting, and robustness against corrupt files.
+//! accounting, robustness against corrupt files, and the record an image
+//! keeps of its validation.
 
 use fibcomp::core::image::sections;
 use fibcomp::core::{
-    any_view, write_image, BuildConfig, EngineKind, FibBuild, FibImage, FibLookup, ImageCodec,
-    ImageError, MultibitDag, PrefixDag, SerializedDag, VarStrideDag, XbwFib, XbwStorage,
+    any_view, write_image, AnyView, BuildConfig, EngineKind, FibBuild, FibImage, FibLookup,
+    ImageCodec, ImageError, ImageWriter, MultibitDag, PrefixDag, SerializedDag, VarStrideDag,
+    XbwFib, XbwStorage,
 };
 use fibcomp::trie::{Address, BinaryTrie, NextHop, Prefix4, Prefix6};
 use fibcomp::workload::rng::{Rng, Xoshiro256};
@@ -368,4 +370,153 @@ fn prefix4_prefix6_image_probes() {
     let view = <SerializedDag<u32> as ImageCodec<u32>>::view(&image).unwrap();
     assert_eq!(view.lookup(0x0A00_0001u32), Some(NextHop::new(2)));
     assert_eq!(view.lookup(0x0B00_0001u32), Some(NextHop::new(1)));
+}
+
+/// An IPv4 image of `engine` holding `sections`, in order.
+fn image_of(engine: EngineKind, sections: &[(u32, Vec<u64>)]) -> FibImage {
+    let mut writer = ImageWriter::new::<u32>(engine, 0, 0);
+    for (id, words) in sections {
+        writer.section(*id, words);
+    }
+    FibImage::from_bytes(&writer.finish()).expect("written images load")
+}
+
+/// `image`'s section `id`, copied out.
+fn section(image: &FibImage, id: u32) -> Vec<u64> {
+    image.section(id).expect("section present").to_vec()
+}
+
+/// A view that fails leaves no record: the image fails every later view,
+/// typed or erased, as its first one failed.
+#[test]
+fn a_failed_first_view_fails_every_later_view() {
+    let trie = v4_fib(2_000, 11);
+    let dag: PrefixDag<u32> = FibBuild::build(&trie, &BuildConfig::default());
+    let good = FibImage::from_bytes(&write_image(&dag, None, 0).unwrap()).unwrap();
+    // The last node's left child one past the arena: only the child scan
+    // sees it.
+    let mut nodes = section(&good, sections::PDAG_NODES);
+    let (last, n_nodes) = (nodes.len() - 2, nodes.len() as u64 / 2);
+    nodes[last] = nodes[last] & !0xFFFF_FFFF | n_nodes;
+    let bad = image_of(
+        EngineKind::PrefixDag,
+        &[
+            (sections::PARAMS, section(&good, sections::PARAMS)),
+            (sections::PDAG_NODES, nodes),
+        ],
+    );
+    let want = Some(ImageError::Malformed("pdag child out of range"));
+    for _ in 0..3 {
+        assert_eq!(<PrefixDag<u32> as ImageCodec<u32>>::view(&bad).err(), want);
+        assert_eq!(any_view::<u32>(&bad).err(), want);
+    }
+}
+
+/// The record is the validating codec's own. An image carrying a pDAG's
+/// sections beside a vsdag's (one `PARAMS`, whose first word both read
+/// as their root) that a pDAG view validated still gets the vsdag's full
+/// scan from the vsdag's parse, on every parse.
+#[test]
+fn another_codecs_parse_of_a_validated_image_still_scans() {
+    type Vs = VarStrideDag<u32>;
+    type Dag = PrefixDag<u32>;
+    let trie = v4_fib(2_000, 12);
+    let config = BuildConfig::default();
+    let dag: Dag = FibBuild::build(&trie, &config);
+    let vs: Vs = FibBuild::build(&trie, &config);
+    let dag = FibImage::from_bytes(&write_image(&dag, None, 0).unwrap()).unwrap();
+    let vs = FibImage::from_bytes(&write_image(&vs, None, 0).unwrap()).unwrap();
+    let both = |edit_blocks: fn(&mut Vec<u64>)| {
+        let mut params = section(&vs, sections::PARAMS);
+        params[0] = section(&dag, sections::PARAMS)[0];
+        let mut blocks = section(&vs, sections::VS_BLOCKS);
+        edit_blocks(&mut blocks);
+        image_of(
+            EngineKind::PrefixDag,
+            &[
+                (sections::PARAMS, params),
+                (sections::PDAG_NODES, section(&dag, sections::PDAG_NODES)),
+                (sections::VS_NODES, section(&vs, sections::VS_NODES)),
+                (sections::VS_BLOCKS, blocks),
+                (sections::VS_RUNS, section(&vs, sections::VS_RUNS)),
+            ],
+        )
+    };
+    // Clean sections: each codec validates and keeps its own record.
+    let clean = both(|_| {});
+    for _ in 0..2 {
+        assert!(<Dag as ImageCodec<u32>>::view(&clean).is_ok());
+        assert!(<Vs as ImageCodec<u32>>::parse(&clean).is_ok());
+    }
+    // The last block's run rank one too high: only the vsdag's scan sees
+    // it. A fresh image's parse names the damage; so does the parse of
+    // one a pDAG view validated first, every time.
+    let bump_rank = |blocks: &mut Vec<u64>| *blocks.last_mut().unwrap() += 1 << 32;
+    let want = <Vs as ImageCodec<u32>>::parse(&both(bump_rank)).err();
+    assert!(matches!(want, Some(ImageError::Malformed(_))), "{want:?}");
+    let hostile = both(bump_rank);
+    assert!(<Dag as ImageCodec<u32>>::view(&hostile).is_ok());
+    for _ in 0..2 {
+        assert_eq!(<Vs as ImageCodec<u32>>::parse(&hostile).err(), want);
+        assert!(<Dag as ImageCodec<u32>>::view(&hostile).is_ok());
+    }
+}
+
+/// The words an erased view borrows.
+fn borrowed(view: &AnyView<'_, u32>) -> Vec<std::ops::Range<usize>> {
+    match view {
+        AnyView::Xbw(v) => v.payload_ptr_ranges(),
+        AnyView::PrefixDag(v) => vec![v.payload_ptr_range()],
+        AnyView::SerializedDag(v) => vec![v.payload_ptr_range()],
+        AnyView::VsDag(v) => vec![v.payload_ptr_range()],
+    }
+}
+
+/// Every later view of a validated image, erased or typed, borrows the
+/// words its first view did. A clone shares the record but not the
+/// buffer: its views borrow its own words and answer alike.
+#[test]
+fn later_views_of_a_validated_image_borrow_the_same_words() {
+    let trie = v4_fib(2_000, 13);
+    let keys = traces::uniform::<u32, _>(&mut rng(14), 500);
+    for (name, bytes) in engines_v4(&trie) {
+        let image = FibImage::from_bytes(&bytes).unwrap();
+        let first = any_view::<u32>(&image).unwrap();
+        let arena = image.words().as_ptr_range();
+        for range in borrowed(&first) {
+            assert!(range.start >= arena.start as usize && range.end <= arena.end as usize);
+        }
+        for _ in 0..2 {
+            assert_eq!(
+                borrowed(&any_view(&image).unwrap()),
+                borrowed(&first),
+                "{name}"
+            );
+        }
+        let typed = match image.engine().unwrap() {
+            EngineKind::Xbw => {
+                AnyView::Xbw(<XbwFib<u32> as ImageCodec<u32>>::view(&image).unwrap())
+            }
+            EngineKind::PrefixDag => {
+                AnyView::PrefixDag(<PrefixDag<u32> as ImageCodec<u32>>::view(&image).unwrap())
+            }
+            EngineKind::SerializedDag => AnyView::SerializedDag(
+                <SerializedDag<u32> as ImageCodec<u32>>::view(&image).unwrap(),
+            ),
+            EngineKind::VsDag => {
+                AnyView::VsDag(<VarStrideDag<u32> as ImageCodec<u32>>::view(&image).unwrap())
+            }
+            EngineKind::VrfSet => unreachable!("a one-engine image"),
+        };
+        assert_eq!(borrowed(&typed), borrowed(&first), "{name}");
+        let clone = image.clone();
+        let cloned = any_view::<u32>(&clone).unwrap();
+        let arena = clone.words().as_ptr_range();
+        for range in borrowed(&cloned) {
+            assert!(range.start >= arena.start as usize && range.end <= arena.end as usize);
+        }
+        for &key in &keys {
+            assert_eq!(cloned.lookup(key), first.lookup(key), "{name} {key:#x}");
+        }
+    }
 }
