@@ -18,9 +18,9 @@
 
 use std::time::Instant;
 
-use fib_bench::instance_fib;
 use fib_core::{roster, BuildConfig, FibLookup};
 use fib_trie::NextHop;
+use fib_workload::instances;
 use fib_workload::rng::Xoshiro256;
 use fib_workload::traces;
 
@@ -64,7 +64,7 @@ fn batch_ns(engine: &dyn FibLookup<u32>, addrs: &[u32], out: &mut [Option<NextHo
 
 #[test]
 fn batch_never_regresses_scalar() {
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let trie = instances::scaled("taz", 0.1, 0xF1B).expect("taz");
     // fib_trie at max stride 16 and the fixed plan at stride 8, as this
     // guard has always pinned them; everything else at the defaults.
     let config = BuildConfig {

@@ -34,13 +34,13 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use fib_bench::instance_fib;
 use fib_core::{
     compile_vrf_set, BuildConfig, CompiledVrfSet, FibBuild, FibEntropy, FibUpdate, HotConfig,
     PrefixDag, RebuildNeeded, VarStrideDag, VrfPolicy, VrfTable,
 };
 use fib_router::spoolfs::{FaultFs, SpoolFs};
 use fib_router::{scan_spool, Router, RouterConfig, SpoolConfig};
+use fib_workload::instances;
 use fib_workload::rng::{Rng, SplitMix64, Xoshiro256};
 use fib_workload::traces::{uniform, ZipfTrace};
 use fib_workload::updates::{bgp_sequence, UpdateOp};
@@ -52,7 +52,7 @@ const KEY_COUNT: usize = 65_536;
 /// taz 0.1 with the zipf trace that stands in for its traffic, and the
 /// vsdag compiled against that trace's sampled heat at the defaults.
 fn heat_planned() -> (Vec<u32>, VarStrideDag<u32>) {
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let trie = instances::scaled("taz", 0.1, 0xF1B).expect("taz");
     let zipf =
         ZipfTrace::new(&trie, 1.0).generate(&mut Xoshiro256::seed_from_u64(0x21BF), KEY_COUNT);
     let heat = HeatSummary::sample_addrs(HotConfig::for_width(32).depth, zipf.iter().copied());
@@ -91,7 +91,7 @@ fn vsdag_expected_hops_stay_near_the_floor() {
 /// second at 9.92 × E.
 #[test]
 fn vsdag_stores_runs_within_reach_of_entropy() {
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let trie = instances::scaled("taz", 0.1, 0xF1B).expect("taz");
     let vs: VarStrideDag<u32> = FibBuild::build(&trie, &BuildConfig::default());
     let (runs, slots) = (vs.run_count(), vs.slot_count());
     assert!(
@@ -132,7 +132,7 @@ fn fleet_arena_saves_thirty_percent() {
 
 #[test]
 fn vsdag_republish_is_one_solve() {
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let trie = instances::scaled("taz", 0.1, 0xF1B).expect("taz");
     let updates = bgp_sequence(&mut Xoshiro256::seed_from_u64(7), &trie, 20 * 100);
     let config = RouterConfig {
         publish_every: None,
@@ -179,7 +179,7 @@ fn apply(router: &mut Router<u32, PrefixDag<u32>>, ops: &[UpdateOp<u32>]) {
 fn durable_publish_costs_one_sync_and_a_fold_one_image() {
     const DIR: &str = "/spool";
     let journal = Path::new(DIR).join("journal.log");
-    let trie = instance_fib("taz", 0.01, 0xF1B);
+    let trie = instances::scaled("taz", 0.01, 0xF1B).expect("taz");
     let updates = bgp_sequence(&mut Xoshiro256::seed_from_u64(7), &trie, 101);
     let config = RouterConfig {
         build: BuildConfig::with_lambda(11),
@@ -236,7 +236,7 @@ fn durable_publish_costs_one_sync_and_a_fold_one_image() {
 /// pinned.
 #[test]
 fn pdag_walk_starts_at_the_root_array() {
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let trie = instances::scaled("taz", 0.1, 0xF1B).expect("taz");
     let dag: PrefixDag<u32> = FibBuild::build(&trie, &BuildConfig::with_lambda(11));
     let keys: Vec<u32> = uniform(&mut Xoshiro256::seed_from_u64(0x7AB2), KEY_COUNT);
     let reads: u64 = keys
@@ -287,7 +287,7 @@ fn fleet_walk_starts_at_the_root_array() {
 /// extended by exactly those records.
 #[test]
 fn in_place_publish_appends_what_changed_to_the_buffer_readers_share() {
-    let trie = instance_fib("taz", 1.0, 0xF1B);
+    let trie = instances::scaled("taz", 1.0, 0xF1B).expect("taz");
     let updates = bgp_sequence(&mut Xoshiro256::seed_from_u64(11), &trie, 10 * 100);
     let config = RouterConfig {
         build: BuildConfig::with_lambda(11),
@@ -361,7 +361,7 @@ fn in_place_publish_appends_what_changed_to_the_buffer_readers_share() {
 #[test]
 fn bgp_churn_never_reaches_the_compaction_threshold() {
     const UPDATES: usize = 100_000;
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let trie = instances::scaled("taz", 0.1, 0xF1B).expect("taz");
     let mut mix = SplitMix64::new(11);
     let _keys = mix.next_u64();
     let updates = bgp_sequence(
@@ -392,7 +392,7 @@ fn bgp_churn_never_reaches_the_compaction_threshold() {
 /// as after none: within one word per arena slot.
 #[test]
 fn change_tracking_is_bounded_without_a_publisher() {
-    let trie = instance_fib("taz", 0.1, 0xF1B);
+    let trie = instances::scaled("taz", 0.1, 0xF1B).expect("taz");
     let updates = bgp_sequence(&mut Xoshiro256::seed_from_u64(11), &trie, 50_000);
     let mut dag: PrefixDag<u32> = FibBuild::build(&trie, &BuildConfig::with_lambda(11));
     for op in &updates {

@@ -21,7 +21,11 @@
 //!   recomputed from the data bits
 //!   ([`fib_succinct::RsBitVecRef::audit`]) — the showcase class,
 //!   because a corrupted count word passes every size check the loader
-//!   makes and then silently misroutes;
+//!   makes and then silently misroutes — and, for an RRR `S_I` and every
+//!   wavelet node vector, the superblock and sub-sample directory and
+//!   the offset stream re-derived from the classes
+//!   ([`fib_succinct::RrrVecRef::audit`], the same audit an image's
+//!   first view runs);
 //! * variable-stride DAG shape: every directory entry's stride within
 //!   the legal `[1, 16]` band, the per-node block spans tiling the block
 //!   table contiguously, and every block's run rank re-derived from the
@@ -386,7 +390,15 @@ fn xbw_pass(image: &FibImage, issues: &mut Vec<LintIssue>) {
             }
         },
         1 => match RrrVecRef::from_words(si_words) {
-            Ok((view, _)) => Some(view.count_ones()),
+            Ok((view, _)) => {
+                if let Err(e) = view.audit() {
+                    issues.push(issue(
+                        "rank-directory-mismatch",
+                        format!("S_I (rrr) directory: {}", e.0),
+                    ));
+                }
+                Some(view.count_ones())
+            }
             Err(e) => {
                 issues.push(issue("view-malformed", format!("S_I (rrr): {}", e.0)));
                 None
@@ -496,11 +508,19 @@ fn wavelet_pass(words: &[u64], issues: &mut Vec<LintIssue>) -> Option<usize> {
             ));
             continue;
         };
-        if let Err(e) = RrrVecRef::from_words(payload) {
-            issues.push(issue(
+        match RrrVecRef::from_words(payload) {
+            Ok((bits, _)) => {
+                if let Err(e) = bits.audit() {
+                    issues.push(issue(
+                        "rank-directory-mismatch",
+                        format!("wavelet node {idx} (rrr) directory: {}", e.0),
+                    ));
+                }
+            }
+            Err(e) => issues.push(issue(
                 "view-malformed",
                 format!("wavelet node {idx} (rrr): {}", e.0),
-            ));
+            )),
         }
     }
     (issues.len() == before).then_some(len)

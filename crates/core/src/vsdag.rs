@@ -273,8 +273,8 @@ impl From<VsParams> for StridePlan {
     }
 }
 
-/// The fixed-stride multibit DAG under the name `fibreport`, the
-/// `ablation` stride sweep and the benchmark's engine matrix know it by: `MultibitDag::from_trie(&trie, 4)` is a
+/// The fixed-stride multibit DAG under the name `paper report`, the
+/// `paper ablation` stride sweep and the benchmark's engine matrix know it by: `MultibitDag::from_trie(&trie, 4)` is a
 /// [`VarStrideDag`] whose plan is [`StridePlan::Fixed`]. It is an alias,
 /// not a second structure — anything typed `MultibitDag<A>` builds
 /// through [`crate::FibBuild`] exactly as a `VarStrideDag<A>` does.

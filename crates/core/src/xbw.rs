@@ -57,8 +57,8 @@
 //! walk's first 8 steps (at most 255 probes). The build derives it and
 //! so does an image's first view, so images keep their sections and an
 //! image written before the table existed serves unchanged. A load
-//! refuses an `S_I` whose top levels leave the string: the derivation
-//! probes image words no one has checked, through a checked probe.
+//! audits `S_I`'s rank directory first, so the derivation's probes stay
+//! in bounds, and refuses an `S_I` whose top levels leave the string.
 //!
 //! A view borrows its table from the table's owner, never copies it: an
 //! [`XbwFib`] owns the table its [`XbwFib::view`] reads, and a loaded
@@ -126,6 +126,9 @@ impl RootTable {
     /// Derives the table of the shape string `si` by replaying the walk's
     /// first [`ROOT_BITS`] steps.
     ///
+    /// `si` is a built string or one whose directory audited clean
+    /// ([`SiRef::audit`]), so a probe below its length stays in bounds.
+    ///
     /// # Errors
     /// [`StorageError`] when a walk leaves the string or an entry does
     /// not fit: `si` came from an image and is not an XBW-b shape.
@@ -171,7 +174,10 @@ fn fill_entries(
         entries[slot] = entry(i).filter(|_| i < si.len()).ok_or(OUT)? | NODE;
         return Ok(());
     }
-    let (leaf, rank1) = si.checked_access_rank1(i)?;
+    if i >= si.len() {
+        return Err(OUT);
+    }
+    let (leaf, rank1) = si.access_rank1(i);
     if leaf {
         let rank = entry(rank1).ok_or(OUT)?;
         for e in &mut entries[slot << below..(slot + 1) << below] {
@@ -510,13 +516,12 @@ impl SiRef<'_> {
         }
     }
 
-    /// [`Self::access_rank1`] over untrusted words: a probe that would
-    /// leave the string is an error, never a panic.
-    fn checked_access_rank1(&self, i: usize) -> Result<(bool, usize), StorageError> {
+    /// Re-derives the string's rank directory from its data: after a
+    /// clean audit every `access_rank1` below `len()` stays in bounds.
+    fn audit(&self) -> Result<(), StorageError> {
         match self {
-            Self::Plain(v) if i < v.len() => Ok(v.access_rank1(i)),
-            Self::Plain(_) => Err(StorageError("S_I top levels leave the string")),
-            Self::Rrr(v) => v.checked_access_rank1(i),
+            Self::Plain(v) => v.audit(),
+            Self::Rrr(v) => v.audit(),
         }
     }
 }
@@ -594,13 +599,16 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
     /// the image's record keeps. The image's first view validates the
     /// sections inside that record: the strings agree (`S_α` holds exactly
     /// one symbol per `S_I` leaf), every symbol `S_α` can yield indexes
-    /// the label map, and the root table derives from `S_I`. Every later
-    /// view skips the wavelet tree's node scan and the symbol checks.
+    /// the label map, `S_I`'s rank directory re-derives from its data
+    /// (plain or RRR, as the wavelet tree's node vectors do), and the
+    /// root table derives from `S_I`. Every later view skips the wavelet
+    /// tree's node scan, the audits and the symbol checks.
     ///
     /// # Errors
     /// [`ImageError`] on missing or malformed sections, inconsistent
-    /// strings, a symbol past the label map, or an `S_I` whose top levels
-    /// leave the string.
+    /// strings, a symbol past the label map, an `S_I` directory that
+    /// disagrees with its data, or an `S_I` whose top levels leave the
+    /// string.
     pub(crate) fn parse(image: &'a FibImage) -> Result<Self, ImageError> {
         let &[si_kind, sa_kind, ..] = image.section(sections::PARAMS)? else {
             return Err(ImageError::Malformed("params"));
@@ -633,6 +641,7 @@ impl<'a, A: Address> XbwFibRef<'a, A> {
             if !sa.symbols_below(labels.len()) {
                 return Err(ImageError::Malformed("S_α symbol past the label map"));
             }
+            si.audit()?;
             Ok(RootTable::derive(si)?)
         })?;
         // The record vouches for the wavelet tree's nodes.
@@ -1233,7 +1242,9 @@ mod tests {
     #[test]
     fn a_load_refuses_an_s_i_whose_top_levels_leave_the_string() {
         use crate::image::{write_image, EngineKind, ImageCodec};
-        const OUT: StorageError = StorageError("S_I top levels leave the string");
+        // The view audits S_I's rank directory before it derives the root
+        // table, so each corruption below is refused by the audit.
+        const OUT: StorageError = StorageError("rank line disagrees with data popcount");
         let trie = dfz(3_000, 0xBAD);
         for storage in ALL_STORAGES {
             let xbw = XbwFib::build(&trie, storage);
@@ -1279,8 +1290,10 @@ mod tests {
                     for pos in [off_bits, u64::from(u32::MAX)] {
                         let mut bad = si.clone();
                         bad[sup0] = bad[sup0] & 0xFFFF_FFFF | pos << 32;
-                        hostile
-                            .push((bad, StorageError("rrr directory points outside the stream")));
+                        hostile.push((
+                            bad,
+                            StorageError("rrr superblock disagrees with the classes"),
+                        ));
                     }
                 }
             }

@@ -620,26 +620,63 @@ impl<'a> RrrVecRef<'a> {
         (bit, ones + below)
     }
 
-    /// [`Self::access_rank1`] for a view over untrusted words:
-    /// [`Self::from_words`] checks only the meta block, so a directory
-    /// entry or a class-2 offset that points outside the streams is
-    /// refused here instead of indexing past them.
+    /// Re-derives both directory levels from the class stream and checks
+    /// the offset stream against them: every superblock entry (sentinel
+    /// included) and packed sub-sample as the builder writes it, the
+    /// offset stream's length as the sum of the classes' widths, every
+    /// offset below `C(63, k)` (so a class-2 offset indexes the class-2
+    /// table), the total ones, and a final block with no bit past
+    /// `len()`.
+    ///
+    /// [`Self::from_words`] checks only the meta block — a directory
+    /// entry that points outside the offset stream parses fine and then
+    /// indexes past it on the first query that reads it. A vector that
+    /// audits clean answers every query in bounds. Image views run this
+    /// once, at the image's first view; `fibc lint` runs it too.
     ///
     /// # Errors
-    /// [`StorageError`] when `i >= len()` or the probe would leave the
-    /// offset stream or the class-2 table.
-    pub fn checked_access_rank1(&self, i: usize) -> Result<(bool, usize), StorageError> {
-        if i >= self.len {
-            return Err(StorageError("rrr index out of bounds"));
+    /// [`StorageError`] naming the first inconsistency found; corrupt
+    /// input never panics.
+    pub fn audit(&self) -> Result<(), StorageError> {
+        let (widths, c) = (offset_widths(), binomials());
+        let (mut ones, mut pos) = (0usize, 0usize);
+        let (mut sup_ones, mut sup_pos) = (0usize, 0usize);
+        let mut sub = 0usize;
+        for b in 0..self.n_blocks {
+            if b % SUPER == 0 {
+                if self.sup_entry(b / SUPER) != (ones, pos) {
+                    return Err(StorageError("rrr superblock disagrees with the classes"));
+                }
+                (sup_ones, sup_pos) = (ones, pos);
+            } else if b % SUB == 0 {
+                let entry = ((ones - sup_ones) << 16 | (pos - sup_pos)) as u32;
+                if self.sub_entry(sub) != entry {
+                    return Err(StorageError("rrr sub-sample disagrees with the classes"));
+                }
+                sub += 1;
+            }
+            let k = self.class(b);
+            let width = widths[k];
+            if pos + width as usize > self.off_bits {
+                return Err(StorageError("rrr offsets run past the offset stream"));
+            }
+            if width > 0 && self.offset_bits(pos, width) >= c[BLOCK][k] {
+                return Err(StorageError("rrr offset past its class"));
+            }
+            let block_bits = (self.len - b * BLOCK).min(BLOCK);
+            if block_bits < BLOCK && self.pattern_at(pos, k) >> block_bits != 0 {
+                return Err(StorageError("rrr final block has bits past the end"));
+            }
+            ones += k;
+            pos += width as usize;
         }
-        let (ones, pos, k) = self.locate_block(i / BLOCK);
-        let outside = pos + offset_widths()[k] as usize > self.off_bits
-            || (k == 2 && self.offset_bits(pos, 11) as usize >= class2_patterns().len());
-        if outside {
-            return Err(StorageError("rrr directory points outside the stream"));
+        if pos != self.off_bits {
+            return Err(StorageError("rrr offset stream longer than the classes"));
         }
-        let (bit, below) = self.block_access_rank(pos, k, i % BLOCK);
-        Ok((bit, ones + below))
+        if ones != self.ones || self.sup_entry(self.n_sup - 1) != (ones, pos) {
+            return Err(StorageError("rrr ones disagree with the classes"));
+        }
+        Ok(())
     }
 
     /// Position of the `q`-th set bit (`q ≥ 1`), or `None`.
@@ -1002,27 +1039,78 @@ mod tests {
     #[test]
     fn checked_access_refuses_a_directory_outside_the_stream() {
         // Block 0 holds bits 0 and 1: class 2.
-        let (bools, rrr) = build(|i| i < 2 || (i >= BLOCK && i % 7 == 3), 4000);
+        let (_, rrr) = build(|i| i < 2 || (i >= BLOCK && i % 7 == 3), 4000);
         let mut words = Vec::new();
         rrr.write_words(&mut words);
         let view = RrrVecRef::from_words(&words).unwrap().0;
-        for i in 0..bools.len() {
-            assert_eq!(view.checked_access_rank1(i), Ok(rrr.access_rank1(i)));
-        }
-        assert!(view.checked_access_rank1(bools.len()).is_err());
+        assert_eq!(view.audit(), Ok(()));
         let (sup0, off0) = (BLOCK_WORDS + view.sup_off, BLOCK_WORDS + view.off_off);
         for pos in [view.off_bits as u64, u64::from(u32::MAX)] {
             let mut bad = words.clone();
             bad[sup0] = bad[sup0] & 0xFFFF_FFFF | pos << 32;
             let view = RrrVecRef::from_words(&bad).unwrap().0;
-            assert!(view.checked_access_rank1(0).is_err(), "position {pos}");
+            assert!(view.audit().is_err(), "position {pos}");
         }
         // The class-2 table has C(63, 2) = 1953 entries: offset 2047 is
         // past it.
         let mut bad = words;
         bad[off0] |= 0x7FF;
         let view = RrrVecRef::from_words(&bad).unwrap().0;
-        assert!(view.checked_access_rank1(0).is_err());
+        assert!(view.audit().is_err());
+    }
+
+    #[test]
+    fn audit_accepts_honest_vectors_and_names_each_corruption() {
+        for n in [
+            0usize,
+            1,
+            62,
+            63,
+            BLOCK * SUPER + 5,
+            4000,
+            BLOCK * SUPER * 3,
+        ] {
+            let (_, rrr) = build(|i| i % 13 == 0 || i % 5 == 1, n);
+            assert_eq!(rrr.view().audit(), Ok(()), "n = {n}");
+        }
+        let (_, rrr) = build(|i| i % 13 == 0 || i % 5 == 1, BLOCK * SUPER * 2 + 17);
+        let mut words = Vec::new();
+        rrr.write_words(&mut words);
+        let view = RrrVecRef::from_words(&words).unwrap().0;
+        let audit_of = |edit: &dyn Fn(&mut Vec<u64>)| {
+            let mut bad = words.clone();
+            edit(&mut bad);
+            RrrVecRef::from_words(&bad)
+                .unwrap()
+                .0
+                .audit()
+                .unwrap_err()
+                .0
+        };
+        let (sup, sub) = (BLOCK_WORDS + view.sup_off, BLOCK_WORDS + view.sub_off);
+        let (classes, off) = (BLOCK_WORDS, BLOCK_WORDS + view.off_off);
+        assert!(audit_of(&|w| w[sup + 1] += 1).contains("superblock"));
+        assert!(audit_of(&|w| w[sub] += 1 << 16).contains("sub-sample"));
+        // Sentinel: the ones total.
+        assert!(audit_of(&|w| w[sup + view.n_sup - 1] += 1).contains("ones"));
+        // A changed class shifts every offset after it: refused, whichever
+        // check sees it first.
+        audit_of(&|w| w[classes] ^= 1);
+        // The final block (17 bits) keeps its class but moves its top one
+        // to bit 62, past the end.
+        let (_, at, k) = view.locate_block(view.n_blocks - 1);
+        assert!((1..BLOCK).contains(&k), "fixture's final block is mixed");
+        let moved = encode_offset(((1u64 << (k - 1)) - 1) | (1 << 62), k);
+        assert!(audit_of(&|w| {
+            for bit in 0..offset_widths()[k] as usize {
+                let (word, shift) = (off + (at + bit) / 64, (at + bit) % 64);
+                w[word] = w[word] & !(1 << shift) | ((moved >> bit) & 1) << shift;
+            }
+        })
+        .contains("past the end"));
+        // Block 0's offset, all ones: C(63, k) is odd, so never 2^width.
+        let width = offset_widths()[view.class(0)];
+        assert!(audit_of(&|w| w[off] |= (1 << width) - 1).contains("past its class"));
     }
 
     #[test]

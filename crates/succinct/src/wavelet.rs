@@ -223,8 +223,10 @@ impl<'a> WaveletTreeRef<'a> {
     /// Parses and validates a view from words written by
     /// [`WaveletTree::write_words`], borrowing — never copying — the node
     /// payloads. Validation parses every node once (children in range and
-    /// strictly decreasing, payload sections well-formed), so descent
-    /// cannot loop or panic on inputs that pass. Returns the view and the
+    /// strictly decreasing, each child node as long as the positions its
+    /// parent sends it, payload sections well-formed, every node vector's
+    /// directory audited by [`RrrVecRef::audit`]), so descent cannot loop
+    /// or panic on inputs that pass. Returns the view and the
     /// number of words consumed.
     ///
     /// # Errors
@@ -246,16 +248,25 @@ impl<'a> WaveletTreeRef<'a> {
         // children first), every payload parseable and length-consistent.
         storage::slice(words, BLOCK_WORDS, n_nodes * 4)?;
         match unpack_child(view.root)? {
-            ChildRef::Node(n) if (n as usize) < n_nodes => {}
-            ChildRef::Node(_) => return Err(StorageError("wavelet root out of range")),
+            ChildRef::Node(n) if (n as usize) >= n_nodes => {
+                return Err(StorageError("wavelet root out of range"))
+            }
+            ChildRef::Node(n) if view.node(n as usize)?.2.len() != len => {
+                return Err(StorageError("wavelet root length disagrees"))
+            }
             _ => {}
         }
         for idx in 0..n_nodes {
             let (left, right, bits) = view.node(idx)?;
-            for child in [left, right] {
+            // Each child holds exactly the positions whose bit sends them
+            // there, so a descent's rank stays inside the child.
+            for (child, positions) in [(left, bits.count_zeros()), (right, bits.count_ones())] {
                 match unpack_child(child)? {
                     ChildRef::Node(c) if c as usize >= idx => {
                         return Err(StorageError("wavelet child does not decrease"));
+                    }
+                    ChildRef::Node(c) if view.node(c as usize)?.2.len() != positions => {
+                        return Err(StorageError("wavelet child length disagrees"));
                     }
                     // A descent that reached it would have no symbol.
                     ChildRef::None => return Err(StorageError("wavelet node has an empty child")),
@@ -265,6 +276,7 @@ impl<'a> WaveletTreeRef<'a> {
             if bits.is_empty() {
                 return Err(StorageError("wavelet node is empty"));
             }
+            bits.audit()?;
         }
         if len > 0 && view.single.is_none() && matches!(unpack_child(view.root)?, ChildRef::None) {
             return Err(StorageError("wavelet sequence has no storage"));
@@ -552,8 +564,32 @@ mod tests {
         bad[2] = 0;
         let none = StorageError("wavelet sequence has no storage");
         assert_eq!(WaveletTreeRef::from_words(&bad).err(), Some(none));
-        let mut bad = words;
+        let mut bad = words.clone();
         bad[5] = u64::MAX; // claimed length past the buffer
         assert!(WaveletTreeRef::from_words(&bad).is_err());
+        // A node vector's superblock pointing past its offset stream is
+        // what the RRR audit refuses.
+        let node0 = words[BLOCK_WORDS + 2] as usize;
+        let (len, off_bits) = (words[node0] as usize, words[node0 + 2] as usize);
+        let sup0 =
+            node0 + BLOCK_WORDS + (len.div_ceil(63) * 6).div_ceil(64) + off_bits.div_ceil(64);
+        let mut bad = words.clone();
+        bad[sup0] |= u64::from(u32::MAX) << 32;
+        let directory = StorageError("rrr superblock disagrees with the classes");
+        assert_eq!(WaveletTreeRef::from_words(&bad).err(), Some(directory));
+        // Swapped children of unequal counts: each is as long as the
+        // other side's positions.
+        let view = WaveletTreeRef::from_words(&words).unwrap().0;
+        let root = match unpack_child(view.root).unwrap() {
+            ChildRef::Node(n) => n as usize,
+            _ => unreachable!("five symbols need a node"),
+        };
+        let bits = view.node(root).unwrap().2;
+        assert_ne!(bits.count_ones(), bits.count_zeros());
+        let rec = BLOCK_WORDS + root * 4;
+        let mut bad = words;
+        bad.swap(rec, rec + 1);
+        let length = StorageError("wavelet child length disagrees");
+        assert_eq!(WaveletTreeRef::from_words(&bad).err(), Some(length));
     }
 }

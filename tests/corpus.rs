@@ -394,6 +394,26 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>, &'static str)> {
         "view-malformed",
     ));
 
+    // An entropy image whose RRR `S_I` superblock 0 claims an offset
+    // position of 2^32 − 1 bits: every size check passes, and a lookup
+    // that reads the entry indexes far past the offset stream. The view's
+    // directory audit refuses it.
+    let mut bad = xbw_e_img.clone();
+    let si = section_byte_offset(&xbw_e_img, sections::XBW_SI);
+    let (len, off_bits) = (
+        read_word(&bad, si) as usize,
+        read_word(&bad, si + 16) as usize,
+    );
+    let sup0 = si + 8 * (8 + (len.div_ceil(63) * 6).div_ceil(64) + off_bits.div_ceil(64));
+    let v = read_word(&bad, sup0);
+    assert_eq!(v, 0, "superblock 0: no ones before it, offset position 0");
+    write_word(&mut bad, sup0, u64::from(u32::MAX) << 32);
+    corpus.push((
+        "xbw-rrr-directory.img",
+        repair_checksum(bad),
+        "view-malformed",
+    ));
+
     corpus
 }
 

@@ -399,22 +399,30 @@ fn flags_a_command_does_not_read_are_refused() {
     assert!(!out.exists(), "the refused compile wrote an image");
 }
 
-/// A hostile XBW-b image of the lint corpus, whose first packed `S_α`
-/// symbol indexes past its three labels, is refused at its view with the
-/// typed error — `fibc serve` exits non-zero and does not panic.
+/// Hostile XBW-b images of the lint corpus are refused at their view
+/// with the typed error — `fibc serve` exits non-zero and does not panic:
+/// one whose first packed `S_α` symbol indexes past its three labels, and
+/// one whose RRR `S_I` superblock points past the offset stream.
 #[test]
 fn serve_refuses_an_image_whose_symbols_leave_the_label_map() {
-    let image = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/xbw-symbol-range.img");
-    let output = fibc(&[
-        "serve",
-        image.to_str().expect("utf-8 path"),
-        "--probe",
-        "1000",
-    ]);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success(), "a hostile image served: {stderr}");
-    assert_eq!(
-        stderr.trim(),
-        "fibc: malformed image: S_α symbol past the label map"
-    );
+    for (file, refusal) in [
+        ("xbw-symbol-range.img", "S_α symbol past the label map"),
+        (
+            "xbw-rrr-directory.img",
+            "rrr superblock disagrees with the classes",
+        ),
+    ] {
+        let image = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/corpus")
+            .join(file);
+        let output = fibc(&[
+            "serve",
+            image.to_str().expect("utf-8 path"),
+            "--probe",
+            "1000",
+        ]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{file} served: {stderr}");
+        assert_eq!(stderr.trim(), format!("fibc: malformed image: {refusal}"));
+    }
 }
