@@ -21,11 +21,14 @@
 //! `v` (projected from a heat summary, or the uniform address fraction
 //! when no heat is attached), `I_s(v)` are the internal descendants at
 //! depth exactly `s` (the slots that recurse after controlled prefix
-//! expansion), and `μ` is a Lagrangian slot penalty bisected until the
-//! plan's pre-dedup slot mass fits a configurable multiple of the fixed
-//! stride-4 plan. `μ = 0` with uniform weights degenerates to the best
-//! fixed stride (and beats it when mixing strides pays); `max_stride = 1`
-//! degenerates to the binary prefix DAG.
+//! expansion), and `μ` is a Lagrangian slot penalty: the smallest, on a
+//! bisection's grid, whose plan's pre-dedup slot mass fits a configurable
+//! multiple of the fixed stride-4 plan. The search finds where the mass
+//! crosses that budget by Newton on the Lagrangian envelope and replays
+//! the bisection's steps against the crossing, running a DP round only
+//! where the crossing cannot decide one. `μ = 0` with uniform weights
+//! degenerates to the best fixed stride (and beats it when mixing
+//! strides pays); `max_stride = 1` degenerates to the binary prefix DAG.
 //!
 //! One DP round is one forward pass over the leaf-pushed arena, which is
 //! in post-order: each internal node leaves on a stack its **depth
@@ -315,10 +318,14 @@ pub struct VarStrideDagRef<'a, A: Address> {
     _marker: PhantomData<A>,
 }
 
-/// One stride plan: per-proper-node stride choice plus the aggregate
-/// traffic cost (expected slot reads) and pre-dedup slot mass it implies.
-struct Plan {
-    choice: Vec<u8>,
+/// One DP round: the penalty it ran at, and the aggregate traffic cost
+/// (expected slot reads) and pre-dedup slot mass of the plan it chose —
+/// the line `cost + μ·mass` that plan draws under the Lagrangian envelope.
+/// The plan's per-node choice stays in the planner's scratch until the
+/// next round.
+#[derive(Clone, Copy, Debug)]
+struct Round {
+    mu: f64,
     cost: f64,
     mass: u64,
 }
@@ -482,10 +489,31 @@ const REPLAN_BAND_DIV: u64 = 32;
 const REPLAN_STEP: f64 = 1.0 + 1.0 / 64.0;
 const REPLAN_MAX_STEPS: u32 = 4;
 
-/// Expansion rounds of the cold search (`hi *= 4` from 1e-12; the default
-/// budget takes about nine) after which it stops to ask whether *any*
-/// penalty can fit the budget.
-const FEASIBILITY_ROUNDS: u32 = 12;
+/// The grid the cold search settles μ on, a bisection's: from
+/// [`EXPAND_FROM`] μ grows ×4 until its plan fits (at most
+/// [`EXPAND_ROUNDS`] times; the default budget takes about nine), then
+/// [`HALVINGS`] halvings of `[0, μ]` keep the upper end fitting.
+const EXPAND_FROM: f64 = 1e-12;
+const EXPAND_ROUNDS: u32 = 60;
+const HALVINGS: u32 = 24;
+
+/// A grid step nearer the budget crossing μ* than this many units of
+/// `ε·V(μ*)` — `V` the envelope's value there, `ε` the `f64` epsilon —
+/// is decided by a real round, not by the crossing. At a distance `d`
+/// from μ* the two plans the crossing separates differ in objective by
+/// `d` times their mass difference, at least `d`; rounding in a round's
+/// sums moves that difference by a few units of `ε·V`, so only within
+/// that could a round's plan switch away from where the envelope puts
+/// it. On the five stand-ins at 0.02, 0.1 and 1.0, plain and under two
+/// Zipf profiles, every step decided from μ* at any distance matched
+/// its round, the nearest at 0.58 units; about one search in five has a
+/// step inside 16.
+const CROSSING_ULPS: f64 = 16.0;
+
+/// Newton steps after which an unconverged search gives up on the
+/// crossing and lets real rounds decide the grid, as the bisection did;
+/// the stand-ins converge in 6 to 13.
+const NEWTON_ROUNDS: u32 = 24;
 
 /// A penalty that makes the DP minimize slot mass alone: 2^100 times an
 /// integer mass is exact in an `f64`, and a traffic weight (≤ 1) added to
@@ -504,6 +532,9 @@ struct Planner<A: Address> {
     /// The budget in pre-dedup slots; `None` when unbounded.
     budget_slots: Option<u64>,
     scratch: Scratch,
+    /// The last round run: the plan `scratch` holds, which
+    /// [`Self::finish`] emits.
+    last: Option<Round>,
     solves: u32,
 }
 
@@ -530,12 +561,13 @@ impl<A: Address> Planner<A> {
             max_stride,
             budget_slots,
             scratch,
+            last: None,
             solves: 0,
         }
     }
 
     /// One DP round at penalty `mu`.
-    fn solve(&mut self, mu: f64) -> Plan {
+    fn solve(&mut self, mu: f64) -> Round {
         self.solves += 1;
         let root = solve(
             &self.proper,
@@ -544,81 +576,100 @@ impl<A: Address> Planner<A> {
             mu,
             &mut self.scratch,
         );
-        Plan {
-            choice: self.scratch.choice.clone(),
+        let round = Round {
+            mu,
             cost: root.cost,
             mass: root.mass,
-        }
+        };
+        self.last = Some(round);
+        round
     }
 
-    /// The cold search: the cheapest plan that fits the budget, and the
-    /// penalty it was solved at — what the next compile of a nearby table
-    /// may hold (`None` when there is no budget, or none can be met).
-    fn search(&mut self) -> (Plan, Option<f64>) {
-        let plan = self.solve(0.0);
-        let Some(budget) = self.budget_slots else {
-            return (plan, None);
-        };
-        if plan.mass <= budget {
-            return (plan, Some(0.0));
+    /// The cold search: leaves the cheapest plan that fits the budget as
+    /// the last round, and returns the penalty it was solved at — what the
+    /// next compile of a nearby table may hold (`None` when there is no
+    /// budget, or none can be met).
+    ///
+    /// The μ is the one a bisection on the grid ([`EXPAND_FROM`]) settles
+    /// on, taking as it does that mass is monotone non-increasing in μ,
+    /// but not at a round per step. A round's plan draws the line
+    /// `cost + μ·mass`; the lowest line at each μ is the Lagrangian
+    /// envelope, concave and piecewise linear, and its slope there is the
+    /// optimal mass. The μ = 0 round lies below the budget crossing μ* and
+    /// the mass-only round above it, and Newton on the envelope
+    /// ([`Bracket::newton`]) finds μ* from the two, in 6 to 13 more rounds
+    /// on the paper's instances. Then a grid step fits iff it lies above
+    /// μ*, and only a step within [`CROSSING_ULPS`] of μ* runs a real
+    /// round. One round at the settled μ leaves its plan: a cold compile
+    /// runs 9 to 17 rounds where the bisection ran 33 to 43, and
+    /// `tests::search_settles_as_the_bisection` checks it emits the same
+    /// words at the same μ, bit for bit.
+    fn search(&mut self) -> Option<f64> {
+        let free = self.solve(0.0);
+        let budget = self.budget_slots?;
+        if free.mass <= budget {
+            return Some(0.0);
         }
-        // Bisect the Lagrangian slot penalty: mass is monotone
-        // non-increasing in μ, so the smallest feasible μ gives the
-        // cheapest plan that fits.
-        let mut lo = 0.0f64;
-        let mut hi = 1e-12f64;
-        let mut plan = self.solve(hi);
-        let mut rounds = 0;
-        while plan.mass > budget && rounds < 60 {
-            if rounds == FEASIBILITY_ROUNDS {
-                // Even the tightest achievable plan may exceed the budget
-                // (the stride-4 reference can be unusually small): ship
-                // that one instead of expanding to the end.
-                let tightest = self.solve(MASS_ONLY_MU);
-                if tightest.mass > budget {
-                    return (tightest, None);
-                }
+        // Even the tightest achievable plan may exceed the budget (the
+        // stride-4 reference can be unusually small): ship that one.
+        let tightest = self.solve(MASS_ONLY_MU);
+        if tightest.mass > budget {
+            return None;
+        }
+        let mut bracket = Bracket {
+            budget,
+            over: free,
+            within: tightest,
+            crossing: None,
+        };
+        bracket.newton(self);
+        let mut hi = EXPAND_FROM;
+        let mut fits = bracket.fits(self, hi);
+        for _ in 0..EXPAND_ROUNDS {
+            if fits {
+                break;
             }
             hi *= 4.0;
-            plan = self.solve(hi);
-            rounds += 1;
+            fits = bracket.fits(self, hi);
         }
-        if plan.mass > budget {
-            return (plan, None);
-        }
-        for _ in 0..24 {
-            let mid = 0.5 * (lo + hi);
-            let mid_plan = self.solve(mid);
-            if mid_plan.mass <= budget {
-                hi = mid;
-                plan = mid_plan;
-            } else {
-                lo = mid;
+        if fits {
+            let mut lo = 0.0f64;
+            for _ in 0..HALVINGS {
+                let mid = 0.5 * (lo + hi);
+                if bracket.fits(self, mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
             }
         }
-        (plan, Some(hi))
+        if self.last.map(|round| round.mu) != Some(hi) {
+            self.solve(hi);
+        }
+        fits.then_some(hi)
     }
 
     /// The rebuild from a previous compile's penalty: one round at `held`,
     /// accepted iff its mass lands in `[budget − budget/32, budget]`; an
     /// overshoot of less than that width walks μ up a few [`REPLAN_STEP`]s
-    /// first. `None` hands the compile to [`Self::search`], which
-    /// re-anchors μ. A plan held at μ = 0 has no floor: nothing cheaper
-    /// exists.
-    fn replan(&mut self, held: f64) -> Option<(Plan, f64)> {
+    /// first. The accepted plan is the last round's, and the penalty it
+    /// ran at is returned. `None` hands the compile to [`Self::search`],
+    /// which re-anchors μ. A plan held at μ = 0 has no floor: nothing
+    /// cheaper exists.
+    fn replan(&mut self, held: f64) -> Option<f64> {
         let budget = self.budget_slots?;
         if held == 0.0 {
-            let plan = self.solve(0.0);
-            return (plan.mass <= budget).then_some((plan, 0.0));
+            let round = self.solve(0.0);
+            return (round.mass <= budget).then_some(0.0);
         }
         let band = budget / REPLAN_BAND_DIV;
         let mut mu = held;
         for _ in 0..=REPLAN_MAX_STEPS {
-            let plan = self.solve(mu);
-            if plan.mass <= budget {
-                return (plan.mass >= budget - band).then_some((plan, mu));
+            let round = self.solve(mu);
+            if round.mass <= budget {
+                return (round.mass >= budget - band).then_some(mu);
             }
-            if plan.mass > budget + band {
+            if round.mass > budget + band {
                 break;
             }
             mu *= REPLAN_STEP;
@@ -626,17 +677,95 @@ impl<A: Address> Planner<A> {
         None
     }
 
-    /// Emits `plan`, stamped with the penalty to hold and the rounds run.
-    fn finish(self, plan: &Plan, held_mu: Option<f64>) -> VarStrideDag<A> {
-        // The weights and work arrays are done: free them ahead of the
+    /// Emits the last round's plan, stamped with the penalty to hold and
+    /// the rounds run.
+    fn finish(self, held_mu: Option<f64>) -> VarStrideDag<A> {
+        // The weights and work stacks are done: free them ahead of the
         // emitter's own allocations.
-        let Self { proper, solves, .. } = self;
+        let Self {
+            proper,
+            scratch: Scratch { choice, .. },
+            last,
+            solves,
+            ..
+        } = self;
+        let last = last.expect("a compile runs a round before it emits");
         VarStrideDag {
-            plan_cost: Some(plan.cost),
+            plan_cost: Some(last.cost),
             held_mu,
             solves,
-            ..VarStrideDag::emit(&proper, &plan.choice)
+            ..VarStrideDag::emit(&proper, &choice)
         }
+    }
+}
+
+/// What the cold search's rounds have shown of where the plan's mass
+/// crosses the budget: the round at the largest penalty found over it,
+/// the one at the smallest found within it, and — once
+/// [`Self::newton`] has converged — the crossing μ* itself.
+struct Bracket {
+    budget: u64,
+    over: Round,
+    within: Round,
+    crossing: Option<f64>,
+}
+
+impl Bracket {
+    /// Newton on the envelope (the Dinkelbach step): one round where the
+    /// lines of `over` and `within` meet, which lies between their
+    /// penalties. If it draws one of the two lines again, both lines
+    /// touch the envelope there — it follows `over`'s line up to that
+    /// point and `within`'s from it — so that point is μ*. Otherwise its
+    /// line is lower and takes the place of the one on its side of the
+    /// budget. Lines that meet at (or, rounded, past) an end of the
+    /// bracket touch the envelope at that end's round, which makes it
+    /// μ*. No convergence in [`NEWTON_ROUNDS`] leaves μ* unknown.
+    fn newton<A: Address>(&mut self, planner: &mut Planner<A>) {
+        for _ in 0..NEWTON_ROUNDS {
+            let (over, within) = (self.over, self.within);
+            let mu = (within.cost - over.cost) / (over.mass - within.mass) as f64;
+            if !(over.mu < mu && mu < within.mu) {
+                self.crossing = Some(mu.clamp(over.mu, within.mu));
+                return;
+            }
+            let round = planner.solve(mu);
+            self.record(round);
+            let again = |line: Round| round.mass == line.mass && round.cost >= line.cost;
+            if again(over) || again(within) {
+                self.crossing = Some(mu);
+                return;
+            }
+        }
+    }
+
+    /// Whether the plan at `mu` fits the budget: decided by the rounds
+    /// run so far where `mu` lies outside the bracket, by the crossing
+    /// where it lies clear of it, and otherwise by a round at `mu`.
+    fn fits<A: Address>(&mut self, planner: &mut Planner<A>, mu: f64) -> bool {
+        if mu <= self.over.mu {
+            return false;
+        }
+        if mu >= self.within.mu {
+            return true;
+        }
+        if let Some(crossing) = self.crossing {
+            let objective = self.within.cost + crossing * self.within.mass as f64;
+            if (mu - crossing).abs() > CROSSING_ULPS * f64::EPSILON * objective {
+                return mu > crossing;
+            }
+        }
+        self.record(planner.solve(mu))
+    }
+
+    /// Narrows the bracket to a round run inside it; whether it fits.
+    fn record(&mut self, round: Round) -> bool {
+        let fits = round.mass <= self.budget;
+        if fits {
+            self.within = round;
+        } else {
+            self.over = round;
+        }
+        fits
     }
 }
 
@@ -783,14 +912,14 @@ impl<A: Address> VarStrideDag<A> {
         heat: Option<(&[(u64, u64)], u8)>,
     ) -> Self {
         let mut planner = Planner::new(trie, params, heat);
-        let (plan, held_mu) = planner.search();
-        planner.finish(&plan, held_mu)
+        let held_mu = planner.search();
+        planner.finish(held_mu)
     }
 
     /// Compiles `trie` as [`Self::from_trie_weighted`] would a nearby
     /// table, starting from the penalty μ `previous` was solved at instead
-    /// of searching for it: one DP round where the search runs some
-    /// thirty. `None` when `previous` holds no μ, or the plan at it (after
+    /// of searching for it: one DP round where the search runs nine to
+    /// seventeen. `None` when `previous` holds no μ, or the plan at it (after
     /// at most four small steps up) misses `[budget − budget/32, budget]`
     /// in pre-dedup slots — the caller then compiles cold, which
     /// re-anchors μ. Whatever is returned is a complete compile of `trie`;
@@ -807,8 +936,8 @@ impl<A: Address> VarStrideDag<A> {
     ) -> Option<Self> {
         let held = previous.held_mu?;
         let mut planner = Planner::new(trie, params, heat);
-        let (plan, mu) = planner.replan(held)?;
-        Some(planner.finish(&plan, Some(mu)))
+        let mu = planner.replan(held)?;
+        Some(planner.finish(Some(mu)))
     }
 
     /// Compiles `trie` at exactly the slot penalty `mu` — one DP round, no
@@ -826,8 +955,8 @@ impl<A: Address> VarStrideDag<A> {
         mu: f64,
     ) -> Self {
         let mut planner = Planner::new(trie, params, heat);
-        let plan = planner.solve(mu);
-        planner.finish(&plan, Some(mu))
+        planner.solve(mu);
+        planner.finish(Some(mu))
     }
 
     /// Emits the hash-consed directory, blocks and runs for one stride per
@@ -894,9 +1023,10 @@ impl<A: Address> VarStrideDag<A> {
         self.held_mu
     }
 
-    /// DP rounds the compile that produced this engine ran: about
-    /// thirty-four for a cold μ search under the default budget, one for
-    /// a rebuild that held μ, zero for a fixed plan.
+    /// DP rounds the compile that produced this engine ran: nine to
+    /// seventeen for a cold μ search under the default budget (seventeen
+    /// at taz 1.0), two when no plan fits the budget, one for a rebuild
+    /// that held μ, zero for a fixed plan.
     #[must_use]
     pub fn plan_solves(&self) -> u32 {
         self.solves
@@ -1938,8 +2068,8 @@ mod tests {
         for (heat, plan) in [(None, "planned"), (Some((&heat[..], depth)), "heat")] {
             let params = VsParams::default();
             let mut planner = Planner::new(trie, params, heat);
-            let (choice, _) = planner.search();
-            let want = SlotEmitter::emit(&planner.proper, &choice.choice);
+            planner.search();
+            let want = SlotEmitter::emit(&planner.proper, &planner.scratch.choice);
             assert_same(
                 &VarStrideDag::from_trie_weighted(trie, params, heat),
                 &want,
@@ -2207,5 +2337,156 @@ mod tests {
         single.insert(p("10.1.0.0/16"), nh(1));
         assert_planner_round_matches(&single, "single route");
         assert_planner_round_matches(&BinaryTrie::<u32>::new(), "empty");
+    }
+
+    /// The cold search as first written, kept as the oracle
+    /// [`Planner::search`] must settle as: a DP round for every step of
+    /// the grid — μ = 0, ×4 from 1e-12 (after twelve expansions asking
+    /// whether the mass-only plan fits at all), then 24 halvings — each
+    /// feasible plan's choice copied. Returns the plan's choice and cost
+    /// and the μ to hold.
+    impl<A: Address> Planner<A> {
+        fn bisect(&mut self) -> (Vec<u8>, f64, Option<f64>) {
+            let mut plan = self.solve_copied(0.0);
+            let Some(budget) = self.budget_slots else {
+                return (plan.0, plan.1.cost, None);
+            };
+            if plan.1.mass <= budget {
+                return (plan.0, plan.1.cost, Some(0.0));
+            }
+            let mut lo = 0.0f64;
+            let mut hi = 1e-12f64;
+            plan = self.solve_copied(hi);
+            let mut rounds = 0;
+            while plan.1.mass > budget && rounds < 60 {
+                if rounds == 12 {
+                    let tightest = self.solve_copied(MASS_ONLY_MU);
+                    if tightest.1.mass > budget {
+                        return (tightest.0, tightest.1.cost, None);
+                    }
+                }
+                hi *= 4.0;
+                plan = self.solve_copied(hi);
+                rounds += 1;
+            }
+            if plan.1.mass > budget {
+                return (plan.0, plan.1.cost, None);
+            }
+            for _ in 0..24 {
+                let mid = 0.5 * (lo + hi);
+                let mid_plan = self.solve_copied(mid);
+                if mid_plan.1.mass <= budget {
+                    hi = mid;
+                    plan = mid_plan;
+                } else {
+                    lo = mid;
+                }
+            }
+            (plan.0, plan.1.cost, Some(hi))
+        }
+
+        fn solve_copied(&mut self, mu: f64) -> (Vec<u8>, Round) {
+            let round = self.solve(mu);
+            (self.scratch.choice.clone(), round)
+        }
+    }
+
+    /// Compiles `trie` through [`Planner::search`] and through the
+    /// bisection at every `(budget, max_stride)` of `grid`, and asserts
+    /// the same words, cost and held μ, bit for bit, in no more rounds.
+    fn assert_search_settles_as_the_bisection<A: Address>(
+        trie: &BinaryTrie<A>,
+        heat: Option<(&[(u64, u64)], u8)>,
+        grid: &[(f64, u8)],
+        tag: &str,
+    ) {
+        for &(budget, max_stride) in grid {
+            let tag = format!("{tag}, budget {budget}, max_stride {max_stride}");
+            let params = VsParams { max_stride, budget };
+            let got = VarStrideDag::from_trie_weighted(trie, params, heat);
+            let mut planner = Planner::new(trie, params, heat);
+            let (choice, cost, held_mu) = planner.bisect();
+            let want = VarStrideDag::emit(&planner.proper, &choice);
+            assert_eq!(got.node_words(), want.node_words(), "{tag}: nodes");
+            assert_eq!(got.block_words(), want.block_words(), "{tag}: blocks");
+            assert_eq!(got.run_words(), want.run_words(), "{tag}: runs");
+            assert_eq!(got.shape(), want.shape(), "{tag}: shape");
+            assert_eq!(
+                got.held_mu().map(f64::to_bits),
+                held_mu.map(f64::to_bits),
+                "{tag}: held μ {:?}, the bisection's {held_mu:?}",
+                got.held_mu()
+            );
+            assert_eq!(got.planned_cost().to_bits(), cost.to_bits(), "{tag}: cost");
+            assert!(
+                got.plan_solves() <= planner.solves,
+                "{tag}: {} rounds, the bisection's {}",
+                got.plan_solves(),
+                planner.solves
+            );
+        }
+    }
+
+    /// [`assert_search_settles_as_the_bisection`] under uniform weights
+    /// and under Zipf(1.0) and Zipf(1.2) heat sampled from `trie` at the
+    /// slab's block depth.
+    fn assert_settles_plain_and_hot<A: Address>(
+        trie: &BinaryTrie<A>,
+        grid: &[(f64, u8)],
+        tag: &str,
+    ) {
+        use fib_workload::rng::Xoshiro256;
+        assert_search_settles_as_the_bisection(trie, None, grid, &format!("{tag}, plain"));
+        for s in [1.0, 1.2] {
+            let keys = fib_workload::traces::ZipfTrace::new(trie, s)
+                .generate(&mut Xoshiro256::seed_from_u64(0x21BF), 1 << 16);
+            let depth = crate::HotConfig::for_width(A::WIDTH).depth;
+            let heat = fib_workload::HeatSummary::sample_addrs(depth, keys);
+            assert_search_settles_as_the_bisection(
+                trie,
+                Some((heat.entries(), heat.depth())),
+                grid,
+                &format!("{tag}, zipf({s})"),
+            );
+        }
+    }
+
+    /// Every exit of the search — μ = 0 fits (budget 64), nothing fits
+    /// (0.01), no budget, and a crossing (0.6) — at stride caps 4 to 16
+    /// on random v4 and v6 tables; the crossing on the paper's stand-ins.
+    /// An optimized build adds the stand-ins at full scale.
+    #[test]
+    fn search_settles_as_the_bisection() {
+        use fib_workload::rng::Xoshiro256;
+        const STRIDES: [u8; 4] = [4, 8, 12, 16];
+        let every_exit: Vec<(f64, u8)> = [0.6, 64.0, 0.01, f64::INFINITY]
+            .into_iter()
+            .flat_map(|budget| STRIDES.map(|max_stride| (budget, max_stride)))
+            .collect();
+        let mut rng = Xoshiro256::seed_from_u64(0x5E4C);
+        let v4: BinaryTrie<u32> = fib_workload::FibSpec::dfz_like(3_000).generate(&mut rng);
+        assert_settles_plain_and_hot(&v4, &every_exit, "v4 3k");
+        let v6: BinaryTrie<u128> = fib_workload::FibSpec {
+            max_len: 64,
+            ..fib_workload::FibSpec::dfz_like(2_000)
+        }
+        .generate(&mut rng);
+        assert_settles_plain_and_hot(&v6, &every_exit, "v6 2k");
+        let scales: &[f64] = if cfg!(debug_assertions) {
+            &[0.02, 0.1]
+        } else {
+            &[0.02, 0.1, 1.0]
+        };
+        for &scale in scales {
+            for (k, name) in ["taz", "hbone", "access(d)", "mobile", "as6730"]
+                .into_iter()
+                .enumerate()
+            {
+                let trie = fib_workload::instances::scaled(name, scale, 0xF1B).expect(name);
+                // The default cap, and one more cap per instance.
+                let grid = [(0.6, 12), (0.6, STRIDES[k % 4])];
+                assert_settles_plain_and_hot(&trie, &grid, &format!("{name} {scale}"));
+            }
+        }
     }
 }
